@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck shuffle cover ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-fed
+.PHONY: all build test race vet fmt staticcheck shuffle cover ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-fed bench-e2e
 
 all: build
 
@@ -53,6 +53,12 @@ bench:
 # bench-smoke runs a few small experiments end-to-end (planning, execution,
 # fault recovery, scheduler contention) as a fast sanity pass for the stack,
 # then the tracked planner benchmarks with their acceptance gate.
+# BENCH_SCHED.json, BENCH_CKPT.json, BENCH_DRF.json and BENCH_FED.json hold
+# only virtual-time facts and trace byte counts, so a rerun rewrites them
+# byte-identically on any machine; CI follows bench-smoke with
+# `git diff --exit-code` on those four, so a change that shifts a trace byte
+# fails instead of silently rewriting the baseline. (The planner and
+# sched-scale baselines hold wall-clock figures and are not diffed.)
 bench-smoke: bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-fed
 	$(GO) run ./cmd/ires-bench -quick -only FIG11,FIG20-22,SCHED
 
@@ -106,3 +112,8 @@ bench-planner:
 # byte-identical merged traces. Writes BENCH_FED.json.
 bench-fed:
 	$(GO) run ./cmd/bench-fed -out BENCH_FED.json
+
+# bench-e2e runs the end-to-end benchmark of the composed platform that
+# BENCHMARK.json declares (four workloads, ~2 min); see bench/README.md.
+bench-e2e:
+	bash bench/run.sh

@@ -124,10 +124,11 @@ func (c *Cluster) Checkpoints() int {
 }
 
 // dropCheckpointReplicasLocked removes a crashed node from every non-durable
-// checkpoint's replica set, deleting entries whose last replica died. It
-// returns the lost keys in sorted order; the caller emits the loss events
-// after releasing c.mu.
-func (c *Cluster) dropCheckpointReplicasLocked(name string) []string {
+// checkpoint's replica set, deleting entries whose last replica died. With
+// keepHeld (a restore, where the agent is reachable again) copies the
+// node's disk actually still holds stay listed. It returns the lost keys in
+// sorted order; the caller emits the loss events after releasing c.mu.
+func (c *Cluster) dropCheckpointReplicasLocked(node *Node, keepHeld bool) []string {
 	var lost []string
 	keys := make([]string, 0, len(c.checkpoints))
 	for k := range c.checkpoints {
@@ -136,12 +137,12 @@ func (c *Cluster) dropCheckpointReplicasLocked(name string) []string {
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := c.checkpoints[k]
-		if e.durable {
+		if e.durable || (keepHeld && node.ag.HasReplica(k)) {
 			continue
 		}
 		kept := e.nodes[:0]
 		for _, n := range e.nodes {
-			if n != name {
+			if n != node.Name {
 				kept = append(kept, n)
 			}
 		}

@@ -19,6 +19,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,9 +49,6 @@ var (
 	// ErrForeignReservation rejects a lease that belongs to a different
 	// cluster — a federation-layer misuse, where several clusters coexist.
 	ErrForeignReservation = errors.New("cluster: reservation belongs to a different cluster")
-	// ErrWholeNodeReservation rejects slice-only operations (ResizeSlice)
-	// on a whole-node lease.
-	ErrWholeNodeReservation = errors.New("cluster: whole-node reservation (use Grow/Shrink)")
 )
 
 // Node is one machine of the simulated cluster, as the control plane sees
@@ -76,17 +74,12 @@ type Node struct {
 	healthy   bool
 	usedCores int
 	usedMemMB int
-	// reservedBy names the whole-node reservation holding this node
-	// (0 = unreserved). A node belongs to at most one whole-node
-	// reservation at a time, which is what makes admission quotas
-	// impossible to oversubscribe.
-	reservedBy int
 	// sliceCores/sliceMemMB sum the per-node (cores, memMB) slices granted
-	// to slice reservations on this node, and sliceRefs counts those
-	// reservations. Whole-node and slice reservations never coexist on a
-	// node: Reserve skips sliced nodes and ReserveSlices skips whole-node
-	// reserved ones. Slice sums are bounded by Cores and by MemMB times the
-	// cluster's memory-overcommit ratio.
+	// to leases on this node, and sliceRefs counts those leases. The sums
+	// are bounded by Cores and by MemMB times the cluster's memory-overcommit
+	// ratio, which is what makes admission quotas impossible to
+	// oversubscribe — and what makes a lease that fills the node exclusive:
+	// every slice needs at least one core, so nothing fits beside it.
 	sliceCores int
 	sliceMemMB int
 	sliceRefs  int
@@ -145,15 +138,14 @@ type Cluster struct {
 	reservations map[int]*Reservation // outstanding node leases by ID
 
 	// freeHealthy and reserved are the scheduling-counter hot path: the
-	// number of healthy nodes held by no reservation (whole-node or slice)
-	// and the number of whole-node reserved nodes, maintained as deltas at
-	// every reserve/release/grow/shrink/revoke/fail/restore boundary so
-	// UnreservedHealthy and ReservedNodes are O(1) per call instead of
-	// O(nodes) map scans. reservedSliceCores/reservedSliceMemMB are the
-	// same pattern per resource dimension: cluster-wide totals of granted
-	// slice capacity, delta-maintained by every slice reserve/grow/shrink/
-	// resize/revoke. CheckInvariants recomputes all four from scratch and
-	// fails on drift.
+	// number of healthy nodes carrying no lease and the number of nodes
+	// carrying at least one, maintained as deltas at every reserve/release/
+	// grow/shrink/revoke/fail/restore boundary so UnreservedHealthy and
+	// ReservedNodes are O(1) per call instead of O(nodes) map scans.
+	// reservedSliceCores/reservedSliceMemMB are the same pattern per
+	// resource dimension: cluster-wide totals of granted slice capacity,
+	// delta-maintained by every reserve/grow/shrink/resize/revoke.
+	// CheckInvariants recomputes all four from scratch and fails on drift.
 	freeHealthy        int
 	reserved           int
 	reservedSliceCores int
@@ -305,7 +297,7 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 		return
 	}
 	n.healthy = healthy
-	if n.reservedBy == 0 && n.sliceRefs == 0 {
+	if n.sliceRefs == 0 {
 		if healthy {
 			c.freeHealthy++
 		} else {
@@ -314,32 +306,16 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 	}
 }
 
-// reserveNodeLocked assigns an unreserved node to a reservation; c.mu held.
-func (c *Cluster) reserveNodeLocked(n *Node, resID int) {
-	n.reservedBy = resID
-	c.reserved++
-	if n.healthy {
-		c.freeHealthy--
-	}
-}
-
-// unreserveNodeLocked returns a node held by a reservation to the pool;
-// c.mu held.
-func (c *Cluster) unreserveNodeLocked(n *Node) {
-	n.reservedBy = 0
-	c.reserved--
-	if n.healthy {
-		c.freeHealthy++
-	}
-}
-
 // addSliceLocked grants one (cores, memMB) slice on a node, maintaining
 // the per-node sums, the slice refcount, the cluster-wide per-dimension
-// delta counters, and freeHealthy (a node leaves the free pool when its
-// first slice lands); c.mu held.
+// delta counters, and reserved/freeHealthy (a node leaves the free pool
+// when its first slice lands); c.mu held.
 func (c *Cluster) addSliceLocked(n *Node, cores, memMB int) {
-	if n.sliceRefs == 0 && n.healthy && n.reservedBy == 0 {
-		c.freeHealthy--
+	if n.sliceRefs == 0 {
+		c.reserved++
+		if n.healthy {
+			c.freeHealthy--
+		}
 	}
 	n.sliceRefs++
 	n.sliceCores += cores
@@ -356,8 +332,11 @@ func (c *Cluster) removeSliceLocked(n *Node, cores, memMB int) {
 	n.sliceMemMB -= memMB
 	c.reservedSliceCores -= cores
 	c.reservedSliceMemMB -= memMB
-	if n.sliceRefs == 0 && n.healthy && n.reservedBy == 0 {
-		c.freeHealthy++
+	if n.sliceRefs == 0 {
+		c.reserved--
+		if n.healthy {
+			c.freeHealthy++
+		}
 	}
 }
 
@@ -465,23 +444,52 @@ func (c *Cluster) failNodeNow(name string, at time.Duration) int {
 func (c *Cluster) detectCrashLocked(n *Node, at time.Duration) (int, []string) {
 	c.setHealthLocked(n, false)
 	lost := 0
-	for id, ctr := range c.live {
-		if ctr.NodeName != n.Name {
-			continue
+	for _, ctr := range c.live {
+		if ctr.NodeName == n.Name {
+			c.loseContainerLocked(ctr, at)
+			lost++
 		}
-		ctr.lostAt.Store(int64(at))
-		ctr.lost.Store(true)
-		ctr.released = true // resources are gone with the node; Release is a no-op
-		delete(c.live, id)
-		// Desired bookkeeping only — no kill is sent to the agent: the node
-		// is believed dead, and when the belief is premature (a staleness-
-		// bound declaration on a surviving agent) the containers live on as
-		// zombies until reconciliation fences them after the heal.
-		c.dropContainerDesiredLocked(ctr)
-		lost++
 	}
 	n.lastIncarnation = n.ag.Incarnation()
-	return lost, c.dropCheckpointReplicasLocked(n.Name)
+	return lost, c.dropCheckpointReplicasLocked(n, false)
+}
+
+// loseContainerLocked invalidates a live container at virtual time at: its
+// Lost flag is raised, its resources leave the desired view and Release
+// becomes a no-op; c.mu held. Desired bookkeeping only — no kill is sent to
+// the agent: on the crash paths the node is believed dead, and when the
+// belief is premature (a staleness-bound declaration on a surviving agent)
+// the containers live on as zombies until reconciliation fences them after
+// the heal.
+func (c *Cluster) loseContainerLocked(ctr *Container, at time.Duration) {
+	ctr.lostAt.Store(int64(at))
+	ctr.lost.Store(true)
+	ctr.released = true
+	delete(c.live, ctr.ID)
+	c.dropContainerDesiredLocked(ctr)
+}
+
+// fenceLocked drives a reachable node's agent toward desired: placements
+// the control plane no longer wants — zombies left by a unilateral death
+// declaration whose node turned out alive — are killed, and replica copies
+// whose checkpoint entry moved on are dropped; c.mu held. It returns the
+// number of containers killed.
+func (c *Cluster) fenceLocked(n *Node) int {
+	fenced := 0
+	for _, p := range n.ag.Placements() {
+		if ctr, ok := c.live[p.ID]; !ok || ctr.NodeName != n.Name {
+			if _, ok := n.ag.Kill(p.ID); ok {
+				fenced++
+			}
+		}
+	}
+	for _, key := range n.ag.Replicas() {
+		e, ok := c.checkpoints[key]
+		if !ok || e.durable || !slices.Contains(e.nodes, n.Name) {
+			n.ag.DropReplica(key)
+		}
+	}
+	return fenced
 }
 
 // RestoreNode brings a failed node back (repaired hardware rejoining the
@@ -508,65 +516,14 @@ func (c *Cluster) RestoreNode(name string) error {
 	n.ag.Restore()
 	n.lastIncarnation = n.ag.Incarnation()
 	for id, ctr := range c.live {
-		if ctr.NodeName != name || n.ag.Hosts(id) {
-			continue
+		if ctr.NodeName == name && !n.ag.Hosts(id) {
+			c.loseContainerLocked(ctr, now)
 		}
-		ctr.lostAt.Store(int64(now))
-		ctr.lost.Store(true)
-		ctr.released = true
-		delete(c.live, id)
-		c.dropContainerDesiredLocked(ctr)
 	}
 	// The restore also re-establishes the command channel, so the agent side
-	// is fenced in the same breath: placements the control plane no longer
-	// wants (zombies of a premature death declaration) are killed, and
-	// replica copies whose checkpoint entry moved on are dropped.
-	for _, p := range n.ag.Placements() {
-		if ctr, ok := c.live[p.ID]; !ok || ctr.NodeName != name {
-			n.ag.Kill(p.ID)
-		}
-	}
-	for _, rep := range n.ag.Replicas() {
-		e, ok := c.checkpoints[rep]
-		hosted := false
-		if ok && !e.durable {
-			for _, nn := range e.nodes {
-				if nn == name {
-					hosted = true
-					break
-				}
-			}
-		}
-		if !hosted {
-			n.ag.DropReplica(rep)
-		}
-	}
-	var lostCkpts []string
-	keys := make([]string, 0, len(c.checkpoints))
-	for k := range c.checkpoints {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := c.checkpoints[k]
-		if e.durable || n.ag.HasReplica(k) {
-			continue
-		}
-		kept := e.nodes[:0]
-		for _, nn := range e.nodes {
-			if nn != name {
-				kept = append(kept, nn)
-			}
-		}
-		if len(kept) == len(e.nodes) {
-			continue
-		}
-		e.nodes = kept
-		if len(e.nodes) == 0 {
-			delete(c.checkpoints, k)
-			lostCkpts = append(lostCkpts, k)
-		}
-	}
+	// is fenced in the same breath.
+	c.fenceLocked(n)
+	lostCkpts := c.dropCheckpointReplicasLocked(n, true)
 	c.setHealthLocked(n, true)
 	c.mu.Unlock()
 	c.emit(trace.Event{Type: trace.EvNodeRestore, Node: name})
@@ -610,35 +567,33 @@ func (c *Cluster) HealthyNodes() []*Node {
 // admission currency of the multi-workflow scheduler. A run's executor
 // allocates its containers only inside its reservation, so admitted runs can
 // never starve each other of capacity (and the sum of reservations can never
-// exceed the cluster, enforced structurally). Leases come in two shapes:
+// exceed the cluster, enforced structurally).
 //
-//   - Whole-node (Reserve): the lease holds entire nodes exclusively;
-//     sliceCores/sliceMemMB are 0 and containers draw from full node
-//     capacity.
-//   - Slice (ReserveSlices): the lease holds a uniform per-node
-//     (sliceCores, sliceMemMB) slice on each of its nodes, and several
-//     slice leases may share one node as long as their summed slices fit
-//     within Cores and MemMB*overcommit. AllocateIn confines containers
-//     to the slice, tracked per node in the used ledger.
+// Every lease has one shape: a uniform per-node (sliceCores, sliceMemMB)
+// slice on each of its nodes. Several leases may share a node as long as
+// their summed slices fit within Cores and MemMB*overcommit, and AllocateIn
+// confines a lease's containers to its slice, tracked per node in the used
+// ledger. ReserveSlices names the dimensions; Reserve asks for the slice
+// that fills the node, which the same headroom arithmetic makes exclusive.
 //
-// Both shapes are elastic: GrowReservation adds nodes while the run
-// executes, ShrinkReservation returns idle nodes to the pool (shrink-at-
-// operator-boundary: only nodes with no live containers of the lease may
-// leave), ResizeSlice regrows or shrinks the per-node slice dimensions
+// Leases are elastic: GrowReservation adds nodes while the run executes,
+// ShrinkReservation returns idle nodes to the pool (shrink-at-operator-
+// boundary: only nodes with no live containers of the lease may leave),
+// ResizeSlice regrows or shrinks the per-node slice dimensions
 // independently, and RevokeReservation ends the lease entirely
 // (preemption/voluntary release).
 type Reservation struct {
 	c     *Cluster
 	id    int
 	nodes []string // stable order; mutated only under c.mu
-	// sliceCores/sliceMemMB are the uniform per-node slice dimensions
-	// (0,0 = whole-node lease). Guarded by c.mu.
+	// sliceCores/sliceMemMB are the uniform per-node slice dimensions.
+	// Guarded by c.mu.
 	sliceCores int
 	sliceMemMB int
 	// used ledgers, per node, the container resources currently allocated
-	// under this lease (slice leases only): the O(1)-maintained counters
-	// AllocateIn checks slice headroom against. CheckInvariants recomputes
-	// the ledger from the live-container table and fails on drift.
+	// under this lease: the O(1)-maintained counters AllocateIn checks slice
+	// headroom against. CheckInvariants recomputes the ledger from the
+	// live-container table and fails on drift.
 	used map[string]*sliceUse
 	// released marks the lease revoked; all accessors and elastic ops on a
 	// released lease fail or return empty. Guarded by c.mu.
@@ -651,18 +606,30 @@ type sliceUse struct {
 	memMB int
 }
 
+// usedOn returns what the lease's own containers hold on the node; c.mu
+// held.
+func (r *Reservation) usedOn(name string) (cores, memMB int) {
+	if u := r.used[name]; u != nil {
+		return u.cores, u.memMB
+	}
+	return 0, 0
+}
+
 // ID returns the reservation's cluster-unique id.
 func (r *Reservation) ID() int { return r.id }
 
-// Nodes returns the reserved node names in stable order. It takes the
-// cluster lock: the node set of an elastic lease changes under Grow/Shrink,
-// so an unlocked read could observe a half-applied resize.
+// Nodes returns the reserved node names in stable order (nil once revoked).
+// It takes the cluster lock: the node set of an elastic lease changes under
+// Grow/Shrink, so an unlocked read could observe a half-applied resize.
 func (r *Reservation) Nodes() []string {
 	if r == nil {
 		return nil
 	}
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
+	if r.released {
+		return nil
+	}
 	return append([]string(nil), r.nodes...)
 }
 
@@ -690,7 +657,8 @@ func (r *Reservation) Released() bool {
 }
 
 // SliceDims returns the per-node (cores, memMB) slice dimensions of the
-// lease; (0, 0) for whole-node leases and once revoked.
+// lease; (0, 0) once revoked. A lease made by Reserve reports the node's
+// cores and its memory ceiling under the overcommit ratio.
 func (r *Reservation) SliceDims() (cores, memMB int) {
 	if r == nil {
 		return 0, 0
@@ -703,9 +671,11 @@ func (r *Reservation) SliceDims() (cores, memMB int) {
 	return r.sliceCores, r.sliceMemMB
 }
 
-// Reserve leases n whole healthy, unreserved nodes (first-fit in stable
-// node order; nodes hosting slice leases are skipped — whole-node and
-// slice leases never coexist on a node). It returns
+// Reserve leases n whole healthy nodes: the slice lease whose per-node
+// dimensions are the node's cores and its memory ceiling under the
+// overcommit ratio. Only a node carrying no lease has that much headroom,
+// and since every slice needs at least one core nothing co-locates with the
+// lease afterwards — unless ResizeSlice shrinks it. It returns
 // ErrInsufficientResources when fewer than n such nodes exist; the
 // reservation is atomic.
 func (c *Cluster) Reserve(n int) (*Reservation, error) {
@@ -714,45 +684,34 @@ func (c *Cluster) Reserve(n int) (*Reservation, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var picked []string
-	for _, name := range c.order {
-		node := c.nodes[name]
-		if node.healthy && node.reservedBy == 0 && node.sliceRefs == 0 {
-			picked = append(picked, name)
-			if len(picked) == n {
-				break
-			}
-		}
+	if len(c.order) == 0 {
+		return nil, fmt.Errorf("%w: want %d nodes, cluster has none", ErrInsufficientResources, n)
 	}
-	if len(picked) < n {
-		return nil, fmt.Errorf("%w: want %d unreserved nodes, have %d", ErrInsufficientResources, n, len(picked))
-	}
-	c.nextResID++
-	res := &Reservation{c: c, id: c.nextResID, nodes: picked}
-	for _, name := range picked {
-		c.reserveNodeLocked(c.nodes[name], res.id)
-	}
-	c.reservations[res.id] = res
-	return res, nil
+	full := c.nodes[c.order[0]] // New builds identical nodes
+	return c.reserveLocked(n, full.Cores, c.memCapLocked(full))
 }
 
 // ReserveSlices leases a uniform (coresPer, memPer) slice on each of n
-// healthy nodes (first-fit in stable node order). A node qualifies when it
-// holds no whole-node reservation and its remaining slice headroom — Cores
-// minus granted slice cores, MemMB*overcommit minus granted slice memory —
-// fits the requested slice, so several slice leases can share one node.
-// The reservation is atomic: on ErrInsufficientResources nothing is
-// granted.
+// healthy nodes (first-fit in stable node order). A node qualifies when its
+// remaining slice headroom — Cores minus granted slice cores,
+// MemMB*overcommit minus granted slice memory — fits the requested slice,
+// so several leases can share one node. The reservation is atomic: on
+// ErrInsufficientResources nothing is granted.
 func (c *Cluster) ReserveSlices(n, coresPer, memPer int) (*Reservation, error) {
 	if n <= 0 || coresPer <= 0 || memPer <= 0 {
 		return nil, fmt.Errorf("cluster: invalid slice reservation %dx(%dc,%dMB)", n, coresPer, memPer)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	picked := c.sliceFitLocked(n, coresPer, memPer, nil)
-	if len(picked) < n {
-		return nil, fmt.Errorf("%w: want %d nodes with a (%dc,%dMB) slice free, have %d",
-			ErrInsufficientResources, n, coresPer, memPer, len(picked))
+	return c.reserveLocked(n, coresPer, memPer)
+}
+
+// reserveLocked grants a new lease of n (coresPer, memPer) slices; c.mu
+// held.
+func (c *Cluster) reserveLocked(n, coresPer, memPer int) (*Reservation, error) {
+	picked, err := c.pickSlicesLocked(n, coresPer, memPer, nil)
+	if err != nil {
+		return nil, err
 	}
 	c.nextResID++
 	res := &Reservation{
@@ -767,25 +726,28 @@ func (c *Cluster) ReserveSlices(n, coresPer, memPer int) (*Reservation, error) {
 	return res, nil
 }
 
-// sliceFitLocked returns up to max node names (stable order) that could
-// host one more (coresPer, memPer) slice, excluding nodes in skip; c.mu
-// held. max <= 0 means no limit.
-func (c *Cluster) sliceFitLocked(max, coresPer, memPer int, skip map[string]bool) []string {
+// sliceFitsLocked reports whether the node could host one more
+// (coresPer, memPer) slice; c.mu held.
+func (c *Cluster) sliceFitsLocked(n *Node, coresPer, memPer int) bool {
+	return n.healthy && n.Cores-n.sliceCores >= coresPer && c.memCapLocked(n)-n.sliceMemMB >= memPer
+}
+
+// pickSlicesLocked returns the first n node names (stable order) that could
+// host one more (coresPer, memPer) slice, excluding nodes in skip, or
+// ErrInsufficientResources when fewer qualify; c.mu held.
+func (c *Cluster) pickSlicesLocked(n, coresPer, memPer int, skip map[string]bool) ([]string, error) {
 	var picked []string
 	for _, name := range c.order {
-		node := c.nodes[name]
-		if !node.healthy || node.reservedBy != 0 || skip[name] {
-			continue
-		}
-		if node.Cores-node.sliceCores < coresPer || c.memCapLocked(node)-node.sliceMemMB < memPer {
+		if skip[name] || !c.sliceFitsLocked(c.nodes[name], coresPer, memPer) {
 			continue
 		}
 		picked = append(picked, name)
-		if max > 0 && len(picked) == max {
-			break
+		if len(picked) == n {
+			return picked, nil
 		}
 	}
-	return picked
+	return nil, fmt.Errorf("%w: want %d nodes with a (%dc,%dMB) slice free, have %d",
+		ErrInsufficientResources, n, coresPer, memPer, len(picked))
 }
 
 // SliceFit counts the nodes that could currently host one more
@@ -797,107 +759,84 @@ func (c *Cluster) SliceFit(coresPer, memPer int) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.sliceFitLocked(0, coresPer, memPer, nil))
+	fit := 0
+	for _, n := range c.nodes {
+		if c.sliceFitsLocked(n, coresPer, memPer) {
+			fit++
+		}
+	}
+	return fit
+}
+
+// liveLeaseLocked is the shared preamble of the elastic operations: it
+// rejects a nil lease, one that belongs to a different cluster and one
+// already revoked, naming the operation; c.mu held.
+func (c *Cluster) liveLeaseLocked(r *Reservation, op string) error {
+	switch {
+	case r == nil:
+		return fmt.Errorf("%w: %s", ErrNilReservation, op)
+	case r.c != c:
+		return fmt.Errorf("%w: %s of reservation %d", ErrForeignReservation, op, r.id)
+	case r.released:
+		return fmt.Errorf("%w: %s of reservation %d", ErrReleasedReservation, op, r.id)
+	}
+	return nil
 }
 
 // GrowReservation extends a live lease by n more nodes (first-fit in
-// stable node order, like Reserve). Whole-node leases take whole healthy
-// unreserved nodes; slice leases take one more (sliceCores, sliceMemMB)
-// slice on each of n nodes with headroom the lease is not already on. The
-// grow is atomic: on ErrInsufficientResources the lease is unchanged. It
-// returns the names of the added nodes.
+// stable node order, like Reserve): one more (sliceCores, sliceMemMB) slice
+// on each of n nodes with headroom the lease is not already on. The grow is
+// atomic: on ErrInsufficientResources the lease is unchanged. It returns
+// the names of the added nodes.
 func (c *Cluster) GrowReservation(r *Reservation, n int) ([]string, error) {
-	if r == nil {
-		return nil, fmt.Errorf("%w: grow", ErrNilReservation)
-	}
-	if r.c != c {
-		return nil, fmt.Errorf("%w: grow of reservation %d", ErrForeignReservation, r.id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.liveLeaseLocked(r, "grow"); err != nil {
+		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: invalid grow size %d", n)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.released {
-		return nil, fmt.Errorf("%w: grow of reservation %d", ErrReleasedReservation, r.id)
+	held := make(map[string]bool, len(r.nodes)+n)
+	for _, name := range r.nodes {
+		held[name] = true
 	}
-	if r.sliceCores > 0 {
-		held := make(map[string]bool, len(r.nodes))
-		for _, name := range r.nodes {
-			held[name] = true
-		}
-		picked := c.sliceFitLocked(n, r.sliceCores, r.sliceMemMB, held)
-		if len(picked) < n {
-			return nil, fmt.Errorf("%w: want %d nodes with a (%dc,%dMB) slice free, have %d",
-				ErrInsufficientResources, n, r.sliceCores, r.sliceMemMB, len(picked))
-		}
-		for _, name := range picked {
-			c.addSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
-			held[name] = true
-		}
-		// Rebuild the lease's node list in stable cluster order, the same
-		// ordering discipline whole-node Grow keeps via back-pointers.
-		r.nodes = r.nodes[:0]
-		for _, name := range c.order {
-			if held[name] {
-				r.nodes = append(r.nodes, name)
-			}
-		}
-		return picked, nil
-	}
-	var picked []string
-	for _, name := range c.order {
-		node := c.nodes[name]
-		if node.healthy && node.reservedBy == 0 && node.sliceRefs == 0 {
-			picked = append(picked, name)
-			if len(picked) == n {
-				break
-			}
-		}
-	}
-	if len(picked) < n {
-		return nil, fmt.Errorf("%w: want %d unreserved nodes, have %d", ErrInsufficientResources, n, len(picked))
+	picked, err := c.pickSlicesLocked(n, r.sliceCores, r.sliceMemMB, held)
+	if err != nil {
+		return nil, err
 	}
 	for _, name := range picked {
-		c.reserveNodeLocked(c.nodes[name], r.id)
+		c.addSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
+		held[name] = true
 	}
 	// Rebuild the lease's node list in stable cluster order so Grow keeps
 	// the same ordering discipline Reserve established.
 	r.nodes = r.nodes[:0]
 	for _, name := range c.order {
-		if c.nodes[name].reservedBy == r.id {
+		if held[name] {
 			r.nodes = append(r.nodes, name)
 		}
 	}
 	return picked, nil
 }
 
-// ResizeSlice changes a slice lease's per-node dimensions to
-// (coresPer, memPer), each dimension growing or shrinking independently on
-// every node of the lease at once. Growing a dimension requires headroom
-// on all the lease's nodes (atomic: on ErrInsufficientResources nothing
-// changes); shrinking a dimension is bounded below by the lease's own
-// container usage on each node, so running work is never squeezed out —
-// the per-dimension form of shrink-at-operator-boundary semantics. In
-// that case the call fails with ErrInsufficientResources and the caller
-// retries at a quieter boundary.
+// ResizeSlice changes a lease's per-node dimensions to (coresPer, memPer),
+// each dimension growing or shrinking independently on every node of the
+// lease at once. Growing a dimension requires headroom on all the lease's
+// nodes (atomic: on ErrInsufficientResources nothing changes); shrinking a
+// dimension is bounded below by the lease's own container usage on each
+// node, so running work is never squeezed out — the per-dimension form of
+// shrink-at-operator-boundary semantics. In that case the call fails with
+// ErrInsufficientResources and the caller retries at a quieter boundary.
+// Shrinking a lease made by Reserve opens its nodes to other leases.
 func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
-	if r == nil {
-		return fmt.Errorf("%w: resize", ErrNilReservation)
-	}
-	if r.c != c {
-		return fmt.Errorf("%w: resize of reservation %d", ErrForeignReservation, r.id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.liveLeaseLocked(r, "resize"); err != nil {
+		return err
 	}
 	if coresPer <= 0 || memPer <= 0 {
 		return fmt.Errorf("cluster: invalid slice dimensions (%dc,%dMB)", coresPer, memPer)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.released {
-		return fmt.Errorf("%w: resize of reservation %d", ErrReleasedReservation, r.id)
-	}
-	if r.sliceCores == 0 {
-		return fmt.Errorf("%w: resize of reservation %d", ErrWholeNodeReservation, r.id)
 	}
 	dCores, dMem := coresPer-r.sliceCores, memPer-r.sliceMemMB
 	if dCores == 0 && dMem == 0 {
@@ -917,10 +856,9 @@ func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
 			return fmt.Errorf("%w: node %s has %d slice MB free, need %d",
 				ErrInsufficientResources, name, c.memCapLocked(n)-n.sliceMemMB, dMem)
 		}
-		u := r.used[name]
-		if u != nil && (u.cores > coresPer || u.memMB > memPer) {
+		if uc, um := r.usedOn(name); uc > coresPer || um > memPer {
 			return fmt.Errorf("%w: node %s runs (%dc,%dMB) of this lease, cannot shrink slice to (%dc,%dMB)",
-				ErrInsufficientResources, name, u.cores, u.memMB, coresPer, memPer)
+				ErrInsufficientResources, name, uc, um, coresPer, memPer)
 		}
 	}
 	for _, name := range r.nodes {
@@ -943,50 +881,25 @@ func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
 // stable node order. It returns the names of the released nodes (possibly
 // fewer than requested when busy nodes pin the lease above target).
 func (c *Cluster) ShrinkReservation(r *Reservation, target int) ([]string, error) {
-	if r == nil {
-		return nil, fmt.Errorf("%w: shrink", ErrNilReservation)
-	}
-	if r.c != c {
-		return nil, fmt.Errorf("%w: shrink of reservation %d", ErrForeignReservation, r.id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.liveLeaseLocked(r, "shrink"); err != nil {
+		return nil, err
 	}
 	if target < 1 {
 		return nil, fmt.Errorf("cluster: invalid shrink target %d", target)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r.released {
-		return nil, fmt.Errorf("%w: shrink of reservation %d", ErrReleasedReservation, r.id)
-	}
-	busy := make(map[string]bool)
-	for _, ctr := range c.live {
-		if ctr.resID == r.id {
-			busy[ctr.NodeName] = true
-		}
-	}
 	var removed []string
+	drop := make(map[string]bool)
 	for i := len(r.nodes) - 1; i >= 0 && len(r.nodes)-len(removed) > target; i-- {
 		name := r.nodes[i]
-		if busy[name] {
-			continue
+		if uc, um := r.usedOn(name); uc > 0 || um > 0 {
+			continue // a live container of this lease pins the node
 		}
 		removed = append(removed, name)
-	}
-	if len(removed) == 0 {
-		return nil, nil
-	}
-	drop := make(map[string]bool, len(removed))
-	for _, name := range removed {
 		drop[name] = true
-		n, ok := c.nodes[name]
-		if !ok {
-			continue
-		}
-		if r.sliceCores > 0 {
-			c.removeSliceLocked(n, r.sliceCores, r.sliceMemMB)
-			delete(r.used, name)
-		} else if n.reservedBy == r.id {
-			c.unreserveNodeLocked(n)
-		}
+		c.removeSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
+		delete(r.used, name)
 	}
 	kept := r.nodes[:0]
 	for _, name := range r.nodes {
@@ -1012,39 +925,39 @@ func (c *Cluster) RevokeReservation(r *Reservation) int {
 		return 0
 	}
 	dropped := 0
-	for id, ctr := range c.live {
-		if ctr.resID != r.id {
-			continue
+	for _, ctr := range c.live {
+		if ctr.resID == r.id {
+			c.releaseContainerLocked(ctr)
+			dropped++
 		}
-		ctr.released = true
-		delete(c.live, id)
-		c.dropContainerUsageLocked(ctr)
-		dropped++
 	}
 	c.releaseReservationLocked(r)
 	return dropped
 }
 
-// dropContainerUsageLocked returns a container's resources to its node and,
-// when it was allocated under a slice lease, to the lease's per-node used
-// ledger; c.mu held. The agent-side placement is killed too — a safe no-op
-// when the agent already dropped it (death took the container first).
-func (c *Cluster) dropContainerUsageLocked(ctr *Container) {
+// releaseContainerLocked ends a live container: its resources return to
+// its node and its lease's ledger, and the agent-side placement is killed —
+// a safe no-op when the agent already dropped it (death took the container
+// first); c.mu held.
+func (c *Cluster) releaseContainerLocked(ctr *Container) {
+	ctr.released = true
+	delete(c.live, ctr.ID)
 	c.dropContainerDesiredLocked(ctr)
 	if n, ok := c.nodes[ctr.NodeName]; ok {
 		n.ag.Kill(ctr.ID)
 	}
 }
 
-// dropContainerDesiredLocked is dropContainerUsageLocked without the
-// agent-side kill: the desired-view half alone, for paths where the node is
+// dropContainerDesiredLocked returns a container's resources to its node
+// and to its lease's per-node used ledger in the desired view alone, with no
+// agent-side kill: the whole of the release on paths where the node is
 // believed dead and no kill can (or should) be delivered; c.mu held.
 func (c *Cluster) dropContainerDesiredLocked(ctr *Container) {
 	if n, ok := c.nodes[ctr.NodeName]; ok {
 		n.usedCores -= ctr.Cores
 		n.usedMemMB -= ctr.MemMB
 	}
-	if res, ok := c.reservations[ctr.resID]; ok && res.used != nil {
+	if res, ok := c.reservations[ctr.resID]; ok {
 		if u, ok := res.used[ctr.NodeName]; ok {
 			u.cores -= ctr.Cores
 			u.memMB -= ctr.MemMB
@@ -1076,15 +989,7 @@ func (c *Cluster) releaseReservationLocked(r *Reservation) {
 	}
 	delete(c.reservations, r.id)
 	for _, name := range r.nodes {
-		n, ok := c.nodes[name]
-		if !ok {
-			continue
-		}
-		if r.sliceCores > 0 {
-			c.removeSliceLocked(n, r.sliceCores, r.sliceMemMB)
-		} else if n.reservedBy == r.id {
-			c.unreserveNodeLocked(n)
-		}
+		c.removeSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
 	}
 }
 
@@ -1097,8 +1002,8 @@ func (c *Cluster) UnreservedHealthy() int {
 	return c.freeHealthy
 }
 
-// ReservedNodes counts the nodes currently held by whole-node
-// reservations. O(1), like UnreservedHealthy.
+// ReservedNodes counts the nodes currently carrying at least one lease,
+// healthy or not. O(1), like UnreservedHealthy.
 func (c *Cluster) ReservedNodes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1106,9 +1011,9 @@ func (c *Cluster) ReservedNodes() int {
 }
 
 // ReservedSlices returns the cluster-wide totals of granted slice capacity
-// per dimension (summed over every slice lease's nodes). O(1): both are
-// delta counters maintained at each slice reserve/grow/shrink/resize/
-// revoke, recomputed from scratch by CheckInvariants.
+// per dimension (summed over every lease's nodes). O(1): both are delta
+// counters maintained at each reserve/grow/shrink/resize/revoke, recomputed
+// from scratch by CheckInvariants.
 func (c *Cluster) ReservedSlices() (cores, memMB int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1119,17 +1024,16 @@ func (c *Cluster) ReservedSlices() (cores, memMB int) {
 // healthy unreserved nodes with a most-free-first policy. Allocation is
 // atomic: either all containers are granted or none. (On a cluster with no
 // reservations this is every healthy node — the single-workflow behaviour.)
-// Nodes hosting slice leases are not part of the pool: slice capacity is
+// Nodes carrying a lease are not part of the pool: their capacity is
 // promised to its leases.
 func (c *Cluster) Allocate(count, cores, memMB int) ([]*Container, error) {
 	return c.allocateAndEmit(nil, count, cores, memMB)
 }
 
 // AllocateIn is Allocate restricted to a reservation: the per-run
-// allocation path of the multi-workflow scheduler. Under a whole-node
-// lease containers draw from the full capacity of the leased nodes; under
-// a slice lease they are confined to the per-node (sliceCores, sliceMemMB)
-// slice, tracked in the lease's used ledger.
+// allocation path of the multi-workflow scheduler. Containers are confined
+// to the lease's per-node (sliceCores, sliceMemMB) slice, tracked in the
+// lease's used ledger.
 func (c *Cluster) AllocateIn(r *Reservation, count, cores, memMB int) ([]*Container, error) {
 	return c.allocateAndEmit(r, count, cores, memMB)
 }
@@ -1180,7 +1084,7 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	resID, slice := 0, false
+	resID, candidates := 0, c.order
 	if r != nil {
 		if r.c != c {
 			return nil, nil, fmt.Errorf("%w: allocation under reservation %d", ErrForeignReservation, r.id)
@@ -1188,63 +1092,49 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 		if r.released {
 			return nil, nil, fmt.Errorf("%w: %w %d", ErrInsufficientResources, ErrReleasedReservation, r.id)
 		}
-		resID, slice = r.id, r.sliceCores > 0
+		resID, candidates = r.id, r.nodes
 	}
 
 	var granted []*Container
-	rollback := func() {
-		for _, ctr := range granted {
-			delete(c.live, ctr.ID)
-			c.dropContainerUsageLocked(ctr)
-		}
-	}
 	// down collects nodes whose agent refused the placement (a silently dead
 	// agent behind a partition looks healthy to the control plane until the
 	// Place bounces — a connection refused, in effect). Such nodes leave the
 	// candidate pool for the rest of this allocation.
 	var down map[string]bool
 	for i := 0; i < count; i++ {
-		// Most-free node first, name as tiebreak for determinism. For slice
-		// leases "free" means headroom left inside the lease's own slice.
+		// Most-free node first, name as tiebreak for determinism. Under a
+		// lease "free" means headroom left inside the lease's own slice; the
+		// unreserved pool is every node that carries no lease.
 		var best *Node
 		var bestFree int
-		if slice {
-			for _, name := range r.nodes {
-				n, ok := c.nodes[name]
-				if !ok || !n.healthy || down[name] {
+		for _, name := range candidates {
+			n := c.nodes[name]
+			if !n.healthy || down[name] {
+				continue
+			}
+			if n.usedCores+cores > n.Cores || n.usedMemMB+memMB > c.memCapLocked(n) {
+				continue
+			}
+			free := n.FreeCores()
+			if r == nil {
+				if n.sliceRefs > 0 {
 					continue
 				}
-				var uc, um int
-				if u := r.used[name]; u != nil {
-					uc, um = u.cores, u.memMB
-				}
+			} else {
+				uc, um := r.usedOn(name)
 				if uc+cores > r.sliceCores || um+memMB > r.sliceMemMB {
 					continue
 				}
-				if n.usedCores+cores > n.Cores || n.usedMemMB+memMB > c.memCapLocked(n) {
-					continue
-				}
-				free := r.sliceCores - uc
-				if best == nil || free > bestFree || (free == bestFree && n.Name < best.Name) {
-					best, bestFree = n, free
-				}
+				free = r.sliceCores - uc
 			}
-		} else {
-			for _, name := range c.order {
-				n := c.nodes[name]
-				if !n.healthy || n.reservedBy != resID || (resID == 0 && n.sliceRefs > 0) || down[name] {
-					continue
-				}
-				if n.usedCores+cores > n.Cores || n.usedMemMB+memMB > c.memCapLocked(n) {
-					continue
-				}
-				if best == nil || n.FreeCores() > bestFree || (n.FreeCores() == bestFree && n.Name < best.Name) {
-					best, bestFree = n, n.FreeCores()
-				}
+			if best == nil || free > bestFree || (free == bestFree && n.Name < best.Name) {
+				best, bestFree = n, free
 			}
 		}
 		if best == nil {
-			rollback()
+			for _, ctr := range granted {
+				c.releaseContainerLocked(ctr)
+			}
 			return nil, nil, fmt.Errorf("%w: want %dx(%dc,%dMB)", ErrInsufficientResources, count, cores, memMB)
 		}
 		// Install the container on the node's agent first: the placement is
@@ -1262,7 +1152,7 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 		best.usedMemMB += memMB
 		c.nextID++
 		ctr := &Container{ID: c.nextID, NodeName: best.Name, Cores: cores, MemMB: memMB, resID: resID}
-		if slice {
+		if r != nil {
 			u := r.used[best.Name]
 			if u == nil {
 				u = &sliceUse{}
@@ -1316,11 +1206,8 @@ func (c *Cluster) oomSweepLocked(granted []*Container, now time.Duration) []oomK
 			if victim == nil {
 				break
 			}
-			victim.lostAt.Store(int64(now))
-			victim.lost.Store(true)
-			victim.released = true
-			delete(c.live, victim.ID)
-			c.dropContainerUsageLocked(victim)
+			c.loseContainerLocked(victim, now)
+			n.ag.Kill(victim.ID)
 			kills = append(kills, oomKillInfo{
 				node: n.Name, containerID: victim.ID,
 				memMB: victim.MemMB, overMB: over,
@@ -1338,12 +1225,9 @@ func (c *Cluster) Release(ctr *Container) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ctr.released {
-		return
+	if !ctr.released {
+		c.releaseContainerLocked(ctr)
 	}
-	ctr.released = true
-	delete(c.live, ctr.ID)
-	c.dropContainerUsageLocked(ctr)
 }
 
 // ReleaseAll releases a batch of containers.
@@ -1409,17 +1293,13 @@ func (c *Cluster) CheckInvariants() error {
 	sort.Strings(names)
 	// The O(1) scheduling counters must agree with a from-scratch recount —
 	// any missed delta on a reserve/release/grow/shrink/resize/revoke/fail/
-	// restore path shows up here. The slice recount rebuilds every node's
+	// restore path shows up here. The recount rebuilds every node's
 	// per-dimension slice sums and refcount from the reservation table.
-	freeHealthy, reserved := 0, 0
 	sliceCores := make(map[string]int)
 	sliceMemMB := make(map[string]int)
 	sliceRefs := make(map[string]int)
 	totSliceCores, totSliceMemMB := 0, 0
 	for _, res := range c.reservations {
-		if res.sliceCores == 0 {
-			continue
-		}
 		for _, name := range res.nodes {
 			sliceCores[name] += res.sliceCores
 			sliceMemMB[name] += res.sliceMemMB
@@ -1428,13 +1308,12 @@ func (c *Cluster) CheckInvariants() error {
 			totSliceMemMB += res.sliceMemMB
 		}
 	}
+	freeHealthy, reserved := 0, 0
 	for _, name := range names {
-		n := c.nodes[name]
-		if n.healthy && n.reservedBy == 0 && n.sliceRefs == 0 {
-			freeHealthy++
-		}
-		if n.reservedBy != 0 {
+		if sliceRefs[name] > 0 {
 			reserved++
+		} else if c.nodes[name].healthy {
+			freeHealthy++
 		}
 	}
 	if freeHealthy != c.freeHealthy {
@@ -1461,39 +1340,42 @@ func (c *Cluster) CheckInvariants() error {
 				name, n.sliceCores, n.sliceMemMB, n.sliceRefs, sliceCores[name], sliceMemMB[name], sliceRefs[name])
 		}
 		// Summed slice grants never exceed node capacity per dimension
-		// (memory judged against the overcommit ceiling), and whole-node
-		// and slice reservations never share a node.
+		// (memory judged against the overcommit ceiling) — which is also what
+		// keeps a lease that fills its nodes alone on them.
 		if n.sliceCores > n.Cores || n.sliceMemMB > c.memCapLocked(n) {
 			return fmt.Errorf("cluster: node %s slices oversubscribed (%d/%d cores, %d/%d MB)",
 				name, n.sliceCores, n.Cores, n.sliceMemMB, c.memCapLocked(n))
 		}
-		if n.reservedBy != 0 && n.sliceRefs > 0 {
-			return fmt.Errorf("cluster: node %s holds whole-node reservation %d and %d slices", name, n.reservedBy, n.sliceRefs)
-		}
-		if n.reservedBy != 0 {
-			res, ok := c.reservations[n.reservedBy]
-			if !ok {
-				return fmt.Errorf("cluster: node %s reserved by unknown reservation %d", name, n.reservedBy)
-			}
-			found := false
-			for _, rn := range res.nodes {
-				if rn == name {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("cluster: node %s claims reservation %d which does not list it", name, n.reservedBy)
-			}
-		}
 	}
-	// Whole-node reservations are disjoint leases: their total size can
-	// never exceed the cluster, and every reserved node must point back.
-	// Slice reservations instead must list known nodes once each, and their
-	// used ledger — the O(1) slice-headroom counters AllocateIn consults —
-	// must agree with a from-scratch recount of the live-container table
-	// and stay within the slice dimensions.
-	reserved = 0
+	// Every lease must list known nodes once each, and its used ledger — the
+	// O(1) slice-headroom counters AllocateIn consults — must agree with a
+	// from-scratch recount of the live-container table and stay within the
+	// slice dimensions. Containers allocated under a still-live lease must
+	// sit on that lease's nodes (a lease released or crashed away while work
+	// drained no longer constrains them).
+	usedNow := make(map[int]map[string]sliceUse)
+	for id, ctr := range c.live {
+		if _, ok := c.nodes[ctr.NodeName]; !ok {
+			return fmt.Errorf("cluster: container %d on unknown node %s", id, ctr.NodeName)
+		}
+		res, ok := c.reservations[ctr.resID]
+		if !ok {
+			continue
+		}
+		if !slices.Contains(res.nodes, ctr.NodeName) {
+			return fmt.Errorf("cluster: container %d allocated under reservation %d but node %s is not leased",
+				id, ctr.resID, ctr.NodeName)
+		}
+		m := usedNow[ctr.resID]
+		if m == nil {
+			m = make(map[string]sliceUse)
+			usedNow[ctr.resID] = m
+		}
+		u := m[ctr.NodeName]
+		u.cores += ctr.Cores
+		u.memMB += ctr.MemMB
+		m[ctr.NodeName] = u
+	}
 	for id, res := range c.reservations {
 		if res.released {
 			return fmt.Errorf("cluster: released reservation %d still in the reservation table", id)
@@ -1501,106 +1383,37 @@ func (c *Cluster) CheckInvariants() error {
 		if len(res.nodes) == 0 {
 			return fmt.Errorf("cluster: live reservation %d holds no nodes (shrink below 1?)", id)
 		}
+		if res.sliceCores <= 0 || res.sliceMemMB <= 0 {
+			return fmt.Errorf("cluster: reservation %d has dimensions (%dc,%dMB)", id, res.sliceCores, res.sliceMemMB)
+		}
 		seen := make(map[string]bool, len(res.nodes))
 		for _, rn := range res.nodes {
 			if seen[rn] {
 				return fmt.Errorf("cluster: reservation %d lists node %s twice", id, rn)
 			}
 			seen[rn] = true
-			n, ok := c.nodes[rn]
-			if !ok {
+			if _, ok := c.nodes[rn]; !ok {
 				return fmt.Errorf("cluster: reservation %d lists unknown node %s", id, rn)
 			}
-			if res.sliceCores == 0 && n.reservedBy != id {
-				return fmt.Errorf("cluster: reservation %d lists node %s held by %d", id, rn, n.reservedBy)
+		}
+		for name, u := range res.used {
+			if u.cores == 0 && u.memMB == 0 {
+				continue
+			}
+			if got := usedNow[id][name]; u.cores != got.cores || u.memMB != got.memMB {
+				return fmt.Errorf("cluster: reservation %d ledger drifted on %s: have (%dc,%dMB), recount (%dc,%dMB)",
+					id, name, u.cores, u.memMB, got.cores, got.memMB)
+			}
+			if u.cores > res.sliceCores || u.memMB > res.sliceMemMB {
+				return fmt.Errorf("cluster: reservation %d usage (%dc,%dMB) on %s exceeds its slice (%dc,%dMB)",
+					id, u.cores, u.memMB, name, res.sliceCores, res.sliceMemMB)
 			}
 		}
-		if res.sliceCores > 0 {
-			if res.sliceMemMB <= 0 {
-				return fmt.Errorf("cluster: slice reservation %d has dimensions (%dc,%dMB)", id, res.sliceCores, res.sliceMemMB)
+		for name, got := range usedNow[id] {
+			if res.used[name] == nil {
+				return fmt.Errorf("cluster: reservation %d runs (%dc,%dMB) on %s with no ledger entry",
+					id, got.cores, got.memMB, name)
 			}
-			usedNow := make(map[string]sliceUse)
-			for _, ctr := range c.live {
-				if ctr.resID == id {
-					u := usedNow[ctr.NodeName]
-					u.cores += ctr.Cores
-					u.memMB += ctr.MemMB
-					usedNow[ctr.NodeName] = u
-				}
-			}
-			for name, u := range res.used {
-				if u.cores == 0 && u.memMB == 0 {
-					continue
-				}
-				if !seen[name] {
-					return fmt.Errorf("cluster: reservation %d ledgers usage on node %s it does not hold", id, name)
-				}
-				if got := usedNow[name]; u.cores != got.cores || u.memMB != got.memMB {
-					return fmt.Errorf("cluster: reservation %d ledger drifted on %s: have (%dc,%dMB), recount (%dc,%dMB)",
-						id, name, u.cores, u.memMB, got.cores, got.memMB)
-				}
-				if u.cores > res.sliceCores || u.memMB > res.sliceMemMB {
-					return fmt.Errorf("cluster: reservation %d usage (%dc,%dMB) on %s exceeds its slice (%dc,%dMB)",
-						id, u.cores, u.memMB, name, res.sliceCores, res.sliceMemMB)
-				}
-			}
-			for name, got := range usedNow {
-				u := res.used[name]
-				if u == nil && (got.cores != 0 || got.memMB != 0) {
-					return fmt.Errorf("cluster: reservation %d runs (%dc,%dMB) on %s with no ledger entry",
-						id, got.cores, got.memMB, name)
-				}
-			}
-			continue
-		}
-		reserved += len(res.nodes)
-		// The back-pointer count must match the lease's node list exactly —
-		// a grow/shrink that half-applied would break this symmetry.
-		backRefs := 0
-		for _, name := range c.order {
-			if c.nodes[name].reservedBy == id {
-				backRefs++
-			}
-		}
-		if backRefs != len(res.nodes) {
-			return fmt.Errorf("cluster: reservation %d holds %d nodes but %d nodes point back",
-				id, len(res.nodes), backRefs)
-		}
-	}
-	if reserved > len(c.nodes) {
-		return fmt.Errorf("cluster: %d reserved nodes exceed cluster size %d", reserved, len(c.nodes))
-	}
-	// Containers allocated under a still-live reservation must sit on that
-	// reservation's nodes.
-	for id, ctr := range c.live {
-		if ctr.resID == 0 {
-			continue
-		}
-		res, ok := c.reservations[ctr.resID]
-		if !ok {
-			continue // lease released/crashed away while work drained
-		}
-		n, ok := c.nodes[ctr.NodeName]
-		if !ok {
-			return fmt.Errorf("cluster: container %d on unknown node %s", id, ctr.NodeName)
-		}
-		if res.sliceCores > 0 {
-			onLease := false
-			for _, rn := range res.nodes {
-				if rn == ctr.NodeName {
-					onLease = true
-					break
-				}
-			}
-			if !onLease {
-				return fmt.Errorf("cluster: container %d allocated under slice reservation %d but node %s is not leased",
-					id, ctr.resID, ctr.NodeName)
-			}
-			continue
-		}
-		if n.reservedBy != ctr.resID {
-			return fmt.Errorf("cluster: container %d allocated under reservation %d but node %s is held by %d",
-				id, ctr.resID, ctr.NodeName, n.reservedBy)
 		}
 	}
 	// Desired vs actual: whenever the control plane's view of a node is not
@@ -1660,14 +1473,7 @@ func (c *Cluster) CheckInvariants() error {
 			if n.ag.Partitioned() || n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
 				continue
 			}
-			hosted := false
-			for _, k := range n.ag.Report().Replicas {
-				if k == key {
-					hosted = true
-					break
-				}
-			}
-			if !hosted {
+			if !slices.Contains(n.ag.Report().Replicas, key) {
 				return fmt.Errorf("cluster: checkpoint %q lists replica on %s but the agent does not host it", key, nn)
 			}
 		}

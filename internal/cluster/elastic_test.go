@@ -289,8 +289,10 @@ func TestSliceReserveResizeRelease(t *testing.T) {
 	}
 }
 
-// Property: a 2000-step randomized storm of multi-dimensional slice
-// operations on an overcommitted cluster keeps every invariant, never lets
+// Property: a 2000-step randomized storm of multi-dimensional lease
+// operations on an overcommitted cluster — slice leases, whole-node leases
+// and whole-node leases resized into slices, side by side — keeps every
+// invariant, never lets
 // summed slice grants exceed node capacity x the overcommit ratio, and
 // returns the cluster to its exact pre-grant free-counter state once
 // everything is released.
@@ -309,10 +311,12 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	memCap := int(float64(memPerN) * overcommit)
 
 	type holding struct {
-		res  *Reservation
-		ctrs []*Container
+		res   *Reservation
+		ctrs  []*Container
+		whole bool // made by Reserve
 	}
 	var held []*holding
+	wholeGranted, wholeResized := 0, 0
 
 	type freeState struct {
 		unreserved, reservedNodes, sliceCores, sliceMem, live int
@@ -334,9 +338,6 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 		sumMem := make(map[string]int)
 		for _, h := range held {
 			sc, sm := h.res.SliceDims()
-			if sc == 0 {
-				continue
-			}
 			for _, name := range h.res.Nodes() {
 				sumCores[name] += sc
 				sumMem[name] += sm
@@ -353,7 +354,16 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(8); op {
+		switch op := rng.Intn(9); op {
+		case 8: // reserve whole nodes: the slice that fills the node
+			if r, err := c.Reserve(1 + rng.Intn(2)); err == nil {
+				if sc, sm := r.SliceDims(); sc != coresPerN || sm != memCap {
+					t.Fatalf("step %d: whole-node lease dims (%d,%d), want (%d,%d)", step, sc, sm, coresPerN, memCap)
+				}
+				held = append(held, &holding{res: r, whole: true})
+				wholeGranted++
+			}
+			check(step, "reserve-whole")
 		case 0: // reserve slices
 			n := 1 + rng.Intn(4)
 			sc := 1 + rng.Intn(4)
@@ -383,7 +393,9 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			h := held[rng.Intn(len(held))]
 			sc := 1 + rng.Intn(6)
 			sm := 1024 * (1 + rng.Intn(12))
-			_ = c.ResizeSlice(h.res, sc, sm)
+			if err := c.ResizeSlice(h.res, sc, sm); err == nil && h.whole {
+				wholeResized++
+			}
 			check(step, "resize")
 		case 4: // allocate inside the slice
 			if len(held) == 0 {
@@ -443,6 +455,9 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	}
 	if got := snapshot(); got != baseline {
 		t.Fatalf("final free counters %+v, want baseline %+v", got, baseline)
+	}
+	if wholeGranted == 0 || wholeResized == 0 {
+		t.Fatalf("storm granted %d whole-node leases and resized %d: the mixed case went unexercised", wholeGranted, wholeResized)
 	}
 }
 
@@ -519,6 +534,74 @@ func TestOOMKillOnOversubscribedNode(t *testing.T) {
 	c.ReleaseAll(big2)
 	c.ReleaseReservation(r1)
 	c.ReleaseReservation(r2)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A lease made by Reserve is a slice lease like any other: ResizeSlice
+// shrinks it in place, the freed headroom admits a neighbour on the same
+// node, and growing back to the full node fails atomically while the
+// neighbour is there.
+func TestResizeWholeNodeLeaseAdmitsNeighbour(t *testing.T) {
+	c := New(vtime.NewClock(), 2, 8, 16384)
+	whole, err := c.Reserve(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, sm := whole.SliceDims(); sc != 8 || sm != 16384 {
+		t.Fatalf("whole-node lease dims (%d,%d), want (8,16384)", sc, sm)
+	}
+	// Full nodes are exclusive: no slice, however small, fits beside them.
+	if _, err := c.ReserveSlices(1, 1, 1024); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("slice beside a whole-node lease: %v", err)
+	}
+	ctrs, err := c.AllocateIn(whole, 2, 4, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := c.ResizeSlice(whole, 5, 8192); err != nil {
+		t.Fatalf("shrinking a whole-node lease: %v", err)
+	}
+	neighbour, err := c.ReserveSlices(2, 3, 8192)
+	if err != nil {
+		t.Fatalf("neighbour on the freed headroom: %v", err)
+	}
+	if got := c.ReservedNodes(); got != 2 {
+		t.Fatalf("reserved nodes = %d, want 2 (two leases share each node)", got)
+	}
+	if _, err := c.AllocateIn(neighbour, 2, 3, 8192); err != nil {
+		t.Fatalf("allocation inside the neighbour: %v", err)
+	}
+	// The resized lease is confined to its new slice: 4 of 5 cores are busy.
+	if _, err := c.AllocateIn(whole, 1, 2, 1024); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("allocation past the resized slice: %v", err)
+	}
+
+	if err := c.ResizeSlice(whole, 8, 16384); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("growing back over the neighbour: %v", err)
+	}
+	if sc, sm := whole.SliceDims(); sc != 5 || sm != 8192 {
+		t.Fatalf("failed grow changed dims to (%d,%d)", sc, sm)
+	}
+	if cores, mem := c.ReservedSlices(); cores != 2*(5+3) || mem != 2*(8192+8192) {
+		t.Fatalf("reserved slices (%d,%d) after failed grow", cores, mem)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	// With the neighbour gone the lease fills its nodes again.
+	c.RevokeReservation(neighbour)
+	if err := c.ResizeSlice(whole, 8, 16384); err != nil {
+		t.Fatalf("growing back after the neighbour left: %v", err)
+	}
+	c.ReleaseAll(ctrs)
+	c.ReleaseReservation(whole)
+	if got := c.UnreservedHealthy(); got != 2 {
+		t.Fatalf("unreserved = %d, want 2", got)
+	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

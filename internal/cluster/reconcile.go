@@ -107,16 +107,6 @@ func (c *Cluster) Reconcile() ReconcileStats {
 	var events []trace.Event
 
 	c.mu.Lock()
-	// Desired container ids per node, recomputed once per round.
-	desired := make(map[string]map[int]bool, len(c.nodes))
-	for id, ctr := range c.live {
-		m := desired[ctr.NodeName]
-		if m == nil {
-			m = make(map[int]bool)
-			desired[ctr.NodeName] = m
-		}
-		m[id] = true
-	}
 	for _, name := range c.order {
 		n := c.nodes[name]
 		stats.Agents++
@@ -179,7 +169,6 @@ func (c *Cluster) Reconcile() ReconcileStats {
 			stats.Deaths++
 			stats.Lost += lost
 			c.deathDetected++
-			delete(desired, name) // invalidated with the crash
 			events = append(events, trace.Event{
 				Type: trace.EvNodeCrash, Node: name,
 				Fields: map[string]float64{"containersLost": float64(lost), "detected": 1},
@@ -201,32 +190,7 @@ func (c *Cluster) Reconcile() ReconcileStats {
 			})
 		}
 
-		// Fencing: drive the agent toward desired. Containers the agent
-		// hosts that the control plane no longer wants — zombies left by a
-		// unilateral death declaration whose node turned out alive — are
-		// killed; so are replica copies whose checkpoint entry moved on.
-		for _, id := range rep.Containers {
-			if !desired[name][id] {
-				if _, ok := n.ag.Kill(id); ok {
-					stats.Fenced++
-				}
-			}
-		}
-		for _, key := range rep.Replicas {
-			e, ok := c.checkpoints[key]
-			hosted := false
-			if ok && !e.durable {
-				for _, nn := range e.nodes {
-					if nn == name {
-						hosted = true
-						break
-					}
-				}
-			}
-			if !hosted {
-				n.ag.DropReplica(key)
-			}
-		}
+		stats.Fenced += c.fenceLocked(n)
 
 		// Mark the report observed (post-fencing, so fencing's own seq bumps
 		// do not read as news next round).
@@ -287,29 +251,18 @@ func (c *Cluster) DesiredActualDiff() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	diff := 0
-	desired := make(map[string]map[int]bool, len(c.nodes))
 	for id, ctr := range c.live {
-		m := desired[ctr.NodeName]
-		if m == nil {
-			m = make(map[int]bool)
-			desired[ctr.NodeName] = m
+		if !c.nodes[ctr.NodeName].ag.Hosts(id) {
+			diff++
 		}
-		m[id] = true
 	}
 	for _, name := range c.order {
 		n := c.nodes[name]
 		if n.ag.Healthy() != n.healthy {
 			diff++
 		}
-		hosted := make(map[int]bool)
 		for _, p := range n.ag.Placements() { // live truth even behind a partition
-			hosted[p.ID] = true
-			if !desired[name][p.ID] {
-				diff++
-			}
-		}
-		for id := range desired[name] {
-			if !hosted[id] {
+			if ctr, ok := c.live[p.ID]; !ok || ctr.NodeName != name {
 				diff++
 			}
 		}

@@ -35,6 +35,13 @@ func TestReserveRelease(t *testing.T) {
 	if got := c.ReservedNodes(); got != 0 {
 		t.Fatalf("ReservedNodes after release = %d, want 0", got)
 	}
+	// Every accessor on a released lease returns empty.
+	if nodes := r.Nodes(); nodes != nil || r.Size() != 0 {
+		t.Fatalf("released lease still lists nodes %v (size %d)", nodes, r.Size())
+	}
+	if sc, sm := r.SliceDims(); sc != 0 || sm != 0 {
+		t.Fatalf("released lease still has dims (%d,%d)", sc, sm)
+	}
 	if _, err := c.Reserve(4); err != nil {
 		t.Fatalf("full-cluster reservation after release: %v", err)
 	}

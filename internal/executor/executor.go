@@ -714,8 +714,8 @@ func (st *planRun) launch(s *planner.Step, opName, engineName, algorithm string,
 		eRes.Nodes = e.Lease.Size()
 	}
 	if e.Lease != nil {
-		// Slice leases cap per-node draw at the slice dimensions; running
-		// thinner beats bouncing off the lease's AllocateIn confinement.
+		// Every lease caps per-node draw at its slice dimensions (none once
+		// revoked); running thinner beats bouncing off AllocateIn's confinement.
 		if sc, sm := e.Lease.SliceDims(); sc > 0 {
 			if eRes.CoresPerN > sc {
 				eRes.CoresPerN = sc

@@ -25,9 +25,8 @@ type RunState struct {
 	// LeasedNodes is the current lease size (0 while queued/suspended).
 	LeasedNodes int
 	// LeasedCores/LeasedMemMB are the lease's total capacity footprint per
-	// dimension — slice dimensions times nodes for slice leases, full node
-	// capacity times nodes for whole-node leases. The inputs of DRF
-	// dominant-share ranking.
+	// dimension — slice dimensions times nodes, memory capped at physical
+	// node memory. The inputs of DRF dominant-share ranking.
 	LeasedCores int
 	LeasedMemMB int
 	// DemandCores/DemandMemMB are the run's per-node slice demand

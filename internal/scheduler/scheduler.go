@@ -114,8 +114,8 @@ type Snapshot struct {
 	Priority int `json:"priority,omitempty"`
 	// LeasedNodes is the current node lease size (0 while queued or
 	// suspended). LeasedCores/LeasedMemMB are the lease's total capacity
-	// footprint per dimension — slice dimensions times nodes for slice
-	// leases, full node capacity times nodes for whole-node leases.
+	// footprint per dimension — slice dimensions times nodes, memory capped
+	// at physical node memory.
 	LeasedNodes int `json:"leasedNodes,omitempty"`
 	LeasedCores int `json:"leasedCores,omitempty"`
 	LeasedMemMB int `json:"leasedMemMB,omitempty"`
@@ -734,22 +734,25 @@ func (s *Scheduler) reserveFor(r *Run, nodes int) (*cluster.Reservation, error) 
 }
 
 // leaseFootprint returns the total (cores, memMB) capacity a lease pins:
-// slice dimensions times nodes for slice leases, full node capacity times
-// nodes for whole-node leases.
+// slice dimensions times nodes. The memory dimension is capped at physical
+// node memory — a whole-node lease's slice reaches the overcommit ceiling,
+// and DRF shares are fractions of physical capacity.
 func (s *Scheduler) leaseFootprint(lease *cluster.Reservation) (cores, memMB int) {
 	n := lease.Size()
-	if sc, sm := lease.SliceDims(); sc > 0 {
-		return n * sc, n * sm
+	sc, sm := lease.SliceDims()
+	if sm > s.nodeMemMB {
+		sm = s.nodeMemMB
 	}
-	return n * s.nodeCores, n * s.nodeMemMB
+	return n * sc, n * sm
 }
 
-// leaseGrantFields builds the lease-event payload; slice leases add their
-// per-node dimensions while whole-node leases keep the seed event schema
-// byte-for-byte.
-func leaseGrantFields(lease *cluster.Reservation) map[string]float64 {
+// leaseGrantFields builds the lease-event payload; runs submitted with a
+// demand add the per-node dimensions they were granted, while no-demand runs
+// keep the seed event schema byte-for-byte.
+func leaseGrantFields(r *Run, lease *cluster.Reservation) map[string]float64 {
 	f := map[string]float64{"nodes": float64(lease.Size())}
-	if sc, sm := lease.SliceDims(); sc > 0 {
+	if r.demandCores > 0 && r.demandMemMB > 0 {
+		sc, sm := lease.SliceDims()
 		f["coresPerNode"] = float64(sc)
 		f["memMBPerNode"] = float64(sm)
 	}
@@ -829,6 +832,65 @@ func (s *Scheduler) grantLocked(r *Run, lease *cluster.Reservation, status Statu
 	s.idx.granted(r, n, now)
 }
 
+// admitLocked leases nodes nodes for a queued run and starts it, emitting
+// lease.grant then run.admit; s.mu held. It reports false — nothing changed —
+// when the run was canceled or the cluster cannot grant the lease. The caller
+// launches the run's goroutine after unlocking.
+func (s *Scheduler) admitLocked(r *Run, nodes int, now time.Duration) bool {
+	if nodes < 1 || r.canceled.Load() {
+		return false
+	}
+	lease, err := s.reserveFor(r, nodes)
+	if err != nil {
+		return false
+	}
+	s.idx.dequeueForGrant(r)
+	s.grantLocked(r, lease, StatusRunning, now)
+	r.mu.Lock()
+	r.startedAt = now
+	wait := now - r.submittedAt
+	r.mu.Unlock()
+	s.tracer.Emit(trace.Event{
+		Type: trace.EvLeaseGrant, RunID: r.id,
+		Fields: leaseGrantFields(r, lease),
+	}.At(now))
+	s.tracer.Emit(trace.Event{
+		Type: trace.EvRunAdmit, RunID: r.id, Operator: r.workflow,
+		Fields: map[string]float64{"nodes": float64(lease.Size()), "waitSec": wait.Seconds()},
+	}.At(now))
+	return true
+}
+
+// resumeLocked leases nodes nodes for a suspended run and wakes its parked
+// goroutine, emitting lease.grant then run.resume; s.mu held. It reports
+// false under the same conditions as admitLocked.
+func (s *Scheduler) resumeLocked(r *Run, nodes int, now time.Duration) bool {
+	if nodes < 1 || r.canceled.Load() {
+		return false
+	}
+	lease, err := s.reserveFor(r, nodes)
+	if err != nil {
+		return false
+	}
+	delete(s.suspended, r.id)
+	s.idx.unsuspendForGrant(r)
+	s.grantLocked(r, lease, StatusResuming, now)
+	r.mu.Lock()
+	slept := now - r.suspendedAt
+	r.suspendedTotal += slept
+	r.mu.Unlock()
+	s.tracer.Emit(trace.Event{
+		Type: trace.EvLeaseGrant, RunID: r.id,
+		Fields: leaseGrantFields(r, lease),
+	}.At(now))
+	s.tracer.Emit(trace.Event{
+		Type: trace.EvRunResume, RunID: r.id, Operator: r.workflow,
+		Fields: map[string]float64{"nodes": float64(lease.Size()), "suspendedSec": slept.Seconds()},
+	}.At(now))
+	r.resumeCh <- struct{}{}
+	return true
+}
+
 // scheduleOnce performs one Decide/apply round and reports whether any
 // action applied.
 func (s *Scheduler) scheduleOnce() bool {
@@ -866,57 +928,15 @@ func (s *Scheduler) scheduleOnce() bool {
 	for _, a := range actions {
 		switch a := a.(type) {
 		case Admit:
-			r := s.queuedLocked(a.Run)
-			if r == nil || a.Nodes < 1 || r.canceled.Load() {
-				continue
+			if r := s.queuedLocked(a.Run); r != nil && s.admitLocked(r, a.Nodes, now) {
+				started = append(started, r)
+				progress = true
 			}
-			lease, err := s.reserveFor(r, a.Nodes)
-			if err != nil {
-				continue
-			}
-			s.idx.dequeueForGrant(r)
-			s.grantLocked(r, lease, StatusRunning, now)
-			r.mu.Lock()
-			r.startedAt = now
-			wait := now - r.submittedAt
-			r.mu.Unlock()
-			s.tracer.Emit(trace.Event{
-				Type: trace.EvLeaseGrant, RunID: r.id,
-				Fields: leaseGrantFields(lease),
-			}.At(now))
-			s.tracer.Emit(trace.Event{
-				Type: trace.EvRunAdmit, RunID: r.id, Operator: r.workflow,
-				Fields: map[string]float64{"nodes": float64(lease.Size()), "waitSec": wait.Seconds()},
-			}.At(now))
-			started = append(started, r)
-			progress = true
 
 		case Resume:
-			r := s.suspended[a.Run]
-			if r == nil || a.Nodes < 1 || r.canceled.Load() {
-				continue
+			if r := s.suspended[a.Run]; r != nil && s.resumeLocked(r, a.Nodes, now) {
+				progress = true
 			}
-			lease, err := s.reserveFor(r, a.Nodes)
-			if err != nil {
-				continue
-			}
-			delete(s.suspended, r.id)
-			s.idx.unsuspendForGrant(r)
-			s.grantLocked(r, lease, StatusResuming, now)
-			r.mu.Lock()
-			slept := now - r.suspendedAt
-			r.suspendedTotal += slept
-			r.mu.Unlock()
-			s.tracer.Emit(trace.Event{
-				Type: trace.EvLeaseGrant, RunID: r.id,
-				Fields: leaseGrantFields(lease),
-			}.At(now))
-			s.tracer.Emit(trace.Event{
-				Type: trace.EvRunResume, RunID: r.id, Operator: r.workflow,
-				Fields: map[string]float64{"nodes": float64(lease.Size()), "suspendedSec": slept.Seconds()},
-			}.At(now))
-			r.resumeCh <- struct{}{}
-			progress = true
 
 		case Preempt:
 			r := s.active[a.Run]
@@ -1015,44 +1035,12 @@ func (s *Scheduler) scheduleOnce() bool {
 				pick = r
 			}
 		}
-		if pick != nil && free > 0 && !pick.canceled.Load() {
-			if lease, err := s.reserveFor(pick, free); err == nil {
-				if _, ok := s.suspended[pick.id]; ok {
-					delete(s.suspended, pick.id)
-					s.idx.unsuspendForGrant(pick)
-					s.grantLocked(pick, lease, StatusResuming, now)
-					pick.mu.Lock()
-					slept := now - pick.suspendedAt
-					pick.suspendedTotal += slept
-					pick.mu.Unlock()
-					s.tracer.Emit(trace.Event{
-						Type: trace.EvLeaseGrant, RunID: pick.id,
-						Fields: leaseGrantFields(lease),
-					}.At(now))
-					s.tracer.Emit(trace.Event{
-						Type: trace.EvRunResume, RunID: pick.id, Operator: pick.workflow,
-						Fields: map[string]float64{"nodes": float64(lease.Size()), "suspendedSec": slept.Seconds()},
-					}.At(now))
-					pick.resumeCh <- struct{}{}
-					progress = true
-				} else {
-					s.idx.dequeueForGrant(pick)
-					s.grantLocked(pick, lease, StatusRunning, now)
-					pick.mu.Lock()
-					pick.startedAt = now
-					wait := now - pick.submittedAt
-					pick.mu.Unlock()
-					s.tracer.Emit(trace.Event{
-						Type: trace.EvLeaseGrant, RunID: pick.id,
-						Fields: leaseGrantFields(lease),
-					}.At(now))
-					s.tracer.Emit(trace.Event{
-						Type: trace.EvRunAdmit, RunID: pick.id, Operator: pick.workflow,
-						Fields: map[string]float64{"nodes": float64(lease.Size()), "waitSec": wait.Seconds()},
-					}.At(now))
-					started = append(started, pick)
-					progress = true
-				}
+		if pick != nil {
+			if _, ok := s.suspended[pick.id]; ok {
+				progress = s.resumeLocked(pick, free, now)
+			} else if s.admitLocked(pick, free, now) {
+				started = append(started, pick)
+				progress = true
 			}
 		}
 	}

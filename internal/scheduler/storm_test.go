@@ -169,7 +169,8 @@ func stormRun(t *testing.T, policy Policy, seed int64) {
 			})
 		})
 	}
-	// Random per-dimension resizes of live slice leases: the cluster-side
+	// Random per-dimension resizes of live leases, whole-node ones included
+	// (those shrink into slices and open their nodes): the cluster-side
 	// resize machinery must stay invariant-preserving under scheduler load
 	// (the scheduler's cached footprint may go stale; both index views share
 	// it, so CheckIndex is unaffected).
@@ -184,9 +185,6 @@ func stormRun(t *testing.T, policy Policy, seed int64) {
 				lease := r.lease
 				r.mu.Unlock()
 				if lease == nil || lease.Released() {
-					continue
-				}
-				if sc, _ := lease.SliceDims(); sc == 0 {
 					continue
 				}
 				_ = rig.clu.ResizeSlice(lease, dc, dm)
