@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/experiments"
 	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/musqle"
@@ -82,6 +83,43 @@ func BenchmarkFig16Modeling(b *testing.B) {
 func BenchmarkFig16bInfraChange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig16b(120, 60, int64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkObserveThenPlan measures one beat of the online refinement loop
+// Figure 16 evaluates, at the platform's default model zoo: a wave of eight
+// Fig 12 text runs under FairShare(8), whose observations pile up unread on
+// the four text operators, then the one plan that reads them — and pays the
+// deferred model fits.
+func BenchmarkObserveThenPlan(b *testing.B) {
+	p, err := ires.NewPlatform(ires.Options{Seed: 42, Admission: ires.FairShare(8)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	workflows, err := p.LoadLibraryDir("testdata/asapLibrary")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := workflows["TextClustering"]
+	for _, name := range []string{"TF_IDF_cilk", "TF_IDF_spark", "kmeans_cilk", "kmeans_spark"} {
+		space := ires.ProfileSpace{
+			Records:        []int64{1_000, 10_000, 100_000, 1_000_000},
+			BytesPerRecord: 1_000,
+			Resources:      []ires.Resources{{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456}, {Nodes: 16, CoresPerN: 2, MemMBPerN: 3456}},
+		}
+		if _, err := p.ProfileOperator(name, space); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 8; j++ {
+			p.Submit(g)
+		}
+		p.Drain()
+		if _, err := p.Plan(g); err != nil {
 			b.Fatal(err)
 		}
 	}

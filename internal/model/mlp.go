@@ -70,12 +70,16 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 
 	n := float64(len(Z))
 	act := make([]float64, m.hidden+1)
+	g1 := make([][]float64, m.hidden)
+	for h := range g1 {
+		g1[h] = make([]float64, dims+1)
+	}
+	g2 := make([]float64, m.hidden+1)
 	for epoch := 0; epoch < m.epochs; epoch++ {
-		g1 := make([][]float64, m.hidden)
 		for h := range g1 {
-			g1[h] = make([]float64, dims+1)
+			clear(g1[h])
 		}
-		g2 := make([]float64, m.hidden+1)
+		clear(g2)
 		for i, z := range Z {
 			// Forward.
 			for h := 0; h < m.hidden; h++ {

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -294,6 +296,67 @@ func TestCrossValidateSmallN(t *testing.T) {
 	X, y := synth(3, 2, 28, linearFn, 0)
 	if _, _, err := SelectBest([]Factory{func() Model { return NewLinear() }}, X, y, 10, 1); err != nil {
 		t.Fatalf("small-n CV failed: %v", err)
+	}
+}
+
+// needsRow is a family that cannot train on a fold that holds out the row
+// whose first feature is marker.
+type needsRow struct {
+	Model
+	marker float64
+}
+
+func (m needsRow) Name() string { return "NeedsRow" }
+
+func (m needsRow) Train(X [][]float64, y []float64) error {
+	for _, row := range X {
+		if row[0] == m.marker {
+			return m.Model.Train(X, y)
+		}
+	}
+	return errors.New("needsRow: marker row held out")
+}
+
+// Workers are invisible: the cells run on GOMAXPROCS goroutines but are
+// reduced in (family, fold, sample) order, so every Score is bit-identical
+// whatever the worker count — including the +Inf penalty of a family that
+// fails on one fold, and k clamped to the sample count.
+func TestCrossValidateWorkerCountInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	X, y := synth(23, 3, 31, nonlinearFn, 0.2)
+	zoo := append(DefaultFactories(5), func() Model { return needsRow{NewLinear(), X[7][0]} })
+	cases := []struct {
+		name string
+		X    [][]float64
+		y    []float64
+		k    int
+	}{
+		{"five folds", X, y, 5},
+		{"k beyond n", X[:3], y[:3], 10},
+	}
+	for _, tc := range cases {
+		var want []Score
+		for _, procs := range []int{1, 2, 7} {
+			runtime.GOMAXPROCS(procs)
+			got, err := CrossValidate(zoo, tc.X, tc.y, tc.k, 9)
+			if err != nil {
+				t.Fatalf("%s, GOMAXPROCS=%d: %v", tc.name, procs, err)
+			}
+			if want == nil {
+				want = got
+				if last := got[len(got)-1]; !math.IsInf(last.RMSE, 1) || math.IsInf(last.RelErr, 0) || math.IsNaN(last.RelErr) {
+					t.Errorf("%s: failing family scored %+v, want +Inf RMSE and a finite RelErr", tc.name, last)
+				}
+				continue
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name ||
+					math.Float64bits(got[i].RMSE) != math.Float64bits(want[i].RMSE) ||
+					math.Float64bits(got[i].RelErr) != math.Float64bits(want[i].RelErr) {
+					t.Errorf("%s, GOMAXPROCS=%d: score %d = %+v, want %+v", tc.name, procs, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

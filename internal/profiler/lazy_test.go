@@ -1,0 +1,337 @@
+package profiler
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/model"
+)
+
+// lazyZoo is a seeded zoo small enough for hundreds of selections per test,
+// with families whose Train consumes randomness.
+func lazyZoo(seed int64) []model.Factory {
+	return []model.Factory{
+		func() model.Model { return model.NewLinear() },
+		func() model.Model { return model.NewKNN(3) },
+		func() model.Model { return model.NewTree(8, 2) },
+		func() model.Model { return model.NewBagging(3, seed) },
+		func() model.Model { return model.NewMLP(4, 20, 0.05, seed) },
+	}
+}
+
+func lazyProfiler(seed int64) *Profiler {
+	p := New(engine.NewDefaultEnvironment(seed), seed)
+	p.Factories = lazyZoo(seed)
+	p.ReselectEvery = 4
+	return p
+}
+
+var lazyTargets = []string{TargetExecTime, TargetCost, TargetOutRecords, TargetOutBytes}
+
+// lazyProbes is the grid every comparison estimates on; "k" and
+// "iterations" are ignored by operators that never saw them.
+func lazyProbes() []map[string]float64 {
+	var out []map[string]float64
+	for _, rec := range []float64{500, 7_000, 40_000, 90_000, 5_000_000} {
+		for _, nodes := range []float64{2, 16} {
+			out = append(out, map[string]float64{
+				"records": rec, "bytes": rec * 100, "nodes": nodes, "cores": 2, "memoryMB": 3456,
+				"k": 5, "iterations": 10,
+			})
+		}
+	}
+	return out
+}
+
+// readAll reads everything a model reader can see of every operator.
+func readAll(p *Profiler) []string {
+	var out []string
+	for _, op := range p.Operators() {
+		om, _ := p.Models(op)
+		out = append(out, fmt.Sprintf("%s n=%d gen=%d", op, om.SampleCount(), p.Gen()))
+		for _, target := range lazyTargets {
+			line := fmt.Sprintf("%s/%s %s", op, target, om.ChosenFamily(target))
+			for _, feats := range lazyProbes() {
+				v, ok := p.Estimate(op, target, feats)
+				line += fmt.Sprintf(" %x/%t", math.Float64bits(v), ok)
+			}
+			out = append(out, line)
+		}
+	}
+	return out
+}
+
+// Reads are invisible: a profiler that is read after every mutation (the
+// eager reference — every fit happens on one more row than the last) and one
+// that is read only now and then must agree, bit for bit, whenever the second
+// one looks.
+func TestLazyReadsAreInvisible(t *testing.T) {
+	space := Space{
+		Records:        []int64{1000, 10_000, 100_000},
+		BytesPerRecord: 40,
+		Params:         map[string][]float64{"iterations": {10}},
+		Resources:      []engine.Resources{{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456}},
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		a, b := lazyProfiler(seed), lazyProfiler(seed)
+		both := func(fn func(p *Profiler) error) {
+			t.Helper()
+			for _, p := range []*Profiler{a, b} {
+				if err := fn(p); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		}
+		both(func(p *Profiler) error {
+			_, err := p.ProfileOffline("profiled", engine.EngineJava, engine.AlgPagerank, space)
+			return err
+		})
+		rng := rand.New(rand.NewSource(seed))
+		ops := []string{"profiled", "fresh", "grows"}
+		checks := 0
+		for step := 0; step < 90; step++ {
+			op := ops[rng.Intn(len(ops))]
+			switch r := rng.Float64(); {
+			case r < 0.04:
+				both(func(p *Profiler) error {
+					_, err := p.ProfileOffline("profiled", engine.EngineJava, engine.AlgPagerank, space)
+					return err
+				})
+			case r < 0.08:
+				both(func(p *Profiler) error {
+					var buf bytes.Buffer
+					if err := p.Export(&buf); err != nil {
+						return err
+					}
+					return p.Import(&buf)
+				})
+			default:
+				records := int64(1000 + rng.Intn(100_000))
+				var params map[string]float64
+				if op == "grows" && step > 30 {
+					params = map[string]float64{"k": float64(1 + rng.Intn(9))} // a parameter old rows never had
+				}
+				run := obsRun(records, 1+float64(records)/1e4*(1+0.1*rng.NormFloat64()), params)
+				if r < 0.18 {
+					run.Failed = true
+					run.Params["records"] = float64(1_000_000 + rng.Intn(1_000_000))
+				}
+				both(func(p *Profiler) error { return p.Observe(op, run) })
+			}
+			want := readAll(a)
+			if rng.Float64() < 0.2 || step == 89 {
+				checks++
+				got := readAll(b)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: %d lines vs %d", seed, step, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d step %d: lazy reader diverged\n got  %s\n want %s", seed, step, got[i], want[i])
+					}
+				}
+			}
+		}
+		sa, sb := a.RefinementStats(), b.RefinementStats()
+		if sa.Observations != sb.Observations || sb.Fits >= sa.Fits || sa.FitErrors+sb.FitErrors != 0 {
+			t.Errorf("seed %d: stats eager %+v lazy %+v (%d checks): want equal observations, fewer lazy fits, no errors", seed, sa, sb, checks)
+		}
+	}
+}
+
+// m observations followed by one read cost one fit, not m.
+func TestLazyCoalescesFits(t *testing.T) {
+	p := lazyProfiler(3)
+	for i := int64(1); i <= 5; i++ {
+		if err := p.Observe("op", obsRun(i*1000, float64(i), nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.RefinementStats(); st.Observations != 5 || st.Fits != 0 {
+		t.Fatalf("after 5 unread observations: %+v, want 5 observations and no fit", st)
+	}
+	om, _ := p.Models("op")
+	om.SampleCount()
+	p.Feasible("op", 10)
+	p.ResetPredictionCaches()
+	if st := p.RefinementStats(); st.Fits != 0 {
+		t.Fatalf("SampleCount/Feasible/ResetPredictionCaches fitted: %+v", st)
+	}
+	for i := 0; i < 3; i++ {
+		for _, target := range lazyTargets {
+			if _, ok := p.Estimate("op", target, lazyProbes()[i]); !ok {
+				t.Fatalf("no estimate for %s", target)
+			}
+		}
+		om.ChosenFamily(TargetCost)
+	}
+	if st := p.RefinementStats(); st.Fits != 1 || st.Selections != uint64(len(lazyTargets)) {
+		t.Fatalf("after one round of reads: %+v, want exactly one fit, one selection per target", st)
+	}
+	for i := int64(6); i <= 9; i++ {
+		_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
+	}
+	om.ChosenFamily(TargetExecTime)
+	if st := p.RefinementStats(); st.Fits != 2 || st.Selections != 2*uint64(len(lazyTargets)) || st.Observations != 9 {
+		t.Fatalf("after 4 more observations (one re-selection due) and a read: %+v", st)
+	}
+}
+
+// flaky is a model family whose Train fails on demand.
+type flaky struct {
+	model.Model
+	fail *bool
+}
+
+func (f flaky) Name() string { return "Flaky" }
+
+func (f flaky) Train(X [][]float64, y []float64) error {
+	if *f.fail {
+		return errors.New("flaky: train failed")
+	}
+	return f.Model.Train(X, y)
+}
+
+// A failing fit keeps the previous models and is not retried on every read;
+// the next observation re-arms it.
+func TestLazyFitErrorNotRetried(t *testing.T) {
+	fail := false
+	p := New(engine.NewDefaultEnvironment(1), 1)
+	p.Factories = []model.Factory{func() model.Model { return flaky{model.NewLinear(), &fail} }}
+	feats := lazyProbes()[1]
+	for i := int64(1); i <= 4; i++ {
+		_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
+	}
+	before, ok := p.Estimate("op", TargetExecTime, feats)
+	if !ok {
+		t.Fatal("no estimate")
+	}
+
+	fail = true
+	_ = p.Observe("op", obsRun(5000, 50, nil))
+	for i := 0; i < 5; i++ {
+		if got, ok := p.Estimate("op", TargetExecTime, feats); !ok || got != before {
+			t.Fatalf("estimate after failed fit = %v/%t, want the previous model's %v", got, ok, before)
+		}
+	}
+	if st := p.RefinementStats(); st.Fits != 2 || st.FitErrors != 1 {
+		t.Fatalf("five reads of a failing fit: %+v, want one failed fit", st)
+	}
+
+	fail = false
+	_ = p.Observe("op", obsRun(6000, 60, nil))
+	if got, _ := p.Estimate("op", TargetExecTime, feats); got == before {
+		t.Fatal("the observation after a failed fit did not re-arm it")
+	}
+	if st := p.RefinementStats(); st.Fits != 3 || st.FitErrors != 1 {
+		t.Fatalf("after recovery: %+v", st)
+	}
+}
+
+// shapeSpy records the shape of every matrix its family is trained on.
+type shapeSpy struct {
+	model.Model
+	mu     *sync.Mutex
+	shapes *[][2]int
+}
+
+func (s shapeSpy) Train(X [][]float64, y []float64) error {
+	s.mu.Lock()
+	*s.shapes = append(*s.shapes, [2]int{len(X), len(X[0])})
+	s.mu.Unlock()
+	return s.Model.Train(X, y)
+}
+
+// A run that grows the feature set zero-pads the old rows, so a selection
+// still pending on them must be settled first, on the rows as they were when
+// it came due — never on a padded prefix, which the eager path never saw.
+func TestLazyFeatureGrowthSettlesPendingSelection(t *testing.T) {
+	var mu sync.Mutex
+	var shapes [][2]int
+	p := New(engine.NewDefaultEnvironment(1), 1)
+	p.Factories = []model.Factory{
+		func() model.Model { return shapeSpy{model.NewLinear(), &mu, &shapes} },
+		func() model.Model { return model.NewKNN(3) },
+	}
+	p.ReselectEvery = 4
+	for i := int64(1); i <= 5; i++ { // the fifth observation makes a re-selection due
+		_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
+	}
+	if len(shapes) != 0 {
+		t.Fatalf("unread observations trained on %v", shapes)
+	}
+	_ = p.Observe("op", obsRun(6000, 6, map[string]float64{"k": 3}))
+	base := len(BaseFeatures)
+	if len(shapes) == 0 {
+		t.Fatal("the pending selection was not settled before the rows were padded")
+	}
+	for _, sh := range shapes {
+		if sh[1] != base || sh[0] > 5 {
+			t.Fatalf("settling trained on a %dx%d matrix, want at most 5 rows of the %d base features", sh[0], sh[1], base)
+		}
+	}
+	shapes = nil
+	if _, ok := p.Estimate("op", TargetExecTime, lazyProbes()[0]); !ok {
+		t.Fatal("no estimate")
+	}
+	for _, sh := range shapes {
+		if sh != [2]int{6, base + 1} {
+			t.Fatalf("the read after growth trained on %dx%d, want only the whole 6x%d buffer", sh[0], sh[1], base+1)
+		}
+	}
+}
+
+// Readers of two operators race one writer of both (run with -race): a read
+// fits under the operator's own lock while the other operator stays readable.
+func TestLazyConcurrentEstimateObserve(t *testing.T) {
+	p := lazyProfiler(9)
+	ops := []string{"left", "right"}
+	for _, op := range ops {
+		_ = p.Observe(op, obsRun(1000, 1, nil))
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for _, op := range ops {
+		op := op
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, ok := p.Estimate(op, TargetExecTime, lazyProbes()[0]); !ok {
+					t.Errorf("%s: no estimate", op)
+					return
+				}
+				om, _ := p.Models(op)
+				om.ChosenFamily(TargetCost)
+			}
+		}()
+	}
+	for i := int64(2); i <= 40; i++ {
+		for _, op := range ops {
+			var params map[string]float64
+			if i > 20 {
+				params = map[string]float64{"k": float64(i)}
+			}
+			_ = p.Observe(op, obsRun(i*1000, float64(i), params))
+		}
+	}
+	close(done)
+	wg.Wait()
+	for _, op := range ops {
+		om, _ := p.Models(op)
+		if om.SampleCount() != 40 || om.ChosenFamily(TargetExecTime) == "" {
+			t.Errorf("%s: %d samples, family %q", op, om.SampleCount(), om.ChosenFamily(TargetExecTime))
+		}
+	}
+}

@@ -48,6 +48,7 @@ func (p *Profiler) Export(w io.Writer) error {
 	for _, name := range p.Operators() {
 		om, _ := p.Models(name)
 		om.mu.Lock()
+		_ = om.fitLocked() // counted in FitErrors; chosen keeps its last value
 		po := persistedOperator{
 			Operator:       om.Operator,
 			Algorithm:      om.Algorithm,
@@ -116,6 +117,7 @@ func (p *Profiler) Import(r io.Reader) error {
 			cvFolds:       p.CVFolds,
 			seed:          p.Seed,
 			reselectEvery: p.ReselectEvery,
+			stats:         &p.stats,
 		}
 		om.minFailRecords = po.MinFailRecords
 		om.sinceReselect = po.SinceReselect
@@ -123,7 +125,17 @@ func (p *Profiler) Import(r io.Reader) error {
 			om.targets = make(map[string][]float64)
 		}
 		if len(om.X) > 0 {
-			if err := om.retrainRestoring(po.Chosen); err != nil {
+			// Honour the family choices recorded at export time, so a
+			// save/load cycle cannot flip the selection — fresh CV can land
+			// elsewhere once old samples were zero-padded by a grown feature
+			// set. Import stays eager (om is not shared yet): its errors
+			// belong to this caller.
+			for target := range om.targets {
+				if fam := po.Chosen[target]; fam != "" {
+					om.chosen[target] = fam
+				}
+			}
+			if err := om.fitLocked(); err != nil {
 				return fmt.Errorf("profiler: import: retraining %s: %w", po.Operator, err)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -104,6 +105,13 @@ type OperatorModels struct {
 	models  map[string]model.Model
 	chosen  map[string]string // target -> selected family name
 
+	// Models are fitted by fitLocked, at the first read after the buffer
+	// changed. fitN is the number of rows the fitted models have seen;
+	// selectN is the buffer length at the latest due re-selection that has
+	// not run yet (0: none). Up to date: fitN == len(X) && selectN == 0.
+	fitN, selectN int
+	stats         *refinementCounters
+
 	// failures records feature vectors of failed runs; the smallest failing
 	// record count approximates the operator's feasibility wall (OOM).
 	minFailRecords float64
@@ -112,8 +120,7 @@ type OperatorModels struct {
 	cvFolds   int
 	seed      int64
 	// reselectEvery controls how often (in observations) full CV model
-	// re-selection happens; in between, only the incumbent family is
-	// retrained.
+	// re-selection happens; in between, the incumbent family is kept.
 	reselectEvery int
 	sinceReselect int
 
@@ -162,6 +169,7 @@ type Profiler struct {
 	// every mutation — the planner wires this to a typed partial
 	// invalidation (ProfilerRetrain) instead of flushing its whole cache.
 	retrainListener func(opName string)
+	stats           refinementCounters
 
 	// Factories is the model zoo used for selection; defaults to
 	// model.DefaultFactories.
@@ -209,6 +217,29 @@ func (p *Profiler) noteRetrain(opName string) {
 	}
 }
 
+// refinementCounters are one profiler's tallies, shared by its OperatorModels.
+type refinementCounters struct{ observations, fits, selections, fitErrors atomic.Uint64 }
+
+// RefinementStats is a snapshot of the refinement loop's counters.
+// Observations/Fits is the coalescing factor: how many observed runs one
+// model fit absorbed.
+type RefinementStats struct {
+	Observations uint64 // runs Observe appended to a training buffer
+	Fits         uint64 // times an operator's models were brought up to date
+	Selections   uint64 // cross-validated family selections, one per target
+	FitErrors    uint64 // fits that failed and kept the previous models
+}
+
+// RefinementStats returns the profiler's cumulative refinement counters.
+func (p *Profiler) RefinementStats() RefinementStats {
+	return RefinementStats{
+		Observations: p.stats.observations.Load(),
+		Fits:         p.stats.fits.Load(),
+		Selections:   p.stats.selections.Load(),
+		FitErrors:    p.stats.fitErrors.Load(),
+	}
+}
+
 // PredictionCacheStats sums the Estimate cache counters across every
 // profiled operator.
 func (p *Profiler) PredictionCacheStats() (hits, misses uint64) {
@@ -225,7 +256,8 @@ func (p *Profiler) PredictionCacheStats() (hits, misses uint64) {
 // ResetPredictionCaches drops every operator's memoized Estimate results
 // (the hit/miss counters keep accumulating). Predictions are unchanged —
 // the generation counter does not move — so this exists for cold-start
-// benchmarking, not invalidation, which is automatic on model updates.
+// benchmarking, not invalidation, which is automatic on model updates. It
+// reads no model, so it does not trigger a deferred fit.
 func (p *Profiler) ResetPredictionCaches() {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -284,6 +316,7 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 		cvFolds:       p.CVFolds,
 		seed:          p.Seed,
 		reselectEvery: p.ReselectEvery,
+		stats:         &p.stats,
 	}
 	p.store[opName] = om
 	return om
@@ -313,13 +346,20 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 			om.observeFailure(run)
 			continue
 		}
-		om.appendRun(run)
+		om.mu.Lock()
+		om.appendRunLocked(run)
+		om.mu.Unlock()
 		succeeded++
 	}
 	if succeeded == 0 {
 		return 0, fmt.Errorf("profiler: every profiling run of %s on %s failed", opName, engineName)
 	}
-	if err := om.retrain(true); err != nil {
+	// Offline profiling stays eager: its cost belongs to setup, and its
+	// errors to this caller.
+	om.mu.Lock()
+	defer om.mu.Unlock()
+	om.armLocked(true)
+	if err := om.fitLocked(); err != nil {
 		return succeeded, fmt.Errorf("profiler: training %s: %w", opName, err)
 	}
 	return succeeded, nil
@@ -327,29 +367,33 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 
 // Observe feeds one actual-run record back into the operator's models (the
 // model-refinement path). Failed runs update the feasibility wall instead.
+// It is O(1): the sample is appended and the re-selection cadence advanced,
+// but nothing is trained — the next read of the models (Estimate,
+// ChosenFamily, Export) fits them once, however many runs were observed in
+// between.
 func (p *Profiler) Observe(opName string, run *metrics.Run) error {
 	p.mu.RLock()
 	om, ok := p.store[opName]
 	p.mu.RUnlock()
 	if !ok {
 		om = p.ensure(opName, run.Algorithm, run.Engine, run.ParamNames())
-		// Reduce features to base + run params happens inside ensure; fall
-		// through to observation.
 	}
 	defer p.noteRetrain(opName)
 	if run.Failed {
 		om.observeFailure(run)
 		return nil
 	}
-	om.appendRun(run)
 	om.mu.Lock()
+	defer om.mu.Unlock()
+	om.appendRunLocked(run)
 	om.sinceReselect++
-	full := om.sinceReselect >= om.reselectEvery || len(om.chosen) == 0
-	if full {
+	reselect := om.sinceReselect >= om.reselectEvery || (len(om.chosen) == 0 && om.selectN == 0)
+	if reselect {
 		om.sinceReselect = 0
 	}
-	om.mu.Unlock()
-	return om.retrain(full)
+	om.armLocked(reselect)
+	om.stats.observations.Add(1)
+	return nil
 }
 
 // Estimate predicts a target metric for the operator under the given
@@ -366,7 +410,8 @@ func (p *Profiler) Estimate(opName, target string, feats map[string]float64) (fl
 }
 
 // Feasible reports whether the configuration is inside the operator's
-// observed feasibility wall.
+// observed feasibility wall. It reads no model, so it does not trigger a
+// deferred fit.
 func (p *Profiler) Feasible(opName string, records float64) bool {
 	p.mu.RLock()
 	om, ok := p.store[opName]
@@ -385,15 +430,13 @@ func (p *Profiler) Feasible(opName string, records float64) bool {
 // first run to reach an operator would freeze its feature set forever and
 // later parameters would be silently ignored by every model.
 func (om *OperatorModels) extendFeaturesLocked(run *metrics.Run) {
-	known := make(map[string]bool, len(om.Features))
-	for _, f := range om.Features {
-		known[f] = true
-	}
 	for _, name := range run.ParamNames() {
-		if known[name] {
+		if slices.Contains(om.Features, name) {
 			continue
 		}
-		known[name] = true
+		// Padding rewrites the old rows, so a deferred selection must run on
+		// them first: it is defined on the prefix as it was when it came due.
+		_ = om.fitLocked() // counted in FitErrors; the models keep their last fit
 		om.Features = append(om.Features, name)
 		for i := range om.X {
 			om.X[i] = append(om.X[i], 0)
@@ -401,9 +444,7 @@ func (om *OperatorModels) extendFeaturesLocked(run *metrics.Run) {
 	}
 }
 
-func (om *OperatorModels) appendRun(run *metrics.Run) {
-	om.mu.Lock()
-	defer om.mu.Unlock()
+func (om *OperatorModels) appendRunLocked(run *metrics.Run) {
 	om.invalidatePredLocked()
 	om.extendFeaturesLocked(run)
 	x := make([]float64, len(om.Features))
@@ -431,96 +472,100 @@ func (om *OperatorModels) observeFailure(run *metrics.Run) {
 	}
 }
 
-// retrain refits the models. When reselect is true a full cross-validated
-// family selection runs; otherwise the incumbent family is refit on the
-// enlarged buffer.
-func (om *OperatorModels) retrain(reselect bool) error {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	om.invalidatePredLocked()
-	for target, y := range om.targets {
-		if len(y) == 0 {
-			continue
+// armLocked records what the next fit owes the buffer as it now stands: below
+// three samples cross-validation is impossible, so the first family (linear)
+// is chosen outright; from there a due re-selection is pinned to the current
+// length, replacing an earlier pending one — only the latest is ever visible.
+func (om *OperatorModels) armLocked(reselect bool) {
+	switch {
+	case len(om.X) < 3:
+		first := om.factories[0]().Name()
+		for target := range om.targets {
+			om.chosen[target] = first
 		}
-		switch {
-		case len(y) < 3:
-			// Too few samples for cross-validation: fall back to the first
-			// family (linear) until more observations arrive.
-			m := om.factories[0]()
-			if err := m.Train(om.X, y); err != nil {
-				return err
-			}
-			om.models[target] = m
-			om.chosen[target] = m.Name()
-		case reselect || om.models[target] == nil:
-			m, _, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
-			if err != nil {
-				return err
-			}
-			om.models[target] = m
-			om.chosen[target] = m.Name()
-		default:
-			if err := om.models[target].Train(om.X, y); err != nil {
-				return err
-			}
+	case reselect:
+		om.selectN = len(om.X)
+	}
+}
+
+// family returns the factory of the named model family, nil if this
+// profiler's zoo has none.
+func (om *OperatorModels) family(name string) model.Factory {
+	for _, f := range om.factories {
+		if f().Name() == name {
+			return f
 		}
 	}
 	return nil
 }
 
-// retrainRestoring refits models from a persisted library, honouring the
-// family choices recorded at export time: a target whose family is present in
-// chosen (and known to this profiler's factories) is refit with that family
-// directly, so a save/load cycle cannot flip the selection — important when
-// old samples were zero-padded after the feature set grew, where fresh CV can
-// land on a different family than the exporter was using. Targets without a
-// recorded family (version-1 files, or a family this build no longer ships)
-// fall back to full cross-validated selection.
-func (om *OperatorModels) retrainRestoring(chosen map[string]string) error {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	om.invalidatePredLocked()
+// fitLocked brings the models up to date with the training buffer. It is the
+// only place a model is trained, and a no-op when nothing changed since the
+// last fit. Every Train is a pure function of its inputs, so one fit here
+// equals a refit after every observation (docs/profiler.md). On error the
+// previous models stay and the fit is not retried until the buffer changes.
+func (om *OperatorModels) fitLocked() error {
+	pending := om.selectN
+	if om.fitN == len(om.X) && pending == 0 {
+		return nil
+	}
+	om.fitN, om.selectN = len(om.X), 0
+	om.stats.fits.Add(1)
+	models := make(map[string]model.Model, len(om.targets))
 	for target, y := range om.targets {
 		if len(y) == 0 {
 			continue
 		}
-		var m model.Model
-		if fam := chosen[target]; fam != "" {
-			for _, f := range om.factories {
-				if cand := f(); cand.Name() == fam {
-					m = cand
-					break
-				}
-			}
-		}
-		if m == nil {
-			if len(y) < 3 {
-				m = om.factories[0]()
-			} else {
-				sel, _, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
-				if err != nil {
-					return err
-				}
-				om.models[target] = sel
-				om.chosen[target] = sel.Name()
-				continue
-			}
-		}
-		if err := m.Train(om.X, y); err != nil {
+		m, err := om.fitTargetLocked(target, y, pending)
+		if err != nil {
+			om.stats.fitErrors.Add(1)
 			return err
 		}
+		models[target] = m
+	}
+	for target, m := range models {
 		om.models[target] = m
 		om.chosen[target] = m.Name()
 	}
 	return nil
 }
 
+// fitTargetLocked trains one target's model on the whole buffer: the
+// incumbent family, or the one cross-validation picks on X[:pending] when a
+// re-selection is pending — on the whole buffer for a target without a usable
+// family (a version-1 import, a family this build no longer ships).
+func (om *OperatorModels) fitTargetLocked(target string, y []float64, pending int) (model.Model, error) {
+	n := len(om.X)
+	if len(y) != n {
+		return nil, fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
+	}
+	fac := om.family(om.chosen[target])
+	switch {
+	case fac == nil && n < 3:
+		fac = om.factories[0]
+	case fac == nil || pending > 0:
+		if pending == 0 {
+			pending = n
+		}
+		scores, err := model.CrossValidate(om.factories, om.X[:pending], y[:pending], om.cvFolds, om.seed)
+		if err != nil {
+			return nil, err
+		}
+		fac = om.factories[model.Best(scores, func(s model.Score) float64 { return s.RelErr })]
+		om.stats.selections.Add(1)
+	}
+	m := fac()
+	return m, m.Train(om.X, y)
+}
+
 // Estimate predicts one target for a feature map. Results (including
 // infeasible verdicts) are memoized per projected feature vector until the
-// next model mutation.
+// next model mutation. The first call after the buffer changed pays the
+// deferred fit.
 func (om *OperatorModels) Estimate(target string, feats map[string]float64) (float64, bool) {
 	om.mu.Lock()
 	defer om.mu.Unlock()
+	_ = om.fitLocked() // counted in FitErrors; the models keep their last fit
 	m, ok := om.models[target]
 	if !ok {
 		return 0, false
@@ -572,7 +617,8 @@ func (om *OperatorModels) feasibleLocked(records float64) bool {
 	return records < om.minFailRecords*0.95
 }
 
-// SampleCount reports the training-buffer size.
+// SampleCount reports the training-buffer size. It reads no model, so it
+// does not trigger a deferred fit.
 func (om *OperatorModels) SampleCount() int {
 	om.mu.Lock()
 	defer om.mu.Unlock()
@@ -583,5 +629,6 @@ func (om *OperatorModels) SampleCount() int {
 func (om *OperatorModels) ChosenFamily(target string) string {
 	om.mu.Lock()
 	defer om.mu.Unlock()
+	_ = om.fitLocked() // counted in FitErrors; chosen keeps its last value
 	return om.chosen[target]
 }

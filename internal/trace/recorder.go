@@ -49,6 +49,10 @@ func NewRecorder(max int) *Recorder {
 	reg.Help("ires_planner_epoch", "planner cache epoch (wholesale flushes: untyped changes and the cache-size bound)")
 	reg.Help("ires_planner_partial_invalidations_total", "typed invalidation events (engine flap, profiler retrain, library change) applied as scoped partial evictions")
 	reg.Help("ires_planner_evicted_entries_total", "planner cache node results evicted by partial invalidation, downstream dependents included")
+	reg.Help("ires_profiler_observations_total", "observed runs appended to an operator's training buffer (model refinement)")
+	reg.Help("ires_profiler_fits_total", "times an operator's models were brought up to date, at the first read after its buffer changed")
+	reg.Help("ires_profiler_selections_total", "cross-validated model-family selections, one per refitted target")
+	reg.Help("ires_profiler_fit_errors_total", "model fits that failed and kept the previous models")
 	reg.Help("ires_vtime_seconds", "current virtual time of the simulation")
 	reg.Help("ires_runs_submitted_total", "workflow runs submitted to the scheduler")
 	reg.Help("ires_runs_admitted_total", "workflow runs admitted (granted a node lease)")

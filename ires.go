@@ -302,6 +302,11 @@ type Platform struct {
 
 	recorder *trace.Recorder
 	tracer   trace.Tracer
+
+	// refineMu guards refinePublished: the profiler refinement counters
+	// already folded into the registry by Metrics.
+	refineMu        sync.Mutex
+	refinePublished profiler.RefinementStats
 }
 
 // NewPlatform builds a platform with the default engine deployment.
@@ -895,9 +900,21 @@ func (p *Platform) BlacklistedEngines() []string {
 
 // Metrics exposes the platform's counter/gauge registry, fed by the
 // built-in trace recorder (attempts, retries, speculation, breaker trips,
-// replans, fault injections, container churn, virtual time).
+// replans, fault injections, container churn, virtual time). The profiler's
+// refinement counters (ires_profiler_*_total) are folded in here, on read, so
+// that Observe stays off the registry's lock; observations over fits is the
+// coalescing factor of the deferred model fits.
 func (p *Platform) Metrics() *MetricsRegistry {
-	return p.recorder.Registry()
+	reg := p.recorder.Registry()
+	p.refineMu.Lock()
+	defer p.refineMu.Unlock()
+	cur, last := p.Profiler.RefinementStats(), p.refinePublished
+	reg.Inc("ires_profiler_observations_total", nil, float64(cur.Observations-last.Observations))
+	reg.Inc("ires_profiler_fits_total", nil, float64(cur.Fits-last.Fits))
+	reg.Inc("ires_profiler_selections_total", nil, float64(cur.Selections-last.Selections))
+	reg.Inc("ires_profiler_fit_errors_total", nil, float64(cur.FitErrors-last.FitErrors))
+	p.refinePublished = cur
+	return reg
 }
 
 // TraceEvents returns a snapshot of the recorded structured events, oldest

@@ -111,12 +111,25 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	if got := reg.Value("ires_vtime_seconds", nil); got <= 0 {
 		t.Errorf("ires_vtime_seconds = %v, want > 0", got)
 	}
+	// The profiler's refinement counters are folded in on every Metrics()
+	// call, as counters: a second call must not count anything twice.
+	rs := p.Profiler.RefinementStats()
+	p.Metrics()
+	if got := reg.Value("ires_profiler_observations_total", nil); got != float64(rs.Observations) || got <= 0 {
+		t.Errorf("ires_profiler_observations_total = %v, RefinementStats.Observations = %d", got, rs.Observations)
+	}
+	if got := reg.Value("ires_profiler_fits_total", nil); got != float64(rs.Fits) || got <= 0 {
+		t.Errorf("ires_profiler_fits_total = %v, RefinementStats.Fits = %d", got, rs.Fits)
+	}
+	if got := reg.Value("ires_profiler_fit_errors_total", nil); got != 0 {
+		t.Errorf("ires_profiler_fit_errors_total = %v, want 0", got)
+	}
 
 	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, metric := range []string{"ires_attempts_total", "ires_vtime_seconds", "# TYPE"} {
+	for _, metric := range []string{"ires_attempts_total", "ires_vtime_seconds", "# TYPE", "# HELP ires_profiler_selections_total"} {
 		if !strings.Contains(b.String(), metric) {
 			t.Errorf("Prometheus exposition missing %q", metric)
 		}
