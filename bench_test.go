@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	ires "github.com/asap-project/ires"
+	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/experiments"
 	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/musqle"
@@ -224,6 +225,112 @@ func BenchmarkReplanWarm(b *testing.B) {
 // the same workflow.
 func BenchmarkParetoWarm(b *testing.B) {
 	plannerBenchEnv(b).BenchParetoWarm(b)
+}
+
+// planWideEngines are the four implementations bench/e2e's plan_wide workload
+// registers for every Pegasus algorithm.
+var planWideEngines = []string{ires.EngineSpark, ires.EngineMapReduce, ires.EngineHama, ires.EngineJava}
+
+// BenchmarkPlanWide is the profiling handle for the planner path bench/e2e's
+// plan_wide workload measures: Sipht-300 (fan-in 291) and Montage-100 over
+// four profiled engines per algorithm, one sub-benchmark per request kind.
+//
+//	go test -run '^$' -bench PlanWide -cpuprofile cpu.out .
+func BenchmarkPlanWide(b *testing.B) {
+	p, err := ires.NewPlatform(ires.Options{Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiles := map[string]engine.Profile{}
+	for _, pr := range engine.DefaultProfiles() {
+		profiles[pr.Name] = pr
+	}
+	var graphs []*ires.Workflow
+	seen := map[string]bool{}
+	for _, spec := range []struct {
+		cat  pegasus.Category
+		size int
+	}{{pegasus.Sipht, 300}, {pegasus.Montage, 100}} {
+		g, err := pegasus.Generate(spec.cat, spec.size)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+		for _, alg := range pegasus.Algorithms(g) {
+			if seen[alg] {
+				continue
+			}
+			seen[alg] = true
+			p.Env.RegisterWorkload(engine.Workload{
+				Algorithm: alg, UnitsPerRecord: 50 * float64(1+len(seen)%7),
+				MemBytesPerRecord: 80, OutputFactor: 0.8, MinOutputRecords: 1,
+			})
+			for _, eng := range planWideEngines {
+				pr, res := profiles[eng], engine.StandardCluster
+				if pr.Centralized {
+					res = engine.SingleNode
+				}
+				name := alg + "_" + eng
+				desc := "Constraints.Engine=" + eng +
+					"\nConstraints.OpSpecification.Algorithm.name=" + alg +
+					"\nConstraints.Input0.Engine.FS=" + pr.FS +
+					"\nConstraints.Output0.Engine.FS=" + pr.FS + "\n"
+				if err := p.RegisterOperator(name, desc); err != nil {
+					b.Fatal(err)
+				}
+				space := ires.ProfileSpace{
+					Records:        []int64{1_000, 10_000, 100_000, 1_000_000},
+					BytesPerRecord: 1_000,
+					Resources:      []ires.Resources{res},
+				}
+				if _, err := p.ProfileOperator(name, space); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	plan := func(b *testing.B, i int) {
+		if _, err := p.Plan(graphs[i%len(graphs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		plan(b, 0)
+		plan(b, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			plan(b, i)
+		}
+	})
+	b.Run("flap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// Down on even iterations, up again on odd ones: one engine is
+			// down at most, as in plan_wide.
+			p.SetEngineAvailable(planWideEngines[i/2%len(planWideEngines)], i%2 == 1)
+			plan(b, i/2)
+		}
+		for _, eng := range planWideEngines {
+			p.SetEngineAvailable(eng, true)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.ResetPlannerCache()
+			plan(b, i)
+		}
+	})
+	b.Run("pareto", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.ResetPlannerCache()
+			if _, err := p.ParetoPlans(graphs[i%len(graphs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkPlannerMontage1000 measures one optimization pass over a

@@ -32,7 +32,7 @@ func run() error {
 	seed := flag.Int64("seed", 42, "seed for the simulated environment")
 	docs := flag.Int64("docs", 100_000, "workflow input size (documents)")
 	out := flag.String("out", "BENCH_PLANNER.json", "output file (empty: stdout only)")
-	check := flag.Bool("check", true, "fail unless warm replan is >=3x faster and >=50% fewer allocs than cold plan, and the giant-DAG partial flap replan is >=5x faster than the wholesale baseline")
+	check := flag.Bool("check", true, "fail unless warm replans evaluate no node, are >=1.5x faster and >=50% fewer allocs than cold plan, and the giant-DAG flap replan evicts <=2 entries per invalidation and costs <=1.5x a warm replan")
 	giantSize := flag.Int("giant-size", 10_000, "giant-DAG operator count (0 skips the giant cell)")
 	giantEngines := flag.Int("giant-engines", 6, "giant-DAG engine implementations per algorithm")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to FILE")
@@ -83,15 +83,17 @@ func run() error {
 	}
 	fmt.Printf("replan speedup:  %.1fx (cold plan vs warm replan)\n", report.ReplanSpeedup)
 	fmt.Printf("alloc reduction: %.0f%%\n", report.AllocReduction*100)
-	fmt.Printf("warm identical:  %v   cache hits/misses: %d/%d (epoch %d)\n",
-		report.WarmIdentical, report.CacheHits, report.CacheMisses, report.CacheEpoch)
+	fmt.Printf("warm identical:  %v   cache hits/misses: %d/%d (epoch %d)   warm replan misses/rows: %d/%d\n",
+		report.WarmIdentical, report.CacheHits, report.CacheMisses, report.CacheEpoch,
+		report.WarmReplanMisses, report.WarmReplanRows)
 	if g := report.Giant; g != nil {
 		fmt.Printf("giant DAG: %s, %d operators, %d engines/algorithm\n", g.Category, g.Operators, g.Engines)
 		for _, r := range g.Results {
 			fmt.Printf("%-34s %10d ns/op  %9d B/op  %7d allocs/op\n",
 				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 		}
-		fmt.Printf("partial flap speedup: %.1fx (wholesale vs partial invalidation)\n", g.PartialFlapSpeedup)
+		fmt.Printf("partial flap speedup: %.1fx (wholesale vs partial invalidation)   partial over warm: %.2fx\n",
+			g.PartialFlapSpeedup, g.PartialOverWarm)
 		fmt.Printf("flap identical: %v   partial invalidations: %d   evicted entries: %d\n",
 			g.FlapIdentical, g.PartialInvalidations, g.EvictedEntries)
 	}
@@ -112,8 +114,17 @@ func run() error {
 	}
 
 	if *check {
-		if report.ReplanSpeedup < 3 {
-			return fmt.Errorf("warm replan speedup %.2fx below the 3x floor", report.ReplanSpeedup)
+		// What a warm replan promises is that it evaluates no node and
+		// builds no row, so that is gated on exact counts. The speed-up
+		// divides by the cold plan and falls whenever cold evaluation gets
+		// cheaper (6.2x before PR 17, 3.1-4.7x after, the memo working the
+		// same): it stays only as a floor no working memo can miss.
+		if report.WarmReplanMisses != 0 || report.WarmReplanRows != 0 {
+			return fmt.Errorf("warm replans evaluated %d nodes and built %d rows; a warm replan does neither",
+				report.WarmReplanMisses, report.WarmReplanRows)
+		}
+		if report.ReplanSpeedup < 1.5 {
+			return fmt.Errorf("warm replan speedup %.2fx below the 1.5x floor", report.ReplanSpeedup)
 		}
 		if report.AllocReduction < 0.5 {
 			return fmt.Errorf("allocation reduction %.0f%% below the 50%% floor", report.AllocReduction*100)
@@ -122,8 +133,15 @@ func run() error {
 			return fmt.Errorf("warm plans diverged from cold references")
 		}
 		if g := report.Giant; g != nil {
-			if g.PartialFlapSpeedup < 5 {
-				return fmt.Errorf("giant-DAG partial flap speedup %.2fx below the 5x floor", g.PartialFlapSpeedup)
+			// What partial invalidation promises, stated without the
+			// wholesale baseline in the denominator: a flap evicts a handful
+			// of entries, and replanning after it costs about a warm replan.
+			if g.EvictedEntries > 2*g.PartialInvalidations {
+				return fmt.Errorf("giant-DAG flaps evicted %d entries over %d partial invalidations, above 2 per invalidation",
+					g.EvictedEntries, g.PartialInvalidations)
+			}
+			if g.PartialOverWarm > 1.5 {
+				return fmt.Errorf("giant-DAG partial flap replan costs %.2fx a warm replan, above the 1.5x ceiling", g.PartialOverWarm)
 			}
 			if !g.FlapIdentical {
 				return fmt.Errorf("giant-DAG flap replans diverged from cold references")

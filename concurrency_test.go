@@ -417,3 +417,137 @@ func TestConcurrencyPropertyInvariants(t *testing.T) {
 		})
 	}
 }
+
+// registerTextOpsWithParams is registerTextOps with the kmeans pair
+// re-registered to declare an execution parameter, so plans carry a
+// non-empty shared Params map.
+func registerTextOpsWithParams(t *testing.T, p *Platform) {
+	t.Helper()
+	registerTextOps(t, p)
+	for _, name := range []string{"kmeans_scikit", "kmeans_spark"} {
+		mo, _ := p.Library.Operator(name)
+		if err := p.RegisterOperator(name, mo.Meta.String()+"Optimization.param.k=8\n"); err != nil {
+			t.Fatal(err)
+		}
+		space := ProfileSpace{
+			Records:        []int64{1_000, 20_000, 500_000},
+			BytesPerRecord: 5_000,
+			Params:         map[string][]float64{"k": {8}},
+			Resources:      []engine.Resources{{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456}, {Nodes: 16, CoresPerN: 2, MemMBPerN: 3456}},
+		}
+		if _, err := p.ProfileOperator(name, space); err != nil {
+			t.Fatalf("profiling %s: %v", name, err)
+		}
+	}
+}
+
+// operatorFacts renders what plans share with the library's operators and
+// must therefore never be written: the description trees and the parameter
+// maps.
+func operatorFacts(p *Platform) map[string]string {
+	out := map[string]string{}
+	for _, mo := range p.Library.Operators() {
+		out[mo.Name] = mo.Meta.String() + fmt.Sprint(mo.Params())
+	}
+	return out
+}
+
+func assertOperatorsUnchanged(t *testing.T, p *Platform, before map[string]string) {
+	t.Helper()
+	after := operatorFacts(p)
+	for name, want := range before {
+		if got := after[name]; got != want {
+			t.Errorf("operator %s changed:\nregistered: %s\nnow:        %s", name, want, got)
+		}
+	}
+}
+
+// The planner hands out the operators' own trees and maps (Step.OutMeta,
+// Step.Params) instead of copies. Planning and executing the Fig 12 workflow
+// with every run straggling — the executor's one write to a parameter map,
+// faultStretch — must leave every registered operator as it was registered.
+func TestPlansShareOperatorFactsReadOnly(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 5, TimeoutFactor: 2.5, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTextOpsWithParams(t, p)
+	before := operatorFacts(p)
+	if err := p.InjectFaults(FaultConfig{Seed: 5, Straggler: StragglerFaults{Prob: 1, Factor: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	wf := textWorkflow(t, p, 50_000)
+	plan, err := p.Plan(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := false
+	for _, s := range plan.OperatorSteps() {
+		if s.OutMeta != s.Op.OutputSpec(0) {
+			t.Errorf("%s: OutMeta is not the operator's output spec", s.Name)
+		}
+		shared = shared || len(s.Params) > 0
+	}
+	if !shared {
+		t.Fatalf("no step carries parameters:\n%s", plan.Describe())
+	}
+	if _, err := p.Execute(wf, plan); err != nil {
+		t.Fatal(err)
+	}
+	if p.FaultStats().Stragglers == 0 {
+		t.Fatal("no run straggled: the faultStretch write never happened")
+	}
+	if _, err := p.ParetoPlans(wf); err != nil {
+		t.Fatal(err)
+	}
+	assertOperatorsUnchanged(t, p, before)
+}
+
+// Runs of one workflow execute — cloning Step.OutMeta, reading Step.Params,
+// retraining the models and so evicting planner cache entries — while other
+// goroutines Plan and ParetoPlans the same workflow over the same shared
+// trees. Run with -race: any write to a shared tree or map is a report.
+func TestExecuteWhilePlanningRace(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 9, TimeoutFactor: 2.5, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTextOpsWithParams(t, p)
+	if err := p.InjectFaults(FaultConfig{Seed: 9, Straggler: StragglerFaults{Prob: 0.5, Factor: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	before := operatorFacts(p)
+	wf := textWorkflow(t, p, 50_000)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, planOnce := range []func() error{
+		func() error { _, err := p.Plan(wf); return err },
+		func() error { _, err := p.ParetoPlans(wf); return err },
+	} {
+		planOnce := planOnce
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := planOnce(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 6; i++ {
+		if _, _, err := p.Run(wf); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	assertOperatorsUnchanged(t, p, before)
+}

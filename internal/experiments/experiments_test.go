@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -146,61 +147,87 @@ func TestFig13Shape(t *testing.T) {
 	}
 }
 
-func TestFig14PlannerScaling(t *testing.T) {
-	reports, err := Fig14([]int{30, 100, 300}, []int{4, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	for _, r := range reports {
-		for _, s := range r.Series {
-			for _, p := range s.Points {
-				if p.Y > 5.0 {
-					t.Errorf("%s/%s: %.2fs at %v nodes exceeds the paper's bound", r.ID, s.Label, p.Y, p.X)
-				}
-			}
-			// Monotone-ish growth with size.
-			y30, _ := s.YAt(30)
-			y300, _ := s.YAt(300)
-			if y300 < y30 {
-				t.Errorf("%s/%s: time shrank with workflow size", r.ID, s.Label)
-			}
+// The two planner-scaling tests compare wall-clock times that are a fraction
+// of a millisecond at the small end, on a host where the rest of the suite
+// runs beside them. Each point is a median of five cold plans, and an order
+// has to come out wrong three measurements running to fail: a preempted
+// measurement inverts one now and then (the single-sample version of these
+// tests failed 3 times in 80 under a parallel `go test ./...`), a planner
+// that stopped scaling inverts it every time.
+func timingHolds(t *testing.T, measure func() []string) {
+	t.Helper()
+	var wrong []string
+	for attempt := 0; attempt < 3; attempt++ {
+		if wrong = measure(); len(wrong) == 0 {
+			return
 		}
 	}
-	// More engines cost more planning time (m^2 term), comparing totals.
-	tot := func(r *Report) float64 {
-		sum := 0.0
-		for _, s := range r.Series {
-			for _, p := range s.Points {
-				sum += p.Y
-			}
-		}
-		return sum
-	}
-	if tot(reports[1]) <= tot(reports[0]) {
-		t.Error("8 engines should plan slower than 4 engines in aggregate")
+	for _, w := range wrong {
+		t.Error(w)
 	}
 }
 
+func TestFig14PlannerScaling(t *testing.T) {
+	timingHolds(t, func() (wrong []string) {
+		reports, err := Fig14([]int{30, 100, 300}, []int{4, 8}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reports) != 2 {
+			t.Fatalf("reports = %d", len(reports))
+		}
+		for _, r := range reports {
+			for _, s := range r.Series {
+				for _, p := range s.Points {
+					if p.Y > 5.0 {
+						wrong = append(wrong, fmt.Sprintf("%s/%s: %.2fs at %v nodes exceeds the paper's bound", r.ID, s.Label, p.Y, p.X))
+					}
+				}
+				// Monotone-ish growth with size.
+				y30, _ := s.YAt(30)
+				y300, _ := s.YAt(300)
+				if y300 < y30 {
+					wrong = append(wrong, fmt.Sprintf("%s/%s: time shrank with workflow size", r.ID, s.Label))
+				}
+			}
+		}
+		// More engines cost more planning time (m^2 term), comparing totals.
+		tot := func(r *Report) float64 {
+			sum := 0.0
+			for _, s := range r.Series {
+				for _, p := range s.Points {
+					sum += p.Y
+				}
+			}
+			return sum
+		}
+		if tot(reports[1]) <= tot(reports[0]) {
+			wrong = append(wrong, "8 engines should plan slower than 4 engines in aggregate")
+		}
+		return wrong
+	})
+}
+
 func TestFig15EngineScaling(t *testing.T) {
-	reports, err := Fig15([]int{30, 100}, []int{2, 8}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reports {
-		two, ok2 := r.SeriesByLabel("2 engines")
-		eight, ok8 := r.SeriesByLabel("8 engines")
-		if !ok2 || !ok8 {
-			t.Fatalf("%s: missing series", r.ID)
+	timingHolds(t, func() (wrong []string) {
+		reports, err := Fig15([]int{30, 100}, []int{2, 8}, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		y2, _ := two.YAt(100)
-		y8, _ := eight.YAt(100)
-		if y8 <= y2 {
-			t.Errorf("%s: 8 engines (%.4fs) not slower than 2 (%.4fs)", r.ID, y8, y2)
+		for _, r := range reports {
+			two, ok2 := r.SeriesByLabel("2 engines")
+			eight, ok8 := r.SeriesByLabel("8 engines")
+			if !ok2 || !ok8 {
+				t.Fatalf("%s: missing series", r.ID)
+			}
+			y2, _ := two.YAt(100)
+			y8, _ := eight.YAt(100)
+			if y8 <= y2 {
+				wrong = append(wrong, fmt.Sprintf("%s: 8 engines (%.4fs) not slower than 2 (%.4fs)", r.ID, y8, y2))
+			}
 		}
-	}
+		return wrong
+	})
 }
 
 func TestFig16aErrorDrops(t *testing.T) {

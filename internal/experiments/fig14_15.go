@@ -74,14 +74,16 @@ func planOnce(p *planner.Planner, g *workflow.Graph) (time.Duration, error) {
 	return plan.PlanningTime, nil
 }
 
-// medianPlanTime plans the workflow reps times and returns the median
-// duration.
+// medianPlanTime plans the workflow reps times, each from an empty planner
+// cache — Figs 14-15 measure an optimization, not a memo replay — and returns
+// the median duration.
 func medianPlanTime(p *planner.Planner, g *workflow.Graph, reps int) (time.Duration, error) {
 	if reps < 1 {
 		reps = 1
 	}
 	times := make([]time.Duration, 0, reps)
 	for i := 0; i < reps; i++ {
+		p.FlushCache()
 		d, err := planOnce(p, g)
 		if err != nil {
 			return 0, err

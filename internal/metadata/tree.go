@@ -16,7 +16,6 @@
 package metadata
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -110,11 +109,12 @@ func (t *Tree) Node(path string) *Tree {
 	if path == "" {
 		return node
 	}
-	for _, part := range strings.Split(path, ".") {
+	// strings.Cut walks the segments strings.Split would produce, without
+	// the slice: "a." ends on an empty segment, ".a" starts on one.
+	for more := true; more && node != nil; {
+		var part string
+		part, path, more = strings.Cut(path, ".")
 		node = node.child(part, false)
-		if node == nil {
-			return nil
-		}
 	}
 	return node
 }
@@ -268,13 +268,31 @@ type Property struct {
 
 func (p Property) String() string { return p.Path + "=" + p.Value }
 
-// String renders the tree in description-file format.
+// String renders the tree in description-file format: one path=value line
+// per node holding a non-empty value, in lexicographic path order (the lines
+// Properties returns).
 func (t *Tree) String() string {
 	var b strings.Builder
-	for _, p := range t.Properties() {
-		fmt.Fprintln(&b, p)
-	}
+	t.render(&b, make([]byte, 0, 64))
 	return b.String()
+}
+
+func (t *Tree) render(b *strings.Builder, path []byte) {
+	if t == nil {
+		return
+	}
+	if len(path) > 0 && t.value != "" {
+		b.Write(path)
+		b.WriteByte('=')
+		b.WriteString(t.value)
+		b.WriteByte('\n')
+	}
+	if len(path) > 0 {
+		path = append(path, '.')
+	}
+	for _, k := range t.keys {
+		t.children[k].render(b, append(path, k...))
+	}
 }
 
 // Equal reports whether two trees hold identical structure and values.

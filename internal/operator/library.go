@@ -210,11 +210,7 @@ func (l *Library) Operators() []*Materialized {
 // constraints shape and maintained incrementally on operator mutation; a
 // miss falls back to the algorithm-indexed tree-matching scan.
 func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
-	cons := a.Meta.Node("Constraints")
-	key := ""
-	if cons != nil {
-		key = cons.String()
-	}
+	key := a.consKey
 	l.mu.RLock()
 	if e, ok := l.matchIdx[key]; ok {
 		out := l.resolveLocked(e.names)
@@ -229,10 +225,7 @@ func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
 		return l.resolveLocked(e.names)
 	}
 	names := l.matchNamesLocked(a)
-	var consClone *metadata.Tree
-	if cons != nil {
-		consClone = cons.Clone()
-	}
+	consClone := a.Meta.Node("Constraints").Clone()
 	if len(l.matchIdx) >= maxMatchIdx {
 		l.matchIdx = make(map[string]*matchEntry)
 	}

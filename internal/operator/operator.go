@@ -7,6 +7,7 @@ package operator
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/asap-project/ires/internal/metadata"
 )
@@ -91,10 +92,13 @@ func (d *Dataset) Constraints() *metadata.Tree {
 
 // Abstract is an operator as it appears in an abstract workflow: a
 // functionality contract (algorithm name, arity) that materialized
-// implementations must satisfy.
+// implementations must satisfy. Build one with NewAbstract; Meta is
+// read-only afterwards (its renderings are taken at construction).
 type Abstract struct {
 	Name string
 	Meta *metadata.Tree
+
+	def, consKey string
 }
 
 // NewAbstract builds an abstract operator from its description tree.
@@ -102,8 +106,11 @@ func NewAbstract(name string, meta *metadata.Tree) *Abstract {
 	if meta == nil {
 		meta = metadata.New()
 	}
-	return &Abstract{Name: name, Meta: meta}
+	return &Abstract{Name: name, Meta: meta, def: meta.String(), consKey: meta.Node("Constraints").String()}
 }
+
+// Definition returns the canonical rendering of the description tree.
+func (a *Abstract) Definition() string { return a.def }
 
 // Algorithm returns the declared algorithm name ("" when unconstrained).
 func (a *Abstract) Algorithm() string { return a.Meta.GetDefault(PathAlgorithm, "") }
@@ -114,11 +121,33 @@ func (a *Abstract) Inputs() int { return atoiDefault(a.Meta, PathInputNumber, 1)
 // Outputs returns the declared output arity (defaults to 1).
 func (a *Abstract) Outputs() int { return atoiDefault(a.Meta, PathOutputNumber, 1) }
 
+// Tag is a dataset tag as the planner's tables key it: a constraints tree
+// and its canonical rendering. Tags are immutable and shared.
+type Tag struct {
+	Meta *metadata.Tree
+	Key  string
+}
+
+// slot is one Constraints.Input<k> or Constraints.Output<k> subtree.
+type slot struct {
+	k int
+	Tag
+}
+
 // Materialized is a concrete operator implementation bound to an engine,
-// stored in the operator library.
+// stored in the operator library. Build one with NewMaterialized, which
+// resolves every fact the planner asks per candidate evaluation — engine,
+// algorithm, input requirements, output tags, parameters — once. Meta, and
+// every tree and map the accessors return, is shared and read-only
+// afterwards: to change an operator, build and register a new one.
 type Materialized struct {
 	Name string
 	Meta *metadata.Tree
+
+	engine, algorithm, def string
+	inputs, outputs        []slot
+	defaultOut             Tag // tag of an output without a Constraints.Output<k>
+	params                 map[string]float64
 }
 
 // NewMaterialized builds a materialized operator from its description.
@@ -126,21 +155,69 @@ func NewMaterialized(name string, meta *metadata.Tree) (*Materialized, error) {
 	if meta == nil {
 		return nil, fmt.Errorf("operator %s: nil metadata", name)
 	}
-	m := &Materialized{Name: name, Meta: meta}
-	if m.Engine() == "" {
+	m := &Materialized{
+		Name: name, Meta: meta, def: meta.String(),
+		engine:    meta.GetDefault(PathEngine, ""),
+		algorithm: meta.GetDefault(PathAlgorithm, ""),
+		params:    make(map[string]float64),
+	}
+	if m.engine == "" {
 		return nil, fmt.Errorf("operator %s: missing compulsory field %s", name, PathEngine)
 	}
-	if m.Algorithm() == "" {
+	if m.algorithm == "" {
 		return nil, fmt.Errorf("operator %s: missing compulsory field %s", name, PathAlgorithm)
+	}
+	cons := meta.Node("Constraints")
+	m.inputs, m.outputs = resolveSlots(cons, "Input"), resolveSlots(cons, "Output")
+	m.defaultOut.Meta = metadata.New()
+	m.defaultOut.Meta.Set("Engine", m.engine)
+	m.defaultOut.Key = m.defaultOut.Meta.String()
+	if node := meta.Node("Optimization.param"); node != nil {
+		for _, name := range node.Children() {
+			if v, err := strconv.ParseFloat(node.Child(name).Value(), 64); err == nil {
+				m.params[name] = v
+			}
+		}
 	}
 	return m, nil
 }
 
+// resolveSlots collects the Constraints.<prefix><k> subtrees. The label must
+// end in the canonical decimal of k: "Input01" is not input 1, exactly as
+// the fmt.Sprintf("Input%d") lookups this replaces saw it.
+func resolveSlots(cons *metadata.Tree, prefix string) []slot {
+	var out []slot
+	for _, label := range cons.Children() {
+		suffix, ok := strings.CutPrefix(label, prefix)
+		if !ok {
+			continue
+		}
+		if k, err := strconv.Atoi(suffix); err == nil && strconv.Itoa(k) == suffix {
+			t := cons.Child(label)
+			out = append(out, slot{k, Tag{t, t.String()}})
+		}
+	}
+	return out
+}
+
+// slotTag returns slot k's tag, if the description declares that slot.
+func slotTag(slots []slot, k int) (Tag, bool) {
+	for _, s := range slots {
+		if s.k == k {
+			return s.Tag, true
+		}
+	}
+	return Tag{}, false
+}
+
 // Engine returns the engine the implementation runs on.
-func (m *Materialized) Engine() string { return m.Meta.GetDefault(PathEngine, "") }
+func (m *Materialized) Engine() string { return m.engine }
 
 // Algorithm returns the implemented algorithm name.
-func (m *Materialized) Algorithm() string { return m.Meta.GetDefault(PathAlgorithm, "") }
+func (m *Materialized) Algorithm() string { return m.algorithm }
+
+// Definition returns the canonical rendering of the description tree.
+func (m *Materialized) Definition() string { return m.def }
 
 // Inputs returns the input arity.
 func (m *Materialized) Inputs() int { return atoiDefault(m.Meta, PathInputNumber, 1) }
@@ -151,13 +228,24 @@ func (m *Materialized) Outputs() int { return atoiDefault(m.Meta, PathOutputNumb
 // InputConstraint returns the constraints subtree for input i
 // (Constraints.Input<i>), or nil when the operator accepts anything.
 func (m *Materialized) InputConstraint(i int) *metadata.Tree {
-	return m.Meta.Node(fmt.Sprintf("Constraints.Input%d", i))
+	t, _ := slotTag(m.inputs, i)
+	return t.Meta
 }
 
 // OutputSpec returns the specification subtree for output i
 // (Constraints.Output<i>), or nil when unspecified.
 func (m *Materialized) OutputSpec(i int) *metadata.Tree {
-	return m.Meta.Node(fmt.Sprintf("Constraints.Output%d", i))
+	t, _ := slotTag(m.outputs, i)
+	return t.Meta
+}
+
+// OutputTag returns the tag of the dataset output i produces: its
+// specification subtree, or {Engine=<engine>} when it has none.
+func (m *Materialized) OutputTag(i int) Tag {
+	if t, ok := slotTag(m.outputs, i); ok {
+		return t
+	}
+	return m.defaultOut
 }
 
 // MatchesAbstract reports whether this implementation satisfies the abstract
@@ -177,20 +265,9 @@ func (m *Materialized) AcceptsInput(i int, datasetConstraints *metadata.Tree) bo
 }
 
 // Params returns the operator-specific execution parameters declared under
-// Optimization.param.* (e.g. Optimization.param.k=8), parsed as floats.
-func (m *Materialized) Params() map[string]float64 {
-	out := make(map[string]float64)
-	node := m.Meta.Node("Optimization.param")
-	if node == nil {
-		return out
-	}
-	for _, name := range node.Children() {
-		if v, err := strconv.ParseFloat(node.Child(name).Value(), 64); err == nil {
-			out[name] = v
-		}
-	}
-	return out
-}
+// Optimization.param.* (e.g. Optimization.param.k=8), parsed as floats. The
+// map is shared: copy it before writing.
+func (m *Materialized) Params() map[string]float64 { return m.params }
 
 func atoiDefault(t *metadata.Tree, path string, def int) int {
 	v, ok := t.Get(path)

@@ -4,12 +4,14 @@ package planner
 // a footprint of the external state it depends on — the engines of its
 // library matches, the materialized operators it estimated, the abstract
 // operator it matched against the library, and the structural signatures of
-// every table entry it read while being keyed (the DP parent links). The
-// planner maintains reverse indices over those footprints so a typed
-// invalidation event (an engine availability change, a profiler retrain of
-// one target, a library add/remove) evicts only the footprint-hit entries
-// plus everything reachable from them downstream; untouched subtrees stay
-// warm and insert-replay exactly as before.
+// every derived table entry it read while being keyed (the DP parent links).
+// A typed invalidation event (an engine availability change, a profiler
+// retrain of one target, a library add/remove) scans the cached footprints
+// once and evicts only the footprint-hit entries plus everything reachable
+// from them downstream through the dependents index; untouched subtrees stay
+// warm and insert-replay exactly as before. Events are rare next to node
+// evaluations, so the scan is paid per event and an evaluation registers
+// nothing but its parent links.
 //
 // Wholesale flush (flushLocked) remains the fallback for untyped changes:
 // a Config.Epoch movement, a library generation delta not explained by
@@ -25,6 +27,7 @@ package planner
 // results so the size bound measures live entries.
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/asap-project/ires/internal/operator"
@@ -35,19 +38,38 @@ type footprint struct {
 	// abstract is the workflow operator the node matched against the
 	// library; library changes re-match it to detect candidate-set drift.
 	abstract *operator.Abstract
-	// matchSig digests the full library match list (names + definitions,
-	// before availability filtering).
-	matchSig sig
-	// engines lists the distinct engines over every library match,
-	// available or not — an unavailable engine coming back changes the
-	// candidate set just as an available one going down does.
-	engines []string
+	// matches is the full library match list the node saw, before
+	// availability filtering. Their engines, available or not, are the
+	// engines the node depends on — an unavailable engine coming back
+	// changes the candidate set just as an available one going down does.
+	matches []*operator.Materialized
 	// estOps lists the materialized operator names whose estimates (and
 	// provisioned resources) the evaluation consumed.
 	estOps []string
-	// inSigs lists the structural signatures of every table entry read
-	// while keying the node — the DP parent links the eviction walks.
+	// inSigs lists the structural signatures of every derived table entry
+	// read while keying the node — the DP parent links the eviction walks.
+	// Leaves and seeds are left out: nothing evicts them.
 	inSigs []sig
+}
+
+// touches reports whether the node depends on one of the engines or estimated
+// one of the operators.
+func (f *footprint) touches(engines, estOps map[string]struct{}) bool {
+	if len(engines) > 0 {
+		for _, mo := range f.matches {
+			if _, ok := engines[mo.Engine()]; ok {
+				return true
+			}
+		}
+	}
+	if len(estOps) > 0 {
+		for _, op := range f.estOps {
+			if _, ok := estOps[op]; ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pending accumulates typed invalidation events between builds. It is
@@ -113,96 +135,14 @@ func (p *Planner) drainPending() pending {
 	return out
 }
 
-// matchSigLocked digests the library's current match list for an abstract
-// operator (names and definition renderings). Equal digests mean the node
-// would see the same candidate set today.
-func (p *Planner) matchSigLocked(a *operator.Abstract) sig {
-	return p.matchListSigLocked(p.cfg.Library.FindMaterialized(a))
-}
-
-func (p *Planner) matchListSigLocked(mos []*operator.Materialized) sig {
-	h := newHasher()
-	h.str("match")
-	h.u64(uint64(len(mos)))
-	for _, mo := range mos {
-		h.str(mo.Name)
-		h.str(p.metaStrLocked(mo.Meta))
-	}
-	return h.sum()
-}
-
-// newFootprintLocked builds the footprint skeleton for a node evaluation
-// from its unfiltered library match list (estOps and inSigs are filled by
-// the caller).
-func (p *Planner) newFootprintLocked(a *operator.Abstract, mos []*operator.Materialized) *footprint {
-	f := &footprint{abstract: a, matchSig: p.matchListSigLocked(mos)}
-	for _, mo := range mos {
-		e := mo.Engine()
-		dup := false
-		for _, have := range f.engines {
-			if have == e {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			f.engines = append(f.engines, e)
-		}
-	}
-	sort.Strings(f.engines)
-	return f
-}
-
-// registerFootLocked indexes a freshly evaluated node result under every
-// footprint dimension.
-func (p *Planner) registerFootLocked(key sig, foot *footprint) {
-	c := &p.cache
-	c.feet[key] = foot
-	for _, e := range foot.engines {
-		addKeyIdx(c.byEngine, e, key)
-	}
-	for _, op := range foot.estOps {
-		addKeyIdx(c.byEstOp, op, key)
-	}
-	for _, s := range foot.inSigs {
-		addSigIdx(c.dependents, s, key)
-	}
-}
-
-func addKeyIdx(idx map[string]map[sig]struct{}, k string, key sig) {
-	b := idx[k]
-	if b == nil {
-		b = make(map[sig]struct{})
-		idx[k] = b
-	}
-	b[key] = struct{}{}
-}
-
-func delKeyIdx(idx map[string]map[sig]struct{}, k string, key sig) {
-	if b := idx[k]; b != nil {
-		delete(b, key)
-		if len(b) == 0 {
-			delete(idx, k)
-		}
-	}
-}
-
-func addSigIdx(idx map[sig]map[sig]struct{}, s, key sig) {
-	b := idx[s]
-	if b == nil {
-		b = make(map[sig]struct{})
-		idx[s] = b
-	}
-	b[key] = struct{}{}
-}
-
-func delSigIdx(idx map[sig]map[sig]struct{}, s, key sig) {
-	if b := idx[s]; b != nil {
-		delete(b, key)
-		if len(b) == 0 {
-			delete(idx, s)
-		}
-	}
+// sameMatches reports whether two library match lists hold the same
+// definitions under the same names. Operators are immutable, so the same
+// pointer is the same definition; a re-registered operator is compared by
+// its rendering.
+func sameMatches(a, b []*operator.Materialized) bool {
+	return slices.EqualFunc(a, b, func(x, y *operator.Materialized) bool {
+		return x == y || (x.Name == y.Name && x.Definition() == y.Definition())
+	})
 }
 
 // probeAvail renders one engine's availability bit.
@@ -287,7 +227,7 @@ func (p *Planner) ensureCacheValidLocked() {
 	wholesale := pend.wholesale ||
 		epoch != p.cache.validity.epoch ||
 		(libDelta != 0 && pend.lib < libDelta) ||
-		len(p.cache.nodes)+len(p.cache.pnodes)+len(p.cache.metaStrs) > p.maxCached
+		len(p.cache.nodes) > p.maxCached
 	if wholesale {
 		p.flushLocked()
 		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}
@@ -296,43 +236,37 @@ func (p *Planner) ensureCacheValidLocked() {
 		return
 	}
 
-	var seeds map[sig]struct{}
-	addKey := func(k sig) {
-		if seeds == nil {
-			seeds = make(map[sig]struct{})
-		}
-		seeds[k] = struct{}{}
-	}
-	addBucket := func(b map[sig]struct{}) {
-		for k := range b {
-			addKey(k)
-		}
-	}
-	events := 0
-
+	// The footprint-hit node keys (twice does no harm) seed the eviction
+	// stack, p.evict.
+	events := len(pend.engines) + len(pend.estOps)
 	if libDelta != 0 {
 		events++
-		for key, foot := range p.cache.feet {
-			if p.matchSigLocked(foot.abstract) != foot.matchSig {
-				addKey(key)
+		for key, res := range p.cache.nodes {
+			if !sameMatches(p.cfg.Library.FindMaterialized(res.foot.abstract), res.foot.matches) {
+				p.evict = append(p.evict, key)
 			}
 		}
 		p.cache.validity.libGen = libGen
 		p.refreshEnginesLocked(libGen)
 	}
-	events += p.availDiffLocked(func(e string) { addBucket(p.cache.byEngine[e]) })
-	for e := range pend.engines {
-		addBucket(p.cache.byEngine[e])
-		events++
-	}
-	for op := range pend.estOps {
-		addBucket(p.cache.byEstOp[op])
-		events++
-	}
+	engines := pend.engines
+	events += p.availDiffLocked(func(e string) {
+		if engines == nil {
+			engines = make(map[string]struct{})
+		}
+		engines[e] = struct{}{}
+	})
 	if events == 0 {
 		return
 	}
-	evicted := p.evictLocked(seeds)
+	if len(engines)+len(pend.estOps) > 0 {
+		for key, res := range p.cache.nodes {
+			if res.foot.touches(engines, pend.estOps) {
+				p.evict = append(p.evict, key)
+			}
+		}
+	}
+	evicted := p.evictLocked()
 	p.cache.partials += uint64(events)
 	p.cache.evicted += uint64(evicted)
 	if p.cfg.Metrics != nil {
@@ -343,53 +277,33 @@ func (p *Planner) ensureCacheValidLocked() {
 	}
 }
 
-// evictLocked removes every node result in seeds plus everything reachable
-// downstream through the dependents index (nodes whose key digested an
-// evicted node's output entries), detaching each from every reverse index.
-// It returns the number of node results evicted.
-func (p *Planner) evictLocked(seeds map[sig]struct{}) int {
-	if len(seeds) == 0 {
-		return 0
-	}
+// evictLocked removes every node result on the p.evict stack plus everything
+// reachable downstream through the dependents index (nodes whose key digested
+// an evicted node's output entries), detaching each from the index. It
+// returns the number of node results evicted and leaves the stack empty.
+func (p *Planner) evictLocked() int {
 	c := &p.cache
-	stack := make([]sig, 0, len(seeds))
-	for k := range seeds {
-		stack = append(stack, k)
-	}
-	evicted := 0
+	stack, evicted := p.evict, 0
 	for len(stack) > 0 {
 		k := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		foot, ok := c.feet[k]
+		res, ok := c.nodes[k]
 		if !ok {
-			continue // already evicted (or never footprinted)
+			continue // already evicted
 		}
-		delete(c.feet, k)
+		delete(c.nodes, k)
 		evicted++
-		if res, ok := c.nodes[k]; ok {
-			delete(c.nodes, k)
-			for _, rec := range res.inserts {
-				for dep := range c.dependents[rec.e.sig] {
-					stack = append(stack, dep)
-				}
+		for _, rec := range res.inserts {
+			stack = append(stack, c.dependents[rec.e.sig]...)
+		}
+		for _, s := range res.foot.inSigs {
+			if b := slices.DeleteFunc(c.dependents[s], func(d sig) bool { return d == k }); len(b) > 0 {
+				c.dependents[s] = b
+			} else {
+				delete(c.dependents, s)
 			}
-		} else if pres, ok := c.pnodes[k]; ok {
-			delete(c.pnodes, k)
-			for _, rec := range pres.inserts {
-				for dep := range c.dependents[rec.e.sig] {
-					stack = append(stack, dep)
-				}
-			}
-		}
-		for _, e := range foot.engines {
-			delKeyIdx(c.byEngine, e, k)
-		}
-		for _, op := range foot.estOps {
-			delKeyIdx(c.byEstOp, op, k)
-		}
-		for _, s := range foot.inSigs {
-			delSigIdx(c.dependents, s, k)
 		}
 	}
+	p.evict = stack
 	return evicted
 }

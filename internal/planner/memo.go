@@ -27,23 +27,24 @@ package planner
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
 // defaultMaxCachedNodes bounds the number of memoized node results (scalar +
-// Pareto) plus metadata renderings held between builds; exceeding it clears
-// the cache wholesale at the next build boundary (never mid-build, so one
-// build never mixes entry generations). Config.MaxCachedNodes overrides it —
-// the default is sized for the 10k-operator Pegasus stress DAGs.
+// Pareto) held between builds; exceeding it clears the cache wholesale at the
+// next build boundary (never mid-build, so one build never mixes entry
+// generations). Config.MaxCachedNodes overrides it — the default is sized for
+// the 10k-operator Pegasus stress DAGs. Every other cache map grows only with
+// the entries node results hold, so this one bound covers them.
 const defaultMaxCachedNodes = 65536
 
-// sig is a 128-bit structural digest (two independent FNV-1a-style streams).
+// sig is a 128-bit structural digest: two independent multiply-rotate
+// streams over 64-bit words. Its values are process-internal — never traced,
+// exported or persisted.
 type sig struct{ a, b uint64 }
 
 const (
@@ -57,25 +58,31 @@ type hasher struct{ a, b uint64 }
 
 func newHasher() hasher { return hasher{fnvOffset64, altOffset64} }
 
-func (h *hasher) byte(c byte) {
-	h.a = (h.a ^ uint64(c)) * fnvPrime64
-	h.b = (h.b ^ uint64(c)) * altPrime64
-}
-
+// u64 folds one word into both streams. The rotation carries the
+// well-mixed high bits of each product down, where the next multiply spreads
+// them again.
 func (h *hasher) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		h.byte(byte(v))
-		v >>= 8
-	}
+	h.a = bits.RotateLeft64((h.a^v)*fnvPrime64, 29)
+	h.b = bits.RotateLeft64((h.b^v)*altPrime64, 31)
 }
 
 func (h *hasher) i64(v int64)   { h.u64(uint64(v)) }
 func (h *hasher) f64(v float64) { h.u64(math.Float64bits(v)) }
 
+// str folds the length, then the bytes eight at a time (the tail zero-padded
+// into one word; the length disambiguates the padding).
 func (h *hasher) str(s string) {
 	h.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h.byte(s[i])
+	for ; len(s) >= 8; s = s[8:] {
+		h.u64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for i := 0; i < len(s); i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		h.u64(w)
 	}
 }
 
@@ -83,19 +90,29 @@ func (h *hasher) sig(s sig) { h.u64(s.a); h.u64(s.b) }
 
 func (h *hasher) bool(v bool) {
 	if v {
-		h.byte(1)
+		h.u64(1)
 	} else {
-		h.byte(0)
+		h.u64(0)
 	}
 }
 
 func (h *hasher) sum() sig { return sig{h.a, h.b} }
 
+// sigKind prefixes the digests of the scalar and the Pareto table apart, so
+// their entries and node results never alias in the cache or its indices.
+func sigKind(pareto bool) string {
+	if pareto {
+		return "pareto"
+	}
+	return "scalar"
+}
+
 // leafSig digests a zero-cost table entry (materialized source dataset or
 // replan seed).
-func leafSig(source, metaKey string, records, bytes int64) sig {
+func leafSig(source, metaKey string, records, bytes int64, pareto bool) sig {
 	h := newHasher()
 	h.str("leaf")
+	h.str(sigKind(pareto))
 	h.str(source)
 	h.str(metaKey)
 	h.i64(records)
@@ -106,9 +123,10 @@ func leafSig(source, metaKey string, records, bytes int64) sig {
 // derivedEntrySig digests a derived table entry: the producing node and
 // materialization, the chosen output, and the full input resolution. Equal
 // signatures extract to identical plan subtrees.
-func derivedEntrySig(c *candidate, outIndex int, metaKey string, t pathTotals) sig {
+func derivedEntrySig(c *candidate, outIndex int, metaKey string, t pathTotals, pareto bool) sig {
 	h := newHasher()
 	h.str("op")
+	h.str(sigKind(pareto))
 	h.str(c.node.Name)
 	h.str(c.mo.Name)
 	h.u64(uint64(outIndex))
@@ -128,89 +146,38 @@ func derivedEntrySig(c *candidate, outIndex int, metaKey string, t pathTotals) s
 	return h.sum()
 }
 
-// pDerivedSig is derivedEntrySig for the multi-objective table.
-func pDerivedSig(c *pCandidate, outIndex int, metaKey string) sig {
-	h := newHasher()
-	h.str("pop")
-	h.str(c.node.Name)
-	h.str(c.mo.Name)
-	h.u64(uint64(outIndex))
-	h.str(metaKey)
-	h.i64(c.outRecords)
-	h.i64(c.outBytes)
-	h.f64(c.opTime)
-	h.f64(c.opMoney)
-	h.u64(uint64(len(c.inputs)))
-	for _, in := range c.inputs {
-		h.sig(in.entry.sig)
-		h.bool(in.moved)
-		h.f64(in.moveTime)
-		h.f64(in.moveCost)
-	}
-	return h.sum()
-}
-
-// entryMapSig digests one tag front and records every entry signature read
-// into p.readSigs — the DP parent links captured by node footprints.
-func (p *Planner) entryMapSig(h *hasher, m map[string]*tagEntry) {
-	keys := sortedKeys(m)
-	h.u64(uint64(len(keys)))
-	for _, k := range keys {
-		h.str(k)
-		h.sig(m[k].sig)
-		p.readSigs = append(p.readSigs, m[k].sig)
-	}
-}
-
-func (p *Planner) pEntryMapSig(h *hasher, m map[string][]*pEntry) {
-	keys := sortedPKeys(m)
-	h.u64(uint64(len(keys)))
-	for _, k := range keys {
-		h.str(k)
-		h.u64(uint64(len(m[k])))
-		for _, e := range m[k] {
-			h.sig(e.sig)
+// rowSig digests one table row and records the signature of every derived
+// entry read into p.readSigs — the DP parent links captured by node
+// footprints (leaves and seeds have no producer an eviction could start from).
+func (p *Planner) rowSig(h *hasher, row []*tagEntry) {
+	h.u64(uint64(len(row)))
+	for _, e := range row {
+		h.str(e.metaKey)
+		h.sig(e.sig)
+		if e.cand != nil {
 			p.readSigs = append(p.readSigs, e.sig)
 		}
 	}
 }
 
-// nodeKey digests an operator node's full DP context: its identity, the tag
-// fronts of every input, and the pre-insert state of every output. Must be
-// called with p.mu held (it reads the meta-string cache).
-func (p *Planner) nodeKey(o *workflow.Node, dp map[*workflow.Node]map[string]*tagEntry) sig {
+// nodeKey digests an operator node's full DP context: its identity, the rows
+// of every input, and the pre-insert state of every output. Must be called
+// with p.mu held (it fills p.readSigs).
+func (p *Planner) nodeKey(o *workflow.Node, dp table, pareto bool) sig {
 	h := newHasher()
 	h.str("node")
+	h.str(sigKind(pareto))
 	h.str(o.Name)
-	h.str(p.metaStrLocked(o.Operator.Meta))
+	h.str(o.Operator.Definition())
 	h.u64(uint64(len(o.Inputs)))
 	for _, in := range o.Inputs {
 		h.str(in.Name)
-		p.entryMapSig(&h, dp[in])
+		p.rowSig(&h, dp[in])
 	}
 	h.u64(uint64(len(o.Outputs)))
 	for _, out := range o.Outputs {
 		h.str(out.Name)
-		p.entryMapSig(&h, dp[out])
-	}
-	return h.sum()
-}
-
-// pNodeKey is nodeKey over the multi-objective table.
-func (p *Planner) pNodeKey(o *workflow.Node, dp map[*workflow.Node]map[string][]*pEntry) sig {
-	h := newHasher()
-	h.str("pnode")
-	h.str(o.Name)
-	h.str(p.metaStrLocked(o.Operator.Meta))
-	h.u64(uint64(len(o.Inputs)))
-	for _, in := range o.Inputs {
-		h.str(in.Name)
-		p.pEntryMapSig(&h, dp[in])
-	}
-	h.u64(uint64(len(o.Outputs)))
-	for _, out := range o.Outputs {
-		h.str(out.Name)
-		p.pEntryMapSig(&h, dp[out])
+		p.rowSig(&h, dp[out])
 	}
 	return h.sum()
 }
@@ -221,20 +188,12 @@ type insertRec struct {
 	e   *tagEntry
 }
 
-// nodeResult is the memoized outcome of evaluating one operator node.
+// nodeResult is the memoized outcome of evaluating one operator node, with
+// the dependency footprint it is invalidated by (invalidate.go).
 type nodeResult struct {
 	inserts            []insertRec
 	tried, kept, moves int
-}
-
-// pInsertRec / pNodeResult mirror insertRec / nodeResult for ParetoPlans.
-type pInsertRec struct {
-	out int
-	e   *pEntry
-}
-
-type pNodeResult struct {
-	inserts []pInsertRec
+	foot               footprint
 }
 
 // cacheValidity holds the counters the cache was last reconciled against.
@@ -254,25 +213,14 @@ type planCache struct {
 	validity cacheValidity
 	epoch    uint64 // completed flushes (the ires_planner_epoch gauge)
 
-	nodes   map[sig]*nodeResult
-	pnodes  map[sig]*pNodeResult
-	leaves  map[sig]*tagEntry
-	pleaves map[sig]*pEntry
-	seeds   map[sig]map[string]*tagEntry
-	// metaStrs caches Tree.String() renderings keyed by tree pointer (node
-	// keys and seed hashes re-render the same trees every build). Flushed
-	// with the rest of the cache; trees must not be mutated between builds
-	// (mutating a graph's operator metadata without rebuilding the graph is
-	// unsupported).
-	metaStrs map[*metadata.Tree]string
+	nodes  map[sig]*nodeResult // scalar and Pareto node results (sigKind apart)
+	leaves map[sig]*tagEntry
+	seeds  map[sig]map[string]*tagEntry
+	moved  map[movedKey]*metadata.Tree // movedMetaLocked's memo
 
-	// feet records each cached node result's dependency footprint, and the
-	// reverse indices below map each footprint dimension back to the node
-	// keys that depend on it (invalidate.go).
-	feet       map[sig]*footprint
-	byEngine   map[string]map[sig]struct{} // engine -> dependent node keys
-	byEstOp    map[string]map[sig]struct{} // estimated op -> dependent node keys
-	dependents map[sig]map[sig]struct{}    // entry sig -> node keys that read it
+	// dependents maps a derived entry's sig to the keys of the node results
+	// that read it — the links a downstream eviction follows (invalidate.go).
+	dependents map[sig][]sig
 
 	// engines/availPrev are the availability fingerprint: the sorted library
 	// engine list (cached per library generation, keeping the steady-state
@@ -284,9 +232,16 @@ type planCache struct {
 	enginesInit bool
 
 	hits, misses uint64 // cumulative node-level lookups
-	rowsAlloc    uint64 // tagEntry/pEntry rows created since construction
+	rowsAlloc    uint64 // tagEntry rows created since construction
 	partials     uint64 // typed invalidation events applied partially
 	evicted      uint64 // node results evicted by partial invalidation
+}
+
+// movedKey identifies one move: the source tag's key and the requirement
+// subtree (owned by a library operator) it was bridged to.
+type movedKey struct {
+	src string
+	req *metadata.Tree
 }
 
 // CacheStats is a snapshot of the planner's memoization counters.
@@ -299,7 +254,7 @@ type CacheStats struct {
 	Epoch uint64
 	// NodeEntries is the number of node results currently cached.
 	NodeEntries int
-	// RowsAllocated counts DP table rows (tagEntry/pEntry) ever created;
+	// RowsAllocated counts DP table rows (tagEntry) ever created;
 	// a fully warm build leaves it unchanged.
 	RowsAllocated uint64
 	// PartialInvalidations counts typed invalidation events applied as
@@ -319,7 +274,7 @@ func (p *Planner) CacheStats() CacheStats {
 		Hits:                 p.cache.hits,
 		Misses:               p.cache.misses,
 		Epoch:                p.cache.epoch,
-		NodeEntries:          len(p.cache.nodes) + len(p.cache.pnodes),
+		NodeEntries:          len(p.cache.nodes),
 		RowsAllocated:        p.cache.rowsAlloc,
 		PartialInvalidations: p.cache.partials,
 		EvictedEntries:       p.cache.evicted,
@@ -339,30 +294,11 @@ func (p *Planner) FlushCache() {
 
 func (p *Planner) flushLocked() {
 	p.cache.nodes = make(map[sig]*nodeResult)
-	p.cache.pnodes = make(map[sig]*pNodeResult)
 	p.cache.leaves = make(map[sig]*tagEntry)
-	p.cache.pleaves = make(map[sig]*pEntry)
 	p.cache.seeds = make(map[sig]map[string]*tagEntry)
-	p.cache.metaStrs = make(map[*metadata.Tree]string)
-	p.cache.feet = make(map[sig]*footprint)
-	p.cache.byEngine = make(map[string]map[sig]struct{})
-	p.cache.byEstOp = make(map[string]map[sig]struct{})
-	p.cache.dependents = make(map[sig]map[sig]struct{})
+	p.cache.moved = make(map[movedKey]*metadata.Tree)
+	p.cache.dependents = make(map[sig][]sig)
 	p.cache.epoch++
-}
-
-// metaStrLocked renders a metadata tree to its canonical string, memoized by
-// tree pointer (nil renders as the empty tree).
-func (p *Planner) metaStrLocked(t *metadata.Tree) string {
-	if t == nil {
-		return ""
-	}
-	if s, ok := p.cache.metaStrs[t]; ok {
-		return s
-	}
-	s := t.String()
-	p.cache.metaStrs[t] = s
-	return s
 }
 
 // recordBuildLocked folds one build's cache counters into the cumulative
@@ -389,60 +325,27 @@ const (
 )
 
 // leafEntryLocked returns the (memoized) zero-cost entry for a materialized
-// source dataset.
-func (p *Planner) leafEntryLocked(d *workflow.Node) *tagEntry {
+// source dataset. Datasets stay mutable (sizes are set after construction),
+// so the tag is rendered per build and cloned into a new entry.
+func (p *Planner) leafEntryLocked(d *workflow.Node, pareto bool) *tagEntry {
 	meta := d.Dataset.Constraints()
-	metaKey := p.metaStrLocked(meta)
-	if meta == nil {
-		meta = metadata.New()
-	}
+	metaKey := meta.String()
 	records, bytes := d.Dataset.Records(), d.Dataset.SizeBytes()
-	s := leafSig(d.Name, metaKey, records, bytes)
+	s := leafSig(d.Name, metaKey, records, bytes, pareto)
 	if e, ok := p.cache.leaves[s]; ok {
 		return e
 	}
-	e := &tagEntry{
-		meta:    meta.Clone(),
-		metaKey: metaKey,
-		records: records,
-		bytes:   bytes,
-		source:  d.Name,
-		sig:     s,
-	}
+	e := newLeaf(meta, metaKey, records, bytes, s)
 	p.cache.rowsAlloc++
 	p.cache.leaves[s] = e
 	return e
 }
 
-// pLeafEntryLocked is leafEntryLocked for the multi-objective table.
-func (p *Planner) pLeafEntryLocked(d *workflow.Node) *pEntry {
-	meta := d.Dataset.Constraints()
-	metaKey := p.metaStrLocked(meta)
+func newLeaf(meta *metadata.Tree, metaKey string, records, bytes int64, s sig) *tagEntry {
 	if meta == nil {
 		meta = metadata.New()
 	}
-	records, bytes := d.Dataset.Records(), d.Dataset.SizeBytes()
-	h := newHasher()
-	h.str("pleaf")
-	h.str(d.Name)
-	h.str(metaKey)
-	h.i64(records)
-	h.i64(bytes)
-	s := h.sum()
-	if e, ok := p.cache.pleaves[s]; ok {
-		return e
-	}
-	e := &pEntry{
-		meta:    meta.Clone(),
-		metaKey: metaKey,
-		records: records,
-		bytes:   bytes,
-		source:  d.Name,
-		sig:     s,
-	}
-	p.cache.rowsAlloc++
-	p.cache.pleaves[s] = e
-	return e
+	return &tagEntry{meta: meta.Clone(), metaKey: metaKey, records: records, bytes: bytes, sig: s}
 }
 
 // seedForLocked validates the done-set against the graph and returns the
@@ -457,12 +360,14 @@ func (p *Planner) seedForLocked(g *workflow.Graph, done []MaterializedIntermedia
 	}
 	sorted := append([]MaterializedIntermediate(nil), done...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Dataset < sorted[j].Dataset })
+	keys := make([]string, len(sorted))
 	h := newHasher()
 	h.str("seed")
 	h.u64(uint64(len(sorted)))
-	for _, d := range sorted {
+	for i, d := range sorted {
+		keys[i] = d.Meta.String()
 		h.str(d.Dataset)
-		h.str(p.metaStrLocked(d.Meta))
+		h.str(keys[i])
 		h.i64(d.Records)
 		h.i64(d.Bytes)
 	}
@@ -471,68 +376,11 @@ func (p *Planner) seedForLocked(g *workflow.Graph, done []MaterializedIntermedia
 		return m, nil
 	}
 	m := make(map[string]*tagEntry, len(sorted))
-	for _, d := range sorted {
-		metaKey := p.metaStrLocked(d.Meta)
-		meta := d.Meta
-		if meta == nil {
-			meta = metadata.New()
-		}
-		e := &tagEntry{
-			meta:    meta.Clone(),
-			metaKey: metaKey,
-			records: d.Records,
-			bytes:   d.Bytes,
-			source:  d.Dataset,
-		}
-		e.sig = leafSig(d.Dataset, metaKey, d.Records, d.Bytes)
+	for i, d := range sorted {
+		m[d.Dataset] = newLeaf(d.Meta, keys[i], d.Records, d.Bytes,
+			leafSig(d.Dataset, keys[i], d.Records, d.Bytes, false))
 		p.cache.rowsAlloc++
-		m[d.Dataset] = e
 	}
 	p.cache.seeds[s] = m
 	return m, nil
-}
-
-// defaultWorkers picks the candidate-evaluation pool width: enough to
-// overlap estimator calls, small enough not to oversubscribe test runs.
-func defaultWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 4 {
-		w = 4
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// runConcurrent invokes fn(0..n-1) over a bounded worker pool. Callers own
-// determinism: fn writes to index-addressed slots and the caller reduces in
-// index order.
-func (p *Planner) runConcurrent(n int, fn func(int)) {
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -38,57 +38,54 @@ func traceJSONL(t *testing.T, rec *trace.Recorder) string {
 // planner with its own recorder serves as the cold reference so sequence
 // numbers line up.
 func TestWarmPlanByteIdentical(t *testing.T) {
-	for _, workers := range []int{-1, 0, 3} {
-		lib := textLib(t)
-		est := textEstimator()
+	lib := textLib(t)
+	est := textEstimator()
 
-		coldRec := trace.NewRecorder(0)
-		cold := newPlanner(t, lib, est, func(c *Config) { c.Tracer = coldRec; c.Workers = workers })
-		warmRec := trace.NewRecorder(0)
-		warm := newPlanner(t, lib, est, func(c *Config) { c.Tracer = warmRec; c.Workers = workers })
+	coldRec := trace.NewRecorder(0)
+	cold := newPlanner(t, lib, est, func(c *Config) { c.Tracer = coldRec })
+	warmRec := trace.NewRecorder(0)
+	warm := newPlanner(t, lib, est, func(c *Config) { c.Tracer = warmRec })
 
-		g := textWorkflow(t, 1000)
-		coldPlan, err := cold.Plan(g)
-		if err != nil {
-			t.Fatalf("workers=%d: cold plan: %v", workers, err)
-		}
-		if _, err := warm.Plan(g); err != nil { // populate warm's cache
-			t.Fatalf("workers=%d: warm-up plan: %v", workers, err)
-		}
-		warmPlan, err := warm.Plan(textWorkflow(t, 1000)) // fresh graph, cached subtrees
-		if err != nil {
-			t.Fatalf("workers=%d: warm plan: %v", workers, err)
-		}
+	g := textWorkflow(t, 1000)
+	coldPlan, err := cold.Plan(g)
+	if err != nil {
+		t.Fatalf("cold plan: %v", err)
+	}
+	if _, err := warm.Plan(g); err != nil { // populate warm's cache
+		t.Fatalf("warm-up plan: %v", err)
+	}
+	warmPlan, err := warm.Plan(textWorkflow(t, 1000)) // fresh graph, cached subtrees
+	if err != nil {
+		t.Fatalf("warm plan: %v", err)
+	}
 
-		cs := warm.CacheStats()
-		if cs.Hits == 0 {
-			t.Fatalf("workers=%d: warm build had no cache hits: %+v", workers, cs)
-		}
-		if got, want := warmPlan.Describe(), coldPlan.Describe(); got != want {
-			t.Fatalf("workers=%d: warm Describe diverged:\ncold:\n%s\nwarm:\n%s", workers, want, got)
-		}
-		// The warm recorder saw two builds; its second build's events must
-		// equal the cold recorder's single build after renumbering.
-		coldEvents := coldRec.Events()
-		warmEvents := warmRec.Events()
-		if len(warmEvents) != 2*len(coldEvents) {
-			t.Fatalf("workers=%d: event counts: cold=%d warm=%d", workers, len(coldEvents), len(warmEvents))
-		}
-		second := warmEvents[len(coldEvents):]
-		for i := range second {
-			second[i].Seq = coldEvents[i].Seq
-		}
-		var wantBuf, gotBuf bytes.Buffer
-		if err := trace.WriteJSONL(&wantBuf, coldEvents); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.WriteJSONL(&gotBuf, second); err != nil {
-			t.Fatal(err)
-		}
-		if wantBuf.String() != gotBuf.String() {
-			t.Fatalf("workers=%d: warm trace diverged:\ncold:\n%s\nwarm:\n%s",
-				workers, wantBuf.String(), gotBuf.String())
-		}
+	cs := warm.CacheStats()
+	if cs.Hits == 0 {
+		t.Fatalf("warm build had no cache hits: %+v", cs)
+	}
+	if got, want := warmPlan.Describe(), coldPlan.Describe(); got != want {
+		t.Fatalf("warm Describe diverged:\ncold:\n%s\nwarm:\n%s", want, got)
+	}
+	// The warm recorder saw two builds; its second build's events must
+	// equal the cold recorder's single build after renumbering.
+	coldEvents := coldRec.Events()
+	warmEvents := warmRec.Events()
+	if len(warmEvents) != 2*len(coldEvents) {
+		t.Fatalf("event counts: cold=%d warm=%d", len(coldEvents), len(warmEvents))
+	}
+	second := warmEvents[len(coldEvents):]
+	for i := range second {
+		second[i].Seq = coldEvents[i].Seq
+	}
+	var wantBuf, gotBuf bytes.Buffer
+	if err := trace.WriteJSONL(&wantBuf, coldEvents); err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteJSONL(&gotBuf, second); err != nil {
+		t.Fatal(err)
+	}
+	if wantBuf.String() != gotBuf.String() {
+		t.Fatalf("warm trace diverged:\ncold:\n%s\nwarm:\n%s", wantBuf.String(), gotBuf.String())
 	}
 }
 
@@ -401,7 +398,7 @@ func TestFlushCache(t *testing.T) {
 // TestConcurrentPlansRace hammers one planner from several goroutines (a mix
 // of Plan/Replan/ParetoPlans) so `go test -race` can catch cache races.
 func TestConcurrentPlansRace(t *testing.T) {
-	p := newPlanner(t, textLib(t), textEstimator(), func(c *Config) { c.Workers = 3 })
+	p := newPlanner(t, textLib(t), textEstimator())
 	done := []MaterializedIntermediate{{
 		Dataset: "d1",
 		Meta: metadata.MustParse(`

@@ -1,18 +1,16 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/operator"
 	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/workflow"
 )
-
-// matOp aliases the library's materialized operator type.
-type matOp = operator.Materialized
 
 // Pareto-frontier planning — the multi-objective extension the paper lists
 // as work-in-progress ("finding Pareto frontier execution plans",
@@ -30,55 +28,12 @@ type pVec struct {
 	money float64
 }
 
-func (a pVec) dominates(b pVec) bool {
-	return a.time <= b.time && a.money <= b.money && (a.time < b.time || a.money < b.money)
-}
-
-// pEntry is one non-dominated dpTable record.
-type pEntry struct {
-	meta *metadata.Tree
-	// metaKey caches meta.String(); see tagEntry.metaKey.
-	metaKey string
-	records int64
-	bytes   int64
-	v       pVec
-
-	source   string
-	cand     *pCandidate
-	outIndex int
-	// sig is the structural digest of the producing subplan (memo.go).
-	sig sig
-}
-
-// pChoice is one resolved input of a candidate.
-type pChoice struct {
-	entry    *pEntry
-	moved    bool
-	moveTime float64
-	moveCost float64
-	moveMeta *metadata.Tree
-}
-
-// pCandidate is a materialized operator with one specific combination of
-// input entries.
-type pCandidate struct {
-	node    *workflow.Node
-	mo      *matOp
-	res     Resources
-	params  map[string]float64
-	inputs  []pChoice
-	opTime  float64
-	opMoney float64
-
-	inRecords, inBytes   int64
-	outRecords, outBytes int64
-}
-
 // ParetoPlans runs the multi-objective DP and returns the Pareto front of
 // materialized plans, sorted by ascending estimated time (descending cost).
 func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 	started := time.Now()
-	if err := g.Validate(); err != nil {
+	order, err := g.ValidatedOrder()
+	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
@@ -87,381 +42,181 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: map[string]float64{
 		"nodes": float64(g.Len()), "pareto": 1,
 	}})
-
-	stats := &dpStats{}
-	prunedFronts := 0 // dominated/thinned entries dropped from tag fronts
-	dp := make(map[*workflow.Node]map[string][]*pEntry)
-	insert := func(n *workflow.Node, e *pEntry) {
-		key := e.metaKey
-		m := dp[n]
-		if m == nil {
-			m = make(map[string][]*pEntry)
-			dp[n] = m
-		}
-		before := len(m[key]) + 1
-		m[key] = pruneFront(append(m[key], e))
-		prunedFronts += before - len(m[key])
-	}
-
-	for _, d := range g.Datasets() {
-		if d.Dataset.IsMaterialized() {
-			insert(d, p.pLeafEntryLocked(d))
-		}
-	}
-
-	ops, err := g.OperatorsTopological()
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range ops {
-		p.readSigs = p.readSigs[:0]
-		key := p.pNodeKey(o, dp)
-		res, ok := p.cache.pnodes[key]
-		if ok {
-			stats.cacheHits++
-		} else {
-			stats.cacheMisses++
-			var foot *footprint
-			res, foot = p.evalParetoNode(o, dp)
-			foot.inSigs = append([]sig(nil), p.readSigs...)
-			p.cache.pnodes[key] = res
-			p.registerFootLocked(key, foot)
-		}
-		// Replay through the normal front merge so prunedFronts counts
-		// exactly as a cold build would.
-		for _, rec := range res.inserts {
-			insert(o.Outputs[rec.out], rec.e)
-		}
-	}
+	dp, stats := p.buildTable(order, nil, true)
+	defer clear(dp)
 	p.recordBuildLocked(stats)
 
+	// The target row holds one front per tag; the answer is the front of
+	// their union.
 	targetNode, _ := g.Node(g.Target)
-	var front []*pEntry
-	for _, key := range sortedPKeys(dp[targetNode]) {
-		front = append(front, dp[targetNode][key]...)
-	}
-	front = pruneFront(front)
+	front, _ := p.pruneFront(dp[targetNode])
 	if len(front) == 0 {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
 	}
 	sort.Slice(front, func(i, j int) bool {
-		if front[i].v.time != front[j].v.time {
-			return front[i].v.time < front[j].v.time
+		if front[i].time != front[j].time {
+			return front[i].time < front[j].time
 		}
-		return front[i].v.money < front[j].v.money
+		return front[i].money < front[j].money
 	})
 
 	plans := make([]*Plan, 0, len(front))
 	for _, e := range front {
-		plan := p.extractPareto(g, e)
+		plan := p.extract(g, e)
+		plan.EstObjective = plan.EstTimeSec
 		plan.PlanningTime = time.Since(started)
 		plans = append(plans, plan)
 	}
 	p.emit(trace.Event{Type: trace.EvPlanFinish, Fields: map[string]float64{
 		"pareto":       1,
 		"frontSize":    float64(len(plans)),
-		"prunedFronts": float64(prunedFronts),
+		"prunedFronts": float64(stats.prunedFronts),
 	}})
 	return plans, nil
 }
 
-// evalParetoNode enumerates every available materialization of one operator
-// node cold, fanning the per-materialization candidate enumeration over the
-// worker pool and reducing in library (name) order for determinism. It also
-// returns the node's dependency footprint (inSigs left for the caller).
-func (p *Planner) evalParetoNode(o *workflow.Node, dp map[*workflow.Node]map[string][]*pEntry) (*pNodeResult, *footprint) {
-	res := &pNodeResult{}
-	all := p.cfg.Library.FindMaterialized(o.Operator)
-	foot := p.newFootprintLocked(o.Operator, all)
-	var mos []*matOp
-	for _, mo := range all {
-		if p.cfg.EngineAvailable != nil && !p.cfg.EngineAvailable(mo.Engine()) {
-			continue
-		}
-		mos = append(mos, mo)
-		foot.estOps = append(foot.estOps, mo.Name)
+// insertFront merges e into a Pareto row: the front of e's tag key is pruned
+// again with e appended. It reports how many entries the prune dropped.
+func (p *Planner) insertFront(row []*tagEntry, e *tagEntry) ([]*tagEntry, int) {
+	lo := 0
+	for lo < len(row) && row[lo].metaKey < e.metaKey {
+		lo++
 	}
-	lists := make([][]*pCandidate, len(mos))
-	p.runConcurrent(len(mos), func(i int) { lists[i] = p.paretoCandidates(o, mos[i], dp) })
-	for i, mo := range mos {
-		for _, cand := range lists[i] {
-			total := cand.pathVec()
-			for idx := range o.Outputs {
-				outMeta := mo.OutputSpec(idx)
-				if outMeta == nil {
-					outMeta = metadata.New()
-					outMeta.Set("Engine", mo.Engine())
-				}
-				meta := outMeta.Clone()
-				e := &pEntry{
-					meta:     meta,
-					metaKey:  meta.String(),
-					records:  cand.outRecords,
-					bytes:    cand.outBytes,
-					v:        total,
-					cand:     cand,
-					outIndex: idx,
-				}
-				e.sig = pDerivedSig(cand, idx, e.metaKey)
-				p.cache.rowsAlloc++
-				res.inserts = append(res.inserts, pInsertRec{out: idx, e: e})
-			}
-		}
+	hi := lo
+	for hi < len(row) && row[hi].metaKey == e.metaKey {
+		hi++
 	}
-	return res, foot
+	front, dropped := p.pruneFront(append(row[lo:hi:hi], e))
+	return slices.Replace(row, lo, hi, front...), dropped
 }
 
-// paretoCandidates enumerates the non-dominated input combinations for one
-// materialized operator, capped at MaxFrontPerTag combinations.
-func (p *Planner) paretoCandidates(o *workflow.Node, mo *matOp, dp map[*workflow.Node]map[string][]*pEntry) []*pCandidate {
-	partials := []pPartial{{}}
-	for i, in := range o.Inputs {
-		var options []pChoice
-		var optionVec []pVec
-		for _, key := range sortedPKeys(dp[in]) {
-			for _, tin := range dp[in][key] {
-				if mo.AcceptsInput(i, tin.meta) {
-					options = append(options, pChoice{entry: tin})
-					optionVec = append(optionVec, tin.v)
-				} else {
-					moveSec := p.cfg.MoveSeconds(tin.bytes)
-					moveCost := moveSec * p.cfg.MoveCostRate
-					options = append(options, pChoice{
-						entry: tin, moved: true,
-						moveTime: moveSec, moveCost: moveCost,
-						moveMeta: movedMeta(tin.meta, mo.InputConstraint(i)),
-					})
-					optionVec = append(optionVec, pVec{tin.v.time + moveSec, tin.v.money + moveCost})
-				}
-			}
-		}
-		if len(options) == 0 {
-			return nil
-		}
-		var next []pPartial
-		for _, pt := range partials {
-			for oi, opt := range options {
-				next = append(next, pPartial{
-					inputs:  append(append([]pChoice(nil), pt.inputs...), opt),
-					v:       pVec{pt.v.time + optionVec[oi].time, pt.v.money + optionVec[oi].money},
-					records: pt.records + opt.entry.records,
-					bytes:   pt.bytes + opt.entry.bytes,
-				})
-			}
-		}
-		partials = prunePartials(next)
+// pruneFront returns the survivors of prune over the entries' (time, money)
+// vectors, in a new slice, and how many entries it dropped.
+func (p *Planner) pruneFront(entries []*tagEntry) ([]*tagEntry, int) {
+	p.vecs = p.vecs[:0]
+	for _, e := range entries {
+		p.vecs = append(p.vecs, pVec{e.time, e.money})
 	}
-
-	var out []*pCandidate
-	for _, pt := range partials {
-		res := p.cfg.Resources(mo, pt.records, pt.bytes)
-		params := mo.Params()
-		feats := map[string]float64{
-			"records":  float64(pt.records),
-			"bytes":    float64(pt.bytes),
-			"nodes":    float64(res.Nodes),
-			"cores":    float64(res.CoresPerN),
-			"memoryMB": float64(res.MemMBPerN),
-		}
-		for k, v := range params {
-			feats[k] = v
-		}
-		t, ok := p.cfg.Estimator.Estimate(mo.Name, targetExecTime, feats)
-		if !ok {
-			continue
-		}
-		c, ok := p.cfg.Estimator.Estimate(mo.Name, targetCost, feats)
-		if !ok {
-			continue
-		}
-		cand := &pCandidate{
-			node: o, mo: mo, res: res, params: params,
-			inputs: pt.inputs, opTime: t, opMoney: c,
-			inRecords: pt.records, inBytes: pt.bytes,
-		}
-		if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutRecords, feats); ok && v > 0 {
-			cand.outRecords = int64(v)
-		} else {
-			cand.outRecords = pt.records
-		}
-		if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutBytes, feats); ok && v > 0 {
-			cand.outBytes = int64(v)
-		} else {
-			cand.outBytes = pt.bytes
-		}
-		out = append(out, cand)
+	keep := p.prune(p.vecs)
+	out := make([]*tagEntry, len(keep))
+	for i, k := range keep {
+		out[i] = entries[k]
 	}
-	return out
+	return out, len(entries) - len(keep)
 }
 
-func (c *pCandidate) pathVec() pVec {
-	v := pVec{c.opTime, c.opMoney}
-	for _, in := range c.inputs {
-		v.time += in.entry.v.time
-		v.money += in.entry.v.money
-		if in.moved {
-			v.time += in.moveTime
-			v.money += in.moveCost
-		}
-	}
-	return v
-}
-
-// pruneFront removes dominated entries and thins the survivors to
-// MaxFrontPerTag by keeping time-extremes and evenly spaced members.
-func pruneFront(entries []*pEntry) []*pEntry {
-	var nd []*pEntry
-	for i, e := range entries {
-		dominated := false
-		for j, other := range entries {
-			if i == j {
-				continue
-			}
-			if other.v.dominates(e.v) || (other.v == e.v && j < i) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			nd = append(nd, e)
-		}
-	}
-	if len(nd) <= MaxFrontPerTag {
-		return nd
-	}
-	sort.Slice(nd, func(i, j int) bool { return nd[i].v.time < nd[j].v.time })
-	out := make([]*pEntry, 0, MaxFrontPerTag)
-	step := float64(len(nd)-1) / float64(MaxFrontPerTag-1)
-	for i := 0; i < MaxFrontPerTag; i++ {
-		out = append(out, nd[int(float64(i)*step)])
-	}
-	return out
-}
-
-// pPartial accumulates resolved input choices while combining input slots.
+// pPartial is one non-dominated way to satisfy the first input slots of a
+// candidate: the choice for the last of them, chained to the partial it
+// extends.
 type pPartial struct {
-	inputs  []pChoice
+	prev    *pPartial
+	choice  inputChoice
 	v       pVec
 	records int64
 	bytes   int64
 }
 
-// prunePartials removes dominated input combinations and caps the set.
-func prunePartials(parts []pPartial) []pPartial {
-	var nd []pPartial
-	for i, e := range parts {
-		dominated := false
-		for j, other := range parts {
-			if i == j {
-				continue
+// paretoCandidates enumerates the non-dominated input combinations for one
+// materialized operator, capped at MaxFrontPerTag combinations. Slots are
+// combined on (time, money) vectors alone; only the survivors of each prune
+// become partials, and only the final ones materialize their input lists.
+func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, dp table) []*candidate {
+	partials := []pPartial{{}}
+	options, optionVec, next := p.options, p.optionVec, p.next
+	defer func() {
+		clear(options[:cap(options)]) // the scratch must not keep entries, and their graph, alive
+		p.options, p.optionVec, p.next = options, optionVec, next
+	}()
+	for i, in := range o.Inputs {
+		options, optionVec = options[:0], optionVec[:0]
+		for _, tin := range dp[in] {
+			choice, v := inputChoice{entry: tin}, pVec{tin.time, tin.money}
+			if !mo.AcceptsInput(i, tin.meta) {
+				choice.moved = true
+				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
+				choice.moveCost = choice.moveTime * p.cfg.MoveCostRate
+				v = pVec{tin.time + choice.moveTime, tin.money + choice.moveCost}
 			}
-			if other.v.dominates(e.v) || (other.v == e.v && j < i) {
-				dominated = true
-				break
+			options, optionVec = append(options, choice), append(optionVec, v)
+		}
+		if len(options) == 0 {
+			return nil
+		}
+		next = next[:0]
+		for _, pt := range partials {
+			for _, ov := range optionVec {
+				next = append(next, pVec{pt.v.time + ov.time, pt.v.money + ov.money})
 			}
 		}
-		if !dominated {
-			nd = append(nd, e)
+		keep := p.prune(next)
+		extended := make([]pPartial, len(keep))
+		for k, idx := range keep {
+			pt, opt := &partials[idx/len(options)], options[idx%len(options)]
+			extended[k] = pPartial{
+				prev: pt, choice: opt, v: next[idx],
+				records: pt.records + opt.entry.records,
+				bytes:   pt.bytes + opt.entry.bytes,
+			}
+		}
+		partials = extended
+	}
+
+	var out []*candidate
+	for i := range partials {
+		inputs := make([]inputChoice, len(o.Inputs))
+		for pt, k := &partials[i], len(inputs)-1; k >= 0; pt, k = pt.prev, k-1 {
+			inputs[k] = pt.choice
+		}
+		if cand := p.estimate(o, mo, inputs, partials[i].records, partials[i].bytes); cand != nil {
+			out = append(out, cand)
+		}
+	}
+	return out
+}
+
+// prune returns, in their original order, the indices of the vectors that no
+// other vector dominates or duplicates at a lower index — thinned, above
+// MaxFrontPerTag, to the time extremes and evenly spaced members between.
+// One sweep in (time, money, index) order finds them: a vector is dropped
+// exactly when an earlier one in that order costs no more money. A vector
+// with a NaN component neither dominates, is dominated nor equals anything,
+// so it stays out of the sweep and is kept. The result is valid until the
+// next prune: it is the planner's scratch.
+func (p *Planner) prune(vs []pVec) []int {
+	order := p.order[:0]
+	for i, v := range vs {
+		if v.time == v.time && v.money == v.money {
+			order = append(order, i)
+		}
+	}
+	p.order = order
+	p.dropped = append(p.dropped[:0], make([]bool, len(vs))...)
+	dropped := p.dropped
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(vs[a].time, vs[b].time), cmp.Compare(vs[a].money, vs[b].money), a-b)
+	})
+	minMoney := 0.0
+	for n, i := range order {
+		if m := vs[i].money; n == 0 || m < minMoney {
+			minMoney = m
+		} else {
+			dropped[i] = true
+		}
+	}
+	nd := order[:0]
+	for i := range vs {
+		if !dropped[i] {
+			nd = append(nd, i)
 		}
 	}
 	if len(nd) <= MaxFrontPerTag {
 		return nd
 	}
-	sort.Slice(nd, func(i, j int) bool { return nd[i].v.time < nd[j].v.time })
-	out := make([]pPartial, 0, MaxFrontPerTag)
+	sort.Slice(nd, func(i, j int) bool { return vs[nd[i]].time < vs[nd[j]].time })
+	out := make([]int, 0, MaxFrontPerTag)
 	step := float64(len(nd)-1) / float64(MaxFrontPerTag-1)
 	for i := 0; i < MaxFrontPerTag; i++ {
 		out = append(out, nd[int(float64(i)*step)])
 	}
 	return out
-}
-
-func sortedPKeys(m map[string][]*pEntry) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// extractPareto backtracks one front entry into a Plan.
-func (p *Planner) extractPareto(g *workflow.Graph, best *pEntry) *Plan {
-	plan := &Plan{Target: g.Target}
-	candSteps := make(map[*pCandidate]*Step)
-	var build func(e *pEntry) (int, bool)
-	build = func(e *pEntry) (int, bool) {
-		if e.cand == nil {
-			return -1, false
-		}
-		if s, ok := candSteps[e.cand]; ok {
-			return s.ID, true
-		}
-		c := e.cand
-		step := &Step{
-			Kind:         StepOperator,
-			Name:         c.node.Name + "/" + c.mo.Name,
-			WorkflowNode: c.node.Name,
-			Op:           c.mo,
-			Engine:       c.mo.Engine(),
-			Algorithm:    c.mo.Algorithm(),
-			Res:          c.res,
-			Params:       c.params,
-			InRecords:    c.inRecords,
-			InBytes:      c.inBytes,
-			OutRecords:   c.outRecords,
-			OutBytes:     c.outBytes,
-			EstTimeSec:   c.opTime,
-			EstCost:      c.opMoney,
-		}
-		if len(c.node.Outputs) > 0 {
-			step.OutDataset = c.node.Outputs[0].Name
-			if om := c.mo.OutputSpec(0); om != nil {
-				step.OutMeta = om.Clone()
-			}
-		}
-		for _, in := range c.inputs {
-			depID, isStep := build(in.entry)
-			producerID := depID
-			if in.moved {
-				mv := &Step{
-					Kind:       StepMove,
-					Name:       fmt.Sprintf("move->%s", c.node.Name),
-					Engine:     "move",
-					Algorithm:  "move",
-					InRecords:  in.entry.records,
-					InBytes:    in.entry.bytes,
-					OutRecords: in.entry.records,
-					OutBytes:   in.entry.bytes,
-					EstTimeSec: in.moveTime,
-					EstCost:    in.moveCost,
-					OutMeta:    in.moveMeta,
-				}
-				if isStep {
-					mv.DependsOn = append(mv.DependsOn, depID)
-				} else if in.entry.source != "" {
-					mv.SourceInputs = append(mv.SourceInputs, in.entry.source)
-				}
-				mv.ID = len(plan.Steps)
-				plan.Steps = append(plan.Steps, mv)
-				producerID = mv.ID
-				isStep = true
-			}
-			if isStep {
-				step.DependsOn = append(step.DependsOn, producerID)
-			} else if in.entry.source != "" {
-				step.SourceInputs = append(step.SourceInputs, in.entry.source)
-			}
-		}
-		step.ID = len(plan.Steps)
-		plan.Steps = append(plan.Steps, step)
-		candSteps[c] = step
-		return step.ID, true
-	}
-	build(best)
-	// As in extract: the front vectors are tree-relaxed, the emitted steps
-	// deduplicated, so the reported estimates come from the steps themselves.
-	plan.EstTimeSec, plan.EstCost = plan.StepTotals()
-	plan.EstObjective = plan.EstTimeSec
-	return plan
 }

@@ -27,6 +27,7 @@ package planner
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,7 +42,7 @@ import (
 var ErrNoPlan = errors.New("planner: no feasible execution plan")
 
 // Estimator supplies per-operator metric predictions. *profiler.Profiler
-// satisfies it.
+// satisfies it. Estimate must not retain feats: the planner refills one map.
 type Estimator interface {
 	Estimate(opName, target string, feats map[string]float64) (float64, bool)
 }
@@ -114,30 +115,39 @@ type Config struct {
 	// deliberately not trace-event fields: warm and cold builds must emit
 	// byte-identical traces.
 	Metrics *trace.Registry
-	// Workers bounds the concurrent evaluation of one node's materialized
-	// candidates; 0 picks a small default, negative forces sequential.
-	Workers int
-	// MaxCachedNodes bounds the memoized node results (plus metadata
-	// renderings) held between builds; exceeding it flushes wholesale at
-	// the next build boundary. 0 uses the default (sized for 10k-operator
-	// DAGs).
+	// MaxCachedNodes bounds the memoized node results held between builds;
+	// exceeding it flushes wholesale at the next build boundary. 0 uses the
+	// default (sized for 10k-operator DAGs).
 	MaxCachedNodes int
 }
 
 // Planner computes optimal materialized plans for abstract workflows.
-// Table builds are serialized on mu, which also guards the memo cache; the
-// candidate evaluations inside one build fan out over a worker pool.
+// Table builds are serialized on mu, which also guards the memo cache; one
+// build runs on the calling goroutine alone (a candidate evaluation costs a
+// few microseconds, about what handing it to another goroutine would).
 type Planner struct {
 	cfg       Config
-	workers   int
 	maxCached int
 
 	mu    sync.Mutex
 	cache planCache
-	// readSigs is the scratch buffer nodeKey/pNodeKey fill with the entry
-	// signatures they read; buildTable copies it into the footprint of a
-	// freshly evaluated node. Guarded by mu (builds are serialized).
-	readSigs []sig
+	// Scratch buffers of the running build, guarded by mu. dp is the table
+	// being built, emptied again when its request returns. readSigs is filled
+	// by nodeKey with the entry signatures it reads; buildTable copies it into
+	// the footprint of a freshly evaluated node. feats is the feature map
+	// handed to the Estimator, vecs the vectors of the front being pruned,
+	// evict the stack of node keys an invalidation is evicting; options,
+	// optionVec and next are paretoCandidates' per-slot working lists, order
+	// and dropped prune's.
+	dp              table
+	readSigs        []sig
+	feats           map[string]float64
+	vecs            []pVec
+	evict           []sig
+	options         []inputChoice
+	optionVec, next []pVec
+	order           []int
+	dropped         []bool
 
 	// pendMu guards the pending typed invalidation events. It is a leaf
 	// mutex: event producers (breaker trips, profiler retrains, library
@@ -179,18 +189,11 @@ func New(cfg Config) (*Planner, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = defaultWorkers()
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	maxCached := cfg.MaxCachedNodes
 	if maxCached == 0 {
 		maxCached = defaultMaxCachedNodes
 	}
-	p := &Planner{cfg: cfg, workers: workers, maxCached: maxCached}
+	p := &Planner{cfg: cfg, maxCached: maxCached, dp: make(table), feats: make(map[string]float64)}
 	// Library mutations announce themselves as typed events, so the build
 	// boundary can re-match cached footprints instead of flushing wholesale.
 	cfg.Library.AddChangeListener(p.libraryChanged)
@@ -210,6 +213,7 @@ type dpStats struct {
 	candidatesKept  int // feasible candidates inserted into the table
 	movesConsidered int // input slots bridged with a move/transform
 	entriesKept     int // tagEntry inserts that created or improved a slot
+	prunedFronts    int // Pareto: dominated/thinned entries dropped from tag fronts
 	cacheHits       int // operator nodes served from the memo cache
 	cacheMisses     int // operator nodes evaluated cold
 }
@@ -229,13 +233,15 @@ func (s *dpStats) fields(pl *Plan) map[string]float64 {
 	return f
 }
 
-// tagEntry is one dpTable record: the cheapest known way to produce a
-// dataset in a specific tag (location/format).
+// tagEntry is one dpTable record: a way to produce a dataset in a specific
+// tag (location/format) — the cheapest known in the scalar table, one of a
+// front of mutually non-dominated (time, money) ways in the Pareto table,
+// which leaves cost unused. Entries are immutable once built.
 type tagEntry struct {
-	meta *metadata.Tree // dataset constraints tree (Engine/FS/type ...)
-	// metaKey caches meta.String(): entries are immutable once built, and
-	// cached entries replay through insert on every warm build, so the tag
-	// key must not be re-rendered per build.
+	// meta is the dataset constraints tree (Engine/FS/type ...) and metaKey
+	// its canonical rendering, the tag key. Derived entries share their
+	// operator's output tag (operator.Tag); neither is ever written.
+	meta    *metadata.Tree
 	metaKey string
 	records int64
 	bytes   int64
@@ -244,14 +250,35 @@ type tagEntry struct {
 	time  float64 // accumulated estimated seconds
 	money float64 // accumulated estimated monetary cost
 
-	// source is the workflow source dataset name for leaf entries.
-	source string
-	// cand is the producing candidate for derived entries.
+	// cand is the producing candidate for derived entries; leaves (source
+	// datasets, replan seeds) have none and are named by their dataset node.
 	cand *candidate
 	// outIndex selects which output of the candidate this entry is.
 	outIndex int
 	// sig is the structural digest of the producing subplan (memo.go).
 	sig sig
+}
+
+// table is the dpTable: per dataset node, its entries sorted by tag key. A
+// scalar row holds one entry per key; a Pareto row holds each key's front as
+// a run of adjacent entries, in front order.
+type table map[*workflow.Node][]*tagEntry
+
+// insertMin merges e into a scalar row — the cheapest entry per tag key
+// stays, the earlier one on ties — and reports whether e was kept.
+func insertMin(row []*tagEntry, e *tagEntry) ([]*tagEntry, bool) {
+	i := 0
+	for i < len(row) && row[i].metaKey < e.metaKey {
+		i++
+	}
+	if i < len(row) && row[i].metaKey == e.metaKey {
+		if e.cost < row[i].cost {
+			row[i] = e
+			return row, true
+		}
+		return row, false
+	}
+	return slices.Insert(row, i, e), true
 }
 
 // inputChoice records how one input slot of a candidate is satisfied.
@@ -260,7 +287,6 @@ type inputChoice struct {
 	moved    bool
 	moveTime float64
 	moveCost float64
-	moveMeta *metadata.Tree
 }
 
 // candidate is one materialized operator choice with resolved inputs.
@@ -268,12 +294,10 @@ type candidate struct {
 	node    *workflow.Node
 	mo      *operator.Materialized
 	res     Resources
-	params  map[string]float64
 	inputs  []inputChoice
 	opTime  float64
 	opMoney float64
 
-	inRecords, inBytes   int64
 	outRecords, outBytes int64
 }
 
@@ -335,7 +359,10 @@ type Step struct {
 	OutRecords, OutBytes int64
 	EstTimeSec           float64
 	EstCost              float64
-	OutMeta              *metadata.Tree
+	// OutMeta is the tag of the produced dataset. Like Params it is shared
+	// with the operator (or, for moves, with other plans) and read-only:
+	// clone before changing it.
+	OutMeta *metadata.Tree
 }
 
 func (s *Step) String() string {
@@ -348,78 +375,110 @@ func (s *Step) String() string {
 // Plan runs Algorithm 1 on the abstract workflow and returns the optimal
 // materialized plan under the configured policy.
 func (p *Planner) Plan(g *workflow.Graph) (*Plan, error) {
+	return p.plan(g, nil, false)
+}
+
+// plan is Plan and Replan: done (non-nil for a replan, possibly empty) seeds
+// the table with already-materialized intermediates.
+func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, replan bool) (*Plan, error) {
 	started := time.Now()
-	if err := g.Validate(); err != nil {
+	order, err := g.ValidatedOrder()
+	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureCacheValidLocked()
-	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: map[string]float64{"nodes": float64(g.Len())}})
-	dp, stats, err := p.buildTable(g, nil)
-	if err != nil {
-		return nil, err
+	start := map[string]float64{"nodes": float64(g.Len())}
+	if replan {
+		start["replan"], start["seeded"] = 1, float64(len(done))
 	}
+	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: start})
+	var seed map[string]*tagEntry
+	if replan {
+		// The seed entry map is memoized per done-set (memo.go): replanning
+		// with the same surviving intermediates reuses the previous rows.
+		if seed, err = p.seedForLocked(g, done); err != nil {
+			return nil, err
+		}
+	}
+	dp, stats := p.buildTable(order, seed, false)
+	defer clear(dp)
 	p.recordBuildLocked(stats)
-	plan, err := p.extract(g, dp, started)
-	if err != nil {
-		return nil, err
+	targetNode, _ := g.Node(g.Target)
+	var best *tagEntry
+	for _, e := range dp[targetNode] {
+		if best == nil || e.cost < best.cost {
+			best = e
+		}
 	}
-	p.emit(trace.Event{Type: trace.EvPlanFinish, Fields: stats.fields(plan)})
+	if best == nil {
+		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
+	}
+	plan := p.extract(g, best)
+	plan.EstObjective = p.cfg.Objective(plan.EstTimeSec, plan.EstCost)
+	plan.PlanningTime = time.Since(started)
+	f := stats.fields(plan)
+	if replan {
+		f["replan"] = 1
+	}
+	p.emit(trace.Event{Type: trace.EvPlanFinish, Fields: f})
 	return plan, nil
 }
 
-// buildTable fills the dpTable. seed pre-populates dataset entries (used by
+// buildTable fills the dpTable — scalar, or Pareto fronts — over the graph's
+// validated topological order. seed pre-populates dataset entries (used by
 // replanning to inject already-materialized intermediates). Must be called
-// with p.mu held: it reads and populates the memo cache.
-func (p *Planner) buildTable(g *workflow.Graph, seed map[string]*tagEntry) (map[*workflow.Node]map[string]*tagEntry, *dpStats, error) {
+// with p.mu held: it reads and populates the memo cache, and the table it
+// returns is the planner's one scratch table, valid until the next build.
+func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) (table, *dpStats) {
 	stats := &dpStats{}
-	dp := make(map[*workflow.Node]map[string]*tagEntry)
+	dp := p.dp
+	clear(dp)
 	insert := func(n *workflow.Node, e *tagEntry) {
-		key := e.metaKey
-		m := dp[n]
-		if m == nil {
-			m = make(map[string]*tagEntry)
-			dp[n] = m
-		}
-		if old, ok := m[key]; !ok || e.cost < old.cost {
-			m[key] = e
+		if pareto {
+			var dropped int
+			dp[n], dropped = p.insertFront(dp[n], e)
+			stats.prunedFronts += dropped
+		} else if row, kept := insertMin(dp[n], e); kept {
+			dp[n] = row
 			stats.entriesKept++
 		}
 	}
 
 	// Initialise dpTable with materialized datasets (line 5-10 of Alg. 1).
-	for _, d := range g.Datasets() {
-		if se, ok := seed[d.Name]; ok {
-			insert(d, se)
+	for _, d := range order {
+		if d.Kind != workflow.DatasetNode {
 			continue
 		}
-		if d.Dataset.IsMaterialized() {
-			insert(d, p.leafEntryLocked(d))
+		if se, ok := seed[d.Name]; ok {
+			insert(d, se)
+		} else if d.Dataset.IsMaterialized() {
+			insert(d, p.leafEntryLocked(d, pareto))
 		}
 	}
 
-	ops, err := g.OperatorsTopological()
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, o := range ops {
+	for _, o := range order {
+		if o.Kind != workflow.OperatorNode {
+			continue
+		}
 		p.readSigs = p.readSigs[:0]
-		key := p.nodeKey(o, dp)
+		key := p.nodeKey(o, dp, pareto)
 		res, ok := p.cache.nodes[key]
 		if ok {
 			stats.cacheHits++
 		} else {
 			stats.cacheMisses++
-			var foot *footprint
-			res, foot = p.evalNode(o, dp)
-			foot.inSigs = append([]sig(nil), p.readSigs...)
+			res = p.evalNode(o, dp, pareto)
+			res.foot.inSigs = slices.Clone(p.readSigs)
 			p.cache.nodes[key] = res
-			p.registerFootLocked(key, foot)
+			for _, s := range res.foot.inSigs {
+				p.cache.dependents[s] = append(p.cache.dependents[s], key)
+			}
 		}
-		// Replaying the recorded inserts through the normal min-merge
-		// reproduces the cold table exactly, entriesKept included (the key
-		// covers the outputs' pre-insert state).
+		// Replaying the recorded inserts through the normal merge reproduces
+		// the cold table exactly, entriesKept and prunedFronts included (the
+		// key covers the outputs' pre-insert state).
 		stats.candidatesTried += res.tried
 		stats.candidatesKept += res.kept
 		stats.movesConsidered += res.moves
@@ -427,50 +486,32 @@ func (p *Planner) buildTable(g *workflow.Graph, seed map[string]*tagEntry) (map[
 			insert(o.Outputs[rec.out], rec.e)
 		}
 	}
-	return dp, stats, nil
+	return dp, stats
 }
 
 // evalNode evaluates every available materialization of one operator node
-// cold, fanning the candidate evaluations over the worker pool and reducing
-// strictly in library (name) order so the recorded insert sequence — and
-// therefore every downstream plan and trace byte — is deterministic. It also
-// returns the node's dependency footprint (inSigs left for the caller).
-func (p *Planner) evalNode(o *workflow.Node, dp map[*workflow.Node]map[string]*tagEntry) (*nodeResult, *footprint) {
-	res := &nodeResult{}
+// cold, strictly in library (name) order, so the recorded insert sequence —
+// and therefore every downstream plan and trace byte — is deterministic. It
+// fills the result's dependency footprint but for inSigs, left to the caller.
+func (p *Planner) evalNode(o *workflow.Node, dp table, pareto bool) *nodeResult {
 	all := p.cfg.Library.FindMaterialized(o.Operator)
-	foot := p.newFootprintLocked(o.Operator, all)
-	var mos []*operator.Materialized
-	for _, mo := range all {
-		if p.cfg.EngineAvailable != nil && !p.cfg.EngineAvailable(mo.Engine()) {
-			continue
-		}
-		mos = append(mos, mo)
-		foot.estOps = append(foot.estOps, mo.Name)
+	res := &nodeResult{
+		inserts: make([]insertRec, 0, len(all)*len(o.Outputs)),
+		foot:    footprint{abstract: o.Operator, matches: all, estOps: make([]string, 0, len(all))},
 	}
-	res.tried = len(mos)
-	cands := make([]*candidate, len(mos))
-	p.runConcurrent(len(mos), func(i int) { cands[i] = p.tryCandidate(o, mos[i], dp) })
-	for _, cand := range cands {
-		if cand == nil {
-			continue
-		}
+	record := func(cand *candidate) {
 		res.kept++
 		for _, in := range cand.inputs {
 			if in.moved {
 				res.moves++
 			}
 		}
-		total := cand.pathCost(p.cfg.Objective)
+		total := cand.pathTotals(p.cfg.Objective, pareto)
 		for idx := range o.Outputs {
-			outMeta := cand.mo.OutputSpec(idx)
-			if outMeta == nil {
-				outMeta = metadata.New()
-				outMeta.Set("Engine", cand.mo.Engine())
-			}
-			meta := outMeta.Clone()
+			tag := cand.mo.OutputTag(idx)
 			e := &tagEntry{
-				meta:     meta,
-				metaKey:  meta.String(),
+				meta:     tag.Meta,
+				metaKey:  tag.Key,
 				records:  cand.outRecords,
 				bytes:    cand.outBytes,
 				cost:     total.cost,
@@ -479,88 +520,106 @@ func (p *Planner) evalNode(o *workflow.Node, dp map[*workflow.Node]map[string]*t
 				cand:     cand,
 				outIndex: idx,
 			}
-			e.sig = derivedEntrySig(cand, idx, e.metaKey, total)
+			e.sig = derivedEntrySig(cand, idx, e.metaKey, total, pareto)
 			p.cache.rowsAlloc++
 			res.inserts = append(res.inserts, insertRec{out: idx, e: e})
 		}
 	}
-	return res, foot
+	for _, mo := range all {
+		if p.cfg.EngineAvailable != nil && !p.cfg.EngineAvailable(mo.Engine()) {
+			continue
+		}
+		res.foot.estOps = append(res.foot.estOps, mo.Name)
+		res.tried++
+		if pareto {
+			for _, cand := range p.paretoCandidates(o, mo, dp) {
+				record(cand)
+			}
+		} else if cand := p.tryCandidate(o, mo, dp); cand != nil {
+			record(cand)
+		}
+	}
+	return res
 }
 
 type pathTotals struct{ cost, time, money float64 }
 
-func (c *candidate) pathCost(obj Objective) pathTotals {
+// pathTotals accumulates the candidate's path estimates. The two tables sum
+// in different orders — the scalar one adds the operator last, the Pareto
+// one first and folds no objective — and floating-point addition does not
+// associate, so each keeps its own to stay bit-identical.
+func (c *candidate) pathTotals(obj Objective, pareto bool) pathTotals {
 	var t pathTotals
+	if pareto {
+		t.time, t.money = c.opTime, c.opMoney
+	}
 	for _, in := range c.inputs {
 		t.cost += in.entry.cost
 		t.time += in.entry.time
 		t.money += in.entry.money
 		if in.moved {
-			t.cost += obj(in.moveTime, in.moveCost)
+			if !pareto {
+				t.cost += obj(in.moveTime, in.moveCost)
+			}
 			t.time += in.moveTime
 			t.money += in.moveCost
 		}
 	}
-	t.cost += obj(c.opTime, c.opMoney)
-	t.time += c.opTime
-	t.money += c.opMoney
+	if !pareto {
+		t.cost += obj(c.opTime, c.opMoney)
+		t.time += c.opTime
+		t.money += c.opMoney
+	}
 	return t
 }
 
 // tryCandidate resolves every input slot of mo against the dpTable,
 // inserting moves where required, and estimates the operator itself.
 // It returns nil when the candidate is infeasible.
-func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp map[*workflow.Node]map[string]*tagEntry) *candidate {
-	cand := &candidate{
-		node:   o,
-		mo:     mo,
-		params: mo.Params(),
-	}
+func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp table) *candidate {
+	inputs := make([]inputChoice, len(o.Inputs))
+	var inRecords, inBytes int64
 	obj := p.cfg.Objective
 	for i, in := range o.Inputs {
-		entries := dp[in]
-		if len(entries) == 0 {
+		row := dp[in]
+		if len(row) == 0 {
 			return nil
 		}
-		var best *inputChoice
+		var best inputChoice
 		bestCost := 0.0
-		for _, key := range sortedKeys(entries) {
-			tin := entries[key]
-			var choice inputChoice
-			var cost float64
-			if mo.AcceptsInput(i, tin.meta) {
-				choice = inputChoice{entry: tin}
-				cost = tin.cost
-			} else {
+		for _, tin := range row {
+			choice, cost := inputChoice{entry: tin}, tin.cost
+			if !mo.AcceptsInput(i, tin.meta) {
 				// checkMove: a single move/transform bridges the mismatch.
-				moveSec := p.cfg.MoveSeconds(tin.bytes)
-				moveCost := moveSec * p.cfg.MoveCostRate
-				moved := movedMeta(tin.meta, mo.InputConstraint(i))
-				choice = inputChoice{
-					entry: tin, moved: true,
-					moveTime: moveSec, moveCost: moveCost, moveMeta: moved,
-				}
-				cost = tin.cost + obj(moveSec, moveCost)
+				choice.moved = true
+				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
+				choice.moveCost = choice.moveTime * p.cfg.MoveCostRate
+				cost += obj(choice.moveTime, choice.moveCost)
 			}
-			if best == nil || cost < bestCost {
-				c := choice
-				best, bestCost = &c, cost
+			if best.entry == nil || cost < bestCost {
+				best, bestCost = choice, cost
 			}
 		}
-		cand.inputs = append(cand.inputs, *best)
-		cand.inRecords += best.entry.records
-		cand.inBytes += best.entry.bytes
+		inputs[i] = best
+		inRecords += best.entry.records
+		inBytes += best.entry.bytes
 	}
+	return p.estimate(o, mo, inputs, inRecords, inBytes)
+}
 
-	cand.res = p.cfg.Resources(mo, cand.inRecords, cand.inBytes)
-	feats := map[string]float64{
-		"records":  float64(cand.inRecords),
-		"bytes":    float64(cand.inBytes),
-		"nodes":    float64(cand.res.Nodes),
-		"cores":    float64(cand.res.CoresPerN),
-		"memoryMB": float64(cand.res.MemMBPerN),
-	}
-	for k, v := range cand.params {
+// estimate provisions mo for the resolved inputs and asks the Estimator for
+// its time, cost and output sizes. It returns nil when the configuration is
+// infeasible.
+func (p *Planner) estimate(o *workflow.Node, mo *operator.Materialized, inputs []inputChoice, inRecords, inBytes int64) *candidate {
+	res := p.cfg.Resources(mo, inRecords, inBytes)
+	feats := p.feats
+	clear(feats)
+	feats["records"] = float64(inRecords)
+	feats["bytes"] = float64(inBytes)
+	feats["nodes"] = float64(res.Nodes)
+	feats["cores"] = float64(res.CoresPerN)
+	feats["memoryMB"] = float64(res.MemMBPerN)
+	for k, v := range mo.Params() {
 		feats[k] = v
 	}
 	t, ok := p.cfg.Estimator.Estimate(mo.Name, targetExecTime, feats)
@@ -571,81 +630,52 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp m
 	if !ok {
 		return nil
 	}
-	cand.opTime, cand.opMoney = t, c
-
+	cand := &candidate{
+		node: o, mo: mo, res: res, inputs: inputs, opTime: t, opMoney: c,
+		outRecords: inRecords, outBytes: inBytes,
+	}
 	if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutRecords, feats); ok && v > 0 {
 		cand.outRecords = int64(v)
-	} else {
-		cand.outRecords = cand.inRecords
 	}
 	if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutBytes, feats); ok && v > 0 {
 		cand.outBytes = int64(v)
-	} else {
-		cand.outBytes = cand.inBytes
 	}
 	return cand
 }
 
-// movedMeta derives the dataset tag after a move: the source tag overlaid
-// with the destination's location/format requirements (wildcards erased).
-func movedMeta(src, req *metadata.Tree) *metadata.Tree {
-	out := src.Clone()
-	if out == nil {
-		out = metadata.New()
-	}
-	if req == nil {
+// movedMetaLocked derives the dataset tag after a move: the source tag
+// overlaid with the destination's location/format requirements (wildcards
+// erased). It is a pure function of its arguments, memoized in the cache per
+// (source tag key, requirement tree): the trees are shared by every plan that
+// makes the same move, and read-only.
+func (p *Planner) movedMetaLocked(src *tagEntry, req *metadata.Tree) *metadata.Tree {
+	key := movedKey{src.metaKey, req}
+	if out, ok := p.cache.moved[key]; ok {
 		return out
 	}
+	out := src.meta.Clone()
 	req.Walk(func(path string, n *metadata.Tree) {
-		if path == "" {
-			return
-		}
-		if v := n.Value(); v != "" && v != metadata.Wildcard {
+		if v := n.Value(); path != "" && v != "" && v != metadata.Wildcard {
 			out.Set(path, v)
 		}
 	})
+	p.cache.moved[key] = out
 	return out
 }
 
-func sortedKeys(m map[string]*tagEntry) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	// insertion sort (maps are tiny)
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
-}
-
-// extract backtracks from the target's cheapest entry, materializing plan
-// steps (with move steps where inputs were bridged).
-func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*tagEntry, started time.Time) (*Plan, error) {
-	targetNode, _ := g.Node(g.Target)
-	entries := dp[targetNode]
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
-	}
-	var best *tagEntry
-	for _, key := range sortedKeys(entries) {
-		e := entries[key]
-		if best == nil || e.cost < best.cost {
-			best = e
-		}
-	}
-
-	plan := &Plan{Target: g.Target}
-	candSteps := make(map[*candidate]*Step)
+// extract backtracks from a target entry, materializing plan steps (with
+// move steps where inputs were bridged). Must be called with p.mu held.
+func (p *Planner) extract(g *workflow.Graph, best *tagEntry) *Plan {
+	// A plan has about one step per operator node: half the graph.
+	plan := &Plan{Target: g.Target, Steps: make([]*Step, 0, g.Len()/2)}
+	candSteps := make(map[*candidate]int, g.Len()/2)
 	var build func(e *tagEntry) (int, bool)
 	build = func(e *tagEntry) (int, bool) {
 		if e.cand == nil {
 			return -1, false // workflow source dataset
 		}
-		if s, ok := candSteps[e.cand]; ok {
-			return s.ID, true
+		if id, ok := candSteps[e.cand]; ok {
+			return id, true
 		}
 		c := e.cand
 		step := &Step{
@@ -656,9 +686,7 @@ func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*t
 			Engine:       c.mo.Engine(),
 			Algorithm:    c.mo.Algorithm(),
 			Res:          c.res,
-			Params:       c.params,
-			InRecords:    c.inRecords,
-			InBytes:      c.inBytes,
+			Params:       c.mo.Params(),
 			OutRecords:   c.outRecords,
 			OutBytes:     c.outBytes,
 			EstTimeSec:   c.opTime,
@@ -666,17 +694,17 @@ func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*t
 		}
 		if len(c.node.Outputs) > 0 {
 			step.OutDataset = c.node.Outputs[0].Name
-			if om := c.mo.OutputSpec(0); om != nil {
-				step.OutMeta = om.Clone()
-			}
+			step.OutMeta = c.mo.OutputSpec(0)
 		}
-		for _, in := range c.inputs {
+		for i, in := range c.inputs {
+			step.InRecords += in.entry.records
+			step.InBytes += in.entry.bytes
 			depID, isStep := build(in.entry)
 			producerID := depID
 			if in.moved {
 				mv := &Step{
 					Kind:       StepMove,
-					Name:       fmt.Sprintf("move->%s", c.node.Name),
+					Name:       "move->" + c.node.Name,
 					Engine:     "move",
 					Algorithm:  "move",
 					InRecords:  in.entry.records,
@@ -685,12 +713,12 @@ func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*t
 					OutBytes:   in.entry.bytes,
 					EstTimeSec: in.moveTime,
 					EstCost:    in.moveCost,
-					OutMeta:    in.moveMeta,
+					OutMeta:    p.movedMetaLocked(in.entry, c.mo.InputConstraint(i)),
 				}
 				if isStep {
 					mv.DependsOn = append(mv.DependsOn, depID)
-				} else if in.entry.source != "" {
-					mv.SourceInputs = append(mv.SourceInputs, in.entry.source)
+				} else {
+					mv.SourceInputs = append(mv.SourceInputs, c.node.Inputs[i].Name)
 				}
 				mv.ID = len(plan.Steps)
 				plan.Steps = append(plan.Steps, mv)
@@ -699,13 +727,13 @@ func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*t
 			}
 			if isStep {
 				step.DependsOn = append(step.DependsOn, producerID)
-			} else if in.entry.source != "" {
-				step.SourceInputs = append(step.SourceInputs, in.entry.source)
+			} else {
+				step.SourceInputs = append(step.SourceInputs, c.node.Inputs[i].Name)
 			}
 		}
 		step.ID = len(plan.Steps)
 		plan.Steps = append(plan.Steps, step)
-		candSteps[c] = step
+		candSteps[c] = step.ID
 		return step.ID, true
 	}
 	build(best)
@@ -715,18 +743,17 @@ func (p *Planner) extract(g *workflow.Graph, dp map[*workflow.Node]map[string]*t
 	// deduplicated them via candSteps. Recompute the reported estimates from
 	// the steps actually emitted.
 	plan.EstTimeSec, plan.EstCost = plan.StepTotals()
-	plan.EstObjective = p.cfg.Objective(plan.EstTimeSec, plan.EstCost)
-	plan.PlanningTime = time.Since(started)
-	return plan, nil
+	return plan
 }
 
 // StepTotals recomputes the plan's estimates from its deduplicated steps:
 // total cost is the sum over unique steps, total time the critical path over
 // the DependsOn edges (steps with only source inputs start at zero). Steps
-// are stored in dependency order, so a single forward pass suffices.
+// are stored in dependency order and a step's ID is its position, so a single
+// forward pass suffices.
 func (pl *Plan) StepTotals() (timeSec, cost float64) {
-	finish := make(map[int]float64, len(pl.Steps))
-	for _, s := range pl.Steps {
+	finish := make([]float64, len(pl.Steps))
+	for i, s := range pl.Steps {
 		start := 0.0
 		for _, dep := range s.DependsOn {
 			if f := finish[dep]; f > start {
@@ -734,7 +761,7 @@ func (pl *Plan) StepTotals() (timeSec, cost float64) {
 			}
 		}
 		f := start + s.EstTimeSec
-		finish[s.ID] = f
+		finish[i] = f
 		if f > timeSec {
 			timeSec = f
 		}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/asap-project/ires/internal/metadata"
-	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
@@ -40,35 +38,7 @@ type PartialOperator struct {
 // already-materialized intermediates. Combine with Config.EngineAvailable
 // to exclude the failed engine.
 func (p *Planner) Replan(g *workflow.Graph, done []MaterializedIntermediate) (*Plan, error) {
-	started := time.Now()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ensureCacheValidLocked()
-	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: map[string]float64{
-		"nodes": float64(g.Len()), "replan": 1, "seeded": float64(len(done)),
-	}})
-	// The seed entry map is memoized per done-set (memo.go): replanning with
-	// the same surviving intermediates reuses the previous rows outright.
-	seed, err := p.seedForLocked(g, done)
-	if err != nil {
-		return nil, err
-	}
-	dp, stats, err := p.buildTable(g, seed)
-	if err != nil {
-		return nil, err
-	}
-	p.recordBuildLocked(stats)
-	plan, err := p.extract(g, dp, started)
-	if err != nil {
-		return nil, err
-	}
-	f := stats.fields(plan)
-	f["replan"] = 1
-	p.emit(trace.Event{Type: trace.EvPlanFinish, Fields: f})
-	return plan, nil
+	return p.plan(g, done, true)
 }
 
 // Describe renders a human-readable summary of the plan. The output is a

@@ -570,8 +570,16 @@ func (om *OperatorModels) Estimate(target string, feats map[string]float64) (flo
 	if !ok {
 		return 0, false
 	}
-	key := om.predKeyLocked(target, feats)
-	if r, ok := om.predCache[key]; ok {
+	// The cache key is the target plus the feature map projected onto this
+	// operator's feature set (extra keys in feats are ignored by prediction
+	// and therefore by the key too). A hit looks it up in place; only a miss
+	// turns it into a string.
+	var buf [128]byte
+	key := append(append(buf[:0], target...), 0)
+	for _, f := range om.Features {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(feats[f]))
+	}
+	if r, ok := om.predCache[string(key)]; ok {
 		om.predHits++
 		return r.v, r.ok
 	}
@@ -591,23 +599,8 @@ func (om *OperatorModels) Estimate(target string, feats map[string]float64) (flo
 	if om.predCache == nil || len(om.predCache) >= maxPredCache {
 		om.predCache = make(map[string]predResult)
 	}
-	om.predCache[key] = r
+	om.predCache[string(key)] = r
 	return r.v, r.ok
-}
-
-// predKeyLocked builds the cache key: the target plus the feature map
-// projected onto this operator's feature set (extra keys in feats are
-// ignored by prediction and therefore by the key too).
-func (om *OperatorModels) predKeyLocked(target string, feats map[string]float64) string {
-	key := make([]byte, 0, len(target)+1+8*len(om.Features))
-	key = append(key, target...)
-	key = append(key, 0)
-	var buf [8]byte
-	for _, f := range om.Features {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(feats[f]))
-		key = append(key, buf[:]...)
-	}
-	return string(key)
 }
 
 func (om *OperatorModels) feasibleLocked(records float64) bool {

@@ -55,6 +55,8 @@ type Node struct {
 	Dataset *operator.Dataset
 	// Operator is set for OperatorNode vertices.
 	Operator *operator.Abstract
+
+	pos int // index in the graph's insertion order
 }
 
 // Graph is an abstract workflow: a DAG of alternating dataset and operator
@@ -94,6 +96,7 @@ func (g *Graph) addNode(n *Node) (*Node, error) {
 		return nil, fmt.Errorf("workflow: duplicate node %q", n.Name)
 	}
 	g.nodes[n.Name] = n
+	n.pos = len(g.order)
 	g.order = append(g.order, n.Name)
 	return n, nil
 }
@@ -179,26 +182,20 @@ func (g *Graph) Sources() []*Node {
 // Topological returns all nodes in a topological order (stable with respect
 // to insertion order), or an error when the graph has a cycle.
 func (g *Graph) Topological() ([]*Node, error) {
-	indeg := make(map[*Node]int, len(g.nodes))
-	for _, name := range g.order {
-		indeg[g.nodes[name]] = len(g.nodes[name].Inputs)
-	}
-	// Kahn's algorithm with a deterministic frontier.
-	var frontier []*Node
-	for _, name := range g.order {
-		if indeg[g.nodes[name]] == 0 {
-			frontier = append(frontier, g.nodes[name])
+	// Kahn's algorithm with a deterministic frontier: out is its own queue,
+	// out[head:] the nodes ready but not yet expanded.
+	indeg := make([]int, len(g.order))
+	out := make([]*Node, 0, len(g.order))
+	for i, name := range g.order {
+		n := g.nodes[name]
+		if indeg[i] = len(n.Inputs); indeg[i] == 0 {
+			out = append(out, n)
 		}
 	}
-	out := make([]*Node, 0, len(g.nodes))
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		out = append(out, n)
-		for _, succ := range n.Outputs {
-			indeg[succ]--
-			if indeg[succ] == 0 {
-				frontier = append(frontier, succ)
+	for head := 0; head < len(out); head++ {
+		for _, succ := range out[head].Outputs {
+			if indeg[succ.pos]--; indeg[succ.pos] == 0 {
+				out = append(out, succ)
 			}
 		}
 	}
@@ -229,34 +226,43 @@ func (g *Graph) OperatorsTopological() ([]*Node, error) {
 // every operator with at least one input and one output, and every source
 // dataset materialized.
 func (g *Graph) Validate() error {
+	_, err := g.ValidatedOrder()
+	return err
+}
+
+// ValidatedOrder is Validate for callers that go on to walk the graph: it
+// returns the topological order the acyclicity check computed.
+func (g *Graph) ValidatedOrder() ([]*Node, error) {
 	if g.Target == "" {
-		return fmt.Errorf("workflow: no target dataset designated")
+		return nil, fmt.Errorf("workflow: no target dataset designated")
 	}
 	if _, ok := g.nodes[g.Target]; !ok {
-		return fmt.Errorf("workflow: target %q not in graph", g.Target)
+		return nil, fmt.Errorf("workflow: target %q not in graph", g.Target)
 	}
-	if _, err := g.Topological(); err != nil {
-		return err
+	order, err := g.Topological()
+	if err != nil {
+		return nil, err
 	}
-	for _, n := range g.Nodes() {
+	for _, name := range g.order {
+		n := g.nodes[name]
 		switch n.Kind {
 		case OperatorNode:
 			if len(n.Inputs) == 0 {
-				return fmt.Errorf("workflow: operator %s has no inputs", n.Name)
+				return nil, fmt.Errorf("workflow: operator %s has no inputs", n.Name)
 			}
 			if len(n.Outputs) == 0 {
-				return fmt.Errorf("workflow: operator %s has no outputs", n.Name)
+				return nil, fmt.Errorf("workflow: operator %s has no outputs", n.Name)
 			}
 		case DatasetNode:
 			if len(n.Inputs) == 0 && !n.Dataset.IsMaterialized() {
-				return fmt.Errorf("workflow: source dataset %s is not materialized (missing %s)", n.Name, operator.PathExecutionPath)
+				return nil, fmt.Errorf("workflow: source dataset %s is not materialized (missing %s)", n.Name, operator.PathExecutionPath)
 			}
 			if len(n.Inputs) > 1 {
-				return fmt.Errorf("workflow: dataset %s has %d producers; at most one allowed", n.Name, len(n.Inputs))
+				return nil, fmt.Errorf("workflow: dataset %s has %d producers; at most one allowed", n.Name, len(n.Inputs))
 			}
 		}
 	}
-	return nil
+	return order, nil
 }
 
 // Clone returns a deep structural copy of the graph. Dataset and Operator
@@ -265,7 +271,7 @@ func (g *Graph) Clone() *Graph {
 	ng := NewGraph()
 	for _, name := range g.order {
 		n := g.nodes[name]
-		cp := &Node{Name: n.Name, Kind: n.Kind, Dataset: n.Dataset, Operator: n.Operator}
+		cp := &Node{Name: n.Name, Kind: n.Kind, Dataset: n.Dataset, Operator: n.Operator, pos: n.pos}
 		ng.nodes[name] = cp
 		ng.order = append(ng.order, name)
 	}

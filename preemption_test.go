@@ -180,10 +180,9 @@ func deadlineChaosBatch(t *testing.T, seed int64) ([][]byte, []RunSnapshot) {
 // Concurrent workflows under the Deadline policy with fault injection: a
 // fixed seed must yield byte-identical per-run traces across two executions
 // AND across different GOMAXPROCS settings — preemption decisions, like
-// everything else, are a pure function of the virtual-time schedule.
-// Lowering GOMAXPROCS before building the platform also shrinks the
-// planner's candidate-evaluation pool (planner.Config.Workers defaults from
-// GOMAXPROCS), so this covers the Workers axis as well.
+// everything else, are a pure function of the virtual-time schedule. (The
+// planner itself evaluates candidates on the calling goroutine; GOMAXPROCS
+// still sizes the profiler's cross-validation pool.)
 func TestDeadlineChaosDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	const seed = 61
 	first, snaps := deadlineChaosBatch(t, seed)
