@@ -232,10 +232,10 @@ func goldenDRFScenario(t *testing.T, policy Policy) []byte {
 	return buf.Bytes()
 }
 
-// TestPolicyTraceGolden pins the scheduler's event stream for all four
-// shipped policies to checked-in fixtures: the indexed-state scheduler must
-// reproduce the rebuild-everything scheduler's traces byte for byte. Run with
-// -update to regenerate after an intentional semantic change.
+// TestPolicyTraceGolden pins the scheduler's event stream under every shipped
+// policy to checked-in fixtures, byte for byte: a change to the scheduler's
+// structures may not move a decision. Run with -update to regenerate after an
+// intentional semantic change.
 func TestPolicyTraceGolden(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -246,6 +246,7 @@ func TestPolicyTraceGolden(t *testing.T) {
 		{"deadline", func() Policy { return Deadline{} }},
 		{"costquota", func() Policy { return CostQuota{Budgets: map[string]float64{"acme": 10}, MaxConcurrent: 2} }},
 		{"drf", func() Policy { return DRF{MaxConcurrent: 4} }},
+		{"hfs", func() Policy { return HierarchicalFairShare{MaxConcurrent: 2} }},
 	}
 	for _, pc := range policies {
 		pc := pc
@@ -277,9 +278,10 @@ func TestPolicyTraceGolden(t *testing.T) {
 }
 
 // TestDRFTraceGolden pins the slice-lease event stream of the two-tenant
-// cores-heavy vs memory-heavy mix: DRF's interleaved admissions and the
+// cores-heavy vs memory-heavy mix: DRF's interleaved admissions, the
 // whole-node baseline (FIFO ignores demands' dimensions for ranking but
-// still grants slice leases) each get a fixture. Run with -update to
+// still grants slice leases) and the fair tree's tenant alternation
+// (HierarchicalFairShare) each get a fixture. Run with -update to
 // regenerate after an intentional semantic change.
 func TestDRFTraceGolden(t *testing.T) {
 	policies := []struct {
@@ -289,6 +291,7 @@ func TestDRFTraceGolden(t *testing.T) {
 		{"drf_mix", func() Policy { return DRF{MaxConcurrent: 4} }},
 		{"drf_mix_weighted", func() Policy { return DRF{Weights: map[string]float64{"etl": 2}, MaxConcurrent: 4} }},
 		{"fifo_mix", func() Policy { return FIFO{} }},
+		{"hfs_mix", func() Policy { return HierarchicalFairShare{MaxConcurrent: 4} }},
 	}
 	for _, pc := range policies {
 		pc := pc
