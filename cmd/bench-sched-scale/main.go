@@ -1,12 +1,12 @@
 // Command bench-sched-scale runs the tracked fleet-scale scheduling
-// benchmark: a fully reserved cluster with 10k–100k queued runs, where every
+// benchmark: a fully reserved cluster with 1k–100k queued runs, where every
 // decision round is a hold-decision. It measures decision rounds per second
-// for the incrementally maintained indexed state against the
-// rebuild-everything baseline (the seed scheduler's per-event cost) and the
-// heap allocations per indexed round, and writes the measurements to
-// BENCH_SCHED_SCALE.json. The gate requires the indexed state to be at
-// least 10x faster at 10k queued runs under every policy and its
-// allocations per decision to stay O(1) in queue depth.
+// (best of three windows per point) and heap allocations per round against
+// the incrementally maintained indexed state, and writes the measurements to
+// BENCH_SCHED_SCALE.json. The gate is what the index promises — a round
+// costs O(1) in queue depth: under every policy, decisions per second at
+// 100k queued runs are at least half those at 1k, and allocations per
+// decision stay flat.
 //
 // Usage:
 //
@@ -25,7 +25,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 42, "seed for the synthetic submission mix")
 	out := flag.String("out", "BENCH_SCHED_SCALE.json", "output file (empty: stdout only)")
-	check := flag.Bool("check", true, "fail unless the indexed state is >=10x faster at 10k queued runs with O(1) allocs/decision")
+	check := flag.Bool("check", true, "fail unless decisions/s at the deepest queue are >= half those at the shallowest, with O(1) allocs/decision")
 	flag.Parse()
 
 	bench, err := experiments.RunSchedScaleBench(*seed, nil)
@@ -38,8 +38,8 @@ func main() {
 	for _, p := range bench.Policies {
 		fmt.Printf("%s\n", p.Policy)
 		for _, pt := range p.Points {
-			fmt.Printf("  depth %6d  indexed %12.0f dec/s  rebuild %10.0f dec/s  speedup %8.0fx  allocs/dec %.1f\n",
-				pt.Depth, pt.IndexedPerSec, pt.RebuildPerSec, pt.Speedup, pt.AllocsPerDecision)
+			fmt.Printf("  depth %6d  %12.0f dec/s  allocs/dec %.1f\n",
+				pt.Depth, pt.DecisionsPerSec, pt.AllocsPerDecision)
 		}
 	}
 

@@ -14,9 +14,9 @@ import "fmt"
 // When every slot is occupied DRF can preempt: if the most-starved waiting
 // tenant's dominant share is strictly below the most-over-share active
 // tenant's, the over-share tenant's latest-submitted run is preempted —
-// gated, like Deadline's estimate check, on the victim still being able to
-// meet its own deadline after re-running behind the waiter. Preemption
-// requires estimates (NeedsEstimates is true) so the gate has real numbers.
+// gated by canYield on the victim still being able to meet its own deadline
+// after re-running behind the waiter. Preemption requires estimates
+// (NeedsEstimates is true) so the gate has real numbers.
 //
 // Decisions read only the indexed accessors in deterministic order
 // (EachActive/EachWaiting); per-tenant aggregation uses map lookups keyed by
@@ -112,38 +112,18 @@ func (d DRF) Decide(st State) []Action {
 
 	k := d.slots()
 	if st.ActiveLen() < k && st.FreeNodes > 0 {
-		n := st.TotalNodes / k
-		if n < 1 {
-			n = 1
-		}
-		if n > st.FreeNodes {
-			// Progress clamp (the FairShare pattern): shrink the share on an
-			// otherwise idle cluster instead of holding forever.
-			if st.ActiveLen() > 0 {
-				return nil
-			}
-			n = st.FreeNodes
-		}
-		if cand.DemandCores > 0 {
+		n := equalShare(st.TotalNodes, k, st.FreeNodes, st.ActiveLen())
+		if n > 0 && cand.DemandCores > 0 {
 			// Slice demand: clamp to nodes that can actually host a slice so
-			// the grant cannot bounce off physical capacity.
-			fit := st.SliceFit(cand.DemandCores, cand.DemandMemMB)
-			if fit == 0 {
-				if st.ActiveLen() > 0 {
-					return nil
-				}
-				// Nothing active yet nothing fits: fall through and let the
-				// scheduler's own safety net handle it rather than wedging.
-				return nil
-			}
-			if n > fit {
-				n = fit
-			}
+			// the grant cannot bounce off physical capacity. When none can,
+			// hold: if nothing is active either, the scheduler's own safety
+			// net handles it rather than this policy wedging.
+			n = min(n, st.SliceFit(cand.DemandCores, cand.DemandMemMB))
 		}
-		if cand.Status == StatusSuspended {
-			return []Action{Resume{Run: cand.ID, Nodes: n}}
+		if n == 0 {
+			return nil
 		}
-		return []Action{Admit{Run: cand.ID, Nodes: n}}
+		return []Action{grant(cand, n)}
 	}
 
 	// Slots full: consider preempting the strictly-most-over-share tenant.
@@ -181,15 +161,8 @@ func (d DRF) Decide(st State) []Action {
 		}
 		return true
 	})
-	if !haveVictim {
+	if !haveVictim || !st.canYield(cand, victim) {
 		return nil
-	}
-	if victim.DeadlineSec > 0 {
-		// Estimate gate (the Deadline pattern): only preempt if the victim
-		// can still finish after waiting out the preemptor.
-		if st.NowSec+remainingSec(cand)+remainingSec(victim) > victim.DeadlineSec {
-			return nil
-		}
 	}
 	return []Action{Preempt{Run: victim.ID}}
 }

@@ -10,6 +10,13 @@
 // (vruntime, submission)-minimal run — classic CFS leftmost-leaf selection
 // over a three-level hierarchy.
 //
+// Every level is the same fairGroup — the root's children are tenants, a
+// tenant's are users, a user's are its waiting runs — so accounting walks a
+// run's chain upward and selection walks downward, one loop each (CFS group
+// scheduling: the algorithm applied to groups, then again within the group).
+// Each group's arithmetic reads and writes only that group's own fields, so
+// the order in which the levels of a chain are visited cannot change a float.
+//
 // Selection must be O(log n), not a scan, so groups competing for admission
 // live in one of two structures per level:
 //
@@ -50,7 +57,8 @@ func priorityWeight(p int) float64 {
 	return math.Pow(2, float64(p))
 }
 
-// fairGroup is the accounting shared by tenant and user nodes.
+// fairGroup is one node of the hierarchy: the root, a tenant or a user. The
+// root only holds children and their admission floor; it is never charged.
 type fairGroup struct {
 	name     string
 	weight   float64
@@ -65,6 +73,15 @@ type fairGroup struct {
 	runningRuns int // running runs in this subtree
 	waitPos     int // position in the parent's wait heap (-1 = absent)
 	hotIdx      int // position in the parent's hot list (-1 = absent)
+
+	parent   *fairGroup            // nil at the root
+	kids     map[string]*fairGroup // child groups by name; nil at the user level
+	waitKids posHeap[*fairGroup, groupOrder]
+	hotKids  []*fairGroup
+	waitRuns posHeap[*Run, fairRunOrder] // user level only
+	// floor is the admission floor for new children: groups, or runs at the
+	// user level.
+	floor float64
 }
 
 // settle integrates vruntime up to now. Exact: splitting an interval across
@@ -77,384 +94,170 @@ func (g *fairGroup) settle(now time.Duration) {
 	g.lastSettle = now
 }
 
-// groupLess orders groups by (vruntime, name) — a total order, names are
-// unique within a parent.
-func groupLess(a, b *fairGroup) bool {
+// groupOrder orders groups by (vruntime, name) — a total order, names are
+// unique within a parent. Keys are static while a group sits in a wait heap
+// (rate zero).
+type groupOrder struct{}
+
+func (groupOrder) less(a, b *fairGroup) bool {
 	if a.vruntime != b.vruntime {
 		return a.vruntime < b.vruntime
 	}
 	return a.name < b.name
 }
 
-// fairEntry lets one heap implementation serve tenants and users.
-type fairEntry interface{ grp() *fairGroup }
+func (groupOrder) pos(g *fairGroup) *int { return &g.waitPos }
 
-// groupHeap is a position-tracked min-heap of idle-but-waiting groups. Keys
-// are static while a group is a member (rate zero), so positions never go
-// stale.
-type groupHeap[T fairEntry] struct {
-	items []T
-}
+// fairRunOrder orders a user's waiting runs by (vruntime, submission
+// sequence). Waiting runs accrue nothing, so keys are static.
+type fairRunOrder struct{}
 
-func (h *groupHeap[T]) peek() (T, bool) {
-	var zero T
-	if len(h.items) == 0 {
-		return zero, false
-	}
-	return h.items[0], true
-}
-
-func (h *groupHeap[T]) push(e T) {
-	e.grp().waitPos = len(h.items)
-	h.items = append(h.items, e)
-	h.up(e.grp().waitPos)
-}
-
-func (h *groupHeap[T]) remove(e T) {
-	i := e.grp().waitPos
-	if i < 0 {
-		return
-	}
-	last := len(h.items) - 1
-	h.swap(i, last)
-	var zero T
-	h.items[last] = zero
-	h.items = h.items[:last]
-	e.grp().waitPos = -1
-	if i < last {
-		if !h.up(i) {
-			h.down(i)
-		}
-	}
-}
-
-func (h *groupHeap[T]) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].grp().waitPos = i
-	h.items[j].grp().waitPos = j
-}
-
-func (h *groupHeap[T]) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !groupLess(h.items[i].grp(), h.items[parent].grp()) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-func (h *groupHeap[T]) down(i int) {
-	n := len(h.items)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && groupLess(h.items[right].grp(), h.items[left].grp()) {
-			least = right
-		}
-		if !groupLess(h.items[least].grp(), h.items[i].grp()) {
-			return
-		}
-		h.swap(i, least)
-		i = least
-	}
-}
-
-// runFairLess orders waiting runs by (vruntime, submission sequence).
-func runFairLess(a, b *Run) bool {
+func (fairRunOrder) less(a, b *Run) bool {
 	if a.fairV != b.fairV {
 		return a.fairV < b.fairV
 	}
 	return a.seq < b.seq
 }
 
-// runHeap is the per-user min-heap of waiting runs. Waiting runs accrue
-// nothing, so keys are static.
-type runHeap struct {
-	runs []*Run
-}
+func (fairRunOrder) pos(r *Run) *int { return &r.fairPos }
 
-func (h *runHeap) peek() *Run {
-	if len(h.runs) == 0 {
-		return nil
+// child returns the named child group, creating it at g's admission floor; a
+// leaf is a user, whose children are runs.
+func (g *fairGroup) child(name string, leaf bool, now time.Duration) *fairGroup {
+	c, ok := g.kids[name]
+	if !ok {
+		c = &fairGroup{name: name, weight: 1, vruntime: g.floor, lastSettle: now,
+			waitPos: -1, hotIdx: -1, parent: g, floor: g.floor}
+		if !leaf {
+			c.kids = make(map[string]*fairGroup)
+		}
+		g.kids[name] = c
 	}
-	return h.runs[0]
+	return c
 }
 
-func (h *runHeap) push(r *Run) {
-	r.fairPos = len(h.runs)
-	h.runs = append(h.runs, r)
-	h.up(r.fairPos)
-}
-
-func (h *runHeap) remove(r *Run) {
-	i := r.fairPos
-	if i < 0 {
-		return
+// place reconciles g's membership in its parent's wait heap / hot list after
+// its waiting/running counts changed.
+func (g *fairGroup) place() {
+	p := g.parent
+	wantWait := g.waitingRuns > 0 && g.runningRuns == 0
+	wantHot := g.waitingRuns > 0 && g.runningRuns > 0
+	if g.waitPos >= 0 && !wantWait {
+		p.waitKids.remove(g)
 	}
-	last := len(h.runs) - 1
-	h.swap(i, last)
-	h.runs[last] = nil
-	h.runs = h.runs[:last]
-	r.fairPos = -1
-	if i < last {
-		if !h.up(i) {
-			h.down(i)
-		}
+	if g.hotIdx >= 0 && !wantHot {
+		last := len(p.hotKids) - 1
+		p.hotKids[g.hotIdx] = p.hotKids[last]
+		p.hotKids[g.hotIdx].hotIdx = g.hotIdx
+		p.hotKids[last] = nil
+		p.hotKids = p.hotKids[:last]
+		g.hotIdx = -1
 	}
-}
-
-func (h *runHeap) swap(i, j int) {
-	h.runs[i], h.runs[j] = h.runs[j], h.runs[i]
-	h.runs[i].fairPos = i
-	h.runs[j].fairPos = j
-}
-
-func (h *runHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !runFairLess(h.runs[i], h.runs[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
+	if wantWait && g.waitPos < 0 {
+		p.waitKids.push(g)
 	}
-	return moved
-}
-
-func (h *runHeap) down(i int) {
-	n := len(h.runs)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && runFairLess(h.runs[right], h.runs[left]) {
-			least = right
-		}
-		if !runFairLess(h.runs[least], h.runs[i]) {
-			return
-		}
-		h.swap(i, least)
-		i = least
+	if wantHot && g.hotIdx < 0 {
+		g.hotIdx = len(p.hotKids)
+		p.hotKids = append(p.hotKids, g)
 	}
 }
 
-// fairUser is one user group under a tenant; its children are runs.
-type fairUser struct {
-	fairGroup
-	tenant   *fairTenant
-	waitRuns runHeap
-	floor    float64 // admission floor for new runs under this user
+// charge settles g to now, then moves its slope by delta (a run's nodes over
+// its weight; negative when the run stops or shrinks) and its running count
+// by running (+1 grant, -1 release, 0 resize).
+func (g *fairGroup) charge(delta float64, running int, now time.Duration) {
+	g.settle(now)
+	g.rate += delta / g.weight
+	g.runningRuns += running
+	if g.runningRuns == 0 {
+		g.rate = 0 // exact, so wait-heap keys freeze cleanly
+	}
 }
 
-func (u *fairUser) grp() *fairGroup { return &u.fairGroup }
-
-// fairTenant is one tenant group; its children are users.
-type fairTenant struct {
-	fairGroup
-	users     map[string]*fairUser
-	waitUsers groupHeap[*fairUser]
-	hotUsers  []*fairUser
-	floor     float64 // admission floor for new users under this tenant
-}
-
-func (t *fairTenant) grp() *fairGroup { return &t.fairGroup }
-
-// fairTree is the root of the hierarchy.
+// fairTree is the hierarchy, held by its root.
 type fairTree struct {
-	tenants     map[string]*fairTenant
-	waitTenants groupHeap[*fairTenant]
-	hotTenants  []*fairTenant
-	floor       float64 // admission floor for new tenants
+	root *fairGroup
 }
 
 func newFairTree() fairTree {
-	return fairTree{tenants: make(map[string]*fairTenant)}
-}
-
-// waitingRuns reports the total number of waiting runs tracked by the tree.
-func (t *fairTree) waitingRuns() int {
-	total := 0
-	for _, tn := range t.tenants {
-		total += tn.waitingRuns
-	}
-	return total
-}
-
-func (t *fairTree) ensureTenant(name string, now time.Duration) *fairTenant {
-	tn, ok := t.tenants[name]
-	if !ok {
-		tn = &fairTenant{
-			fairGroup: fairGroup{name: name, weight: 1, vruntime: t.floor, lastSettle: now, waitPos: -1, hotIdx: -1},
-			users:     make(map[string]*fairUser),
-			floor:     t.floor,
-		}
-		t.tenants[name] = tn
-	}
-	return tn
-}
-
-func (tn *fairTenant) ensureUser(name string, now time.Duration) *fairUser {
-	u, ok := tn.users[name]
-	if !ok {
-		u = &fairUser{
-			fairGroup: fairGroup{name: name, weight: 1, vruntime: tn.floor, lastSettle: now, waitPos: -1, hotIdx: -1},
-			tenant:    tn,
-			floor:     tn.floor,
-		}
-		tn.users[name] = u
-	}
-	return u
-}
-
-// placeUser reconciles a user's membership in its tenant's wait heap / hot
-// list after its waiting/running counts changed.
-func (tn *fairTenant) placeUser(u *fairUser) {
-	wantWait := u.waitingRuns > 0 && u.runningRuns == 0
-	wantHot := u.waitingRuns > 0 && u.runningRuns > 0
-	if u.waitPos >= 0 && !wantWait {
-		tn.waitUsers.remove(u)
-	}
-	if u.hotIdx >= 0 && !wantHot {
-		last := len(tn.hotUsers) - 1
-		tn.hotUsers[u.hotIdx] = tn.hotUsers[last]
-		tn.hotUsers[u.hotIdx].hotIdx = u.hotIdx
-		tn.hotUsers[last] = nil
-		tn.hotUsers = tn.hotUsers[:last]
-		u.hotIdx = -1
-	}
-	if wantWait && u.waitPos < 0 {
-		tn.waitUsers.push(u)
-	}
-	if wantHot && u.hotIdx < 0 {
-		u.hotIdx = len(tn.hotUsers)
-		tn.hotUsers = append(tn.hotUsers, u)
-	}
-}
-
-// placeTenant reconciles a tenant's membership in the tree's wait heap / hot
-// list.
-func (t *fairTree) placeTenant(tn *fairTenant) {
-	wantWait := tn.waitingRuns > 0 && tn.runningRuns == 0
-	wantHot := tn.waitingRuns > 0 && tn.runningRuns > 0
-	if tn.waitPos >= 0 && !wantWait {
-		t.waitTenants.remove(tn)
-	}
-	if tn.hotIdx >= 0 && !wantHot {
-		last := len(t.hotTenants) - 1
-		t.hotTenants[tn.hotIdx] = t.hotTenants[last]
-		t.hotTenants[tn.hotIdx].hotIdx = tn.hotIdx
-		t.hotTenants[last] = nil
-		t.hotTenants = t.hotTenants[:last]
-		tn.hotIdx = -1
-	}
-	if wantWait && tn.waitPos < 0 {
-		t.waitTenants.push(tn)
-	}
-	if wantHot && tn.hotIdx < 0 {
-		tn.hotIdx = len(t.hotTenants)
-		t.hotTenants = append(t.hotTenants, tn)
-	}
-}
-
-// prune drops a fully idle user (and then tenant) so the tree does not leak
-// groups under tenant churn. The pruned group's history is forgotten — like
-// a CFS sleeper, it re-enters at the admission floor, never below it.
-func (t *fairTree) prune(u *fairUser) {
-	tn := u.tenant
-	if u.waitingRuns == 0 && u.runningRuns == 0 {
-		delete(tn.users, u.name)
-	}
-	if tn.waitingRuns == 0 && tn.runningRuns == 0 {
-		delete(t.tenants, tn.name)
-	}
+	return fairTree{root: &fairGroup{kids: make(map[string]*fairGroup)}}
 }
 
 // enqueue registers a run as waiting (fresh submission or landed
 // suspension). The run keeps any vruntime it already accrued, clamped up to
 // the user's admission floor.
 func (t *fairTree) enqueue(r *Run, now time.Duration) {
-	tn := t.ensureTenant(r.tenant, now)
-	u := tn.ensureUser(r.user, now)
+	u := t.root.child(r.tenant, false, now).child(r.user, true, now)
 	if r.fairV < u.floor {
 		r.fairV = u.floor
 	}
 	r.fairLast = now
 	r.fairOwner = u
 	u.waitRuns.push(r)
-	u.waitingRuns++
-	tn.waitingRuns++
-	tn.placeUser(u)
-	t.placeTenant(tn)
+	for g := u; g.parent != nil; g = g.parent {
+		g.waitingRuns++
+		g.place()
+	}
 }
 
 // remove unregisters a run that stops waiting without running (cancel,
-// reject, terminal cleanup). No-op when the run is not waiting.
-func (t *fairTree) remove(r *Run, now time.Duration) {
+// reject, terminal cleanup). No-op when the run is not waiting. A group left
+// fully idle is dropped so the tree does not leak groups under tenant churn;
+// its history is forgotten — like a CFS sleeper, it re-enters at the
+// admission floor, never below it.
+func (t *fairTree) remove(r *Run) {
 	u := r.fairOwner
 	if u == nil {
 		return
 	}
 	if r.fairPos >= 0 {
-		tn := u.tenant
 		u.waitRuns.remove(r)
-		u.waitingRuns--
-		tn.waitingRuns--
-		tn.placeUser(u)
-		t.placeTenant(tn)
+		for g := u; g.parent != nil; g = g.parent {
+			g.waitingRuns--
+			g.place()
+		}
 	}
 	if r.fairNodes == 0 {
 		r.fairOwner = nil
-		t.prune(u)
+		for g := u; g.parent != nil && g.waitingRuns == 0 && g.runningRuns == 0; g = g.parent {
+			delete(g.parent.kids, g.name)
+		}
 	}
 }
 
 // grant charges a waiting run's chain for nodes leased at now, and advances
-// the admission floors (the monotone min_vruntime analogue).
+// the admission floors (the monotone min_vruntime analogue). Every grant
+// comes out of the waiting set, so the run has an owner.
 func (t *fairTree) grant(r *Run, nodes int, now time.Duration) {
 	u := r.fairOwner
-	if u == nil { // defensive: grants always come from the waiting set
-		t.enqueue(r, now)
-		u = r.fairOwner
-	}
-	tn := u.tenant
+	waiting := 0
 	if r.fairPos >= 0 {
 		u.waitRuns.remove(r)
-		u.waitingRuns--
-		tn.waitingRuns--
+		waiting = 1
 	}
 	delta := float64(nodes) / r.fairWeight
 	r.fairLast = now
 	r.fairRate = delta
 	r.fairNodes = nodes
-	u.settle(now)
-	u.rate += delta / u.weight
-	u.runningRuns++
-	tn.settle(now)
-	tn.rate += delta / tn.weight
-	tn.runningRuns++
-	tn.placeUser(u)
-	t.placeTenant(tn)
-	if tn.vruntime > t.floor {
-		t.floor = tn.vruntime
-	}
-	if u.vruntime > tn.floor {
-		tn.floor = u.vruntime
-	}
 	if r.fairV > u.floor {
 		u.floor = r.fairV
 	}
+	for g := u; g.parent != nil; g = g.parent {
+		g.waitingRuns -= waiting
+		g.charge(delta, +1, now)
+		g.place()
+		if g.vruntime > g.parent.floor {
+			g.parent.floor = g.vruntime
+		}
+	}
+}
+
+// settleRun integrates a running run's own vruntime up to now.
+func settleRun(r *Run, now time.Duration) {
+	if r.fairRate != 0 && now > r.fairLast {
+		r.fairV += r.fairRate * (now - r.fairLast).Seconds()
+	}
+	r.fairLast = now
 }
 
 // release stops charging a running run (suspension landing or finish).
@@ -463,28 +266,14 @@ func (t *fairTree) release(r *Run, now time.Duration) {
 	if u == nil || r.fairNodes == 0 {
 		return
 	}
-	tn := u.tenant
-	if r.fairRate != 0 && now > r.fairLast {
-		r.fairV += r.fairRate * (now - r.fairLast).Seconds()
-	}
+	settleRun(r, now)
 	delta := float64(r.fairNodes) / r.fairWeight
-	r.fairLast = now
 	r.fairRate = 0
 	r.fairNodes = 0
-	u.settle(now)
-	u.rate -= delta / u.weight
-	u.runningRuns--
-	if u.runningRuns == 0 {
-		u.rate = 0 // exact, so wait-heap keys freeze cleanly
+	for g := u; g.parent != nil; g = g.parent {
+		g.charge(-delta, -1, now)
+		g.place()
 	}
-	tn.settle(now)
-	tn.rate -= delta / tn.weight
-	tn.runningRuns--
-	if tn.runningRuns == 0 {
-		tn.rate = 0
-	}
-	tn.placeUser(u)
-	t.placeTenant(tn)
 }
 
 // resize adjusts the charge rate of a running run after a lease grow/shrink.
@@ -493,142 +282,113 @@ func (t *fairTree) resize(r *Run, nodes int, now time.Duration) {
 	if u == nil || r.fairNodes == 0 || nodes == r.fairNodes {
 		return
 	}
-	tn := u.tenant
-	if r.fairRate != 0 && now > r.fairLast {
-		r.fairV += r.fairRate * (now - r.fairLast).Seconds()
-	}
+	settleRun(r, now)
 	delta := float64(nodes-r.fairNodes) / r.fairWeight
-	r.fairLast = now
 	r.fairRate += delta
 	r.fairNodes = nodes
-	u.settle(now)
-	u.rate += delta / u.weight
-	tn.settle(now)
-	tn.rate += delta / tn.weight
+	for g := u; g.parent != nil; g = g.parent {
+		g.charge(delta, 0, now)
+	}
 }
 
-// pick returns the waiting run CFS would admit next: minimal tenant, then
-// user, then run. Hot groups (waiting work while also running) are settled
-// to now first — the list is bounded by running runs, so a pick costs
-// O(nodes + log tenants), independent of queue depth.
+// pick returns the waiting run CFS would admit next: at every level the
+// (vruntime, name)-minimal child with waiting work, then that user's minimal
+// run. Hot groups (waiting work while also running) are settled to now first
+// — the list is bounded by running runs, so a pick costs O(nodes + log
+// tenants), independent of queue depth.
 func (t *fairTree) pick(now time.Duration) *Run {
-	var bt *fairTenant
-	if top, ok := t.waitTenants.peek(); ok {
-		bt = top
-	}
-	for _, tn := range t.hotTenants {
-		tn.settle(now)
-		if bt == nil || groupLess(&tn.fairGroup, &bt.fairGroup) {
-			bt = tn
+	g := t.root
+	for g.kids != nil {
+		best, _ := g.waitKids.peek()
+		for _, k := range g.hotKids {
+			k.settle(now)
+			if best == nil || (groupOrder{}).less(k, best) {
+				best = k
+			}
 		}
-	}
-	if bt == nil {
-		return nil
-	}
-	var bu *fairUser
-	if top, ok := bt.waitUsers.peek(); ok {
-		bu = top
-	}
-	for _, u := range bt.hotUsers {
-		u.settle(now)
-		if bu == nil || groupLess(&u.fairGroup, &bu.fairGroup) {
-			bu = u
+		if best == nil {
+			return nil
 		}
+		g = best
 	}
-	if bu == nil {
-		return nil
-	}
-	return bu.waitRuns.peek()
+	r, _ := g.waitRuns.peek()
+	return r
 }
 
 // pickNaive recomputes pick by scanning every group — the from-scratch
 // oracle CheckIndex compares the heap-driven pick against.
 func (t *fairTree) pickNaive(now time.Duration) *Run {
-	var bt *fairTenant
-	for _, tn := range t.tenants {
-		if tn.waitingRuns == 0 {
-			continue
+	g := t.root
+	for g.kids != nil {
+		var best *fairGroup
+		for _, k := range g.kids {
+			if k.waitingRuns == 0 {
+				continue
+			}
+			k.settle(now)
+			if best == nil || (groupOrder{}).less(k, best) {
+				best = k
+			}
 		}
-		tn.settle(now)
-		if bt == nil || groupLess(&tn.fairGroup, &bt.fairGroup) {
-			bt = tn
+		if best == nil {
+			return nil
 		}
-	}
-	if bt == nil {
-		return nil
-	}
-	var bu *fairUser
-	for _, u := range bt.users {
-		if u.waitingRuns == 0 {
-			continue
-		}
-		u.settle(now)
-		if bu == nil || groupLess(&u.fairGroup, &bu.fairGroup) {
-			bu = u
-		}
-	}
-	if bu == nil {
-		return nil
+		g = best
 	}
 	var br *Run
-	for _, r := range bu.waitRuns.runs {
-		if br == nil || runFairLess(r, br) {
+	for _, r := range g.waitRuns.items {
+		if br == nil || (fairRunOrder{}).less(r, br) {
 			br = r
 		}
 	}
 	return br
 }
 
-// check validates counts, membership flags, heap invariants and the
-// heap-vs-scan pick agreement.
-func (t *fairTree) check(now time.Duration) error {
-	totalWaiting := 0
-	for name, tn := range t.tenants {
-		w, run := 0, 0
-		for uname, u := range tn.users {
-			uw := len(u.waitRuns.runs)
-			if uw != u.waitingRuns {
-				return fmt.Errorf("fair: user %s/%s waiting %d != heap %d", name, uname, u.waitingRuns, uw)
-			}
-			for i, r := range u.waitRuns.runs {
-				if r.fairPos != i {
-					return fmt.Errorf("fair: run %s heap position drift", r.id)
-				}
-				if left := 2*i + 1; left < uw && runFairLess(u.waitRuns.runs[left], r) {
-					return fmt.Errorf("fair: run heap order violated under %s/%s", name, uname)
-				}
-			}
-			wantWait := u.waitingRuns > 0 && u.runningRuns == 0
-			if (u.waitPos >= 0) != wantWait {
-				return fmt.Errorf("fair: user %s/%s wait-heap membership drift", name, uname)
-			}
-			wantHot := u.waitingRuns > 0 && u.runningRuns > 0
-			if (u.hotIdx >= 0) != wantHot {
-				return fmt.Errorf("fair: user %s/%s hot-list membership drift", name, uname)
-			}
-			if u.runningRuns == 0 && u.rate != 0 {
-				return fmt.Errorf("fair: idle user %s/%s has rate %v", name, uname, u.rate)
-			}
-			w += u.waitingRuns
-			run += u.runningRuns
+// check validates g's subtree — heap invariants, membership flags, idle
+// rates, and every stored count against the sum below it — and returns the
+// subtree's waiting and running run counts.
+func (g *fairGroup) check(path string) (waiting, running int, err error) {
+	if g.kids == nil {
+		if err := g.waitRuns.check(); err != nil {
+			return 0, 0, fmt.Errorf("fair: waiting runs of %s: %w", path, err)
 		}
-		if w != tn.waitingRuns || run != tn.runningRuns {
-			return fmt.Errorf("fair: tenant %s counts %d/%d != sums %d/%d", name, tn.waitingRuns, tn.runningRuns, w, run)
-		}
-		wantWait := tn.waitingRuns > 0 && tn.runningRuns == 0
-		if (tn.waitPos >= 0) != wantWait {
-			return fmt.Errorf("fair: tenant %s wait-heap membership drift", name)
-		}
-		wantHot := tn.waitingRuns > 0 && tn.runningRuns > 0
-		if (tn.hotIdx >= 0) != wantHot {
-			return fmt.Errorf("fair: tenant %s hot-list membership drift", name)
-		}
-		if tn.runningRuns == 0 && tn.rate != 0 {
-			return fmt.Errorf("fair: idle tenant %s has rate %v", name, tn.rate)
-		}
-		totalWaiting += tn.waitingRuns
+		return g.waitRuns.len(), g.runningRuns, nil
 	}
-	if totalWaiting > 0 {
+	if err := g.waitKids.check(); err != nil {
+		return 0, 0, fmt.Errorf("fair: waiting groups of %s: %w", path, err)
+	}
+	for name, k := range g.kids {
+		kpath := path + "/" + name
+		w, run, err := k.check(kpath)
+		if err != nil {
+			return 0, 0, err
+		}
+		if w != k.waitingRuns || run != k.runningRuns {
+			return 0, 0, fmt.Errorf("fair: %s counts %d/%d != sums %d/%d", kpath, k.waitingRuns, k.runningRuns, w, run)
+		}
+		if (k.waitPos >= 0) != (w > 0 && run == 0) {
+			return 0, 0, fmt.Errorf("fair: %s wait-heap membership drift", kpath)
+		}
+		if (k.hotIdx >= 0) != (w > 0 && run > 0) {
+			return 0, 0, fmt.Errorf("fair: %s hot-list membership drift", kpath)
+		}
+		if run == 0 && k.rate != 0 {
+			return 0, 0, fmt.Errorf("fair: idle %s has rate %v", kpath, k.rate)
+		}
+		waiting += w
+		running += run
+	}
+	return waiting, running, nil
+}
+
+// check validates the whole tree and the heap-vs-scan pick agreement, and
+// returns the number of waiting runs the tree tracks.
+func (t *fairTree) check(now time.Duration) (waiting int, err error) {
+	waiting, _, err = t.root.check("")
+	if err != nil {
+		return 0, err
+	}
+	if waiting > 0 {
 		fast, slow := t.pick(now), t.pickNaive(now)
 		if fast != slow {
 			fid, sid := "<nil>", "<nil>"
@@ -638,8 +398,8 @@ func (t *fairTree) check(now time.Duration) error {
 			if slow != nil {
 				sid = slow.id
 			}
-			return fmt.Errorf("fair: heap pick %s != scan pick %s", fid, sid)
+			return 0, fmt.Errorf("fair: heap pick %s != scan pick %s", fid, sid)
 		}
 	}
-	return nil
+	return waiting, nil
 }

@@ -39,28 +39,13 @@ func (h HierarchicalFairShare) slots() int {
 // independent of queue depth — because the pick comes from the fair tree's
 // heaps.
 func (h HierarchicalFairShare) Decide(st State) []Action {
-	k := h.slots()
-	if st.ActiveLen() >= k || st.FreeNodes == 0 {
+	n := equalShare(st.TotalNodes, h.slots(), st.FreeNodes, st.ActiveLen())
+	if n == 0 {
 		return nil
 	}
 	cand, ok := st.FairNext()
 	if !ok {
 		return nil
 	}
-	n := st.TotalNodes / k
-	if n < 1 {
-		n = 1
-	}
-	if n > st.FreeNodes {
-		// The progress clamp FairShare uses: an otherwise idle cluster
-		// shrinks the share to the free pool instead of holding forever.
-		if st.ActiveLen() > 0 {
-			return nil
-		}
-		n = st.FreeNodes
-	}
-	if cand.Status == StatusSuspended {
-		return []Action{Resume{Run: cand.ID, Nodes: n}}
-	}
-	return []Action{Admit{Run: cand.ID, Nodes: n}}
+	return []Action{grant(cand, n)}
 }

@@ -10,9 +10,9 @@
 //   - runList: the submission queue as an intrusive doubly-linked list; each
 //     Run carries its own list node, so membership tests and removals are
 //     O(1) instead of a linear scan per policy action.
-//   - edfHeap: a min-heap over every waiting run (queued + suspended) keyed
-//     earliest-deadline-first with (submitted, id) tie-breaks. The key is
-//     immutable after submission, so heap positions stay valid and the top
+//   - edf: a posHeap (heap.go) over every waiting run (queued + suspended)
+//     keyed earliest-deadline-first with (submitted, id) tie-breaks. The key
+//     is immutable after submission, so heap positions stay valid and the top
 //     of the heap is exactly the head the seed scheduler found by sorting.
 //   - activeOrder / suspendedOrder: the admitted and suspended sets kept
 //     sorted by submission sequence (both are small: active is bounded by
@@ -20,8 +20,10 @@
 //   - fairTree (fair.go): the hierarchical fair-share accounting consumed by
 //     the HierarchicalFairShare policy.
 //
-// checkLocked cross-checks every structure against a naive from-scratch
-// rebuild — the storm test invokes it after every event.
+// CheckIndex cross-checks every structure against a naive from-scratch
+// rebuild (naiveStateLocked here, pickNaive in fair.go) — references the storm
+// test compares against at every quiescent point, never paths a decision
+// takes.
 package scheduler
 
 import (
@@ -119,83 +121,12 @@ func edfRunLess(a, b *Run) bool {
 	return a.id < b.id
 }
 
-// edfHeap is a position-tracked min-heap over waiting runs. Keys are
-// immutable after submission, so entries never need re-heapifying in place.
-type edfHeap struct {
-	runs []*Run
-}
+// edfOrder ranks the EDF heap by edfRunLess. The key is immutable after
+// submission, so entries never need re-heapifying in place.
+type edfOrder struct{}
 
-func (h *edfHeap) len() int { return len(h.runs) }
-
-func (h *edfHeap) peek() *Run {
-	if len(h.runs) == 0 {
-		return nil
-	}
-	return h.runs[0]
-}
-
-func (h *edfHeap) push(r *Run) {
-	r.edfPos = len(h.runs)
-	h.runs = append(h.runs, r)
-	h.up(r.edfPos)
-}
-
-// remove drops the run from the heap; no-op when it is not a member.
-func (h *edfHeap) remove(r *Run) {
-	i := r.edfPos
-	if i < 0 {
-		return
-	}
-	last := len(h.runs) - 1
-	h.swap(i, last)
-	h.runs[last] = nil
-	h.runs = h.runs[:last]
-	r.edfPos = -1
-	if i < last {
-		if !h.up(i) {
-			h.down(i)
-		}
-	}
-}
-
-func (h *edfHeap) swap(i, j int) {
-	h.runs[i], h.runs[j] = h.runs[j], h.runs[i]
-	h.runs[i].edfPos = i
-	h.runs[j].edfPos = j
-}
-
-func (h *edfHeap) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !edfRunLess(h.runs[i], h.runs[parent]) {
-			break
-		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-func (h *edfHeap) down(i int) {
-	n := len(h.runs)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		least := left
-		if right := left + 1; right < n && edfRunLess(h.runs[right], h.runs[left]) {
-			least = right
-		}
-		if !edfRunLess(h.runs[least], h.runs[i]) {
-			return
-		}
-		h.swap(i, least)
-		i = least
-	}
-}
+func (edfOrder) less(a, b *Run) bool { return edfRunLess(a, b) }
+func (edfOrder) pos(r *Run) *int     { return &r.edfPos }
 
 // insertBySeq adds r to a submission-sequence-sorted slice.
 func insertBySeq(runs []*Run, r *Run) []*Run {
@@ -222,7 +153,7 @@ func removeRun(runs []*Run, r *Run) []*Run {
 // deltas at run lifecycle boundaries and never rebuilt on the hot path.
 type stateIndex struct {
 	queue          runList
-	edf            edfHeap
+	edf            posHeap[*Run, edfOrder]
 	activeOrder    []*Run // admitted runs, submission order (≤ cluster nodes)
 	suspendedOrder []*Run // preempted runs, submission order
 	fair           fairTree
@@ -248,10 +179,10 @@ func (x *stateIndex) dequeueForGrant(r *Run) {
 
 // dequeueTerminal removes a queued run that will never execute (cancel,
 // reject).
-func (x *stateIndex) dequeueTerminal(r *Run, now time.Duration) {
+func (x *stateIndex) dequeueTerminal(r *Run) {
 	x.queue.remove(r)
 	x.edf.remove(r)
-	x.fair.remove(r, now)
+	x.fair.remove(r)
 }
 
 // unsuspendForGrant pulls a suspended run out of the waiting structures ahead
@@ -279,17 +210,17 @@ func (x *stateIndex) suspendLanded(r *Run, now time.Duration) {
 }
 
 // wokeSuspended removes a suspended run woken for cancellation.
-func (x *stateIndex) wokeSuspended(r *Run, now time.Duration) {
+func (x *stateIndex) wokeSuspended(r *Run) {
 	x.suspendedOrder = removeRun(x.suspendedOrder, r)
 	x.edf.remove(r)
-	x.fair.remove(r, now)
+	x.fair.remove(r)
 }
 
 // finishedActive records a terminal transition of an admitted run.
 func (x *stateIndex) finishedActive(r *Run, now time.Duration) {
 	x.activeOrder = removeRun(x.activeOrder, r)
 	x.fair.release(r, now)
-	x.fair.remove(r, now)
+	x.fair.remove(r)
 }
 
 // resized records a lease size change of an active run.
@@ -300,7 +231,7 @@ func (x *stateIndex) resized(r *Run, nodes int, now time.Duration) {
 // --- naive rebuild oracle -------------------------------------------------
 
 // naiveStateLocked rebuilds the policy input from scratch out of the run
-// records — the seed scheduler's O(n)-per-event path — so the storm test can
+// records — the seed scheduler's O(n)-per-event path — so CheckIndex can
 // compare the incrementally maintained index against an independent source
 // of truth. Classification matches the policy-visible contract (scheduler
 // membership, not bare run status): a canceled suspended run is pulled from
@@ -385,7 +316,7 @@ func (s *Scheduler) CheckIndex() error {
 				head = w
 			}
 		}
-		if top := s.idx.edf.peek(); top == nil || top.id != head.ID {
+		if top, _ := s.idx.edf.peek(); top == nil || top.id != head.ID {
 			got := "<nil>"
 			if top != nil {
 				got = top.id
@@ -393,23 +324,14 @@ func (s *Scheduler) CheckIndex() error {
 			return fmt.Errorf("EDF head %s != naive %s", got, head.ID)
 		}
 	}
-	for i, r := range s.idx.edf.runs {
-		if r.edfPos != i {
-			return fmt.Errorf("EDF position drift: %s at %d claims %d", r.id, i, r.edfPos)
-		}
-		if left := 2*i + 1; left < s.idx.edf.len() && edfRunLess(s.idx.edf.runs[left], r) {
-			return fmt.Errorf("EDF heap order violated at %d", i)
-		}
-		if right := 2*i + 2; right < s.idx.edf.len() && edfRunLess(s.idx.edf.runs[right], r) {
-			return fmt.Errorf("EDF heap order violated at %d", i)
-		}
+	if err := s.idx.edf.check(); err != nil {
+		return fmt.Errorf("EDF %w", err)
 	}
 
-	if err := s.idx.fair.check(now); err != nil {
-		return err
-	}
 	want := s.idx.queue.n + len(s.idx.suspendedOrder)
-	if got := s.idx.fair.waitingRuns(); got != want {
+	if got, err := s.idx.fair.check(now); err != nil {
+		return err
+	} else if got != want {
 		return fmt.Errorf("fair tree tracks %d waiting runs, want %d", got, want)
 	}
 	return s.cluster.CheckInvariants()

@@ -71,53 +71,22 @@ type State struct {
 
 	s   *Scheduler
 	now time.Duration
-
-	// naive switches the accessors to pre-materialized slices: the
-	// from-scratch rebuild path used as the storm-test oracle and the bench
-	// baseline (see Scheduler.DecideRebuild).
-	naive      bool
-	nQueued    []RunState
-	nActive    []RunState
-	nSuspended []RunState
 }
 
 // QueuedLen reports the number of queued runs.
-func (st State) QueuedLen() int {
-	if st.naive {
-		return len(st.nQueued)
-	}
-	return st.s.idx.queue.n
-}
+func (st State) QueuedLen() int { return st.s.idx.queue.n }
 
 // ActiveLen reports the number of admitted (running or resuming) runs.
-func (st State) ActiveLen() int {
-	if st.naive {
-		return len(st.nActive)
-	}
-	return len(st.s.idx.activeOrder)
-}
+func (st State) ActiveLen() int { return len(st.s.idx.activeOrder) }
 
 // SuspendedLen reports the number of preempted runs awaiting resume.
-func (st State) SuspendedLen() int {
-	if st.naive {
-		return len(st.nSuspended)
-	}
-	return len(st.s.idx.suspendedOrder)
-}
+func (st State) SuspendedLen() int { return len(st.s.idx.suspendedOrder) }
 
 // WaitingLen reports queued + suspended.
 func (st State) WaitingLen() int { return st.QueuedLen() + st.SuspendedLen() }
 
 // EachQueued visits queued runs in submission order until fn returns false.
 func (st State) EachQueued(fn func(RunState) bool) {
-	if st.naive {
-		for _, rs := range st.nQueued {
-			if !fn(rs) {
-				return
-			}
-		}
-		return
-	}
 	st.s.idx.queue.each(func(r *Run) bool {
 		return fn(st.s.runStateLocked(r, st.now))
 	})
@@ -125,14 +94,6 @@ func (st State) EachQueued(fn func(RunState) bool) {
 
 // EachActive visits admitted runs in submission order until fn returns false.
 func (st State) EachActive(fn func(RunState) bool) {
-	if st.naive {
-		for _, rs := range st.nActive {
-			if !fn(rs) {
-				return
-			}
-		}
-		return
-	}
 	for _, r := range st.s.idx.activeOrder {
 		if !fn(st.s.runStateLocked(r, st.now)) {
 			return
@@ -143,14 +104,6 @@ func (st State) EachActive(fn func(RunState) bool) {
 // EachSuspended visits suspended runs in submission order until fn returns
 // false.
 func (st State) EachSuspended(fn func(RunState) bool) {
-	if st.naive {
-		for _, rs := range st.nSuspended {
-			if !fn(rs) {
-				return
-			}
-		}
-		return
-	}
 	for _, r := range st.s.idx.suspendedOrder {
 		if !fn(st.s.runStateLocked(r, st.now)) {
 			return
@@ -179,25 +132,8 @@ func (st State) EachWaiting(fn func(RunState) bool) {
 // ties broken by submission time then id — the head a stable EDF sort of
 // the waiting set would produce, served in O(1) from the deadline heap.
 func (st State) EDFHead() (RunState, bool) {
-	if st.naive {
-		var head RunState
-		found := false
-		scan := func(rs RunState) bool {
-			if !found || edfLess(rs, head) {
-				head, found = rs, true
-			}
-			return true
-		}
-		for _, rs := range st.nQueued {
-			scan(rs)
-		}
-		for _, rs := range st.nSuspended {
-			scan(rs)
-		}
-		return head, found
-	}
-	r := st.s.idx.edf.peek()
-	if r == nil {
+	r, ok := st.s.idx.edf.peek()
+	if !ok {
 		return RunState{}, false
 	}
 	return st.s.runStateLocked(r, st.now), true
@@ -222,12 +158,7 @@ func (st State) FairNext() (RunState, bool) {
 	if st.s == nil {
 		return RunState{}, false
 	}
-	var r *Run
-	if st.naive {
-		r = st.s.idx.fair.pickNaive(st.now)
-	} else {
-		r = st.s.idx.fair.pick(st.now)
-	}
+	r := st.s.idx.fair.pick(st.now)
 	if r == nil {
 		return RunState{}, false
 	}
@@ -298,62 +229,51 @@ type Estimator interface {
 	NeedsEstimates() bool
 }
 
-// quotaDecide adapts the legacy quota shape to Decide, replicating the old
-// admission loop exactly — head-of-queue order, quota <= 0 holds, and the
-// progress clamp (an idle cluster shrinks an oversized quota to the free
-// pool instead of waiting forever) — so FIFO/FairShare traces are identical
-// to the pre-lease-core scheduler. The waiting set is iterated lazily:
-// the loop stops at the first held run, so a burst of queued runs costs
-// O(admissions), not O(queue).
-func quotaDecide(quota func(total, free, active, queued int) int, st State) []Action {
-	var actions []Action
-	free := st.FreeNodes
-	active := st.ActiveLen() + st.SuspendedLen()
-	remaining := st.WaitingLen()
-	st.EachWaiting(func(head RunState) bool {
-		q := quota(st.TotalNodes, free, active, remaining)
-		if q <= 0 {
-			return false
+// equalShare is the one admission-size rule of the slot-bounded policies: k
+// slots, each an equal 1/k slice of the cluster's total nodes (at least one
+// node). It returns 0 — hold — when every slot is taken (active >= k) or
+// nothing is free. A slice larger than the free pool also holds while
+// anything is active (capacity will free up), but on an otherwise idle
+// cluster it shrinks to the free pool instead of waiting forever: the
+// progress clamp. What counts as active is the caller's choice: FairShare
+// counts suspended runs (they hold a slot until they finish), the others
+// count admitted runs only.
+func equalShare(total, k, free, active int) int {
+	if active >= k || free == 0 {
+		return 0
+	}
+	n := total / k
+	if n < 1 {
+		n = 1
+	}
+	if n > free {
+		if active > 0 {
+			return 0
 		}
-		if q > free {
-			if active > 0 || free == 0 {
-				return false
-			}
-			q = free
-		}
-		if head.Status == StatusSuspended {
-			actions = append(actions, Resume{Run: head.ID, Nodes: q})
-		} else {
-			actions = append(actions, Admit{Run: head.ID, Nodes: q})
-		}
-		free -= q
-		active++
-		remaining--
-		return true
-	})
-	return actions
+		n = free
+	}
+	return n
+}
+
+// grant gives a waiting run n nodes: a suspended run resumes, a queued one
+// is admitted.
+func grant(run RunState, n int) Action {
+	if run.Status == StatusSuspended {
+		return Resume{Run: run.ID, Nodes: n}
+	}
+	return Admit{Run: run.ID, Nodes: n}
 }
 
 // FIFO admits one run at a time and leases it every node: strict submission
-// order, zero inter-run interference, serialized makespans.
+// order, zero inter-run interference, serialized makespans. It is fair share
+// with a single slot.
 type FIFO struct{}
 
 // Name implements Policy.
 func (FIFO) Name() string { return "fifo" }
 
-// Quota returns the node lease size for the next admission given the
-// cluster's total node count, the currently unreserved healthy nodes, and
-// the number of active and queued runs. Returning <= 0 holds admission.
-// (Legacy policy shape, kept as the basis of the Decide adapter.)
-func (FIFO) Quota(totalNodes, freeNodes, active, queued int) int {
-	if active > 0 {
-		return 0
-	}
-	return totalNodes
-}
-
-// Decide implements Policy via the quota adapter.
-func (f FIFO) Decide(st State) []Action { return quotaDecide(f.Quota, st) }
+// Decide implements Policy.
+func (FIFO) Decide(st State) []Action { return FairShare{MaxConcurrent: 1}.Decide(st) }
 
 // FairShare admits up to MaxConcurrent runs, each leasing an equal slice of
 // the cluster. Contended workloads overlap instead of serializing, trading
@@ -373,21 +293,26 @@ func (f FairShare) slots() int {
 	return f.MaxConcurrent
 }
 
-// Quota implements the legacy quota shape (see FIFO.Quota).
-func (f FairShare) Quota(totalNodes, freeNodes, active, queued int) int {
-	k := f.slots()
-	if active >= k {
-		return 0
-	}
-	share := totalNodes / k
-	if share < 1 {
-		share = 1
-	}
-	return share
+// Decide implements Policy: waiting runs are served in EachWaiting order,
+// each with an equal share, until one has to hold — the loop stops there, so
+// a burst of queued runs costs O(admissions), not O(queue). Suspended runs
+// count as active: they keep their slot.
+func (f FairShare) Decide(st State) []Action {
+	var actions []Action
+	free := st.FreeNodes
+	active := st.ActiveLen() + st.SuspendedLen()
+	st.EachWaiting(func(head RunState) bool {
+		n := equalShare(st.TotalNodes, f.slots(), free, active)
+		if n == 0 {
+			return false
+		}
+		actions = append(actions, grant(head, n))
+		free -= n
+		active++
+		return true
+	})
+	return actions
 }
-
-// Decide implements Policy via the quota adapter.
-func (f FairShare) Decide(st State) []Action { return quotaDecide(f.Quota, st) }
 
 // deadlineOf returns the EDF sort key: a run without a deadline sorts last.
 func deadlineOf(r RunState) float64 {
@@ -417,6 +342,16 @@ func remainingSec(r RunState) float64 {
 		return 0
 	}
 	return rem
+}
+
+// canYield is the estimate gate on preemption: a victim with a deadline may
+// be suspended for waiter only if it would still meet that deadline after
+// resuming behind it — now + remaining(waiter) + remaining(victim) within the
+// victim's deadline. Runs without deadlines are always preemptible. Written
+// as a negation so an estimate that is not a number never blocks a yield.
+func (st State) canYield(waiter, victim RunState) bool {
+	projected := st.NowSec + remainingSec(waiter) + remainingSec(victim)
+	return !(victim.DeadlineSec > 0 && projected > victim.DeadlineSec)
 }
 
 // Deadline schedules earliest-deadline-first using planner time estimates:
@@ -465,17 +400,13 @@ func (d Deadline) Decide(st State) []Action {
 	head, _ := st.EDFHead()
 	if st.FreeNodes > 0 {
 		// Serve the most urgent waiting run with the whole free pool.
-		if head.Status == StatusSuspended {
-			return []Action{Resume{Run: head.ID, Nodes: st.FreeNodes}}
-		}
-		return []Action{Admit{Run: head.ID, Nodes: st.FreeNodes}}
+		return []Action{grant(head, st.FreeNodes)}
 	}
 
 	// Cluster full: preempt the latest-deadline active run if the most
 	// urgent waiter is EDF-ahead of it and the victim would still meet its
 	// own deadline after being suspended and later resumed behind the
-	// waiter. The check is estimate-based: now + remaining(waiter) +
-	// remaining(victim) must stay within the victim's deadline.
+	// waiter (canYield).
 	var victim RunState
 	found := false
 	st.EachActive(func(a RunState) bool {
@@ -487,14 +418,8 @@ func (d Deadline) Decide(st State) []Action {
 		}
 		return true
 	})
-	if !found || !edfLess(head, victim) {
+	if !found || !edfLess(head, victim) || !st.canYield(head, victim) {
 		return nil
-	}
-	if victim.DeadlineSec > 0 {
-		projected := st.NowSec + remainingSec(head) + remainingSec(victim)
-		if projected > victim.DeadlineSec {
-			return nil
-		}
 	}
 	return []Action{Preempt{Run: victim.ID}}
 }
@@ -551,11 +476,6 @@ func (c CostQuota) Decide(st State) []Action {
 		committed[a.Tenant] += a.EstCost
 		return true
 	})
-	slots := c.slots()
-	share := st.TotalNodes / slots
-	if share < 1 {
-		share = 1
-	}
 	free := st.FreeNodes
 	activeN := st.ActiveLen()
 
@@ -571,23 +491,15 @@ func (c CostQuota) Decide(st State) []Action {
 			})
 			return true
 		}
-		if activeN >= slots {
-			return true
-		}
 		if w.Status != StatusSuspended && b > 0 && committed[w.Tenant]+w.EstCost > b {
 			return true // hold until the tenant's commitments drain
 		}
-		n := share
-		if n > free {
-			if activeN > 0 || free == 0 {
-				return true
-			}
-			n = free
+		n := equalShare(st.TotalNodes, c.slots(), free, activeN)
+		if n == 0 {
+			return true // held, but a rejection may still wait further back
 		}
-		if w.Status == StatusSuspended {
-			actions = append(actions, Resume{Run: w.ID, Nodes: n})
-		} else {
-			actions = append(actions, Admit{Run: w.ID, Nodes: n})
+		actions = append(actions, grant(w, n))
+		if w.Status != StatusSuspended {
 			committed[w.Tenant] += w.EstCost
 		}
 		free -= n

@@ -205,8 +205,8 @@ type Run struct {
 	fairV      float64 // accrued virtual runtime
 	fairRate   float64 // current vruntime slope (nodes/fairWeight; 0 unless running)
 	fairLast   time.Duration
-	fairNodes  int       // nodes currently charged
-	fairOwner  *fairUser // owning fair group while registered
+	fairNodes  int        // nodes currently charged
+	fairOwner  *fairGroup // owning user group while registered
 }
 
 // ID returns the scheduler-unique run id (also stamped on trace events).
@@ -787,31 +787,6 @@ func (s *Scheduler) DecideIndexed() int {
 	return len(s.policy.Decide(s.stateViewLocked(now)))
 }
 
-// DecideRebuild runs one policy decision round against a from-scratch
-// rebuild of the state — every live run re-materialized into RunState slices,
-// the seed scheduler's per-event cost — without applying anything. Bench
-// baseline for DecideIndexed.
-func (s *Scheduler) DecideRebuild() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
-	q, a, su := s.naiveStateLocked(now)
-	st := State{
-		NowSec:     now.Seconds(),
-		TotalNodes: s.totalNodes,
-		TotalCores: s.totalCores,
-		TotalMemMB: s.totalMemMB,
-		FreeNodes:  s.cluster.UnreservedHealthy(),
-		s:          s,
-		now:        now,
-		naive:      true,
-		nQueued:    q,
-		nActive:    a,
-		nSuspended: su,
-	}
-	return len(s.policy.Decide(st))
-}
-
 // grantLocked gives a run a fresh lease and a party seat; s.mu held. The
 // caller has already pulled the run out of the waiting structures
 // (dequeueForGrant/unsuspendForGrant).
@@ -913,7 +888,7 @@ func (s *Scheduler) scheduleOnce() bool {
 		sort.Slice(pend, func(i, j int) bool { return pend[i].seq < pend[j].seq })
 		for _, r := range pend {
 			if _, ok := s.suspended[r.id]; ok {
-				s.wakeSuspendedLocked(r, now)
+				s.wakeSuspendedLocked(r)
 				delete(s.pendingCancel, r.id)
 				continue
 			}
@@ -964,48 +939,42 @@ func (s *Scheduler) scheduleOnce() bool {
 				continue
 			}
 			cur := lease.Size()
-			if a.Nodes > cur {
-				added, err := s.cluster.GrowReservation(lease, a.Nodes-cur)
-				if err != nil || len(added) == 0 {
-					continue
-				}
-				cores, memMB := s.leaseFootprint(lease)
-				r.mu.Lock()
-				r.leasedNodes = lease.Size()
-				r.leasedCores = cores
-				r.leasedMemMB = memMB
-				r.mu.Unlock()
-				s.idx.resized(r, lease.Size(), now)
-				s.tracer.Emit(trace.Event{
-					Type: trace.EvLeaseGrow, RunID: r.id,
-					Fields: map[string]float64{"nodes": float64(len(added)), "total": float64(lease.Size())},
-				}.At(now))
-				progress = true
-			} else if a.Nodes < cur {
-				removed, err := s.cluster.ShrinkReservation(lease, a.Nodes)
-				if err != nil || len(removed) == 0 {
-					continue
-				}
-				cores, memMB := s.leaseFootprint(lease)
-				r.mu.Lock()
-				r.leasedNodes = lease.Size()
-				r.leasedCores = cores
-				r.leasedMemMB = memMB
-				r.mu.Unlock()
-				s.idx.resized(r, lease.Size(), now)
-				s.tracer.Emit(trace.Event{
-					Type: trace.EvLeaseShrink, RunID: r.id,
-					Fields: map[string]float64{"nodes": float64(len(removed)), "total": float64(lease.Size())},
-				}.At(now))
-				progress = true
+			if a.Nodes == cur {
+				continue
 			}
+			var (
+				moved []string
+				err   error
+			)
+			evType := trace.EvLeaseGrow
+			if a.Nodes > cur {
+				moved, err = s.cluster.GrowReservation(lease, a.Nodes-cur)
+			} else {
+				evType = trace.EvLeaseShrink
+				moved, err = s.cluster.ShrinkReservation(lease, a.Nodes)
+			}
+			if err != nil || len(moved) == 0 {
+				continue
+			}
+			cores, memMB := s.leaseFootprint(lease)
+			r.mu.Lock()
+			r.leasedNodes = lease.Size()
+			r.leasedCores = cores
+			r.leasedMemMB = memMB
+			r.mu.Unlock()
+			s.idx.resized(r, lease.Size(), now)
+			s.tracer.Emit(trace.Event{
+				Type: evType, RunID: r.id,
+				Fields: map[string]float64{"nodes": float64(len(moved)), "total": float64(lease.Size())},
+			}.At(now))
+			progress = true
 
 		case Reject:
 			r := s.queuedLocked(a.Run)
 			if r == nil {
 				continue
 			}
-			s.idx.dequeueTerminal(r, now)
+			s.idx.dequeueTerminal(r)
 			r.mu.Lock()
 			r.status = StatusFailed
 			r.err = fmt.Errorf("%w: %s", ErrRejected, a.Reason)
@@ -1082,9 +1051,9 @@ func (s *Scheduler) finalizeCanceled(r *Run) {
 
 // wakeSuspendedLocked pulls a canceled suspended run out of the suspended
 // structures and signals its parked goroutine to finalize; s.mu held.
-func (s *Scheduler) wakeSuspendedLocked(r *Run, now time.Duration) {
+func (s *Scheduler) wakeSuspendedLocked(r *Run) {
 	delete(s.suspended, r.id)
-	s.idx.wokeSuspended(r, now)
+	s.idx.wokeSuspended(r)
 	select {
 	case r.resumeCh <- struct{}{}:
 	default:
@@ -1098,13 +1067,12 @@ func (s *Scheduler) wakeSuspendedLocked(r *Run, now time.Duration) {
 func (s *Scheduler) noteCancel(r *Run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock.Now()
 	switch {
 	case r.qnode != nil:
-		s.idx.dequeueTerminal(r, now)
+		s.idx.dequeueTerminal(r)
 		s.finalizeCanceled(r)
 	case s.suspended[r.id] != nil:
-		s.wakeSuspendedLocked(r, now)
+		s.wakeSuspendedLocked(r)
 	default:
 		if rec := s.recIdx[r.id]; rec != nil && rec.run != nil {
 			s.pendingCancel[r.id] = r
@@ -1350,7 +1318,7 @@ func (s *Scheduler) runParty(r *Run) {
 	}
 	if _, ok := s.suspended[r.id]; ok {
 		delete(s.suspended, r.id)
-		s.idx.wokeSuspended(r, now)
+		s.idx.wokeSuspended(r)
 	}
 	s.finalizeRecordLocked(r)
 	s.mu.Unlock()

@@ -285,23 +285,28 @@ func TestSnapshotFields(t *testing.T) {
 	}
 }
 
-// Policy quota arithmetic.
+// Policy quota arithmetic: FIFO and FairShare are the one equal-share rule at
+// k = 1 and k = MaxConcurrent.
 func TestPolicyQuotas(t *testing.T) {
-	if q := (FIFO{}).Quota(8, 8, 0, 3); q != 8 {
-		t.Fatalf("FIFO idle quota = %d, want 8", q)
-	}
-	if q := (FIFO{}).Quota(8, 4, 1, 3); q != 0 {
-		t.Fatalf("FIFO busy quota = %d, want 0", q)
-	}
-	fs := FairShare{MaxConcurrent: 3}
-	if q := fs.Quota(9, 9, 0, 5); q != 3 {
-		t.Fatalf("FairShare quota = %d, want 9/3", q)
-	}
-	if q := fs.Quota(9, 3, 3, 5); q != 0 {
-		t.Fatalf("FairShare at capacity = %d, want 0", q)
-	}
-	if q := (FairShare{MaxConcurrent: 16}).Quota(4, 4, 0, 1); q != 1 {
-		t.Fatalf("FairShare small-cluster quota = %d, want 1 (floor)", q)
+	fifo := FairShare{MaxConcurrent: 1}.slots()
+	fs := FairShare{MaxConcurrent: 3}.slots()
+	for _, c := range []struct {
+		name                   string
+		total, k, free, active int
+		want                   int
+	}{
+		{"FIFO idle", 8, fifo, 8, 0, 8},
+		{"FIFO busy", 8, fifo, 4, 1, 0},
+		{"FairShare 9/3", 9, fs, 9, 0, 3},
+		{"FairShare at capacity", 9, fs, 3, 3, 0},
+		{"FairShare small-cluster floor", 4, FairShare{MaxConcurrent: 16}.slots(), 4, 0, 1},
+		{"progress clamp on an idle cluster", 8, 2, 3, 0, 3},
+		{"oversized share holds while something runs", 8, 2, 3, 1, 0},
+		{"nothing free", 8, 2, 0, 0, 0},
+	} {
+		if got := equalShare(c.total, c.k, c.free, c.active); got != c.want {
+			t.Fatalf("%s: equalShare(%d, %d, %d, %d) = %d, want %d", c.name, c.total, c.k, c.free, c.active, got, c.want)
+		}
 	}
 	if got := (FairShare{}).Name(); got != "fair-share(1)" {
 		t.Fatalf("zero-value FairShare name = %q", got)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -73,8 +72,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var dto faultConfigDTO
-		if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &dto) {
 			return
 		}
 		if err := s.platform.InjectFaults(dto.toConfig()); err != nil {

@@ -8,6 +8,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,9 +82,38 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-func readBody(r *http.Request) (string, error) {
-	b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	return string(b), err
+// maxBodyBytes bounds every request body the server reads.
+const maxBodyBytes = 1 << 20
+
+// readBody reads the whole request body. A body over maxBodyBytes is refused
+// with 413 rather than cut short, a failed read with 400; in both cases the
+// error has been written and readBody reports false.
+func readBody(w http.ResponseWriter, r *http.Request) (string, bool) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, err)
+		return "", false
+	}
+	return string(b), true
+}
+
+// readJSON decodes the request body into v under readBody's bound; malformed
+// JSON is answered with 400.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := readBody(w, r)
+	if !ok {
+		return false
+	}
+	if err := json.NewDecoder(strings.NewReader(body)).Decode(v); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
 }
 
 // tailName extracts the final path element after the given prefix.
@@ -141,9 +171,8 @@ func (s *Server) handleOperator(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodPost && action == "":
 		// Register a materialized operator; the body is the paper's
 		// description-file format (the send_operator.sh flow).
-		body, err := readBody(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		if err := s.platform.RegisterOperator(name, body); err != nil {
@@ -153,8 +182,7 @@ func (s *Server) handleOperator(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, map[string]string{"operator": name})
 	case r.Method == http.MethodPost && action == "profile":
 		var req profileRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readJSON(w, r, &req) {
 			return
 		}
 		space := ires.ProfileSpace{
@@ -194,9 +222,8 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodPost:
-		body, err := readBody(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		if err := s.platform.RegisterDataset(name, body); err != nil {
@@ -223,9 +250,8 @@ func (s *Server) handleAbstractOperator(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("POST /api/abstractOperators/<name>"))
 		return
 	}
-	body, err := readBody(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	if err := s.platform.RegisterAbstractOperator(name, body); err != nil {
@@ -301,9 +327,8 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case r.Method == http.MethodPost && action == "":
-		body, err := readBody(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		// Validate eagerly so registration errors surface immediately.
@@ -628,8 +653,7 @@ func (s *Server) handleEngine(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		On bool `json:"on"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !readJSON(w, r, &req) {
 		return
 	}
 	s.platform.SetEngineAvailable(name, req.On)

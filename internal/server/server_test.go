@@ -599,3 +599,65 @@ func TestClusterEndpointAgentState(t *testing.T) {
 		t.Fatalf("post-reconcile desired/actual diff = %d", dto.DesiredActualDiff)
 	}
 }
+
+// Every request body the server reads is bounded: one byte over the limit is
+// answered with 413 and the usual {"error": …} shape — never cut to size and
+// accepted — and nothing is registered, profiled, toggled or armed. Each body
+// is valid up to the limit (a description with one long property, JSON
+// followed by blanks), so a server that truncated or stopped reading early
+// would have accepted it.
+func TestBodyLimit(t *testing.T) {
+	_, ts, p := newTestServer(t)
+	pad := func(body, fill string, size int) string {
+		return body + strings.Repeat(fill, size-len(body))
+	}
+	resp, body := do(t, "POST", ts.URL+"/api/operators/small", wordcountJava)
+	expectCode(t, resp, body, http.StatusCreated)
+
+	// At the limit a body is still served whole.
+	resp, body = do(t, "POST", ts.URL+"/api/operators/atlimit", pad(wordcountJava+"Optimization.pad=", "x", maxBodyBytes))
+	expectCode(t, resp, body, http.StatusCreated)
+
+	const over = maxBodyBytes + 1
+	pendingEvents := p.Clock.Pending()
+	for _, c := range []struct {
+		path, body string
+		untouched  func() bool
+	}{
+		{"/api/operators/big", pad(wordcountJava+"Optimization.pad=", "x", over), func() bool {
+			_, ok := p.Library.Operator("big")
+			return !ok
+		}},
+		{"/api/datasets/big", pad("Constraints.Engine.FS=HDFS\nOptimization.pad=", "x", over), func() bool {
+			_, ok := p.Library.Dataset("big")
+			return !ok
+		}},
+		{"/api/abstractOperators/big", pad("Constraints.OpSpecification.Algorithm.name=", "x", over), nil},
+		{"/api/workflows/big", pad("small,$$target", "\n", over), func() bool {
+			resp, _ := do(t, "GET", ts.URL+"/api/workflows/big", "")
+			return resp.StatusCode == http.StatusNotFound
+		}},
+		{"/api/operators/small/profile", pad(`{"records":[1000],"bytesPerRecord":1000,"resources":[{"nodes":1,"coresPerNode":2,"memMBPerNode":3456}]}`, " ", over), func() bool {
+			_, profiled := p.Profiler.Models("small")
+			return !profiled
+		}},
+		{"/api/engines/Spark/availability", pad(`{"on":false}`, " ", over), func() bool {
+			return p.Env.Available(ires.EngineSpark)
+		}},
+		{"/api/faults", pad(`{"nodeCrashes":[{"node":"node1","atSec":50}]}`, " ", over), func() bool {
+			return p.Clock.Pending() == pendingEvents // an armed crash is a clock event
+		}},
+	} {
+		resp, body := do(t, "POST", ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413 (%s)", c.path, len(c.body), resp.StatusCode, body)
+		}
+		var msg map[string]string
+		if err := json.Unmarshal([]byte(body), &msg); err != nil || msg["error"] == "" {
+			t.Errorf("POST %s: 413 body %q is not the error shape", c.path, body)
+		}
+		if c.untouched != nil && !c.untouched() {
+			t.Errorf("POST %s: refused with %d but took effect anyway", c.path, resp.StatusCode)
+		}
+	}
+}
