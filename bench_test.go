@@ -1,9 +1,8 @@
 package ires_test
 
-// One benchmark per paper table/figure (D3.3 §4 + the MuSQLE appendix),
-// each regenerating the corresponding experiment through the harnesses in
-// internal/experiments, plus micro-benchmarks of the planner-critical
-// paths. Run with:
+// One sub-benchmark per paper table/figure (D3.3 §4 + the MuSQLE appendix),
+// each regenerating the corresponding cell of internal/experiments, plus
+// micro-benchmarks of the planner-critical paths. Run with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -19,73 +18,23 @@ import (
 	"github.com/asap-project/ires/internal/sqldata"
 )
 
-// BenchmarkFig11GraphAnalytics regenerates Figure 11 (graph analytics,
-// single engines vs IReS across input scales).
-func BenchmarkFig11GraphAnalytics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig11(int64(i + 1)); err != nil {
-			b.Fatal(err)
+// BenchmarkCells regenerates every paper table and figure, one sub-benchmark
+// per cell of experiments.Cells at the -quick sweep sizes (the tracked
+// baselines have their own tier-1 test, TestTrackedBaselines):
+//
+//	go test -run '^$' -bench 'Cells/FIG11$' -benchtime=1x .
+func BenchmarkCells(b *testing.B) {
+	for _, c := range experiments.Cells {
+		if c.File != "" {
+			continue
 		}
-	}
-}
-
-// BenchmarkFig12TextAnalytics regenerates Figure 12 (text analytics with
-// hybrid plans).
-func BenchmarkFig12TextAnalytics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig12(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig13Relational regenerates Figure 13 (relational workflow over
-// three stores vs TPC-H scale).
-func BenchmarkFig13Relational(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig13(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig14PlannerScaling regenerates Figure 14 (planner time over the
-// five Pegasus categories; reduced sweep per iteration).
-func BenchmarkFig14PlannerScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig14([]int{30, 100, 300}, []int{4, 8}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig15EngineScaling regenerates Figure 15 (planner time vs engine
-// count for Montage/Epigenomics).
-func BenchmarkFig15EngineScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig15([]int{30, 100}, []int{2, 4, 6, 8}, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig16Modeling regenerates Figure 16a (estimation error vs
-// executions under online refinement).
-func BenchmarkFig16Modeling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig16a(50, int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig16bInfraChange regenerates Figure 16b (error under an
-// HDD->SSD swap).
-func BenchmarkFig16bInfraChange(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig16b(120, 60, int64(i+1)); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(c.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.Run(experiments.Params{Seed: int64(i + 1), Quick: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -121,67 +70,6 @@ func BenchmarkObserveThenPlan(b *testing.B) {
 		}
 		p.Drain()
 		if _, err := p.Plan(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig17Provisioning regenerates Figure 17 (NSGA-II resource
-// provisioning vs static min/max).
-func BenchmarkFig17Provisioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig17(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig20to22Replan regenerates Table 1 / Figures 18-22 (fault
-// tolerance: IResReplan vs TrivialReplan vs SubOptPlan).
-func BenchmarkFig20to22Replan(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FaultTolerance(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMusqleOptTime regenerates MuSQLE Figures 4-5 (optimization time
-// vs query size and engine count).
-func BenchmarkMusqleOptTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MusqleOptTime(int64(i+1), 2); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.MusqleEngineScaling(int64(i+1), 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMusqleExec regenerates MuSQLE Figures 7-10 (18-query workload,
-// multi-engine vs forced single engines at 20GB statistics).
-func BenchmarkMusqleExec(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MusqleExec(int64(i+1), 20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationDP regenerates the DP-vs-exhaustive planner ablation.
-func BenchmarkAblationDP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationDPvsExhaustive(int64(i + 1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationModelSelection regenerates the CV-selection ablation.
-func BenchmarkAblationModelSelection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationModelSelection(int64(i + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

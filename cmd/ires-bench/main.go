@@ -1,115 +1,83 @@
-// Command ires-bench regenerates every table and figure of the paper's
-// evaluation (D3.3 §4 plus the MuSQLE appendix) and prints them as text
-// reports. See EXPERIMENTS.md for the paper-vs-measured comparison.
+// Command ires-bench is the repo's one evaluation command. It walks the cell
+// table in internal/experiments: the tables and figures of the paper's
+// evaluation (D3.3 §4 plus the MuSQLE appendix) and the tracked benchmarks
+// behind the BENCH_*.json baselines. Every selected cell prints its reports;
+// a tracked cell also writes its baseline into -out and is held to its gate,
+// and a failed cell or gate is a non-zero exit. See EXPERIMENTS.md for the
+// cell table and the paper-vs-measured comparison.
 //
 // Usage:
 //
-//	ires-bench [-seed N] [-quick] [-only FIG11,FIG17,...]
+//	ires-bench [-seed N] [-quick] [-only FIG11,CKPT,...] [-out DIR]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
+	"runtime"
+	"runtime/pprof"
 
 	"github.com/asap-project/ires/internal/experiments"
 )
 
-func main() {
+func run() error {
 	seed := flag.Int64("seed", 42, "seed for every stochastic component")
-	quick := flag.Bool("quick", false, "reduced sweep sizes for a fast pass")
-	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
+	quick := flag.Bool("quick", false, "reduced figure sweeps for a fast pass (tracked baselines are never reduced)")
+	only := flag.String("only", "", "comma-separated cell ids to run (default: all)")
+	out := flag.String("out", "", "directory to write the selected tracked cells' BENCH_*.json into (empty: print only)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected cells to FILE")
+	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected cells to FILE")
 	flag.Parse()
 
-	wanted := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
-			wanted[id] = true
-		}
+	cells, err := experiments.Select(*only)
+	if err != nil {
+		return err
 	}
-	selected := func(id string) bool { return len(wanted) == 0 || wanted[id] }
-
-	sizes14 := []int{30, 100, 300, 1000}
-	reps := 3
-	fig16Runs, fig16bRuns, fig16bChange := 100, 180, 100
-	if *quick {
-		sizes14 = []int{30, 100}
-		reps = 1
-		fig16Runs, fig16bRuns, fig16bChange = 50, 80, 40
-	}
-
-	failures := 0
-	show := func(r *experiments.Report, err error) {
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiment failed:", err)
-			failures++
-			return
+			return err
 		}
-		fmt.Println(r.Render())
-	}
-	timed := func(id string, fn func()) {
-		if !selected(id) {
-			return
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
 		}
-		start := time.Now()
-		fn()
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		defer pprof.StopCPUProfile()
 	}
 
-	timed("FIG11", func() { show(experiments.Fig11(*seed)) })
-	timed("FIG12", func() { show(experiments.Fig12(*seed)) })
-	timed("FIG13", func() { show(experiments.Fig13(*seed)) })
-	timed("FIG14", func() {
-		rs, err := experiments.Fig14(sizes14, []int{4, 8}, reps)
-		if err != nil {
-			show(nil, err)
-			return
+	failed := 0
+	for _, c := range cells {
+		if err := experiments.RunCell(os.Stdout, c, experiments.Params{Seed: *seed, Quick: *quick}, *out); err != nil {
+			fmt.Fprintln(os.Stderr, "ires-bench:", err)
+			failed++
 		}
-		for _, r := range rs {
-			show(r, nil)
-		}
-	})
-	timed("FIG15", func() {
-		rs, err := experiments.Fig15(sizes14, []int{2, 4, 6, 8}, reps)
-		if err != nil {
-			show(nil, err)
-			return
-		}
-		for _, r := range rs {
-			show(r, nil)
-		}
-	})
-	timed("FIG16A", func() { show(experiments.Fig16a(fig16Runs, *seed)) })
-	timed("FIG16B", func() { show(experiments.Fig16b(fig16bRuns, fig16bChange, *seed)) })
-	timed("FIG17", func() {
-		tr, cr, err := experiments.Fig17(*seed)
-		if err != nil {
-			show(nil, err)
-			return
-		}
-		show(tr, nil)
-		show(cr, nil)
-	})
-	timed("FIG20-22", func() { show(experiments.FaultTolerance(*seed)) })
-	timed("FAULTSWEEP", func() { show(experiments.FaultSweep(*seed)) })
-	timed("SCHED", func() { show(experiments.SchedContention(*seed)) })
-	timed("SCHEDDL", func() { show(experiments.SchedDeadline(*seed)) })
-	timed("CKPT", func() { show(experiments.CkptReport(*seed)) })
-	timed("MQ-F4", func() { show(experiments.MusqleOptTime(*seed, reps)) })
-	timed("MQ-F5", func() { show(experiments.MusqleEngineScaling(*seed, reps)) })
-	timed("MQ-EXEC", func() {
-		for _, sf := range []float64{5, 20, 50} {
-			show(experiments.MusqleExec(*seed, sf))
-		}
-	})
-	timed("MQ-CORRECT", func() { show(experiments.MusqleCorrectness(*seed)) })
-	timed("ABL-DP", func() { show(experiments.AblationDPvsExhaustive(*seed)) })
-	timed("ABL-CV", func() { show(experiments.AblationModelSelection(*seed)) })
+	}
 
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failures)
+	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d cell(s) failed", failed)
+	}
+	return nil
+}
+
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "ires-bench:", err)
 		os.Exit(1)
 	}
 }

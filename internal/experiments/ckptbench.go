@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strconv"
 	"time"
 
@@ -52,7 +51,7 @@ type CkptRecoveryOutcome struct {
 }
 
 // CkptBench is the machine-readable result of the checkpointing gate
-// (cmd/bench-ckpt, `make bench-ckpt`). Two scenarios on the same seed:
+// (cell CKPT, `make bench-ckpt`). Two scenarios on the same seed:
 //
 //   - Latency: a long iterative workflow holds the cluster under the
 //     Deadline policy when an urgent deadlined workflow arrives. Without
@@ -80,7 +79,7 @@ type CkptBench struct {
 // checkpoints), strictly less re-executed virtual time after a mid-operator
 // crash, zero re-executed completed operators across the preemption arc, and
 // byte-identical fixed-seed traces for every scenario.
-func (b CkptBench) Gate() error {
+func (b *CkptBench) Gate() error {
 	const eps = 1.0 // one checkpoint write + boundary rounding slack
 	switch {
 	case b.LatencyCkpt.Preemptions == 0 || b.LatencyGran.Preemptions == 0:
@@ -254,15 +253,10 @@ func runCkptLatencyScenario(seed int64, ckpt ires.CheckpointPolicy) (*ckptLatenc
 	urgentRun := <-urgentCh
 
 	res := &ckptLatencyRun{}
-	var runIDs []string
+	if res.batch, res.traces, err = drained(p); err != nil {
+		return nil, err
+	}
 	for _, s := range p.Runs() {
-		if s.Status != "succeeded" {
-			return nil, fmt.Errorf("run %s (%s) ended %s: %s", s.ID, s.Workflow, s.Status, s.Error)
-		}
-		if s.FinishedSec > res.batch {
-			res.batch = s.FinishedSec
-		}
-		runIDs = append(runIDs, s.ID)
 		switch s.ID {
 		case urgentRun.ID():
 			res.urgentFinish = s.FinishedSec
@@ -282,16 +276,6 @@ func runCkptLatencyScenario(seed int64, ckpt ires.CheckpointPolicy) (*ckptLatenc
 	}
 	res.intervalSec = ckptWriteInterval(longTrace)
 	res.reExecuted = reExecutedOps(longTrace)
-
-	sort.Strings(runIDs)
-	var buf bytes.Buffer
-	for _, id := range runIDs {
-		fmt.Fprintf(&buf, "# run %s\n", id)
-		if err := trace.WriteJSONL(&buf, p.TraceForRun(id)); err != nil {
-			return nil, err
-		}
-	}
-	res.traces = buf.Bytes()
 	return res, nil
 }
 
@@ -425,13 +409,11 @@ func RunCkptRecovery(seed int64) (ckptOut, granOut CkptRecoveryOutcome, crashAtS
 		{"checkpointed", on, cleanCkpt, &ckptOut},
 		{"operator-granular", off, cleanGran, &granOut},
 	} {
-		first, err := runCkptRecoveryPass(seed, mc.ckpt, crashAt)
+		first, deterministic, err := twice(mc.mode+" crash pass",
+			func() (*ckptRecoveryRun, error) { return runCkptRecoveryPass(seed, mc.ckpt, crashAt) },
+			func(r *ckptRecoveryRun) []byte { return r.traces })
 		if err != nil {
-			return ckptOut, granOut, 0, fmt.Errorf("%s crash pass: %w", mc.mode, err)
-		}
-		second, err := runCkptRecoveryPass(seed, mc.ckpt, crashAt)
-		if err != nil {
-			return ckptOut, granOut, 0, fmt.Errorf("%s crash pass (repeat): %w", mc.mode, err)
+			return ckptOut, granOut, 0, err
 		}
 		*mc.out = CkptRecoveryOutcome{
 			Mode:           mc.mode,
@@ -441,7 +423,7 @@ func RunCkptRecovery(seed int64) (ckptOut, granOut CkptRecoveryOutcome, crashAtS
 			Restores:       first.restores,
 			RestoredUnits:  first.restoredUnits,
 			Writes:         first.writes,
-			Deterministic:  bytes.Equal(first.traces, second.traces),
+			Deterministic:  deterministic,
 		}
 	}
 	return ckptOut, granOut, crashAt.Seconds(), nil
@@ -458,13 +440,11 @@ func RunCkptBench(seed int64) (*CkptBench, error) {
 		{"checkpointed", ires.CheckpointPolicy{Enabled: true}, &bench.LatencyCkpt},
 		{"operator-granular", ires.CheckpointPolicy{}, &bench.LatencyGran},
 	} {
-		first, err := runCkptLatencyScenario(seed, mc.ckpt)
+		first, deterministic, err := twice(mc.mode+" latency scenario",
+			func() (*ckptLatencyRun, error) { return runCkptLatencyScenario(seed, mc.ckpt) },
+			func(r *ckptLatencyRun) []byte { return r.traces })
 		if err != nil {
-			return nil, fmt.Errorf("%s latency scenario: %w", mc.mode, err)
-		}
-		second, err := runCkptLatencyScenario(seed, mc.ckpt)
-		if err != nil {
-			return nil, fmt.Errorf("%s latency scenario (repeat): %w", mc.mode, err)
+			return nil, err
 		}
 		*mc.out = CkptLatencyOutcome{
 			Mode:              mc.mode,
@@ -475,7 +455,7 @@ func RunCkptBench(seed int64) (*CkptBench, error) {
 			Yields:            first.yields,
 			Writes:            first.writes,
 			ReExecutedOps:     first.reExecuted,
-			Deterministic:     bytes.Equal(first.traces, second.traces),
+			Deterministic:     deterministic,
 		}
 		if mc.mode == "checkpointed" {
 			bench.IntervalSec = first.intervalSec
@@ -492,12 +472,8 @@ func RunCkptBench(seed int64) (*CkptBench, error) {
 	return bench, nil
 }
 
-// CkptReport renders the benchmark as an ires-bench report.
-func CkptReport(seed int64) (*Report, error) {
-	b, err := RunCkptBench(seed)
-	if err != nil {
-		return nil, err
-	}
+// Report renders the benchmark as an ires-bench report.
+func (b *CkptBench) Report() *Report {
 	r := &Report{
 		ID:    "CKPT",
 		Title: "Sub-operator checkpointing: bounded preemption latency and crash recovery",
@@ -519,14 +495,12 @@ func CkptReport(seed int64) (*Report, error) {
 		})
 	}
 	r.Tables = append(r.Tables, lat, ckptRecoveryTable(b.RecoveryCkpt, b.RecoveryGran, b.CrashAtSec))
-	if err := b.Gate(); err != nil {
-		r.Note("GATE FAILED: %v", err)
-	} else {
+	if b.Gate() == nil {
 		r.Note("checkpointing bounds the preempt latency to %.2fs (one %.1fs interval; %.2fs unbounded) and cuts crash re-execution from %.1fs to %.1fs virtual-seconds on the same crash",
 			b.LatencyCkpt.PreemptLatencySec, b.IntervalSec, b.LatencyGran.PreemptLatencySec,
 			b.RecoveryGran.RecomputedSec, b.RecoveryCkpt.RecomputedSec)
 	}
-	return r, nil
+	return r
 }
 
 // ckptRecoveryTable renders the recovery comparison (shared with the

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	ires "github.com/asap-project/ires"
@@ -52,7 +50,7 @@ type DRFOvercommitOutcome struct {
 	Deterministic bool    `json:"deterministic"`
 }
 
-// DRFBench is the machine-readable result of the DRF gate (cmd/bench-drf,
+// DRFBench is the machine-readable result of the DRF gate (cell DRF,
 // `make bench-drf`): Dominant Resource Fairness must equalize the two
 // tenants' dominant shares in the early window where FIFO starves one of
 // them, and the oversubscribed workload must complete through the
@@ -67,7 +65,7 @@ type DRFBench struct {
 }
 
 // Gate returns an error unless every acceptance condition holds.
-func (b DRFBench) Gate() error {
+func (b *DRFBench) Gate() error {
 	switch {
 	case b.DRF.Spread > 0.10:
 		return fmt.Errorf("DRF dominant shares spread %.2f, want <= 0.10 (shares %+v)", b.DRF.Spread, b.DRF.Shares)
@@ -88,6 +86,48 @@ func (b DRFBench) Gate() error {
 	return nil
 }
 
+// Report renders the benchmark as an ires-bench report.
+func (b *DRFBench) Report() *Report {
+	r := &Report{ID: "DRF", Title: "Dominant Resource Fairness: dominant shares under contention, recovery under memory overcommit"}
+	fair := Table{
+		Title:  fmt.Sprintf("time-averaged dominant shares over the first %.0fs (cores-heavy vs memory-heavy tenant)", b.WindowSec),
+		Header: []string{"policy"},
+	}
+	for _, s := range b.DRF.Shares {
+		fair.Header = append(fair.Header, s.Tenant)
+	}
+	fair.Header = append(fair.Header, "spread", "min/max", "batch (s)", "deterministic")
+	for _, o := range []DRFFairnessOutcome{b.DRF, b.FIFO} {
+		row := []string{o.Policy}
+		for _, s := range o.Shares {
+			row = append(row, fmt.Sprintf("%.3f", s.AvgDominantShare))
+		}
+		fair.Rows = append(fair.Rows, append(row,
+			fmt.Sprintf("%.2f", o.Spread),
+			fmt.Sprintf("%.2f", o.MinMaxRatio),
+			fmt.Sprintf("%.1f", o.BatchSec),
+			fmt.Sprintf("%v", o.Deterministic)))
+	}
+	oc := b.Overcommit
+	over := Table{
+		Title:  "1.5x memory overcommit under an always-fire OOM killer, durable checkpoints",
+		Header: []string{"oom kills", "ckpt restores", "re-executed ops", "batch (s)", "deterministic"},
+		Rows: [][]string{{
+			fmt.Sprintf("%d", oc.OOMKills),
+			fmt.Sprintf("%d", oc.Restores),
+			fmt.Sprintf("%d", oc.ReExecutedOps),
+			fmt.Sprintf("%.1f", oc.BatchSec),
+			fmt.Sprintf("%v", oc.Deterministic),
+		}},
+	}
+	r.Tables = append(r.Tables, fair, over)
+	if b.Gate() == nil {
+		r.Note("DRF equalizes the two tenants' dominant shares (spread %.2f) where FIFO starves one (min/max %.2f); the oversubscribed batch finished through %d OOM kills with zero re-executed operators",
+			b.DRF.Spread, b.FIFO.MinMaxRatio, oc.OOMKills)
+	}
+	return r
+}
+
 // RunDRFBench executes both scenarios, each twice per policy for the
 // determinism check.
 func RunDRFBench(seed int64) (*DRFBench, error) {
@@ -100,30 +140,26 @@ func RunDRFBench(seed int64) (*DRFBench, error) {
 		{"DRF", func() ires.AdmissionPolicy { return ires.DRF(nil, 4) }, &bench.DRF},
 		{"FIFO", func() ires.AdmissionPolicy { return ires.FIFO() }, &bench.FIFO},
 	} {
-		first, err := runDRFFairnessScenario(seed, pc.adm())
+		first, deterministic, err := twice(pc.label,
+			func() (*drfFairnessResult, error) { return runDRFFairnessScenario(seed, pc.adm()) },
+			func(r *drfFairnessResult) []byte { return r.traces })
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pc.label, err)
-		}
-		second, err := runDRFFairnessScenario(seed, pc.adm())
-		if err != nil {
-			return nil, fmt.Errorf("%s (repeat): %w", pc.label, err)
+			return nil, err
 		}
 		*pc.out = first.DRFFairnessOutcome
 		pc.out.Policy = pc.label
-		pc.out.Deterministic = bytes.Equal(first.traces, second.traces)
+		pc.out.Deterministic = deterministic
 		pc.out.TraceBytes = len(first.traces)
 	}
 
-	first, err := runDRFOvercommitScenario(seed)
+	first, deterministic, err := twice("overcommit",
+		func() (*drfOvercommitResult, error) { return runDRFOvercommitScenario(seed) },
+		func(r *drfOvercommitResult) []byte { return r.traces })
 	if err != nil {
-		return nil, fmt.Errorf("overcommit: %w", err)
-	}
-	second, err := runDRFOvercommitScenario(seed)
-	if err != nil {
-		return nil, fmt.Errorf("overcommit (repeat): %w", err)
+		return nil, err
 	}
 	bench.Overcommit = first.DRFOvercommitOutcome
-	bench.Overcommit.Deterministic = bytes.Equal(first.traces, second.traces)
+	bench.Overcommit.Deterministic = deterministic
 	bench.Overcommit.TraceBytes = len(first.traces)
 	return bench, nil
 }
@@ -191,15 +227,8 @@ func runDRFFairnessScenario(seed int64, adm ires.AdmissionPolicy) (*drfFairnessR
 	p.Drain()
 
 	res := &drfFairnessResult{}
-	var runIDs []string
-	for _, s := range p.Runs() {
-		if s.Status != "succeeded" {
-			return nil, fmt.Errorf("run %s (%s) ended %s: %s", s.ID, s.Workflow, s.Status, s.Error)
-		}
-		if s.FinishedSec > res.BatchSec {
-			res.BatchSec = s.FinishedSec
-		}
-		runIDs = append(runIDs, s.ID)
+	if res.BatchSec, res.traces, err = drained(p); err != nil {
+		return nil, err
 	}
 
 	a := sums["compute"] / drfBenchWindowSec
@@ -209,16 +238,6 @@ func runDRFFairnessScenario(seed int64, adm ires.AdmissionPolicy) (*drfFairnessR
 		res.Spread = math.Abs(a-b) / max
 		res.MinMaxRatio = math.Min(a, b) / max
 	}
-
-	sort.Strings(runIDs)
-	var buf bytes.Buffer
-	for _, id := range runIDs {
-		fmt.Fprintf(&buf, "# run %s\n", id)
-		if err := trace.WriteJSONL(&buf, p.TraceForRun(id)); err != nil {
-			return nil, err
-		}
-	}
-	res.traces = buf.Bytes()
 	return res, nil
 }
 
@@ -271,15 +290,8 @@ func runDRFOvercommitScenario(seed int64) (*drfOvercommitResult, error) {
 	p.Drain()
 
 	res := &drfOvercommitResult{}
-	var runIDs []string
-	for _, s := range p.Runs() {
-		if s.Status != "succeeded" {
-			return nil, fmt.Errorf("run %s (%s) ended %s: %s", s.ID, s.Workflow, s.Status, s.Error)
-		}
-		if s.FinishedSec > res.BatchSec {
-			res.BatchSec = s.FinishedSec
-		}
-		runIDs = append(runIDs, s.ID)
+	if res.BatchSec, res.traces, err = drained(p); err != nil {
+		return nil, err
 	}
 	res.OOMKills = p.FaultStats().OOMKills
 	for _, ev := range p.TraceForRun(runA.ID()) {
@@ -288,15 +300,5 @@ func runDRFOvercommitScenario(seed int64) (*drfOvercommitResult, error) {
 		}
 	}
 	res.ReExecutedOps = reExecutedOps(p.TraceForRun(runA.ID()))
-
-	sort.Strings(runIDs)
-	var buf bytes.Buffer
-	for _, id := range runIDs {
-		fmt.Fprintf(&buf, "# run %s\n", id)
-		if err := trace.WriteJSONL(&buf, p.TraceForRun(id)); err != nil {
-			return nil, err
-		}
-	}
-	res.traces = buf.Bytes()
 	return res, nil
 }

@@ -30,7 +30,7 @@ const (
 )
 
 // FedBench is the machine-readable result of the federation gate
-// (cmd/bench-fed, `make bench-fed`).
+// (cell FED, `make bench-fed`).
 type FedBench struct {
 	Seed            int64   `json:"seed"`
 	Members         int     `json:"members"`
@@ -53,7 +53,7 @@ type FedBench struct {
 // cross-cluster replan, replanned runs restore mirrored checkpoints instead
 // of recomputing (zero re-executed units), and the whole scenario is
 // byte-identical across two fixed-seed executions.
-func (b FedBench) Gate() error {
+func (b *FedBench) Gate() error {
 	switch {
 	case b.AffectedRuns < 3:
 		return fmt.Errorf("only %d runs were in flight on the failed region — outage too late to matter", b.AffectedRuns)
@@ -288,13 +288,11 @@ func fedGraphNamed(name string) *workflow.Graph {
 // RunFedBench executes the federation outage scenario twice on one seed and
 // compares the full event traces byte-for-byte.
 func RunFedBench(seed int64) (*FedBench, error) {
-	first, err := runFedBenchPass(seed)
+	first, deterministic, err := twice("outage pass",
+		func() (*fedBenchPass, error) { return runFedBenchPass(seed) },
+		func(p *fedBenchPass) []byte { return p.traceJSON })
 	if err != nil {
 		return nil, err
-	}
-	second, err := runFedBenchPass(seed)
-	if err != nil {
-		return nil, fmt.Errorf("repeat pass: %w", err)
 	}
 	return &FedBench{
 		Seed:            seed,
@@ -310,6 +308,32 @@ func RunFedBench(seed int64) (*FedBench, error) {
 		RestoredUnits:   first.restored,
 		ReExecutedUnits: first.reExec,
 		MakespanSec:     first.makespan,
-		Deterministic:   bytes.Equal(first.traceJSON, second.traceJSON),
+		Deterministic:   deterministic,
 	}, nil
+}
+
+// Report renders the benchmark as an ires-bench report.
+func (b *FedBench) Report() *Report {
+	r := &Report{ID: "FED", Title: "Federation: a full region outage recovered by cross-cluster replans"}
+	r.Tables = append(r.Tables, Table{
+		Title: fmt.Sprintf("%d members x %d agents, %d checkpointing runs placed by data locality, region east fails at t=%.0fs",
+			b.Members, b.NodesPerMember, b.Runs, b.OutageAtSec),
+		Header: []string{"affected", "replanned", "moved", "total units", "executed", "from mirror", "re-executed", "makespan (s)", "deterministic"},
+		Rows: [][]string{{
+			fmt.Sprintf("%d", b.AffectedRuns),
+			fmt.Sprintf("%d", b.Replans),
+			fmt.Sprintf("%d", b.MovedRuns),
+			fmt.Sprintf("%d", b.TotalUnits),
+			fmt.Sprintf("%d", b.ExecutedUnits),
+			fmt.Sprintf("%d", b.RestoredUnits),
+			fmt.Sprintf("%d", b.ReExecutedUnits),
+			fmt.Sprintf("%.1f", b.MakespanSec),
+			fmt.Sprintf("%v", b.Deterministic),
+		}},
+	})
+	if b.Gate() == nil {
+		r.Note("all %d stranded runs finished on the surviving region, each replanned once, resuming %d checkpointed units from the mirror with none executed twice",
+			b.AffectedRuns, b.RestoredUnits)
+	}
+	return r
 }

@@ -19,8 +19,8 @@ import (
 // up and down is the worst case the partial-invalidation scheme is designed
 // for: the typed event's footprint touches two node results (mShrink and its
 // mJPEG dependent) out of the whole DAG, so a replan after the flap re-derives
-// those two and insert-replays everything else warm. The wholesale baseline
-// flushes the entire cache for the same flap.
+// those two and insert-replays everything else warm. The cold plan is the
+// cost a wholesale flush would pay for the same flap.
 
 // giantFlapEngine is the extra engine the flap benchmarks toggle.
 const giantFlapEngine = "flapEngine"
@@ -269,40 +269,12 @@ func (e *GiantDAGBench) BenchGiantFlapReplanPartial(b *testing.B) {
 	}
 }
 
-// BenchGiantFlapReplanWholesale is the baseline the tentpole replaces: the
-// same flap, but the whole cache is flushed before the replan.
-func (e *GiantDAGBench) BenchGiantFlapReplanWholesale(b *testing.B) {
-	b.ReportAllocs()
-	if _, err := e.P.Plan(e.G); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.flapUp.Store(i%2 != 0)
-		e.P.FlushCache()
-		if _, err := e.P.Plan(e.G); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	e.flapUp.Store(true)
-	e.P.FlushCache()
-	if _, err := e.P.Plan(e.G); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // GiantDAGReport is the giant-DAG section of BENCH_PLANNER.json.
 type GiantDAGReport struct {
 	Category  string               `json:"category"`
 	Operators int                  `json:"operators"`
 	Engines   int                  `json:"engines"`
 	Results   []PlannerBenchResult `json:"results"`
-	// PartialFlapSpeedup is wholesale flap-replan ns/op over partial
-	// flap-replan ns/op. Recorded, not gated: it falls whenever a cold node
-	// evaluation gets cheaper. The gate (cmd/bench-planner) is on the
-	// eviction counts below and on partial vs warm replan time.
-	PartialFlapSpeedup float64 `json:"partialFlapSpeedup"`
 	// PartialOverWarm is partial flap-replan ns/op over warm-replan ns/op:
 	// what re-deriving the evicted entries adds to a replan (gate: <= 1.5).
 	PartialOverWarm float64 `json:"partialOverWarm"`
@@ -315,8 +287,7 @@ type GiantDAGReport struct {
 }
 
 // RunGiantDAGBench builds the giant-DAG environment, runs the identity gate,
-// then measures the four cells and derives the partial-vs-wholesale speedup
-// and the partial-over-warm ratio.
+// then measures the three cells and derives the partial-over-warm ratio.
 func RunGiantDAGBench(size, engines int) (*GiantDAGReport, error) {
 	env, err := NewGiantDAGBench(size, engines)
 	if err != nil {
@@ -329,7 +300,6 @@ func RunGiantDAGBench(size, engines int) (*GiantDAGReport, error) {
 	cold := testing.Benchmark(env.BenchGiantPlanCold)
 	warm := testing.Benchmark(env.BenchGiantReplanWarm)
 	partial := testing.Benchmark(env.BenchGiantFlapReplanPartial)
-	wholesale := testing.Benchmark(env.BenchGiantFlapReplanWholesale)
 
 	report := &GiantDAGReport{
 		Category:  string(pegasus.Montage),
@@ -339,12 +309,8 @@ func RunGiantDAGBench(size, engines int) (*GiantDAGReport, error) {
 			toResult("BenchmarkGiantPlanCold", cold),
 			toResult("BenchmarkGiantReplanWarm", warm),
 			toResult("BenchmarkGiantFlapReplanPartial", partial),
-			toResult("BenchmarkGiantFlapReplanWholesale", wholesale),
 		},
 		FlapIdentical: true,
-	}
-	if partial.NsPerOp() > 0 {
-		report.PartialFlapSpeedup = float64(wholesale.NsPerOp()) / float64(partial.NsPerOp())
 	}
 	if warm.NsPerOp() > 0 {
 		report.PartialOverWarm = float64(partial.NsPerOp()) / float64(warm.NsPerOp())

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"testing"
 
 	ires "github.com/asap-project/ires"
@@ -16,6 +14,15 @@ import (
 // the DP table from scratch (cache flushed per iteration), a warm replan
 // replays a fault-recovery round with the tf-idf output already
 // materialized, and a warm Pareto build replays the multi-objective table.
+// The giant-DAG cell (giantdag.go) rides in the same report.
+
+// The sizes BENCH_PLANNER.json records: the Fig 12 input, and the giant
+// Montage DAG with its engine implementations per algorithm.
+const (
+	plannerBenchDocs  = 100_000
+	giantBenchSize    = 10_000
+	giantBenchEngines = 6
+)
 
 // PlannerBench is a reusable planner benchmark environment.
 type PlannerBench struct {
@@ -152,8 +159,7 @@ type PlannerBenchReport struct {
 	CacheHits   uint64 `json:"cacheHits"`
 	CacheMisses uint64 `json:"cacheMisses"`
 	CacheEpoch  uint64 `json:"cacheEpoch"`
-	// Giant holds the giant-DAG flap-replan measurements (see giantdag.go);
-	// nil when the giant cell was skipped.
+	// Giant holds the giant-DAG flap-replan measurements (see giantdag.go).
 	Giant *GiantDAGReport `json:"giantDAG,omitempty"`
 }
 
@@ -169,10 +175,11 @@ func toResult(name string, r testing.BenchmarkResult) PlannerBenchResult {
 }
 
 // RunPlannerBench executes the suite via testing.Benchmark and derives the
-// acceptance ratios. The warm-vs-cold identity check runs first so the
-// measurements are taken on a planner whose determinism was just verified.
-func RunPlannerBench(seed, docs int64) (*PlannerBenchReport, error) {
-	env, err := NewPlannerBench(seed, docs)
+// acceptance ratios, then runs the giant-DAG cell. The warm-vs-cold identity
+// check runs first so the measurements are taken on a planner whose
+// determinism was just verified.
+func RunPlannerBench(seed int64) (*PlannerBenchReport, error) {
+	env, err := NewPlannerBench(seed, plannerBenchDocs)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +207,7 @@ func RunPlannerBench(seed, docs int64) (*PlannerBenchReport, error) {
 
 	report := &PlannerBenchReport{
 		Seed: seed,
-		Docs: docs,
+		Docs: plannerBenchDocs,
 		Results: []PlannerBenchResult{
 			toResult("BenchmarkPlanCold", cold),
 			toResult("BenchmarkReplanWarm", warm),
@@ -218,12 +225,77 @@ func RunPlannerBench(seed, docs int64) (*PlannerBenchReport, error) {
 	}
 	cs := env.P.PlannerCacheStats()
 	report.CacheHits, report.CacheMisses, report.CacheEpoch = cs.Hits, cs.Misses, cs.Epoch
+	if report.Giant, err = RunGiantDAGBench(giantBenchSize, giantBenchEngines); err != nil {
+		return nil, err
+	}
 	return report, nil
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *PlannerBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// Gate returns an error unless warm replans evaluate no node, stay above the
+// 1.5x-speedup and 50%-fewer-allocations floors and reproduce the cold
+// plans, and the giant-DAG flap replans evict at most 2 entries per
+// invalidation, cost at most 1.5x a warm replan and reproduce the cold plans.
+func (report *PlannerBenchReport) Gate() error {
+	// What a warm replan promises is that it evaluates no node and
+	// builds no row, so that is gated on exact counts. The speed-up
+	// divides by the cold plan and falls whenever cold evaluation gets
+	// cheaper (6.2x before PR 17, 3.1-4.7x after, the memo working the
+	// same): it stays only as a floor no working memo can miss.
+	if report.WarmReplanMisses != 0 || report.WarmReplanRows != 0 {
+		return fmt.Errorf("warm replans evaluated %d nodes and built %d rows; a warm replan does neither",
+			report.WarmReplanMisses, report.WarmReplanRows)
+	}
+	if report.ReplanSpeedup < 1.5 {
+		return fmt.Errorf("warm replan speedup %.2fx below the 1.5x floor", report.ReplanSpeedup)
+	}
+	if report.AllocReduction < 0.5 {
+		return fmt.Errorf("allocation reduction %.0f%% below the 50%% floor", report.AllocReduction*100)
+	}
+	if !report.WarmIdentical {
+		return fmt.Errorf("warm plans diverged from cold references")
+	}
+	if g := report.Giant; g != nil {
+		// What partial invalidation promises, stated without the
+		// wholesale baseline in the denominator: a flap evicts a handful
+		// of entries, and replanning after it costs about a warm replan.
+		if g.EvictedEntries > 2*g.PartialInvalidations {
+			return fmt.Errorf("giant-DAG flaps evicted %d entries over %d partial invalidations, above 2 per invalidation",
+				g.EvictedEntries, g.PartialInvalidations)
+		}
+		if g.PartialOverWarm > 1.5 {
+			return fmt.Errorf("giant-DAG partial flap replan costs %.2fx a warm replan, above the 1.5x ceiling", g.PartialOverWarm)
+		}
+		if !g.FlapIdentical {
+			return fmt.Errorf("giant-DAG flap replans diverged from cold references")
+		}
+	}
+	return nil
+}
+
+// Report renders the measurements as an ires-bench report.
+func (report *PlannerBenchReport) Report() *Report {
+	r := &Report{ID: "PLANNER", Title: "Incremental planner: cold plan, warm replan, warm Pareto, giant-DAG flap replan"}
+	table := func(title string, results []PlannerBenchResult) {
+		t := Table{Title: title, Header: []string{"ns/op", "B/op", "allocs/op", "benchmark"}}
+		for _, res := range results {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", res.NsPerOp),
+				fmt.Sprintf("%d", res.BytesPerOp),
+				fmt.Sprintf("%d", res.AllocsPerOp),
+				"  " + res.Name,
+			})
+		}
+		r.Tables = append(r.Tables, t)
+	}
+	table(fmt.Sprintf("Fig 12 text workflow, %d documents", report.Docs), report.Results)
+	r.Note("replan speedup %.1fx (cold plan vs warm replan), allocation reduction %.0f%%, warm identical %v",
+		report.ReplanSpeedup, report.AllocReduction*100, report.WarmIdentical)
+	r.Note("cache hits/misses %d/%d (epoch %d); timed warm replans caused %d misses and %d rows",
+		report.CacheHits, report.CacheMisses, report.CacheEpoch, report.WarmReplanMisses, report.WarmReplanRows)
+	if g := report.Giant; g != nil {
+		table(fmt.Sprintf("giant DAG: %s, %d operators, %d engines/algorithm", g.Category, g.Operators, g.Engines), g.Results)
+		r.Note("giant-DAG partial flap replan costs %.2fx a warm replan; flap identical %v; %d partial invalidations evicted %d entries",
+			g.PartialOverWarm, g.FlapIdentical, g.PartialInvalidations, g.EvictedEntries)
+	}
+	return r
 }

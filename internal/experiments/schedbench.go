@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	ires "github.com/asap-project/ires"
@@ -30,7 +28,7 @@ type SchedPolicyOutcome struct {
 }
 
 // SchedDeadlineBench is the machine-readable result of the scheduling gate
-// (cmd/bench-sched, `make bench-sched`). The scenario: a long text workflow
+// (cell SCHEDDL, `make bench-sched`). The scenario: a long text workflow
 // holds the whole cluster when a small urgent workflow with a deadline
 // arrives. FIFO makes the urgent run wait out the long one and misses the
 // deadline; the Deadline (EDF) policy preempts the long run at its next
@@ -50,7 +48,7 @@ type SchedDeadlineBench struct {
 // misses), preemption actually happened and resumed without re-running
 // completed operators, and both policies produced byte-identical per-run
 // traces across two executions.
-func (b SchedDeadlineBench) Gate() error {
+func (b *SchedDeadlineBench) Gate() error {
 	switch {
 	case b.FIFO.MeetsDeadline:
 		return fmt.Errorf("FIFO met the %.0fs deadline (urgent finished %.1fs) — scenario has no contention", b.DeadlineSec, b.FIFO.UrgentFinishSec)
@@ -101,13 +99,11 @@ func RunSchedDeadlineBench(seed int64) (*SchedDeadlineBench, error) {
 		{"FIFO", func() ires.AdmissionPolicy { return ires.FIFO() }, &bench.FIFO},
 		{"Deadline", func() ires.AdmissionPolicy { return ires.Deadline() }, &bench.EDF},
 	} {
-		first, err := runSchedDeadlineScenario(seed, pc.adm(), deadline)
+		first, deterministic, err := twice(pc.label,
+			func() (*schedScenarioResult, error) { return runSchedDeadlineScenario(seed, pc.adm(), deadline) },
+			func(r *schedScenarioResult) []byte { return r.traces })
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", pc.label, err)
-		}
-		second, err := runSchedDeadlineScenario(seed, pc.adm(), deadline)
-		if err != nil {
-			return nil, fmt.Errorf("%s (repeat): %w", pc.label, err)
+			return nil, err
 		}
 		*pc.out = SchedPolicyOutcome{
 			Policy:          pc.label,
@@ -118,7 +114,7 @@ func RunSchedDeadlineBench(seed int64) (*SchedDeadlineBench, error) {
 			SuspendedSec:    first.suspendedSec,
 			ReExecutedOps:   first.reExecuted,
 			TraceBytes:      len(first.traces),
-			Deterministic:   bytes.Equal(first.traces, second.traces),
+			Deterministic:   deterministic,
 		}
 	}
 	return bench, nil
@@ -162,15 +158,10 @@ func runSchedDeadlineScenario(seed int64, adm ires.AdmissionPolicy, deadlineSec 
 	urgentRun := <-urgentCh
 
 	res := &schedScenarioResult{}
-	var runIDs []string
+	if res.batch, res.traces, err = drained(p); err != nil {
+		return nil, err
+	}
 	for _, s := range p.Runs() {
-		if s.Status != "succeeded" {
-			return nil, fmt.Errorf("run %s (%s) ended %s: %s", s.ID, s.Workflow, s.Status, s.Error)
-		}
-		if s.FinishedSec > res.batch {
-			res.batch = s.FinishedSec
-		}
-		runIDs = append(runIDs, s.ID)
 		switch s.ID {
 		case urgentRun.ID():
 			res.urgentFinish = s.FinishedSec
@@ -180,16 +171,6 @@ func runSchedDeadlineScenario(seed int64, adm ires.AdmissionPolicy, deadlineSec 
 		}
 	}
 	res.reExecuted = reExecutedOps(p.TraceForRun(longRun.ID()))
-
-	sort.Strings(runIDs)
-	var buf bytes.Buffer
-	for _, id := range runIDs {
-		fmt.Fprintf(&buf, "# run %s\n", id)
-		if err := trace.WriteJSONL(&buf, p.TraceForRun(id)); err != nil {
-			return nil, err
-		}
-	}
-	res.traces = buf.Bytes()
 	return res, nil
 }
 
@@ -213,12 +194,8 @@ func reExecutedOps(events []trace.Event) int {
 	return re
 }
 
-// SchedDeadline renders the benchmark as an ires-bench report table.
-func SchedDeadline(seed int64) (*Report, error) {
-	b, err := RunSchedDeadlineBench(seed)
-	if err != nil {
-		return nil, err
-	}
+// Report renders the benchmark as an ires-bench report table.
+func (b *SchedDeadlineBench) Report() *Report {
 	r := &Report{
 		ID:    "SCHEDDL",
 		Title: "Deadline scheduling: EDF preemption vs FIFO on a contended cluster",
@@ -241,11 +218,9 @@ func SchedDeadline(seed int64) (*Report, error) {
 		})
 	}
 	r.Tables = append(r.Tables, table)
-	if err := b.Gate(); err != nil {
-		r.Note("GATE FAILED: %v", err)
-	} else {
+	if b.Gate() == nil {
 		r.Note("Deadline meets the %.0fs deadline FIFO misses (%.1fs vs %.1fs urgent finish); the preempted run resumed from its done set with zero re-executed operators.",
 			b.DeadlineSec, b.EDF.UrgentFinishSec, b.FIFO.UrgentFinishSec)
 	}
-	return r, nil
+	return r
 }

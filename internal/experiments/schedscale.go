@@ -44,7 +44,7 @@ type SchedScalePolicy struct {
 }
 
 // SchedScaleBench is the machine-readable result of the fleet-scale
-// scheduling gate (cmd/bench-sched-scale, `make bench-sched-scale`): a full
+// scheduling gate (cell SCHEDSCALE, `make bench-sched-scale`): a full
 // cluster with 1k–100k queued runs, measuring decision-round throughput and
 // allocations per round over queue depth.
 type SchedScaleBench struct {
@@ -60,7 +60,7 @@ type SchedScaleBench struct {
 // that scanned the queue would lose the depth ratio, 100x), and allocations
 // per decision at the deepest point do not exceed max(2x, +4) of the
 // shallowest.
-func (b SchedScaleBench) Gate() error {
+func (b *SchedScaleBench) Gate() error {
 	if len(b.Policies) == 0 {
 		return fmt.Errorf("no policies measured")
 	}
@@ -148,14 +148,14 @@ func measureRate(f func(), batch int, budget time.Duration) float64 {
 	}
 }
 
+// scaleDepths are the queued-run depths each policy is measured at.
+var scaleDepths = []int{1_000, 10_000, 50_000, 100_000}
+
 // RunSchedScaleBench executes the benchmark: for each policy and queue
 // depth it builds a fully reserved cluster with depth queued runs, then
 // measures hold-decision rounds per second and heap allocations per round.
-func RunSchedScaleBench(seed int64, depths []int) (*SchedScaleBench, error) {
-	if len(depths) == 0 {
-		depths = []int{1_000, 10_000, 50_000, 100_000}
-	}
-	bench := &SchedScaleBench{Seed: seed, Nodes: scaleNodes, Depths: depths}
+func RunSchedScaleBench(seed int64) (*SchedScaleBench, error) {
+	bench := &SchedScaleBench{Seed: seed, Nodes: scaleNodes, Depths: scaleDepths}
 	policies := []scheduler.Policy{
 		scheduler.FIFO{},
 		scheduler.Deadline{},
@@ -163,7 +163,7 @@ func RunSchedScaleBench(seed int64, depths []int) (*SchedScaleBench, error) {
 	}
 	for _, policy := range policies {
 		curve := SchedScalePolicy{Policy: policy.Name()}
-		for _, depth := range depths {
+		for _, depth := range scaleDepths {
 			sched, err := newScaleScheduler(policy, depth, seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s depth %d: %w", policy.Name(), depth, err)
@@ -179,4 +179,26 @@ func RunSchedScaleBench(seed int64, depths []int) (*SchedScaleBench, error) {
 		bench.Policies = append(bench.Policies, curve)
 	}
 	return bench, nil
+}
+
+// Report renders the benchmark as an ires-bench report: each policy's curve
+// over queue depth (the policy name goes last, it is wider than a column).
+func (b *SchedScaleBench) Report() *Report {
+	r := &Report{ID: "SCHEDSCALE", Title: "Fleet-scale scheduling: the cost of a decision round over queue depth"}
+	t := Table{
+		Title:  fmt.Sprintf("hold-decision rounds on a fully reserved %d-node cluster", b.Nodes),
+		Header: []string{"queued runs", "decisions/s", "allocs/decision", "policy"},
+	}
+	for _, p := range b.Policies {
+		for _, pt := range p.Points {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", pt.Depth),
+				fmt.Sprintf("%.0f", pt.DecisionsPerSec),
+				fmt.Sprintf("%.1f", pt.AllocsPerDecision),
+				"  " + p.Policy,
+			})
+		}
+	}
+	r.Tables = append(r.Tables, t)
+	return r
 }

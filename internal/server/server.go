@@ -688,12 +688,30 @@ func (s *Server) PreloadLibrary(dir string) error {
 	return nil
 }
 
-// ListenAndServe runs the server on addr until the listener fails.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
+// Every handler answers in virtual time — milliseconds of wall time — so a
+// minute per phase is generous, and without the bounds a client that
+// trickles a body, never finishes one or never reads the response pins a
+// goroutine and a connection for as long as it likes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer builds the http.Server ListenAndServe runs.
+func (s *Server) httpServer(addr string) *http.Server {
+	return &http.Server{
 		Addr:              addr,
 		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
-	return srv.ListenAndServe()
+}
+
+// ListenAndServe runs the server on addr until the listener fails.
+func (s *Server) ListenAndServe(addr string) error {
+	return s.httpServer(addr).ListenAndServe()
 }

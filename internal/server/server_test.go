@@ -206,6 +206,23 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// The server ListenAndServe runs bounds every phase of a connection, and the
+// bounds do not get in the way of an ordinary request.
+func TestHTTPServerTimeouts(t *testing.T) {
+	s, _, _ := newTestServer(t)
+	srv := s.httpServer("127.0.0.1:0")
+	if srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("unbounded connection phase: read=%v write=%v idle=%v header=%v",
+			srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout, srv.ReadHeaderTimeout)
+	}
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = srv
+	ts.Start()
+	defer ts.Close()
+	resp, body := do(t, "GET", ts.URL+"/healthz", "")
+	expectCode(t, resp, body, http.StatusOK)
+}
+
 func TestRoundTripDescriptions(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	setupWordcount(t, ts)

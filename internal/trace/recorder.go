@@ -53,6 +53,7 @@ func NewRecorder(max int) *Recorder {
 	reg.Help("ires_profiler_fits_total", "times an operator's models were brought up to date, at the first read after its buffer changed")
 	reg.Help("ires_profiler_selections_total", "cross-validated model-family selections, one per refitted target")
 	reg.Help("ires_profiler_fit_errors_total", "model fits that failed and kept the previous models")
+	reg.Help("ires_trace_dropped_total", "events aged out of the recorder's bounded window; non-zero means trace reads return a truncated log")
 	reg.Help("ires_vtime_seconds", "current virtual time of the simulation")
 	reg.Help("ires_runs_submitted_total", "workflow runs submitted to the scheduler")
 	reg.Help("ires_runs_admitted_total", "workflow runs admitted (granted a node lease)")

@@ -303,10 +303,12 @@ type Platform struct {
 	recorder *trace.Recorder
 	tracer   trace.Tracer
 
-	// refineMu guards refinePublished: the profiler refinement counters
-	// already folded into the registry by Metrics.
-	refineMu        sync.Mutex
-	refinePublished profiler.RefinementStats
+	// refineMu guards refinePublished and droppedPublished: the profiler
+	// refinement counters and the recorder's dropped-event count already
+	// folded into the registry by Metrics.
+	refineMu         sync.Mutex
+	refinePublished  profiler.RefinementStats
+	droppedPublished int64
 }
 
 // NewPlatform builds a platform with the default engine deployment.
@@ -903,7 +905,9 @@ func (p *Platform) BlacklistedEngines() []string {
 // replans, fault injections, container churn, virtual time). The profiler's
 // refinement counters (ires_profiler_*_total) are folded in here, on read, so
 // that Observe stays off the registry's lock; observations over fits is the
-// coalescing factor of the deferred model fits.
+// coalescing factor of the deferred model fits. So is
+// ires_trace_dropped_total, the events that aged out of the recorder's
+// window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
 func (p *Platform) Metrics() *MetricsRegistry {
 	reg := p.recorder.Registry()
 	p.refineMu.Lock()
@@ -914,6 +918,9 @@ func (p *Platform) Metrics() *MetricsRegistry {
 	reg.Inc("ires_profiler_selections_total", nil, float64(cur.Selections-last.Selections))
 	reg.Inc("ires_profiler_fit_errors_total", nil, float64(cur.FitErrors-last.FitErrors))
 	p.refinePublished = cur
+	dropped := p.recorder.Dropped()
+	reg.Inc("ires_trace_dropped_total", nil, float64(dropped-p.droppedPublished))
+	p.droppedPublished = dropped
 	return reg
 }
 

@@ -136,6 +136,36 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	}
 }
 
+// A recorder that aged events out of its window says so in the registry:
+// without the counter a truncated TraceForRun looks like a complete one.
+func TestMetricsReportDroppedTraceEvents(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metrics().Value("ires_trace_dropped_total", nil); got != 0 {
+		t.Fatalf("ires_trace_dropped_total = %v on a fresh platform, want 0", got)
+	}
+	for i := 0; i < trace.DefaultMaxEvents+7; i++ {
+		p.recorder.Emit(trace.Event{Type: trace.EvAttemptRetry})
+	}
+	reg := p.Metrics()
+	if got := reg.Value("ires_trace_dropped_total", nil); got != 7 {
+		t.Errorf("ires_trace_dropped_total = %v, want 7", got)
+	}
+	// Folded in as a delta since the last read: a second call counts nothing twice.
+	if got := p.Metrics().Value("ires_trace_dropped_total", nil); got != 7 {
+		t.Errorf("ires_trace_dropped_total = %v after a second Metrics call, want 7", got)
+	}
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "# HELP ires_trace_dropped_total") {
+		t.Error("Prometheus exposition missing the ires_trace_dropped_total HELP line")
+	}
+}
+
 // TraceSeq/TraceSince window a single run's timeline out of the recorder.
 func TestTraceSinceWindowsOneRun(t *testing.T) {
 	p, err := NewPlatform(Options{Seed: 5})
