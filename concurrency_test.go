@@ -551,3 +551,46 @@ func TestExecuteWhilePlanningRace(t *testing.T) {
 	wg.Wait()
 	assertOperatorsUnchanged(t, p, before)
 }
+
+// InjectFaults and UseTrivialReplanner may be called while an Execute is in
+// flight: an executor takes its fault schedule and replanner once, under the
+// platform lock, when it is built, so the execution under way keeps what it
+// started with and the next one sees the new wiring. Run with -race: Execute
+// used to read both from a shared executor the two calls wrote.
+func TestInjectFaultsDuringExecute(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTextOps(t, p)
+	wf := textWorkflow(t, p, 1_000)
+	plan, err := p.Plan(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inFlight := make(chan struct{})
+	var once sync.Once
+	p.SetRunObserver(func(string, *RunMetrics) { once.Do(func() { close(inFlight) }) })
+	errc := make(chan error, 1)
+	go func() {
+		_, err := p.Execute(wf, plan)
+		errc <- err
+	}()
+	<-inFlight // the first operator has run, the second is still to come
+	if err := p.InjectFaults(FaultConfig{Seed: 4, Straggler: StragglerFaults{Prob: 1, Factor: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	p.UseTrivialReplanner()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.FaultStats().Stragglers; got != 0 {
+		t.Fatalf("%d stragglers injected into the execution that was already in flight", got)
+	}
+	if _, err := p.Execute(wf, plan); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.FaultStats().Stragglers; got == 0 {
+		t.Fatal("no straggler injected into the execution started after InjectFaults")
+	}
+}

@@ -227,7 +227,7 @@ func (p *Planner) ensureCacheValidLocked() {
 	wholesale := pend.wholesale ||
 		epoch != p.cache.validity.epoch ||
 		(libDelta != 0 && pend.lib < libDelta) ||
-		len(p.cache.nodes) > p.maxCached
+		len(p.cache.nodes) > maxCachedNodes
 	if wholesale {
 		p.flushLocked()
 		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}

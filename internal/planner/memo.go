@@ -34,13 +34,13 @@ import (
 	"github.com/asap-project/ires/internal/workflow"
 )
 
-// defaultMaxCachedNodes bounds the number of memoized node results (scalar +
+// maxCachedNodes bounds the number of memoized node results (scalar +
 // Pareto) held between builds; exceeding it clears the cache wholesale at the
 // next build boundary (never mid-build, so one build never mixes entry
-// generations). Config.MaxCachedNodes overrides it — the default is sized for
-// the 10k-operator Pegasus stress DAGs. Every other cache map grows only with
-// the entries node results hold, so this one bound covers them.
-const defaultMaxCachedNodes = 65536
+// generations). It is sized for the 10k-operator Pegasus stress DAGs. Every
+// other cache map grows only with the entries node results hold, so this one
+// bound covers them.
+const maxCachedNodes = 65536
 
 // sig is a 128-bit structural digest: two independent multiply-rotate
 // streams over 64-bit words. Its values are process-internal — never traced,

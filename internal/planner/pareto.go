@@ -134,7 +134,7 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 			if !mo.AcceptsInput(i, tin.meta) {
 				choice.moved = true
 				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
-				choice.moveCost = choice.moveTime * p.cfg.MoveCostRate
+				choice.moveCost = choice.moveTime // one cost unit per second moved
 				v = pVec{tin.time + choice.moveTime, tin.money + choice.moveCost}
 			}
 			options, optionVec = append(options, choice), append(optionVec, v)

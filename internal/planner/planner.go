@@ -85,8 +85,6 @@ type Config struct {
 	// MoveSeconds estimates the duration of moving n bytes between engines;
 	// nil uses a 100MB/s + 1.5s default.
 	MoveSeconds func(bytes int64) float64
-	// MoveCostRate converts move seconds into monetary cost units.
-	MoveCostRate float64
 	// Objective is the optimization policy (default MinTime).
 	Objective Objective
 	// EngineAvailable filters engines during planning; nil admits all.
@@ -115,10 +113,6 @@ type Config struct {
 	// deliberately not trace-event fields: warm and cold builds must emit
 	// byte-identical traces.
 	Metrics *trace.Registry
-	// MaxCachedNodes bounds the memoized node results held between builds;
-	// exceeding it flushes wholesale at the next build boundary. 0 uses the
-	// default (sized for 10k-operator DAGs).
-	MaxCachedNodes int
 }
 
 // Planner computes optimal materialized plans for abstract workflows.
@@ -126,8 +120,7 @@ type Config struct {
 // build runs on the calling goroutine alone (a candidate evaluation costs a
 // few microseconds, about what handing it to another goroutine would).
 type Planner struct {
-	cfg       Config
-	maxCached int
+	cfg Config
 
 	mu    sync.Mutex
 	cache planCache
@@ -172,9 +165,6 @@ func New(cfg Config) (*Planner, error) {
 			return 1.5 + float64(bytes)/100e6
 		}
 	}
-	if cfg.MoveCostRate == 0 {
-		cfg.MoveCostRate = 1.0
-	}
 	if cfg.Objective == nil {
 		cfg.Objective = MinTime
 	}
@@ -189,11 +179,7 @@ func New(cfg Config) (*Planner, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
 	}
-	maxCached := cfg.MaxCachedNodes
-	if maxCached == 0 {
-		maxCached = defaultMaxCachedNodes
-	}
-	p := &Planner{cfg: cfg, maxCached: maxCached, dp: make(table), feats: make(map[string]float64)}
+	p := &Planner{cfg: cfg, dp: make(table), feats: make(map[string]float64)}
 	// Library mutations announce themselves as typed events, so the build
 	// boundary can re-match cached footprints instead of flushing wholesale.
 	cfg.Library.AddChangeListener(p.libraryChanged)
@@ -593,7 +579,7 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp t
 				// checkMove: a single move/transform bridges the mismatch.
 				choice.moved = true
 				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
-				choice.moveCost = choice.moveTime * p.cfg.MoveCostRate
+				choice.moveCost = choice.moveTime // one cost unit per second moved
 				cost += obj(choice.moveTime, choice.moveCost)
 			}
 			if best.entry == nil || cost < bestCost {

@@ -209,8 +209,8 @@ func (x *stateIndex) suspendLanded(r *Run, now time.Duration) {
 	x.fair.enqueue(r, now)
 }
 
-// wokeSuspended removes a suspended run woken for cancellation.
-func (x *stateIndex) wokeSuspended(r *Run) {
+// unsuspendTerminal removes a suspended run that will never resume (cancel).
+func (x *stateIndex) unsuspendTerminal(r *Run) {
 	x.suspendedOrder = removeRun(x.suspendedOrder, r)
 	x.edf.remove(r)
 	x.fair.remove(r)
@@ -233,11 +233,8 @@ func (x *stateIndex) resized(r *Run, nodes int, now time.Duration) {
 // naiveStateLocked rebuilds the policy input from scratch out of the run
 // records — the seed scheduler's O(n)-per-event path — so CheckIndex can
 // compare the incrementally maintained index against an independent source
-// of truth. Classification matches the policy-visible contract (scheduler
-// membership, not bare run status): a canceled suspended run is pulled from
-// the schedulable sets synchronously under s.mu, while its status flips to
-// terminal only when its parked goroutine finalizes in real time — status
-// alone would transiently disagree with what policies may act on. s.mu held.
+// of truth: the live records, classified by the active / suspended maps,
+// which the index never reads. s.mu held.
 func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspended []RunState) {
 	for _, rec := range s.records {
 		r := rec.run
@@ -260,10 +257,8 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 // CheckIndex verifies every incrementally maintained structure against a
 // naive from-scratch rebuild: queue/active/suspended membership and order,
 // EDF heap size and head, fair-tree registration, and the cached node
-// counters (via cluster.CheckInvariants). It must be called at a quiescent
-// point of the virtual-time schedule (e.g. from a clock callback): a run
-// between its terminal status flip and its index removal would otherwise
-// read as a transient mismatch.
+// counters (via cluster.CheckInvariants). Status, set membership and index
+// entries change together under s.mu, so it may be called at any time.
 func (s *Scheduler) CheckIndex() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

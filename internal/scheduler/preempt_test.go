@@ -3,6 +3,8 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"github.com/asap-project/ires/internal/cluster"
 	"github.com/asap-project/ires/internal/executor"
 	"github.com/asap-project/ires/internal/planner"
+	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/vtime"
 	"github.com/asap-project/ires/internal/workflow"
 )
@@ -29,12 +32,14 @@ func newSusRecord() *susRecord {
 // susExec is a preemptible stub: it simulates steps sequential operator
 // steps of stepDur each, polling the cancel and suspend probes at every step
 // boundary like the real executor, and supports Resume by skipping the steps
-// named in the done set.
+// named in the done set. A non-zero drain models in-flight gangs: a suspend
+// request lands only that much later, without polling the probes again.
 type susExec struct {
 	clock   *vtime.Clock
 	ctx     ExecContext
 	steps   int
 	stepDur time.Duration
+	drain   time.Duration
 	rec     *susRecord
 }
 
@@ -53,6 +58,9 @@ func (e *susExec) run(start int) (*executor.Result, error) {
 			return nil, executor.ErrCanceled
 		}
 		if e.ctx.Suspend() {
+			if e.drain > 0 {
+				e.ctx.Party.WaitUntil(e.clock.Now() + e.drain)
+			}
 			return &executor.Result{
 				Makespan:      e.clock.Now() - begin,
 				Intermediates: susDone(i),
@@ -84,25 +92,28 @@ func (e *susExec) Resume(g *workflow.Graph, done []planner.MaterializedIntermedi
 // by run ID (fallback 4 x 10s). estimates (optional) feeds Config.Estimate
 // keyed by graph target.
 type susRig struct {
-	clock *vtime.Clock
-	clu   *cluster.Cluster
-	sched *Scheduler
-	rec   *susRecord
+	clock  *vtime.Clock
+	clu    *cluster.Cluster
+	sched  *Scheduler
+	rec    *susRecord
+	events *trace.Recorder
 }
 
 type susSpec struct {
 	steps   int
 	stepDur time.Duration
+	drain   time.Duration
 }
 
 func newSusRig(t *testing.T, nodes int, policy Policy, specs map[string]susSpec, estimates map[string][2]float64) *susRig {
 	t.Helper()
-	rig := &susRig{clock: vtime.NewClock(), rec: newSusRecord()}
+	rig := &susRig{clock: vtime.NewClock(), rec: newSusRecord(), events: trace.NewRecorder(1 << 12)}
 	rig.clu = cluster.New(rig.clock, nodes, 8, 16384)
 	cfg := Config{
 		Clock:   rig.clock,
 		Cluster: rig.clu,
 		Policy:  policy,
+		Tracer:  rig.events,
 		Plan: func(g *workflow.Graph) (*planner.Plan, error) {
 			return &planner.Plan{Target: g.Target}, nil
 		},
@@ -111,7 +122,7 @@ func newSusRig(t *testing.T, nodes int, policy Policy, specs map[string]susSpec,
 			if !ok {
 				spec = susSpec{steps: 4, stepDur: 10 * time.Second}
 			}
-			return &susExec{clock: rig.clock, ctx: ctx, steps: spec.steps, stepDur: spec.stepDur, rec: rig.rec}
+			return &susExec{clock: rig.clock, ctx: ctx, steps: spec.steps, stepDur: spec.stepDur, drain: spec.drain, rec: rig.rec}
 		},
 	}
 	if estimates != nil {
@@ -241,30 +252,190 @@ func TestDeadlineRefusesUnsafePreemption(t *testing.T) {
 	}
 }
 
-// Canceling a suspended run finalizes it without resuming; the rest of the
-// system drains clean.
+// holdVictims wraps a policy for the suspension tests: a victim that has run
+// for 10 s is asked to suspend, and the inner policy's offers to resume it are
+// dropped — it stays suspended until the test cancels it or the progress
+// safety net picks it up on an idle cluster.
+type holdVictims struct {
+	Policy
+	victim func(RunState) bool
+}
+
+func (h holdVictims) NeedsEstimates() bool { return true }
+
+func (h holdVictims) Decide(st State) []Action {
+	held := make(map[string]bool)
+	st.EachSuspended(func(r RunState) bool { held[r.ID] = h.victim(r); return true })
+	var out []Action
+	for _, a := range h.Policy.Decide(st) {
+		if r, ok := a.(Resume); !ok || !held[r.Run] {
+			out = append(out, a)
+		}
+	}
+	st.EachActive(func(r RunState) bool {
+		if h.victim(r) && r.RanSec >= 10 && !r.Preempting && r.Preemptions == 0 {
+			out = append(out, Preempt{Run: r.ID})
+		}
+		return true
+	})
+	return out
+}
+
+// cancelEventSec returns the virtual time stamped on the run's run.cancel
+// event (-1 when it has none).
+func cancelEventSec(rig *susRig, id string) float64 {
+	for _, ev := range rig.events.ForRun(id) {
+		if ev.Type == trace.EvRunCancel {
+			return ev.VTimeSec
+		}
+	}
+	return -1
+}
+
+// Canceling a suspended run finishes it inside Cancel, at the caller's
+// virtual time, without resuming it: the record is terminal, stamped and out
+// of every scheduler set when Cancel returns, and the capacity or budget it
+// held is handed out in the same instant.
 func TestCancelSuspended(t *testing.T) {
+	// checkCanceled runs inside the 25 s callback, right after Cancel
+	// returned, and again after Drain.
+	checkCanceled := func(t *testing.T, rig *susRig, long *Run) {
+		t.Helper()
+		select {
+		case <-long.Done():
+		default:
+			t.Errorf("Cancel returned with the suspended run not done")
+		}
+		if st := long.Status(); st.Status != "canceled" || st.FinishedSec != 25 || st.Preemptions != 1 {
+			t.Errorf("canceled run = %+v, want canceled at 25s after one preemption", st)
+		}
+		if at := cancelEventSec(rig, long.ID()); at != 25 {
+			t.Errorf("run.cancel stamped %vs, want 25", at)
+		}
+		if got := rig.sched.SuspendedRuns(); got != 0 {
+			t.Errorf("SuspendedRuns after cancel = %d", got)
+		}
+		if err := rig.sched.CheckIndex(); err != nil {
+			t.Error(err)
+		}
+	}
+	drained := func(t *testing.T, rig *susRig, long *Run) {
+		t.Helper()
+		// Drain's contract: it returns only once every run is terminal — no
+		// extra wait on the canceled run's Done.
+		rig.sched.Drain()
+		checkCanceled(t, rig, long)
+		if _, _, err := long.Wait(); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("canceled suspended run: err = %v", err)
+		}
+		if got := rig.clu.ReservedNodes(); got != 0 {
+			t.Fatalf("%d nodes still reserved after drain", got)
+		}
+		if err := rig.clu.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// By 25s the long run is suspended (it yields at 10s) and the urgent one
+	// is mid-flight; cancel the suspended victim.
+	t.Run("deadline", func(t *testing.T) {
+		rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
+			"run-001": {steps: 6, stepDur: 10 * time.Second},
+			"run-002": {steps: 2, stepDur: 10 * time.Second},
+		}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
+		long := rig.sched.Submit(graph("long"))
+		rig.clock.Schedule(10*time.Second, func(time.Duration) {
+			rig.sched.SubmitWith(graph("urgent"), SubmitOptions{Deadline: 40 * time.Second})
+		})
+		rig.clock.Schedule(25*time.Second, func(time.Duration) {
+			if st := long.Status().Status; st != "suspended" {
+				t.Errorf("long run %s at 25s, want suspended", st)
+			}
+			long.Cancel()
+			checkCanceled(t, rig, long)
+		})
+		drained(t, rig, long)
+	})
+
+	// The suspended run holds 6 of its tenant's 10 budget units, so the
+	// tenant's next 6-unit run queues behind it. Canceling the suspended run
+	// frees the budget, and the scheduling round inside Cancel admits the
+	// queued run at that very instant.
+	t.Run("cost-quota", func(t *testing.T) {
+		policy := holdVictims{
+			Policy: CostQuota{Budgets: map[string]float64{"acme": 10}, MaxConcurrent: 2},
+			victim: func(r RunState) bool { return r.ID == "run-001" },
+		}
+		// The other tenant's run outlasts the scenario: with a run active the
+		// progress safety net leaves the suspended one alone.
+		rig := newSusRig(t, 4, policy, map[string]susSpec{
+			"run-001": {steps: 6, stepDur: 10 * time.Second},
+			"run-002": {steps: 6, stepDur: 10 * time.Second},
+			"run-003": {steps: 2, stepDur: 10 * time.Second},
+		}, map[string][2]float64{"long": {60, 6}, "other": {60, 1}, "next": {20, 6}})
+		long := rig.sched.SubmitWith(graph("long"), SubmitOptions{Tenant: "acme"})
+		rig.sched.SubmitWith(graph("other"), SubmitOptions{Tenant: "beta"})
+		var next *Run
+		rig.clock.Schedule(10*time.Second, func(time.Duration) {
+			next = rig.sched.SubmitWith(graph("next"), SubmitOptions{Tenant: "acme"})
+		})
+		rig.clock.Schedule(25*time.Second, func(time.Duration) {
+			if st := long.Status().Status; st != "suspended" {
+				t.Errorf("long run %s at 25s, want suspended", st)
+			}
+			if st := next.Status().Status; st != "queued" {
+				t.Errorf("next run %s at 25s, want queued behind the budget", st)
+			}
+			long.Cancel()
+			checkCanceled(t, rig, long)
+			if st := next.Status(); st.Status != "running" || st.StartedSec != 25 {
+				t.Errorf("after the cancel, next run = %+v, want admitted at 25s", st)
+			}
+		})
+		drained(t, rig, long)
+		if st := next.Status(); st.Status != "succeeded" || st.StartedSec != 25 {
+			t.Fatalf("next run = %+v, want succeeded after its admission at 25s", st)
+		}
+	})
+}
+
+// A cancel that arrives while a preempted segment is still draining its
+// in-flight work — here from a clock callback at the very instant the
+// suspension lands — is observed at the landing: the suspension is accounted
+// (one preemption, lease revoked) and the run finishes canceled right there
+// instead of waiting, suspended, for a resume that would never come.
+func TestCancelAtSuspensionLanding(t *testing.T) {
 	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
-		"run-001": {steps: 6, stepDur: 10 * time.Second},
+		"run-001": {steps: 6, stepDur: 10 * time.Second, drain: 5 * time.Second},
 		"run-002": {steps: 2, stepDur: 10 * time.Second},
 	}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
 	long := rig.sched.Submit(graph("long"))
+	var urgent *Run
 	rig.clock.Schedule(10*time.Second, func(time.Duration) {
-		rig.sched.SubmitWith(graph("urgent"), SubmitOptions{Deadline: 40 * time.Second})
+		urgent = rig.sched.SubmitWith(graph("urgent"), SubmitOptions{Deadline: 40 * time.Second})
 	})
-	// By 25s the long run is suspended (it yields at 10s or 20s) and the
-	// urgent one is mid-flight; cancel the suspended victim.
-	rig.clock.Schedule(25*time.Second, func(time.Duration) {
-		if long.Status().Status == "suspended" {
-			long.Cancel()
+	// The long run sees the preempt request at 10s and drains until 15s.
+	rig.clock.Schedule(15*time.Second, func(time.Duration) {
+		if st := long.Status().Status; st != "running" {
+			t.Errorf("long run %s at 15s, want running (draining)", st)
+		}
+		long.Cancel()
+	})
+	rig.clock.Schedule(16*time.Second, func(time.Duration) {
+		if err := rig.sched.CheckIndex(); err != nil {
+			t.Error(err)
 		}
 	})
 	rig.sched.Drain()
-	if _, _, err := long.Wait(); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled suspended run: err = %v", err)
+
+	if st := long.Status(); st.Status != "canceled" || st.Preemptions != 1 || st.FinishedSec != 15 || st.LeasedNodes != 0 {
+		t.Fatalf("long run = %+v, want canceled at 15s with one preemption and no lease", st)
 	}
-	if st := long.Status(); st.Status != "canceled" {
-		t.Fatalf("status = %s, want canceled", st.Status)
+	if at := cancelEventSec(rig, long.ID()); at != 15 {
+		t.Fatalf("run.cancel stamped %vs, want 15", at)
+	}
+	if st := urgent.Status(); st.Status != "succeeded" || st.StartedSec != 15 {
+		t.Fatalf("urgent run = %+v, want admitted at 15s on the revoked lease", st)
 	}
 	if got := rig.sched.SuspendedRuns(); got != 0 {
 		t.Fatalf("SuspendedRuns after drain = %d", got)
@@ -272,8 +443,68 @@ func TestCancelSuspended(t *testing.T) {
 	if got := rig.clu.ReservedNodes(); got != 0 {
 		t.Fatalf("%d nodes still reserved after drain", got)
 	}
+	if err := rig.sched.CheckIndex(); err != nil {
+		t.Fatal(err)
+	}
 	if err := rig.clu.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A suspended run is a record, not a parked goroutine: however many runs sit
+// suspended, the process holds no goroutine for any of them, and each resumes
+// on a fresh one from its banked done set without re-executing a step.
+func TestSuspendedRunsHoldNoGoroutine(t *testing.T) {
+	// goroutines reads the count from inside a clock callback — every party
+	// parked — giving goroutines that already left the clock up to a second
+	// to finish exiting.
+	goroutines := func(limit int) int {
+		n := runtime.NumGoroutine()
+		for stop := time.Now().Add(time.Second); n > limit && time.Now().Before(stop); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return n
+	}
+	suspendedCount := func(k, limit int) int {
+		policy := holdVictims{
+			Policy: FairShare{MaxConcurrent: k + 1},
+			victim: func(r RunState) bool { return r.Tenant == "victim" },
+		}
+		// The holder keeps one node busy for 100s, so the safety net leaves
+		// the suspended victims alone until it is done.
+		rig := newSusRig(t, k+1, policy, map[string]susSpec{"run-001": {steps: 10, stepDur: 10 * time.Second}}, nil)
+		rig.sched.SubmitWith(graph("holder"), SubmitOptions{Tenant: "holder"})
+		victims := make([]*Run, k)
+		for i := range victims {
+			victims[i] = rig.sched.SubmitWith(graph("victim"), SubmitOptions{Tenant: "victim"})
+		}
+		rig.clock.Schedule(10*time.Second, func(time.Duration) { rig.sched.schedule() })
+		count := -1
+		rig.clock.Schedule(50*time.Second, func(time.Duration) {
+			if got := rig.sched.SuspendedRuns(); got != k {
+				t.Errorf("k=%d: %d runs suspended at 50s", k, got)
+			}
+			count = goroutines(limit)
+		})
+		rig.sched.Drain()
+		for _, v := range victims {
+			if st := v.Status(); st.Status != "succeeded" || st.Preemptions != 1 {
+				t.Fatalf("k=%d: victim = %+v, want succeeded after one preemption", k, st)
+			}
+			rig.rec.mu.Lock()
+			steps := fmt.Sprint(rig.rec.steps[v.ID()])
+			rig.rec.mu.Unlock()
+			if steps != "[0 1 2 3]" {
+				t.Fatalf("k=%d: %s executed steps %s across its segments, want each once", k, v.ID(), steps)
+			}
+		}
+		return count
+	}
+	base := suspendedCount(1, math.MaxInt)
+	for _, k := range []int{8, 64} {
+		if got := suspendedCount(k, base); got > base {
+			t.Fatalf("%d goroutines alive with %d runs suspended, %d with one", got, k, base)
+		}
 	}
 }
 

@@ -30,16 +30,16 @@
 // Preemption is cooperative: a Preempt action raises the run's suspend flag;
 // the executor stops at the next completed-operator boundary, drains its
 // in-flight gangs, and returns the materialized intermediates. The scheduler
-// revokes the lease, parks the run (its goroutine leaves the cooperative
-// clock entirely), and a later Resume action replans from the banked done
-// set — so no simulated work is silently lost and zero completed operators
+// revokes the lease and banks the done set on the run record; the run's
+// goroutine returns. A suspended run is that record — its graph plus its done
+// set — and a later Resume action starts a fresh goroutine that replans from
+// it, so no simulated work is silently lost and zero completed operators
 // re-execute.
 package scheduler
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,18 +59,25 @@ var ErrCanceled = errors.New("scheduler: run canceled")
 // its cost estimate can never fit the tenant's budget).
 var ErrRejected = errors.New("scheduler: run rejected by admission policy")
 
+// rejection is the error of a rejected run: ErrRejected plus the policy's
+// reason, which the run.reject event carries on its own.
+type rejection string
+
+func (e rejection) Error() string { return ErrRejected.Error() + ": " + string(e) }
+func (e rejection) Unwrap() error { return ErrRejected }
+
 // Status is the lifecycle state of a submitted run.
 type Status int
 
 const (
 	StatusQueued Status = iota
 	StatusRunning
-	// StatusSuspended marks a preempted run: its lease is revoked and its
-	// goroutine is parked off the cooperative clock, holding the done set
-	// for a later resume.
+	// StatusSuspended marks a preempted run: its lease is revoked, its
+	// goroutine has returned, and the record holds the done set for a later
+	// resume.
 	StatusSuspended
 	// StatusResuming marks a suspended run that has been granted a fresh
-	// lease but has not yet re-entered execution.
+	// lease but whose new segment has not been dispatched yet.
 	StatusResuming
 	StatusSucceeded
 	StatusFailed
@@ -157,9 +164,8 @@ type Run struct {
 	canceled atomic.Bool
 	// suspend is the cooperative-preemption flag: raised by a Preempt
 	// action, polled by the executor, cleared when the suspension lands.
-	suspend  atomic.Bool
-	done     chan struct{}
-	resumeCh chan struct{} // buffered(1); signaled on resume grant or cancel-while-suspended
+	suspend atomic.Bool
+	done    chan struct{}
 
 	mu          sync.Mutex
 	status      Status
@@ -169,6 +175,7 @@ type Run struct {
 	leasedMemMB int
 	party       *vtime.Party
 	plan        *planner.Plan
+	segs        []*executor.Result // banked per-segment results, merged into result at the finish
 	result      *executor.Result
 	err         error
 	submittedAt time.Duration
@@ -264,24 +271,15 @@ func (r *Run) Status() Snapshot {
 // Done exposes the run's completion channel.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
-// Cancel requests cancellation: a queued run is removed from the queue
-// immediately, a running one stops at its next decision point (in-flight
-// attempts drain first so no containers leak), and a suspended one is woken
-// to finalize. Cancel is asynchronous; use Wait to observe the terminal
-// state.
+// Cancel requests cancellation. A waiting run — queued or suspended — is
+// canceled before Cancel returns, at the caller's virtual time. A running one
+// stops at its next decision point (in-flight attempts drain first so no
+// containers leak); use Wait to observe its terminal state.
 func (r *Run) Cancel() {
-	r.canceled.Store(true)
-	r.sched.noteCancel(r)
+	r.sched.cancel(r)
 	// A running party notices the flag at its next decision point; kick in
 	// case every party is parked and the clock needs a push.
 	r.sched.clock.Kick()
-}
-
-// doneSnapshot returns the banked done set of a suspended run.
-func (r *Run) doneSnapshot() []planner.MaterializedIntermediate {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]planner.MaterializedIntermediate(nil), r.doneSet...)
 }
 
 // ExecContext carries the per-segment execution bindings the scheduler hands
@@ -397,11 +395,6 @@ type Scheduler struct {
 	suspended map[string]*Run
 	records   []*runRecord          // submission order
 	recIdx    map[string]*runRecord // id -> record
-	// pendingCancel holds runs canceled while admitted: if such a run later
-	// lands a suspension instead of observing the flag, the next scheduling
-	// round wakes it to finalize. (Queued and suspended runs are handled
-	// synchronously by noteCancel.)
-	pendingCancel map[string]*Run
 }
 
 // New builds a scheduler; Clock, Cluster, Plan and NewExecutor are required.
@@ -424,23 +417,22 @@ func New(cfg Config) (*Scheduler, error) {
 		nodeCores, nodeMemMB = nodes[0].Cores, nodes[0].MemMB
 	}
 	return &Scheduler{
-		clock:         cfg.Clock,
-		cluster:       cfg.Cluster,
-		policy:        policy,
-		plan:          cfg.Plan,
-		newExec:       cfg.NewExecutor,
-		estimate:      cfg.Estimate,
-		tracer:        tracer,
-		totalNodes:    len(nodes),
-		totalCores:    totalCores,
-		totalMemMB:    totalMemMB,
-		nodeCores:     nodeCores,
-		nodeMemMB:     nodeMemMB,
-		idx:           newStateIndex(),
-		active:        make(map[string]*Run),
-		suspended:     make(map[string]*Run),
-		recIdx:        make(map[string]*runRecord),
-		pendingCancel: make(map[string]*Run),
+		clock:      cfg.Clock,
+		cluster:    cfg.Cluster,
+		policy:     policy,
+		plan:       cfg.Plan,
+		newExec:    cfg.NewExecutor,
+		estimate:   cfg.Estimate,
+		tracer:     tracer,
+		totalNodes: len(nodes),
+		totalCores: totalCores,
+		totalMemMB: totalMemMB,
+		nodeCores:  nodeCores,
+		nodeMemMB:  nodeMemMB,
+		idx:        newStateIndex(),
+		active:     make(map[string]*Run),
+		suspended:  make(map[string]*Run),
+		recIdx:     make(map[string]*runRecord),
 	}, nil
 }
 
@@ -508,7 +500,6 @@ func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 		g:           g,
 		sched:       s,
 		done:        make(chan struct{}),
-		resumeCh:    make(chan struct{}, 1),
 		status:      StatusQueued,
 		submittedAt: s.clock.Now(),
 		estTime:     estTime,
@@ -787,14 +778,31 @@ func (s *Scheduler) DecideIndexed() int {
 	return len(s.policy.Decide(s.stateViewLocked(now)))
 }
 
-// grantLocked gives a run a fresh lease and a party seat; s.mu held. The
-// caller has already pulled the run out of the waiting structures
-// (dequeueForGrant/unsuspendForGrant).
-func (s *Scheduler) grantLocked(r *Run, lease *cluster.Reservation, status Status, now time.Duration) {
+// grantLocked leases nodes nodes to a waiting run — queued (admission) or
+// suspended (resume) — and seats it on the cooperative clock, emitting
+// lease.grant then run.admit / run.resume; s.mu held. It reports false —
+// nothing changed — when the cluster cannot grant the lease. The caller
+// launches the segment's goroutine (runParty) after unlocking: that is how
+// every segment of every run begins.
+func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
+	if nodes < 1 {
+		return false
+	}
+	lease, err := s.reserveFor(r, nodes)
+	if err != nil {
+		return false
+	}
+	_, resumed := s.suspended[r.id]
+	if resumed {
+		delete(s.suspended, r.id)
+		s.idx.unsuspendForGrant(r)
+	} else {
+		s.idx.dequeueForGrant(r)
+	}
 	n := lease.Size()
 	cores, memMB := s.leaseFootprint(lease)
+	ev := trace.Event{Type: trace.EvRunAdmit, RunID: r.id, Operator: r.workflow}
 	r.mu.Lock()
-	r.status = status
 	r.lease = lease
 	r.leasedNodes = n
 	r.leasedCores = cores
@@ -802,67 +810,25 @@ func (s *Scheduler) grantLocked(r *Run, lease *cluster.Reservation, status Statu
 	r.party = s.clock.Join()
 	r.running = true
 	r.runningSince = now
+	if resumed {
+		r.status = StatusResuming
+		slept := now - r.suspendedAt
+		r.suspendedTotal += slept
+		ev.Type = trace.EvRunResume
+		ev.Fields = map[string]float64{"nodes": float64(n), "suspendedSec": slept.Seconds()}
+	} else {
+		r.status = StatusRunning
+		r.startedAt = now
+		ev.Fields = map[string]float64{"nodes": float64(n), "waitSec": (now - r.submittedAt).Seconds()}
+	}
 	r.mu.Unlock()
 	s.active[r.id] = r
 	s.idx.granted(r, n, now)
-}
-
-// admitLocked leases nodes nodes for a queued run and starts it, emitting
-// lease.grant then run.admit; s.mu held. It reports false — nothing changed —
-// when the run was canceled or the cluster cannot grant the lease. The caller
-// launches the run's goroutine after unlocking.
-func (s *Scheduler) admitLocked(r *Run, nodes int, now time.Duration) bool {
-	if nodes < 1 || r.canceled.Load() {
-		return false
-	}
-	lease, err := s.reserveFor(r, nodes)
-	if err != nil {
-		return false
-	}
-	s.idx.dequeueForGrant(r)
-	s.grantLocked(r, lease, StatusRunning, now)
-	r.mu.Lock()
-	r.startedAt = now
-	wait := now - r.submittedAt
-	r.mu.Unlock()
 	s.tracer.Emit(trace.Event{
 		Type: trace.EvLeaseGrant, RunID: r.id,
 		Fields: leaseGrantFields(r, lease),
 	}.At(now))
-	s.tracer.Emit(trace.Event{
-		Type: trace.EvRunAdmit, RunID: r.id, Operator: r.workflow,
-		Fields: map[string]float64{"nodes": float64(lease.Size()), "waitSec": wait.Seconds()},
-	}.At(now))
-	return true
-}
-
-// resumeLocked leases nodes nodes for a suspended run and wakes its parked
-// goroutine, emitting lease.grant then run.resume; s.mu held. It reports
-// false under the same conditions as admitLocked.
-func (s *Scheduler) resumeLocked(r *Run, nodes int, now time.Duration) bool {
-	if nodes < 1 || r.canceled.Load() {
-		return false
-	}
-	lease, err := s.reserveFor(r, nodes)
-	if err != nil {
-		return false
-	}
-	delete(s.suspended, r.id)
-	s.idx.unsuspendForGrant(r)
-	s.grantLocked(r, lease, StatusResuming, now)
-	r.mu.Lock()
-	slept := now - r.suspendedAt
-	r.suspendedTotal += slept
-	r.mu.Unlock()
-	s.tracer.Emit(trace.Event{
-		Type: trace.EvLeaseGrant, RunID: r.id,
-		Fields: leaseGrantFields(r, lease),
-	}.At(now))
-	s.tracer.Emit(trace.Event{
-		Type: trace.EvRunResume, RunID: r.id, Operator: r.workflow,
-		Fields: map[string]float64{"nodes": float64(lease.Size()), "suspendedSec": slept.Seconds()},
-	}.At(now))
-	r.resumeCh <- struct{}{}
+	s.tracer.Emit(ev.At(now))
 	return true
 }
 
@@ -874,27 +840,10 @@ func (s *Scheduler) scheduleOnce() bool {
 
 	s.mu.Lock()
 	now := s.clock.Now()
-
-	// Scrub pending cancellations: a run canceled while admitted may have
-	// landed a suspension instead of observing the flag — wake it so its
-	// parked goroutine finalizes. (Queued/suspended cancels are handled
-	// synchronously in noteCancel; this set only ever holds runs that were
-	// active at cancel time, so the scrub is O(pending), not O(all runs).)
-	if len(s.pendingCancel) > 0 {
-		pend := make([]*Run, 0, len(s.pendingCancel))
-		for _, r := range s.pendingCancel {
-			pend = append(pend, r)
-		}
-		sort.Slice(pend, func(i, j int) bool { return pend[i].seq < pend[j].seq })
-		for _, r := range pend {
-			if _, ok := s.suspended[r.id]; ok {
-				s.wakeSuspendedLocked(r)
-				delete(s.pendingCancel, r.id)
-				continue
-			}
-			if rec := s.recIdx[r.id]; rec != nil && rec.run == nil {
-				delete(s.pendingCancel, r.id) // finalized on its own
-			}
+	grant := func(r *Run, nodes int) {
+		if r != nil && s.grantLocked(r, nodes, now) {
+			started = append(started, r)
+			progress = true
 		}
 	}
 
@@ -903,15 +852,10 @@ func (s *Scheduler) scheduleOnce() bool {
 	for _, a := range actions {
 		switch a := a.(type) {
 		case Admit:
-			if r := s.queuedLocked(a.Run); r != nil && s.admitLocked(r, a.Nodes, now) {
-				started = append(started, r)
-				progress = true
-			}
+			grant(s.queuedLocked(a.Run), a.Nodes)
 
 		case Resume:
-			if r := s.suspended[a.Run]; r != nil && s.resumeLocked(r, a.Nodes, now) {
-				progress = true
-			}
+			grant(s.suspended[a.Run], a.Nodes)
 
 		case Preempt:
 			r := s.active[a.Run]
@@ -970,24 +914,10 @@ func (s *Scheduler) scheduleOnce() bool {
 			progress = true
 
 		case Reject:
-			r := s.queuedLocked(a.Run)
-			if r == nil {
-				continue
+			if r := s.queuedLocked(a.Run); r != nil {
+				s.finishLocked(r, StatusFailed, rejection(a.Reason), now)
+				progress = true
 			}
-			s.idx.dequeueTerminal(r)
-			r.mu.Lock()
-			r.status = StatusFailed
-			r.err = fmt.Errorf("%w: %s", ErrRejected, a.Reason)
-			r.finishedAt = now
-			r.startedAt = now
-			r.mu.Unlock()
-			s.tracer.Emit(trace.Event{
-				Type: trace.EvRunReject, RunID: r.id, Operator: r.workflow,
-				Error: a.Reason,
-			}.At(now))
-			s.finalizeRecordLocked(r)
-			close(r.done)
-			progress = true
 		}
 	}
 
@@ -996,7 +926,6 @@ func (s *Scheduler) scheduleOnce() bool {
 	// waiting run (suspended preferred over queued at equal submission
 	// time: it holds completed work) onto the free pool.
 	if !progress && len(s.active) == 0 {
-		free := s.cluster.UnreservedHealthy()
 		pick := s.idx.queue.front()
 		if len(s.idx.suspendedOrder) > 0 {
 			r := s.idx.suspendedOrder[0] // earliest-submitted suspended run
@@ -1004,14 +933,7 @@ func (s *Scheduler) scheduleOnce() bool {
 				pick = r
 			}
 		}
-		if pick != nil {
-			if _, ok := s.suspended[pick.id]; ok {
-				progress = s.resumeLocked(pick, free, now)
-			} else if s.admitLocked(pick, free, now) {
-				started = append(started, pick)
-				progress = true
-			}
-		}
+		grant(pick, s.cluster.UnreservedHealthy())
 	}
 	s.mu.Unlock()
 
@@ -1021,62 +943,87 @@ func (s *Scheduler) scheduleOnce() bool {
 	return progress
 }
 
-// finalizeRecordLocked freezes a terminal run's snapshot into its record and
-// drops the hot-path pointer; s.mu held, the run's status already terminal.
-func (s *Scheduler) finalizeRecordLocked(r *Run) {
-	rec := s.recIdx[r.id]
-	if rec == nil || rec.run == nil {
-		return
-	}
-	rec.final = r.Status()
-	rec.run = nil
-	delete(s.pendingCancel, r.id)
-}
-
-// finalizeCanceled finishes a run that was canceled while still queued.
-// Caller holds s.mu and has already removed the run from the waiting
-// structures.
-func (s *Scheduler) finalizeCanceled(r *Run) {
-	now := s.clock.Now()
+// finishLocked is the one terminal transition, whatever the run was doing —
+// queued (reject, cancel), suspended (cancel) or active (the end of its last
+// segment). In one critical section it sets the status, emits run.finish /
+// run.cancel / run.reject then lease.revoke, leaves the scheduler's sets and
+// the index, freezes the record and closes done: no observer — policy, Drain,
+// CheckIndex, a status listing — ever sees a run that is partly finished.
+// s.mu held.
+func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Duration) {
 	r.mu.Lock()
-	r.status = StatusCanceled
-	r.err = ErrCanceled
-	r.startedAt = now
-	r.finishedAt = now
-	r.mu.Unlock()
-	s.tracer.Emit(trace.Event{Type: trace.EvRunCancel, RunID: r.id, Operator: r.workflow}.At(now))
-	s.finalizeRecordLocked(r)
-	close(r.done)
-}
-
-// wakeSuspendedLocked pulls a canceled suspended run out of the suspended
-// structures and signals its parked goroutine to finalize; s.mu held.
-func (s *Scheduler) wakeSuspendedLocked(r *Run) {
-	delete(s.suspended, r.id)
-	s.idx.wokeSuspended(r)
-	select {
-	case r.resumeCh <- struct{}{}:
-	default:
+	if r.status == StatusQueued {
+		r.startedAt = now // never ran: zero makespan
 	}
-}
+	r.status = status
+	r.err = err
+	r.result = mergeResults(r.segs)
+	r.finishedAt = now
+	if r.running {
+		r.ranFor += now - r.runningSince
+		r.running = false
+	}
+	makespan := now - r.startedAt
+	lease := r.lease
+	r.lease = nil
+	r.party = nil
+	r.mu.Unlock()
 
-// noteCancel routes a cancellation to the run's current stage: queued runs
-// finalize immediately, suspended runs are woken, and admitted runs are
-// remembered in pendingCancel in case their suspension lands before the
-// executor observes the flag.
-func (s *Scheduler) noteCancel(r *Run) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	ev := trace.Event{Type: trace.EvRunFinish, RunID: r.id, Operator: r.workflow}
+	var rej rejection
+	switch {
+	case status == StatusCanceled:
+		ev.Type = trace.EvRunCancel
+	case errors.As(err, &rej):
+		ev.Type, ev.Error = trace.EvRunReject, string(rej)
+	default:
+		ev.Fields = map[string]float64{"makespanSec": makespan.Seconds()}
+		if err != nil {
+			ev.Error = err.Error()
+		}
+	}
+	s.tracer.Emit(ev.At(now))
+	if lease != nil {
+		nodes := lease.Size()
+		s.cluster.ReleaseReservation(lease)
+		s.tracer.Emit(trace.Event{
+			Type: trace.EvLeaseRevoke, RunID: r.id,
+			Fields: map[string]float64{"nodes": float64(nodes)},
+		}.At(now))
+	}
+
 	switch {
 	case r.qnode != nil:
 		s.idx.dequeueTerminal(r)
-		s.finalizeCanceled(r)
-	case s.suspended[r.id] != nil:
-		s.wakeSuspendedLocked(r)
+	case s.active[r.id] == r:
+		delete(s.active, r.id)
+		s.idx.finishedActive(r, now)
 	default:
-		if rec := s.recIdx[r.id]; rec != nil && rec.run != nil {
-			s.pendingCancel[r.id] = r
-		}
+		delete(s.suspended, r.id)
+		s.idx.unsuspendTerminal(r)
+	}
+	// Freeze the snapshot into the record and drop the hot-path pointer.
+	rec := s.recIdx[r.id]
+	rec.final = r.Status()
+	rec.run = nil
+	close(r.done)
+}
+
+// cancel raises the run's cancel flag and, when the run is waiting (queued
+// or suspended), finishes it on the spot. The flag goes up under s.mu, so a
+// waiting run is never observed canceled: grants need not look at the flag.
+// Canceling a suspended run may free a budget or a slot the policy was
+// holding for it, so a scheduling round follows.
+func (s *Scheduler) cancel(r *Run) {
+	s.mu.Lock()
+	r.canceled.Store(true)
+	_, suspended := s.suspended[r.id]
+	if suspended || r.qnode != nil {
+		s.finishLocked(r, StatusCanceled, ErrCanceled, s.clock.Now())
+	}
+	s.mu.Unlock()
+	if suspended {
+		s.schedule()
 	}
 }
 
@@ -1116,68 +1063,15 @@ func mergeResults(segs []*executor.Result) *executor.Result {
 	return out
 }
 
-// executeSegments drives a run through its execution segments: the first
-// executes the plan from scratch; each suspension banks the done set, parks,
-// and the following segment resumes via replan-from-done-set on a fresh
-// lease and party.
-func (s *Scheduler) executeSegments(r *Run, plan *planner.Plan) (*executor.Result, error) {
-	var segs []*executor.Result
-	resumed := false
-	for {
-		r.mu.Lock()
-		lease, party := r.lease, r.party
-		r.mu.Unlock()
-		exec := s.newExec(ExecContext{
-			RunID:    r.id,
-			Lease:    lease,
-			Party:    party,
-			Canceled: r.canceled.Load,
-			Suspend:  r.suspend.Load,
-		})
-		var (
-			res *executor.Result
-			err error
-		)
-		if !resumed {
-			res, err = exec.Execute(r.g, plan)
-		} else {
-			rex, ok := exec.(ResumableExec)
-			if !ok {
-				return mergeResults(segs), fmt.Errorf("scheduler: executor for %s cannot resume", r.id)
-			}
-			res, err = rex.Resume(r.g, r.doneSnapshot())
-		}
-		if res != nil {
-			segs = append(segs, res)
-		}
-		if !errors.Is(err, executor.ErrSuspended) {
-			return mergeResults(segs), err
-		}
-		if res != nil {
-			r.mu.Lock()
-			r.doneSet = res.Intermediates
-			r.mu.Unlock()
-		}
-		if !s.parkSuspended(r) {
-			return mergeResults(segs), ErrCanceled
-		}
-		resumed = true
-	}
-}
-
-// parkSuspended lands a suspension: revoke the lease, move the run to the
-// suspended set, leave the cooperative clock, and park until a Resume grant
-// (returns true) or cancellation (returns false). The caller's goroutine is
-// the running party on entry; on a true return it is the running party of a
-// fresh seat.
-func (s *Scheduler) parkSuspended(r *Run) bool {
+// suspendLocked lands a suspension at the end of a segment: the lease is
+// revoked and the run moves from the active to the suspended set, where it
+// waits as a record — graph, done set, banked results — for a Resume grant.
+// A cancel that arrived while the segment was draining finishes the run right
+// here. s.mu held; the caller is the run's running party.
+func (s *Scheduler) suspendLocked(r *Run, now time.Duration) {
 	r.suspend.Store(false)
-	now := s.clock.Now()
-
-	s.mu.Lock()
 	r.mu.Lock()
 	lease := r.lease
-	oldParty := r.party
 	r.lease = nil
 	r.leasedNodes = 0
 	r.leasedCores = 0
@@ -1217,120 +1111,86 @@ func (s *Scheduler) parkSuspended(r *Run) bool {
 		Type: trace.EvLeaseRevoke, RunID: r.id,
 		Fields: map[string]float64{"nodes": float64(nodes)},
 	}.At(now))
-	s.mu.Unlock()
+	if r.canceled.Load() {
+		s.finishLocked(r, StatusCanceled, ErrCanceled, now)
+	}
+}
 
-	// Hand the freed capacity to the policy before leaving the clock: the
-	// preemptor (or any waiting run) joins as a party first, so the party
-	// count never drains to zero mid-preemption.
-	s.schedule()
-	oldParty.Leave()
+// runSegment executes one segment of a run on its current lease and party:
+// the first plans and executes from scratch, a later one resumes via
+// replan-from-done-set. A fresh executor is built for every segment.
+func (s *Scheduler) runSegment(r *Run) (*executor.Result, error) {
+	r.mu.Lock()
+	ctx := ExecContext{
+		RunID:    r.id,
+		Lease:    r.lease,
+		Party:    r.party,
+		Canceled: r.canceled.Load,
+		Suspend:  r.suspend.Load,
+	}
+	resumed, done := r.preemptions > 0, r.doneSet
+	r.mu.Unlock()
+	if !resumed {
+		plan, err := s.plan(r.g)
+		r.mu.Lock()
+		r.plan = plan
+		r.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return s.newExec(ctx).Execute(r.g, plan)
+	}
+	rex, ok := s.newExec(ctx).(ResumableExec)
+	if !ok {
+		return nil, fmt.Errorf("scheduler: executor for %s cannot resume", r.id)
+	}
+	return rex.Resume(r.g, done)
+}
 
-	<-r.resumeCh
-	// A wake without a re-granted party means cancellation; with one, the
-	// run proceeds (the executor observes the cancel flag at its next
-	// decision point if both raced in).
+// runParty is the goroutine of one run segment, started by a grant: it awaits
+// its dispatch turn, runs the segment confined to the (elastic) lease, banks
+// the result, and either lands a suspension — after which the run waits as a
+// record, holding no goroutine — or finishes the run. Either way it schedules
+// successors before leaving the cooperative clock, so the party count never
+// touches zero mid-drain and the clock keeps flowing from run to run.
+func (s *Scheduler) runParty(r *Run) {
 	r.mu.Lock()
 	party := r.party
 	r.mu.Unlock()
-	if party == nil {
-		return false
-	}
 	party.Await()
 	r.mu.Lock()
 	r.status = StatusRunning
 	r.mu.Unlock()
-	return true
-}
-
-// runParty is the per-run goroutine: it awaits its dispatch turn, plans,
-// executes confined to the (elastic) lease — possibly across several
-// suspend/resume segments — and finishes, scheduling successors before
-// leaving the cooperative clock.
-func (s *Scheduler) runParty(r *Run) {
-	r.party.Await()
 
 	var (
-		plan *planner.Plan
-		res  *executor.Result
-		err  error
+		res *executor.Result
+		err error
 	)
-	switch {
-	case r.canceled.Load():
+	if r.canceled.Load() {
+		err = ErrCanceled // canceled between the grant and the dispatch
+	} else if res, err = s.runSegment(r); errors.Is(err, executor.ErrCanceled) {
 		err = ErrCanceled
-	default:
-		plan, err = s.plan(r.g)
-		if err == nil {
-			res, err = s.executeSegments(r, plan)
-			if errors.Is(err, executor.ErrCanceled) {
-				err = ErrCanceled
-			}
-		}
 	}
 
 	now := s.clock.Now()
-	status := StatusSucceeded
-	switch {
-	case errors.Is(err, ErrCanceled):
-		status = StatusCanceled
-	case err != nil:
-		status = StatusFailed
-	}
-	r.mu.Lock()
-	r.status = status
-	r.plan = plan
-	r.result = res
-	r.err = err
-	r.finishedAt = now
-	if r.running {
-		r.ranFor += now - r.runningSince
-		r.running = false
-	}
-	started := r.startedAt
-	lease := r.lease
-	party := r.party
-	r.lease = nil
-	r.party = nil
-	r.mu.Unlock()
-
-	ev := trace.Event{
-		Type: trace.EvRunFinish, RunID: r.id, Operator: r.workflow,
-		Fields: map[string]float64{"makespanSec": (now - started).Seconds()},
-	}
-	if status == StatusCanceled {
-		ev = trace.Event{Type: trace.EvRunCancel, RunID: r.id, Operator: r.workflow}
-	} else if err != nil {
-		ev.Error = err.Error()
-	}
-	s.tracer.Emit(ev.At(now))
-
 	s.mu.Lock()
-	if lease != nil {
-		nodes := lease.Size()
-		s.cluster.ReleaseReservation(lease)
-		s.tracer.Emit(trace.Event{
-			Type: trace.EvLeaseRevoke, RunID: r.id,
-			Fields: map[string]float64{"nodes": float64(nodes)},
-		}.At(now))
+	if res != nil {
+		r.mu.Lock()
+		r.segs = append(r.segs, res)
+		r.doneSet = res.Intermediates
+		r.mu.Unlock()
 	}
-	if _, ok := s.active[r.id]; ok {
-		delete(s.active, r.id)
-		s.idx.finishedActive(r, now)
+	switch {
+	case errors.Is(err, executor.ErrSuspended):
+		s.suspendLocked(r, now)
+	case errors.Is(err, ErrCanceled):
+		s.finishLocked(r, StatusCanceled, err, now)
+	case err != nil:
+		s.finishLocked(r, StatusFailed, err, now)
+	default:
+		s.finishLocked(r, StatusSucceeded, nil, now)
 	}
-	if _, ok := s.suspended[r.id]; ok {
-		delete(s.suspended, r.id)
-		s.idx.wokeSuspended(r)
-	}
-	s.finalizeRecordLocked(r)
 	s.mu.Unlock()
-
-	// Schedule successors before leaving: the party count never touches
-	// zero mid-drain, so the cooperative clock keeps flowing from run to
-	// run.
-	close(r.done)
-	if party != nil {
-		s.schedule()
-		party.Leave()
-	} else {
-		s.schedule()
-	}
+	s.schedule()
+	party.Leave()
 }

@@ -287,7 +287,6 @@ type Platform struct {
 
 	planner     *planner.Planner
 	provisioner *provision.Provisioner
-	executor    *executor.Executor
 	breaker     *executor.CircuitBreaker
 	sched       *scheduler.Scheduler
 
@@ -324,6 +323,12 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 	if opts.MonitorPeriod == 0 {
 		opts.MonitorPeriod = 10 * time.Second
+	}
+	switch {
+	case opts.LaunchOverheadSec == 0:
+		opts.LaunchOverheadSec = 1.5
+	case opts.LaunchOverheadSec < 0:
+		opts.LaunchOverheadSec = 0
 	}
 
 	p := &Platform{
@@ -369,35 +374,12 @@ func NewPlatform(opts Options) (*Platform, error) {
 	// or retrained operator (invalidate.go) instead of flushing wholesale.
 	p.breaker.OnTransition = pl.EngineAvailability
 	p.Profiler.SetRetrainListener(pl.ProfilerRetrain)
-	launch := opts.LaunchOverheadSec
-	switch {
-	case launch == 0:
-		launch = 1.5
-	case launch < 0:
-		launch = 0
-	}
-	p.executor = &executor.Executor{
-		Env:               p.Env,
-		Cluster:           p.Cluster,
-		Clock:             p.Clock,
-		Observer:          p.observe,
-		Replanner:         replanAdapter{pl},
-		MaxReplans:        opts.MaxReplans,
-		LaunchOverheadSec: launch,
-		Retry:             opts.Retry,
-		TimeoutFactor:     opts.TimeoutFactor,
-		Speculate:         p.speculate,
-		Breaker:           p.breaker,
-		Monitor:           p.Monitor,
-		Tracer:            p.tracer,
-		Checkpoint:        opts.Checkpoint,
-	}
 	sched, err := scheduler.New(scheduler.Config{
 		Clock:       p.Clock,
 		Cluster:     p.Cluster,
 		Policy:      opts.Admission,
 		Plan:        func(g *workflow.Graph) (*planner.Plan, error) { return p.planner.Plan(g) },
-		NewExecutor: p.newRunExecutor,
+		NewExecutor: p.newExecutor,
 		Estimate:    p.estimateRun,
 		Tracer:      p.tracer,
 	})
@@ -420,12 +402,14 @@ func (p *Platform) estimateRun(g *workflow.Graph) (float64, float64, error) {
 	return plan.EstTimeSec, plan.EstCost, nil
 }
 
-// newRunExecutor builds the executor of one run segment: same wiring as the
-// solo executor, but confined to the segment's node lease, cooperating on
-// the shared clock through the segment's party, honouring the scheduler's
-// cancellation and cooperative-suspension probes, and stamping the run id on
-// every trace event.
-func (p *Platform) newRunExecutor(ctx scheduler.ExecContext) scheduler.Exec {
+// newExecutor is the one place an executor is wired. Given a scheduler
+// context it builds the executor of one run segment: confined to the
+// segment's node lease, cooperating on the shared clock through the segment's
+// party, honouring the scheduler's cancellation and cooperative-suspension
+// probes, and stamping the run id on every trace event. Given the zero
+// context — no party, lease, probes or run id — it builds the solo executor
+// behind Execute, which drives the clock and the whole cluster itself.
+func (p *Platform) newExecutor(ctx scheduler.ExecContext) scheduler.Exec {
 	p.mu.Lock()
 	var inj executor.Injector
 	if p.faults != nil {
@@ -442,8 +426,8 @@ func (p *Platform) newRunExecutor(ctx scheduler.ExecContext) scheduler.Exec {
 		Clock:             p.Clock,
 		Observer:          p.observe,
 		Replanner:         rp,
-		MaxReplans:        p.executor.MaxReplans,
-		LaunchOverheadSec: p.executor.LaunchOverheadSec,
+		MaxReplans:        p.opts.MaxReplans,
+		LaunchOverheadSec: p.opts.LaunchOverheadSec,
 		Retry:             p.opts.Retry,
 		TimeoutFactor:     p.opts.TimeoutFactor,
 		Speculate:         p.speculate,
@@ -624,7 +608,6 @@ func (p *Platform) UseTrivialReplanner() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.trivialReplan = true
-	p.executor.Replanner = trivialReplanAdapter{p.planner}
 }
 
 // libraryEstimator layers the paper's user-provided cost functions over the
@@ -738,7 +721,7 @@ func (p *Platform) Replan(g *Workflow, done []planner.MaterializedIntermediate) 
 // Execute enforces a plan over the simulated cluster, with monitoring,
 // model refinement and fault-tolerant replanning.
 func (p *Platform) Execute(g *Workflow, plan *Plan) (*ExecutionResult, error) {
-	return p.executor.Execute(g, plan)
+	return p.newExecutor(scheduler.ExecContext{}).Execute(g, plan)
 }
 
 // Run plans and executes a workflow in one call: it submits the workflow to
@@ -863,9 +846,10 @@ func (p *Platform) AvailableEngines() []string {
 
 // InjectFaults arms a deterministic fault schedule over the platform: timed
 // engine outages and node crashes are scheduled on the virtual clock, and
-// transient/straggler injection hooks into every subsequent operator
-// attempt. Calling it again replaces the previous schedule (already-armed
-// timed faults stay scheduled).
+// transient/straggler injection hooks into every operator attempt of the
+// executions that start afterwards (an Execute call, a run segment); one
+// already in flight keeps the schedule it started with. Calling it again
+// replaces the previous schedule (already-armed timed faults stay scheduled).
 func (p *Platform) InjectFaults(cfg FaultConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -877,7 +861,6 @@ func (p *Platform) InjectFaults(cfg FaultConfig) error {
 	}
 	p.mu.Lock()
 	p.faults = sched
-	p.executor.Faults = sched
 	p.mu.Unlock()
 	return nil
 }
