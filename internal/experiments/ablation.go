@@ -11,7 +11,6 @@ import (
 	"github.com/asap-project/ires/internal/model"
 	"github.com/asap-project/ires/internal/operator"
 	"github.com/asap-project/ires/internal/planner"
-	"github.com/asap-project/ires/internal/profiler"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
@@ -162,9 +161,28 @@ func exhaustiveChainCost(g *workflow.Graph, lib *operator.Library, est planner.E
 	return best, nil
 }
 
+// ModelSelectionAblation is the result of cell ABL-CV. Its gate holds the
+// bounded selection to the full cross-validation grid on the cell's dataset.
+type ModelSelectionAblation struct {
+	Bounded, FullGrid string // the family each of them picks
+	report            *Report
+}
+
+// Gate returns an error unless the bounded selection picked the full grid's
+// winner.
+func (a *ModelSelectionAblation) Gate() error {
+	if a.Bounded != a.FullGrid {
+		return fmt.Errorf("bounded selection picked %s, the full grid picks %s", a.Bounded, a.FullGrid)
+	}
+	return nil
+}
+
+// Report renders the ablation as an ires-bench report.
+func (a *ModelSelectionAblation) Report() *Report { return a.report }
+
 // AblationModelSelection contrasts cross-validated family selection against
 // fixing a single family, on the Spark tf-idf operator profile.
-func AblationModelSelection(seed int64) (*Report, error) {
+func AblationModelSelection(seed int64) (*ModelSelectionAblation, error) {
 	env := engine.NewDefaultEnvironment(seed)
 	rng := rand.New(rand.NewSource(seed))
 
@@ -205,8 +223,17 @@ func AblationModelSelection(seed int64) (*Report, error) {
 	table := Table{Title: "Mean relative error on held-out configurations", Header: []string{"strategy", "rel err"}}
 
 	factories := model.DefaultFactories(seed)
-	selected, scores, err := model.SelectBestRelative(factories, X, y, 5, seed)
+	scores, err := model.CrossValidate(factories, X, y, 5, seed)
 	if err != nil {
+		return nil, err
+	}
+	sels, err := model.Select(factories, X, [][]float64{y}, nil, 5, seed, model.ByRelErr)
+	if err != nil {
+		return nil, err
+	}
+	sel := sels[0]
+	selected := factories[sel.Best]()
+	if err := selected.Train(X, y); err != nil {
 		return nil, err
 	}
 	table.Rows = append(table.Rows, []string{"CV-selected (" + selected.Name() + ")",
@@ -218,10 +245,15 @@ func AblationModelSelection(seed int64) (*Report, error) {
 		}
 		table.Rows = append(table.Rows, []string{"fixed " + m.Name(), fmt.Sprintf("%.4f", probeErr(m))})
 	}
+	table.Rows = append(table.Rows, []string{"cells trained / full grid",
+		fmt.Sprintf("%d / %d", sel.Trained, sel.Trained+sel.Skipped)})
 	r.Tables = append(r.Tables, table)
 	for _, s := range scores {
 		r.Note("CV score %s: rmse %.3f relerr %.4f", s.Name, s.RMSE, s.RelErr)
 	}
-	_ = profiler.TargetExecTime
-	return r, nil
+	return &ModelSelectionAblation{
+		Bounded:  selected.Name(),
+		FullGrid: scores[model.Best(scores, model.ByRelErr)].Name,
+		report:   r,
+	}, nil
 }

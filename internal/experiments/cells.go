@@ -93,7 +93,7 @@ var Cells = []Cell{
 	}},
 	{ID: "MQ-CORRECT", Run: one(MusqleCorrectness)},
 	{ID: "ABL-DP", Run: one(AblationDPvsExhaustive)},
-	{ID: "ABL-CV", Run: one(AblationModelSelection)},
+	{ID: "ABL-CV", Run: tracked(AblationModelSelection)},
 	{ID: "DRF", File: "BENCH_DRF.json", Run: tracked(RunDRFBench)},
 	{ID: "FED", File: "BENCH_FED.json", Run: tracked(RunFedBench)},
 	{ID: "SCHEDSCALE", File: "BENCH_SCHED_SCALE.json", Run: tracked(RunSchedScaleBench)},

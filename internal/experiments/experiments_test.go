@@ -451,12 +451,29 @@ func TestAblationDPMatchesExhaustive(t *testing.T) {
 }
 
 func TestAblationModelSelection(t *testing.T) {
-	r, err := AblationModelSelection(3)
+	a, err := AblationModelSelection(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Tables[0].Rows) < 5 {
+	rows := a.Report().Tables[0].Rows
+	if len(rows) < 5 {
 		t.Fatal("too few strategies compared")
+	}
+	// The bounded selection picks what the full grid picks. Nothing leads it
+	// here, so it may train the whole grid: LinearRegression stands in, and
+	// on this profile it is the worst family and bounds nothing.
+	if err := a.Gate(); err != nil {
+		t.Error(err)
+	}
+	var trained, grid int
+	if last := rows[len(rows)-1]; last[0] != "cells trained / full grid" {
+		t.Errorf("last row is %q", last)
+	} else if _, err := fmt.Sscanf(last[1], "%d / %d", &trained, &grid); err != nil || trained < 5 || trained > grid || grid != 50 {
+		t.Errorf("cells trained / full grid = %q (%v), want at most the 50 of 10 families x 5 folds", last[1], err)
+	}
+	a.Bounded = "SomethingElse"
+	if err := a.Gate(); err == nil || !strings.Contains(err.Error(), "the full grid picks "+a.FullGrid) {
+		t.Errorf("a diverging selection passed the gate: %v", err)
 	}
 }
 

@@ -34,7 +34,8 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 	for len(q.Tables) < nTables {
 		// Pick a random FK edge touching the current set and extending it.
 		var candidates []sqldata.ForeignKey
-		for t := range in {
+		for _, t := range q.Tables { // insertion order: the same seed gives the same query
+
 			for _, fk := range adj[t] {
 				other := fk.Table
 				if other == t {
@@ -66,7 +67,7 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 			"supplier": {"s_acctbal", int64(500_000)},
 			"nation":   {"n_name", int64(7)},
 		}
-		for t := range in {
+		for _, t := range q.Tables {
 			if nf == 0 {
 				break
 			}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/asap-project/ires/internal/engine"
@@ -67,10 +70,58 @@ func readAll(p *Profiler) []string {
 	return out
 }
 
+// fitOneAtATime is the fit as it was before the targets shared one job: each
+// target in turn scores the full cross-validation grid, takes the arg-min and
+// trains it on the whole buffer. It leaves every operator up to date, so the
+// profiler's own fit finds nothing to do.
+func fitOneAtATime(t *testing.T, p *Profiler) {
+	t.Helper()
+	for _, op := range p.Operators() {
+		om, _ := p.Models(op)
+		om.mu.Lock()
+		pending, n := om.selectN, len(om.X)
+		if om.fitN != n || pending != 0 {
+			om.fitN, om.selectN = n, 0
+			for _, target := range lazyTargets {
+				y := om.targets[target]
+				fam, known := om.zoo.index[om.chosen[target]]
+				if (known && pending > 0) || (!known && n >= 3) {
+					on := pending
+					if on == 0 {
+						on = n
+					}
+					scores, err := model.CrossValidate(om.zoo.factories, om.X[:on], y[:on], om.cvFolds, om.seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fam = model.Best(scores, model.ByRelErr)
+				}
+				m := om.zoo.factories[fam]()
+				if err := m.Train(om.X, y); err != nil {
+					t.Fatal(err)
+				}
+				om.models[target], om.chosen[target] = m, m.Name()
+			}
+		}
+		om.mu.Unlock()
+	}
+}
+
+func exported(t *testing.T, p *Profiler) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // Reads are invisible: a profiler that is read after every mutation (the
 // eager reference — every fit happens on one more row than the last) and one
 // that is read only now and then must agree, bit for bit, whenever the second
-// one looks.
+// one looks. So is the shape of the fit: a third profiler, whose four targets
+// are fitted one at a time over the full grid after every mutation, agrees
+// with both, down to the bytes it exports.
 func TestLazyReadsAreInvisible(t *testing.T) {
 	space := Space{
 		Records:        []int64{1000, 10_000, 100_000},
@@ -79,14 +130,15 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 		Resources:      []engine.Resources{{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456}},
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		a, b := lazyProfiler(seed), lazyProfiler(seed)
+		a, b, ref := lazyProfiler(seed), lazyProfiler(seed), lazyProfiler(seed)
 		both := func(fn func(p *Profiler) error) {
 			t.Helper()
-			for _, p := range []*Profiler{a, b} {
+			for _, p := range []*Profiler{a, b, ref} {
 				if err := fn(p); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
+			fitOneAtATime(t, ref)
 		}
 		both(func(p *Profiler) error {
 			_, err := p.ProfileOffline("profiled", engine.EngineJava, engine.AlgPagerank, space)
@@ -125,8 +177,14 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 				both(func(p *Profiler) error { return p.Observe(op, run) })
 			}
 			want := readAll(a)
+			if oneByOne := readAll(ref); !slices.Equal(want, oneByOne) {
+				t.Fatalf("seed %d step %d: four targets side by side diverged from one at a time\n got  %q\n want %q", seed, step, want, oneByOne)
+			}
 			if rng.Float64() < 0.2 || step == 89 {
 				checks++
+				if !bytes.Equal(exported(t, a), exported(t, ref)) {
+					t.Fatalf("seed %d step %d: export differs from the one-at-a-time fit's", seed, step)
+				}
 				got := readAll(b)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d step %d: %d lines vs %d", seed, step, len(got), len(want))
@@ -141,6 +199,17 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 		sa, sb := a.RefinementStats(), b.RefinementStats()
 		if sa.Observations != sb.Observations || sb.Fits >= sa.Fits || sa.FitErrors+sb.FitErrors != 0 {
 			t.Errorf("seed %d: stats eager %+v lazy %+v (%d checks): want equal observations, fewer lazy fits, no errors", seed, sa, sb, checks)
+		}
+		var wins uint64
+		for _, n := range sa.Wins {
+			wins += n
+		}
+		// A selection's grid is families x folds, the folds clamped to the rows.
+		zoo := uint64(len(a.Factories))
+		cells, grid := sa.CellsTrained+sa.CellsSkipped, sa.Selections*zoo*uint64(a.CVFolds)
+		if wins != sa.Selections || sa.CellsSkipped == 0 || cells > grid || cells%zoo != 0 {
+			t.Errorf("seed %d: %d wins over %d selections, %d cells trained + %d skipped of at most %d",
+				seed, wins, sa.Selections, sa.CellsTrained, sa.CellsSkipped, grid)
 		}
 	}
 }
@@ -284,6 +353,48 @@ func TestLazyFeatureGrowthSettlesPendingSelection(t *testing.T) {
 		if sh != [2]int{6, base + 1} {
 			t.Fatalf("the read after growth trained on %dx%d, want only the whole 6x%d buffer", sh[0], sh[1], base+1)
 		}
+	}
+}
+
+// trainSpy records the most Trains of its zoo in flight at once.
+type trainSpy struct {
+	model.Model
+	inflight, peak *atomic.Int64
+}
+
+func (s trainSpy) Train(X [][]float64, y []float64) error {
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	for old := s.peak.Load(); n > old && !s.peak.CompareAndSwap(old, n); old = s.peak.Load() {
+	}
+	runtime.Gosched() // let the other workers start theirs
+	return s.Model.Train(X, y)
+}
+
+// A fit is one job on GOMAXPROCS workers, the caller among them: the four
+// targets do not stack a worker set each on a worker set per selection.
+func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var inflight, peak atomic.Int64
+	spy := func(m model.Model) model.Model { return trainSpy{m, &inflight, &peak} }
+	p := New(engine.NewDefaultEnvironment(1), 1)
+	p.Factories = []model.Factory{
+		func() model.Model { return spy(model.NewLinear()) },
+		func() model.Model { return spy(model.NewKNN(3)) },
+		func() model.Model { return spy(model.NewTree(8, 2)) },
+	}
+	for i := int64(1); i <= 12; i++ {
+		_ = p.Observe("op", obsRun(i*1000, float64(i%5), nil))
+	}
+	if _, ok := p.Estimate("op", TargetExecTime, lazyProbes()[0]); !ok {
+		t.Fatal("no estimate")
+	}
+	if st := p.RefinementStats(); st.Selections != uint64(len(lazyTargets)) {
+		t.Fatalf("the read selected %d times, want once per target", st.Selections)
+	}
+	if got := peak.Load(); got < 1 || got > procs {
+		t.Errorf("%d Trains in flight at once during a fit of four targets, want at most GOMAXPROCS = %d", got, procs)
 	}
 }
 

@@ -104,6 +104,9 @@ func (p *Profiler) Import(r io.Reader) error {
 					po.Operator, t, len(ys), len(po.X))
 			}
 		}
+		p.mu.Lock()
+		zoo := p.zooLocked()
+		p.mu.Unlock()
 		om := &OperatorModels{
 			Operator:      po.Operator,
 			Algorithm:     po.Algorithm,
@@ -113,7 +116,7 @@ func (p *Profiler) Import(r io.Reader) error {
 			targets:       po.Targets,
 			models:        make(map[string]model.Model),
 			chosen:        make(map[string]string),
-			factories:     p.Factories,
+			zoo:           zoo,
 			cvFolds:       p.CVFolds,
 			seed:          p.Seed,
 			reselectEvery: p.ReselectEvery,

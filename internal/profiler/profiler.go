@@ -8,6 +8,7 @@ package profiler
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -116,9 +117,9 @@ type OperatorModels struct {
 	// record count approximates the operator's feasibility wall (OOM).
 	minFailRecords float64
 
-	factories []model.Factory
-	cvFolds   int
-	seed      int64
+	zoo     *zoo
+	cvFolds int
+	seed    int64
 	// reselectEvery controls how often (in observations) full CV model
 	// re-selection happens; in between, the incumbent family is kept.
 	reselectEvery int
@@ -170,6 +171,7 @@ type Profiler struct {
 	// invalidation (ProfilerRetrain) instead of flushing its whole cache.
 	retrainListener func(opName string)
 	stats           refinementCounters
+	zoo             *zoo // zooLocked's memo
 
 	// Factories is the model zoo used for selection; defaults to
 	// model.DefaultFactories.
@@ -183,7 +185,7 @@ type Profiler struct {
 
 // New returns a profiler over the given engine environment.
 func New(env *engine.Environment, seed int64) *Profiler {
-	return &Profiler{
+	p := &Profiler{
 		env:           env,
 		store:         make(map[string]*OperatorModels),
 		Factories:     model.DefaultFactories(seed),
@@ -191,6 +193,8 @@ func New(env *engine.Environment, seed int64) *Profiler {
 		ReselectEvery: 10,
 		Seed:          seed,
 	}
+	p.stats.wins = make(map[Win]uint64)
+	return p
 }
 
 // Gen returns the profiler's model-mutation generation counter.
@@ -217,26 +221,73 @@ func (p *Profiler) noteRetrain(opName string) {
 	}
 }
 
+// zoo is the model zoo as one operator's fits use it: the factories with their
+// family names resolved once, instead of building a model per factory on
+// every fit just to read Name().
+type zoo struct {
+	factories []model.Factory
+	names     []string
+	index     map[string]int // family name -> position; the first wins a duplicate
+}
+
+// zooLocked returns p.Factories with the names resolved, shared by every
+// operator created while the field holds the same slice. Callers hold p.mu.
+func (p *Profiler) zooLocked() *zoo {
+	fs := p.Factories
+	if z := p.zoo; z != nil && len(z.factories) == len(fs) && (len(fs) == 0 || &z.factories[0] == &fs[0]) {
+		return z
+	}
+	z := &zoo{factories: fs, names: make([]string, len(fs)), index: make(map[string]int, len(fs))}
+	for i, f := range fs {
+		z.names[i] = f().Name()
+		if _, dup := z.index[z.names[i]]; !dup {
+			z.index[z.names[i]] = i
+		}
+	}
+	p.zoo = z
+	return z
+}
+
+// Win names one selection outcome: the family cross-validation picked for a
+// target.
+type Win struct{ Family, Target string }
+
 // refinementCounters are one profiler's tallies, shared by its OperatorModels.
-type refinementCounters struct{ observations, fits, selections, fitErrors atomic.Uint64 }
+type refinementCounters struct {
+	observations, fits, selections, fitErrors, cellsTrained, cellsSkipped atomic.Uint64
+
+	mu   sync.Mutex
+	wins map[Win]uint64
+}
 
 // RefinementStats is a snapshot of the refinement loop's counters.
 // Observations/Fits is the coalescing factor: how many observed runs one
-// model fit absorbed.
+// model fit absorbed; CellsTrained/(CellsTrained+CellsSkipped) is the share of
+// the full cross-validation grid the bounded selection had to train.
 type RefinementStats struct {
 	Observations uint64 // runs Observe appended to a training buffer
 	Fits         uint64 // times an operator's models were brought up to date
 	Selections   uint64 // cross-validated family selections, one per target
 	FitErrors    uint64 // fits that failed and kept the previous models
+	CellsTrained uint64 // (family, fold) cells the selections trained
+	CellsSkipped uint64 // cells of the full grid that could not change a selection
+	// Wins tallies the selections by outcome; its values sum to Selections.
+	Wins map[Win]uint64
 }
 
 // RefinementStats returns the profiler's cumulative refinement counters.
 func (p *Profiler) RefinementStats() RefinementStats {
+	p.stats.mu.Lock()
+	wins := maps.Clone(p.stats.wins)
+	p.stats.mu.Unlock()
 	return RefinementStats{
 		Observations: p.stats.observations.Load(),
 		Fits:         p.stats.fits.Load(),
 		Selections:   p.stats.selections.Load(),
 		FitErrors:    p.stats.fitErrors.Load(),
+		CellsTrained: p.stats.cellsTrained.Load(),
+		CellsSkipped: p.stats.cellsSkipped.Load(),
+		Wins:         wins,
 	}
 }
 
@@ -312,7 +363,7 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 		targets:       make(map[string][]float64),
 		models:        make(map[string]model.Model),
 		chosen:        make(map[string]string),
-		factories:     p.Factories,
+		zoo:           p.zooLocked(),
 		cvFolds:       p.CVFolds,
 		seed:          p.Seed,
 		reselectEvery: p.ReselectEvery,
@@ -479,24 +530,12 @@ func (om *OperatorModels) observeFailure(run *metrics.Run) {
 func (om *OperatorModels) armLocked(reselect bool) {
 	switch {
 	case len(om.X) < 3:
-		first := om.factories[0]().Name()
 		for target := range om.targets {
-			om.chosen[target] = first
+			om.chosen[target] = om.zoo.names[0]
 		}
 	case reselect:
 		om.selectN = len(om.X)
 	}
-}
-
-// family returns the factory of the named model family, nil if this
-// profiler's zoo has none.
-func (om *OperatorModels) family(name string) model.Factory {
-	for _, f := range om.factories {
-		if f().Name() == name {
-			return f
-		}
-	}
-	return nil
 }
 
 // fitLocked brings the models up to date with the training buffer. It is the
@@ -511,51 +550,81 @@ func (om *OperatorModels) fitLocked() error {
 	}
 	om.fitN, om.selectN = len(om.X), 0
 	om.stats.fits.Add(1)
-	models := make(map[string]model.Model, len(om.targets))
-	for target, y := range om.targets {
-		if len(y) == 0 {
-			continue
-		}
-		m, err := om.fitTargetLocked(target, y, pending)
-		if err != nil {
-			om.stats.fitErrors.Add(1)
-			return err
-		}
-		models[target] = m
-	}
-	for target, m := range models {
-		om.models[target] = m
-		om.chosen[target] = m.Name()
+	if err := om.fitTargetsLocked(pending); err != nil {
+		om.stats.fitErrors.Add(1)
+		return err
 	}
 	return nil
 }
 
-// fitTargetLocked trains one target's model on the whole buffer: the
-// incumbent family, or the one cross-validation picks on X[:pending] when a
-// re-selection is pending — on the whole buffer for a target without a usable
-// family (a version-1 import, a family this build no longer ships).
-func (om *OperatorModels) fitTargetLocked(target string, y []float64, pending int) (model.Model, error) {
+// fitTargetsLocked trains every target's model on the whole buffer, as one
+// job: each target keeps its incumbent family, or takes the one a bounded
+// cross-validation (model.Select) picks on X[:pending] when a re-selection is
+// pending — on the whole buffer for a target without a usable family (a
+// version-1 import, a family this build no longer ships). The selections'
+// cells and then the whole-buffer trains share one pool of GOMAXPROCS workers;
+// targets are handled in sorted order, so the error reported is the same on
+// every execution, and nothing is committed unless every target trained.
+func (om *OperatorModels) fitTargetsLocked(pending int) error {
 	n := len(om.X)
-	if len(y) != n {
-		return nil, fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
+	var targets []string
+	for target, y := range om.targets {
+		if len(y) > 0 {
+			targets = append(targets, target)
+		}
 	}
-	fac := om.family(om.chosen[target])
-	switch {
-	case fac == nil && n < 3:
-		fac = om.factories[0]
-	case fac == nil || pending > 0:
+	sort.Strings(targets)
+	// fams is the family each target trains: the incumbent, until a selection
+	// it only leads replaces it.
+	fams := make([]int, len(targets))
+	var selecting []int // positions in targets
+	for i, target := range targets {
+		if y := om.targets[target]; len(y) != n {
+			return fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
+		}
+		fam, known := om.zoo.index[om.chosen[target]]
+		if (known && pending > 0) || (!known && n >= 3) {
+			selecting = append(selecting, i)
+		}
+		fams[i] = fam // family 0 when unknown: below three rows nothing can be cross-validated
+	}
+	if len(selecting) > 0 {
 		if pending == 0 {
 			pending = n
 		}
-		scores, err := model.CrossValidate(om.factories, om.X[:pending], y[:pending], om.cvFolds, om.seed)
-		if err != nil {
-			return nil, err
+		ys, leads := make([][]float64, len(selecting)), make([]int, len(selecting))
+		for j, i := range selecting {
+			ys[j], leads[j] = om.targets[targets[i]][:pending], fams[i]
 		}
-		fac = om.factories[model.Best(scores, func(s model.Score) float64 { return s.RelErr })]
-		om.stats.selections.Add(1)
+		sels, err := model.Select(om.zoo.factories, om.X[:pending], ys, leads, om.cvFolds, om.seed, model.ByRelErr)
+		if err != nil {
+			return err
+		}
+		om.stats.mu.Lock()
+		for j, i := range selecting {
+			fams[i] = sels[j].Best
+			om.stats.wins[Win{om.zoo.names[fams[i]], targets[i]}]++
+			om.stats.selections.Add(1)
+			om.stats.cellsTrained.Add(uint64(sels[j].Trained))
+			om.stats.cellsSkipped.Add(uint64(sels[j].Skipped))
+		}
+		om.stats.mu.Unlock()
 	}
-	m := fac()
-	return m, m.Train(om.X, y)
+	models, errs := make([]model.Model, len(targets)), make([]error, len(targets))
+	model.Parallel(len(targets), func(i int) {
+		models[i] = om.zoo.factories[fams[i]]()
+		errs[i] = models[i].Train(om.X, om.targets[targets[i]])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	for i, target := range targets {
+		om.models[target] = models[i]
+		om.chosen[target] = om.zoo.names[fams[i]]
+	}
+	return nil
 }
 
 // Estimate predicts one target for a feature map. Results (including

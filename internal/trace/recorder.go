@@ -53,6 +53,8 @@ func NewRecorder(max int) *Recorder {
 	reg.Help("ires_profiler_fits_total", "times an operator's models were brought up to date, at the first read after its buffer changed")
 	reg.Help("ires_profiler_selections_total", "cross-validated model-family selections, one per refitted target")
 	reg.Help("ires_profiler_fit_errors_total", "model fits that failed and kept the previous models")
+	reg.Help("ires_profiler_cv_cells_total", "(family, fold) cells of the selections' cross-validation grids, by outcome: trained, or skipped because the family's partial error already exceeded the incumbent's total")
+	reg.Help("ires_profiler_selection_wins_total", "cross-validated selections by the family that won and the target it won; sums to ires_profiler_selections_total")
 	reg.Help("ires_trace_dropped_total", "events aged out of the recorder's bounded window; non-zero means trace reads return a truncated log")
 	reg.Help("ires_vtime_seconds", "current virtual time of the simulation")
 	reg.Help("ires_runs_submitted_total", "workflow runs submitted to the scheduler")

@@ -888,7 +888,9 @@ func (p *Platform) BlacklistedEngines() []string {
 // replans, fault injections, container churn, virtual time). The profiler's
 // refinement counters (ires_profiler_*_total) are folded in here, on read, so
 // that Observe stays off the registry's lock; observations over fits is the
-// coalescing factor of the deferred model fits. So is
+// coalescing factor of the deferred model fits, cv_cells trained over
+// trained + skipped the share of the cross-validation grid the bounded
+// selection trains, selection_wins which family wins which target. So is
 // ires_trace_dropped_total, the events that aged out of the recorder's
 // window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
 func (p *Platform) Metrics() *MetricsRegistry {
@@ -900,6 +902,13 @@ func (p *Platform) Metrics() *MetricsRegistry {
 	reg.Inc("ires_profiler_fits_total", nil, float64(cur.Fits-last.Fits))
 	reg.Inc("ires_profiler_selections_total", nil, float64(cur.Selections-last.Selections))
 	reg.Inc("ires_profiler_fit_errors_total", nil, float64(cur.FitErrors-last.FitErrors))
+	reg.Inc("ires_profiler_cv_cells_total", map[string]string{"outcome": "trained"}, float64(cur.CellsTrained-last.CellsTrained))
+	reg.Inc("ires_profiler_cv_cells_total", map[string]string{"outcome": "skipped"}, float64(cur.CellsSkipped-last.CellsSkipped))
+	for win, n := range cur.Wins {
+		if n > last.Wins[win] {
+			reg.Inc("ires_profiler_selection_wins_total", map[string]string{"family": win.Family, "target": win.Target}, float64(n-last.Wins[win]))
+		}
+	}
 	p.refinePublished = cur
 	dropped := p.recorder.Dropped()
 	reg.Inc("ires_trace_dropped_total", nil, float64(dropped-p.droppedPublished))

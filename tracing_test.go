@@ -124,12 +124,28 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	if got := reg.Value("ires_profiler_fit_errors_total", nil); got != 0 {
 		t.Errorf("ires_profiler_fit_errors_total = %v, want 0", got)
 	}
+	// What the selections cost and who won them: exact counts, each win
+	// under its own {family,target} series.
+	trained := reg.Value("ires_profiler_cv_cells_total", map[string]string{"outcome": "trained"})
+	skipped := reg.Value("ires_profiler_cv_cells_total", map[string]string{"outcome": "skipped"})
+	if trained != float64(rs.CellsTrained) || skipped != float64(rs.CellsSkipped) || trained <= 0 || skipped <= 0 {
+		t.Errorf("ires_profiler_cv_cells_total = %v trained / %v skipped, RefinementStats = %d / %d, want both positive", trained, skipped, rs.CellsTrained, rs.CellsSkipped)
+	}
+	if got := reg.Sum("ires_profiler_selection_wins_total"); got != float64(rs.Selections) || got != reg.Value("ires_profiler_selections_total", nil) || got <= 0 {
+		t.Errorf("ires_profiler_selection_wins_total sums to %v, RefinementStats.Selections = %d", got, rs.Selections)
+	}
+	for win, n := range rs.Wins {
+		if got := reg.Value("ires_profiler_selection_wins_total", map[string]string{"family": win.Family, "target": win.Target}); got != float64(n) {
+			t.Errorf("ires_profiler_selection_wins_total%+v = %v, RefinementStats.Wins = %d", win, got, n)
+		}
+	}
 
 	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	for _, metric := range []string{"ires_attempts_total", "ires_vtime_seconds", "# TYPE", "# HELP ires_profiler_selections_total"} {
+	for _, metric := range []string{"ires_attempts_total", "ires_vtime_seconds", "# TYPE", "# HELP ires_profiler_selections_total",
+		"# HELP ires_profiler_cv_cells_total", "# HELP ires_profiler_selection_wins_total", `ires_profiler_cv_cells_total{outcome="skipped"}`} {
 		if !strings.Contains(b.String(), metric) {
 			t.Errorf("Prometheus exposition missing %q", metric)
 		}
