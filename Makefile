@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck shuffle cover ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-fed bench-e2e
+.PHONY: all build test race vet fmt staticcheck shuffle cover reach ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-e2e
 
 all: build
 
@@ -31,10 +31,9 @@ shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # cover enforces the statement-coverage floor on the scheduling core: the
-# scheduler, cluster, agent and federation packages must stay at or above
-# 85%.
+# scheduler, cluster and agent packages must stay at or above 85%.
 cover:
-	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/agent/ ./internal/federation/; do \
+	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/agent/; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "$$pkg: no coverage reported"; exit 1; fi; \
 		ok=$$(awk -v p="$$pct" 'BEGIN{print (p >= 85) ? 1 : 0}'); \
@@ -42,10 +41,19 @@ cover:
 		else echo "$$pkg: coverage $$pct% (floor 85%)"; fi; \
 	done
 
+# reach fails naming every internal package that nothing shipped imports: a
+# layer only its own tests or a bench cell (internal/experiments) can reach
+# does not ship.
+reach:
+	@deps=$$($(GO) list -deps . ./cmd/ires ./cmd/ires-server ./cmd/musqle ./bench/e2e ./examples/...) || exit 1; \
+	for pkg in $$($(GO) list ./internal/... | grep -v '/internal/experiments$$'); do \
+		echo "$$deps" | grep -qx "$$pkg" || { echo "$$pkg: reachable from no main, example or bench/e2e"; bad=1; }; \
+	done; [ -z "$$bad" ]
+
 # ci is the gate a PR must pass: formatting, static analysis, the full test
-# suite under the race detector plus a shuffled double pass, and the
-# coverage floor on the scheduling core.
-ci: fmt vet staticcheck race shuffle cover
+# suite under the race detector plus a shuffled double pass, the coverage
+# floor on the scheduling core, and no unreachable internal package.
+ci: fmt vet staticcheck race shuffle cover reach
 
 # Every bench target is one ires-bench invocation over cells of
 # internal/experiments.Cells; what a cell's gate holds is documented on its
@@ -55,14 +63,14 @@ bench:
 	$(GO) run ./cmd/ires-bench
 
 # bench-smoke: every tracked cell with its gate, plus three quick figures.
-# BENCH_SCHED.json, BENCH_CKPT.json, BENCH_DRF.json and BENCH_FED.json hold
-# only virtual-time facts and trace byte counts, so a rerun rewrites them
+# BENCH_SCHED.json, BENCH_CKPT.json and BENCH_DRF.json hold only
+# virtual-time facts and trace byte counts, so a rerun rewrites them
 # byte-identically on any machine; CI follows bench-smoke with
-# `git diff --exit-code` on those four, so a change that shifts a trace byte
+# `git diff --exit-code` on those three, so a change that shifts a trace byte
 # fails instead of silently rewriting the baseline. (The planner and
 # sched-scale baselines hold wall-clock figures and are not diffed.)
 bench-smoke:
-	$(GO) run ./cmd/ires-bench -quick -only PLANNER,SCHEDDL,SCHEDSCALE,CKPT,DRF,FED,FIG11,FIG20-22,SCHED -out .
+	$(GO) run ./cmd/ires-bench -quick -only PLANNER,SCHEDDL,SCHEDSCALE,CKPT,DRF,FIG11,FIG20-22,SCHED -out .
 
 # bench-sched: cell SCHEDDL, rewrites BENCH_SCHED.json.
 bench-sched:
@@ -83,10 +91,6 @@ bench-drf:
 # bench-planner: cell PLANNER, rewrites BENCH_PLANNER.json.
 bench-planner:
 	$(GO) run ./cmd/ires-bench -only PLANNER -out .
-
-# bench-fed: cell FED, rewrites BENCH_FED.json.
-bench-fed:
-	$(GO) run ./cmd/ires-bench -only FED -out .
 
 # bench-e2e runs the end-to-end benchmark of the composed platform that
 # BENCHMARK.json declares (four workloads, ~2 min); see bench/README.md.

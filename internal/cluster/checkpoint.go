@@ -31,12 +31,12 @@ func (c *Cluster) PutCheckpoint(key, algorithm string, units, total int, nodes [
 		replicas = nil
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.checkpoints == nil {
 		c.checkpoints = make(map[string]*ckptEntry)
 	}
 	if old, ok := c.checkpoints[key]; ok {
 		if old.algorithm == algorithm && old.total == total && old.units >= units {
-			c.mu.Unlock()
 			return
 		}
 		// The entry advances or is replaced: its replica set moves to the
@@ -55,24 +55,6 @@ func (c *Cluster) PutCheckpoint(key, algorithm string, units, total int, nodes [
 			n.ag.AddReplica(key)
 		}
 	}
-	mirror := c.ckptMirror
-	c.mu.Unlock()
-	// The mirror hook fires only for entries that actually advanced, so two
-	// clusters mirroring each other reach a fixed point instead of looping.
-	if mirror != nil {
-		mirror(key, algorithm, units, total, durable)
-	}
-}
-
-// SetCheckpointMirror installs an observer called (without the cluster
-// lock) whenever a checkpoint entry is stored or advances. The federation
-// layer uses it to replicate durable checkpoints to sibling clusters, so a
-// cross-cluster replan after a region outage restores banked units instead
-// of recomputing them. A nil fn disables mirroring.
-func (c *Cluster) SetCheckpointMirror(fn func(key, algorithm string, units, total int, durable bool)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ckptMirror = fn
 }
 
 // CheckpointProgress returns the banked units under key, or zero when no

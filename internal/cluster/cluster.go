@@ -46,8 +46,8 @@ var (
 	ErrNilReservation = errors.New("cluster: nil reservation")
 	// ErrReleasedReservation rejects an operation on a revoked lease.
 	ErrReleasedReservation = errors.New("cluster: released reservation")
-	// ErrForeignReservation rejects a lease that belongs to a different
-	// cluster — a federation-layer misuse, where several clusters coexist.
+	// ErrForeignReservation rejects a lease handed to a cluster that did
+	// not issue it.
 	ErrForeignReservation = errors.New("cluster: reservation belongs to a different cluster")
 )
 
@@ -169,11 +169,6 @@ type Cluster struct {
 	// returns the node's current flag (set via SetNodeHealth, the failure
 	// injection hook).
 	healthScript func(n *Node) bool
-
-	// ckptMirror, when set, observes every checkpoint entry that advances
-	// (see SetCheckpointMirror): the federation layer uses it to replicate
-	// durable checkpoints across clusters. Called WITHOUT c.mu held.
-	ckptMirror func(key, algorithm string, units, total int, durable bool)
 
 	// partitionedAt records, per currently partitioned node, the virtual
 	// time the partition began — the staleness clock agent.drift events and
@@ -348,22 +343,20 @@ func (c *Cluster) SetHealthScript(fn func(n *Node) bool) {
 	c.healthScript = fn
 }
 
-// RunHealthChecks executes the health script on every node, updates node
-// states and returns the per-node verdicts.
-func (c *Cluster) RunHealthChecks() map[string]bool {
+// RunHealthChecks executes the health script on every node and updates
+// node states.
+func (c *Cluster) RunHealthChecks() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make(map[string]bool, len(c.nodes))
+	if c.healthScript == nil {
+		return
+	}
 	for _, name := range c.order {
 		n := c.nodes[name]
-		if c.healthScript != nil {
-			verdict := c.healthScript(n)
-			c.setHealthLocked(n, verdict)
-			n.ag.SetHealthy(verdict)
-		}
-		out[name] = n.healthy
+		verdict := c.healthScript(n)
+		c.setHealthLocked(n, verdict)
+		n.ag.SetHealthy(verdict)
 	}
-	return out
 }
 
 // SetNodeHealth flips a node's health flag directly (failure injection).

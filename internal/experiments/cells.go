@@ -95,7 +95,6 @@ var Cells = []Cell{
 	{ID: "ABL-DP", Run: one(AblationDPvsExhaustive)},
 	{ID: "ABL-CV", Run: tracked(AblationModelSelection)},
 	{ID: "DRF", File: "BENCH_DRF.json", Run: tracked(RunDRFBench)},
-	{ID: "FED", File: "BENCH_FED.json", Run: tracked(RunFedBench)},
 	{ID: "SCHEDSCALE", File: "BENCH_SCHED_SCALE.json", Run: tracked(RunSchedScaleBench)},
 	{ID: "PLANNER", File: "BENCH_PLANNER.json", Run: tracked(RunPlannerBench)},
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-// TestTrackedBaselines regenerates the four machine-independent baselines
+// TestTrackedBaselines regenerates the three machine-independent baselines
 // (virtual-time facts and trace byte counts only) and compares them with the
 // committed files byte for byte, gates included: a change that moves a trace
 // byte fails here, not only in CI's `git diff --exit-code` after bench-smoke.
@@ -26,7 +26,7 @@ func TestTrackedBaselines(t *testing.T) {
 	checked := 0
 	for _, c := range Cells {
 		switch c.File {
-		case "BENCH_SCHED.json", "BENCH_CKPT.json", "BENCH_DRF.json", "BENCH_FED.json":
+		case "BENCH_SCHED.json", "BENCH_CKPT.json", "BENCH_DRF.json":
 		default:
 			continue
 		}
@@ -52,8 +52,34 @@ func TestTrackedBaselines(t *testing.T) {
 			}
 		})
 	}
-	if checked != 4 {
-		t.Errorf("checked %d machine-independent baselines, want 4", checked)
+	if checked != 3 {
+		t.Errorf("checked %d machine-independent baselines, want 3", checked)
+	}
+}
+
+// The BENCH_*.json files at the repo root are exactly the files the cell
+// table writes: a baseline no cell regenerates, or a cell whose baseline was
+// never committed, fails by name.
+func TestBaselineFilesMatchCells(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, p := range paths {
+		onDisk[filepath.Base(p)] = true
+	}
+	for _, c := range Cells {
+		if c.File == "" {
+			continue
+		}
+		if !onDisk[c.File] {
+			t.Errorf("cell %s writes %s, which is not committed at the repo root", c.ID, c.File)
+		}
+		delete(onDisk, c.File)
+	}
+	for f := range onDisk {
+		t.Errorf("%s is written by no cell of Cells", f)
 	}
 }
 
@@ -142,18 +168,6 @@ func TestDRFGate(t *testing.T) {
 		{"no restores", func(b *DRFBench) { b.Overcommit.Restores = 0 }},
 		{"re-executed 3 completed operators", func(b *DRFBench) { b.Overcommit.ReExecutedOps = 3 }},
 		{"oversubscription traces differ", func(b *DRFBench) { b.Overcommit.Deterministic = false }},
-	})
-}
-
-func TestFedGate(t *testing.T) {
-	checkGate(t, "BENCH_FED.json", func() *FedBench { return &FedBench{} }, []gateBreak[*FedBench]{
-		{"outage too late", func(b *FedBench) { b.AffectedRuns = 2 }},
-		{"not replanned exactly once", func(b *FedBench) { b.MovedRuns++ }},
-		{"not replanned exactly once", func(b *FedBench) { b.Replans-- }},
-		{"restored no mirrored checkpoint units", func(b *FedBench) { b.RestoredUnits = 0 }},
-		{"units were re-executed", func(b *FedBench) { b.ReExecutedUnits = 1 }},
-		{"lost or double-counted", func(b *FedBench) { b.ExecutedUnits-- }},
-		{"traces differ", func(b *FedBench) { b.Deterministic = false }},
 	})
 }
 

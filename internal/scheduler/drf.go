@@ -9,7 +9,7 @@ import "fmt"
 // admission always goes to a waiting run of the tenant with the smallest
 // dominant share. Cores-heavy and memory-heavy tenants therefore each get
 // roughly the whole cluster in *their* bottleneck dimension rather than
-// splitting node counts, which is the property the bench-drf gate pins.
+// splitting node counts, which is the property the DRF cell's gate pins.
 //
 // When every slot is occupied DRF can preempt: if the most-starved waiting
 // tenant's dominant share is strictly below the most-over-share active

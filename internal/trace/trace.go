@@ -110,14 +110,6 @@ const (
 	// rounds, so scenarios that never reconcile keep byte-identical traces.
 	EvAgentReport EventType = "agent.report"
 	EvAgentDrift  EventType = "agent.drift"
-
-	// Federation layer: a run placed on a member cluster (locality score
-	// and spare capacity in Fields; Node carries the member name), a
-	// region-wide correlated agent death, and a run moved across clusters
-	// by the outage-recovery replan.
-	EvFederationPlace  EventType = "federation.place"
-	EvFederationOutage EventType = "federation.outage"
-	EvFederationReplan EventType = "federation.replan"
 )
 
 // Event is one structured trace record. Only deterministic, virtual-time
