@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrAgentDown rejects a placement on a dead (failed, not yet restored)
@@ -80,6 +81,20 @@ type Report struct {
 	Stale    bool
 }
 
+// Header is the slice-free part of a Report — everything a reconcile round
+// and its agent.report event read — with Containers as a count, plus the
+// Version the report was published at. Reading it allocates nothing.
+type Header struct {
+	Incarnation int
+	Seq         int64
+	Healthy     bool
+	UsedCores   int
+	UsedMemMB   int
+	Containers  int
+	Stale       bool
+	Version     uint64
+}
+
 // Agent is one node actor. It is safe for concurrent use; all methods are
 // synchronous and deterministic.
 type Agent struct {
@@ -98,6 +113,10 @@ type Agent struct {
 
 	partitioned bool
 	frozen      Report
+
+	// version is the published-report version (see Version). Written under
+	// mu, read without it.
+	version atomic.Uint64
 }
 
 // New builds a healthy agent for a node of the given capacity.
@@ -110,6 +129,22 @@ func New(name string, cores, memMB int) *Agent {
 		placements: make(map[int]Placement),
 		replicas:   make(map[string]bool),
 	}
+}
+
+// Version returns the published-report version: a counter that moves
+// whenever what Report returns could have changed — at every local mutation
+// (each Seq bump, also behind a partition, where the move is conservative)
+// and when a partition starts or heals, which flip Stale without touching
+// Seq. An observer that loads Version before reading Report and finds it
+// unchanged on its next visit may keep the report it holds. One atomic load;
+// no lock.
+func (a *Agent) Version() uint64 { return a.version.Load() }
+
+// mutatedLocked marks one local mutation: Seq and the published-report
+// version move together; a.mu held.
+func (a *Agent) mutatedLocked() {
+	a.seq++
+	a.version.Add(1)
 }
 
 // Name returns the node name the agent manages.
@@ -152,7 +187,7 @@ func (a *Agent) Place(p Placement) error {
 	a.placements[p.ID] = p
 	a.usedCores += p.Cores
 	a.usedMemMB += p.MemMB
-	a.seq++
+	a.mutatedLocked()
 	return nil
 }
 
@@ -169,7 +204,7 @@ func (a *Agent) Kill(id int) (Placement, bool) {
 	delete(a.placements, id)
 	a.usedCores -= p.Cores
 	a.usedMemMB -= p.MemMB
-	a.seq++
+	a.mutatedLocked()
 	return p, true
 }
 
@@ -203,7 +238,7 @@ func (a *Agent) AddReplica(key string) {
 	defer a.mu.Unlock()
 	if !a.replicas[key] {
 		a.replicas[key] = true
-		a.seq++
+		a.mutatedLocked()
 	}
 }
 
@@ -214,7 +249,7 @@ func (a *Agent) DropReplica(key string) {
 	defer a.mu.Unlock()
 	if a.replicas[key] {
 		delete(a.replicas, key)
-		a.seq++
+		a.mutatedLocked()
 	}
 }
 
@@ -273,6 +308,23 @@ func (a *Agent) reportLocked() Report {
 	}
 }
 
+// Header publishes the slice-free header of what Report would return right
+// now — frozen and Stale while partitioned — without building the report.
+func (a *Agent) Header() Header {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	h := Header{Version: a.version.Load()}
+	if a.partitioned {
+		f := &a.frozen
+		h.Incarnation, h.Seq, h.Healthy, h.Stale = f.Incarnation, f.Seq, f.Healthy, true
+		h.UsedCores, h.UsedMemMB, h.Containers = f.UsedCores, f.UsedMemMB, len(f.Containers)
+		return h
+	}
+	h.Incarnation, h.Seq, h.Healthy = a.incarnation, a.seq, a.healthy
+	h.UsedCores, h.UsedMemMB, h.Containers = a.usedCores, a.usedMemMB, len(a.placements)
+	return h
+}
+
 // Healthy reports the agent's live health truth (not the possibly-stale
 // published report).
 func (a *Agent) Healthy() bool {
@@ -290,7 +342,7 @@ func (a *Agent) SetHealthy(healthy bool) {
 	defer a.mu.Unlock()
 	if a.healthy != healthy {
 		a.healthy = healthy
-		a.seq++
+		a.mutatedLocked()
 	}
 }
 
@@ -313,7 +365,7 @@ func (a *Agent) Fail() (dropped []Placement, lostReplicas []string) {
 	a.replicas = make(map[string]bool)
 	a.usedCores, a.usedMemMB = 0, 0
 	a.healthy = false
-	a.seq++
+	a.mutatedLocked()
 	return dropped, lostReplicas
 }
 
@@ -324,7 +376,7 @@ func (a *Agent) Restore() {
 	defer a.mu.Unlock()
 	a.healthy = true
 	a.incarnation++
-	a.seq++
+	a.mutatedLocked()
 }
 
 // Incarnation returns the agent's current incarnation number.
@@ -347,14 +399,19 @@ func (a *Agent) Partition() {
 	a.frozen = a.reportLocked()
 	a.frozen.Stale = true
 	a.partitioned = true
+	a.version.Add(1)
 }
 
 // Heal ends a partition: reports flow fresh again.
 func (a *Agent) Heal() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if !a.partitioned {
+		return
+	}
 	a.partitioned = false
 	a.frozen = Report{}
+	a.version.Add(1)
 }
 
 // Partitioned reports whether the agent's reports are currently frozen.

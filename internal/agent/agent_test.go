@@ -146,3 +146,56 @@ func TestSetHealthyKeepsState(t *testing.T) {
 		t.Fatal("not healthy after flip back")
 	}
 }
+
+// The published-report version moves exactly when Report could return
+// something else — every mutation, a partition starting, a partition ending —
+// and stands still otherwise; Header is Report without its slices, at that
+// version, frozen behind a partition like the report itself.
+func TestVersionAndHeaderFollowThePublishedReport(t *testing.T) {
+	a := New("node0", 8, 16384)
+	last := a.Version()
+	step := func(what string, wantMove bool, fn func()) {
+		t.Helper()
+		before := a.Report()
+		fn()
+		v := a.Version()
+		if moved := v != last; moved != wantMove {
+			t.Fatalf("%s: version moved = %v, want %v", what, moved, wantMove)
+		}
+		if !wantMove && !reflect.DeepEqual(a.Report(), before) {
+			t.Fatalf("%s: report changed under an unmoved version: %+v, was %+v", what, a.Report(), before)
+		}
+		last = v
+		rep, h := a.Report(), a.Header()
+		want := Header{
+			Incarnation: rep.Incarnation, Seq: rep.Seq, Healthy: rep.Healthy,
+			UsedCores: rep.UsedCores, UsedMemMB: rep.UsedMemMB, Containers: len(rep.Containers),
+			Stale: rep.Stale, Version: v,
+		}
+		if h != want {
+			t.Fatalf("%s: Header = %+v, Report says %+v", what, h, want)
+		}
+	}
+
+	step("place", true, func() { _ = a.Place(Placement{ID: 1, Cores: 2, MemMB: 2048}) })
+	step("rejected place", false, func() { _ = a.Place(Placement{ID: 1, Cores: 1, MemMB: 1}) })
+	step("add replica", true, func() { a.AddReplica("k") })
+	step("add replica again", false, func() { a.AddReplica("k") })
+	step("unhealthy", true, func() { a.SetHealthy(false) })
+	step("unhealthy again", false, func() { a.SetHealthy(false) })
+	step("healthy", true, func() { a.SetHealthy(true) })
+	step("heal unpartitioned", false, func() { a.Heal() })
+	step("partition", true, func() { a.Partition() })
+	step("partition again", false, func() { a.Partition() })
+	// Behind the partition the move is conservative: the frozen report is
+	// served either way, so only the version and the live truth change.
+	step("place behind partition", true, func() { _ = a.Place(Placement{ID: 2, Cores: 1, MemMB: 512}) })
+	step("fail behind partition", true, func() { a.Fail() })
+	if h := a.Header(); !h.Stale || !h.Healthy || h.Containers != 1 {
+		t.Fatalf("header leaked live truth through the partition: %+v", h)
+	}
+	step("heal", true, func() { a.Heal() })
+	step("restore", true, func() { a.Restore() })
+	step("kill unknown", false, func() { a.Kill(9) })
+	step("drop replica unknown", false, func() { a.DropReplica("missing") })
+}

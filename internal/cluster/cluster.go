@@ -67,9 +67,11 @@ type Node struct {
 	// checkpoint replicas).
 	ag *agent.Agent
 	// lastSeq/lastIncarnation track the last agent report the reconciler
-	// observed, for news detection and rebirth detection respectively.
+	// observed, for news detection and rebirth detection respectively;
+	// lastVersion is the published-report version that round closed on.
 	lastSeq         int64
 	lastIncarnation int
+	lastVersion     uint64
 
 	healthy   bool
 	usedCores int
@@ -344,12 +346,12 @@ func (c *Cluster) SetHealthScript(fn func(n *Node) bool) {
 }
 
 // RunHealthChecks executes the health script on every node and updates
-// node states.
-func (c *Cluster) RunHealthChecks() {
+// node states. It reports whether a script is installed (and so ran).
+func (c *Cluster) RunHealthChecks() (scripted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.healthScript == nil {
-		return
+		return false
 	}
 	for _, name := range c.order {
 		n := c.nodes[name]
@@ -357,6 +359,7 @@ func (c *Cluster) RunHealthChecks() {
 		c.setHealthLocked(n, verdict)
 		n.ag.SetHealthy(verdict)
 	}
+	return true
 }
 
 // SetNodeHealth flips a node's health flag directly (failure injection).

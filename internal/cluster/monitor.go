@@ -20,14 +20,37 @@ type Monitor struct {
 	env     *engine.Environment
 	period  time.Duration
 
+	// agents is the cluster's agent list in stable node order (nodes are
+	// fixed at cluster.New); seen[i] is agents[i]'s published-report version
+	// at the last read of its report and envGen the environment's generation
+	// at the last engine sweep. A poll re-reads only what moved since.
+	agents []*agent.Agent
+	seen   []uint64
+	envGen uint64
+
 	nodeHealth map[string]bool
 	reports    map[string]agent.Report
 	services   map[string]bool
 	started    bool
-	ticks      int
+	polls      PollStats
 	cbSeq      int
 	onChange   []monitorCB
 }
+
+// PollStats counts completed polls by outcome.
+type PollStats struct {
+	// Idle polls found no agent version, no environment generation moved and
+	// no health script armed: nothing was re-read.
+	Idle int
+	// Refreshed polls re-read at least one report or the engine list and found
+	// every status as it was; Changed polls found one that differed.
+	Refreshed int
+	Changed   int
+}
+
+// unseen is the version no agent or environment ever publishes: the first
+// poll finds everything new.
+const unseen = ^uint64(0)
 
 type monitorCB struct {
 	id int
@@ -37,14 +60,20 @@ type monitorCB struct {
 // NewMonitor builds a monitor over the cluster and engine environment,
 // polling with the given virtual-time period.
 func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Monitor {
-	return &Monitor{
+	m := &Monitor{
 		cluster:    c,
 		env:        env,
 		period:     period,
+		envGen:     unseen,
 		nodeHealth: make(map[string]bool),
 		reports:    make(map[string]agent.Report),
 		services:   make(map[string]bool),
 	}
+	for _, n := range c.Nodes() {
+		m.agents = append(m.agents, n.ag)
+		m.seen = append(m.seen, unseen)
+	}
+	return m
 }
 
 // OnChange registers a callback fired (synchronously, during Poll) whenever
@@ -87,18 +116,16 @@ func (m *Monitor) Start() {
 	m.started = true
 	m.mu.Unlock()
 	m.Poll()
-	m.scheduleNext()
-}
-
-func (m *Monitor) scheduleNext() {
 	clock := m.cluster.Clock()
 	if clock == nil {
 		return
 	}
-	clock.After(m.period, func(time.Duration) {
+	var tick func(time.Duration)
+	tick = func(time.Duration) {
 		m.Poll()
-		m.scheduleNext()
-	})
+		clock.After(m.period, tick)
+	}
+	clock.After(m.period, tick)
 }
 
 // Poll runs one monitoring round immediately and returns whether any status
@@ -106,13 +133,26 @@ func (m *Monitor) scheduleNext() {
 // heartbeat channel — so a partitioned node keeps its last-known (frozen)
 // status on the board until the partition heals, exactly the stale view a
 // real resource manager would hold.
+//
+// A round costs what changed, not what exists: an agent's report is re-read
+// only when its published-report version moved since the last read, the
+// engine list only when the environment's generation did. A health script
+// may read anything, so while one is armed every report is re-read.
 func (m *Monitor) Poll() bool {
-	m.cluster.RunHealthChecks()
-	reports := m.cluster.AgentReports()
+	scripted := m.cluster.RunHealthChecks()
 
 	m.mu.Lock()
-	changed := false
-	for _, rep := range reports {
+	changed, refreshed := false, false
+	for i, a := range m.agents {
+		// Version before Report: the report is then at least as new as the
+		// version kept, so a mutation in between is re-read, never missed.
+		v := a.Version()
+		if v == m.seen[i] && !scripted {
+			continue
+		}
+		m.seen[i] = v
+		refreshed = true
+		rep := a.Report()
 		if prev, seen := m.nodeHealth[rep.Node]; !seen || prev != rep.Healthy {
 			changed = true
 		}
@@ -120,39 +160,54 @@ func (m *Monitor) Poll() bool {
 		m.reports[rep.Node] = rep
 	}
 	if m.env != nil {
-		for _, name := range m.env.Engines() {
-			on := m.env.Available(name)
-			if prev, seen := m.services[name]; !seen || prev != on {
-				changed = true
+		if gen := m.env.Gen(); gen != m.envGen {
+			m.envGen = gen
+			refreshed = true
+			for _, name := range m.env.Engines() {
+				on := m.env.Available(name)
+				if prev, seen := m.services[name]; !seen || prev != on {
+					changed = true
+				}
+				m.services[name] = on
 			}
-			m.services[name] = on
 		}
 	}
-	m.ticks++
-	cbs := append([]monitorCB{}, m.onChange...)
+	var cbs []monitorCB
+	switch {
+	case changed:
+		m.polls.Changed++
+		cbs = append(cbs, m.onChange...)
+	case refreshed:
+		m.polls.Refreshed++
+	default:
+		m.polls.Idle++
+	}
 	m.mu.Unlock()
 
-	if changed {
-		for _, cb := range cbs {
-			// A callback may deregister others (an executor finishing tears
-			// its subscription down from inside a peer's notification), so
-			// each one's liveness is re-checked under the lock immediately
-			// before it fires instead of trusting the snapshot above.
-			m.mu.Lock()
-			alive := false
-			for _, live := range m.onChange {
-				if live.id == cb.id {
-					alive = true
-					break
-				}
-			}
-			m.mu.Unlock()
-			if alive {
-				cb.fn()
+	m.fire(cbs)
+	return changed
+}
+
+// fire invokes the snapshot of subscriptions a changed poll took. A callback
+// may deregister others (an executor finishing tears its subscription down
+// from inside a peer's notification), so each one's liveness is re-checked
+// under the lock immediately before it fires instead of trusting the
+// snapshot.
+func (m *Monitor) fire(cbs []monitorCB) {
+	for _, cb := range cbs {
+		m.mu.Lock()
+		alive := false
+		for _, live := range m.onChange {
+			if live.id == cb.id {
+				alive = true
+				break
 			}
 		}
+		m.mu.Unlock()
+		if alive {
+			cb.fn()
+		}
 	}
-	return changed
 }
 
 // NodeReport returns the last agent report observed for the node (zero
@@ -196,7 +251,13 @@ func (m *Monitor) AvailableEngines() []string {
 
 // Ticks reports the number of completed polls.
 func (m *Monitor) Ticks() int {
+	p := m.PollStats()
+	return p.Idle + p.Refreshed + p.Changed
+}
+
+// PollStats returns the completed polls by outcome; they sum to Ticks.
+func (m *Monitor) PollStats() PollStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ticks
+	return m.polls
 }

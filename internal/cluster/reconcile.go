@@ -90,14 +90,19 @@ func (c *Cluster) SetMaxStaleness(d time.Duration) {
 	c.maxStaleness = d
 }
 
-// Reconcile runs one reconciliation round: it reads every agent's report in
-// stable node order, tolerates stale ones (emitting agent.drift, and
-// applying the MaxStaleness death bound when armed), and converges the
+// Reconcile runs one reconciliation round: it reads every agent's report
+// header in stable node order, tolerates stale ones (emitting agent.drift,
+// and applying the MaxStaleness death bound when armed), and converges the
 // desired state with every fresh report — detecting deaths and rebirths
 // that happened behind a partition, restoring belief in recovered nodes,
 // and fencing zombie containers that survived a premature death
 // declaration. Events are emitted after the lock is released, in node
 // order.
+//
+// A fresh agent whose published-report version stands where the last round
+// left it, and whose health the control plane believes, costs that one
+// header: the last round closed on this very state, so there is no news, no
+// death, no rebirth and nothing to fence.
 func (c *Cluster) Reconcile() ReconcileStats {
 	var now time.Duration
 	if c.clock != nil {
@@ -110,7 +115,7 @@ func (c *Cluster) Reconcile() ReconcileStats {
 	for _, name := range c.order {
 		n := c.nodes[name]
 		stats.Agents++
-		rep := n.ag.Report()
+		rep := n.ag.Header()
 
 		if rep.Stale {
 			stats.Stale++
@@ -147,6 +152,9 @@ func (c *Cluster) Reconcile() ReconcileStats {
 		}
 
 		stats.Fresh++
+		if rep.Version == n.lastVersion && rep.Healthy == n.healthy {
+			continue
+		}
 		if rep.Seq != n.lastSeq || rep.Incarnation != n.lastIncarnation {
 			events = append(events, trace.Event{
 				Type: trace.EvAgentReport, Node: name,
@@ -155,7 +163,7 @@ func (c *Cluster) Reconcile() ReconcileStats {
 					"incarnation": float64(rep.Incarnation),
 					"usedCores":   float64(rep.UsedCores),
 					"usedMemMB":   float64(rep.UsedMemMB),
-					"containers":  float64(len(rep.Containers)),
+					"containers":  float64(rep.Containers),
 				},
 			})
 		}
@@ -194,8 +202,8 @@ func (c *Cluster) Reconcile() ReconcileStats {
 
 		// Mark the report observed (post-fencing, so fencing's own seq bumps
 		// do not read as news next round).
-		end := n.ag.Report()
-		n.lastSeq, n.lastIncarnation = end.Seq, end.Incarnation
+		end := n.ag.Header()
+		n.lastSeq, n.lastIncarnation, n.lastVersion = end.Seq, end.Incarnation, end.Version
 	}
 	c.mu.Unlock()
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -384,5 +385,222 @@ func TestReconcilerConcurrentStorm(t *testing.T) {
 	}
 	if d := c.DesiredActualDiff(); d != 0 {
 		t.Fatalf("DesiredActualDiff after concurrent storm = %d", d)
+	}
+}
+
+// naiveReconcile is the round Cluster.Reconcile replaced, kept as the test
+// oracle: every fresh agent's full report read twice and its placements and
+// replicas fenced every round, whether or not anything moved.
+func naiveReconcile(c *Cluster) ReconcileStats {
+	now := c.clock.Now()
+	var stats ReconcileStats
+	var events []trace.Event
+
+	c.mu.Lock()
+	for _, name := range c.order {
+		n := c.nodes[name]
+		stats.Agents++
+		rep := n.ag.Report()
+
+		if rep.Stale {
+			stats.Stale++
+			c.driftObserved++
+			staleFor := time.Duration(0)
+			if t0, ok := c.partitionedAt[name]; ok && now > t0 {
+				staleFor = now - t0
+			}
+			events = append(events, trace.Event{
+				Type: trace.EvAgentDrift, Node: name,
+				Fields: map[string]float64{"staleSec": staleFor.Seconds(), "seq": float64(rep.Seq)},
+			})
+			if c.maxStaleness > 0 && n.healthy && staleFor >= c.maxStaleness {
+				lost, lostCkpts := c.detectCrashLocked(n, now)
+				stats.Deaths++
+				stats.Lost += lost
+				c.deathDetected++
+				events = append(events, trace.Event{
+					Type: trace.EvNodeCrash, Node: name,
+					Fields: map[string]float64{
+						"containersLost": float64(lost),
+						"detected":       1,
+						"staleSec":       staleFor.Seconds(),
+					},
+				})
+				for _, key := range lostCkpts {
+					events = append(events, trace.Event{Type: trace.EvCheckpointLost, Step: key, Node: name})
+				}
+			}
+			continue
+		}
+
+		stats.Fresh++
+		if rep.Seq != n.lastSeq || rep.Incarnation != n.lastIncarnation {
+			events = append(events, trace.Event{
+				Type: trace.EvAgentReport, Node: name,
+				Fields: map[string]float64{
+					"seq":         float64(rep.Seq),
+					"incarnation": float64(rep.Incarnation),
+					"usedCores":   float64(rep.UsedCores),
+					"usedMemMB":   float64(rep.UsedMemMB),
+					"containers":  float64(len(rep.Containers)),
+				},
+			})
+		}
+		if rep.Incarnation != n.lastIncarnation || (!rep.Healthy && n.healthy) {
+			lost, lostCkpts := c.detectCrashLocked(n, now)
+			stats.Deaths++
+			stats.Lost += lost
+			c.deathDetected++
+			events = append(events, trace.Event{
+				Type: trace.EvNodeCrash, Node: name,
+				Fields: map[string]float64{"containersLost": float64(lost), "detected": 1},
+			})
+			for _, key := range lostCkpts {
+				events = append(events, trace.Event{Type: trace.EvCheckpointLost, Step: key, Node: name})
+			}
+		}
+		if rep.Healthy && !n.healthy {
+			c.setHealthLocked(n, true)
+			stats.Restores++
+			events = append(events, trace.Event{
+				Type: trace.EvNodeRestore, Node: name,
+				Fields: map[string]float64{"detected": 1},
+			})
+		}
+		stats.Fenced += c.fenceLocked(n)
+		end := n.ag.Report()
+		n.lastSeq, n.lastIncarnation = end.Seq, end.Incarnation
+	}
+	c.mu.Unlock()
+
+	for _, ev := range events {
+		c.emit(ev)
+	}
+	return stats
+}
+
+// reconcileSide is one cluster of the differential pair: same op stream,
+// its own clock, tracer and containers.
+type reconcileSide struct {
+	c         *Cluster
+	clock     *vtime.Clock
+	ct        *collectTracer
+	reconcile func() ReconcileStats
+	live      []*Container
+}
+
+func newReconcileSide(naive bool) *reconcileSide {
+	s := &reconcileSide{clock: vtime.NewClock(), ct: &collectTracer{}}
+	s.c = New(s.clock, 6, 8, 16384)
+	s.c.SetTracer(s.ct)
+	s.c.SetMaxStaleness(45 * time.Second)
+	s.reconcile = s.c.Reconcile
+	if naive {
+		s.reconcile = func() ReconcileStats { return naiveReconcile(s.c) }
+	}
+	return s
+}
+
+// step applies one op of the convergence storm's mix. Besides the legacy
+// paths (which keep both views in lockstep) it reaches the agent directly —
+// a container dying on its own, a replica lost off the disk — the drift only
+// a fence that still runs when it must would repair.
+func (s *reconcileSide) step(op, arg int) (stats ReconcileStats, reconciled bool) {
+	c := s.c
+	node := fmt.Sprintf("node%d", arg%6)
+	switch op {
+	case 0, 1, 2:
+		if ctrs, err := c.Allocate(arg%3+1, arg%3+1, (arg%4+1)*512); err == nil {
+			s.live = append(s.live, ctrs...)
+		}
+	case 3:
+		kept := s.live[:0]
+		for _, ctr := range s.live {
+			if !ctr.Lost() {
+				kept = append(kept, ctr)
+			}
+		}
+		s.live = kept
+		if len(s.live) > 0 {
+			j := arg % len(s.live)
+			c.Release(s.live[j])
+			s.live = append(s.live[:j], s.live[j+1:]...)
+		}
+	case 4:
+		_ = c.PartitionNode(node)
+	case 5:
+		_ = c.HealPartition(node)
+	case 6:
+		_ = c.FailNode(node, 0)
+	case 7:
+		_ = c.RestoreNode(node)
+	case 8:
+		c.PutCheckpoint(fmt.Sprintf("ckpt/%d", arg%8), "alg", arg%5+1, 10, []string{node}, arg&0x80 != 0)
+	case 9:
+		c.ClearCheckpoint(fmt.Sprintf("ckpt/%d", arg%8))
+	case 10:
+		_ = c.SetNodeHealth(node, arg&0x80 != 0)
+	case 11:
+		c.nodes[node].ag.AddReplica(fmt.Sprintf("ckpt/%d", arg%8)) // a copy the metadata never listed
+	default:
+		stats, reconciled = s.reconcile(), true
+		s.clock.Advance(time.Duration(arg%20+1) * time.Second)
+	}
+	return stats, reconciled
+}
+
+// The round that reads a header and skips an agent nothing happened to is
+// indistinguishable from the round that re-reads and re-fences everything:
+// same stats every round, same events, same agents and desired state after.
+func TestReconcileMatchesNaive(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1337, 2015} {
+		r := rand.New(rand.NewSource(seed))
+		fast, naive := newReconcileSide(false), newReconcileSide(true)
+		for i := 0; i < 600; i++ {
+			op, arg := r.Intn(16), r.Intn(256)
+			fs, reconciled := fast.step(op, arg)
+			ns, _ := naive.step(op, arg)
+			if fs != ns {
+				t.Fatalf("seed %d step %d: stats %+v, naive %+v", seed, i, fs, ns)
+			}
+			if !reconciled {
+				continue
+			}
+			if !reflect.DeepEqual(fast.ct.evs, naive.ct.evs) {
+				t.Fatalf("seed %d step %d: events diverge:\n%v\nnaive:\n%v", seed, i, fast.ct.evs, naive.ct.evs)
+			}
+			if f, n := fast.c.AgentReports(), naive.c.AgentReports(); !reflect.DeepEqual(f, n) {
+				t.Fatalf("seed %d step %d: agent reports %+v, naive %+v", seed, i, f, n)
+			}
+			if f, n := fast.c.DesiredActualDiff(), naive.c.DesiredActualDiff(); f != n {
+				t.Fatalf("seed %d step %d: DesiredActualDiff %d, naive %d", seed, i, f, n)
+			}
+			if f, n := fast.c.Checkpoints(), naive.c.Checkpoints(); f != n {
+				t.Fatalf("seed %d step %d: %d checkpoints, naive %d", seed, i, f, n)
+			}
+			// Equal verdicts, not nil ones: a believed-dead node dying again
+			// behind its partition leaves a checkpoint entry listing a replica
+			// the disk lost, on both sides alike.
+			if f, n := fmt.Sprint(fast.c.CheckInvariants()), fmt.Sprint(naive.c.CheckInvariants()); f != n {
+				t.Fatalf("seed %d step %d: CheckInvariants %s, naive %s", seed, i, f, n)
+			}
+		}
+		if len(fast.ct.evs) == 0 {
+			t.Fatalf("seed %d: storm emitted no reconcile events", seed)
+		}
+	}
+}
+
+// A round over a cluster nothing happened to builds no report and sorts no
+// placement or replica list.
+func TestReconcileQuiescentAllocatesNothing(t *testing.T) {
+	c := New(vtime.NewClock(), 16, 2, 3456)
+	if _, err := c.Allocate(8, 1, 512); err != nil {
+		t.Fatal(err)
+	}
+	c.PutCheckpoint("ckpt/0", "alg", 3, 10, []string{"node1", "node2"}, false)
+	c.Reconcile() // absorbs the news
+	if n := testing.AllocsPerRun(100, func() { c.Reconcile() }); n != 0 {
+		t.Fatalf("quiescent reconcile allocates %v times, want 0", n)
 	}
 }

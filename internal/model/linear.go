@@ -1,8 +1,8 @@
 package model
 
 import (
+	"math"
 	"math/rand"
-	"sort"
 )
 
 // Linear is ordinary least-squares linear regression over standardized
@@ -100,10 +100,13 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 	rng := rand.New(rand.NewSource(l.seed))
 	var best *Linear
 	bestMed := 0.0
+	// One set of buffers for all subsamples: Linear.Train keeps neither sx
+	// nor sy, and res is scratch for the median.
+	sx := make([][]float64, subset)
+	sy := make([]float64, subset)
+	res := make([]float64, n)
 	for s := 0; s < l.samples; s++ {
 		idx := rng.Perm(n)[:subset]
-		sx := make([][]float64, subset)
-		sy := make([]float64, subset)
 		for i, j := range idx {
 			sx[i], sy[i] = X[j], y[j]
 		}
@@ -111,7 +114,7 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 		if err := cand.Train(sx, sy); err != nil {
 			continue
 		}
-		med := medianSquaredResidual(cand, X, y)
+		med := medianSquaredResidual(cand, X, y, res)
 		if best == nil || med < bestMed {
 			best, bestMed = cand, med
 		}
@@ -134,12 +137,65 @@ func (l *LeastMedianSquares) Predict(x []float64) float64 {
 	return l.inner.Predict(x)
 }
 
-func medianSquaredResidual(m Model, X [][]float64, y []float64) float64 {
-	res := make([]float64, len(X))
+// medianSquaredResidual returns the len/2-th smallest squared residual of m
+// over (X, y) — what sorting them with sort.Float64s and indexing would,
+// NaNs ordered first — using res (len(X) long) as scratch.
+func medianSquaredResidual(m Model, X [][]float64, y []float64, res []float64) float64 {
+	nans := 0
 	for i := range X {
 		d := m.Predict(X[i]) - y[i]
 		res[i] = d * d
+		if math.IsNaN(res[i]) {
+			res[i], res[nans] = res[nans], res[i]
+			nans++
+		}
 	}
-	sort.Float64s(res)
-	return res[len(res)/2]
+	k := len(res) / 2
+	if k < nans {
+		return math.NaN()
+	}
+	return selectKth(res[nans:], k-nans)
+}
+
+// selectKth returns the k-th smallest (0-based) of the NaN-free a, reordering
+// it: quickselect, median-of-three pivot, Hoare partition. It draws no random
+// numbers, so callers' random streams are untouched.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }

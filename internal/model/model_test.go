@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -402,5 +403,52 @@ func TestQuickLinearStability(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// identity predicts its first feature, so medianSquaredResidual over (X, 0)
+// sees exactly the squares of the values fed in.
+type identity struct{}
+
+func (identity) Name() string                       { return "identity" }
+func (identity) Train([][]float64, []float64) error { return nil }
+func (identity) Predict(x []float64) float64        { return x[0] }
+
+// The quickselect median is the order statistic sorting would index — ties,
+// sorted and reversed runs, infinities and NaNs (which sort.Float64s orders
+// first) included.
+func TestMedianSquaredResidualMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{0, 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 1e-160, 2}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		vals := make([]float64, n)
+		for i := range vals {
+			switch rng.Intn(4) {
+			case 0:
+				vals[i] = special[rng.Intn(len(special))]
+			case 1:
+				vals[i] = float64(rng.Intn(4)) // ties
+			default:
+				vals[i] = rng.NormFloat64()
+			}
+		}
+		switch trial % 5 {
+		case 1:
+			sort.Float64s(vals)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+		}
+		X := make([][]float64, n)
+		want := make([]float64, n)
+		for i, v := range vals {
+			X[i] = []float64{v}
+			want[i] = v * v
+		}
+		sort.Float64s(want)
+		got := medianSquaredResidual(identity{}, X, make([]float64, n), make([]float64, n))
+		if w := want[n/2]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Fatalf("trial %d: median of squares of %v = %v, sort says %v", trial, vals, got, w)
+		}
 	}
 }

@@ -56,6 +56,7 @@ func NewRecorder(max int) *Recorder {
 	reg.Help("ires_profiler_cv_cells_total", "(family, fold) cells of the selections' cross-validation grids, by outcome: trained, or skipped because the family's partial error already exceeded the incumbent's total")
 	reg.Help("ires_profiler_selection_wins_total", "cross-validated selections by the family that won and the target it won; sums to ires_profiler_selections_total")
 	reg.Help("ires_trace_dropped_total", "events aged out of the recorder's bounded window; non-zero means trace reads return a truncated log")
+	reg.Help("ires_monitor_polls_total", "execution-monitor polls by outcome: idle (no agent report version, engine generation or health script: nothing re-read), refreshed (something re-read, every status as it was), changed (a node or service status moved; subscribers woken)")
 	reg.Help("ires_vtime_seconds", "current virtual time of the simulation")
 	reg.Help("ires_runs_submitted_total", "workflow runs submitted to the scheduler")
 	reg.Help("ires_runs_admitted_total", "workflow runs admitted (granted a node lease)")

@@ -302,12 +302,14 @@ type Platform struct {
 	recorder *trace.Recorder
 	tracer   trace.Tracer
 
-	// refineMu guards refinePublished and droppedPublished: the profiler
-	// refinement counters and the recorder's dropped-event count already
-	// folded into the registry by Metrics.
+	// refineMu guards refinePublished, droppedPublished and pollsPublished:
+	// the profiler refinement counters, the recorder's dropped-event count
+	// and the monitor's poll outcomes already folded into the registry by
+	// Metrics.
 	refineMu         sync.Mutex
 	refinePublished  profiler.RefinementStats
 	droppedPublished int64
+	pollsPublished   cluster.PollStats
 }
 
 // NewPlatform builds a platform with the default engine deployment.
@@ -893,6 +895,10 @@ func (p *Platform) BlacklistedEngines() []string {
 // selection trains, selection_wins which family wins which target. So is
 // ires_trace_dropped_total, the events that aged out of the recorder's
 // window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
+// And ires_monitor_polls_total by outcome: idle polls re-read nothing,
+// refreshed ones re-read a report or the engine list and found every status
+// as it was, changed ones woke the subscribers; the three sum to
+// Monitor.Ticks.
 func (p *Platform) Metrics() *MetricsRegistry {
 	reg := p.recorder.Registry()
 	p.refineMu.Lock()
@@ -913,6 +919,11 @@ func (p *Platform) Metrics() *MetricsRegistry {
 	dropped := p.recorder.Dropped()
 	reg.Inc("ires_trace_dropped_total", nil, float64(dropped-p.droppedPublished))
 	p.droppedPublished = dropped
+	polls, seen := p.Monitor.PollStats(), p.pollsPublished
+	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "idle"}, float64(polls.Idle-seen.Idle))
+	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "refreshed"}, float64(polls.Refreshed-seen.Refreshed))
+	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "changed"}, float64(polls.Changed-seen.Changed))
+	p.pollsPublished = polls
 	return reg
 }
 

@@ -152,6 +152,42 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	}
 }
 
+// What the monitor's polls came to is on /metrics, by outcome, and nowhere in
+// the trace: the three outcomes sum to Monitor.Ticks, a quiet period is an
+// idle poll, the crash and the repair are changed ones.
+func TestMetricsCountMonitorPollsByOutcome(t *testing.T) {
+	log, p, _ := faultyRun(t, 11)
+	reg := p.Metrics()
+	outcome := func(o string) float64 {
+		return reg.Value("ires_monitor_polls_total", map[string]string{"outcome": o})
+	}
+	idle, refreshed, changed := outcome("idle"), outcome("refreshed"), outcome("changed")
+	if ticks := float64(p.Monitor.Ticks()); idle+refreshed+changed != ticks || reg.Sum("ires_monitor_polls_total") != ticks {
+		t.Errorf("ires_monitor_polls_total = %v idle + %v refreshed + %v changed, Monitor.Ticks = %v", idle, refreshed, changed, ticks)
+	}
+	// The first poll, node3's crash and its repair each change the board;
+	// containers coming and going refresh it; the stretches between are idle.
+	if idle <= 0 || refreshed <= 0 || changed < 3 {
+		t.Errorf("ires_monitor_polls_total = %v idle / %v refreshed / %v changed, want all positive and at least 3 changed", idle, refreshed, changed)
+	}
+	// Folded in as a delta since the last read: a second call counts nothing twice.
+	if got := p.Metrics().Sum("ires_monitor_polls_total"); got != float64(p.Monitor.Ticks()) {
+		t.Errorf("ires_monitor_polls_total sums to %v after a second Metrics call, Monitor.Ticks = %d", got, p.Monitor.Ticks())
+	}
+	var b bytes.Buffer
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# HELP ires_monitor_polls_total", `ires_monitor_polls_total{outcome="idle"}`} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("Prometheus exposition missing %q", want)
+		}
+	}
+	if bytes.Contains(log, []byte("monitor")) {
+		t.Error("the JSONL trace mentions the monitor: poll outcomes are registry-only")
+	}
+}
+
 // A recorder that aged events out of its window says so in the registry:
 // without the counter a truncated TraceForRun looks like a complete one.
 func TestMetricsReportDroppedTraceEvents(t *testing.T) {
