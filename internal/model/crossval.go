@@ -3,10 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"runtime"
-	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Score summarises one model family's cross-validated fit.
@@ -39,67 +37,104 @@ func ByRMSE(s Score) float64 { return s.RMSE }
 // ByRelErr is the selection key of SelectBestRelative and of the profiler.
 func ByRelErr(s Score) float64 { return s.RelErr }
 
-// Parallel calls fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
-// goroutines, the caller's among them, and returns when every call has.
-func Parallel(n int, fn func(i int)) {
-	var next atomic.Int64
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
-
 // CrossValidate performs k-fold cross-validation of every factory on the
 // samples and returns the per-family scores, sorted by the input factory
 // order. Folds are shuffled deterministically by seed.
 //
 // It is the full grid: every family trains every fold. The cells run on up
-// to GOMAXPROCS goroutines and their errors are summed sequentially in
-// (family, fold, sample) order, so every Score is bit-identical whatever the
-// worker count: per-cell partial sums would re-associate the float additions
-// and could flip a near-tie in the selection. A fold whose Train fails counts
-// as +Inf in both sums: a family that cannot train never scores better than
-// one that can.
+// to GOMAXPROCS goroutines and their errors are summed in (family, fold,
+// sample) order, so every Score is bit-identical whatever the worker count:
+// per-cell partial sums would re-associate the float additions and could flip
+// a near-tie in the selection. A fold whose Train fails counts as +Inf in both
+// sums: a family that cannot train never scores better than one that can.
 func CrossValidate(factories []Factory, X [][]float64, y []float64, k int, seed int64) ([]Score, error) {
-	sels, err := crossValidate(factories, X, [][]float64{y}, nil, k, seed, nil)
+	f, err := newFit(factories, X, []Target{{Y: y, Select: true}}, len(X), k, seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	return sels[0].Scores, nil
+	f.run()
+	return f.cols[0].sel.Scores, nil
 }
 
 // Select picks, for every target column ys[t] over the shared samples X, the
 // family Best(CrossValidate(...), key) would pick, without training the
 // cells that cannot change that answer; key is ByRMSE or ByRelErr.
 //
-// The cells run in k waves. Wave 0 trains every fold of the target's lead
-// family (leads[t], an incumbent if there is one; family 0 when out of
-// range) and fold 0 of every other family; the lead's score is the bound.
-// After wave j a surviving family's error over folds 0..j, summed in the
-// same (fold, sample) order the full grid uses, is a prefix of its full sum.
-// The terms are non-negative and float addition, division by n and sqrt are
-// monotone, so a prefix strictly above the bound means the full score is
-// above it too (or NaN, which Best never picks): the family is dropped and
-// wave j+1 trains fold j+1 of the survivors only. Strict > keeps an exact tie
-// alive, so it still resolves to the earliest family; family 0 is never
-// dropped, because Best returns it when its own key is NaN. The lead changes
-// how much is skipped, never the winner.
+// A target's cells run in k waves. Wave 0 trains every fold of its lead
+// family (leads[t], an incumbent if there is one; family 0 when out of range)
+// and fold 0 of every other family; the lead's score is the bound. After wave
+// j a surviving family's error over folds 0..j, summed in the same (fold,
+// sample) order the full grid uses, is a prefix of its full sum. The terms are
+// non-negative and float addition, division by n and sqrt are monotone, so a
+// prefix strictly above the bound means the full score is above it too (or
+// NaN, which Best never picks): the family is dropped and wave j+1 trains fold
+// j+1 of the survivors only. Strict > keeps an exact tie alive, so it still
+// resolves to the earliest family; family 0 is never dropped, because Best
+// returns it when its own key is NaN. The lead changes how much is skipped,
+// never the winner.
 //
-// All targets' cells of a wave share one pool (Parallel), and which cells
-// are trained depends on the data alone, so Trained repeats exactly.
+// Each target walks its own waves: the cell that completes a wave reduces it
+// and queues the next one of that target only, on the one pool all targets
+// share. Which cells are trained depends on the data and the lead alone, so
+// Trained repeats exactly.
 func Select(factories []Factory, X [][]float64, ys [][]float64, leads []int, k int, seed int64, key func(Score) float64) ([]Selection, error) {
-	return crossValidate(factories, X, ys, leads, k, seed, key)
+	targets := make([]Target, len(ys))
+	for t, y := range ys {
+		targets[t] = Target{Y: y, Select: true}
+		if t < len(leads) {
+			targets[t].Family = leads[t]
+		}
+	}
+	f, err := newFit(factories, X, targets, len(X), k, seed, key)
+	if err != nil {
+		return nil, err
+	}
+	f.run()
+	sels := make([]Selection, len(targets))
+	for t := range sels {
+		sels[t] = f.cols[t].sel
+	}
+	return sels, nil
+}
+
+// Target is one column of a Fit.
+type Target struct {
+	Y []float64 // one value per row of the fit's X
+	// Family is the family trained on the whole X; with Select it only leads
+	// a bounded selection on the fit's first rows, whose winner is trained.
+	Family int
+	Select bool
+}
+
+// Fitted is what a Fit made of one Target.
+type Fitted struct {
+	Model     Model // trained on the whole X
+	Family    int
+	Selection Selection // the zero Selection unless the target selected
+	Err       error     // the whole-buffer Train's
+}
+
+// Fit trains one model per target on all of X, the targets that select
+// choosing their family first by Select over X[:sel] and Y[:sel] (k folds,
+// seed, key; sel <= len(X)). It is one job graph on one pool: a target that
+// does not select queues its whole-buffer Train at once, one that does queues
+// it the moment its last wave has settled the winner, while other targets'
+// waves are still running. It returns the summed time of the jobs. An error
+// before any Train (a Y that is not one value per row, Select's validation)
+// fails the fit; an error of a whole-buffer Train is its Fitted's.
+func Fit(factories []Factory, X [][]float64, targets []Target, sel, k int, seed int64, key func(Score) float64) ([]Fitted, time.Duration, error) {
+	f, err := newFit(factories, X, targets, sel, k, seed, key)
+	if err != nil {
+		return nil, 0, err
+	}
+	f.whole = X
+	busy := f.run()
+	out := make([]Fitted, len(f.cols))
+	for t := range f.cols {
+		c := &f.cols[t]
+		out[t] = Fitted{Model: c.model, Family: c.fam, Selection: c.sel, Err: c.err}
+	}
+	return out, busy, nil
 }
 
 // split is one fold: the rows trained on and the rows held out, with their
@@ -109,8 +144,13 @@ type split struct {
 	tr, va   []int
 }
 
-// column is one target's state through the waves.
+// column is one target's state through its waves.
 type column struct {
+	y   []float64
+	fam int // the family trained on the whole buffer: the winner, once settled
+	// Selection state, written only by whoever holds the column's current
+	// wave: the caller for wave 0, then the cell that completes each wave.
+	selects  bool
 	trY, vaY [][]float64 // per fold
 	// preds[family*k+fold] holds a trained cell's validation predictions,
 	// nil when its Train failed.
@@ -119,133 +159,205 @@ type column struct {
 	se, re  []float64 // per family, summed over its reduced folds in order
 	dropped []bool
 	trained int
+	wave    int
+	left    atomic.Int32 // cells of the current wave still running, plus one while it is being queued
+	sel     Selection
+
+	model Model
+	err   error
 }
 
-// cell is one train-and-predict job.
-type cell struct{ col, fam, fold int }
+// job is one cross-validation cell of a column, or with fold < 0 its
+// whole-buffer Train.
+type job struct{ col, fam, fold int }
 
-// crossValidate is the one cell loop: the bounded selection when key is set,
-// the full grid (every family trains every fold in wave 0) when it is nil.
-func crossValidate(factories []Factory, X [][]float64, ys [][]float64, leads []int, k int, seed int64, key func(Score) float64) ([]Selection, error) {
-	for _, y := range ys {
-		if _, err := validate(X, y); err != nil {
+// fit is the job graph of one Fit, Select or CrossValidate (key nil: the full
+// grid, every cell in wave 0).
+type fit struct {
+	factories []Factory
+	names     []string
+	whole     [][]float64 // the rows of whole-buffer Trains; nil when the fit only selects
+	folds     []split
+	n, k      int // rows cross-validated, folds
+	key       func(Score) float64
+	cols      []column
+	pool      pool[job]
+}
+
+// newFit checks that every target has one value per row of X, validates the
+// selecting targets on the first n rows and cuts those into folds.
+func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed int64, key func(Score) float64) (*fit, error) {
+	nf := len(factories)
+	f := &fit{factories: factories, n: n, key: key, cols: make([]column, len(targets))}
+	f.pool.do = f.do
+	selecting := false
+	for t, tg := range targets {
+		if len(tg.Y) != len(X) {
+			return nil, fmt.Errorf("%w: %d rows vs %d targets", ErrDimMismatch, len(X), len(tg.Y))
+		}
+		c := &f.cols[t]
+		c.y, c.fam, c.selects = tg.Y, tg.Family, tg.Select
+		if !tg.Select {
+			continue
+		}
+		if _, err := validate(X[:n], tg.Y[:n]); err != nil {
 			return nil, err
 		}
+		selecting = true
 	}
-	if len(X) < 2 {
+	if !selecting {
+		return f, nil
+	}
+	if n < 2 {
 		return nil, fmt.Errorf("model: cross-validation produced no folds")
 	}
-	if k < 2 {
-		k = 2
-	}
-	if k > len(X) {
-		k = len(X)
-	}
-	n, nf := len(X), len(factories)
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
+	f.k = min(max(k, 2), n)
+	k = f.k
+	perm := newRand(seed).Perm(n)
 
-	// With 2 <= k <= len(X) both sides of every fold are non-empty.
-	folds := make([]split, k)
+	// With 2 <= k <= n both sides of every fold are non-empty.
+	f.folds = make([]split, k)
 	for i, p := range perm {
-		for f := range folds {
-			s := &folds[f]
-			if i%k == f {
+		for fo := range f.folds {
+			s := &f.folds[fo]
+			if i%k == fo {
 				s.vaX, s.va = append(s.vaX, X[p]), append(s.va, p)
 			} else {
 				s.trX, s.tr = append(s.trX, X[p]), append(s.tr, p)
 			}
 		}
 	}
-	cols := make([]column, len(ys))
-	for t, y := range ys {
-		c := &cols[t]
+	f.names = make([]string, nf)
+	for fam, fac := range factories {
+		f.names[fam] = fac().Name()
+	}
+	for t := range f.cols {
+		c := &f.cols[t]
+		if !c.selects {
+			continue
+		}
 		c.trY, c.vaY = make([][]float64, k), make([][]float64, k)
-		for f, s := range folds {
-			c.trY[f], c.vaY[f] = gather(y, s.tr), gather(y, s.va)
+		for fo, s := range f.folds {
+			c.trY[fo], c.vaY[fo] = gather(c.y, s.tr), gather(c.y, s.va)
 		}
 		c.preds = make([][]float64, nf*k)
 		c.se, c.re, c.dropped = make([]float64, nf), make([]float64, nf), make([]bool, nf)
-		if t < len(leads) && leads[t] > 0 && leads[t] < nf {
-			c.lead = leads[t]
+		if c.fam > 0 && c.fam < nf {
+			c.lead = c.fam
 		}
 	}
-	// span is the folds of one family that a wave trains: all of them in
-	// wave 0 for a lead (and for everyone on the full grid), else the wave's.
-	span := func(c *column, fam, wave int) (lo, hi int) {
+	return f, nil
+}
+
+// run queues every selecting target's wave 0 and, in a Fit, the whole-buffer
+// Train of every other target, then works the graph to the end. It returns
+// the summed job time.
+func (f *fit) run() time.Duration {
+	for t := range f.cols {
 		switch {
-		case c.dropped[fam]:
-			return 0, 0
-		case key != nil && fam != c.lead:
-			return wave, wave + 1
-		case wave == 0:
-			return 0, k
+		case f.cols[t].selects:
+			f.queueWave(t)
+		case f.whole != nil:
+			f.pool.push(job{t, f.cols[t].fam, -1})
 		}
+	}
+	return f.pool.run()
+}
+
+// span is the folds of one family that the column's current wave trains: all
+// of them in wave 0 for the lead (and for everyone on the full grid), else
+// the wave's own.
+func (f *fit) span(c *column, fam int) (lo, hi int) {
+	switch {
+	case c.dropped[fam]:
 		return 0, 0
+	case f.key != nil && fam != c.lead:
+		return c.wave, c.wave + 1
+	case c.wave == 0:
+		return 0, f.k
 	}
-	score := func(c *column, fam int) Score {
-		return Score{RMSE: math.Sqrt(c.se[fam] / float64(n)), RelErr: c.re[fam] / float64(n), Bound: c.dropped[fam]}
-	}
+	return 0, 0
+}
 
-	var cells []cell
-	for wave := 0; wave < k; wave++ {
-		cells = cells[:0]
-		for t := range cols {
-			for fam := 0; fam < nf; fam++ {
-				for fold, hi := span(&cols[t], fam, wave); fold < hi; fold++ {
-					cells = append(cells, cell{t, fam, fold})
-				}
+// queueWave queues the cells of the column's current wave. The column holds
+// one extra count while they are queued, so the wave cannot complete under
+// the loop; if they have all finished by then (or there were none), the wave
+// is completed here.
+func (f *fit) queueWave(t int) {
+	c := &f.cols[t]
+	for {
+		c.left.Store(1)
+		for fam := range f.factories {
+			for fold, hi := f.span(c, fam); fold < hi; fold++ {
+				c.left.Add(1)
+				f.pool.push(job{t, fam, fold})
 			}
 		}
-		Parallel(len(cells), func(i int) {
-			ce := cells[i]
-			c, s := &cols[ce.col], &folds[ce.fold]
-			m := factories[ce.fam]()
-			if m.Train(s.trX, c.trY[ce.fold]) != nil {
-				return
-			}
-			out := make([]float64, len(s.vaX))
-			for i, x := range s.vaX {
-				out[i] = m.Predict(x)
-			}
-			c.preds[ce.fam*k+ce.fold] = out
-		})
-		// Reduce sequentially, in (family, fold, sample) order per target,
-		// then drop what the lead's score already rules out.
-		for t := range cols {
-			c := &cols[t]
-			for fam := 0; fam < nf; fam++ {
-				lo, hi := span(c, fam, wave)
-				c.reduce(fam, lo, hi, k)
-				c.trained += hi - lo
-			}
-			if key == nil || wave == k-1 {
-				continue
-			}
-			bound := key(score(c, c.lead))
+		if c.left.Add(-1) > 0 || !f.endWave(t) {
+			return
+		}
+	}
+}
+
+func (f *fit) do(j job) {
+	c := &f.cols[j.col]
+	if j.fold < 0 {
+		c.model = f.factories[j.fam]()
+		c.err = c.model.Train(f.whole, c.y)
+		return
+	}
+	s := &f.folds[j.fold]
+	if m := f.factories[j.fam](); m.Train(s.trX, c.trY[j.fold]) == nil {
+		out := make([]float64, len(s.vaX))
+		for i, x := range s.vaX {
+			out[i] = m.Predict(x)
+		}
+		c.preds[j.fam*f.k+j.fold] = out
+	}
+	if c.left.Add(-1) == 0 && f.endWave(j.col) {
+		f.queueWave(j.col)
+	}
+}
+
+// endWave reduces the column's completed wave in (family, fold, sample)
+// order, drops what the lead's score already rules out and moves to the next
+// wave, reporting whether there is one. After the last it settles the
+// selection and, in a Fit, queues the winner's whole-buffer Train.
+func (f *fit) endWave(t int) bool {
+	c := &f.cols[t]
+	nf := len(f.factories)
+	for fam := 0; fam < nf; fam++ {
+		lo, hi := f.span(c, fam)
+		c.reduce(fam, lo, hi, f.k)
+		c.trained += hi - lo
+	}
+	if c.wave++; c.wave < f.k {
+		if f.key != nil {
+			bound := f.key(f.score(c, c.lead))
 			for fam := 1; fam < nf; fam++ {
-				c.dropped[fam] = c.dropped[fam] || key(score(c, fam)) > bound
+				c.dropped[fam] = c.dropped[fam] || f.key(f.score(c, fam)) > bound
 			}
 		}
+		return true
 	}
+	scores := make([]Score, nf)
+	for fam := range scores {
+		scores[fam] = f.score(c, fam)
+		scores[fam].Name = f.names[fam]
+	}
+	c.sel = Selection{Scores: scores, Trained: c.trained, Skipped: nf*f.k - c.trained}
+	if f.key != nil {
+		c.sel.Best = Best(scores, f.key)
+		c.fam = c.sel.Best
+	}
+	if f.whole != nil {
+		f.pool.push(job{t, c.fam, -1})
+	}
+	return false
+}
 
-	names := make([]string, nf)
-	for fam, fac := range factories {
-		names[fam] = fac().Name()
-	}
-	sels := make([]Selection, len(cols))
-	for t := range cols {
-		scores := make([]Score, nf)
-		for fam := range scores {
-			scores[fam] = score(&cols[t], fam)
-			scores[fam].Name = names[fam]
-		}
-		sels[t] = Selection{Scores: scores, Trained: cols[t].trained, Skipped: nf*k - cols[t].trained}
-		if key != nil {
-			sels[t].Best = Best(scores, key)
-		}
-	}
-	return sels, nil
+func (f *fit) score(c *column, fam int) Score {
+	return Score{RMSE: math.Sqrt(c.se[fam] / float64(f.n)), RelErr: c.re[fam] / float64(f.n), Bound: c.dropped[fam]}
 }
 
 // reduce adds the errors of the trained folds [lo, hi) of one family to its

@@ -44,30 +44,39 @@ func traceMean(A [][]float64) float64 {
 // when the factorisation fails.
 func cholesky(A [][]float64, jitter float64) ([][]float64, bool) {
 	n := len(A)
-	L := make([][]float64, n)
-	for i := range L {
-		L[i] = make([]float64, n)
-	}
+	L := square(n)
 	for i := 0; i < n; i++ {
+		Ai, Li := A[i], L[i]
 		for j := 0; j <= i; j++ {
-			sum := A[i][j]
+			Lj := L[j]
+			sum := Ai[j]
 			if i == j {
 				sum += jitter
 			}
-			for k := 0; k < j; k++ {
-				sum -= L[i][k] * L[j][k]
+			for k, v := range Lj[:j] {
+				sum -= Li[k] * v
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
 					return nil, false
 				}
-				L[i][i] = math.Sqrt(sum)
+				Li[i] = math.Sqrt(sum)
 			} else {
-				L[i][j] = sum / L[j][j]
+				Li[j] = sum / Lj[j]
 			}
 		}
 	}
 	return L, true
+}
+
+// square returns an n x n zero matrix whose rows share one backing array.
+func square(n int) [][]float64 {
+	buf := make([]float64, n*n)
+	M := make([][]float64, n)
+	for i := range M {
+		M[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return M
 }
 
 // choleskySolve solves L L^T x = b.
@@ -76,11 +85,12 @@ func choleskySolve(L [][]float64, b []float64) []float64 {
 	// Forward substitution: L z = b.
 	z := make([]float64, n)
 	for i := 0; i < n; i++ {
+		Li := L[i]
 		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= L[i][k] * z[k]
+		for k, v := range z[:i] {
+			sum -= Li[k] * v
 		}
-		z[i] = sum / L[i][i]
+		z[i] = sum / Li[i]
 	}
 	// Back substitution: L^T x = z.
 	x := make([]float64, n)
@@ -101,16 +111,16 @@ func normalEquations(X [][]float64, y []float64, ridge float64) ([]float64, erro
 		return nil, ErrNoData
 	}
 	d := len(X[0])
-	A := make([][]float64, d)
-	for i := range A {
-		A[i] = make([]float64, d)
-	}
+	A := square(d)
 	b := make([]float64, d)
 	for r, row := range X {
-		for i := 0; i < d; i++ {
-			b[i] += row[i] * y[r]
-			for j := 0; j <= i; j++ {
-				A[i][j] += row[i] * row[j]
+		row = row[:d]
+		yr := y[r]
+		for i, ri := range row {
+			b[i] += ri * yr
+			Ai := A[i]
+			for j, rj := range row[:i+1] {
+				Ai[j] += ri * rj
 			}
 		}
 	}

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Linear is ordinary least-squares linear regression over standardized
 // features, with an intercept and a whisper of ridge regularisation.
@@ -97,17 +94,18 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 		l.inner = NewLinear()
 		return l.inner.Train(X, y)
 	}
-	rng := rand.New(rand.NewSource(l.seed))
+	rng := newRand(l.seed)
 	var best *Linear
 	bestMed := 0.0
 	// One set of buffers for all subsamples: Linear.Train keeps neither sx
-	// nor sy, and res is scratch for the median.
+	// nor sy, res is scratch for the median and perm for the draws.
 	sx := make([][]float64, subset)
 	sy := make([]float64, subset)
 	res := make([]float64, n)
+	perm := make([]int, n)
 	for s := 0; s < l.samples; s++ {
-		idx := rng.Perm(n)[:subset]
-		for i, j := range idx {
+		permInto(rng, perm)
+		for i, j := range perm[:subset] {
 			sx[i], sy[i] = X[j], y[j]
 		}
 		cand := NewLinear()

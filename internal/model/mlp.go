@@ -1,9 +1,6 @@
 package model
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // MLP is a single-hidden-layer multilayer perceptron with tanh activations,
 // trained by full-batch gradient descent over standardized features and
@@ -17,8 +14,8 @@ type MLP struct {
 
 	std    *standardizer
 	tgt    *targetScaler
-	w1     [][]float64 // hidden x (dims+1)
-	w2     []float64   // hidden+1
+	w1     []float64 // hidden rows of dims+1, the bias last
+	w2     []float64 // hidden+1
 	inDims int
 }
 
@@ -40,7 +37,9 @@ func NewMLP(hidden, epochs int, lr float64, seed int64) *MLP {
 // Name implements Model.
 func (m *MLP) Name() string { return "MultilayerPerceptron" }
 
-// Train implements Model.
+// Train implements Model. The weights are flat rows, w1[h*(dims+1):][:dims+1]
+// per hidden unit, and every sum adds its terms in the order of the obvious
+// nested-slice loop, so the trained bits do not depend on the layout.
 func (m *MLP) Train(X [][]float64, y []float64) error {
 	dims, err := validate(X, y)
 	if err != nil {
@@ -55,13 +54,11 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 		T[i] = m.tgt.encode(v)
 	}
 
-	rng := rand.New(rand.NewSource(m.seed))
-	m.w1 = make([][]float64, m.hidden)
-	for h := range m.w1 {
-		m.w1[h] = make([]float64, dims+1)
-		for j := range m.w1[h] {
-			m.w1[h][j] = rng.NormFloat64() * 0.5
-		}
+	rng := newRand(m.seed)
+	stride := dims + 1
+	m.w1 = make([]float64, m.hidden*stride)
+	for i := range m.w1 {
+		m.w1[i] = rng.NormFloat64() * 0.5
 	}
 	m.w2 = make([]float64, m.hidden+1)
 	for j := range m.w2 {
@@ -69,48 +66,46 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 	}
 
 	n := float64(len(Z))
-	act := make([]float64, m.hidden+1)
-	g1 := make([][]float64, m.hidden)
-	for h := range g1 {
-		g1[h] = make([]float64, dims+1)
-	}
-	g2 := make([]float64, m.hidden+1)
+	hidden, w1, w2 := m.hidden, m.w1, m.w2
+	act := make([]float64, hidden+1)
+	g1 := make([]float64, len(w1))
+	g2 := make([]float64, len(w2))
 	for epoch := 0; epoch < m.epochs; epoch++ {
-		for h := range g1 {
-			clear(g1[h])
-		}
+		clear(g1)
 		clear(g2)
 		for i, z := range Z {
+			z = z[:dims]
 			// Forward.
-			for h := 0; h < m.hidden; h++ {
-				s := m.w1[h][dims]
-				for j := 0; j < dims; j++ {
-					s += m.w1[h][j] * z[j]
+			for h := range hidden {
+				row := w1[h*stride:][:stride]
+				s := row[dims]
+				for j, w := range row[:dims] {
+					s += w * z[j]
 				}
 				act[h] = math.Tanh(s)
 			}
-			act[m.hidden] = 1
-			out := dot(act, m.w2)
+			act[hidden] = 1
+			out := dot(act, w2)
 			// Backward.
 			errOut := out - T[i]
-			for h := 0; h <= m.hidden; h++ {
-				g2[h] += errOut * act[h]
+			for h, a := range act {
+				g2[h] += errOut * a
 			}
-			for h := 0; h < m.hidden; h++ {
-				dh := errOut * m.w2[h] * (1 - act[h]*act[h])
-				for j := 0; j < dims; j++ {
-					g1[h][j] += dh * z[j]
+			for h, a := range act[:hidden] {
+				dh := errOut * w2[h] * (1 - a*a)
+				row := g1[h*stride:][:stride]
+				grad := row[:dims]
+				for j := range grad {
+					grad[j] += dh * z[j]
 				}
-				g1[h][dims] += dh
+				row[dims] += dh
 			}
 		}
-		for h := 0; h <= m.hidden; h++ {
-			m.w2[h] -= m.lr * g2[h] / n
+		for h, g := range g2 {
+			w2[h] -= m.lr * g / n
 		}
-		for h := 0; h < m.hidden; h++ {
-			for j := 0; j <= dims; j++ {
-				m.w1[h][j] -= m.lr * g1[h][j] / n
-			}
+		for i, g := range g1 {
+			w1[i] -= m.lr * g / n
 		}
 	}
 	return nil
@@ -122,11 +117,13 @@ func (m *MLP) Predict(x []float64) float64 {
 		return 0
 	}
 	z := m.std.apply(x)
+	stride := m.inDims + 1
 	act := make([]float64, m.hidden+1)
 	for h := 0; h < m.hidden; h++ {
-		s := m.w1[h][m.inDims]
+		row := m.w1[h*stride : h*stride+stride]
+		s := row[m.inDims]
 		for j := 0; j < m.inDims && j < len(z); j++ {
-			s += m.w1[h][j] * z[j]
+			s += row[j] * z[j]
 		}
 		act[h] = math.Tanh(s)
 	}

@@ -452,3 +452,15 @@ func TestMedianSquaredResidualMatchesSort(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMLPTrain is one cross-validation cell of the default zoo's most
+// expensive family at a typical operator's depth: 100 rows, 6 features.
+func BenchmarkMLPTrain(b *testing.B) {
+	X, y := synth(100, 6, 1, nonlinearFn, 0.3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewMLP(8, 300, 0.05, 42).Train(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

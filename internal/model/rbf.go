@@ -1,9 +1,6 @@
 package model
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // RBFNetwork is a radial-basis-function network (Broomhead & Lowe): k-means
 // picks the centres over standardized features, Gaussian activations feed a
@@ -95,7 +92,7 @@ func (m *RBFNetwork) Predict(x []float64) float64 {
 // kmeansCenters runs Lloyd's algorithm over standardized points and returns
 // k centres. Deterministic given the seed.
 func kmeansCenters(Z [][]float64, k int, seed int64, iters int) [][]float64 {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	n := len(Z)
 	centers := make([][]float64, k)
 	perm := rng.Perm(n)

@@ -283,30 +283,50 @@ func TestSelectNeverPicksAFamilyThatCannotTrain(t *testing.T) {
 	}
 }
 
-// FuzzSelect holds the bounded selection against the full grid on data
-// nobody wrote down: duplicated rows, zero, huge and repeated targets.
-func FuzzSelect(f *testing.F) {
-	f.Add(uint8(23), uint8(3), uint8(5), int64(9), int8(-1))
-	f.Add(uint8(2), uint8(1), uint8(2), int64(1), int8(0))
-	f.Add(uint8(3), uint8(2), uint8(10), int64(7), int8(13))
-	f.Add(uint8(40), uint8(4), uint8(3), int64(42), int8(8))
-	f.Add(uint8(17), uint8(2), uint8(17), int64(-5), int8(100))
-	f.Fuzz(func(t *testing.T, rows, dims, k uint8, seed int64, lead int8) {
-		n, d := 2+int(rows)%47, 1+int(dims)%5
-		rng := rand.New(rand.NewSource(seed))
-		X, y := synth(n, d+1, seed, nonlinearFn, 0.3)
-		for i := range X {
-			switch rng.Intn(8) {
-			case 0:
-				y[i] = 0
-			case 1:
-				y[i] *= 1e12
-			case 2:
-				X[i], y[i] = X[rng.Intn(n)], y[rng.Intn(n)]
-			}
+// selectInput is one FuzzSelect input.
+type selectInput struct {
+	rows, dims, k uint8
+	seed          int64
+	lead          int8
+}
+
+// selectCorpus is FuzzSelect's seed corpus.
+var selectCorpus = []selectInput{
+	{23, 3, 5, 9, -1},
+	{2, 1, 2, 1, 0},
+	{3, 2, 10, 7, 13},
+	{40, 4, 3, 42, 8},
+	{17, 2, 17, -5, 100},
+}
+
+// fuzzSelectInput builds FuzzSelect's data: duplicated rows, zero, huge and
+// repeated targets, over selectZoo.
+func fuzzSelectInput(rows, dims uint8, seed int64) ([][]float64, []float64, []Factory) {
+	n, d := 2+int(rows)%47, 1+int(dims)%5
+	rng := rand.New(rand.NewSource(seed))
+	X, y := synth(n, d+1, seed, nonlinearFn, 0.3)
+	for i := range X {
+		switch rng.Intn(8) {
+		case 0:
+			y[i] = 0
+		case 1:
+			y[i] *= 1e12
+		case 2:
+			X[i], y[i] = X[rng.Intn(n)], y[rng.Intn(n)]
 		}
-		zoo := selectZoo(X, seed)
-		folds := min(max(int(k), 2), n)
+	}
+	return X, y, selectZoo(X, seed)
+}
+
+// FuzzSelect holds the bounded selection against the full grid and against
+// the wave loop it replaced on data nobody wrote down.
+func FuzzSelect(f *testing.F) {
+	for _, in := range selectCorpus {
+		f.Add(in.rows, in.dims, in.k, in.seed, in.lead)
+	}
+	f.Fuzz(func(t *testing.T, rows, dims, k uint8, seed int64, lead int8) {
+		X, y, zoo := fuzzSelectInput(rows, dims, seed)
+		folds := min(max(int(k), 2), len(X))
 		full, err := CrossValidate(zoo, X, y, int(k), seed)
 		if err != nil {
 			t.Fatal(err)
@@ -317,6 +337,13 @@ func FuzzSelect(f *testing.F) {
 				t.Fatal(err)
 			}
 			checkSelection(t, "fuzz", sels[0], full, key, folds)
+			want, err := naiveSelect(zoo, X, [][]float64{y}, []int{int(lead)}, int(k), seed, key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameSelections(sels, want); err != nil {
+				t.Errorf("vs the wave loop: %v", err)
+			}
 		}
 	})
 }

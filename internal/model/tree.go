@@ -2,7 +2,6 @@ package model
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -175,7 +174,7 @@ func (b *Bagging) Train(X [][]float64, y []float64) error {
 	if _, err := validate(X, y); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(b.seed))
+	rng := newRand(b.seed)
 	b.trees = b.trees[:0]
 	for i := 0; i < b.n; i++ {
 		bx := make([][]float64, len(X))
@@ -239,7 +238,7 @@ func (r *RandomSubspace) Train(X [][]float64, y []float64) error {
 	if take < 1 {
 		take = 1
 	}
-	rng := rand.New(rand.NewSource(r.seed))
+	rng := newRand(r.seed)
 	r.trees = r.trees[:0]
 	for i := 0; i < r.n; i++ {
 		mask := rng.Perm(dims)[:take]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/model"
@@ -300,6 +302,90 @@ func TestLazyFitErrorNotRetried(t *testing.T) {
 	}
 	if st := p.RefinementStats(); st.Fits != 3 || st.FitErrors != 1 {
 		t.Fatalf("after recovery: %+v", st)
+	}
+}
+
+// failsOn is a model family whose whole-buffer Train fails, once armed, on a
+// target whose last value is one of its markers, naming that value.
+type failsOn struct {
+	model.Model
+	armed   *bool
+	markers []float64
+}
+
+func (f *failsOn) Name() string { return "FailsOn" }
+
+func (f *failsOn) Train(X [][]float64, y []float64) error {
+	if *f.armed && slices.Contains(f.markers, y[len(y)-1]) {
+		return fmt.Errorf("failsOn: target ending %v", y[len(y)-1])
+	}
+	return f.Model.Train(X, y)
+}
+
+// A fit in which two targets' Trains fail while the other two train commits
+// nothing — every target keeps its previous model and family — and reports
+// the first failing target in sorted order, cost before outputBytes, on every
+// execution and worker count.
+func TestLazyFitWithFailingTargetsCommitsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 5; rep++ {
+			armed := false
+			p := New(engine.NewDefaultEnvironment(1), 1)
+			// The fifth run's cost (50 x 8) and output bytes (5000 x 100).
+			p.Factories = []model.Factory{func() model.Model { return &failsOn{model.NewLinear(), &armed, []float64{400, 500_000}} }}
+			for i := int64(1); i <= 4; i++ {
+				_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
+			}
+			om, _ := p.Models("op")
+			before := readAll(p)
+			om.mu.Lock()
+			models, chosen := maps.Clone(om.models), maps.Clone(om.chosen)
+			om.mu.Unlock()
+
+			armed = true
+			_ = p.Observe("op", obsRun(5000, 50, nil))
+			om.mu.Lock()
+			err := om.fitLocked()
+			committed := !maps.Equal(models, om.models) || !maps.Equal(chosen, om.chosen)
+			om.mu.Unlock()
+			if err == nil || err.Error() != "failsOn: target ending 400" {
+				t.Fatalf("GOMAXPROCS=%d: fit error %v, want cost's, the first failing target", procs, err)
+			}
+			if committed {
+				t.Fatalf("GOMAXPROCS=%d: a failed fit committed models", procs)
+			}
+			after := readAll(p)
+			for i := range before {
+				if i > 0 && before[i] != after[i] { // line 0 holds n and gen, which moved
+					t.Fatalf("GOMAXPROCS=%d: after a failed fit\n got  %s\n want %s", procs, after[i], before[i])
+				}
+			}
+			if st := p.RefinementStats(); st.FitErrors != 1 {
+				t.Fatalf("GOMAXPROCS=%d: %+v, want one failed fit", procs, st)
+			}
+		}
+	}
+}
+
+// Every fit reports its wall time and the summed time of its jobs: both
+// positive, and the jobs never add up to more than GOMAXPROCS workers could
+// do in that wall time.
+func TestLazyFitTime(t *testing.T) {
+	p := lazyProfiler(4)
+	for i := int64(1); i <= 12; i++ {
+		_ = p.Observe("op", obsRun(i*1000, float64(i%5)+1, nil))
+	}
+	if wall, busy := p.FitTime(); wall != 0 || busy != 0 {
+		t.Fatalf("unread observations took %v wall, %v busy", wall, busy)
+	}
+	if _, ok := p.Estimate("op", TargetExecTime, lazyProbes()[0]); !ok {
+		t.Fatal("no estimate")
+	}
+	wall, busy := p.FitTime()
+	if wall <= 0 || busy <= 0 || busy > wall*time.Duration(runtime.GOMAXPROCS(0)) {
+		t.Errorf("a fit took %v wall and %v busy at GOMAXPROCS=%d", wall, busy, runtime.GOMAXPROCS(0))
 	}
 }
 

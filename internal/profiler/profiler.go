@@ -14,6 +14,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/metrics"
@@ -255,6 +256,10 @@ type Win struct{ Family, Target string }
 // refinementCounters are one profiler's tallies, shared by its OperatorModels.
 type refinementCounters struct {
 	observations, fits, selections, fitErrors, cellsTrained, cellsSkipped atomic.Uint64
+	// fitWall and fitBusy are wall-clock nanoseconds: the fits' own, and the
+	// summed time of their jobs. They stay out of RefinementStats, which holds
+	// only counts that repeat exactly.
+	fitWall, fitBusy atomic.Int64
 
 	mu   sync.Mutex
 	wins map[Win]uint64
@@ -289,6 +294,13 @@ func (p *Profiler) RefinementStats() RefinementStats {
 		CellsSkipped: p.stats.cellsSkipped.Load(),
 		Wins:         wins,
 	}
+}
+
+// FitTime returns the wall-clock time the profiler's fits took and the summed
+// time of their jobs (cross-validation cells and whole-buffer Trains); busy
+// over wall x GOMAXPROCS is how busy the fits kept the workers.
+func (p *Profiler) FitTime() (wall, busy time.Duration) {
+	return time.Duration(p.stats.fitWall.Load()), time.Duration(p.stats.fitBusy.Load())
 }
 
 // PredictionCacheStats sums the Estimate cache counters across every
@@ -558,13 +570,14 @@ func (om *OperatorModels) fitLocked() error {
 }
 
 // fitTargetsLocked trains every target's model on the whole buffer, as one
-// job: each target keeps its incumbent family, or takes the one a bounded
-// cross-validation (model.Select) picks on X[:pending] when a re-selection is
+// job graph (model.Fit): each target keeps its incumbent family, or takes the
+// one a bounded cross-validation picks on X[:pending] when a re-selection is
 // pending — on the whole buffer for a target without a usable family (a
-// version-1 import, a family this build no longer ships). The selections'
-// cells and then the whole-buffer trains share one pool of GOMAXPROCS workers;
-// targets are handled in sorted order, so the error reported is the same on
-// every execution, and nothing is committed unless every target trained.
+// version-1 import, a family this build no longer ships). A target's
+// whole-buffer Train starts as soon as its family is known, on the same pool
+// of GOMAXPROCS workers as the other targets' cells. Targets are handled in
+// sorted order, so the error reported is the same on every execution, and
+// nothing is committed unless every target trained.
 func (om *OperatorModels) fitTargetsLocked(pending int) error {
 	n := len(om.X)
 	var targets []string
@@ -574,55 +587,45 @@ func (om *OperatorModels) fitTargetsLocked(pending int) error {
 		}
 	}
 	sort.Strings(targets)
-	// fams is the family each target trains: the incumbent, until a selection
-	// it only leads replaces it.
-	fams := make([]int, len(targets))
-	var selecting []int // positions in targets
+	jobs := make([]model.Target, len(targets))
 	for i, target := range targets {
-		if y := om.targets[target]; len(y) != n {
+		y := om.targets[target]
+		if len(y) != n {
 			return fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
 		}
+		// The incumbent, until a selection it only leads replaces it; family
+		// 0 when unknown: below three rows nothing can be cross-validated.
 		fam, known := om.zoo.index[om.chosen[target]]
-		if (known && pending > 0) || (!known && n >= 3) {
-			selecting = append(selecting, i)
-		}
-		fams[i] = fam // family 0 when unknown: below three rows nothing can be cross-validated
+		jobs[i] = model.Target{Y: y, Family: fam, Select: (known && pending > 0) || (!known && n >= 3)}
 	}
-	if len(selecting) > 0 {
-		if pending == 0 {
-			pending = n
-		}
-		ys, leads := make([][]float64, len(selecting)), make([]int, len(selecting))
-		for j, i := range selecting {
-			ys[j], leads[j] = om.targets[targets[i]][:pending], fams[i]
-		}
-		sels, err := model.Select(om.zoo.factories, om.X[:pending], ys, leads, om.cvFolds, om.seed, model.ByRelErr)
-		if err != nil {
-			return err
-		}
-		om.stats.mu.Lock()
-		for j, i := range selecting {
-			fams[i] = sels[j].Best
-			om.stats.wins[Win{om.zoo.names[fams[i]], targets[i]}]++
+	if pending == 0 {
+		pending = n
+	}
+	start := time.Now()
+	fitted, busy, err := model.Fit(om.zoo.factories, om.X, jobs, pending, om.cvFolds, om.seed, model.ByRelErr)
+	om.stats.fitWall.Add(int64(time.Since(start)))
+	om.stats.fitBusy.Add(int64(busy))
+	if err != nil {
+		return err
+	}
+	om.stats.mu.Lock()
+	for i, f := range fitted {
+		if jobs[i].Select {
+			om.stats.wins[Win{om.zoo.names[f.Family], targets[i]}]++
 			om.stats.selections.Add(1)
-			om.stats.cellsTrained.Add(uint64(sels[j].Trained))
-			om.stats.cellsSkipped.Add(uint64(sels[j].Skipped))
+			om.stats.cellsTrained.Add(uint64(f.Selection.Trained))
+			om.stats.cellsSkipped.Add(uint64(f.Selection.Skipped))
 		}
-		om.stats.mu.Unlock()
 	}
-	models, errs := make([]model.Model, len(targets)), make([]error, len(targets))
-	model.Parallel(len(targets), func(i int) {
-		models[i] = om.zoo.factories[fams[i]]()
-		errs[i] = models[i].Train(om.X, om.targets[targets[i]])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	om.stats.mu.Unlock()
+	for _, f := range fitted {
+		if f.Err != nil {
+			return f.Err
 		}
 	}
 	for i, target := range targets {
-		om.models[target] = models[i]
-		om.chosen[target] = om.zoo.names[fams[i]]
+		om.models[target] = fitted[i].Model
+		om.chosen[target] = om.zoo.names[fitted[i].Family]
 	}
 	return nil
 }

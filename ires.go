@@ -302,14 +302,15 @@ type Platform struct {
 	recorder *trace.Recorder
 	tracer   trace.Tracer
 
-	// refineMu guards refinePublished, droppedPublished and pollsPublished:
-	// the profiler refinement counters, the recorder's dropped-event count
-	// and the monitor's poll outcomes already folded into the registry by
-	// Metrics.
-	refineMu         sync.Mutex
-	refinePublished  profiler.RefinementStats
-	droppedPublished int64
-	pollsPublished   cluster.PollStats
+	// refineMu guards refinePublished, fitWallPublished, fitBusyPublished,
+	// droppedPublished and pollsPublished: the profiler refinement counters
+	// and fit times, the recorder's dropped-event count and the monitor's poll
+	// outcomes already folded into the registry by Metrics.
+	refineMu                           sync.Mutex
+	refinePublished                    profiler.RefinementStats
+	fitWallPublished, fitBusyPublished time.Duration
+	droppedPublished                   int64
+	pollsPublished                     cluster.PollStats
 }
 
 // NewPlatform builds a platform with the default engine deployment.
@@ -892,8 +893,9 @@ func (p *Platform) BlacklistedEngines() []string {
 // that Observe stays off the registry's lock; observations over fits is the
 // coalescing factor of the deferred model fits, cv_cells trained over
 // trained + skipped the share of the cross-validation grid the bounded
-// selection trains, selection_wins which family wins which target. So is
-// ires_trace_dropped_total, the events that aged out of the recorder's
+// selection trains, selection_wins which family wins which target; the
+// fits' wall-clock seconds, fit_busy over fit_wall x GOMAXPROCS the share of
+// the workers their jobs kept busy. So is ires_trace_dropped_total, the events that aged out of the recorder's
 // window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
 // And ires_monitor_polls_total by outcome: idle polls re-read nothing,
 // refreshed ones re-read a report or the engine list and found every status
@@ -916,6 +918,10 @@ func (p *Platform) Metrics() *MetricsRegistry {
 		}
 	}
 	p.refinePublished = cur
+	wall, busy := p.Profiler.FitTime()
+	reg.Inc("ires_profiler_fit_wall_seconds_total", nil, (wall - p.fitWallPublished).Seconds())
+	reg.Inc("ires_profiler_fit_busy_seconds_total", nil, (busy - p.fitBusyPublished).Seconds())
+	p.fitWallPublished, p.fitBusyPublished = wall, busy
 	dropped := p.recorder.Dropped()
 	reg.Inc("ires_trace_dropped_total", nil, float64(dropped-p.droppedPublished))
 	p.droppedPublished = dropped

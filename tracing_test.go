@@ -2,6 +2,7 @@ package ires
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -140,12 +141,22 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 		}
 	}
 
+	// What the fits took in wall-clock time, and how busy they kept the
+	// workers: registry only, folded in on read like the counts.
+	wall, busy := p.Profiler.FitTime()
+	fitWall, fitBusy := reg.Value("ires_profiler_fit_wall_seconds_total", nil), reg.Value("ires_profiler_fit_busy_seconds_total", nil)
+	if fitWall != wall.Seconds() || fitBusy != busy.Seconds() || fitWall <= 0 || fitBusy <= 0 || fitBusy > fitWall*float64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("fits took %v s wall and %v s busy (Profiler.FitTime %v / %v) at GOMAXPROCS=%d: want both positive, busy at most wall x GOMAXPROCS",
+			fitWall, fitBusy, wall, busy, runtime.GOMAXPROCS(0))
+	}
+
 	var b bytes.Buffer
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, metric := range []string{"ires_attempts_total", "ires_vtime_seconds", "# TYPE", "# HELP ires_profiler_selections_total",
-		"# HELP ires_profiler_cv_cells_total", "# HELP ires_profiler_selection_wins_total", `ires_profiler_cv_cells_total{outcome="skipped"}`} {
+		"# HELP ires_profiler_cv_cells_total", "# HELP ires_profiler_selection_wins_total", `ires_profiler_cv_cells_total{outcome="skipped"}`,
+		"# HELP ires_profiler_fit_wall_seconds_total", "# HELP ires_profiler_fit_busy_seconds_total"} {
 		if !strings.Contains(b.String(), metric) {
 			t.Errorf("Prometheus exposition missing %q", metric)
 		}
