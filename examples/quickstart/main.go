@@ -34,7 +34,8 @@ Constraints.Output0.Engine.FS=HDFS
 `))
 
 	// 2. Profile both offline: IReS runs them over a grid of input sizes
-	// and resource configurations and trains cross-validated cost models.
+	// and resource configurations and trains cross-validated estimation
+	// models (cost is derived from the execution-time estimate).
 	space := ires.ProfileSpace{
 		Records:        []int64{1_000, 10_000, 100_000, 1_000_000},
 		BytesPerRecord: 1_000,

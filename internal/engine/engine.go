@@ -52,7 +52,13 @@ func (r Resources) TotalMemMB() int { return r.Nodes * r.MemMBPerN }
 // CostRate returns the paper's resource cost rate: #VM * cores/VM * GB/VM.
 // Multiplying by execution time (in seconds) yields the execution cost.
 func (r Resources) CostRate() float64 {
-	return float64(r.Nodes) * float64(r.CoresPerN) * float64(r.MemMBPerN) / 1024.0
+	return CostRate(float64(r.Nodes), float64(r.CoresPerN), float64(r.MemMBPerN))
+}
+
+// CostRate is Resources.CostRate over feature values (nodes, cores per node,
+// memory per node in MB): the one place the formula lives.
+func CostRate(nodes, cores, memMB float64) float64 {
+	return nodes * cores * memMB / 1024.0
 }
 
 func (r Resources) String() string {
@@ -415,7 +421,6 @@ func (e *Environment) Execute(engineName, algorithm string, in Input, res Resour
 	}
 	run.OutputRecords = outRecords
 	run.OutputBytes = int64(float64(in.Bytes) * w.OutputFactor)
-	run.Timeline = e.timeline(sec, res)
 	return run, nil
 }
 
@@ -427,27 +432,6 @@ func (e *Environment) TransferSec(bytes int64) float64 {
 		bytes = 0
 	}
 	return infra.TransferFixed + float64(bytes)/(infra.NetworkMBps*1e6)
-}
-
-// timeline synthesizes a plausible 8-sample system-metric timeline for a
-// run, matching the shape of the periodic Ganglia pull described in the
-// paper.
-func (e *Environment) timeline(sec float64, res Resources) []metrics.Snapshot {
-	const samples = 8
-	out := make([]metrics.Snapshot, samples)
-	for i := 0; i < samples; i++ {
-		frac := float64(i) / float64(samples-1)
-		// Ramp up, plateau, ramp down.
-		util := 0.9 - 0.6*math.Abs(2*frac-1)
-		out[i] = metrics.Snapshot{
-			AtSec:       sec * frac,
-			CPUUtil:     util,
-			MemUsedMB:   float64(res.TotalMemMB()) * (0.3 + 0.5*util),
-			NetworkMBps: 40 * util,
-			DiskIOPS:    800 * util,
-		}
-	}
-	return out
 }
 
 func runParams(in Input, res Resources) map[string]float64 {

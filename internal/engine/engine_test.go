@@ -177,9 +177,6 @@ func TestExecuteProducesMetrics(t *testing.T) {
 	if run.OutputRecords <= 0 || run.OutputBytes <= 0 {
 		t.Error("output stats not computed")
 	}
-	if len(run.Timeline) != 8 {
-		t.Errorf("timeline has %d samples, want 8", len(run.Timeline))
-	}
 	if run.Params["records"] != 10_000 || run.Params["nodes"] != 16 {
 		t.Errorf("params not recorded: %v", run.Params)
 	}
@@ -330,27 +327,5 @@ func TestAffinityScalesRates(t *testing.T) {
 	// slower (6x affinity gap on top).
 	if ratio := sciKmeans / sciTfidf; ratio < 10 {
 		t.Errorf("affinity not applied: kmeans/tfidf ratio = %.1f", ratio)
-	}
-}
-
-func TestTimelineShape(t *testing.T) {
-	e := env(t)
-	run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 10_000, Bytes: 5e7}, StandardCluster, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := run.Timeline
-	if tl[0].AtSec != 0 || tl[len(tl)-1].AtSec <= 0 {
-		t.Fatalf("timeline bounds wrong: %+v", tl)
-	}
-	// Ramp up then down: the middle sample is the busiest.
-	mid := tl[len(tl)/2]
-	if mid.CPUUtil <= tl[0].CPUUtil {
-		t.Error("timeline has no plateau")
-	}
-	for _, s := range tl {
-		if s.CPUUtil < 0 || s.CPUUtil > 1 || s.MemUsedMB < 0 {
-			t.Fatalf("implausible sample %+v", s)
-		}
 	}
 }

@@ -281,7 +281,6 @@ func TestFig17ProvisioningShape(t *testing.T) {
 	minT, _ := timeR.SeriesByLabel("min resources")
 	iresT, _ := timeR.SeriesByLabel("IReS")
 	maxC, _ := costR.SeriesByLabel("max resources")
-	minC, _ := costR.SeriesByLabel("min resources")
 	iresC, _ := costR.SeriesByLabel("IReS")
 
 	for _, x := range []float64{1e3, 1e4, 1e5, 1e6, 1e7} {
@@ -298,12 +297,13 @@ func TestFig17ProvisioningShape(t *testing.T) {
 		if x >= 1e6 && tIres > tMin*0.8 {
 			t.Errorf("IReS at %v should be well below min-resources (%.1f vs %.1f)", x, tIres, tMin)
 		}
-		// Cost strictly between the static strategies.
+		// The paper's claim: near max-resources time at no more than
+		// max-resources cost. With cost exact (rate x estimated time) the
+		// front's cheap end may undercut the min-resources configuration.
 		cMax, _ := maxC.YAt(x)
-		cMin, _ := minC.YAt(x)
 		cIres, _ := iresC.YAt(x)
-		if !(cIres >= cMin*0.9 && cIres <= cMax*1.1) {
-			t.Errorf("IReS cost at %v (%.0f) outside [min %.0f, max %.0f]", x, cIres, cMin, cMax)
+		if cIres > cMax {
+			t.Errorf("IReS cost at %v (%.0f) above max-resources cost %.0f", x, cIres, cMax)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package metrics defines the monitoring record IReS collects for every
-// operator execution (D3.3 §2.2.1 lists 45 monitored metrics: execution
-// time, input/output sizes and counts, operator parameters, experiment date,
-// and a periodic timeline of cluster system metrics pulled from Ganglia).
-// The simulated engines produce the same records the real monitoring layer
-// would, so the profiler/modeler code is identical to what would run against
-// a live cluster.
+// operator execution. D3.3 §2.2.1 lists 45 monitored metrics, among them a
+// periodic timeline of cluster system metrics pulled from Ganglia; the record
+// keeps only what the modeler consumes: the run's features (data, operator
+// and resource parameters) and its outcomes (execution time, cost, input and
+// output sizes). The simulated engines produce the same records the real
+// monitoring layer would, so the profiler/modeler code is identical to what
+// would run against a live cluster.
 package metrics
 
 import (
@@ -12,15 +13,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Snapshot is one sample of the periodic system-metric timeline.
-type Snapshot struct {
-	AtSec       float64 // seconds since run start
-	CPUUtil     float64 // [0,1] cluster-average CPU utilisation
-	MemUsedMB   float64
-	NetworkMBps float64
-	DiskIOPS    float64
-}
 
 // Run is the full monitoring record of a single operator execution.
 type Run struct {
@@ -40,8 +32,7 @@ type Run struct {
 	InputRecords  int64
 	OutputRecords int64
 
-	Timeline []Snapshot
-	Date     time.Time
+	Date time.Time
 
 	Failed        bool
 	FailureReason string
@@ -92,23 +83,4 @@ func (r *Run) ParamNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// MetricNames enumerates the monitored metric surface, mirroring the 45
-// metrics listed in the paper: scalar run metrics, operator parameters, and
-// the periodic system timeline (8 samples x 4 system metrics).
-func MetricNames() []string {
-	names := []string{
-		"execTime", "cost",
-		"inputBytes", "outputBytes", "inputRecords", "outputRecords",
-		"date",
-		"param.records", "param.bytes", "param.iterations", "param.k",
-		"param.nodes", "param.cores", "param.memoryMB",
-	}
-	for i := 0; i < 8; i++ {
-		for _, m := range []string{"cpuUtil", "memUsedMB", "networkMBps", "diskIOPS"} {
-			names = append(names, fmt.Sprintf("timeline[%d].%s", i, m))
-		}
-	}
-	return names // 14 + 32 = 46 monitored metrics (paper: "45 in total")
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -22,9 +23,9 @@ type Score struct {
 
 // Selection is the outcome of one target's bounded selection.
 type Selection struct {
-	Best   int     // index of the winning family
-	Scores []Score // one per family, in factory order
-	// Trained and Skipped split the len(factories)*k cells of the full grid
+	Best   int     // index of the winning family in the factories
+	Scores []Score // one per candidate family, in factory order
+	// Trained and Skipped split the candidates x k cells of the full grid
 	// into those that were trained and those that could not change Best. They
 	// depend on the data and the lead only, never on the worker count or on
 	// timing.
@@ -104,6 +105,10 @@ type Target struct {
 	// a bounded selection on the fit's first rows, whose winner is trained.
 	Family int
 	Select bool
+	// Families are the candidates a selection picks among, ascending indices
+	// into the factories; empty is all of them. Restricting them changes no
+	// score, so when the whole zoo's winner is a candidate it wins here too.
+	Families []int
 }
 
 // Fitted is what a Fit made of one Target.
@@ -115,11 +120,11 @@ type Fitted struct {
 }
 
 // Fit trains one model per target on all of X, the targets that select
-// choosing their family first by Select over X[:sel] and Y[:sel] (k folds,
-// seed, key; sel <= len(X)). It is one job graph on one pool: a target that
-// does not select queues its whole-buffer Train at once, one that does queues
-// it the moment its last wave has settled the winner, while other targets'
-// waves are still running. It returns the summed time of the jobs. An error
+// choosing their family first by Select over X[:sel] and Y[:sel], among their
+// Families (k folds, seed, key; sel <= len(X)). It is one job graph on one
+// pool: a target that does not select queues its whole-buffer Train at once,
+// one that does queues it the moment its last wave has settled the winner,
+// while other targets' waves are still running. It returns the summed time of the jobs. An error
 // before any Train (a Y that is not one value per row, Select's validation)
 // fails the fit; an error of a whole-buffer Train is its Fitted's.
 func Fit(factories []Factory, X [][]float64, targets []Target, sel, k int, seed int64, key func(Score) float64) ([]Fitted, time.Duration, error) {
@@ -150,13 +155,15 @@ type column struct {
 	fam int // the family trained on the whole buffer: the winner, once settled
 	// Selection state, written only by whoever holds the column's current
 	// wave: the caller for wave 0, then the cell that completes each wave.
+	// Cells and sums are indexed by candidate, fams[cand] being the family.
 	selects  bool
+	fams     []int
 	trY, vaY [][]float64 // per fold
-	// preds[family*k+fold] holds a trained cell's validation predictions,
-	// nil when its Train failed.
+	// preds[cand*k+fold] holds a trained cell's validation predictions, nil
+	// when its Train failed.
 	preds   [][]float64
-	lead    int
-	se, re  []float64 // per family, summed over its reduced folds in order
+	lead    int       // a candidate
+	se, re  []float64 // per candidate, summed over its reduced folds in order
 	dropped []bool
 	trained int
 	wave    int
@@ -168,8 +175,8 @@ type column struct {
 }
 
 // job is one cross-validation cell of a column, or with fold < 0 its
-// whole-buffer Train.
-type job struct{ col, fam, fold int }
+// whole-buffer Train of the column's fam.
+type job struct{ col, cand, fold int }
 
 // fit is the job graph of one Fit, Select or CrossValidate (key nil: the full
 // grid, every cell in wave 0).
@@ -228,10 +235,11 @@ func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed
 		}
 	}
 	f.names = make([]string, nf)
+	all := make([]int, nf)
 	for fam, fac := range factories {
-		f.names[fam] = fac().Name()
+		f.names[fam], all[fam] = fac().Name(), fam
 	}
-	for t := range f.cols {
+	for t, tg := range targets {
 		c := &f.cols[t]
 		if !c.selects {
 			continue
@@ -240,11 +248,13 @@ func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed
 		for fo, s := range f.folds {
 			c.trY[fo], c.vaY[fo] = gather(c.y, s.tr), gather(c.y, s.va)
 		}
-		c.preds = make([][]float64, nf*k)
-		c.se, c.re, c.dropped = make([]float64, nf), make([]float64, nf), make([]bool, nf)
-		if c.fam > 0 && c.fam < nf {
-			c.lead = c.fam
+		if c.fams = tg.Families; len(c.fams) == 0 {
+			c.fams = all
 		}
+		nc := len(c.fams)
+		c.preds = make([][]float64, nc*k)
+		c.se, c.re, c.dropped = make([]float64, nc), make([]float64, nc), make([]bool, nc)
+		c.lead = max(slices.Index(c.fams, c.fam), 0)
 	}
 	return f, nil
 }
@@ -258,20 +268,20 @@ func (f *fit) run() time.Duration {
 		case f.cols[t].selects:
 			f.queueWave(t)
 		case f.whole != nil:
-			f.pool.push(job{t, f.cols[t].fam, -1})
+			f.pool.push(job{t, 0, -1})
 		}
 	}
 	return f.pool.run()
 }
 
-// span is the folds of one family that the column's current wave trains: all
-// of them in wave 0 for the lead (and for everyone on the full grid), else
+// span is the folds of one candidate that the column's current wave trains:
+// all of them in wave 0 for the lead (and for everyone on the full grid), else
 // the wave's own.
-func (f *fit) span(c *column, fam int) (lo, hi int) {
+func (f *fit) span(c *column, cand int) (lo, hi int) {
 	switch {
-	case c.dropped[fam]:
+	case c.dropped[cand]:
 		return 0, 0
-	case f.key != nil && fam != c.lead:
+	case f.key != nil && cand != c.lead:
 		return c.wave, c.wave + 1
 	case c.wave == 0:
 		return 0, f.k
@@ -287,10 +297,10 @@ func (f *fit) queueWave(t int) {
 	c := &f.cols[t]
 	for {
 		c.left.Store(1)
-		for fam := range f.factories {
-			for fold, hi := f.span(c, fam); fold < hi; fold++ {
+		for cand := range c.fams {
+			for fold, hi := f.span(c, cand); fold < hi; fold++ {
 				c.left.Add(1)
-				f.pool.push(job{t, fam, fold})
+				f.pool.push(job{t, cand, fold})
 			}
 		}
 		if c.left.Add(-1) > 0 || !f.endWave(t) {
@@ -302,17 +312,17 @@ func (f *fit) queueWave(t int) {
 func (f *fit) do(j job) {
 	c := &f.cols[j.col]
 	if j.fold < 0 {
-		c.model = f.factories[j.fam]()
+		c.model = f.factories[c.fam]()
 		c.err = c.model.Train(f.whole, c.y)
 		return
 	}
 	s := &f.folds[j.fold]
-	if m := f.factories[j.fam](); m.Train(s.trX, c.trY[j.fold]) == nil {
+	if m := f.factories[c.fams[j.cand]](); m.Train(s.trX, c.trY[j.fold]) == nil {
 		out := make([]float64, len(s.vaX))
 		for i, x := range s.vaX {
 			out[i] = m.Predict(x)
 		}
-		c.preds[j.fam*f.k+j.fold] = out
+		c.preds[j.cand*f.k+j.fold] = out
 	}
 	if c.left.Add(-1) == 0 && f.endWave(j.col) {
 		f.queueWave(j.col)
@@ -325,47 +335,47 @@ func (f *fit) do(j job) {
 // selection and, in a Fit, queues the winner's whole-buffer Train.
 func (f *fit) endWave(t int) bool {
 	c := &f.cols[t]
-	nf := len(f.factories)
-	for fam := 0; fam < nf; fam++ {
-		lo, hi := f.span(c, fam)
-		c.reduce(fam, lo, hi, f.k)
+	nc := len(c.fams)
+	for cand := range nc {
+		lo, hi := f.span(c, cand)
+		c.reduce(cand, lo, hi, f.k)
 		c.trained += hi - lo
 	}
 	if c.wave++; c.wave < f.k {
 		if f.key != nil {
 			bound := f.key(f.score(c, c.lead))
-			for fam := 1; fam < nf; fam++ {
-				c.dropped[fam] = c.dropped[fam] || f.key(f.score(c, fam)) > bound
+			for cand := 1; cand < nc; cand++ {
+				c.dropped[cand] = c.dropped[cand] || f.key(f.score(c, cand)) > bound
 			}
 		}
 		return true
 	}
-	scores := make([]Score, nf)
-	for fam := range scores {
-		scores[fam] = f.score(c, fam)
-		scores[fam].Name = f.names[fam]
+	scores := make([]Score, nc)
+	for cand := range scores {
+		scores[cand] = f.score(c, cand)
+		scores[cand].Name = f.names[c.fams[cand]]
 	}
-	c.sel = Selection{Scores: scores, Trained: c.trained, Skipped: nf*f.k - c.trained}
+	c.sel = Selection{Scores: scores, Trained: c.trained, Skipped: nc*f.k - c.trained}
 	if f.key != nil {
-		c.sel.Best = Best(scores, f.key)
+		c.sel.Best = c.fams[Best(scores, f.key)]
 		c.fam = c.sel.Best
 	}
 	if f.whole != nil {
-		f.pool.push(job{t, c.fam, -1})
+		f.pool.push(job{t, 0, -1})
 	}
 	return false
 }
 
-func (f *fit) score(c *column, fam int) Score {
-	return Score{RMSE: math.Sqrt(c.se[fam] / float64(f.n)), RelErr: c.re[fam] / float64(f.n), Bound: c.dropped[fam]}
+func (f *fit) score(c *column, cand int) Score {
+	return Score{RMSE: math.Sqrt(c.se[cand] / float64(f.n)), RelErr: c.re[cand] / float64(f.n), Bound: c.dropped[cand]}
 }
 
-// reduce adds the errors of the trained folds [lo, hi) of one family to its
+// reduce adds the errors of the trained folds [lo, hi) of one candidate to its
 // sums.
-func (c *column) reduce(fam, lo, hi, k int) {
-	se, re := c.se[fam], c.re[fam]
+func (c *column) reduce(cand, lo, hi, k int) {
+	se, re := c.se[cand], c.re[cand]
 	for fold := lo; fold < hi; fold++ {
-		if c.preds[fam*k+fold] == nil {
+		if c.preds[cand*k+fold] == nil {
 			// A family that cannot train on this fold is penalised, not
 			// fatal: other families may still fit.
 			se += math.Inf(1)
@@ -373,7 +383,7 @@ func (c *column) reduce(fam, lo, hi, k int) {
 			continue
 		}
 		vaY := c.vaY[fold]
-		for i, pred := range c.preds[fam*k+fold] {
+		for i, pred := range c.preds[cand*k+fold] {
 			d := pred - vaY[i]
 			se += d * d
 			if vaY[i] != 0 {
@@ -381,7 +391,7 @@ func (c *column) reduce(fam, lo, hi, k int) {
 			}
 		}
 	}
-	c.se[fam], c.re[fam] = se, re
+	c.se[cand], c.re[cand] = se, re
 }
 
 func gather(y []float64, idx []int) []float64 {

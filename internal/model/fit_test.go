@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -201,5 +203,72 @@ func TestFitReportsEachTargetsTrainError(t *testing.T) {
 	}
 	if _, _, err := Fit(zoo, X, []Target{{Y: y[1:]}}, len(X), 5, 1, ByRMSE); err == nil {
 		t.Error("a target with one value too few was accepted")
+	}
+}
+
+// A target restricted to candidate families picks what the whole zoo picks
+// whenever the whole zoo's winner is a candidate: the same family, the same
+// bits for its score and for its model. Restricting removes families and no
+// family's score depends on another's. On random streams over the default
+// zoo, the output-size candidates (LinearRegression, LeastMedSq) and random
+// candidate sets alternate; the streams whose winner lies outside are counted.
+func TestFitWithCandidatesMatchesWholeZoo(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(26))
+	const streams = 24
+	outside := 0
+	for s := range streams {
+		runtime.GOMAXPROCS(1 + s%3)
+		zoo := DefaultFactories(int64(s))
+		n, dims := 6+rng.Intn(30), 2+rng.Intn(3)
+		a, b := rng.Float64()*10, rng.Float64()*100
+		fn := []func([]float64) float64{
+			linearFn, nonlinearFn,
+			func(x []float64) float64 { return math.Floor(a*x[0]) + b }, // an output size
+		}[s%3]
+		X, y := synth(n, dims, int64(s), fn, []float64{0, 0.1, 1}[rng.Intn(3)])
+		cands := []int{0, 1}
+		if s%2 == 1 {
+			cands = cands[:0]
+			for fam := range zoo {
+				if rng.Intn(3) == 0 {
+					cands = append(cands, fam)
+				}
+			}
+		}
+		lead := rng.Intn(len(zoo)+1) - 1
+		full, _, err := Fit(zoo, X, []Target{{Y: y, Family: lead, Select: true}}, n, 5, int64(s), ByRelErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, _, err := Fit(zoo, X, []Target{{Y: y, Family: lead, Select: true, Families: cands}}, n, 5, int64(s), ByRelErr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, g := full[0], narrow[0]
+		if k := min(5, n); len(cands) > 0 && g.Selection.Trained+g.Selection.Skipped != len(cands)*k {
+			t.Errorf("stream %d: %d + %d cells for %d candidates", s, g.Selection.Trained, g.Selection.Skipped, len(cands))
+		}
+		c := slices.Index(cands, f.Family)
+		if len(cands) == 0 {
+			c = f.Family
+		}
+		if c < 0 {
+			outside++
+			continue
+		}
+		if g.Family != f.Family || !sameScore(g.Selection.Scores[c], f.Selection.Scores[f.Family]) {
+			t.Fatalf("stream %d, candidates %v: picked %d (%+v), the whole zoo %d (%+v)",
+				s, cands, g.Family, g.Selection.Scores, f.Family, f.Selection.Scores[f.Family])
+		}
+		for _, x := range X {
+			if p, q := g.Model.Predict(x), f.Model.Predict(x); !sameBits(p, q) {
+				t.Fatalf("stream %d: the narrowed %s predicts %v, the whole zoo's %v", s, g.Model.Name(), p, q)
+			}
+		}
+	}
+	t.Logf("%d of %d streams won outside their candidates", outside, streams)
+	if outside == streams {
+		t.Error("no stream's winner was a candidate")
 	}
 }

@@ -19,7 +19,8 @@ import (
 )
 
 // lazyZoo is a seeded zoo small enough for hundreds of selections per test,
-// with families whose Train consumes randomness.
+// with families whose Train consumes randomness. It holds both output-size
+// families, apart, so the output targets select among positions 0 and 5.
 func lazyZoo(seed int64) []model.Factory {
 	return []model.Factory{
 		func() model.Model { return model.NewLinear() },
@@ -27,6 +28,7 @@ func lazyZoo(seed int64) []model.Factory {
 		func() model.Model { return model.NewTree(8, 2) },
 		func() model.Model { return model.NewBagging(3, seed) },
 		func() model.Model { return model.NewMLP(4, 20, 0.05, seed) },
+		func() model.Model { return model.NewLeastMedianSquares(seed) },
 	}
 }
 
@@ -37,7 +39,8 @@ func lazyProfiler(seed int64) *Profiler {
 	return p
 }
 
-var lazyTargets = []string{TargetExecTime, TargetCost, TargetOutRecords, TargetOutBytes}
+// lazyTargets are the learned targets; cost is derived from execTime.
+var lazyTargets = []string{TargetExecTime, TargetOutRecords, TargetOutBytes}
 
 // lazyProbes is the grid every comparison estimates on; "k" and
 // "iterations" are ignored by operators that never saw them.
@@ -60,7 +63,7 @@ func readAll(p *Profiler) []string {
 	for _, op := range p.Operators() {
 		om, _ := p.Models(op)
 		out = append(out, fmt.Sprintf("%s n=%d gen=%d", op, om.SampleCount(), p.Gen()))
-		for _, target := range lazyTargets {
+		for _, target := range append(lazyTargets[:len(lazyTargets):len(lazyTargets)], TargetCost) {
 			line := fmt.Sprintf("%s/%s %s", op, target, om.ChosenFamily(target))
 			for _, feats := range lazyProbes() {
 				v, ok := p.Estimate(op, target, feats)
@@ -73,8 +76,9 @@ func readAll(p *Profiler) []string {
 }
 
 // fitOneAtATime is the fit as it was before the targets shared one job: each
-// target in turn scores the full cross-validation grid, takes the arg-min and
-// trains it on the whole buffer. It leaves every operator up to date, so the
+// target in turn scores the full cross-validation grid of its candidates (the
+// output-size families for the output targets), takes the arg-min and trains
+// it on the whole buffer. It leaves every operator up to date, so the
 // profiler's own fit finds nothing to do.
 func fitOneAtATime(t *testing.T, p *Profiler) {
 	t.Helper()
@@ -92,11 +96,19 @@ func fitOneAtATime(t *testing.T, p *Profiler) {
 					if on == 0 {
 						on = n
 					}
-					scores, err := model.CrossValidate(om.zoo.factories, om.X[:on], y[:on], om.cvFolds, om.seed)
+					cands := []int{0, 1, 2, 3, 4, 5}
+					if target != TargetExecTime {
+						cands = []int{0, 5}
+					}
+					var zoo []model.Factory
+					for _, c := range cands {
+						zoo = append(zoo, om.zoo.factories[c])
+					}
+					scores, err := model.CrossValidate(zoo, om.X[:on], y[:on], om.cvFolds, om.seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					fam = model.Best(scores, model.ByRelErr)
+					fam = cands[model.Best(scores, model.ByRelErr)]
 				}
 				m := om.zoo.factories[fam]()
 				if err := m.Train(om.X, y); err != nil {
@@ -121,7 +133,7 @@ func exported(t *testing.T, p *Profiler) []byte {
 // Reads are invisible: a profiler that is read after every mutation (the
 // eager reference — every fit happens on one more row than the last) and one
 // that is read only now and then must agree, bit for bit, whenever the second
-// one looks. So is the shape of the fit: a third profiler, whose four targets
+// one looks. So is the shape of the fit: a third profiler, whose three targets
 // are fitted one at a time over the full grid after every mutation, agrees
 // with both, down to the bytes it exports.
 func TestLazyReadsAreInvisible(t *testing.T) {
@@ -180,7 +192,7 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 			}
 			want := readAll(a)
 			if oneByOne := readAll(ref); !slices.Equal(want, oneByOne) {
-				t.Fatalf("seed %d step %d: four targets side by side diverged from one at a time\n got  %q\n want %q", seed, step, want, oneByOne)
+				t.Fatalf("seed %d step %d: three targets side by side diverged from one at a time\n got  %q\n want %q", seed, step, want, oneByOne)
 			}
 			if rng.Float64() < 0.2 || step == 89 {
 				checks++
@@ -203,15 +215,21 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 			t.Errorf("seed %d: stats eager %+v lazy %+v (%d checks): want equal observations, fewer lazy fits, no errors", seed, sa, sb, checks)
 		}
 		var wins uint64
-		for _, n := range sa.Wins {
+		perTarget := map[string]uint64{}
+		for w, n := range sa.Wins {
 			wins += n
+			perTarget[w.Target] += n
+			if w.Target != TargetExecTime && !slices.Contains(outputFamilies, w.Family) {
+				t.Errorf("seed %d: %s won %s, outside the output-size families", seed, w.Family, w.Target)
+			}
 		}
-		// A selection's grid is families x folds, the folds clamped to the rows.
-		zoo := uint64(len(a.Factories))
-		cells, grid := sa.CellsTrained+sa.CellsSkipped, sa.Selections*zoo*uint64(a.CVFolds)
-		if wins != sa.Selections || sa.CellsSkipped == 0 || cells > grid || cells%zoo != 0 {
-			t.Errorf("seed %d: %d wins over %d selections, %d cells trained + %d skipped of at most %d",
-				seed, wins, sa.Selections, sa.CellsTrained, sa.CellsSkipped, grid)
+		// A selection's grid is candidates x folds, the folds clamped to the
+		// rows: the whole zoo for execTime, two families for the output sizes.
+		cells, grid := sa.CellsTrained+sa.CellsSkipped, perTarget[TargetExecTime]*uint64(len(a.Factories)+2+2)*uint64(a.CVFolds)
+		if wins != sa.Selections || perTarget[TargetCost] != 0 || perTarget[TargetExecTime] != perTarget[TargetOutBytes] ||
+			perTarget[TargetExecTime] != perTarget[TargetOutRecords] || sa.CellsSkipped == 0 || cells > grid {
+			t.Errorf("seed %d: wins %v over %d selections, %d cells trained + %d skipped of at most %d",
+				seed, perTarget, sa.Selections, sa.CellsTrained, sa.CellsSkipped, grid)
 		}
 	}
 }
@@ -240,7 +258,7 @@ func TestLazyCoalescesFits(t *testing.T) {
 				t.Fatalf("no estimate for %s", target)
 			}
 		}
-		om.ChosenFamily(TargetCost)
+		om.ChosenFamily(TargetOutBytes)
 	}
 	if st := p.RefinementStats(); st.Fits != 1 || st.Selections != uint64(len(lazyTargets)) {
 		t.Fatalf("after one round of reads: %+v, want exactly one fit, one selection per target", st)
@@ -322,10 +340,10 @@ func (f *failsOn) Train(X [][]float64, y []float64) error {
 	return f.Model.Train(X, y)
 }
 
-// A fit in which two targets' Trains fail while the other two train commits
+// A fit in which two targets' Trains fail while the third trains commits
 // nothing — every target keeps its previous model and family — and reports
-// the first failing target in sorted order, cost before outputBytes, on every
-// execution and worker count.
+// the first failing target in sorted order, outputBytes before outputRecords,
+// on every execution and worker count.
 func TestLazyFitWithFailingTargetsCommitsNothing(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -333,8 +351,8 @@ func TestLazyFitWithFailingTargetsCommitsNothing(t *testing.T) {
 		for rep := 0; rep < 5; rep++ {
 			armed := false
 			p := New(engine.NewDefaultEnvironment(1), 1)
-			// The fifth run's cost (50 x 8) and output bytes (5000 x 100).
-			p.Factories = []model.Factory{func() model.Model { return &failsOn{model.NewLinear(), &armed, []float64{400, 500_000}} }}
+			// The fifth run's output records (5000) and output bytes (5000 x 100).
+			p.Factories = []model.Factory{func() model.Model { return &failsOn{model.NewLinear(), &armed, []float64{5000, 500_000}} }}
 			for i := int64(1); i <= 4; i++ {
 				_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
 			}
@@ -350,8 +368,8 @@ func TestLazyFitWithFailingTargetsCommitsNothing(t *testing.T) {
 			err := om.fitLocked()
 			committed := !maps.Equal(models, om.models) || !maps.Equal(chosen, om.chosen)
 			om.mu.Unlock()
-			if err == nil || err.Error() != "failsOn: target ending 400" {
-				t.Fatalf("GOMAXPROCS=%d: fit error %v, want cost's, the first failing target", procs, err)
+			if err == nil || err.Error() != "failsOn: target ending 500000" {
+				t.Fatalf("GOMAXPROCS=%d: fit error %v, want outputBytes', the first failing target", procs, err)
 			}
 			if committed {
 				t.Fatalf("GOMAXPROCS=%d: a failed fit committed models", procs)
@@ -457,7 +475,7 @@ func (s trainSpy) Train(X [][]float64, y []float64) error {
 	return s.Model.Train(X, y)
 }
 
-// A fit is one job on GOMAXPROCS workers, the caller among them: the four
+// A fit is one job on GOMAXPROCS workers, the caller among them: the three
 // targets do not stack a worker set each on a worker set per selection.
 func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
 	const procs = 3
@@ -480,7 +498,7 @@ func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
 		t.Fatalf("the read selected %d times, want once per target", st.Selections)
 	}
 	if got := peak.Load(); got < 1 || got > procs {
-		t.Errorf("%d Trains in flight at once during a fit of four targets, want at most GOMAXPROCS = %d", got, procs)
+		t.Errorf("%d Trains in flight at once during a fit of three targets, want at most GOMAXPROCS = %d", got, procs)
 	}
 }
 
@@ -510,7 +528,7 @@ func TestLazyConcurrentEstimateObserve(t *testing.T) {
 					return
 				}
 				om, _ := p.Models(op)
-				om.ChosenFamily(TargetCost)
+				om.ChosenFamily(TargetOutBytes)
 			}
 		}()
 	}

@@ -98,6 +98,9 @@ func (p *Profiler) Import(r io.Reader) error {
 					po.Operator, len(row), len(po.Features))
 			}
 		}
+		// Files written while cost was still learned carry a cost column
+		// (and its family); cost is derived now, so both are dropped.
+		delete(po.Targets, TargetCost)
 		for t, ys := range po.Targets {
 			if len(ys) != len(po.X) {
 				return fmt.Errorf("profiler: import: %s: target %s has %d values for %d samples",

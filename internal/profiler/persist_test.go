@@ -2,7 +2,9 @@ package profiler
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -121,7 +123,7 @@ func TestExportImportKeepsExtendedFeatureSemantics(t *testing.T) {
 		"records": 60_000, "bytes": 6_000_000,
 		"nodes": 8, "cores": 2, "memoryMB": 3456, "k": 4,
 	}
-	for _, target := range []string{TargetExecTime, TargetCost, TargetOutRecords, TargetOutBytes} {
+	for _, target := range append(lazyTargets[:len(lazyTargets):len(lazyTargets)], TargetCost) {
 		if got, want := dom.ChosenFamily(target), som.ChosenFamily(target); got != want {
 			t.Errorf("%s: model family flipped %q -> %q across round trip", target, want, got)
 		}
@@ -133,6 +135,68 @@ func TestExportImportKeepsExtendedFeatureSemantics(t *testing.T) {
 		if math.Abs(want-got) > 1e-9 {
 			t.Errorf("%s: estimate drifted across round trip: %v -> %v", target, want, got)
 		}
+	}
+}
+
+// testdata/library_learned_cost.json was exported while cost was still a
+// learned target: every operator carries a cost column and a chosen family for
+// it. Importing drops both, keeps the other choices, serves every estimate, and
+// derives cost from the execution-time estimate bit for bit; re-exporting
+// writes no cost.
+func TestImportDropsLearnedCost(t *testing.T) {
+	raw, err := os.ReadFile("testdata/library_learned_cost.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lib persistedLibrary
+	if err := json.Unmarshal(raw, &lib); err != nil {
+		t.Fatal(err)
+	}
+	p := New(engine.NewDefaultEnvironment(5), 5)
+	if err := p.Import(bytes.NewReader(raw)); err != nil {
+		t.Fatal(err)
+	}
+	if len(lib.Operators) != 2 || len(p.Operators()) != 2 {
+		t.Fatalf("imported %v from %d operators", p.Operators(), len(lib.Operators))
+	}
+	for _, po := range lib.Operators {
+		if _, ok := po.Targets[TargetCost]; !ok || po.Chosen[TargetCost] == "" {
+			t.Fatalf("%s: the fixture holds no learned cost", po.Operator)
+		}
+		om, _ := p.Models(po.Operator)
+		for _, target := range lazyTargets {
+			if got := om.ChosenFamily(target); got != po.Chosen[target] {
+				t.Errorf("%s/%s: family %q, the file chose %q", po.Operator, target, got, po.Chosen[target])
+			}
+		}
+		if got := om.ChosenFamily(TargetCost); got != "" {
+			t.Errorf("%s: cost has a learned family %q", po.Operator, got)
+		}
+		served := 0
+		for _, feats := range lazyProbes() {
+			feats["nodes"], feats["memoryMB"] = 3, 2048
+			for _, target := range lazyTargets {
+				if _, ok := p.Estimate(po.Operator, target, feats); ok {
+					served++
+				}
+			}
+			tm, okT := p.Estimate(po.Operator, TargetExecTime, feats)
+			c, okC := p.Estimate(po.Operator, TargetCost, feats)
+			want := engine.Resources{Nodes: 3, CoresPerN: 2, MemMBPerN: 2048}.CostRate() * tm
+			if okC != okT || math.Float64bits(c) != math.Float64bits(want) {
+				t.Errorf("%s at %v: cost %v/%t, want CostRate x execTime = %v/%t", po.Operator, feats["records"], c, okC, want, okT)
+			}
+		}
+		if served == 0 {
+			t.Errorf("%s: no estimate served", po.Operator)
+		}
+	}
+	var buf bytes.Buffer
+	if err := p.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"cost"`)) {
+		t.Error("the re-export still writes cost")
 	}
 }
 

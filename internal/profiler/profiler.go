@@ -21,9 +21,10 @@ import (
 	"github.com/asap-project/ires/internal/model"
 )
 
-// Targets modelled for every operator. Output sizes are modelled alongside
-// performance so the planner can propagate intermediate dataset sizes
-// through the workflow.
+// Targets estimated for every operator. Output sizes are modelled alongside
+// execution time so the planner can propagate intermediate dataset sizes
+// through the workflow. Cost is not learned: it is the engine's cost rate at
+// the estimate's resources times the estimated execution time.
 const (
 	TargetExecTime   = "execTime"
 	TargetCost       = "cost"
@@ -229,7 +230,15 @@ type zoo struct {
 	factories []model.Factory
 	names     []string
 	index     map[string]int // family name -> position; the first wins a duplicate
+	// outputs are the candidates of the output-size targets: the positions of
+	// outputFamilies, or nil (the whole zoo) unless the zoo has all of them.
+	outputs []int
 }
+
+// outputFamilies are the families the output-size targets select among. The
+// engines produce output sizes linear in the input, and these two won every
+// output-size selection of the whole zoo (docs/profiler.md).
+var outputFamilies = []string{"LinearRegression", "LeastMedSq"}
 
 // zooLocked returns p.Factories with the names resolved, shared by every
 // operator created while the field holds the same slice. Callers hold p.mu.
@@ -245,6 +254,15 @@ func (p *Profiler) zooLocked() *zoo {
 			z.index[z.names[i]] = i
 		}
 	}
+	for _, name := range outputFamilies {
+		if i, ok := z.index[name]; ok {
+			z.outputs = append(z.outputs, i)
+		}
+	}
+	if len(z.outputs) < len(outputFamilies) {
+		z.outputs = nil
+	}
+	slices.Sort(z.outputs)
 	p.zoo = z
 	return z
 }
@@ -517,7 +535,6 @@ func (om *OperatorModels) appendRunLocked(run *metrics.Run) {
 	}
 	om.X = append(om.X, x)
 	om.targets[TargetExecTime] = append(om.targets[TargetExecTime], run.ExecTimeSec)
-	om.targets[TargetCost] = append(om.targets[TargetCost], run.CostUnits)
 	om.targets[TargetOutRecords] = append(om.targets[TargetOutRecords], float64(run.OutputRecords))
 	om.targets[TargetOutBytes] = append(om.targets[TargetOutBytes], float64(run.OutputBytes))
 }
@@ -597,6 +614,9 @@ func (om *OperatorModels) fitTargetsLocked(pending int) error {
 		// 0 when unknown: below three rows nothing can be cross-validated.
 		fam, known := om.zoo.index[om.chosen[target]]
 		jobs[i] = model.Target{Y: y, Family: fam, Select: (known && pending > 0) || (!known && n >= 3)}
+		if target != TargetExecTime {
+			jobs[i].Families = om.zoo.outputs
+		}
 	}
 	if pending == 0 {
 		pending = n
@@ -633,8 +653,17 @@ func (om *OperatorModels) fitTargetsLocked(pending int) error {
 // Estimate predicts one target for a feature map. Results (including
 // infeasible verdicts) are memoized per projected feature vector until the
 // next model mutation. The first call after the buffer changed pays the
-// deferred fit.
+// deferred fit. Cost is derived from the execution-time estimate, its cache
+// entry and feasibility verdict included.
 func (om *OperatorModels) Estimate(target string, feats map[string]float64) (float64, bool) {
+	if target != TargetCost {
+		return om.predict(target, feats)
+	}
+	t, ok := om.predict(TargetExecTime, feats)
+	return engine.CostRate(feats["nodes"], feats["cores"], feats["memoryMB"]) * t, ok
+}
+
+func (om *OperatorModels) predict(target string, feats map[string]float64) (float64, bool) {
 	om.mu.Lock()
 	defer om.mu.Unlock()
 	_ = om.fitLocked() // counted in FitErrors; the models keep their last fit

@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/asap-project/ires/internal/engine"
@@ -237,6 +238,31 @@ func TestSpaceCombinations(t *testing.T) {
 		}
 		if c.params["iterations"] != 3 {
 			t.Fatal("param missing")
+		}
+	}
+}
+
+// The output-size candidates are resolved by family name: the default zoo's
+// first two positions, positions 0 and 5 of the lazy tests' zoo; a zoo that
+// lacks either family (such as fastFactories, which has no LeastMedSq) keeps
+// its whole zoo for every target.
+func TestOutputFamiliesResolveByName(t *testing.T) {
+	for _, tc := range []struct {
+		zoo  []model.Factory
+		want []int
+	}{
+		{model.DefaultFactories(1), []int{0, 1}},
+		{lazyZoo(1), []int{0, 5}},
+		{fastFactories(), nil},
+		{append(fastFactories(), lazyZoo(1)...), []int{0, 8}},
+	} {
+		p := New(engine.NewDefaultEnvironment(1), 1)
+		p.Factories = tc.zoo
+		p.mu.Lock()
+		got := p.zooLocked().outputs
+		p.mu.Unlock()
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("a zoo of %d families resolves the output families to %v, want %v", len(tc.zoo), got, tc.want)
 		}
 	}
 }

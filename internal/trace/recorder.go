@@ -56,7 +56,7 @@ func NewRecorder(max int) *Recorder {
 	reg.Help("ires_profiler_cv_cells_total", "(family, fold) cells of the selections' cross-validation grids, by outcome: trained, or skipped because the family's partial error already exceeded the incumbent's total")
 	reg.Help("ires_profiler_fit_wall_seconds_total", "wall-clock seconds the model fits took (cross-validation cells and whole-buffer trains of every target, one job graph per fit)")
 	reg.Help("ires_profiler_fit_busy_seconds_total", "summed wall-clock seconds of the fits' jobs; over ires_profiler_fit_wall_seconds_total x GOMAXPROCS, the share of the workers the fits kept busy")
-	reg.Help("ires_profiler_selection_wins_total", "cross-validated selections by the family that won and the target it won; sums to ires_profiler_selections_total")
+	reg.Help("ires_profiler_selection_wins_total", "cross-validated selections by the family that won and the learned target it won (cost is derived from execTime, never selected); sums to ires_profiler_selections_total")
 	reg.Help("ires_trace_dropped_total", "events aged out of the recorder's bounded window; non-zero means trace reads return a truncated log")
 	reg.Help("ires_monitor_polls_total", "execution-monitor polls by outcome: idle (no agent report version, engine generation or health script: nothing re-read), refreshed (something re-read, every status as it was), changed (a node or service status moved; subscribers woken)")
 	reg.Help("ires_vtime_seconds", "current virtual time of the simulation")

@@ -893,7 +893,8 @@ func (p *Platform) BlacklistedEngines() []string {
 // that Observe stays off the registry's lock; observations over fits is the
 // coalescing factor of the deferred model fits, cv_cells trained over
 // trained + skipped the share of the cross-validation grid the bounded
-// selection trains, selection_wins which family wins which target; the
+// selection trains, selection_wins which family wins which learned target
+// (execTime, outputBytes, outputRecords: cost is derived, never selected); the
 // fits' wall-clock seconds, fit_busy over fit_wall x GOMAXPROCS the share of
 // the workers their jobs kept busy. So is ires_trace_dropped_total, the events that aged out of the recorder's
 // window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
