@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck shuffle cover reach ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-e2e
+.PHONY: all build test race vet fmt staticcheck shuffle cover reach ci bench bench-smoke bench-planner bench-sched bench-sched-scale bench-ckpt bench-drf bench-preq bench-e2e
 
 all: build
 
@@ -65,14 +65,15 @@ bench:
 	$(GO) run ./cmd/ires-bench
 
 # bench-smoke: every tracked cell with its gate, plus three quick figures.
-# BENCH_SCHED.json, BENCH_CKPT.json and BENCH_DRF.json hold only
-# virtual-time facts and trace byte counts, so a rerun rewrites them
-# byte-identically on any machine; CI follows bench-smoke with
-# `git diff --exit-code` on those three, so a change that shifts a trace byte
-# fails instead of silently rewriting the baseline. (The planner and
-# sched-scale baselines hold wall-clock figures and are not diffed.)
+# BENCH_SCHED.json, BENCH_CKPT.json, BENCH_DRF.json and BENCH_PREQ.json hold
+# only virtual-time facts, trace byte counts and seeded estimation errors, so a
+# rerun rewrites them byte-identically on any machine; CI follows bench-smoke
+# with `git diff --exit-code` on those four, so a change that shifts a trace
+# byte or a prediction fails instead of silently rewriting the baseline. (The
+# planner and sched-scale baselines hold wall-clock figures and are not
+# diffed.)
 bench-smoke:
-	$(GO) run ./cmd/ires-bench -quick -only PLANNER,SCHEDDL,SCHEDSCALE,CKPT,DRF,FIG11,FIG20-22,SCHED -out .
+	$(GO) run ./cmd/ires-bench -quick -only PLANNER,SCHEDDL,SCHEDSCALE,CKPT,DRF,PREQ,FIG11,FIG20-22,SCHED -out .
 
 # bench-sched: cell SCHEDDL, rewrites BENCH_SCHED.json.
 bench-sched:
@@ -89,6 +90,11 @@ bench-ckpt:
 # bench-drf: cell DRF, rewrites BENCH_DRF.json.
 bench-drf:
 	$(GO) run ./cmd/ires-bench -only DRF -out .
+
+# bench-preq: cell PREQ, rewrites BENCH_PREQ.json (prequential estimation
+# error over four seeded observation streams, ~10 s).
+bench-preq:
+	$(GO) run ./cmd/ires-bench -only PREQ -out .
 
 # bench-planner: cell PLANNER, rewrites BENCH_PLANNER.json.
 bench-planner:

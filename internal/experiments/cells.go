@@ -97,6 +97,7 @@ var Cells = []Cell{
 	{ID: "DRF", File: "BENCH_DRF.json", Run: tracked(RunDRFBench)},
 	{ID: "SCHEDSCALE", File: "BENCH_SCHED_SCALE.json", Run: tracked(RunSchedScaleBench)},
 	{ID: "PLANNER", File: "BENCH_PLANNER.json", Run: tracked(RunPlannerBench)},
+	{ID: "PREQ", File: "BENCH_PREQ.json", Run: tracked(RunPreqBench)},
 }
 
 // sweepSizes are the figure sweep sizes Params.Quick chooses between.

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// TestTrackedBaselines regenerates the three machine-independent baselines
-// (virtual-time facts and trace byte counts only) and compares them with the
-// committed files byte for byte, gates included: a change that moves a trace
-// byte fails here, not only in CI's `git diff --exit-code` after bench-smoke.
+// TestTrackedBaselines regenerates the four machine-independent baselines
+// (virtual-time facts, trace byte counts and seeded estimation errors only) and
+// compares them with the committed files byte for byte, gates included: a
+// change that moves a trace byte or a prediction fails here, not only in CI's
+// `git diff --exit-code` after bench-smoke.
 func TestTrackedBaselines(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range Cells {
@@ -26,7 +27,7 @@ func TestTrackedBaselines(t *testing.T) {
 	checked := 0
 	for _, c := range Cells {
 		switch c.File {
-		case "BENCH_SCHED.json", "BENCH_CKPT.json", "BENCH_DRF.json":
+		case "BENCH_SCHED.json", "BENCH_CKPT.json", "BENCH_DRF.json", "BENCH_PREQ.json":
 		default:
 			continue
 		}
@@ -52,8 +53,8 @@ func TestTrackedBaselines(t *testing.T) {
 			}
 		})
 	}
-	if checked != 3 {
-		t.Errorf("checked %d machine-independent baselines, want 3", checked)
+	if checked != 4 {
+		t.Errorf("checked %d machine-independent baselines, want 4", checked)
 	}
 }
 
@@ -168,6 +169,36 @@ func TestDRFGate(t *testing.T) {
 		{"no restores", func(b *DRFBench) { b.Overcommit.Restores = 0 }},
 		{"re-executed 3 completed operators", func(b *DRFBench) { b.Overcommit.ReExecutedOps = 3 }},
 		{"oversubscription traces differ", func(b *DRFBench) { b.Overcommit.Deterministic = false }},
+	})
+}
+
+func TestPreqGate(t *testing.T) {
+	stream := func(b *PreqBench, name string) *PreqStream {
+		for i := range b.Streams {
+			if b.Streams[i].Name == name {
+				return &b.Streams[i]
+			}
+		}
+		t.Fatalf("no stream %s", name)
+		return nil
+	}
+	// raise lifts one quarter's error just above its yardstick.
+	raise := func(name string, target, q int) func(*PreqBench) {
+		return func(b *PreqBench) {
+			s := stream(b, name)
+			s.Targets[target].Quarters[q].Err = preqBounds[name+"/"+s.Targets[target].Target][q] + 0.0001
+		}
+	}
+	checkGate(t, "BENCH_PREQ.json", func() *PreqBench { return &PreqBench{} }, []gateBreak[*PreqBench]{
+		{"text/execTime quarter 4: error", raise("text", 0, 3)},
+		{"chains/execTime quarter 1: error", raise("chains", 0, 0)},
+		{"faults/outputRecords quarter 2: error", raise("faults", 1, 1)},
+		{"drift/outputBytes quarter 3: error", raise("drift", 2, 2)},
+		{"drift re-converges", func(b *PreqBench) { stream(b, "drift").Reconverge.Mean = preqReconvergeBound + 0.1 }},
+		{"no yardstick", func(b *PreqBench) { stream(b, "text").Targets[0].Target = "cost" }},
+		{"no yardstick", func(b *PreqBench) { stream(b, "text").Targets[0].Quarters = nil }},
+		{"11 of 12 stream/target errors", func(b *PreqBench) { s := stream(b, "chains"); s.Targets = s.Targets[1:] }},
+		{"drift re-convergence measured: false", func(b *PreqBench) { stream(b, "drift").Reconverge = nil }},
 	})
 }
 
