@@ -916,6 +916,7 @@ func (s *Scheduler) scheduleOnce() bool {
 		case Reject:
 			if r := s.queuedLocked(a.Run); r != nil {
 				s.finishLocked(r, StatusFailed, rejection(a.Reason), now)
+				close(r.done)
 				progress = true
 			}
 		}
@@ -947,9 +948,16 @@ func (s *Scheduler) scheduleOnce() bool {
 // queued (reject, cancel), suspended (cancel) or active (the end of its last
 // segment). In one critical section it sets the status, emits run.finish /
 // run.cancel / run.reject then lease.revoke, leaves the scheduler's sets and
-// the index, freezes the record and closes done: no observer — policy, Drain,
-// CheckIndex, a status listing — ever sees a run that is partly finished.
-// s.mu held.
+// the index and freezes the record: no observer — policy, Drain, CheckIndex, a
+// status listing — ever sees a run that is partly finished. s.mu held.
+//
+// The caller closes done. A waiting run's caller closes it in the same
+// critical section; a run that finishes its own segment closes it only once
+// its party has left the clock (runParty). Whoever done releases — Drain's
+// caller submitting its next batch — must not race that departure: a party
+// leaving after the next batch has joined would dispatch the batch's first
+// run while the rest was still being submitted, at wall-clock-dependent
+// virtual times.
 func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Duration) {
 	r.mu.Lock()
 	if r.status == StatusQueued {
@@ -1006,7 +1014,6 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 	rec := s.recIdx[r.id]
 	rec.final = r.Status()
 	rec.run = nil
-	close(r.done)
 }
 
 // cancel raises the run's cancel flag and, when the run is waiting (queued
@@ -1020,6 +1027,7 @@ func (s *Scheduler) cancel(r *Run) {
 	_, suspended := s.suspended[r.id]
 	if suspended || r.qnode != nil {
 		s.finishLocked(r, StatusCanceled, ErrCanceled, s.clock.Now())
+		close(r.done)
 	}
 	s.mu.Unlock()
 	if suspended {
@@ -1190,7 +1198,11 @@ func (s *Scheduler) runParty(r *Run) {
 	default:
 		s.finishLocked(r, StatusSucceeded, nil, now)
 	}
+	finished := s.recIdx[r.id].run == nil // a suspension landing may have finished a canceled run
 	s.mu.Unlock()
 	s.schedule()
 	party.Leave()
+	if finished {
+		close(r.done)
+	}
 }

@@ -397,3 +397,50 @@ func TestBatchDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// doneProbe is FIFO that counts the decision rounds in which a party is
+// leaving the clock — more parties than admitted runs — while the latest
+// submitted run, the only one that can be leaving when runs go one at a time,
+// already has its done channel closed.
+type doneProbe struct {
+	FIFO
+	clock *vtime.Clock
+	runs  []*Run
+	early int
+}
+
+func (p *doneProbe) Decide(st State) []Action {
+	if n := len(p.runs); n > 0 && p.clock.Parties() > st.ActiveLen() {
+		select {
+		case <-p.runs[n-1].Done():
+			p.early++
+		default:
+		}
+	}
+	return p.FIFO.Decide(st)
+}
+
+// A run that finishes its own segment closes done only once its party has
+// left the clock. The decision round its party runs on the way out must find
+// done still open; otherwise a client released by Drain could submit its next
+// batch before the party leaves, and the departure would dispatch that batch's
+// first run while the rest was still being submitted.
+func TestDoneClosesAfterThePartyLeaves(t *testing.T) {
+	probe := &doneProbe{}
+	rig := newRig(t, 4, probe, nil)
+	probe.clock = rig.clock
+	for batch := 0; batch < 6; batch++ {
+		probe.runs = append(probe.runs, rig.sched.Submit(graph(fmt.Sprintf("wf%d", batch))))
+		rig.sched.Drain()
+		if n := rig.clock.Parties(); n != 0 {
+			t.Fatalf("batch %d: Drain returned with %d parties on the clock", batch, n)
+		}
+	}
+	if probe.early != 0 {
+		t.Fatalf("%d decision rounds saw a leaving run's done already closed", probe.early)
+	}
+	// The six batches ran back to back: 6 x 10 s.
+	if now := rig.clock.Now(); now != 60*time.Second {
+		t.Fatalf("final virtual time = %v, want 60s", now)
+	}
+}
