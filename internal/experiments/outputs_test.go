@@ -17,9 +17,11 @@ import (
 // On the Fig 12 operators' observation streams — the four text operators
 // profiled over the default zoo, then the text workflow planned and executed
 // at recurring corpus sizes — replay every selection the profiler makes (on
-// the offline grid, then every ReselectEvery rows) over the whole zoo and
-// over the two families: the whole zoo's winner is always one of them, and
-// the narrowed selection picks it and trains the same model bits.
+// the offline grid, then once ReselectEvery rows have arrived and the buffer
+// has doubled) and, stricter, one every ReselectEvery rows in between, over
+// the whole zoo and over the two families: the whole zoo's winner is always
+// one of them, and the narrowed selection picks it and trains the same model
+// bits.
 func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 	const seed = 42
 	p, err := ires.NewPlatform(ires.Options{Seed: seed})
@@ -78,10 +80,20 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 		}
 	}
 	compared, outside := 0, 0
+	every := p.Profiler.ReselectEvery
 	for _, op := range lib.Operators {
+		var lengths []int
+		for n := profiled[op.Operator]; n <= len(op.X); n += every {
+			lengths = append(lengths, n)
+		}
+		for n := profiled[op.Operator]; n <= len(op.X); n = max(n+every, 2*n) {
+			lengths = append(lengths, n)
+		}
+		slices.Sort(lengths)
+		lengths = slices.Compact(lengths)
 		for _, target := range []string{profiler.TargetOutRecords, profiler.TargetOutBytes} {
 			lead := 0
-			for n := profiled[op.Operator]; n <= len(op.X); n += p.Profiler.ReselectEvery {
+			for _, n := range lengths {
 				fit := func(fams []int) model.Fitted {
 					f, _, err := model.Fit(zoo, op.X[:n], []model.Target{{Y: op.Targets[target][:n], Family: lead, Select: true, Families: fams}}, n, p.Profiler.CVFolds, seed, model.ByRelErr)
 					if err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/metrics"
 	"github.com/asap-project/ires/internal/model"
 )
 
@@ -263,12 +264,131 @@ func TestLazyCoalescesFits(t *testing.T) {
 	if st := p.RefinementStats(); st.Fits != 1 || st.Selections != uint64(len(lazyTargets)) {
 		t.Fatalf("after one round of reads: %+v, want exactly one fit, one selection per target", st)
 	}
+	// The read selected on 5 rows. Four more rows are ReselectEvery, but the
+	// buffer has not doubled: the next read refits the incumbents only.
 	for i := int64(6); i <= 9; i++ {
 		_ = p.Observe("op", obsRun(i*1000, float64(i), nil))
 	}
 	om.ChosenFamily(TargetExecTime)
-	if st := p.RefinementStats(); st.Fits != 2 || st.Selections != 2*uint64(len(lazyTargets)) || st.Observations != 9 {
-		t.Fatalf("after 4 more observations (one re-selection due) and a read: %+v", st)
+	if st := p.RefinementStats(); st.Fits != 2 || st.Selections != uint64(len(lazyTargets)) || st.Observations != 9 {
+		t.Fatalf("after 4 more observations (no re-selection due) and a read: %+v", st)
+	}
+	// The tenth row doubles it: one more fit, one re-selection per target.
+	_ = p.Observe("op", obsRun(10_000, 10, nil))
+	om.ChosenFamily(TargetExecTime)
+	if st := p.RefinementStats(); st.Fits != 3 || st.Selections != 2*uint64(len(lazyTargets)) || st.Observations != 10 {
+		t.Fatalf("after the buffer doubled and a read: %+v", st)
+	}
+}
+
+// scheduleZoo is a zoo cheap enough to refit on a thousand rows a thousand
+// times.
+func scheduleZoo() []model.Factory {
+	return []model.Factory{
+		func() model.Model { return model.NewLinear() },
+		func() model.Model { return model.NewKNN(3) },
+	}
+}
+
+// scheduleRun is observation i of the schedule tests' stream.
+func scheduleRun(rng *rand.Rand) *metrics.Run {
+	records := int64(1000 + rng.Intn(100_000))
+	return obsRun(records, 1+float64(records)/1e4*(1+0.1*rng.NormFloat64()), nil)
+}
+
+// observeAndRead observes run and reads the models, as a planner does after
+// every run, and returns the buffer length if that read re-selected.
+func observeAndRead(t *testing.T, p *Profiler, run *metrics.Run) (selectedAt int) {
+	t.Helper()
+	before := p.RefinementStats().Selections
+	if err := p.Observe("op", run); err != nil {
+		t.Fatal(err)
+	}
+	om, _ := p.Models("op")
+	om.ChosenFamily(TargetExecTime)
+	switch p.RefinementStats().Selections - before {
+	case 0:
+		return 0
+	case uint64(len(lazyTargets)):
+		return om.SampleCount()
+	default:
+		t.Fatalf("a read at %d rows selected %d times, want 0 or once per target", om.SampleCount(), p.RefinementStats().Selections-before)
+		return 0
+	}
+}
+
+// Profiled on n0 rows, then read after each of a thousand observations, an
+// operator re-selects exactly when ReselectEvery rows have arrived since the
+// last selection and the buffer has doubled since then: O(log n) selections,
+// not n/ReselectEvery.
+func TestReselectsWhenTheBufferDoubles(t *testing.T) {
+	p := New(engine.NewDefaultEnvironment(1), 1)
+	p.Factories = scheduleZoo()
+	n0, err := p.ProfileOffline("op", engine.EngineSpark, engine.AlgWordcount, Space{
+		Records: []int64{1000, 10_000, 100_000}, BytesPerRecord: 100,
+		Resources: []engine.Resources{{Nodes: 4, CoresPerN: 2, MemMBPerN: 3456}, {Nodes: 8, CoresPerN: 2, MemMBPerN: 3456}},
+	})
+	if err != nil || n0 != 6 {
+		t.Fatalf("profiled %d rows (%v), want 6", n0, err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	last, selections := n0, []int{}
+	for range 1000 {
+		n := observeAndRead(t, p, scheduleRun(rng))
+		if n == 0 {
+			continue
+		}
+		if want := max(last+p.ReselectEvery, 2*last); n != want {
+			t.Fatalf("re-selected at %d rows after %d, want %d = max(%d + ReselectEvery, 2 x %d)", n, last, want, last, last)
+		}
+		last, selections = n, append(selections, n)
+	}
+	if bound := int(math.Ceil(math.Log2(1000/float64(n0)))) + 1; len(selections) > bound || len(selections) == 0 {
+		t.Errorf("re-selected at %v: %d times over 1000 observations from %d rows, want at most %d", selections, len(selections), n0, bound)
+	}
+	t.Logf("re-selected at %v", selections)
+}
+
+// The schedule survives a save/load cycle unchanged: exported between two
+// selections and imported, a profiler fed the same stream as the original
+// re-selects at the same lengths and estimates the same bits.
+func TestReselectionScheduleSurvivesExportImport(t *testing.T) {
+	orig := New(engine.NewDefaultEnvironment(2), 2)
+	orig.Factories = scheduleZoo()
+	rng := rand.New(rand.NewSource(2))
+	var selections []int
+	// Below three rows the first family is taken outright; the first row
+	// starts the count, so selections fall at 11 and 22 rows, and 44 is next.
+	for range 40 {
+		if n := observeAndRead(t, orig, scheduleRun(rng)); n > 0 {
+			selections = append(selections, n)
+		}
+	}
+	if !slices.Equal(selections, []int{11, 22}) {
+		t.Fatalf("before the export, re-selected at %v, want [11 22]", selections)
+	}
+	imported := New(engine.NewDefaultEnvironment(2), 2)
+	imported.Factories = scheduleZoo()
+	if err := imported.Import(bytes.NewReader(exported(t, orig))); err != nil {
+		t.Fatal(err)
+	}
+	estimates := func(p *Profiler) []string { return readAll(p)[1:] } // line 0 holds the generation
+	selections = nil
+	for range 150 {
+		run := scheduleRun(rng)
+		a, b := observeAndRead(t, orig, run), observeAndRead(t, imported, run)
+		if a != b {
+			t.Fatalf("original re-selected at %d rows, the imported one at %d", a, b)
+		}
+		if a > 0 {
+			selections = append(selections, a)
+		}
+		if x, y := estimates(orig), estimates(imported); !slices.Equal(x, y) {
+			t.Fatalf("after %d rows the imported profiler estimates\n %q\nwant\n %q", len(selections), y, x)
+		}
+	}
+	if !slices.Equal(selections, []int{44, 88, 176}) {
+		t.Errorf("after the import, re-selected at %v, want [44 88 176]", selections)
 	}
 }
 

@@ -29,7 +29,8 @@ type persistedOperator struct {
 	// feature set grew mid-session and old samples were zero-padded — and
 	// silently change predictions across a save/load cycle.
 	Chosen map[string]string `json:"chosen,omitempty"`
-	// SinceReselect preserves the incremental-retraining cadence (version 2).
+	// SinceReselect preserves the re-selection schedule (version 2): the
+	// buffer length at the last selection is len(X) - SinceReselect.
 	SinceReselect int `json:"sinceReselect,omitempty"`
 }
 

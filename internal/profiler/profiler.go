@@ -122,8 +122,10 @@ type OperatorModels struct {
 	zoo     *zoo
 	cvFolds int
 	seed    int64
-	// reselectEvery controls how often (in observations) full CV model
-	// re-selection happens; in between, the incumbent family is kept.
+	// A cross-validated re-selection comes due once at least reselectEvery
+	// rows have been observed since the last one and the buffer has at least
+	// doubled since then (len(X)-sinceReselect is its length at the last one);
+	// in between, the incumbent family is kept and retrained on every row.
 	reselectEvery int
 	sinceReselect int
 
@@ -180,7 +182,10 @@ type Profiler struct {
 	Factories []model.Factory
 	// CVFolds is the cross-validation fold count (default 5).
 	CVFolds int
-	// ReselectEvery is the refinement re-selection period (default 10).
+	// ReselectEvery is the fewest observations between two re-selections of
+	// an operator's model families (default 10); a re-selection also waits
+	// until the operator's buffer has doubled since the last one, so an
+	// operator with n rows has re-selected O(log n) times.
 	ReselectEvery int
 	Seed          int64
 }
@@ -440,6 +445,7 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 	om.mu.Lock()
 	defer om.mu.Unlock()
 	om.armLocked(true)
+	om.sinceReselect = 0
 	if err := om.fitLocked(); err != nil {
 		return succeeded, fmt.Errorf("profiler: training %s: %w", opName, err)
 	}
@@ -448,10 +454,11 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 
 // Observe feeds one actual-run record back into the operator's models (the
 // model-refinement path). Failed runs update the feasibility wall instead.
-// It is O(1): the sample is appended and the re-selection cadence advanced,
+// It is O(1): the sample is appended and the re-selection schedule advanced,
 // but nothing is trained — the next read of the models (Estimate,
 // ChosenFamily, Export) fits them once, however many runs were observed in
-// between.
+// between. Whether a re-selection is due depends on the buffer length alone
+// (docs/profiler.md, "Re-selection schedule").
 func (p *Profiler) Observe(opName string, run *metrics.Run) error {
 	p.mu.RLock()
 	om, ok := p.store[opName]
@@ -468,7 +475,7 @@ func (p *Profiler) Observe(opName string, run *metrics.Run) error {
 	defer om.mu.Unlock()
 	om.appendRunLocked(run)
 	om.sinceReselect++
-	reselect := om.sinceReselect >= om.reselectEvery || (len(om.chosen) == 0 && om.selectN == 0)
+	reselect := om.sinceReselect >= om.reselectEvery && 2*om.sinceReselect >= len(om.X) || (len(om.chosen) == 0 && om.selectN == 0)
 	if reselect {
 		om.sinceReselect = 0
 	}
