@@ -270,7 +270,8 @@ func (p Property) String() string { return p.Path + "=" + p.Value }
 
 // String renders the tree in description-file format: one path=value line
 // per node holding a non-empty value, in lexicographic path order (the lines
-// Properties returns).
+// Properties returns). A value's `\:` is written `\\:`, which Parse reads
+// back as `\:`, so parsing the rendering restores every value.
 func (t *Tree) String() string {
 	var b strings.Builder
 	t.render(&b, make([]byte, 0, 64))
@@ -284,7 +285,7 @@ func (t *Tree) render(b *strings.Builder, path []byte) {
 	if len(path) > 0 && t.value != "" {
 		b.Write(path)
 		b.WriteByte('=')
-		b.WriteString(t.value)
+		b.WriteString(strings.ReplaceAll(t.value, `\:`, `\\:`))
 		b.WriteByte('\n')
 	}
 	if len(path) > 0 {

@@ -38,15 +38,17 @@ func (l *Linear) Train(X [][]float64, y []float64) error {
 	return nil
 }
 
-// Predict implements Model.
+// Predict implements Model. It allocates nothing: each feature is
+// standardized where it is used.
 func (l *Linear) Predict(x []float64) float64 {
 	if l.weights == nil {
 		return 0
 	}
-	z := l.std.apply(x)
+	dims := min(len(l.weights)-1, len(x))
+	mean, scale := l.std.mean[:dims], l.std.scale[:dims]
 	s := l.weights[len(l.weights)-1]
-	for i := 0; i < len(l.weights)-1 && i < len(z); i++ {
-		s += l.weights[i] * z[i]
+	for i, v := range x[:dims] {
+		s += l.weights[i] * ((v - mean[i]) * scale[i])
 	}
 	return s
 }
@@ -98,9 +100,11 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 	var best *Linear
 	bestMed := 0.0
 	// One set of buffers for all subsamples: Linear.Train keeps neither sx
-	// nor sy, res is scratch for the median and perm for the draws.
+	// nor sy, pred and res are scratch for the median and perm for the draws.
+	rows, group := distinctRows(X)
 	sx := make([][]float64, subset)
 	sy := make([]float64, subset)
+	pred := make([]float64, len(rows))
 	res := make([]float64, n)
 	perm := make([]int, n)
 	for s := 0; s < l.samples; s++ {
@@ -112,7 +116,7 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 		if err := cand.Train(sx, sy); err != nil {
 			continue
 		}
-		med := medianSquaredResidual(cand, X, y, res)
+		med := medianSquaredResidual(cand, rows, group, y, pred, res)
 		if best == nil || med < bestMed {
 			best, bestMed = cand, med
 		}
@@ -137,11 +141,16 @@ func (l *LeastMedianSquares) Predict(x []float64) float64 {
 
 // medianSquaredResidual returns the len/2-th smallest squared residual of m
 // over (X, y) — what sorting them with sort.Float64s and indexing would,
-// NaNs ordered first — using res (len(X) long) as scratch.
-func medianSquaredResidual(m Model, X [][]float64, y []float64, res []float64) float64 {
+// NaNs ordered first. X is given as distinctRows returns it: m predicts each
+// distinct row once, into pred (len(rows) long), and res (len(y) long) is
+// scratch for the residuals, taken row by row in order.
+func medianSquaredResidual(m Model, rows [][]float64, group []int, y, pred, res []float64) float64 {
+	for g, x := range rows {
+		pred[g] = m.Predict(x)
+	}
 	nans := 0
-	for i := range X {
-		d := m.Predict(X[i]) - y[i]
+	for i, g := range group {
+		d := pred[g] - y[i]
 		res[i] = d * d
 		if math.IsNaN(res[i]) {
 			res[i], res[nans] = res[nans], res[i]

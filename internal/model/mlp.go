@@ -40,6 +40,13 @@ func (m *MLP) Name() string { return "MultilayerPerceptron" }
 // Train implements Model. The weights are flat rows, w1[h*(dims+1):][:dims+1]
 // per hidden unit, and every sum adds its terms in the order of the obvious
 // nested-slice loop, so the trained bits do not depend on the layout.
+//
+// An epoch visits each distinct row once, not each row: the gradient is
+// linear in the output residual, so a group of c equal rows with targets
+// summing to ΣT contributes (c·out − ΣT) times the one row's partials. When
+// every row is distinct (c = 1, ΣT the row's own target, groups in row order)
+// the trained bits are those of the per-row loop; with repeats only the
+// rounding of the gradient sums differs.
 func (m *MLP) Train(X [][]float64, y []float64) error {
 	dims, err := validate(X, y)
 	if err != nil {
@@ -48,10 +55,18 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 	m.inDims = dims
 	m.std = fitStandardizer(X)
 	m.tgt = fitTargetScaler(y)
-	Z := m.std.applyAll(X)
-	T := make([]float64, len(y))
-	for i, v := range y {
-		T[i] = m.tgt.encode(v)
+	rows, group := distinctRows(X)
+	Z := m.std.applyAll(rows)
+	count := make([]float64, len(rows))
+	sumT := make([]float64, len(rows))
+	for i, g := range group {
+		// Seeded with the first target, not added to 0: 0 + -0 is +0.
+		if t := m.tgt.encode(y[i]); count[g] == 0 {
+			sumT[g] = t
+		} else {
+			sumT[g] += t
+		}
+		count[g]++
 	}
 
 	rng := newRand(m.seed)
@@ -65,7 +80,7 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 		m.w2[j] = rng.NormFloat64() * 0.5
 	}
 
-	n := float64(len(Z))
+	n := float64(len(X))
 	hidden, w1, w2 := m.hidden, m.w1, m.w2
 	act := make([]float64, hidden+1)
 	g1 := make([]float64, len(w1))
@@ -73,7 +88,7 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 	for epoch := 0; epoch < m.epochs; epoch++ {
 		clear(g1)
 		clear(g2)
-		for i, z := range Z {
+		for g, z := range Z {
 			z = z[:dims]
 			// Forward.
 			for h := range hidden {
@@ -87,7 +102,7 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 			act[hidden] = 1
 			out := dot(act, w2)
 			// Backward.
-			errOut := out - T[i]
+			errOut := count[g]*out - sumT[g]
 			for h, a := range act {
 				g2[h] += errOut * a
 			}
@@ -111,22 +126,25 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 	return nil
 }
 
-// Predict implements Model.
+// Predict implements Model. It allocates nothing: each feature is
+// standardized where it is used, and the output sum adds the hidden units in
+// dot's order, the bias unit (activation 1) last.
 func (m *MLP) Predict(x []float64) float64 {
 	if m.w1 == nil {
 		return 0
 	}
-	z := m.std.apply(x)
+	dims := min(m.inDims, len(x))
+	mean, scale := m.std.mean[:dims], m.std.scale[:dims]
 	stride := m.inDims + 1
-	act := make([]float64, m.hidden+1)
+	out := 0.0
 	for h := 0; h < m.hidden; h++ {
-		row := m.w1[h*stride : h*stride+stride]
+		row := m.w1[h*stride:][:stride]
 		s := row[m.inDims]
-		for j := 0; j < m.inDims && j < len(z); j++ {
-			s += row[j] * z[j]
+		for j, v := range x[:dims] {
+			s += row[j] * ((v - mean[j]) * scale[j])
 		}
-		act[h] = math.Tanh(s)
+		out += math.Tanh(s) * m.w2[h]
 	}
-	act[m.hidden] = 1
-	return m.tgt.decode(dot(act, m.w2))
+	out += m.w2[m.hidden]
+	return m.tgt.decode(out)
 }

@@ -446,7 +446,8 @@ func TestMedianSquaredResidualMatchesSort(t *testing.T) {
 			want[i] = v * v
 		}
 		sort.Float64s(want)
-		got := medianSquaredResidual(identity{}, X, make([]float64, n), make([]float64, n))
+		rows, group := distinctRows(X)
+		got := medianSquaredResidual(identity{}, rows, group, make([]float64, n), make([]float64, len(rows)), make([]float64, n))
 		if w := want[n/2]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
 			t.Fatalf("trial %d: median of squares of %v = %v, sort says %v", trial, vals, got, w)
 		}

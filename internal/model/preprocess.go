@@ -39,6 +39,56 @@ func fitStandardizer(X [][]float64) *standardizer {
 	return s
 }
 
+// distinctRows groups X's rows by their bits: rows are the distinct rows in
+// first-appearance order (aliasing X's) and group[i] is row i's index among
+// them, so group[i] <= i. -0 and +0 are different rows; a NaN equals a NaN
+// of the same payload. An open-addressing table of group indices does the
+// grouping: a few allocations per call, none per row.
+func distinctRows(X [][]float64) (rows [][]float64, group []int) {
+	rows = make([][]float64, 0, len(X))
+	group = make([]int, len(X))
+	bits := 1
+	for 1<<bits < 2*len(X) {
+		bits++
+	}
+	table := make([]int32, 1<<bits) // group index + 1; 0 is an empty slot
+	mask := uint64(len(table) - 1)
+	for i, x := range X {
+		// Multiplicative hashing: the top bits of h depend on every bit of
+		// every feature, which the low bits of integral floats would not.
+		h := uint64(len(x))
+		for _, v := range x {
+			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+		}
+		for slot := h >> (64 - bits); ; slot = (slot + 1) & mask {
+			g := int(table[slot]) - 1
+			if g < 0 {
+				table[slot] = int32(len(rows) + 1)
+				group[i] = len(rows)
+				rows = append(rows, x)
+				break
+			}
+			if sameRowBits(rows[g], x) {
+				group[i] = g
+				break
+			}
+		}
+	}
+	return rows, group
+}
+
+func sameRowBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *standardizer) apply(x []float64) []float64 {
 	out := make([]float64, len(x))
 	for j := range x {
