@@ -42,8 +42,11 @@ import (
 // dependencies or permanently insufficient resources).
 var ErrDeadlock = errors.New("executor: no runnable step")
 
-// ErrTooManyReplans indicates the failure/replan loop exceeded MaxReplans.
+// ErrTooManyReplans indicates the failure/replan loop exceeded maxReplans.
 var ErrTooManyReplans = errors.New("executor: too many replans")
+
+// maxReplans bounds the failure/replan loop of one run.
+const maxReplans = 5
 
 // ErrContainersLost indicates a step's containers were invalidated by a
 // node failure mid-run. It is retryable: the work relaunches elsewhere.
@@ -88,10 +91,9 @@ type RetryPolicy struct {
 	// (1 attempt = no retry; values <= 0 are treated as 1).
 	MaxAttempts int
 	// BaseBackoff is the virtual-time delay before the first retry
-	// (default 1s when retries are enabled).
+	// (default 1s when retries are enabled); each later retry waits twice
+	// as long as the one before.
 	BaseBackoff time.Duration
-	// Multiplier grows the backoff exponentially (default 2).
-	Multiplier float64
 }
 
 func (p RetryPolicy) attempts() int {
@@ -103,17 +105,12 @@ func (p RetryPolicy) attempts() int {
 
 // backoff returns the delay before the next attempt after `failed` failures.
 func (p RetryPolicy) backoff(failed int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = time.Second
+	d := p.BaseBackoff
+	if d <= 0 {
+		d = time.Second
 	}
-	mult := p.Multiplier
-	if mult <= 0 {
-		mult = 2
-	}
-	d := base
 	for i := 1; i < failed; i++ {
-		d = time.Duration(float64(d) * mult)
+		d *= 2
 	}
 	return d
 }
@@ -140,8 +137,6 @@ type Executor struct {
 	// Replanner enables fault-tolerant partial replanning; nil makes
 	// failures fatal.
 	Replanner Replanner
-	// MaxReplans bounds the failure/replan loop (default 5).
-	MaxReplans int
 	// LaunchOverheadSec is the per-operator-step YARN container launch
 	// overhead added to each run's duration (the "couple of seconds" the
 	// paper attributes to YARN-based execution).
@@ -327,11 +322,6 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 		unsubscribe := e.Monitor.OnChange(e.NotifyHealthChange)
 		defer unsubscribe()
 	}
-	maxReplans := e.MaxReplans
-	if maxReplans == 0 {
-		maxReplans = 5
-	}
-
 	res := &Result{}
 	start := e.Clock.Now()
 

@@ -342,10 +342,13 @@ func TestMaxReplans(t *testing.T) {
 	}
 	f.env.SetAvailable(engine.EngineJava, false)
 	f.exec.Replanner = stuckReplanner{plan}
-	f.exec.MaxReplans = 2
-	_, err = f.exec.Execute(g, plan)
+	res, err := f.exec.Execute(g, plan)
 	if !errors.Is(err, ErrTooManyReplans) {
 		t.Fatalf("err = %v, want ErrTooManyReplans", err)
+	}
+	// Five replans run; the sixth failure exceeds the bound.
+	if res.Replans != maxReplans+1 {
+		t.Fatalf("replans = %d, want %d", res.Replans, maxReplans+1)
 	}
 }
 

@@ -86,7 +86,7 @@ func TestRetryExhaustionThenReplan(t *testing.T) {
 			}
 			victim := plan.OperatorSteps()[0].Name
 			f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: tc.failures}}
-			f.exec.Retry = RetryPolicy{MaxAttempts: tc.maxAttempts, BaseBackoff: time.Second, Multiplier: 2}
+			f.exec.Retry = RetryPolicy{MaxAttempts: tc.maxAttempts, BaseBackoff: time.Second}
 
 			res, err := f.exec.Execute(g, plan)
 			if err != nil {
@@ -118,7 +118,7 @@ func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 	}
 	victim := plan.OperatorSteps()[0].Name
 	f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: 3}}
-	f.exec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Second, Multiplier: 2}
+	f.exec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Second}
 
 	res, err := f.exec.Execute(g, plan)
 	if err != nil {
@@ -254,8 +254,7 @@ func TestQuickFaultScheduleAlwaysTerminates(t *testing.T) {
 			return false
 		}
 		fx.exec.Faults = sched
-		fx.exec.Retry = RetryPolicy{MaxAttempts: 1 + r.Intn(4), BaseBackoff: time.Second, Multiplier: 2}
-		fx.exec.MaxReplans = 4
+		fx.exec.Retry = RetryPolicy{MaxAttempts: 1 + r.Intn(4), BaseBackoff: time.Second}
 
 		res, err := fx.exec.Execute(g, plan)
 		if err != nil {

@@ -29,7 +29,7 @@ var faultSweepRates = []float64{0, 0.2, 0.4, 0.6, 0.8}
 // faultSweepStrategies returns the three recovery policies compared:
 //
 //   - replan-only: the seed behavior — one attempt per step, every failure
-//     consumed a replan (bounded by MaxReplans).
+//     consumed a replan (at most five per run).
 //   - retry-only: per-step same-engine retries with exponential backoff;
 //     replanning remains the last resort once a step's budget is exhausted.
 //   - full: retries plus straggler speculation (timeout factor) plus the
@@ -38,7 +38,7 @@ func faultSweepStrategies(seed int64) []struct {
 	Name string
 	Opts ires.Options
 } {
-	retry := ires.RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Second, Multiplier: 2}
+	retry := ires.RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Second}
 	// Elastic provisioning for every strategy: steps get right-sized gangs
 	// instead of whole-cluster ones, which both matches the paper's
 	// provisioning story and leaves the headroom speculative backups need.

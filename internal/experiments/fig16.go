@@ -109,7 +109,6 @@ func Fig16a(runs int, seed int64) (*Report, error) {
 		env := engine.NewDefaultEnvironment(seed)
 		p := profiler.New(env, seed)
 		p.Factories = fig16Factories(seed)
-		p.ReselectEvery = 10
 		rng := rand.New(rand.NewSource(seed + 7))
 		probes := probeSet(m, seed+99, 25)
 
@@ -147,7 +146,6 @@ func Fig16b(runs, changeAt int, seed int64) (*Report, error) {
 	env := engine.NewDefaultEnvironment(seed)
 	p := profiler.New(env, seed)
 	p.Factories = fig16Factories(seed)
-	p.ReselectEvery = 10
 	rng := rand.New(rand.NewSource(seed + 7))
 	probes := probeSet(m, seed+99, 25)
 

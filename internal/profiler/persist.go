@@ -122,7 +122,7 @@ func (p *Profiler) Import(r io.Reader) error {
 			chosen:        make(map[string]string),
 			zoo:           zoo,
 			cvFolds:       p.CVFolds,
-			seed:          p.Seed,
+			seed:          p.seed,
 			reselectEvery: p.ReselectEvery,
 			stats:         &p.stats,
 		}

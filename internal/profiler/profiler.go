@@ -187,7 +187,7 @@ type Profiler struct {
 	// until the operator's buffer has doubled since the last one, so an
 	// operator with n rows has re-selected O(log n) times.
 	ReselectEvery int
-	Seed          int64
+	seed          int64
 }
 
 // New returns a profiler over the given engine environment.
@@ -198,7 +198,7 @@ func New(env *engine.Environment, seed int64) *Profiler {
 		Factories:     model.DefaultFactories(seed),
 		CVFolds:       5,
 		ReselectEvery: 10,
-		Seed:          seed,
+		seed:          seed,
 	}
 	p.stats.wins = make(map[Win]uint64)
 	return p
@@ -400,7 +400,7 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 		chosen:        make(map[string]string),
 		zoo:           p.zooLocked(),
 		cvFolds:       p.CVFolds,
-		seed:          p.Seed,
+		seed:          p.seed,
 		reselectEvery: p.ReselectEvery,
 		stats:         &p.stats,
 	}

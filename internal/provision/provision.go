@@ -44,9 +44,7 @@ type Provisioner struct {
 	// Cluster bounds the search: at most Cluster.Nodes containers of at
 	// most Cluster.CoresPerN cores and Cluster.MemMBPerN MB each.
 	Cluster engine.Resources
-	// GA overrides the NSGA-II configuration; zero uses defaults.
-	GA   nsga2.Config
-	Seed int64
+	Seed    int64
 }
 
 // New returns a provisioner over the standard cluster bounds.
@@ -93,11 +91,7 @@ func (p *Provisioner) Front(opName string, records, bytes int64, params map[stri
 		Objectives: 2,
 		Evaluate:   evaluate,
 	}
-	ga := p.GA
-	if ga.Seed == 0 {
-		ga.Seed = p.Seed
-	}
-	front, err := nsga2.Run(problem, ga)
+	front, err := nsga2.Run(problem, nsga2.Config{Seed: p.Seed})
 	if err != nil {
 		return nil, err
 	}

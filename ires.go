@@ -172,7 +172,7 @@ func DRF(weights map[string]float64, maxConcurrent int) AdmissionPolicy {
 // Typed execution failures (see the executor package).
 var (
 	// ErrTooManyReplans is returned when the failure/replan loop exceeds
-	// Options.MaxReplans.
+	// its bound of five replans.
 	ErrTooManyReplans = executor.ErrTooManyReplans
 	// ErrDeadlock is returned when no step can make progress.
 	ErrDeadlock = executor.ErrDeadlock
@@ -230,12 +230,6 @@ type Options struct {
 	// operator; when off, operators get the full cluster (centralized
 	// engines a single node).
 	ElasticProvisioning bool
-	// MonitorPeriod is the health/service polling period (default 10s of
-	// virtual time).
-	MonitorPeriod time.Duration
-	// LaunchOverheadSec is the per-step YARN container launch overhead;
-	// zero uses the default 1.5s, negative disables it.
-	LaunchOverheadSec float64
 	// Retry bounds per-step same-engine retries with exponential backoff
 	// before a failure falls through to replanning. The zero value keeps
 	// the historical semantics: one attempt, then replan.
@@ -257,8 +251,6 @@ type Options struct {
 	// Zero disables the breaker.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxReplans bounds the failure/replan loop (zero: executor default).
-	MaxReplans int
 	// Tracer, when non-nil, receives every structured event the platform
 	// emits, in addition to the built-in recorder that feeds Metrics() and
 	// TraceEvents().
@@ -272,6 +264,13 @@ type Options struct {
 	// turn oversubscription into injected OOM kills.
 	MemOvercommit float64
 }
+
+const (
+	// monitorPeriod is the health/service polling period, in virtual time.
+	monitorPeriod = 10 * time.Second
+	// launchOverheadSec is the per-step YARN container launch overhead.
+	launchOverheadSec = 1.5
+)
 
 // Platform is the IReS runtime: interface, optimizer and executor layers
 // wired over the simulated multi-engine cloud.
@@ -324,15 +323,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	if opts.MemMBPerNode == 0 {
 		opts.MemMBPerNode = engine.StandardCluster.MemMBPerN
 	}
-	if opts.MonitorPeriod == 0 {
-		opts.MonitorPeriod = 10 * time.Second
-	}
-	switch {
-	case opts.LaunchOverheadSec == 0:
-		opts.LaunchOverheadSec = 1.5
-	case opts.LaunchOverheadSec < 0:
-		opts.LaunchOverheadSec = 0
-	}
 
 	p := &Platform{
 		opts:      opts,
@@ -350,7 +340,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 			return nil, err
 		}
 	}
-	p.Monitor = cluster.NewMonitor(p.Cluster, p.Env, opts.MonitorPeriod)
+	p.Monitor = cluster.NewMonitor(p.Cluster, p.Env, monitorPeriod)
 	p.Profiler = profiler.New(p.Env, opts.Seed)
 	p.provisioner = provision.New(p.Profiler, p.clusterBounds(), opts.Seed)
 	p.breaker = executor.NewCircuitBreaker(p.Clock, opts.BreakerThreshold, opts.BreakerCooldown)
@@ -429,8 +419,7 @@ func (p *Platform) newExecutor(ctx scheduler.ExecContext) scheduler.Exec {
 		Clock:             p.Clock,
 		Observer:          p.observe,
 		Replanner:         rp,
-		MaxReplans:        p.opts.MaxReplans,
-		LaunchOverheadSec: p.opts.LaunchOverheadSec,
+		LaunchOverheadSec: launchOverheadSec,
 		Retry:             p.opts.Retry,
 		TimeoutFactor:     p.opts.TimeoutFactor,
 		Speculate:         p.speculate,

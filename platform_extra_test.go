@@ -1,9 +1,6 @@
 package ires
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestPolicyVariants(t *testing.T) {
 	for _, pol := range []Policy{MinCost, Balanced} {
@@ -58,29 +55,6 @@ func TestProfileUnknownOperator(t *testing.T) {
 	if _, err := p.ProfileOperator("ghost", ProfileSpace{}); err == nil {
 		t.Fatal("unknown operator accepted")
 	}
-}
-
-func TestNegativeLaunchOverheadDisables(t *testing.T) {
-	p, err := NewPlatform(Options{Seed: 24, LaunchOverheadSec: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTextOps(t, p)
-	wf := textWorkflow(t, p, 2_000)
-	plan, res, err := p.Run(wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Without launch overhead, the makespan tracks the summed run times
-	// closely (moves included).
-	var sum float64
-	for _, log := range res.StepLog {
-		sum += (log.End - log.Start).Seconds()
-	}
-	if math.Abs(res.Makespan.Seconds()-sum) > 1e-6 {
-		t.Fatalf("sequential chain makespan %.2f != step sum %.2f", res.Makespan.Seconds(), sum)
-	}
-	_ = plan
 }
 
 // TestAlgorithmWrappers exercises the public reference-algorithm surface.
