@@ -1,7 +1,7 @@
 // Package agent implements the per-node actor of the cluster layer: each
 // simulated machine owns its local truth — hosted containers, resource
 // usage, health, and the checkpoint replicas on its local disk — behind a
-// small message API (Offer/Place/Kill/Report). The cluster's reconciler
+// small message API (Place/Kill/Report). The cluster's reconciler
 // holds the *desired* state (reservations, leases, demanded containers) and
 // drives agents toward it; the agent never calls back up, so the lock order
 // is always control-plane lock → agent lock.
@@ -46,16 +46,6 @@ type Placement struct {
 	Cores int
 	MemMB int
 	ResID int
-}
-
-// Offer is the agent's answer to "what could you host right now": spare
-// capacity and health, read from live local truth (offers are a control
-// channel, not a gossiped report, so they never go stale).
-type Offer struct {
-	Node      string
-	Healthy   bool
-	FreeCores int
-	FreeMemMB int
 }
 
 // Report is the agent's published view of its local truth — what a
@@ -155,18 +145,6 @@ func (a *Agent) Cores() int { return a.cores }
 
 // MemMB returns the node's physical memory capacity.
 func (a *Agent) MemMB() int { return a.memMB }
-
-// Offer reports the node's spare capacity from live local truth.
-func (a *Agent) Offer() Offer {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return Offer{
-		Node:      a.name,
-		Healthy:   a.healthy,
-		FreeCores: a.cores - a.usedCores,
-		FreeMemMB: a.memMB - a.usedMemMB,
-	}
-}
 
 // Place installs a container on the node. It fails on a dead agent, on a
 // duplicate id, and when the placement would exceed core capacity; memory

@@ -14,9 +14,8 @@ func TestPlaceKillAccounting(t *testing.T) {
 	if err := a.Place(Placement{ID: 2, Cores: 4, MemMB: 8192}); err != nil {
 		t.Fatal(err)
 	}
-	off := a.Offer()
-	if off.FreeCores != 2 || off.FreeMemMB != 4096 || !off.Healthy {
-		t.Fatalf("offer = %+v", off)
+	if rep := a.Report(); rep.UsedCores != 6 || rep.UsedMemMB != 12288 || !rep.Healthy {
+		t.Fatalf("report after two placements = %+v", rep)
 	}
 	if !a.Hosts(1) || a.Hosts(3) {
 		t.Fatal("Hosts wrong")

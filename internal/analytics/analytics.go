@@ -280,14 +280,3 @@ func WordCount(corpus []datagen.Document) map[string]int {
 func LineCount(text string) int {
 	return strings.Count(text, "\n")
 }
-
-// Grep returns the lines containing the pattern.
-func Grep(lines []string, pattern string) []string {
-	var out []string
-	for _, l := range lines {
-		if strings.Contains(l, pattern) {
-			out = append(out, l)
-		}
-	}
-	return out
-}

@@ -167,13 +167,6 @@ func TestWordCountAndLineCount(t *testing.T) {
 	}
 }
 
-func TestGrep(t *testing.T) {
-	lines := []string{"a ERROR x", "b INFO y", "c ERROR z"}
-	if got := Grep(lines, "ERROR"); len(got) != 2 {
-		t.Fatalf("Grep = %v", got)
-	}
-}
-
 func TestDatagenShapes(t *testing.T) {
 	edges := datagen.CallGraph(50_000, 9)
 	if len(edges) != 50_000 {

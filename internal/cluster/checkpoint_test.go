@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"github.com/asap-project/ires/internal/trace"
 )
@@ -90,8 +89,8 @@ func TestDurableCheckpointSurvivesNodeCrash(t *testing.T) {
 	rec := trace.NewRecorder(0)
 	c.SetTracer(rec)
 	c.PutCheckpoint("op/rank", "pagerank", 10, 40, []string{"node0", "node1"}, true)
-	c.failNodeNow("node0", time.Second)
-	c.failNodeNow("node1", 2*time.Second)
+	c.failNodeNow("node0")
+	c.failNodeNow("node1")
 	if got := c.CheckpointProgress("op/rank", "pagerank", 40); got != 10 {
 		t.Fatalf("durable progress = %d after crashes, want 10", got)
 	}
@@ -110,7 +109,7 @@ func TestReplicatedCheckpointDiesWithLastReplica(t *testing.T) {
 	c.PutCheckpoint("op/rank", "pagerank", 10, 40, []string{"node0", "node1"}, false)
 
 	// First replica crash: the other copy keeps the progress alive.
-	c.failNodeNow("node0", time.Second)
+	c.failNodeNow("node0")
 	if got := c.CheckpointProgress("op/rank", "pagerank", 40); got != 10 {
 		t.Fatalf("progress = %d with one replica left, want 10", got)
 	}
@@ -119,7 +118,7 @@ func TestReplicatedCheckpointDiesWithLastReplica(t *testing.T) {
 	}
 
 	// Last replica crash: the entry is gone and the loss is visible.
-	c.failNodeNow("node1", 2*time.Second)
+	c.failNodeNow("node1")
 	if got := c.CheckpointProgress("op/rank", "pagerank", 40); got != 0 {
 		t.Fatalf("progress = %d after last replica died, want 0", got)
 	}

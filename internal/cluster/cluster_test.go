@@ -17,7 +17,7 @@ func newTestCluster() *Cluster {
 
 func TestAllocateRelease(t *testing.T) {
 	c := newTestCluster()
-	ctrs, err := c.Allocate(4, 2, 1024)
+	ctrs, err := c.AllocateIn(nil, 4, 2, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestAllocateRelease(t *testing.T) {
 
 func TestAllocateSpreads(t *testing.T) {
 	c := newTestCluster()
-	ctrs, err := c.Allocate(4, 4, 1024)
+	ctrs, err := c.AllocateIn(nil, 4, 4, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAllocateSpreads(t *testing.T) {
 func TestAllocateAtomicRollback(t *testing.T) {
 	c := newTestCluster()
 	// 5 containers of 8 cores cannot fit on 4 nodes of 8 cores.
-	if _, err := c.Allocate(5, 8, 1024); !errors.Is(err, ErrInsufficientResources) {
+	if _, err := c.AllocateIn(nil, 5, 8, 1024); !errors.Is(err, ErrInsufficientResources) {
 		t.Fatalf("err = %v", err)
 	}
 	cores, _ := c.Available()
@@ -68,7 +68,7 @@ func TestAllocateAtomicRollback(t *testing.T) {
 func TestAllocateInvalid(t *testing.T) {
 	c := newTestCluster()
 	for _, req := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {-1, 1, 1}} {
-		if _, err := c.Allocate(req[0], req[1], req[2]); err == nil {
+		if _, err := c.AllocateIn(nil, req[0], req[1], req[2]); err == nil {
 			t.Fatalf("invalid request %v accepted", req)
 		}
 	}
@@ -76,7 +76,7 @@ func TestAllocateInvalid(t *testing.T) {
 
 func TestDoubleReleaseSafe(t *testing.T) {
 	c := newTestCluster()
-	ctrs, err := c.Allocate(1, 2, 1024)
+	ctrs, err := c.AllocateIn(nil, 1, 2, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,12 @@ func TestUnhealthyNodesSkipped(t *testing.T) {
 	if err := c.SetNodeHealth("missing", false); err == nil {
 		t.Fatal("unknown node accepted")
 	}
-	ctrs, err := c.Allocate(4, 8, 1024) // exactly fills remaining 3... should fail
+	ctrs, err := c.AllocateIn(nil, 4, 8, 1024) // exactly fills remaining 3... should fail
 	if err == nil {
 		// 4 containers x 8 cores over 3 healthy nodes of 8 cores: impossible.
 		t.Fatalf("allocation on unhealthy cluster succeeded: %v", ctrs)
 	}
-	ctrs, err = c.Allocate(3, 8, 1024)
+	ctrs, err = c.AllocateIn(nil, 3, 8, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,14 @@ func TestUnhealthyNodesSkipped(t *testing.T) {
 			t.Fatal("container placed on unhealthy node")
 		}
 	}
-	if len(c.HealthyNodes()) != 3 {
-		t.Fatal("HealthyNodes wrong")
+	healthy := 0
+	for _, n := range c.Nodes() {
+		if n.Healthy() {
+			healthy++
+		}
+	}
+	if healthy != 3 {
+		t.Fatalf("%d healthy nodes, want 3", healthy)
 	}
 }
 
@@ -130,12 +136,12 @@ func TestHealthScript(t *testing.T) {
 
 func TestUtilizationAndCapacity(t *testing.T) {
 	c := newTestCluster()
-	if u := c.Utilization(); u != 0 {
-		t.Fatalf("idle utilization = %v", u)
+	if free, _ := c.Available(); free != 32 {
+		t.Fatalf("idle cluster has %d free cores, want 32", free)
 	}
-	ctrs, _ := c.Allocate(4, 4, 1024)
-	if u := c.Utilization(); u != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", u)
+	ctrs, _ := c.AllocateIn(nil, 4, 4, 1024)
+	if free, _ := c.Available(); free != 16 {
+		t.Fatalf("%d free cores with half the cores allocated, want 16", free)
 	}
 	cores, mem := c.Capacity()
 	if cores != 32 || mem != 65536 {
@@ -200,7 +206,7 @@ func TestQuickAccountingInvariant(t *testing.T) {
 		var live []*Container
 		for i := 0; i < 50; i++ {
 			if r.Intn(2) == 0 || len(live) == 0 {
-				ctrs, err := c.Allocate(r.Intn(3)+1, r.Intn(4)+1, (r.Intn(4)+1)*256)
+				ctrs, err := c.AllocateIn(nil, r.Intn(3)+1, r.Intn(4)+1, (r.Intn(4)+1)*256)
 				if err == nil {
 					live = append(live, ctrs...)
 				}
@@ -228,7 +234,7 @@ func TestQuickAccountingInvariant(t *testing.T) {
 func TestFailNodeInvalidatesLiveContainers(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 4, 2, 4096)
-	ctrs, err := c.Allocate(4, 2, 2048)
+	ctrs, err := c.AllocateIn(nil, 4, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +253,6 @@ func TestFailNodeInvalidatesLiveContainers(t *testing.T) {
 	if !ctrs[0].Lost() {
 		t.Fatal("container on failed node not invalidated")
 	}
-	if got, want := ctrs[0].LostAt(), 10*time.Second; got != want {
-		t.Fatalf("LostAt = %v, want %v", got, want)
-	}
 	for _, ctr := range ctrs[1:] {
 		if ctr.Lost() {
 			t.Fatalf("container on healthy node %s invalidated", ctr.NodeName)
@@ -267,7 +270,7 @@ func TestFailNodeInvalidatesLiveContainers(t *testing.T) {
 	if err := c.RestoreNode(ctrs[0].NodeName); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Allocate(1, 2, 2048); err != nil {
+	if _, err := c.AllocateIn(nil, 1, 2, 2048); err != nil {
 		t.Fatalf("allocation on restored node failed: %v", err)
 	}
 

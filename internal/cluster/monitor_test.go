@@ -176,7 +176,7 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 		key := fmt.Sprintf("ckpt/%d", arg%4)
 		switch op {
 		case 0:
-			if ctrs, err := c.Allocate(arg%3+1, 1, 512); err == nil {
+			if ctrs, err := c.AllocateIn(nil, arg%3+1, 1, 512); err == nil {
 				live = append(live, ctrs...)
 			}
 		case 1:
@@ -300,7 +300,7 @@ func FuzzMonitorPoll(f *testing.F) {
 // engine list sorted, no callback slice copied.
 func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	c := New(vtime.NewClock(), 16, 2, 3456)
-	if _, err := c.Allocate(8, 1, 512); err != nil {
+	if _, err := c.AllocateIn(nil, 8, 1, 512); err != nil {
 		t.Fatal(err)
 	}
 	m := NewMonitor(c, engine.NewDefaultEnvironment(1), 10*time.Second)

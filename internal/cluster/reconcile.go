@@ -132,7 +132,7 @@ func (c *Cluster) Reconcile() ReconcileStats {
 				// Too stale to trust: declare the node dead unilaterally. If
 				// the agent is in fact alive, the post-heal round restores
 				// belief and fences the zombies.
-				lost, lostCkpts := c.detectCrashLocked(n, now)
+				lost, lostCkpts := c.detectCrashLocked(n)
 				stats.Deaths++
 				stats.Lost += lost
 				c.deathDetected++
@@ -173,7 +173,7 @@ func (c *Cluster) Reconcile() ReconcileStats {
 		// is a silent death not yet restored. Either way the desired
 		// containers and replicas of the old life are gone.
 		if rep.Incarnation != n.lastIncarnation || (!rep.Healthy && n.healthy) {
-			lost, lostCkpts := c.detectCrashLocked(n, now)
+			lost, lostCkpts := c.detectCrashLocked(n)
 			stats.Deaths++
 			stats.Lost += lost
 			c.deathDetected++

@@ -44,7 +44,7 @@ func TestSilentDeathDetectedAfterHeal(t *testing.T) {
 	ct := &collectTracer{}
 	c.SetTracer(ct)
 
-	ctrs, err := c.Allocate(2, 2, 2048)
+	ctrs, err := c.AllocateIn(nil, 2, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStalenessBoundAndZombieFencing(t *testing.T) {
 	c.SetTracer(ct)
 	c.SetMaxStaleness(30 * time.Second)
 
-	ctrs, err := c.Allocate(2, 2, 2048)
+	ctrs, err := c.AllocateIn(nil, 2, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStalenessBoundAndZombieFencing(t *testing.T) {
 		t.Fatalf("DesiredActualDiff after fencing = %d", d)
 	}
 	// Capacity on the recovered node is allocatable again.
-	if _, err := c.Allocate(2, 2, 2048); err != nil {
+	if _, err := c.AllocateIn(nil, 2, 2, 2048); err != nil {
 		t.Fatal(err)
 	}
 	_ = ctrs
@@ -197,7 +197,7 @@ func TestStalenessBoundAndZombieFencing(t *testing.T) {
 func TestReconcileQuiescentNoop(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 4, 8, 16384)
-	ctrs, err := c.Allocate(6, 2, 2048)
+	ctrs, err := c.AllocateIn(nil, 6, 2, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStartReconciler(t *testing.T) {
 	c.StartReconciler(10 * time.Second)
 	c.StartReconciler(10 * time.Second) // idempotent
 
-	if _, err := c.Allocate(1, 1, 512); err != nil {
+	if _, err := c.AllocateIn(nil, 1, 1, 512); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.PartitionNode("node1"); err != nil {
@@ -273,7 +273,7 @@ func TestReconcilerConvergenceStorm(t *testing.T) {
 				for i := 0; i < 300; i++ {
 					switch r.Intn(10) {
 					case 0, 1, 2:
-						if ctrs, err := c.Allocate(r.Intn(3)+1, r.Intn(3)+1, (r.Intn(4)+1)*512); err == nil {
+						if ctrs, err := c.AllocateIn(nil, r.Intn(3)+1, r.Intn(3)+1, (r.Intn(4)+1)*512); err == nil {
 							live = append(live, ctrs...)
 						}
 					case 3:
@@ -348,7 +348,7 @@ func TestReconcilerConcurrentStorm(t *testing.T) {
 			for i := 0; i < 150; i++ {
 				switch r.Intn(6) {
 				case 0:
-					if ctrs, err := c.Allocate(r.Intn(2)+1, 1, 512); err == nil {
+					if ctrs, err := c.AllocateIn(nil, r.Intn(2)+1, 1, 512); err == nil {
 						c.ReleaseAll(ctrs)
 					}
 				case 1:
@@ -414,7 +414,7 @@ func naiveReconcile(c *Cluster) ReconcileStats {
 				Fields: map[string]float64{"staleSec": staleFor.Seconds(), "seq": float64(rep.Seq)},
 			})
 			if c.maxStaleness > 0 && n.healthy && staleFor >= c.maxStaleness {
-				lost, lostCkpts := c.detectCrashLocked(n, now)
+				lost, lostCkpts := c.detectCrashLocked(n)
 				stats.Deaths++
 				stats.Lost += lost
 				c.deathDetected++
@@ -447,7 +447,7 @@ func naiveReconcile(c *Cluster) ReconcileStats {
 			})
 		}
 		if rep.Incarnation != n.lastIncarnation || (!rep.Healthy && n.healthy) {
-			lost, lostCkpts := c.detectCrashLocked(n, now)
+			lost, lostCkpts := c.detectCrashLocked(n)
 			stats.Deaths++
 			stats.Lost += lost
 			c.deathDetected++
@@ -510,7 +510,7 @@ func (s *reconcileSide) step(op, arg int) (stats ReconcileStats, reconciled bool
 	node := fmt.Sprintf("node%d", arg%6)
 	switch op {
 	case 0, 1, 2:
-		if ctrs, err := c.Allocate(arg%3+1, arg%3+1, (arg%4+1)*512); err == nil {
+		if ctrs, err := c.AllocateIn(nil, arg%3+1, arg%3+1, (arg%4+1)*512); err == nil {
 			s.live = append(s.live, ctrs...)
 		}
 	case 3:
@@ -595,7 +595,7 @@ func TestReconcileMatchesNaive(t *testing.T) {
 // placement or replica list.
 func TestReconcileQuiescentAllocatesNothing(t *testing.T) {
 	c := New(vtime.NewClock(), 16, 2, 3456)
-	if _, err := c.Allocate(8, 1, 512); err != nil {
+	if _, err := c.AllocateIn(nil, 8, 1, 512); err != nil {
 		t.Fatal(err)
 	}
 	c.PutCheckpoint("ckpt/0", "alg", 3, 10, []string{"node1", "node2"}, false)

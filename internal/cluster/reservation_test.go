@@ -90,7 +90,7 @@ func TestAllocateInConfinement(t *testing.T) {
 			t.Fatalf("reserved allocation landed on unleased node %s", ctr.NodeName)
 		}
 	}
-	out, err := c.Allocate(4, 4, 8192) // fills the two unreserved nodes
+	out, err := c.AllocateIn(nil, 4, 4, 8192) // fills the two unreserved nodes
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestReservationQuickInvariants(t *testing.T) {
 				c.RestoreNode(name)
 			}
 		case 4: // unreserved allocation noise
-			if ctrs, err := c.Allocate(1, 1+rng.Intn(4), 2048); err == nil {
+			if ctrs, err := c.AllocateIn(nil, 1, 1+rng.Intn(4), 2048); err == nil {
 				c.ReleaseAll(ctrs)
 			}
 		}

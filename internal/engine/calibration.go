@@ -123,7 +123,6 @@ const (
 	AlgHello1    = "HelloWorld1"
 	AlgHello2    = "HelloWorld2"
 	AlgHello3    = "HelloWorld3"
-	AlgMove      = "move" // synthetic data-movement operator
 	AlgGrep      = "grep"
 	AlgSort      = "sort"
 	AlgJoin      = "join"

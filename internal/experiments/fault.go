@@ -105,16 +105,6 @@ func faultWorkflow(p *ires.Platform) (*ires.Workflow, error) {
 	return b.Target(prev).Build()
 }
 
-// FaultScenarioResult is one row of the Fig 20-22 comparison.
-type FaultScenarioResult struct {
-	Scenario     string
-	Strategy     string
-	ExecSec      float64
-	PlanMillis   float64
-	Replans      int
-	FinalEngines []string
-}
-
 // FaultTolerance reproduces the fault-tolerance evaluation (Table 1 and
 // Figs 18-22): for each of the three failure scenarios — the engine of
 // HelloWorld1/2/3 dies just before the operator starts — it measures

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
 )
@@ -239,31 +237,4 @@ func annotateWinner(r *Report, _ []int64) {
 			r.Note("x=%s fastest: %s (%.1fs)", fmtNum(x), bestLabel, bestY)
 		}
 	}
-}
-
-// SpeedupOverBestSingle computes IReS's speedup over the best single-engine
-// series at x (>1 means IReS wins).
-func SpeedupOverBestSingle(r *Report, x float64) (float64, error) {
-	iresSeries, ok := r.SeriesByLabel("IReS")
-	if !ok {
-		return 0, fmt.Errorf("experiments: no IReS series")
-	}
-	iresY, ok := iresSeries.YAt(x)
-	if !ok {
-		return 0, fmt.Errorf("experiments: IReS failed at %v", x)
-	}
-	best := 0.0
-	found := false
-	for _, s := range r.Series {
-		if s.Label == "IReS" {
-			continue
-		}
-		if y, ok := s.YAt(x); ok && (!found || y < best) {
-			best, found = y, true
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("experiments: every single engine failed at %v", x)
-	}
-	return best / iresY, nil
 }

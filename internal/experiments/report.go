@@ -136,16 +136,6 @@ func (s Series) YAt(x float64) (float64, bool) {
 	return 0, false
 }
 
-// FailedAt reports whether the series failed at x.
-func (s Series) FailedAt(x float64) bool {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Failed
-		}
-	}
-	return false
-}
-
 func fmtNum(v float64) string {
 	av := math.Abs(v)
 	switch {

@@ -273,10 +273,3 @@ func (s *Schedule) Stats() Stats {
 	s.oomMu.Unlock()
 	return st
 }
-
-// Config returns a copy of the schedule's configuration.
-func (s *Schedule) Config() Config {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg
-}

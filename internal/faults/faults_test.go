@@ -124,7 +124,7 @@ func TestArmOutageAndCrash(t *testing.T) {
 	clock := vtime.NewClock()
 	env := engine.NewDefaultEnvironment(1)
 	clus := cluster.New(clock, 4, 2, 4096)
-	ctrs, err := clus.Allocate(4, 1, 1024)
+	ctrs, err := clus.AllocateIn(nil, 4, 1, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

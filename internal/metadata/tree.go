@@ -24,13 +24,6 @@ import (
 // field in a materialized description.
 const Wildcard = "*"
 
-// Predefined top-level subtrees (D3.3 §2.1).
-const (
-	SectionConstraints  = "Constraints"
-	SectionExecution    = "Execution"
-	SectionOptimization = "Optimization"
-)
-
 // Tree is a string-labelled metadata tree. Interior nodes carry children;
 // leaves carry a Value. A node may have both a value and children (rare, but
 // the format does not forbid it). The zero value is an empty tree ready to
@@ -67,9 +60,6 @@ func (t *Tree) Value() string {
 	}
 	return t.value
 }
-
-// SetValue sets the value stored at the node itself.
-func (t *Tree) SetValue(v string) { t.value = v }
 
 // Set stores value at the dotted path, creating intermediate nodes.
 func (t *Tree) Set(path, value string) {
@@ -119,34 +109,6 @@ func (t *Tree) Node(path string) *Tree {
 	return node
 }
 
-// Delete removes the subtree at the dotted path. It reports whether a node
-// was removed.
-func (t *Tree) Delete(path string) bool {
-	if t == nil || path == "" {
-		return false
-	}
-	parts := strings.Split(path, ".")
-	node := t
-	for _, part := range parts[:len(parts)-1] {
-		node = node.child(part, false)
-		if node == nil {
-			return false
-		}
-	}
-	last := parts[len(parts)-1]
-	if _, ok := node.children[last]; !ok {
-		return false
-	}
-	delete(node.children, last)
-	for i, k := range node.keys {
-		if k == last {
-			node.keys = append(node.keys[:i], node.keys[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Children returns the child labels in lexicographic order.
 func (t *Tree) Children() []string {
 	if t == nil {
@@ -171,9 +133,6 @@ func (t *Tree) Len() int {
 	}
 	return n
 }
-
-// IsLeaf reports whether the node has no children.
-func (t *Tree) IsLeaf() bool { return t == nil || len(t.keys) == 0 }
 
 func (t *Tree) child(label string, create bool) *Tree {
 	if t == nil {

@@ -53,27 +53,6 @@ func TestChildrenSorted(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tr := New()
-	tr.Set("a.b.c", "1")
-	tr.Set("a.b.d", "2")
-	if !tr.Delete("a.b.c") {
-		t.Fatal("Delete existing returned false")
-	}
-	if _, ok := tr.Get("a.b.c"); ok {
-		t.Fatal("deleted node still present")
-	}
-	if v, ok := tr.Get("a.b.d"); !ok || v != "2" {
-		t.Fatal("sibling removed by Delete")
-	}
-	if tr.Delete("a.b.c") {
-		t.Fatal("Delete absent returned true")
-	}
-	if tr.Delete("") {
-		t.Fatal("Delete empty path returned true")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	tr := New()
 	tr.Set("a.b", "1")
@@ -148,7 +127,7 @@ func TestNilTreeSafe(t *testing.T) {
 	if tr.Node("a.b") != nil {
 		t.Fatal("nil tree Node should be nil")
 	}
-	if tr.Len() != 0 || !tr.IsLeaf() || tr.Value() != "" {
+	if tr.Len() != 0 || len(tr.Children()) != 0 || tr.Value() != "" {
 		t.Fatal("nil tree accessors misbehave")
 	}
 	if tr.Clone() != nil {

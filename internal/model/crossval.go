@@ -32,9 +32,6 @@ type Selection struct {
 	Trained, Skipped int
 }
 
-// ByRMSE is the selection key of SelectBest.
-func ByRMSE(s Score) float64 { return s.RMSE }
-
 // ByRelErr is the selection key of SelectBestRelative and of the profiler.
 func ByRelErr(s Score) float64 { return s.RelErr }
 
@@ -59,7 +56,8 @@ func CrossValidate(factories []Factory, X [][]float64, y []float64, k int, seed 
 
 // Select picks, for every target column ys[t] over the shared samples X, the
 // family Best(CrossValidate(...), key) would pick, without training the
-// cells that cannot change that answer; key is ByRMSE or ByRelErr.
+// cells that cannot change that answer; key maps a Score to the error it
+// minimizes, such as ByRelErr.
 //
 // A target's cells run in k waves. Wave 0 trains every fold of its lead
 // family (leads[t], an incumbent if there is one; family 0 when out of range)
@@ -402,24 +400,15 @@ func gather(y []float64, idx []int) []float64 {
 	return out
 }
 
-// SelectBest returns the family cross-validation scores best (by RMSE)
-// trained on the full dataset, together with all scores. Ties and NaNs
-// resolve to the earliest factory. The selection is bounded (Select): the
-// Score of a family dropped on the way is marked as a lower bound.
-func SelectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, []Score, error) {
-	return selectBest(factories, X, y, k, seed, ByRMSE)
-}
-
-// SelectBestRelative selects by mean relative error instead of RMSE. For
-// targets spanning orders of magnitude (execution times from seconds to
-// hours), relative error weights every scale equally — the criterion the
-// paper's estimation-accuracy evaluation uses.
+// SelectBestRelative returns the family whose cross-validated mean relative
+// error is lowest, trained on the full dataset, together with all scores.
+// Ties and NaNs resolve to the earliest factory. The selection is bounded
+// (Select): the Score of a family dropped on the way is marked as a lower
+// bound. For targets spanning orders of magnitude (execution times from
+// seconds to hours), relative error weights every scale equally — the
+// criterion the paper's estimation-accuracy evaluation uses.
 func SelectBestRelative(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, []Score, error) {
-	return selectBest(factories, X, y, k, seed, ByRelErr)
-}
-
-func selectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64, key func(Score) float64) (Model, []Score, error) {
-	sels, err := Select(factories, X, [][]float64{y}, nil, k, seed, key)
+	sels, err := Select(factories, X, [][]float64{y}, nil, k, seed, ByRelErr)
 	if err != nil {
 		return nil, nil, err
 	}

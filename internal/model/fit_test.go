@@ -186,7 +186,7 @@ func TestFitReportsEachTargetsTrainError(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 10; rep++ {
-			got, _, err := Fit(zoo, X, targets, len(X), 5, 1, ByRMSE)
+			got, _, err := Fit(zoo, X, targets, len(X), 5, 1, byRMSE)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestFitReportsEachTargetsTrainError(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := Fit(zoo, X, []Target{{Y: y[1:]}}, len(X), 5, 1, ByRMSE); err == nil {
+	if _, _, err := Fit(zoo, X, []Target{{Y: y[1:]}}, len(X), 5, 1, byRMSE); err == nil {
 		t.Error("a target with one value too few was accepted")
 	}
 }

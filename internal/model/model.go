@@ -75,14 +75,6 @@ func DefaultFactories(seed int64) []Factory {
 	}
 }
 
-func clone2D(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, r := range X {
-		out[i] = append([]float64(nil), r...)
-	}
-	return out
-}
-
 func clone1D(y []float64) []float64 {
 	return append([]float64(nil), y...)
 }

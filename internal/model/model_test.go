@@ -272,10 +272,11 @@ func TestConstantFeature(t *testing.T) {
 
 func TestCrossValidateSelectsReasonably(t *testing.T) {
 	X, y := synth(80, 2, 26, linearFn, 0.1)
-	m, scores, err := SelectBest(DefaultFactories(1), X, y, 5, 2)
+	fitted, _, err := Fit(DefaultFactories(1), X, []Target{{Y: y, Select: true}}, len(X), 5, 2, byRMSE)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, scores := fitted[0].Model, fitted[0].Selection.Scores
 	if len(scores) != len(DefaultFactories(1)) {
 		t.Fatalf("scores = %d", len(scores))
 	}
@@ -295,7 +296,7 @@ func TestCrossValidateErrors(t *testing.T) {
 
 func TestCrossValidateSmallN(t *testing.T) {
 	X, y := synth(3, 2, 28, linearFn, 0)
-	if _, _, err := SelectBest([]Factory{func() Model { return NewLinear() }}, X, y, 10, 1); err != nil {
+	if _, _, err := SelectBestRelative([]Factory{func() Model { return NewLinear() }}, X, y, 10, 1); err != nil {
 		t.Fatalf("small-n CV failed: %v", err)
 	}
 }

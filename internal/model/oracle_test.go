@@ -188,7 +188,7 @@ func TestSelectMatchesNaive(t *testing.T) {
 				}
 			}
 		}
-		for _, key := range []func(Score) float64{ByRMSE, ByRelErr} {
+		for _, key := range []func(Score) float64{byRMSE, ByRelErr} {
 			// Each column leads with a different family, so every family leads
 			// some column within len(zoo)/len(ys) rounds.
 			for lead := -1; lead < len(zoo); lead += len(ys) {
@@ -220,7 +220,7 @@ func TestSelectMatchesNaiveOnFuzzCorpus(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, in := range selectCorpus {
 		X, y, zoo := fuzzSelectInput(in.rows, in.dims, in.seed)
-		for _, key := range []func(Score) float64{ByRMSE, ByRelErr} {
+		for _, key := range []func(Score) float64{byRMSE, ByRelErr} {
 			want, err := naiveSelect(zoo, X, [][]float64{y}, []int{int(in.lead)}, int(in.k), in.seed, key)
 			if err != nil {
 				t.Fatal(err)

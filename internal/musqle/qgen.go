@@ -86,27 +86,6 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 	return q, nil
 }
 
-// Fig13Queries returns the three SPJ queries of the relational analytics
-// workflow (D3.3 Figure 10): q1 joins the small PostgreSQL-resident legacy
-// tables, q2 the medium MemSQL-resident tables, q3 the large HDFS-resident
-// fact tables.
-func Fig13Queries(cat *Catalog) ([]*Query, error) {
-	sqls := []string{
-		"SELECT c_custkey FROM customer, nation, region WHERE c_nationkey = n_nationkey AND n_regionkey = r_regionkey AND r_name = 2",
-		"SELECT ps_partkey FROM part, partsupp WHERE p_partkey = ps_partkey AND p_retailprice > 150000",
-		"SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey AND l_quantity > 25",
-	}
-	out := make([]*Query, 0, len(sqls))
-	for _, s := range sqls {
-		q, err := Parse(s, cat)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, q)
-	}
-	return out, nil
-}
-
 // QuerySet18 generates the evaluation's 18-query workload: queries Q0-Q8
 // are join-only, Q9-Q17 add filters, spanning 2-7 tables.
 func QuerySet18(cat *Catalog) ([]*Query, error) {

@@ -16,14 +16,12 @@ import (
 // description files of D3.3 §3.
 const (
 	PathEngine        = "Constraints.Engine"
-	PathEngineFS      = "Constraints.Engine.FS"
 	PathAlgorithm     = "Constraints.OpSpecification.Algorithm.name"
 	PathInputNumber   = "Constraints.Input.number"
 	PathOutputNumber  = "Constraints.Output.number"
 	PathExecutionPath = "Execution.path"
 	PathDocuments     = "Optimization.documents"
 	PathSize          = "Optimization.size"
-	PathType          = "Constraints.type"
 )
 
 // Dataset describes a dataset node. A dataset is materialized when it has

@@ -153,15 +153,18 @@ func TestLibraryIndexAndMatch(t *testing.T) {
 		t.Fatalf("unconstrained match found %d, want 4", n)
 	}
 
-	// Removal updates the index.
-	if !lib.RemoveOperator("tfidf_1") {
-		t.Fatal("RemoveOperator failed")
+	// Re-registering an operator under another algorithm moves it between
+	// index entries.
+	if _, err := lib.AddOperatorDescription("tfidf_1",
+		"Constraints.Engine=Hadoop\nConstraints.OpSpecification.Algorithm.name=kmeans"); err != nil {
+		t.Fatal(err)
 	}
 	if n := len(lib.FindMaterialized(a)); n != 2 {
-		t.Fatalf("after removal found %d, want 2", n)
+		t.Fatalf("after re-registration found %d TF_IDF operators, want 2", n)
 	}
-	if lib.RemoveOperator("tfidf_1") {
-		t.Fatal("double remove should report false")
+	km := NewAbstract("kmeans", metadata.MustParse("Constraints.OpSpecification.Algorithm.name=kmeans"))
+	if n := len(lib.FindMaterialized(km)); n != 2 {
+		t.Fatalf("after re-registration found %d kmeans operators, want 2", n)
 	}
 }
 

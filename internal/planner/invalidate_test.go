@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,6 +24,10 @@ Constraints.Input0.type=SequenceFile
 Constraints.Output0.Engine.FS=HDFS
 Constraints.Output0.type=SequenceFile
 `
+
+// kmeansSparkMovedDesc re-registers kmeans_spark under another algorithm: the
+// library change that takes it out of the kmeans node's matches.
+var kmeansSparkMovedDesc = strings.Replace(kmeansSparkDesc, "name=kmeans", "name=pagerank", 1)
 
 // sparkEstimator extends textEstimator with a (slow, never-winning) Spark
 // kmeans so the third implementation is feasible but does not change plans.
@@ -86,8 +91,8 @@ func TestEvictionScope(t *testing.T) {
 		{
 			name: "library removal scoped to the matching node",
 			event: func(t *testing.T, p *Planner, lib *operator.Library) {
-				if !lib.RemoveOperator("kmeans_spark") {
-					t.Fatal("kmeans_spark not present")
+				if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkMovedDesc); err != nil {
+					t.Fatal(err)
 				}
 			},
 			evicted: 1, hits: 1, misses: 1,
@@ -166,7 +171,7 @@ func (s *scaledEstimator) Estimate(opName, target string, feats map[string]float
 
 // TestFlapStorm is the randomized partial-invalidation property test: a warm
 // planner subjected to a random storm of engine flaps, profiler retrains and
-// library add/removes must always produce the same plan bytes as a freshly
+// library re-registrations must always produce the same plan bytes as a freshly
 // built cold planner observing identical external state.
 func TestFlapStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -202,10 +207,12 @@ func TestFlapStorm(t *testing.T) {
 			op := ops[rng.Intn(len(ops))]
 			est.scale[op] = 0.5 + 2*rng.Float64()
 			warm.ProfilerRetrain(op)
-		case 3: // library churn
+		case 3: // library churn: kmeans_spark joins or leaves the kmeans node
+			desc := kmeansSparkDesc
 			if hasSpark {
-				lib.RemoveOperator("kmeans_spark")
-			} else if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkDesc); err != nil {
+				desc = kmeansSparkMovedDesc
+			}
+			if _, err := lib.AddOperatorDescription("kmeans_spark", desc); err != nil {
 				t.Fatal(err)
 			}
 			hasSpark = !hasSpark

@@ -10,7 +10,6 @@ package sqldata
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Table is an in-memory relation with int64-typed columns.
@@ -32,9 +31,6 @@ func (t *Table) ColIndex(col string) int {
 
 // NumRows reports the table's cardinality.
 func (t *Table) NumRows() int { return len(t.Rows) }
-
-// Width reports the number of columns.
-func (t *Table) Width() int { return len(t.Cols) }
 
 // Bytes approximates the table's in-memory size.
 func (t *Table) Bytes() int64 { return int64(len(t.Rows)) * int64(len(t.Cols)) * 8 }
@@ -187,20 +183,6 @@ func ForeignKeys() []ForeignKey {
 		{"lineitem", "l_partkey", "part", "p_partkey"},
 		{"lineitem", "l_suppkey", "supplier", "s_suppkey"},
 	}
-}
-
-// TotalBytes sums the approximate sizes of all tables.
-func TotalBytes(tables map[string]*Table) int64 {
-	var total int64
-	names := make([]string, 0, len(tables))
-	for n := range tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		total += tables[n].Bytes()
-	}
-	return total
 }
 
 // Describe renders table cardinalities for logging.

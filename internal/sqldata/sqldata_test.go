@@ -49,8 +49,8 @@ func TestTableHelpers(t *testing.T) {
 	if c.ColIndex("c_custkey") != 0 || c.ColIndex("nope") != -1 {
 		t.Fatal("ColIndex wrong")
 	}
-	if c.Width() != 4 {
-		t.Fatalf("Width = %d", c.Width())
+	if len(c.Cols) != 4 {
+		t.Fatalf("customer has %d columns, want 4", len(c.Cols))
 	}
 	if c.Bytes() != int64(c.NumRows())*4*8 {
 		t.Fatal("Bytes wrong")
@@ -66,8 +66,8 @@ func TestTableHelpers(t *testing.T) {
 	if c.Rows[0][0] == -99 {
 		t.Fatal("Clone shares rows")
 	}
-	if TotalBytes(tables) <= 0 || Describe(tables) == "" {
-		t.Fatal("aggregate helpers broken")
+	if Describe(tables) == "" {
+		t.Fatal("Describe rendered nothing")
 	}
 }
 

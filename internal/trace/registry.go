@@ -218,17 +218,6 @@ func (r *Registry) Sum(name string) float64 {
 	return total
 }
 
-// Snapshot returns a copy of every series value keyed by exposition name.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.series))
-	for k, v := range r.series {
-		out[k] = v
-	}
-	return out
-}
-
 // metricOf strips the label block off a series key.
 func metricOf(key string) string {
 	if i := strings.IndexByte(key, '{'); i >= 0 {

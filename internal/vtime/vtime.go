@@ -236,27 +236,6 @@ func (c *Clock) After(d time.Duration, fn func(now time.Duration)) {
 	c.Schedule(c.Now()+d, fn)
 }
 
-// RunUntilIdle advances the clock until no scheduled events remain and
-// returns the final virtual time.
-func (c *Clock) RunUntilIdle() time.Duration {
-	for {
-		c.mu.Lock()
-		if len(c.events) == 0 {
-			now := c.now
-			c.mu.Unlock()
-			return now
-		}
-		delta := c.events[0].at - c.now
-		c.mu.Unlock()
-		if delta < 0 {
-			// Events scheduled at (or clamped to) the current instant fire
-			// on a zero-length advance.
-			delta = 0
-		}
-		c.Advance(delta)
-	}
-}
-
 // Pending reports the number of scheduled events that have not yet fired.
 func (c *Clock) Pending() int {
 	c.mu.Lock()

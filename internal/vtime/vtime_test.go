@@ -51,9 +51,9 @@ func TestScheduleFiresInOrder(t *testing.T) {
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", c.Pending())
 	}
-	c.RunUntilIdle()
-	if len(fired) != 3 {
-		t.Fatalf("RunUntilIdle left events unfired: %v", fired)
+	c.AdvanceTo(30 * time.Second)
+	if len(fired) != 3 || c.Pending() != 0 {
+		t.Fatalf("AdvanceTo(30s) left events unfired: %v", fired)
 	}
 }
 
@@ -79,12 +79,12 @@ func TestCallbackMaySchedule(t *testing.T) {
 		hits++
 		c.Schedule(now+time.Second, func(time.Duration) { hits++ })
 	})
-	end := c.RunUntilIdle()
+	c.Advance(2 * time.Second)
 	if hits != 2 {
 		t.Fatalf("hits = %d, want 2", hits)
 	}
-	if end != 2*time.Second {
-		t.Fatalf("end = %v, want 2s", end)
+	if c.Pending() != 0 {
+		t.Fatalf("Pending = %d after both events fired", c.Pending())
 	}
 }
 
@@ -96,22 +96,6 @@ func TestPastScheduleFiresAtCurrentInstant(t *testing.T) {
 	c.Advance(0)
 	if at != 10*time.Second {
 		t.Fatalf("past event fired at %v, want 10s", at)
-	}
-}
-
-// Regression: RunUntilIdle must fire events scheduled at the current
-// instant (at == now) instead of spinning forever.
-func TestRunUntilIdleCurrentInstant(t *testing.T) {
-	c := NewClock()
-	fired := 0
-	c.Schedule(0, func(time.Duration) { fired++ })
-	c.Advance(5 * time.Second)
-	c.Schedule(5*time.Second, func(time.Duration) { fired++ })
-	if end := c.RunUntilIdle(); end != 5*time.Second {
-		t.Fatalf("end = %v", end)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
 	}
 }
 
@@ -127,7 +111,7 @@ func TestQuickEventOrdering(t *testing.T) {
 			at := time.Duration(r.Intn(1000)) * time.Millisecond
 			c.Schedule(at, func(now time.Duration) { fired = append(fired, now) })
 		}
-		c.RunUntilIdle()
+		c.AdvanceTo(time.Second)
 		return len(fired) == n && sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
