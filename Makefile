@@ -44,12 +44,15 @@ cover:
 
 # reach fails naming every internal package that nothing shipped imports: a
 # layer only its own tests or a bench cell (internal/experiments) can reach
-# does not ship.
+# does not ship. It then runs the same rule one level down: every exported
+# identifier under internal/ needs a non-test caller or a reason in the
+# reachLedger of reach_test.go.
 reach:
 	@deps=$$($(GO) list -deps . ./cmd/ires ./cmd/ires-server ./cmd/musqle ./bench/e2e ./examples/...) || exit 1; \
 	for pkg in $$($(GO) list ./internal/... | grep -v '/internal/experiments$$'); do \
 		echo "$$deps" | grep -qx "$$pkg" || { echo "$$pkg: reachable from no main, example or bench/e2e"; bad=1; }; \
 	done; [ -z "$$bad" ]
+	$(GO) test -count=1 -run '^TestEveryInternalExportHasACaller$$' .
 
 # ci is the gate a PR must pass: formatting, static analysis, the full test
 # suite under the race detector plus a shuffled double pass, the coverage
