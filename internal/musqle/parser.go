@@ -106,7 +106,7 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	q := &Query{}
 	s := strings.Join(strings.Fields(sql), " ") // normalize all whitespace
 	s = strings.TrimSpace(strings.TrimSuffix(s, ";"))
-	upper := strings.ToUpper(s)
+	upper := upperASCII(s)
 	if !strings.HasPrefix(upper, "SELECT ") {
 		return nil, fmt.Errorf("musqle: query must start with SELECT: %q", sql)
 	}
@@ -114,9 +114,12 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	if fromIdx < 0 {
 		return nil, fmt.Errorf("musqle: missing FROM clause")
 	}
+	if fromIdx < len("SELECT ") {
+		return nil, fmt.Errorf("musqle: empty SELECT list")
+	}
 	selectPart := strings.TrimSpace(s[len("SELECT "):fromIdx])
 	rest := s[fromIdx+len(" FROM "):]
-	upperRest := strings.ToUpper(rest)
+	upperRest := upper[fromIdx+len(" FROM "):]
 	wherePart := ""
 	fromPart := rest
 	if wi := strings.Index(upperRest, " WHERE "); wi >= 0 {
@@ -209,8 +212,21 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	return q, nil
 }
 
+// upperASCII upper-cases the ASCII letters of s and leaves every other byte
+// alone, so an offset into the result is the same offset into s (ToUpper
+// changes the length of some runes, and of invalid UTF-8).
+func upperASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
+}
+
 func splitAnd(where string) []string {
-	upper := strings.ToUpper(where)
+	upper := upperASCII(where)
 	var out []string
 	start := 0
 	for {
