@@ -1,19 +1,15 @@
 // Package agent implements the per-node actor of the cluster layer: each
 // simulated machine owns its local truth — hosted containers, resource
 // usage, health, and the checkpoint replicas on its local disk — behind a
-// small message API (Place/Kill/Report). The cluster's reconciler
-// holds the *desired* state (reservations, leases, demanded containers) and
+// small message API (Place/Kill/Report). The cluster's control plane holds
+// the *desired* state (reservations, leases, demanded containers) and
 // drives agents toward it; the agent never calls back up, so the lock order
 // is always control-plane lock → agent lock.
 //
 // Agents are synchronous deterministic actors, not goroutines: every
 // message is a method call under the agent's own mutex, and all mutation is
 // driven by the control plane on the shared virtual clock, so fixed-seed
-// scenarios stay byte-identical. The one asynchronous behaviour an agent
-// models is *observability*, not execution: a partitioned agent keeps
-// mutating its local truth but serves the report snapshot frozen at
-// partition time, which is exactly the stale-report drift a reconciler must
-// tolerate.
+// scenarios stay byte-identical.
 package agent
 
 import (
@@ -49,9 +45,7 @@ type Placement struct {
 }
 
 // Report is the agent's published view of its local truth — what a
-// heartbeat would carry. While the agent is partitioned, Report returns the
-// snapshot frozen at partition time with Stale set; the reconciler must
-// tolerate (not act on) stale reports and reconverge after the heal.
+// heartbeat would carry.
 type Report struct {
 	Node string
 	// Incarnation counts agent rebirths: it bumps on Restore, so a
@@ -68,7 +62,6 @@ type Report struct {
 	// Replicas lists the checkpoint keys replicated on this node's local
 	// disk, sorted.
 	Replicas []string
-	Stale    bool
 }
 
 // Header is the slice-free part of a Report — everything a reconcile round
@@ -81,7 +74,6 @@ type Header struct {
 	UsedCores   int
 	UsedMemMB   int
 	Containers  int
-	Stale       bool
 	Version     uint64
 }
 
@@ -101,9 +93,6 @@ type Agent struct {
 	placements  map[int]Placement
 	replicas    map[string]bool
 
-	partitioned bool
-	frozen      Report
-
 	// version is the published-report version (see Version). Written under
 	// mu, read without it.
 	version atomic.Uint64
@@ -121,13 +110,11 @@ func New(name string, cores, memMB int) *Agent {
 	}
 }
 
-// Version returns the published-report version: a counter that moves
-// whenever what Report returns could have changed — at every local mutation
-// (each Seq bump, also behind a partition, where the move is conservative)
-// and when a partition starts or heals, which flip Stale without touching
-// Seq. An observer that loads Version before reading Report and finds it
-// unchanged on its next visit may keep the report it holds. One atomic load;
-// no lock.
+// Version returns the published-report version: a counter that moves at
+// every local mutation (each Seq bump), so whenever what Report returns
+// could have changed. An observer that loads Version before reading Report
+// and finds it unchanged on its next visit may keep the report it holds. One
+// atomic load; no lock.
 func (a *Agent) Version() uint64 { return a.version.Load() }
 
 // mutatedLocked marks one local mutation: Seq and the published-report
@@ -231,16 +218,15 @@ func (a *Agent) DropReplica(key string) {
 	}
 }
 
-// HasReplica reports whether the node's local disk actually holds a replica
-// of the checkpoint (live truth, even behind a partition).
+// HasReplica reports whether the node's local disk holds a replica of the
+// checkpoint.
 func (a *Agent) HasReplica(key string) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.replicas[key]
 }
 
-// Replicas returns the checkpoint keys on the node's local disk, sorted
-// (live truth, even behind a partition).
+// Replicas returns the checkpoint keys on the node's local disk, sorted.
 func (a *Agent) Replicas() []string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -252,18 +238,10 @@ func (a *Agent) Replicas() []string {
 	return keys
 }
 
-// Report publishes the agent's local truth. While partitioned it returns
-// the snapshot frozen at partition time with Stale set.
+// Report publishes the agent's local truth.
 func (a *Agent) Report() Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.partitioned {
-		return a.frozen
-	}
-	return a.reportLocked()
-}
-
-func (a *Agent) reportLocked() Report {
 	ids := make([]int, 0, len(a.placements))
 	for id := range a.placements {
 		ids = append(ids, id)
@@ -287,24 +265,18 @@ func (a *Agent) reportLocked() Report {
 }
 
 // Header publishes the slice-free header of what Report would return right
-// now — frozen and Stale while partitioned — without building the report.
+// now without building the report.
 func (a *Agent) Header() Header {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	h := Header{Version: a.version.Load()}
-	if a.partitioned {
-		f := &a.frozen
-		h.Incarnation, h.Seq, h.Healthy, h.Stale = f.Incarnation, f.Seq, f.Healthy, true
-		h.UsedCores, h.UsedMemMB, h.Containers = f.UsedCores, f.UsedMemMB, len(f.Containers)
-		return h
+	return Header{
+		Incarnation: a.incarnation, Seq: a.seq, Healthy: a.healthy,
+		UsedCores: a.usedCores, UsedMemMB: a.usedMemMB, Containers: len(a.placements),
+		Version: a.version.Load(),
 	}
-	h.Incarnation, h.Seq, h.Healthy = a.incarnation, a.seq, a.healthy
-	h.UsedCores, h.UsedMemMB, h.Containers = a.usedCores, a.usedMemMB, len(a.placements)
-	return h
 }
 
-// Healthy reports the agent's live health truth (not the possibly-stale
-// published report).
+// Healthy reports the agent's health.
 func (a *Agent) Healthy() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -362,39 +334,4 @@ func (a *Agent) Incarnation() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.incarnation
-}
-
-// Partition freezes the agent's published report at its current truth:
-// heartbeats stop flowing, so observers keep seeing the last pre-partition
-// snapshot (Stale=true) while the agent's actual state keeps moving.
-// Partitioning twice keeps the original snapshot.
-func (a *Agent) Partition() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.partitioned {
-		return
-	}
-	a.frozen = a.reportLocked()
-	a.frozen.Stale = true
-	a.partitioned = true
-	a.version.Add(1)
-}
-
-// Heal ends a partition: reports flow fresh again.
-func (a *Agent) Heal() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.partitioned {
-		return
-	}
-	a.partitioned = false
-	a.frozen = Report{}
-	a.version.Add(1)
-}
-
-// Partitioned reports whether the agent's reports are currently frozen.
-func (a *Agent) Partitioned() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.partitioned
 }

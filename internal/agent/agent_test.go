@@ -20,6 +20,12 @@ func TestPlaceKillAccounting(t *testing.T) {
 	if !a.Hosts(1) || a.Hosts(3) {
 		t.Fatal("Hosts wrong")
 	}
+	if got := a.Placements(); len(got) != 2 || got[0].ID != 1 || got[1].ResID != 0 {
+		t.Fatalf("Placements = %+v", got)
+	}
+	if a.Name() != "node0" || a.Cores() != 8 || a.MemMB() != 16384 {
+		t.Fatalf("capacity = %s %d cores %d MB", a.Name(), a.Cores(), a.MemMB())
+	}
 	p, ok := a.Kill(1)
 	if !ok || p.Cores != 2 || p.ResID != 7 {
 		t.Fatalf("kill = %+v, %v", p, ok)
@@ -87,35 +93,6 @@ func TestFailDropsEverythingAndRestoreBumpsIncarnation(t *testing.T) {
 	}
 }
 
-func TestPartitionFreezesReports(t *testing.T) {
-	a := New("node0", 8, 16384)
-	if err := a.Place(Placement{ID: 1, Cores: 2, MemMB: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	a.Partition()
-	if !a.Partitioned() {
-		t.Fatal("not partitioned")
-	}
-	// Local truth keeps moving; the published report does not.
-	if err := a.Place(Placement{ID: 2, Cores: 2, MemMB: 2048}); err != nil {
-		t.Fatal(err)
-	}
-	rep := a.Report()
-	if !rep.Stale || rep.UsedCores != 2 || !reflect.DeepEqual(rep.Containers, []int{1}) {
-		t.Fatalf("frozen report = %+v", rep)
-	}
-	// Even death stays invisible behind the partition.
-	a.Fail()
-	if rep := a.Report(); !rep.Stale || !rep.Healthy {
-		t.Fatalf("report leaked death through partition: %+v", rep)
-	}
-	a.Heal()
-	rep = a.Report()
-	if rep.Stale || rep.Healthy || rep.UsedCores != 0 {
-		t.Fatalf("healed report = %+v", rep)
-	}
-}
-
 func TestReplicaBookkeeping(t *testing.T) {
 	a := New("node0", 8, 16384)
 	seq0 := a.Report().Seq
@@ -123,6 +100,9 @@ func TestReplicaBookkeeping(t *testing.T) {
 	a.AddReplica("k1") // idempotent
 	if got := a.Report(); got.Seq != seq0+1 || !reflect.DeepEqual(got.Replicas, []string{"k1"}) {
 		t.Fatalf("report after add = %+v", got)
+	}
+	if !a.HasReplica("k1") || a.HasReplica("k2") || !reflect.DeepEqual(a.Replicas(), []string{"k1"}) {
+		t.Fatalf("replicas = %v", a.Replicas())
 	}
 	a.DropReplica("k1")
 	a.DropReplica("missing") // no-op
@@ -147,9 +127,8 @@ func TestSetHealthyKeepsState(t *testing.T) {
 }
 
 // The published-report version moves exactly when Report could return
-// something else — every mutation, a partition starting, a partition ending —
-// and stands still otherwise; Header is Report without its slices, at that
-// version, frozen behind a partition like the report itself.
+// something else — every mutation — and stands still otherwise; Header is
+// Report without its slices, at that version.
 func TestVersionAndHeaderFollowThePublishedReport(t *testing.T) {
 	a := New("node0", 8, 16384)
 	last := a.Version()
@@ -169,7 +148,7 @@ func TestVersionAndHeaderFollowThePublishedReport(t *testing.T) {
 		want := Header{
 			Incarnation: rep.Incarnation, Seq: rep.Seq, Healthy: rep.Healthy,
 			UsedCores: rep.UsedCores, UsedMemMB: rep.UsedMemMB, Containers: len(rep.Containers),
-			Stale: rep.Stale, Version: v,
+			Version: v,
 		}
 		if h != want {
 			t.Fatalf("%s: Header = %+v, Report says %+v", what, h, want)
@@ -183,17 +162,9 @@ func TestVersionAndHeaderFollowThePublishedReport(t *testing.T) {
 	step("unhealthy", true, func() { a.SetHealthy(false) })
 	step("unhealthy again", false, func() { a.SetHealthy(false) })
 	step("healthy", true, func() { a.SetHealthy(true) })
-	step("heal unpartitioned", false, func() { a.Heal() })
-	step("partition", true, func() { a.Partition() })
-	step("partition again", false, func() { a.Partition() })
-	// Behind the partition the move is conservative: the frozen report is
-	// served either way, so only the version and the live truth change.
-	step("place behind partition", true, func() { _ = a.Place(Placement{ID: 2, Cores: 1, MemMB: 512}) })
-	step("fail behind partition", true, func() { a.Fail() })
-	if h := a.Header(); !h.Stale || !h.Healthy || h.Containers != 1 {
-		t.Fatalf("header leaked live truth through the partition: %+v", h)
-	}
-	step("heal", true, func() { a.Heal() })
+	step("kill", true, func() { a.Kill(1) })
+	step("fail", true, func() { a.Fail() })
+	step("fail again", false, func() { a.Fail() })
 	step("restore", true, func() { a.Restore() })
 	step("kill unknown", false, func() { a.Kill(9) })
 	step("drop replica unknown", false, func() { a.DropReplica("missing") })

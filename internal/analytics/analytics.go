@@ -1,5 +1,5 @@
 // Package analytics implements the actual analytics operators the paper's
-// workflows run — PageRank, tf-idf, k-means, wordcount, linecount — as real
+// workflows run — PageRank, tf-idf, k-means, wordcount — as real
 // algorithms over real (synthetic) data. Examples execute them at laptop
 // scale inside the simulated engines, so the multi-engine plans produce
 // genuine results, not placeholders.
@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"github.com/asap-project/ires/internal/datagen"
 )
@@ -273,10 +272,4 @@ func WordCount(corpus []datagen.Document) map[string]int {
 		}
 	}
 	return out
-}
-
-// LineCount counts newline-separated lines, the HelloWorld-grade operator
-// of the IReS tutorial (wc -l semantics: number of newline characters).
-func LineCount(text string) int {
-	return strings.Count(text, "\n")
 }

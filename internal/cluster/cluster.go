@@ -11,9 +11,9 @@
 // (reservations, slices, demanded containers, believed health) and drives
 // the agents toward it. The public Cluster API is a façade over that
 // reconciler, so schedulers and executors — and their golden traces — are
-// unchanged. Desired and actual views agree at every quiescent point; they
-// diverge only while an agent drifts (stale reports behind a partition) or
-// dies undetected, and Reconcile converges them again.
+// unchanged. Every control-plane path mutates both views together; they
+// diverge only when an agent changes on its own (a daemon flipping its own
+// health, a container dying unseen), and Reconcile converges them again.
 package cluster
 
 import (
@@ -54,9 +54,9 @@ var (
 // Node is one machine of the simulated cluster, as the control plane sees
 // it: the exported fields and the private ones below are the *desired*
 // (believed) view — what the scheduler's admission math runs on — while the
-// node's actual truth lives in its agent. The two views are identical on
-// every legacy path and diverge only behind a partition, until Reconcile
-// detects the drift.
+// node's actual truth lives in its agent. The two views move together on
+// every control-plane path and diverge only when the agent changes on its
+// own, until Reconcile reads the drift from its report.
 type Node struct {
 	Name   string
 	Cores  int
@@ -94,13 +94,8 @@ func (n *Node) FreeCores() int { return n.Cores - n.usedCores }
 func (n *Node) FreeMemMB() int { return n.MemMB - n.usedMemMB }
 
 // Healthy reports the node's last health verdict as believed by the control
-// plane. Behind a partition this can lag the agent's actual truth (see
-// Agent().Report() for the published view).
+// plane.
 func (n *Node) Healthy() bool { return n.healthy }
-
-// Agent returns the node's agent actor — the owner of the node's actual
-// truth.
-func (n *Node) Agent() *agent.Agent { return n.ag }
 
 // Container is a granted resource lease on one node.
 type Container struct {
@@ -167,18 +162,7 @@ type Cluster struct {
 	// injection hook).
 	healthScript func(n *Node) bool
 
-	// partitionedAt records, per currently partitioned node, the virtual
-	// time the partition began — the staleness clock agent.drift events and
-	// the MaxStaleness death bound run on.
-	partitionedAt map[string]time.Duration
-	// maxStaleness, when positive, is the reconciler's unilateral death
-	// bound: a node whose reports have been stale longer is declared dead
-	// (its desired containers invalidated) without waiting for the heal.
-	maxStaleness time.Duration
-	// reconcilerOn guards StartReconciler idempotence; drift/detected count
-	// reconciler observations for stats and tests.
-	reconcilerOn  bool
-	driftObserved int
+	// deathDetected counts the deaths reconcile rounds detected.
 	deathDetected int
 
 	// tracer receives node crash/restore events; nil discards them.
@@ -213,12 +197,11 @@ func (c *Cluster) emit(ev trace.Event) {
 // New builds a cluster of count identical nodes named node0..node<count-1>.
 func New(clock *vtime.Clock, count, coresPerNode, memMBPerNode int) *Cluster {
 	c := &Cluster{
-		nodes:         make(map[string]*Node),
-		clock:         clock,
-		live:          make(map[int]*Container),
-		reservations:  make(map[int]*Reservation),
-		checkpoints:   make(map[string]*ckptEntry),
-		partitionedAt: make(map[string]time.Duration),
+		nodes:        make(map[string]*Node),
+		clock:        clock,
+		live:         make(map[int]*Container),
+		reservations: make(map[int]*Reservation),
+		checkpoints:  make(map[string]*ckptEntry),
 	}
 	for i := 0; i < count; i++ {
 		name := fmt.Sprintf("node%d", i)
@@ -396,12 +379,6 @@ func (c *Cluster) FailNode(name string, at time.Duration) error {
 // drops every hosted container and local checkpoint replica, and the
 // control plane invalidates the matching desired state. It returns the
 // number of containers lost.
-//
-// When the node is partitioned the death is *silent*: the agent dies (its
-// actual truth is gone) but its frozen report keeps claiming health, so the
-// control plane learns nothing — no desired-state invalidation, no events —
-// until Reconcile observes a fresh report after the heal (or the staleness
-// bound trips) and detects the crash then.
 func (c *Cluster) failNodeNow(name string) int {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -410,10 +387,6 @@ func (c *Cluster) failNodeNow(name string) int {
 		return 0
 	}
 	n.ag.Fail()
-	if n.ag.Partitioned() {
-		c.mu.Unlock()
-		return 0
-	}
 	lost, lostCkpts := c.detectCrashLocked(n)
 	c.mu.Unlock()
 	c.emit(trace.Event{
@@ -429,9 +402,9 @@ func (c *Cluster) failNodeNow(name string) int {
 // detectCrashLocked applies a node crash to the control plane's desired
 // state: believed health flips, every desired container on the node is
 // invalidated and the node leaves every non-durable checkpoint's replica
-// set. Shared between the immediate crash path (FailNode on a reachable
-// node) and reconciler-driven death detection; c.mu held. Returns the lost
-// container count and checkpoint keys for post-lock event emission.
+// set. Shared between the crash path (FailNode) and reconciler-driven death
+// detection; c.mu held. Returns the lost container count and checkpoint keys
+// for post-lock event emission.
 func (c *Cluster) detectCrashLocked(n *Node) (int, []string) {
 	c.setHealthLocked(n, false)
 	lost := 0
@@ -448,9 +421,9 @@ func (c *Cluster) detectCrashLocked(n *Node) (int, []string) {
 // loseContainerLocked invalidates a live container: its Lost flag is raised,
 // its resources leave the desired view and Release becomes a no-op; c.mu
 // held. Desired bookkeeping only — no kill is sent to the agent: on the crash
-// paths the node is believed dead, and when the belief is premature (a
-// staleness-bound declaration on a surviving agent) the containers live on as
-// zombies until reconciliation fences them after the heal.
+// paths the node is believed dead, and when the agent in fact still hosts the
+// containers (it reported itself unhealthy without crashing) they live on as
+// zombies until reconciliation fences them.
 func (c *Cluster) loseContainerLocked(ctr *Container) {
 	ctr.lost.Store(true)
 	ctr.released = true
@@ -458,11 +431,11 @@ func (c *Cluster) loseContainerLocked(ctr *Container) {
 	c.dropContainerDesiredLocked(ctr)
 }
 
-// fenceLocked drives a reachable node's agent toward desired: placements
-// the control plane no longer wants — zombies left by a unilateral death
-// declaration whose node turned out alive — are killed, and replica copies
-// whose checkpoint entry moved on are dropped; c.mu held. It returns the
-// number of containers killed.
+// fenceLocked drives a node's agent toward desired: placements
+// the control plane no longer wants — zombies left by a death declared on an
+// agent that kept running them — are killed, and replica copies whose
+// checkpoint entry moved on are dropped; c.mu held. It returns the number of
+// containers killed.
 func (c *Cluster) fenceLocked(n *Node) int {
 	fenced := 0
 	for _, p := range n.ag.Placements() {
@@ -487,10 +460,10 @@ func (c *Cluster) fenceLocked(n *Node) int {
 //
 // A restore asserts a fresh daemon, so any desired state the agent does not
 // actually carry is invalidated here: containers the control plane still
-// believed in (a silent death behind a partition, never detected) are
-// marked lost, and checkpoint replica metadata pointing at copies the disk
-// no longer holds is pruned. On every detected-crash path both are already
-// empty, which keeps the legacy restore a pure health flip.
+// believed in but the agent no longer hosts are marked lost, and checkpoint
+// replica metadata pointing at copies the disk no longer holds is pruned.
+// After a FailNode crash both are already empty, which keeps that restore a
+// pure health flip.
 func (c *Cluster) RestoreNode(name string) error {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -1056,10 +1029,10 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 	}
 
 	var granted []*Container
-	// down collects nodes whose agent refused the placement (a silently dead
-	// agent behind a partition looks healthy to the control plane until the
-	// Place bounces — a connection refused, in effect). Such nodes leave the
-	// candidate pool for the rest of this allocation.
+	// down collects nodes whose agent refused the placement (an agent that
+	// reported itself unhealthy looks healthy to the control plane until
+	// Reconcile reads the report, or the Place bounces first). Such nodes
+	// leave the candidate pool for the rest of this allocation.
 	var down map[string]bool
 	for i := 0; i < count; i++ {
 		// Most-free node first, name as tiebreak for determinism. Under a
@@ -1359,15 +1332,15 @@ func (c *Cluster) CheckInvariants() error {
 			}
 		}
 	}
-	// Desired vs actual: whenever the control plane's view of a node is not
-	// known-stale — no partition in flight, believed health matching the
-	// agent's live truth, no unobserved rebirth — the agent must host
-	// exactly the desired containers with exactly the desired usage. Nodes
-	// with drift outstanding are skipped; Reconcile converges them and the
-	// storm tests assert the full check at every quiescent point.
+	// Desired vs actual: whenever the control plane's belief about a node is
+	// current — believed health matching the agent's, no unobserved rebirth —
+	// the agent must host exactly the desired containers with exactly the
+	// desired usage. Nodes with drift outstanding are skipped; Reconcile
+	// converges them and the storm tests assert the full check at every
+	// quiescent point.
 	for _, name := range names {
 		n := c.nodes[name]
-		if n.ag.Partitioned() || n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
+		if n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
 			continue
 		}
 		rep := n.ag.Report()
@@ -1413,7 +1386,7 @@ func (c *Cluster) CheckInvariants() error {
 			}
 			// When the node is not drifting, its agent must actually host
 			// the replica the store metadata claims.
-			if n.ag.Partitioned() || n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
+			if n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
 				continue
 			}
 			if !slices.Contains(n.ag.Report().Replicas, key) {

@@ -130,9 +130,7 @@ func (m *Monitor) Start() {
 
 // Poll runs one monitoring round immediately and returns whether any status
 // changed. Node status comes from the agents' published reports — the
-// heartbeat channel — so a partitioned node keeps its last-known (frozen)
-// status on the board until the partition heals, exactly the stale view a
-// real resource manager would hold.
+// heartbeat channel.
 //
 // A round costs what changed, not what exists: an agent's report is re-read
 // only when its published-report version moved since the last read, the

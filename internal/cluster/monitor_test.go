@@ -49,9 +49,8 @@ func TestMonitorOnChangeRemovalDuringPoll(t *testing.T) {
 	}
 }
 
-// The monitor's node board is fed by agent reports, so a partitioned node
-// keeps its last-known status — even across a silent death — until the
-// partition heals and a fresh report flows.
+// The monitor's node board is fed by agent reports: a crash shows at the
+// next poll, and so does the restore.
 func TestMonitorReadsAgentReports(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 2, 2, 4096)
@@ -59,34 +58,26 @@ func TestMonitorReadsAgentReports(t *testing.T) {
 	m := NewMonitor(c, env, 10*time.Second)
 	m.Poll()
 
-	if rep, ok := m.NodeReport("node1"); !ok || !rep.Healthy || rep.Stale {
+	if rep, ok := m.NodeReport("node1"); !ok || !rep.Healthy || rep.Incarnation != 0 {
 		t.Fatalf("initial report = %+v, %v", rep, ok)
-	}
-
-	if err := c.PartitionNode("node1"); err != nil {
-		t.Fatal(err)
 	}
 	if err := c.FailNode("node1", 0); err != nil {
 		t.Fatal(err)
 	}
-	if m.Poll() {
-		t.Fatal("poll saw a change through the partition")
+	if !m.Poll() {
+		t.Fatal("crash not observed")
 	}
-	if !m.NodeHealthy("node1") {
-		t.Fatal("partitioned node's frozen health not kept on the board")
+	if m.NodeHealthy("node1") || !m.NodeHealthy("node0") {
+		t.Fatal("board does not show the crash on node1 alone")
 	}
-	if rep, _ := m.NodeReport("node1"); !rep.Stale {
-		t.Fatalf("report behind partition not marked stale: %+v", rep)
-	}
-
-	if err := c.HealPartition("node1"); err != nil {
+	if err := c.RestoreNode("node1"); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Poll() {
-		t.Fatal("healed death not observed")
+		t.Fatal("restore not observed")
 	}
-	if m.NodeHealthy("node1") {
-		t.Fatal("dead node still healthy on the board after heal")
+	if rep, _ := m.NodeReport("node1"); !rep.Healthy || rep.Incarnation != 1 {
+		t.Fatalf("restored report = %+v", rep)
 	}
 }
 
@@ -171,7 +162,7 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 	var live []*Container
 
 	for i := 0; i+1 < len(ops); i += 2 {
-		op, arg := ops[i]%21, int(ops[i+1])
+		op, arg := ops[i]%18, int(ops[i+1])
 		node := fmt.Sprintf("node%d", arg%monitorStormNodes)
 		key := fmt.Sprintf("ckpt/%d", arg%4)
 		switch op {
@@ -197,24 +188,20 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 		case 5:
 			_ = c.SetNodeHealth(node, arg&0x80 != 0)
 		case 6:
-			_ = c.PartitionNode(node)
-		case 7:
-			_ = c.HealPartition(node)
-		case 8:
 			c.PutCheckpoint(key, "alg", arg%9+1, 10, []string{node}, false)
-		case 9:
+		case 7:
 			c.ClearCheckpoint(key)
-		case 10:
+		case 8:
 			env.SetAvailable(engines[arg%len(engines)], arg&0x80 != 0)
-		case 11:
+		case 9:
 			env.Register(engine.Profile{Name: fmt.Sprintf("extra%d", arg%3)})
-		case 12:
+		case 10:
 			if arg%4 == 0 {
 				c.SetHealthScript(func(n *Node) bool { return n.Name != node })
 			} else {
 				c.SetHealthScript(nil)
 			}
-		case 13:
+		case 11:
 			// Bounded: a changed poll re-checks every subscriber's liveness
 			// against the list, quadratic in subscribers.
 			if len(fast.removers) < 32 {

@@ -1,15 +1,11 @@
 // Package datagen produces the synthetic stand-ins for the paper's
 // proprietary inputs: power-law call graphs for the WIND telecom CDR traces
-// (graph analytics), Zipf-vocabulary document corpora for the IMR web
-// crawls (text analytics), and clustered numeric vectors. Experiments
-// depend only on input size scaling, which the generators parameterise.
+// (graph analytics) and Zipf-vocabulary document corpora for the IMR web
+// crawls (text analytics). Experiments depend only on input size scaling,
+// which the generators parameterise.
 package datagen
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Edge is one directed graph edge (a call from Src to Dst).
 type Edge struct {
@@ -103,47 +99,6 @@ func word(idx uint64) string {
 // Vector is a dense numeric feature vector.
 type Vector []float64
 
-// ClusteredVectors generates n vectors in dims dimensions drawn from k
-// Gaussian clusters, returning the vectors and the true cluster of each —
-// ideal k-means input with known structure.
-func ClusteredVectors(n, dims, k int, seed int64) ([]Vector, []int) {
-	if n <= 0 || dims <= 0 || k <= 0 {
-		return nil, nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	centers := make([]Vector, k)
-	for c := range centers {
-		centers[c] = make(Vector, dims)
-		for d := range centers[c] {
-			centers[c][d] = rng.Float64() * 100
-		}
-	}
-	vecs := make([]Vector, n)
-	truth := make([]int, n)
-	for i := range vecs {
-		c := i % k
-		truth[i] = c
-		v := make(Vector, dims)
-		for d := range v {
-			v[d] = centers[c][d] + rng.NormFloat64()*2
-		}
-		vecs[i] = v
-	}
-	return vecs, truth
-}
-
-// Lines renders n synthetic log lines (for linecount/grep workloads).
-func Lines(n int, seed int64) []string {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("2017-02-%02d %02d:%02d:%02d event=%s id=%d",
-			1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60),
-			[]string{"INFO", "WARN", "ERROR", "DEBUG"}[rng.Intn(4)], rng.Intn(1<<20))
-	}
-	return out
-}
-
 // SizeOfCorpus approximates the byte size of a corpus (what a SequenceFile
 // of it would occupy).
 func SizeOfCorpus(docs []Document) int64 {
@@ -155,54 +110,4 @@ func SizeOfCorpus(docs []Document) int64 {
 		total += 16
 	}
 	return total
-}
-
-// Stats summarises a corpus for quick sanity checks.
-func Stats(docs []Document) (nDocs int, nTokens int, vocab int) {
-	seen := make(map[string]struct{})
-	for _, d := range docs {
-		nTokens += len(d.Tokens)
-		for _, t := range d.Tokens {
-			seen[t] = struct{}{}
-		}
-	}
-	return len(docs), nTokens, len(seen)
-}
-
-// ZipfSkew measures how skewed the degree distribution of a graph is: the
-// fraction of edges touching the top 1% of vertices. Power-law graphs score
-// far above uniform ones.
-func ZipfSkew(edges []Edge) float64 {
-	if len(edges) == 0 {
-		return 0
-	}
-	deg := make(map[int32]int)
-	for _, e := range edges {
-		deg[e.Src]++
-		deg[e.Dst]++
-	}
-	var counts []int
-	for _, c := range deg {
-		counts = append(counts, c)
-	}
-	// Partial selection of the top 1%.
-	top := int(math.Ceil(float64(len(counts)) / 100))
-	if top < 1 {
-		top = 1
-	}
-	// Simple selection sort of the top segment (counts are small).
-	for i := 0; i < top; i++ {
-		maxJ := i
-		for j := i + 1; j < len(counts); j++ {
-			if counts[j] > counts[maxJ] {
-				maxJ = j
-			}
-		}
-		counts[i], counts[maxJ] = counts[maxJ], counts[i]
-	}
-	sumTop := 0
-	for i := 0; i < top; i++ {
-		sumTop += counts[i]
-	}
-	return float64(sumTop) / float64(2*len(edges))
 }

@@ -61,10 +61,6 @@ func TestCorpusShape(t *testing.T) {
 			t.Fatalf("doc %d has %d tokens", i, len(d.Tokens))
 		}
 	}
-	nd, nt, vocab := Stats(docs)
-	if nd != 100 || nt == 0 || vocab == 0 {
-		t.Fatalf("stats: %d %d %d", nd, nt, vocab)
-	}
 	if Corpus(0, 10, 1) != nil {
 		t.Fatal("empty corpus should be nil")
 	}
@@ -74,45 +70,13 @@ func TestCorpusShape(t *testing.T) {
 	}
 }
 
-func TestClusteredVectors(t *testing.T) {
-	vecs, truth := ClusteredVectors(90, 3, 3, 4)
-	if len(vecs) != 90 || len(truth) != 90 {
-		t.Fatal("wrong counts")
-	}
-	for i, v := range vecs {
-		if len(v) != 3 {
-			t.Fatal("wrong dims")
-		}
-		if truth[i] != i%3 {
-			t.Fatal("truth labels wrong")
-		}
-	}
-	if v, tr := ClusteredVectors(0, 3, 3, 4); v != nil || tr != nil {
-		t.Fatal("degenerate input should be nil")
-	}
-}
-
 func TestLinesAndSizes(t *testing.T) {
-	lines := Lines(50, 5)
-	if len(lines) != 50 {
-		t.Fatal("wrong count")
-	}
 	corpus := Corpus(20, 30, 6)
 	if SizeOfCorpus(corpus) <= 0 {
 		t.Fatal("size must be positive")
 	}
 	if SizeOfCorpus(nil) != 0 {
 		t.Fatal("empty corpus size nonzero")
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	if ZipfSkew(nil) != 0 {
-		t.Fatal("empty graph skew")
-	}
-	skew := ZipfSkew(CallGraph(20_000, 3))
-	if skew <= 0.02 || skew > 1 {
-		t.Fatalf("skew = %v", skew)
 	}
 }
 

@@ -173,20 +173,6 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
-// Merge overlays other onto the receiver: values present in other win,
-// subtrees are merged recursively. Merging a nil tree is a no-op.
-func (t *Tree) Merge(other *Tree) {
-	if other == nil {
-		return
-	}
-	if other.value != "" {
-		t.value = other.value
-	}
-	for _, k := range other.keys {
-		t.child(k, true).Merge(other.children[k])
-	}
-}
-
 // Walk visits every node in lexicographic path order, calling fn with the
 // dotted path and node. The root is visited with an empty path.
 func (t *Tree) Walk(fn func(path string, node *Tree)) {

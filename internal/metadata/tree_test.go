@@ -67,17 +67,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	base := MustParse("a.x=1\na.y=2")
-	over := MustParse("a.y=9\nb.z=3")
-	base.Merge(over)
-	for path, want := range map[string]string{"a.x": "1", "a.y": "9", "b.z": "3"} {
-		if v, _ := base.Get(path); v != want {
-			t.Errorf("after merge, %s = %q, want %q", path, v, want)
-		}
-	}
-}
-
 func TestPropertiesRoundTrip(t *testing.T) {
 	src := "Constraints.Engine=Spark\nConstraints.Input.number=1\nExecution.path=hdfs:///x"
 	tr := MustParse(src)

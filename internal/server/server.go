@@ -550,9 +550,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // --- cluster ---
 
 // agentNodeDTO pairs the control plane's believed (desired) view of a node
-// with the node agent's last published report. While a node is partitioned
-// the report is the snapshot frozen at partition time (stale=true), so the
-// two views can legitimately disagree until the next reconcile round.
+// with the node agent's published report. The two disagree only while an
+// agent has changed on its own and no reconcile round has read it yet.
 type agentNodeDTO struct {
 	Node             string   `json:"node"`
 	BelievedHealthy  bool     `json:"believedHealthy"`
@@ -565,58 +564,45 @@ type agentNodeDTO struct {
 	UsedMemMB        int      `json:"usedMemMB"`
 	Containers       []int    `json:"containers,omitempty"`
 	Replicas         []string `json:"replicas,omitempty"`
-	Stale            bool     `json:"stale"`
-	Partitioned      bool     `json:"partitioned"`
 }
 
 type clusterDTO struct {
 	Nodes             []agentNodeDTO `json:"nodes"`
-	DriftObserved     int            `json:"driftObserved"`
 	DeathsDetected    int            `json:"deathsDetected"`
 	DesiredActualDiff int            `json:"desiredActualDiff"`
 	Checkpoints       int            `json:"checkpoints"`
 }
 
 // handleCluster serves GET /api/cluster: the per-agent desired/actual state
-// of every node plus the reconciler's drift and death counters.
+// of every node plus the reconciler's death counter.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
 		return
 	}
 	clu := s.platform.Cluster
-	reports := clu.AgentReports()
-	byName := make(map[string]int, len(reports))
-	for i, rep := range reports {
-		byName[rep.Node] = i
-	}
+	reports := clu.AgentReports() // in Nodes() order
 	dto := clusterDTO{
 		Nodes:             []agentNodeDTO{},
-		DriftObserved:     clu.DriftObserved(),
 		DeathsDetected:    clu.DeathsDetected(),
 		DesiredActualDiff: clu.DesiredActualDiff(),
 		Checkpoints:       clu.Checkpoints(),
 	}
-	for _, n := range clu.Nodes() {
-		nd := agentNodeDTO{
+	for i, n := range clu.Nodes() {
+		rep := reports[i]
+		dto.Nodes = append(dto.Nodes, agentNodeDTO{
 			Node:             n.Name,
 			BelievedHealthy:  n.Healthy(),
 			DesiredUsedCores: n.Cores - n.FreeCores(),
 			DesiredUsedMemMB: n.MemMB - n.FreeMemMB(),
-			Partitioned:      n.Agent().Partitioned(),
-		}
-		if i, ok := byName[n.Name]; ok {
-			rep := reports[i]
-			nd.ReportHealthy = rep.Healthy
-			nd.Incarnation = rep.Incarnation
-			nd.Seq = rep.Seq
-			nd.UsedCores = rep.UsedCores
-			nd.UsedMemMB = rep.UsedMemMB
-			nd.Containers = rep.Containers
-			nd.Replicas = rep.Replicas
-			nd.Stale = rep.Stale
-		}
-		dto.Nodes = append(dto.Nodes, nd)
+			ReportHealthy:    rep.Healthy,
+			Incarnation:      rep.Incarnation,
+			Seq:              rep.Seq,
+			UsedCores:        rep.UsedCores,
+			UsedMemMB:        rep.UsedMemMB,
+			Containers:       rep.Containers,
+			Replicas:         rep.Replicas,
+		})
 	}
 	writeJSON(w, http.StatusOK, dto)
 }

@@ -540,8 +540,7 @@ func TestFaultInjectionEndpoint(t *testing.T) {
 }
 
 // GET /api/cluster exposes the per-agent desired/actual split: fresh agents
-// agree with the control plane; a partitioned agent serves its frozen report
-// (stale) while the believed view keeps the last known health.
+// agree with the control plane, and a crash shows in both views.
 func TestClusterEndpointAgentState(t *testing.T) {
 	_, ts, p := newTestServer(t)
 
@@ -550,24 +549,25 @@ func TestClusterEndpointAgentState(t *testing.T) {
 			Node            string `json:"node"`
 			BelievedHealthy bool   `json:"believedHealthy"`
 			ReportHealthy   bool   `json:"reportHealthy"`
-			Stale           bool   `json:"stale"`
-			Partitioned     bool   `json:"partitioned"`
 			Incarnation     int    `json:"incarnation"`
 		} `json:"nodes"`
-		DriftObserved     int `json:"driftObserved"`
 		DeathsDetected    int `json:"deathsDetected"`
 		DesiredActualDiff int `json:"desiredActualDiff"`
 	}
-	resp, body := do(t, "GET", ts.URL+"/api/cluster", "")
-	expectCode(t, resp, body, http.StatusOK)
-	if err := json.Unmarshal([]byte(body), &dto); err != nil {
-		t.Fatalf("bad /api/cluster body %q: %v", body, err)
+	get := func() {
+		t.Helper()
+		resp, body := do(t, "GET", ts.URL+"/api/cluster", "")
+		expectCode(t, resp, body, http.StatusOK)
+		if err := json.Unmarshal([]byte(body), &dto); err != nil {
+			t.Fatalf("bad /api/cluster body %q: %v", body, err)
+		}
 	}
+	get()
 	if len(dto.Nodes) == 0 {
 		t.Fatal("no nodes in /api/cluster")
 	}
 	for _, n := range dto.Nodes {
-		if !n.BelievedHealthy || !n.ReportHealthy || n.Stale || n.Partitioned {
+		if !n.BelievedHealthy || !n.ReportHealthy {
 			t.Fatalf("fresh cluster node out of agreement: %+v", n)
 		}
 	}
@@ -575,45 +575,24 @@ func TestClusterEndpointAgentState(t *testing.T) {
 		t.Fatalf("fresh cluster desired/actual diff = %d", dto.DesiredActualDiff)
 	}
 
-	// Partition node0 and silently fail it: the endpoint shows the stale
-	// frozen report still claiming health while the partition flag is up.
 	victim := dto.Nodes[0].Node
-	if err := p.Cluster.PartitionNode(victim); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Cluster.FailNode(victim, 0); err != nil {
 		t.Fatal(err)
 	}
-	resp, body = do(t, "GET", ts.URL+"/api/cluster", "")
-	expectCode(t, resp, body, http.StatusOK)
-	if err := json.Unmarshal([]byte(body), &dto); err != nil {
-		t.Fatal(err)
+	get()
+	if n0 := dto.Nodes[0]; n0.BelievedHealthy || n0.ReportHealthy {
+		t.Fatalf("crashed node state: %+v", n0)
 	}
-	n0 := dto.Nodes[0]
-	if !n0.Partitioned || !n0.Stale || !n0.ReportHealthy || !n0.BelievedHealthy {
-		t.Fatalf("partitioned node state: %+v", n0)
+	if dto.DesiredActualDiff != 0 || dto.DeathsDetected != 0 {
+		t.Fatalf("announced crash: diff %d, %d deaths detected", dto.DesiredActualDiff, dto.DeathsDetected)
 	}
 
-	// Heal and reconcile: the silent death is detected and both views agree
-	// on the crash.
-	if err := p.Cluster.HealPartition(victim); err != nil {
+	if err := p.Cluster.RestoreNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	p.Cluster.Reconcile()
-	resp, body = do(t, "GET", ts.URL+"/api/cluster", "")
-	expectCode(t, resp, body, http.StatusOK)
-	if err := json.Unmarshal([]byte(body), &dto); err != nil {
-		t.Fatal(err)
-	}
-	n0 = dto.Nodes[0]
-	if n0.BelievedHealthy || n0.ReportHealthy || n0.Stale {
-		t.Fatalf("post-reconcile node state: %+v", n0)
-	}
-	if dto.DeathsDetected != 1 {
-		t.Fatalf("deathsDetected = %d, want 1", dto.DeathsDetected)
-	}
-	if dto.DesiredActualDiff != 0 {
-		t.Fatalf("post-reconcile desired/actual diff = %d", dto.DesiredActualDiff)
+	get()
+	if n0 := dto.Nodes[0]; !n0.BelievedHealthy || !n0.ReportHealthy || n0.Incarnation != 1 {
+		t.Fatalf("restored node state: %+v", n0)
 	}
 }
 

@@ -23,10 +23,6 @@ var reachLedger = map[string]string{
 	"cluster.Cluster.SetHealthScript":    "the YARN node health script is a reproduced mechanism (DESIGN.md) that no platform option arms yet",
 	"musqle.NewCalibrator":               "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
 	"musqle.Calibrator.ObserveExecution": "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
-	"cluster.Cluster.StartReconciler":    "reconciler partition API, kept until partitions are wired into the fault model or the reconciler is deleted",
-	"cluster.Cluster.PartitionNode":      "reconciler partition API, kept until partitions are wired into the fault model or the reconciler is deleted",
-	"cluster.Cluster.HealPartition":      "reconciler partition API, kept until partitions are wired into the fault model or the reconciler is deleted",
-	"cluster.Cluster.SetMaxStaleness":    "reconciler partition API, kept until partitions are wired into the fault model or the reconciler is deleted",
 	"scheduler.Scheduler.CheckIndex":     "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
 	"experiments.PlanPegasus":            "the Fig 14-15 planning unit that BenchmarkPlannerMontage1000 times",
 	"server.Server.Handler":              "the REST tests serve it through httptest; ListenAndServe mounts the same mux",
@@ -52,13 +48,6 @@ var reachLedger = map[string]string{
 	"metadata.Tree.Properties":             "observation point that the parse round-trip tests read",
 	"musqle.Query.SQL":                     "the parser's rendering, which FuzzParse's round-trip property compares",
 	"experiments.Report.SeriesByLabel":     "observation point that the figure-shape tests read",
-	// Test-only; each is an open keep-or-delete decision.
-	"analytics.LineCount":      "test-only reference algorithm; next keep-or-delete decision",
-	"metadata.Tree.Merge":      "test-only tree overlay; next keep-or-delete decision",
-	"datagen.ClusteredVectors": "test-only generator of known-cluster k-means input; next keep-or-delete decision",
-	"datagen.Lines":            "test-only log-line generator; next keep-or-delete decision",
-	"datagen.Stats":            "test-only corpus summary; next keep-or-delete decision",
-	"datagen.ZipfSkew":         "test-only degree-skew measure of generated graphs; next keep-or-delete decision",
 }
 
 // reachStdMethods are method names that satisfy interfaces of the standard
