@@ -42,24 +42,18 @@ func (g *GaussianProcess) Train(X [][]float64, y []float64) error {
 	g.std = fitStandardizer(X)
 	g.tgt = fitTargetScaler(y)
 	g.Z = g.std.applyAll(X)
-	t := make([]float64, len(y))
-	for i, v := range y {
-		t[i] = g.tgt.encode(v)
-	}
 	n := len(g.Z)
-	K := make([][]float64, n)
-	for i := range K {
-		K[i] = make([]float64, n)
+	var s lsq
+	s.reset(n)
+	for i, v := range y {
+		s.b[i] = g.tgt.encode(v)
 		for j := 0; j <= i; j++ {
-			k := g.kernel(g.Z[i], g.Z[j])
-			K[i][j] = k
-			K[j][i] = k
+			s.a[i*n+j] = g.kernel(g.Z[i], g.Z[j])
 		}
-		K[i][i] += g.noise
 	}
-	alpha, err := solveSPD(K, t)
-	if err != nil {
-		return err
+	alpha := make([]float64, n)
+	if !s.solve(g.noise, alpha) {
+		return errNotPD
 	}
 	g.alpha = alpha
 	return nil

@@ -9,11 +9,10 @@ import (
 // standardized features — the "interpolation" technique of the paper's
 // model list. With k=1 it reproduces profiled points exactly.
 type KNN struct {
-	k     int
-	std   *standardizer
-	X     [][]float64
-	y     []float64
-	dirty bool
+	k   int
+	std *standardizer
+	X   [][]float64
+	y   []float64
 }
 
 // NewKNN returns an untrained kNN regressor with the given neighbourhood

@@ -1,27 +1,59 @@
 package model
 
 import (
-	"fmt"
+	"errors"
 	"math"
 )
 
-// solveSPD solves A x = b for symmetric positive-definite A via Cholesky
-// decomposition, adding a small jitter to the diagonal when the matrix is
-// near-singular. A is modified in place.
-func solveSPD(A [][]float64, b []float64) ([]float64, error) {
-	n := len(A)
-	if n == 0 || len(b) != n {
-		return nil, fmt.Errorf("model: solveSPD dimension mismatch")
+var errNotPD = errors.New("model: matrix not positive definite")
+
+// lsq is flat scratch for one symmetric positive-definite solve of d
+// unknowns: a is A, d×d row-major, of which only the lower triangle is read;
+// l is its Cholesky factor, b the right-hand side and row a design row. The
+// normal equations XᵀX, Xᵀy are accumulated by add, each cell's terms in row
+// order; a caller may fill a and b directly instead.
+type lsq struct {
+	d            int
+	a, l, b, row []float64
+}
+
+// reset sizes s for d unknowns and zeroes a and b.
+func (s *lsq) reset(d int) {
+	if s.d == d {
+		clear(s.a)
+		clear(s.b)
+		return
 	}
-	// Attempt Cholesky with escalating jitter.
+	buf := make([]float64, 2*d*d+2*d)
+	s.d, s.a, s.l, s.b, s.row = d, buf[:d*d], buf[d*d:2*d*d], buf[2*d*d:2*d*d+d], buf[2*d*d+d:]
+}
+
+// add accumulates one design row and its target: A += row rowᵀ, b += row·y.
+func (s *lsq) add(row []float64, y float64) {
+	row = row[:s.d]
+	for i, ri := range row {
+		s.b[i] += ri * y
+		ai := s.a[i*s.d:][:i+1]
+		for j, rj := range row[:i+1] {
+			ai[j] += ri * rj
+		}
+	}
+}
+
+// solve writes to x (d long) the solution of (A + ridge·I) x = b by Cholesky
+// decomposition, adding an escalating jitter to the diagonal while the matrix
+// is numerically not positive definite, and reports false when every jitter
+// fails. It reads a and b and writes only l and x, so the same sums can be
+// solved again under another ridge.
+func (s *lsq) solve(ridge float64, x []float64) bool {
 	jitter := 0.0
 	for attempt := 0; attempt < 6; attempt++ {
-		L, ok := cholesky(A, jitter)
-		if ok {
-			return choleskySolve(L, b), nil
+		if s.factor(ridge, jitter) {
+			s.substitute(x)
+			return true
 		}
 		if jitter == 0 {
-			jitter = 1e-10 * traceMean(A)
+			jitter = 1e-10 * s.traceMean(ridge)
 			if jitter == 0 {
 				jitter = 1e-10
 			}
@@ -29,108 +61,66 @@ func solveSPD(A [][]float64, b []float64) ([]float64, error) {
 			jitter *= 100
 		}
 	}
-	return nil, fmt.Errorf("model: matrix not positive definite")
+	return false
 }
 
-func traceMean(A [][]float64) float64 {
-	s := 0.0
-	for i := range A {
-		s += math.Abs(A[i][i])
+func (s *lsq) traceMean(ridge float64) float64 {
+	t := 0.0
+	for i := 0; i < s.d; i++ {
+		t += math.Abs(s.a[i*s.d+i] + ridge)
 	}
-	return s / float64(len(A))
+	return t / float64(s.d)
 }
 
-// cholesky returns the lower-triangular factor of A + jitter*I, or ok=false
-// when the factorisation fails.
-func cholesky(A [][]float64, jitter float64) ([][]float64, bool) {
-	n := len(A)
-	L := square(n)
-	for i := 0; i < n; i++ {
-		Ai, Li := A[i], L[i]
-		for j := 0; j <= i; j++ {
-			Lj := L[j]
-			sum := Ai[j]
+// factor writes to l the lower-triangular factor of A + (ridge+jitter)·I, the
+// ridge and then the jitter added to each diagonal sum, or reports false when
+// the factorisation fails. Every cell of l it reads it has written first.
+func (s *lsq) factor(ridge, jitter float64) bool {
+	d := s.d
+	for i := 0; i < d; i++ {
+		ai, li := s.a[i*d:][:i+1], s.l[i*d:][:i+1]
+		for j := range li {
+			lj := s.l[j*d:][:j+1]
+			sum := ai[j]
 			if i == j {
+				sum += ridge
 				sum += jitter
 			}
-			for k, v := range Lj[:j] {
-				sum -= Li[k] * v
+			for k, v := range lj[:j] {
+				sum -= li[k] * v
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
-					return nil, false
+					return false
 				}
-				Li[i] = math.Sqrt(sum)
+				li[i] = math.Sqrt(sum)
 			} else {
-				Li[j] = sum / Lj[j]
+				li[j] = sum / lj[j]
 			}
 		}
 	}
-	return L, true
+	return true
 }
 
-// square returns an n x n zero matrix whose rows share one backing array.
-func square(n int) [][]float64 {
-	buf := make([]float64, n*n)
-	M := make([][]float64, n)
-	for i := range M {
-		M[i] = buf[i*n : (i+1)*n : (i+1)*n]
-	}
-	return M
-}
-
-// choleskySolve solves L L^T x = b.
-func choleskySolve(L [][]float64, b []float64) []float64 {
-	n := len(L)
-	// Forward substitution: L z = b.
-	z := make([]float64, n)
-	for i := 0; i < n; i++ {
-		Li := L[i]
-		sum := b[i]
-		for k, v := range z[:i] {
-			sum -= Li[k] * v
-		}
-		z[i] = sum / Li[i]
-	}
-	// Back substitution: L^T x = z.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := z[i]
-		for k := i + 1; k < n; k++ {
-			sum -= L[k][i] * x[k]
-		}
-		x[i] = sum / L[i][i]
-	}
-	return x
-}
-
-// normalEquations computes (X^T X + ridge*I) w = X^T y for the design
-// matrix X (rows are samples) and returns w.
-func normalEquations(X [][]float64, y []float64, ridge float64) ([]float64, error) {
-	if len(X) == 0 {
-		return nil, ErrNoData
-	}
-	d := len(X[0])
-	A := square(d)
-	b := make([]float64, d)
-	for r, row := range X {
-		row = row[:d]
-		yr := y[r]
-		for i, ri := range row {
-			b[i] += ri * yr
-			Ai := A[i]
-			for j, rj := range row[:i+1] {
-				Ai[j] += ri * rj
-			}
-		}
-	}
+// substitute solves L Lᵀ x = b into x: forward substitution, then back
+// substitution in place.
+func (s *lsq) substitute(x []float64) {
+	d := s.d
 	for i := 0; i < d; i++ {
-		for j := 0; j < i; j++ {
-			A[j][i] = A[i][j]
+		li := s.l[i*d:][:i+1]
+		sum := s.b[i]
+		for k, v := range x[:i] {
+			sum -= li[k] * v
 		}
-		A[i][i] += ridge
+		x[i] = sum / li[i]
 	}
-	return solveSPD(A, b)
+	for i := d - 1; i >= 0; i-- {
+		sum := x[i]
+		for k := i + 1; k < d; k++ {
+			sum -= s.l[k*d+i] * x[k]
+		}
+		x[i] = sum / s.l[i*d+i]
+	}
 }
 
 func dot(a, b []float64) float64 {

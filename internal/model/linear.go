@@ -9,7 +9,7 @@ import "math"
 // constant columns, which wreck an unconditioned normal-equation solve.
 type Linear struct {
 	weights []float64 // last entry is the intercept
-	std     *standardizer
+	std     standardizer
 	ridge   float64
 }
 
@@ -24,18 +24,35 @@ func (l *Linear) Train(X [][]float64, y []float64) error {
 	if _, err := validate(X, y); err != nil {
 		return err
 	}
-	l.std = fitStandardizer(X)
-	aug := augment(l.std.applyAll(X))
-	w, err := normalEquations(aug, y, l.ridge)
-	if err != nil {
-		// Degenerate design: escalate regularisation.
-		w, err = normalEquations(aug, y, 1e-4)
-		if err != nil {
-			return err
-		}
+	return l.fit(new(lsq), X, y)
+}
+
+// fit trains l on the validated (X, y) with s as scratch, reusing l's
+// buffers when they have X's width: the standardizer fitStandardizer would
+// fit, then the normal equations over the standardized rows plus a column of
+// ones, solved under l.ridge or, for a degenerate design, under 1e-4. On
+// failure l is left untrained.
+func (l *Linear) fit(s *lsq, X [][]float64, y []float64) error {
+	dims := len(X[0])
+	if len(l.std.mean) != dims {
+		buf := make([]float64, 3*dims+1)
+		l.std.mean, l.std.scale, l.weights = buf[:dims], buf[dims:2*dims], buf[2*dims:]
 	}
-	l.weights = w
-	return nil
+	l.std.fit(X)
+	s.reset(dims + 1)
+	mean, scale, row := l.std.mean, l.std.scale, s.row
+	row[dims] = 1
+	for r, x := range X {
+		for j, v := range x[:dims] {
+			row[j] = (v - mean[j]) * scale[j]
+		}
+		s.add(row, y[r])
+	}
+	if s.solve(l.ridge, l.weights) || s.solve(1e-4, l.weights) {
+		return nil
+	}
+	l.weights, l.std = nil, standardizer{}
+	return errNotPD
 }
 
 // Predict implements Model. It allocates nothing: each feature is
@@ -51,18 +68,6 @@ func (l *Linear) Predict(x []float64) float64 {
 		s += l.weights[i] * ((v - mean[i]) * scale[i])
 	}
 	return s
-}
-
-// augment appends the constant-1 intercept column.
-func augment(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		r := make([]float64, len(row)+1)
-		copy(r, row)
-		r[len(row)] = 1
-		out[i] = r
-	}
-	return out
 }
 
 // LeastMedianSquares is the robust regression flavour WEKA exposes
@@ -97,33 +102,37 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 		return l.inner.Train(X, y)
 	}
 	rng := newRand(l.seed)
-	var best *Linear
-	bestMed := 0.0
-	// One set of buffers for all subsamples: Linear.Train keeps neither sx
-	// nor sy, pred and res are scratch for the median and perm for the draws.
+	// One set of buffers for all subsamples: a subsample is fitted into cand,
+	// which swaps with best when its median is smaller, and every fit shares
+	// the solver scratch s. pred and res are scratch for the median and perm
+	// for the draws.
+	var s lsq
+	cand, best := NewLinear(), NewLinear()
+	found, bestMed := false, 0.0
 	rows, group := distinctRows(X)
 	sx := make([][]float64, subset)
 	sy := make([]float64, subset)
 	pred := make([]float64, len(rows))
 	res := make([]float64, n)
 	perm := make([]int, n)
-	for s := 0; s < l.samples; s++ {
+	for range l.samples {
 		permInto(rng, perm)
 		for i, j := range perm[:subset] {
 			sx[i], sy[i] = X[j], y[j]
 		}
-		cand := NewLinear()
-		if err := cand.Train(sx, sy); err != nil {
+		if cand.fit(&s, sx, sy) != nil {
 			continue
 		}
-		med := medianSquaredResidual(cand, rows, group, y, pred, res)
-		if best == nil || med < bestMed {
-			best, bestMed = cand, med
+		for g, x := range rows {
+			pred[g] = cand.Predict(x)
+		}
+		if med := medianSquaredResidual(pred, group, y, res); !found || med < bestMed {
+			cand, best = best, cand
+			found, bestMed = true, med
 		}
 	}
-	if best == nil {
-		best = NewLinear()
-		if err := best.Train(X, y); err != nil {
+	if !found {
+		if err := best.fit(&s, X, y); err != nil {
 			return err
 		}
 	}
@@ -139,15 +148,12 @@ func (l *LeastMedianSquares) Predict(x []float64) float64 {
 	return l.inner.Predict(x)
 }
 
-// medianSquaredResidual returns the len/2-th smallest squared residual of m
-// over (X, y) — what sorting them with sort.Float64s and indexing would,
-// NaNs ordered first. X is given as distinctRows returns it: m predicts each
-// distinct row once, into pred (len(rows) long), and res (len(y) long) is
-// scratch for the residuals, taken row by row in order.
-func medianSquaredResidual(m Model, rows [][]float64, group []int, y, pred, res []float64) float64 {
-	for g, x := range rows {
-		pred[g] = m.Predict(x)
-	}
+// medianSquaredResidual returns the len(y)/2-th smallest squared residual
+// of the predictions against y — what sorting them with sort.Float64s and
+// indexing would, NaNs ordered first. The rows are given as distinctRows
+// groups them, with pred[g] the prediction for distinct row g; res (len(y)
+// long) is scratch for the residuals, taken row by row in order.
+func medianSquaredResidual(pred []float64, group []int, y, res []float64) float64 {
 	nans := 0
 	for i, g := range group {
 		d := pred[g] - y[i]

@@ -407,14 +407,6 @@ func TestQuickLinearStability(t *testing.T) {
 	}
 }
 
-// identity predicts its first feature, so medianSquaredResidual over (X, 0)
-// sees exactly the squares of the values fed in.
-type identity struct{}
-
-func (identity) Name() string                       { return "identity" }
-func (identity) Train([][]float64, []float64) error { return nil }
-func (identity) Predict(x []float64) float64        { return x[0] }
-
 // The quickselect median is the order statistic sorting would index — ties,
 // sorted and reversed runs, infinities and NaNs (which sort.Float64s orders
 // first) included.
@@ -447,8 +439,14 @@ func TestMedianSquaredResidualMatchesSort(t *testing.T) {
 			want[i] = v * v
 		}
 		sort.Float64s(want)
+		// Each distinct row predicts its value, so the median over (X, 0) sees
+		// exactly the squares of the values fed in.
 		rows, group := distinctRows(X)
-		got := medianSquaredResidual(identity{}, rows, group, make([]float64, n), make([]float64, len(rows)), make([]float64, n))
+		pred := make([]float64, len(rows))
+		for g, x := range rows {
+			pred[g] = x[0]
+		}
+		got := medianSquaredResidual(pred, group, make([]float64, n), make([]float64, n))
 		if w := want[n/2]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
 			t.Fatalf("trial %d: median of squares of %v = %v, sort says %v", trial, vals, got, w)
 		}
@@ -464,5 +462,52 @@ func BenchmarkMLPTrain(b *testing.B) {
 		if err := NewMLP(8, 300, 0.05, 42).Train(X, y); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// trainShape is a shallow operator history: 27 rows of 6 features, about
+// what each of tenant_mix's 96 operators has seen by the end of an episode.
+func trainShape() ([][]float64, []float64) { return synth(27, 6, 1, nonlinearFn, 0.3) }
+
+// Least squares and trees train in reused flat scratch, so the allocations
+// of a Train do not grow with its fits or nodes: a LeastMedSq Train with its
+// 40 subsample fits allocates at most 40 times, a Bagging of ten trees at
+// most 700 (16 and 42 with go1.24).
+func TestTrainAllocationCeilings(t *testing.T) {
+	X, y := trainShape()
+	newRand(42)
+	for _, c := range []struct {
+		f       Factory
+		ceiling float64
+	}{
+		{func() Model { return NewLeastMedianSquares(42) }, 40},
+		{func() Model { return NewBagging(10, 42) }, 700},
+	} {
+		if n := testing.AllocsPerRun(20, func() { c.f().Train(X, y) }); n > c.ceiling {
+			t.Errorf("%s Train allocates %v times, want at most %v", c.f().Name(), n, c.ceiling)
+		}
+	}
+}
+
+// BenchmarkTrain is one whole-buffer Train of the least-squares and tree
+// families at trainShape, the profiling handle for their kernels.
+func BenchmarkTrain(b *testing.B) {
+	X, y := trainShape()
+	for _, c := range []struct {
+		name string
+		f    Factory
+	}{
+		{"LeastMedSq", func() Model { return NewLeastMedianSquares(42) }},
+		{"Bagging", func() Model { return NewBagging(10, 42) }},
+		{"Tree", func() Model { return NewTree(8, 2) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.f().Train(X, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

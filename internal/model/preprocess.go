@@ -17,7 +17,13 @@ func fitStandardizer(X [][]float64) *standardizer {
 	}
 	d := len(X[0])
 	s := &standardizer{mean: make([]float64, d), scale: make([]float64, d)}
-	for j := 0; j < d; j++ {
+	s.fit(X)
+	return s
+}
+
+// fit sets s's mean and scale, each as long as X's rows, from X's columns.
+func (s *standardizer) fit(X [][]float64) {
+	for j := range s.mean {
 		m := 0.0
 		for _, row := range X {
 			m += row[j]
@@ -36,7 +42,6 @@ func fitStandardizer(X [][]float64) *standardizer {
 			s.scale[j] = 0 // constant feature: contributes nothing
 		}
 	}
-	return s
 }
 
 // distinctRows groups X's rows by their bits: rows are the distinct rows in

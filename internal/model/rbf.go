@@ -58,15 +58,16 @@ func (m *RBFNetwork) Train(X [][]float64, y []float64) error {
 		}
 	}
 
-	// Design matrix of activations, solved by ridge-stabilised least
+	// The activations are the design rows, solved by ridge-stabilised least
 	// squares.
-	design := make([][]float64, len(Z))
+	var s lsq
+	s.reset(k + 1)
 	for i, z := range Z {
-		design[i] = m.activations(z)
+		s.add(m.activations(z), y[i])
 	}
-	w, err := normalEquations(design, y, 1e-6)
-	if err != nil {
-		return err
+	w := make([]float64, k+1)
+	if !s.solve(1e-6, w) {
+		return errNotPD
 	}
 	m.weights = w
 	return nil

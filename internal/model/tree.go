@@ -9,18 +9,19 @@ import (
 type Tree struct {
 	maxDepth int
 	minLeaf  int
-	root     *treeNode
+	// nodes is the tree, root first, at exact length; a split's children
+	// are adjacent.
+	nodes []treeNode
 	// featureMask, when non-nil, restricts splits to the masked features
 	// (used by the random-subspace ensemble).
 	featureMask []int
 }
 
+// treeNode is a leaf when left is 0; otherwise its children are
+// nodes[left] (feature <= threshold) and nodes[left+1].
 type treeNode struct {
-	feature     int
-	threshold   float64
-	left, right *treeNode
-	value       float64
-	leaf        bool
+	threshold, value float64
+	feature, left    int32
 }
 
 // NewTree returns an untrained regression tree.
@@ -39,47 +40,69 @@ func (t *Tree) Name() string { return "RegressionTree" }
 
 // Train implements Model.
 func (t *Tree) Train(X [][]float64, y []float64) error {
-	dims, err := validate(X, y)
-	if err != nil {
+	if _, err := validate(X, y); err != nil {
 		return err
 	}
-	features := t.featureMask
-	if features == nil {
-		features = make([]int, dims)
-		for i := range features {
-			features[i] = i
-		}
-	}
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
-	t.root = t.build(X, y, idx, features, 0)
+	t.train(new(treeScratch), X, y)
 	return nil
 }
 
-func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int) *treeNode {
-	ys := make([]float64, len(idx))
+// treeScratch is what growing a tree uses and does not keep, sized for the
+// largest tree it has grown; an ensemble's trees share one.
+type treeScratch struct {
+	idx, right, order, all []int
+	ys, vals               []float64
+	rank                   ranks
+	nodes                  []treeNode
+}
+
+// train grows t on the validated (X, y) in s.
+func (t *Tree) train(s *treeScratch, X [][]float64, y []float64) {
+	n, dims := len(X), len(X[0])
+	if len(s.ys) < n {
+		ints, floats := make([]int, 3*n), make([]float64, 2*n)
+		s.idx, s.right, s.order = ints[:n:n], ints[n:2*n:2*n], ints[2*n:]
+		s.ys, s.vals = floats[:n:n], floats[n:]
+	}
+	s.idx = s.idx[:n]
+	for i := range s.idx {
+		s.idx[i] = i
+	}
+	features := t.featureMask
+	if features == nil {
+		for len(s.all) < dims {
+			s.all = append(s.all, len(s.all))
+		}
+		features = s.all[:dims]
+	}
+	s.nodes = append(s.nodes[:0], treeNode{})
+	t.grow(s, X, y, features, 0, 0, n, 0)
+	t.nodes = append(make([]treeNode, 0, len(s.nodes)), s.nodes...)
+}
+
+// grow makes s.nodes[at] the root of the subtree over the rows s.idx[lo:hi],
+// which it partitions in place, stably, between the node's children.
+func (t *Tree) grow(s *treeScratch, X [][]float64, y []float64, features []int, at, lo, hi, depth int) {
+	idx := s.idx[lo:hi]
+	ys := s.ys[:len(idx)]
 	for i, j := range idx {
 		ys[i] = y[j]
 	}
-	node := &treeNode{value: mean(ys), leaf: true}
+	s.nodes[at].value = mean(ys)
 	if depth >= t.maxDepth || len(idx) < 2*t.minLeaf || variance(ys) == 0 {
-		return node
+		return
 	}
 
 	bestVar := math.Inf(1)
 	bestFeature, bestSplit := -1, 0.0
+	s.rank = ranks{s.order[:len(idx)], s.vals[:len(idx)]}
+	order, vals := s.rank.order, s.rank.key
 	for _, f := range features {
-		vals := make([]float64, len(idx))
 		for i, j := range idx {
 			vals[i] = X[j][f]
-		}
-		order := make([]int, len(idx))
-		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		sort.Sort(&s.rank)
 
 		// Incremental variance scan over sorted split positions.
 		var lsum, lsq, rsum, rsq float64
@@ -113,40 +136,54 @@ func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int)
 		}
 	}
 	if bestFeature < 0 {
-		return node
+		return
 	}
 
-	var li, ri []int
+	nl, right := 0, s.right[:0]
 	for _, j := range idx {
 		if X[j][bestFeature] <= bestSplit {
-			li = append(li, j)
+			idx[nl] = j
+			nl++
 		} else {
-			ri = append(ri, j)
+			right = append(right, j)
 		}
 	}
-	if len(li) == 0 || len(ri) == 0 {
-		return node
+	copy(idx[nl:], right)
+	if nl == 0 || nl == len(idx) {
+		return
 	}
-	node.leaf = false
-	node.feature = bestFeature
-	node.threshold = bestSplit
-	node.left = t.build(X, y, li, features, depth+1)
-	node.right = t.build(X, y, ri, features, depth+1)
-	return node
+	left := len(s.nodes)
+	s.nodes = append(s.nodes, treeNode{}, treeNode{})
+	node := &s.nodes[at]
+	node.threshold, node.feature, node.left = bestSplit, int32(bestFeature), int32(left)
+	t.grow(s, X, y, features, left, lo, lo+nl, depth+1)
+	t.grow(s, X, y, features, left+1, lo+nl, hi, depth+1)
 }
+
+// ranks sorts order by key[order[i]], ascending: sort.Sort over it makes the
+// comparisons and swaps sort.Slice makes with the equivalent less function,
+// so ties end in the same order.
+type ranks struct {
+	order []int
+	key   []float64
+}
+
+func (r *ranks) Len() int           { return len(r.order) }
+func (r *ranks) Less(a, b int) bool { return r.key[r.order[a]] < r.key[r.order[b]] }
+func (r *ranks) Swap(a, b int)      { r.order[a], r.order[b] = r.order[b], r.order[a] }
 
 // Predict implements Model.
 func (t *Tree) Predict(x []float64) float64 {
-	n := t.root
-	if n == nil {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	for !n.leaf {
-		if n.feature < len(x) && x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
+	n := &t.nodes[0]
+	for n.left != 0 {
+		next := n.left + 1
+		if int(n.feature) < len(x) && x[n.feature] <= n.threshold {
+			next = n.left
 		}
+		n = &t.nodes[next]
 	}
 	return n.value
 }
@@ -176,17 +213,16 @@ func (b *Bagging) Train(X [][]float64, y []float64) error {
 	}
 	rng := newRand(b.seed)
 	b.trees = b.trees[:0]
+	s := new(treeScratch)
+	bx := make([][]float64, len(X))
+	by := make([]float64, len(y))
 	for i := 0; i < b.n; i++ {
-		bx := make([][]float64, len(X))
-		by := make([]float64, len(y))
 		for j := range bx {
 			k := rng.Intn(len(X))
 			bx[j], by[j] = X[k], y[k]
 		}
 		tr := NewTree(8, 2)
-		if err := tr.Train(bx, by); err != nil {
-			return err
-		}
+		tr.train(s, bx, by)
 		b.trees = append(b.trees, tr)
 	}
 	return nil
@@ -240,13 +276,11 @@ func (r *RandomSubspace) Train(X [][]float64, y []float64) error {
 	}
 	rng := newRand(r.seed)
 	r.trees = r.trees[:0]
+	s := new(treeScratch)
 	for i := 0; i < r.n; i++ {
-		mask := rng.Perm(dims)[:take]
 		tr := NewTree(8, 2)
-		tr.featureMask = mask
-		if err := tr.Train(X, y); err != nil {
-			return err
-		}
+		tr.featureMask = rng.Perm(dims)[:take]
+		tr.train(s, X, y)
 		r.trees = append(r.trees, tr)
 	}
 	return nil
@@ -295,7 +329,7 @@ func (d *Discretized) Train(X [][]float64, y []float64) error {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return y[order[a]] < y[order[b]] })
+	sort.Sort(&ranks{order, y})
 	bins := d.bins
 	if bins > len(y) {
 		bins = len(y)
