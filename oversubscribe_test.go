@@ -21,6 +21,37 @@ import (
 // traces, and the run snapshots in submission order.
 func oversubscribeBatch(t *testing.T, seed int64) ([]byte, [][]trace.Event, []RunSnapshot) {
 	t.Helper()
+	p, runs := oversubscribePlatform(t, seed)
+	var snaps []RunSnapshot
+	var perRun [][]trace.Event
+	for _, r := range runs {
+		if _, _, err := r.Wait(); err != nil {
+			t.Fatalf("%s: %v", r.ID(), err)
+		}
+		perRun = append(perRun, p.TraceForRun(r.ID()))
+		snaps = append(snaps, r.Status())
+	}
+	if got := p.Cluster.ReservedNodes(); got != 0 {
+		t.Fatalf("%d nodes still reserved after drain", got)
+	}
+	if sc, sm := p.Cluster.ReservedSlices(); sc != 0 || sm != 0 {
+		t.Fatalf("slices still reserved after drain: (%d,%d)", sc, sm)
+	}
+	if err := p.Cluster.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := trace.WriteJSONL(&buf, p.TraceEvents()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), perRun, snaps
+}
+
+// oversubscribePlatform builds and drains the oversubscription scenario,
+// returning the platform and its two runs in submission order.
+func oversubscribePlatform(t *testing.T, seed int64) (*Platform, []*Run) {
+	t.Helper()
 	p, err := NewPlatform(Options{
 		Seed:          seed,
 		ClusterNodes:  4,
@@ -52,32 +83,7 @@ func oversubscribeBatch(t *testing.T, seed int64) ([]byte, [][]trace.Event, []Ru
 	})
 
 	p.Drain()
-	runs := []*Run{runA, <-runBCh}
-
-	var snaps []RunSnapshot
-	var perRun [][]trace.Event
-	for _, r := range runs {
-		if _, _, err := r.Wait(); err != nil {
-			t.Fatalf("%s: %v", r.ID(), err)
-		}
-		perRun = append(perRun, p.TraceForRun(r.ID()))
-		snaps = append(snaps, r.Status())
-	}
-	if got := p.Cluster.ReservedNodes(); got != 0 {
-		t.Fatalf("%d nodes still reserved after drain", got)
-	}
-	if sc, sm := p.Cluster.ReservedSlices(); sc != 0 || sm != 0 {
-		t.Fatalf("slices still reserved after drain: (%d,%d)", sc, sm)
-	}
-	if err := p.Cluster.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, p.TraceEvents()); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), perRun, snaps
+	return p, []*Run{runA, <-runBCh}
 }
 
 // TestOversubscriptionOOMRecovery drives the OOM fault loop end to end: the
