@@ -30,11 +30,11 @@ staticcheck:
 shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
-# cover enforces the statement-coverage floor on the scheduling core and the
-# model fit: the scheduler, cluster, agent, model and profiler packages must
-# stay at or above 85%.
+# cover enforces the statement-coverage floor on the scheduling core, the
+# model fit and the trace path: the scheduler, cluster, agent, model, profiler
+# and trace packages must stay at or above 85%.
 cover:
-	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/agent/ ./internal/model/ ./internal/profiler/; do \
+	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/agent/ ./internal/model/ ./internal/profiler/ ./internal/trace/; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "$$pkg: no coverage reported"; exit 1; fi; \
 		ok=$$(awk -v p="$$pct" 'BEGIN{print (p >= 85) ? 1 : 0}'); \
@@ -56,7 +56,7 @@ reach:
 
 # ci is the gate a PR must pass: formatting, static analysis, the full test
 # suite under the race detector plus a shuffled double pass, the coverage
-# floor on the scheduling core and the model fit, and no unreachable internal
+# floor on the scheduling core, the model fit and the trace path, and no unreachable internal
 # package.
 ci: fmt vet staticcheck race shuffle cover reach
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -231,8 +232,8 @@ func TestFIFOBatchMatchesSolo(t *testing.T) {
 	}
 }
 
-// Concurrent Submit, Cancel, InjectFaults, metrics scrapes and status polls
-// against one platform must be race-free (run with -race) and drain to
+// Concurrent Submit, Cancel, InjectFaults, Plan, metrics scrapes (through the
+// drain too) and status polls against one platform must be race-free (run with -race) and drain to
 // terminal states with no leaked reservations or containers.
 func TestPlatformConcurrentAPIRace(t *testing.T) {
 	p, err := NewPlatform(Options{
@@ -268,7 +269,8 @@ func TestPlatformConcurrentAPIRace(t *testing.T) {
 			}
 		}()
 	}
-	wg.Add(2)
+	planned := singleAlgoWorkflow(t, p, concAlgos[1], 30_000)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
@@ -290,8 +292,34 @@ func TestPlatformConcurrentAPIRace(t *testing.T) {
 			p.TraceEvents()
 		}
 	}()
+	go func() {
+		// A plan emits its events under the planner's lock, and a scrape
+		// reads the planner's counters through that lock.
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if _, err := p.Plan(planned); err != nil {
+				t.Errorf("Plan: %v", err)
+			}
+		}
+	}()
 	wg.Wait()
+	drained, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-drained:
+				return
+			default:
+			}
+			if err := p.Metrics().WritePrometheus(io.Discard); err != nil {
+				t.Errorf("WritePrometheus: %v", err)
+			}
+		}
+	}()
 	p.Drain()
+	close(drained)
+	<-scraped
 
 	mu.Lock()
 	defer mu.Unlock()

@@ -2,27 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"github.com/asap-project/ires/internal/musqle"
 	"github.com/asap-project/ires/internal/sqldata"
-	"github.com/asap-project/ires/internal/trace"
-)
-
-// The MuSQLE figures keep their measurement bookkeeping in a trace.Registry
-// rather than ad-hoc accumulators: each figure records observations under
-// stable metric names and derives its report series from the registry, so
-// the same numbers are one WritePrometheus call away from any exposition
-// surface.
-const (
-	musqleOptSecondsMetric  = "musqle_opt_seconds"
-	musqleExecEstSecMetric  = "musqle_exec_est_seconds"
-	musqleExecTriedMetric   = "musqle_exec_attempted"
-	musqleExecFailedMetric  = "musqle_exec_failed"
-	musqleExecWinsMetric    = "musqle_exec_wins_total"
-	musqleExecQueriesMetric = "musqle_exec_queries_total"
-	musqleCorrectMetric     = "musqle_correct_total"
-	musqleSimSecondsMetric  = "musqle_sim_seconds"
 )
 
 // MusqleOptTime reproduces MuSQLE Fig 4: optimization time vs query size
@@ -35,8 +17,6 @@ func MusqleOptTime(seed int64, reps int) (*Report, error) {
 	reg := musqle.DefaultRegistry()
 	opt := musqle.NewOptimizer(cat, reg)
 
-	metrics := trace.NewRegistry()
-	metrics.Help(musqleOptSecondsMetric, "MuSQLE optimization time per query size")
 	r := &Report{
 		ID:     "MQ-F4",
 		Title:  "MuSQLE optimization time vs query size (3 engines)",
@@ -45,7 +25,7 @@ func MusqleOptTime(seed int64, reps int) (*Report, error) {
 	}
 	var pts []Point
 	for n := 2; n <= 7; n++ {
-		labels := map[string]string{"tables": strconv.Itoa(n)}
+		total := 0.0
 		for rep := 0; rep < reps; rep++ {
 			q, err := musqle.GenerateQuery(cat, n, rep%2 == 0, seed+int64(n*100+rep))
 			if err != nil {
@@ -55,11 +35,9 @@ func MusqleOptTime(seed int64, reps int) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("opt %d tables: %w", n, err)
 			}
-			metrics.Observe(musqleOptSecondsMetric, labels, plan.OptimizationTime.Seconds())
+			total += plan.OptimizationTime.Seconds()
 		}
-		mean := metrics.HistogramSum(musqleOptSecondsMetric, labels) /
-			metrics.HistogramCount(musqleOptSecondsMetric, labels)
-		pts = append(pts, Point{X: float64(n), Y: mean})
+		pts = append(pts, Point{X: float64(n), Y: total / float64(reps)})
 	}
 	r.AddSeries("3 engines", pts...)
 	return r, nil
@@ -68,8 +46,6 @@ func MusqleOptTime(seed int64, reps int) (*Report, error) {
 // MusqleEngineScaling reproduces MuSQLE Fig 5: optimization time vs query
 // size for 2-6 synthetic engine APIs.
 func MusqleEngineScaling(seed int64, reps int) (*Report, error) {
-	metrics := trace.NewRegistry()
-	metrics.Help(musqleOptSecondsMetric, "MuSQLE optimization time per engine count and query size")
 	r := &Report{
 		ID:     "MQ-F5",
 		Title:  "MuSQLE optimization time vs engine count (synthetic APIs)",
@@ -90,10 +66,7 @@ func MusqleEngineScaling(seed int64, reps int) (*Report, error) {
 		opt := musqle.NewOptimizer(cat, reg)
 		var pts []Point
 		for n := 2; n <= 7; n++ {
-			labels := map[string]string{
-				"engines": strconv.Itoa(engines),
-				"tables":  strconv.Itoa(n),
-			}
+			total := 0.0
 			for rep := 0; rep < reps; rep++ {
 				q, err := musqle.GenerateQuery(cat, n, false, seed+int64(n*100+rep))
 				if err != nil {
@@ -103,11 +76,9 @@ func MusqleEngineScaling(seed int64, reps int) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				metrics.Observe(musqleOptSecondsMetric, labels, plan.OptimizationTime.Seconds())
+				total += plan.OptimizationTime.Seconds()
 			}
-			mean := metrics.HistogramSum(musqleOptSecondsMetric, labels) /
-				metrics.HistogramCount(musqleOptSecondsMetric, labels)
-			pts = append(pts, Point{X: float64(n), Y: mean})
+			pts = append(pts, Point{X: float64(n), Y: total / float64(reps)})
 		}
 		r.AddSeries(fmt.Sprintf("%d engines", engines), pts...)
 	}
@@ -142,57 +113,40 @@ func MusqleExec(seed int64, statSF float64) (*Report, error) {
 		XLabel: "query",
 		YLabel: "estimated execution time (s)",
 	}
-	metrics := trace.NewRegistry()
-	metrics.Help(musqleExecEstSecMetric, "estimated execution seconds per query and planner series")
-	metrics.Help(musqleExecWinsMetric, "queries where the multi-engine plan beats the best single engine by >5%")
+	// One point per query a series attempted or failed; queries whose MuSQLE
+	// plan failed are never tried on the single engines.
 	labels := append([]string{"MuSQLE"}, reg.Names()...)
-	qLabel := func(series string, qi int) map[string]string {
-		return map[string]string{"series": series, "query": strconv.Itoa(qi)}
-	}
+	pts := make(map[string][]Point, len(labels))
+	wins := 0
 	for qi, q := range queries {
-		metrics.Inc(musqleExecQueriesMetric, nil, 1)
+		x := float64(qi)
 		multi, err := opt.Optimize(q)
 		if err != nil {
-			metrics.Set(musqleExecFailedMetric, qLabel("MuSQLE", qi), 1)
+			pts["MuSQLE"] = append(pts["MuSQLE"], Point{X: x, Failed: true})
 			continue
 		}
-		metrics.Set(musqleExecTriedMetric, qLabel("MuSQLE", qi), 1)
-		metrics.Set(musqleExecEstSecMetric, qLabel("MuSQLE", qi), multi.EstSec)
+		pts["MuSQLE"] = append(pts["MuSQLE"], Point{X: x, Y: multi.EstSec})
 		bestSingle := 0.0
 		anySingle := false
 		for _, e := range reg.Names() {
 			forced, err := opt.OptimizeOn(q, e)
 			if err != nil {
-				metrics.Set(musqleExecFailedMetric, qLabel(e, qi), 1)
+				pts[e] = append(pts[e], Point{X: x, Failed: true})
 				continue
 			}
-			metrics.Set(musqleExecTriedMetric, qLabel(e, qi), 1)
-			metrics.Set(musqleExecEstSecMetric, qLabel(e, qi), forced.EstSec)
+			pts[e] = append(pts[e], Point{X: x, Y: forced.EstSec})
 			if !anySingle || forced.EstSec < bestSingle {
 				bestSingle, anySingle = forced.EstSec, true
 			}
 		}
 		if anySingle && multi.EstSec < bestSingle*0.95 {
-			metrics.Inc(musqleExecWinsMetric, nil, 1)
+			wins++
 		}
 	}
-	// Derive the report series from the registry: one point per query a
-	// series attempted or failed; queries never reached (the MuSQLE plan
-	// itself failed) stay absent, matching the pre-registry bookkeeping.
 	for _, l := range labels {
-		var pts []Point
-		for qi := range queries {
-			switch {
-			case metrics.Value(musqleExecFailedMetric, qLabel(l, qi)) > 0:
-				pts = append(pts, Point{X: float64(qi), Failed: true})
-			case metrics.Value(musqleExecTriedMetric, qLabel(l, qi)) > 0:
-				pts = append(pts, Point{X: float64(qi), Y: metrics.Value(musqleExecEstSecMetric, qLabel(l, qi))})
-			}
-		}
-		r.Series = append(r.Series, Series{Label: l, Points: pts})
+		r.Series = append(r.Series, Series{Label: l, Points: pts[l]})
 	}
-	r.Note("MuSQLE beats the best single engine by >5%% on %.0f of %.0f queries",
-		metrics.Value(musqleExecWinsMetric, nil), metrics.Value(musqleExecQueriesMetric, nil))
+	r.Note("MuSQLE beats the best single engine by >5%% on %d of %d queries", wins, len(queries))
 	return r, nil
 }
 
@@ -212,14 +166,12 @@ func MusqleCorrectness(seed int64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	metrics := trace.NewRegistry()
-	metrics.Help(musqleCorrectMetric, "multi-engine executions verified against the reference executor")
-	metrics.Help(musqleSimSecondsMetric, "simulated execution seconds across the workload")
 	r := &Report{ID: "MQ-CORRECT", Title: "MuSQLE multi-engine execution correctness (vs reference joins)"}
 	table := Table{
 		Title:  "18-query workload, physical execution",
 		Header: []string{"query", "tables", "rows", "sim time (s)", "engines", "correct"},
 	}
+	fails := 0
 	for qi, q := range queries {
 		plan, err := opt.Optimize(q)
 		if err != nil {
@@ -234,12 +186,6 @@ func MusqleCorrectness(seed int64) (*Report, error) {
 			return nil, fmt.Errorf("Q%d ref: %w", qi, err)
 		}
 		ok := res.Table.NumRows() == want.NumRows()
-		verdict := "pass"
-		if !ok {
-			verdict = "fail"
-		}
-		metrics.Inc(musqleCorrectMetric, map[string]string{"result": verdict}, 1)
-		metrics.Observe(musqleSimSecondsMetric, nil, res.SimSec)
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("Q%d", qi),
 			fmt.Sprintf("%d", len(q.Tables)),
@@ -249,13 +195,13 @@ func MusqleCorrectness(seed int64) (*Report, error) {
 			fmt.Sprintf("%v", ok),
 		})
 		if !ok {
+			fails++
 			r.Note("Q%d row-count mismatch: got %d want %d", qi, res.Table.NumRows(), want.NumRows())
 		}
 	}
 	r.Tables = append(r.Tables, table)
-	if fails := metrics.Value(musqleCorrectMetric, map[string]string{"result": "fail"}); fails > 0 {
-		r.Note("%.0f of %.0f queries failed verification", fails,
-			metrics.Value(musqleCorrectMetric, map[string]string{"result": "pass"})+fails)
+	if fails > 0 {
+		r.Note("%d of %d queries failed verification", fails, len(queries))
 	}
 	return r, nil
 }

@@ -269,12 +269,6 @@ func (p *Planner) ensureCacheValidLocked() {
 	evicted := p.evictLocked()
 	p.cache.partials += uint64(events)
 	p.cache.evicted += uint64(evicted)
-	if p.cfg.Metrics != nil {
-		p.cfg.Metrics.Inc(MetricPartialInvalidations, nil, float64(events))
-		if evicted > 0 {
-			p.cfg.Metrics.Inc(MetricEvictedEntries, nil, float64(evicted))
-		}
-	}
 }
 
 // evictLocked removes every node result on the p.evict stack plus everything

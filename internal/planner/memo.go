@@ -302,27 +302,11 @@ func (p *Planner) flushLocked() {
 }
 
 // recordBuildLocked folds one build's cache counters into the cumulative
-// stats and the metrics registry.
+// stats.
 func (p *Planner) recordBuildLocked(stats *dpStats) {
 	p.cache.hits += uint64(stats.cacheHits)
 	p.cache.misses += uint64(stats.cacheMisses)
-	if p.cfg.Metrics != nil {
-		p.cfg.Metrics.Inc(MetricCacheHits, nil, float64(stats.cacheHits))
-		p.cfg.Metrics.Inc(MetricCacheMisses, nil, float64(stats.cacheMisses))
-		p.cfg.Metrics.Set(MetricEpoch, nil, float64(p.cache.epoch))
-	}
 }
-
-// Metric names the planner reports through Config.Metrics. They are the
-// Prometheus spellings of the planner cache counters; none of them are
-// trace-event fields, which must stay byte-identical warm vs cold.
-const (
-	MetricCacheHits            = "ires_planner_cache_hits_total"
-	MetricCacheMisses          = "ires_planner_cache_misses_total"
-	MetricEpoch                = "ires_planner_epoch"
-	MetricPartialInvalidations = "ires_planner_partial_invalidations_total"
-	MetricEvictedEntries       = "ires_planner_evicted_entries_total"
-)
 
 // leafEntryLocked returns the (memoized) zero-cost entry for a materialized
 // source dataset. Datasets stay mutable (sizes are set after construction),

@@ -210,53 +210,6 @@ type=SequenceFile
 	}
 }
 
-// TestCacheMetricsAgree asserts the satellite contract: the registry's
-// ires_planner_cache_* series must agree exactly with CacheStats (which
-// itself accumulates the per-build dpStats), and the counters must appear
-// in the Prometheus exposition. Cache counters must NOT leak into trace
-// events, which have to stay byte-identical warm vs cold.
-func TestCacheMetricsAgree(t *testing.T) {
-	reg := trace.NewRegistry()
-	rec := trace.NewRecorder(0)
-	p := newPlanner(t, textLib(t), textEstimator(), func(c *Config) {
-		c.Metrics = reg
-		c.Tracer = rec
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := p.Plan(textWorkflow(t, 1000)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cs := p.CacheStats()
-	if cs.Hits == 0 || cs.Misses == 0 {
-		t.Fatalf("expected both hits and misses after 3 builds: %+v", cs)
-	}
-	if got := reg.Value(MetricCacheHits, nil); got != float64(cs.Hits) {
-		t.Fatalf("%s=%v, CacheStats.Hits=%d", MetricCacheHits, got, cs.Hits)
-	}
-	if got := reg.Value(MetricCacheMisses, nil); got != float64(cs.Misses) {
-		t.Fatalf("%s=%v, CacheStats.Misses=%d", MetricCacheMisses, got, cs.Misses)
-	}
-	if got := reg.Value(MetricEpoch, nil); got != float64(cs.Epoch) {
-		t.Fatalf("%s=%v, CacheStats.Epoch=%d", MetricEpoch, got, cs.Epoch)
-	}
-	var prom bytes.Buffer
-	reg.WritePrometheus(&prom)
-	for _, name := range []string{MetricCacheHits, MetricCacheMisses, MetricEpoch} {
-		if !bytes.Contains(prom.Bytes(), []byte(name)) {
-			t.Fatalf("Prometheus exposition missing %s:\n%s", name, prom.String())
-		}
-	}
-	// No cache counter may appear in trace-event fields.
-	for _, ev := range rec.Events() {
-		for _, k := range []string{"cacheHits", "cacheMisses"} {
-			if _, ok := ev.Fields[k]; ok {
-				t.Fatalf("trace event %s carries cache counter %q", ev.Type, k)
-			}
-		}
-	}
-}
-
 // TestEpochInvalidation covers every external invalidation channel. The
 // untyped Epoch hook must still flush wholesale (epoch bump, next build
 // all-miss); library mutations and availability flips are typed and must

@@ -107,12 +107,6 @@ type Config struct {
 	// the library change listener, which evict only the dependent cache
 	// entries. See invalidate.go.
 	Epoch func() uint64
-	// Metrics receives the planner cache counters (MetricCacheHits,
-	// MetricCacheMisses, MetricEpoch, MetricPartialInvalidations,
-	// MetricEvictedEntries); nil discards them. Cache counters are
-	// deliberately not trace-event fields: warm and cold builds must emit
-	// byte-identical traces.
-	Metrics *trace.Registry
 }
 
 // Planner computes optimal materialized plans for abstract workflows.
@@ -192,7 +186,7 @@ func (p *Planner) emit(ev trace.Event) {
 }
 
 // dpStats aggregates what one buildTable pass did, for plan.finish events.
-// cacheHits/cacheMisses feed the metrics registry and CacheStats only —
+// cacheHits/cacheMisses feed CacheStats (which /metrics reads) only —
 // never trace-event fields, which must stay byte-identical warm vs cold.
 type dpStats struct {
 	candidatesTried int // (operator, materialization) pairs attempted

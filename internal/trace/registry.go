@@ -3,343 +3,241 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// Registry is a lock-protected counter/gauge/histogram store with a
-// Prometheus-style text exposition. Series are identified by metric name plus
-// a sorted label set; all mutators are safe for concurrent use.
+// Registry holds the platform's metric series, one family per metric the
+// declaration table (metrics.go) lists, and renders them as a Prometheus
+// text exposition. Its Recorder is its only writer; the counters other
+// components own reach it through Collectors, read each time the registry is
+// read. It is safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	kinds   map[string]string  // metric name -> "counter" | "gauge" | "histogram"
-	help    map[string]string  // metric name -> HELP line
-	series  map[string]float64 // full series key -> value
-	ordered []string           // series keys in first-seen order (resorted on write)
-
-	buckets map[string][]float64   // histogram metric name -> upper bounds
-	hists   map[string]*histSeries // full series key -> histogram state
-	hOrder  []string               // histogram series keys in first-seen order
+	mu sync.Mutex
+	// series holds each declared metric's event-derived series (index-aligned
+	// with metrics) by label value, "" when the metric is unlabeled.
+	series     []map[string]*series
+	collectors []Collector
 }
 
-// histSeries is the state of one histogram series: cumulative-style bucket
-// counts are derived at exposition time from the per-bucket tallies here.
-type histSeries struct {
-	counts []float64 // one per bucket bound, plus the +Inf overflow at the end
-	sum    float64
-	count  float64
+// series is one counter, gauge or histogram series.
+type series struct {
+	key    string    // `name{label="value"}`, the exposition form
+	val    float64   // a counter's or gauge's value; a histogram's sum
+	count  float64   // histogram observations
+	counts []float64 // histogram tallies, one per bound, then +Inf
 }
 
-// DefBuckets are the default histogram bounds (virtual seconds): roughly
-// exponential from sub-second operator attempts to hour-long workflows.
-// Fixed at compile time so expositions are deterministic across runs.
-var DefBuckets = []float64{0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600, 1800, 3600}
+// Collector reports the current values of counters another component owns:
+// it calls put once per series of a collected metric, label values in the
+// metric's declared order. The registry runs its collectors each time it is
+// read, outside its own lock, so a collector may take the owner's locks even
+// where the owner emits events while holding them.
+type Collector func(put func(name string, v float64, labels ...string))
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		kinds:   make(map[string]string),
-		help:    make(map[string]string),
-		series:  make(map[string]float64),
-		buckets: make(map[string][]float64),
-		hists:   make(map[string]*histSeries),
+func newRegistry() *Registry {
+	r := &Registry{series: make([]map[string]*series, len(metrics))}
+	for i := range r.series {
+		r.series[i] = make(map[string]*series)
+	}
+	return r
+}
+
+// AddCollector makes c part of every read of the registry.
+func (r *Registry) AddCollector(c Collector) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.collectors = append(r.collectors, c)
+}
+
+// fold updates every series ev feeds. A series is found by its label value
+// and created on first touch, so a warmed registry allocates nothing here.
+func (r *Registry) fold(ev Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, rt := range everyEvent {
+		r.apply(rt, ev)
+	}
+	for _, rt := range routes[ev.Type] {
+		r.apply(rt, ev)
 	}
 }
 
-// seriesKey renders `name{k1="v1",k2="v2"}` with sorted label keys, which is
-// also the exposition form.
-func seriesKey(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
+// apply folds ev into the series one feed updates; r.mu is held.
+func (r *Registry) apply(rt route, ev Event) {
+	v, ok := 1.0, true
+	if rt.f.value != nil {
+		if v, ok = rt.f.value(ev); !ok {
+			return
 		}
-		fmt.Fprintf(&b, "%s=%q", k, labels[k])
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-func (r *Registry) declare(name, kind string) {
-	if _, ok := r.kinds[name]; !ok {
-		r.kinds[name] = kind
+	label := ""
+	if rt.f.label != nil {
+		label = rt.f.label(ev)
 	}
-}
-
-// Help attaches a HELP line to a metric name.
-func (r *Registry) Help(name, text string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.help[name] = text
-}
-
-// Inc adds delta to a counter series (creating it at zero).
-func (r *Registry) Inc(name string, labels map[string]string, delta float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declare(name, "counter")
-	key := seriesKey(name, labels)
-	if _, ok := r.series[key]; !ok {
-		r.ordered = append(r.ordered, key)
+	m, s := &metrics[rt.m], r.series[rt.m][label]
+	if rt.f.keepMax {
+		cur := 0.0
+		if s != nil {
+			cur = s.val
+		}
+		if v <= cur {
+			return
+		}
 	}
-	r.series[key] += delta
-}
-
-// Add adds delta to a gauge series (delta may be negative).
-func (r *Registry) Add(name string, labels map[string]string, delta float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declare(name, "gauge")
-	key := seriesKey(name, labels)
-	if _, ok := r.series[key]; !ok {
-		r.ordered = append(r.ordered, key)
+	if s == nil {
+		s = &series{key: seriesName(m, label)}
+		if m.kind == histogram {
+			s.counts = make([]float64, len(m.bounds)+1)
+		}
+		r.series[rt.m][label] = s
 	}
-	r.series[key] += delta
-}
-
-// Set sets a gauge series to v.
-func (r *Registry) Set(name string, labels map[string]string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declare(name, "gauge")
-	key := seriesKey(name, labels)
-	if _, ok := r.series[key]; !ok {
-		r.ordered = append(r.ordered, key)
-	}
-	r.series[key] = v
-}
-
-// DeclareHistogram registers a histogram metric with explicit upper bounds.
-// Bounds must be sorted ascending; an implicit +Inf bucket is always added.
-// Declaring twice keeps the first bound set (so expositions stay stable).
-func (r *Registry) DeclareHistogram(name string, bounds []float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declare(name, "histogram")
-	if _, ok := r.buckets[name]; !ok {
-		r.buckets[name] = append([]float64(nil), bounds...)
+	switch {
+	case rt.f.keepMax:
+		s.val = v
+	case m.kind == histogram:
+		s.observe(m.bounds, v)
+	default:
+		s.val += v
 	}
 }
 
-// Observe records one observation into a histogram series, creating the
-// series (with DefBuckets unless DeclareHistogram set explicit bounds) on
-// first use.
-func (r *Registry) Observe(name string, labels map[string]string, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.declare(name, "histogram")
-	bounds, ok := r.buckets[name]
-	if !ok {
-		bounds = DefBuckets
-		r.buckets[name] = bounds
-	}
-	key := seriesKey(name, labels)
-	h, ok := r.hists[key]
-	if !ok {
-		h = &histSeries{counts: make([]float64, len(bounds)+1)}
-		r.hists[key] = h
-		r.hOrder = append(r.hOrder, key)
-	}
-	idx := len(bounds) // +Inf overflow slot
-	for i, b := range bounds {
+// observe records v in the first bucket whose bound is >= v, or in the +Inf
+// overflow past the last.
+func (s *series) observe(bounds []float64, v float64) {
+	i := len(bounds)
+	for j, b := range bounds {
 		if v <= b {
-			idx = i
+			i = j
 			break
 		}
 	}
-	h.counts[idx]++
-	h.sum += v
-	h.count++
+	s.counts[i]++
+	s.val += v
+	s.count++
 }
 
-// HistogramCount returns the observation count of one histogram series.
-func (r *Registry) HistogramCount(name string, labels map[string]string) float64 {
+// read returns the current series of every declared metric, index-aligned
+// with metrics and sorted by key: the collectors' values, taken before the
+// lock, then copies of the event-derived series.
+func (r *Registry) read() [][]series {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[seriesKey(name, labels)]; ok {
-		return h.count
+	collectors := r.collectors
+	r.mu.Unlock()
+	out := make([][]series, len(metrics))
+	put := func(name string, v float64, labels ...string) {
+		i, ok := metricIndex[name]
+		if !ok || metrics[i].feeds != nil || len(labels) != len(metrics[i].labels) {
+			panic(fmt.Sprintf("trace: %s%q is not a series of a collected metric", name, labels))
+		}
+		out[i] = append(out[i], series{key: seriesName(&metrics[i], labels...), val: v})
 	}
-	return 0
-}
-
-// HistogramSum returns the sum of observations of one histogram series.
-func (r *Registry) HistogramSum(name string, labels map[string]string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[seriesKey(name, labels)]; ok {
-		return h.sum
+	for _, c := range collectors {
+		c(put)
 	}
-	return 0
-}
-
-// HistogramTotals sums count and sum across every label set of a histogram
-// metric name (the histogram analogue of Sum).
-func (r *Registry) HistogramTotals(name string) (count, sum float64) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for key, h := range r.hists {
-		if key == name || strings.HasPrefix(key, name+"{") {
-			count += h.count
-			sum += h.sum
+	for i, byLabel := range r.series {
+		for _, s := range byLabel {
+			cp := *s
+			cp.counts = slices.Clone(s.counts)
+			out[i] = append(out[i], cp)
 		}
 	}
-	return count, sum
+	r.mu.Unlock()
+	for _, rows := range out {
+		sort.Slice(rows, func(a, b int) bool { return rows[a].key < rows[b].key })
+	}
+	return out
+}
+
+// seriesOf reads the current series of one metric (none when undeclared).
+func (r *Registry) seriesOf(name string) []series {
+	if i, ok := metricIndex[name]; ok {
+		return r.read()[i]
+	}
+	return nil
 }
 
 // Value reads one series (zero when absent).
 func (r *Registry) Value(name string, labels map[string]string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.series[seriesKey(name, labels)]
+	key := seriesKey(name, labels)
+	for _, s := range r.seriesOf(name) {
+		if s.key == key {
+			return s.val
+		}
+	}
+	return 0
 }
 
-// Sum adds up every series of a metric name across label sets.
+// Sum adds up every series of a metric across label sets.
 func (r *Registry) Sum(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	total := 0.0
-	for key, v := range r.series {
-		if key == name || strings.HasPrefix(key, name+"{") {
-			total += v
-		}
+	for _, s := range r.seriesOf(name) {
+		total += s.val
 	}
 	return total
 }
 
-// metricOf strips the label block off a series key.
-func metricOf(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
+// HistogramTotals sums count and sum across every label set of a histogram
+// metric (the histogram analogue of Sum).
+func (r *Registry) HistogramTotals(name string) (count, sum float64) {
+	for _, s := range r.seriesOf(name) {
+		count += s.count
+		sum += s.val
 	}
-	return key
+	return count, sum
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format, metrics sorted by name and series sorted within each metric, so
-// the output is deterministic.
+// format: metrics sorted by name, series by label set, so the output is
+// deterministic. A metric with no series yet is left out.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	keys := make([]string, len(r.ordered))
-	copy(keys, r.ordered)
-	sort.Strings(keys)
-	type row struct {
-		key string
-		val float64
-	}
-	byMetric := make(map[string][]row)
-	var metricNames []string
-	for _, key := range keys {
-		m := metricOf(key)
-		if _, ok := byMetric[m]; !ok {
-			metricNames = append(metricNames, m)
+	var b strings.Builder
+	for i, rows := range r.read() {
+		if len(rows) == 0 {
+			continue
 		}
-		byMetric[m] = append(byMetric[m], row{key, r.series[key]})
-	}
-	hKeys := make([]string, len(r.hOrder))
-	copy(hKeys, r.hOrder)
-	sort.Strings(hKeys)
-	type hrow struct {
-		key    string
-		bounds []float64
-		counts []float64
-		sum    float64
-		count  float64
-	}
-	histByMetric := make(map[string][]hrow)
-	for _, key := range hKeys {
-		m := metricOf(key)
-		if _, ok := histByMetric[m]; !ok {
-			if _, seen := byMetric[m]; !seen {
-				metricNames = append(metricNames, m)
-			}
+		m := &metrics[i]
+		if m.help != "" {
+			fmt.Fprintf(&b, "# HELP %s %s\n", m.name, m.help)
 		}
-		h := r.hists[key]
-		histByMetric[m] = append(histByMetric[m], hrow{
-			key:    key,
-			bounds: r.buckets[m],
-			counts: append([]float64(nil), h.counts...),
-			sum:    h.sum,
-			count:  h.count,
-		})
-	}
-	kinds := make(map[string]string, len(r.kinds))
-	for k, v := range r.kinds {
-		kinds[k] = v
-	}
-	help := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		help[k] = v
-	}
-	r.mu.Unlock()
-
-	sort.Strings(metricNames)
-	for _, m := range metricNames {
-		if h := help[m]; h != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m, h); err != nil {
-				return err
-			}
-		}
-		kind := kinds[m]
-		if kind == "" {
-			kind = "untyped"
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m, kind); err != nil {
-			return err
-		}
-		for _, rw := range byMetric[m] {
-			if _, err := fmt.Fprintf(w, "%s %s\n", rw.key, formatValue(rw.val)); err != nil {
-				return err
-			}
-		}
-		for _, hr := range histByMetric[m] {
-			if err := writeHistogram(w, m, hr.key, hr.bounds, hr.counts, hr.sum, hr.count); err != nil {
-				return err
+		fmt.Fprintf(&b, "# TYPE %s %s\n", m.name, m.kind)
+		for _, s := range rows {
+			if m.kind == histogram {
+				writeHistogram(&b, m.name, s.key, m.bounds, s.counts, s.val, s.count)
+			} else {
+				fmt.Fprintf(&b, "%s %s\n", s.key, formatValue(s.val))
 			}
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // writeHistogram renders one histogram series in the cumulative-bucket
 // Prometheus form: name_bucket{...,le="b"} lines (ending at le="+Inf"),
 // then name_sum and name_count.
-func writeHistogram(w io.Writer, metric, key string, bounds, counts []float64, sum, count float64) error {
+func writeHistogram(b *strings.Builder, metric, key string, bounds, counts []float64, sum, count float64) {
 	labels := ""
 	if i := strings.IndexByte(key, '{'); i >= 0 {
 		labels = strings.TrimSuffix(key[i+1:], "}") + ","
 	}
 	cum := 0.0
-	for i, b := range bounds {
+	for i, bound := range bounds {
 		cum += counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %s\n", metric, labels, formatValue(b), formatValue(cum)); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket{%sle=%q} %s\n", metric, labels, formatValue(bound), formatValue(cum))
 	}
 	cum += counts[len(bounds)]
-	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %s\n", metric, labels, formatValue(cum)); err != nil {
-		return err
-	}
+	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %s\n", metric, labels, formatValue(cum))
 	suffix := ""
 	if labels != "" {
 		suffix = "{" + strings.TrimSuffix(labels, ",") + "}"
 	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", metric, suffix, formatValue(sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %s\n", metric, suffix, formatValue(count))
-	return err
+	fmt.Fprintf(b, "%s_sum%s %s\n", metric, suffix, formatValue(sum))
+	fmt.Fprintf(b, "%s_count%s %s\n", metric, suffix, formatValue(count))
 }
 
 // formatValue renders integers without an exponent and everything else with
@@ -349,4 +247,39 @@ func formatValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// seriesName renders one series of m in the exposition form
+// `name{l1="v1",l2="v2"}`, values in declared label order.
+func seriesName(m *metric, values ...string) string {
+	if len(m.labels) == 0 {
+		return m.name
+	}
+	var b strings.Builder
+	b.WriteString(m.name)
+	b.WriteByte('{')
+	for i, l := range m.labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(l)
+		b.WriteByte('=')
+		b.WriteString(strconv.Quote(values[i]))
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// seriesKey renders a reader's label set in the same form, names sorted.
+func seriesKey(name string, labels map[string]string) string {
+	m := metric{name: name}
+	for k := range labels {
+		m.labels = append(m.labels, k)
+	}
+	sort.Strings(m.labels)
+	values := make([]string, len(m.labels))
+	for i, k := range m.labels {
+		values[i] = labels[k]
+	}
+	return seriesName(&m, values...)
 }

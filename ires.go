@@ -100,7 +100,7 @@ type (
 	TraceEventType = trace.EventType
 	// Tracer receives structured events from every platform layer.
 	Tracer = trace.Tracer
-	// MetricsRegistry is the platform's counter/gauge registry.
+	// MetricsRegistry is the platform's metrics registry (see Metrics).
 	MetricsRegistry = trace.Registry
 	// Run is the handle of one submitted workflow (see Submit).
 	Run = scheduler.Run
@@ -300,16 +300,6 @@ type Platform struct {
 
 	recorder *trace.Recorder
 	tracer   trace.Tracer
-
-	// refineMu guards refinePublished, fitWallPublished, fitBusyPublished,
-	// droppedPublished and pollsPublished: the profiler refinement counters
-	// and fit times, the recorder's dropped-event count and the monitor's poll
-	// outcomes already folded into the registry by Metrics.
-	refineMu                           sync.Mutex
-	refinePublished                    profiler.RefinementStats
-	fitWallPublished, fitBusyPublished time.Duration
-	droppedPublished                   int64
-	pollsPublished                     cluster.PollStats
 }
 
 // NewPlatform builds a platform with the default engine deployment.
@@ -356,12 +346,12 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Tracer:          p.tracer,
 		Now:             p.Clock.Now,
 		Epoch:           p.plannerEpoch,
-		Metrics:         p.recorder.Registry(),
 	})
 	if err != nil {
 		return nil, err
 	}
 	p.planner = pl
+	p.recorder.Registry().AddCollector(p.collectMetrics)
 	// Typed invalidation wiring: breaker transitions and profiler retrains
 	// evict only the planner-cache entries that depend on the flapped engine
 	// or retrained operator (invalidate.go) instead of flushing wholesale.
@@ -875,52 +865,40 @@ func (p *Platform) BlacklistedEngines() []string {
 	return p.breaker.Tripped()
 }
 
-// Metrics exposes the platform's counter/gauge registry, fed by the
-// built-in trace recorder (attempts, retries, speculation, breaker trips,
-// replans, fault injections, container churn, virtual time). The profiler's
-// refinement counters (ires_profiler_*_total) are folded in here, on read, so
-// that Observe stays off the registry's lock; observations over fits is the
-// coalescing factor of the deferred model fits, cv_cells trained over
-// trained + skipped the share of the cross-validation grid the bounded
-// selection trains, selection_wins which family wins which learned target
-// (execTime, outputBytes, outputRecords: cost is derived, never selected); the
-// fits' wall-clock seconds, fit_busy over fit_wall x GOMAXPROCS the share of
-// the workers their jobs kept busy. So is ires_trace_dropped_total, the events that aged out of the recorder's
-// window: once it is non-zero, TraceEvents and TraceForRun return a cut log.
-// And ires_monitor_polls_total by outcome: idle polls re-read nothing,
-// refreshed ones re-read a report or the engine list and found every status
-// as it was, changed ones woke the subscribers; the three sum to
-// Monitor.Ticks.
+// Metrics exposes the platform's metrics registry: the series the built-in
+// recorder derives from the event stream, and the recorder, planner, profiler
+// and monitor counters it reads at every scrape. Each metric's HELP text says
+// what it counts; docs/tracing.md lists them all.
 func (p *Platform) Metrics() *MetricsRegistry {
-	reg := p.recorder.Registry()
-	p.refineMu.Lock()
-	defer p.refineMu.Unlock()
-	cur, last := p.Profiler.RefinementStats(), p.refinePublished
-	reg.Inc("ires_profiler_observations_total", nil, float64(cur.Observations-last.Observations))
-	reg.Inc("ires_profiler_fits_total", nil, float64(cur.Fits-last.Fits))
-	reg.Inc("ires_profiler_selections_total", nil, float64(cur.Selections-last.Selections))
-	reg.Inc("ires_profiler_fit_errors_total", nil, float64(cur.FitErrors-last.FitErrors))
-	reg.Inc("ires_profiler_cv_cells_total", map[string]string{"outcome": "trained"}, float64(cur.CellsTrained-last.CellsTrained))
-	reg.Inc("ires_profiler_cv_cells_total", map[string]string{"outcome": "skipped"}, float64(cur.CellsSkipped-last.CellsSkipped))
-	for win, n := range cur.Wins {
-		if n > last.Wins[win] {
-			reg.Inc("ires_profiler_selection_wins_total", map[string]string{"family": win.Family, "target": win.Target}, float64(n-last.Wins[win]))
-		}
+	return p.recorder.Registry()
+}
+
+// collectMetrics is the registry's collector of the counters the profiler,
+// the execution monitor and the planner own.
+func (p *Platform) collectMetrics(put func(name string, v float64, labels ...string)) {
+	rs := p.Profiler.RefinementStats()
+	put("ires_profiler_observations_total", float64(rs.Observations))
+	put("ires_profiler_fits_total", float64(rs.Fits))
+	put("ires_profiler_selections_total", float64(rs.Selections))
+	put("ires_profiler_fit_errors_total", float64(rs.FitErrors))
+	put("ires_profiler_cv_cells_total", float64(rs.CellsTrained), "trained")
+	put("ires_profiler_cv_cells_total", float64(rs.CellsSkipped), "skipped")
+	for win, n := range rs.Wins {
+		put("ires_profiler_selection_wins_total", float64(n), win.Family, win.Target)
 	}
-	p.refinePublished = cur
 	wall, busy := p.Profiler.FitTime()
-	reg.Inc("ires_profiler_fit_wall_seconds_total", nil, (wall - p.fitWallPublished).Seconds())
-	reg.Inc("ires_profiler_fit_busy_seconds_total", nil, (busy - p.fitBusyPublished).Seconds())
-	p.fitWallPublished, p.fitBusyPublished = wall, busy
-	dropped := p.recorder.Dropped()
-	reg.Inc("ires_trace_dropped_total", nil, float64(dropped-p.droppedPublished))
-	p.droppedPublished = dropped
-	polls, seen := p.Monitor.PollStats(), p.pollsPublished
-	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "idle"}, float64(polls.Idle-seen.Idle))
-	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "refreshed"}, float64(polls.Refreshed-seen.Refreshed))
-	reg.Inc("ires_monitor_polls_total", map[string]string{"outcome": "changed"}, float64(polls.Changed-seen.Changed))
-	p.pollsPublished = polls
-	return reg
+	put("ires_profiler_fit_wall_seconds_total", wall.Seconds())
+	put("ires_profiler_fit_busy_seconds_total", busy.Seconds())
+	polls := p.Monitor.PollStats()
+	put("ires_monitor_polls_total", float64(polls.Idle), "idle")
+	put("ires_monitor_polls_total", float64(polls.Refreshed), "refreshed")
+	put("ires_monitor_polls_total", float64(polls.Changed), "changed")
+	cs := p.planner.CacheStats()
+	put("ires_planner_cache_hits_total", float64(cs.Hits))
+	put("ires_planner_cache_misses_total", float64(cs.Misses))
+	put("ires_planner_epoch", float64(cs.Epoch))
+	put("ires_planner_partial_invalidations_total", float64(cs.PartialInvalidations))
+	put("ires_planner_evicted_entries_total", float64(cs.EvictedEntries))
 }
 
 // TraceEvents returns a snapshot of the recorded structured events, oldest

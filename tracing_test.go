@@ -112,8 +112,8 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	if got := reg.Value("ires_vtime_seconds", nil); got <= 0 {
 		t.Errorf("ires_vtime_seconds = %v, want > 0", got)
 	}
-	// The profiler's refinement counters are folded in on every Metrics()
-	// call, as counters: a second call must not count anything twice.
+	// The profiler's refinement counters are read at every scrape: a second
+	// Metrics call counts nothing twice.
 	rs := p.Profiler.RefinementStats()
 	p.Metrics()
 	if got := reg.Value("ires_profiler_observations_total", nil); got != float64(rs.Observations) || got <= 0 {
@@ -142,7 +142,7 @@ func TestMetricsAgreeWithExecutionResult(t *testing.T) {
 	}
 
 	// What the fits took in wall-clock time, and how busy they kept the
-	// workers: registry only, folded in on read like the counts.
+	// workers: registry only, read at every scrape like the counts.
 	wall, busy := p.Profiler.FitTime()
 	fitWall, fitBusy := reg.Value("ires_profiler_fit_wall_seconds_total", nil), reg.Value("ires_profiler_fit_busy_seconds_total", nil)
 	if fitWall != wall.Seconds() || fitBusy != busy.Seconds() || fitWall <= 0 || fitBusy <= 0 || fitBusy > fitWall*float64(runtime.GOMAXPROCS(0)) {
@@ -181,7 +181,7 @@ func TestMetricsCountMonitorPollsByOutcome(t *testing.T) {
 	if idle <= 0 || refreshed <= 0 || changed < 3 {
 		t.Errorf("ires_monitor_polls_total = %v idle / %v refreshed / %v changed, want all positive and at least 3 changed", idle, refreshed, changed)
 	}
-	// Folded in as a delta since the last read: a second call counts nothing twice.
+	// Read at every scrape: a second call counts nothing twice.
 	if got := p.Metrics().Sum("ires_monitor_polls_total"); got != float64(p.Monitor.Ticks()) {
 		t.Errorf("ires_monitor_polls_total sums to %v after a second Metrics call, Monitor.Ticks = %d", got, p.Monitor.Ticks())
 	}
@@ -216,7 +216,7 @@ func TestMetricsReportDroppedTraceEvents(t *testing.T) {
 	if got := reg.Value("ires_trace_dropped_total", nil); got != 7 {
 		t.Errorf("ires_trace_dropped_total = %v, want 7", got)
 	}
-	// Folded in as a delta since the last read: a second call counts nothing twice.
+	// Read at every scrape: a second call counts nothing twice.
 	if got := p.Metrics().Value("ires_trace_dropped_total", nil); got != 7 {
 		t.Errorf("ires_trace_dropped_total = %v after a second Metrics call, want 7", got)
 	}
@@ -268,5 +268,37 @@ func TestTraceSinceWindowsOneRun(t *testing.T) {
 	}
 	if starts == 0 || starts != finishes {
 		t.Fatalf("attempt starts/finishes = %d/%d, want equal and > 0", starts, finishes)
+	}
+}
+
+// The planner's cache counters on /metrics are PlannerCacheStats, read when
+// the registry is read (a flush with no build after it included), and no
+// trace event carries them: warm and cold builds must trace byte-identically.
+func TestCacheMetricsAgree(t *testing.T) {
+	p := deadlineMetricsScenario(t)
+	var log bytes.Buffer
+	if err := trace.WriteJSONL(&log, p.TraceEvents()); err != nil {
+		t.Fatal(err)
+	}
+	p.ResetPlannerCache()
+	reg, cs := p.Metrics(), p.PlannerCacheStats()
+	if cs.Hits == 0 || cs.Misses == 0 || cs.Epoch == 0 || cs.EvictedEntries == 0 {
+		t.Fatalf("want hits, misses, evictions and a flush: %+v", cs)
+	}
+	for name, want := range map[string]uint64{
+		"ires_planner_cache_hits_total":            cs.Hits,
+		"ires_planner_cache_misses_total":          cs.Misses,
+		"ires_planner_epoch":                       cs.Epoch,
+		"ires_planner_partial_invalidations_total": cs.PartialInvalidations,
+		"ires_planner_evicted_entries_total":       cs.EvictedEntries,
+	} {
+		if got := reg.Value(name, nil); got != float64(want) {
+			t.Errorf("%s = %v, PlannerCacheStats says %d", name, got, want)
+		}
+	}
+	for _, field := range []string{`"cacheHits"`, `"cacheMisses"`} {
+		if bytes.Contains(log.Bytes(), []byte(field)) {
+			t.Errorf("a trace event carries the cache counter %s", field)
+		}
 	}
 }
