@@ -23,24 +23,19 @@ type truthEstimator struct {
 	reg map[string][2]string
 }
 
-func (e truthEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+func (e truthEstimator) Estimates(opName string, feats map[string]float64) planner.Estimates {
 	ea, ok := e.reg[opName]
 	if !ok {
-		return 0, false
+		return planner.Estimates{}
 	}
 	res := engine.Resources{Nodes: int(feats["nodes"]), CoresPerN: int(feats["cores"]), MemMBPerN: int(feats["memoryMB"])}
 	in := engine.Input{Records: int64(feats["records"]), Bytes: int64(feats["bytes"])}
 	t, err := e.env.GroundTruthSec(ea[0], ea[1], in, res)
 	if err != nil {
-		return 0, false
+		return planner.Estimates{}
 	}
-	switch target {
-	case "execTime":
-		return t, true
-	case "cost":
-		return t * res.CostRate(), true
-	}
-	return 0, false // sizes fall back to pass-through
+	// No output sizes: they fall back to pass-through.
+	return planner.Estimates{ExecTime: t, Cost: t * res.CostRate(), ExecTimeOK: true, CostOK: true}
 }
 
 type fixture struct {

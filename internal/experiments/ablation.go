@@ -140,19 +140,19 @@ func exhaustiveChainCost(g *workflow.Graph, lib *operator.Library, est planner.E
 				"records": float64(records), "bytes": float64(bytes),
 				"nodes": 16, "cores": 2, "memoryMB": 3456,
 			}
-			t, ok := est.Estimate(mo.Name, "execTime", feats)
-			if !ok {
+			e := est.Estimates(mo.Name, feats)
+			if !e.ExecTimeOK {
 				continue
 			}
-			cost += t
+			cost += e.ExecTime
 			outMeta := mo.OutputSpec(0)
 			outRecords := records
 			outBytes := bytes
-			if v, ok := est.Estimate(mo.Name, "outputRecords", feats); ok {
-				outRecords = int64(v)
+			if e.OutRecords > 0 {
+				outRecords = int64(e.OutRecords)
 			}
-			if v, ok := est.Estimate(mo.Name, "outputBytes", feats); ok {
-				outBytes = int64(v)
+			if e.OutBytes > 0 {
+				outBytes = int64(e.OutBytes)
 			}
 			recurse(level+1, outMeta, outRecords, outBytes, cost)
 		}

@@ -16,21 +16,15 @@ import (
 // function of operator name and input size, always feasible.
 type synthEstimator struct{}
 
-func (synthEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+func (synthEstimator) Estimates(opName string, feats map[string]float64) planner.Estimates {
 	h := fnv.New32a()
 	h.Write([]byte(opName))
-	base := 1 + float64(h.Sum32()%100)
-	switch target {
-	case "execTime":
-		return base + feats["records"]/1e5, true
-	case "cost":
-		return (base + feats["records"]/1e5) * feats["nodes"], true
-	case "outputRecords":
-		return feats["records"] * 0.8, true
-	case "outputBytes":
-		return feats["bytes"] * 0.8, true
+	t := 1 + float64(h.Sum32()%100) + feats["records"]/1e5
+	return planner.Estimates{
+		ExecTime: t, Cost: t * feats["nodes"],
+		OutRecords: feats["records"] * 0.8, OutBytes: feats["bytes"] * 0.8,
+		ExecTimeOK: true, CostOK: true,
 	}
-	return 0, false
 }
 
 // pegasusPlanner builds a planner whose library holds m alternative engine

@@ -14,19 +14,13 @@ import (
 // per-operator base, so engines trade places as data shrinks downstream.
 type sizeEstimator struct{}
 
-func (sizeEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
-	base := 1 + float64(len(opName)%7+int(opName[len(opName)-1])%5)
-	switch target {
-	case targetExecTime:
-		return base + feats["records"]/1e5, true
-	case targetCost:
-		return (base + feats["records"]/1e5) * feats["nodes"], true
-	case targetOutRecords:
-		return feats["records"] * 0.8, true
-	case targetOutBytes:
-		return feats["bytes"] * 0.8, true
+func (sizeEstimator) Estimates(opName string, feats map[string]float64) Estimates {
+	t := 1 + float64(len(opName)%7+int(opName[len(opName)-1])%5) + feats["records"]/1e5
+	return Estimates{
+		ExecTime: t, Cost: t * feats["nodes"],
+		OutRecords: feats["records"] * 0.8, OutBytes: feats["bytes"] * 0.8,
+		ExecTimeOK: true, CostOK: true,
 	}
-	return 0, false
 }
 
 // pegasusPlanner builds a planner with four engines over two stores for

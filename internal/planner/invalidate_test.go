@@ -158,15 +158,13 @@ type scaledEstimator struct {
 	scale map[string]float64
 }
 
-func (s *scaledEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
-	v, ok := s.base.Estimate(opName, target, feats)
-	if !ok {
-		return 0, false
+func (s *scaledEstimator) Estimates(opName string, feats map[string]float64) Estimates {
+	e := s.base.Estimates(opName, feats)
+	if m, has := s.scale[opName]; has && e.ExecTimeOK {
+		e.ExecTime *= m
+		e.Cost *= m
 	}
-	if m, has := s.scale[opName]; has && (target == targetExecTime || target == targetCost) {
-		v *= m
-	}
-	return v, ok
+	return e
 }
 
 // TestFlapStorm is the randomized partial-invalidation property test: a warm

@@ -13,22 +13,15 @@ import (
 // costEstimator makes time and money trade off: fast engines are expensive.
 type costEstimator map[string][2]float64 // op -> {time, money}
 
-func (c costEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+func (c costEstimator) Estimates(opName string, feats map[string]float64) Estimates {
 	tc, ok := c[opName]
 	if !ok {
-		return 0, false
+		return Estimates{}
 	}
-	switch target {
-	case targetExecTime:
-		return tc[0], true
-	case targetCost:
-		return tc[1], true
-	case targetOutRecords:
-		return feats["records"], true
-	case targetOutBytes:
-		return feats["bytes"], true
+	return Estimates{
+		ExecTime: tc[0], Cost: tc[1], OutRecords: feats["records"], OutBytes: feats["bytes"],
+		ExecTimeOK: true, CostOK: true,
 	}
-	return 0, false
 }
 
 func TestParetoPlansTradeoff(t *testing.T) {

@@ -41,19 +41,20 @@ import (
 // matching operators, all engines down, or every configuration infeasible).
 var ErrNoPlan = errors.New("planner: no feasible execution plan")
 
-// Estimator supplies per-operator metric predictions. *profiler.Profiler
-// satisfies it. Estimate must not retain feats: the planner refills one map.
+// Estimator supplies an operator's estimates for one configuration, all of
+// them in one call. Estimates must not retain feats: the planner refills one
+// map.
 type Estimator interface {
-	Estimate(opName, target string, feats map[string]float64) (float64, bool)
+	Estimates(opName string, feats map[string]float64) Estimates
 }
 
-// Estimator target names (mirrors the profiler's).
-const (
-	targetExecTime   = "execTime"
-	targetCost       = "cost"
-	targetOutRecords = "outputRecords"
-	targetOutBytes   = "outputBytes"
-)
+// Estimates are an operator's estimated execution time, monetary cost and
+// output size at one configuration. A candidate needs both verdicts; an
+// output size that is not positive keeps the input's.
+type Estimates struct {
+	ExecTime, Cost, OutRecords, OutBytes float64
+	ExecTimeOK, CostOK                   bool
+}
 
 // Objective folds a (time, monetary cost) estimate into the scalar the DP
 // minimises — the user-defined optimization policy.
@@ -587,9 +588,9 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp t
 	return p.estimate(o, mo, inputs, inRecords, inBytes)
 }
 
-// estimate provisions mo for the resolved inputs and asks the Estimator for
-// its time, cost and output sizes. It returns nil when the configuration is
-// infeasible.
+// estimate provisions mo for the resolved inputs and asks the Estimator, in
+// one call, for its time, cost and output sizes. It returns nil when the
+// configuration is infeasible.
 func (p *Planner) estimate(o *workflow.Node, mo *operator.Materialized, inputs []inputChoice, inRecords, inBytes int64) *candidate {
 	res := p.cfg.Resources(mo, inRecords, inBytes)
 	feats := p.feats
@@ -602,23 +603,19 @@ func (p *Planner) estimate(o *workflow.Node, mo *operator.Materialized, inputs [
 	for k, v := range mo.Params() {
 		feats[k] = v
 	}
-	t, ok := p.cfg.Estimator.Estimate(mo.Name, targetExecTime, feats)
-	if !ok {
-		return nil
-	}
-	c, ok := p.cfg.Estimator.Estimate(mo.Name, targetCost, feats)
-	if !ok {
+	e := p.cfg.Estimator.Estimates(mo.Name, feats)
+	if !e.ExecTimeOK || !e.CostOK {
 		return nil
 	}
 	cand := &candidate{
-		node: o, mo: mo, res: res, inputs: inputs, opTime: t, opMoney: c,
+		node: o, mo: mo, res: res, inputs: inputs, opTime: e.ExecTime, opMoney: e.Cost,
 		outRecords: inRecords, outBytes: inBytes,
 	}
-	if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutRecords, feats); ok && v > 0 {
-		cand.outRecords = int64(v)
+	if e.OutRecords > 0 {
+		cand.outRecords = int64(e.OutRecords)
 	}
-	if v, ok := p.cfg.Estimator.Estimate(mo.Name, targetOutBytes, feats); ok && v > 0 {
-		cand.outBytes = int64(v)
+	if e.OutBytes > 0 {
+		cand.outBytes = int64(e.OutBytes)
 	}
 	return cand
 }

@@ -21,26 +21,20 @@ type stubOp struct {
 
 type stubEstimator map[string]stubOp
 
-func (s stubEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+func (s stubEstimator) Estimates(opName string, feats map[string]float64) Estimates {
 	op, ok := s[opName]
 	if !ok {
-		return 0, false
+		return Estimates{}
 	}
 	rec := feats["records"]
 	if op.feasible != nil && !op.feasible(rec) {
-		return 0, false
+		return Estimates{}
 	}
-	switch target {
-	case targetExecTime:
-		return op.time(rec), true
-	case targetCost:
-		return op.time(rec) * feats["nodes"], true
-	case targetOutRecords:
-		return rec * op.outFactor, true
-	case targetOutBytes:
-		return feats["bytes"] * op.outFactor, true
+	return Estimates{
+		ExecTime: op.time(rec), Cost: op.time(rec) * feats["nodes"],
+		OutRecords: rec * op.outFactor, OutBytes: feats["bytes"] * op.outFactor,
+		ExecTimeOK: true, CostOK: true,
 	}
-	return 0, false
 }
 
 func mustLib(t *testing.T, descs map[string]string) *operator.Library {

@@ -6,9 +6,10 @@ import (
 	"github.com/asap-project/ires/internal/engine"
 )
 
-// TestPredictionCache verifies the Estimate memoization: repeated queries
-// with identical feature vectors hit the cache and return identical values,
-// while new observations invalidate it so refits actually change answers.
+// TestPredictionCache verifies the Estimate memoization: one entry per
+// configuration serves every target, repeated queries with identical feature
+// vectors hit the cache and return identical values, while new observations
+// invalidate it so refits actually change answers.
 func TestPredictionCache(t *testing.T) {
 	env := engine.NewDefaultEnvironment(21)
 	p := newProfiler(env)
@@ -25,6 +26,21 @@ func TestPredictionCache(t *testing.T) {
 		t.Fatal("estimate unavailable")
 	}
 	_, misses0 := p.PredictionCacheStats()
+	// One entry holds every target of a configuration: the other three
+	// reads of it are hits.
+	for _, target := range []string{TargetCost, TargetOutRecords, TargetOutBytes} {
+		if _, ok := p.Estimate("tfidf_spark", target, feats); !ok {
+			t.Fatalf("%s estimate unavailable", target)
+		}
+	}
+	om, _ := p.Models("tfidf_spark")
+	om.mu.Lock()
+	entries := len(om.predCache)
+	om.mu.Unlock()
+	if hits, misses := p.PredictionCacheStats(); hits != 3 || misses != misses0 || entries != 1 {
+		t.Fatalf("four targets of one configuration: %d hits, %d misses, %d entries; want 3, %d, 1",
+			hits, misses, entries, misses0)
+	}
 	for i := 0; i < 5; i++ {
 		v, ok := p.Estimate("tfidf_spark", TargetExecTime, feats)
 		if !ok || v != first {
@@ -65,7 +81,6 @@ func TestPredictionCache(t *testing.T) {
 	if p.Gen() == gen {
 		t.Fatal("Observe did not bump the profiler generation")
 	}
-	om, _ := p.Models("tfidf_spark")
 	om.mu.Lock()
 	cacheLen := len(om.predCache)
 	om.mu.Unlock()

@@ -129,20 +129,23 @@ type OperatorModels struct {
 	reselectEvery int
 	sinceReselect int
 
-	// predCache memoizes Estimate results per (target, projected feature
-	// vector): the planner's DP asks for the same configurations many times
-	// per table build. Any mutation of the models, the training buffer or
-	// the feasibility wall clears it, so cached values are always what a
-	// fresh prediction would return.
-	predCache            map[string]predResult
+	// predCache memoizes the Estimates of one configuration, keyed by the
+	// feature map projected onto this operator's features: the planner's DP
+	// asks for the same configurations many times per table build. Any
+	// mutation of the models, the training buffer or the feasibility wall
+	// clears it, so cached values are always what a fresh prediction would
+	// return.
+	predCache            map[string]Estimates
 	predHits, predMisses uint64
 }
 
-// predResult is one memoized prediction (value plus the ok flag, so
-// infeasible configurations are cached too).
-type predResult struct {
-	v  float64
-	ok bool
+// Estimates are the estimates of one configuration: the three learned
+// targets, each with its verdict (false: no model, or beyond the feasibility
+// wall; the value is then 0), and the derived cost, which shares the
+// execution time's verdict.
+type Estimates struct {
+	ExecTime, Cost, OutRecords, OutBytes float64
+	ExecTimeOK, OutRecordsOK, OutBytesOK bool
 }
 
 // maxPredCache bounds the per-operator prediction cache; overflow clears it.
@@ -153,8 +156,8 @@ func (om *OperatorModels) invalidatePredLocked() {
 	om.predCache = nil
 }
 
-// PredictionCacheStats reports the cumulative Estimate cache hit/miss
-// counts of this operator's models.
+// PredictionCacheStats reports the cumulative prediction cache hit/miss
+// counts of this operator's models, one per configuration read.
 func (om *OperatorModels) PredictionCacheStats() (hits, misses uint64) {
 	om.mu.Lock()
 	defer om.mu.Unlock()
@@ -326,7 +329,7 @@ func (p *Profiler) FitTime() (wall, busy time.Duration) {
 	return time.Duration(p.stats.fitWall.Load()), time.Duration(p.stats.fitBusy.Load())
 }
 
-// PredictionCacheStats sums the Estimate cache counters across every
+// PredictionCacheStats sums the prediction cache counters across every
 // profiled operator.
 func (p *Profiler) PredictionCacheStats() (hits, misses uint64) {
 	p.mu.RLock()
@@ -339,7 +342,7 @@ func (p *Profiler) PredictionCacheStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// ResetPredictionCaches drops every operator's memoized Estimate results
+// ResetPredictionCaches drops every operator's memoized Estimates
 // (the hit/miss counters keep accumulating). Predictions are unchanged —
 // the generation counter does not move — so this exists for cold-start
 // benchmarking, not invalidation, which is automatic on model updates. It
@@ -484,17 +487,39 @@ func (p *Profiler) Observe(opName string, run *metrics.Run) error {
 	return nil
 }
 
-// Estimate predicts a target metric for the operator under the given
-// feature values. The boolean result is false when the operator is
-// unprofiled or the configuration is beyond the observed feasibility wall.
-func (p *Profiler) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+// Estimates predicts every target of the operator under the given feature
+// values, in one read of its prediction cache. The boolean result is false
+// when the operator is unprofiled.
+func (p *Profiler) Estimates(opName string, feats map[string]float64) (Estimates, bool) {
 	p.mu.RLock()
 	om, ok := p.store[opName]
 	p.mu.RUnlock()
 	if !ok {
+		return Estimates{}, false
+	}
+	return om.estimates(feats), true
+}
+
+// Estimate predicts one target metric for the operator under the given
+// feature values: a read of the configuration's Estimates. The boolean result
+// is false when the operator is unprofiled, the target has no model or the
+// configuration is beyond the observed feasibility wall.
+func (p *Profiler) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
+	e, ok := p.Estimates(opName, feats)
+	if !ok {
 		return 0, false
 	}
-	return om.Estimate(target, feats)
+	switch target {
+	case TargetExecTime:
+		return e.ExecTime, e.ExecTimeOK
+	case TargetCost:
+		return e.Cost, e.ExecTimeOK
+	case TargetOutRecords:
+		return e.OutRecords, e.OutRecordsOK
+	case TargetOutBytes:
+		return e.OutBytes, e.OutBytesOK
+	}
+	return 0, false
 }
 
 // Feasible reports whether the configuration is inside the operator's
@@ -657,58 +682,68 @@ func (om *OperatorModels) fitTargetsLocked(pending int) error {
 	return nil
 }
 
-// Estimate predicts one target for a feature map. Results (including
+// estimates predicts every target for a feature map. Results (including
 // infeasible verdicts) are memoized per projected feature vector until the
 // next model mutation. The first call after the buffer changed pays the
-// deferred fit. Cost is derived from the execution-time estimate, its cache
-// entry and feasibility verdict included.
-func (om *OperatorModels) Estimate(target string, feats map[string]float64) (float64, bool) {
-	if target != TargetCost {
-		return om.predict(target, feats)
-	}
-	t, ok := om.predict(TargetExecTime, feats)
-	return engine.CostRate(feats["nodes"], feats["cores"], feats["memoryMB"]) * t, ok
-}
-
-func (om *OperatorModels) predict(target string, feats map[string]float64) (float64, bool) {
+// deferred fit. Cost is derived from the execution-time estimate, its
+// feasibility verdict included.
+func (om *OperatorModels) estimates(feats map[string]float64) Estimates {
 	om.mu.Lock()
 	defer om.mu.Unlock()
 	_ = om.fitLocked() // counted in FitErrors; the models keep their last fit
-	m, ok := om.models[target]
-	if !ok {
-		return 0, false
-	}
-	// The cache key is the target plus the feature map projected onto this
-	// operator's feature set (extra keys in feats are ignored by prediction
-	// and therefore by the key too). A hit looks it up in place; only a miss
+	// The cache key is the feature map projected onto this operator's
+	// feature set (extra keys in feats are ignored by prediction and
+	// therefore by the key too). A hit looks it up in place; only a miss
 	// turns it into a string.
 	var buf [128]byte
-	key := append(append(buf[:0], target...), 0)
+	key := buf[:0]
 	for _, f := range om.Features {
 		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(feats[f]))
 	}
-	if r, ok := om.predCache[string(key)]; ok {
+	if len(om.Features) < len(BaseFeatures) || !slices.Equal(om.Features[:len(BaseFeatures)], BaseFeatures) {
+		// Only an imported feature set can lack what an entry reads besides
+		// the projection (the wall's records, the cost rate's resources):
+		// the key carries what it lacks.
+		for _, f := range []string{"records", "nodes", "cores", "memoryMB"} {
+			if !slices.Contains(om.Features, f) {
+				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(feats[f]))
+			}
+		}
+	}
+	if e, ok := om.predCache[string(key)]; ok {
 		om.predHits++
-		return r.v, r.ok
+		return e
 	}
 	om.predMisses++
-	r := predResult{}
-	if om.feasibleLocked(feats["records"]) {
+	var e Estimates
+	if len(om.models) > 0 && om.feasibleLocked(feats["records"]) {
 		x := make([]float64, len(om.Features))
 		for i, f := range om.Features {
 			x[i] = feats[f]
 		}
-		v := m.Predict(x)
-		if v < 0 {
-			v = 0
-		}
-		r = predResult{v: v, ok: true}
+		e.ExecTime, e.ExecTimeOK = predict(om.models[TargetExecTime], x)
+		e.OutRecords, e.OutRecordsOK = predict(om.models[TargetOutRecords], x)
+		e.OutBytes, e.OutBytesOK = predict(om.models[TargetOutBytes], x)
 	}
+	e.Cost = engine.CostRate(feats["nodes"], feats["cores"], feats["memoryMB"]) * e.ExecTime
 	if om.predCache == nil || len(om.predCache) >= maxPredCache {
-		om.predCache = make(map[string]predResult)
+		om.predCache = make(map[string]Estimates)
 	}
-	om.predCache[string(key)] = r
-	return r.v, r.ok
+	om.predCache[string(key)] = e
+	return e
+}
+
+// predict is one target's prediction, clamped at 0; false without a
+// model.
+func predict(m model.Model, x []float64) (float64, bool) {
+	if m == nil {
+		return 0, false
+	}
+	v := m.Predict(x)
+	if v < 0 {
+		v = 0
+	}
+	return v, true
 }
 
 func (om *OperatorModels) feasibleLocked(records float64) bool {

@@ -504,6 +504,7 @@ func (p *Platform) speculate(s *planner.Step) (executor.SpeculativeChoice, bool)
 		found bool
 	)
 	est := libraryEstimator{prof: p.Profiler, lib: p.Library}
+	feats := make(map[string]float64)
 	for _, mo := range p.Library.Operators() {
 		if mo.Algorithm() == "" || mo.Algorithm() != s.Algorithm {
 			continue
@@ -512,25 +513,24 @@ func (p *Platform) speculate(s *planner.Step) (executor.SpeculativeChoice, bool)
 			continue
 		}
 		res := p.chooseResources(mo, s.InRecords, s.InBytes)
-		feats := map[string]float64{
-			"records":  float64(s.InRecords),
-			"bytes":    float64(s.InBytes),
-			"nodes":    float64(res.Nodes),
-			"cores":    float64(res.CoresPerN),
-			"memoryMB": float64(res.MemMBPerN),
-		}
+		clear(feats)
+		feats["records"] = float64(s.InRecords)
+		feats["bytes"] = float64(s.InBytes)
+		feats["nodes"] = float64(res.Nodes)
+		feats["cores"] = float64(res.CoresPerN)
+		feats["memoryMB"] = float64(res.MemMBPerN)
 		for k, v := range mo.Params() {
 			feats[k] = v
 		}
-		t, ok := est.Estimate(mo.Name, profiler.TargetExecTime, feats)
-		if !ok {
+		e := est.Estimates(mo.Name, feats)
+		if !e.ExecTimeOK {
 			continue
 		}
 		// Library.Operators is name-sorted, so strict < keeps ties
 		// deterministic (first name wins).
-		if !found || t < bestT {
+		if !found || e.ExecTime < bestT {
 			found = true
-			bestT = t
+			bestT = e.ExecTime
 			best = executor.SpeculativeChoice{
 				OpName:    mo.Name,
 				Engine:    mo.Engine(),
@@ -601,28 +601,29 @@ type libraryEstimator struct {
 	lib  *operator.Library
 }
 
-func (e libraryEstimator) Estimate(opName, target string, feats map[string]float64) (float64, bool) {
-	if v, ok := e.prof.Estimate(opName, target, feats); ok {
-		return v, true
-	}
-	if _, profiled := e.prof.Models(opName); profiled {
-		// Profiled but infeasible at this configuration: the declared
-		// constants must not override the learned feasibility wall.
-		return 0, false
+func (e libraryEstimator) Estimates(opName string, feats map[string]float64) planner.Estimates {
+	if pe, profiled := e.prof.Estimates(opName, feats); profiled {
+		// A profiled operator answers from its models alone: beyond the
+		// learned feasibility wall the declared constants must not override
+		// the verdict.
+		return planner.Estimates{
+			ExecTime: pe.ExecTime, Cost: pe.Cost, OutRecords: pe.OutRecords, OutBytes: pe.OutBytes,
+			ExecTimeOK: pe.ExecTimeOK, CostOK: pe.ExecTimeOK,
+		}
 	}
 	mo, ok := e.lib.Operator(opName)
 	if !ok {
-		return 0, false
+		return planner.Estimates{}
 	}
-	var path string
-	switch target {
-	case profiler.TargetExecTime:
-		path = "Optimization.execTime"
-	case profiler.TargetCost:
-		path = "Optimization.cost"
-	default:
-		return 0, false
-	}
+	var est planner.Estimates
+	est.ExecTime, est.ExecTimeOK = declaredConstant(mo, "Optimization.execTime")
+	est.Cost, est.CostOK = declaredConstant(mo, "Optimization.cost")
+	return est
+}
+
+// declaredConstant reads a non-negative constant of the operator's
+// description.
+func declaredConstant(mo *operator.Materialized, path string) (float64, bool) {
 	raw, ok := mo.Meta.Get(path)
 	if !ok || raw == "" {
 		return 0, false
