@@ -30,6 +30,7 @@ var metricsScenarios = []struct {
 	{"deadline", deadlineMetricsScenario},
 	{"costquota", costQuotaMetricsScenario},
 	{"drf", drfMetricsScenario},
+	{"ckptloss", ckptLossMetricsScenario},
 }
 
 // TestMetricsExpositionGolden pins the whole /metrics exposition of each
@@ -228,5 +229,49 @@ func drfMetricsScenario(t *testing.T) *Platform {
 			t.Fatal(err)
 		}
 	}
+	return p
+}
+
+// ckptLossMetricsScenario is the checkpoint-loss scenario: two iterative
+// chains on a four-node cluster with non-durable checkpoints. Every node
+// crashes at 40 s, which takes the last replica of a running gang's
+// checkpoint, and all four come back at 70 s; node1 crashes a second time
+// while it is still down.
+func ckptLossMetricsScenario(t *testing.T) *Platform {
+	t.Helper()
+	const seed = 42
+	p, err := NewPlatform(Options{
+		Seed:         seed,
+		ClusterNodes: 4,
+		CoresPerNode: 4,
+		MemMBPerNode: 3456,
+		Retry:        RetryPolicy{MaxAttempts: 6, BaseBackoff: 4 * time.Second},
+		Checkpoint:   CheckpointPolicy{Enabled: true, MinIntervalSec: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerStormOps(t, p)
+	cfg := FaultConfig{Seed: seed, NodeCrashes: []NodeCrash{
+		{Node: "node0", At: 40 * time.Second},
+		{Node: "node1", At: 40 * time.Second},
+		{Node: "node2", At: 40 * time.Second},
+		{Node: "node3", At: 40 * time.Second},
+		{Node: "node1", At: 45 * time.Second},
+	}}
+	if err := p.InjectFaults(cfg); err != nil {
+		t.Fatal(err)
+	}
+	p.Clock.Schedule(70*time.Second, func(time.Duration) {
+		for i := 0; i < 4; i++ {
+			_ = p.RestoreNode(fmt.Sprintf("node%d", i))
+		}
+	})
+	runs := []*Run{
+		p.SubmitNamed("loss-0", chainWorkflow(t, p, engine.AlgPagerank, engine.AlgKMeans, 120_000)),
+		p.SubmitNamed("loss-1", chainWorkflow(t, p, engine.AlgKMeans, engine.AlgPagerank, 60_000)),
+	}
+	p.Drain()
+	waitAll(runs)
 	return p
 }
