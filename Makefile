@@ -31,10 +31,10 @@ shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # cover enforces the statement-coverage floor on the scheduling core, the
-# model fit and the trace path: the scheduler, cluster, agent, model, profiler
-# and trace packages must stay at or above 85%.
+# model fit and the trace path: the scheduler, cluster, model, profiler and
+# trace packages must stay at or above 85%.
 cover:
-	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/agent/ ./internal/model/ ./internal/profiler/ ./internal/trace/; do \
+	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/model/ ./internal/profiler/ ./internal/trace/; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "$$pkg: no coverage reported"; exit 1; fi; \
 		ok=$$(awk -v p="$$pct" 'BEGIN{print (p >= 85) ? 1 : 0}'); \

@@ -41,18 +41,18 @@ func (c *Cluster) PutCheckpoint(key, algorithm string, units, total int, nodes [
 		}
 		// The entry advances or is replaced: its replica set moves to the
 		// new nodes, so the old hosts drop their local copies.
-		if !old.durable {
-			for _, nn := range old.nodes {
-				if n, ok := c.nodes[nn]; ok {
-					n.ag.DropReplica(key)
-				}
-			}
-		}
+		c.touchLocked(old.nodes)
 	}
 	c.checkpoints[key] = &ckptEntry{algorithm: algorithm, units: units, total: total, durable: durable, nodes: replicas}
-	for _, nn := range replicas {
+	c.touchLocked(replicas)
+}
+
+// touchLocked moves the version of every known node in names, whose replica
+// lists just changed; c.mu held.
+func (c *Cluster) touchLocked(names []string) {
+	for _, nn := range names {
 		if n, ok := c.nodes[nn]; ok {
-			n.ag.AddReplica(key)
+			n.version++
 		}
 	}
 }
@@ -82,7 +82,7 @@ func (c *Cluster) CheckpointInfo(key string) (algorithm string, units, total int
 }
 
 // ClearCheckpoint drops the entry under key (the operator completed; its
-// checkpoints are garbage) along with the agent-side replicas.
+// checkpoints are garbage) along with its replicas.
 func (c *Cluster) ClearCheckpoint(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -90,11 +90,7 @@ func (c *Cluster) ClearCheckpoint(key string) {
 	if !ok {
 		return
 	}
-	for _, nn := range e.nodes {
-		if n, ok := c.nodes[nn]; ok {
-			n.ag.DropReplica(key)
-		}
-	}
+	c.touchLocked(e.nodes)
 	delete(c.checkpoints, key)
 }
 
@@ -106,11 +102,10 @@ func (c *Cluster) Checkpoints() int {
 }
 
 // dropCheckpointReplicasLocked removes a crashed node from every non-durable
-// checkpoint's replica set, deleting entries whose last replica died. With
-// keepHeld (a restore, where the agent is reachable again) copies the
-// node's disk actually still holds stay listed. It returns the lost keys in
-// sorted order; the caller emits the loss events after releasing c.mu.
-func (c *Cluster) dropCheckpointReplicasLocked(node *Node, keepHeld bool) []string {
+// checkpoint's replica set, deleting entries whose last replica died. It
+// returns the lost keys in sorted order; the caller emits the loss events
+// after releasing c.mu.
+func (c *Cluster) dropCheckpointReplicasLocked(node *Node) []string {
 	var lost []string
 	keys := make([]string, 0, len(c.checkpoints))
 	for k := range c.checkpoints {
@@ -119,7 +114,7 @@ func (c *Cluster) dropCheckpointReplicasLocked(node *Node, keepHeld bool) []stri
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := c.checkpoints[k]
-		if e.durable || (keepHeld && node.ag.HasReplica(k)) {
+		if e.durable {
 			continue
 		}
 		kept := e.nodes[:0]
@@ -127,6 +122,9 @@ func (c *Cluster) dropCheckpointReplicasLocked(node *Node, keepHeld bool) []stri
 			if n != node.Name {
 				kept = append(kept, n)
 			}
+		}
+		if len(kept) < len(e.nodes) {
+			node.version++
 		}
 		e.nodes = kept
 		if len(e.nodes) == 0 {

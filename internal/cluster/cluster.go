@@ -4,16 +4,10 @@
 // scripts (HEALTHY/UNHEALTHY) and per-service availability checks (ON/OFF,
 // tracked by engine.Environment and polled through the Monitor here).
 //
-// Since the node-agent split, the package is layered: each node's *actual*
-// truth (hosted containers, usage, health, checkpoint replicas) lives in a
-// per-node agent actor (internal/agent) behind the Place/Kill/Report
-// contract, while Cluster keeps the *desired* control-plane state
-// (reservations, slices, demanded containers, believed health) and drives
-// the agents toward it. The public Cluster API is a façade over that
-// reconciler, so schedulers and executors — and their golden traces — are
-// unchanged. Every control-plane path mutates both views together; they
-// diverge only when an agent changes on its own (a daemon flipping its own
-// health, a container dying unseen), and Reconcile converges them again.
+// Each Node is the one record of its machine: health, the usage of its live
+// containers and, through the checkpoint store, the replicas on its disk.
+// Every change to it is made under the cluster lock, in the same critical
+// section as the bookkeeping that depends on it.
 package cluster
 
 import (
@@ -25,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/asap-project/ires/internal/agent"
 	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/vtime"
 )
@@ -51,27 +44,20 @@ var (
 	ErrForeignReservation = errors.New("cluster: reservation belongs to a different cluster")
 )
 
-// Node is one machine of the simulated cluster, as the control plane sees
-// it: the exported fields and the private ones below are the *desired*
-// (believed) view — what the scheduler's admission math runs on — while the
-// node's actual truth lives in its agent. The two views move together on
-// every control-plane path and diverge only when the agent changes on its
-// own, until Reconcile reads the drift from its report.
+// Node is one machine of the simulated cluster. The exported fields are
+// fixed at New; the private ones are guarded by the cluster's lock, so a
+// caller outside it reads them through Snapshot.
 type Node struct {
 	Name   string
 	Cores  int
 	MemMB  int
 	Labels map[string]string
 
-	// ag owns the node's actual truth (containers, usage, health,
-	// checkpoint replicas).
-	ag *agent.Agent
-	// lastSeq/lastIncarnation track the last agent report the reconciler
-	// observed, for news detection and rebirth detection respectively;
-	// lastVersion is the published-report version that round closed on.
-	lastSeq         int64
-	lastIncarnation int
-	lastVersion     uint64
+	// version moves at every change to the node's record: a container placed
+	// or ended, a replica listed or dropped, a health flip, a crash of a live
+	// or non-empty node and every restore. The monitor re-reads a node only
+	// when its version moved since the last read.
+	version uint64
 
 	healthy   bool
 	usedCores int
@@ -87,14 +73,13 @@ type Node struct {
 	sliceRefs  int
 }
 
-// FreeCores returns the node's unallocated cores (desired view).
+// FreeCores returns the node's unallocated cores.
 func (n *Node) FreeCores() int { return n.Cores - n.usedCores }
 
-// FreeMemMB returns the node's unallocated memory (desired view).
+// FreeMemMB returns the node's unallocated memory.
 func (n *Node) FreeMemMB() int { return n.MemMB - n.usedMemMB }
 
-// Healthy reports the node's last health verdict as believed by the control
-// plane.
+// Healthy reports the node's last health verdict.
 func (n *Node) Healthy() bool { return n.healthy }
 
 // Container is a granted resource lease on one node.
@@ -162,9 +147,6 @@ type Cluster struct {
 	// injection hook).
 	healthScript func(n *Node) bool
 
-	// deathDetected counts the deaths reconcile rounds detected.
-	deathDetected int
-
 	// tracer receives node crash/restore events; nil discards them.
 	tracer trace.Tracer
 }
@@ -208,7 +190,6 @@ func New(clock *vtime.Clock, count, coresPerNode, memMBPerNode int) *Cluster {
 		c.nodes[name] = &Node{
 			Name: name, Cores: coresPerNode, MemMB: memMBPerNode,
 			healthy: true,
-			ag:      agent.New(name, coresPerNode, memMBPerNode),
 		}
 		c.order = append(c.order, name)
 	}
@@ -272,6 +253,7 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 		return
 	}
 	n.healthy = healthy
+	n.version++
 	if n.sliceRefs == 0 {
 		if healthy {
 			c.freeHealthy++
@@ -333,9 +315,7 @@ func (c *Cluster) RunHealthChecks() (scripted bool) {
 	}
 	for _, name := range c.order {
 		n := c.nodes[name]
-		verdict := c.healthScript(n)
-		c.setHealthLocked(n, verdict)
-		n.ag.SetHealthy(verdict)
+		c.setHealthLocked(n, c.healthScript(n))
 	}
 	return true
 }
@@ -349,7 +329,6 @@ func (c *Cluster) SetNodeHealth(name string, healthy bool) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
 	c.setHealthLocked(n, healthy)
-	n.ag.SetHealthy(healthy)
 	return nil
 }
 
@@ -375,10 +354,9 @@ func (c *Cluster) FailNode(name string, at time.Duration) error {
 	return nil
 }
 
-// failNodeNow performs the crash — node crash is agent death: the agent
-// drops every hosted container and local checkpoint replica, and the
-// control plane invalidates the matching desired state. It returns the
-// number of containers lost.
+// failNodeNow performs the crash: the node turns unhealthy, every live
+// container on it is invalidated and it leaves every non-durable
+// checkpoint's replica set. It returns the number of containers lost.
 func (c *Cluster) failNodeNow(name string) int {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -386,8 +364,15 @@ func (c *Cluster) failNodeNow(name string) int {
 		c.mu.Unlock()
 		return 0
 	}
-	n.ag.Fail()
-	lost, lostCkpts := c.detectCrashLocked(n)
+	c.setHealthLocked(n, false)
+	lost := 0
+	for _, ctr := range c.live {
+		if ctr.NodeName == name {
+			c.loseContainerLocked(ctr)
+			lost++
+		}
+	}
+	lostCkpts := c.dropCheckpointReplicasLocked(n)
 	c.mu.Unlock()
 	c.emit(trace.Event{
 		Type: trace.EvNodeCrash, Node: name,
@@ -399,71 +384,18 @@ func (c *Cluster) failNodeNow(name string) int {
 	return lost
 }
 
-// detectCrashLocked applies a node crash to the control plane's desired
-// state: believed health flips, every desired container on the node is
-// invalidated and the node leaves every non-durable checkpoint's replica
-// set. Shared between the crash path (FailNode) and reconciler-driven death
-// detection; c.mu held. Returns the lost container count and checkpoint keys
-// for post-lock event emission.
-func (c *Cluster) detectCrashLocked(n *Node) (int, []string) {
-	c.setHealthLocked(n, false)
-	lost := 0
-	for _, ctr := range c.live {
-		if ctr.NodeName == n.Name {
-			c.loseContainerLocked(ctr)
-			lost++
-		}
-	}
-	n.lastIncarnation = n.ag.Incarnation()
-	return lost, c.dropCheckpointReplicasLocked(n, false)
-}
-
 // loseContainerLocked invalidates a live container: its Lost flag is raised,
-// its resources leave the desired view and Release becomes a no-op; c.mu
-// held. Desired bookkeeping only — no kill is sent to the agent: on the crash
-// paths the node is believed dead, and when the agent in fact still hosts the
-// containers (it reported itself unhealthy without crashing) they live on as
-// zombies until reconciliation fences them.
+// its resources return and Release becomes a no-op; c.mu held.
 func (c *Cluster) loseContainerLocked(ctr *Container) {
 	ctr.lost.Store(true)
-	ctr.released = true
-	delete(c.live, ctr.ID)
-	c.dropContainerDesiredLocked(ctr)
-}
-
-// fenceLocked drives a node's agent toward desired: placements
-// the control plane no longer wants — zombies left by a death declared on an
-// agent that kept running them — are killed, and replica copies whose
-// checkpoint entry moved on are dropped; c.mu held. It returns the number of
-// containers killed.
-func (c *Cluster) fenceLocked(n *Node) int {
-	fenced := 0
-	for _, p := range n.ag.Placements() {
-		if ctr, ok := c.live[p.ID]; !ok || ctr.NodeName != n.Name {
-			if _, ok := n.ag.Kill(p.ID); ok {
-				fenced++
-			}
-		}
-	}
-	for _, key := range n.ag.Replicas() {
-		e, ok := c.checkpoints[key]
-		if !ok || e.durable || !slices.Contains(e.nodes, n.Name) {
-			n.ag.DropReplica(key)
-		}
-	}
-	return fenced
+	c.releaseContainerLocked(ctr)
 }
 
 // RestoreNode brings a failed node back (repaired hardware rejoining the
-// cluster): a fresh agent incarnation comes up healthy and its capacity
-// becomes allocatable again.
-//
-// A restore asserts a fresh daemon, so any desired state the agent does not
-// actually carry is invalidated here: containers the control plane still
-// believed in but the agent no longer hosts are marked lost, and checkpoint
-// replica metadata pointing at copies the disk no longer holds is pruned.
-// After a FailNode crash both are already empty, which keeps that restore a
-// pure health flip.
+// cluster): it turns healthy and its capacity becomes allocatable again.
+// The restore is a health flip: after FailNode the node holds no container
+// and no replica, and after SetNodeHealth(false) it keeps the containers and
+// replicas it still lists.
 func (c *Cluster) RestoreNode(name string) error {
 	c.mu.Lock()
 	n, ok := c.nodes[name]
@@ -471,23 +403,10 @@ func (c *Cluster) RestoreNode(name string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
-	n.ag.Restore()
-	n.lastIncarnation = n.ag.Incarnation()
-	for id, ctr := range c.live {
-		if ctr.NodeName == name && !n.ag.Hosts(id) {
-			c.loseContainerLocked(ctr)
-		}
-	}
-	// The restore also re-establishes the command channel, so the agent side
-	// is fenced in the same breath.
-	c.fenceLocked(n)
-	lostCkpts := c.dropCheckpointReplicasLocked(n, true)
 	c.setHealthLocked(n, true)
+	n.version++ // a restore is news even to a node that was healthy
 	c.mu.Unlock()
 	c.emit(trace.Event{Type: trace.EvNodeRestore, Node: name})
-	for _, key := range lostCkpts {
-		c.emit(trace.Event{Type: trace.EvCheckpointLost, Step: key, Node: name})
-	}
 	return nil
 }
 
@@ -499,7 +418,9 @@ func (c *Cluster) LiveContainers() int {
 	return len(c.live)
 }
 
-// Nodes returns the cluster's nodes in stable order.
+// Nodes returns the cluster's nodes in stable order. Only the exported
+// fields, fixed at New, may be read through these pointers without the
+// cluster's lock; health and usage are read through Snapshot.
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -509,6 +430,23 @@ func (c *Cluster) Nodes() []*Node {
 	}
 	return out
 }
+
+// Snapshot returns a copy of every node in stable order, taken in one
+// critical section: health and usage as they stood together at that moment.
+func (c *Cluster) Snapshot() []Node {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]Node, len(c.order))
+	for i, name := range c.order {
+		out[i] = *c.nodes[name]
+	}
+	return out
+}
+
+// Reconcile does nothing. Its one caller is the bench/e2e per-layer cell
+// cluster.reconcile_us, which times it; the cluster keeps one record per
+// node, so there is no second copy to converge. It goes with that cell.
+func (c *Cluster) Reconcile() {}
 
 // Reservation is an exclusive, elastic lease on cluster capacity — the
 // admission currency of the multi-workflow scheduler. A run's executor
@@ -883,26 +821,14 @@ func (c *Cluster) RevokeReservation(r *Reservation) int {
 }
 
 // releaseContainerLocked ends a live container: its resources return to
-// its node and its lease's ledger, and the agent-side placement is killed —
-// a safe no-op when the agent already dropped it (death took the container
-// first); c.mu held.
+// its node and to its lease's per-node used ledger; c.mu held.
 func (c *Cluster) releaseContainerLocked(ctr *Container) {
 	ctr.released = true
 	delete(c.live, ctr.ID)
-	c.dropContainerDesiredLocked(ctr)
-	if n, ok := c.nodes[ctr.NodeName]; ok {
-		n.ag.Kill(ctr.ID)
-	}
-}
-
-// dropContainerDesiredLocked returns a container's resources to its node
-// and to its lease's per-node used ledger in the desired view alone, with no
-// agent-side kill: the whole of the release on paths where the node is
-// believed dead and no kill can (or should) be delivered; c.mu held.
-func (c *Cluster) dropContainerDesiredLocked(ctr *Container) {
 	if n, ok := c.nodes[ctr.NodeName]; ok {
 		n.usedCores -= ctr.Cores
 		n.usedMemMB -= ctr.MemMB
+		n.version++
 	}
 	if res, ok := c.reservations[ctr.resID]; ok {
 		if u, ok := res.used[ctr.NodeName]; ok {
@@ -1029,11 +955,6 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 	}
 
 	var granted []*Container
-	// down collects nodes whose agent refused the placement (an agent that
-	// reported itself unhealthy looks healthy to the control plane until
-	// Reconcile reads the report, or the Place bounces first). Such nodes
-	// leave the candidate pool for the rest of this allocation.
-	var down map[string]bool
 	for i := 0; i < count; i++ {
 		// Most-free node first, name as tiebreak for determinism. Under a
 		// lease "free" means headroom left inside the lease's own slice; the
@@ -1042,7 +963,7 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 		var bestFree int
 		for _, name := range candidates {
 			n := c.nodes[name]
-			if !n.healthy || down[name] {
+			if !n.healthy {
 				continue
 			}
 			if n.usedCores+cores > n.Cores || n.usedMemMB+memMB > c.memCapLocked(n) {
@@ -1070,19 +991,9 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 			}
 			return nil, nil, fmt.Errorf("%w: want %dx(%dc,%dMB)", ErrInsufficientResources, count, cores, memMB)
 		}
-		// Install the container on the node's agent first: the placement is
-		// the actual truth, the bookkeeping below the desired mirror. A
-		// refusal disqualifies the node and the pick repeats.
-		if err := best.ag.Place(agent.Placement{ID: c.nextID + 1, Cores: cores, MemMB: memMB, ResID: resID}); err != nil {
-			if down == nil {
-				down = make(map[string]bool)
-			}
-			down[best.Name] = true
-			i--
-			continue
-		}
 		best.usedCores += cores
 		best.usedMemMB += memMB
+		best.version++
 		c.nextID++
 		ctr := &Container{ID: c.nextID, NodeName: best.Name, Cores: cores, MemMB: memMB, resID: resID}
 		if r != nil {
@@ -1140,7 +1051,6 @@ func (c *Cluster) oomSweepLocked(granted []*Container) []oomKillInfo {
 				break
 			}
 			c.loseContainerLocked(victim)
-			n.ag.Kill(victim.ID)
 			kills = append(kills, oomKillInfo{
 				node: n.Name, containerID: victim.ID,
 				memMB: victim.MemMB, overMB: over,
@@ -1332,38 +1242,19 @@ func (c *Cluster) CheckInvariants() error {
 			}
 		}
 	}
-	// Desired vs actual: whenever the control plane's belief about a node is
-	// current — believed health matching the agent's, no unobserved rebirth —
-	// the agent must host exactly the desired containers with exactly the
-	// desired usage. Nodes with drift outstanding are skipped; Reconcile
-	// converges them and the storm tests assert the full check at every
-	// quiescent point.
+	// Each node's usage is the sum of its live containers.
+	onNode := make(map[string]sliceUse, len(names))
+	for _, ctr := range c.live {
+		u := onNode[ctr.NodeName]
+		u.cores += ctr.Cores
+		u.memMB += ctr.MemMB
+		onNode[ctr.NodeName] = u
+	}
 	for _, name := range names {
 		n := c.nodes[name]
-		if n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
-			continue
-		}
-		rep := n.ag.Report()
-		if rep.UsedCores != n.usedCores || rep.UsedMemMB != n.usedMemMB {
-			return fmt.Errorf("cluster: node %s desired usage (%dc,%dMB) != agent truth (%dc,%dMB)",
-				name, n.usedCores, n.usedMemMB, rep.UsedCores, rep.UsedMemMB)
-		}
-		var desired []int
-		for id, ctr := range c.live {
-			if ctr.NodeName == name {
-				desired = append(desired, id)
-			}
-		}
-		sort.Ints(desired)
-		if len(desired) != len(rep.Containers) {
-			return fmt.Errorf("cluster: node %s desires %d containers, agent hosts %d",
-				name, len(desired), len(rep.Containers))
-		}
-		for i, id := range desired {
-			if rep.Containers[i] != id {
-				return fmt.Errorf("cluster: node %s desired container %d not hosted (agent has %d)",
-					name, id, rep.Containers[i])
-			}
+		if u := onNode[name]; n.usedCores != u.cores || n.usedMemMB != u.memMB {
+			return fmt.Errorf("cluster: node %s usage (%dc,%dMB) != its live containers (%dc,%dMB)",
+				name, n.usedCores, n.usedMemMB, u.cores, u.memMB)
 		}
 	}
 	// Checkpoint entries must hold consistent progress, and non-durable ones
@@ -1380,17 +1271,8 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("cluster: non-durable checkpoint %q has no replicas", key)
 		}
 		for _, nn := range e.nodes {
-			n, ok := c.nodes[nn]
-			if !ok {
+			if _, ok := c.nodes[nn]; !ok {
 				return fmt.Errorf("cluster: checkpoint %q replicated on unknown node %s", key, nn)
-			}
-			// When the node is not drifting, its agent must actually host
-			// the replica the store metadata claims.
-			if n.ag.Healthy() != n.healthy || n.ag.Incarnation() != n.lastIncarnation {
-				continue
-			}
-			if !slices.Contains(n.ag.Report().Replicas, key) {
-				return fmt.Errorf("cluster: checkpoint %q lists replica on %s but the agent does not host it", key, nn)
 			}
 		}
 	}

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/vtime"
 )
 
@@ -279,6 +282,181 @@ func TestFailNodeInvalidatesLiveContainers(t *testing.T) {
 	c.ReleaseAll(ctrs)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A node marked unhealthy keeps its work: RestoreNode afterwards is a
+// health flip that keeps its live containers, their usage and the
+// checkpoint replicas it lists.
+func TestRestoreAfterHealthFlipKeepsContainersAndReplicas(t *testing.T) {
+	c := New(vtime.NewClock(), 2, 4, 8192)
+	rec := trace.NewRecorder(0)
+	c.SetTracer(rec)
+	ctrs, err := c.AllocateIn(nil, 2, 2, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutCheckpoint("op/rank", "pagerank", 10, 40, []string{"node1"}, false)
+	if err := c.SetNodeHealth("node1", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestoreNode("node1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, ctr := range ctrs {
+		if ctr.Lost() {
+			t.Fatalf("container %d on %s lost by the restore", ctr.ID, ctr.NodeName)
+		}
+	}
+	if got := c.LiveContainers(); got != 2 {
+		t.Fatalf("live containers = %d, want 2", got)
+	}
+	if n := c.Snapshot()[1]; !n.Healthy() || n.FreeCores() != 2 {
+		t.Fatalf("node1 after restore: healthy %v, %d free cores; want true, 2", n.Healthy(), n.FreeCores())
+	}
+	if got := c.CheckpointProgress("op/rank", "pagerank", 40); got != 10 {
+		t.Fatalf("progress = %d after the restore, want 10", got)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Type != trace.EvNodeRestore {
+			t.Fatalf("restore emitted %s", ev.Type)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// The replica is still listed on node1: its crash is the last replica's.
+	c.failNodeNow("node1")
+	if n := c.Checkpoints(); n != 0 {
+		t.Fatalf("%d checkpoints after node1 crashed, want 0", n)
+	}
+}
+
+// After FailNode the node holds nothing, so RestoreNode is a pure health
+// flip: one node.restore event, no container or checkpoint touched.
+func TestRestoreAfterCrashIsAHealthFlip(t *testing.T) {
+	c := New(vtime.NewClock(), 2, 4, 8192)
+	ctrs, err := c.AllocateIn(nil, 2, 2, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutCheckpoint("op/rank", "pagerank", 10, 40, []string{"node0", "node1"}, false)
+	c.failNodeNow("node1")
+	rec := trace.NewRecorder(0)
+	c.SetTracer(rec)
+	before := c.Snapshot()
+	if err := c.RestoreNode("node1"); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Snapshot()
+	if !after[1].Healthy() || after[1].FreeCores() != 4 || after[1].FreeMemMB() != 8192 {
+		t.Fatalf("node1 after restore: healthy %v, (%dc,%dMB) free", after[1].Healthy(), after[1].FreeCores(), after[1].FreeMemMB())
+	}
+	if before[0].FreeCores() != after[0].FreeCores() || before[0].Healthy() != after[0].Healthy() {
+		t.Fatal("restoring node1 changed node0")
+	}
+	if got := c.LiveContainers(); got != 1 {
+		t.Fatalf("live containers = %d, want the one on node0", got)
+	}
+	for _, ctr := range ctrs {
+		if ctr.Lost() != (ctr.NodeName == "node1") {
+			t.Fatalf("container %d on %s: lost %v", ctr.ID, ctr.NodeName, ctr.Lost())
+		}
+	}
+	if got := c.CheckpointProgress("op/rank", "pagerank", 40); got != 10 {
+		t.Fatalf("progress = %d, want 10 (node0 keeps its replica)", got)
+	}
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Type != trace.EvNodeRestore {
+		t.Fatalf("restore emitted %v, want one node.restore", evs)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Randomized allocate/release/crash/restore/health-flip/checkpoint
+// sequences across seeds and GOMAXPROCS settings keep the invariants after
+// every op; once every node is restored and every container released, the
+// whole capacity is free again.
+func TestCrashRestoreHealthStormInvariants(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1337} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("seed=%d/procs=%d", seed, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				r := rand.New(rand.NewSource(seed))
+				const nodes = 6
+				c := New(vtime.NewClock(), nodes, 8, 16384)
+
+				name := func() string { return fmt.Sprintf("node%d", r.Intn(nodes)) }
+				var live []*Container
+				sweep := func() {
+					kept := live[:0]
+					for _, ctr := range live {
+						if !ctr.Lost() {
+							kept = append(kept, ctr)
+						}
+					}
+					live = kept
+				}
+				for i := 0; i < 300; i++ {
+					switch r.Intn(10) {
+					case 0, 1, 2:
+						if ctrs, err := c.AllocateIn(nil, r.Intn(3)+1, r.Intn(3)+1, (r.Intn(4)+1)*512); err == nil {
+							live = append(live, ctrs...)
+						}
+					case 3:
+						sweep()
+						if len(live) > 0 {
+							j := r.Intn(len(live))
+							c.Release(live[j])
+							live = append(live[:j], live[j+1:]...)
+						}
+					case 4:
+						_ = c.SetNodeHealth(name(), false)
+					case 5:
+						_ = c.SetNodeHealth(name(), true)
+					case 6:
+						_ = c.FailNode(name(), 0)
+					case 7:
+						_ = c.RestoreNode(name())
+					case 8:
+						c.PutCheckpoint(fmt.Sprintf("ckpt/%d", r.Intn(8)), "alg", r.Intn(5)+1, 10, []string{name()}, r.Intn(2) == 0)
+					case 9:
+						c.ClearCheckpoint(fmt.Sprintf("ckpt/%d", r.Intn(8)))
+					}
+					if err := c.CheckInvariants(); err != nil {
+						t.Fatalf("step %d: %v", i, err)
+					}
+				}
+
+				for _, n := range c.Nodes() {
+					if err := c.RestoreNode(n.Name); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.ReleaseAll(live)
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				freeC, freeM := c.Available()
+				capC, capM := c.Capacity()
+				if freeC != capC || freeM != capM {
+					t.Fatalf("after the storm (%dc,%dMB) free of (%dc,%dMB)", freeC, freeM, capC, capM)
+				}
+			})
+		}
+	}
+}
+
+// CheckInvariants recounts every node's usage from the live containers.
+func TestCheckInvariantsRecountsNodeUsage(t *testing.T) {
+	c := New(vtime.NewClock(), 2, 4, 8192)
+	if _, err := c.AllocateIn(nil, 2, 1, 512); err != nil {
+		t.Fatal(err)
+	}
+	c.nodes["node1"].usedMemMB++
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants missed a node whose usage differs from its containers")
 	}
 }
 

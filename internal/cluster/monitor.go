@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/asap-project/ires/internal/agent"
 	"github.com/asap-project/ires/internal/engine"
 )
 
@@ -20,16 +19,15 @@ type Monitor struct {
 	env     *engine.Environment
 	period  time.Duration
 
-	// agents is the cluster's agent list in stable node order (nodes are
-	// fixed at cluster.New); seen[i] is agents[i]'s published-report version
-	// at the last read of its report and envGen the environment's generation
-	// at the last engine sweep. A poll re-reads only what moved since.
-	agents []*agent.Agent
+	// nodes is the cluster's node list in stable order (nodes are fixed at
+	// cluster.New); seen[i] is nodes[i]'s version at the last read of its
+	// health and envGen the environment's generation at the last engine
+	// sweep. A poll re-reads only what moved since.
+	nodes  []*Node
 	seen   []uint64
 	envGen uint64
 
 	nodeHealth map[string]bool
-	reports    map[string]agent.Report
 	services   map[string]bool
 	started    bool
 	polls      PollStats
@@ -39,17 +37,17 @@ type Monitor struct {
 
 // PollStats counts completed polls by outcome.
 type PollStats struct {
-	// Idle polls found no agent version, no environment generation moved and
+	// Idle polls found no node version, no environment generation moved and
 	// no health script armed: nothing was re-read.
 	Idle int
-	// Refreshed polls re-read at least one report or the engine list and found
+	// Refreshed polls re-read at least one node or the engine list and found
 	// every status as it was; Changed polls found one that differed.
 	Refreshed int
 	Changed   int
 }
 
-// unseen is the version no agent or environment ever publishes: the first
-// poll finds everything new.
+// unseen is the version no node or environment ever reaches: the first poll
+// finds everything new.
 const unseen = ^uint64(0)
 
 type monitorCB struct {
@@ -66,11 +64,10 @@ func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Moni
 		period:     period,
 		envGen:     unseen,
 		nodeHealth: make(map[string]bool),
-		reports:    make(map[string]agent.Report),
 		services:   make(map[string]bool),
+		nodes:      c.Nodes(),
 	}
-	for _, n := range c.Nodes() {
-		m.agents = append(m.agents, n.ag)
+	for range m.nodes {
 		m.seen = append(m.seen, unseen)
 	}
 	return m
@@ -129,34 +126,33 @@ func (m *Monitor) Start() {
 }
 
 // Poll runs one monitoring round immediately and returns whether any status
-// changed. Node status comes from the agents' published reports — the
-// heartbeat channel.
+// changed. Node status is read from the cluster's node records.
 //
-// A round costs what changed, not what exists: an agent's report is re-read
-// only when its published-report version moved since the last read, the
-// engine list only when the environment's generation did. A health script
-// may read anything, so while one is armed every report is re-read.
+// A round costs what changed, not what exists: a node's health is re-read
+// only when its version moved since the last read, the engine list only
+// when the environment's generation did. A health script may read anything,
+// so while one is armed every node is re-read.
+//
+// Lock order: m.mu, then the cluster's lock, which is held across the node
+// sweep so that every version and health flag read belong together.
 func (m *Monitor) Poll() bool {
 	scripted := m.cluster.RunHealthChecks()
 
 	m.mu.Lock()
 	changed, refreshed := false, false
-	for i, a := range m.agents {
-		// Version before Report: the report is then at least as new as the
-		// version kept, so a mutation in between is re-read, never missed.
-		v := a.Version()
-		if v == m.seen[i] && !scripted {
+	m.cluster.mu.Lock()
+	for i, n := range m.nodes {
+		if n.version == m.seen[i] && !scripted {
 			continue
 		}
-		m.seen[i] = v
+		m.seen[i] = n.version
 		refreshed = true
-		rep := a.Report()
-		if prev, seen := m.nodeHealth[rep.Node]; !seen || prev != rep.Healthy {
+		if prev, seen := m.nodeHealth[n.Name]; !seen || prev != n.healthy {
 			changed = true
 		}
-		m.nodeHealth[rep.Node] = rep.Healthy
-		m.reports[rep.Node] = rep
+		m.nodeHealth[n.Name] = n.healthy
 	}
+	m.cluster.mu.Unlock()
 	if m.env != nil {
 		if gen := m.env.Gen(); gen != m.envGen {
 			m.envGen = gen
@@ -206,15 +202,6 @@ func (m *Monitor) fire(cbs []monitorCB) {
 			cb.fn()
 		}
 	}
-}
-
-// NodeReport returns the last agent report observed for the node (zero
-// report, false when the node was never polled).
-func (m *Monitor) NodeReport(name string) (agent.Report, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rep, ok := m.reports[name]
-	return rep, ok
 }
 
 // NodeHealthy returns the last observed health of a node (false when never

@@ -49,17 +49,17 @@ func TestMonitorOnChangeRemovalDuringPoll(t *testing.T) {
 	}
 }
 
-// The monitor's node board is fed by agent reports: a crash shows at the
+// The monitor's node board is fed by the node records: a crash shows at the
 // next poll, and so does the restore.
-func TestMonitorReadsAgentReports(t *testing.T) {
+func TestMonitorReadsNodeHealth(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 2, 2, 4096)
 	env := engine.NewDefaultEnvironment(1)
 	m := NewMonitor(c, env, 10*time.Second)
 	m.Poll()
 
-	if rep, ok := m.NodeReport("node1"); !ok || !rep.Healthy || rep.Incarnation != 0 {
-		t.Fatalf("initial report = %+v, %v", rep, ok)
+	if !m.NodeHealthy("node1") {
+		t.Fatal("initial board shows node1 down")
 	}
 	if err := c.FailNode("node1", 0); err != nil {
 		t.Fatal(err)
@@ -76,26 +76,25 @@ func TestMonitorReadsAgentReports(t *testing.T) {
 	if !m.Poll() {
 		t.Fatal("restore not observed")
 	}
-	if rep, _ := m.NodeReport("node1"); !rep.Healthy || rep.Incarnation != 1 {
-		t.Fatalf("restored report = %+v", rep)
+	if !m.NodeHealthy("node1") {
+		t.Fatal("board does not show the restore")
 	}
 }
 
 // naivePoll is the whole-board poll Monitor.Poll replaced, kept as the test
-// oracle: every report and the whole engine list re-read every round. Only
+// oracle: every node and the whole engine list re-read every round. Only
 // the firing of the callbacks, which did not change, is shared.
 func naivePoll(m *Monitor) bool {
 	m.cluster.RunHealthChecks()
-	reports := m.cluster.AgentReports()
+	nodes := m.cluster.Snapshot()
 
 	m.mu.Lock()
 	changed := false
-	for _, rep := range reports {
-		if prev, seen := m.nodeHealth[rep.Node]; !seen || prev != rep.Healthy {
+	for _, n := range nodes {
+		if prev, seen := m.nodeHealth[n.Name]; !seen || prev != n.Healthy() {
 			changed = true
 		}
-		m.nodeHealth[rep.Node] = rep.Healthy
-		m.reports[rep.Node] = rep
+		m.nodeHealth[n.Name] = n.Healthy()
 	}
 	if m.env != nil {
 		for _, name := range m.env.Engines() {
@@ -177,9 +176,9 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 				live = append(live[:j], live[j+1:]...)
 			}
 		case 2:
-			if len(live) > 0 { // a container dying on its own, unseen by the control plane
-				ctr := live[arg%len(live)]
-				c.nodes[ctr.NodeName].ag.Kill(ctr.ID)
+			if r, err := c.Reserve(1); err == nil { // a lease revoked with its container
+				_, _ = c.AllocateIn(r, 1, 1, 512)
+				c.RevokeReservation(r)
 			}
 		case 3:
 			_ = c.FailNode(node, 0)
@@ -223,11 +222,6 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 		}
 		for j := 0; j < monitorStormNodes; j++ {
 			name := fmt.Sprintf("node%d", j)
-			fr, fok := fast.m.NodeReport(name)
-			nr, nok := naive.m.NodeReport(name)
-			if fok != nok || !reflect.DeepEqual(fr, nr) {
-				t.Fatalf("op %d: NodeReport(%s) = %+v, %v; naive %+v, %v", i/2, name, fr, fok, nr, nok)
-			}
 			if f, n := fast.m.NodeHealthy(name), naive.m.NodeHealthy(name); f != n {
 				t.Fatalf("op %d: NodeHealthy(%s) = %v, naive %v", i/2, name, f, n)
 			}
@@ -283,7 +277,7 @@ func FuzzMonitorPoll(f *testing.F) {
 	})
 }
 
-// A poll that notices nothing is a handful of loads: no report built, no
+// A poll that notices nothing is a handful of loads: no node re-read, no
 // engine list sorted, no callback slice copied.
 func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	c := New(vtime.NewClock(), 16, 2, 3456)

@@ -549,59 +549,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- cluster ---
 
-// agentNodeDTO pairs the control plane's believed (desired) view of a node
-// with the node agent's published report. The two disagree only while an
-// agent has changed on its own and no reconcile round has read it yet.
-type agentNodeDTO struct {
-	Node             string   `json:"node"`
-	BelievedHealthy  bool     `json:"believedHealthy"`
-	DesiredUsedCores int      `json:"desiredUsedCores"`
-	DesiredUsedMemMB int      `json:"desiredUsedMemMB"`
-	ReportHealthy    bool     `json:"reportHealthy"`
-	Incarnation      int      `json:"incarnation"`
-	Seq              int64    `json:"seq"`
-	UsedCores        int      `json:"usedCores"`
-	UsedMemMB        int      `json:"usedMemMB"`
-	Containers       []int    `json:"containers,omitempty"`
-	Replicas         []string `json:"replicas,omitempty"`
+// nodeDTO is one node's record: its health and what its live containers
+// use.
+type nodeDTO struct {
+	Node      string `json:"node"`
+	Healthy   bool   `json:"healthy"`
+	UsedCores int    `json:"usedCores"`
+	UsedMemMB int    `json:"usedMemMB"`
 }
 
 type clusterDTO struct {
-	Nodes             []agentNodeDTO `json:"nodes"`
-	DeathsDetected    int            `json:"deathsDetected"`
-	DesiredActualDiff int            `json:"desiredActualDiff"`
-	Checkpoints       int            `json:"checkpoints"`
+	Nodes       []nodeDTO `json:"nodes"`
+	Checkpoints int       `json:"checkpoints"`
 }
 
-// handleCluster serves GET /api/cluster: the per-agent desired/actual state
-// of every node plus the reconciler's death counter.
+// handleCluster serves GET /api/cluster: every node's record, read from one
+// snapshot taken under the cluster's lock, plus the stored checkpoint count.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
 		return
 	}
 	clu := s.platform.Cluster
-	reports := clu.AgentReports() // in Nodes() order
-	dto := clusterDTO{
-		Nodes:             []agentNodeDTO{},
-		DeathsDetected:    clu.DeathsDetected(),
-		DesiredActualDiff: clu.DesiredActualDiff(),
-		Checkpoints:       clu.Checkpoints(),
-	}
-	for i, n := range clu.Nodes() {
-		rep := reports[i]
-		dto.Nodes = append(dto.Nodes, agentNodeDTO{
-			Node:             n.Name,
-			BelievedHealthy:  n.Healthy(),
-			DesiredUsedCores: n.Cores - n.FreeCores(),
-			DesiredUsedMemMB: n.MemMB - n.FreeMemMB(),
-			ReportHealthy:    rep.Healthy,
-			Incarnation:      rep.Incarnation,
-			Seq:              rep.Seq,
-			UsedCores:        rep.UsedCores,
-			UsedMemMB:        rep.UsedMemMB,
-			Containers:       rep.Containers,
-			Replicas:         rep.Replicas,
+	dto := clusterDTO{Nodes: []nodeDTO{}, Checkpoints: clu.Checkpoints()}
+	for _, n := range clu.Snapshot() {
+		dto.Nodes = append(dto.Nodes, nodeDTO{
+			Node:      n.Name,
+			Healthy:   n.Healthy(),
+			UsedCores: n.Cores - n.FreeCores(),
+			UsedMemMB: n.MemMB - n.FreeMemMB(),
 		})
 	}
 	writeJSON(w, http.StatusOK, dto)

@@ -539,25 +539,25 @@ func TestFaultInjectionEndpoint(t *testing.T) {
 	expectCode(t, resp, body, http.StatusMethodNotAllowed)
 }
 
-// GET /api/cluster exposes the per-agent desired/actual split: fresh agents
-// agree with the control plane, and a crash shows in both views.
+// GET /api/cluster serves every node's record: health and the usage of its
+// live containers, through a crash and its restore.
 func TestClusterEndpointAgentState(t *testing.T) {
 	_, ts, p := newTestServer(t)
 
 	var dto struct {
 		Nodes []struct {
-			Node            string `json:"node"`
-			BelievedHealthy bool   `json:"believedHealthy"`
-			ReportHealthy   bool   `json:"reportHealthy"`
-			Incarnation     int    `json:"incarnation"`
+			Node      string `json:"node"`
+			Healthy   bool   `json:"healthy"`
+			UsedCores int    `json:"usedCores"`
+			UsedMemMB int    `json:"usedMemMB"`
 		} `json:"nodes"`
-		DeathsDetected    int `json:"deathsDetected"`
-		DesiredActualDiff int `json:"desiredActualDiff"`
+		Checkpoints int `json:"checkpoints"`
 	}
 	get := func() {
 		t.Helper()
 		resp, body := do(t, "GET", ts.URL+"/api/cluster", "")
 		expectCode(t, resp, body, http.StatusOK)
+		dto.Nodes = nil
 		if err := json.Unmarshal([]byte(body), &dto); err != nil {
 			t.Fatalf("bad /api/cluster body %q: %v", body, err)
 		}
@@ -567,32 +567,82 @@ func TestClusterEndpointAgentState(t *testing.T) {
 		t.Fatal("no nodes in /api/cluster")
 	}
 	for _, n := range dto.Nodes {
-		if !n.BelievedHealthy || !n.ReportHealthy {
-			t.Fatalf("fresh cluster node out of agreement: %+v", n)
+		if !n.Healthy || n.UsedCores != 0 || n.UsedMemMB != 0 {
+			t.Fatalf("fresh cluster node: %+v", n)
 		}
 	}
-	if dto.DesiredActualDiff != 0 {
-		t.Fatalf("fresh cluster desired/actual diff = %d", dto.DesiredActualDiff)
+	if dto.Checkpoints != 0 {
+		t.Fatalf("fresh cluster holds %d checkpoints", dto.Checkpoints)
 	}
 
-	victim := dto.Nodes[0].Node
+	ctrs, err := p.Cluster.AllocateIn(nil, 1, 2, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ctrs[0].NodeName
+	get()
+	for _, n := range dto.Nodes {
+		if want := n.Node == victim; (n.UsedCores == 2 && n.UsedMemMB == 1024) != want {
+			t.Fatalf("node state after one (2c,1024MB) container on %s: %+v", victim, n)
+		}
+	}
+
 	if err := p.Cluster.FailNode(victim, 0); err != nil {
 		t.Fatal(err)
 	}
 	get()
-	if n0 := dto.Nodes[0]; n0.BelievedHealthy || n0.ReportHealthy {
-		t.Fatalf("crashed node state: %+v", n0)
-	}
-	if dto.DesiredActualDiff != 0 || dto.DeathsDetected != 0 {
-		t.Fatalf("announced crash: diff %d, %d deaths detected", dto.DesiredActualDiff, dto.DeathsDetected)
+	for _, n := range dto.Nodes {
+		if n.Node == victim && (n.Healthy || n.UsedCores != 0 || n.UsedMemMB != 0) {
+			t.Fatalf("crashed node state: %+v", n)
+		}
 	}
 
 	if err := p.Cluster.RestoreNode(victim); err != nil {
 		t.Fatal(err)
 	}
 	get()
-	if n0 := dto.Nodes[0]; !n0.BelievedHealthy || !n0.ReportHealthy || n0.Incarnation != 1 {
-		t.Fatalf("restored node state: %+v", n0)
+	for _, n := range dto.Nodes {
+		if !n.Healthy {
+			t.Fatalf("restored cluster node: %+v", n)
+		}
+	}
+}
+
+// GET /api/cluster reads a snapshot of the nodes taken under the cluster's
+// lock, so polling it while a workflow allocates and releases containers is
+// race-free (run under -race in CI).
+func TestClusterEndpointDuringExecution(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	setupWordcount(t, ts)
+
+	done := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				polled <- n
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/api/cluster")
+			if err != nil {
+				t.Error(err)
+				polled <- n
+				return
+			}
+			resp.Body.Close()
+			n++
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		resp, body := do(t, "POST", ts.URL+"/api/workflows/wc/execute", "")
+		expectCode(t, resp, body, http.StatusOK)
+	}
+	close(done)
+	if n := <-polled; n == 0 {
+		t.Fatal("/api/cluster was never read during the executions")
 	}
 }
 

@@ -100,14 +100,6 @@ const (
 	EvCheckpointRestore EventType = "checkpoint.restore"
 	EvCheckpointLost    EventType = "checkpoint.lost"
 	EvAttemptYield      EventType = "attempt.yield"
-
-	// Node-agent reconciliation layer. agent.report records a reconcile
-	// round observing an agent report with news (seq/incarnation/used in
-	// Fields). Death detected by reconciliation — rather than announced by
-	// FailNode — emits the ordinary node.crash with detected=1 in Fields.
-	// These fire only from explicit Reconcile rounds, so scenarios that
-	// never reconcile keep byte-identical traces.
-	EvAgentReport EventType = "agent.report"
 )
 
 // Event is one structured trace record. Only deterministic, virtual-time

@@ -26,7 +26,7 @@ var reachLedger = map[string]string{
 	"scheduler.Scheduler.CheckIndex":     "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
 	"experiments.PlanPegasus":            "the Fig 14-15 planning unit that BenchmarkPlannerMontage1000 times",
 	"server.Server.Handler":              "the REST tests serve it through httptest; ListenAndServe mounts the same mux",
-	"cluster.Cluster.SetNodeHealth":      "failure injection that flips believed health without losing containers; placement, monitor and reconciler tests use it",
+	"cluster.Cluster.SetNodeHealth":      "failure injection that flips health without losing containers; placement, monitor and restore tests use it",
 	"metadata.FromProperties":            "the programmatic form of a description file; the metadata round-trip and matching tests build trees with it",
 	// Observation points that tests of other behaviour read.
 	"cluster.Cluster.ReservedNodes":        "observation point that the lease, preemption and storm tests read",
@@ -35,7 +35,6 @@ var reachLedger = map[string]string{
 	"cluster.Reservation.Released":         "observation point that the elastic-lease and storm tests read",
 	"cluster.Monitor.Ticks":                "observation point that the monitor-poll tests read",
 	"cluster.Monitor.NodeHealthy":          "observation point that the monitor-poll oracle compares",
-	"cluster.Monitor.NodeReport":           "observation point that the monitor-poll oracle compares",
 	"cluster.Monitor.ServiceOn":            "observation point that the monitor-poll oracle compares",
 	"vtime.Clock.Pending":                  "observation point that the clock, monitor and server tests read",
 	"vtime.Clock.Parties":                  "observation point that the party and scheduler tests read",
