@@ -377,8 +377,9 @@ func TestRestoreAfterCrashIsAHealthFlip(t *testing.T) {
 // Randomized allocate/release/crash/restore/health-flip/checkpoint
 // sequences across seeds and GOMAXPROCS settings keep the invariants after
 // every op; once every node is restored and every container released, the
-// whole capacity is free again.
-func TestCrashRestoreHealthStormInvariants(t *testing.T) {
+// whole capacity is free again. The name dates from the agent reconciler;
+// the storm now drives the control plane alone.
+func TestReconcilerConvergenceStorm(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
 		for _, procs := range []int{1, 4} {
 			t.Run(fmt.Sprintf("seed=%d/procs=%d", seed, procs), func(t *testing.T) {
