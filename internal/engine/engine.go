@@ -185,10 +185,10 @@ type Environment struct {
 	available map[string]bool
 	noise     *noiseSource
 	// availGen counts availability flips; infraGen counts registrations and
-	// infrastructure swaps. The planner handles availability changes with
-	// scoped partial invalidation (its per-engine fingerprint), while
-	// infrastructure changes — which shift every resource/estimate — force a
-	// wholesale flush via InfraGen.
+	// infrastructure swaps. The planner reads availability as part of its
+	// memo keys, so a flip evicts nothing, while infrastructure changes —
+	// which shift every resource/estimate — force a wholesale flush via
+	// InfraGen.
 	availGen uint64
 	infraGen uint64
 }

@@ -24,12 +24,6 @@ type CircuitBreaker struct {
 	Cooldown time.Duration
 	// Tracer receives trip/reset events; nil discards them.
 	Tracer trace.Tracer
-	// OnTransition, if set, is told which engine tripped or reset — the
-	// platform wires this to the planner's typed EngineAvailability
-	// invalidation. It runs with b.mu held and must only enqueue. The lazy
-	// half-open transition inside Allows is deliberately not reported: the
-	// planner's per-build availability fingerprint catches it.
-	OnTransition func(engineName string)
 
 	state map[string]*breakerState
 	// gen counts availability transitions (trip, reset, half-open).
@@ -91,9 +85,6 @@ func (b *CircuitBreaker) RecordFailure(engineName string) bool {
 		st.tripped = true
 		st.trippedUntil = b.now() + b.Cooldown
 		b.gen++
-		if b.OnTransition != nil {
-			b.OnTransition(engineName)
-		}
 		b.emitLocked(trace.Event{
 			Type: trace.EvBreakerTrip, Engine: engineName,
 			Fields: map[string]float64{
@@ -127,9 +118,6 @@ func (b *CircuitBreaker) RecordSuccess(engineName string) {
 		if st.tripped {
 			b.emitLocked(trace.Event{Type: trace.EvBreakerReset, Engine: engineName})
 			b.gen++
-			if b.OnTransition != nil {
-				b.OnTransition(engineName)
-			}
 		}
 		st.consecutive = 0
 		st.tripped = false

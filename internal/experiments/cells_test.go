@@ -226,7 +226,7 @@ func TestPlannerGate(t *testing.T) {
 		{"below the 1.5x floor", func(r *PlannerBenchReport) { r.ReplanSpeedup = 1.49 }},
 		{"below the 50% floor", func(r *PlannerBenchReport) { r.AllocReduction = 0.49 }},
 		{"warm plans diverged", func(r *PlannerBenchReport) { r.WarmIdentical = false }},
-		{"above 2 per invalidation", func(r *PlannerBenchReport) { r.Giant.EvictedEntries = 2*r.Giant.PartialInvalidations + 1 }},
+		{"beyond the flap scope", func(r *PlannerBenchReport) { r.Giant.FlapMisses = uint64(r.Giant.FlapScope) + 1 }},
 		{"above the 1.5x ceiling", func(r *PlannerBenchReport) { r.Giant.PartialOverWarm = 1.51 }},
 		{"flap replans diverged", func(r *PlannerBenchReport) { r.Giant.FlapIdentical = false }},
 	})

@@ -16,11 +16,12 @@ import (
 // Giant-DAG planner benchmark: a Pegasus Montage workflow at thousands of
 // operators, m alternative engines per algorithm, plus one extra "flapEngine"
 // implementing only the sink-adjacent mShrink algorithm. Flapping that engine
-// up and down is the worst case the partial-invalidation scheme is designed
-// for: the typed event's footprint touches two node results (mShrink and its
-// mJPEG dependent) out of the whole DAG, so a replan after the flap re-derives
-// those two and insert-replays everything else warm. The cold plan is the
-// cost a wholesale flush would pay for the same flap.
+// up and down is the case availability-keyed memoization is designed for:
+// the engine's availability is part of the key of the mShrink node alone, so
+// the first replan in the down state re-derives that node (and its mJPEG
+// dependent, should its input row change) and insert-replays everything else
+// warm, and every later replan in either state is all hits. The cold plan is
+// the cost a wholesale flush would pay for the same flap.
 
 // giantFlapEngine is the extra engine the flap benchmarks toggle.
 const giantFlapEngine = "flapEngine"
@@ -37,6 +38,7 @@ type GiantDAGBench struct {
 	Engines int // engine implementations per algorithm (flap engine excluded)
 	lib     *operator.Library
 	flapUp  atomic.Bool
+	flaps   uint64 // setFlap calls
 	// RefUp and RefDown are cold-planner references for the two availability
 	// states; warm replans after a flap must describe identically.
 	RefUp, RefDown string
@@ -126,27 +128,60 @@ func NewGiantDAGBench(size, engines int) (*GiantDAGBench, error) {
 	return e, nil
 }
 
-// setFlap changes the flap engine's availability and sends the typed
-// invalidation event a platform would.
+// setFlap changes the flap engine's availability. No event is sent: the
+// planner reads availability at its next build boundary.
 func (e *GiantDAGBench) setFlap(up bool) {
 	e.flapUp.Store(up)
-	e.P.EngineAvailability(giantFlapEngine)
+	e.flaps++
+}
+
+// flapScope counts the operator nodes a flap of the flap engine may make
+// miss: those implementing the flap algorithm and every operator downstream
+// of one.
+func (e *GiantDAGBench) flapScope() int {
+	seen := map[*workflow.Node]bool{}
+	var walk func(n *workflow.Node)
+	walk = func(n *workflow.Node) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		for _, out := range n.Outputs {
+			walk(out)
+		}
+	}
+	for _, o := range e.G.Operators() {
+		if o.Operator.Algorithm() == giantFlapAlg {
+			walk(o)
+		}
+	}
+	ops := 0
+	for n := range seen {
+		if n.Kind == workflow.OperatorNode {
+			ops++
+		}
+	}
+	return ops
 }
 
 // VerifyFlap drives the warm planner through a down/up flap cycle and checks
 // each replan against the matching cold reference — the byte-identity gate
-// for partial invalidation at giant scale. The benched planner is verified
-// on Describe output; a second, trace-recording planner pair additionally
-// pins the trace bytes (kept off the benched planner so event emission
-// never skews the measurements).
+// for availability-keyed memoization at giant scale — and against what the
+// keys promise: the down flip misses no node outside flapScope, the up flip
+// that follows misses none and builds no row, and neither evicts. The
+// benched planner is verified on Describe output; a second, trace-recording
+// planner pair additionally pins the trace bytes (kept off the benched
+// planner so event emission never skews the measurements).
 func (e *GiantDAGBench) VerifyFlap() error {
 	if _, err := e.P.Plan(e.G); err != nil {
 		return err
 	}
+	scope := uint64(e.flapScope())
 	for _, step := range []struct {
 		up   bool
 		want string
 	}{{false, e.RefDown}, {true, e.RefUp}} {
+		before := e.P.CacheStats()
 		e.setFlap(step.up)
 		pl, err := e.P.Plan(e.G)
 		if err != nil {
@@ -155,9 +190,16 @@ func (e *GiantDAGBench) VerifyFlap() error {
 		if pl.Describe() != step.want {
 			return fmt.Errorf("giant dag: warm replan (flap up=%v) diverged from cold reference", step.up)
 		}
-	}
-	if cs := e.P.CacheStats(); cs.PartialInvalidations == 0 || cs.EvictedEntries == 0 {
-		return fmt.Errorf("giant dag: flap cycle recorded no partial invalidation: %+v", cs)
+		after := e.P.CacheStats()
+		misses, rows := after.Misses-before.Misses, after.RowsAllocated-before.RowsAllocated
+		switch {
+		case after.EvictedEntries != before.EvictedEntries || after.Epoch != before.Epoch:
+			return fmt.Errorf("giant dag: flap (up=%v) evicted cached results: %+v -> %+v", step.up, before, after)
+		case misses > scope:
+			return fmt.Errorf("giant dag: flap (up=%v) missed %d node results, beyond the %d it can touch", step.up, misses, scope)
+		case step.up && (misses != 0 || rows != 0):
+			return fmt.Errorf("giant dag: flap back up missed %d node results and built %d rows; it is all hits", misses, rows)
+		}
 	}
 	return e.verifyFlapTraces()
 }
@@ -182,7 +224,6 @@ func (e *GiantDAGBench) verifyFlapTraces() error {
 	}
 	for _, state := range []bool{false, true} {
 		up.Store(state)
-		warm.EngineAvailability(giantFlapEngine)
 		before := len(warmRec.Events())
 		if _, err := warm.Plan(e.G); err != nil {
 			return err
@@ -248,8 +289,8 @@ func (e *GiantDAGBench) BenchGiantReplanWarm(b *testing.B) {
 }
 
 // BenchGiantFlapReplanPartial measures the replan after a single engine flap
-// under dependency-scoped partial invalidation: each iteration toggles the
-// flap engine, sends the typed event, and replans.
+// under availability-keyed memoization: each iteration toggles the flap
+// engine and replans.
 func (e *GiantDAGBench) BenchGiantFlapReplanPartial(b *testing.B) {
 	b.ReportAllocs()
 	if _, err := e.P.Plan(e.G); err != nil {
@@ -281,9 +322,13 @@ type GiantDAGReport struct {
 	// FlapIdentical records that warm replans after each flap described
 	// identically to cold planners under the same availability.
 	FlapIdentical bool `json:"flapIdentical"`
-	// Planner cache counters after the run.
-	PartialInvalidations uint64 `json:"partialInvalidations"`
-	EvictedEntries       uint64 `json:"evictedEntries"`
+	// Flaps counts the flap replans of the partial cell and FlapMisses the
+	// node results they evaluated; FlapScope is how many operator nodes a
+	// flap can make miss (flapScope). Both states stay cached, so only the
+	// first visit of the down state may miss (gate: FlapMisses <= FlapScope).
+	Flaps      uint64 `json:"flaps"`
+	FlapMisses uint64 `json:"flapMisses"`
+	FlapScope  int    `json:"flapScope"`
 }
 
 // RunGiantDAGBench builds the giant-DAG environment, runs the identity gate,
@@ -299,6 +344,7 @@ func RunGiantDAGBench(size, engines int) (*GiantDAGReport, error) {
 
 	cold := testing.Benchmark(env.BenchGiantPlanCold)
 	warm := testing.Benchmark(env.BenchGiantReplanWarm)
+	flaps, misses := env.flaps, env.P.CacheStats().Misses
 	partial := testing.Benchmark(env.BenchGiantFlapReplanPartial)
 
 	report := &GiantDAGReport{
@@ -311,12 +357,12 @@ func RunGiantDAGBench(size, engines int) (*GiantDAGReport, error) {
 			toResult("BenchmarkGiantFlapReplanPartial", partial),
 		},
 		FlapIdentical: true,
+		Flaps:         env.flaps - flaps,
+		FlapMisses:    env.P.CacheStats().Misses - misses,
+		FlapScope:     env.flapScope(),
 	}
 	if warm.NsPerOp() > 0 {
 		report.PartialOverWarm = float64(partial.NsPerOp()) / float64(warm.NsPerOp())
 	}
-	cs := env.P.CacheStats()
-	report.PartialInvalidations = cs.PartialInvalidations
-	report.EvictedEntries = cs.EvictedEntries
 	return report, nil
 }

@@ -264,7 +264,7 @@ func (l *Library) ResetMatchIndex() {
 }
 
 // Engines returns the distinct engines of the registered operators, sorted.
-// The planner fingerprints engine availability against this set.
+// The planner snapshots engine availability over this set once per build.
 func (l *Library) Engines() []string {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -104,12 +104,12 @@ func TestCacheDoesNotGrowWithFreshGraphs(t *testing.T) {
 		c := &p.cache
 		return map[string]int{
 			"nodes": len(c.nodes), "leaves": len(c.leaves), "seeds": len(c.seeds), "moved": len(c.moved),
-			"dependents": len(c.dependents),
+			"dependents": len(c.dependents), "matchSets": len(c.matchSets),
 		}
 	}
 	round()
 	want := sizes()
-	if want["nodes"] == 0 || want["leaves"] == 0 || want["seeds"] == 0 {
+	if want["nodes"] == 0 || want["leaves"] == 0 || want["seeds"] == 0 || want["matchSets"] == 0 {
 		t.Fatalf("first round cached nothing: %v", want)
 	}
 	for i := 0; i < 1000; i++ {

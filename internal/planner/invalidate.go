@@ -1,34 +1,37 @@
 package planner
 
 // Dependency-scoped partial invalidation. Every memoized node result records
-// a footprint of the external state it depends on — the engines of its
-// library matches, the materialized operators it estimated, the abstract
-// operator it matched against the library, and the structural signatures of
-// every derived table entry it read while being keyed (the DP parent links).
-// A typed invalidation event (an engine availability change, a profiler
-// retrain of one target, a library add/remove) scans the cached footprints
-// once and evicts only the footprint-hit entries plus everything reachable
-// from them downstream through the dependents index; untouched subtrees stay
-// warm and insert-replay exactly as before. Events are rare next to node
-// evaluations, so the scan is paid per event and an evaluation registers
-// nothing but its parent links.
+// a footprint of the external state it depends on — the materialized
+// operators it estimated, the abstract operator it matched against the
+// library and the match list it saw, and the structural signatures of every
+// derived table entry it read while being keyed (the DP parent links). A
+// typed invalidation event (a profiler retrain of one target, a library
+// add/remove) scans the cached footprints once and evicts only the
+// footprint-hit entries plus everything reachable from them downstream
+// through the dependents index; untouched subtrees stay warm and
+// insert-replay exactly as before. Events are rare next to node evaluations,
+// so the scan is paid per event and an evaluation registers nothing but its
+// parent links.
+//
+// Engine availability evicts nothing: it is part of the key. Each build
+// boundary probes every library engine once (snapshotAvailLocked), and a
+// node's key folds in the snapshot bits of its own matches' engines
+// (memo.go). A flip to a new state misses the nodes matching the flipped
+// engine, and downstream of them the nodes whose input rows changed; a flip
+// back to a state already seen hits the results still cached. The cache-size
+// bound keeps what the states seen add up to in check.
 //
 // Wholesale flush (flushLocked) remains the fallback for untyped changes:
 // a Config.Epoch movement, a library generation delta not explained by
 // change-listener events, an untyped ("") event, or the cache-size bound.
 //
-// Correctness rests on two mechanisms. First, the per-engine availability
-// fingerprint is re-probed at every build boundary, so availability changes
-// no counter records (a circuit breaker re-opening on virtual-time cooldown)
-// evict the affected nodes even without a typed event. Second, a node's key
-// digests its input fronts, so once an upstream node re-evaluates
-// differently, every downstream key changes and misses; the eager downstream
-// eviction here additionally keeps the cache free of unreachable stale
-// results so the size bound measures live entries.
+// A node's key also digests its input fronts, so once an upstream node
+// re-evaluates differently, every downstream key changes and misses; the
+// eager downstream eviction here additionally keeps the cache free of
+// unreachable stale results so the size bound measures live entries.
 
 import (
 	"slices"
-	"sort"
 
 	"github.com/asap-project/ires/internal/operator"
 )
@@ -39,9 +42,8 @@ type footprint struct {
 	// library; library changes re-match it to detect candidate-set drift.
 	abstract *operator.Abstract
 	// matches is the full library match list the node saw, before
-	// availability filtering. Their engines, available or not, are the
-	// engines the node depends on — an unavailable engine coming back
-	// changes the candidate set just as an available one going down does.
+	// availability filtering; a library change that alters it evicts the
+	// node.
 	matches []*operator.Materialized
 	// estOps lists the materialized operator names whose estimates (and
 	// provisioned resources) the evaluation consumed.
@@ -52,51 +54,23 @@ type footprint struct {
 	inSigs []sig
 }
 
-// touches reports whether the node depends on one of the engines or estimated
-// one of the operators.
-func (f *footprint) touches(engines, estOps map[string]struct{}) bool {
-	if len(engines) > 0 {
-		for _, mo := range f.matches {
-			if _, ok := engines[mo.Engine()]; ok {
-				return true
-			}
-		}
-	}
-	if len(estOps) > 0 {
-		for _, op := range f.estOps {
-			if _, ok := estOps[op]; ok {
-				return true
-			}
+// touches reports whether the node estimated one of the operators.
+func (f *footprint) touches(estOps map[string]struct{}) bool {
+	for _, op := range f.estOps {
+		if _, ok := estOps[op]; ok {
+			return true
 		}
 	}
 	return false
 }
 
 // pending accumulates typed invalidation events between builds. It is
-// guarded by Planner.pendMu, a leaf mutex, so producers (breaker trips,
-// profiler retrains, library mutations) never contend with a running build.
+// guarded by Planner.pendMu, a leaf mutex, so producers (profiler retrains,
+// library mutations) never contend with a running build.
 type pending struct {
-	engines   map[string]struct{}
 	estOps    map[string]struct{}
 	lib       uint64 // library change-listener events seen
 	wholesale bool
-}
-
-// EngineAvailability records a typed invalidation event: the named engine's
-// availability changed (or may have changed). The next build evicts only the
-// node results whose candidate set touches that engine. An empty name is an
-// untyped change and forces a wholesale flush.
-func (p *Planner) EngineAvailability(engine string) {
-	p.pendMu.Lock()
-	defer p.pendMu.Unlock()
-	if engine == "" {
-		p.pend.wholesale = true
-		return
-	}
-	if p.pend.engines == nil {
-		p.pend.engines = make(map[string]struct{})
-	}
-	p.pend.engines[engine] = struct{}{}
 }
 
 // ProfilerRetrain records a typed invalidation event: the prediction models
@@ -145,64 +119,34 @@ func sameMatches(a, b []*operator.Materialized) bool {
 	})
 }
 
-// probeAvail renders one engine's availability bit.
-func (p *Planner) probeAvail(engine string) byte {
-	if p.cfg.EngineAvailable == nil || p.cfg.EngineAvailable(engine) {
-		return '1'
-	}
-	return '0'
+// refreshEnginesLocked re-derives the sorted library engine list the
+// availability snapshot is indexed by. It runs at a build boundary whose
+// library generation moved; the match sets of the old generation refresh on
+// their next lookup.
+func (p *Planner) refreshEnginesLocked() {
+	c := &p.cache
+	c.engines = p.cfg.Library.Engines()
+	c.avail = make([]bool, len(c.engines))
 }
 
-// refreshEnginesLocked re-derives the sorted library engine list and carries
-// over the known availability bits whenever the library generation moved.
-// Steady-state builds reuse the cached list, so the per-build validity check
-// allocates nothing.
-func (p *Planner) refreshEnginesLocked(libGen uint64) {
+// snapshotAvailLocked probes EngineAvailable once per library engine. It
+// runs at every build boundary and nowhere else, so every node key and
+// candidate filter of one build reads one availability state — also when a
+// breaker trips or re-opens while the build runs.
+func (p *Planner) snapshotAvailLocked() {
 	c := &p.cache
-	if c.enginesInit && c.enginesGen == libGen {
-		return
-	}
-	engines := p.cfg.Library.Engines()
-	prev := make([]byte, len(engines))
-	for i, e := range engines {
-		j := sort.SearchStrings(c.engines, e)
-		if c.enginesInit && j < len(c.engines) && c.engines[j] == e && j < len(c.availPrev) {
-			prev[i] = c.availPrev[j]
-		} else {
-			prev[i] = p.probeAvail(e)
-		}
-	}
-	c.engines, c.availPrev = engines, prev
-	c.enginesGen, c.enginesInit = libGen, true
-}
-
-// availDiffLocked re-probes EngineAvailable for every library engine,
-// reports each engine whose availability flipped since the last build, and
-// updates the stored fingerprint in place. This catches availability changes
-// no typed event announces — e.g. a circuit breaker re-opening on
-// virtual-time cooldown — without allocating in the steady state.
-func (p *Planner) availDiffLocked(flipped func(engine string)) int {
-	if p.cfg.EngineAvailable == nil {
-		return 0
-	}
-	c := &p.cache
-	flips := 0
 	for i, e := range c.engines {
-		if bit := p.probeAvail(e); bit != c.availPrev[i] {
-			c.availPrev[i] = bit
-			flipped(e)
-			flips++
-		}
+		c.avail[i] = p.cfg.EngineAvailable == nil || p.cfg.EngineAvailable(e)
 	}
-	return flips
 }
 
 // ensureCacheValidLocked runs (with p.mu held) at the start of every build.
 // It drains the pending typed events and evicts exactly the footprint-hit
 // node results plus everything reachable from them through the DP parent
-// links; untouched subtrees stay warm. The wholesale flush fallback covers
-// untyped changes (see the file comment). Evictions never happen mid-build,
-// so one build never mixes entry generations.
+// links; untouched subtrees stay warm. It then takes the build's
+// availability snapshot, which evicts nothing (see the file comment). The
+// wholesale flush fallback covers untyped changes. Evictions never happen
+// mid-build, so one build never mixes entry generations.
 func (p *Planner) ensureCacheValidLocked() {
 	pend := p.drainPending()
 	libGen := p.cfg.Library.Gen()
@@ -210,13 +154,14 @@ func (p *Planner) ensureCacheValidLocked() {
 	if p.cfg.Epoch != nil {
 		epoch = p.cfg.Epoch()
 	}
+	defer p.snapshotAvailLocked()
 
 	if !p.cache.init {
 		p.cache.init = true
 		p.flushLocked()
 		p.cache.epoch = 0 // the initial allocation is not an invalidation
 		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}
-		p.refreshEnginesLocked(libGen)
+		p.refreshEnginesLocked()
 		return
 	}
 
@@ -231,14 +176,13 @@ func (p *Planner) ensureCacheValidLocked() {
 	if wholesale {
 		p.flushLocked()
 		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}
-		p.cache.enginesInit = false
-		p.refreshEnginesLocked(libGen)
+		p.refreshEnginesLocked()
 		return
 	}
 
 	// The footprint-hit node keys (twice does no harm) seed the eviction
 	// stack, p.evict.
-	events := len(pend.engines) + len(pend.estOps)
+	events := len(pend.estOps)
 	if libDelta != 0 {
 		events++
 		for key, res := range p.cache.nodes {
@@ -247,21 +191,14 @@ func (p *Planner) ensureCacheValidLocked() {
 			}
 		}
 		p.cache.validity.libGen = libGen
-		p.refreshEnginesLocked(libGen)
+		p.refreshEnginesLocked()
 	}
-	engines := pend.engines
-	events += p.availDiffLocked(func(e string) {
-		if engines == nil {
-			engines = make(map[string]struct{})
-		}
-		engines[e] = struct{}{}
-	})
 	if events == 0 {
 		return
 	}
-	if len(engines)+len(pend.estOps) > 0 {
+	if len(pend.estOps) > 0 {
 		for key, res := range p.cache.nodes {
-			if res.foot.touches(engines, pend.estOps) {
+			if res.foot.touches(pend.estOps) {
 				p.evict = append(p.evict, key)
 			}
 		}

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"strings"
 	"sync"
@@ -37,15 +38,19 @@ func sparkEstimator() stubEstimator {
 	return est
 }
 
-// TestEvictionScope drives every typed invalidation channel against the
-// two-operator text workflow and pins down exactly which node results each
-// one evicts: footprint hits plus their downstream dependents, nothing more.
+// TestEvictionScope drives every typed invalidation channel, and engine
+// flips, against the two-operator text workflow and pins down exactly which
+// node results each one evicts or misses: footprint hits plus their
+// downstream dependents, nothing more. An engine flip evicts nothing: the
+// nodes matching the engine miss in the new state, and the flip back up hits
+// the results of the first state without building a row.
 func TestEvictionScope(t *testing.T) {
 	// The cached results per plan: node TF_IDF (matches Hadoop+Java ops) and
 	// node kmeans (matches Hadoop+Java+Spark ops); kmeans is downstream of
 	// TF_IDF.
 	cases := []struct {
 		name    string
+		down    string // engine taken down instead of an event, then brought back up
 		event   func(t *testing.T, p *Planner, lib *operator.Library)
 		evicted uint64 // node results evicted by the event
 		hits    uint64 // warm hits on the rebuild after the event
@@ -53,23 +58,23 @@ func TestEvictionScope(t *testing.T) {
 		epochs  uint64 // wholesale flushes the event causes
 	}{
 		{
-			name:  "engine event with no matching operators",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) { p.EngineAvailability("Flink") },
-			// Applied as a partial event, but no footprint touches Flink.
-			evicted: 0, hits: 2, misses: 0,
+			name: "engine event with no matching operators",
+			down: "Flink",
+			// No node matches a Flink operator: every key is unchanged.
+			hits: 2, misses: 0,
 		},
 		{
-			name:  "engine event scoped to one node",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) { p.EngineAvailability("Spark") },
-			// Only kmeans matches a Spark operator; it has no downstream
-			// operator, so exactly one result goes.
-			evicted: 1, hits: 1, misses: 1,
+			name: "engine event scoped to one node",
+			down: "Spark",
+			// Only kmeans matches a Spark operator; TF_IDF's output row is
+			// unchanged, so exactly one node misses.
+			hits: 1, misses: 1,
 		},
 		{
-			name:  "engine event hitting every node",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) { p.EngineAvailability("Hadoop") },
+			name: "engine event hitting every node",
+			down: "Hadoop",
 			// Both nodes match a Hadoop operator.
-			evicted: 2, hits: 0, misses: 2,
+			hits: 0, misses: 2,
 		},
 		{
 			name:    "profiler retrain scoped to one target",
@@ -111,14 +116,22 @@ func TestEvictionScope(t *testing.T) {
 			if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkDesc); err != nil {
 				t.Fatal(err)
 			}
-			p := newPlanner(t, lib, sparkEstimator())
+			var mu sync.Mutex
+			down := ""
+			avail := func(name string) bool { mu.Lock(); defer mu.Unlock(); return name != down }
+			setDown := func(e string) { mu.Lock(); down = e; mu.Unlock() }
+			p := newPlanner(t, lib, sparkEstimator(), func(c *Config) { c.EngineAvailable = avail })
 			ref, err := p.Plan(textWorkflow(t, 1000))
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := p.CacheStats()
 
-			tc.event(t, p, lib)
+			if tc.down != "" {
+				setDown(tc.down)
+			} else {
+				tc.event(t, p, lib)
+			}
 			got, err := p.Plan(textWorkflow(t, 1000))
 			if err != nil {
 				t.Fatal(err)
@@ -137,14 +150,36 @@ func TestEvictionScope(t *testing.T) {
 			if d := after.Epoch - before.Epoch; d != tc.epochs {
 				t.Fatalf("event caused %d wholesale flushes, want %d", d, tc.epochs)
 			}
-			if tc.epochs == 0 && after.PartialInvalidations == before.PartialInvalidations {
+			partial := after.PartialInvalidations != before.PartialInvalidations
+			if tc.down != "" && partial {
+				t.Fatalf("an engine flip was counted as an invalidation: before=%+v after=%+v", before, after)
+			}
+			if tc.down == "" && tc.epochs == 0 && !partial {
 				t.Fatalf("typed event was not recorded as a partial invalidation: before=%+v after=%+v", before, after)
 			}
 			// None of these events change the winning plan (Spark never
-			// wins, the stub estimator is static); warm-after-eviction
-			// results must stay byte-identical.
+			// wins, Java wins at this size, the stub estimator is static);
+			// warm-after-eviction results must stay byte-identical.
 			if got.Describe() != ref.Describe() {
 				t.Fatalf("plan diverged after partial invalidation:\nbefore:\n%s\nafter:\n%s", ref.Describe(), got.Describe())
+			}
+			if tc.down == "" {
+				return
+			}
+			// The flip back up returns to the state of the first plan, whose
+			// results are still cached: all hits, no row built.
+			setDown("")
+			back, err := p.Plan(textWorkflow(t, 1000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := p.CacheStats()
+			if final.Hits != after.Hits+2 || final.Misses != after.Misses || final.RowsAllocated != after.RowsAllocated ||
+				final.EvictedEntries != before.EvictedEntries {
+				t.Fatalf("flip back up was not all hits: after=%+v final=%+v", after, final)
+			}
+			if back.Describe() != ref.Describe() {
+				t.Fatalf("plan diverged after the flip back up:\nbefore:\n%s\nafter:\n%s", ref.Describe(), back.Describe())
 			}
 		})
 	}
@@ -168,9 +203,10 @@ func (s *scaledEstimator) Estimates(opName string, feats map[string]float64) Est
 }
 
 // TestFlapStorm is the randomized partial-invalidation property test: a warm
-// planner subjected to a random storm of engine flaps, profiler retrains and
+// planner subjected to a random storm of engine flips, profiler retrains and
 // library re-registrations must always produce the same plan bytes as a freshly
-// built cold planner observing identical external state.
+// built cold planner observing identical external state. Flips send no event:
+// the build reads availability into its keys.
 func TestFlapStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lib := textLib(t)
@@ -190,13 +226,7 @@ func TestFlapStorm(t *testing.T) {
 	hasSpark := false
 	for i := 0; i < 60; i++ {
 		switch action := rng.Intn(4); action {
-		case 0: // availability flip, with the typed hint a platform would send
-			e := engines[rng.Intn(len(engines))]
-			mu.Lock()
-			down[e] = !down[e]
-			mu.Unlock()
-			warm.EngineAvailability(e)
-		case 1: // availability flip with NO typed event (breaker half-open shape)
+		case 0, 1: // availability flip (a platform flip, a breaker trip or half-open)
 			e := engines[rng.Intn(len(engines))]
 			mu.Lock()
 			down[e] = !down[e]
@@ -240,9 +270,10 @@ func TestFlapStorm(t *testing.T) {
 }
 
 // TestPartialInvalidationByteIdentical extends the warm-vs-cold identity
-// guard to the partial-eviction path: after an engine flap is applied by
-// typed event + fingerprint, the warm planner's plan AND trace bytes must
-// match a cold planner built under the same availability.
+// guard to engine flaps: after Java goes down and comes back, the warm
+// planner's plan AND trace bytes must match a cold planner built under the
+// same availability. The down flip misses both nodes (both match a Java
+// operator); the up flip returns to the first state and is all hits.
 func TestPartialInvalidationByteIdentical(t *testing.T) {
 	lib := textLib(t)
 	est := textEstimator()
@@ -266,11 +297,20 @@ func TestPartialInvalidationByteIdentical(t *testing.T) {
 	// under the same availability, trace bytes included.
 	for step, state := range []bool{false, true} {
 		setJava(state)
-		warm.EngineAvailability("Java")
 		before := len(warmRec.Events())
+		cs := warm.CacheStats()
 		warmPlan, err := warm.Plan(textWorkflow(t, 1000))
 		if err != nil {
 			t.Fatal(err)
+		}
+		after := warm.CacheStats()
+		wantMisses := uint64(2)
+		if state {
+			wantMisses = 0
+		}
+		if after.Misses-cs.Misses != wantMisses || (state && after.RowsAllocated != cs.RowsAllocated) {
+			t.Fatalf("step %d: missed %d nodes, built %d rows; want %d misses (and no row when back up)",
+				step, after.Misses-cs.Misses, after.RowsAllocated-cs.RowsAllocated, wantMisses)
 		}
 
 		coldRec := trace.NewRecorder(0)
@@ -301,7 +341,147 @@ func TestPartialInvalidationByteIdentical(t *testing.T) {
 			t.Fatalf("step %d: trace diverged:\ncold:\n%s\nwarm:\n%s", step, want.String(), got.String())
 		}
 	}
-	if cs := warm.CacheStats(); cs.Epoch != 0 || cs.PartialInvalidations == 0 {
-		t.Fatalf("flaps should be partial, not wholesale: %+v", cs)
+	if cs := warm.CacheStats(); cs.Epoch != 0 || cs.EvictedEntries != 0 || cs.PartialInvalidations != 0 {
+		t.Fatalf("flaps should neither flush nor evict: %+v", cs)
 	}
+}
+
+// TestAvailabilitySnapshotPerBuild pins the build boundary as the only place
+// availability is read: with an EngineAvailable that answers the opposite of
+// its last answer on every call, each build probes every library engine
+// exactly once, and its plan is the plan of a cold planner pinned to what
+// that one probe returned. A probe per candidate would plan against a mix
+// of states and store the result under the key of one of them.
+func TestAvailabilitySnapshotPerBuild(t *testing.T) {
+	lib := textLib(t)
+	if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkDesc); err != nil {
+		t.Fatal(err)
+	}
+	engines := lib.Engines()
+	var mu sync.Mutex
+	up := true
+	calls := map[string]int{}
+	seen := map[string]bool{} // the last answer per engine: the build's snapshot
+	flipping := func(name string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		up = !up
+		calls[name]++
+		seen[name] = up
+		return up
+	}
+	warm := newPlanner(t, lib, sparkEstimator(), func(c *Config) { c.EngineAvailable = flipping })
+	for build := 0; build < 6; build++ {
+		clear(calls)
+		before := warm.CacheStats()
+		warmPlan, warmErr := warm.Plan(textWorkflow(t, 1000))
+		after := warm.CacheStats()
+		mu.Lock()
+		for _, e := range engines {
+			if calls[e] != 1 {
+				t.Fatalf("build %d probed %s %d times; want once per engine per build (%v)", build, e, calls[e], calls)
+			}
+		}
+		if len(calls) != len(engines) {
+			t.Fatalf("build %d probed %v; want exactly the library engines %v", build, calls, engines)
+		}
+		snapshot := maps.Clone(seen)
+		mu.Unlock()
+
+		// Three engines probed in turn against one alternating answer: the
+		// snapshots alternate between two states, and from the third build
+		// on each state is one already planned.
+		if build >= 2 && (after.Misses != before.Misses || after.RowsAllocated != before.RowsAllocated) {
+			t.Fatalf("build %d revisits a planned state but missed: before=%+v after=%+v", build, before, after)
+		}
+		cold := newPlanner(t, lib, sparkEstimator(), func(c *Config) {
+			c.EngineAvailable = func(name string) bool { return snapshot[name] }
+		})
+		coldPlan, coldErr := cold.Plan(textWorkflow(t, 1000))
+		if (warmErr == nil) != (coldErr == nil) {
+			t.Fatalf("build %d under %v: warm err=%v cold err=%v", build, snapshot, warmErr, coldErr)
+		}
+		if warmErr == nil && warmPlan.Describe() != coldPlan.Describe() {
+			t.Fatalf("build %d under %v: warm plan diverged from cold:\ncold:\n%s\nwarm:\n%s",
+				build, snapshot, coldPlan.Describe(), warmPlan.Describe())
+		}
+	}
+}
+
+// TestFlapStormBoundsEntries is the O(live) bound for availability keys:
+// a storm that takes one of k engines down at a time and brings it back
+// visits k+1 states, and every node result it leaves cached belongs to one
+// of them, so the cache never holds more than k+1 times the results of one
+// state. Past maxCachedNodes the wholesale flush still fires.
+func TestFlapStormBoundsEntries(t *testing.T) {
+	newLib := func() *operator.Library {
+		lib := textLib(t)
+		if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkDesc); err != nil {
+			t.Fatal(err)
+		}
+		return lib
+	}
+	engines := []string{"Hadoop", "Java", "Spark"}
+	plan := func(p *Planner) {
+		t.Helper()
+		if _, err := p.Plan(textWorkflow(t, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ParetoPlans(textWorkflow(t, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	down := ""
+	avail := func(name string) bool { mu.Lock(); defer mu.Unlock(); return name != down }
+	setDown := func(e string) { mu.Lock(); down = e; mu.Unlock() }
+
+	one := newPlanner(t, newLib(), sparkEstimator())
+	plan(one)
+	perState := one.CacheStats().NodeEntries
+
+	t.Run("k+1 states", func(t *testing.T) {
+		setDown("")
+		p := newPlanner(t, newLib(), sparkEstimator(), func(c *Config) { c.EngineAvailable = avail })
+		rng := rand.New(rand.NewSource(7))
+		bound := (len(engines) + 1) * perState
+		for i := 0; i < 100; i++ {
+			setDown(engines[rng.Intn(len(engines))])
+			plan(p)
+			setDown("")
+			plan(p)
+			if n := p.CacheStats().NodeEntries; n > bound {
+				t.Fatalf("flap %d: %d node results cached, above (k+1) x %d = %d", i, n, perState, bound)
+			}
+		}
+		cs := p.CacheStats()
+		if cs.NodeEntries <= perState || cs.Epoch != 0 || cs.EvictedEntries != 0 {
+			t.Fatalf("storm kept no second state, or flushed or evicted: %+v (one state: %d)", cs, perState)
+		}
+	})
+
+	t.Run("size bound flushes", func(t *testing.T) {
+		// Scalar plans only, so each build adds the two results of one state.
+		defer func(n int) { maxCachedNodes = n }(maxCachedNodes)
+		maxCachedNodes = 3 // two states exceed it
+		setDown("")
+		p := newPlanner(t, newLib(), sparkEstimator(), func(c *Config) { c.EngineAvailable = avail })
+		scalar := func() {
+			t.Helper()
+			if _, err := p.Plan(textWorkflow(t, 1000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		scalar()
+		setDown("Hadoop")
+		scalar()
+		if cs := p.CacheStats(); cs.NodeEntries != 4 || cs.Epoch != 0 {
+			t.Fatalf("two states should overflow the bound without a flush yet: %+v", cs)
+		}
+		setDown("")
+		scalar()
+		if cs := p.CacheStats(); cs.Epoch != 1 || cs.NodeEntries != 2 || cs.Hits != 0 {
+			t.Fatalf("build past the bound did not flush to one state: %+v", cs)
+		}
+	})
 }

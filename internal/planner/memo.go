@@ -15,14 +15,16 @@ package planner
 // same moves, same sizes, same accumulated estimates), so a signature match
 // on every input front implies the node would resolve identically.
 //
-// Invalidation is dependency-scoped (invalidate.go): every cached node
-// result carries a footprint of the engines, estimated operators, library
-// matches, and table entries it depends on; typed events (engine
-// availability, profiler retrain, library add/remove) and the per-build
-// availability fingerprint evict only the footprint-hit results plus their
-// downstream dependents. Wholesale flush survives as the fallback for
-// untyped changes (the Config.Epoch hook, unexplained library movement) and
-// the cache-size bound.
+// A node's key also folds in the availability, at the build boundary, of
+// the engines its library matches run on: an engine flap is a key, not an
+// eviction, so flipping an engine back finds the results of the state it
+// returns to still cached. Invalidation is dependency-scoped
+// (invalidate.go): every cached node result carries a footprint of the
+// estimated operators, library matches, and table entries it depends on;
+// typed events (profiler retrain, library add/remove) evict only the
+// footprint-hit results plus their downstream dependents. Wholesale flush
+// survives as the fallback for untyped changes (the Config.Epoch hook,
+// unexplained library movement) and the cache-size bound.
 
 import (
 	"fmt"
@@ -31,6 +33,7 @@ import (
 	"sort"
 
 	"github.com/asap-project/ires/internal/metadata"
+	"github.com/asap-project/ires/internal/operator"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
@@ -38,9 +41,10 @@ import (
 // Pareto) held between builds; exceeding it clears the cache wholesale at the
 // next build boundary (never mid-build, so one build never mixes entry
 // generations). It is sized for the 10k-operator Pegasus stress DAGs. Every
-// other cache map grows only with the entries node results hold, so this one
-// bound covers them.
-const maxCachedNodes = 65536
+// other cache map grows only with the entries node results hold, or with
+// the distinct operator descriptions planned, so this one bound covers them.
+// A variable so tests can lower it.
+var maxCachedNodes = 65536
 
 // sig is a 128-bit structural digest: two independent multiply-rotate
 // streams over 64-bit words. Its values are process-internal — never traced,
@@ -160,15 +164,56 @@ func (p *Planner) rowSig(h *hasher, row []*tagEntry) {
 	}
 }
 
-// nodeKey digests an operator node's full DP context: its identity, the rows
-// of every input, and the pre-insert state of every output. Must be called
-// with p.mu held (it fills p.readSigs).
-func (p *Planner) nodeKey(o *workflow.Node, dp table, pareto bool) sig {
+// matchSet is one abstract operator's library matches at one library
+// generation, with the index of each match's engine in planCache.engines
+// (-1 for an engine the build boundary did not see).
+type matchSet struct {
+	gen     uint64
+	matches []*operator.Materialized
+	engines []int
+}
+
+// matchSetLocked returns the node's match set for the build's library
+// generation, so neither a hit nor a miss calls FindMaterialized once an
+// operator of that description has been matched. It is keyed by the
+// description, not the operator: every submission parses a fresh graph.
+func (p *Planner) matchSetLocked(a *operator.Abstract) *matchSet {
+	c := &p.cache
+	def := a.Definition()
+	if ms, ok := c.matchSets[def]; ok && ms.gen == c.validity.libGen {
+		return ms
+	}
+	all := p.cfg.Library.FindMaterialized(a)
+	ms := &matchSet{gen: c.validity.libGen, matches: all, engines: make([]int, len(all))}
+	for i, mo := range all {
+		j := sort.SearchStrings(c.engines, mo.Engine())
+		if j == len(c.engines) || c.engines[j] != mo.Engine() {
+			j = -1
+		}
+		ms.engines[i] = j
+	}
+	c.matchSets[def] = ms
+	return ms
+}
+
+// usable reports whether the build's availability snapshot admits the
+// engine at index i of planCache.engines.
+func (c *planCache) usable(i int) bool { return i >= 0 && c.avail[i] }
+
+// nodeKey digests an operator node's full DP context: its identity, the
+// snapshot availability of its matches' engines, the rows of every input,
+// and the pre-insert state of every output. Must be called with p.mu held
+// (it fills p.readSigs).
+func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool) sig {
 	h := newHasher()
 	h.str("node")
 	h.str(sigKind(pareto))
 	h.str(o.Name)
 	h.str(o.Operator.Definition())
+	h.u64(uint64(len(ms.engines)))
+	for _, e := range ms.engines {
+		h.bool(p.cache.usable(e))
+	}
 	h.u64(uint64(len(o.Inputs)))
 	for _, in := range o.Inputs {
 		h.str(in.Name)
@@ -197,8 +242,8 @@ type nodeResult struct {
 }
 
 // cacheValidity holds the counters the cache was last reconciled against.
-// Availability is tracked separately as a per-engine fingerprint
-// (planCache.engines/availPrev) diffed in place each build.
+// Availability is not among them: it is a memo key, snapshotted per build
+// (planCache.engines/avail).
 type cacheValidity struct {
 	epoch  uint64 // Config.Epoch() — external untyped invalidation counter
 	libGen uint64 // operator library generation
@@ -222,14 +267,14 @@ type planCache struct {
 	// that read it — the links a downstream eviction follows (invalidate.go).
 	dependents map[sig][]sig
 
-	// engines/availPrev are the availability fingerprint: the sorted library
-	// engine list (cached per library generation, keeping the steady-state
-	// validity check allocation-free) and the last observed '0'/'1' bit per
-	// engine.
-	engines     []string
-	availPrev   []byte
-	enginesGen  uint64
-	enginesInit bool
+	// engines is the sorted library engine list of the library generation
+	// validity.libGen, and avail the build's availability snapshot of each,
+	// probed at the build boundary (snapshotAvailLocked).
+	engines []string
+	avail   []bool
+	// matchSets caches the match set of each abstract operator description
+	// (matchSetLocked).
+	matchSets map[string]*matchSet
 
 	hits, misses uint64 // cumulative node-level lookups
 	rowsAlloc    uint64 // tagEntry rows created since construction
@@ -258,8 +303,8 @@ type CacheStats struct {
 	// a fully warm build leaves it unchanged.
 	RowsAllocated uint64
 	// PartialInvalidations counts typed invalidation events applied as
-	// partial evictions (engine flaps, profiler retrains, library changes
-	// that did not force a wholesale flush).
+	// partial evictions (profiler retrains and library changes that did not
+	// force a wholesale flush). Engine flaps are memo keys and evict nothing.
 	PartialInvalidations uint64
 	// EvictedEntries counts node results evicted by partial invalidation,
 	// downstream dependents included.
@@ -283,7 +328,8 @@ func (p *Planner) CacheStats() CacheStats {
 
 // FlushCache drops every memoized result and bumps the planner epoch, as an
 // invalidation would. Cold-start benchmarks and tests use it; normal
-// invalidation is automatic via Config.Epoch/library/availability changes.
+// invalidation is automatic via Config.Epoch, library changes and profiler
+// retrains.
 func (p *Planner) FlushCache() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,6 +344,7 @@ func (p *Planner) flushLocked() {
 	p.cache.seeds = make(map[sig]map[string]*tagEntry)
 	p.cache.moved = make(map[movedKey]*metadata.Tree)
 	p.cache.dependents = make(map[sig][]sig)
+	p.cache.matchSets = make(map[string]*matchSet)
 	p.cache.epoch++
 }
 

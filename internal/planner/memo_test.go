@@ -212,9 +212,10 @@ type=SequenceFile
 
 // TestEpochInvalidation covers every external invalidation channel. The
 // untyped Epoch hook must still flush wholesale (epoch bump, next build
-// all-miss); library mutations and availability flips are typed and must
-// evict only the dependent entries — no epoch bump, warm hits for the
-// untouched subtrees — while still yielding correct fresh plans.
+// all-miss); library mutations are typed and must evict only the dependent
+// entries — no epoch bump, warm hits for the untouched subtrees — and
+// availability flips evict nothing at all, missing only the keys they
+// change, while every channel still yields correct fresh plans.
 func TestEpochInvalidation(t *testing.T) {
 	t.Run("epoch hook", func(t *testing.T) {
 		var epoch uint64
@@ -303,22 +304,36 @@ Constraints.Output0.type=SequenceFile
 			t.Fatal(err)
 		}
 		after := p.CacheStats()
-		if after.Epoch != before.Epoch {
-			t.Fatalf("availability flip flushed wholesale: before=%+v after=%+v", before, after)
+		// No event was sent: the build boundary reads availability into the
+		// keys. Both nodes match a Java operator, so both keys change and
+		// miss; nothing is flushed, evicted or counted as an invalidation.
+		if after.Epoch != before.Epoch || after.EvictedEntries != before.EvictedEntries ||
+			after.PartialInvalidations != before.PartialInvalidations {
+			t.Fatalf("availability flip flushed or evicted: before=%+v after=%+v", before, after)
 		}
-		// No typed event was sent: the per-build availability fingerprint must
-		// catch the flip on its own. Both nodes match a Java operator, so both
-		// are footprint-hit and re-evaluated.
-		if after.PartialInvalidations != before.PartialInvalidations+1 {
-			t.Fatalf("fingerprint flip not applied as a partial event: before=%+v after=%+v", before, after)
-		}
-		if after.EvictedEntries != before.EvictedEntries+2 {
-			t.Fatalf("expected both Java-matching nodes evicted: before=%+v after=%+v", before, after)
+		if after.Misses != before.Misses+2 || after.Hits != before.Hits {
+			t.Fatalf("expected both Java-matching nodes to miss: before=%+v after=%+v", before, after)
 		}
 		for _, e := range flipped.Engines() {
 			if e == "Java" {
 				t.Fatalf("plan still uses unavailable Java engine:\n%s", flipped.Describe())
 			}
+		}
+		// Flipping back returns to the first state: its results are still
+		// cached, so the build is all hits and the plan is the first one.
+		mu.Lock()
+		javaUp = true
+		mu.Unlock()
+		back, err := p.Plan(textWorkflow(t, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := p.CacheStats()
+		if final.Misses != after.Misses || final.Hits != after.Hits+2 || final.RowsAllocated != after.RowsAllocated {
+			t.Fatalf("flip back was not all hits: after=%+v final=%+v", after, final)
+		}
+		if back.Describe() != small.Describe() {
+			t.Fatalf("plan after the flip back diverged:\nfirst:\n%s\nback:\n%s", small.Describe(), back.Describe())
 		}
 	})
 }

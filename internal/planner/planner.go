@@ -88,7 +88,11 @@ type Config struct {
 	MoveSeconds func(bytes int64) float64
 	// Objective is the optimization policy (default MinTime).
 	Objective Objective
-	// EngineAvailable filters engines during planning; nil admits all.
+	// EngineAvailable filters engines during planning; nil admits all. It is
+	// probed once per library engine at each build boundary, and the
+	// availability of a node's engines is part of its memo key, so an engine
+	// that flips needs no event: its nodes miss in the new state and hit
+	// again when it flips back.
 	EngineAvailable func(name string) bool
 	// Resources chooses the provisioned resources for a materialized
 	// operator at a given input scale (the elastic-provisioning hook);
@@ -103,10 +107,10 @@ type Config struct {
 	// Epoch supplies an external untyped invalidation counter: any movement
 	// forces a wholesale cache flush at the next build boundary (the
 	// platform wires its infrastructure generation here); nil reads as 0.
-	// Typed changes — engine availability, profiler retrains, library
-	// mutations — should instead use EngineAvailability/ProfilerRetrain and
-	// the library change listener, which evict only the dependent cache
-	// entries. See invalidate.go.
+	// Typed changes — profiler retrains, library mutations — should instead
+	// use ProfilerRetrain and the library change listener, which evict only
+	// the dependent cache entries; availability needs neither. See
+	// invalidate.go.
 	Epoch func() uint64
 }
 
@@ -138,8 +142,8 @@ type Planner struct {
 	dropped         []bool
 
 	// pendMu guards the pending typed invalidation events. It is a leaf
-	// mutex: event producers (breaker trips, profiler retrains, library
-	// mutations) enqueue without contending with a running build.
+	// mutex: event producers (profiler retrains, library mutations) enqueue
+	// without contending with a running build.
 	pendMu sync.Mutex
 	pend   pending
 }
@@ -444,13 +448,14 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 			continue
 		}
 		p.readSigs = p.readSigs[:0]
-		key := p.nodeKey(o, dp, pareto)
+		ms := p.matchSetLocked(o.Operator)
+		key := p.nodeKey(o, ms, dp, pareto)
 		res, ok := p.cache.nodes[key]
 		if ok {
 			stats.cacheHits++
 		} else {
 			stats.cacheMisses++
-			res = p.evalNode(o, dp, pareto)
+			res = p.evalNode(o, ms, dp, pareto)
 			res.foot.inSigs = slices.Clone(p.readSigs)
 			p.cache.nodes[key] = res
 			for _, s := range res.foot.inSigs {
@@ -470,12 +475,13 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 	return dp, stats
 }
 
-// evalNode evaluates every available materialization of one operator node
-// cold, strictly in library (name) order, so the recorded insert sequence —
-// and therefore every downstream plan and trace byte — is deterministic. It
-// fills the result's dependency footprint but for inSigs, left to the caller.
-func (p *Planner) evalNode(o *workflow.Node, dp table, pareto bool) *nodeResult {
-	all := p.cfg.Library.FindMaterialized(o.Operator)
+// evalNode evaluates every materialization of one operator node whose
+// engine the build's availability snapshot admits, cold, strictly in library
+// (name) order, so the recorded insert sequence — and therefore every
+// downstream plan and trace byte — is deterministic. It fills the result's
+// dependency footprint but for inSigs, left to the caller.
+func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool) *nodeResult {
+	all := ms.matches
 	res := &nodeResult{
 		inserts: make([]insertRec, 0, len(all)*len(o.Outputs)),
 		foot:    footprint{abstract: o.Operator, matches: all, estOps: make([]string, 0, len(all))},
@@ -506,8 +512,8 @@ func (p *Planner) evalNode(o *workflow.Node, dp table, pareto bool) *nodeResult 
 			res.inserts = append(res.inserts, insertRec{out: idx, e: e})
 		}
 	}
-	for _, mo := range all {
-		if p.cfg.EngineAvailable != nil && !p.cfg.EngineAvailable(mo.Engine()) {
+	for i, mo := range all {
+		if !p.cache.usable(ms.engines[i]) {
 			continue
 		}
 		res.foot.estOps = append(res.foot.estOps, mo.Name)

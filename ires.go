@@ -352,10 +352,11 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 	p.planner = pl
 	p.recorder.Registry().AddCollector(p.collectMetrics)
-	// Typed invalidation wiring: breaker transitions and profiler retrains
-	// evict only the planner-cache entries that depend on the flapped engine
-	// or retrained operator (invalidate.go) instead of flushing wholesale.
-	p.breaker.OnTransition = pl.EngineAvailability
+	// Typed invalidation wiring: profiler retrains evict only the
+	// planner-cache entries that estimated the retrained operator
+	// (invalidate.go) instead of flushing wholesale. Breaker transitions need
+	// no wiring: the planner probes engineUsable at every build boundary and
+	// keys its cache by what it reads.
 	p.Profiler.SetRetrainListener(pl.ProfilerRetrain)
 	sched, err := scheduler.New(scheduler.Config{
 		Clock:       p.Clock,
@@ -466,10 +467,10 @@ func (p *Platform) engineUsable(name string) bool {
 // hook. Only infrastructure-shaped environment changes — engine
 // registrations and infrastructure swaps, which shift every estimate —
 // remain here. Availability changes (environment flips, breaker
-// trips/resets/half-opens) are handled by the planner's per-engine
-// availability fingerprint and typed EngineAvailability events, and
-// profiler refits by typed ProfilerRetrain events, all of which evict only
-// the dependent cache entries.
+// trips/resets/half-opens) evict nothing: the planner snapshots engineUsable
+// at every build boundary and keys each node result by the availability of
+// its own engines. Profiler refits arrive as typed ProfilerRetrain events,
+// which evict only the dependent cache entries.
 func (p *Platform) plannerEpoch() uint64 {
 	return p.Env.InfraGen()
 }
@@ -807,11 +808,12 @@ func (p *Platform) LoadModels(path string) error {
 }
 
 // SetEngineAvailable flips an engine service ON/OFF (failure injection and
-// maintenance). Planning and replanning honour it immediately: the typed
-// event scopes the planner-cache eviction to the flipped engine.
+// maintenance). Planning and replanning honour it from the next build on,
+// which reads the engine's availability as part of its memo keys: the nodes
+// that match the engine miss in the new state and hit again once it flips
+// back.
 func (p *Platform) SetEngineAvailable(name string, on bool) {
 	p.Env.SetAvailable(name, on)
-	p.planner.EngineAvailability(name)
 	p.Monitor.Poll()
 }
 
