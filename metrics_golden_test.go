@@ -15,7 +15,7 @@ import (
 	"github.com/asap-project/ires/internal/scheduler"
 )
 
-var updateMetricsGolden = flag.Bool("update", false, "rewrite the testdata/metrics_*.prom fixtures")
+var updateMetricsGolden = flag.Bool("update", false, "rewrite the testdata/metrics_*.prom and golden_crash_mix.jsonl fixtures")
 
 // wallClockLine matches the two exposition lines that measure wall-clock
 // time; the fixtures hold them masked.
