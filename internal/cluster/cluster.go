@@ -142,11 +142,6 @@ type Cluster struct {
 	// checkpoint.go); non-durable entries die with their replica nodes.
 	checkpoints map[string]*ckptEntry
 
-	// healthScript is the customizable per-node health probe; the default
-	// returns the node's current flag (set via SetNodeHealth, the failure
-	// injection hook).
-	healthScript func(n *Node) bool
-
 	// tracer receives node crash/restore events; nil discards them.
 	tracer trace.Tracer
 }
@@ -295,29 +290,6 @@ func (c *Cluster) removeSliceLocked(n *Node, cores, memMB int) {
 			c.freeHealthy++
 		}
 	}
-}
-
-// SetHealthScript installs a custom health probe, mirroring the
-// yarn.nodemanager.services-running health-script mechanism.
-func (c *Cluster) SetHealthScript(fn func(n *Node) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.healthScript = fn
-}
-
-// RunHealthChecks executes the health script on every node and updates
-// node states. It reports whether a script is installed (and so ran).
-func (c *Cluster) RunHealthChecks() (scripted bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.healthScript == nil {
-		return false
-	}
-	for _, name := range c.order {
-		n := c.nodes[name]
-		c.setHealthLocked(n, c.healthScript(n))
-	}
-	return true
 }
 
 // SetNodeHealth flips a node's health flag directly (failure injection).

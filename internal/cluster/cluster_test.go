@@ -128,15 +128,6 @@ func TestUnhealthyNodesSkipped(t *testing.T) {
 	}
 }
 
-func TestHealthScript(t *testing.T) {
-	c := newTestCluster()
-	c.SetHealthScript(func(n *Node) bool { return n.Name != "node2" })
-	c.RunHealthChecks()
-	if nodes := c.Nodes(); nodes[2].Healthy() || !nodes[0].Healthy() {
-		t.Fatalf("health script result not applied: node0 %v, node2 %v", nodes[0].Healthy(), nodes[2].Healthy())
-	}
-}
-
 func TestUtilizationAndCapacity(t *testing.T) {
 	c := newTestCluster()
 	if free, _ := c.Available(); free != 32 {

@@ -37,8 +37,8 @@ type Monitor struct {
 
 // PollStats counts completed polls by outcome.
 type PollStats struct {
-	// Idle polls found no node version, no environment generation moved and
-	// no health script armed: nothing was re-read.
+	// Idle polls found no node version and no environment generation
+	// moved: nothing was re-read.
 	Idle int
 	// Refreshed polls re-read at least one node or the engine list and found
 	// every status as it was; Changed polls found one that differed.
@@ -130,19 +130,16 @@ func (m *Monitor) Start() {
 //
 // A round costs what changed, not what exists: a node's health is re-read
 // only when its version moved since the last read, the engine list only
-// when the environment's generation did. A health script may read anything,
-// so while one is armed every node is re-read.
+// when the environment's generation did.
 //
 // Lock order: m.mu, then the cluster's lock, which is held across the node
 // sweep so that every version and health flag read belong together.
 func (m *Monitor) Poll() bool {
-	scripted := m.cluster.RunHealthChecks()
-
 	m.mu.Lock()
 	changed, refreshed := false, false
 	m.cluster.mu.Lock()
 	for i, n := range m.nodes {
-		if n.version == m.seen[i] && !scripted {
+		if n.version == m.seen[i] {
 			continue
 		}
 		m.seen[i] = n.version

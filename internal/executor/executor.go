@@ -157,18 +157,20 @@ type Executor struct {
 	// Breaker, when non-nil, records per-engine failures/successes so
 	// flapping engines are blacklisted from replans for a cooldown.
 	Breaker *CircuitBreaker
-	// Monitor, when non-nil, is subscribed for health-change wakeups:
-	// container losses are detected at monitor polls rather than at step
-	// completion.
+	// Monitor is subscribed for the run's duration: a poll that notices a
+	// health change interrupts the party, and the run sweeps its attempts
+	// for lost containers (detection latency = the monitoring period, as on
+	// a real cluster). Required.
 	Monitor *cluster.Monitor
 	// Tracer receives attempt-lifecycle, container and replan events; nil
 	// discards them.
 	Tracer trace.Tracer
 
-	// Party, when non-nil, makes every virtual-time advance cooperative:
-	// instead of driving the shared clock directly, the executor parks on
-	// its party and the clock advances only when all concurrent runs are
-	// parked. Required when several executors share one clock.
+	// Party is the run's place on the shared clock. The executor parks it
+	// until the run's own next stop (an attempt completion, a checkpoint
+	// mark, a straggler deadline, a retry or cooldown), and the clock moves
+	// only when every party is parked; a health change wakes it early.
+	// Required.
 	Party *vtime.Party
 	// Lease, when non-nil, confines container allocation to the reserved
 	// nodes of one admission lease; resource requests wider than the lease
@@ -196,16 +198,6 @@ type Executor struct {
 	healthDirty atomic.Bool
 }
 
-// advanceTo moves virtual time to target: cooperatively (yielding to other
-// runs) when a Party is set, directly otherwise.
-func (e *Executor) advanceTo(target time.Duration) {
-	if e.Party != nil {
-		e.Party.WaitUntil(target)
-		return
-	}
-	e.Clock.AdvanceTo(target)
-}
-
 // canceled reports whether the run handle asked this execution to stop.
 func (e *Executor) canceled() bool {
 	return e.Canceled != nil && e.Canceled()
@@ -225,10 +217,14 @@ func (e *Executor) emit(ev trace.Event) {
 	e.Tracer.Emit(ev.At(e.Clock.Now()))
 }
 
-// NotifyHealthChange marks the cluster health board dirty; the execution
-// loop sweeps for lost containers at the next opportunity. It is the
-// Monitor.OnChange subscription target and safe to call from any goroutine.
-func (e *Executor) NotifyHealthChange() { e.healthDirty.Store(true) }
+// NotifyHealthChange marks the cluster health board dirty and interrupts the
+// parked party, so the run sweeps for lost containers at the current
+// instant. It is the Monitor.OnChange subscription target and safe to call
+// from any goroutine.
+func (e *Executor) NotifyHealthChange() {
+	e.healthDirty.Store(true)
+	e.Party.Interrupt()
+}
 
 // StepExec logs one step execution attempt.
 type StepExec struct {
@@ -315,13 +311,11 @@ func (e *Executor) Resume(g *workflow.Graph, done []planner.MaterializedIntermed
 // run is the shared body of Execute and Resume; done seeds the materialized
 // intermediates of a resumed run.
 func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.MaterializedIntermediate) (*Result, error) {
-	if e.Env == nil || e.Cluster == nil || e.Clock == nil {
-		return nil, fmt.Errorf("executor: Env, Cluster and Clock are required")
+	if e.Env == nil || e.Cluster == nil || e.Clock == nil || e.Monitor == nil || e.Party == nil {
+		return nil, fmt.Errorf("executor: Env, Cluster, Clock, Monitor and Party are required")
 	}
-	if e.Monitor != nil {
-		unsubscribe := e.Monitor.OnChange(e.NotifyHealthChange)
-		defer unsubscribe()
-	}
+	unsubscribe := e.Monitor.OnChange(e.NotifyHealthChange)
+	defer unsubscribe()
 	res := &Result{}
 	start := e.Clock.Now()
 
@@ -378,8 +372,11 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 		if err != nil && e.Breaker != nil && len(e.Breaker.Tripped()) > 0 {
 			// The only remaining implementations may sit on blacklisted
 			// engines. Wait out the cooldown (half-open readmits them)
-			// and try once more before giving up.
-			e.advanceTo(e.Clock.Now() + e.Breaker.Cooldown)
+			// and try once more before giving up. A health change that
+			// wakes the party early leaves its flag for the next sweep.
+			for until := e.Clock.Now() + e.Breaker.Cooldown; e.Clock.Now() < until; {
+				e.Party.WaitUntil(until)
+			}
 			next, err = e.Replanner.Replan(g, done)
 		}
 		if err != nil {
@@ -515,7 +512,7 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 				// past means the step is launchable but blocked (e.g. on
 				// capacity) — fall through to the stall wait below.
 				stalled = false
-				st.advanceClockTo(at)
+				st.waitUntil(at)
 				continue
 			}
 			if !startedAny {
@@ -524,7 +521,7 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 					stalled, stallSince = true, now
 				}
 				if at, ok := e.Clock.NextEventAt(); ok && now-stallSince < stallLimit {
-					st.advanceClockTo(at)
+					st.waitUntil(at)
 					continue
 				}
 				return nil, fmt.Errorf("%w: %d/%d steps done", ErrDeadlock, st.completed, len(plan.Steps))
@@ -913,22 +910,20 @@ func (st *planRun) nextStop() (time.Duration, int) {
 	return best, kind
 }
 
-// advanceClockTo moves virtual time to target, stepping through scheduled
-// events (fault injections, monitor polls) and sweeping for container
-// losses after each.
-func (st *planRun) advanceClockTo(target time.Duration) {
+// waitUntil parks the run until target. A health change that wakes it
+// early triggers a container-loss sweep; if the sweep changed a flight it
+// returns true at once, so the caller decides again at the current instant,
+// and otherwise the run parks again.
+func (st *planRun) waitUntil(target time.Duration) bool {
 	for {
-		evAt, ok := st.e.Clock.NextEventAt()
-		if !ok || evAt >= target {
-			break
-		}
-		st.e.advanceTo(evAt)
+		st.e.Party.WaitUntil(target)
 		if st.sweepLost(false) {
-			return
+			return true
+		}
+		if st.e.Clock.Now() >= target {
+			return false
 		}
 	}
-	st.e.advanceTo(target)
-	st.sweepLost(false)
 }
 
 // advanceOnce advances to the next decision point and handles it: a
@@ -936,20 +931,7 @@ func (st *planRun) advanceClockTo(target time.Duration) {
 // completion.
 func (st *planRun) advanceOnce() {
 	target, kind := st.nextStop()
-	for {
-		evAt, ok := st.e.Clock.NextEventAt()
-		if !ok || evAt >= target {
-			break
-		}
-		st.e.advanceTo(evAt)
-		if st.sweepLost(false) {
-			// Flights changed (an attempt died with its node); recompute
-			// everything from the outer loop at the current instant.
-			return
-		}
-	}
-	st.e.advanceTo(target)
-	if st.sweepLost(false) {
+	if st.waitUntil(target) {
 		return
 	}
 	switch kind {
@@ -963,14 +945,12 @@ func (st *planRun) advanceOnce() {
 }
 
 // sweepLost scans in-flight attempts for containers invalidated by node
-// failures. With a Monitor attached the sweep runs only after an observed
-// health change (detection latency = the monitoring period, as on a real
-// cluster); without one it runs unconditionally, catching the crash event
-// itself. force bypasses the gating (used when a dead container is caught
-// red-handed at completion time). It returns whether any flight changed.
+// failures. It runs only after the monitor observed a health change, unless
+// force is set (a dead container caught red-handed at completion time). It
+// returns whether any flight changed.
 func (st *planRun) sweepLost(force bool) bool {
 	e := st.e
-	if !force && e.Monitor != nil && !e.healthDirty.Swap(false) {
+	if !force && !e.healthDirty.Swap(false) {
 		return false
 	}
 	changed := false

@@ -98,13 +98,27 @@ func newFixtureSeed(t *testing.T, seed int64) *fixture {
 		t.Fatal(err)
 	}
 	f.plnr = p
+	mon := cluster.NewMonitor(f.clus, f.env, 10*time.Second)
+	mon.Start()
 	f.exec = &Executor{
 		Env:       f.env,
 		Cluster:   f.clus,
 		Clock:     f.clock,
+		Monitor:   mon,
 		Replanner: replanAdapter{p},
 	}
 	return f
+}
+
+// execute runs the plan with the executor as the clock's only party, as
+// Platform.Execute does.
+func (f *fixture) execute(g *workflow.Graph, plan *planner.Plan) (*Result, error) {
+	party := f.clock.Join()
+	f.clock.Kick()
+	party.Await()
+	defer party.Leave()
+	f.exec.Party = party
+	return f.exec.Execute(g, plan)
 }
 
 // chainWorkflow builds src -> wordcount -> d1 -> sort -> d2($$target).
@@ -153,7 +167,7 @@ func TestExecuteChain(t *testing.T) {
 	var observed []string
 	f.exec.Observer = func(op string, run *metrics.Run) { observed = append(observed, op) }
 
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +230,7 @@ func TestParallelBranchesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +258,7 @@ func TestFailureTriggersReplanToOtherEngine(t *testing.T) {
 	// Kill Java before execution starts.
 	f.env.SetAvailable(engine.EngineJava, false)
 
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +292,7 @@ func TestMidWorkflowFailureReusesIntermediates(t *testing.T) {
 			f.env.SetAvailable(engine.EngineJava, false)
 		}
 	}
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +330,7 @@ func TestNoReplannerFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.env.SetAvailable(engine.EngineJava, false)
-	if _, err := f.exec.Execute(g, plan); err == nil {
+	if _, err := f.execute(g, plan); err == nil {
 		t.Fatal("failure without replanner should be fatal")
 	}
 }
@@ -337,7 +351,7 @@ func TestMaxReplans(t *testing.T) {
 	}
 	f.env.SetAvailable(engine.EngineJava, false)
 	f.exec.Replanner = stuckReplanner{plan}
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if !errors.Is(err, ErrTooManyReplans) {
 		t.Fatalf("err = %v, want ErrTooManyReplans", err)
 	}
@@ -356,7 +370,7 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 	// Shrink the cluster so no step can ever be placed.
 	f.exec.Cluster = cluster.New(f.clock, 1, 1, 128)
-	_, err = f.exec.Execute(g, plan)
+	_, err = f.execute(g, plan)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}

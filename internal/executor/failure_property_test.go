@@ -37,7 +37,7 @@ func TestQuickFailureTransparentOutputs(t *testing.T) {
 					}
 				}
 			}
-			res, err := fx.exec.Execute(g, plan)
+			res, err := fx.execute(g, plan)
 			if err != nil {
 				return 0, 0, false
 			}
@@ -74,7 +74,7 @@ func TestQuickRandomChainsComplete(t *testing.T) {
 		if err != nil {
 			return true // single-engine restriction may be infeasible: fine
 		}
-		res, err := fx.exec.Execute(g, plan)
+		res, err := fx.execute(g, plan)
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestReplanPreservesStepNaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.env.SetAvailable(plan.OperatorSteps()[0].Engine, false)
-	res, err := fx.exec.Execute(g, plan)
+	res, err := fx.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

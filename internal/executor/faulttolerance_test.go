@@ -88,7 +88,7 @@ func TestRetryExhaustionThenReplan(t *testing.T) {
 			f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: tc.failures}}
 			f.exec.Retry = RetryPolicy{MaxAttempts: tc.maxAttempts, BaseBackoff: time.Second}
 
-			res, err := f.exec.Execute(g, plan)
+			res, err := f.execute(g, plan)
 			if err != nil {
 				t.Fatalf("execution failed: %v", err)
 			}
@@ -120,7 +120,7 @@ func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 	f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: 3}}
 	f.exec.Retry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 2 * time.Second}
 
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestSpeculativeWinnerLoserAccounting(t *testing.T) {
 		}, true
 	}
 
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSpeculationWithoutHeadroomIsDropped(t *testing.T) {
 			Res: s.Res, Params: s.Params,
 		}, true
 	}
-	res, err := f.exec.Execute(g, plan)
+	res, err := f.execute(g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestQuickFaultScheduleAlwaysTerminates(t *testing.T) {
 		fx.exec.Faults = sched
 		fx.exec.Retry = RetryPolicy{MaxAttempts: 1 + r.Intn(4), BaseBackoff: time.Second}
 
-		res, err := fx.exec.Execute(g, plan)
+		res, err := fx.execute(g, plan)
 		if err != nil {
 			typed := errors.Is(err, ErrTooManyReplans) ||
 				errors.Is(err, ErrDeadlock) ||

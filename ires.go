@@ -390,9 +390,9 @@ func (p *Platform) estimateRun(g *workflow.Graph) (float64, float64, error) {
 // context it builds the executor of one run segment: confined to the
 // segment's node lease, cooperating on the shared clock through the segment's
 // party, honouring the scheduler's cancellation and cooperative-suspension
-// probes, and stamping the run id on every trace event. Given the zero
-// context — no party, lease, probes or run id — it builds the solo executor
-// behind Execute, which drives the clock and the whole cluster itself.
+// probes, and stamping the run id on every trace event. Given a context with
+// only a party — no lease, probes or run id — it builds the solo executor
+// behind Execute, which runs on the whole cluster.
 func (p *Platform) newExecutor(ctx scheduler.ExecContext) scheduler.Exec {
 	p.mu.Lock()
 	var inj executor.Injector
@@ -705,7 +705,11 @@ func (p *Platform) Replan(g *Workflow, done []planner.MaterializedIntermediate) 
 // Execute enforces a plan over the simulated cluster, with monitoring,
 // model refinement and fault-tolerant replanning.
 func (p *Platform) Execute(g *Workflow, plan *Plan) (*ExecutionResult, error) {
-	return p.newExecutor(scheduler.ExecContext{}).Execute(g, plan)
+	party := p.Clock.Join()
+	p.Clock.Kick()
+	party.Await()
+	defer party.Leave()
+	return p.newExecutor(scheduler.ExecContext{Party: party}).Execute(g, plan)
 }
 
 // Run plans and executes a workflow in one call: it submits the workflow to

@@ -20,7 +20,6 @@ import (
 var reachLedger = map[string]string{
 	// Pinned behaviour and reproduced mechanisms.
 	"cluster.Cluster.ResizeSlice":        "the scheduler storm resizes leases through it; deleting it moves the 48 pinned storm digests",
-	"cluster.Cluster.SetHealthScript":    "the YARN node health script is a reproduced mechanism (DESIGN.md) that no platform option arms yet",
 	"musqle.NewCalibrator":               "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
 	"musqle.Calibrator.ObserveExecution": "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
 	"scheduler.Scheduler.CheckIndex":     "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
@@ -28,6 +27,7 @@ var reachLedger = map[string]string{
 	"server.Server.Handler":              "the REST tests serve it through httptest; ListenAndServe mounts the same mux",
 	"cluster.Cluster.SetNodeHealth":      "failure injection that flips health without losing containers; placement, monitor and restore tests use it",
 	"metadata.FromProperties":            "the programmatic form of a description file; the metadata round-trip and matching tests build trees with it",
+	"vtime.Clock.Advance":                "the clock, cluster and faults tests fire scheduled events from one goroutine with it; every run drives the clock as a party",
 	// Observation points that tests of other behaviour read.
 	"cluster.Cluster.ReservedNodes":        "observation point that the lease, preemption and storm tests read",
 	"cluster.Cluster.ReservedSlices":       "observation point that the elastic-lease and oversubscription tests read",
