@@ -70,17 +70,6 @@ func (c *Cluster) CheckpointProgress(key, algorithm string, total int) int {
 	return e.units
 }
 
-// CheckpointInfo returns the raw stored entry under key, if any.
-func (c *Cluster) CheckpointInfo(key string) (algorithm string, units, total int, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, found := c.checkpoints[key]
-	if !found {
-		return "", 0, 0, false
-	}
-	return e.algorithm, e.units, e.total, true
-}
-
 // ClearCheckpoint drops the entry under key (the operator completed; its
 // checkpoints are garbage) along with its replicas.
 func (c *Cluster) ClearCheckpoint(key string) {

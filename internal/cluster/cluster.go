@@ -48,10 +48,9 @@ var (
 // fixed at New; the private ones are guarded by the cluster's lock, so a
 // caller outside it reads them through Snapshot.
 type Node struct {
-	Name   string
-	Cores  int
-	MemMB  int
-	Labels map[string]string
+	Name  string
+	Cores int
+	MemMB int
 
 	// version moves at every change to the node's record: a container placed
 	// or ended, a replica listed or dropped, a health flip, a crash of a live

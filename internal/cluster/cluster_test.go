@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,15 +152,13 @@ func TestMonitorPolling(t *testing.T) {
 	env := engine.NewDefaultEnvironment(1)
 	m := NewMonitor(c, env, 10*time.Second)
 
-	var changes int
-	m.OnChange(func() { changes++ })
 	m.Start()
 	m.Start() // idempotent
 
 	if !m.NodeHealthy("node0") || !m.ServiceOn(engine.EngineSpark) {
 		t.Fatal("initial poll missing statuses")
 	}
-	first := changes
+	first := m.Changes()
 
 	// Kill a service and a node; the next periodic poll must notice.
 	env.SetAvailable(engine.EngineSpark, false)
@@ -171,8 +171,8 @@ func TestMonitorPolling(t *testing.T) {
 	if m.NodeHealthy("node1") {
 		t.Fatal("dead node still reported healthy")
 	}
-	if changes <= first {
-		t.Fatal("OnChange not fired")
+	if m.Changes() != first+1 {
+		t.Fatalf("changed polls = %d after %d, want one more", m.Changes(), first)
 	}
 	if m.Ticks() < 2 {
 		t.Fatalf("ticks = %d", m.Ticks())
@@ -462,26 +462,47 @@ func TestFailNodeUnknown(t *testing.T) {
 	}
 }
 
+// Every party parked in the future is a subscriber of the health board: a
+// changed poll wakes them all at its instant, an idle one none.
 func TestMonitorMultipleSubscribers(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 2, 2, 4096)
-	env := engine.NewDefaultEnvironment(1)
-	m := NewMonitor(c, env, 10*time.Second)
+	m := NewMonitor(c, nil, 10*time.Second)
 	m.Start()
-
-	var calls []string
-	m.OnChange(func() { calls = append(calls, "a") })
-	m.OnChange(func() { calls = append(calls, "b") })
-	m.OnChange(nil) // must be ignored
 
 	if err := c.FailNode("node1", 12*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	clock.Advance(30 * time.Second)
-	if len(calls) < 2 || calls[0] != "a" || calls[1] != "b" {
-		t.Fatalf("subscribers fired %v, want a then b", calls)
+	var (
+		mu    sync.Mutex
+		woken []string
+		wg    sync.WaitGroup
+	)
+	for _, x := range []struct {
+		name string
+		at   time.Duration
+	}{{"a", 100 * time.Second}, {"b", 200 * time.Second}} {
+		p := clock.Join()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Await()
+			p.WaitUntil(x.at)
+			mu.Lock()
+			woken = append(woken, fmt.Sprintf("%s@%v", x.name, clock.Now()))
+			mu.Unlock()
+			p.Leave()
+		}()
+	}
+	clock.Kick()
+	wg.Wait()
+	if got, want := strings.Join(woken, " "), "a@20s b@20s"; got != want {
+		t.Fatalf("parked parties woke %q, want %q (the poll at 10s is idle, the one at 20s sees the crash)", got, want)
 	}
 	if m.NodeHealthy("node1") {
 		t.Fatal("monitor did not observe the crash")
+	}
+	if got := m.Changes(); got != 2 {
+		t.Fatalf("changed polls = %d, want 2 (the first poll and the crash)", got)
 	}
 }

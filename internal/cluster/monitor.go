@@ -31,8 +31,6 @@ type Monitor struct {
 	services   map[string]bool
 	started    bool
 	polls      PollStats
-	cbSeq      int
-	onChange   []monitorCB
 }
 
 // PollStats counts completed polls by outcome.
@@ -50,11 +48,6 @@ type PollStats struct {
 // finds everything new.
 const unseen = ^uint64(0)
 
-type monitorCB struct {
-	id int
-	fn func()
-}
-
 // NewMonitor builds a monitor over the cluster and engine environment,
 // polling with the given virtual-time period.
 func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Monitor {
@@ -71,35 +64,6 @@ func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Moni
 		m.seen = append(m.seen, unseen)
 	}
 	return m
-}
-
-// OnChange registers a callback fired (synchronously, during Poll) whenever
-// a node or service changes status. Multiple callbacks may be registered;
-// they fire in registration order. The returned function deregisters the
-// callback — per-run executors subscribe for the duration of one Execute,
-// so a long-lived scheduler does not accumulate dead subscriptions. Removal
-// is effective immediately, even from inside another callback of the same
-// poll: Poll re-checks each subscription's liveness right before invoking
-// it, so a callback removed mid-round never fires again.
-func (m *Monitor) OnChange(fn func()) (remove func()) {
-	if fn == nil {
-		return func() {}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cbSeq++
-	id := m.cbSeq
-	m.onChange = append(m.onChange, monitorCB{id: id, fn: fn})
-	return func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for i, cb := range m.onChange {
-			if cb.id == id {
-				m.onChange = append(m.onChange[:i], m.onChange[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // Start schedules periodic polls on the cluster's virtual clock. It is
@@ -126,7 +90,9 @@ func (m *Monitor) Start() {
 }
 
 // Poll runs one monitoring round immediately and returns whether any status
-// changed. Node status is read from the cluster's node records.
+// changed. Node status is read from the cluster's node records. A changed
+// round interrupts the cluster's clock: every run parked in the future wakes
+// now and sweeps its attempts for lost containers.
 //
 // A round costs what changed, not what exists: a node's health is re-read
 // only when its version moved since the last read, the engine list only
@@ -163,11 +129,9 @@ func (m *Monitor) Poll() bool {
 			}
 		}
 	}
-	var cbs []monitorCB
 	switch {
 	case changed:
 		m.polls.Changed++
-		cbs = append(cbs, m.onChange...)
 	case refreshed:
 		m.polls.Refreshed++
 	default:
@@ -175,30 +139,10 @@ func (m *Monitor) Poll() bool {
 	}
 	m.mu.Unlock()
 
-	m.fire(cbs)
-	return changed
-}
-
-// fire invokes the snapshot of subscriptions a changed poll took. A callback
-// may deregister others (an executor finishing tears its subscription down
-// from inside a peer's notification), so each one's liveness is re-checked
-// under the lock immediately before it fires instead of trusting the
-// snapshot.
-func (m *Monitor) fire(cbs []monitorCB) {
-	for _, cb := range cbs {
-		m.mu.Lock()
-		alive := false
-		for _, live := range m.onChange {
-			if live.id == cb.id {
-				alive = true
-				break
-			}
-		}
-		m.mu.Unlock()
-		if alive {
-			cb.fn()
-		}
+	if clock := m.cluster.Clock(); changed && clock != nil {
+		clock.Interrupt()
 	}
+	return changed
 }
 
 // NodeHealthy returns the last observed health of a node (false when never
@@ -242,4 +186,10 @@ func (m *Monitor) PollStats() PollStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.polls
+}
+
+// Changes reports the number of polls that found a status changed. A run
+// that records it can tell whether the health board moved since.
+func (m *Monitor) Changes() int {
+	return m.PollStats().Changed
 }

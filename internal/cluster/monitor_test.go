@@ -11,44 +11,6 @@ import (
 	"github.com/asap-project/ires/internal/vtime"
 )
 
-// Regression: a subscription removed from inside another OnChange callback
-// of the same poll must not fire in that poll (or ever after). The old
-// implementation fired from a snapshot taken before the callbacks ran, so a
-// removal during the round was silently ignored until the next one.
-func TestMonitorOnChangeRemovalDuringPoll(t *testing.T) {
-	clock := vtime.NewClock()
-	c := New(clock, 2, 2, 4096)
-	m := NewMonitor(c, nil, 10*time.Second)
-	m.Poll() // seed the board so the next poll reports a change
-
-	var fired []string
-	var removeB func()
-	m.OnChange(func() {
-		fired = append(fired, "a")
-		removeB()
-	})
-	removeB = m.OnChange(func() { fired = append(fired, "b") })
-
-	if err := c.SetNodeHealth("node1", false); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Poll() {
-		t.Fatal("health flip not observed")
-	}
-	if len(fired) != 1 || fired[0] != "a" {
-		t.Fatalf("callbacks fired %v, want [a] (b was removed mid-poll)", fired)
-	}
-
-	// And b stays gone on later polls too.
-	if err := c.SetNodeHealth("node1", true); err != nil {
-		t.Fatal(err)
-	}
-	m.Poll()
-	if len(fired) != 2 || fired[1] != "a" {
-		t.Fatalf("callbacks fired %v, want [a a]", fired)
-	}
-}
-
 // The monitor's node board is fed by the node records: a crash shows at the
 // next poll, and so does the restore.
 func TestMonitorReadsNodeHealth(t *testing.T) {
@@ -82,8 +44,7 @@ func TestMonitorReadsNodeHealth(t *testing.T) {
 }
 
 // naivePoll is the whole-board poll Monitor.Poll replaced, kept as the test
-// oracle: every node and the whole engine list re-read every round. Only
-// the firing of the callbacks, which did not change, is shared.
+// oracle: every node and the whole engine list re-read every round.
 func naivePoll(m *Monitor) bool {
 	nodes := m.cluster.Snapshot()
 
@@ -109,58 +70,31 @@ func naivePoll(m *Monitor) bool {
 	} else {
 		m.polls.Refreshed++
 	}
-	cbs := append([]monitorCB{}, m.onChange...)
 	m.mu.Unlock()
-	if changed {
-		m.fire(cbs)
-	}
 	return changed
-}
-
-// pollSide is one monitor of the differential pair with its subscribers:
-// fired logs callback indices in firing order, removers holds every
-// subscription's deregistration by index.
-type pollSide struct {
-	m        *Monitor
-	poll     func() bool
-	fired    []int
-	removers []func()
-}
-
-// subscribe registers callback k, which logs itself and deregisters a later
-// peer (if that peer exists yet) from inside the round.
-func (s *pollSide) subscribe() {
-	k := len(s.removers)
-	s.removers = append(s.removers, s.m.OnChange(func() {
-		s.fired = append(s.fired, k)
-		if peer := k + 1 + k%3; k%2 == 0 && peer < len(s.removers) {
-			s.removers[peer]()
-		}
-	}))
 }
 
 const monitorStormNodes = 6
 
 // runMonitorOps drives one cluster and environment through the op stream —
-// two bytes an op: kind (a third of the kinds poll, so quiet stretches — the
-// fast path — and busy ones both occur), argument — with the production monitor and the
-// naive oracle watching side by side, and demands after every step the same
-// poll verdicts, tick counts, board, engine list and callback firing order.
-// It returns the production monitor's poll outcomes.
+// two bytes an op: kind (six of the sixteen kinds poll, so quiet stretches —
+// the fast path — and busy ones both occur), argument — with the production
+// monitor and the naive oracle watching side by side, and demands after
+// every step the same poll verdicts, tick counts, board and engine list, and
+// a changed-poll count that moves by one exactly on the polls the oracle
+// calls changed. It returns the production monitor's poll outcomes.
 func runMonitorOps(t *testing.T, ops []byte) PollStats {
 	t.Helper()
 	clock := vtime.NewClock()
 	c := New(clock, monitorStormNodes, 4, 8192)
 	env := engine.NewDefaultEnvironment(1)
 	engines := env.Engines()
-	fast := &pollSide{m: NewMonitor(c, env, 10*time.Second)}
-	fast.poll = fast.m.Poll
-	naive := &pollSide{m: NewMonitor(c, env, 10*time.Second)}
-	naive.poll = func() bool { return naivePoll(naive.m) }
+	fast := NewMonitor(c, env, 10*time.Second)
+	naive := NewMonitor(c, env, 10*time.Second)
 	var live []*Container
 
 	for i := 0; i+1 < len(ops); i += 2 {
-		op, arg := ops[i]%17, int(ops[i+1])
+		op, arg := ops[i]%16, int(ops[i+1])
 		node := fmt.Sprintf("node%d", arg%monitorStormNodes)
 		key := fmt.Sprintf("ckpt/%d", arg%4)
 		switch op {
@@ -193,45 +127,48 @@ func runMonitorOps(t *testing.T, ops []byte) PollStats {
 			env.SetAvailable(engines[arg%len(engines)], arg&0x80 != 0)
 		case 9:
 			env.Register(engine.Profile{Name: fmt.Sprintf("extra%d", arg%3)})
-		case 10:
-			// Bounded: a changed poll re-checks every subscriber's liveness
-			// against the list, quadratic in subscribers.
-			if len(fast.removers) < 32 {
-				fast.subscribe()
-				naive.subscribe()
-			}
 		default:
-			first, second := fast, naive
+			before := fast.Changes()
+			var f, n bool
 			if arg&1 == 1 {
-				first, second = naive, fast
+				n, f = naivePoll(naive), fast.Poll()
+			} else {
+				f, n = fast.Poll(), naivePoll(naive)
 			}
-			if a, b := first.poll(), second.poll(); a != b {
-				t.Fatalf("op %d: poll verdicts differ: fast first=%v: %v then %v", i/2, first == fast, a, b)
+			if f != n {
+				t.Fatalf("op %d: poll verdicts differ: fast first=%v: fast %v, naive %v", i/2, arg&1 == 0, f, n)
+			}
+			want := before
+			if n {
+				want++
+			}
+			if got := fast.Changes(); got != want {
+				t.Fatalf("op %d: changed polls %d after %d, want %d (naive changed=%v)", i/2, got, before, want, n)
 			}
 		}
 
-		if f, n := fast.m.Ticks(), naive.m.Ticks(); f != n {
+		if f, n := fast.Changes(), naive.Changes(); f != n {
+			t.Fatalf("op %d: Changes %d, naive %d", i/2, f, n)
+		}
+		if f, n := fast.Ticks(), naive.Ticks(); f != n {
 			t.Fatalf("op %d: Ticks %d, naive %d", i/2, f, n)
 		}
 		for j := 0; j < monitorStormNodes; j++ {
 			name := fmt.Sprintf("node%d", j)
-			if f, n := fast.m.NodeHealthy(name), naive.m.NodeHealthy(name); f != n {
+			if f, n := fast.NodeHealthy(name), naive.NodeHealthy(name); f != n {
 				t.Fatalf("op %d: NodeHealthy(%s) = %v, naive %v", i/2, name, f, n)
 			}
 		}
-		if f, n := fast.m.AvailableEngines(), naive.m.AvailableEngines(); !reflect.DeepEqual(f, n) {
+		if f, n := fast.AvailableEngines(), naive.AvailableEngines(); !reflect.DeepEqual(f, n) {
 			t.Fatalf("op %d: AvailableEngines = %v, naive %v", i/2, f, n)
 		}
 		for _, name := range env.Engines() {
-			if f, n := fast.m.ServiceOn(name), naive.m.ServiceOn(name); f != n {
+			if f, n := fast.ServiceOn(name), naive.ServiceOn(name); f != n {
 				t.Fatalf("op %d: ServiceOn(%s) = %v, naive %v", i/2, name, f, n)
 			}
 		}
-		if !reflect.DeepEqual(fast.fired, naive.fired) {
-			t.Fatalf("op %d: callbacks fired %v, naive %v", i/2, fast.fired, naive.fired)
-		}
 	}
-	return fast.m.PollStats()
+	return fast.PollStats()
 }
 
 var monitorStormSeeds = []int64{1, 7, 42, 1337, 2015}
@@ -271,7 +208,7 @@ func FuzzMonitorPoll(f *testing.F) {
 }
 
 // A poll that notices nothing is a handful of loads: no node re-read, no
-// engine list sorted, no callback slice copied.
+// engine list sorted, no clock interrupted.
 func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	c := New(vtime.NewClock(), 16, 2, 3456)
 	if _, err := c.AllocateIn(nil, 8, 1, 512); err != nil {
@@ -279,7 +216,6 @@ func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	}
 	m := NewMonitor(c, engine.NewDefaultEnvironment(1), 10*time.Second)
 	m.Poll() // the first poll sees everything as new
-	m.OnChange(func() { t.Error("callback fired on an idle poll") })
 	before := m.PollStats()
 	if n := testing.AllocsPerRun(100, func() { m.Poll() }); n != 0 {
 		t.Fatalf("idle poll allocates %v times, want 0", n)

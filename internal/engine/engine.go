@@ -14,7 +14,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/asap-project/ires/internal/metrics"
 )
@@ -386,13 +385,12 @@ func groundTruth(p Profile, w Workload, infra Infrastructure, in Input, res Reso
 
 // Execute performs a simulated run: it computes the ground-truth duration,
 // applies deterministic multiplicative noise, and assembles the full
-// monitoring record. The at argument timestamps the run (virtual time).
-func (e *Environment) Execute(engineName, algorithm string, in Input, res Resources, at time.Duration) (*metrics.Run, error) {
+// monitoring record.
+func (e *Environment) Execute(engineName, algorithm string, in Input, res Resources) (*metrics.Run, error) {
 	run := &metrics.Run{
 		Algorithm: algorithm,
 		Engine:    engineName,
 		Params:    runParams(in, res),
-		Date:      time.Unix(0, 0).Add(at),
 	}
 	if !e.Available(engineName) {
 		run.Failed = true

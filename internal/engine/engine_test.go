@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func env(t *testing.T) *Environment {
@@ -164,7 +163,7 @@ func TestDiskFactorAffectsDiskBoundEngines(t *testing.T) {
 
 func TestExecuteProducesMetrics(t *testing.T) {
 	e := env(t)
-	run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 10_000, Bytes: 5e7}, StandardCluster, 3*time.Second)
+	run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 10_000, Bytes: 5e7}, StandardCluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestExecuteNoiseBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 50_000, Bytes: 1e8}, StandardCluster, 0)
+		run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 50_000, Bytes: 1e8}, StandardCluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +208,7 @@ func TestExecuteNoiseBounded(t *testing.T) {
 func TestUnavailableEngine(t *testing.T) {
 	e := env(t)
 	e.SetAvailable(EngineSpark, false)
-	run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 1000, Bytes: 1e6}, StandardCluster, 0)
+	run, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 1000, Bytes: 1e6}, StandardCluster)
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -217,7 +216,7 @@ func TestUnavailableEngine(t *testing.T) {
 		t.Error("failed run not recorded")
 	}
 	e.SetAvailable(EngineSpark, true)
-	if _, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 1000, Bytes: 1e6}, StandardCluster, 0); err != nil {
+	if _, err := e.Execute(EngineSpark, AlgTFIDF, Input{Records: 1000, Bytes: 1e6}, StandardCluster); err != nil {
 		t.Fatalf("restored engine still failing: %v", err)
 	}
 }

@@ -36,13 +36,13 @@ func TestExecuteNoiseInterleavingInvariant(t *testing.T) {
 		in := Input{Records: 100_000, Bytes: 100_000_000}
 		var out []float64
 		for i := 0; i < 10; i++ {
-			r, err := env.Execute(EngineSpark, AlgTFIDF, in, res, 0)
+			r, err := env.Execute(EngineSpark, AlgTFIDF, in, res)
 			if err != nil {
 				t.Fatalf("Execute(Spark, TF_IDF): %v", err)
 			}
 			out = append(out, r.ExecTimeSec)
 			if interleave {
-				if _, err := env.Execute(EngineHama, AlgKMeans, in, res, 0); err != nil {
+				if _, err := env.Execute(EngineHama, AlgKMeans, in, res); err != nil {
 					t.Fatalf("Execute(Hama, kmeans): %v", err)
 				}
 			}

@@ -177,7 +177,6 @@ func (st *planRun) fireMarks(now time.Duration) {
 						Fields: map[string]float64{"containers": float64(len(c.ctrs))},
 					})
 				}
-				st.res.AttemptYields++
 				e.emit(trace.Event{
 					Type: trace.EvAttemptYield, Step: f.step.Name, Operator: c.opName, Engine: c.engineName,
 					Attempt: c.attempt, Speculative: c.speculative,
@@ -202,31 +201,4 @@ func (st *planRun) fireMarks(now time.Duration) {
 			delete(st.inFlight, id)
 		}
 	}
-}
-
-// partialProgress reports the checkpointed sub-operator progress surviving
-// in the store for the plan's operator steps — the Partials payload of a
-// suspended Result, the sub-operator counterpart of Intermediates.
-func (e *Executor) partialProgress(plan *planner.Plan) []planner.PartialOperator {
-	if !e.Checkpoint.Enabled || plan == nil || e.Cluster == nil {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var out []planner.PartialOperator
-	for _, s := range plan.Steps {
-		if s.Kind != planner.StepOperator || seen[s.WorkflowNode] {
-			continue
-		}
-		seen[s.WorkflowNode] = true
-		alg, units, total, ok := e.Cluster.CheckpointInfo(e.ckptKeyOf(s))
-		if !ok {
-			continue
-		}
-		out = append(out, planner.PartialOperator{
-			WorkflowNode: s.WorkflowNode, Algorithm: alg,
-			UnitsDone: units, UnitsTotal: total,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].WorkflowNode < out[j].WorkflowNode })
-	return out
 }

@@ -25,7 +25,6 @@ package executor
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"github.com/asap-project/ires/internal/cluster"
@@ -157,10 +156,10 @@ type Executor struct {
 	// Breaker, when non-nil, records per-engine failures/successes so
 	// flapping engines are blacklisted from replans for a cooldown.
 	Breaker *CircuitBreaker
-	// Monitor is subscribed for the run's duration: a poll that notices a
-	// health change interrupts the party, and the run sweeps its attempts
-	// for lost containers (detection latency = the monitoring period, as on
-	// a real cluster). Required.
+	// Monitor is the health board: a poll that notices a change interrupts
+	// the clock, and the run, woken early, sweeps its attempts for lost
+	// containers (detection latency = the monitoring period, as on a real
+	// cluster). Required.
 	Monitor *cluster.Monitor
 	// Tracer receives attempt-lifecycle, container and replan events; nil
 	// discards them.
@@ -169,7 +168,7 @@ type Executor struct {
 	// Party is the run's place on the shared clock. The executor parks it
 	// until the run's own next stop (an attempt completion, a checkpoint
 	// mark, a straggler deadline, a retry or cooldown), and the clock moves
-	// only when every party is parked; a health change wakes it early.
+	// only when every party is parked; a changed monitor poll wakes it early.
 	// Required.
 	Party *vtime.Party
 	// Lease, when non-nil, confines container allocation to the reserved
@@ -195,7 +194,9 @@ type Executor struct {
 	// resumed segments, which share the id) see only their own progress.
 	CkptScope string
 
-	healthDirty atomic.Bool
+	// changesSeen is the monitor's changed-poll count at the run's last
+	// container-loss sweep (or at its start).
+	changesSeen int
 }
 
 // canceled reports whether the run handle asked this execution to stop.
@@ -215,15 +216,6 @@ func (e *Executor) emit(ev trace.Event) {
 		return
 	}
 	e.Tracer.Emit(ev.At(e.Clock.Now()))
-}
-
-// NotifyHealthChange marks the cluster health board dirty and interrupts the
-// parked party, so the run sweeps for lost containers at the current
-// instant. It is the Monitor.OnChange subscription target and safe to call
-// from any goroutine.
-func (e *Executor) NotifyHealthChange() {
-	e.healthDirty.Store(true)
-	e.Party.Interrupt()
 }
 
 // StepExec logs one step execution attempt.
@@ -274,16 +266,10 @@ type Result struct {
 	Intermediates []planner.MaterializedIntermediate
 
 	// Sub-operator checkpointing counters: writes banked, attempts seeded
-	// from a stored checkpoint, total units skipped by those restores, and
-	// attempts that yielded cooperatively at a checkpoint boundary.
+	// from a stored checkpoint, and total units skipped by those restores.
 	CheckpointWrites   int
 	CheckpointRestores int
 	RestoredUnits      int
-	AttemptYields      int
-	// Partials reports the checkpointed progress of incomplete operators at
-	// suspension — the sub-operator counterpart of Intermediates, seeded
-	// into the resumed segment's attempts through the shared cluster store.
-	Partials []planner.PartialOperator
 }
 
 // Execute enforces the plan for the workflow. On step failure it retries per
@@ -314,8 +300,7 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 	if e.Env == nil || e.Cluster == nil || e.Clock == nil || e.Monitor == nil || e.Party == nil {
 		return nil, fmt.Errorf("executor: Env, Cluster, Clock, Monitor and Party are required")
 	}
-	unsubscribe := e.Monitor.OnChange(e.NotifyHealthChange)
-	defer unsubscribe()
+	e.changesSeen = e.Monitor.Changes()
 	res := &Result{}
 	start := e.Clock.Now()
 
@@ -345,7 +330,6 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 		failed, err := e.runPlan(g, current, datasets, res)
 		if errors.Is(err, ErrSuspended) {
 			res.Intermediates = intermediates(g, datasets)
-			res.Partials = e.partialProgress(current)
 			res.Makespan = e.Clock.Now() - start
 			return res, ErrSuspended
 		}
@@ -373,7 +357,7 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 			// The only remaining implementations may sit on blacklisted
 			// engines. Wait out the cooldown (half-open readmits them)
 			// and try once more before giving up. A health change that
-			// wakes the party early leaves its flag for the next sweep.
+			// wakes the party early stays unseen until the next sweep.
 			for until := e.Clock.Now() + e.Breaker.Cooldown; e.Clock.Now() < until; {
 				e.Party.WaitUntil(until)
 			}
@@ -478,11 +462,11 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 	}
 
 	// stallSince tracks how long the run has been fully blocked (nothing in
-	// flight, nothing launchable, no retry window open). Pending clock
-	// events — a scheduled node restore, an engine outage, a monitor poll —
-	// may unblock it, so we wait on them up to stallLimit of virtual time
-	// before declaring deadlock (monitor polls reschedule themselves
-	// forever, so waiting must be bounded).
+	// flight, nothing launchable, no retry pending). Pending clock events — a
+	// scheduled node restore, an engine outage, a monitor poll — may unblock
+	// it, so we wait on them up to stallLimit of virtual time before
+	// declaring deadlock (monitor polls reschedule themselves forever, so
+	// waiting must be bounded).
 	const stallLimit = time.Hour
 	stalled := false
 	var stallSince time.Duration
@@ -498,39 +482,25 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 			suspended = true
 			break
 		}
-		startedAny, err := st.startReady()
-		if err != nil {
+		if err := st.startReady(); err != nil {
 			return nil, err
 		}
 		if st.failure != nil {
 			break
 		}
-		if len(st.inFlight) == 0 {
-			if at, ok := st.earliestRetry(); ok && at > e.Clock.Now() {
-				// Nothing running, but a backoff window is open: advance
-				// straight to the retry time. A retry time already in the
-				// past means the step is launchable but blocked (e.g. on
-				// capacity) — fall through to the stall wait below.
-				stalled = false
-				st.waitUntil(at)
-				continue
-			}
-			if !startedAny {
-				now := e.Clock.Now()
-				if !stalled {
-					stalled, stallSince = true, now
-				}
-				if at, ok := e.Clock.NextEventAt(); ok && now-stallSince < stallLimit {
-					st.waitUntil(at)
-					continue
-				}
-				return nil, fmt.Errorf("%w: %d/%d steps done", ErrDeadlock, st.completed, len(plan.Steps))
-			}
+		if st.advanceOnce() {
 			stalled = false
 			continue
 		}
-		stalled = false
-		st.advanceOnce()
+		now := e.Clock.Now()
+		if !stalled {
+			stalled, stallSince = true, now
+		}
+		if at, ok := e.Clock.NextEventAt(); ok && now-stallSince < stallLimit {
+			st.waitUntil(at)
+			continue
+		}
+		return nil, fmt.Errorf("%w: %d/%d steps done", ErrDeadlock, st.completed, len(plan.Steps))
 	}
 
 	// Let in-flight steps finish so their intermediates survive the
@@ -538,7 +508,10 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 	// The same drain implements the operator-boundary half of cooperative
 	// preemption: a suspend request never kills running attempts, it stops
 	// the run at the next point where every launched gang has completed.
+	// Retries are dropped first, and again each round (a container loss
+	// swept here may book one): the drain waits only on attempts in flight.
 	for len(st.inFlight) > 0 {
+		clear(st.retryAt)
 		st.advanceOnce()
 	}
 	if canceled {
@@ -590,27 +563,9 @@ func (st *planRun) inputOf(s *planner.Step) (records, bytes int64) {
 	return records, bytes
 }
 
-// earliestRetry returns the soonest open backoff deadline among pending
-// retries.
-func (st *planRun) earliestRetry() (time.Duration, bool) {
-	var best time.Duration
-	found := false
-	for id, at := range st.retryAt {
-		if _, done := st.doneSteps[id]; done {
-			continue
-		}
-		if !found || at < best {
-			best, found = at, true
-		}
-	}
-	return best, found
-}
-
-// startReady launches every ready step whose containers fit. It reports
-// whether any step started.
-func (st *planRun) startReady() (bool, error) {
+// startReady launches every ready step whose containers fit.
+func (st *planRun) startReady() error {
 	e := st.e
-	startedAny := false
 	for _, s := range st.plan.Steps {
 		now := e.Clock.Now()
 		if !st.ready(s, now) {
@@ -625,7 +580,6 @@ func (st *planRun) startReady() (bool, error) {
 				ExecTimeSec:  dur,
 				InputRecords: inRecords, InputBytes: inBytes,
 				OutputRecords: inRecords, OutputBytes: inBytes,
-				Date: time.Unix(0, 0).Add(now),
 			}
 			st.inFlight[s.ID] = &flight{
 				step:      s,
@@ -636,14 +590,13 @@ func (st *planRun) startReady() (bool, error) {
 				Type: trace.EvAttemptStart, Step: s.Name, Engine: "move",
 				Fields: map[string]float64{"predictedSec": dur, "inBytes": float64(inBytes)},
 			})
-			startedAny = true
 			continue
 		}
 
 		attempt := st.attempts[s.ID] + 1
 		copyRun, launchErr, hardErr := st.launch(s, s.Op.Name, s.Engine, s.Algorithm, s.Res, s.Params, inRecords, inBytes, attempt, false)
 		if hardErr != nil {
-			return startedAny, hardErr
+			return hardErr
 		}
 		if launchErr != nil {
 			if errors.Is(launchErr, cluster.ErrInsufficientResources) {
@@ -669,9 +622,8 @@ func (st *planRun) startReady() (bool, error) {
 			fl.deadline = copyRun.start + secs(e.TimeoutFactor*(predicted+e.LaunchOverheadSec))
 		}
 		st.inFlight[s.ID] = fl
-		startedAny = true
 	}
-	return startedAny, nil
+	return nil
 }
 
 // stretchOf recovers the straggler factor applied to an attempt (stored on
@@ -731,7 +683,7 @@ func (st *planRun) launch(s *planner.Step, opName, engineName, algorithm string,
 		})
 	}
 	in := engine.Input{Records: inRecords, Bytes: inBytes, Params: params}
-	run, err := e.Env.Execute(engineName, algorithm, in, eRes, now)
+	run, err := e.Env.Execute(engineName, algorithm, in, eRes)
 	if run != nil {
 		run.Operator = opName
 	}
@@ -871,43 +823,54 @@ func (st *planRun) failAttempt(s *planner.Step, engineName string, err error, c 
 
 // Decision-point kinds, ordered by tie-break priority at equal times:
 // completions first (they free resources and may clear checkpoints), then
-// checkpoint marks, then straggler deadlines. The ordering makes nextStop a
-// pure function of the flight set, independent of map iteration order.
+// checkpoint marks, then straggler deadlines, then retries. The ordering
+// makes nextStop a pure function of the run's state, independent of map
+// iteration order.
 const (
 	stopCompletion = iota
 	stopMark
 	stopDeadline
+	stopRetry
 )
 
 // nextStop picks the next decision point: the earliest attempt completion,
-// checkpoint-write mark, or armed straggler deadline.
-func (st *planRun) nextStop() (time.Duration, int) {
-	var best time.Duration
-	kind := stopCompletion
-	found := false
+// checkpoint-write mark, armed straggler deadline or pending retry (a
+// backoff still running for a step neither done nor in flight). ok is false
+// when the run has none.
+func (st *planRun) nextStop() (at time.Duration, kind int, ok bool) {
 	better := func(t time.Duration, k int) bool {
-		if !found {
+		if !ok {
 			return true
 		}
-		if t != best {
-			return t < best
+		if t != at {
+			return t < at
 		}
 		return k < kind
 	}
 	for _, f := range st.inFlight {
 		for _, c := range f.copies {
 			if better(c.end, stopCompletion) {
-				best, kind, found = c.end, stopCompletion, true
+				at, kind, ok = c.end, stopCompletion, true
 			}
 			if len(c.marks) > 0 && better(c.marks[0].at, stopMark) {
-				best, kind, found = c.marks[0].at, stopMark, true
+				at, kind, ok = c.marks[0].at, stopMark, true
 			}
 		}
 		if f.deadline > 0 && !f.specTried && st.failure == nil && better(f.deadline, stopDeadline) {
-			best, kind, found = f.deadline, stopDeadline, true
+			at, kind, ok = f.deadline, stopDeadline, true
 		}
 	}
-	return best, kind
+	if len(st.retryAt) > 0 {
+		now := st.e.Clock.Now()
+		for id, t := range st.retryAt {
+			_, done := st.doneSteps[id]
+			_, running := st.inFlight[id]
+			if t > now && !done && !running && better(t, stopRetry) {
+				at, kind, ok = t, stopRetry, true
+			}
+		}
+	}
+	return at, kind, ok
 }
 
 // waitUntil parks the run until target. A health change that wakes it
@@ -927,31 +890,41 @@ func (st *planRun) waitUntil(target time.Duration) bool {
 }
 
 // advanceOnce advances to the next decision point and handles it: a
-// container-loss sweep, a straggler deadline (speculation) or an attempt
-// completion.
-func (st *planRun) advanceOnce() {
-	target, kind := st.nextStop()
+// container-loss sweep, a straggler deadline (speculation), a checkpoint mark
+// or an attempt completion; a retry is launched by the caller's next
+// startReady. It reports false, without waiting, when the run has no stop.
+func (st *planRun) advanceOnce() bool {
+	target, kind, ok := st.nextStop()
+	if !ok {
+		return false
+	}
 	if st.waitUntil(target) {
-		return
+		return true
 	}
 	switch kind {
 	case stopDeadline:
 		st.fireDeadlines(target)
 	case stopMark:
 		st.fireMarks(target)
-	default:
+	case stopCompletion:
 		st.completeDue(target)
 	}
+	return true
 }
 
 // sweepLost scans in-flight attempts for containers invalidated by node
-// failures. It runs only after the monitor observed a health change, unless
-// force is set (a dead container caught red-handed at completion time). It
-// returns whether any flight changed.
+// failures. It runs only when the monitor's changed-poll count moved since
+// the last sweep, unless force is set (a dead container caught red-handed at
+// completion time; the count is then left for the next sweep). It returns
+// whether any flight changed.
 func (st *planRun) sweepLost(force bool) bool {
 	e := st.e
-	if !force && !e.healthDirty.Swap(false) {
-		return false
+	if !force {
+		n := e.Monitor.Changes()
+		if n == e.changesSeen {
+			return false
+		}
+		e.changesSeen = n
 	}
 	changed := false
 	for id, f := range st.inFlight {

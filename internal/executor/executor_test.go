@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -200,17 +201,19 @@ func TestExecuteChain(t *testing.T) {
 	}
 }
 
-func TestParallelBranchesOverlap(t *testing.T) {
-	f := newFixture(t)
-	// Two independent wordcounts feeding a sort (join-like).
+// parallelBranches builds two independent wordcounts over docsA and docsB
+// documents feeding a sort (join-like).
+func parallelBranches(t *testing.T, docsA, docsB int) *workflow.Graph {
+	t.Helper()
 	g := workflow.NewGraph()
-	for _, s := range []string{"srcA", "srcB"} {
-		d := operator.NewDataset(s, metadata.MustParse("Execution.path=/"+s+"\nConstraints.Engine.FS=HDFS"))
-		// Small inputs: each branch lands on Java (one container), so the
-		// branches can genuinely overlap on the 16-node cluster.
-		d.Meta.Set("Optimization.documents", "5000")
-		d.Meta.Set("Optimization.size", "5000000")
-		g.AddDataset(s, d)
+	for _, s := range []struct {
+		name string
+		docs int
+	}{{"srcA", docsA}, {"srcB", docsB}} {
+		d := operator.NewDataset(s.name, metadata.MustParse("Execution.path=/"+s.name+"\nConstraints.Engine.FS=HDFS"))
+		d.Meta.Set("Optimization.documents", strconv.Itoa(s.docs))
+		d.Meta.Set("Optimization.size", strconv.Itoa(s.docs*1000))
+		g.AddDataset(s.name, d)
 	}
 	g.AddOperator("wcA", operator.NewAbstract("wcA", metadata.MustParse("Constraints.OpSpecification.Algorithm.name="+engine.AlgWordcount)))
 	g.AddOperator("wcB", operator.NewAbstract("wcB", metadata.MustParse("Constraints.OpSpecification.Algorithm.name="+engine.AlgWordcount)))
@@ -225,6 +228,14 @@ func TestParallelBranchesOverlap(t *testing.T) {
 		}
 	}
 	g.SetTarget("out")
+	return g
+}
+
+func TestParallelBranchesOverlap(t *testing.T) {
+	f := newFixture(t)
+	// Small inputs: each branch lands on Java (one container), so the
+	// branches can genuinely overlap on the 16-node cluster.
+	g := parallelBranches(t, 5000, 5000)
 
 	plan, err := f.plnr.Plan(g)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/faults"
 	"github.com/asap-project/ires/internal/planner"
 )
@@ -107,8 +108,8 @@ func TestRetryExhaustionThenReplan(t *testing.T) {
 }
 
 // TestRetryBackoffGrowsInVirtualTime pins the exponential backoff: with base
-// 2s and multiplier 2, the relaunches of a thrice-failing step must be spaced
-// at least 2s, 4s and 8s apart.
+// 2s and multiplier 2, the relaunches of a thrice-failing step are spaced
+// exactly 2s, 4s and 8s apart.
 func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 	f := newFixture(t)
 	g := chainWorkflow(t, 5_000)
@@ -135,10 +136,51 @@ func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 	}
 	wantGaps := []time.Duration{2 * time.Second, 4 * time.Second, 8 * time.Second}
 	for i, want := range wantGaps {
-		if gap := starts[i+1] - starts[i]; gap < want {
-			t.Fatalf("gap %d = %v, want >= %v (backoff not applied)", i, gap, want)
+		if gap := starts[i+1] - starts[i]; gap != want {
+			t.Fatalf("gap %d = %v, want %v", i, gap, want)
 		}
 	}
+}
+
+// TestRetryOnTimeWhileSiblingRuns pins that a retry is a stop of its own: a
+// branch that fails at launch relaunches the moment its backoff ends, not at
+// the next completion of the sibling branch still running beside it.
+func TestRetryOnTimeWhileSiblingRuns(t *testing.T) {
+	f := newFixture(t)
+	g := parallelBranches(t, 5000, 10_000)
+	plan, err := f.plnr.Plan(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := ""
+	for _, s := range plan.OperatorSteps() {
+		if s.Engine != engine.EngineJava && (s.WorkflowNode == "wcA" || s.WorkflowNode == "wcB") {
+			t.Fatalf("precondition: %s planned on %s, want both branches on Java", s.WorkflowNode, s.Engine)
+		}
+		if s.WorkflowNode == "wcA" {
+			victim = s.Name
+		}
+	}
+	f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: 1}}
+	f.exec.Retry = RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second}
+
+	res, err := f.execute(g, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs []StepExec
+	for _, log := range res.StepLog {
+		if log.Name == victim {
+			logs = append(logs, log)
+		}
+	}
+	if len(logs) != 2 || !logs[0].Failed || logs[1].Failed {
+		t.Fatalf("victim step logged %+v, want one failure then one success", logs)
+	}
+	if gap := logs[1].Start - logs[0].End; gap != 2*time.Second {
+		t.Fatalf("retry started %v after the failure, want the 2s backoff", gap)
+	}
+	f.checkClean(t)
 }
 
 // TestSpeculativeWinnerLoserAccounting stretches the first attempt of a step

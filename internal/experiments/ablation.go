@@ -193,7 +193,7 @@ func AblationModelSelection(seed int64) (*ModelSelectionAblation, error) {
 		for _, nodes := range []int{2, 4, 8, 16} {
 			res := engine.Resources{Nodes: nodes, CoresPerN: 2, MemMBPerN: 3456}
 			run, err := env.Execute(engine.EngineSpark, engine.AlgTFIDF,
-				engine.Input{Records: rec, Bytes: rec * 5_000}, res, 0)
+				engine.Input{Records: rec, Bytes: rec * 5_000}, res)
 			if err != nil {
 				return nil, err
 			}

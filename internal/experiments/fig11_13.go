@@ -17,7 +17,7 @@ func singleEngineSec(env *engine.Environment, eng string, steps []baselineStep) 
 		if p, ok := env.Engine(eng); ok && p.Centralized {
 			res = engine.SingleNode
 		}
-		run, err := env.Execute(eng, s.alg, engine.Input{Records: s.records, Bytes: s.bytes, Params: s.params}, res, 0)
+		run, err := env.Execute(eng, s.alg, engine.Input{Records: s.records, Bytes: s.bytes, Params: s.params}, res)
 		if err != nil {
 			return 0, false
 		}

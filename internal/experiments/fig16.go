@@ -115,7 +115,7 @@ func Fig16a(runs int, seed int64) (*Report, error) {
 		var pts []Point
 		for i := 1; i <= runs; i++ {
 			in, res := m.sampleSetup(rng)
-			run, err := env.Execute(m.engine, m.alg, in, res, 0)
+			run, err := env.Execute(m.engine, m.alg, in, res)
 			if err != nil {
 				return nil, fmt.Errorf("fig16a %s run %d: %w", m.label, i, err)
 			}
@@ -164,7 +164,7 @@ func Fig16b(runs, changeAt int, seed int64) (*Report, error) {
 			r.Note("infrastructure change (HDD->SSD) applied after execution %d", changeAt)
 		}
 		in, res := m.sampleSetup(rng)
-		run, err := env.Execute(m.engine, m.alg, in, res, 0)
+		run, err := env.Execute(m.engine, m.alg, in, res)
 		if err != nil {
 			return nil, err
 		}

@@ -58,7 +58,7 @@ func Fig17(seed int64) (*Report, *Report, error) {
 
 	runWith := func(docs int64, res engine.Resources) (float64, float64, error) {
 		in := engine.Input{Records: docs, Bytes: docs * 5_000}
-		run, err := p.Env.Execute(ires.EngineSpark, "TF_IDF", in, res, 0)
+		run, err := p.Env.Execute(ires.EngineSpark, "TF_IDF", in, res)
 		if err != nil {
 			return 0, 0, err
 		}

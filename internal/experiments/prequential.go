@@ -133,7 +133,7 @@ func (r *preqReplay) observe(op string, run *metrics.Run, feats map[string]float
 func (r *preqReplay) runChain(algs, engines []string, in engine.Input) error {
 	for _, alg := range algs {
 		eng := r.byGroundTruth(alg, engines, in)[0]
-		run, err := r.env.Execute(eng, alg, in, r.resourcesOf(eng), 0)
+		run, err := r.env.Execute(eng, alg, in, r.resourcesOf(eng))
 		if err != nil {
 			return fmt.Errorf("%s on %s: %w", alg, eng, err)
 		}
@@ -304,7 +304,7 @@ func (r *preqReplay) execWithFaults(sched *faults.Schedule, alg string, engines 
 	for _, eng := range engines {
 		op := alg + "_" + eng
 		for attempt := 1; attempt <= 4; attempt++ {
-			run, err := r.env.Execute(eng, alg, in, r.resourcesOf(eng), 0)
+			run, err := r.env.Execute(eng, alg, in, r.resourcesOf(eng))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", op, err)
 			}
@@ -339,7 +339,7 @@ func preqDrift(r *preqReplay) error {
 			r.swapAt, r.postSwap = len(r.errs[0]), after
 		}
 		in, res := m.sampleSetup(rng)
-		run, err := r.env.Execute(m.engine, m.alg, in, res, 0)
+		run, err := r.env.Execute(m.engine, m.alg, in, res)
 		if err != nil {
 			return fmt.Errorf("%s: %w", m.opName, err)
 		}

@@ -11,7 +11,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Run is the full monitoring record of a single operator execution.
@@ -31,8 +30,6 @@ type Run struct {
 	OutputBytes   int64
 	InputRecords  int64
 	OutputRecords int64
-
-	Date time.Time
 
 	Failed        bool
 	FailureReason string

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"testing"
-	"time"
 )
 
 func sampleRun() *Run {
@@ -19,7 +18,6 @@ func sampleRun() *Run {
 		OutputBytes:   2_500_000,
 		InputRecords:  1000,
 		OutputRecords: 1000,
-		Date:          time.Unix(100, 0),
 	}
 }
 

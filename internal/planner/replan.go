@@ -21,19 +21,6 @@ type MaterializedIntermediate struct {
 	Bytes   int64
 }
 
-// PartialOperator reports sub-operator checkpoint progress surviving a
-// suspension or crash: the named workflow operator has durably completed
-// UnitsDone of UnitsTotal work units (iterations or partitions) under
-// Algorithm. The replanned execution seeds this progress into its attempts —
-// the sub-operator analogue of seeding dpTable rows with materialized
-// intermediates.
-type PartialOperator struct {
-	WorkflowNode string // workflow operator node name (stable across replans)
-	Algorithm    string
-	UnitsDone    int
-	UnitsTotal   int
-}
-
 // Replan computes a fresh optimal plan for the workflow given the
 // already-materialized intermediates. Combine with Config.EngineAvailable
 // to exclude the failed engine.

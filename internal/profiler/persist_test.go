@@ -63,7 +63,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// Refinement continues to work on imported models.
 	run, err := engine.NewDefaultEnvironment(13).Execute(engine.EngineSpark, engine.AlgTFIDF,
-		engine.Input{Records: 40_000, Bytes: 2e8}, engine.StandardCluster, 0)
+		engine.Input{Records: 40_000, Bytes: 2e8}, engine.StandardCluster)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestPredictionCache(t *testing.T) {
 	// change the prediction; the cache must not serve the old value blindly.
 	gen := p.Gen()
 	run, err := env.Execute(engine.EngineSpark, engine.AlgTFIDF,
-		engine.Input{Records: 20_000, Bytes: 20_000 * 5000}, engine.StandardCluster, 0)
+		engine.Input{Records: 20_000, Bytes: 20_000 * 5000}, engine.StandardCluster)
 	if err != nil {
 		t.Fatal(err)
 	}

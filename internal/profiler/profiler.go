@@ -430,7 +430,7 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 	succeeded := 0
 	for _, pt := range space.combinations() {
 		in := engine.Input{Records: pt.records, Bytes: pt.bytes, Params: pt.params}
-		run, err := p.env.Execute(engineName, algorithm, in, pt.res, 0)
+		run, err := p.env.Execute(engineName, algorithm, in, pt.res)
 		if err != nil {
 			om.observeFailure(run)
 			continue

@@ -144,7 +144,7 @@ func TestObserveRefinesModels(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		recs := int64(5000 + i*3000)
 		run, err := env.Execute(engine.EngineSpark, engine.AlgTFIDF,
-			engine.Input{Records: recs, Bytes: recs * 5000}, engine.StandardCluster, 0)
+			engine.Input{Records: recs, Bytes: recs * 5000}, engine.StandardCluster)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestObserveUnknownOperatorBootstraps(t *testing.T) {
 	env := engine.NewDefaultEnvironment(6)
 	p := newProfiler(env)
 	run, err := env.Execute(engine.EngineJava, engine.AlgLineCount,
-		engine.Input{Records: 1000, Bytes: 1e5}, engine.SingleNode, 0)
+		engine.Input{Records: 1000, Bytes: 1e5}, engine.SingleNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestObserveFailedRunUpdatesWall(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, err := env.Execute(engine.EngineJava, engine.AlgPagerank,
-		engine.Input{Records: 50_000_000, Bytes: 2e9}, engine.SingleNode, 0)
+		engine.Input{Records: 50_000_000, Bytes: 2e9}, engine.SingleNode)
 	if err == nil {
 		t.Fatal("expected OOM")
 	}

@@ -1060,14 +1060,12 @@ func mergeResults(segs []*executor.Result) *executor.Result {
 		out.CheckpointWrites += r.CheckpointWrites
 		out.CheckpointRestores += r.CheckpointRestores
 		out.RestoredUnits += r.RestoredUnits
-		out.AttemptYields += r.AttemptYields
 		out.StepLog = append(out.StepLog, r.StepLog...)
 	}
 	last := segs[len(segs)-1]
 	out.FinalRecords = last.FinalRecords
 	out.FinalBytes = last.FinalBytes
 	out.Intermediates = last.Intermediates
-	out.Partials = last.Partials
 	return out
 }
 

@@ -252,15 +252,15 @@ func TestPartyConcurrentKick(t *testing.T) {
 	}
 }
 
-// An event that interrupts a party parked in the future wakes it at the
-// event's instant, after every other event due then has fired.
+// An event that interrupts the clock wakes a party parked in the future at
+// the event's instant, after every other event due then has fired.
 func TestPartyInterruptWakesAtEventInstant(t *testing.T) {
 	c := NewClock()
 	p := c.Join()
 	var log []string
 	c.Schedule(30, func(now time.Duration) {
 		log = append(log, fmt.Sprintf("interrupt@%v", now))
-		p.Interrupt()
+		c.Interrupt()
 	})
 	c.Schedule(30, func(now time.Duration) { log = append(log, fmt.Sprintf("ev@%v", now)) })
 	c.Schedule(60, func(now time.Duration) { log = append(log, fmt.Sprintf("late@%v", now)) })
@@ -283,7 +283,7 @@ func TestPartyInterruptWakesAtEventInstant(t *testing.T) {
 }
 
 // Parties interrupted at one instant resume in registration order, whatever
-// order the interrupts came in and whatever their wake times were.
+// their wake times were.
 func TestPartyInterruptedResumeInIDOrder(t *testing.T) {
 	c := NewClock()
 	var (
@@ -292,10 +292,7 @@ func TestPartyInterruptedResumeInIDOrder(t *testing.T) {
 		wg  sync.WaitGroup
 	)
 	pa, pb := c.Join(), c.Join()
-	c.Schedule(30, func(time.Duration) {
-		pb.Interrupt()
-		pa.Interrupt()
-	})
+	c.Schedule(30, func(time.Duration) { c.Interrupt() })
 	wg.Add(2)
 	for _, x := range []struct {
 		p    *Party
@@ -320,8 +317,51 @@ func TestPartyInterruptedResumeInIDOrder(t *testing.T) {
 	}
 }
 
-// Interrupt is a no-op on a running party (it still sleeps until its own
-// wake time), on one parked at the current instant, and on one that left.
+// One interrupt pulls back every party parked in the future, whatever its
+// wake time, and leaves a party already due at the instant where it was. A
+// party woken early that parks again for its own stop sleeps until it.
+func TestClockInterruptWakesEveryFuturePark(t *testing.T) {
+	c := NewClock()
+	var (
+		mu  sync.Mutex
+		log []string
+		wg  sync.WaitGroup
+	)
+	record := func(s string) {
+		mu.Lock()
+		log = append(log, s)
+		mu.Unlock()
+	}
+	c.Schedule(30, func(time.Duration) { c.Interrupt() })
+	c.Schedule(40, func(now time.Duration) { record(fmt.Sprintf("ev@%v", now)) })
+	parties := []struct {
+		p    *Party
+		name string
+		at   time.Duration
+	}{{c.Join(), "a", 100}, {c.Join(), "b", 60}, {c.Join(), "c", 30}}
+	wg.Add(len(parties))
+	for _, x := range parties {
+		x := x
+		go func() {
+			defer wg.Done()
+			x.p.Await()
+			for c.Now() < x.at {
+				x.p.WaitUntil(x.at)
+				record(fmt.Sprintf("%s@%v", x.name, c.Now()))
+			}
+			x.p.Leave()
+		}()
+	}
+	c.Kick()
+	wg.Wait()
+	if got, want := strings.Join(log, " "), "a@30ns b@30ns c@30ns ev@40ns b@60ns a@100ns"; got != want {
+		t.Fatalf("log = %q, want %q", got, want)
+	}
+}
+
+// Interrupt moves nothing when no party is parked in the future: not the
+// running caller (it still sleeps until its own wake time), not a departed
+// party, not one parked at the current instant.
 func TestPartyInterruptOnlyMovesParkedFutureWakes(t *testing.T) {
 	c := NewClock()
 	p := c.Join()
@@ -329,7 +369,7 @@ func TestPartyInterruptOnlyMovesParkedFutureWakes(t *testing.T) {
 	go func() {
 		defer close(done)
 		p.Await()
-		p.Interrupt() // running: nothing to move
+		c.Interrupt() // the caller is running: nothing to move
 		p.WaitUntil(50)
 		if now := c.Now(); now != 50 {
 			t.Errorf("running party's own interrupt woke it at %v, want 50ns", now)
@@ -338,13 +378,13 @@ func TestPartyInterruptOnlyMovesParkedFutureWakes(t *testing.T) {
 	}()
 	c.Kick()
 	<-done
-	p.Interrupt() // departed
+	c.Interrupt() // the party departed
 	if c.Parties() != 0 || c.Now() != 50 {
-		t.Fatalf("interrupting a departed party changed the clock: parties %d, now %v", c.Parties(), c.Now())
+		t.Fatalf("interrupting with no party changed the clock: parties %d, now %v", c.Parties(), c.Now())
 	}
 
 	q := c.Join() // parked at the current instant
-	q.Interrupt()
+	c.Interrupt()
 	c.Kick()
 	q.Await()
 	if now := c.Now(); now != 50 {

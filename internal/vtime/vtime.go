@@ -9,7 +9,7 @@
 // Goroutines that share a clock cooperate on it as parties (Join): each
 // parks until its own next stop, and the clock fires its scheduled events
 // one at a time in between, so a party is woken for its own stops only —
-// or earlier, when an event Interrupts it.
+// or earlier, when an event Interrupts the clock.
 package vtime
 
 import (
@@ -44,8 +44,8 @@ type Clock struct {
 // next stop via WaitUntil; only when every registered party is parked does
 // the clock move. It fires the scheduled events due at or before the
 // earliest wake time one at a time, and after each looks again for the
-// earliest waiter, since an event may Interrupt a party (pulling its wake
-// time back to the event's instant) or Join a new one. Then exactly one
+// earliest waiter, since an event may Interrupt the clock (pulling every
+// future wake time back to the event's instant) or Join a new party. Then exactly one
 // party (smallest wake time, registration order as tiebreak) resumes.
 // Goroutines are real, so the race detector still validates the locking,
 // but the interleaving is a pure function of the virtual-time schedule,
@@ -86,7 +86,7 @@ func (p *Party) Await() {
 // WaitUntil blocks the party until virtual time t. If t is not in the
 // future it fires the events due at the current instant and returns without
 // yielding the execution token. Otherwise the party parks until t, or until
-// an event Interrupts it: a caller woken early finds Now() < t.
+// an event Interrupts the clock: a caller woken early finds Now() < t.
 func (p *Party) WaitUntil(t time.Duration) {
 	c := p.c
 	c.mu.Lock()
@@ -113,21 +113,17 @@ func (p *Party) Leave() {
 	c.mu.Unlock()
 }
 
-// Interrupt moves the wake time of a party parked in the future back to the
-// current instant: it resumes once the events due now have fired, in (time,
-// registration order) turn with the rest. On a running or departed party it
-// does nothing. Event callbacks use it to wake a party early when something
-// it depends on has changed.
-func (p *Party) Interrupt() {
-	c := p.c
+// Interrupt moves the wake time of every party parked in the future back to
+// the current instant: each resumes once the events due now have fired, in
+// (time, registration order) turn with the rest. Running, departed and
+// just-joined parties are untouched. A monitor poll that notices a health
+// change uses it to wake runs early, so they look at the change now.
+func (c *Clock) Interrupt() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, w := range c.waiters {
-		if w.p == p {
-			if w.at > c.now {
-				w.at = c.now
-			}
-			return
+		if w.at > c.now {
+			w.at = c.now
 		}
 	}
 }
@@ -152,8 +148,8 @@ func (c *Clock) Parties() int {
 
 // dispatchLocked wakes the earliest parked party when every party is
 // parked. Events due at or before that party's wake time fire first, one at
-// a time: a callback may Interrupt or Join a party, so the earliest waiter
-// is picked again after each. Caller holds c.mu.
+// a time: a callback may Interrupt the clock or Join a party, so the earliest
+// waiter is picked again after each. Caller holds c.mu.
 func (c *Clock) dispatchLocked() {
 	// fireLocked releases the lock around callbacks; a concurrent Kick must
 	// not start a second dispatch in that window.
@@ -222,7 +218,7 @@ func (c *Clock) advanceLocked(target time.Duration) {
 
 // fireLocked pops the earliest event, moves the clock to its time and runs
 // its callback. Caller holds c.mu; the lock is released around the callback
-// so it may schedule further events, read the clock or Interrupt a party.
+// so it may schedule further events, read the clock or Interrupt it.
 func (c *Clock) fireLocked() {
 	ev := heap.Pop(&c.events).(*event)
 	if ev.at > c.now {

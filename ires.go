@@ -76,9 +76,6 @@ type (
 	// CheckpointPolicy enables sub-operator checkpointing: bounded-latency
 	// preemption and mid-operator crash recovery (see executor).
 	CheckpointPolicy = executor.CheckpointPolicy
-	// PartialOperator reports checkpointed sub-operator progress surviving
-	// a suspension (see ExecutionResult.Partials).
-	PartialOperator = planner.PartialOperator
 	// FaultConfig declares a deterministic fault-injection schedule.
 	FaultConfig = faults.Config
 	// FaultTransient parameterises per-engine transient failures.
