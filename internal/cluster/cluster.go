@@ -1,8 +1,9 @@
 // Package cluster simulates the YARN-managed multi-engine cloud IReS
 // enforces plans on: nodes with core/memory capacity, container-level
 // allocation, and the two health mechanisms of D3.3 §2.3 — per-node health
-// scripts (HEALTHY/UNHEALTHY) and per-service availability checks (ON/OFF,
-// tracked by engine.Environment and polled through the Monitor here).
+// flags (HEALTHY/UNHEALTHY, set by FailNode, RestoreNode and
+// SetNodeHealth) and per-service availability (ON/OFF, tracked by
+// engine.Environment); the Monitor here polls both.
 //
 // Each Node is the one record of its machine: health, the usage of its live
 // containers and, through the checkpoint store, the replicas on its disk.

@@ -9,8 +9,9 @@ import (
 )
 
 // Monitor is the execution monitor of the IReS executor layer: it
-// periodically runs the cluster health checks and polls engine service
-// availability, keeping a status board the planner and executor consult
+// periodically polls the node health flags (set by FailNode, RestoreNode
+// and SetNodeHealth) together with engine service status, keeping a status
+// board the planner and executor consult
 // (unavailable engines are excluded from planning; failures during
 // execution trigger replanning).
 type Monitor struct {

@@ -13,9 +13,9 @@ import (
 // accelerated by an index on highly selective metadata attributes — the
 // algorithm name — so only operators with the right algorithm are examined
 // by the full tree-matching pass (D3.3 §2.2.3). On top of that, full match
-// results are memoized per abstract constraints tree and maintained
-// incrementally on AddOperator, so the planner's repeated FindMaterialized
-// calls are map lookups instead of tree-matching scans.
+// results are memoized per abstract constraints tree, so repeated
+// FindMaterialized calls are map lookups instead of tree-matching scans; an
+// operator mutation clears the memo and it rebuilds on demand.
 //
 // Library is safe for concurrent use.
 type Library struct {
@@ -24,22 +24,12 @@ type Library struct {
 	byAlgorithm map[string][]string // algorithm -> sorted operator names
 	datasets    map[string]*Dataset
 	// matchIdx memoizes FindMaterialized: abstract Constraints tree string
-	// -> the matching operator names (sorted) plus the constraints tree the
-	// incremental maintenance re-matches new operators against.
-	matchIdx map[string]*matchEntry
-	// gen counts operator mutations; the planner folds it into its cache
-	// validity so library changes invalidate memoized plans.
+	// -> the sorted names of the matching operators. Every operator
+	// mutation clears it.
+	matchIdx map[string][]string
+	// gen counts operator mutations; the planner re-derives its engine list
+	// and match sets when it moves.
 	gen uint64
-	// listeners are notified (with the operator name, under l.mu) on every
-	// operator mutation — the planner registers one to turn library changes
-	// into typed partial-invalidation events.
-	listeners []func(opName string)
-}
-
-// matchEntry is one memoized FindMaterialized result.
-type matchEntry struct {
-	constraints *metadata.Tree // cloned abstract Constraints subtree (may be nil)
-	names       []string       // sorted names of matching operators
 }
 
 // maxMatchIdx bounds the number of distinct abstract shapes memoized;
@@ -52,7 +42,7 @@ func NewLibrary() *Library {
 		ops:         make(map[string]*Materialized),
 		byAlgorithm: make(map[string][]string),
 		datasets:    make(map[string]*Dataset),
-		matchIdx:    make(map[string]*matchEntry),
+		matchIdx:    make(map[string][]string),
 	}
 }
 
@@ -61,22 +51,6 @@ func (l *Library) Gen() uint64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.gen
-}
-
-// AddChangeListener registers a callback invoked with the operator name on
-// every AddOperator, after the generation counter bumps. The callback runs
-// with the library lock held and must not call back into the library;
-// enqueueing the event for later processing is the intended use.
-func (l *Library) AddChangeListener(fn func(opName string)) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.listeners = append(l.listeners, fn)
-}
-
-func (l *Library) notifyLocked(opName string) {
-	for _, fn := range l.listeners {
-		fn(opName)
-	}
 }
 
 // AddOperator registers a materialized operator. Re-registering a name
@@ -100,39 +74,9 @@ func (l *Library) AddOperator(m *Materialized) error {
 		names[i] = m.Name
 		l.byAlgorithm[alg] = names
 	}
-	// Incrementally maintain the memoized match lists: the new definition
-	// joins every cached abstract shape it satisfies (replacements were
-	// dropped by removeFromIndexLocked above).
-	cons := m.Meta.Node("Constraints")
-	for _, e := range l.matchIdx {
-		if metadata.Matches(e.constraints, cons) {
-			e.names = insertSorted(e.names, m.Name)
-		}
-	}
+	clear(l.matchIdx)
 	l.gen++
-	l.notifyLocked(m.Name)
 	return nil
-}
-
-// insertSorted adds name to a sorted slice if absent.
-func insertSorted(names []string, name string) []string {
-	i := sort.SearchStrings(names, name)
-	if i < len(names) && names[i] == name {
-		return names
-	}
-	names = append(names, "")
-	copy(names[i+1:], names[i:])
-	names[i] = name
-	return names
-}
-
-// removeSorted deletes name from a sorted slice if present.
-func removeSorted(names []string, name string) []string {
-	i := sort.SearchStrings(names, name)
-	if i < len(names) && names[i] == name {
-		return append(names[:i], names[i+1:]...)
-	}
-	return names
 }
 
 // AddOperatorDescription parses a description string and registers the
@@ -158,9 +102,6 @@ func (l *Library) removeFromIndexLocked(m *Materialized) {
 	i := sort.SearchStrings(names, m.Name)
 	if i < len(names) && names[i] == m.Name {
 		l.byAlgorithm[alg] = append(names[:i], names[i+1:]...)
-	}
-	for _, e := range l.matchIdx {
-		e.names = removeSorted(e.names, m.Name)
 	}
 }
 
@@ -191,13 +132,13 @@ func (l *Library) Operators() []*Materialized {
 // FindMaterialized returns all materialized operators matching the abstract
 // operator, in deterministic (name) order. Matching depends only on the
 // abstract operator's Constraints subtree, so results are memoized per
-// constraints shape and maintained incrementally on operator mutation; a
-// miss falls back to the algorithm-indexed tree-matching scan.
+// constraints shape until the next operator mutation; a miss falls back to
+// the algorithm-indexed tree-matching scan.
 func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
 	key := a.consKey
 	l.mu.RLock()
-	if e, ok := l.matchIdx[key]; ok {
-		out := l.resolveLocked(e.names)
+	if names, ok := l.matchIdx[key]; ok {
+		out := l.resolveLocked(names)
 		l.mu.RUnlock()
 		return out
 	}
@@ -205,15 +146,14 @@ func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if e, ok := l.matchIdx[key]; ok {
-		return l.resolveLocked(e.names)
+	if names, ok := l.matchIdx[key]; ok {
+		return l.resolveLocked(names)
 	}
 	names := l.matchNamesLocked(a)
-	consClone := a.Meta.Node("Constraints").Clone()
 	if len(l.matchIdx) >= maxMatchIdx {
-		l.matchIdx = make(map[string]*matchEntry)
+		clear(l.matchIdx)
 	}
-	l.matchIdx[key] = &matchEntry{constraints: consClone, names: names}
+	l.matchIdx[key] = names
 	return l.resolveLocked(names)
 }
 
@@ -256,11 +196,11 @@ func (l *Library) resolveLocked(names []string) []*Materialized {
 // ResetMatchIndex drops the memoized FindMaterialized results; they rebuild
 // on demand. Match results are unchanged — the generation counter does not
 // move — so this exists for cold-start benchmarking, not invalidation,
-// which is maintained incrementally on operator mutation.
+// which every operator mutation does itself.
 func (l *Library) ResetMatchIndex() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.matchIdx = make(map[string]*matchEntry)
+	clear(l.matchIdx)
 }
 
 // Engines returns the distinct engines of the registered operators, sorted.

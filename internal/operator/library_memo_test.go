@@ -10,8 +10,8 @@ import (
 // TestMatchIndexIncrementalMaintenance exercises the memoized match lists:
 // once FindMaterialized has cached a result for an abstract shape, adding a
 // matching operator must appear in subsequent lookups, and a replacement under
-// the same name that no longer matches must drop out — all without a fresh
-// scan per call.
+// the same name that no longer matches must drop out. Every mutation clears
+// the memo, so each lookup after one rescans once.
 func TestMatchIndexIncrementalMaintenance(t *testing.T) {
 	lib := NewLibrary()
 	mk := func(name, engine, alg string) {
@@ -29,7 +29,7 @@ func TestMatchIndexIncrementalMaintenance(t *testing.T) {
 		t.Fatalf("initial match = %v", got)
 	}
 
-	// A new matching operator joins the cached list.
+	// A new matching operator appears in the next lookup.
 	mk("tfidf_hadoop", "Hadoop", "TF_IDF")
 	got := lib.FindMaterialized(a)
 	if len(got) != 2 || got[0].Name != "tfidf_hadoop" || got[1].Name != "tfidf_spark" {
@@ -47,7 +47,7 @@ func TestMatchIndexIncrementalMaintenance(t *testing.T) {
 	}
 
 	// Replacing a matching operator with a non-matching definition under the
-	// same name removes it from the cached list.
+	// same name removes it from the next lookup.
 	mk("tfidf_hadoop", "Hadoop", "kmeans")
 	if got := lib.FindMaterialized(a); len(got) != 1 || got[0].Name != "tfidf_spark" {
 		t.Fatalf("after non-matching replacement of tfidf_hadoop: %v", got)

@@ -1,50 +1,37 @@
 package planner
 
 // Dependency-scoped partial invalidation. Every memoized node result records
-// a footprint of the external state it depends on — the materialized
-// operators it estimated, the abstract operator it matched against the
-// library and the match list it saw, and the structural signatures of every
-// derived table entry it read while being keyed (the DP parent links). A
-// typed invalidation event (a profiler retrain of one target, a library
-// add/remove) scans the cached footprints once and evicts only the
-// footprint-hit entries plus everything reachable from them downstream
-// through the dependents index; untouched subtrees stay warm and
-// insert-replay exactly as before. Events are rare next to node evaluations,
-// so the scan is paid per event and an evaluation registers nothing but its
-// parent links.
+// a footprint of the external state it depends on: the materialized
+// operators it estimated, and the structural signatures of every derived
+// table entry it read while being keyed (the DP parent links). A profiler
+// retrain of one operator is the one invalidation event: the next build
+// scans the cached footprints once and evicts only the footprint-hit entries
+// plus everything reachable from them downstream through the dependents
+// index; untouched subtrees stay warm and insert-replay exactly as before.
+// Retrains are rare next to node evaluations, so the scan is paid per event
+// and an evaluation registers nothing but its parent links.
 //
-// Engine availability evicts nothing: it is part of the key. Each build
-// boundary probes every library engine once (snapshotAvailLocked), and a
-// node's key folds in the snapshot bits of its own matches' engines
-// (memo.go). A flip to a new state misses the nodes matching the flipped
-// engine, and downstream of them the nodes whose input rows changed; a flip
-// back to a state already seen hits the results still cached. The cache-size
-// bound keeps what the states seen add up to in check.
+// Engine availability and the operator library evict nothing: both are part
+// of the key. Each build boundary probes every library engine once
+// (snapshotAvailLocked), and a node's key folds in the snapshot bits of its
+// own matches' engines and a digest of its match list, definitions included
+// (memo.go). A flip or a library change that alters a node's matches misses
+// that node, and downstream of it the nodes whose input rows changed; a
+// return to a state already seen hits the results still cached. The
+// cache-size bound keeps what the states seen add up to in check.
 //
-// Wholesale flush (flushLocked) remains the fallback for untyped changes:
-// a Config.Epoch movement, a library generation delta not explained by
-// change-listener events, an untyped ("") event, or the cache-size bound.
+// Wholesale flush (flushLocked) remains for infrastructure changes (a
+// Config.Epoch movement) and for the cache-size bound.
 //
 // A node's key also digests its input fronts, so once an upstream node
 // re-evaluates differently, every downstream key changes and misses; the
 // eager downstream eviction here additionally keeps the cache free of
 // unreachable stale results so the size bound measures live entries.
 
-import (
-	"slices"
-
-	"github.com/asap-project/ires/internal/operator"
-)
+import "slices"
 
 // footprint records the external dependencies of one memoized node result.
 type footprint struct {
-	// abstract is the workflow operator the node matched against the
-	// library; library changes re-match it to detect candidate-set drift.
-	abstract *operator.Abstract
-	// matches is the full library match list the node saw, before
-	// availability filtering; a library change that alters it evicts the
-	// node.
-	matches []*operator.Materialized
 	// estOps lists the materialized operator names whose estimates (and
 	// provisioned resources) the evaluation consumed.
 	estOps []string
@@ -64,65 +51,31 @@ func (f *footprint) touches(estOps map[string]struct{}) bool {
 	return false
 }
 
-// pending accumulates typed invalidation events between builds. It is
-// guarded by Planner.pendMu, a leaf mutex, so producers (profiler retrains,
-// library mutations) never contend with a running build.
-type pending struct {
-	estOps    map[string]struct{}
-	lib       uint64 // library change-listener events seen
-	wholesale bool
-}
-
 // ProfilerRetrain records a typed invalidation event: the prediction models
 // for the named materialized operator changed. The next build evicts only
-// the node results that estimated that operator. An empty name is an untyped
-// change and forces a wholesale flush.
+// the node results that estimated that operator.
 func (p *Planner) ProfilerRetrain(opName string) {
 	p.pendMu.Lock()
 	defer p.pendMu.Unlock()
-	if opName == "" {
-		p.pend.wholesale = true
-		return
+	if p.pend == nil {
+		p.pend = make(map[string]struct{})
 	}
-	if p.pend.estOps == nil {
-		p.pend.estOps = make(map[string]struct{})
-	}
-	p.pend.estOps[opName] = struct{}{}
+	p.pend[opName] = struct{}{}
 }
 
-// libraryChanged is registered as a Library change listener (planner.New).
-// It only counts events: the build boundary re-matches cached footprints
-// against the library directly, which also catches replaced definitions that
-// keep the same operator name.
-func (p *Planner) libraryChanged(string) {
-	p.pendMu.Lock()
-	p.pend.lib++
-	p.pendMu.Unlock()
-}
-
-// drainPending atomically takes and clears the pending event set.
-func (p *Planner) drainPending() pending {
+// drainPending atomically takes and clears the pending retrained operators.
+func (p *Planner) drainPending() map[string]struct{} {
 	p.pendMu.Lock()
 	defer p.pendMu.Unlock()
 	out := p.pend
-	p.pend = pending{}
+	p.pend = nil
 	return out
 }
 
-// sameMatches reports whether two library match lists hold the same
-// definitions under the same names. Operators are immutable, so the same
-// pointer is the same definition; a re-registered operator is compared by
-// its rendering.
-func sameMatches(a, b []*operator.Materialized) bool {
-	return slices.EqualFunc(a, b, func(x, y *operator.Materialized) bool {
-		return x == y || (x.Name == y.Name && x.Definition() == y.Definition())
-	})
-}
-
 // refreshEnginesLocked re-derives the sorted library engine list the
-// availability snapshot is indexed by. It runs at a build boundary whose
-// library generation moved; the match sets of the old generation refresh on
-// their next lookup.
+// availability snapshot is indexed by. It runs at the first build boundary
+// and at every one whose library generation moved; the match sets of the old
+// generation refresh on their next lookup.
 func (p *Planner) refreshEnginesLocked() {
 	c := &p.cache
 	c.engines = p.cfg.Library.Engines()
@@ -141,14 +94,14 @@ func (p *Planner) snapshotAvailLocked() {
 }
 
 // ensureCacheValidLocked runs (with p.mu held) at the start of every build.
-// It drains the pending typed events and evicts exactly the footprint-hit
-// node results plus everything reachable from them through the DP parent
-// links; untouched subtrees stay warm. It then takes the build's
-// availability snapshot, which evicts nothing (see the file comment). The
-// wholesale flush fallback covers untyped changes. Evictions never happen
-// mid-build, so one build never mixes entry generations.
+// It drains the pending retrains and evicts exactly the footprint-hit node
+// results plus everything reachable from them through the DP parent links;
+// untouched subtrees stay warm. A moved library generation re-derives the
+// engine list and evicts nothing (see the file comment). It then takes the
+// build's availability snapshot. Evictions never happen mid-build, so one
+// build never mixes entry generations.
 func (p *Planner) ensureCacheValidLocked() {
-	pend := p.drainPending()
+	estOps := p.drainPending()
 	libGen := p.cfg.Library.Gen()
 	var epoch uint64
 	if p.cfg.Epoch != nil {
@@ -156,56 +109,27 @@ func (p *Planner) ensureCacheValidLocked() {
 	}
 	defer p.snapshotAvailLocked()
 
-	if !p.cache.init {
-		p.cache.init = true
-		p.flushLocked()
-		p.cache.epoch = 0 // the initial allocation is not an invalidation
-		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}
+	c := &p.cache
+	if !c.init || libGen != c.validity.libGen {
 		p.refreshEnginesLocked()
-		return
 	}
-
-	// libDelta is the library movement since the last build; when the typed
-	// change-listener events explain all of it, a re-match scan replaces the
-	// wholesale flush.
-	libDelta := libGen - p.cache.validity.libGen
-	wholesale := pend.wholesale ||
-		epoch != p.cache.validity.epoch ||
-		(libDelta != 0 && pend.lib < libDelta) ||
-		len(p.cache.nodes) > maxCachedNodes
-	if wholesale {
+	switch {
+	case !c.init:
+		c.init = true
 		p.flushLocked()
-		p.cache.validity = cacheValidity{epoch: epoch, libGen: libGen}
-		p.refreshEnginesLocked()
-		return
-	}
-
-	// The footprint-hit node keys (twice does no harm) seed the eviction
-	// stack, p.evict.
-	events := len(pend.estOps)
-	if libDelta != 0 {
-		events++
-		for key, res := range p.cache.nodes {
-			if !sameMatches(p.cfg.Library.FindMaterialized(res.foot.abstract), res.foot.matches) {
+		c.epoch = 0 // the initial allocation is not an invalidation
+	case epoch != c.validity.epoch || len(c.nodes) > maxCachedNodes:
+		p.flushLocked()
+	case len(estOps) > 0:
+		for key, res := range c.nodes {
+			if res.foot.touches(estOps) {
 				p.evict = append(p.evict, key)
 			}
 		}
-		p.cache.validity.libGen = libGen
-		p.refreshEnginesLocked()
+		c.evicted += uint64(p.evictLocked())
+		c.partials += uint64(len(estOps))
 	}
-	if events == 0 {
-		return
-	}
-	if len(pend.estOps) > 0 {
-		for key, res := range p.cache.nodes {
-			if res.foot.touches(pend.estOps) {
-				p.evict = append(p.evict, key)
-			}
-		}
-	}
-	evicted := p.evictLocked()
-	p.cache.partials += uint64(events)
-	p.cache.evicted += uint64(evicted)
+	c.validity = cacheValidity{epoch: epoch, libGen: libGen}
 }
 
 // evictLocked removes every node result on the p.evict stack plus everything

@@ -189,8 +189,8 @@ var metrics = []metric{
 	{name: "ires_trace_dropped_total", kind: counter, help: "events aged out of the recorder's bounded window; non-zero means trace reads return a truncated log"},
 	{name: "ires_planner_cache_hits_total", kind: counter, help: "planner DP memo hits (operator nodes served from cache)"},
 	{name: "ires_planner_cache_misses_total", kind: counter, help: "planner DP memo misses (operator nodes evaluated cold)"},
-	{name: "ires_planner_epoch", kind: gauge, help: "planner cache epoch (wholesale flushes: untyped changes and the cache-size bound)"},
-	{name: "ires_planner_partial_invalidations_total", kind: counter, help: "typed invalidation events (profiler retrain, library change) applied as scoped partial evictions; engine flaps are memo keys and evict nothing"},
+	{name: "ires_planner_epoch", kind: gauge, help: "planner cache epoch (wholesale flushes: infrastructure changes and the cache-size bound)"},
+	{name: "ires_planner_partial_invalidations_total", kind: counter, help: "profiler retrains applied as scoped partial evictions; library changes and engine flaps are memo keys and evict nothing"},
 	{name: "ires_planner_evicted_entries_total", kind: counter, help: "planner cache node results evicted by partial invalidation, downstream dependents included"},
 	{name: "ires_profiler_observations_total", kind: counter, help: "observed runs appended to an operator's training buffer (model refinement)"},
 	{name: "ires_profiler_fits_total", kind: counter, help: "times an operator's models were brought up to date, at the first read after its buffer changed"},
