@@ -35,26 +35,12 @@ func (c *Cluster) PutCheckpoint(key, algorithm string, units, total int, nodes [
 	if c.checkpoints == nil {
 		c.checkpoints = make(map[string]*ckptEntry)
 	}
-	if old, ok := c.checkpoints[key]; ok {
-		if old.algorithm == algorithm && old.total == total && old.units >= units {
-			return
-		}
-		// The entry advances or is replaced: its replica set moves to the
-		// new nodes, so the old hosts drop their local copies.
-		c.touchLocked(old.nodes)
+	if old, ok := c.checkpoints[key]; ok && old.algorithm == algorithm && old.total == total && old.units >= units {
+		return
 	}
+	// The entry advances or is replaced: its replica set moves to the new
+	// nodes, so the old hosts drop their local copies.
 	c.checkpoints[key] = &ckptEntry{algorithm: algorithm, units: units, total: total, durable: durable, nodes: replicas}
-	c.touchLocked(replicas)
-}
-
-// touchLocked moves the version of every known node in names, whose replica
-// lists just changed; c.mu held.
-func (c *Cluster) touchLocked(names []string) {
-	for _, nn := range names {
-		if n, ok := c.nodes[nn]; ok {
-			n.version++
-		}
-	}
 }
 
 // CheckpointProgress returns the banked units under key, or zero when no
@@ -75,11 +61,6 @@ func (c *Cluster) CheckpointProgress(key, algorithm string, total int) int {
 func (c *Cluster) ClearCheckpoint(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.checkpoints[key]
-	if !ok {
-		return
-	}
-	c.touchLocked(e.nodes)
 	delete(c.checkpoints, key)
 }
 
@@ -111,9 +92,6 @@ func (c *Cluster) dropCheckpointReplicasLocked(node *Node) []string {
 			if n != node.Name {
 				kept = append(kept, n)
 			}
-		}
-		if len(kept) < len(e.nodes) {
-			node.version++
 		}
 		e.nodes = kept
 		if len(e.nodes) == 0 {

@@ -53,12 +53,6 @@ type Node struct {
 	Cores int
 	MemMB int
 
-	// version moves at every change to the node's record: a container placed
-	// or ended, a replica listed or dropped, a health flip, a crash of a live
-	// or non-empty node and every restore. The monitor re-reads a node only
-	// when its version moved since the last read.
-	version uint64
-
 	healthy   bool
 	usedCores int
 	usedMemMB int
@@ -114,19 +108,12 @@ type Cluster struct {
 	nextResID    int
 	reservations map[int]*Reservation // outstanding node leases by ID
 
-	// freeHealthy and reserved are the scheduling-counter hot path: the
-	// number of healthy nodes carrying no lease and the number of nodes
-	// carrying at least one, maintained as deltas at every reserve/release/
-	// grow/shrink/revoke/fail/restore boundary so UnreservedHealthy and
-	// ReservedNodes are O(1) per call instead of O(nodes) map scans.
-	// reservedSliceCores/reservedSliceMemMB are the same pattern per
-	// resource dimension: cluster-wide totals of granted slice capacity,
-	// delta-maintained by every reserve/grow/shrink/resize/revoke.
-	// CheckInvariants recomputes all four from scratch and fails on drift.
-	freeHealthy        int
-	reserved           int
-	reservedSliceCores int
-	reservedSliceMemMB int
+	// freeHealthy is the scheduling-counter hot path: the number of healthy
+	// nodes carrying no lease, maintained as deltas at every reserve/release/
+	// grow/shrink/revoke/fail/restore boundary so UnreservedHealthy is O(1)
+	// per call instead of an O(nodes) map scan. CheckInvariants recounts it
+	// from scratch and fails on drift.
+	freeHealthy int
 
 	// memOvercommit scales each node's allocatable memory past its physical
 	// MemMB (1.0 = disabled). Cores are never overcommitted. When actual
@@ -207,16 +194,6 @@ func (c *Cluster) SetMemOvercommit(ratio float64) error {
 	return nil
 }
 
-// MemOvercommit returns the current overcommit ratio (1.0 when disabled).
-func (c *Cluster) MemOvercommit() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.memOvercommit < 1 {
-		return 1
-	}
-	return c.memOvercommit
-}
-
 // SetOOMKiller installs the oversubscription fault hook: after an
 // allocation pushes a node's actual memory usage past physical capacity,
 // the hook is consulted once per candidate kill with the node name and the
@@ -248,7 +225,6 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 		return
 	}
 	n.healthy = healthy
-	n.version++
 	if n.sliceRefs == 0 {
 		if healthy {
 			c.freeHealthy++
@@ -259,21 +235,15 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 }
 
 // addSliceLocked grants one (cores, memMB) slice on a node, maintaining
-// the per-node sums, the slice refcount, the cluster-wide per-dimension
-// delta counters, and reserved/freeHealthy (a node leaves the free pool
-// when its first slice lands); c.mu held.
+// the per-node sums, the slice refcount and freeHealthy (a node leaves the
+// free pool when its first slice lands); c.mu held.
 func (c *Cluster) addSliceLocked(n *Node, cores, memMB int) {
-	if n.sliceRefs == 0 {
-		c.reserved++
-		if n.healthy {
-			c.freeHealthy--
-		}
+	if n.sliceRefs == 0 && n.healthy {
+		c.freeHealthy--
 	}
 	n.sliceRefs++
 	n.sliceCores += cores
 	n.sliceMemMB += memMB
-	c.reservedSliceCores += cores
-	c.reservedSliceMemMB += memMB
 }
 
 // removeSliceLocked returns one (cores, memMB) slice on a node to the
@@ -282,13 +252,8 @@ func (c *Cluster) removeSliceLocked(n *Node, cores, memMB int) {
 	n.sliceRefs--
 	n.sliceCores -= cores
 	n.sliceMemMB -= memMB
-	c.reservedSliceCores -= cores
-	c.reservedSliceMemMB -= memMB
-	if n.sliceRefs == 0 {
-		c.reserved--
-		if n.healthy {
-			c.freeHealthy++
-		}
+	if n.sliceRefs == 0 && n.healthy {
+		c.freeHealthy++
 	}
 }
 
@@ -376,7 +341,6 @@ func (c *Cluster) RestoreNode(name string) error {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, name)
 	}
 	c.setHealthLocked(n, true)
-	n.version++ // a restore is news even to a node that was healthy
 	c.mu.Unlock()
 	c.emit(trace.Event{Type: trace.EvNodeRestore, Node: name})
 	return nil
@@ -471,9 +435,6 @@ func (r *Reservation) usedOn(name string) (cores, memMB int) {
 	}
 	return 0, 0
 }
-
-// ID returns the reservation's cluster-unique id.
-func (r *Reservation) ID() int { return r.id }
 
 // Nodes returns the reserved node names in stable order (nil once revoked).
 // It takes the cluster lock: the node set of an elastic lease changes under
@@ -723,8 +684,6 @@ func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
 		n.sliceCores += dCores
 		n.sliceMemMB += dMem
 	}
-	c.reservedSliceCores += dCores * len(r.nodes)
-	c.reservedSliceMemMB += dMem * len(r.nodes)
 	r.sliceCores, r.sliceMemMB = coresPer, memPer
 	return nil
 }
@@ -800,7 +759,6 @@ func (c *Cluster) releaseContainerLocked(ctr *Container) {
 	if n, ok := c.nodes[ctr.NodeName]; ok {
 		n.usedCores -= ctr.Cores
 		n.usedMemMB -= ctr.MemMB
-		n.version++
 	}
 	if res, ok := c.reservations[ctr.resID]; ok {
 		if u, ok := res.used[ctr.NodeName]; ok {
@@ -848,21 +806,30 @@ func (c *Cluster) UnreservedHealthy() int {
 }
 
 // ReservedNodes counts the nodes currently carrying at least one lease,
-// healthy or not. O(1), like UnreservedHealthy.
+// healthy or not, from the per-node slice refcounts.
 func (c *Cluster) ReservedNodes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reserved
+	reserved := 0
+	for _, n := range c.nodes {
+		if n.sliceRefs > 0 {
+			reserved++
+		}
+	}
+	return reserved
 }
 
 // ReservedSlices returns the cluster-wide totals of granted slice capacity
-// per dimension (summed over every lease's nodes). O(1): both are delta
-// counters maintained at each reserve/grow/shrink/resize/revoke, recomputed
-// from scratch by CheckInvariants.
+// per dimension (summed over every lease's nodes), from the per-node slice
+// sums.
 func (c *Cluster) ReservedSlices() (cores, memMB int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.reservedSliceCores, c.reservedSliceMemMB
+	for _, n := range c.nodes {
+		cores += n.sliceCores
+		memMB += n.sliceMemMB
+	}
+	return cores, memMB
 }
 
 // AllocateIn grants count containers of (cores, memMB) each. Allocation is
@@ -965,7 +932,6 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 		}
 		best.usedCores += cores
 		best.usedMemMB += memMB
-		best.version++
 		c.nextID++
 		ctr := &Container{ID: c.nextID, NodeName: best.Name, Cores: cores, MemMB: memMB, resID: resID}
 		if r != nil {
@@ -1052,19 +1018,6 @@ func (c *Cluster) ReleaseAll(ctrs []*Container) {
 	}
 }
 
-// Available sums the free resources over healthy nodes.
-func (c *Cluster) Available() (cores, memMB int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, n := range c.nodes {
-		if n.healthy {
-			cores += n.FreeCores()
-			memMB += n.FreeMemMB()
-		}
-	}
-	return cores, memMB
-}
-
 // Capacity sums total resources over all nodes, healthy or not.
 func (c *Cluster) Capacity() (cores, memMB int) {
 	c.mu.Lock()
@@ -1089,40 +1042,28 @@ func (c *Cluster) CheckInvariants() error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// The O(1) scheduling counters must agree with a from-scratch recount —
+	// The delta-maintained books must agree with a from-scratch recount —
 	// any missed delta on a reserve/release/grow/shrink/resize/revoke/fail/
 	// restore path shows up here. The recount rebuilds every node's
 	// per-dimension slice sums and refcount from the reservation table.
 	sliceCores := make(map[string]int)
 	sliceMemMB := make(map[string]int)
 	sliceRefs := make(map[string]int)
-	totSliceCores, totSliceMemMB := 0, 0
 	for _, res := range c.reservations {
 		for _, name := range res.nodes {
 			sliceCores[name] += res.sliceCores
 			sliceMemMB[name] += res.sliceMemMB
 			sliceRefs[name]++
-			totSliceCores += res.sliceCores
-			totSliceMemMB += res.sliceMemMB
 		}
 	}
-	freeHealthy, reserved := 0, 0
+	freeHealthy := 0
 	for _, name := range names {
-		if sliceRefs[name] > 0 {
-			reserved++
-		} else if c.nodes[name].healthy {
+		if sliceRefs[name] == 0 && c.nodes[name].healthy {
 			freeHealthy++
 		}
 	}
 	if freeHealthy != c.freeHealthy {
 		return fmt.Errorf("cluster: freeHealthy counter drifted: have %d, recount %d", c.freeHealthy, freeHealthy)
-	}
-	if reserved != c.reserved {
-		return fmt.Errorf("cluster: reserved counter drifted: have %d, recount %d", c.reserved, reserved)
-	}
-	if totSliceCores != c.reservedSliceCores || totSliceMemMB != c.reservedSliceMemMB {
-		return fmt.Errorf("cluster: slice counters drifted: have (%dc,%dMB), recount (%dc,%dMB)",
-			c.reservedSliceCores, c.reservedSliceMemMB, totSliceCores, totSliceMemMB)
 	}
 	for _, name := range names {
 		n := c.nodes[name]

@@ -16,6 +16,17 @@ import (
 	"github.com/asap-project/ires/internal/vtime"
 )
 
+// available sums the free resources over healthy nodes.
+func available(c *Cluster) (cores, memMB int) {
+	for _, n := range c.Snapshot() {
+		if n.Healthy() {
+			cores += n.FreeCores()
+			memMB += n.FreeMemMB()
+		}
+	}
+	return cores, memMB
+}
+
 func newTestCluster() *Cluster {
 	return New(vtime.NewClock(), 4, 8, 16384)
 }
@@ -29,12 +40,12 @@ func TestAllocateRelease(t *testing.T) {
 	if len(ctrs) != 4 {
 		t.Fatalf("got %d containers", len(ctrs))
 	}
-	cores, _ := c.Available()
+	cores, _ := available(c)
 	if cores != 4*8-8 {
 		t.Fatalf("available cores = %d", cores)
 	}
 	c.ReleaseAll(ctrs)
-	cores, mem := c.Available()
+	cores, mem := available(c)
 	if cores != 32 || mem != 4*16384 {
 		t.Fatalf("after release: %d cores %d MB", cores, mem)
 	}
@@ -64,7 +75,7 @@ func TestAllocateAtomicRollback(t *testing.T) {
 	if _, err := c.AllocateIn(nil, 5, 8, 1024); !errors.Is(err, ErrInsufficientResources) {
 		t.Fatalf("err = %v", err)
 	}
-	cores, _ := c.Available()
+	cores, _ := available(c)
 	if cores != 32 {
 		t.Fatalf("failed allocation leaked resources: %d cores free", cores)
 	}
@@ -91,7 +102,7 @@ func TestDoubleReleaseSafe(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	cores, _ := c.Available()
+	cores, _ := available(c)
 	if cores != 32 {
 		t.Fatalf("double release corrupted accounting: %d", cores)
 	}
@@ -132,11 +143,11 @@ func TestUnhealthyNodesSkipped(t *testing.T) {
 
 func TestUtilizationAndCapacity(t *testing.T) {
 	c := newTestCluster()
-	if free, _ := c.Available(); free != 32 {
+	if free, _ := available(c); free != 32 {
 		t.Fatalf("idle cluster has %d free cores, want 32", free)
 	}
 	ctrs, _ := c.AllocateIn(nil, 4, 4, 1024)
-	if free, _ := c.Available(); free != 16 {
+	if free, _ := available(c); free != 16 {
 		t.Fatalf("%d free cores with half the cores allocated, want 16", free)
 	}
 	cores, mem := c.Capacity()
@@ -216,7 +227,7 @@ func TestQuickAccountingInvariant(t *testing.T) {
 		for _, ctr := range live {
 			c.Release(ctr)
 		}
-		freeC, freeM := c.Available()
+		freeC, freeM := available(c)
 		capC, capM := c.Capacity()
 		return freeC == capC && freeM == capM
 	}
@@ -430,7 +441,7 @@ func TestReconcilerConvergenceStorm(t *testing.T) {
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				freeC, freeM := c.Available()
+				freeC, freeM := available(c)
 				capC, capM := c.Capacity()
 				if freeC != capC || freeM != capM {
 					t.Fatalf("after the storm (%dc,%dMB) free of (%dc,%dMB)", freeC, freeM, capC, capM)

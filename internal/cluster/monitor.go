@@ -21,50 +21,39 @@ type Monitor struct {
 	period  time.Duration
 
 	// nodes is the cluster's node list in stable order (nodes are fixed at
-	// cluster.New); seen[i] is nodes[i]'s version at the last read of its
-	// health and envGen the environment's generation at the last engine
-	// sweep. A poll re-reads only what moved since.
+	// cluster.New) and board[i] the health nodes[i] showed at the last poll
+	// (false before the first, so that poll finds every healthy node new);
+	// envGen is the environment's generation at the last engine sweep.
 	nodes  []*Node
-	seen   []uint64
+	board  []bool
 	envGen uint64
 
-	nodeHealth map[string]bool
-	services   map[string]bool
-	started    bool
-	polls      PollStats
+	services map[string]bool
+	started  bool
+	polls    PollStats
 }
 
 // PollStats counts completed polls by outcome.
 type PollStats struct {
-	// Idle polls found no node version and no environment generation
-	// moved: nothing was re-read.
-	Idle int
-	// Refreshed polls re-read at least one node or the engine list and found
-	// every status as it was; Changed polls found one that differed.
-	Refreshed int
-	Changed   int
+	// Idle polls found every node health flag as the board shows it and no
+	// engine status moved; Changed polls found one that differed.
+	Idle    int
+	Changed int
 }
-
-// unseen is the version no node or environment ever reaches: the first poll
-// finds everything new.
-const unseen = ^uint64(0)
 
 // NewMonitor builds a monitor over the cluster and engine environment,
 // polling with the given virtual-time period.
 func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Monitor {
-	m := &Monitor{
-		cluster:    c,
-		env:        env,
-		period:     period,
-		envGen:     unseen,
-		nodeHealth: make(map[string]bool),
-		services:   make(map[string]bool),
-		nodes:      c.Nodes(),
+	nodes := c.Nodes()
+	return &Monitor{
+		cluster:  c,
+		env:      env,
+		period:   period,
+		nodes:    nodes,
+		board:    make([]bool, len(nodes)),
+		envGen:   ^uint64(0), // no generation the environment reaches: the first poll sweeps
+		services: make(map[string]bool),
 	}
-	for range m.nodes {
-		m.seen = append(m.seen, unseen)
-	}
-	return m
 }
 
 // Start schedules periodic polls on the cluster's virtual clock. It is
@@ -95,32 +84,25 @@ func (m *Monitor) Start() {
 // round interrupts the cluster's clock: every run parked in the future wakes
 // now and sweeps its attempts for lost containers.
 //
-// A round costs what changed, not what exists: a node's health is re-read
-// only when its version moved since the last read, the engine list only
-// when the environment's generation did.
+// A round compares each node's health flag with the board and re-reads the
+// engine list only when the environment's generation moved.
 //
 // Lock order: m.mu, then the cluster's lock, which is held across the node
-// sweep so that every version and health flag read belong together.
+// sweep so that every health flag read belongs to one moment.
 func (m *Monitor) Poll() bool {
 	m.mu.Lock()
-	changed, refreshed := false, false
+	changed := false
 	m.cluster.mu.Lock()
 	for i, n := range m.nodes {
-		if n.version == m.seen[i] {
-			continue
-		}
-		m.seen[i] = n.version
-		refreshed = true
-		if prev, seen := m.nodeHealth[n.Name]; !seen || prev != n.healthy {
+		if n.healthy != m.board[i] {
+			m.board[i] = n.healthy
 			changed = true
 		}
-		m.nodeHealth[n.Name] = n.healthy
 	}
 	m.cluster.mu.Unlock()
 	if m.env != nil {
 		if gen := m.env.Gen(); gen != m.envGen {
 			m.envGen = gen
-			refreshed = true
 			for _, name := range m.env.Engines() {
 				on := m.env.Available(name)
 				if prev, seen := m.services[name]; !seen || prev != on {
@@ -130,12 +112,9 @@ func (m *Monitor) Poll() bool {
 			}
 		}
 	}
-	switch {
-	case changed:
+	if changed {
 		m.polls.Changed++
-	case refreshed:
-		m.polls.Refreshed++
-	default:
+	} else {
 		m.polls.Idle++
 	}
 	m.mu.Unlock()
@@ -151,7 +130,12 @@ func (m *Monitor) Poll() bool {
 func (m *Monitor) NodeHealthy(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.nodeHealth[name]
+	for i, n := range m.nodes {
+		if n.Name == name {
+			return m.board[i]
+		}
+	}
+	return false
 }
 
 // ServiceOn returns the last observed availability of an engine service.
@@ -179,7 +163,7 @@ func (m *Monitor) AvailableEngines() []string {
 // Ticks reports the number of completed polls.
 func (m *Monitor) Ticks() int {
 	p := m.PollStats()
-	return p.Idle + p.Refreshed + p.Changed
+	return p.Idle + p.Changed
 }
 
 // PollStats returns the completed polls by outcome; they sum to Ticks.

@@ -41,20 +41,44 @@ func TestMonitorReadsNodeHealth(t *testing.T) {
 	if !m.NodeHealthy("node1") {
 		t.Fatal("board does not show the restore")
 	}
+
+	// A flip undone before the next poll never reaches the board: that poll
+	// is idle and interrupts nothing. A flip that holds is changed at the
+	// next poll instant, not before.
+	changes, idle := m.Changes(), m.PollStats().Idle
+	m.Start() // polls now, at 0 s, then every 10 s
+	clock.Schedule(12*time.Second, func(time.Duration) { _ = c.SetNodeHealth("node0", false) })
+	clock.Schedule(14*time.Second, func(time.Duration) { _ = c.SetNodeHealth("node0", true) })
+	clock.Advance(20 * time.Second)
+	if got := m.Changes(); got != changes {
+		t.Fatalf("a flip undone within one period: Changes %d, want %d", got, changes)
+	}
+	if got := m.PollStats().Idle; got != idle+3 {
+		t.Fatalf("idle polls at 0, 10 and 20 s: %d, want %d", got, idle+3)
+	}
+	clock.Schedule(25*time.Second, func(time.Duration) { _ = c.SetNodeHealth("node0", false) })
+	clock.Advance(9 * time.Second)
+	if got := m.Changes(); got != changes || !m.NodeHealthy("node0") {
+		t.Fatalf("flip at 25 s shows before the 30 s poll: Changes %d, want %d", got, changes)
+	}
+	clock.Advance(time.Second)
+	if got := m.Changes(); got != changes+1 || m.NodeHealthy("node0") {
+		t.Fatalf("flip at 25 s not changed at the 30 s poll: Changes %d, want %d", got, changes+1)
+	}
 }
 
-// naivePoll is the whole-board poll Monitor.Poll replaced, kept as the test
-// oracle: every node and the whole engine list re-read every round.
+// naivePoll is the whole-board poll, kept as the test oracle: every node and
+// the whole engine list re-read every round.
 func naivePoll(m *Monitor) bool {
 	nodes := m.cluster.Snapshot()
 
 	m.mu.Lock()
 	changed := false
-	for _, n := range nodes {
-		if prev, seen := m.nodeHealth[n.Name]; !seen || prev != n.Healthy() {
+	for i, n := range nodes {
+		if m.board[i] != n.Healthy() {
 			changed = true
 		}
-		m.nodeHealth[n.Name] = n.Healthy()
+		m.board[i] = n.Healthy()
 	}
 	if m.env != nil {
 		for _, name := range m.env.Engines() {
@@ -68,7 +92,7 @@ func naivePoll(m *Monitor) bool {
 	if changed {
 		m.polls.Changed++
 	} else {
-		m.polls.Refreshed++
+		m.polls.Idle++
 	}
 	m.mu.Unlock()
 	return changed
@@ -180,17 +204,17 @@ func monitorStormOps(seed int64) []byte {
 	return ops
 }
 
-// The poll that re-reads only what moved is indistinguishable from the
-// whole-board poll under a storm of every mutation that can reach the board.
+// The poll that re-reads the engine list only when its generation moved is
+// indistinguishable from the whole-board poll under a storm of every
+// mutation that can reach the board.
 func TestMonitorPollMatchesNaive(t *testing.T) {
 	var total PollStats
 	for _, seed := range monitorStormSeeds {
 		got := runMonitorOps(t, monitorStormOps(seed))
 		total.Idle += got.Idle
-		total.Refreshed += got.Refreshed
 		total.Changed += got.Changed
 	}
-	if total.Idle == 0 || total.Refreshed == 0 || total.Changed == 0 {
+	if total.Idle == 0 || total.Changed == 0 {
 		t.Fatalf("storm did not reach every poll outcome: %+v", total)
 	}
 }
@@ -207,8 +231,8 @@ func FuzzMonitorPoll(f *testing.F) {
 	})
 }
 
-// A poll that notices nothing is a handful of loads: no node re-read, no
-// engine list sorted, no clock interrupted.
+// A poll that notices nothing is a handful of loads: one health flag per
+// node, no engine list sorted, no clock interrupted.
 func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	c := New(vtime.NewClock(), 16, 2, 3456)
 	if _, err := c.AllocateIn(nil, 8, 1, 512); err != nil {
@@ -221,7 +245,7 @@ func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 		t.Fatalf("idle poll allocates %v times, want 0", n)
 	}
 	after := m.PollStats()
-	if after.Idle == before.Idle || after.Refreshed != before.Refreshed || after.Changed != before.Changed {
+	if after.Idle == before.Idle || after.Changed != before.Changed {
 		t.Fatalf("idle polls counted as %+v after %+v", after, before)
 	}
 }

@@ -26,18 +26,6 @@ type CircuitBreaker struct {
 	Tracer trace.Tracer
 
 	state map[string]*breakerState
-	// gen counts availability transitions (trip, reset, half-open).
-	gen uint64
-}
-
-// Gen returns the breaker's availability-transition generation counter.
-func (b *CircuitBreaker) Gen() uint64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gen
 }
 
 type breakerState struct {
@@ -84,7 +72,6 @@ func (b *CircuitBreaker) RecordFailure(engineName string) bool {
 	if st.consecutive >= b.Threshold && !st.tripped {
 		st.tripped = true
 		st.trippedUntil = b.now() + b.Cooldown
-		b.gen++
 		b.emitLocked(trace.Event{
 			Type: trace.EvBreakerTrip, Engine: engineName,
 			Fields: map[string]float64{
@@ -117,7 +104,6 @@ func (b *CircuitBreaker) RecordSuccess(engineName string) {
 	if st := b.state[engineName]; st != nil {
 		if st.tripped {
 			b.emitLocked(trace.Event{Type: trace.EvBreakerReset, Engine: engineName})
-			b.gen++
 		}
 		st.consecutive = 0
 		st.tripped = false
@@ -144,7 +130,6 @@ func (b *CircuitBreaker) Allows(engineName string) bool {
 		if st.consecutive < 0 {
 			st.consecutive = 0
 		}
-		b.gen++
 		return true
 	}
 	return false

@@ -146,6 +146,17 @@ func chainWorkflow(t *testing.T, docs int64) *workflow.Graph {
 	return g
 }
 
+// freeCores sums the free cores over healthy nodes.
+func freeCores(c *cluster.Cluster) int {
+	free := 0
+	for _, n := range c.Snapshot() {
+		if n.Healthy() {
+			free += n.FreeCores()
+		}
+	}
+	return free
+}
+
 func itoa(n int64) string {
 	if n == 0 {
 		return "0"
@@ -194,7 +205,7 @@ func TestExecuteChain(t *testing.T) {
 		t.Fatalf("makespan %v far from estimate %v", res.Makespan, est)
 	}
 	// All containers returned.
-	freeC, _ := f.clus.Available()
+	freeC := freeCores(f.clus)
 	capC, _ := f.clus.Capacity()
 	if freeC != capC {
 		t.Fatalf("containers leaked: %d free of %d", freeC, capC)

@@ -81,7 +81,7 @@ func TestQuickRandomChainsComplete(t *testing.T) {
 		if res.FinalRecords <= 0 {
 			return false
 		}
-		freeC, _ := fx.clus.Available()
+		freeC := freeCores(fx.clus)
 		capC, _ := fx.clus.Capacity()
 		return freeC == capC
 	}

@@ -51,7 +51,7 @@ func (f *fixture) checkClean(t *testing.T) {
 	if err := f.clus.CheckInvariants(); err != nil {
 		t.Fatalf("cluster invariants violated: %v", err)
 	}
-	freeC, _ := f.clus.Available()
+	freeC := freeCores(f.clus)
 	capC, _ := f.clus.Capacity()
 	if freeC != capC {
 		t.Fatalf("containers leaked: %d free of %d", freeC, capC)
@@ -322,7 +322,7 @@ func TestQuickFaultScheduleAlwaysTerminates(t *testing.T) {
 		// The run may end before the scheduled node repair; restore health so
 		// free capacity is comparable to total capacity.
 		_ = fx.clus.RestoreNode("node3")
-		freeC, _ := fx.clus.Available()
+		freeC := freeCores(fx.clus)
 		capC, _ := fx.clus.Capacity()
 		if freeC != capC {
 			t.Logf("seed %d: %d free of %d after run", seed, freeC, capC)

@@ -9,7 +9,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 )
 
@@ -56,20 +55,6 @@ func (r *Run) Feature(name string) (float64, bool) {
 		return float64(r.OutputRecords), true
 	}
 	return 0, false
-}
-
-// Features extracts the named features as a vector, returning an error when
-// one is missing.
-func (r *Run) Features(names []string) ([]float64, error) {
-	out := make([]float64, len(names))
-	for i, n := range names {
-		v, ok := r.Feature(n)
-		if !ok {
-			return nil, fmt.Errorf("metrics: run of %s/%s lacks feature %q", r.Algorithm, r.Engine, n)
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // ParamNames returns the sorted parameter names of the run.

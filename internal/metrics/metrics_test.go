@@ -44,20 +44,6 @@ func TestFeatureLookup(t *testing.T) {
 	}
 }
 
-func TestFeaturesVector(t *testing.T) {
-	r := sampleRun()
-	v, err := r.Features([]string{"records", "nodes", "execTime"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v) != 3 || v[0] != 1000 || v[1] != 16 || v[2] != 12.5 {
-		t.Fatalf("Features = %v", v)
-	}
-	if _, err := r.Features([]string{"records", "missing"}); err == nil {
-		t.Fatal("missing feature accepted")
-	}
-}
-
 func TestParamNamesSorted(t *testing.T) {
 	names := sampleRun().ParamNames()
 	if len(names) != 5 {

@@ -252,22 +252,6 @@ func (l *Library) Dataset(name string) (*Dataset, bool) {
 	return d, ok
 }
 
-// Datasets returns all registered datasets sorted by name.
-func (l *Library) Datasets() []*Dataset {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	names := make([]string, 0, len(l.datasets))
-	for n := range l.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Dataset, len(names))
-	for i, n := range names {
-		out[i] = l.datasets[n]
-	}
-	return out
-}
-
 // Len reports the number of registered operators.
 func (l *Library) Len() int {
 	l.mu.RLock()

@@ -17,8 +17,6 @@ import (
 const (
 	PathEngine        = "Constraints.Engine"
 	PathAlgorithm     = "Constraints.OpSpecification.Algorithm.name"
-	PathInputNumber   = "Constraints.Input.number"
-	PathOutputNumber  = "Constraints.Output.number"
 	PathExecutionPath = "Execution.path"
 	PathDocuments     = "Optimization.documents"
 	PathSize          = "Optimization.size"
@@ -112,12 +110,6 @@ func (a *Abstract) Definition() string { return a.def }
 
 // Algorithm returns the declared algorithm name ("" when unconstrained).
 func (a *Abstract) Algorithm() string { return a.Meta.GetDefault(PathAlgorithm, "") }
-
-// Inputs returns the declared input arity (defaults to 1).
-func (a *Abstract) Inputs() int { return atoiDefault(a.Meta, PathInputNumber, 1) }
-
-// Outputs returns the declared output arity (defaults to 1).
-func (a *Abstract) Outputs() int { return atoiDefault(a.Meta, PathOutputNumber, 1) }
 
 // Tag is a dataset tag as the planner's tables key it: a constraints tree
 // and its canonical rendering. Tags are immutable and shared.
@@ -217,12 +209,6 @@ func (m *Materialized) Algorithm() string { return m.algorithm }
 // Definition returns the canonical rendering of the description tree.
 func (m *Materialized) Definition() string { return m.def }
 
-// Inputs returns the input arity.
-func (m *Materialized) Inputs() int { return atoiDefault(m.Meta, PathInputNumber, 1) }
-
-// Outputs returns the output arity.
-func (m *Materialized) Outputs() int { return atoiDefault(m.Meta, PathOutputNumber, 1) }
-
 // InputConstraint returns the constraints subtree for input i
 // (Constraints.Input<i>), or nil when the operator accepts anything.
 func (m *Materialized) InputConstraint(i int) *metadata.Tree {
@@ -266,15 +252,3 @@ func (m *Materialized) AcceptsInput(i int, datasetConstraints *metadata.Tree) bo
 // Optimization.param.* (e.g. Optimization.param.k=8), parsed as floats. The
 // map is shared: copy it before writing.
 func (m *Materialized) Params() map[string]float64 { return m.params }
-
-func atoiDefault(t *metadata.Tree, path string, def int) int {
-	v, ok := t.Get(path)
-	if !ok || v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
-}

@@ -2,7 +2,6 @@ package planner
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/asap-project/ires/internal/metadata"
@@ -45,44 +44,6 @@ func (pl *Plan) Describe() string {
 		}
 		fmt.Fprintln(&b)
 	}
-	return b.String()
-}
-
-// DOT renders the materialized plan as a Graphviz digraph: operator steps
-// as boxes labelled with their engine, moves as diamonds, source datasets
-// as ellipses.
-func (pl *Plan) DOT() string {
-	var b strings.Builder
-	b.WriteString("digraph plan {\n  rankdir=LR;\n")
-	sources := make(map[string]bool)
-	for _, s := range pl.Steps {
-		switch s.Kind {
-		case StepMove:
-			fmt.Fprintf(&b, "  step%d [shape=diamond, label=%q];\n", s.ID, s.Name)
-		default:
-			fmt.Fprintf(&b, "  step%d [shape=box, label=\"%s\\n@%s\"];\n", s.ID, s.Name, s.Engine)
-		}
-		for _, src := range s.SourceInputs {
-			sources[src] = true
-		}
-	}
-	srcNames := make([]string, 0, len(sources))
-	for n := range sources {
-		srcNames = append(srcNames, n)
-	}
-	sort.Strings(srcNames)
-	for _, n := range srcNames {
-		fmt.Fprintf(&b, "  %q [shape=ellipse];\n", n)
-	}
-	for _, s := range pl.Steps {
-		for _, dep := range s.DependsOn {
-			fmt.Fprintf(&b, "  step%d -> step%d;\n", dep, s.ID)
-		}
-		for _, src := range s.SourceInputs {
-			fmt.Fprintf(&b, "  %q -> step%d;\n", src, s.ID)
-		}
-	}
-	b.WriteString("}\n")
 	return b.String()
 }
 

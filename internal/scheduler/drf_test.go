@@ -89,8 +89,8 @@ func TestSchedulerSurfaceWithDRF(t *testing.T) {
 	}, map[string][2]float64{
 		"quick": {5, 1}, "doomed": {30, 3},
 	})
-	if got := rig.sched.Policy().Name(); got != "drf(2)" {
-		t.Fatalf("Policy().Name() = %q", got)
+	if got := rig.sched.policy.Name(); got != "drf(2)" {
+		t.Fatalf("policy.Name() = %q", got)
 	}
 	quick := rig.sched.SubmitNamed("labelled", graph("quick"))
 	doomed := rig.sched.Submit(graph("doomed"))

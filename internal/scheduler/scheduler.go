@@ -436,9 +436,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}, nil
 }
 
-// Policy returns the active scheduling policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
-
 // Submit enqueues a workflow and returns its run handle. Scheduling is
 // attempted immediately, but no admitted run executes until the cooperative
 // clock is kicked (Run.Wait, Drain or Start) — so a batch of Submit calls is

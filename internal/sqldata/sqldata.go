@@ -49,16 +49,6 @@ func (t *Table) DistinctCount(col string) int {
 	return len(seen)
 }
 
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	nt := &Table{Name: t.Name, Cols: append([]string(nil), t.Cols...)}
-	nt.Rows = make([][]int64, len(t.Rows))
-	for i, r := range t.Rows {
-		nt.Rows[i] = append([]int64(nil), r...)
-	}
-	return nt
-}
-
 // Baseline TPC-H cardinalities at scale factor 1.
 const (
 	regionSF1   = 5

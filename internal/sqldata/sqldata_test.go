@@ -61,11 +61,6 @@ func TestTableHelpers(t *testing.T) {
 	if c.DistinctCount("missing") != 0 {
 		t.Fatal("distinct of missing column")
 	}
-	cl := c.Clone()
-	cl.Rows[0][0] = -99
-	if c.Rows[0][0] == -99 {
-		t.Fatal("Clone shares rows")
-	}
 	if Describe(tables) == "" {
 		t.Fatal("Describe rendered nothing")
 	}

@@ -139,15 +139,6 @@ func (g *Graph) Node(name string) (*Node, bool) {
 	return n, ok
 }
 
-// Nodes returns all nodes in insertion order.
-func (g *Graph) Nodes() []*Node {
-	out := make([]*Node, len(g.order))
-	for i, n := range g.order {
-		out[i] = g.nodes[n]
-	}
-	return out
-}
-
 // Len reports the number of nodes.
 func (g *Graph) Len() int { return len(g.nodes) }
 
@@ -263,30 +254,6 @@ func (g *Graph) ValidatedOrder() ([]*Node, error) {
 		}
 	}
 	return order, nil
-}
-
-// Clone returns a deep structural copy of the graph. Dataset and Operator
-// descriptions are shared (they are immutable by convention).
-func (g *Graph) Clone() *Graph {
-	ng := NewGraph()
-	for _, name := range g.order {
-		n := g.nodes[name]
-		cp := &Node{Name: n.Name, Kind: n.Kind, Dataset: n.Dataset, Operator: n.Operator, pos: n.pos}
-		ng.nodes[name] = cp
-		ng.order = append(ng.order, name)
-	}
-	for _, name := range g.order {
-		n := g.nodes[name]
-		cp := ng.nodes[name]
-		for _, in := range n.Inputs {
-			cp.Inputs = append(cp.Inputs, ng.nodes[in.Name])
-		}
-		for _, out := range n.Outputs {
-			cp.Outputs = append(cp.Outputs, ng.nodes[out.Name])
-		}
-	}
-	ng.Target = g.Target
-	return ng
 }
 
 // DOT renders the workflow in Graphviz format (datasets as ellipses,

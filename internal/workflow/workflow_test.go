@@ -180,28 +180,6 @@ func TestCycleDetection(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := buildLineCount(t)
-	c := g.Clone()
-	if c.Len() != g.Len() || c.Target != g.Target {
-		t.Fatal("clone structure mismatch")
-	}
-	// Adding to the clone must not affect the original.
-	mustAddDataset(t, c, "extra", nil)
-	if _, ok := g.Node("extra"); ok {
-		t.Fatal("clone shares node map")
-	}
-	// Clone node pointers are distinct.
-	gn, _ := g.Node("LineCount")
-	cn, _ := c.Node("LineCount")
-	if gn == cn {
-		t.Fatal("clone shares nodes")
-	}
-	if cn.Inputs[0].Name != "asapServerLog" {
-		t.Fatal("clone lost edges")
-	}
-}
-
 func TestParseGraphPaperFormat(t *testing.T) {
 	lib := operator.NewLibrary()
 	if _, err := lib.AddDatasetDescription("asapServerLog", "Execution.path=hdfs:///log"); err != nil {
@@ -325,7 +303,7 @@ func TestQuickTopologicalValid(t *testing.T) {
 		for i, n := range order {
 			pos[n.Name] = i
 		}
-		for _, n := range g.Nodes() {
+		for _, n := range g.nodes {
 			for _, out := range n.Outputs {
 				if pos[n.Name] >= pos[out.Name] {
 					return false

@@ -895,7 +895,6 @@ func (p *Platform) collectMetrics(put func(name string, v float64, labels ...str
 	put("ires_profiler_fit_busy_seconds_total", busy.Seconds())
 	polls := p.Monitor.PollStats()
 	put("ires_monitor_polls_total", float64(polls.Idle), "idle")
-	put("ires_monitor_polls_total", float64(polls.Refreshed), "refreshed")
 	put("ires_monitor_polls_total", float64(polls.Changed), "changed")
 	cs := p.planner.CacheStats()
 	put("ires_planner_cache_hits_total", float64(cs.Hits))

@@ -3,13 +3,14 @@ package ires
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -29,12 +30,15 @@ var reachLedger = map[string]string{
 	"metadata.FromProperties":            "the programmatic form of a description file; the metadata round-trip and matching tests build trees with it",
 	"vtime.Clock.Advance":                "the clock, cluster and faults tests fire scheduled events from one goroutine with it; every run drives the clock as a party",
 	// Observation points that tests of other behaviour read.
-	"cluster.Cluster.ReservedNodes":        "observation point that the lease, preemption and storm tests read",
-	"cluster.Cluster.ReservedSlices":       "observation point that the elastic-lease and oversubscription tests read",
+	"cluster.Cluster.ReservedNodes":        "observation point that the lease, preemption and storm tests read; it counts the per-node slice refcounts CheckInvariants recounts",
+	"cluster.Cluster.ReservedSlices":       "observation point that the elastic-lease and oversubscription tests read; it sums the per-node slice books CheckInvariants recounts",
 	"cluster.Cluster.LiveContainers":       "observation point that the container-accounting tests read",
 	"cluster.Reservation.Released":         "observation point that the elastic-lease and storm tests read",
+	"cluster.Reservation.Nodes":            "observation point that the lease and grow/shrink tests read",
+	"musqle.Calibrator.Engines":            "observation point that the cost-API calibration tests read",
+	"musqle.Calibrator.SampleCount":        "observation point that the cost-API calibration tests read",
 	"cluster.Monitor.Ticks":                "observation point that the monitor-poll tests read",
-	"cluster.Monitor.NodeHealthy":          "observation point that the monitor-poll oracle compares",
+	"cluster.Monitor.NodeHealthy":          "observation point that the monitor-poll oracle compares; it scans the node list for the board entry",
 	"cluster.Monitor.ServiceOn":            "observation point that the monitor-poll oracle compares",
 	"vtime.Clock.Pending":                  "observation point that the clock, monitor and server tests read",
 	"vtime.Clock.Parties":                  "observation point that the party and scheduler tests read",
@@ -63,9 +67,12 @@ var reachStdMethods = map[string]bool{
 // TestEveryInternalExportHasACaller fails on every exported function,
 // method, type, constant and variable declared under internal/ that no
 // non-test file of the module refers to, outside the reachLedger. A name only
-// tests reach is surface no workload or cell exercises.
+// tests reach is surface no workload or cell exercises. References are
+// resolved by the type checker, so a method is reached by a call on its own
+// type (or on an interface its type implements), not by a call on another
+// type's method of the same name.
 func TestEveryInternalExportHasACaller(t *testing.T) {
-	m, err := parseModule(".")
+	m, err := loadModule(".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,58 +111,69 @@ func TestEveryInternalExportHasACaller(t *testing.T) {
 // exportDecl is one exported declaration under internal/.
 type exportDecl struct {
 	key        string // package.Name or package.Type.Method
-	name       string
-	method     bool
-	dir        string // package directory, slash-separated
+	obj        types.Object
 	pos        string // file:line, for messages
 	begin, end token.Pos
 }
 
 type moduleRefs struct {
 	decls []exportDecl
-	// bare[dir][name]: unqualified identifiers of non-test files per package.
-	bare map[string]map[string][]token.Pos
-	// qualified[importPath][name]: pkg.Name references.
-	qualified map[string]map[string][]token.Pos
-	// sel[name]: x.Name selectors on values or types, anywhere.
-	sel map[string][]token.Pos
-	// ifaceMethods names every method of an interface declared in the module.
-	ifaceMethods map[string]bool
-	modPath      string
+	// uses[obj]: every reference to obj in a non-test file; a method of a
+	// generic type is referred to by its origin.
+	uses map[types.Object][]token.Pos
+	// ifaceCalls[name]: the interfaces (a type parameter's constraint among
+	// them) whose method name some non-test file selects.
+	ifaceCalls map[string][]*types.Interface
 }
 
 // reached reports whether something outside d's own declaration refers to d.
 func (m *moduleRefs) reached(d exportDecl) bool {
-	outside := func(ps []token.Pos) bool {
-		for _, p := range ps {
-			if p < d.begin || p >= d.end {
-				return true
-			}
+	for _, p := range m.uses[d.obj] {
+		if p < d.begin || p >= d.end {
+			return true
 		}
+	}
+	fn, ok := d.obj.(*types.Func)
+	if !ok || fn.Type().(*types.Signature).Recv() == nil {
 		return false
 	}
-	if d.method {
-		return m.ifaceMethods[d.name] || reachStdMethods[d.name] || outside(m.sel[d.name])
+	if reachStdMethods[fn.Name()] {
+		return true
 	}
-	return outside(m.bare[d.dir][d.name]) || outside(m.qualified[m.modPath+"/"+d.dir][d.name])
+	// A call through an interface reaches the method of every type that
+	// implements it, by value or by pointer.
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, iface := range m.ifaceCalls[fn.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
 }
 
-// parseModule parses every non-test Go file under root (skipping testdata
-// and hidden directories) and indexes its exported declarations under
-// internal/ and every reference that could reach one.
-func parseModule(root string) (*moduleRefs, error) {
+// loadModule parses and type-checks every non-test Go file under root
+// (skipping testdata and hidden directories), indexes its exported
+// declarations under internal/ and resolves every reference. The standard
+// library is type-checked from source.
+func loadModule(root string) (*moduleRefs, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	m := &moduleRefs{
-		bare:         map[string]map[string][]token.Pos{},
-		qualified:    map[string]map[string][]token.Pos{},
-		sel:          map[string][]token.Pos{},
-		ifaceMethods: map[string]bool{},
-		modPath:      modPath,
-	}
 	fset := token.NewFileSet()
+	l := &moduleLoader{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	l.conf = types.Config{Importer: l}
+	m := &moduleRefs{uses: map[types.Object][]token.Pos{}, ifaceCalls: map[string][]*types.Interface{}}
+	var internal []*ast.File // declaring files, in walk order
 	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -174,89 +192,81 @@ func parseModule(root string) (*moduleRefs, error) {
 		if err != nil {
 			return err
 		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
+		dir := filepath.ToSlash(filepath.Dir(path))
+		importPath := modPath
+		if dir != "." {
+			importPath += "/" + dir
 		}
-		m.index(fset, filepath.ToSlash(rel), f)
+		l.files[importPath] = append(l.files[importPath], f)
+		if dir == "internal" || strings.HasPrefix(dir, "internal/") {
+			internal = append(internal, f)
+		}
 		return nil
 	})
-	return m, err
-}
-
-func (m *moduleRefs) index(fset *token.FileSet, dir string, f *ast.File) {
-	if dir == "internal" || strings.HasPrefix(dir, "internal/") {
-		m.collectDecls(fset, dir, f)
+	if err != nil {
+		return nil, err
 	}
-	imports := map[string]string{} // local name -> import path
-	for _, is := range f.Imports {
-		p, _ := strconv.Unquote(is.Path.Value)
-		local := p[strings.LastIndex(p, "/")+1:]
-		if is.Name != nil {
-			local = is.Name.Name
+	for path := range l.files {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
 		}
-		imports[local] = p
 	}
-	if m.bare[dir] == nil {
-		m.bare[dir] = map[string][]token.Pos{}
+	for _, f := range internal {
+		m.collectDecls(fset, l.info, f)
 	}
-	// declaring holds the identifiers that declare rather than refer: names
-	// of declarations, fields and parameters. Inspect visits a node before
-	// its children, so a name is marked before it is reached.
-	declaring := map[*ast.Ident]bool{}
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			declaring[n.Name] = true
-		case *ast.TypeSpec:
-			declaring[n.Name] = true
-		case *ast.ValueSpec:
-			for _, id := range n.Names {
-				declaring[id] = true
-			}
-		case *ast.Field:
-			for _, id := range n.Names {
-				declaring[id] = true
-			}
-		case *ast.InterfaceType:
-			for _, fl := range n.Methods.List {
-				for _, id := range fl.Names {
-					m.ifaceMethods[id.Name] = true
-				}
-			}
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if p, ok := imports[x.Name]; ok {
-					if m.qualified[p] == nil {
-						m.qualified[p] = map[string][]token.Pos{}
-					}
-					m.qualified[p][n.Sel.Name] = append(m.qualified[p][n.Sel.Name], n.Sel.Pos())
-					return false
-				}
-			}
-			m.sel[n.Sel.Name] = append(m.sel[n.Sel.Name], n.Sel.Pos())
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Ident:
-			if !declaring[n] {
-				m.bare[dir][n.Name] = append(m.bare[dir][n.Name], n.Pos())
+	for id, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			m.uses[obj] = append(m.uses[obj], id.Pos())
+			continue
+		}
+		fn = fn.Origin()
+		m.uses[fn] = append(m.uses[fn], id.Pos())
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+				m.ifaceCalls[fn.Name()] = append(m.ifaceCalls[fn.Name()], iface)
 			}
 		}
-		return true
 	}
-	ast.Inspect(f, visit)
+	return m, nil
 }
 
-func (m *moduleRefs) collectDecls(fset *token.FileSet, dir string, f *ast.File) {
-	pkg := dir[strings.LastIndex(dir, "/")+1:]
-	add := func(key, name string, method bool, id *ast.Ident, span ast.Node) {
+// moduleLoader type-checks the module's packages on first import, in
+// dependency order, recording every package's definitions and uses in one
+// types.Info; any other import path is the standard library's.
+type moduleLoader struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	conf  types.Config
+	info  *types.Info
+}
+
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	files, ok := l.files[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	p, err := l.conf.Check(path, l.fset, files, l.info)
+	l.pkgs[path] = p
+	return p, err
+}
+
+// collectDecls indexes the exported declarations of one file under
+// internal/, each with the object it defines.
+func (m *moduleRefs) collectDecls(fset *token.FileSet, info *types.Info, f *ast.File) {
+	pkg := f.Name.Name
+	add := func(key string, id *ast.Ident, span ast.Node) {
 		if !id.IsExported() {
 			return
 		}
 		p := fset.Position(id.Pos())
 		m.decls = append(m.decls, exportDecl{
-			key: key, name: name, method: method, dir: dir,
+			key: key, obj: info.Defs[id],
 			pos:   fmt.Sprintf("%s:%d", filepath.ToSlash(p.Filename), p.Line),
 			begin: span.Pos(), end: span.End(),
 		})
@@ -265,18 +275,18 @@ func (m *moduleRefs) collectDecls(fset *token.FileSet, dir string, f *ast.File) 
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				add(pkg+"."+d.Name.Name, d.Name.Name, false, d.Name, d)
+				add(pkg+"."+d.Name.Name, d.Name, d)
 				continue
 			}
-			add(pkg+"."+receiverName(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name.Name, true, d.Name, d)
+			add(pkg+"."+receiverName(d.Recv.List[0].Type)+"."+d.Name.Name, d.Name, d)
 		case *ast.GenDecl:
 			for _, s := range d.Specs {
 				switch s := s.(type) {
 				case *ast.TypeSpec:
-					add(pkg+"."+s.Name.Name, s.Name.Name, false, s.Name, s)
+					add(pkg+"."+s.Name.Name, s.Name, s)
 				case *ast.ValueSpec:
 					for _, id := range s.Names {
-						add(pkg+"."+id.Name, id.Name, false, id, s)
+						add(pkg+"."+id.Name, id, s)
 					}
 				}
 			}
