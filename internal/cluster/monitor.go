@@ -56,8 +56,8 @@ func NewMonitor(c *Cluster, env *engine.Environment, period time.Duration) *Moni
 	}
 }
 
-// Start schedules periodic polls on the cluster's virtual clock. It is
-// idempotent.
+// Start polls once, then every period on the cluster's virtual clock: one
+// clock event, re-armed after each poll. It is idempotent.
 func (m *Monitor) Start() {
 	m.mu.Lock()
 	if m.started {
@@ -71,12 +71,7 @@ func (m *Monitor) Start() {
 	if clock == nil {
 		return
 	}
-	var tick func(time.Duration)
-	tick = func(time.Duration) {
-		m.Poll()
-		clock.After(m.period, tick)
-	}
-	clock.After(m.period, tick)
+	clock.Every(m.period, func(time.Duration) { m.Poll() })
 }
 
 // Poll runs one monitoring round immediately and returns whether any status

@@ -234,7 +234,8 @@ func FuzzMonitorPoll(f *testing.F) {
 // A poll that notices nothing is a handful of loads: one health flag per
 // node, no engine list sorted, no clock interrupted.
 func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
-	c := New(vtime.NewClock(), 16, 2, 3456)
+	clock := vtime.NewClock()
+	c := New(clock, 16, 2, 3456)
 	if _, err := c.AllocateIn(nil, 8, 1, 512); err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +249,20 @@ func TestMonitorIdlePollAllocatesNothing(t *testing.T) {
 	if after.Idle == before.Idle || after.Changed != before.Changed {
 		t.Fatalf("idle polls counted as %+v after %+v", after, before)
 	}
+
+	// Driven by the clock, the poll re-arms its one event: still nothing.
+	m.Start()
+	before = m.PollStats()
+	if n := testing.AllocsPerRun(100, func() { clock.Advance(10 * time.Second) }); n != 0 {
+		t.Fatalf("an idle poll on the clock allocates %v times, want 0", n)
+	}
+	after = m.PollStats()
+	if after.Idle-before.Idle != 101 || after.Changed != before.Changed || clock.Pending() != 1 {
+		t.Fatalf("101 clock periods counted as %+v after %+v, %d events pending", after, before, clock.Pending())
+	}
 }
 
-// Start arms one tick func and re-arms it every period.
+// Start arms one clock event and re-arms it every period.
 func TestMonitorStartPollsEveryPeriod(t *testing.T) {
 	clock := vtime.NewClock()
 	c := New(clock, 2, 2, 4096)

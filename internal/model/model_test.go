@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,32 @@ func TestAllModelsTrainAndPredict(t *testing.T) {
 		base := math.Sqrt(variance(tY))
 		if e >= base {
 			t.Errorf("%s: rmse %.2f not better than mean baseline %.2f", m.Name(), e, base)
+		}
+	}
+}
+
+// A feature vector wider than the training rows predicts as its first
+// trained-width features do: every model ignores the features it never saw,
+// on rows with and without repeats.
+func TestPredictIgnoresFeaturesPastTrainedWidth(t *testing.T) {
+	distinct, dy := synth(40, 2, 3, linearFn, 0.5)
+	repeated, ry := repeatedRows(60, 6, 2, 4)
+	for _, data := range []struct {
+		name string
+		X    [][]float64
+		y    []float64
+	}{{"distinct", distinct, dy}, {"repeated", repeated, ry}} {
+		for _, fac := range allModels() {
+			m := fac()
+			if err := m.Train(data.X, data.y); err != nil {
+				t.Fatalf("%s, %s: %v", data.name, m.Name(), err)
+			}
+			for _, x := range data.X[:5] {
+				wide := append(slices.Clone(x), 100, -3)
+				if got, want := m.Predict(wide), m.Predict(x); !sameBits(got, want) {
+					t.Errorf("%s, %s: Predict(%v) = %v, Predict(%v) = %v", data.name, m.Name(), wide, got, x, want)
+				}
+			}
 		}
 	}
 }

@@ -606,12 +606,19 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 		for h := range w1 {
 			w1[h] = mlp.w1[h*(dims+1):][:dims+1]
 		}
+		gp := NewGaussianProcess(1, 0.1)
+		if err := gp.Train(X, y); err != nil {
+			t.Fatal(err)
+		}
 		for _, x := range probes {
 			if got, want := lin.Predict(x), referenceLinearPredict(lin, x); !sameBits(got, want) {
 				t.Fatalf("trial %d: Linear.Predict(%v) = %v, reference %v", trial, x, got, want)
 			}
 			if got, want := mlp.Predict(x), referenceMLPPredict(mlp, w1, mlp.w2, x); !sameBits(got, want) {
 				t.Fatalf("trial %d: MLP.Predict(%v) = %v, reference %v", trial, x, got, want)
+			}
+			if got, want := gp.Predict(x), referenceGPPredict(gp, x); !sameBits(got, want) {
+				t.Fatalf("trial %d: GaussianProcess.Predict(%v) = %v, reference %v", trial, x, got, want)
 			}
 		}
 		rows, group := distinctRows(X)
@@ -623,7 +630,7 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 		if want := referenceMedianSquaredResidual(lin, X, y); !sameBits(got, want) {
 			t.Fatalf("trial %d: median squared residual %v, reference %v", trial, got, want)
 		}
-		if a := testing.AllocsPerRun(10, func() { lin.Predict(X[0]); mlp.Predict(X[0]) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { lin.Predict(X[0]); mlp.Predict(X[0]); gp.Predict(X[0]) }); a != 0 {
 			t.Fatalf("trial %d: Predict allocates %v times", trial, a)
 		}
 	}
@@ -646,6 +653,139 @@ func FuzzMLPDistinctRows(f *testing.F) {
 		}
 		X, y := repeatedRows(n, p, d, seed)
 		checkGroupedMLP(t, "repeats", m, X, y, false)
+	})
+}
+
+// referenceGPTrain is GaussianProcess.Train as it was before it fitted the
+// replicate summary: one kernel row per row, the noise as the solve's ridge.
+// It returns a GP with g's parameters trained that way.
+func referenceGPTrain(g *GaussianProcess, X [][]float64, y []float64) (*GaussianProcess, error) {
+	r := NewGaussianProcess(g.lengthScale, g.noise)
+	r.std = fitStandardizer(X)
+	r.tgt = fitTargetScaler(y)
+	r.Z = r.std.applyAll(X)
+	n := len(r.Z)
+	var s lsq
+	s.reset(n)
+	for i, v := range y {
+		s.b[i] = r.tgt.encode(v)
+		for j := 0; j <= i; j++ {
+			s.a[i*n+j] = r.kernel(sqDist(r.Z[i], r.Z[j]))
+		}
+	}
+	alpha := make([]float64, n)
+	if !s.solve(r.noise, alpha) {
+		return nil, errNotPD
+	}
+	r.alpha = alpha
+	return r, nil
+}
+
+// referenceGPPredict is GaussianProcess.Predict as it was before it
+// standardized in place: through a std.apply slice.
+func referenceGPPredict(g *GaussianProcess, x []float64) float64 {
+	z := g.std.apply(x)
+	s := 0.0
+	for i, zi := range g.Z {
+		s += g.alpha[i] * g.kernel(sqDist(z, zi))
+	}
+	return g.tgt.decode(s)
+}
+
+// referenceGroupedGPAlpha solves the replicate summary g's Train builds,
+// through a quadratic grouping, nested slices and referenceSolveSPD.
+func referenceGroupedGPAlpha(g *GaussianProcess, X [][]float64, y []float64) ([]float64, error) {
+	std, tgt := fitStandardizer(X), fitTargetScaler(y)
+	rows, group := referenceDistinctRows(X)
+	Z := std.applyAll(rows)
+	count, mean := make([]float64, len(Z)), make([]float64, len(Z))
+	for i, gi := range group {
+		if count[gi] == 0 {
+			mean[gi] = tgt.encode(y[i])
+		} else {
+			mean[gi] += tgt.encode(y[i])
+		}
+		count[gi]++
+	}
+	K := make([][]float64, len(Z))
+	for i := range K {
+		mean[i] /= count[i]
+		K[i] = make([]float64, len(Z))
+		for j := 0; j <= i; j++ {
+			K[i][j] = g.kernel(sqDist(Z[i], Z[j]))
+			K[j][i] = K[i][j]
+		}
+		K[i][i] += g.noise / count[i]
+	}
+	return referenceSolveSPD(K, mean)
+}
+
+// checkGroupedGP trains g on (X, y) and holds its weights to the grouped
+// reference bit for bit, and its predictions on X's rows, a row one feature
+// short and one a feature long to the pre-in-place Predict bit for bit. With
+// tol 0 they are the per-row reference's bits too; with tol > 0 they agree
+// with it within tol of the larger of the two and the targets' standard
+// deviation (a prediction near 0 is a difference of terms of that size, so a
+// tolerance of its own magnitude would hold the rounding to nothing); with
+// tol < 0 the per-row reference is not consulted.
+func checkGroupedGP(t *testing.T, name string, g *GaussianProcess, X [][]float64, y []float64, tol float64) {
+	t.Helper()
+	err := g.Train(X, y)
+	alpha, wantErr := referenceGroupedGPAlpha(g, X, y)
+	if (err != nil) != (wantErr != nil) || !slices.EqualFunc(g.alpha, alpha, sameBits) {
+		t.Fatalf("%s: weights %v (%v), grouped reference %v (%v)", name, g.alpha, err, alpha, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	near := sameBits
+	if tol > 0 {
+		near = func(a, b float64) bool {
+			if math.IsNaN(a) || math.IsNaN(b) {
+				return math.IsNaN(a) && math.IsNaN(b)
+			}
+			return math.Abs(a-b) <= tol*max(math.Abs(a), math.Abs(b), g.tgt.sd)
+		}
+	}
+	var ref *GaussianProcess
+	if tol >= 0 {
+		if ref, err = referenceGPTrain(g, X, y); err != nil {
+			t.Fatalf("%s: the per-row reference failed to train: %v", name, err)
+		}
+	}
+	dims := len(X[0])
+	for _, x := range append(slices.Clone(X), X[0][:dims-1], append(slices.Clone(X[0]), 3)) {
+		got := g.Predict(x)
+		if want := referenceGPPredict(g, x); !sameBits(got, want) {
+			t.Fatalf("%s: Predict(%v) = %v, through std.apply %v", name, x, got, want)
+		}
+		if ref == nil {
+			continue
+		}
+		if want := referenceGPPredict(ref, x); !near(got, want) {
+			t.Fatalf("%s: Predict(%v) = %v, per-row reference %v", name, x, got, want)
+		}
+	}
+}
+
+// FuzzGPDistinctRows holds the replicate summary to both references on data
+// nobody wrote down: pool 0 is all-distinct rows, which must predict the
+// per-row bits exactly; otherwise rows repeat from a pool of 1 to 12 and the
+// predictions agree within 1e-9 of the targets' scale.
+func FuzzGPDistinctRows(f *testing.F) {
+	for _, in := range [][5]uint8{{0, 0, 3, 0, 0}, {200, 1, 2, 128, 1}, {255, 12, 7, 255, 0}, {40, 3, 0, 7, 1}} {
+		f.Add(in[0], in[1], in[2], in[3], in[4], int64(in[0]))
+	}
+	f.Fuzz(func(t *testing.T, rows, pool, dims, scale, noise uint8, seed int64) {
+		n, p, d := 1+int(rows)%300, int(pool)%13, 1+int(dims)%8
+		g := NewGaussianProcess(0.5+float64(scale)/255, []float64{1e-4, 0.1}[noise%2])
+		if p == 0 {
+			X, y := synth(n, d, seed, nonlinearFn2, 0.3)
+			checkGroupedGP(t, "distinct", g, X, y, 0)
+			return
+		}
+		X, y := repeatedRows(n, p, d, seed)
+		checkGroupedGP(t, "repeats", g, X, y, 1e-9)
 	})
 }
 
@@ -926,9 +1066,10 @@ func oracleProbes(rng *rand.Rand, X [][]float64) [][]float64 {
 // The flat solver trains the bits the nested one did: Linear (also at ridge
 // 0, which needs the jitter on a constant column), LeastMedSq (also where
 // n <= dims+2 falls back to plain OLS), the RBF output layer and the GP
-// weights, over random shapes with constant, collinear and tied columns and
-// NaN targets, predictions included on probes shorter and longer than the
-// trained width. The ridge escalation Linear falls back on is held to the
+// weights — the GP's over its replicate summary, which on all-distinct rows
+// predicts the bits of the per-row solve —, over random shapes with
+// constant, collinear and tied columns and NaN targets, predictions included
+// on probes shorter and longer than the trained width. The ridge escalation Linear falls back on is held to the
 // nested solver on matrices that need it.
 func TestLeastSquaresMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -973,24 +1114,20 @@ func TestLeastSquaresMatchesReference(t *testing.T) {
 		}
 
 		gp := NewGaussianProcess(0.5+rng.Float64(), []float64{1e-4, 0.1}[rng.Intn(2)])
-		err = gp.Train(X, y)
-		K := make([][]float64, n)
-		for i := range K {
-			K[i] = make([]float64, n)
-			for j := 0; j <= i; j++ {
-				K[i][j] = gp.kernel(gp.Z[i], gp.Z[j])
-				K[j][i] = K[i][j]
-			}
-			K[i][i] += gp.noise
+		tol := -1.0
+		if rows, _ := referenceDistinctRows(X); len(rows) == n {
+			tol = 0
 		}
-		tgt := make([]float64, n)
-		for i, v := range y {
-			tgt[i] = gp.tgt.encode(v)
-		}
-		alpha, wantErr := referenceSolveSPD(K, tgt)
-		if (err != nil) != (wantErr != nil) || !slices.EqualFunc(gp.alpha, alpha, sameBits) {
-			t.Fatalf("%s: GP weights %v (%v), reference %v (%v)", name, gp.alpha, err, alpha, wantErr)
-		}
+		checkGroupedGP(t, name+", GP", gp, X, y, tol)
+	}
+
+	// On replicated rows the summary's predictions are the per-row solve's
+	// within rounding: 1e-9 of the targets' scale.
+	for trial := 0; trial < 40; trial++ {
+		n, pool, dims := 1+rng.Intn(300), 1+rng.Intn(12), 1+rng.Intn(8)
+		X, y := repeatedRows(n, pool, dims, int64(trial))
+		gp := NewGaussianProcess(0.5+rng.Float64(), []float64{1e-4, 0.1}[rng.Intn(2)])
+		checkGroupedGP(t, fmt.Sprintf("GP trial %d (%d rows from %d, %d dims)", trial, n, pool, dims), gp, X, y, 1e-9)
 	}
 
 	// Matrices that need no jitter, some jitter, the 1e-4 ridge or fail even

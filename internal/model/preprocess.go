@@ -94,12 +94,12 @@ func sameRowBits(a, b []float64) bool {
 	return true
 }
 
+// apply returns x standardized, clipped to the fitted width: features past
+// it were never seen in training.
 func (s *standardizer) apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for j := range x {
-		if j < len(s.mean) {
-			out[j] = (x[j] - s.mean[j]) * s.scale[j]
-		}
+	out := make([]float64, min(len(x), len(s.mean)))
+	for j := range out {
+		out[j] = (x[j] - s.mean[j]) * s.scale[j]
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -431,4 +432,75 @@ func TestPartyJoinedByCallbackWakesAtJoinTime(t *testing.T) {
 	if got, want := strings.Join(log, " "), "b@20ns ev@40ns a@100ns"; got != want {
 		t.Fatalf("log = %q, want %q", got, want)
 	}
+}
+
+// everyLog drives a clock through a period-10s tick that arm sets up, with
+// one-shot events scheduled before it is armed, after, and inside the ticks
+// (at the tick's own instant and at the next tick's), an Interrupt in every
+// third tick and a party parked across them, then advances the clock with no
+// party registered. It returns what fired, and when the party woke.
+func everyLog(arm func(c *Clock, d time.Duration, fn func(time.Duration))) []string {
+	c := NewClock()
+	var mu sync.Mutex
+	var log []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		log = append(log, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	const d = 10 * time.Second
+	for _, at := range []time.Duration{10 * time.Second, 20 * time.Second} {
+		c.Schedule(at, func(now time.Duration) { logf("before@%v", now) })
+	}
+	ticks := 0
+	arm(c, d, func(now time.Duration) {
+		ticks++
+		logf("tick%d@%v", ticks, now)
+		if ticks%2 == 0 {
+			c.Schedule(now, func(now time.Duration) { logf("same@%v", now) })
+		}
+		c.Schedule(now+d, func(now time.Duration) { logf("next@%v", now) })
+		if ticks%3 == 0 {
+			c.Interrupt()
+		}
+	})
+	c.Schedule(30*time.Second, func(now time.Duration) { logf("after@%v", now) })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	partyLoop(c, c.Join(), "party", []time.Duration{25 * time.Second, 47 * time.Second, 95 * time.Second}, &mu, &log, &wg)
+	c.Kick()
+	wg.Wait()
+	c.Advance(130*time.Second - c.Now())
+	logf("pending %d", c.Pending())
+	return log
+}
+
+// An Every event fires at the instants and in the order of a callback that
+// ends by scheduling itself a period from the clock's time, among one-shot
+// events and interrupts, under cooperative dispatch and under Advance.
+func TestClockEveryMatchesAfterChain(t *testing.T) {
+	every := everyLog(func(c *Clock, d time.Duration, fn func(time.Duration)) { c.Every(d, fn) })
+	chain := everyLog(func(c *Clock, d time.Duration, fn func(time.Duration)) {
+		var tick func(time.Duration)
+		tick = func(now time.Duration) {
+			fn(now)
+			c.Schedule(c.Now()+d, tick)
+		}
+		c.Schedule(c.Now()+d, tick)
+	})
+	if got, want := strings.Join(every, " "), strings.Join(chain, " "); got != want {
+		t.Fatalf("Every:\n%s\nself-rescheduling chain:\n%s", got, want)
+	}
+	if !slices.Contains(every, "tick13@2m10s") || !slices.Contains(every, "party@30s") {
+		t.Fatalf("the scenario lost its ticks or its interrupt: %v", every)
+	}
+}
+
+func TestClockEveryPanicsOnNonPositivePeriod(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a zero period")
+		}
+	}()
+	NewClock().Every(0, func(time.Duration) {})
 }

@@ -218,7 +218,10 @@ func (c *Clock) advanceLocked(target time.Duration) {
 
 // fireLocked pops the earliest event, moves the clock to its time and runs
 // its callback. Caller holds c.mu; the lock is released around the callback
-// so it may schedule further events, read the clock or Interrupt it.
+// so it may schedule further events, read the clock or Interrupt it. A
+// periodic event is pushed back once its callback returns, one period from
+// the clock's time, with a fresh sequence number: it orders after anything
+// the callback scheduled for the same instant.
 func (c *Clock) fireLocked() {
 	ev := heap.Pop(&c.events).(*event)
 	if ev.at > c.now {
@@ -227,6 +230,11 @@ func (c *Clock) fireLocked() {
 	c.mu.Unlock()
 	ev.fn(ev.at)
 	c.mu.Lock()
+	if ev.every > 0 {
+		c.seq++
+		ev.at, ev.seq = c.now+ev.every, c.seq
+		heap.Push(&c.events, ev)
+	}
 }
 
 // Schedule registers fn to run when the clock reaches absolute time at.
@@ -243,9 +251,18 @@ func (c *Clock) Schedule(at time.Duration, fn func(now time.Duration)) {
 	heap.Push(&c.events, &event{at: at, seq: c.seq, fn: fn})
 }
 
-// After schedules fn to run d from the current virtual time.
-func (c *Clock) After(d time.Duration, fn func(now time.Duration)) {
-	c.Schedule(c.Now()+d, fn)
+// Every schedules fn to run d from the current virtual time and then every d
+// after each run returns, forever: the instants and the order of an fn that
+// ends by scheduling itself d from the clock's time, with one event
+// allocated for all its runs. Every panics if d is not positive.
+func (c *Clock) Every(d time.Duration, fn func(now time.Duration)) {
+	if d <= 0 {
+		panic(fmt.Sprintf("vtime: non-positive period %v", d))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seq++
+	heap.Push(&c.events, &event{at: c.now + d, seq: c.seq, fn: fn, every: d})
 }
 
 // Pending reports the number of scheduled events that have not yet fired.
@@ -272,9 +289,10 @@ func (c *Clock) NextEventAt() (time.Duration, bool) {
 }
 
 type event struct {
-	at  time.Duration
-	seq int64
-	fn  func(now time.Duration)
+	at    time.Duration
+	seq   int64
+	fn    func(now time.Duration)
+	every time.Duration // > 0: pushed back this long after each run
 }
 
 type eventHeap []*event
