@@ -31,10 +31,10 @@ shuffle:
 	$(GO) test -shuffle=on -count=2 ./...
 
 # cover enforces the statement-coverage floor on the scheduling core, the
-# model fit and the trace path: the scheduler, cluster, model, profiler and
-# trace packages must stay at or above 85%.
+# executor, the model fit and the trace path: the scheduler, cluster,
+# executor, model, profiler and trace packages must stay at or above 85%.
 cover:
-	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/model/ ./internal/profiler/ ./internal/trace/; do \
+	@for pkg in ./internal/scheduler/ ./internal/cluster/ ./internal/executor/ ./internal/model/ ./internal/profiler/ ./internal/trace/; do \
 		pct=$$($(GO) test -cover $$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
 		if [ -z "$$pct" ]; then echo "$$pkg: no coverage reported"; exit 1; fi; \
 		ok=$$(awk -v p="$$pct" 'BEGIN{print (p >= 85) ? 1 : 0}'); \
@@ -56,7 +56,7 @@ reach:
 
 # ci is the gate a PR must pass: formatting, static analysis, the full test
 # suite under the race detector plus a shuffled double pass, the coverage
-# floor on the scheduling core, the model fit and the trace path, and no unreachable internal
+# floor on the scheduling core, the executor, the model fit and the trace path, and no unreachable internal
 # package.
 ci: fmt vet staticcheck race shuffle cover reach
 

@@ -72,17 +72,18 @@ func (e *Executor) ckptKeyOf(s *planner.Step) string {
 // planCheckpoints computes the checkpoint schedule of one attempt: seed
 // progress from the store, place a write mark every stride units (at least
 // MinIntervalSec apart), and fold restore + write overheads into the run's
-// modeled duration and cost. It returns nil when the attempt is not
-// checkpointable. run.ExecTimeSec must already include noise and straggler
-// stretch; the caller derives the attempt end from the adjusted value.
-func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string, in engine.Input, res engine.Resources, run *metrics.Run) *ckptPlan {
+// modeled duration and cost. It returns the zero plan when the attempt is
+// not checkpointable. run.ExecTimeSec must already include noise and
+// straggler stretch; the caller derives the attempt end from the adjusted
+// value.
+func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string, in engine.Input, res engine.Resources, run *metrics.Run) ckptPlan {
 	e := st.e
 	if !e.Checkpoint.Enabled || run.ExecTimeSec <= 0 {
-		return nil
+		return ckptPlan{}
 	}
 	spec, ok := e.Env.CheckpointSpec(engineName, algorithm, in, res)
 	if !ok {
-		return nil
+		return ckptPlan{}
 	}
 	key := e.ckptKeyOf(s)
 	base := e.Cluster.CheckpointProgress(key, algorithm, spec.Units)
@@ -94,7 +95,7 @@ func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string
 	if stride < 1 {
 		stride = 1
 	}
-	p := &ckptPlan{key: key, baseUnits: base, totalUnits: spec.Units, writeSec: spec.WriteSec}
+	p := ckptPlan{key: key, baseUnits: base, totalUnits: spec.Units, writeSec: spec.WriteSec}
 	if base > 0 {
 		p.restoreSec = spec.RestoreSec
 	}
@@ -136,29 +137,23 @@ func gangNodes(ctrs []*cluster.Container) []string {
 // outer loop, so a preempt request never waits past the first boundary —
 // an attempt that just banked a checkpoint yields cooperatively when a
 // suspend is pending, releasing its gang instead of running to the operator
-// boundary. Flights are visited in step-ID order for deterministic traces.
+// boundary.
 func (st *planRun) fireMarks(now time.Duration) {
 	e := st.e
-	ids := make([]int, 0, len(st.inFlight))
-	for id := range st.inFlight {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		f := st.inFlight[id]
-		kept := f.copies[:0]
-		yielded := false
-		for _, c := range f.copies {
+	for i := range st.steps {
+		r := &st.steps[i]
+		kept := r.copies[:0]
+		for _, c := range r.copies {
 			fired := false
 			for len(c.marks) > 0 && c.marks[0].at <= now {
 				m := c.marks[0]
 				c.marks = c.marks[1:]
 				fired = true
 				c.banked = m.units
-				e.Cluster.PutCheckpoint(c.ckptKey, c.run.Algorithm, m.units, c.totalUnits, gangNodes(c.ctrs), e.Checkpoint.Durable)
+				e.Cluster.PutCheckpoint(c.key, c.run.Algorithm, m.units, c.totalUnits, gangNodes(c.ctrs), e.Checkpoint.Durable)
 				st.res.CheckpointWrites++
 				e.emit(trace.Event{
-					Type: trace.EvCheckpointWrite, Step: f.step.Name, Operator: c.opName, Engine: c.engineName,
+					Type: trace.EvCheckpointWrite, Step: r.step.Name, Operator: c.opName, Engine: c.engineName,
 					Attempt: c.attempt, Speculative: c.speculative,
 					Fields: map[string]float64{
 						"units":      float64(m.units),
@@ -173,32 +168,24 @@ func (st *planRun) fireMarks(now time.Duration) {
 				e.Cluster.ReleaseAll(c.ctrs)
 				if len(c.ctrs) > 0 {
 					e.emit(trace.Event{
-						Type: trace.EvContainerRelease, Step: f.step.Name, Engine: c.engineName,
+						Type: trace.EvContainerRelease, Step: r.step.Name, Engine: c.engineName,
 						Fields: map[string]float64{"containers": float64(len(c.ctrs))},
 					})
 				}
 				e.emit(trace.Event{
-					Type: trace.EvAttemptYield, Step: f.step.Name, Operator: c.opName, Engine: c.engineName,
+					Type: trace.EvAttemptYield, Step: r.step.Name, Operator: c.opName, Engine: c.engineName,
 					Attempt: c.attempt, Speculative: c.speculative,
 					Fields: map[string]float64{
 						"units":      float64(c.banked),
 						"totalUnits": float64(c.totalUnits),
 					},
 				})
-				yielded = true
 				continue
 			}
 			kept = append(kept, c)
 		}
-		if !yielded {
-			continue
-		}
-		f.copies = kept
-		if len(f.copies) == 0 {
-			// The whole flight yielded at its boundary: the step is neither
-			// done nor failed; the resumed run replans and its relaunch seeds
-			// the banked units.
-			delete(st.inFlight, id)
-		}
+		// A flight that yielded whole is neither done nor failed: the resumed
+		// run replans and its relaunch seeds the banked units.
+		r.copies = kept
 	}
 }

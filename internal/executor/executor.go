@@ -409,40 +409,41 @@ type attemptRun struct {
 	run         *metrics.Run
 	speculative bool
 	attempt     int
+	// stretch is the straggler slowdown applied at launch (1 = none).
+	stretch float64
 
-	// Checkpoint schedule (empty when the attempt is not checkpointable):
-	// pending write marks in time order, the total/seeded/banked unit
-	// counts, the per-write cost, and the store key.
-	marks      []ckptMark
-	totalUnits int
-	baseUnits  int
-	banked     int
-	writeSec   float64
-	ckptKey    string
+	// ckptPlan is the checkpoint schedule, zero when the attempt is not
+	// checkpointable; its marks are consumed as they fire, and banked is
+	// the unit count of the last write (or of the seeded restore).
+	ckptPlan
+	banked int
 }
 
-// flight is the in-flight state of one plan step: the primary attempt plus
-// at most one speculative copy.
-type flight struct {
-	step      *planner.Step
+// stepRun is the state of one plan step within a runPlan invocation.
+type stepRun struct {
+	step *planner.Step
+	out  *dataset // set when the step completes
+
+	// copies are the live attempts: the primary plus at most one
+	// speculative copy; the step is in flight while it has any.
 	copies    []*attemptRun
-	deadline  time.Duration // 0 = no straggler timeout
+	deadline  time.Duration // straggler deadline of the flight; 0 = none
 	specTried bool
-	inRecords int64
-	inBytes   int64
+
+	inRecords, inBytes int64
+	failed             int           // failed attempts so far
+	retryAt            time.Duration // pending retry; 0 = none
 }
 
-// planRun carries the mutable state of one runPlan invocation.
+// planRun carries the mutable state of one runPlan invocation. steps holds
+// one record per plan step, indexed by step ID; every scan visits them in
+// that order, so no map iteration ever orders an event.
 type planRun struct {
 	e        *Executor
-	plan     *planner.Plan
+	steps    []stepRun
 	datasets map[string]*dataset
 	res      *Result
 
-	doneSteps map[int]*dataset
-	inFlight  map[int]*flight
-	attempts  map[int]int
-	retryAt   map[int]time.Duration
 	completed int
 	failure   *StepExec
 }
@@ -450,15 +451,17 @@ type planRun struct {
 // runPlan executes one plan until completion or first unrecoverable step
 // failure. It returns the failed step log entry (nil on success).
 func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[string]*dataset, res *Result) (*StepExec, error) {
-	st := &planRun{
-		e:         e,
-		plan:      plan,
-		datasets:  datasets,
-		res:       res,
-		doneSteps: make(map[int]*dataset),
-		inFlight:  make(map[int]*flight),
-		attempts:  make(map[int]int),
-		retryAt:   make(map[int]time.Duration),
+	st := &planRun{e: e, steps: make([]stepRun, len(plan.Steps)), datasets: datasets, res: res}
+	for i, s := range plan.Steps {
+		if s == nil || s.ID != i {
+			return nil, fmt.Errorf("executor: plan step at position %d does not carry ID %d", i, i)
+		}
+		for _, dep := range s.DependsOn {
+			if dep < 0 || dep >= len(plan.Steps) {
+				return nil, fmt.Errorf("executor: plan step %d depends on step %d outside the plan", i, dep)
+			}
+		}
+		st.steps[i].step = s
 	}
 
 	// stallSince tracks how long the run has been fully blocked (nothing in
@@ -473,7 +476,7 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 
 	canceled := false
 	suspended := false
-	for st.completed < len(plan.Steps) && st.failure == nil {
+	for st.completed < len(st.steps) && st.failure == nil {
 		if e.canceled() {
 			canceled = true
 			break
@@ -500,7 +503,7 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 			st.waitUntil(at)
 			continue
 		}
-		return nil, fmt.Errorf("%w: %d/%d steps done", ErrDeadlock, st.completed, len(plan.Steps))
+		return nil, fmt.Errorf("%w: %d/%d steps done", ErrDeadlock, st.completed, len(st.steps))
 	}
 
 	// Let in-flight steps finish so their intermediates survive the
@@ -509,10 +512,15 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 	// preemption: a suspend request never kills running attempts, it stops
 	// the run at the next point where every launched gang has completed.
 	// Retries are dropped first, and again each round (a container loss
-	// swept here may book one): the drain waits only on attempts in flight.
-	for len(st.inFlight) > 0 {
-		clear(st.retryAt)
-		st.advanceOnce()
+	// swept here may book one): the drain waits only on attempts in flight,
+	// and ends when none is left to stop for.
+	for {
+		for i := range st.steps {
+			st.steps[i].retryAt = 0
+		}
+		if !st.advanceOnce() {
+			break
+		}
 	}
 	if canceled {
 		return nil, ErrCanceled
@@ -523,23 +531,18 @@ func (e *Executor) runPlan(g *workflow.Graph, plan *planner.Plan, datasets map[s
 	return st.failure, nil
 }
 
-// ready reports whether a step can start now.
-func (st *planRun) ready(s *planner.Step, now time.Duration) bool {
-	if _, ok := st.doneSteps[s.ID]; ok {
+// ready reports whether a step can start now: neither done nor in flight,
+// past any retry backoff, with every input materialized.
+func (st *planRun) ready(r *stepRun, now time.Duration) bool {
+	if r.out != nil || len(r.copies) > 0 || now < r.retryAt {
 		return false
 	}
-	if _, ok := st.inFlight[s.ID]; ok {
-		return false
-	}
-	if at, ok := st.retryAt[s.ID]; ok && now < at {
-		return false
-	}
-	for _, dep := range s.DependsOn {
-		if _, ok := st.doneSteps[dep]; !ok {
+	for _, dep := range r.step.DependsOn {
+		if st.steps[dep].out == nil {
 			return false
 		}
 	}
-	for _, src := range s.SourceInputs {
+	for _, src := range r.step.SourceInputs {
 		if _, ok := st.datasets[src]; !ok {
 			return false
 		}
@@ -547,18 +550,17 @@ func (st *planRun) ready(s *planner.Step, now time.Duration) bool {
 	return true
 }
 
+// inputOf sums the records and bytes a ready step consumes.
 func (st *planRun) inputOf(s *planner.Step) (records, bytes int64) {
 	for _, dep := range s.DependsOn {
-		if d := st.doneSteps[dep]; d != nil {
-			records += d.records
-			bytes += d.bytes
-		}
+		d := st.steps[dep].out
+		records += d.records
+		bytes += d.bytes
 	}
 	for _, src := range s.SourceInputs {
-		if d := st.datasets[src]; d != nil {
-			records += d.records
-			bytes += d.bytes
-		}
+		d := st.datasets[src]
+		records += d.records
+		bytes += d.bytes
 	}
 	return records, bytes
 }
@@ -566,35 +568,34 @@ func (st *planRun) inputOf(s *planner.Step) (records, bytes int64) {
 // startReady launches every ready step whose containers fit.
 func (st *planRun) startReady() error {
 	e := st.e
-	for _, s := range st.plan.Steps {
+	for i := range st.steps {
+		r := &st.steps[i]
 		now := e.Clock.Now()
-		if !st.ready(s, now) {
+		if !st.ready(r, now) {
 			continue
 		}
-		inRecords, inBytes := st.inputOf(s)
+		s := r.step
+		r.inRecords, r.inBytes = st.inputOf(s)
+		r.deadline, r.specTried = 0, false
 
 		if s.Kind == planner.StepMove {
-			dur := e.Env.TransferSec(inBytes)
+			dur := e.Env.TransferSec(r.inBytes)
 			run := &metrics.Run{
 				Operator: s.Name, Algorithm: "move", Engine: "move",
 				ExecTimeSec:  dur,
-				InputRecords: inRecords, InputBytes: inBytes,
-				OutputRecords: inRecords, OutputBytes: inBytes,
+				InputRecords: r.inRecords, InputBytes: r.inBytes,
+				OutputRecords: r.inRecords, OutputBytes: r.inBytes,
 			}
-			st.inFlight[s.ID] = &flight{
-				step:      s,
-				copies:    []*attemptRun{{opName: s.Name, engineName: "move", start: now, end: now + secs(dur), run: run}},
-				inRecords: inRecords, inBytes: inBytes,
-			}
+			r.copies = append(r.copies, &attemptRun{opName: s.Name, engineName: "move", start: now, end: now + secs(dur), run: run})
 			e.emit(trace.Event{
 				Type: trace.EvAttemptStart, Step: s.Name, Engine: "move",
-				Fields: map[string]float64{"predictedSec": dur, "inBytes": float64(inBytes)},
+				Fields: map[string]float64{"predictedSec": dur, "inBytes": float64(r.inBytes)},
 			})
 			continue
 		}
 
-		attempt := st.attempts[s.ID] + 1
-		copyRun, launchErr, hardErr := st.launch(s, s.Op.Name, s.Engine, s.Algorithm, s.Res, s.Params, inRecords, inBytes, attempt, false)
+		planned := SpeculativeChoice{OpName: s.Op.Name, Engine: s.Engine, Algorithm: s.Algorithm, Res: s.Res, Params: s.Params}
+		c, launchErr, hardErr := st.launch(r, planned, false)
 		if hardErr != nil {
 			return hardErr
 		}
@@ -606,46 +607,32 @@ func (st *planRun) startReady() error {
 				// step is right in both cases.
 				continue // wait for a completion to free resources
 			}
-			st.failAttempt(s, s.Engine, launchErr, copyRun)
+			st.failAttempt(r, s.Engine, launchErr, c)
 			if st.failure != nil {
 				break
 			}
 			continue
 		}
-		delete(st.retryAt, s.ID)
-		fl := &flight{step: s, copies: []*attemptRun{copyRun}, inRecords: inRecords, inBytes: inBytes}
+		r.retryAt = 0
+		r.copies = append(r.copies, c)
 		if e.TimeoutFactor > 0 && e.Speculate != nil {
-			predicted := copyRun.run.ExecTimeSec
-			if f := st.stretchOf(copyRun); f > 1 {
-				predicted /= f
-			}
-			fl.deadline = copyRun.start + secs(e.TimeoutFactor*(predicted+e.LaunchOverheadSec))
+			predicted := c.run.ExecTimeSec / c.stretch
+			r.deadline = c.start + secs(e.TimeoutFactor*(predicted+e.LaunchOverheadSec))
 		}
-		st.inFlight[s.ID] = fl
 	}
 	return nil
 }
 
-// stretchOf recovers the straggler factor applied to an attempt (stored on
-// launch via the run's params to avoid a parallel bookkeeping map).
-func (st *planRun) stretchOf(c *attemptRun) float64 {
-	if c.run == nil || c.run.Params == nil {
-		return 1
-	}
-	if f, ok := c.run.Params["faultStretch"]; ok && f > 1 {
-		return f
-	}
-	return 1
-}
-
-// launch allocates containers and starts one attempt of an operator step.
-// launchErr is a recoverable per-attempt failure (the returned attemptRun
-// then carries the failed monitoring record, if any); hardErr aborts the
-// whole execution.
-func (st *planRun) launch(s *planner.Step, opName, engineName, algorithm string, r planner.Resources, params map[string]float64, inRecords, inBytes int64, attempt int, speculative bool) (*attemptRun, error, error) {
+// launch allocates containers and starts one attempt of an operator step:
+// the planned choice, or a speculative backup. launchErr is a recoverable
+// per-attempt failure (the returned attemptRun then carries the failed
+// monitoring record, if any); hardErr aborts the whole execution.
+func (st *planRun) launch(r *stepRun, ch SpeculativeChoice, speculative bool) (*attemptRun, error, error) {
 	e := st.e
+	s := r.step
 	now := e.Clock.Now()
-	eRes := engine.Resources{Nodes: r.Nodes, CoresPerN: r.CoresPerN, MemMBPerN: r.MemMBPerN}
+	attempt := r.failed + 1
+	eRes := engine.Resources{Nodes: ch.Res.Nodes, CoresPerN: ch.Res.CoresPerN, MemMBPerN: ch.Res.MemMBPerN}
 	if e.Lease != nil && eRes.Nodes > e.Lease.Size() {
 		// The plan may want more gang members than the admission lease
 		// holds; run narrower (and correspondingly slower) rather than
@@ -672,82 +659,70 @@ func (st *planRun) launch(s *planner.Step, opName, engineName, algorithm string,
 		return nil, nil, err
 	}
 	e.emit(trace.Event{
-		Type: trace.EvContainerAlloc, Step: s.Name, Engine: engineName,
+		Type: trace.EvContainerAlloc, Step: s.Name, Engine: ch.Engine,
 		Fields: map[string]float64{"containers": float64(len(ctrs))},
 	})
 	releaseTraced := func() {
 		e.Cluster.ReleaseAll(ctrs)
 		e.emit(trace.Event{
-			Type: trace.EvContainerRelease, Step: s.Name, Engine: engineName,
+			Type: trace.EvContainerRelease, Step: s.Name, Engine: ch.Engine,
 			Fields: map[string]float64{"containers": float64(len(ctrs))},
 		})
 	}
-	in := engine.Input{Records: inRecords, Bytes: inBytes, Params: params}
-	run, err := e.Env.Execute(engineName, algorithm, in, eRes)
+	in := engine.Input{Records: r.inRecords, Bytes: r.inBytes, Params: ch.Params}
+	run, err := e.Env.Execute(ch.Engine, ch.Algorithm, in, eRes)
 	if run != nil {
-		run.Operator = opName
+		run.Operator = ch.OpName
 	}
+	c := &attemptRun{opName: ch.OpName, engineName: ch.Engine, start: now, run: run, speculative: speculative, attempt: attempt, stretch: 1}
 	if err != nil {
 		releaseTraced()
-		return &attemptRun{opName: opName, engineName: engineName, start: now, run: run, speculative: speculative, attempt: attempt}, err, nil
+		return c, err, nil
 	}
 	// Chaos hooks: injected transient failure, then straggler stretch.
 	if e.Faults != nil {
-		if ferr := e.Faults.RunFault(engineName, s.Name, attempt, run.ExecTimeSec, now); ferr != nil {
+		if ferr := e.Faults.RunFault(ch.Engine, s.Name, attempt, run.ExecTimeSec, now); ferr != nil {
 			releaseTraced()
 			run.Failed = true
 			run.FailureReason = ferr.Error()
-			return &attemptRun{opName: opName, engineName: engineName, start: now, run: run, speculative: speculative, attempt: attempt}, ferr, nil
+			return c, ferr, nil
 		}
-		if f := e.Faults.StretchFactor(engineName, s.Name, now); f > 1 {
+		if f := e.Faults.StretchFactor(ch.Engine, s.Name, now); f > 1 {
 			run.ExecTimeSec *= f
 			run.CostUnits *= f
 			if run.Params == nil {
 				run.Params = map[string]float64{}
 			}
+			// The profiler learns the stretch as a feature of the run.
 			run.Params["faultStretch"] = f
+			c.stretch = f
 		}
 	}
 	// Checkpoint schedule: seed banked progress from the store, place write
 	// marks, fold restore/write overheads into the run's modeled duration
 	// (so predictedSec, cost and speculation deadlines all see the real
-	// span). nil when checkpointing is off or the run isn't checkpointable.
-	ck := st.planCheckpoints(s, engineName, algorithm, in, eRes, run)
+	// span). Zero when checkpointing is off or the run isn't checkpointable.
+	c.ckptPlan = st.planCheckpoints(s, ch.Engine, ch.Algorithm, in, eRes, run)
+	c.banked = c.baseUnits
+	c.ctrs = ctrs
+	c.end = now + secs(run.ExecTimeSec+e.LaunchOverheadSec)
 	e.emit(trace.Event{
-		Type: trace.EvAttemptStart, Step: s.Name, Operator: opName, Engine: engineName,
+		Type: trace.EvAttemptStart, Step: s.Name, Operator: ch.OpName, Engine: ch.Engine,
 		Attempt: attempt, Speculative: speculative,
-		Fields: map[string]float64{"predictedSec": run.ExecTimeSec, "inRecords": float64(inRecords)},
+		Fields: map[string]float64{"predictedSec": run.ExecTimeSec, "inRecords": float64(r.inRecords)},
 	})
-	c := &attemptRun{
-		opName:      opName,
-		engineName:  engineName,
-		start:       now,
-		end:         now + secs(run.ExecTimeSec+e.LaunchOverheadSec),
-		ctrs:        ctrs,
-		run:         run,
-		speculative: speculative,
-		attempt:     attempt,
-	}
-	if ck != nil {
-		c.marks = ck.marks
-		c.totalUnits = ck.totalUnits
-		c.baseUnits = ck.baseUnits
-		c.banked = ck.baseUnits
-		c.writeSec = ck.writeSec
-		c.ckptKey = ck.key
-		if ck.baseUnits > 0 {
-			st.res.CheckpointRestores++
-			st.res.RestoredUnits += ck.baseUnits
-			e.emit(trace.Event{
-				Type: trace.EvCheckpointRestore, Step: s.Name, Operator: opName, Engine: engineName,
-				Attempt: attempt, Speculative: speculative,
-				Fields: map[string]float64{
-					"units":      float64(ck.baseUnits),
-					"totalUnits": float64(ck.totalUnits),
-					"restoreSec": ck.restoreSec,
-				},
-			})
-		}
+	if c.baseUnits > 0 {
+		st.res.CheckpointRestores++
+		st.res.RestoredUnits += c.baseUnits
+		e.emit(trace.Event{
+			Type: trace.EvCheckpointRestore, Step: s.Name, Operator: ch.OpName, Engine: ch.Engine,
+			Attempt: attempt, Speculative: speculative,
+			Fields: map[string]float64{
+				"units":      float64(c.baseUnits),
+				"totalUnits": float64(c.totalUnits),
+				"restoreSec": c.restoreSec,
+			},
+		})
 	}
 	return c, nil, nil
 }
@@ -773,11 +748,12 @@ func retryable(err error) bool {
 // (fed to the Observer for model refinement, matching the historical
 // behaviour) from infrastructure faults, which say nothing about the
 // engine's capability and must not poison the feasibility models.
-func (st *planRun) failAttempt(s *planner.Step, engineName string, err error, c *attemptRun) {
+func (st *planRun) failAttempt(r *stepRun, engineName string, err error, c *attemptRun) {
 	e := st.e
+	s := r.step
 	now := e.Clock.Now()
-	st.attempts[s.ID]++
-	attempt := st.attempts[s.ID]
+	r.failed++
+	attempt := r.failed
 	if e.Breaker != nil {
 		e.Breaker.RecordFailure(engineName)
 	}
@@ -807,12 +783,12 @@ func (st *planRun) failAttempt(s *planner.Step, engineName string, err error, c 
 		}
 	}
 	if retryable(err) && attempt < e.Retry.attempts() {
-		st.retryAt[s.ID] = now + e.Retry.backoff(attempt)
+		r.retryAt = now + e.Retry.backoff(attempt)
 		st.res.Retries++
 		e.emit(trace.Event{
 			Type: trace.EvAttemptRetry, Step: s.Name, Engine: engineName,
 			Attempt: attempt,
-			Fields:  map[string]float64{"retryAtSec": st.retryAt[s.ID].Seconds()},
+			Fields:  map[string]float64{"retryAtSec": r.retryAt.Seconds()},
 		})
 		return
 	}
@@ -823,9 +799,7 @@ func (st *planRun) failAttempt(s *planner.Step, engineName string, err error, c 
 
 // Decision-point kinds, ordered by tie-break priority at equal times:
 // completions first (they free resources and may clear checkpoints), then
-// checkpoint marks, then straggler deadlines, then retries. The ordering
-// makes nextStop a pure function of the run's state, independent of map
-// iteration order.
+// checkpoint marks, then straggler deadlines, then retries.
 const (
 	stopCompletion = iota
 	stopMark
@@ -835,8 +809,8 @@ const (
 
 // nextStop picks the next decision point: the earliest attempt completion,
 // checkpoint-write mark, armed straggler deadline or pending retry (a
-// backoff still running for a step neither done nor in flight). ok is false
-// when the run has none.
+// backoff still running; a launch clears it). ok is false when the run has
+// none.
 func (st *planRun) nextStop() (at time.Duration, kind int, ok bool) {
 	better := func(t time.Duration, k int) bool {
 		if !ok {
@@ -847,8 +821,10 @@ func (st *planRun) nextStop() (at time.Duration, kind int, ok bool) {
 		}
 		return k < kind
 	}
-	for _, f := range st.inFlight {
-		for _, c := range f.copies {
+	now := st.e.Clock.Now()
+	for i := range st.steps {
+		r := &st.steps[i]
+		for _, c := range r.copies {
 			if better(c.end, stopCompletion) {
 				at, kind, ok = c.end, stopCompletion, true
 			}
@@ -856,18 +832,11 @@ func (st *planRun) nextStop() (at time.Duration, kind int, ok bool) {
 				at, kind, ok = c.marks[0].at, stopMark, true
 			}
 		}
-		if f.deadline > 0 && !f.specTried && st.failure == nil && better(f.deadline, stopDeadline) {
-			at, kind, ok = f.deadline, stopDeadline, true
+		if len(r.copies) > 0 && r.deadline > 0 && !r.specTried && st.failure == nil && better(r.deadline, stopDeadline) {
+			at, kind, ok = r.deadline, stopDeadline, true
 		}
-	}
-	if len(st.retryAt) > 0 {
-		now := st.e.Clock.Now()
-		for id, t := range st.retryAt {
-			_, done := st.doneSteps[id]
-			_, running := st.inFlight[id]
-			if t > now && !done && !running && better(t, stopRetry) {
-				at, kind, ok = t, stopRetry, true
-			}
+		if r.retryAt > now && better(r.retryAt, stopRetry) {
+			at, kind, ok = r.retryAt, stopRetry, true
 		}
 	}
 	return at, kind, ok
@@ -927,9 +896,10 @@ func (st *planRun) sweepLost(force bool) bool {
 		e.changesSeen = n
 	}
 	changed := false
-	for id, f := range st.inFlight {
-		var alive []*attemptRun
-		for _, c := range f.copies {
+	for i := range st.steps {
+		r := &st.steps[i]
+		alive := r.copies[:0]
+		for _, c := range r.copies {
 			lost := 0
 			for _, ctr := range c.ctrs {
 				if ctr.Lost() {
@@ -946,37 +916,36 @@ func (st *planRun) sweepLost(force bool) bool {
 			// released immediately.
 			e.Cluster.ReleaseAll(c.ctrs)
 			e.emit(trace.Event{
-				Type: trace.EvContainerLost, Step: f.step.Name, Engine: c.engineName,
+				Type: trace.EvContainerLost, Step: r.step.Name, Engine: c.engineName,
 				Attempt: c.attempt, Speculative: c.speculative,
 				Fields: map[string]float64{"containers": float64(lost)},
 			})
 			if survivors := len(c.ctrs) - lost; survivors > 0 {
 				e.emit(trace.Event{
-					Type: trace.EvContainerRelease, Step: f.step.Name, Engine: c.engineName,
+					Type: trace.EvContainerRelease, Step: r.step.Name, Engine: c.engineName,
 					Fields: map[string]float64{"containers": float64(survivors)},
 				})
 			}
 			if c.speculative {
 				st.res.StepLog = append(st.res.StepLog, StepExec{
-					Name: f.step.Name, Engine: c.engineName,
+					Name: r.step.Name, Engine: c.engineName,
 					Start: c.start, End: e.Clock.Now(),
 					Failed: true, Failure: ErrContainersLost.Error(),
 					Attempt: c.attempt, Speculative: true,
 				})
 				e.emit(trace.Event{
-					Type: trace.EvAttemptFail, Step: f.step.Name, Engine: c.engineName,
+					Type: trace.EvAttemptFail, Step: r.step.Name, Engine: c.engineName,
 					Attempt: c.attempt, Speculative: true,
 					Error: ErrContainersLost.Error(),
 				})
 			}
 		}
-		if len(alive) == len(f.copies) {
+		if len(alive) == len(r.copies) {
 			continue
 		}
-		f.copies = alive
+		r.copies = alive
 		if len(alive) == 0 {
-			delete(st.inFlight, id)
-			st.failAttempt(f.step, f.step.Engine, ErrContainersLost, nil)
+			st.failAttempt(r, r.step.Engine, ErrContainersLost, nil)
 		}
 	}
 	return changed
@@ -986,20 +955,20 @@ func (st *planRun) sweepLost(force bool) bool {
 // deadline has passed.
 func (st *planRun) fireDeadlines(now time.Duration) {
 	e := st.e
-	for _, f := range st.inFlight {
-		if f.deadline <= 0 || f.specTried || f.deadline > now || st.failure != nil {
+	for i := range st.steps {
+		r := &st.steps[i]
+		if len(r.copies) == 0 || r.deadline <= 0 || r.specTried || r.deadline > now || st.failure != nil {
 			continue
 		}
-		f.specTried = true
+		r.specTried = true
 		if e.Speculate == nil {
 			continue
 		}
-		choice, ok := e.Speculate(f.step)
+		choice, ok := e.Speculate(r.step)
 		if !ok || choice.Engine == "" {
 			continue
 		}
-		attempt := st.attempts[f.step.ID] + 1
-		c, launchErr, hardErr := st.launch(f.step, choice.OpName, choice.Engine, choice.Algorithm, choice.Res, choice.Params, f.inRecords, f.inBytes, attempt, true)
+		c, launchErr, hardErr := st.launch(r, choice, true)
 		if hardErr != nil || launchErr != nil {
 			// A backup that cannot start is simply dropped; the original
 			// keeps running. Still count genuine engine failures against
@@ -1009,30 +978,27 @@ func (st *planRun) fireDeadlines(now time.Duration) {
 			}
 			continue
 		}
-		f.copies = append(f.copies, c)
+		r.copies = append(r.copies, c)
 		st.res.SpeculativeLaunches++
 		e.emit(trace.Event{
-			Type: trace.EvSpeculate, Step: f.step.Name, Engine: choice.Engine,
-			Attempt: attempt,
-			Fields:  map[string]float64{"deadlineSec": f.deadline.Seconds()},
+			Type: trace.EvSpeculate, Step: r.step.Name, Engine: choice.Engine,
+			Attempt: c.attempt,
+			Fields:  map[string]float64{"deadlineSec": r.deadline.Seconds()},
 		})
 	}
 }
 
-// completeDue completes the earliest finished attempt at or before now (ties
-// broken by step ID, keeping completion order deterministic), verifying its
-// containers are still alive.
+// completeDue completes the earliest finished attempt at or before now (the
+// first in step order among equals), verifying its containers are still
+// alive.
 func (st *planRun) completeDue(now time.Duration) {
 	e := st.e
-	var fl *flight
+	var r *stepRun
 	var w *attemptRun
-	for _, f := range st.inFlight {
-		for _, c := range f.copies {
-			if c.end > now {
-				continue
-			}
-			if w == nil || c.end < w.end || (c.end == w.end && f.step.ID < fl.step.ID) {
-				fl, w = f, c
+	for i := range st.steps {
+		for _, c := range st.steps[i].copies {
+			if c.end <= now && (w == nil || c.end < w.end) {
+				r, w = &st.steps[i], c
 			}
 		}
 	}
@@ -1048,9 +1014,7 @@ func (st *planRun) completeDue(now time.Duration) {
 		}
 	}
 
-	s := fl.step
-	delete(st.inFlight, s.ID)
-	delete(st.retryAt, s.ID)
+	s := r.step
 	releaseCopy := func(c *attemptRun) {
 		e.Cluster.ReleaseAll(c.ctrs)
 		if len(c.ctrs) > 0 {
@@ -1062,12 +1026,13 @@ func (st *planRun) completeDue(now time.Duration) {
 	}
 	releaseCopy(w)
 	// The losing copy (if any) is cancelled and its containers released.
-	for _, c := range fl.copies {
+	for _, c := range r.copies {
 		if c == w {
 			continue
 		}
 		releaseCopy(c)
 	}
+	r.copies = nil
 	if w.speculative {
 		st.res.SpeculativeWins++
 	}
@@ -1083,7 +1048,7 @@ func (st *planRun) completeDue(now time.Duration) {
 	})
 
 	out := &dataset{records: w.run.OutputRecords, bytes: w.run.OutputBytes, meta: outMetaOf(s, w.engineName)}
-	st.doneSteps[s.ID] = out
+	r.out = out
 	st.res.Runs = append(st.res.Runs, w.run)
 	st.res.TotalCostUnits += w.run.CostUnits
 	st.res.StepLog = append(st.res.StepLog, StepExec{
@@ -1094,9 +1059,9 @@ func (st *planRun) completeDue(now time.Duration) {
 	if e.Breaker != nil && s.Kind == planner.StepOperator {
 		e.Breaker.RecordSuccess(w.engineName)
 	}
-	if w.ckptKey != "" {
+	if w.key != "" {
 		// The operator is done; its checkpoints are garbage.
-		e.Cluster.ClearCheckpoint(w.ckptKey)
+		e.Cluster.ClearCheckpoint(w.key)
 	}
 	if s.Kind == planner.StepOperator {
 		// The Observer fires for every completed operator step — including

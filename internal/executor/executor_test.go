@@ -111,15 +111,23 @@ func newFixtureSeed(t *testing.T, seed int64) *fixture {
 	return f
 }
 
-// execute runs the plan with the executor as the clock's only party, as
+// asParty calls run with the executor as the clock's only party, as
 // Platform.Execute does.
-func (f *fixture) execute(g *workflow.Graph, plan *planner.Plan) (*Result, error) {
+func (f *fixture) asParty(run func() (*Result, error)) (*Result, error) {
 	party := f.clock.Join()
 	f.clock.Kick()
 	party.Await()
 	defer party.Leave()
 	f.exec.Party = party
-	return f.exec.Execute(g, plan)
+	return run()
+}
+
+func (f *fixture) execute(g *workflow.Graph, plan *planner.Plan) (*Result, error) {
+	return f.asParty(func() (*Result, error) { return f.exec.Execute(g, plan) })
+}
+
+func (f *fixture) resume(g *workflow.Graph, done []planner.MaterializedIntermediate) (*Result, error) {
+	return f.asParty(func() (*Result, error) { return f.exec.Resume(g, done) })
 }
 
 // chainWorkflow builds src -> wordcount -> d1 -> sort -> d2($$target).

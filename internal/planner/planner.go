@@ -315,6 +315,9 @@ func (k StepKind) String() string {
 
 // Step is one unit of a materialized plan.
 type Step struct {
+	// ID is the step's index in Plan.Steps. Steps are stored in dependency
+	// order, so every DependsOn entry is a smaller index; the executor
+	// indexes its per-step state by ID and rejects a plan that breaks this.
 	ID   int
 	Kind StepKind
 	Name string
@@ -330,7 +333,8 @@ type Step struct {
 	// steps only; the first output is reported).
 	OutDataset string
 
-	// DependsOn lists step IDs that must complete first.
+	// DependsOn lists the IDs of the steps that must complete first, each
+	// smaller than ID.
 	DependsOn []int
 	// SourceInputs lists workflow source datasets consumed directly.
 	SourceInputs []string
