@@ -1,6 +1,9 @@
 package cluster
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // ckptEntry is the stored progress of one checkpointable operator attempt.
 // Non-durable checkpoints live on the local disks of the gang's nodes
@@ -21,26 +24,38 @@ type ckptEntry struct {
 // speculative copy that already banked unit 5). A different algorithm or
 // total replaces the entry outright — stale progress from an abandoned
 // implementation choice must not seed a different computation.
+//
+// The store owns its replica slice (a node crash filters it in place), so
+// nodes is copied, never kept; an advance whose replica set is unchanged
+// keeps the stored slice and allocates nothing.
 func (c *Cluster) PutCheckpoint(key, algorithm string, units, total int, nodes []string, durable bool) {
 	if key == "" || units <= 0 || total <= 0 || units > total {
 		return
-	}
-	replicas := append([]string(nil), nodes...)
-	sort.Strings(replicas)
-	if durable {
-		replicas = nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.checkpoints == nil {
 		c.checkpoints = make(map[string]*ckptEntry)
 	}
-	if old, ok := c.checkpoints[key]; ok && old.algorithm == algorithm && old.total == total && old.units >= units {
-		return
+	e, ok := c.checkpoints[key]
+	if ok && e.algorithm == algorithm && e.total == total {
+		if e.units >= units {
+			return
+		}
+	} else {
+		e = &ckptEntry{algorithm: algorithm, total: total}
+		c.checkpoints[key] = e
 	}
 	// The entry advances or is replaced: its replica set moves to the new
 	// nodes, so the old hosts drop their local copies.
-	c.checkpoints[key] = &ckptEntry{algorithm: algorithm, units: units, total: total, durable: durable, nodes: replicas}
+	e.units, e.durable = units, durable
+	switch {
+	case durable:
+		e.nodes = nil
+	case !slices.Equal(e.nodes, nodes):
+		e.nodes = slices.Clone(nodes)
+		sort.Strings(e.nodes)
+	}
 }
 
 // CheckpointProgress returns the banked units under key, or zero when no

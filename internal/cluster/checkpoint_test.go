@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/asap-project/ires/internal/trace"
@@ -128,6 +129,78 @@ func TestReplicatedCheckpointDiesWithLastReplica(t *testing.T) {
 	lost := lostEvents(rec)
 	if len(lost) != 1 || lost[0] != "op/rank" {
 		t.Fatalf("lost events = %v, want exactly [op/rank]", lost)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// storedReplicas returns the replica set stored under key.
+func storedReplicas(c *Cluster, key string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.checkpoints[key].nodes...)
+}
+
+func TestPutCheckpointAdvanceAllocatesNothing(t *testing.T) {
+	c := newTestCluster()
+	replicas := []string{"node0", "node1"}
+	units := 1
+	c.PutCheckpoint("k", "a", units, 1<<30, replicas, false)
+	if n := testing.AllocsPerRun(100, func() {
+		units++
+		c.PutCheckpoint("k", "a", units, 1<<30, replicas, false)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per advance with an unchanged replica set, want 0", n)
+	}
+	c.PutCheckpoint("d", "a", 1, 1<<30, replicas, true)
+	if n := testing.AllocsPerRun(100, func() {
+		units++
+		c.PutCheckpoint("d", "a", units, 1<<30, replicas, true)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per durable advance, want 0", n)
+	}
+	if got := c.CheckpointProgress("k", "a", 1<<30); got != units-101 {
+		t.Fatalf("progress = %d, want %d", got, units-101)
+	}
+	if got := storedReplicas(c, "d"); got != nil {
+		t.Fatalf("durable entry stores replicas %v, want none", got)
+	}
+}
+
+func TestPutCheckpointOwnsItsReplicas(t *testing.T) {
+	c := newTestCluster()
+	replicas := []string{"node1", "node0"}
+	c.PutCheckpoint("k", "a", 1, 10, replicas, false)
+	replicas[0] = "node3"
+	if got := storedReplicas(c, "k"); !slices.Equal(got, []string{"node0", "node1"}) {
+		t.Fatalf("stored replicas %v after the caller reused its slice, want [node0 node1]", got)
+	}
+	// An unchanged set kept in place is still the store's own slice.
+	sorted := []string{"node0", "node1"}
+	c.PutCheckpoint("k", "a", 2, 10, sorted, false)
+	sorted[1] = "node3"
+	if got := storedReplicas(c, "k"); !slices.Equal(got, []string{"node0", "node1"}) {
+		t.Fatalf("stored replicas %v after the caller reused its slice, want [node0 node1]", got)
+	}
+}
+
+func TestPutCheckpointAfterReplicaCrash(t *testing.T) {
+	c := newTestCluster()
+	// One attempt's replica set, computed once at launch and passed to
+	// every write of the attempt.
+	replicas := []string{"node0", "node1", "node2"}
+	c.PutCheckpoint("k", "a", 1, 10, replicas, false)
+	c.failNodeNow("node1")
+	if got := storedReplicas(c, "k"); !slices.Equal(got, []string{"node0", "node2"}) {
+		t.Fatalf("stored replicas %v after node1 crashed, want [node0 node2]", got)
+	}
+	if !slices.Equal(replicas, []string{"node0", "node1", "node2"}) {
+		t.Fatalf("the crash filtered the attempt's own slice: %v", replicas)
+	}
+	c.PutCheckpoint("k", "a", 2, 10, replicas, false)
+	if got := storedReplicas(c, "k"); !slices.Equal(got, replicas) {
+		t.Fatalf("stored replicas %v after the next write, want %v", got, replicas)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -55,6 +55,10 @@ type ckptPlan struct {
 	writeSec   float64
 	restoreSec float64
 	marks      []ckptMark
+	// replicas is the gang's sorted node set, computed once at launch for
+	// an attempt with marks and non-durable checkpoints; every write of the
+	// attempt hands it to the store, which copies it.
+	replicas []string
 }
 
 // ckptKeyOf namespaces a step's checkpoint key by the executor's scope (the
@@ -150,7 +154,7 @@ func (st *planRun) fireMarks(now time.Duration) {
 				c.marks = c.marks[1:]
 				fired = true
 				c.banked = m.units
-				e.Cluster.PutCheckpoint(c.key, c.run.Algorithm, m.units, c.totalUnits, gangNodes(c.ctrs), e.Checkpoint.Durable)
+				e.Cluster.PutCheckpoint(c.key, c.run.Algorithm, m.units, c.totalUnits, c.replicas, e.Checkpoint.Durable)
 				st.res.CheckpointWrites++
 				e.emit(trace.Event{
 					Type: trace.EvCheckpointWrite, Step: r.step.Name, Operator: c.opName, Engine: c.engineName,

@@ -705,6 +705,9 @@ func (st *planRun) launch(r *stepRun, ch SpeculativeChoice, speculative bool) (*
 	c.ckptPlan = st.planCheckpoints(s, ch.Engine, ch.Algorithm, in, eRes, run)
 	c.banked = c.baseUnits
 	c.ctrs = ctrs
+	if len(c.marks) > 0 && !e.Checkpoint.Durable {
+		c.replicas = gangNodes(ctrs)
+	}
 	c.end = now + secs(run.ExecTimeSec+e.LaunchOverheadSec)
 	e.emit(trace.Event{
 		Type: trace.EvAttemptStart, Step: s.Name, Operator: ch.OpName, Engine: ch.Engine,

@@ -1,13 +1,12 @@
 package metadata
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 )
 
-// Parse reads a description file in the dotted-property format of D3.3 §3:
+// ParseString parses a description file in the dotted-property format of
+// D3.3 §3:
 //
 //	# comment
 //	Constraints.Engine=Spark
@@ -17,24 +16,24 @@ import (
 // Blank lines and lines starting with '#' or '//' are ignored. Whitespace
 // around keys and values is trimmed. Escaped colons ("\:") — which appear in
 // the paper's HDFS paths — are unescaped.
-func Parse(r io.Reader) (*Tree, error) {
+//
+// The walk slices lines out of s in place, so keys and values share its
+// bytes; a "\r\n" ending is trimmed with the rest of the whitespace.
+func ParseString(s string) (*Tree, error) {
 	t := New()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	for lineNo := 1; s != ""; lineNo++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "//") {
 			continue
 		}
-		eq := strings.Index(line, "=")
-		if eq < 0 {
+		key, val, ok := strings.Cut(line, "=")
+		if !ok {
 			return nil, fmt.Errorf("metadata: line %d: missing '=' in %q", lineNo, line)
 		}
-		key := strings.TrimSpace(line[:eq])
-		val := strings.TrimSpace(line[eq+1:])
-		val = strings.ReplaceAll(val, `\:`, ":")
+		key = strings.TrimSpace(key)
+		val = strings.ReplaceAll(strings.TrimSpace(val), `\:`, ":")
 		if key == "" {
 			return nil, fmt.Errorf("metadata: line %d: empty key", lineNo)
 		}
@@ -43,15 +42,7 @@ func Parse(r io.Reader) (*Tree, error) {
 		}
 		t.Set(key, val)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("metadata: read: %w", err)
-	}
 	return t, nil
-}
-
-// ParseString parses a description from a string.
-func ParseString(s string) (*Tree, error) {
-	return Parse(strings.NewReader(s))
 }
 
 // MustParse parses a description and panics on error. Intended for
@@ -64,11 +55,11 @@ func MustParse(s string) *Tree {
 	return t
 }
 
+// validateKey rejects a non-empty key with an empty segment: a leading or
+// trailing dot, or two dots in a row.
 func validateKey(key string) error {
-	for _, part := range strings.Split(key, ".") {
-		if part == "" {
-			return fmt.Errorf("empty path segment in key %q", key)
-		}
+	if strings.HasPrefix(key, ".") || strings.HasSuffix(key, ".") || strings.Contains(key, "..") {
+		return fmt.Errorf("empty path segment in key %q", key)
 	}
 	return nil
 }

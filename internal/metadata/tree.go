@@ -64,10 +64,11 @@ func (t *Tree) Value() string {
 // Set stores value at the dotted path, creating intermediate nodes.
 func (t *Tree) Set(path, value string) {
 	node := t
-	if path != "" {
-		for _, part := range strings.Split(path, ".") {
-			node = node.child(part, true)
-		}
+	// The same strings.Cut walk as Node, creating missing segments.
+	for more := path != ""; more; {
+		var part string
+		part, path, more = strings.Cut(path, ".")
+		node = node.child(part, true)
 	}
 	node.value = value
 }

@@ -4,23 +4,32 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"unsafe"
 )
 
 // DefaultMaxEvents bounds the Recorder's in-memory log; past it the oldest
 // events are dropped (the registry keeps counting regardless).
 const DefaultMaxEvents = 1 << 16
 
+// blockEvents is the most events one block of a Recorder's log holds: as
+// many as fill 32 KiB, the largest size class the allocator serves without
+// rounding up to whole pages (215 of today's 152-byte events).
+const blockEvents = (32 << 10) / int(unsafe.Sizeof(Event{}))
+
 // Recorder is a Tracer that appends events to a bounded in-memory log and
 // folds each into its Registry. It is safe for concurrent use.
 //
-// The log retains the latest max events. Internally the buffer is allowed to
-// grow to twice that before it is compacted in one bulk copy, so a long-lived
-// recorder pays amortized O(1) per Emit instead of an O(max) copy per event
-// once the window is full; readers always see exactly the retained window.
+// The log retains the latest max events. It is kept in blocks of at most
+// blockEvents, all full but the last; once the events after the first block
+// cover the window, that block is dropped and becomes the next one to fill.
+// No event is copied as the log grows, and it holds at most max events plus
+// one block; readers always see exactly the retained window.
 type Recorder struct {
 	mu     sync.Mutex
 	seq    int64
-	events []Event
+	blocks [][]Event // oldest first
+	n      int       // events across blocks
+	spare  []Event   // the last dropped block, emptied for reuse
 	max    int
 	reg    *Registry
 }
@@ -45,21 +54,58 @@ func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
 	r.seq++
 	ev.Seq = r.seq
-	r.events = append(r.events, ev)
-	if len(r.events) > 2*r.max {
-		r.events = append(r.events[:0:0], r.events[len(r.events)-r.max:]...)
+	last := len(r.blocks) - 1
+	if last < 0 || len(r.blocks[last]) == cap(r.blocks[last]) {
+		b := r.spare
+		if b == nil {
+			b = make([]Event, 0, min(blockEvents, r.max))
+		}
+		r.spare = nil
+		r.blocks = append(r.blocks, b)
+		last++
+	}
+	r.blocks[last] = append(r.blocks[last], ev)
+	r.n++
+	if first := r.blocks[0]; r.n-len(first) >= r.max {
+		clear(first)
+		r.spare = first[:0]
+		r.n -= len(first)
+		r.blocks = append(r.blocks[:0], r.blocks[1:]...)
 	}
 	r.mu.Unlock()
 	r.reg.fold(ev)
 }
 
-// retainedLocked returns the current retention window (the latest max
-// events) without copying; the caller holds r.mu.
-func (r *Recorder) retainedLocked() []Event {
-	if len(r.events) > r.max {
-		return r.events[len(r.events)-r.max:]
+// windowLocked calls fn on the retained events from the i-th on, in
+// order, one block segment at a time; the caller holds r.mu.
+func (r *Recorder) windowLocked(i int, fn func([]Event)) {
+	off := r.n - r.retainedLocked() + i
+	for _, b := range r.blocks {
+		if off < len(b) {
+			fn(b[off:])
+			off = 0
+		} else {
+			off -= len(b)
+		}
 	}
-	return r.events
+}
+
+// retainedLocked returns the number of events in the retention window; the
+// caller holds r.mu.
+func (r *Recorder) retainedLocked() int {
+	return min(r.n, r.max)
+}
+
+// copyLocked returns a copy of the retained events from the i-th on, nil
+// when there are none; the caller holds r.mu.
+func (r *Recorder) copyLocked(i int) []Event {
+	n := r.retainedLocked() - i
+	if n <= 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	r.windowLocked(i, func(seg []Event) { out = append(out, seg...) })
+	return out
 }
 
 // Registry exposes the metrics the recorder feeds.
@@ -76,7 +122,7 @@ func (r *Recorder) Seq() int64 {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.retainedLocked()...)
+	return r.copyLocked(0)
 }
 
 // Since returns the retained events with Seq > seq — the capture primitive
@@ -84,14 +130,16 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) Since(seq int64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	retained := r.retainedLocked()
-	// Events are seq-ordered; binary search would be overkill at this size.
-	for i, ev := range retained {
-		if ev.Seq > seq {
-			return append([]Event(nil), retained[i:]...)
-		}
+	// Sequence numbers are consecutive: the window holds r.seq-retained+1
+	// through r.seq, so the first event after seq sits at a known offset.
+	oldest := r.seq - int64(r.retainedLocked()) + 1
+	if seq < oldest {
+		return r.copyLocked(0)
 	}
-	return nil
+	if seq >= r.seq {
+		return nil
+	}
+	return r.copyLocked(int(seq - oldest + 1))
 }
 
 // ForRun returns the retained events belonging to one scheduler run,
@@ -101,12 +149,15 @@ func (r *Recorder) ForRun(runID string) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Event
-	for _, ev := range r.retainedLocked() {
-		if ev.RunID == runID {
-			ev.Seq = int64(len(out) + 1)
-			out = append(out, ev)
+	r.windowLocked(0, func(seg []Event) {
+		for i := range seg {
+			if seg[i].RunID == runID {
+				ev := seg[i]
+				ev.Seq = int64(len(out) + 1)
+				out = append(out, ev)
+			}
 		}
-	}
+	})
 	return out
 }
 

@@ -167,7 +167,8 @@ func TestRecorderConcurrent(t *testing.T) {
 
 // A warmed recorder folds a recorded event stream into its registry without
 // allocating: every series is resolved by its label value, so past the first
-// pass an event costs only the log's amortized growth. The stream is the
+// pass the log's blocks are its only allocations, one per blockEvents
+// events until the window is full and none after. The stream is the
 // events of the root package's faultyRun at seed 42 followed by the per-run
 // logs of its FairShare(3) concurrentBatch at seed 42, as WriteJSONL wrote
 // them.
@@ -192,8 +193,20 @@ func TestRecorderEmitAllocatesNothing(t *testing.T) {
 		}
 	}
 	replay()
-	if per := testing.AllocsPerRun(100, replay) / float64(len(events)); per > 0.05 {
-		t.Fatalf("%.2f allocations per event over %d replayed events, want at most 0.05", per, len(events))
+	if per := testing.AllocsPerRun(100, replay) / float64(len(events)); per > 1/float64(blockEvents) {
+		t.Fatalf("%.4f allocations per event over %d replayed events, want at most one per %d-event block", per, len(events), blockEvents)
+	}
+	// Past a full window the dropped block is refilled: ten replays through
+	// a 100-event window allocate nothing at all.
+	rec = NewRecorder(100)
+	replayTen := func() {
+		for range 10 {
+			replay()
+		}
+	}
+	replayTen()
+	if n := testing.AllocsPerRun(1, replayTen); n != 0 {
+		t.Fatalf("%.0f allocations over %d events through a full window, want 0", n, 10*len(events))
 	}
 }
 

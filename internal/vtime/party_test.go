@@ -504,3 +504,21 @@ func TestClockEveryPanicsOnNonPositivePeriod(t *testing.T) {
 	}()
 	NewClock().Every(0, func(time.Duration) {})
 }
+
+// A party parks on the clock's waiter list by itself: parking and being
+// woken allocates nothing.
+func TestPartyParkAllocatesNothing(t *testing.T) {
+	c := NewClock()
+	p := c.Join()
+	c.Kick()
+	p.Await()
+	if n := testing.AllocsPerRun(100, func() {
+		p.WaitUntil(c.Now() + time.Second)
+	}); n != 0 {
+		t.Fatalf("%.1f allocations per park, want 0", n)
+	}
+	if got, want := c.Now(), 101*time.Second; got != want {
+		t.Fatalf("clock at %v after 101 parks of 1s, want %v", got, want)
+	}
+	p.Leave()
+}

@@ -32,7 +32,7 @@ type Clock struct {
 	// batch of Join calls can complete before any party runs.
 	parties     int
 	partySeq    int64
-	waiters     []*waiter
+	waiters     []*Party
 	started     bool
 	dispatching bool
 }
@@ -54,10 +54,9 @@ type Party struct {
 	c    *Clock
 	id   int64
 	wake chan struct{}
-}
-
-type waiter struct {
-	p  *Party
+	// at is the wake time while the party is parked in c.waiters, which
+	// holds it at most once: a party is either running or parked. Guarded
+	// by c.mu.
 	at time.Duration
 }
 
@@ -72,8 +71,8 @@ func (c *Clock) Join() *Party {
 	defer c.mu.Unlock()
 	c.parties++
 	c.partySeq++
-	p := &Party{c: c, id: c.partySeq, wake: make(chan struct{}, 1)}
-	c.waiters = append(c.waiters, &waiter{p: p, at: c.now})
+	p := &Party{c: c, id: c.partySeq, wake: make(chan struct{}, 1), at: c.now}
+	c.waiters = append(c.waiters, p)
 	return p
 }
 
@@ -97,7 +96,8 @@ func (p *Party) WaitUntil(t time.Duration) {
 		c.mu.Unlock()
 		return
 	}
-	c.waiters = append(c.waiters, &waiter{p: p, at: t})
+	p.at = t
+	c.waiters = append(c.waiters, p)
 	c.dispatchLocked()
 	c.mu.Unlock()
 	<-p.wake
@@ -163,7 +163,7 @@ func (c *Clock) dispatchLocked() {
 		best := 0
 		for i := 1; i < len(c.waiters); i++ {
 			w, b := c.waiters[i], c.waiters[best]
-			if w.at < b.at || (w.at == b.at && w.p.id < b.p.id) {
+			if w.at < b.at || (w.at == b.at && w.id < b.id) {
 				best = i
 			}
 		}
@@ -176,7 +176,7 @@ func (c *Clock) dispatchLocked() {
 			c.now = w.at
 		}
 		c.waiters = append(c.waiters[:best], c.waiters[best+1:]...)
-		w.p.wake <- struct{}{}
+		w.wake <- struct{}{}
 		return
 	}
 }

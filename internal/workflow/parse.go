@@ -1,9 +1,7 @@
 package workflow
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/asap-project/ires/internal/operator"
@@ -41,13 +39,13 @@ func (r LibraryResolver) ResolveOperator(name string) *operator.Abstract {
 	return r.Abstracts[name]
 }
 
-// ParseGraph reads the `graph` file format of D3.3 §3.3. Each line is
-// either an edge "from,to[,port]" or the target designation
+// ParseGraphString parses the `graph` file format of D3.3 §3.3. Each line
+// is either an edge "from,to[,port]" or the target designation
 // "dataset,$$target". Node kinds are inferred: a name resolving to an
 // abstract operator becomes an operator node; anything else becomes a
 // dataset node (materialized when the resolver knows it, abstract
-// otherwise).
-func ParseGraph(r io.Reader, res Resolver) (*Graph, error) {
+// otherwise). Lines are sliced out of s in place, so no line is too long.
+func ParseGraphString(s string, res Resolver) (*Graph, error) {
 	g := NewGraph()
 	ensure := func(name string) (*Node, error) {
 		if n, ok := g.Node(name); ok {
@@ -64,11 +62,10 @@ func ParseGraph(r io.Reader, res Resolver) (*Graph, error) {
 		return g.AddDataset(name, nil)
 	}
 
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	for lineNo := 1; s != ""; lineNo++ {
+		var line string
+		line, s, _ = strings.Cut(s, "\n")
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -99,13 +96,5 @@ func ParseGraph(r io.Reader, res Resolver) (*Graph, error) {
 			return nil, fmt.Errorf("workflow: line %d: malformed %q", lineNo, line)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workflow: read: %w", err)
-	}
 	return g, nil
-}
-
-// ParseGraphString parses a graph file from a string.
-func ParseGraphString(s string, res Resolver) (*Graph, error) {
-	return ParseGraph(strings.NewReader(s), res)
 }
