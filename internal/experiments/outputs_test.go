@@ -95,11 +95,14 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 			lead := 0
 			for _, n := range lengths {
 				fit := func(fams []int) model.Fitted {
-					f, _, err := model.Fit(zoo, op.X[:n], []model.Target{{Y: op.Targets[target][:n], Family: lead, Select: true, Families: fams}}, n, p.Profiler.CVFolds, seed, model.ByRelErr)
-					if err != nil {
-						t.Fatal(err)
+					f, errs, _ := model.Fit([]model.Problem{{
+						Factories: zoo, X: op.X[:n], Targets: []model.Target{{Y: op.Targets[target][:n], Family: lead, Select: true, Families: fams}},
+						Sel: n, K: p.Profiler.CVFolds, Seed: seed,
+					}}, model.ByRelErr)
+					if errs[0] != nil {
+						t.Fatal(errs[0])
 					}
-					return f[0]
+					return f[0][0]
 				}
 				full, narrow := fit(nil), fit(cands)
 				compared++

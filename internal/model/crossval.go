@@ -46,12 +46,12 @@ func ByRelErr(s Score) float64 { return s.RelErr }
 // a near-tie in the selection. A fold whose Train fails counts as +Inf in both
 // sums: a family that cannot train never scores better than one that can.
 func CrossValidate(factories []Factory, X [][]float64, y []float64, k int, seed int64) ([]Score, error) {
-	f, err := newFit(factories, X, []Target{{Y: y, Select: true}}, len(X), k, seed, nil)
-	if err != nil {
+	f := newFit([]Problem{{Factories: factories, X: X, Targets: []Target{{Y: y, Select: true}}, Sel: len(X), K: k, Seed: seed}}, nil, false)
+	if err := f.probs[0].err; err != nil {
 		return nil, err
 	}
 	f.run()
-	return f.cols[0].sel.Scores, nil
+	return f.probs[0].cols[0].sel.Scores, nil
 }
 
 // Select picks, for every target column ys[t] over the shared samples X, the
@@ -84,29 +84,41 @@ func Select(factories []Factory, X [][]float64, ys [][]float64, leads []int, k i
 			targets[t].Family = leads[t]
 		}
 	}
-	f, err := newFit(factories, X, targets, len(X), k, seed, key)
-	if err != nil {
-		return nil, err
+	f := newFit([]Problem{{Factories: factories, X: X, Targets: targets, Sel: len(X), K: k, Seed: seed}}, key, false)
+	pr := &f.probs[0]
+	if pr.err != nil {
+		return nil, pr.err
 	}
 	f.run()
 	sels := make([]Selection, len(targets))
 	for t := range sels {
-		sels[t] = f.cols[t].sel
+		sels[t] = pr.cols[t].sel
 	}
 	return sels, nil
 }
 
-// Target is one column of a Fit.
+// Target is one column of a Problem.
 type Target struct {
-	Y []float64 // one value per row of the fit's X
+	Y []float64 // one value per row of the problem's X
 	// Family is the family trained on the whole X; with Select it only leads
-	// a bounded selection on the fit's first rows, whose winner is trained.
+	// a bounded selection on the problem's first rows, whose winner is trained.
 	Family int
 	Select bool
 	// Families are the candidates a selection picks among, ascending indices
 	// into the factories; empty is all of them. Restricting them changes no
 	// score, so when the whole zoo's winner is a candidate it wins here too.
 	Families []int
+}
+
+// Problem is one independent system of a Fit: targets over its own rows X,
+// the selecting ones choosing their family by Select over X[:Sel] and
+// Y[:Sel] (K folds shuffled by Seed; Sel <= len(X)) among the Factories.
+type Problem struct {
+	Factories []Factory
+	X         [][]float64
+	Targets   []Target
+	Sel, K    int
+	Seed      int64
 }
 
 // Fitted is what a Fit made of one Target.
@@ -117,27 +129,34 @@ type Fitted struct {
 	Err       error     // the whole-buffer Train's
 }
 
-// Fit trains one model per target on all of X, the targets that select
-// choosing their family first by Select over X[:sel] and Y[:sel], among their
-// Families (k folds, seed, key; sel <= len(X)). It is one job graph on one
-// pool: a target that does not select queues its whole-buffer Train at once,
-// one that does queues it the moment its last wave has settled the winner,
-// while other targets' waves are still running. It returns the summed time of the jobs. An error
-// before any Train (a Y that is not one value per row, Select's validation)
-// fails the fit; an error of a whole-buffer Train is its Fitted's.
-func Fit(factories []Factory, X [][]float64, targets []Target, sel, k int, seed int64, key func(Score) float64) ([]Fitted, time.Duration, error) {
-	f, err := newFit(factories, X, targets, sel, k, seed, key)
-	if err != nil {
-		return nil, 0, err
-	}
-	f.whole = X
+// Fit trains one model per target of every problem on all of its X, the
+// targets that select choosing their family first. It is one job graph on one
+// pool, whatever the number of problems: a target that does not select queues
+// its whole-buffer Train at once, one that does queues it the moment its last
+// wave has settled the winner, while other targets' waves — of its own
+// problem or of another — are still running. No problem reads another's
+// state, so each one's outcome is what a Fit of it alone returns.
+//
+// It returns, per problem, one Fitted per target, or the error that failed
+// the problem before any Train (a Y that is not one value per row, Select's
+// validation), and the summed time of the jobs. An error of a whole-buffer
+// Train is its Fitted's.
+func Fit(problems []Problem, key func(Score) float64) ([][]Fitted, []error, time.Duration) {
+	f := newFit(problems, key, true)
 	busy := f.run()
-	out := make([]Fitted, len(f.cols))
-	for t := range f.cols {
-		c := &f.cols[t]
-		out[t] = Fitted{Model: c.model, Family: c.fam, Selection: c.sel, Err: c.err}
+	out, errs := make([][]Fitted, len(f.probs)), make([]error, len(f.probs))
+	for i := range f.probs {
+		pr := &f.probs[i]
+		if errs[i] = pr.err; pr.err != nil {
+			continue
+		}
+		out[i] = make([]Fitted, len(pr.cols))
+		for t := range pr.cols {
+			c := &pr.cols[t]
+			out[i][t] = Fitted{Model: c.model, Family: c.fam, Selection: c.sel, Err: c.err}
+		}
 	}
-	return out, busy, nil
+	return out, errs, busy
 }
 
 // split is one fold: the rows trained on and the rows held out, with their
@@ -172,59 +191,88 @@ type column struct {
 	err   error
 }
 
-// job is one cross-validation cell of a column, or with fold < 0 its
-// whole-buffer Train of the column's fam.
-type job struct{ col, cand, fold int }
-
-// fit is the job graph of one Fit, Select or CrossValidate (key nil: the full
-// grid, every cell in wave 0).
-type fit struct {
+// problem is one Problem's state in a fit.
+type problem struct {
 	factories []Factory
 	names     []string
 	whole     [][]float64 // the rows of whole-buffer Trains; nil when the fit only selects
 	folds     []split
 	n, k      int // rows cross-validated, folds
-	key       func(Score) float64
 	cols      []column
-	pool      pool[job]
+	err       error // the validation's: the problem queues no job
 }
 
-// newFit checks that every target has one value per row of X, validates the
-// selecting targets on the first n rows and cuts those into folds.
-func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed int64, key func(Score) float64) (*fit, error) {
-	nf := len(factories)
-	f := &fit{factories: factories, n: n, key: key, cols: make([]column, len(targets))}
+// job is one cross-validation cell of a problem's column, or with fold < 0
+// its whole-buffer Train of the column's fam.
+type job struct{ prob, col, cand, fold int }
+
+// fit is the job graph of one Fit, Select or CrossValidate (key nil: the full
+// grid, every cell in wave 0).
+type fit struct {
+	key   func(Score) float64
+	probs []problem
+	pool  pool[job]
+}
+
+// newFit sets up every problem: whole says whether the fit trains its targets
+// on the whole X or only selects.
+func newFit(problems []Problem, key func(Score) float64, whole bool) *fit {
+	f := &fit{key: key, probs: make([]problem, len(problems))}
 	f.pool.do = f.do
-	selecting := false
-	for t, tg := range targets {
-		if len(tg.Y) != len(X) {
-			return nil, fmt.Errorf("%w: %d rows vs %d targets", ErrDimMismatch, len(X), len(tg.Y))
+	for i, pb := range problems {
+		pr := &f.probs[i]
+		if whole {
+			pr.whole = pb.X
 		}
-		c := &f.cols[t]
+		// Problems over one zoo share its names.
+		if i > 0 && sameFactories(pb.Factories, problems[i-1].Factories) {
+			pr.names = f.probs[i-1].names
+		}
+		pr.err = pr.setup(pb)
+	}
+	return f
+}
+
+func sameFactories(a, b []Factory) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// setup checks that every target has one value per row of X, validates the
+// selecting targets on the first n rows and cuts those into folds.
+func (pr *problem) setup(pb Problem) error {
+	X, n, k := pb.X, pb.Sel, pb.K
+	pr.factories, pr.n = pb.Factories, n
+	pr.cols = make([]column, len(pb.Targets))
+	selecting := false
+	for t, tg := range pb.Targets {
+		if len(tg.Y) != len(X) {
+			return fmt.Errorf("%w: %d rows vs %d targets", ErrDimMismatch, len(X), len(tg.Y))
+		}
+		c := &pr.cols[t]
 		c.y, c.fam, c.selects = tg.Y, tg.Family, tg.Select
 		if !tg.Select {
 			continue
 		}
 		if _, err := validate(X[:n], tg.Y[:n]); err != nil {
-			return nil, err
+			return err
 		}
 		selecting = true
 	}
 	if !selecting {
-		return f, nil
+		return nil
 	}
 	if n < 2 {
-		return nil, fmt.Errorf("model: cross-validation produced no folds")
+		return fmt.Errorf("model: cross-validation produced no folds")
 	}
-	f.k = min(max(k, 2), n)
-	k = f.k
-	perm := newRand(seed).Perm(n)
+	pr.k = min(max(k, 2), n)
+	k = pr.k
+	perm := newRand(pb.Seed).Perm(n)
 
 	// With 2 <= k <= n both sides of every fold are non-empty.
-	f.folds = make([]split, k)
+	pr.folds = make([]split, k)
 	for i, p := range perm {
-		for fo := range f.folds {
-			s := &f.folds[fo]
+		for fo := range pr.folds {
+			s := &pr.folds[fo]
 			if i%k == fo {
 				s.vaX, s.va = append(s.vaX, X[p]), append(s.va, p)
 			} else {
@@ -232,21 +280,30 @@ func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed
 			}
 		}
 	}
-	f.names = make([]string, nf)
-	all := make([]int, nf)
-	for fam, fac := range factories {
-		f.names[fam], all[fam] = fac().Name(), fam
+	nf := len(pr.factories)
+	if pr.names == nil {
+		pr.names = make([]string, nf)
+		for fam, fac := range pr.factories {
+			pr.names[fam] = fac().Name()
+		}
 	}
-	for t, tg := range targets {
-		c := &f.cols[t]
+	var all []int
+	for t, tg := range pb.Targets {
+		c := &pr.cols[t]
 		if !c.selects {
 			continue
 		}
 		c.trY, c.vaY = make([][]float64, k), make([][]float64, k)
-		for fo, s := range f.folds {
+		for fo, s := range pr.folds {
 			c.trY[fo], c.vaY[fo] = gather(c.y, s.tr), gather(c.y, s.va)
 		}
 		if c.fams = tg.Families; len(c.fams) == 0 {
+			if all == nil {
+				all = make([]int, nf)
+				for fam := range all {
+					all[fam] = fam
+				}
+			}
 			c.fams = all
 		}
 		nc := len(c.fams)
@@ -254,19 +311,25 @@ func newFit(factories []Factory, X [][]float64, targets []Target, n, k int, seed
 		c.se, c.re, c.dropped = make([]float64, nc), make([]float64, nc), make([]bool, nc)
 		c.lead = max(slices.Index(c.fams, c.fam), 0)
 	}
-	return f, nil
+	return nil
 }
 
 // run queues every selecting target's wave 0 and, in a Fit, the whole-buffer
-// Train of every other target, then works the graph to the end. It returns
-// the summed job time.
+// Train of every other target, problem by problem, then works the graph to
+// the end. It returns the summed job time.
 func (f *fit) run() time.Duration {
-	for t := range f.cols {
-		switch {
-		case f.cols[t].selects:
-			f.queueWave(t)
-		case f.whole != nil:
-			f.pool.push(job{t, 0, -1})
+	for i := range f.probs {
+		pr := &f.probs[i]
+		if pr.err != nil {
+			continue
+		}
+		for t := range pr.cols {
+			switch {
+			case pr.cols[t].selects:
+				f.queueWave(i, t)
+			case pr.whole != nil:
+				f.pool.push(job{i, t, 0, -1})
+			}
 		}
 	}
 	return f.pool.run()
@@ -275,14 +338,14 @@ func (f *fit) run() time.Duration {
 // span is the folds of one candidate that the column's current wave trains:
 // all of them in wave 0 for the lead (and for everyone on the full grid), else
 // the wave's own.
-func (f *fit) span(c *column, cand int) (lo, hi int) {
+func (f *fit) span(pr *problem, c *column, cand int) (lo, hi int) {
 	switch {
 	case c.dropped[cand]:
 		return 0, 0
 	case f.key != nil && cand != c.lead:
 		return c.wave, c.wave + 1
 	case c.wave == 0:
-		return 0, f.k
+		return 0, pr.k
 	}
 	return 0, 0
 }
@@ -291,39 +354,41 @@ func (f *fit) span(c *column, cand int) (lo, hi int) {
 // one extra count while they are queued, so the wave cannot complete under
 // the loop; if they have all finished by then (or there were none), the wave
 // is completed here.
-func (f *fit) queueWave(t int) {
-	c := &f.cols[t]
+func (f *fit) queueWave(p, t int) {
+	pr := &f.probs[p]
+	c := &pr.cols[t]
 	for {
 		c.left.Store(1)
 		for cand := range c.fams {
-			for fold, hi := f.span(c, cand); fold < hi; fold++ {
+			for fold, hi := f.span(pr, c, cand); fold < hi; fold++ {
 				c.left.Add(1)
-				f.pool.push(job{t, cand, fold})
+				f.pool.push(job{p, t, cand, fold})
 			}
 		}
-		if c.left.Add(-1) > 0 || !f.endWave(t) {
+		if c.left.Add(-1) > 0 || !f.endWave(p, t) {
 			return
 		}
 	}
 }
 
 func (f *fit) do(j job) {
-	c := &f.cols[j.col]
+	pr := &f.probs[j.prob]
+	c := &pr.cols[j.col]
 	if j.fold < 0 {
-		c.model = f.factories[c.fam]()
-		c.err = c.model.Train(f.whole, c.y)
+		c.model = pr.factories[c.fam]()
+		c.err = c.model.Train(pr.whole, c.y)
 		return
 	}
-	s := &f.folds[j.fold]
-	if m := f.factories[c.fams[j.cand]](); m.Train(s.trX, c.trY[j.fold]) == nil {
+	s := &pr.folds[j.fold]
+	if m := pr.factories[c.fams[j.cand]](); m.Train(s.trX, c.trY[j.fold]) == nil {
 		out := make([]float64, len(s.vaX))
 		for i, x := range s.vaX {
 			out[i] = m.Predict(x)
 		}
-		c.preds[j.cand*f.k+j.fold] = out
+		c.preds[j.cand*pr.k+j.fold] = out
 	}
-	if c.left.Add(-1) == 0 && f.endWave(j.col) {
-		f.queueWave(j.col)
+	if c.left.Add(-1) == 0 && f.endWave(j.prob, j.col) {
+		f.queueWave(j.prob, j.col)
 	}
 }
 
@@ -331,41 +396,42 @@ func (f *fit) do(j job) {
 // order, drops what the lead's score already rules out and moves to the next
 // wave, reporting whether there is one. After the last it settles the
 // selection and, in a Fit, queues the winner's whole-buffer Train.
-func (f *fit) endWave(t int) bool {
-	c := &f.cols[t]
+func (f *fit) endWave(p, t int) bool {
+	pr := &f.probs[p]
+	c := &pr.cols[t]
 	nc := len(c.fams)
 	for cand := range nc {
-		lo, hi := f.span(c, cand)
-		c.reduce(cand, lo, hi, f.k)
+		lo, hi := f.span(pr, c, cand)
+		c.reduce(cand, lo, hi, pr.k)
 		c.trained += hi - lo
 	}
-	if c.wave++; c.wave < f.k {
+	if c.wave++; c.wave < pr.k {
 		if f.key != nil {
-			bound := f.key(f.score(c, c.lead))
+			bound := f.key(pr.score(c, c.lead))
 			for cand := 1; cand < nc; cand++ {
-				c.dropped[cand] = c.dropped[cand] || f.key(f.score(c, cand)) > bound
+				c.dropped[cand] = c.dropped[cand] || f.key(pr.score(c, cand)) > bound
 			}
 		}
 		return true
 	}
 	scores := make([]Score, nc)
 	for cand := range scores {
-		scores[cand] = f.score(c, cand)
-		scores[cand].Name = f.names[c.fams[cand]]
+		scores[cand] = pr.score(c, cand)
+		scores[cand].Name = pr.names[c.fams[cand]]
 	}
-	c.sel = Selection{Scores: scores, Trained: c.trained, Skipped: nc*f.k - c.trained}
+	c.sel = Selection{Scores: scores, Trained: c.trained, Skipped: nc*pr.k - c.trained}
 	if f.key != nil {
 		c.sel.Best = c.fams[Best(scores, f.key)]
 		c.fam = c.sel.Best
 	}
-	if f.whole != nil {
-		f.pool.push(job{t, 0, -1})
+	if pr.whole != nil {
+		f.pool.push(job{p, t, 0, -1})
 	}
 	return false
 }
 
-func (f *fit) score(c *column, cand int) Score {
-	return Score{RMSE: math.Sqrt(c.se[cand] / float64(f.n)), RelErr: c.re[cand] / float64(f.n), Bound: c.dropped[cand]}
+func (pr *problem) score(c *column, cand int) Score {
+	return Score{RMSE: math.Sqrt(c.se[cand] / float64(pr.n)), RelErr: c.re[cand] / float64(pr.n), Bound: c.dropped[cand]}
 }
 
 // reduce adds the errors of the trained folds [lo, hi) of one candidate to its

@@ -84,6 +84,12 @@ func TestPoolRunsAJobGraphToTheEnd(t *testing.T) {
 	}
 }
 
+// fitOne is a Fit of one problem.
+func fitOne(zoo []Factory, X [][]float64, targets []Target, sel, k int, seed int64, key func(Score) float64) ([]Fitted, time.Duration, error) {
+	out, errs, busy := Fit([]Problem{{Factories: zoo, X: X, Targets: targets, Sel: sel, K: k, Seed: seed}}, key)
+	return out[0], busy, errs[0]
+}
+
 // failsWhole trains like Linear on a fold but fails on the whole buffer (n
 // rows), naming the target by its first value.
 type failsWhole struct {
@@ -129,7 +135,7 @@ func TestFitMatchesSelectThenTrain(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		base := runtime.NumGoroutine()
-		got, busy, err := Fit(zoo, X, targets, sel, 5, 8, ByRelErr)
+		got, busy, err := fitOne(zoo, X, targets, sel, 5, 8, ByRelErr)
 		if err != nil || busy <= 0 {
 			t.Fatalf("GOMAXPROCS=%d: %v, %v of job time", procs, err, busy)
 		}
@@ -186,7 +192,7 @@ func TestFitReportsEachTargetsTrainError(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 10; rep++ {
-			got, _, err := Fit(zoo, X, targets, len(X), 5, 1, byRMSE)
+			got, _, err := fitOne(zoo, X, targets, len(X), 5, 1, byRMSE)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +207,7 @@ func TestFitReportsEachTargetsTrainError(t *testing.T) {
 			}
 		}
 	}
-	if _, _, err := Fit(zoo, X, []Target{{Y: y[1:]}}, len(X), 5, 1, byRMSE); err == nil {
+	if _, _, err := fitOne(zoo, X, []Target{{Y: y[1:]}}, len(X), 5, 1, byRMSE); err == nil {
 		t.Error("a target with one value too few was accepted")
 	}
 }
@@ -237,11 +243,11 @@ func TestFitWithCandidatesMatchesWholeZoo(t *testing.T) {
 			}
 		}
 		lead := rng.Intn(len(zoo)+1) - 1
-		full, _, err := Fit(zoo, X, []Target{{Y: y, Family: lead, Select: true}}, n, 5, int64(s), ByRelErr)
+		full, _, err := fitOne(zoo, X, []Target{{Y: y, Family: lead, Select: true}}, n, 5, int64(s), ByRelErr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		narrow, _, err := Fit(zoo, X, []Target{{Y: y, Family: lead, Select: true, Families: cands}}, n, 5, int64(s), ByRelErr)
+		narrow, _, err := fitOne(zoo, X, []Target{{Y: y, Family: lead, Select: true, Families: cands}}, n, 5, int64(s), ByRelErr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,5 +276,83 @@ func TestFitWithCandidatesMatchesWholeZoo(t *testing.T) {
 	t.Logf("%d of %d streams won outside their candidates", outside, streams)
 	if outside == streams {
 		t.Error("no stream's winner was a candidate")
+	}
+}
+
+// A Fit of several problems is each problem fitted alone: the same Selection
+// (Scores, Best, Trained, Skipped), family, error and prediction bits on probe
+// rows, at every worker count. The problems differ in rows, width, zoo, folds,
+// seed, selection prefix and targets, one shares its zoo with the problem
+// before it, and one fails validation without touching the others.
+func TestFitOfSeveralProblemsMatchesEachAlone(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(44))
+	var problems []Problem
+	for i := range 7 {
+		n, dims := 6+rng.Intn(40), 2+rng.Intn(3)
+		X, y := synth(n, dims, int64(i), nonlinearFn, 0.2)
+		zoo := selectZoo(X, int64(i))
+		if i == 4 {
+			zoo = DefaultFactories(int64(i)) // other family names
+		}
+		if i == 3 {
+			zoo = problems[2].Factories // the previous problem's zoo: shared names
+			X, y = synth(len(problems[2].X), len(problems[2].X[0]), int64(i), nonlinearFn, 0.2)
+		}
+		cols := selectColumns(X, y)
+		var targets []Target
+		for t, col := range cols[:1+rng.Intn(len(cols))] {
+			tg := Target{Y: col, Family: rng.Intn(len(zoo)+1) - 1, Select: rng.Intn(3) > 0}
+			if t%2 == 1 {
+				tg.Families = []int{0, 2, 7}
+			}
+			if !tg.Select && tg.Family < 0 {
+				tg.Family = 0
+			}
+			targets = append(targets, tg)
+		}
+		if i == 5 {
+			targets = append(targets, Target{Y: y[1:], Select: true}) // one value too few
+		}
+		problems = append(problems, Problem{Factories: zoo, X: X, Targets: targets, Sel: 2 + rng.Intn(len(X)-1), K: 2 + rng.Intn(5), Seed: int64(100 + i)})
+	}
+	runtime.GOMAXPROCS(1)
+	want := make([][]Fitted, len(problems))
+	wantErr := make([]error, len(problems))
+	for i, pb := range problems {
+		out, errs, _ := Fit([]Problem{pb}, ByRelErr)
+		want[i], wantErr[i] = out[0], errs[0]
+	}
+	if wantErr[5] == nil {
+		t.Fatal("a target with one value too few was accepted")
+	}
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		base := runtime.NumGoroutine()
+		got, errs, busy := Fit(problems, ByRelErr)
+		if busy <= 0 {
+			t.Fatalf("GOMAXPROCS=%d: %v of job time", procs, busy)
+		}
+		waitGoroutines(t, base, "a fit of several problems")
+		for i, pb := range problems {
+			if fmt.Sprint(errs[i]) != fmt.Sprint(wantErr[i]) || len(got[i]) != len(want[i]) {
+				t.Fatalf("GOMAXPROCS=%d, problem %d: error %v and %d targets, alone %v and %d", procs, i, errs[i], len(got[i]), wantErr[i], len(want[i]))
+			}
+			probes, _ := synth(10, len(pb.X[0]), int64(i)+1000, nonlinearFn, 0)
+			for tg, f := range got[i] {
+				w := want[i][tg]
+				if err := sameSelections([]Selection{f.Selection}, []Selection{w.Selection}); err != nil || f.Family != w.Family || fmt.Sprint(f.Err) != fmt.Sprint(w.Err) {
+					t.Fatalf("GOMAXPROCS=%d, problem %d, target %d: family %d (%v) %v, alone %d (%v)", procs, i, tg, f.Family, f.Err, err, w.Family, w.Err)
+				}
+				if f.Model == nil {
+					continue
+				}
+				for _, x := range append(probes, pb.X...) {
+					if a, b := f.Model.Predict(x), w.Model.Predict(x); !sameBits(a, b) {
+						t.Fatalf("GOMAXPROCS=%d, problem %d, target %d: Predict = %v, alone %v", procs, i, tg, a, b)
+					}
+				}
+			}
+		}
 	}
 }

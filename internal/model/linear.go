@@ -104,16 +104,17 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 	rng := newRand(l.seed)
 	// One set of buffers for all subsamples: a subsample is fitted into cand,
 	// which swaps with best when its median is smaller, and every fit shares
-	// the solver scratch s. pred and res are scratch for the median and perm
-	// for the draws.
+	// the solver scratch s. The rows are grouped once, into distinct rows
+	// (pred holds a subsample fit's prediction for each) and into distinct
+	// (row, target) pairs for the median; perm is scratch for the draws.
 	var s lsq
 	cand, best := NewLinear(), NewLinear()
 	found, bestMed := false, 0.0
 	rows, group := distinctRows(X)
+	med := newResidualPairs(group, y)
 	sx := make([][]float64, subset)
 	sy := make([]float64, subset)
 	pred := make([]float64, len(rows))
-	res := make([]float64, n)
 	perm := make([]int, n)
 	for range l.samples {
 		permInto(rng, perm)
@@ -126,9 +127,9 @@ func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
 		for g, x := range rows {
 			pred[g] = cand.Predict(x)
 		}
-		if med := medianSquaredResidual(pred, group, y, res); !found || med < bestMed {
+		if m := med.median(pred); !found || m < bestMed {
 			cand, best = best, cand
-			found, bestMed = true, med
+			found, bestMed = true, m
 		}
 	}
 	if !found {
@@ -148,51 +149,99 @@ func (l *LeastMedianSquares) Predict(x []float64) float64 {
 	return l.inner.Predict(x)
 }
 
-// medianSquaredResidual returns the len(y)/2-th smallest squared residual
-// of the predictions against y — what sorting them with sort.Float64s and
-// indexing would, NaNs ordered first. The rows are given as distinctRows
-// groups them, with pred[g] the prediction for distinct row g; res (len(y)
-// long) is scratch for the residuals, taken row by row in order.
-func medianSquaredResidual(pred []float64, group []int, y, res []float64) float64 {
-	nans := 0
+// residualPairs groups the rows of a LeastMedSq Train by (distinct row, bits
+// of the target): every row of a pair has the same squared residual under any
+// fit, bit for bit, so the median takes each pair once, weighted by its row
+// count, instead of every row.
+type residualPairs struct {
+	pairs []residualPair // in no particular order: median reorders them
+	n     int            // rows
+}
+
+type residualPair struct {
+	row   int // the distinct row, an index into the predictions
+	y     float64
+	count int
+	sq    float64 // scratch: the squared residual under the fit at hand
+}
+
+// newResidualPairs groups rows given as distinctRows groups them (group[i]
+// is row i's distinct row) with their targets y. An open-addressing table of
+// pair indices does the grouping, as in distinctRows.
+func newResidualPairs(group []int, y []float64) residualPairs {
+	r := residualPairs{pairs: make([]residualPair, 0, len(y)), n: len(y)}
+	bits := 1
+	for 1<<bits < 2*len(y) {
+		bits++
+	}
+	table := make([]int32, 1<<bits) // pair index + 1; 0 is an empty slot
+	mask := uint64(len(table) - 1)
 	for i, g := range group {
-		d := pred[g] - y[i]
-		res[i] = d * d
-		if math.IsNaN(res[i]) {
-			res[i], res[nans] = res[nans], res[i]
-			nans++
+		yb := math.Float64bits(y[i])
+		h := (uint64(g)*0x9e3779b97f4a7c15 ^ yb) * 0x9e3779b97f4a7c15
+		for slot := h >> (64 - bits); ; slot = (slot + 1) & mask {
+			p := int(table[slot]) - 1
+			if p < 0 {
+				table[slot] = int32(len(r.pairs) + 1)
+				r.pairs = append(r.pairs, residualPair{row: g, y: y[i], count: 1})
+				break
+			}
+			if q := &r.pairs[p]; q.row == g && math.Float64bits(q.y) == yb {
+				q.count++
+				break
+			}
 		}
 	}
-	k := len(res) / 2
+	return r
+}
+
+// median returns the n/2-th smallest squared residual of the rows, with
+// pred[g] the prediction for distinct row g — what sorting the n per-row
+// residuals with sort.Float64s and indexing would, NaNs ordered first.
+func (r *residualPairs) median(pred []float64) float64 {
+	a, nans, nanPairs := r.pairs, 0, 0
+	for i := range a {
+		d := pred[a[i].row] - a[i].y
+		if a[i].sq = d * d; math.IsNaN(a[i].sq) {
+			nans += a[i].count
+			a[i], a[nanPairs] = a[nanPairs], a[i]
+			nanPairs++
+		}
+	}
+	k := r.n / 2
 	if k < nans {
 		return math.NaN()
 	}
-	return selectKth(res[nans:], k-nans)
+	return selectKthWeighted(a[nanPairs:], k-nans)
 }
 
-// selectKth returns the k-th smallest (0-based) of the NaN-free a, reordering
-// it: quickselect, median-of-three pivot, Hoare partition. It draws no random
+// selectKthWeighted returns the k-th smallest (0-based) squared residual of
+// the rows of the NaN-free pairs a, which hold more than k rows, reordering
+// a: quickselect, median-of-three pivot, Hoare partition, as an unweighted
+// select over the rows would, but with a pair's rows moving as one. The
+// squares are never -0, so equal values have equal bits and the result is
+// the bits of the k-th element of the sorted rows. It draws no random
 // numbers, so callers' random streams are untouched.
-func selectKth(a []float64, k int) float64 {
+func selectKthWeighted(a []residualPair, k int) float64 {
 	lo, hi := 0, len(a)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
+		if a[mid].sq < a[lo].sq {
 			a[mid], a[lo] = a[lo], a[mid]
 		}
-		if a[hi] < a[lo] {
+		if a[hi].sq < a[lo].sq {
 			a[hi], a[lo] = a[lo], a[hi]
 		}
-		if a[hi] < a[mid] {
+		if a[hi].sq < a[mid].sq {
 			a[hi], a[mid] = a[mid], a[hi]
 		}
-		pivot := a[mid]
+		pivot := a[mid].sq
 		i, j := lo, hi
 		for i <= j {
-			for a[i] < pivot {
+			for a[i].sq < pivot {
 				i++
 			}
-			for pivot < a[j] {
+			for pivot < a[j].sq {
 				j--
 			}
 			if i <= j {
@@ -201,14 +250,24 @@ func selectKth(a []float64, k int) float64 {
 				j--
 			}
 		}
+		// a[lo..j] <= pivot, a[j+1..i-1] == pivot, a[i..hi] >= pivot.
+		below := 0
+		for _, p := range a[lo : j+1] {
+			below += p.count
+		}
+		equal := 0
+		for _, p := range a[j+1 : i] {
+			equal += p.count
+		}
 		switch {
-		case k <= j:
+		case k < below:
 			hi = j
-		case k >= i:
-			lo = i
+		case k < below+equal:
+			return pivot
 		default:
-			return a[k]
+			k -= below + equal
+			lo = i
 		}
 	}
-	return a[k]
+	return a[lo].sq
 }

@@ -90,17 +90,7 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 		clear(g2)
 		for g, z := range Z {
 			z = z[:dims]
-			// Forward.
-			for h := range hidden {
-				row := w1[h*stride:][:stride]
-				s := row[dims]
-				for j, w := range row[:dims] {
-					s += w * z[j]
-				}
-				act[h] = math.Tanh(s)
-			}
-			act[hidden] = 1
-			out := dot(act, w2)
+			out := forward(w1, w2, z, act)
 			// Backward.
 			errOut := count[g]*out - sumT[g]
 			for h, a := range act {
@@ -147,4 +137,57 @@ func (m *MLP) Predict(x []float64) float64 {
 	}
 	out += m.w2[m.hidden]
 	return m.tgt.decode(out)
+}
+
+// forward is the forward pass of one standardized row z: the hidden layer's
+// activations into act (hidden+1 long, the bias unit's 1 last) from the flat
+// rows of w1, and the output sum over act and w2 in dot's order — the bias
+// unit's term is 1·w2[hidden], which is w2[hidden]. Its tanh is the standard
+// library's portable math.tanh, inlined branch for branch with the same
+// constants (math.Tanh calls it behind an architecture switch and is too
+// large to inline), so the activations are math.Tanh's bits.
+func forward(w1, w2, z, act []float64) float64 {
+	const (
+		maxLog = 8.8029691931113054295988e+01 // log(2**127)
+		p0     = -9.64399179425052238628e-1
+		p1     = -9.92877231001918586564e1
+		p2     = -1.61468768441708447952e3
+		q0     = 1.12811678491632931402e2
+		q1     = 2.23548839060100448583e3
+		q2     = 4.84406305325125486048e3
+	)
+	dims, hidden := len(z), len(act)-1
+	stride := dims + 1
+	out := 0.0
+	for h := range hidden {
+		row := w1[h*stride:][:stride]
+		x := row[dims]
+		for j, w := range row[:dims] {
+			x += w * z[j]
+		}
+		// a = tanh(x), as math.tanh computes it.
+		var a float64
+		switch z := math.Abs(x); {
+		case z > 0.5*maxLog:
+			a = 1
+			if x < 0 {
+				a = -1
+			}
+		case z >= 0.625:
+			s := math.Exp(2 * z)
+			a = 1 - 2/(s+1)
+			if x < 0 {
+				a = -a
+			}
+		case x == 0:
+			a = x
+		default:
+			s := x * x
+			a = x + x*s*((p0*s+p1)*s+p2)/(((s+q0)*s+q1)*s+q2)
+		}
+		act[h] = a
+		out += a * w2[h]
+	}
+	act[hidden] = 1
+	return out + w2[hidden]
 }

@@ -299,7 +299,7 @@ func TestConstantFeature(t *testing.T) {
 
 func TestCrossValidateSelectsReasonably(t *testing.T) {
 	X, y := synth(80, 2, 26, linearFn, 0.1)
-	fitted, _, err := Fit(DefaultFactories(1), X, []Target{{Y: y, Select: true}}, len(X), 5, 2, byRMSE)
+	fitted, _, err := fitOne(DefaultFactories(1), X, []Target{{Y: y, Select: true}}, len(X), 5, 2, byRMSE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +473,8 @@ func TestMedianSquaredResidualMatchesSort(t *testing.T) {
 		for g, x := range rows {
 			pred[g] = x[0]
 		}
-		got := medianSquaredResidual(pred, group, make([]float64, n), make([]float64, n))
+		med := newResidualPairs(group, make([]float64, n))
+		got := med.median(pred)
 		if w := want[n/2]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
 			t.Fatalf("trial %d: median of squares of %v = %v, sort says %v", trial, vals, got, w)
 		}

@@ -352,6 +352,39 @@ func TestMLPTrainMatchesReference(t *testing.T) {
 	}
 }
 
+// forward's inlined tanh is math.Tanh bit for bit. With no features a hidden
+// unit's pre-activation is its bias exactly, so biases set to the probes read
+// each probe's tanh out of act: a dense sweep over [-25, 25], random bit
+// patterns, and the edges — ±0, ±Inf, NaN, subnormals, the branch points
+// ±0.625 and ±0.5·MAXLOG with their neighbours.
+func TestForwardTanhMatchesMathTanh(t *testing.T) {
+	const maxLog = 8.8029691931113054295988e+01
+	var probes []float64
+	for _, x := range []float64{
+		0, math.SmallestNonzeroFloat64, 0x1p-1022 - math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-60, 1e-300,
+		0.625, 0.5 * maxLog, 1, 20, math.MaxFloat64, math.Inf(1), math.NaN(),
+	} {
+		for _, v := range []float64{x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1))} {
+			probes = append(probes, v, -v)
+		}
+	}
+	for x := -25.0; x <= 25; x += 1.0 / 4096 {
+		probes = append(probes, x)
+	}
+	rng := rand.New(rand.NewSource(43))
+	for range 100_000 {
+		probes = append(probes, math.Float64frombits(rng.Uint64()))
+	}
+	act := make([]float64, len(probes)+1)
+	forward(probes, make([]float64, len(probes)+1), nil, act)
+	for i, x := range probes {
+		if got, want := act[i], math.Tanh(x); !sameBits(got, want) {
+			t.Fatalf("tanh(%v) [bits %#x] = %v [%#x], math.Tanh says %v [%#x]",
+				x, math.Float64bits(x), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // close9 reports whether a and b agree to 1e-9 relative, NaN matching NaN.
@@ -582,6 +615,142 @@ func referenceMedianSquaredResidual(m Model, X [][]float64, y []float64) float64
 	return res[len(res)/2]
 }
 
+// perRowMedianSquaredResidual is the median of LeastMedSq as it was before it
+// took each (distinct row, target) pair once: every row's squared residual,
+// then an unweighted quickselect (selectKth).
+func perRowMedianSquaredResidual(pred []float64, group []int, y []float64) float64 {
+	res := make([]float64, len(y))
+	nans := 0
+	for i, g := range group {
+		d := pred[g] - y[i]
+		res[i] = d * d
+		if math.IsNaN(res[i]) {
+			res[i], res[nans] = res[nans], res[i]
+			nans++
+		}
+	}
+	k := len(res) / 2
+	if k < nans {
+		return math.NaN()
+	}
+	return selectKth(res[nans:], k-nans)
+}
+
+// selectKth returns the k-th smallest (0-based) of the NaN-free a, reordering
+// it: quickselect, median-of-three pivot, Hoare partition.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
+}
+
+// medianShape decodes a fuzz input into the arguments of a median: n rows
+// over a few distinct rows (group), their predictions and targets drawn from
+// small pools, so that rows repeat, residuals tie, and ±Inf, NaN and -0 turn
+// up in both.
+func medianShape(data []byte) (pred []float64, group []int, y []float64) {
+	pool := []float64{0, math.Copysign(0, -1), 1, -1, 2, 0.5, 1e-160, 1e200, math.Inf(1), math.Inf(-1), math.NaN(), 3}
+	if len(data) == 0 {
+		return nil, nil, nil
+	}
+	groups := 1 + int(data[0])%8
+	pred = make([]float64, groups)
+	for g := range pred {
+		pred[g] = pool[(g*5+int(data[0]))%len(pool)]
+	}
+	for i, b := range data[1:] {
+		// group[i] <= i: a group's first row comes first, as in distinctRows.
+		group = append(group, min(int(b)%groups, i))
+		y = append(y, pool[int(b>>3)%len(pool)])
+	}
+	return pred, group, y
+}
+
+// The median over (distinct row, target) pairs is the per-row median's bits:
+// duplicates, ties, infinities, -0 and NaN residuals (counted first) included.
+func FuzzMedianOverPairs(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{7, 80, 81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93})
+	f.Add([]byte{5, 255, 254, 253, 8, 8, 8, 16, 16, 16, 24, 24, 24, 0})
+	f.Add([]byte{2, 40, 48, 56, 40, 48, 56, 1, 9, 17})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pred, group, y := medianShape(data)
+		if len(y) == 0 {
+			return
+		}
+		want := perRowMedianSquaredResidual(pred, group, y)
+		med := newResidualPairs(group, y)
+		if got := med.median(pred); !sameBits(got, want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("pred %v group %v y %v: median over pairs %v, per row %v", pred, group, y, got, want)
+		}
+	})
+}
+
+// The median over pairs and the per-row one agree on random rows with many
+// repeats, on the rows' own predictions by a fitted line.
+func TestMedianOverPairsMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 300; trial++ {
+		n, dims := 2+rng.Intn(100), 1+rng.Intn(4)
+		X, y := repeatedRows(n, 1+rng.Intn(10), dims, int64(trial))
+		if trial%3 == 0 {
+			for i := range y { // ties across rows of one group
+				y[i] = math.Round(y[i])
+			}
+		}
+		lin := NewLinear()
+		if err := lin.Train(X, y); err != nil {
+			t.Fatal(err)
+		}
+		rows, group := distinctRows(X)
+		pred := make([]float64, len(rows))
+		for g, x := range rows {
+			pred[g] = lin.Predict(x)
+		}
+		r := newResidualPairs(group, y)
+		for rep := 0; rep < 2; rep++ { // the scratch is reused
+			if got, want := r.median(pred), perRowMedianSquaredResidual(pred, group, y); !sameBits(got, want) {
+				t.Fatalf("trial %d: median over %d pairs %v, per row %v", trial, len(r.pairs), got, want)
+			}
+		}
+	}
+}
+
 // The allocation-free predictions and the per-distinct-row median are the
 // same bits as the code they replaced, on inputs with and without repeats and
 // on feature vectors shorter and longer than the trained ones.
@@ -626,7 +795,8 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 		for g, x := range rows {
 			pred[g] = lin.Predict(x)
 		}
-		got := medianSquaredResidual(pred, group, y, make([]float64, n))
+		med := newResidualPairs(group, y)
+		got := med.median(pred)
 		if want := referenceMedianSquaredResidual(lin, X, y); !sameBits(got, want) {
 			t.Fatalf("trial %d: median squared residual %v, reference %v", trial, got, want)
 		}

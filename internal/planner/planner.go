@@ -48,6 +48,14 @@ type Estimator interface {
 	Estimates(opName string, feats map[string]float64) Estimates
 }
 
+// Prefitter is an Estimator that can bring the models of several operators
+// up to date at once. Before a table build reads any estimate, the planner
+// hands it the usable matches of every operator node of the workflow.
+// Prefit must not retain names: the planner refills one slice.
+type Prefitter interface {
+	Prefit(names []string)
+}
+
 // Estimates are an operator's estimated execution time, monetary cost and
 // output size at one configuration. A candidate needs both verdicts; an
 // output size that is not positive keeps the input's.
@@ -123,14 +131,17 @@ type Planner struct {
 	mu    sync.Mutex
 	cache planCache
 	// Scratch buffers of the running build, guarded by mu. dp is the table
-	// being built, emptied again when its request returns. readSigs is filled
-	// by nodeKey with the entry signatures it reads; buildTable copies it into
-	// the footprint of a freshly evaluated node. feats is the feature map
-	// handed to the Estimator, vecs the vectors of the front being pruned,
-	// evict the stack of node keys an invalidation is evicting; options,
-	// optionVec and next are paretoCandidates' per-slot working lists, order
-	// and dropped prune's.
+	// being built, emptied again when its request returns. sets are the
+	// match sets of the build's operator nodes in order, prefit the names
+	// handed to the Prefitter. readSigs is filled by nodeKey with the entry
+	// signatures it reads; buildTable copies it into the footprint of a
+	// freshly evaluated node. feats is the feature map handed to the
+	// Estimator, vecs the vectors of the front being pruned, evict the stack
+	// of node keys an invalidation is evicting; options, optionVec and next
+	// are paretoCandidates' per-slot working lists, order and dropped prune's.
 	dp              table
+	sets            []*matchSet
+	prefit          []string
 	readSigs        []sig
 	feats           map[string]float64
 	vecs            []pVec
@@ -442,12 +453,37 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 		}
 	}
 
+	// Every operator the DP may estimate is brought up to date in one batch
+	// first: the usable matches of every operator node, as evalNode filters
+	// them. A dirty operator's node results were evicted by its retrain, so
+	// the build would read it anyway.
+	sets := p.sets[:0]
+	for _, o := range order {
+		if o.Kind == workflow.OperatorNode {
+			sets = append(sets, p.matchSetLocked(o.Operator))
+		}
+	}
+	p.sets = sets
+	if pf, ok := p.cfg.Estimator.(Prefitter); ok {
+		names := p.prefit[:0]
+		for _, ms := range sets {
+			for i, mo := range ms.matches {
+				if p.cache.usable(ms.engines[i]) {
+					names = append(names, mo.Name)
+				}
+			}
+		}
+		p.prefit = names
+		pf.Prefit(names)
+	}
+
 	for _, o := range order {
 		if o.Kind != workflow.OperatorNode {
 			continue
 		}
 		p.readSigs = p.readSigs[:0]
-		ms := p.matchSetLocked(o.Operator)
+		ms := sets[0]
+		sets = sets[1:]
 		key := p.nodeKey(o, ms, dp, pareto)
 		res, ok := p.cache.nodes[key]
 		if ok {

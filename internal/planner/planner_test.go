@@ -440,7 +440,9 @@ func TestTrivialTargetAlreadyMaterialized(t *testing.T) {
 	}
 }
 
-func TestDiamondSharedProducerNotDuplicated(t *testing.T) {
+// diamond is src -> a -> da; da -> b -> db; da -> c -> dc; db,dc -> join ->
+// out, one Java implementation per operator.
+func diamond(t *testing.T) (*operator.Library, stubEstimator, *workflow.Graph) {
 	lib := mustLib(t, map[string]string{
 		"a_java":    "Constraints.Engine=Java\nConstraints.OpSpecification.Algorithm.name=a",
 		"b_java":    "Constraints.Engine=Java\nConstraints.OpSpecification.Algorithm.name=b",
@@ -461,7 +463,6 @@ func TestDiamondSharedProducerNotDuplicated(t *testing.T) {
 	for _, d := range []string{"da", "db", "dc", "out"} {
 		g.AddDataset(d, nil)
 	}
-	// src -> a -> da; da -> b -> db; da -> c -> dc; db,dc -> join -> out
 	for _, e := range [][2]string{
 		{"src", "a"}, {"a", "da"},
 		{"da", "b"}, {"b", "db"},
@@ -473,6 +474,11 @@ func TestDiamondSharedProducerNotDuplicated(t *testing.T) {
 		}
 	}
 	g.SetTarget("out")
+	return lib, est, g
+}
+
+func TestDiamondSharedProducerNotDuplicated(t *testing.T) {
+	lib, est, g := diamond(t)
 	p := newPlanner(t, lib, est)
 	plan, err := p.Plan(g)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -231,6 +232,152 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 			perTarget[TargetExecTime] != perTarget[TargetOutRecords] || sa.CellsSkipped == 0 || cells > grid {
 			t.Errorf("seed %d: wins %v over %d selections, %d cells trained + %d skipped of at most %d",
 				seed, perTarget, sa.Selections, sa.CellsTrained, sa.CellsSkipped, grid)
+		}
+	}
+}
+
+// A Prefit is a lazy read of each operator it names, done as one batch: a
+// profiler that prefits random name sets (unknown, clean and repeated names
+// among them) at random points agrees, bit for bit, with one that reads each
+// named operator instead — every estimate, ChosenFamily, SampleCount, Gen,
+// the Export bytes and RefinementStats, wins and cells included. A known name
+// is up to date when Prefit returns.
+func TestPrefitMatchesLazyReads(t *testing.T) {
+	space := Space{
+		Records:        []int64{1000, 10_000, 100_000},
+		BytesPerRecord: 40,
+		Params:         map[string][]float64{"iterations": {10}},
+		Resources:      []engine.Resources{{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456}},
+	}
+	ops := []string{"profiled", "fresh", "grows"}
+	pool := []string{"profiled", "fresh", "grows", "unknown"}
+	for seed := int64(1); seed <= 6; seed++ {
+		pre, lazy := lazyProfiler(seed), lazyProfiler(seed)
+		both := func(fn func(p *Profiler) error) {
+			t.Helper()
+			for _, p := range []*Profiler{pre, lazy} {
+				if err := fn(p); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		}
+		both(func(p *Profiler) error {
+			_, err := p.ProfileOffline("profiled", engine.EngineJava, engine.AlgPagerank, space)
+			return err
+		})
+		rng := rand.New(rand.NewSource(seed))
+		prefits := 0
+		for step := 0; step < 120; step++ {
+			op := ops[rng.Intn(len(ops))]
+			switch r := rng.Float64(); {
+			case r < 0.03:
+				both(func(p *Profiler) error {
+					_, err := p.ProfileOffline("profiled", engine.EngineJava, engine.AlgPagerank, space)
+					return err
+				})
+			case r < 0.06:
+				both(func(p *Profiler) error {
+					var buf bytes.Buffer
+					if err := p.Export(&buf); err != nil {
+						return err
+					}
+					return p.Import(&buf)
+				})
+			default:
+				records := int64(1000 + rng.Intn(100_000))
+				var params map[string]float64
+				if op == "grows" && step > 40 {
+					params = map[string]float64{"k": float64(1 + rng.Intn(9))}
+				}
+				run := obsRun(records, 1+float64(records)/1e4*(1+0.1*rng.NormFloat64()), params)
+				if r < 0.15 {
+					run.Failed = true
+					run.Params["records"] = float64(1_000_000 + rng.Intn(1_000_000))
+				}
+				both(func(p *Profiler) error { return p.Observe(op, run) })
+			}
+			if rng.Float64() < 0.35 {
+				var names []string
+				for range rng.Intn(6) {
+					names = append(names, pool[rng.Intn(len(pool))])
+				}
+				pre.Prefit(names)
+				prefits++
+				for _, name := range names {
+					if om, ok := lazy.Models(name); ok {
+						om.ChosenFamily(TargetExecTime)
+					}
+					if om, ok := pre.Models(name); ok {
+						om.mu.Lock()
+						behind := !om.upToDateLocked()
+						om.mu.Unlock()
+						if behind {
+							t.Fatalf("seed %d step %d: %s is still behind its buffer after Prefit(%q)", seed, step, name, names)
+						}
+					}
+				}
+			}
+			if sp, sl := pre.RefinementStats(), lazy.RefinementStats(); !reflect.DeepEqual(sp, sl) || pre.Gen() != lazy.Gen() {
+				t.Fatalf("seed %d step %d: prefit stats %+v gen %d, lazy %+v gen %d", seed, step, sp, pre.Gen(), sl, lazy.Gen())
+			}
+			if rng.Float64() < 0.2 || step == 119 {
+				if got, want := readAll(pre), readAll(lazy); !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d: prefitting reader diverged\n got  %q\n want %q", seed, step, got, want)
+				}
+				if !bytes.Equal(exported(t, pre), exported(t, lazy)) {
+					t.Fatalf("seed %d step %d: export differs from the lazy reader's", seed, step)
+				}
+			}
+		}
+		if st := pre.RefinementStats(); prefits == 0 || st.Fits == 0 || st.FitErrors != 0 {
+			t.Errorf("seed %d: %d prefits, stats %+v", seed, prefits, st)
+		}
+	}
+}
+
+// With nothing dirty Prefit returns at once: no allocation, and the dirty
+// count it reads first is back at 0 once every operator is up to date.
+func TestPrefitWithNothingDirty(t *testing.T) {
+	p := lazyProfiler(5)
+	names := []string{"a", "b", "c", "unknown", "a"}
+	for i := int64(1); i <= 6; i++ {
+		for _, op := range names[:3] {
+			_ = p.Observe(op, obsRun(i*1000, float64(i), nil))
+		}
+	}
+	if n := p.stats.dirty.Load(); n != 3 {
+		t.Fatalf("%d operators counted dirty, want 3", n)
+	}
+	p.Prefit(names)
+	if n := p.stats.dirty.Load(); n != 0 {
+		t.Fatalf("%d operators counted dirty after a Prefit of all of them", n)
+	}
+	if st := p.RefinementStats(); st.Fits != 3 {
+		t.Fatalf("a Prefit of three dirty operators made %d fits", st.Fits)
+	}
+	if a := testing.AllocsPerRun(100, func() { p.Prefit(names) }); a != 0 {
+		t.Errorf("a Prefit with nothing dirty allocates %v times", a)
+	}
+	om, _ := p.Models("b")
+	om.ChosenFamily(TargetExecTime)
+	if st := p.RefinementStats(); st.Fits != 3 {
+		t.Errorf("a read after the Prefit fitted again: %d fits", st.Fits)
+	}
+	// A flag that says dirty over models that are up to date (a fit it
+	// missed) costs Prefit no fit, is cleared, and leaves no lock held.
+	_ = p.Observe("b", obsRun(7000, 7, nil))
+	om.mu.Lock()
+	om.fitN, om.selectN = len(om.X), 0
+	om.mu.Unlock()
+	p.Prefit(names)
+	if st, n := p.RefinementStats(), p.stats.dirty.Load(); st.Fits != 3 || n != 0 || om.dirty.Load() {
+		t.Errorf("a Prefit over a stale flag: %d fits, %d counted dirty, flag %v", st.Fits, n, om.dirty.Load())
+	}
+	for _, name := range names[:3] {
+		if om, _ := p.Models(name); !om.mu.TryLock() {
+			t.Fatalf("%s is still locked after Prefit", name)
+		} else {
+			om.mu.Unlock()
 		}
 	}
 }
@@ -595,8 +742,9 @@ func (s trainSpy) Train(X [][]float64, y []float64) error {
 	return s.Model.Train(X, y)
 }
 
-// A fit is one job on GOMAXPROCS workers, the caller among them: the three
-// targets do not stack a worker set each on a worker set per selection.
+// A fit is one job graph on GOMAXPROCS workers, the caller among them: the
+// three targets do not stack a worker set each on a worker set per selection,
+// and neither do the operators of a Prefit.
 func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
 	const procs = 3
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -608,8 +756,11 @@ func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
 		func() model.Model { return spy(model.NewKNN(3)) },
 		func() model.Model { return spy(model.NewTree(8, 2)) },
 	}
+	ops := []string{"op", "op2", "op3", "op4"}
 	for i := int64(1); i <= 12; i++ {
-		_ = p.Observe("op", obsRun(i*1000, float64(i%5), nil))
+		for _, op := range ops {
+			_ = p.Observe(op, obsRun(i*1000, float64(i%5), nil))
+		}
 	}
 	if _, ok := p.Estimate("op", TargetExecTime, lazyProbes()[0]); !ok {
 		t.Fatal("no estimate")
@@ -619,6 +770,14 @@ func TestLazyFitStaysWithinGOMAXPROCS(t *testing.T) {
 	}
 	if got := peak.Load(); got < 1 || got > procs {
 		t.Errorf("%d Trains in flight at once during a fit of three targets, want at most GOMAXPROCS = %d", got, procs)
+	}
+	peak.Store(0)
+	p.Prefit(ops)
+	if st := p.RefinementStats(); st.Fits != uint64(len(ops)) || st.Selections != uint64(len(ops)*len(lazyTargets)) {
+		t.Fatalf("the Prefit made %d fits and %d selections, want one fit and three selections per operator", st.Fits, st.Selections)
+	}
+	if got := peak.Load(); got < 1 || got > procs {
+		t.Errorf("%d Trains in flight at once during a Prefit of %d dirty operators, want at most GOMAXPROCS = %d", got, len(ops)-1, procs)
 	}
 }
 

@@ -147,8 +147,18 @@ func (p *Profiler) Import(r io.Reader) error {
 			}
 		}
 		p.mu.Lock()
+		old := p.store[po.Operator]
 		p.store[po.Operator] = om
 		p.mu.Unlock()
+		if old != nil {
+			// The replaced operator leaves the store: Prefit no longer
+			// counts it, even when its models were behind.
+			old.mu.Lock()
+			if old.dirty.Swap(false) {
+				p.stats.dirty.Add(-1)
+			}
+			old.mu.Unlock()
+		}
 		p.noteRetrain(po.Operator)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,10 +110,13 @@ type OperatorModels struct {
 	chosen  map[string]string // target -> selected family name
 
 	// Models are fitted by fitLocked, at the first read after the buffer
-	// changed. fitN is the number of rows the fitted models have seen;
-	// selectN is the buffer length at the latest due re-selection that has
-	// not run yet (0: none). Up to date: fitN == len(X) && selectN == 0.
+	// changed, or by a Prefit before it. fitN is the number of rows the
+	// fitted models have seen; selectN is the buffer length at the latest due
+	// re-selection that has not run yet (0: none). Up to date: fitN == len(X)
+	// && selectN == 0. dirty is its negation as of the last noteDirtyLocked,
+	// written under mu and read by Prefit without it.
 	fitN, selectN int
+	dirty         atomic.Bool
 	stats         *refinementCounters
 
 	// failures records feature vectors of failed runs; the smallest failing
@@ -179,6 +183,9 @@ type Profiler struct {
 	retrainListener func(opName string)
 	stats           refinementCounters
 	zoo             *zoo // zooLocked's memo
+	// prefitMu serializes Prefit and guards prefit, its reused batch.
+	prefitMu sync.Mutex
+	prefit   fitBatch
 
 	// Factories is the model zoo used for selection; defaults to
 	// model.DefaultFactories.
@@ -286,6 +293,9 @@ type refinementCounters struct {
 	// summed time of their jobs. They stay out of RefinementStats, which holds
 	// only counts that repeat exactly.
 	fitWall, fitBusy atomic.Int64
+	// dirty counts the operators whose dirty flag is set: while it is 0,
+	// Prefit has nothing to do.
+	dirty atomic.Int64
 
 	mu   sync.Mutex
 	wins map[Win]uint64
@@ -483,6 +493,7 @@ func (p *Profiler) Observe(opName string, run *metrics.Run) error {
 		om.sinceReselect = 0
 	}
 	om.armLocked(reselect)
+	om.noteDirtyLocked()
 	om.stats.observations.Add(1)
 	return nil
 }
@@ -599,83 +610,199 @@ func (om *OperatorModels) armLocked(reselect bool) {
 	}
 }
 
-// fitLocked brings the models up to date with the training buffer. It is the
-// only place a model is trained, and a no-op when nothing changed since the
-// last fit. Every Train is a pure function of its inputs, so one fit here
-// equals a refit after every observation (docs/profiler.md). On error the
-// previous models stay and the fit is not retried until the buffer changes.
-func (om *OperatorModels) fitLocked() error {
-	pending := om.selectN
-	if om.fitN == len(om.X) && pending == 0 {
-		return nil
-	}
-	om.fitN, om.selectN = len(om.X), 0
-	om.stats.fits.Add(1)
-	if err := om.fitTargetsLocked(pending); err != nil {
-		om.stats.fitErrors.Add(1)
-		return err
-	}
-	return nil
+// upToDateLocked reports whether the models have seen every row of the
+// buffer and no re-selection is pending.
+func (om *OperatorModels) upToDateLocked() bool {
+	return om.fitN == len(om.X) && om.selectN == 0
 }
 
-// fitTargetsLocked trains every target's model on the whole buffer, as one
-// job graph (model.Fit): each target keeps its incumbent family, or takes the
-// one a bounded cross-validation picks on X[:pending] when a re-selection is
-// pending — on the whole buffer for a target without a usable family (a
-// version-1 import, a family this build no longer ships). A target's
-// whole-buffer Train starts as soon as its family is known, on the same pool
-// of GOMAXPROCS workers as the other targets' cells. Targets are handled in
-// sorted order, so the error reported is the same on every execution, and
-// nothing is committed unless every target trained.
-func (om *OperatorModels) fitTargetsLocked(pending int) error {
-	n := len(om.X)
-	var targets []string
-	for target, y := range om.targets {
-		if len(y) > 0 {
-			targets = append(targets, target)
+// noteDirtyLocked brings the dirty flag, and the profiler's count of dirty
+// operators that Prefit reads first, in line with upToDateLocked. Every
+// change of fitN, selectN or the buffer's length ends in a call.
+func (om *OperatorModels) noteDirtyLocked() {
+	d := !om.upToDateLocked()
+	if d == om.dirty.Load() {
+		return
+	}
+	om.dirty.Store(d)
+	if d {
+		om.stats.dirty.Add(1)
+	} else {
+		om.stats.dirty.Add(-1)
+	}
+}
+
+// fitLocked brings the models up to date with the training buffer: a batch
+// of one operator (fitBatch), so a lazy read and a Prefit fit one way. It is a
+// no-op when nothing changed since the last fit. Every Train is a pure
+// function of its inputs, so one fit here equals a refit after every
+// observation (docs/profiler.md). On error the previous models stay and the
+// fit is not retried until the buffer changes.
+func (om *OperatorModels) fitLocked() error {
+	if om.upToDateLocked() {
+		return nil
+	}
+	var b fitBatch
+	b.oms = append(b.oms, om)
+	b.runLocked()
+	return b.fits[0].err
+}
+
+// Prefit brings the models of the named operators up to date before they are
+// read, as one model.Fit job graph on one pool of GOMAXPROCS workers: the
+// planner calls it with every operator a table build may estimate, so their
+// fits run side by side instead of one at a time, each when the build first
+// reads it. Unknown, clean and repeated names are skipped. The models are
+// those the lazy reads would fit (docs/profiler.md, "Why deferral is exact").
+// With nothing dirty it returns at once, taking no lock.
+func (p *Profiler) Prefit(names []string) {
+	if p.stats.dirty.Load() == 0 {
+		return
+	}
+	p.prefitMu.Lock()
+	defer p.prefitMu.Unlock()
+	b := &p.prefit
+	p.mu.RLock()
+	for _, name := range names {
+		if om, ok := p.store[name]; ok && om.dirty.Load() {
+			b.oms = append(b.oms, om)
 		}
 	}
-	sort.Strings(targets)
-	jobs := make([]model.Target, len(targets))
-	for i, target := range targets {
+	p.mu.RUnlock()
+	slices.SortFunc(b.oms, func(a, b *OperatorModels) int { return strings.Compare(a.Operator, b.Operator) })
+	b.oms = slices.Compact(b.oms)
+	// Only Prefit holds more than one operator's lock, and prefitMu makes it
+	// one at a time: the name order is for the job order, not for deadlock.
+	for _, om := range b.oms {
+		om.mu.Lock()
+	}
+	b.runLocked()
+	for _, om := range b.oms {
+		om.mu.Unlock()
+	}
+	clear(b.oms)
+	b.oms = b.oms[:0]
+}
+
+// fitBatch is one model.Fit over the models of several operators, whose locks
+// the caller holds: a build half per operator makes its model.Problem, and a
+// commit half stores what came back. Its slices are kept for the next batch.
+type fitBatch struct {
+	oms   []*OperatorModels
+	live  []*OperatorModels // the oms not up to date
+	fits  []opFit           // one per live operator
+	probs []model.Problem
+}
+
+// opFit is one operator's part of a batch.
+type opFit struct {
+	targets []string       // the learned targets with samples, sorted
+	jobs    []model.Target // one per target
+	err     error
+}
+
+// runLocked fits every operator of the batch that is not up to date and
+// counts one fit per operator, as many wall-clock intervals as batches.
+func (b *fitBatch) runLocked() {
+	live := b.live[:0]
+	for _, om := range b.oms {
+		if !om.upToDateLocked() {
+			live = append(live, om)
+		} else {
+			om.noteDirtyLocked() // a flag a test helper left stale
+		}
+	}
+	b.live = live
+	defer clear(b.live)
+	if len(live) == 0 {
+		return
+	}
+	b.fits, b.probs = slices.Grow(b.fits[:0], len(live))[:len(live)], b.probs[:0]
+	for i, om := range live {
+		b.probs = append(b.probs, om.buildFitLocked(&b.fits[i]))
+	}
+	stats := live[0].stats
+	start := time.Now()
+	fitted, errs, busy := model.Fit(b.probs, model.ByRelErr)
+	stats.fitWall.Add(int64(time.Since(start)))
+	stats.fitBusy.Add(int64(busy))
+	for i, om := range live {
+		f := &b.fits[i]
+		if f.err == nil {
+			f.err = errs[i]
+		}
+		if f.err == nil {
+			f.err = om.commitFitLocked(f, fitted[i])
+		}
+		if f.err != nil {
+			stats.fitErrors.Add(1)
+		}
+		clear(f.jobs) // the Ys of this batch
+	}
+	clear(b.probs)
+}
+
+// buildFitLocked is the build half of a fit: it marks the buffer fitted,
+// counts the fit and returns the problem that trains every target's model on
+// the whole buffer. Each target keeps its incumbent family, or takes the one
+// a bounded cross-validation picks on X[:pending] when a re-selection is
+// pending — on the whole buffer for a target without a usable family (a
+// version-1 import, a family this build no longer ships). Targets are in
+// sorted order, so the error reported is the same on every execution. A
+// buffer that cannot be fitted sets f.err and returns an empty problem.
+func (om *OperatorModels) buildFitLocked(f *opFit) model.Problem {
+	pending, n := om.selectN, len(om.X)
+	om.fitN, om.selectN = n, 0
+	om.noteDirtyLocked()
+	om.stats.fits.Add(1)
+	f.targets, f.jobs, f.err = f.targets[:0], f.jobs[:0], nil
+	for target, y := range om.targets {
+		if len(y) > 0 {
+			f.targets = append(f.targets, target)
+		}
+	}
+	sort.Strings(f.targets)
+	for _, target := range f.targets {
 		y := om.targets[target]
 		if len(y) != n {
-			return fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
+			f.err = fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
+			return model.Problem{}
 		}
 		// The incumbent, until a selection it only leads replaces it; family
 		// 0 when unknown: below three rows nothing can be cross-validated.
 		fam, known := om.zoo.index[om.chosen[target]]
-		jobs[i] = model.Target{Y: y, Family: fam, Select: (known && pending > 0) || (!known && n >= 3)}
+		job := model.Target{Y: y, Family: fam, Select: (known && pending > 0) || (!known && n >= 3)}
 		if target != TargetExecTime {
-			jobs[i].Families = om.zoo.outputs
+			job.Families = om.zoo.outputs
 		}
+		f.jobs = append(f.jobs, job)
 	}
 	if pending == 0 {
 		pending = n
 	}
-	start := time.Now()
-	fitted, busy, err := model.Fit(om.zoo.factories, om.X, jobs, pending, om.cvFolds, om.seed, model.ByRelErr)
-	om.stats.fitWall.Add(int64(time.Since(start)))
-	om.stats.fitBusy.Add(int64(busy))
-	if err != nil {
-		return err
-	}
+	return model.Problem{Factories: om.zoo.factories, X: om.X, Targets: f.jobs, Sel: pending, K: om.cvFolds, Seed: om.seed}
+}
+
+// commitFitLocked is the commit half: it tallies the selections and, unless a
+// whole-buffer Train failed, stores every target's model — nothing is
+// committed unless every target trained.
+func (om *OperatorModels) commitFitLocked(f *opFit, fitted []model.Fitted) error {
 	om.stats.mu.Lock()
-	for i, f := range fitted {
-		if jobs[i].Select {
-			om.stats.wins[Win{om.zoo.names[f.Family], targets[i]}]++
+	for i, ft := range fitted {
+		if f.jobs[i].Select {
+			om.stats.wins[Win{om.zoo.names[ft.Family], f.targets[i]}]++
 			om.stats.selections.Add(1)
-			om.stats.cellsTrained.Add(uint64(f.Selection.Trained))
-			om.stats.cellsSkipped.Add(uint64(f.Selection.Skipped))
+			om.stats.cellsTrained.Add(uint64(ft.Selection.Trained))
+			om.stats.cellsSkipped.Add(uint64(ft.Selection.Skipped))
 		}
 	}
 	om.stats.mu.Unlock()
-	for _, f := range fitted {
-		if f.Err != nil {
-			return f.Err
+	for _, ft := range fitted {
+		if ft.Err != nil {
+			return ft.Err
 		}
 	}
-	for i, target := range targets {
+	for i, target := range f.targets {
 		om.models[target] = fitted[i].Model
 		om.chosen[target] = om.zoo.names[fitted[i].Family]
 	}

@@ -619,6 +619,10 @@ func (e libraryEstimator) Estimates(opName string, feats map[string]float64) pla
 	return est
 }
 
+// Prefit brings the models of the operators a plan may estimate up to date
+// in one batch (profiler.Profiler.Prefit).
+func (e libraryEstimator) Prefit(names []string) { e.prof.Prefit(names) }
+
 // declaredConstant reads a non-negative constant of the operator's
 // description.
 func declaredConstant(mo *operator.Materialized, path string) (float64, bool) {
