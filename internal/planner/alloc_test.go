@@ -24,8 +24,9 @@ func (sizeEstimator) Estimates(opName string, feats map[string]float64) Estimate
 }
 
 // pegasusPlanner builds a planner with four engines over two stores for
-// every algorithm of g — the shape of bench/e2e's plan_wide library.
-func pegasusPlanner(t testing.TB, g *workflow.Graph) *Planner {
+// every algorithm of g — the shape of bench/e2e's plan_wide library — and
+// applies opts to its config.
+func pegasusPlanner(t testing.TB, g *workflow.Graph, opts ...func(*Config)) *Planner {
 	t.Helper()
 	lib := operator.NewLibrary()
 	for _, alg := range pegasus.Algorithms(g) {
@@ -37,7 +38,11 @@ func pegasusPlanner(t testing.TB, g *workflow.Graph) *Planner {
 			}
 		}
 	}
-	p, err := New(Config{Library: lib, Estimator: sizeEstimator{}})
+	cfg := Config{Library: lib, Estimator: sizeEstimator{}}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +51,11 @@ func pegasusPlanner(t testing.TB, g *workflow.Graph) *Planner {
 
 // TestPlanAllocationCeilings pins what one Plan of a 100-operator Montage DAG
 // over four engines allocates, memo-hit and from a flushed cache, at 1.25x
-// what it measured when written (676 and 2,708; the pooled, cloning planner
-// before it: 2,394 and 28,248). A regression fails here instead of waiting
-// for the end-to-end benchmark's allocs_per_op.
+// what it measured when written (214 and 475: the structural memo evaluates
+// each of the DAG's 9 node shapes once, and extraction allocates per plan,
+// not per step; the name-keyed memo before it: 676 and 2,649; the pooled,
+// cloning planner before that: 2,394 and 28,248). A regression fails here
+// instead of waiting for the end-to-end benchmark's allocs_per_op.
 func TestPlanAllocationCeilings(t *testing.T) {
 	g, err := pegasus.Generate(pegasus.Montage, 100)
 	if err != nil {
@@ -61,7 +68,7 @@ func TestPlanAllocationCeilings(t *testing.T) {
 		}
 	}
 	plan()
-	if got, ceiling := testing.AllocsPerRun(20, plan), 676*1.25; got > ceiling {
+	if got, ceiling := testing.AllocsPerRun(20, plan), 214*1.25; got > ceiling {
 		t.Errorf("memo-hit Plan: %.0f allocations, ceiling %.0f", got, ceiling)
 	} else {
 		t.Logf("memo-hit Plan: %.0f allocations", got)
@@ -70,7 +77,7 @@ func TestPlanAllocationCeilings(t *testing.T) {
 		p.FlushCache()
 		plan()
 	}
-	if got, ceiling := testing.AllocsPerRun(20, cold), 2708*1.25; got > ceiling {
+	if got, ceiling := testing.AllocsPerRun(20, cold), 475*1.25; got > ceiling {
 		t.Errorf("post-FlushCache Plan: %.0f allocations, ceiling %.0f", got, ceiling)
 	} else {
 		t.Logf("post-FlushCache Plan: %.0f allocations", got)

@@ -1,19 +1,31 @@
 package planner
 
 // Incremental planning: the DP over the abstract workflow is memoized at
-// operator-node granularity. For every operator node the planner hashes the
-// node identity (name + abstract description) together with the structural
-// signatures of every input tag front and the pre-existing state of every
-// output tag front; the cached value is the exact sequence of table inserts
-// (plus the per-node DP statistics) that the cold evaluation produced.
-// Replaying the inserts through the normal min-merge reproduces the cold
-// table bit for bit — including entriesKept and prunedFronts counters — so a
-// warm build emits byte-identical plans and trace events.
+// operator-node granularity. For every operator node the planner hashes what
+// the node computes — its match set (abstract description and every match's
+// name and definition), the availability of those matches' engines, the
+// structural signatures of its input rows and the pre-insert state of its
+// output rows, inputs and outputs in position order — and caches the exact
+// sequence of table inserts (plus the per-node DP statistics) that the cold
+// evaluation produced. Replaying the inserts through the normal min-merge
+// reproduces the cold table bit for bit — including entriesKept and
+// prunedFronts counters — so a warm build emits byte-identical plans and
+// trace events.
+//
+// No key names a node or a dataset. Two nodes that compute the same thing
+// from the same input rows — the copies of one job in a level of a Pegasus
+// DAG, or one job in two submissions — share one cached result, candidates
+// and rows included, within a build and across graphs. The names a plan
+// reports are bound from the graph at extraction (extract.go), never read
+// from a cached result.
 //
 // Entry signatures are structural digests: two entries with equal signatures
 // describe the same producing subplan (same materialized operator chain,
-// names and definitions alike, same moves, same sizes, same accumulated estimates), so a signature match
-// on every input front implies the node would resolve identically.
+// names and definitions alike, same moves, same sizes, same accumulated
+// estimates), so a signature match on every input row implies the node would
+// resolve identically. A leaf — a materialized source or a replan seed — is
+// digested by its tag key and sizes, a derived entry by its materialization,
+// output and input resolution; neither by the dataset it sits in.
 //
 // A node's key also folds in what the library and the engines make of it: a
 // digest of its library match list, every match's name and definition in
@@ -113,28 +125,29 @@ func sigKind(pareto bool) string {
 }
 
 // leafSig digests a zero-cost table entry (materialized source dataset or
-// replan seed).
-func leafSig(source, metaKey string, records, bytes int64, pareto bool) sig {
+// replan seed) by its tag key and sizes: leaves of equal content in
+// differently named datasets share one signature, and so do the node results
+// that read them.
+func leafSig(metaKey string, records, bytes int64, pareto bool) sig {
 	h := newHasher()
 	h.str("leaf")
 	h.str(sigKind(pareto))
-	h.str(source)
 	h.str(metaKey)
 	h.i64(records)
 	h.i64(bytes)
 	return h.sum()
 }
 
-// derivedEntrySig digests a derived table entry: the producing node, the
-// materialization's name and definition (opSig, from its match set), the
-// chosen output, and the full input resolution. Equal signatures extract to
-// identical plan subtrees, so a redefined operator's entries never alias its
-// old ones, nor do the node results downstream that read them.
+// derivedEntrySig digests a derived table entry: the materialization's name
+// and definition (opSig, from its match set), the chosen output, and the full
+// input resolution — not the node or dataset it was produced for. Equal
+// signatures extract to plan subtrees identical up to the names the graph
+// binds, so a redefined operator's entries never alias its old ones, nor do
+// the node results downstream that read them.
 func derivedEntrySig(c *candidate, opSig sig, outIndex int, metaKey string, t pathTotals, pareto bool) sig {
 	h := newHasher()
 	h.str("op")
 	h.str(sigKind(pareto))
-	h.str(c.node.Name)
 	h.sig(opSig)
 	h.u64(uint64(outIndex))
 	h.str(metaKey)
@@ -217,15 +230,15 @@ func (p *Planner) matchSetLocked(a *operator.Abstract) *matchSet {
 // engine at index i of planCache.engines.
 func (c *planCache) usable(i int) bool { return i >= 0 && c.avail[i] }
 
-// nodeKey digests an operator node's full DP context: its name, its match
-// set's sig, the snapshot availability of its matches' engines, the rows of
-// every input, and the pre-insert state of every output. Must be called with
+// nodeKey digests what an operator node computes: its match set's sig, the
+// snapshot availability of its matches' engines, the rows of every input and
+// the pre-insert state of every output, in position order. It hashes no node
+// or dataset name, so nodes of one shape share a key. Must be called with
 // p.mu held (it fills p.readSigs).
 func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool) sig {
 	h := newHasher()
 	h.str("node")
 	h.str(sigKind(pareto))
-	h.str(o.Name)
 	h.sig(ms.sig)
 	h.u64(uint64(len(ms.engines)))
 	for _, e := range ms.engines {
@@ -233,12 +246,10 @@ func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool)
 	}
 	h.u64(uint64(len(o.Inputs)))
 	for _, in := range o.Inputs {
-		h.str(in.Name)
 		p.rowSig(&h, dp[in])
 	}
 	h.u64(uint64(len(o.Outputs)))
 	for _, out := range o.Outputs {
-		h.str(out.Name)
 		p.rowSig(&h, dp[out])
 	}
 	return h.sum()
@@ -379,7 +390,7 @@ func (p *Planner) leafEntryLocked(d *workflow.Node, pareto bool) *tagEntry {
 	meta := d.Dataset.Constraints()
 	metaKey := meta.String()
 	records, bytes := d.Dataset.Records(), d.Dataset.SizeBytes()
-	s := leafSig(d.Name, metaKey, records, bytes, pareto)
+	s := leafSig(metaKey, records, bytes, pareto)
 	if e, ok := p.cache.leaves[s]; ok {
 		return e
 	}
@@ -426,7 +437,7 @@ func (p *Planner) seedForLocked(g *workflow.Graph, done []MaterializedIntermedia
 	m := make(map[string]*tagEntry, len(sorted))
 	for i, d := range sorted {
 		m[d.Dataset] = newLeaf(d.Meta, keys[i], d.Records, d.Bytes,
-			leafSig(d.Dataset, keys[i], d.Records, d.Bytes, false))
+			leafSig(keys[i], d.Records, d.Bytes, false))
 		p.cache.rowsAlloc++
 	}
 	p.cache.seeds[s] = m

@@ -2,11 +2,14 @@ package planner
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/asap-project/ires/internal/metadata"
+	"github.com/asap-project/ires/internal/operator"
 	"github.com/asap-project/ires/internal/trace"
+	"github.com/asap-project/ires/internal/workflow"
 )
 
 // textEstimator is the standard stub for the Figure 4 text-analytics
@@ -444,4 +447,101 @@ type=SequenceFile
 	if warm.Describe() != cold.Describe() {
 		t.Fatalf("warm plan diverged from cold after library churn:\ncold:\n%s\nwarm:\n%s", cold.Describe(), warm.Describe())
 	}
+}
+
+// twins is src1 -> left -> dl, src2 -> right -> dr, dl,dr -> join -> out:
+// left and right share one abstract description, and src1 and src2 differ
+// only in name and path, so the two jobs compute the same thing. Their one
+// implementation reads local files, so each source is moved first. prefix is
+// put before every node name.
+func twins(t *testing.T, prefix string) *workflow.Graph {
+	t.Helper()
+	g := workflow.NewGraph()
+	for _, src := range []string{"src1", "src2"} {
+		g.AddDataset(prefix+src, operator.NewDataset(prefix+src, metadata.MustParse(
+			"Execution.path=/"+prefix+src+"\nConstraints.Engine.FS=HDFS\nOptimization.documents=100\nOptimization.size=1000")))
+	}
+	g.AddOperator(prefix+"left", operator.NewAbstract(prefix+"left", metadata.MustParse("Constraints.OpSpecification.Algorithm.name=a")))
+	g.AddOperator(prefix+"right", operator.NewAbstract(prefix+"right", metadata.MustParse("Constraints.OpSpecification.Algorithm.name=a")))
+	g.AddOperator(prefix+"join", operator.NewAbstract(prefix+"join", metadata.MustParse("Constraints.OpSpecification.Algorithm.name=join")))
+	for _, d := range []string{"dl", "dr", "out"} {
+		g.AddDataset(prefix+d, nil)
+	}
+	for _, e := range [][2]string{
+		{"src1", "left"}, {"left", "dl"},
+		{"src2", "right"}, {"right", "dr"},
+		{"dl", "join"}, {"dr", "join"}, {"join", "out"},
+	} {
+		if err := g.Connect(prefix+e[0], prefix+e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.SetTarget(prefix + "out")
+	return g
+}
+
+// TestTwinNodesShareOneResult checks that the memo keys name nothing while
+// plans name everything: two identical jobs share one node result — one miss
+// and one hit in the cold build — yet the plan holds one step per operator
+// node, each with its own name, output dataset, moves, sources and
+// dependencies. A renamed copy of the graph then hits on every node and
+// plans the same steps under its own names, in Plan and in ParetoPlans.
+func TestTwinNodesShareOneResult(t *testing.T) {
+	lib := mustLib(t, map[string]string{
+		"a_java":    "Constraints.Engine=Java\nConstraints.OpSpecification.Algorithm.name=a\nConstraints.Input0.Engine.FS=LFS\nConstraints.Output0.Engine.FS=LFS",
+		"join_java": "Constraints.Engine=Java\nConstraints.OpSpecification.Algorithm.name=join\nConstraints.Input.number=2",
+	})
+	est := stubEstimator{
+		"a_java":    {time: func(float64) float64 { return 5 }, outFactor: 1},
+		"join_java": {time: func(float64) float64 { return 7 }, outFactor: 1},
+	}
+	p := newPlanner(t, lib, est)
+	want := func(prefix string) string {
+		return strings.NewReplacer("$", prefix).Replace(`plan for target $out: est time 13.5s, est cost 275.0 (objective 13.50)
+  [0] move move->$left (1.5s) reads [$src1]
+  [1] $left/a_java on Java (5.0s) after [0]
+  [2] move move->$right (1.5s) reads [$src2]
+  [3] $right/a_java on Java (5.0s) after [2]
+  [4] $join/join_java on Java (7.0s) after [1 3]
+`)
+	}
+	check := func(prefix string, plan *Plan) {
+		t.Helper()
+		if got := plan.Describe(); got != want(prefix) {
+			t.Fatalf("plan:\n%s\nwant:\n%s", got, want(prefix))
+		}
+		for _, s := range plan.OperatorSteps() {
+			out := map[string]string{"left": "dl", "right": "dr", "join": "out"}[s.WorkflowNode[len(prefix):]]
+			if s.OutDataset != prefix+out {
+				t.Errorf("step %s: OutDataset %q, want %q", s.Name, s.OutDataset, prefix+out)
+			}
+		}
+	}
+
+	plan, err := p.Plan(twins(t, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := p.CacheStats(); cs.Misses != 2 || cs.Hits != 1 {
+		t.Errorf("cold build: %d misses, %d hits; want 2 and 1 (left misses, right hits, join misses)", cs.Misses, cs.Hits)
+	}
+	check("", plan)
+
+	plan, err = p.Plan(twins(t, "x_"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := p.CacheStats(); cs.Misses != 2 || cs.Hits != 4 {
+		t.Errorf("renamed graph: %d misses, %d hits in all; want 2 and 4", cs.Misses, cs.Hits)
+	}
+	check("x_", plan)
+
+	front, err := p.ParetoPlans(twins(t, "y_"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) != 1 {
+		t.Fatalf("Pareto front of %d plans, want 1", len(front))
+	}
+	check("y_", front[0])
 }

@@ -62,7 +62,7 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 
 	plans := make([]*Plan, 0, len(front))
 	for _, e := range front {
-		plan := p.extract(g, e)
+		plan := p.extract(g.Target, targetNode, e)
 		plan.EstObjective = plan.EstTimeSec
 		plan.PlanningTime = time.Since(started)
 		plans = append(plans, plan)
@@ -167,7 +167,7 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 		for pt, k := &partials[i], len(inputs)-1; k >= 0; pt, k = pt.prev, k-1 {
 			inputs[k] = pt.choice
 		}
-		if cand := p.estimate(o, mo, inputs, partials[i].records, partials[i].bytes); cand != nil {
+		if cand := p.estimate(mo, inputs, partials[i].records, partials[i].bytes); cand != nil {
 			out = append(out, cand)
 		}
 	}

@@ -17,11 +17,11 @@
 // producer is counted once per consuming branch during the DP, a standard
 // relaxation that keeps the table per-dataset instead of per-subplan-set.
 // Extraction, however, deduplicates shared producers (one plan step per
-// candidate), so the emitted plan is cheaper than the DP value suggests. The
-// reported Plan.EstTimeSec/EstCost/EstObjective are therefore recomputed
-// from the deduplicated steps after extraction: cost as the sum over unique
-// steps, time as the critical path over step dependencies. Only step
-// *selection* retains the tree relaxation.
+// operator node and candidate), so the emitted plan is cheaper than the DP
+// value suggests. The reported Plan.EstTimeSec/EstCost/EstObjective are
+// therefore recomputed from the deduplicated steps after extraction: cost as
+// the sum over unique steps, time as the critical path over step
+// dependencies. Only step *selection* retains the tree relaxation.
 package planner
 
 import (
@@ -138,7 +138,8 @@ type Planner struct {
 	// freshly evaluated node. feats is the feature map handed to the
 	// Estimator, vecs the vectors of the front being pruned, evict the stack
 	// of node keys an invalidation is evicting; options, optionVec and next
-	// are paretoCandidates' per-slot working lists, order and dropped prune's.
+	// are paretoCandidates' per-slot working lists, order and dropped prune's;
+	// xs is extract's.
 	dp              table
 	sets            []*matchSet
 	prefit          []string
@@ -150,6 +151,7 @@ type Planner struct {
 	optionVec, next []pVec
 	order           []int
 	dropped         []bool
+	xs              extractScratch
 
 	// pendMu guards pend, the operators retrained since the last build. It
 	// is a leaf mutex: profiler retrains enqueue without contending with a
@@ -242,7 +244,8 @@ type tagEntry struct {
 	money float64 // accumulated estimated monetary cost
 
 	// cand is the producing candidate for derived entries; leaves (source
-	// datasets, replan seeds) have none and are named by their dataset node.
+	// datasets, replan seeds) have none. Neither names a node: extraction
+	// binds names from the graph.
 	cand *candidate
 	// outIndex selects which output of the candidate this entry is.
 	outIndex int
@@ -280,9 +283,10 @@ type inputChoice struct {
 	moveCost float64
 }
 
-// candidate is one materialized operator choice with resolved inputs.
+// candidate is one materialized operator choice with resolved inputs. It
+// belongs to a cached node result, which nodes of one shape share, so it
+// holds no node: inputs[i] resolves the node's i-th input.
 type candidate struct {
-	node    *workflow.Node
 	mo      *operator.Materialized
 	res     Resources
 	inputs  []inputChoice
@@ -410,7 +414,7 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 	if best == nil {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
 	}
-	plan := p.extract(g, best)
+	plan := p.extract(g.Target, targetNode, best)
 	plan.EstObjective = p.cfg.Objective(plan.EstTimeSec, plan.EstCost)
 	plan.PlanningTime = time.Since(started)
 	f := stats.fields(plan)
@@ -626,13 +630,13 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp t
 		inRecords += best.entry.records
 		inBytes += best.entry.bytes
 	}
-	return p.estimate(o, mo, inputs, inRecords, inBytes)
+	return p.estimate(mo, inputs, inRecords, inBytes)
 }
 
 // estimate provisions mo for the resolved inputs and asks the Estimator, in
 // one call, for its time, cost and output sizes. It returns nil when the
 // configuration is infeasible.
-func (p *Planner) estimate(o *workflow.Node, mo *operator.Materialized, inputs []inputChoice, inRecords, inBytes int64) *candidate {
+func (p *Planner) estimate(mo *operator.Materialized, inputs []inputChoice, inRecords, inBytes int64) *candidate {
 	res := p.cfg.Resources(mo, inRecords, inBytes)
 	feats := p.feats
 	clear(feats)
@@ -649,7 +653,7 @@ func (p *Planner) estimate(o *workflow.Node, mo *operator.Materialized, inputs [
 		return nil
 	}
 	cand := &candidate{
-		node: o, mo: mo, res: res, inputs: inputs, opTime: e.ExecTime, opMoney: e.Cost,
+		mo: mo, res: res, inputs: inputs, opTime: e.ExecTime, opMoney: e.Cost,
 		outRecords: inRecords, outBytes: inBytes,
 	}
 	if e.OutRecords > 0 {
@@ -679,89 +683,6 @@ func (p *Planner) movedMetaLocked(src *tagEntry, req *metadata.Tree) *metadata.T
 	})
 	p.cache.moved[key] = out
 	return out
-}
-
-// extract backtracks from a target entry, materializing plan steps (with
-// move steps where inputs were bridged). Must be called with p.mu held.
-func (p *Planner) extract(g *workflow.Graph, best *tagEntry) *Plan {
-	// A plan has about one step per operator node: half the graph.
-	plan := &Plan{Target: g.Target, Steps: make([]*Step, 0, g.Len()/2)}
-	candSteps := make(map[*candidate]int, g.Len()/2)
-	var build func(e *tagEntry) (int, bool)
-	build = func(e *tagEntry) (int, bool) {
-		if e.cand == nil {
-			return -1, false // workflow source dataset
-		}
-		if id, ok := candSteps[e.cand]; ok {
-			return id, true
-		}
-		c := e.cand
-		step := &Step{
-			Kind:         StepOperator,
-			Name:         c.node.Name + "/" + c.mo.Name,
-			WorkflowNode: c.node.Name,
-			Op:           c.mo,
-			Engine:       c.mo.Engine(),
-			Algorithm:    c.mo.Algorithm(),
-			Res:          c.res,
-			Params:       c.mo.Params(),
-			OutRecords:   c.outRecords,
-			OutBytes:     c.outBytes,
-			EstTimeSec:   c.opTime,
-			EstCost:      c.opMoney,
-		}
-		if len(c.node.Outputs) > 0 {
-			step.OutDataset = c.node.Outputs[0].Name
-			step.OutMeta = c.mo.OutputSpec(0)
-		}
-		for i, in := range c.inputs {
-			step.InRecords += in.entry.records
-			step.InBytes += in.entry.bytes
-			depID, isStep := build(in.entry)
-			producerID := depID
-			if in.moved {
-				mv := &Step{
-					Kind:       StepMove,
-					Name:       "move->" + c.node.Name,
-					Engine:     "move",
-					Algorithm:  "move",
-					InRecords:  in.entry.records,
-					InBytes:    in.entry.bytes,
-					OutRecords: in.entry.records,
-					OutBytes:   in.entry.bytes,
-					EstTimeSec: in.moveTime,
-					EstCost:    in.moveCost,
-					OutMeta:    p.movedMetaLocked(in.entry, c.mo.InputConstraint(i)),
-				}
-				if isStep {
-					mv.DependsOn = append(mv.DependsOn, depID)
-				} else {
-					mv.SourceInputs = append(mv.SourceInputs, c.node.Inputs[i].Name)
-				}
-				mv.ID = len(plan.Steps)
-				plan.Steps = append(plan.Steps, mv)
-				producerID = mv.ID
-				isStep = true
-			}
-			if isStep {
-				step.DependsOn = append(step.DependsOn, producerID)
-			} else {
-				step.SourceInputs = append(step.SourceInputs, c.node.Inputs[i].Name)
-			}
-		}
-		step.ID = len(plan.Steps)
-		plan.Steps = append(plan.Steps, step)
-		candSteps[c] = step.ID
-		return step.ID, true
-	}
-	build(best)
-
-	// The DP totals are a tree relaxation (see the package comment): shared
-	// producers were charged once per consuming branch, but extraction
-	// deduplicated them via candSteps. Recompute the reported estimates from
-	// the steps actually emitted.
-	plan.EstTimeSec, plan.EstCost = plan.StepTotals()
-	return plan
 }
 
 // StepTotals recomputes the plan's estimates from its deduplicated steps:

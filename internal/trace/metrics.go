@@ -197,7 +197,7 @@ var metrics = []metric{
 	{name: "ires_profiler_selections_total", kind: counter, help: "cross-validated model-family selections, one per refitted target"},
 	{name: "ires_profiler_fit_errors_total", kind: counter, help: "model fits that failed and kept the previous models"},
 	{name: "ires_profiler_cv_cells_total", kind: counter, help: "(family, fold) cells of the selections' cross-validation grids, by outcome: trained, or skipped because the family's partial error already exceeded the incumbent's total", labels: []string{"outcome"}},
-	{name: "ires_profiler_fit_wall_seconds_total", kind: counter, help: "wall-clock seconds the model fits took (cross-validation cells and whole-buffer trains of every target, one job graph per fit)"},
+	{name: "ires_profiler_fit_wall_seconds_total", kind: counter, help: "wall-clock seconds the model fits took (cross-validation cells and whole-buffer trains of every target), one interval per batch: a Prefit of several operators adds its wall time once"},
 	{name: "ires_profiler_fit_busy_seconds_total", kind: counter, help: "summed wall-clock seconds of the fits' jobs; over ires_profiler_fit_wall_seconds_total x GOMAXPROCS, the share of the workers the fits kept busy"},
 	{name: "ires_profiler_selection_wins_total", kind: counter, help: "cross-validated selections by the family that won and the learned target it won (cost is derived from execTime, never selected); sums to ires_profiler_selections_total", labels: []string{"family", "target"}},
 	{name: "ires_monitor_polls_total", kind: counter, help: "execution-monitor polls by outcome: idle (every node health flag and engine status as the board shows it), changed (a node or service status moved; every run parked on the clock woken)", labels: []string{"outcome"}},
