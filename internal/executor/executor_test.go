@@ -48,13 +48,6 @@ type fixture struct {
 	exec  *Executor
 }
 
-// replanAdapter wires the planner into the executor's Replanner interface.
-type replanAdapter struct{ p *planner.Planner }
-
-func (r replanAdapter) Replan(g *workflow.Graph, done []planner.MaterializedIntermediate) (*planner.Plan, error) {
-	return r.p.Replan(g, done)
-}
-
 func newFixture(t *testing.T) *fixture { return newFixtureSeed(t, 21) }
 
 func newFixtureSeed(t *testing.T, seed int64) *fixture {
@@ -106,7 +99,7 @@ func newFixtureSeed(t *testing.T, seed int64) *fixture {
 		Cluster:   f.clus,
 		Clock:     f.clock,
 		Monitor:   mon,
-		Replanner: replanAdapter{p},
+		Replanner: p,
 	}
 	return f
 }

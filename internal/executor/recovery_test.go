@@ -82,7 +82,7 @@ func TestResumeSkipsCompletedSteps(t *testing.T) {
 	if _, err := f.resume(g, res.Intermediates); err == nil {
 		t.Fatal("Resume without a Replanner accepted")
 	}
-	f.exec.Replanner = replanAdapter{f.plnr}
+	f.exec.Replanner = f.plnr
 	if _, err := f.resume(g, []planner.MaterializedIntermediate{{Dataset: "nope"}}); err == nil {
 		t.Fatal("Resume from an unknown intermediate accepted")
 	}

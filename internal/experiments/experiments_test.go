@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/asap-project/ires/internal/pegasus"
+	"github.com/asap-project/ires/internal/trace"
 )
 
 func TestFig11Shape(t *testing.T) {
@@ -224,26 +227,54 @@ func TestFig14PlannerScaling(t *testing.T) {
 	})
 }
 
+// TestFig15EngineScaling checks Figure 15's engine-count term on the work the
+// DP does, which is deterministic: at 100 nodes, the cold build with 8
+// engines per operator tries more candidates and considers more moves than
+// the one with 2, on both categories. A 100-node build takes about 0.1 ms,
+// too little for its wall clock to order the two, so the wall clock is
+// checked only at 1,000 nodes, where every point must stay within the
+// paper's sub-second optimization times.
 func TestFig15EngineScaling(t *testing.T) {
-	timingHolds(t, func() (wrong []string) {
-		reports, err := Fig15([]int{30, 100}, []int{2, 8}, 5)
+	for _, cat := range []pegasus.Category{pegasus.Montage, pegasus.Epigenomics} {
+		g, err := pegasus.Generate(cat, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range reports {
-			two, ok2 := r.SeriesByLabel("2 engines")
-			eight, ok8 := r.SeriesByLabel("8 engines")
-			if !ok2 || !ok8 {
-				t.Fatalf("%s: missing series", r.ID)
+		work := map[int]map[string]float64{}
+		for _, m := range []int{2, 8} {
+			rec := trace.NewRecorder(0)
+			p, err := pegasusPlanner(g, m, rec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			y2, _ := two.YAt(100)
-			y8, _ := eight.YAt(100)
-			if y8 <= y2 {
-				wrong = append(wrong, fmt.Sprintf("%s: 8 engines (%.4fs) not slower than 2 (%.4fs)", r.ID, y8, y2))
+			if _, err := p.Plan(g); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range rec.Events() {
+				if ev.Type == trace.EvPlanFinish {
+					work[m] = ev.Fields
+				}
 			}
 		}
-		return wrong
-	})
+		for _, f := range []string{"candidatesTried", "movesConsidered"} {
+			two, eight := work[2][f], work[8][f]
+			if eight <= two {
+				t.Errorf("%s/100: %s with 8 engines (%v) not above 2 (%v)", cat, f, eight, two)
+			}
+			t.Logf("%s/100: %s %v with 2 engines, %v with 8", cat, f, two, eight)
+		}
+	}
+	reports, err := Fig15([]int{1000}, []int{2, 8}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reports {
+		for _, s := range r.Series {
+			if y, _ := s.YAt(1000); y > 1.0 {
+				t.Errorf("%s %s: %.4fs to optimize 1,000 nodes, above 1 s", r.ID, s.Label, y)
+			}
+		}
+	}
 }
 
 func TestFig16aErrorDrops(t *testing.T) {

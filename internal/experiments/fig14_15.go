@@ -8,6 +8,7 @@ import (
 	"github.com/asap-project/ires/internal/operator"
 	"github.com/asap-project/ires/internal/pegasus"
 	"github.com/asap-project/ires/internal/planner"
+	"github.com/asap-project/ires/internal/trace"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
@@ -29,8 +30,9 @@ func (synthEstimator) Estimates(opName string, feats map[string]float64) planner
 
 // pegasusPlanner builds a planner whose library holds m alternative engine
 // implementations for every algorithm of the graph. Engines own distinct
-// stores, so cross-engine hops require planner-inserted moves.
-func pegasusPlanner(g *workflow.Graph, engines int) (*planner.Planner, error) {
+// stores, so cross-engine hops require planner-inserted moves. tr receives
+// the planner's events; nil discards them.
+func pegasusPlanner(g *workflow.Graph, engines int, tr trace.Tracer) (*planner.Planner, error) {
 	lib := operator.NewLibrary()
 	for _, alg := range pegasus.Algorithms(g) {
 		for e := 0; e < engines; e++ {
@@ -45,14 +47,14 @@ Constraints.Output0.Engine.FS=FS%d
 			}
 		}
 	}
-	return planner.New(planner.Config{Library: lib, Estimator: synthEstimator{}})
+	return planner.New(planner.Config{Library: lib, Estimator: synthEstimator{}, Tracer: tr})
 }
 
 // PlanPegasus builds the m-engine library for a generated Pegasus graph
 // and runs one optimization pass, returning the planning duration — the
 // unit of the Fig 14-15 measurements, exported for benchmarks.
 func PlanPegasus(g *workflow.Graph, engines int) (time.Duration, error) {
-	p, err := pegasusPlanner(g, engines)
+	p, err := pegasusPlanner(g, engines, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -117,7 +119,7 @@ func Fig14(sizes []int, engineCounts []int, reps int) ([]*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				p, err := pegasusPlanner(g, m)
+				p, err := pegasusPlanner(g, m, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -158,7 +160,7 @@ func Fig15(sizes []int, engineCounts []int, reps int) ([]*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				p, err := pegasusPlanner(g, m)
+				p, err := pegasusPlanner(g, m, nil)
 				if err != nil {
 					return nil, err
 				}

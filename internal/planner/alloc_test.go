@@ -111,7 +111,7 @@ func TestCacheDoesNotGrowWithFreshGraphs(t *testing.T) {
 		c := &p.cache
 		return map[string]int{
 			"nodes": len(c.nodes), "leaves": len(c.leaves), "seeds": len(c.seeds), "moved": len(c.moved),
-			"dependents": len(c.dependents), "matchSets": len(c.matchSets),
+			"matchSets": len(c.matchSets),
 		}
 	}
 	round()

@@ -7,14 +7,15 @@ import "github.com/asap-project/ires/internal/workflow"
 // every name a plan reports comes from the graph: a derived entry in dataset
 // d's row was produced by d's one producer, d.Inputs[0], and its candidate's
 // i-th input resolves that operator's i-th input dataset. Steps are
-// deduplicated per (operator node, candidate): a producer shared by two
-// consumers is one step, while two identical jobs on parallel branches, which
-// share one candidate, stay two.
+// deduplicated per (operator node, candidate sig): a producer shared by two
+// consumers is one step, also when one consumer's cached result reads a
+// superseded candidate of equal sig, while two identical jobs on parallel
+// branches, which share one candidate, stay two.
 
 // stepKey identifies one operator step of the plan being extracted.
 type stepKey struct {
 	node *workflow.Node
-	cand *candidate
+	cand sig
 }
 
 // stepRec is one step of the plan being extracted: operator node o run as
@@ -77,7 +78,7 @@ func (x *extractScratch) walk(d *workflow.Node, e *tagEntry) int {
 		return -1
 	}
 	o, c := d.Inputs[0], e.cand
-	if id, ok := x.seen[stepKey{o, c}]; ok {
+	if id, ok := x.seen[stepKey{o, c.sig}]; ok {
 		return id
 	}
 	at := len(x.ins)
@@ -96,7 +97,7 @@ func (x *extractScratch) walk(d *workflow.Node, e *tagEntry) int {
 	}
 	x.names = append(append(append(x.names, o.Name...), '/'), c.mo.Name...)
 	id := x.add(stepRec{o: o, c: c, move: -1, in: at, nIn: len(c.inputs)})
-	x.seen[stepKey{o, c}] = id
+	x.seen[stepKey{o, c.sig}] = id
 	return id
 }
 

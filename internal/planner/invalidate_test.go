@@ -13,8 +13,8 @@ import (
 )
 
 // kmeansSparkDesc is a third kmeans implementation on an engine (Spark) no
-// other operator uses, giving eviction-scope tests an engine whose footprint
-// covers exactly one workflow node.
+// other operator uses, giving eviction-scope tests an engine that exactly one
+// workflow node matches.
 const kmeansSparkDesc = `
 Constraints.Engine=Spark
 Constraints.OpSpecification.Algorithm.name=kmeans
@@ -55,11 +55,13 @@ func sparkEstimator() stubEstimator {
 
 // TestEvictionScope drives profiler retrains, a library change and engine
 // flips against the two-operator text workflow and pins down exactly which
-// node results each one evicts or misses. A retrain evicts its footprint hits
-// plus their downstream dependents, nothing more. A library change and an
-// engine flip evict nothing: the nodes whose matches they alter miss in the
-// new state, and the flip back up hits the results of the first state
-// without building a row.
+// node results each one evicts or misses. A retrain evicts the results that
+// estimated the retrained operator, nothing more: downstream of them a node
+// misses by key once the re-evaluated rows it reads move, and hits while they
+// do not. A library change and an engine flip evict nothing: the nodes whose
+// matches they alter miss in the new state, and the flip back up hits the
+// results of the first state without building a row. Every warm plan is the
+// plan of a cold planner in the same state.
 func TestEvictionScope(t *testing.T) {
 	// The cached results per plan: node TF_IDF (matches Hadoop+Java ops) and
 	// node kmeans (matches Hadoop+Java+Spark ops); kmeans is downstream of
@@ -67,7 +69,7 @@ func TestEvictionScope(t *testing.T) {
 	cases := []struct {
 		name    string
 		down    string // engine taken down instead of an event, then brought back up
-		event   func(t *testing.T, p *Planner, lib *operator.Library)
+		event   func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator)
 		evicted uint64 // node results evicted by the event
 		hits    uint64 // warm hits on the rebuild after the event
 		misses  uint64 // re-evaluations on the rebuild after the event
@@ -93,25 +95,42 @@ func TestEvictionScope(t *testing.T) {
 			hits: 0, misses: 2,
 		},
 		{
-			name:    "profiler retrain scoped to one target",
-			event:   func(t *testing.T, p *Planner, lib *operator.Library) { p.ProfilerRetrain("kmeans_weka") },
+			name: "profiler retrain scoped to one target",
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
+				p.ProfilerRetrain("kmeans_weka")
+			},
 			evicted: 1, hits: 1, misses: 1, partial: true,
 		},
 		{
-			name:  "profiler retrain propagates through parent links",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) { p.ProfilerRetrain("TF_IDF_weka") },
-			// TF_IDF is footprint-hit; kmeans read its output entries, so the
-			// eviction walks the DP parent links down to it.
-			evicted: 2, hits: 0, misses: 2, partial: true,
+			name: "profiler retrain propagates through keys: rows unchanged",
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
+				p.ProfilerRetrain("TF_IDF_weka")
+			},
+			// TF_IDF estimated TF_IDF_weka, so it is evicted; its estimates did
+			// not move, so it re-evaluates to entries of the same signatures
+			// and kmeans, which read them, keeps its key and hits.
+			evicted: 1, hits: 1, misses: 1, partial: true,
 		},
 		{
-			name:    "profiler retrain of an unknown operator",
-			event:   func(t *testing.T, p *Planner, lib *operator.Library) { p.ProfilerRetrain("pagerank_giraph") },
+			name: "profiler retrain moving the upstream rows",
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
+				est.scale["TF_IDF_weka"] = 1.25
+				p.ProfilerRetrain("TF_IDF_weka")
+			},
+			// TF_IDF is evicted and its TF_IDF_weka entry moves, so kmeans's
+			// key changes: it misses by key, without being evicted.
+			evicted: 1, hits: 0, misses: 2, partial: true,
+		},
+		{
+			name: "profiler retrain of an unknown operator",
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
+				p.ProfilerRetrain("pagerank_giraph")
+			},
 			evicted: 0, hits: 2, misses: 0, partial: true,
 		},
 		{
 			name: "library removal scoped to the matching node",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) {
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
 				if _, err := lib.AddOperatorDescription("kmeans_spark", kmeansSparkMovedDesc); err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +141,7 @@ func TestEvictionScope(t *testing.T) {
 		},
 		{
 			name: "library redefinition under the same name",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) {
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
 				desc := strings.Replace(kmeansSparkDesc, "Engine=Spark", "Engine=Flink", 1)
 				if _, err := lib.AddOperatorDescription("kmeans_spark", desc); err != nil {
 					t.Fatal(err)
@@ -134,7 +153,7 @@ func TestEvictionScope(t *testing.T) {
 		},
 		{
 			name: "winning upstream redefinition under the same name",
-			event: func(t *testing.T, p *Planner, lib *operator.Library) {
+			event: func(t *testing.T, p *Planner, lib *operator.Library, est *scaledEstimator) {
 				if _, err := lib.AddOperatorDescription("TF_IDF_weka", tfidfWekaParamDesc); err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +173,8 @@ func TestEvictionScope(t *testing.T) {
 			down := ""
 			avail := func(name string) bool { mu.Lock(); defer mu.Unlock(); return name != down }
 			setDown := func(e string) { mu.Lock(); down = e; mu.Unlock() }
-			p := newPlanner(t, lib, sparkEstimator(), func(c *Config) { c.EngineAvailable = avail })
+			est := &scaledEstimator{base: sparkEstimator(), scale: map[string]float64{}}
+			p := newPlanner(t, lib, est, func(c *Config) { c.EngineAvailable = avail })
 			ref, err := p.Plan(textWorkflow(t, 1000))
 			if err != nil {
 				t.Fatal(err)
@@ -164,7 +184,7 @@ func TestEvictionScope(t *testing.T) {
 			if tc.down != "" {
 				setDown(tc.down)
 			} else {
-				tc.event(t, p, lib)
+				tc.event(t, p, lib, est)
 			}
 			got, err := p.Plan(textWorkflow(t, 1000))
 			if err != nil {
@@ -187,17 +207,14 @@ func TestEvictionScope(t *testing.T) {
 			if partial := after.PartialInvalidations != before.PartialInvalidations; partial != tc.partial {
 				t.Fatalf("counted as a partial invalidation: %v, want %v (before=%+v after=%+v)", partial, tc.partial, before, after)
 			}
-			// None of these events change the winning plan (Spark never
-			// wins, Java wins at this size, the stub estimator is static);
-			// warm-after-eviction results must stay byte-identical.
-			if got.Describe() != ref.Describe() {
-				t.Fatalf("plan diverged after partial invalidation:\nbefore:\n%s\nafter:\n%s", ref.Describe(), got.Describe())
-			}
-			// Every step carries the operator the library holds now, as a
-			// cold planner's plan does.
-			cold, err := newPlanner(t, lib, sparkEstimator(), func(c *Config) { c.EngineAvailable = avail }).Plan(textWorkflow(t, 1000))
+			// The warm plan is a cold planner's, and every step carries the
+			// operator the library holds now.
+			cold, err := newPlanner(t, lib, est, func(c *Config) { c.EngineAvailable = avail }).Plan(textWorkflow(t, 1000))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got.Describe() != cold.Describe() {
+				t.Fatalf("plan diverged from a cold planner's after the event:\ncold:\n%s\nwarm:\n%s", cold.Describe(), got.Describe())
 			}
 			if len(got.Steps) != len(cold.Steps) {
 				t.Fatalf("warm plan has %d steps, a cold planner's %d", len(got.Steps), len(cold.Steps))

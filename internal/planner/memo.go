@@ -33,11 +33,11 @@ package planner
 // matches run on. A library change or an engine flap is a key, not an
 // eviction, so returning to a state already seen finds its results still
 // cached. The one invalidation event is a profiler retrain (invalidate.go):
-// every cached node result carries a footprint of the estimated operators
-// and the table entries it depends on, and a retrain evicts only the
-// footprint-hit results plus their downstream dependents. Wholesale flush
-// remains for infrastructure changes (the Config.Epoch hook) and the
-// cache-size bound.
+// every cached node result lists the operators it estimated, and a retrain
+// evicts exactly the results that estimated the retrained operator. Nothing
+// downstream is evicted: its keys digest the signatures of its input rows,
+// which cover every field extraction reads. Wholesale flush remains for
+// infrastructure changes (the Config.Epoch hook) and the cache-size bound.
 
 import (
 	"fmt"
@@ -138,24 +138,25 @@ func leafSig(metaKey string, records, bytes int64, pareto bool) sig {
 	return h.sum()
 }
 
-// derivedEntrySig digests a derived table entry: the materialization's name
-// and definition (opSig, from its match set), the chosen output, and the full
-// input resolution — not the node or dataset it was produced for. Equal
-// signatures extract to plan subtrees identical up to the names the graph
-// binds, so a redefined operator's entries never alias its old ones, nor do
-// the node results downstream that read them.
-func derivedEntrySig(c *candidate, opSig sig, outIndex int, metaKey string, t pathTotals, pareto bool) sig {
+// candidateSig digests everything extraction reads from a candidate: the
+// materialization's name and definition (opSig, from its match set), the
+// provisioned resources, the operator's own estimates and output sizes, and
+// the full input resolution, each input by its entry's sig — not the node it
+// was produced for. Equal sigs extract to identical steps up to the names the
+// graph binds, so extraction deduplicates steps by it (extract.go): a
+// downstream result that still reads a superseded upstream entry of equal sig
+// extracts what the entry's replacement would.
+func candidateSig(c *candidate, opSig sig) sig {
 	h := newHasher()
-	h.str("op")
-	h.str(sigKind(pareto))
+	h.str("cand")
 	h.sig(opSig)
-	h.u64(uint64(outIndex))
-	h.str(metaKey)
+	h.i64(int64(c.res.Nodes))
+	h.i64(int64(c.res.CoresPerN))
+	h.i64(int64(c.res.MemMBPerN))
+	h.f64(c.opTime)
+	h.f64(c.opMoney)
 	h.i64(c.outRecords)
 	h.i64(c.outBytes)
-	h.f64(t.cost)
-	h.f64(t.time)
-	h.f64(t.money)
 	h.u64(uint64(len(c.inputs)))
 	for _, in := range c.inputs {
 		h.sig(in.entry.sig)
@@ -166,17 +167,27 @@ func derivedEntrySig(c *candidate, opSig sig, outIndex int, metaKey string, t pa
 	return h.sum()
 }
 
-// rowSig digests one table row and records the signature of every derived
-// entry read into p.readSigs — the DP parent links captured by node
-// footprints (leaves and seeds have no producer an eviction could start from).
-// An entry's sig already digests its tag key, so the key is not hashed again.
-func (p *Planner) rowSig(h *hasher, row []*tagEntry) {
+// derivedEntrySig digests a derived table entry: its candidate's sig, the
+// chosen output and its tag key. The entry's accumulated estimates follow
+// from the candidate, so a redefined operator's entries never alias its old
+// ones, nor does a retrained operator's entry whose resources or estimates
+// moved, nor the node results downstream that read them.
+func derivedEntrySig(c *candidate, outIndex int, metaKey string, pareto bool) sig {
+	h := newHasher()
+	h.str("op")
+	h.str(sigKind(pareto))
+	h.sig(c.sig)
+	h.u64(uint64(outIndex))
+	h.str(metaKey)
+	return h.sum()
+}
+
+// rowSig digests one table row. An entry's sig already digests its tag key,
+// so the key is not hashed again.
+func rowSig(h *hasher, row []*tagEntry) {
 	h.u64(uint64(len(row)))
 	for _, e := range row {
 		h.sig(e.sig)
-		if e.cand != nil {
-			p.readSigs = append(p.readSigs, e.sig)
-		}
 	}
 }
 
@@ -234,7 +245,7 @@ func (c *planCache) usable(i int) bool { return i >= 0 && c.avail[i] }
 // snapshot availability of its matches' engines, the rows of every input and
 // the pre-insert state of every output, in position order. It hashes no node
 // or dataset name, so nodes of one shape share a key. Must be called with
-// p.mu held (it fills p.readSigs).
+// p.mu held.
 func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool) sig {
 	h := newHasher()
 	h.str("node")
@@ -246,11 +257,11 @@ func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool)
 	}
 	h.u64(uint64(len(o.Inputs)))
 	for _, in := range o.Inputs {
-		p.rowSig(&h, dp[in])
+		rowSig(&h, dp[in])
 	}
 	h.u64(uint64(len(o.Outputs)))
 	for _, out := range o.Outputs {
-		p.rowSig(&h, dp[out])
+		rowSig(&h, dp[out])
 	}
 	return h.sum()
 }
@@ -262,11 +273,12 @@ type insertRec struct {
 }
 
 // nodeResult is the memoized outcome of evaluating one operator node, with
-// the dependency footprint it is invalidated by (invalidate.go).
+// the materialized operators it estimated, whose retrain evicts it
+// (invalidate.go).
 type nodeResult struct {
 	inserts            []insertRec
 	tried, kept, moves int
-	foot               footprint
+	estOps             []string
 }
 
 // cacheValidity holds the counters the cache was last reconciled against.
@@ -291,10 +303,6 @@ type planCache struct {
 	leaves map[sig]*tagEntry
 	seeds  map[sig]map[string]*tagEntry
 	moved  map[movedKey]*metadata.Tree // movedMetaLocked's memo
-
-	// dependents maps a derived entry's sig to the keys of the node results
-	// that read it — the links a downstream eviction follows (invalidate.go).
-	dependents map[sig][]sig
 
 	// engines is the sorted library engine list of the library generation
 	// validity.libGen, and avail the build's availability snapshot of each,
@@ -335,8 +343,8 @@ type CacheStats struct {
 	// evictions (those that did not coincide with a wholesale flush). Engine
 	// flaps and library changes are memo keys and evict nothing.
 	PartialInvalidations uint64
-	// EvictedEntries counts node results evicted by partial invalidation,
-	// downstream dependents included.
+	// EvictedEntries counts node results evicted by partial invalidation:
+	// those that estimated a retrained operator.
 	EvictedEntries uint64
 }
 
@@ -371,7 +379,6 @@ func (p *Planner) flushLocked() {
 	p.cache.leaves = make(map[sig]*tagEntry)
 	p.cache.seeds = make(map[sig]map[string]*tagEntry)
 	p.cache.moved = make(map[movedKey]*metadata.Tree)
-	p.cache.dependents = make(map[sig][]sig)
 	p.cache.matchSets = make(map[string]*matchSet)
 	p.cache.epoch++
 }

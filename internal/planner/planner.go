@@ -115,9 +115,9 @@ type Config struct {
 	// Epoch supplies an infrastructure-change counter: any movement forces a
 	// wholesale cache flush at the next build boundary (the platform wires
 	// its infrastructure generation here); nil reads as 0. A profiler
-	// retrain should instead use ProfilerRetrain, which evicts only the
-	// dependent cache entries; library changes and availability need
-	// neither, being part of every node's key. See invalidate.go.
+	// retrain should instead use ProfilerRetrain, which evicts only the node
+	// results that estimated the operator; library changes and availability
+	// need neither, being part of every node's key. See invalidate.go.
 	Epoch func() uint64
 }
 
@@ -133,20 +133,15 @@ type Planner struct {
 	// Scratch buffers of the running build, guarded by mu. dp is the table
 	// being built, emptied again when its request returns. sets are the
 	// match sets of the build's operator nodes in order, prefit the names
-	// handed to the Prefitter. readSigs is filled by nodeKey with the entry
-	// signatures it reads; buildTable copies it into the footprint of a
-	// freshly evaluated node. feats is the feature map handed to the
-	// Estimator, vecs the vectors of the front being pruned, evict the stack
-	// of node keys an invalidation is evicting; options, optionVec and next
-	// are paretoCandidates' per-slot working lists, order and dropped prune's;
-	// xs is extract's.
+	// handed to the Prefitter. feats is the feature map handed to the
+	// Estimator, vecs the vectors of the front being pruned; options,
+	// optionVec and next are paretoCandidates' per-slot working lists, order
+	// and dropped prune's; xs is extract's.
 	dp              table
 	sets            []*matchSet
 	prefit          []string
-	readSigs        []sig
 	feats           map[string]float64
 	vecs            []pVec
-	evict           []sig
 	options         []inputChoice
 	optionVec, next []pVec
 	order           []int
@@ -294,6 +289,9 @@ type candidate struct {
 	opMoney float64
 
 	outRecords, outBytes int64
+	// sig digests every field above (memo.go): candidates of equal sig
+	// extract to the same step.
+	sig sig
 }
 
 // Plan is a materialized execution plan: steps in dependency order.
@@ -485,7 +483,6 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 		if o.Kind != workflow.OperatorNode {
 			continue
 		}
-		p.readSigs = p.readSigs[:0]
 		ms := sets[0]
 		sets = sets[1:]
 		key := p.nodeKey(o, ms, dp, pareto)
@@ -495,11 +492,7 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 		} else {
 			stats.cacheMisses++
 			res = p.evalNode(o, ms, dp, pareto)
-			res.foot.inSigs = slices.Clone(p.readSigs)
 			p.cache.nodes[key] = res
-			for _, s := range res.foot.inSigs {
-				p.cache.dependents[s] = append(p.cache.dependents[s], key)
-			}
 		}
 		// Replaying the recorded inserts through the normal merge reproduces
 		// the cold table exactly, entriesKept and prunedFronts included (the
@@ -517,15 +510,15 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 // evalNode evaluates every materialization of one operator node whose
 // engine the build's availability snapshot admits, cold, strictly in library
 // (name) order, so the recorded insert sequence — and therefore every
-// downstream plan and trace byte — is deterministic. It fills the result's
-// dependency footprint but for inSigs, left to the caller.
+// downstream plan and trace byte — is deterministic.
 func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool) *nodeResult {
 	all := ms.matches
 	res := &nodeResult{
 		inserts: make([]insertRec, 0, len(all)*len(o.Outputs)),
-		foot:    footprint{estOps: make([]string, 0, len(all))},
+		estOps:  make([]string, 0, len(all)),
 	}
 	record := func(cand *candidate, opSig sig) {
+		cand.sig = candidateSig(cand, opSig)
 		res.kept++
 		for _, in := range cand.inputs {
 			if in.moved {
@@ -546,7 +539,7 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 				cand:     cand,
 				outIndex: idx,
 			}
-			e.sig = derivedEntrySig(cand, opSig, idx, e.metaKey, total, pareto)
+			e.sig = derivedEntrySig(cand, idx, e.metaKey, pareto)
 			p.cache.rowsAlloc++
 			res.inserts = append(res.inserts, insertRec{out: idx, e: e})
 		}
@@ -555,7 +548,7 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 		if !p.cache.usable(ms.engines[i]) {
 			continue
 		}
-		res.foot.estOps = append(res.foot.estOps, mo.Name)
+		res.estOps = append(res.estOps, mo.Name)
 		res.tried++
 		if pareto {
 			for _, cand := range p.paretoCandidates(o, mo, dp) {

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"github.com/asap-project/ires/internal/model"
 )
 
 // The paper's models "are stored and updated in an IReS library" that
@@ -109,28 +107,14 @@ func (p *Profiler) Import(r io.Reader) error {
 			}
 		}
 		p.mu.Lock()
-		zoo := p.zooLocked()
+		om := p.newModelsLocked(po.Operator, po.Algorithm, po.Engine, append([]string(nil), po.Features...))
 		p.mu.Unlock()
-		om := &OperatorModels{
-			Operator:      po.Operator,
-			Algorithm:     po.Algorithm,
-			Engine:        po.Engine,
-			Features:      append([]string(nil), po.Features...),
-			X:             po.X,
-			targets:       po.Targets,
-			models:        make(map[string]model.Model),
-			chosen:        make(map[string]string),
-			zoo:           zoo,
-			cvFolds:       p.CVFolds,
-			seed:          p.seed,
-			reselectEvery: p.ReselectEvery,
-			stats:         &p.stats,
+		om.X = po.X
+		if po.Targets != nil {
+			om.targets = po.Targets
 		}
 		om.minFailRecords = po.MinFailRecords
 		om.sinceReselect = po.SinceReselect
-		if om.targets == nil {
-			om.targets = make(map[string][]float64)
-		}
 		if len(om.X) > 0 {
 			// Honour the family choices recorded at export time, so a
 			// save/load cycle cannot flip the selection — fresh CV can land

@@ -403,7 +403,16 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 			features = append(features, n)
 		}
 	}
-	om := &OperatorModels{
+	om := p.newModelsLocked(opName, algorithm, engineName, features)
+	p.store[opName] = om
+	return om
+}
+
+// newModelsLocked returns an operator's empty model set, with the
+// profiler's zoo, cross-validation and reselection settings. Must be called
+// with p.mu held.
+func (p *Profiler) newModelsLocked(opName, algorithm, engineName string, features []string) *OperatorModels {
+	return &OperatorModels{
 		Operator:      opName,
 		Algorithm:     algorithm,
 		Engine:        engineName,
@@ -417,8 +426,6 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 		reselectEvery: p.ReselectEvery,
 		stats:         &p.stats,
 	}
-	p.store[opName] = om
-	return om
 }
 
 // ProfileOffline runs the offline profiling phase for one materialized

@@ -191,7 +191,7 @@ var metrics = []metric{
 	{name: "ires_planner_cache_misses_total", kind: counter, help: "planner DP memo misses (operator nodes evaluated cold)"},
 	{name: "ires_planner_epoch", kind: gauge, help: "planner cache epoch (wholesale flushes: infrastructure changes and the cache-size bound)"},
 	{name: "ires_planner_partial_invalidations_total", kind: counter, help: "profiler retrains applied as scoped partial evictions; library changes and engine flaps are memo keys and evict nothing"},
-	{name: "ires_planner_evicted_entries_total", kind: counter, help: "planner cache node results evicted by partial invalidation, downstream dependents included"},
+	{name: "ires_planner_evicted_entries_total", kind: counter, help: "planner cache node results evicted by partial invalidation: those that estimated a retrained operator"},
 	{name: "ires_profiler_observations_total", kind: counter, help: "observed runs appended to an operator's training buffer (model refinement)"},
 	{name: "ires_profiler_fits_total", kind: counter, help: "times an operator's models were brought up to date, at the first read after its buffer changed"},
 	{name: "ires_profiler_selections_total", kind: counter, help: "cross-validated model-family selections, one per refitted target"},

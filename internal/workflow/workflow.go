@@ -10,7 +10,7 @@ package workflow
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/asap-project/ires/internal/operator"
@@ -56,20 +56,20 @@ type Node struct {
 	// Operator is set for OperatorNode vertices.
 	Operator *operator.Abstract
 
-	pos int // index in the graph's insertion order
+	pos int // index in Graph.nodes
 }
 
 // Graph is an abstract workflow: a DAG of alternating dataset and operator
 // nodes with a designated target dataset.
 type Graph struct {
-	nodes  map[string]*Node
-	order  []string // insertion order, for deterministic iteration
+	nodes  []*Node // insertion order, for deterministic iteration
+	byName map[string]*Node
 	Target string
 }
 
 // NewGraph returns an empty workflow graph.
 func NewGraph() *Graph {
-	return &Graph{nodes: make(map[string]*Node)}
+	return &Graph{byName: make(map[string]*Node)}
 }
 
 // AddDataset adds a dataset node. A nil dataset gets an empty description.
@@ -92,23 +92,23 @@ func (g *Graph) addNode(n *Node) (*Node, error) {
 	if n.Name == "" {
 		return nil, fmt.Errorf("workflow: empty node name")
 	}
-	if _, ok := g.nodes[n.Name]; ok {
+	if _, ok := g.byName[n.Name]; ok {
 		return nil, fmt.Errorf("workflow: duplicate node %q", n.Name)
 	}
-	g.nodes[n.Name] = n
-	n.pos = len(g.order)
-	g.order = append(g.order, n.Name)
+	g.byName[n.Name] = n
+	n.pos = len(g.nodes)
+	g.nodes = append(g.nodes, n)
 	return n, nil
 }
 
 // Connect adds an edge from -> to. Edges must alternate between dataset and
 // operator nodes.
 func (g *Graph) Connect(from, to string) error {
-	f, ok := g.nodes[from]
+	f, ok := g.byName[from]
 	if !ok {
 		return fmt.Errorf("workflow: unknown node %q", from)
 	}
-	t, ok := g.nodes[to]
+	t, ok := g.byName[to]
 	if !ok {
 		return fmt.Errorf("workflow: unknown node %q", to)
 	}
@@ -122,7 +122,7 @@ func (g *Graph) Connect(from, to string) error {
 
 // SetTarget designates the workflow's output dataset.
 func (g *Graph) SetTarget(name string) error {
-	n, ok := g.nodes[name]
+	n, ok := g.byName[name]
 	if !ok {
 		return fmt.Errorf("workflow: unknown target %q", name)
 	}
@@ -135,7 +135,7 @@ func (g *Graph) SetTarget(name string) error {
 
 // Node returns a node by name.
 func (g *Graph) Node(name string) (*Node, bool) {
-	n, ok := g.nodes[name]
+	n, ok := g.byName[name]
 	return n, ok
 }
 
@@ -150,8 +150,8 @@ func (g *Graph) Operators() []*Node { return g.byKind(OperatorNode) }
 
 func (g *Graph) byKind(k Kind) []*Node {
 	var out []*Node
-	for _, name := range g.order {
-		if n := g.nodes[name]; n.Kind == k {
+	for _, n := range g.nodes {
+		if n.Kind == k {
 			out = append(out, n)
 		}
 	}
@@ -161,8 +161,7 @@ func (g *Graph) byKind(k Kind) []*Node {
 // Sources returns the dataset nodes with no producers (workflow inputs).
 func (g *Graph) Sources() []*Node {
 	var out []*Node
-	for _, name := range g.order {
-		n := g.nodes[name]
+	for _, n := range g.nodes {
 		if n.Kind == DatasetNode && len(n.Inputs) == 0 {
 			out = append(out, n)
 		}
@@ -175,10 +174,9 @@ func (g *Graph) Sources() []*Node {
 func (g *Graph) Topological() ([]*Node, error) {
 	// Kahn's algorithm with a deterministic frontier: out is its own queue,
 	// out[head:] the nodes ready but not yet expanded.
-	indeg := make([]int, len(g.order))
-	out := make([]*Node, 0, len(g.order))
-	for i, name := range g.order {
-		n := g.nodes[name]
+	indeg := make([]int, len(g.nodes))
+	out := make([]*Node, 0, len(g.nodes))
+	for i, n := range g.nodes {
 		if indeg[i] = len(n.Inputs); indeg[i] == 0 {
 			out = append(out, n)
 		}
@@ -227,15 +225,14 @@ func (g *Graph) ValidatedOrder() ([]*Node, error) {
 	if g.Target == "" {
 		return nil, fmt.Errorf("workflow: no target dataset designated")
 	}
-	if _, ok := g.nodes[g.Target]; !ok {
+	if _, ok := g.byName[g.Target]; !ok {
 		return nil, fmt.Errorf("workflow: target %q not in graph", g.Target)
 	}
 	order, err := g.Topological()
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range g.order {
-		n := g.nodes[name]
+	for _, n := range g.nodes {
 		switch n.Kind {
 		case OperatorNode:
 			if len(n.Inputs) == 0 {
@@ -261,23 +258,20 @@ func (g *Graph) ValidatedOrder() ([]*Node, error) {
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph workflow {\n")
-	names := make([]string, len(g.order))
-	copy(names, g.order)
-	sort.Strings(names)
-	for _, name := range names {
-		n := g.nodes[name]
+	nodes := slices.Clone(g.nodes)
+	slices.SortFunc(nodes, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
+	for _, n := range nodes {
 		shape := "ellipse"
 		if n.Kind == OperatorNode {
 			shape = "box"
 		}
 		extra := ""
-		if name == g.Target {
+		if n.Name == g.Target {
 			extra = ", peripheries=2"
 		}
-		fmt.Fprintf(&b, "  %q [shape=%s%s];\n", name, shape, extra)
+		fmt.Fprintf(&b, "  %q [shape=%s%s];\n", n.Name, shape, extra)
 	}
-	for _, name := range names {
-		n := g.nodes[name]
+	for _, n := range nodes {
 		for _, out := range n.Outputs {
 			fmt.Fprintf(&b, "  %q -> %q;\n", n.Name, out.Name)
 		}

@@ -396,7 +396,7 @@ func (p *Platform) newExecutor(ctx scheduler.ExecContext) scheduler.Exec {
 	if p.faults != nil {
 		inj = p.faults
 	}
-	var rp executor.Replanner = replanAdapter{p.planner}
+	var rp executor.Replanner = p.planner
 	if p.trivialReplan {
 		rp = trivialReplanAdapter{p.planner}
 	}
@@ -637,12 +637,8 @@ func declaredConstant(mo *operator.Materialized, path string) (float64, bool) {
 	return v, true
 }
 
-type replanAdapter struct{ pl *planner.Planner }
-
-func (r replanAdapter) Replan(g *workflow.Graph, done []planner.MaterializedIntermediate) (*planner.Plan, error) {
-	return r.pl.Replan(g, done)
-}
-
+// trivialReplanAdapter replans from scratch, ignoring the materialized
+// intermediates: the baseline the replan-from-done-set path is compared with.
 type trivialReplanAdapter struct{ pl *planner.Planner }
 
 func (r trivialReplanAdapter) Replan(g *workflow.Graph, _ []planner.MaterializedIntermediate) (*planner.Plan, error) {
