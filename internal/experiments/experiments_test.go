@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/asap-project/ires/internal/pegasus"
-	"github.com/asap-project/ires/internal/trace"
 )
 
 func TestFig11Shape(t *testing.T) {
@@ -228,47 +226,52 @@ func TestFig14PlannerScaling(t *testing.T) {
 }
 
 // TestFig15EngineScaling checks Figure 15's engine-count term on the work the
-// DP does, which is deterministic: at 100 nodes, the cold build with 8
-// engines per operator tries more candidates and considers more moves than
-// the one with 2, on both categories. A 100-node build takes about 0.1 ms,
-// too little for its wall clock to order the two, so the wall clock is
-// checked only at 1,000 nodes, where every point must stay within the
-// paper's sub-second optimization times.
+// DP does, which is deterministic: each report's work table must show the
+// cold build with 8 engines per operator trying more candidates and
+// considering more moves than the one with 2, at 100 and at 1,000 nodes, on
+// both categories. A 100-node build takes about 0.1 ms, too little for its
+// wall clock to order the two, so the wall clock is checked only at 1,000
+// nodes, where every point must stay within the paper's sub-second
+// optimization times.
 func TestFig15EngineScaling(t *testing.T) {
-	for _, cat := range []pegasus.Category{pegasus.Montage, pegasus.Epigenomics} {
-		g, err := pegasus.Generate(cat, 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		work := map[int]map[string]float64{}
-		for _, m := range []int{2, 8} {
-			rec := trace.NewRecorder(0)
-			p, err := pegasusPlanner(g, m, rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Plan(g); err != nil {
-				t.Fatal(err)
-			}
-			for _, ev := range rec.Events() {
-				if ev.Type == trace.EvPlanFinish {
-					work[m] = ev.Fields
-				}
-			}
-		}
-		for _, f := range []string{"candidatesTried", "movesConsidered"} {
-			two, eight := work[2][f], work[8][f]
-			if eight <= two {
-				t.Errorf("%s/100: %s with 8 engines (%v) not above 2 (%v)", cat, f, eight, two)
-			}
-			t.Logf("%s/100: %s %v with 2 engines, %v with 8", cat, f, two, eight)
-		}
-	}
-	reports, err := Fig15([]int{1000}, []int{2, 8}, 3)
+	sizes := []int{100, 1000}
+	reports, err := Fig15(sizes, []int{2, 8}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range reports {
+		var work *Table
+		for i := range r.Tables {
+			if r.Tables[i].Title == fig15Work {
+				work = &r.Tables[i]
+			}
+		}
+		if work == nil {
+			t.Fatalf("%s: no %q table", r.ID, fig15Work)
+		}
+		// cell reads column col of the row for (engines, nodes).
+		cell := func(engines, nodes, col int) float64 {
+			for _, row := range work.Rows {
+				if row[0] == strconv.Itoa(engines) && row[1] == strconv.Itoa(nodes) {
+					v, err := strconv.ParseFloat(row[col], 64)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return v
+				}
+			}
+			t.Fatalf("%s: no work row for %d engines, %d nodes", r.ID, engines, nodes)
+			return 0
+		}
+		for _, size := range sizes {
+			for col := 2; col < len(work.Header); col++ {
+				two, eight := cell(2, size, col), cell(8, size, col)
+				if eight <= two {
+					t.Errorf("%s/%d: %s with 8 engines (%v) not above 2 (%v)", r.ID, size, work.Header[col], eight, two)
+				}
+				t.Logf("%s/%d: %s %v with 2 engines, %v with 8", r.ID, size, work.Header[col], two, eight)
+			}
+		}
 		for _, s := range r.Series {
 			if y, _ := s.YAt(1000); y > 1.0 {
 				t.Errorf("%s %s: %.4fs to optimize 1,000 nodes, above 1 s", r.ID, s.Label, y)

@@ -5,7 +5,6 @@ import (
 
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
-	"github.com/asap-project/ires/internal/provision"
 )
 
 // Fig17 reproduces Figure 17: execution time and execution cost vs input
@@ -108,6 +107,5 @@ func Fig17(seed int64) (*Report, *Report, error) {
 		timeR.AddSeries(s.label, tPts...)
 		costR.AddSeries(s.label, cPts...)
 	}
-	_ = provision.MinTime // provisioning policy exercised through the platform
 	return timeR, costR, nil
 }

@@ -136,7 +136,7 @@ type Planner struct {
 	// handed to the Prefitter. feats is the feature map handed to the
 	// Estimator, vecs the vectors of the front being pruned; options,
 	// optionVec and next are paretoCandidates' per-slot working lists, order
-	// and dropped prune's; xs is extract's.
+	// and kept prune's; xs is extract's.
 	dp              table
 	sets            []*matchSet
 	prefit          []string
@@ -145,7 +145,7 @@ type Planner struct {
 	options         []inputChoice
 	optionVec, next []pVec
 	order           []int
-	dropped         []bool
+	kept            []bool
 	xs              extractScratch
 
 	// pendMu guards pend, the operators retrained since the last build. It

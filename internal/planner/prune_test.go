@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -92,6 +93,51 @@ func TestPruneMatchesQuadraticReference(t *testing.T) {
 	if thinned < 100 {
 		t.Fatalf("only %d rounds reached the thinning stage", thinned)
 	}
+}
+
+// FuzzPrune checks the staircase prune against the pairwise reference on
+// vectors decoded from the input. An even first byte reads each following
+// byte as one component from few values (many ties, duplicates and shared
+// coordinates) or, from 0xFC up, as +Inf, −Inf, NaN or −0; an odd one reads
+// each 8 bytes as a component's raw bits.
+func FuzzPrune(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 2, 1, 1, 1, 0xFE, 3, 0xFC, 0xFD})
+	f.Add([]byte{0, 0xFF, 0, 0, 0xFF, 5, 5, 5, 5, 4, 6})
+	f.Add(append([]byte{1}, make([]byte, 64)...))
+	anti := []byte{0}
+	for i := byte(0); i < 40; i++ {
+		anti = append(anti, i, 40-i)
+	}
+	f.Add(anti)
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		var xs []float64
+		if data[0]&1 == 0 {
+			for _, b := range data[1:] {
+				if b >= 0xFC {
+					xs = append(xs, specials[b-0xFC])
+				} else {
+					xs = append(xs, float64(b%41))
+				}
+			}
+		} else {
+			for rest := data[1:]; len(rest) >= 8; rest = rest[8:] {
+				xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(rest)))
+			}
+		}
+		vs := make([]pVec, len(xs)/2)
+		for i := range vs {
+			vs[i] = pVec{xs[2*i], xs[2*i+1]}
+		}
+		want := pruneQuadratic(vs)
+		got := new(Planner).prune(vs)
+		if len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("staircase keeps %v, pairwise reference keeps %v\nvectors: %v", got, want, vs)
+		}
+	})
 }
 
 // TestHasherWordBoundaries pins what the eight-bytes-per-step hasher must
