@@ -19,8 +19,8 @@ import (
 // up and down is the case availability-keyed memoization is designed for:
 // the engine's availability is part of the key of the mShrink node alone, so
 // the first replan in the down state re-derives that node (and its mJPEG
-// dependent, should its input row change) and insert-replays everything else
-// warm, and every later replan in either state is all hits. The cold plan is
+// dependent, should its input row change) and installs the cached rows of
+// everything else warm, and every later replan in either state is all hits. The cold plan is
 // the cost a wholesale flush would pay for the same flap.
 
 // giantFlapEngine is the extra engine the flap benchmarks toggle.

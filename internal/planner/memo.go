@@ -5,12 +5,11 @@ package planner
 // the node computes — its match set (abstract description and every match's
 // name and definition), the availability of those matches' engines, the
 // structural signatures of its input rows and the pre-insert state of its
-// output rows, inputs and outputs in position order — and caches the exact
-// sequence of table inserts (plus the per-node DP statistics) that the cold
-// evaluation produced. Replaying the inserts through the normal min-merge
-// reproduces the cold table bit for bit — including entriesKept and
-// prunedFronts counters — so a warm build emits byte-identical plans and
-// trace events.
+// output rows, inputs and outputs in position order — and caches the output
+// rows its evaluation left, with the per-node DP statistics. A hit installs
+// them as they are, a bit-for-bit cold table, so a warm build emits
+// byte-identical plans and trace events. Cached rows are read-only: only a
+// dataset's one producer inserts into its row after the leaf and seed pass.
 //
 // No key names a node or a dataset. Two nodes that compute the same thing
 // from the same input rows — the copies of one job in a level of a Pegasus
@@ -257,28 +256,23 @@ func (p *Planner) nodeKey(o *workflow.Node, ms *matchSet, dp table, pareto bool)
 	}
 	h.u64(uint64(len(o.Inputs)))
 	for _, in := range o.Inputs {
-		rowSig(&h, dp[in])
+		rowSig(&h, dp[in.Pos()])
 	}
 	h.u64(uint64(len(o.Outputs)))
 	for _, out := range o.Outputs {
-		rowSig(&h, dp[out])
+		rowSig(&h, dp[out.Pos()])
 	}
 	return h.sum()
 }
 
-// insertRec is one recorded table insert of a node evaluation.
-type insertRec struct {
-	out int // index into the node's Outputs
-	e   *tagEntry
-}
-
-// nodeResult is the memoized outcome of evaluating one operator node, with
-// the materialized operators it estimated, whose retrain evicts it
-// (invalidate.go).
+// nodeResult is the memoized outcome of evaluating one operator node: the
+// row its inserts left in each output (rows[i] is Outputs[i]'s), their
+// statistics (no cache counts), and the materialized operators it estimated,
+// whose retrain evicts it (invalidate.go).
 type nodeResult struct {
-	inserts            []insertRec
-	tried, kept, moves int
-	estOps             []string
+	rows [][]*tagEntry
+	dpStats
+	estOps []string
 }
 
 // cacheValidity holds the counters the cache was last reconciled against.

@@ -50,7 +50,7 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 	// The target row holds one front per tag; the answer is the front of
 	// their union.
 	targetNode, _ := g.Node(g.Target)
-	front, _ := p.pruneFront(dp[targetNode])
+	front, _ := p.pruneFront(dp[targetNode.Pos()])
 	if len(front) == 0 {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
 	}
@@ -155,11 +155,14 @@ func (p *Planner) pruneFront(entries []*tagEntry) ([]*tagEntry, int) {
 }
 
 // pPartial is one non-dominated way to satisfy the first input slots of a
-// candidate: the choice for the last of them, chained by index to the
-// partial it extends (-1 for the empty partial).
+// candidate: the entry chosen for the last of them and whether it is moved,
+// chained by index to the partial it extends (-1 for the empty partial). A
+// partial is 48 bytes: the move's time is made again from the entry, and an
+// int32 index fits every call's partials.
 type pPartial struct {
-	prev    int
-	choice  inputChoice
+	entry   *tagEntry
+	prev    int32
+	moved   bool
 	v       pVec
 	records int64
 	bytes   int64
@@ -191,12 +194,9 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 	for i, in := range o.Inputs {
 		options, optionVec = options[:0], optionVec[:0]
 		finite := true
-		for _, tin := range dp[in] {
-			choice, v := inputChoice{entry: tin}, pVec{tin.time, tin.money}
-			if !mo.AcceptsInput(i, tin.meta) {
-				choice.moved = true
-				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
-				choice.moveCost = choice.moveTime // one cost unit per second moved
+		for _, tin := range dp[in.Pos()] {
+			choice, v := p.choice(tin, !mo.AcceptsInput(i, tin.meta)), pVec{tin.time, tin.money}
+			if choice.moved {
 				v = pVec{tin.time + choice.moveTime, tin.money + choice.moveCost}
 			}
 			options, optionVec = append(options, choice), append(optionVec, v)
@@ -224,7 +224,7 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 			pi := base + idx/len(options)
 			pt, opt := &partials[pi], options[idx%len(options)]
 			partials = append(partials, pPartial{
-				prev: pi, choice: opt, v: next[idx],
+				entry: opt.entry, prev: int32(pi), moved: opt.moved, v: next[idx],
 				records: pt.records + opt.entry.records,
 				bytes:   pt.bytes + opt.entry.bytes,
 			})
@@ -237,8 +237,8 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 	out := make([]*candidate, 0, len(final))
 	for i := range final {
 		inputs := lists[i*slots : (i+1)*slots : (i+1)*slots]
-		for j, k := first+i, slots-1; k >= 0; j, k = partials[j].prev, k-1 {
-			inputs[k] = partials[j].choice
+		for j, k := first+i, slots-1; k >= 0; j, k = int(partials[j].prev), k-1 {
+			inputs[k] = p.choice(partials[j].entry, partials[j].moved)
 		}
 		if cand := p.estimate(mo, inputs, final[i].records, final[i].bytes); cand != nil {
 			out = append(out, cand)

@@ -214,7 +214,7 @@ func paretoCandidatesReference(p *Planner, o *workflow.Node, mo *operator.Materi
 	for i, in := range o.Inputs {
 		var options []inputChoice
 		var optionVec []pVec
-		for _, tin := range dp[in] {
+		for _, tin := range dp[in.Pos()] {
 			choice, v := inputChoice{entry: tin}, pVec{tin.time, tin.money}
 			if !mo.AcceptsInput(i, tin.meta) {
 				choice.moved = true
@@ -343,7 +343,7 @@ func TestParetoCandidatesMatchReference(t *testing.T) {
 			special = 10
 		}
 		draw := collidingDraw(rng, 1+rng.Intn(12), special)
-		dp := table{}
+		dp := make(table, g.Len())
 		finite := true
 		for _, in := range o.Inputs {
 			n := 1 + rng.Intn(40)
@@ -363,7 +363,7 @@ func TestParetoCandidatesMatchReference(t *testing.T) {
 				finite = finite && !math.IsInf(e.time, 0) && !math.IsInf(e.money, 0) && !isNaN(e.time, e.money)
 				row[k] = e
 			}
-			dp[in] = row
+			dp[in.Pos()] = row
 		}
 		if finite {
 			filtered++

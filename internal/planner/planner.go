@@ -185,7 +185,7 @@ func New(cfg Config) (*Planner, error) {
 	if cfg.Now == nil {
 		cfg.Now = func() time.Duration { return 0 }
 	}
-	return &Planner{cfg: cfg, dp: make(table), feats: make(map[string]float64)}, nil
+	return &Planner{cfg: cfg, feats: make(map[string]float64)}, nil
 }
 
 // emit stamps the current virtual time on ev and hands it to the tracer.
@@ -248,10 +248,25 @@ type tagEntry struct {
 	sig sig
 }
 
-// table is the dpTable: per dataset node, its entries sorted by tag key. A
-// scalar row holds one entry per key; a Pareto row holds each key's front as
-// a run of adjacent entries, in front order.
-type table map[*workflow.Node][]*tagEntry
+// table is the dpTable: per dataset node, by its position in the graph, its
+// entries sorted by tag key. A scalar row holds one entry per key; a Pareto
+// row holds each key's front as a run of adjacent entries, in front order.
+type table [][]*tagEntry
+
+// insert merges e into a row — the scalar min-merge or a Pareto front merge —
+// and counts what the merge did into s.
+func (p *Planner) insert(row []*tagEntry, e *tagEntry, pareto bool, s *dpStats) []*tagEntry {
+	if pareto {
+		row, dropped := p.insertFront(row, e)
+		s.prunedFronts += dropped
+		return row
+	}
+	row, kept := insertMin(row, e)
+	if kept {
+		s.entriesKept++
+	}
+	return row
+}
 
 // insertMin merges e into a scalar row — the cheapest entry per tag key
 // stays, the earlier one on ties — and reports whether e was kept.
@@ -276,6 +291,17 @@ type inputChoice struct {
 	moved    bool
 	moveTime float64
 	moveCost float64
+}
+
+// choice is how entry e satisfies an input slot, moved to the slot's
+// engine or not.
+func (p *Planner) choice(e *tagEntry, moved bool) inputChoice {
+	c := inputChoice{entry: e, moved: moved}
+	if moved {
+		c.moveTime = p.cfg.MoveSeconds(e.bytes)
+		c.moveCost = c.moveTime // one cost unit per second moved
+	}
+	return c
 }
 
 // candidate is one materialized operator choice with resolved inputs. It
@@ -404,7 +430,7 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 	p.recordBuildLocked(stats)
 	targetNode, _ := g.Node(g.Target)
 	var best *tagEntry
-	for _, e := range dp[targetNode] {
+	for _, e := range dp[targetNode.Pos()] {
 		if best == nil || e.cost < best.cost {
 			best = e
 		}
@@ -427,21 +453,13 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 // validated topological order. seed pre-populates dataset entries (used by
 // replanning to inject already-materialized intermediates). Must be called
 // with p.mu held: it reads and populates the memo cache, and the table it
-// returns is the planner's one scratch table, valid until the next build.
+// returns is the planner's one scratch table, valid until the next build. A
+// hit installs the read-only rows its node result cached (memo.go).
 func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) (table, *dpStats) {
 	stats := &dpStats{}
-	dp := p.dp
+	dp := slices.Grow(p.dp[:0], len(order))[:len(order)]
+	p.dp = dp
 	clear(dp)
-	insert := func(n *workflow.Node, e *tagEntry) {
-		if pareto {
-			var dropped int
-			dp[n], dropped = p.insertFront(dp[n], e)
-			stats.prunedFronts += dropped
-		} else if row, kept := insertMin(dp[n], e); kept {
-			dp[n] = row
-			stats.entriesKept++
-		}
-	}
 
 	// Initialise dpTable with materialized datasets (line 5-10 of Alg. 1).
 	for _, d := range order {
@@ -449,9 +467,9 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 			continue
 		}
 		if se, ok := seed[d.Name]; ok {
-			insert(d, se)
+			dp[d.Pos()] = p.insert(nil, se, pareto, stats)
 		} else if d.Dataset.IsMaterialized() {
-			insert(d, p.leafEntryLocked(d, pareto))
+			dp[d.Pos()] = p.insert(nil, p.leafEntryLocked(d, pareto), pareto, stats)
 		}
 	}
 
@@ -494,14 +512,13 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 			res = p.evalNode(o, ms, dp, pareto)
 			p.cache.nodes[key] = res
 		}
-		// Replaying the recorded inserts through the normal merge reproduces
-		// the cold table exactly, entriesKept and prunedFronts included (the
-		// key covers the outputs' pre-insert state).
-		stats.candidatesTried += res.tried
-		stats.candidatesKept += res.kept
-		stats.movesConsidered += res.moves
-		for _, rec := range res.inserts {
-			insert(o.Outputs[rec.out], rec.e)
+		stats.candidatesTried += res.candidatesTried
+		stats.candidatesKept += res.candidatesKept
+		stats.movesConsidered += res.movesConsidered
+		stats.entriesKept += res.entriesKept
+		stats.prunedFronts += res.prunedFronts
+		for i, out := range o.Outputs {
+			dp[out.Pos()] = res.rows[i]
 		}
 	}
 	return dp, stats
@@ -509,24 +526,25 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 
 // evalNode evaluates every materialization of one operator node whose
 // engine the build's availability snapshot admits, cold, strictly in library
-// (name) order, so the recorded insert sequence — and therefore every
-// downstream plan and trace byte — is deterministic.
+// (name) order, merging each candidate into the output rows as it goes, so
+// the insert sequence — and therefore every downstream plan and trace byte —
+// is deterministic.
 func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool) *nodeResult {
 	all := ms.matches
 	res := &nodeResult{
-		inserts: make([]insertRec, 0, len(all)*len(o.Outputs)),
-		estOps:  make([]string, 0, len(all)),
+		rows:   make([][]*tagEntry, len(o.Outputs)),
+		estOps: make([]string, 0, len(all)),
 	}
 	record := func(cand *candidate, opSig sig) {
 		cand.sig = candidateSig(cand, opSig)
-		res.kept++
+		res.candidatesKept++
 		for _, in := range cand.inputs {
 			if in.moved {
-				res.moves++
+				res.movesConsidered++
 			}
 		}
 		total := cand.pathTotals(p.cfg.Objective, pareto)
-		for idx := range o.Outputs {
+		for idx, out := range o.Outputs {
 			tag := cand.mo.OutputTag(idx)
 			e := &tagEntry{
 				meta:     tag.Meta,
@@ -541,7 +559,7 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 			}
 			e.sig = derivedEntrySig(cand, idx, e.metaKey, pareto)
 			p.cache.rowsAlloc++
-			res.inserts = append(res.inserts, insertRec{out: idx, e: e})
+			dp[out.Pos()] = p.insert(dp[out.Pos()], e, pareto, &res.dpStats)
 		}
 	}
 	for i, mo := range all {
@@ -549,7 +567,7 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 			continue
 		}
 		res.estOps = append(res.estOps, mo.Name)
-		res.tried++
+		res.candidatesTried++
 		if pareto {
 			for _, cand := range p.paretoCandidates(o, mo, dp) {
 				record(cand, ms.opSigs[i])
@@ -557,6 +575,9 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 		} else if cand := p.tryCandidate(o, mo, dp); cand != nil {
 			record(cand, ms.opSigs[i])
 		}
+	}
+	for idx, out := range o.Outputs {
+		res.rows[idx] = dp[out.Pos()]
 	}
 	return res
 }
@@ -600,19 +621,16 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp t
 	var inRecords, inBytes int64
 	obj := p.cfg.Objective
 	for i, in := range o.Inputs {
-		row := dp[in]
+		row := dp[in.Pos()]
 		if len(row) == 0 {
 			return nil
 		}
 		var best inputChoice
 		bestCost := 0.0
 		for _, tin := range row {
-			choice, cost := inputChoice{entry: tin}, tin.cost
-			if !mo.AcceptsInput(i, tin.meta) {
-				// checkMove: a single move/transform bridges the mismatch.
-				choice.moved = true
-				choice.moveTime = p.cfg.MoveSeconds(tin.bytes)
-				choice.moveCost = choice.moveTime // one cost unit per second moved
+			// checkMove: a single move/transform bridges a mismatch.
+			choice, cost := p.choice(tin, !mo.AcceptsInput(i, tin.meta)), tin.cost
+			if choice.moved {
 				cost += obj(choice.moveTime, choice.moveCost)
 			}
 			if best.entry == nil || cost < bestCost {

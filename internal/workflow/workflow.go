@@ -59,6 +59,10 @@ type Node struct {
 	pos int // index in Graph.nodes
 }
 
+// Pos returns the node's position in its graph, in insertion order: the
+// nodes of a graph hold the positions 0 .. Len()-1.
+func (n *Node) Pos() int { return n.pos }
+
 // Graph is an abstract workflow: a DAG of alternating dataset and operator
 // nodes with a designated target dataset.
 type Graph struct {
