@@ -8,7 +8,8 @@
 //
 // With -lib, the directory's datasets, operators and abstract operators are
 // pre-registered and its abstract workflows become available under
-// /api/workflows/<name>.
+// /api/workflows/{name}. README.md "REST routes" lists every endpoint and
+// its answers.
 package main
 
 import (

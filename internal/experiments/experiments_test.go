@@ -129,9 +129,36 @@ func TestFig12HybridSpeedup(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
-	r, err := Fig13(42)
+	r, plans, err := fig13(42)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each executed plan's placement note names the engine of every
+	// operator step in that plan.
+	for i, x := range []float64{1, 2, 5, 10, 20, 50} {
+		if plans[i] == nil {
+			continue
+		}
+		prefix := fmt.Sprintf("at %v GB IReS runs ", x)
+		var note string
+		for _, n := range r.Notes {
+			if strings.HasPrefix(n, prefix) {
+				note = n
+			}
+		}
+		if note == "" {
+			t.Errorf("no placement note at %vGB: %q", x, r.Notes)
+			continue
+		}
+		for _, op := range []string{"q1", "q2", "q3", "combine"} {
+			st, ok := plans[i].StepFor(op)
+			if !ok {
+				t.Fatalf("plan at %vGB has no step %s", x, op)
+			}
+			if want := op + " on " + st.Engine; !strings.Contains(note, want) {
+				t.Errorf("note %q does not say %q", note, want)
+			}
+		}
 	}
 	memsql, _ := r.SeriesByLabel("MemSQL")
 	postgres, _ := r.SeriesByLabel("PostgreSQL")

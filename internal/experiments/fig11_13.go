@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"strings"
+
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
 )
@@ -33,18 +35,18 @@ type baselineStep struct {
 	params  map[string]float64
 }
 
-// iresRunSec plans and executes the workflow on the platform, returning the
-// simulated makespan.
-func iresRunSec(p *ires.Platform, wf *ires.Workflow) (float64, bool) {
+// iresRun plans and executes the workflow on the platform, returning the
+// executed plan and its simulated makespan; ok is false if either step fails.
+func iresRun(p *ires.Platform, wf *ires.Workflow) (plan *ires.Plan, sec float64, ok bool) {
 	plan, err := p.Plan(wf)
 	if err != nil {
-		return 0, false
+		return nil, 0, false
 	}
 	res, err := p.Execute(wf, plan)
 	if err != nil {
-		return 0, false
+		return nil, 0, false
 	}
-	return res.Makespan.Seconds(), true
+	return plan, res.Makespan.Seconds(), true
 }
 
 // Fig11 reproduces Figure 11: graph analytics (PageRank over CDR graphs)
@@ -77,7 +79,7 @@ func Fig11(seed int64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		sec, ok := iresRunSec(p, wf)
+		_, sec, ok := iresRun(p, wf)
 		pts = append(pts, Point{X: float64(n), Y: sec, Failed: !ok})
 	}
 	r.AddSeries("IReS", pts...)
@@ -145,12 +147,20 @@ func Fig12(seed int64) (*Report, error) {
 // over PostgreSQL/MemSQL/HDFS-resident tables plus a combining join) vs
 // TPC-H scale, for each single engine and IReS.
 func Fig13(seed int64) (*Report, error) {
+	r, _, err := fig13(seed)
+	return r, err
+}
+
+// fig13 is Fig13, also returning the plan IReS executed at each scale (nil
+// where it failed). Each executed plan gets a note saying where it ran every
+// operator.
+func fig13(seed int64) (*Report, []*ires.Plan, error) {
 	p, err := SQLPlatform(seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := RegisterCombineOps(p); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r := &Report{
 		ID:     "FIG13",
@@ -194,18 +204,28 @@ func Fig13(seed int64) (*Report, error) {
 	}
 
 	var pts []Point
-	for _, gb := range scales {
+	plans := make([]*ires.Plan, len(scales))
+	for i, gb := range scales {
 		wf, err := SQLWorkflow(p, gb)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sec, ok := iresRunSec(p, wf)
+		plan, sec, ok := iresRun(p, wf)
 		pts = append(pts, Point{X: gb, Y: sec, Failed: !ok})
+		if !ok {
+			continue
+		}
+		plans[i] = plan
+		var placed []string
+		for _, op := range []string{"q1", "q2", "q3", "combine"} {
+			st, _ := plan.StepFor(op)
+			placed = append(placed, op+" on "+st.Engine)
+		}
+		r.Note("at %s GB IReS runs %s", fmtNum(gb), strings.Join(placed, ", "))
 	}
 	r.AddSeries("IReS", pts...)
-	r.Note("IReS runs q1 in PostgreSQL, q2 in MemSQL, q3 in Spark (minimal movements)")
 	annotateWinner(r, nil)
-	return r, nil
+	return r, plans, nil
 }
 
 // annotateWinner records, per x, the fastest series — quick textual

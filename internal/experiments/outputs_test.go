@@ -53,7 +53,7 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := iresRunSec(p, wf); !ok {
+		if _, _, ok := iresRun(p, wf); !ok {
 			t.Fatalf("run %d failed", i)
 		}
 	}

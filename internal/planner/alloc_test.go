@@ -111,13 +111,13 @@ func TestCacheDoesNotGrowWithFreshGraphs(t *testing.T) {
 	sizes := func() map[string]int {
 		c := &p.cache
 		return map[string]int{
-			"nodes": len(c.nodes), "leaves": len(c.leaves), "seeds": len(c.seeds), "moved": len(c.moved),
+			"nodes": len(c.nodes), "leaves": len(c.leaves), "moved": len(c.moved),
 			"matchSets": len(c.matchSets),
 		}
 	}
 	round()
 	want := sizes()
-	if want["nodes"] == 0 || want["leaves"] == 0 || want["seeds"] == 0 || want["matchSets"] == 0 {
+	if want["nodes"] == 0 || want["leaves"] == 0 || want["matchSets"] == 0 {
 		t.Fatalf("first round cached nothing: %v", want)
 	}
 	for i := 0; i < 1000; i++ {

@@ -295,7 +295,6 @@ type planCache struct {
 
 	nodes  map[sig]*nodeResult // scalar and Pareto node results (sigKind apart)
 	leaves map[sig]*tagEntry
-	seeds  map[sig]map[string]*tagEntry
 	moved  map[movedKey]*metadata.Tree // movedMetaLocked's memo
 
 	// engines is the sorted library engine list of the library generation
@@ -371,7 +370,6 @@ func (p *Planner) FlushCache() {
 func (p *Planner) flushLocked() {
 	p.cache.nodes = make(map[sig]*nodeResult)
 	p.cache.leaves = make(map[sig]*tagEntry)
-	p.cache.seeds = make(map[sig]map[string]*tagEntry)
 	p.cache.moved = make(map[movedKey]*metadata.Tree)
 	p.cache.matchSets = make(map[string]*matchSet)
 	p.cache.epoch++
@@ -384,13 +382,12 @@ func (p *Planner) recordBuildLocked(stats *dpStats) {
 	p.cache.misses += uint64(stats.cacheMisses)
 }
 
-// leafEntryLocked returns the (memoized) zero-cost entry for a materialized
-// source dataset. Datasets stay mutable (sizes are set after construction),
-// so the tag is rendered per build and cloned into a new entry.
-func (p *Planner) leafEntryLocked(d *workflow.Node, pareto bool) *tagEntry {
-	meta := d.Dataset.Constraints()
+// leafLocked returns the (memoized) zero-cost entry for a materialized
+// dataset with this tag and these sizes — a source dataset of the graph or a
+// replan seed. Datasets stay mutable (sizes are set after construction), so
+// the tag is rendered per build and cloned into a new entry.
+func (p *Planner) leafLocked(meta *metadata.Tree, records, bytes int64, pareto bool) *tagEntry {
 	metaKey := meta.String()
-	records, bytes := d.Dataset.Records(), d.Dataset.SizeBytes()
 	s := leafSig(metaKey, records, bytes, pareto)
 	if e, ok := p.cache.leaves[s]; ok {
 		return e
@@ -408,39 +405,17 @@ func newLeaf(meta *metadata.Tree, metaKey string, records, bytes int64, s sig) *
 	return &tagEntry{meta: meta.Clone(), metaKey: metaKey, records: records, bytes: bytes, sig: s}
 }
 
-// seedForLocked validates the done-set against the graph and returns the
-// (memoized) seed entry map for it. The map is read-only downstream, so the
-// same map is shared by every replan with an identical done-set — replaying
-// with unchanged intermediates allocates no new table rows.
+// seedForLocked validates the done-set against the graph and returns its
+// leaves by dataset name; a later entry for one dataset wins. The leaves are
+// the memo's own, so replanning with unchanged intermediates allocates no new
+// table rows.
 func (p *Planner) seedForLocked(g *workflow.Graph, done []MaterializedIntermediate) (map[string]*tagEntry, error) {
+	m := make(map[string]*tagEntry, len(done))
 	for _, d := range done {
 		if _, ok := g.Node(d.Dataset); !ok {
 			return nil, fmt.Errorf("planner: replan: unknown dataset %q", d.Dataset)
 		}
+		m[d.Dataset] = p.leafLocked(d.Meta, d.Records, d.Bytes, false)
 	}
-	sorted := append([]MaterializedIntermediate(nil), done...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Dataset < sorted[j].Dataset })
-	keys := make([]string, len(sorted))
-	h := newHasher()
-	h.str("seed")
-	h.u64(uint64(len(sorted)))
-	for i, d := range sorted {
-		keys[i] = d.Meta.String()
-		h.str(d.Dataset)
-		h.str(keys[i])
-		h.i64(d.Records)
-		h.i64(d.Bytes)
-	}
-	s := h.sum()
-	if m, ok := p.cache.seeds[s]; ok {
-		return m, nil
-	}
-	m := make(map[string]*tagEntry, len(sorted))
-	for i, d := range sorted {
-		m[d.Dataset] = newLeaf(d.Meta, keys[i], d.Records, d.Bytes,
-			leafSig(keys[i], d.Records, d.Bytes, false))
-		p.cache.rowsAlloc++
-	}
-	p.cache.seeds[s] = m
 	return m, nil
 }

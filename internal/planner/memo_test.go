@@ -178,9 +178,9 @@ func TestWarmParetoByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplanSeedReuse is the regression test for the hoisted seed map:
-// replanning twice with the same done-set must not allocate any new DP
-// table rows — the second build is served entirely from cache.
+// TestReplanSeedReuse: replanning twice with the same done-set must not
+// allocate any new DP table rows — the seeds are memoized leaves, and the
+// second build is served entirely from cache.
 func TestReplanSeedReuse(t *testing.T) {
 	p := newPlanner(t, textLib(t), textEstimator())
 	done := []MaterializedIntermediate{{

@@ -419,8 +419,8 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: start})
 	var seed map[string]*tagEntry
 	if replan {
-		// The seed entry map is memoized per done-set (memo.go): replanning
-		// with the same surviving intermediates reuses the previous rows.
+		// Seeds are leaves of the memo (memo.go): replanning with the same
+		// surviving intermediates reuses the previous rows.
 		if seed, err = p.seedForLocked(g, done); err != nil {
 			return nil, err
 		}
@@ -469,7 +469,7 @@ func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, 
 		if se, ok := seed[d.Name]; ok {
 			dp[d.Pos()] = p.insert(nil, se, pareto, stats)
 		} else if d.Dataset.IsMaterialized() {
-			dp[d.Pos()] = p.insert(nil, p.leafEntryLocked(d, pareto), pareto, stats)
+			dp[d.Pos()] = p.insert(nil, p.leafLocked(d.Dataset.Constraints(), d.Dataset.Records(), d.Dataset.SizeBytes(), pareto), pareto, stats)
 		}
 	}
 

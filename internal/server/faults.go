@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"time"
 
@@ -64,29 +63,25 @@ func (dto faultConfigDTO) toConfig() ires.FaultConfig {
 	return cfg
 }
 
-// handleFaults implements the chaos-injection surface:
-//
-//	POST /api/faults  — arm a fault schedule (body: faultConfigDTO)
-//	GET  /api/faults  — injection counters + circuit-breaker blacklist
-func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var dto faultConfigDTO
-		if !readJSON(w, r, &dto) {
-			return
-		}
-		if err := s.platform.InjectFaults(dto.toConfig()); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"faults": "armed"})
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"stats":              s.platform.FaultStats(),
-			"blacklistedEngines": s.platform.BlacklistedEngines(),
-			"availableEngines":   s.platform.AvailableEngines(),
-		})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET or POST only"))
+// postFaults arms a fault schedule (the chaos-injection surface; body:
+// faultConfigDTO).
+func (s *Server) postFaults(w http.ResponseWriter, r *http.Request) {
+	var dto faultConfigDTO
+	if !readJSON(w, r, &dto) {
+		return
 	}
+	if err := s.platform.InjectFaults(dto.toConfig()); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"faults": "armed"})
+}
+
+// getFaults serves the injection counters and the circuit-breaker blacklist.
+func (s *Server) getFaults(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, map[string]any{
+		"stats":              s.platform.FaultStats(),
+		"blacklistedEngines": s.platform.BlacklistedEngines(),
+		"availableEngines":   s.platform.AvailableEngines(),
+	})
 }

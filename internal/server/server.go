@@ -22,6 +22,7 @@ import (
 
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/planner"
 )
 
 // Server exposes a Platform over HTTP. Construct with New and mount via
@@ -37,33 +38,55 @@ type Server struct {
 	mux    *http.ServeMux
 }
 
-// New builds a server around the platform.
+// New builds a server around the platform. Its route table below is the
+// server's only routing: each endpoint is one "METHOD /path" pattern of
+// net/http.ServeMux, and its handler reads the path's {wildcards} with
+// r.PathValue. An /api request that no row matches — an unknown path, or a
+// known one under another method — falls to the "/api/" row and is answered
+// 405 with the {"error": …} shape every API error has. README "REST routes"
+// lists the table.
 func New(p *ires.Platform) *Server {
 	s := &Server{platform: p, workflows: make(map[string]string), traces: make(map[string][]ires.TraceEvent)}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/api/operators", s.handleOperators)
-	mux.HandleFunc("/api/operators/", s.handleOperator)
-	mux.HandleFunc("/api/datasets/", s.handleDataset)
-	mux.HandleFunc("/api/abstractOperators/", s.handleAbstractOperator)
-	mux.HandleFunc("/api/workflows", s.handleWorkflows)
-	mux.HandleFunc("/api/workflows/", s.handleWorkflow)
-	mux.HandleFunc("/api/runs", s.handleRuns)
-	mux.HandleFunc("/api/runs/", s.handleRun)
-	mux.HandleFunc("/api/engines", s.handleEngines)
-	mux.HandleFunc("/api/engines/", s.handleEngine)
-	mux.HandleFunc("/api/faults", s.handleFaults)
-	mux.HandleFunc("/api/cluster", s.handleCluster)
-	mux.HandleFunc("/web/main", s.handleWeb)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/" {
-			http.Redirect(w, r, "/web/main", http.StatusFound)
-			return
-		}
-		http.NotFound(w, r)
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
+		http.Redirect(w, r, "/web/main", http.StatusFound)
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc("GET /web/main", s.getWeb)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "HEALTHY"})
+	})
+	mux.HandleFunc("GET /metrics", s.getMetrics)
+
+	mux.HandleFunc("GET /api/operators", s.listOperators)
+	mux.HandleFunc("POST /api/operators/{name}", s.postOperator)
+	mux.HandleFunc("GET /api/operators/{name}", s.getOperator)
+	mux.HandleFunc("POST /api/operators/{name}/profile", s.profileOperator)
+	mux.HandleFunc("POST /api/datasets/{name}", s.postDataset)
+	mux.HandleFunc("GET /api/datasets/{name}", s.getDataset)
+	mux.HandleFunc("POST /api/abstractOperators/{name}", s.postAbstractOperator)
+
+	mux.HandleFunc("GET /api/workflows", s.listWorkflows)
+	mux.HandleFunc("POST /api/workflows/{name}", s.postWorkflow)
+	mux.HandleFunc("GET /api/workflows/{name}", s.getWorkflow)
+	mux.HandleFunc("POST /api/workflows/{name}/materialize", s.materializeWorkflow)
+	mux.HandleFunc("POST /api/workflows/{name}/pareto", s.paretoWorkflow)
+	mux.HandleFunc("POST /api/workflows/{name}/execute", s.executeWorkflow)
+	mux.HandleFunc("POST /api/workflows/{name}/submit", s.submitWorkflow)
+	mux.HandleFunc("GET /api/workflows/{name}/trace", s.getWorkflowTrace)
+
+	mux.HandleFunc("GET /api/runs", s.listRuns)
+	mux.HandleFunc("GET /api/runs/{id}", s.getRun)
+	mux.HandleFunc("GET /api/runs/{id}/trace", s.getRunTrace)
+	mux.HandleFunc("POST /api/runs/{id}/cancel", s.cancelRun)
+
+	mux.HandleFunc("GET /api/engines", s.listEngines)
+	mux.HandleFunc("POST /api/engines/{name}/availability", s.setEngineAvailability)
+	mux.HandleFunc("GET /api/faults", s.getFaults)
+	mux.HandleFunc("POST /api/faults", s.postFaults)
+	mux.HandleFunc("GET /api/cluster", s.getCluster)
+
+	mux.HandleFunc("/api/", func(w http.ResponseWriter, r *http.Request) {
+		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported %s %s", r.Method, r.URL.Path))
 	})
 	s.mux = mux
 	return s
@@ -116,15 +139,6 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// tailName extracts the final path element after the given prefix.
-func tailName(path, prefix string) (string, string) {
-	rest := strings.TrimPrefix(path, prefix)
-	if i := strings.Index(rest, "/"); i >= 0 {
-		return rest[:i], rest[i+1:]
-	}
-	return rest, ""
-}
-
 // --- operators ---
 
 type operatorDTO struct {
@@ -134,17 +148,39 @@ type operatorDTO struct {
 	Profiled  bool   `json:"profiled"`
 }
 
-func (s *Server) handleOperators(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	var out []operatorDTO
+func (s *Server) listOperators(w http.ResponseWriter, _ *http.Request) {
+	out := []operatorDTO{}
 	for _, mo := range s.platform.Library.Operators() {
 		_, profiled := s.platform.Profiler.Models(mo.Name)
 		out = append(out, operatorDTO{Name: mo.Name, Engine: mo.Engine(), Algorithm: mo.Algorithm(), Profiled: profiled})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// postOperator registers a materialized operator; the body is the paper's
+// description-file format (the send_operator.sh flow).
+func (s *Server) postOperator(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	if err := s.platform.RegisterOperator(name, body); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, map[string]string{"operator": name})
+}
+
+func (s *Server) getOperator(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	mo, ok := s.platform.Library.Operator(name)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown operator %q", name))
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprint(w, mo.Meta.String())
 }
 
 // profileRequest mirrors ires.ProfileSpace in JSON.
@@ -161,95 +197,56 @@ type resourceDTO struct {
 	MemMBPerN int `json:"memMBPerNode"`
 }
 
-func (s *Server) handleOperator(w http.ResponseWriter, r *http.Request) {
-	name, action := tailName(r.URL.Path, "/api/operators/")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("operator name required"))
+func (s *Server) profileOperator(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	var req profileRequest
+	if !readJSON(w, r, &req) {
 		return
 	}
-	switch {
-	case r.Method == http.MethodPost && action == "":
-		// Register a materialized operator; the body is the paper's
-		// description-file format (the send_operator.sh flow).
-		body, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		if err := s.platform.RegisterOperator(name, body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"operator": name})
-	case r.Method == http.MethodPost && action == "profile":
-		var req profileRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		space := ires.ProfileSpace{
-			Records:        req.Records,
-			BytesPerRecord: req.BytesPerRecord,
-			Params:         req.Params,
-		}
-		for _, res := range req.Resources {
-			space.Resources = append(space.Resources, engine.Resources{
-				Nodes: res.Nodes, CoresPerN: res.CoresPerN, MemMBPerN: res.MemMBPerN,
-			})
-		}
-		n, err := s.platform.ProfileOperator(name, space)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"operator": name, "runs": n})
-	case r.Method == http.MethodGet && action == "":
-		mo, ok := s.platform.Library.Operator(name)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown operator %q", name))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprint(w, mo.Meta.String())
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported %s %s", r.Method, r.URL.Path))
+	space := ires.ProfileSpace{
+		Records:        req.Records,
+		BytesPerRecord: req.BytesPerRecord,
+		Params:         req.Params,
 	}
+	for _, res := range req.Resources {
+		space.Resources = append(space.Resources, engine.Resources{
+			Nodes: res.Nodes, CoresPerN: res.CoresPerN, MemMBPerN: res.MemMBPerN,
+		})
+	}
+	n, err := s.platform.ProfileOperator(name, space)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"operator": name, "runs": n})
 }
 
-func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	name, _ := tailName(r.URL.Path, "/api/datasets/")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("dataset name required"))
+func (s *Server) postDataset(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodPost:
-		body, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		if err := s.platform.RegisterDataset(name, body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"dataset": name})
-	case http.MethodGet:
-		d, ok := s.platform.Library.Dataset(name)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprint(w, d.Meta.String())
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported method"))
+	if err := s.platform.RegisterDataset(name, body); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	writeJSON(w, http.StatusCreated, map[string]string{"dataset": name})
 }
 
-func (s *Server) handleAbstractOperator(w http.ResponseWriter, r *http.Request) {
-	name, _ := tailName(r.URL.Path, "/api/abstractOperators/")
-	if name == "" || r.Method != http.MethodPost {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("POST /api/abstractOperators/<name>"))
+func (s *Server) getDataset(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	d, ok := s.platform.Library.Dataset(name)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown dataset %q", name))
 		return
 	}
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprint(w, d.Meta.String())
+}
+
+func (s *Server) postAbstractOperator(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -263,11 +260,7 @@ func (s *Server) handleAbstractOperator(w http.ResponseWriter, r *http.Request) 
 
 // --- workflows ---
 
-func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
+func (s *Server) listWorkflows(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.workflows))
 	for n := range s.workflows {
@@ -319,180 +312,183 @@ func planToDTO(plan *ires.Plan) planDTO {
 	return dto
 }
 
-func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
-	name, action := tailName(r.URL.Path, "/api/workflows/")
-	if name == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("workflow name required"))
+func (s *Server) postWorkflow(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
-	switch {
-	case r.Method == http.MethodPost && action == "":
-		body, ok := readBody(w, r)
-		if !ok {
-			return
-		}
-		// Validate eagerly so registration errors surface immediately.
-		if _, err := s.platform.ParseWorkflow(body); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		s.mu.Lock()
-		s.workflows[name] = body
-		s.mu.Unlock()
-		writeJSON(w, http.StatusCreated, map[string]string{"workflow": name})
-	case r.Method == http.MethodGet && action == "":
-		s.mu.Lock()
-		body, ok := s.workflows[name]
-		s.mu.Unlock()
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown workflow %q", name))
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprint(w, body)
-	case r.Method == http.MethodPost && action == "materialize":
-		plan, _, err := s.materialize(name)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, planToDTO(plan))
-	case r.Method == http.MethodPost && action == "pareto":
-		_, g, err := s.graphOf(name)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		plans, err := s.platform.ParetoPlans(g)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		out := make([]planDTO, 0, len(plans))
-		for _, plan := range plans {
-			out = append(out, planToDTO(plan))
-		}
-		writeJSON(w, http.StatusOK, out)
-	case r.Method == http.MethodPost && action == "execute":
-		// Synchronous execution: submit to the multi-workflow scheduler and
-		// wait — the request occupies a queue slot like any other run, so
-		// concurrent execute calls are arbitrated by the admission policy.
-		_, g, err := s.graphOf(name)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		run := s.platform.SubmitNamed(name, g)
-		plan, res, err := run.Wait()
-		events := s.platform.TraceForRun(run.ID())
-		s.mu.Lock()
-		s.traces[name] = events
-		s.mu.Unlock()
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		dto := planToDTO(plan)
-		dto.RunID = run.ID()
-		dto.ExecutionSec = res.Makespan.Seconds()
-		dto.CostUnits = res.TotalCostUnits
-		dto.Replans = res.Replans
-		writeJSON(w, http.StatusOK, dto)
-	case r.Method == http.MethodPost && action == "submit":
-		// Asynchronous execution: enqueue and return the run handle
-		// immediately; poll GET /api/runs/{id} for progress. Optional query
-		// parameters feed the scheduling policies: ?tenant= charges the run
-		// to a budget account (CostQuota) or fair-share group, ?user= and
-		// ?priority= refine hierarchical fair-share accounting, and
-		// ?deadlineSec= sets an absolute virtual-time deadline
-		// (Deadline/EDF), and ?demandCores=&demandMemMB= (both required
-		// together) ask for per-node resource slices instead of whole
-		// nodes (DRF and memory overcommit).
-		_, g, err := s.graphOf(name)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		opts := ires.SubmitOptions{
-			Name:   name,
-			Tenant: r.URL.Query().Get("tenant"),
-			User:   r.URL.Query().Get("user"),
-		}
-		if raw := r.URL.Query().Get("priority"); raw != "" {
-			p, err := strconv.Atoi(raw)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid priority %q", raw))
-				return
-			}
-			opts.Priority = p
-		}
-		if raw := r.URL.Query().Get("deadlineSec"); raw != "" {
-			sec, err := strconv.ParseFloat(raw, 64)
-			if err != nil || sec < 0 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q", raw))
-				return
-			}
-			opts.Deadline = time.Duration(sec * float64(time.Second))
-		}
-		rawC, rawM := r.URL.Query().Get("demandCores"), r.URL.Query().Get("demandMemMB")
-		if (rawC == "") != (rawM == "") {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("demandCores and demandMemMB must be given together"))
-			return
-		}
-		if rawC != "" {
-			dc, errC := strconv.Atoi(rawC)
-			dm, errM := strconv.Atoi(rawM)
-			if errC != nil || errM != nil || dc < 1 || dm < 1 {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid demand %q cores / %q memMB", rawC, rawM))
-				return
-			}
-			opts.DemandCores, opts.DemandMemMB = dc, dm
-		}
-		run := s.platform.SubmitWith(g, opts)
-		s.platform.Start()
-		writeJSON(w, http.StatusAccepted, run.Status())
-	case r.Method == http.MethodGet && action == "trace":
-		s.mu.Lock()
-		events, ok := s.traces[name]
-		s.mu.Unlock()
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no recorded execution for workflow %q", name))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"workflow": name, "events": events})
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported %s %s", r.Method, r.URL.Path))
+	// Validate eagerly so registration errors surface immediately.
+	if _, err := s.platform.ParseWorkflow(body); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
+	s.mu.Lock()
+	s.workflows[name] = body
+	s.mu.Unlock()
+	writeJSON(w, http.StatusCreated, map[string]string{"workflow": name})
 }
 
-func (s *Server) graphOf(name string) (string, *ires.Workflow, error) {
+func (s *Server) getWorkflow(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	s.mu.Lock()
 	body, ok := s.workflows[name]
 	s.mu.Unlock()
 	if !ok {
-		return "", nil, fmt.Errorf("unknown workflow %q", name)
+		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown workflow %q", name))
+		return
 	}
-	g, err := s.platform.ParseWorkflow(body)
-	return body, g, err
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprint(w, body)
 }
 
-func (s *Server) materialize(name string) (*ires.Plan, *ires.Workflow, error) {
-	_, g, err := s.graphOf(name)
+// graphOf parses the registered workflow the request's {name} names.
+func (s *Server) graphOf(r *http.Request) (*ires.Workflow, error) {
+	name := r.PathValue("name")
+	s.mu.Lock()
+	body, ok := s.workflows[name]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("unknown workflow %q", name)
+	}
+	return s.platform.ParseWorkflow(body)
+}
+
+func (s *Server) materializeWorkflow(w http.ResponseWriter, r *http.Request) {
+	g, err := s.graphOf(r)
 	if err != nil {
-		return nil, nil, err
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	plan, err := s.platform.Plan(g)
-	return plan, g, err
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, planToDTO(plan))
+}
+
+func (s *Server) paretoWorkflow(w http.ResponseWriter, r *http.Request) {
+	g, err := s.graphOf(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	plans, err := s.platform.ParetoPlans(g)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	out := make([]planDTO, 0, len(plans))
+	for _, plan := range plans {
+		out = append(out, planToDTO(plan))
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// executeWorkflow runs the workflow synchronously: it submits to the
+// multi-workflow scheduler and waits — the request occupies a queue slot like
+// any other run, so concurrent execute calls are arbitrated by the admission
+// policy.
+func (s *Server) executeWorkflow(w http.ResponseWriter, r *http.Request) {
+	g, err := s.graphOf(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	name := r.PathValue("name")
+	run := s.platform.SubmitNamed(name, g)
+	plan, res, err := run.Wait()
+	events := s.platform.TraceForRun(run.ID())
+	s.mu.Lock()
+	s.traces[name] = events
+	s.mu.Unlock()
+	if errors.Is(err, planner.ErrNoPlan) {
+		// Unplannable, as materialize would have answered.
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	dto := planToDTO(plan)
+	dto.RunID = run.ID()
+	dto.ExecutionSec = res.Makespan.Seconds()
+	dto.CostUnits = res.TotalCostUnits
+	dto.Replans = res.Replans
+	writeJSON(w, http.StatusOK, dto)
+}
+
+// submitWorkflow enqueues the workflow and returns the run handle
+// immediately; poll GET /api/runs/{id} for progress. Optional query
+// parameters feed the scheduling policies: ?tenant= charges the run to a
+// budget account (CostQuota) or fair-share group, ?user= and ?priority=
+// refine hierarchical fair-share accounting, and ?deadlineSec= sets an
+// absolute virtual-time deadline (Deadline/EDF), and
+// ?demandCores=&demandMemMB= (both required together) ask for per-node
+// resource slices instead of whole nodes (DRF and memory overcommit).
+func (s *Server) submitWorkflow(w http.ResponseWriter, r *http.Request) {
+	g, err := s.graphOf(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	q := r.URL.Query()
+	opts := ires.SubmitOptions{Name: r.PathValue("name"), Tenant: q.Get("tenant"), User: q.Get("user")}
+	if raw := q.Get("priority"); raw != "" {
+		p, err := strconv.Atoi(raw)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid priority %q", raw))
+			return
+		}
+		opts.Priority = p
+	}
+	if raw := q.Get("deadlineSec"); raw != "" {
+		sec, err := strconv.ParseFloat(raw, 64)
+		if err != nil || sec < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q", raw))
+			return
+		}
+		opts.Deadline = time.Duration(sec * float64(time.Second))
+	}
+	rawC, rawM := q.Get("demandCores"), q.Get("demandMemMB")
+	if (rawC == "") != (rawM == "") {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("demandCores and demandMemMB must be given together"))
+		return
+	}
+	if rawC != "" {
+		dc, errC := strconv.Atoi(rawC)
+		dm, errM := strconv.Atoi(rawM)
+		if errC != nil || errM != nil || dc < 1 || dm < 1 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid demand %q cores / %q memMB", rawC, rawM))
+			return
+		}
+		opts.DemandCores, opts.DemandMemMB = dc, dm
+	}
+	run := s.platform.SubmitWith(g, opts)
+	s.platform.Start()
+	writeJSON(w, http.StatusAccepted, run.Status())
+}
+
+// getWorkflowTrace serves the event timeline of the workflow's most recent
+// execute action.
+func (s *Server) getWorkflowTrace(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	s.mu.Lock()
+	events, ok := s.traces[name]
+	s.mu.Unlock()
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("no recorded execution for workflow %q", name))
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"workflow": name, "events": events})
 }
 
 // --- runs ---
 
-// handleRuns lists every submitted run in submission order.
-func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
+// listRuns lists every submitted run in submission order.
+func (s *Server) listRuns(w http.ResponseWriter, _ *http.Request) {
 	runs := s.platform.Runs()
 	if runs == nil {
 		runs = []ires.RunSnapshot{}
@@ -500,49 +496,49 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, runs)
 }
 
-// handleRun serves GET /api/runs/{id} (status snapshot), GET
-// /api/runs/{id}/trace (the run's demuxed event timeline) and POST
-// /api/runs/{id}/cancel.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	id, action := tailName(r.URL.Path, "/api/runs/")
-	if id == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("run id required"))
-		return
-	}
-	// Snapshot-based lookup: terminal runs are pruned from the scheduler's
-	// live index but stay addressable here via their frozen records.
+// runOf looks up the snapshot of the run the request's {id} names, answering
+// 404 for an id never submitted. Terminal runs are pruned from the
+// scheduler's live index but stay addressable through their frozen records.
+func (s *Server) runOf(w http.ResponseWriter, r *http.Request) (ires.RunSnapshot, bool) {
+	id := r.PathValue("id")
 	snap, ok := s.platform.RunSnapshotByID(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown run %q", id))
-		return
 	}
-	switch {
-	case r.Method == http.MethodGet && action == "":
+	return snap, ok
+}
+
+func (s *Server) getRun(w http.ResponseWriter, r *http.Request) {
+	if snap, ok := s.runOf(w, r); ok {
 		writeJSON(w, http.StatusOK, snap)
-	case r.Method == http.MethodGet && action == "trace":
-		writeJSON(w, http.StatusOK, map[string]any{
-			"run":    id,
-			"events": s.platform.TraceForRun(id),
-		})
-	case r.Method == http.MethodPost && action == "cancel":
-		// Canceling a terminal run is a no-op; return its current state.
-		s.platform.CancelRun(id)
-		if cur, ok := s.platform.RunSnapshotByID(id); ok {
-			snap = cur
-		}
-		writeJSON(w, http.StatusOK, snap)
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("unsupported %s %s", r.Method, r.URL.Path))
 	}
 }
 
-// handleMetrics serves the platform's counter/gauge registry in the
-// Prometheus text exposition format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
+// getRunTrace serves the run's demuxed event timeline.
+func (s *Server) getRunTrace(w http.ResponseWriter, r *http.Request) {
+	if _, ok := s.runOf(w, r); ok {
+		id := r.PathValue("id")
+		writeJSON(w, http.StatusOK, map[string]any{"run": id, "events": s.platform.TraceForRun(id)})
+	}
+}
+
+// cancelRun cancels the run and returns its snapshot; canceling a terminal
+// run is a no-op that returns its current state.
+func (s *Server) cancelRun(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.runOf(w, r)
+	if !ok {
 		return
 	}
+	s.platform.CancelRun(snap.ID)
+	if cur, ok := s.platform.RunSnapshotByID(snap.ID); ok {
+		snap = cur
+	}
+	writeJSON(w, http.StatusOK, snap)
+}
+
+// getMetrics serves the platform's counter/gauge registry in the
+// Prometheus text exposition format.
+func (s *Server) getMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.platform.Metrics().WritePrometheus(w)
 }
@@ -563,13 +559,9 @@ type clusterDTO struct {
 	Checkpoints int       `json:"checkpoints"`
 }
 
-// handleCluster serves GET /api/cluster: every node's record, read from one
-// snapshot taken under the cluster's lock, plus the stored checkpoint count.
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
+// getCluster serves every node's record, read from one snapshot taken under
+// the cluster's lock, plus the stored checkpoint count.
+func (s *Server) getCluster(w http.ResponseWriter, _ *http.Request) {
 	clu := s.platform.Cluster
 	dto := clusterDTO{Nodes: []nodeDTO{}, Checkpoints: clu.Checkpoints()}
 	for _, n := range clu.Snapshot() {
@@ -590,24 +582,16 @@ type engineDTO struct {
 	Available bool   `json:"available"`
 }
 
-func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("GET only"))
-		return
-	}
-	var out []engineDTO
+func (s *Server) listEngines(w http.ResponseWriter, _ *http.Request) {
+	out := []engineDTO{}
 	for _, name := range s.platform.Env.Engines() {
 		out = append(out, engineDTO{Name: name, Available: s.platform.Env.Available(name)})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleEngine(w http.ResponseWriter, r *http.Request) {
-	name, action := tailName(r.URL.Path, "/api/engines/")
-	if name == "" || action != "availability" || r.Method != http.MethodPost {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("POST /api/engines/<name>/availability"))
-		return
-	}
+func (s *Server) setEngineAvailability(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
 	if _, ok := s.platform.Env.Engine(name); !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("unknown engine %q", name))
 		return

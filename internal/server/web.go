@@ -95,11 +95,7 @@ refresh();
 </html>
 `
 
-func (s *Server) handleWeb(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+func (s *Server) getWeb(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(webMain))
 }
