@@ -534,7 +534,9 @@ func TestPlansShareOperatorFactsReadOnly(t *testing.T) {
 // Runs of one workflow execute — cloning Step.OutMeta, reading Step.Params,
 // retraining the models and so evicting planner cache entries — while other
 // goroutines Plan and ParetoPlans the same workflow over the same shared
-// trees. Run with -race: any write to a shared tree or map is a report.
+// trees. One of them reads every field of every step it is handed: a warm
+// plan shares its steps with the plan being executed, so any write to a
+// step, a tree or a map is a report under -race.
 func TestExecuteWhilePlanningRace(t *testing.T) {
 	p, err := NewPlatform(Options{Seed: 9, TimeoutFactor: 2.5, Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second}})
 	if err != nil {
@@ -551,6 +553,13 @@ func TestExecuteWhilePlanningRace(t *testing.T) {
 	for _, planOnce := range []func() error{
 		func() error { _, err := p.Plan(wf); return err },
 		func() error { _, err := p.ParetoPlans(wf); return err },
+		func() error {
+			plan, err := p.Plan(wf)
+			if err == nil {
+				readSteps(plan)
+			}
+			return err
+		},
 	} {
 		planOnce := planOnce
 		wg.Add(1)
@@ -574,10 +583,29 @@ func TestExecuteWhilePlanningRace(t *testing.T) {
 			t.Error(err)
 			break
 		}
+		plan, err := p.Plan(wf)
+		if err == nil {
+			_, err = p.Execute(wf, plan)
+		}
+		if err != nil {
+			t.Error(err)
+			break
+		}
 	}
 	close(stop)
 	wg.Wait()
 	assertOperatorsUnchanged(t, p, before)
+}
+
+// readSteps reads every field of every step of plan, and the tag tree each
+// step points to.
+func readSteps(plan *Plan) {
+	for _, s := range plan.Steps {
+		_ = fmt.Sprintf("%+v", *s)
+		if s.OutMeta != nil {
+			_ = s.OutMeta.String()
+		}
+	}
 }
 
 // InjectFaults and UseTrivialReplanner may be called while an Execute is in

@@ -554,6 +554,31 @@ func TestAblationModelSelection(t *testing.T) {
 	}
 }
 
+// Each SCHED note is printed exactly when its numbers hold: zero overlap
+// when FIFO's peak concurrency is 1, the per-run shift when FairShare's mean
+// makespan is above FIFO's.
+func TestSchedNotesFollowTheirNumbers(t *testing.T) {
+	for _, peak := range []int{0, 1, 2} {
+		for _, fairSpan := range []float64{90, 100, 110} {
+			fifo := schedResult{label: "FIFO", batchSec: 600, meanSpan: 100, peak: peak}
+			fair := schedResult{label: "FairShare(2)", batchSec: 400, meanSpan: fairSpan, peak: 2}
+			r := &Report{}
+			schedNotes(r, fifo, fair)
+			overlap, shift := false, false
+			for _, n := range r.Notes {
+				overlap = overlap || strings.Contains(n, "zero overlap")
+				shift = shift || strings.Contains(n, "shift the other way")
+			}
+			if overlap != (peak == 1) {
+				t.Errorf("FIFO peak %d: zero-overlap note printed %v", peak, overlap)
+			}
+			if shift != (fairSpan > 100) {
+				t.Errorf("mean makespans FIFO 100, FairShare %v: shift note printed %v", fairSpan, shift)
+			}
+		}
+	}
+}
+
 func TestSchedContentionPoliciesDiffer(t *testing.T) {
 	r, err := SchedContention(9)
 	if err != nil {

@@ -11,6 +11,25 @@ import "github.com/asap-project/ires/internal/workflow"
 // consumers is one step, also when one consumer's cached result reads a
 // superseded candidate of equal sig, while two identical jobs on parallel
 // branches, which share one candidate, stay two.
+//
+// A warm plan is a lookup. Extraction from an entry is a function of the
+// entry, the target node and the graph's names and edges, so the plan last
+// extracted from an entry is kept on it, with the graph identity and target
+// position it was extracted for, and a request that would extract the same
+// thing gets its steps back without a walk. That is exact because:
+//
+//   - node keys and candidate sigs digest everything extraction reads from
+//     the table (memo.go), so an entry reached again is the same subplan;
+//   - every edge extraction follows is part of the key of a node on the
+//     walked path — an operator's inputs and outputs, a dataset's one
+//     producer — so an edge added there makes new entries, with empty slots;
+//   - names are fixed per graph identity (workflow.Graph.ID), and the target
+//     position tells apart twin branches, whose datasets share one row and
+//     so one entry.
+//
+// The steps are shared by every plan served from the slot, read-only (see
+// Plan). The slot holds no graph: it dies with its entry, by eviction or
+// flush.
 
 // stepKey identifies one operator step of the plan being extracted.
 type stepKey struct {
@@ -47,16 +66,31 @@ type extractScratch struct {
 	seen  map[stepKey]int
 }
 
-// extract backtracks from best, an entry of the target dataset node's row,
-// materializing plan steps (with move steps where inputs were bridged). Must
-// be called with p.mu held.
-func (p *Planner) extract(target string, d *workflow.Node, best *tagEntry) *Plan {
+// extracted is the plan last extracted from an entry: its steps and their
+// totals, for the target node at position pos of the graph with identity
+// graph.
+type extracted struct {
+	graph      uint64
+	pos        int
+	steps      []*Step
+	time, cost float64
+}
+
+// extract returns the plan of best, an entry of the target dataset node d's
+// row in graph g: the entry's slot when it was extracted for d of g, else
+// a backtrack from best materializing plan steps (with move steps where
+// inputs were bridged), which then fills the slot. Either way the Plan is
+// new and its Steps shared. Must be called with p.mu held.
+func (p *Planner) extract(g *workflow.Graph, d *workflow.Node, best *tagEntry) *Plan {
+	if l := best.last; l != nil && l.graph == g.ID() && l.pos == d.Pos() {
+		return &Plan{Target: g.Target, Steps: l.steps, EstTimeSec: l.time, EstCost: l.cost}
+	}
 	x := &p.xs
 	if x.seen == nil {
 		x.seen = make(map[stepKey]int)
 	}
 	x.walk(d, best)
-	plan := p.materializeSteps(target)
+	plan := p.materializeSteps(g.Target)
 	clear(x.recs) // the scratch must not keep candidates, or the graph, alive
 	clear(x.ins)
 	clear(x.seen)
@@ -67,6 +101,10 @@ func (p *Planner) extract(target string, d *workflow.Node, best *tagEntry) *Plan
 	// deduplicated them. Recompute the reported estimates from the steps
 	// actually emitted.
 	plan.EstTimeSec, plan.EstCost = plan.StepTotals()
+	if best.last == nil {
+		best.last = new(extracted)
+	}
+	*best.last = extracted{g.ID(), d.Pos(), plan.Steps, plan.EstTimeSec, plan.EstCost}
 	return plan
 }
 
@@ -109,9 +147,10 @@ func (x *extractScratch) add(r stepRec) int {
 	return len(x.recs) - 1
 }
 
-// materializeSteps builds the plan of the walked steps. The plan owns one
-// slab of steps, one of dependencies, one of source inputs and one string of
-// names; no slab is shared with another plan. Must be called with p.mu held.
+// materializeSteps builds the plan of the walked steps: one slab of steps,
+// one of dependencies, one of source inputs and one string of names, shared
+// only with the plans later served from the same slot. Must be called with
+// p.mu held.
 func (p *Planner) materializeSteps(target string) *Plan {
 	x := &p.xs
 	var nDeps, nSrcs int

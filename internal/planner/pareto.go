@@ -58,7 +58,7 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 
 	plans := make([]*Plan, 0, len(front))
 	for _, e := range front {
-		plan := p.extract(g.Target, targetNode, e)
+		plan := p.extract(g, targetNode, e)
 		plan.EstObjective = plan.EstTimeSec
 		plans = append(plans, plan)
 	}

@@ -224,7 +224,8 @@ func (s *dpStats) fields(pl *Plan) map[string]float64 {
 // tagEntry is one dpTable record: a way to produce a dataset in a specific
 // tag (location/format) — the cheapest known in the scalar table, one of a
 // front of mutually non-dominated (time, money) ways in the Pareto table,
-// which leaves cost unused. Entries are immutable once built.
+// which leaves cost unused. Entries are immutable once built, but for the
+// extraction slot last, which only extract touches, under Planner.mu.
 type tagEntry struct {
 	// meta is the dataset constraints tree (Engine/FS/type ...) and metaKey
 	// its canonical rendering, the tag key. Derived entries share their
@@ -242,10 +243,11 @@ type tagEntry struct {
 	// datasets, replan seeds) have none. Neither names a node: extraction
 	// binds names from the graph.
 	cand *candidate
-	// outIndex selects which output of the candidate this entry is.
-	outIndex int
 	// sig is the structural digest of the producing subplan (memo.go).
 	sig sig
+	// last is the plan last extracted from this entry (extract.go), the
+	// one field written after the entry is built; nil until then.
+	last *extracted
 }
 
 // table is the dpTable: per dataset node, by its position in the graph, its
@@ -320,7 +322,10 @@ type candidate struct {
 	sig sig
 }
 
-// Plan is a materialized execution plan: steps in dependency order.
+// Plan is a materialized execution plan: steps in dependency order. The
+// Plan itself is the caller's, but Steps — the slice and every Step it
+// points to — is shared with every later plan extracted alike (extract.go)
+// and is read-only: copy before changing it.
 type Plan struct {
 	Steps []*Step
 	// EstObjective is the DP value of the plan under the policy.
@@ -352,7 +357,8 @@ func (k StepKind) String() string {
 	return "operator"
 }
 
-// Step is one unit of a materialized plan.
+// Step is one unit of a materialized plan. Steps are shared between plans
+// and read-only, as Plan.Steps is: copy a Step before changing any field.
 type Step struct {
 	// ID is the step's index in Plan.Steps. Steps are stored in dependency
 	// order, so every DependsOn entry is a smaller index; the executor
@@ -382,9 +388,9 @@ type Step struct {
 	OutRecords, OutBytes int64
 	EstTimeSec           float64
 	EstCost              float64
-	// OutMeta is the tag of the produced dataset. Like Params it is shared
-	// with the operator (or, for moves, with other plans) and read-only:
-	// clone before changing it.
+	// OutMeta is the tag of the produced dataset. Like Params it is also
+	// shared with the operator (or, for moves, with other moves) and
+	// read-only: clone before changing it.
 	OutMeta *metadata.Tree
 }
 
@@ -438,7 +444,7 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 	if best == nil {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
 	}
-	plan := p.extract(g.Target, targetNode, best)
+	plan := p.extract(g, targetNode, best)
 	plan.EstObjective = p.cfg.Objective(plan.EstTimeSec, plan.EstCost)
 	plan.PlanningTime = time.Since(started)
 	f := stats.fields(plan)
@@ -547,15 +553,14 @@ func (p *Planner) evalNode(o *workflow.Node, ms *matchSet, dp table, pareto bool
 		for idx, out := range o.Outputs {
 			tag := cand.mo.OutputTag(idx)
 			e := &tagEntry{
-				meta:     tag.Meta,
-				metaKey:  tag.Key,
-				records:  cand.outRecords,
-				bytes:    cand.outBytes,
-				cost:     total.cost,
-				time:     total.time,
-				money:    total.money,
-				cand:     cand,
-				outIndex: idx,
+				meta:    tag.Meta,
+				metaKey: tag.Key,
+				records: cand.outRecords,
+				bytes:   cand.outBytes,
+				cost:    total.cost,
+				time:    total.time,
+				money:   total.money,
+				cand:    cand,
 			}
 			e.sig = derivedEntrySig(cand, idx, e.metaKey, pareto)
 			p.cache.rowsAlloc++

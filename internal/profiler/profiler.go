@@ -47,6 +47,25 @@ type Space struct {
 	Resources      []engine.Resources
 }
 
+// Points counts the grid's points, records × resources × the values of every
+// parameter, without enumerating them. The product saturates at math.MaxInt.
+func (s Space) Points() int {
+	n := mulSat(len(s.Records), len(s.Resources))
+	for _, vs := range s.Params {
+		n = mulSat(n, len(vs))
+	}
+	return n
+}
+
+// mulSat is a*b for non-negative a and b, or math.MaxInt where that
+// overflows.
+func mulSat(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
 // combinations enumerates the full grid, deterministically ordered.
 func (s Space) combinations() []profilePoint {
 	paramNames := make([]string, 0, len(s.Params))

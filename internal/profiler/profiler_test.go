@@ -242,6 +242,37 @@ func TestSpaceCombinations(t *testing.T) {
 	}
 }
 
+// Points counts what combinations enumerates, and saturates where the
+// product overflows — unless a factor is zero, which empties the grid.
+func TestSpacePoints(t *testing.T) {
+	vals := func(n int) []float64 { return make([]float64, n) }
+	res := []engine.Resources{engine.SingleNode, engine.StandardCluster}
+	for _, s := range []Space{
+		{},
+		{Records: []int64{1, 2}, Resources: res},
+		{Records: []int64{1, 2, 3}, Resources: res, Params: map[string][]float64{"k": vals(4), "iterations": vals(3)}},
+		{Records: []int64{1}, Resources: res, Params: map[string][]float64{"k": vals(4), "none": nil}},
+		{Records: []int64{1}, Resources: res[:1], Params: map[string][]float64{"k": vals(1)}},
+	} {
+		if got, want := s.Points(), len(s.combinations()); got != want {
+			t.Errorf("%+v: %d points, combinations enumerates %d", s, got, want)
+		}
+	}
+	// 2^16 values in each of four parameters, on two resources, name 2^65
+	// points.
+	huge := Space{Records: []int64{1}, Resources: res, Params: map[string][]float64{}}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		huge.Params[k] = vals(1 << 16)
+	}
+	if got := huge.Points(); got != math.MaxInt {
+		t.Errorf("overflowing grid: %d points, want math.MaxInt", got)
+	}
+	huge.Params["e"] = nil
+	if got := huge.Points(); got != 0 {
+		t.Errorf("overflowing grid with an empty parameter: %d points, want 0", got)
+	}
+}
+
 // The output-size candidates are resolved by family name: the default zoo's
 // first two positions, positions 0 and 5 of the lazy tests' zoo; a zoo that
 // lacks either family (such as fastFactories, which has no LeastMedSq) keeps

@@ -197,6 +197,11 @@ type resourceDTO struct {
 	MemMBPerN int `json:"memMBPerNode"`
 }
 
+// maxProfilePoints bounds the grid one profile request may name. Every point
+// is a simulated run, profiled while the request waits (1,000 take over a
+// second), and a 1 MiB body can name some 150,000.
+const maxProfilePoints = 1024
+
 func (s *Server) profileOperator(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req profileRequest
@@ -212,6 +217,10 @@ func (s *Server) profileOperator(w http.ResponseWriter, r *http.Request) {
 		space.Resources = append(space.Resources, engine.Resources{
 			Nodes: res.Nodes, CoresPerN: res.CoresPerN, MemMBPerN: res.MemMBPerN,
 		})
+	}
+	if n := space.Points(); n > maxProfilePoints {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("profile grid has %d points; at most %d are profiled per request", n, maxProfilePoints))
+		return
 	}
 	n, err := s.platform.ProfileOperator(name, space)
 	if err != nil {

@@ -707,3 +707,54 @@ func TestBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// A profile request names records × resources × every parameter's values
+// points, each one simulated run. A grid of maxProfilePoints is profiled; one
+// point more is refused with 400 and the {"error": …} shape, naming the count
+// and the bound, before any run: no sample is added.
+func TestProfileGridBound(t *testing.T) {
+	_, ts, p := newTestServer(t)
+	resp, body := do(t, "POST", ts.URL+"/api/operators/wc", wordcountJava)
+	expectCode(t, resp, body, http.StatusCreated)
+	grid := func(records, ks int) string {
+		rec, k := make([]string, records), make([]string, ks)
+		for i := range rec {
+			rec[i] = fmt.Sprint(1000 * (i + 1))
+		}
+		for i := range k {
+			k[i] = fmt.Sprint(i + 1)
+		}
+		return `{"records":[` + strings.Join(rec, ",") + `],"bytesPerRecord":100,"params":{"k":[` + strings.Join(k, ",") +
+			`]},"resources":[{"nodes":1,"coresPerNode":2,"memMBPerNode":3456}]}`
+	}
+	samples := func() int {
+		om, ok := p.Profiler.Models("wc")
+		if !ok {
+			return 0
+		}
+		return om.SampleCount()
+	}
+	refused := func(records, ks int) {
+		t.Helper()
+		before := samples()
+		resp, body := do(t, "POST", ts.URL+"/api/operators/wc/profile", grid(records, ks))
+		expectCode(t, resp, body, http.StatusBadRequest)
+		var msg map[string]string
+		if err := json.Unmarshal([]byte(body), &msg); err != nil ||
+			!strings.Contains(msg["error"], fmt.Sprint(records*ks)) || !strings.Contains(msg["error"], fmt.Sprint(maxProfilePoints)) {
+			t.Errorf("refusal %q does not name the count %d and the bound %d", body, records*ks, maxProfilePoints)
+		}
+		if got := samples(); got != before {
+			t.Errorf("a refused grid of %d points took %d samples", records*ks, got-before)
+		}
+	}
+	refused(5, 205)
+
+	resp, body = do(t, "POST", ts.URL+"/api/operators/wc/profile", grid(4, 256))
+	expectCode(t, resp, body, http.StatusOK)
+	var got struct{ Runs int }
+	if err := json.Unmarshal([]byte(body), &got); err != nil || got.Runs == 0 || samples() != got.Runs {
+		t.Fatalf("grid of %d points: %s, %d samples", maxProfilePoints, body, samples())
+	}
+	refused(41, 25)
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"github.com/asap-project/ires/internal/operator"
 )
@@ -43,7 +44,10 @@ func (k Kind) String() string {
 const TargetMarker = "$$target"
 
 // Node is a vertex of the workflow DAG. Inputs and Outputs are ordered: the
-// i-th input edge of an operator feeds its i-th input slot.
+// i-th input edge of an operator feeds its i-th input slot. Node fields are
+// written only by Graph methods: the exported ones are for reading, and a
+// direct write (a rename, a rewired edge) is unsupported — the graph's name
+// index and the planner's caches would not see it.
 type Node struct {
 	Name    string
 	Kind    Kind
@@ -64,17 +68,28 @@ type Node struct {
 func (n *Node) Pos() int { return n.pos }
 
 // Graph is an abstract workflow: a DAG of alternating dataset and operator
-// nodes with a designated target dataset.
+// nodes with a designated target dataset. Its nodes are changed only through
+// its methods (see Node).
 type Graph struct {
+	id     uint64
 	nodes  []*Node // insertion order, for deterministic iteration
 	byName map[string]*Node
 	Target string
 }
 
-// NewGraph returns an empty workflow graph.
+// graphIDs issues graph identities (Graph.ID).
+var graphIDs atomic.Uint64
+
+// NewGraph returns an empty workflow graph with a new identity.
 func NewGraph() *Graph {
-	return &Graph{byName: make(map[string]*Node)}
+	return &Graph{id: graphIDs.Add(1), byName: make(map[string]*Node)}
 }
+
+// ID returns the graph's identity: unique among the graphs NewGraph made in
+// this process and never reused, also after the graph is collected. A node's
+// name is fixed for its graph's lifetime, so (ID, node position) names one
+// node of one graph for good — without holding the graph.
+func (g *Graph) ID() uint64 { return g.id }
 
 // AddDataset adds a dataset node. A nil dataset gets an empty description.
 func (g *Graph) AddDataset(name string, d *operator.Dataset) (*Node, error) {
