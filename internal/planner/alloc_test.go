@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"weak"
+	"time"
 
 	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/operator"
@@ -132,10 +132,13 @@ func TestCacheDoesNotGrowWithFreshGraphs(t *testing.T) {
 	if _, err := p.ParetoPlans(g); err != nil {
 		t.Fatal(err)
 	}
-	dropped := weak.Make(g)
+	collected := make(chan struct{})
+	runtime.SetFinalizer(g, func(*workflow.Graph) { close(collected) })
 	g = nil
 	runtime.GC()
-	if dropped.Value() != nil {
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
 		t.Error("a planned graph outlives its last reference")
 	}
 	for i := 0; i < 1000; i++ {
