@@ -90,9 +90,9 @@ func (scaleExec) Execute(*workflow.Graph, *planner.Plan) (*executor.Result, erro
 }
 
 // newScaleScheduler builds a scheduler whose cluster is fully reserved and
-// queues depth runs with mixed tenants, users, priorities, and (every third
-// run) deadlines — deep enough to exercise the EDF heap, the fair tree, and
-// the intrusive queue, while every decision round stays a hold-decision.
+// queues depth runs with mixed tenants, users and (every third run)
+// deadlines — deep enough to exercise the EDF heap and the intrusive queue,
+// while every decision round stays a hold-decision.
 func newScaleScheduler(policy scheduler.Policy, depth int, seed int64) (*scheduler.Scheduler, error) {
 	clock := vtime.NewClock()
 	clu := cluster.New(clock, scaleNodes, 4, 8192)
@@ -116,9 +116,8 @@ func newScaleScheduler(policy scheduler.Policy, depth int, seed int64) (*schedul
 	g.Target = "scale"
 	for i := 0; i < depth; i++ {
 		opts := scheduler.SubmitOptions{
-			Tenant:   tenants[rng.Intn(len(tenants))],
-			User:     users[rng.Intn(len(users))],
-			Priority: rng.Intn(5) - 2,
+			Tenant: tenants[rng.Intn(len(tenants))],
+			User:   users[rng.Intn(len(users))],
 		}
 		if i%3 == 0 {
 			opts.Deadline = time.Duration(60+rng.Intn(100_000)) * time.Second
@@ -159,7 +158,6 @@ func RunSchedScaleBench(seed int64) (*SchedScaleBench, error) {
 	policies := []scheduler.Policy{
 		scheduler.FIFO{},
 		scheduler.Deadline{},
-		scheduler.HierarchicalFairShare{MaxConcurrent: 4},
 	}
 	for _, policy := range policies {
 		curve := SchedScalePolicy{Policy: policy.Name()}

@@ -15,15 +15,12 @@ type heapOrder[T any] interface {
 
 // posHeap is a position-tracked binary min-heap: every element records its
 // own index, so removing an arbitrary member is O(log n) with no search and
-// no side map. It is the one heap of the package — the EDF heap over waiting
-// runs, each fair group's heap of waiting children and each user's heap of
-// waiting runs differ only in their heapOrder.
+// no side map. Its one instance is the EDF heap over waiting runs.
 //
 // Frozen-key contract: whatever less reads must not change while the element
 // is a member. The heap never re-heapifies in place; a key that has to move
 // is removed first and pushed again afterwards. (EDF keys are immutable after
-// submission; a fair group sits in a wait heap only while its rate is zero;
-// a waiting run accrues no virtual runtime.)
+// submission.)
 type posHeap[T any, O heapOrder[T]] struct {
 	items []T
 }

@@ -78,31 +78,23 @@ func drivePosHeap[T comparable, O heapOrder[T]](t *testing.T, pool []T, ops []by
 	}
 }
 
-// heapPools builds one element pool per production ordering out of key
-// bytes. Keys are drawn from a few values on purpose, so ties reach every
-// ordering's tie-breaks (submission time then id; name; sequence).
-func heapPools(keys []byte) (runs []*Run, groups []*fairGroup) {
+// heapPool builds the element pool out of key bytes. Keys are drawn from a
+// few values on purpose, so ties reach the EDF ordering's tie-breaks
+// (submission time then id).
+func heapPool(keys []byte) (runs []*Run) {
 	for i, k := range keys {
 		runs = append(runs, &Run{
 			id:          fmt.Sprintf("run-%03d", i),
 			seq:         i,
 			deadline:    time.Duration(k%4) * time.Second, // 0 = none: sorts last
 			submittedAt: time.Duration(k/4%4) * time.Second,
-			fairV:       float64(k % 3),
 			edfPos:      -1,
-			fairPos:     -1,
-		})
-		groups = append(groups, &fairGroup{
-			name:     fmt.Sprintf("g%02d", i),
-			vruntime: float64(k%5) / 4,
-			waitPos:  -1,
 		})
 	}
-	return runs, groups
+	return runs
 }
 
-// drivePosHeaps runs one (keys, ops) input through all three orderings the
-// scheduler uses.
+// drivePosHeaps runs one (keys, ops) input through the EDF ordering.
 func drivePosHeaps(t *testing.T, keys, ops []byte) {
 	t.Helper()
 	if len(keys) == 0 {
@@ -111,10 +103,7 @@ func drivePosHeaps(t *testing.T, keys, ops []byte) {
 	if len(keys) > 64 {
 		keys = keys[:64]
 	}
-	runs, groups := heapPools(keys)
-	drivePosHeap[*Run, edfOrder](t, runs, ops)
-	drivePosHeap[*Run, fairRunOrder](t, runs, ops)
-	drivePosHeap[*fairGroup, groupOrder](t, groups, ops)
+	drivePosHeap[*Run, edfOrder](t, heapPool(keys), ops)
 }
 
 // TestPosHeapDifferential checks the one heap implementation against the

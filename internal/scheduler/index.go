@@ -17,13 +17,10 @@
 //   - activeOrder / suspendedOrder: the admitted and suspended sets kept
 //     sorted by submission sequence (both are small: active is bounded by
 //     the node count, suspended by preemption churn).
-//   - fairTree (fair.go): the hierarchical fair-share accounting consumed by
-//     the HierarchicalFairShare policy.
 //
 // CheckIndex cross-checks every structure against a naive from-scratch
-// rebuild (naiveStateLocked here, pickNaive in fair.go) — references the storm
-// test compares against at every quiescent point, never paths a decision
-// takes.
+// rebuild (naiveStateLocked) — the reference the storm test compares against
+// at every quiescent point, never a path a decision takes.
 package scheduler
 
 import (
@@ -156,76 +153,44 @@ type stateIndex struct {
 	edf            posHeap[*Run, edfOrder]
 	activeOrder    []*Run // admitted runs, submission order (≤ cluster nodes)
 	suspendedOrder []*Run // preempted runs, submission order
-	fair           fairTree
-}
-
-func newStateIndex() stateIndex {
-	return stateIndex{fair: newFairTree()}
 }
 
 // enqueue registers a freshly submitted run.
-func (x *stateIndex) enqueue(r *Run, now time.Duration) {
+func (x *stateIndex) enqueue(r *Run) {
 	x.queue.push(r)
 	x.edf.push(r)
-	x.fair.enqueue(r, now)
 }
 
-// dequeueForGrant pulls a queued run out of the waiting structures ahead of
-// an admission; the fair tree is charged by granted.
-func (x *stateIndex) dequeueForGrant(r *Run) {
+// dequeue removes a queued run from the waiting structures: ahead of an
+// admission, or because it will never execute (cancel, reject).
+func (x *stateIndex) dequeue(r *Run) {
 	x.queue.remove(r)
 	x.edf.remove(r)
 }
 
-// dequeueTerminal removes a queued run that will never execute (cancel,
-// reject).
-func (x *stateIndex) dequeueTerminal(r *Run) {
-	x.queue.remove(r)
-	x.edf.remove(r)
-	x.fair.remove(r)
-}
-
-// unsuspendForGrant pulls a suspended run out of the waiting structures ahead
-// of a resume grant.
-func (x *stateIndex) unsuspendForGrant(r *Run) {
+// unsuspend removes a suspended run from the waiting structures: ahead of a
+// resume grant, or because it will never resume (cancel).
+func (x *stateIndex) unsuspend(r *Run) {
 	x.suspendedOrder = removeRun(x.suspendedOrder, r)
 	x.edf.remove(r)
 }
 
-// granted records an admission or resume: the run joins the active set and
-// starts accruing virtual runtime.
-func (x *stateIndex) granted(r *Run, nodes int, now time.Duration) {
+// granted records an admission or resume: the run joins the active set.
+func (x *stateIndex) granted(r *Run) {
 	x.activeOrder = insertBySeq(x.activeOrder, r)
-	x.fair.grant(r, nodes, now)
 }
 
 // suspendLanded records a preemption landing: the run leaves the active set
-// and waits (suspended) with its virtual runtime preserved.
-func (x *stateIndex) suspendLanded(r *Run, now time.Duration) {
+// and waits (suspended).
+func (x *stateIndex) suspendLanded(r *Run) {
 	x.activeOrder = removeRun(x.activeOrder, r)
 	x.suspendedOrder = insertBySeq(x.suspendedOrder, r)
 	x.edf.push(r)
-	x.fair.release(r, now)
-	x.fair.enqueue(r, now)
-}
-
-// unsuspendTerminal removes a suspended run that will never resume (cancel).
-func (x *stateIndex) unsuspendTerminal(r *Run) {
-	x.suspendedOrder = removeRun(x.suspendedOrder, r)
-	x.edf.remove(r)
-	x.fair.remove(r)
 }
 
 // finishedActive records a terminal transition of an admitted run.
-func (x *stateIndex) finishedActive(r *Run, now time.Duration) {
+func (x *stateIndex) finishedActive(r *Run) {
 	x.activeOrder = removeRun(x.activeOrder, r)
-	x.fair.release(r, now)
-	x.fair.remove(r)
-}
-
-// resized records a lease size change of an active run.
-func (x *stateIndex) resized(r *Run, nodes int, now time.Duration) {
-	x.fair.resize(r, nodes, now)
 }
 
 // --- naive rebuild oracle -------------------------------------------------
@@ -256,8 +221,8 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 
 // CheckIndex verifies every incrementally maintained structure against a
 // naive from-scratch rebuild: queue/active/suspended membership and order,
-// EDF heap size and head, fair-tree registration, and the cached node
-// counters (via cluster.CheckInvariants). Status, set membership and index
+// EDF heap size and head, and the cached node counters (via
+// cluster.CheckInvariants). Status, set membership and index
 // entries change together under s.mu, so it may be called at any time.
 func (s *Scheduler) CheckIndex() error {
 	s.mu.Lock()
@@ -321,13 +286,6 @@ func (s *Scheduler) CheckIndex() error {
 	}
 	if err := s.idx.edf.check(); err != nil {
 		return fmt.Errorf("EDF %w", err)
-	}
-
-	want := s.idx.queue.n + len(s.idx.suspendedOrder)
-	if got, err := s.idx.fair.check(now); err != nil {
-		return err
-	} else if got != want {
-		return fmt.Errorf("fair tree tracks %d waiting runs, want %d", got, want)
 	}
 	return s.cluster.CheckInvariants()
 }

@@ -12,10 +12,6 @@ type RunState struct {
 	ID       string
 	Workflow string
 	Tenant   string
-	// User subdivides a tenant for hierarchical fair-share accounting;
-	// Priority biases that accounting (higher = charged less per node-second).
-	User     string
-	Priority int
 	Status   Status
 
 	SubmittedSec float64
@@ -59,7 +55,7 @@ type RunState struct {
 // EachWaiting suspended-then-queued (each in submission order) — exactly the
 // orders the seed scheduler materialized. EDFHead is the head a stable
 // earliest-deadline-first sort of the waiting runs would produce, served
-// from a heap. FairNext is the hierarchical fair-share pick (see fair.go).
+// from a heap.
 type State struct {
 	NowSec     float64
 	TotalNodes int
@@ -148,21 +144,6 @@ func (st State) SliceFit(coresPer, memPer int) int {
 		return 0
 	}
 	return st.s.cluster.SliceFit(coresPer, memPer)
-}
-
-// FairNext returns the waiting run hierarchical fair share would admit next
-// (minimal-vruntime tenant, then user, then run). Settling group runtimes to
-// now mutates bookkeeping but never a decision: settlement is exact, so a
-// group's vruntime is the same whenever it is observed.
-func (st State) FairNext() (RunState, bool) {
-	if st.s == nil {
-		return RunState{}, false
-	}
-	r := st.s.idx.fair.pick(st.now)
-	if r == nil {
-		return RunState{}, false
-	}
-	return st.s.runStateLocked(r, st.now), true
 }
 
 // Action is one scheduling decision returned by Policy.Decide. The scheduler

@@ -19,9 +19,8 @@
 //
 // Policy input is served from incrementally maintained indexed state (see
 // index.go): the queue is an intrusive list with O(1) membership, waiting
-// runs sit in an EDF heap, active/suspended sets are kept in submission
-// order, and fair-share accounting lives in a hierarchical vruntime tree.
-// The structures are updated as deltas at run lifecycle boundaries, so a
+// runs sit in an EDF heap, and active/suspended sets are kept in submission
+// order. The structures are updated as deltas at run lifecycle boundaries, so a
 // decision round costs O(runs the policy examines), not O(runs ever
 // submitted). Terminal runs are pruned from the hot path entirely: a frozen
 // snapshot replaces the run record, keeping Runs() listings and id lookups
@@ -113,12 +112,10 @@ type Snapshot struct {
 	ID       string `json:"id"`
 	Workflow string `json:"workflow,omitempty"`
 	Status   string `json:"status"`
-	// Tenant is the budget account the run is charged to (CostQuota) and the
-	// top fair-share group (HierarchicalFairShare); User subdivides it.
+	// Tenant is the account the run is charged to (CostQuota, DRF); User is a
+	// listing label no policy reads.
 	Tenant string `json:"tenant,omitempty"`
 	User   string `json:"user,omitempty"`
-	// Priority biases hierarchical fair-share charging (higher = cheaper).
-	Priority int `json:"priority,omitempty"`
 	// LeasedNodes is the current node lease size (0 while queued or
 	// suspended). LeasedCores/LeasedMemMB are the lease's total capacity
 	// footprint per dimension — slice dimensions times nodes, memory capped
@@ -152,7 +149,6 @@ type Run struct {
 	workflow string
 	tenant   string
 	user     string
-	priority int
 	deadline time.Duration // absolute vtime; 0 = none
 	g        *workflow.Graph
 	sched    *Scheduler
@@ -202,18 +198,9 @@ type Run struct {
 
 	// Index bookkeeping, guarded by the scheduler's mu (never r.mu): the
 	// run's position in each incrementally maintained structure.
-	seq     int      // submission sequence
-	qnode   *runNode // queue-list element; nil when not queued
-	edfPos  int      // EDF heap position; -1 when not waiting
-	fairPos int      // fair-tree waiting-heap position; -1 when not waiting
-
-	// Hierarchical fair-share accounting (guarded by the scheduler's mu).
-	fairWeight float64 // 2^priority charge divisor
-	fairV      float64 // accrued virtual runtime
-	fairRate   float64 // current vruntime slope (nodes/fairWeight; 0 unless running)
-	fairLast   time.Duration
-	fairNodes  int        // nodes currently charged
-	fairOwner  *fairGroup // owning user group while registered
+	seq    int      // submission sequence
+	qnode  *runNode // queue-list element; nil when not queued
+	edfPos int      // EDF heap position; -1 when not waiting
 }
 
 // ID returns the scheduler-unique run id (also stamped on trace events).
@@ -240,7 +227,6 @@ func (r *Run) Status() Snapshot {
 		Workflow:     r.workflow,
 		Tenant:       r.tenant,
 		User:         r.user,
-		Priority:     r.priority,
 		Status:       r.status.String(),
 		SubmittedSec: r.submittedAt.Seconds(),
 		DeadlineSec:  r.deadline.Seconds(),
@@ -338,15 +324,10 @@ type Config struct {
 type SubmitOptions struct {
 	// Name labels the run in status listings (default: the graph target).
 	Name string
-	// Tenant is the budget account for CostQuota-style policies and the top
-	// fair-share group for HierarchicalFairShare.
+	// Tenant is the account CostQuota budgets and DRF shares are kept per.
 	Tenant string
-	// User subdivides a tenant for hierarchical fair-share accounting.
+	// User labels the run in status listings; no policy reads it.
 	User string
-	// Priority biases fair-share charging: a priority-p run is billed
-	// node-seconds at 1/2^p (clamped to ±8), so higher priorities are
-	// scheduled sooner within their group. Ignored by other policies.
-	Priority int
 	// Deadline is the absolute virtual-time deadline for Deadline-style
 	// policies (0 = none).
 	Deadline time.Duration
@@ -429,7 +410,6 @@ func New(cfg Config) (*Scheduler, error) {
 		totalMemMB: totalMemMB,
 		nodeCores:  nodeCores,
 		nodeMemMB:  nodeMemMB,
-		idx:        newStateIndex(),
 		active:     make(map[string]*Run),
 		suspended:  make(map[string]*Run),
 		recIdx:     make(map[string]*runRecord),
@@ -450,7 +430,7 @@ func (s *Scheduler) SubmitNamed(name string, g *workflow.Graph) *Run {
 }
 
 // SubmitWith is Submit with full scheduling metadata (label, tenant, user,
-// priority, deadline).
+// deadline, slice demand).
 func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 	name := opts.Name
 	if name == "" {
@@ -490,7 +470,6 @@ func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 		workflow:    name,
 		tenant:      opts.Tenant,
 		user:        opts.User,
-		priority:    opts.Priority,
 		deadline:    opts.Deadline,
 		demandCores: demC,
 		demandMemMB: demM,
@@ -503,13 +482,11 @@ func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 		estCost:     estCost,
 		seq:         s.nextID,
 		edfPos:      -1,
-		fairPos:     -1,
-		fairWeight:  priorityWeight(opts.Priority),
 	}
 	rec := &runRecord{id: r.id, run: r}
 	s.records = append(s.records, rec)
 	s.recIdx[r.id] = rec
-	s.idx.enqueue(r, r.submittedAt)
+	s.idx.enqueue(r)
 	depth := s.idx.queue.n
 	s.mu.Unlock()
 
@@ -671,8 +648,6 @@ func (s *Scheduler) runStateLocked(r *Run, now time.Duration) RunState {
 		ID:           r.id,
 		Workflow:     r.workflow,
 		Tenant:       r.tenant,
-		User:         r.user,
-		Priority:     r.priority,
 		Status:       r.status,
 		SubmittedSec: r.submittedAt.Seconds(),
 		DeadlineSec:  r.deadline.Seconds(),
@@ -792,9 +767,9 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 	_, resumed := s.suspended[r.id]
 	if resumed {
 		delete(s.suspended, r.id)
-		s.idx.unsuspendForGrant(r)
+		s.idx.unsuspend(r)
 	} else {
-		s.idx.dequeueForGrant(r)
+		s.idx.dequeue(r)
 	}
 	n := lease.Size()
 	cores, memMB := s.leaseFootprint(lease)
@@ -820,7 +795,7 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 	}
 	r.mu.Unlock()
 	s.active[r.id] = r
-	s.idx.granted(r, n, now)
+	s.idx.granted(r)
 	s.tracer.Emit(trace.Event{
 		Type: trace.EvLeaseGrant, RunID: r.id,
 		Fields: leaseGrantFields(r, lease),
@@ -903,7 +878,6 @@ func (s *Scheduler) scheduleOnce() bool {
 			r.leasedCores = cores
 			r.leasedMemMB = memMB
 			r.mu.Unlock()
-			s.idx.resized(r, lease.Size(), now)
 			s.tracer.Emit(trace.Event{
 				Type: evType, RunID: r.id,
 				Fields: map[string]float64{"nodes": float64(len(moved)), "total": float64(lease.Size())},
@@ -999,13 +973,13 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 
 	switch {
 	case r.qnode != nil:
-		s.idx.dequeueTerminal(r)
+		s.idx.dequeue(r)
 	case s.active[r.id] == r:
 		delete(s.active, r.id)
-		s.idx.finishedActive(r, now)
+		s.idx.finishedActive(r)
 	default:
 		delete(s.suspended, r.id)
-		s.idx.unsuspendTerminal(r)
+		s.idx.unsuspend(r)
 	}
 	// Freeze the snapshot into the record and drop the hot-path pointer.
 	rec := s.recIdx[r.id]
@@ -1101,7 +1075,7 @@ func (s *Scheduler) suspendLocked(r *Run, now time.Duration) {
 	dropped := s.cluster.RevokeReservation(lease)
 	delete(s.active, r.id)
 	s.suspended[r.id] = r
-	s.idx.suspendLanded(r, now)
+	s.idx.suspendLanded(r)
 	suspendFields := map[string]float64{"nodes": float64(nodes), "droppedContainers": float64(dropped)}
 	if latency >= 0 {
 		suspendFields["latencySec"] = latency.Seconds()

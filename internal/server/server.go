@@ -431,10 +431,9 @@ func (s *Server) executeWorkflow(w http.ResponseWriter, r *http.Request) {
 
 // submitWorkflow enqueues the workflow and returns the run handle
 // immediately; poll GET /api/runs/{id} for progress. Optional query
-// parameters feed the scheduling policies: ?tenant= charges the run to a
-// budget account (CostQuota) or fair-share group, ?user= and ?priority=
-// refine hierarchical fair-share accounting, and ?deadlineSec= sets an
-// absolute virtual-time deadline (Deadline/EDF), and
+// parameters feed the scheduling policies: ?tenant= charges the run to an
+// account (CostQuota budgets, DRF shares), ?user= labels it in listings,
+// ?deadlineSec= sets an absolute virtual-time deadline (Deadline/EDF), and
 // ?demandCores=&demandMemMB= (both required together) ask for per-node
 // resource slices instead of whole nodes (DRF and memory overcommit).
 func (s *Server) submitWorkflow(w http.ResponseWriter, r *http.Request) {
@@ -445,14 +444,6 @@ func (s *Server) submitWorkflow(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	opts := ires.SubmitOptions{Name: r.PathValue("name"), Tenant: q.Get("tenant"), User: q.Get("user")}
-	if raw := q.Get("priority"); raw != "" {
-		p, err := strconv.Atoi(raw)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid priority %q", raw))
-			return
-		}
-		opts.Priority = p
-	}
 	if raw := q.Get("deadlineSec"); raw != "" {
 		sec, err := strconv.ParseFloat(raw, 64)
 		if err != nil || sec < 0 {

@@ -104,8 +104,8 @@ type (
 	// RunSnapshot is a point-in-time view of a submitted run.
 	RunSnapshot = scheduler.Snapshot
 	// AdmissionPolicy decides when queued runs start, how many nodes they
-	// lease, and whether active runs are resized or preempted (see FIFO,
-	// FairShare, Deadline and CostQuota).
+	// lease, and whether active runs grow or are preempted (see FIFO,
+	// FairShare, Deadline, CostQuota and DRF).
 	AdmissionPolicy = scheduler.Policy
 	// SubmitOptions carries the scheduling metadata of one submission
 	// (label, tenant, deadline).
@@ -120,17 +120,6 @@ func FIFO() AdmissionPolicy { return scheduler.FIFO{} }
 // workflows at once, each leasing an equal slice of the cluster's nodes.
 func FairShare(maxConcurrent int) AdmissionPolicy {
 	return scheduler.FairShare{MaxConcurrent: maxConcurrent}
-}
-
-// HierarchicalFairShare returns the CFS-style fair policy over a tenant →
-// user → run hierarchy: every running run charges virtual runtime to its
-// tenant and user at rate nodes/(weight·2^priority), and admission always
-// goes to the least-charged tenant's least-charged user's best run — so
-// cluster time converges to equal shares per tenant, equal shares per user
-// within a tenant, and SubmitOptions.Priority acts as a runtime multiplier.
-// Like FairShare it admits up to maxConcurrent runs on equal node slices.
-func HierarchicalFairShare(maxConcurrent int) AdmissionPolicy {
-	return scheduler.HierarchicalFairShare{MaxConcurrent: maxConcurrent}
 }
 
 // Deadline returns the earliest-deadline-first policy: waiting runs are
