@@ -110,7 +110,7 @@ type Cluster struct {
 
 	// freeHealthy is the scheduling-counter hot path: the number of healthy
 	// nodes carrying no lease, maintained as deltas at every reserve/release/
-	// grow/shrink/revoke/fail/restore boundary so UnreservedHealthy is O(1)
+	// grow/revoke/fail/restore boundary so UnreservedHealthy is O(1)
 	// per call instead of an O(nodes) map scan. CheckInvariants recounts it
 	// from scratch and fails on drift.
 	freeHealthy int
@@ -398,8 +398,6 @@ func (c *Cluster) Reconcile() {}
 // that fills the node, which the same headroom arithmetic makes exclusive.
 //
 // Leases are elastic: GrowReservation adds nodes while the run executes,
-// ShrinkReservation returns idle nodes to the pool (shrink-at-operator-
-// boundary: only nodes with no live containers of the lease may leave),
 // ResizeSlice regrows or shrinks the per-node slice dimensions
 // independently, and RevokeReservation ends the lease entirely
 // (preemption/voluntary release).
@@ -438,7 +436,7 @@ func (r *Reservation) usedOn(name string) (cores, memMB int) {
 
 // Nodes returns the reserved node names in stable order (nil once revoked).
 // It takes the cluster lock: the node set of an elastic lease changes under
-// Grow/Shrink, so an unlocked read could observe a half-applied resize.
+// GrowReservation, so an unlocked read could observe a half-applied grow.
 func (r *Reservation) Nodes() []string {
 	if r == nil {
 		return nil
@@ -686,45 +684,6 @@ func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
 	}
 	r.sliceCores, r.sliceMemMB = coresPer, memPer
 	return nil
-}
-
-// ShrinkReservation releases leased nodes back to the pool until the lease
-// holds target nodes, but only nodes hosting no live container of this lease
-// may leave — the structural form of shrink-at-operator-boundary semantics:
-// gang containers are freed between plan steps, so a shrink issued at a step
-// boundary always finds its nodes idle, while a shrink racing running work
-// simply keeps the busy nodes. Idle nodes are released from the end of the
-// stable node order. It returns the names of the released nodes (possibly
-// fewer than requested when busy nodes pin the lease above target).
-func (c *Cluster) ShrinkReservation(r *Reservation, target int) ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.liveLeaseLocked(r, "shrink"); err != nil {
-		return nil, err
-	}
-	if target < 1 {
-		return nil, fmt.Errorf("cluster: invalid shrink target %d", target)
-	}
-	var removed []string
-	drop := make(map[string]bool)
-	for i := len(r.nodes) - 1; i >= 0 && len(r.nodes)-len(removed) > target; i-- {
-		name := r.nodes[i]
-		if uc, um := r.usedOn(name); uc > 0 || um > 0 {
-			continue // a live container of this lease pins the node
-		}
-		removed = append(removed, name)
-		drop[name] = true
-		c.removeSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
-		delete(r.used, name)
-	}
-	kept := r.nodes[:0]
-	for _, name := range r.nodes {
-		if !drop[name] {
-			kept = append(kept, name)
-		}
-	}
-	r.nodes = kept
-	return removed, nil
 }
 
 // RevokeReservation ends a lease: every node returns to the unreserved pool
@@ -1043,7 +1002,7 @@ func (c *Cluster) CheckInvariants() error {
 	}
 	sort.Strings(names)
 	// The delta-maintained books must agree with a from-scratch recount —
-	// any missed delta on a reserve/release/grow/shrink/resize/revoke/fail/
+	// any missed delta on a reserve/release/grow/resize/revoke/fail/
 	// restore path shows up here. The recount rebuilds every node's
 	// per-dimension slice sums and refcount from the reservation table.
 	sliceCores := make(map[string]int)
@@ -1120,7 +1079,7 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("cluster: released reservation %d still in the reservation table", id)
 		}
 		if len(res.nodes) == 0 {
-			return fmt.Errorf("cluster: live reservation %d holds no nodes (shrink below 1?)", id)
+			return fmt.Errorf("cluster: live reservation %d holds no nodes", id)
 		}
 		if res.sliceCores <= 0 || res.sliceMemMB <= 0 {
 			return fmt.Errorf("cluster: reservation %d has dimensions (%dc,%dMB)", id, res.sliceCores, res.sliceMemMB)

@@ -8,10 +8,10 @@ import (
 	"github.com/asap-project/ires/internal/vtime"
 )
 
-// Elastic lease mechanics: grow extends first-fit in stable order, shrink
-// frees only idle nodes, revoke force-releases stragglers, and every
-// operation is invariant-preserving.
-func TestGrowShrinkRevoke(t *testing.T) {
+// Elastic lease mechanics: grow extends first-fit in stable order and is
+// atomic, revoke force-releases stragglers, and every operation is
+// invariant-preserving.
+func TestGrowRevoke(t *testing.T) {
 	c := New(vtime.NewClock(), 8, 4, 8192)
 	r, err := c.Reserve(2)
 	if err != nil {
@@ -32,26 +32,9 @@ func TestGrowShrinkRevoke(t *testing.T) {
 		t.Fatalf("failed grow mutated the lease: size %d", r.Size())
 	}
 
-	// Pin one node with a live container: shrink must route around it.
-	ctrs, err := c.AllocateIn(r, 1, 1, 512)
-	if err != nil {
+	// One live container for the revoke to force-release.
+	if _, err := c.AllocateIn(r, 1, 1, 512); err != nil {
 		t.Fatal(err)
-	}
-	busyNode := ctrs[0].NodeName
-	removed, err := c.ShrinkReservation(r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range removed {
-		if name == busyNode {
-			t.Fatalf("shrink released busy node %s", busyNode)
-		}
-	}
-	if r.Size() != 1 {
-		t.Fatalf("size after shrink = %d, want 1 (only the busy node pinned)", r.Size())
-	}
-	if got := r.Nodes(); len(got) != 1 || got[0] != busyNode {
-		t.Fatalf("lease kept %v, want just the busy node %s", got, busyNode)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -79,35 +62,9 @@ func TestGrowShrinkRevoke(t *testing.T) {
 	if _, err := c.GrowReservation(r, 1); err == nil {
 		t.Fatal("grow of released lease succeeded")
 	}
-	if _, err := c.ShrinkReservation(r, 1); err == nil {
-		t.Fatal("shrink of released lease succeeded")
-	}
 }
 
-// A shrink that finds every above-target node busy keeps them all.
-func TestShrinkKeepsBusyNodes(t *testing.T) {
-	c := New(vtime.NewClock(), 4, 2, 4096)
-	r, err := c.Reserve(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One container per leased node: everything is pinned.
-	if _, err := c.AllocateIn(r, 3, 1, 512); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := c.ShrinkReservation(r, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 0 || r.Size() != 3 {
-		t.Fatalf("shrink of fully busy lease removed %v (size %d)", removed, r.Size())
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a randomized storm of reserve/grow/shrink/revoke/allocate/free
+// Property: a randomized storm of reserve/grow/revoke/allocate/free
 // operations (fixed seed) preserves the cluster invariants after every
 // single step, and total accounting returns to zero once everything is
 // released.
@@ -130,7 +87,7 @@ func TestElasticStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(6); op {
+		switch op := rng.Intn(5); op {
 		case 0: // reserve
 			n := 1 + rng.Intn(4)
 			if r, err := c.Reserve(n); err == nil {
@@ -144,14 +101,7 @@ func TestElasticStormInvariants(t *testing.T) {
 			h := held[rng.Intn(len(held))]
 			_, _ = c.GrowReservation(h.res, 1+rng.Intn(3))
 			check(step, "grow")
-		case 2: // shrink
-			if len(held) == 0 {
-				continue
-			}
-			h := held[rng.Intn(len(held))]
-			_, _ = c.ShrinkReservation(h.res, 1+rng.Intn(3))
-			check(step, "shrink")
-		case 3: // allocate containers inside a lease
+		case 2: // allocate containers inside a lease
 			if len(held) == 0 {
 				continue
 			}
@@ -163,7 +113,7 @@ func TestElasticStormInvariants(t *testing.T) {
 				h.ctrs = append(h.ctrs, ctrs...)
 			}
 			check(step, "allocate")
-		case 4: // free containers
+		case 3: // free containers
 			if len(held) == 0 {
 				continue
 			}
@@ -171,7 +121,7 @@ func TestElasticStormInvariants(t *testing.T) {
 			c.ReleaseAll(h.ctrs)
 			h.ctrs = nil
 			check(step, "free")
-		case 5: // revoke or release
+		case 4: // revoke or release
 			if len(held) == 0 {
 				continue
 			}
@@ -266,13 +216,10 @@ func TestSliceReserveResizeRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Node-count grow/shrink applies to slice leases too.
+	// Node-count grow applies to slice leases too.
 	added, err := c.GrowReservation(r1, 2)
 	if err != nil || len(added) != 2 {
 		t.Fatalf("slice grow: %v %v", added, err)
-	}
-	if removed, err := c.ShrinkReservation(r1, 2); err != nil || len(removed) != 2 {
-		t.Fatalf("slice shrink: %v %v", removed, err)
 	}
 
 	c.ReleaseAll(ctrs)
@@ -354,8 +301,8 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(9); op {
-		case 8: // reserve whole nodes: the slice that fills the node
+		switch op := rng.Intn(8); op {
+		case 7: // reserve whole nodes: the slice that fills the node
 			if r, err := c.Reserve(1 + rng.Intn(2)); err == nil {
 				if sc, sm := r.SliceDims(); sc != coresPerN || sm != memCap {
 					t.Fatalf("step %d: whole-node lease dims (%d,%d), want (%d,%d)", step, sc, sm, coresPerN, memCap)
@@ -379,14 +326,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			h := held[rng.Intn(len(held))]
 			_, _ = c.GrowReservation(h.res, 1+rng.Intn(3))
 			check(step, "grow")
-		case 2: // shrink node count
-			if len(held) == 0 {
-				continue
-			}
-			h := held[rng.Intn(len(held))]
-			_, _ = c.ShrinkReservation(h.res, rng.Intn(3))
-			check(step, "shrink")
-		case 3: // resize per dimension
+		case 2: // resize per dimension
 			if len(held) == 0 {
 				continue
 			}
@@ -397,7 +337,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 				wholeResized++
 			}
 			check(step, "resize")
-		case 4: // allocate inside the slice
+		case 3: // allocate inside the slice
 			if len(held) == 0 {
 				continue
 			}
@@ -409,7 +349,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 				h.ctrs = append(h.ctrs, ctrs...)
 			}
 			check(step, "allocate")
-		case 5: // free containers
+		case 4: // free containers
 			if len(held) == 0 {
 				continue
 			}
@@ -417,7 +357,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			c.ReleaseAll(h.ctrs)
 			h.ctrs = nil
 			check(step, "free")
-		case 6: // revoke or release
+		case 5: // revoke or release
 			if len(held) == 0 {
 				continue
 			}
@@ -431,7 +371,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			}
 			held = append(held[:i], held[i+1:]...)
 			check(step, "revoke/release")
-		case 7: // solo grant/release cycle: exact free-counter restoration
+		case 6: // solo grant/release cycle: exact free-counter restoration
 			pre := snapshot()
 			r, err := c.ReserveSlices(1+rng.Intn(2), 1+rng.Intn(3), 2048)
 			if err != nil {

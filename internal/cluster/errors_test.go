@@ -21,9 +21,6 @@ func TestTypedReservationErrors(t *testing.T) {
 	if err := c.ResizeSlice(nil, 1, 1); !errors.Is(err, ErrNilReservation) {
 		t.Fatalf("resize(nil) = %v, want ErrNilReservation", err)
 	}
-	if _, err := c.ShrinkReservation(nil, 1); !errors.Is(err, ErrNilReservation) {
-		t.Fatalf("shrink(nil) = %v, want ErrNilReservation", err)
-	}
 
 	foreign, err := other.Reserve(1)
 	if err != nil {
@@ -34,9 +31,6 @@ func TestTypedReservationErrors(t *testing.T) {
 	}
 	if err := c.ResizeSlice(foreign, 1, 1); !errors.Is(err, ErrForeignReservation) {
 		t.Fatalf("resize(foreign) = %v, want ErrForeignReservation", err)
-	}
-	if _, err := c.ShrinkReservation(foreign, 1); !errors.Is(err, ErrForeignReservation) {
-		t.Fatalf("shrink(foreign) = %v, want ErrForeignReservation", err)
 	}
 	if _, err := c.AllocateIn(foreign, 1, 1, 1); !errors.Is(err, ErrForeignReservation) {
 		t.Fatalf("AllocateIn(foreign) = %v, want ErrForeignReservation", err)

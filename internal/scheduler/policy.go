@@ -171,9 +171,9 @@ type Preempt struct {
 	Run string
 }
 
-// Resize grows or shrinks an active run's lease to Nodes (shrink releases
-// only nodes idle at the operator boundary; see cluster.ShrinkReservation).
-type Resize struct {
+// Grow extends an active run's lease to Nodes nodes. A lease never shrinks:
+// a Grow to the current size or fewer is a no-op.
+type Grow struct {
 	Run   string
 	Nodes int
 }
@@ -187,11 +187,11 @@ type Reject struct {
 func (Admit) isAction()   {}
 func (Resume) isAction()  {}
 func (Preempt) isAction() {}
-func (Resize) isAction()  {}
+func (Grow) isAction()    {}
 func (Reject) isAction()  {}
 
 // Policy decides scheduling: given the indexed run state it returns the
-// actions to apply — admissions, resumes, lease resizes, preemptions,
+// actions to apply — admissions, resumes, lease grows, preemptions,
 // rejections. Decide must be a pure function of its input (it runs under the
 // scheduler lock and is re-invoked after every applied batch until it
 // quiesces), and it should touch only the runs it needs: the accessors
@@ -372,7 +372,7 @@ func (d Deadline) Decide(st State) []Action {
 			var sole RunState
 			st.EachActive(func(a RunState) bool { sole = a; return false })
 			if !sole.Preempting {
-				return []Action{Resize{Run: sole.ID, Nodes: sole.LeasedNodes + st.FreeNodes}}
+				return []Action{Grow{Run: sole.ID, Nodes: sole.LeasedNodes + st.FreeNodes}}
 			}
 		}
 		return nil

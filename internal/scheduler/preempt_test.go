@@ -590,3 +590,66 @@ func TestPreemptionDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// growProbe admits each queued run on two nodes, then asks every active run
+// to "grow" to its current size, one node fewer, and zero.
+type growProbe struct{}
+
+func (growProbe) Name() string { return "grow-probe" }
+
+func (growProbe) Decide(st State) []Action {
+	var out []Action
+	st.EachQueued(func(r RunState) bool {
+		out = append(out, Admit{Run: r.ID, Nodes: 2})
+		return true
+	})
+	st.EachActive(func(r RunState) bool {
+		out = append(out,
+			Grow{Run: r.ID, Nodes: r.LeasedNodes},
+			Grow{Run: r.ID, Nodes: r.LeasedNodes - 1},
+			Grow{Run: r.ID, Nodes: 0})
+		return true
+	})
+	return out
+}
+
+// A Grow to the current node count or fewer is a no-op: no lease.grow event,
+// the same lease at the same size, the same cached footprint, and no
+// progress — the decision loop quiesces instead of spinning on it.
+func TestGrowNeverShrinks(t *testing.T) {
+	rig := newSusRig(t, 4, growProbe{}, nil, nil)
+	run := rig.sched.Submit(graph("wf"))
+	type view struct {
+		lease               *cluster.Reservation
+		size                int
+		nodes, cores, memMB int
+	}
+	look := func() view {
+		run.mu.Lock()
+		defer run.mu.Unlock()
+		return view{run.lease, run.lease.Size(), run.leasedNodes, run.leasedCores, run.leasedMemMB}
+	}
+	before := look()
+	if before.size != 2 || before.nodes != 2 || before.cores != 16 || before.memMB != 32768 {
+		t.Fatalf("admitted lease %+v, want two whole 8-core 16 GB nodes", before)
+	}
+	for i := 0; i < 3; i++ {
+		if rig.sched.scheduleOnce() {
+			t.Fatal("a Grow to the current size or fewer counted as progress")
+		}
+	}
+	if after := look(); after != before {
+		t.Fatalf("lease after no-op grows %+v, want %+v", after, before)
+	}
+	if err := rig.sched.CheckIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range rig.events.ForRun(run.ID()) {
+		if ev.Type == trace.EvLeaseGrow {
+			t.Fatalf("no-op grow emitted %+v", ev)
+		}
+	}
+}

@@ -6,9 +6,9 @@
 // The design splits arbitration in two:
 //
 //   - Scheduling: a pluggable Policy observes the full run state (queued,
-//     active, suspended) and returns Actions — admit, resume, resize,
+//     active, suspended) and returns Actions — admit, resume, grow,
 //     preempt, reject. Admitted runs hold an elastic node lease
-//     (cluster.Reservation) that the policy can grow, shrink, or revoke;
+//     (cluster.Reservation) that the policy can grow or revoke;
 //     node-granular leases make oversubscription structurally impossible and
 //     keep admitted runs from starving each other of containers.
 //   - Cooperation: every admitted run executes on its own goroutine but
@@ -804,6 +804,38 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 	return true
 }
 
+// growLocked extends an active run's lease to nodes nodes and emits
+// lease.grow; s.mu held. It reports false — nothing changed — when the lease
+// already holds that many nodes or more, or the cluster cannot grant them.
+func (s *Scheduler) growLocked(r *Run, nodes int, now time.Duration) bool {
+	r.mu.Lock()
+	lease := r.lease
+	r.mu.Unlock()
+	if lease == nil {
+		return false
+	}
+	cur := lease.Size()
+	if nodes <= cur {
+		return false
+	}
+	added, err := s.cluster.GrowReservation(lease, nodes-cur)
+	if err != nil {
+		return false
+	}
+	n := lease.Size()
+	cores, memMB := s.leaseFootprint(lease)
+	r.mu.Lock()
+	r.leasedNodes = n
+	r.leasedCores = cores
+	r.leasedMemMB = memMB
+	r.mu.Unlock()
+	s.tracer.Emit(trace.Event{
+		Type: trace.EvLeaseGrow, RunID: r.id,
+		Fields: map[string]float64{"nodes": float64(len(added)), "total": float64(n)},
+	}.At(now))
+	return true
+}
+
 // scheduleOnce performs one Decide/apply round and reports whether any
 // action applied.
 func (s *Scheduler) scheduleOnce() bool {
@@ -843,46 +875,10 @@ func (s *Scheduler) scheduleOnce() bool {
 			r.mu.Unlock()
 			progress = true
 
-		case Resize:
-			r := s.active[a.Run]
-			if r == nil || a.Nodes < 1 {
-				continue
+		case Grow:
+			if r := s.active[a.Run]; r != nil && s.growLocked(r, a.Nodes, now) {
+				progress = true
 			}
-			r.mu.Lock()
-			lease := r.lease
-			r.mu.Unlock()
-			if lease == nil {
-				continue
-			}
-			cur := lease.Size()
-			if a.Nodes == cur {
-				continue
-			}
-			var (
-				moved []string
-				err   error
-			)
-			evType := trace.EvLeaseGrow
-			if a.Nodes > cur {
-				moved, err = s.cluster.GrowReservation(lease, a.Nodes-cur)
-			} else {
-				evType = trace.EvLeaseShrink
-				moved, err = s.cluster.ShrinkReservation(lease, a.Nodes)
-			}
-			if err != nil || len(moved) == 0 {
-				continue
-			}
-			cores, memMB := s.leaseFootprint(lease)
-			r.mu.Lock()
-			r.leasedNodes = lease.Size()
-			r.leasedCores = cores
-			r.leasedMemMB = memMB
-			r.mu.Unlock()
-			s.tracer.Emit(trace.Event{
-				Type: evType, RunID: r.id,
-				Fields: map[string]float64{"nodes": float64(len(moved)), "total": float64(lease.Size())},
-			}.At(now))
-			progress = true
 
 		case Reject:
 			if r := s.queuedLocked(a.Run); r != nil {

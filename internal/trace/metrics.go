@@ -180,8 +180,6 @@ var metrics = []metric{
 		feeds: []feed{{on: EvLeaseGrant}}},
 	{name: "ires_lease_grows_total", kind: counter, help: "elastic lease grow operations",
 		feeds: []feed{{on: EvLeaseGrow}}},
-	{name: "ires_lease_shrinks_total", kind: counter, help: "elastic lease shrink operations",
-		feeds: []feed{{on: EvLeaseShrink}}},
 	{name: "ires_lease_revokes_total", kind: counter, help: "lease revocations (voluntary release or preemption)",
 		feeds: []feed{{on: EvLeaseRevoke}}},
 

@@ -77,14 +77,13 @@ const (
 	EvRunResume  EventType = "run.resume"
 	EvRunReject  EventType = "run.reject"
 
-	// Elastic lease lifecycle: grant at admission, grow/shrink while the
-	// lease is live (node deltas in Fields), revoke on release. Emitted by
+	// Elastic lease lifecycle: grant at admission, grow while the lease is
+	// live (node deltas in Fields), revoke on release. Emitted by
 	// the scheduler (which knows the owning run), not the cluster, so the
 	// events carry RunIDs and the cluster never calls tracers under its
 	// own lock.
 	EvLeaseGrant  EventType = "lease.grant"
 	EvLeaseGrow   EventType = "lease.grow"
-	EvLeaseShrink EventType = "lease.shrink"
 	EvLeaseRevoke EventType = "lease.revoke"
 
 	// Sub-operator checkpointing. checkpoint.write fires at an iteration or

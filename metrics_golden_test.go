@@ -140,9 +140,8 @@ func deadlineMetricsScenario(t *testing.T) *Platform {
 	return p
 }
 
-// capLease wraps a policy and shrinks every active whole-node lease above
-// max nodes back to max: no shipped policy shrinks a lease, and the
-// exposition must still reach ires_lease_shrinks_total.
+// capLease wraps a policy and caps every lease it grants (Admit, Resume) at
+// max nodes.
 type capLease struct {
 	AdmissionPolicy
 	max int
@@ -152,12 +151,14 @@ func (c capLease) NeedsEstimates() bool { return true }
 
 func (c capLease) Decide(st scheduler.State) []scheduler.Action {
 	actions := c.AdmissionPolicy.Decide(st)
-	st.EachActive(func(a scheduler.RunState) bool {
-		if a.LeasedNodes > c.max && !a.Preempting {
-			actions = append(actions, scheduler.Resize{Run: a.ID, Nodes: c.max})
+	for i, a := range actions {
+		switch a := a.(type) {
+		case scheduler.Admit:
+			actions[i] = scheduler.Admit{Run: a.Run, Nodes: min(a.Nodes, c.max)}
+		case scheduler.Resume:
+			actions[i] = scheduler.Resume{Run: a.Run, Nodes: min(a.Nodes, c.max)}
 		}
-		return true
-	})
+	}
 	return actions
 }
 
