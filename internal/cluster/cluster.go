@@ -397,16 +397,16 @@ func (c *Cluster) Reconcile() {}
 // ledger. ReserveSlices names the dimensions; Reserve asks for the slice
 // that fills the node, which the same headroom arithmetic makes exclusive.
 //
-// Leases are elastic: GrowReservation adds nodes while the run executes,
-// ResizeSlice regrows or shrinks the per-node slice dimensions
-// independently, and RevokeReservation ends the lease entirely
-// (preemption/voluntary release).
+// Leases are elastic in one direction: GrowReservation adds nodes while the
+// run executes, and RevokeReservation ends the lease entirely
+// (preemption/voluntary release). A lease never shrinks, and its per-node
+// slice dimensions are fixed when it is reserved.
 type Reservation struct {
 	c     *Cluster
 	id    int
 	nodes []string // stable order; mutated only under c.mu
-	// sliceCores/sliceMemMB are the uniform per-node slice dimensions.
-	// Guarded by c.mu.
+	// sliceCores/sliceMemMB are the uniform per-node slice dimensions, fixed
+	// at reservation.
 	sliceCores int
 	sliceMemMB int
 	// used ledgers, per node, the container resources currently allocated
@@ -491,7 +491,7 @@ func (r *Reservation) SliceDims() (cores, memMB int) {
 // dimensions are the node's cores and its memory ceiling under the
 // overcommit ratio. Only a node carrying no lease has that much headroom,
 // and since every slice needs at least one core nothing co-locates with the
-// lease afterwards — unless ResizeSlice shrinks it. It returns
+// lease for as long as it lives. It returns
 // ErrInsufficientResources when fewer than n such nodes exist; the
 // reservation is atomic.
 func (c *Cluster) Reserve(n int) (*Reservation, error) {
@@ -634,56 +634,6 @@ func (c *Cluster) GrowReservation(r *Reservation, n int) ([]string, error) {
 		}
 	}
 	return picked, nil
-}
-
-// ResizeSlice changes a lease's per-node dimensions to (coresPer, memPer),
-// each dimension growing or shrinking independently on every node of the
-// lease at once. Growing a dimension requires headroom on all the lease's
-// nodes (atomic: on ErrInsufficientResources nothing changes); shrinking a
-// dimension is bounded below by the lease's own container usage on each
-// node, so running work is never squeezed out — the per-dimension form of
-// shrink-at-operator-boundary semantics. In that case the call fails with
-// ErrInsufficientResources and the caller retries at a quieter boundary.
-// Shrinking a lease made by Reserve opens its nodes to other leases.
-func (c *Cluster) ResizeSlice(r *Reservation, coresPer, memPer int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.liveLeaseLocked(r, "resize"); err != nil {
-		return err
-	}
-	if coresPer <= 0 || memPer <= 0 {
-		return fmt.Errorf("cluster: invalid slice dimensions (%dc,%dMB)", coresPer, memPer)
-	}
-	dCores, dMem := coresPer-r.sliceCores, memPer-r.sliceMemMB
-	if dCores == 0 && dMem == 0 {
-		return nil
-	}
-	// Validate every node first so the resize applies atomically.
-	for _, name := range r.nodes {
-		n, ok := c.nodes[name]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownNode, name)
-		}
-		if dCores > 0 && n.Cores-n.sliceCores < dCores {
-			return fmt.Errorf("%w: node %s has %d slice cores free, need %d",
-				ErrInsufficientResources, name, n.Cores-n.sliceCores, dCores)
-		}
-		if dMem > 0 && c.memCapLocked(n)-n.sliceMemMB < dMem {
-			return fmt.Errorf("%w: node %s has %d slice MB free, need %d",
-				ErrInsufficientResources, name, c.memCapLocked(n)-n.sliceMemMB, dMem)
-		}
-		if uc, um := r.usedOn(name); uc > coresPer || um > memPer {
-			return fmt.Errorf("%w: node %s runs (%dc,%dMB) of this lease, cannot shrink slice to (%dc,%dMB)",
-				ErrInsufficientResources, name, uc, um, coresPer, memPer)
-		}
-	}
-	for _, name := range r.nodes {
-		n := c.nodes[name]
-		n.sliceCores += dCores
-		n.sliceMemMB += dMem
-	}
-	r.sliceCores, r.sliceMemMB = coresPer, memPer
-	return nil
 }
 
 // RevokeReservation ends a lease: every node returns to the unreserved pool
@@ -1002,7 +952,7 @@ func (c *Cluster) CheckInvariants() error {
 	}
 	sort.Strings(names)
 	// The delta-maintained books must agree with a from-scratch recount —
-	// any missed delta on a reserve/release/grow/resize/revoke/fail/
+	// any missed delta on a reserve/release/grow/revoke/fail/
 	// restore path shows up here. The recount rebuilds every node's
 	// per-dimension slice sums and refcount from the reservation table.
 	sliceCores := make(map[string]int)

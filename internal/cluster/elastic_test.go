@@ -156,9 +156,10 @@ func TestElasticStormInvariants(t *testing.T) {
 }
 
 // Slice lease mechanics: several slice leases share a node, AllocateIn is
-// confined to the slice, ResizeSlice grows and shrinks per dimension, and
-// releasing restores the exact pre-grant free counters.
-func TestSliceReserveResizeRelease(t *testing.T) {
+// confined to the slice, a grow adds nodes with the same slice, a whole-node
+// lease admits no neighbour, and releasing restores the exact pre-grant free
+// counters.
+func TestSliceReserveRelease(t *testing.T) {
 	c := New(vtime.NewClock(), 4, 8, 16384)
 
 	preFree := c.UnreservedHealthy()
@@ -199,27 +200,17 @@ func TestSliceReserveResizeRelease(t *testing.T) {
 		t.Fatalf("allocation into a full slice: %v", err)
 	}
 
-	// Grow the memory dimension, shrink cores to current usage.
-	if err := c.ResizeSlice(r1, 3, 6144); err != nil {
-		t.Fatal(err)
-	}
-	// Shrinking below live usage must fail atomically.
-	if err := c.ResizeSlice(r1, 2, 6144); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("shrink below usage: %v", err)
-	}
-	// Growing cores past physical headroom fails: node has 8 cores,
-	// r1 3 + r2 3 leaves 2.
-	if err := c.ResizeSlice(r1, 6, 6144); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("grow past headroom: %v", err)
-	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Node-count grow applies to slice leases too.
+	// Node-count grow applies to slice leases too, at the lease's dimensions.
 	added, err := c.GrowReservation(r1, 2)
 	if err != nil || len(added) != 2 {
 		t.Fatalf("slice grow: %v %v", added, err)
+	}
+	if sc, sm := r1.SliceDims(); sc != 3 || sm != 4096 {
+		t.Fatalf("slice dims after grow (%d,%d), want (3,4096)", sc, sm)
 	}
 
 	c.ReleaseAll(ctrs)
@@ -231,16 +222,25 @@ func TestSliceReserveResizeRelease(t *testing.T) {
 	if got := c.UnreservedHealthy(); got != preFree {
 		t.Fatalf("unreserved = %d, want pre-grant %d", got, preFree)
 	}
+
+	// Full nodes are exclusive: no slice, however small, fits beside them.
+	whole, err := c.Reserve(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReserveSlices(1, 1, 1024); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("slice beside a whole-node lease: %v", err)
+	}
+	c.ReleaseReservation(whole)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Property: a 2000-step randomized storm of multi-dimensional lease
-// operations on an overcommitted cluster — slice leases, whole-node leases
-// and whole-node leases resized into slices, side by side — keeps every
-// invariant, never lets
-// summed slice grants exceed node capacity x the overcommit ratio, and
+// operations on an overcommitted cluster — slice leases and whole-node
+// leases side by side — keeps every invariant, never lets summed slice
+// grants exceed node capacity x the overcommit ratio, and
 // returns the cluster to its exact pre-grant free-counter state once
 // everything is released.
 func TestElasticSliceStormInvariants(t *testing.T) {
@@ -258,12 +258,11 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	memCap := int(float64(memPerN) * overcommit)
 
 	type holding struct {
-		res   *Reservation
-		ctrs  []*Container
-		whole bool // made by Reserve
+		res  *Reservation
+		ctrs []*Container
 	}
 	var held []*holding
-	wholeGranted, wholeResized := 0, 0
+	wholeGranted := 0
 
 	type freeState struct {
 		unreserved, reservedNodes, sliceCores, sliceMem, live int
@@ -301,13 +300,13 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(8); op {
-		case 7: // reserve whole nodes: the slice that fills the node
+		switch op := rng.Intn(7); op {
+		case 6: // reserve whole nodes: the slice that fills the node
 			if r, err := c.Reserve(1 + rng.Intn(2)); err == nil {
 				if sc, sm := r.SliceDims(); sc != coresPerN || sm != memCap {
 					t.Fatalf("step %d: whole-node lease dims (%d,%d), want (%d,%d)", step, sc, sm, coresPerN, memCap)
 				}
-				held = append(held, &holding{res: r, whole: true})
+				held = append(held, &holding{res: r})
 				wholeGranted++
 			}
 			check(step, "reserve-whole")
@@ -326,18 +325,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			h := held[rng.Intn(len(held))]
 			_, _ = c.GrowReservation(h.res, 1+rng.Intn(3))
 			check(step, "grow")
-		case 2: // resize per dimension
-			if len(held) == 0 {
-				continue
-			}
-			h := held[rng.Intn(len(held))]
-			sc := 1 + rng.Intn(6)
-			sm := 1024 * (1 + rng.Intn(12))
-			if err := c.ResizeSlice(h.res, sc, sm); err == nil && h.whole {
-				wholeResized++
-			}
-			check(step, "resize")
-		case 3: // allocate inside the slice
+		case 2: // allocate inside the slice
 			if len(held) == 0 {
 				continue
 			}
@@ -349,7 +337,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 				h.ctrs = append(h.ctrs, ctrs...)
 			}
 			check(step, "allocate")
-		case 4: // free containers
+		case 3: // free containers
 			if len(held) == 0 {
 				continue
 			}
@@ -357,7 +345,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			c.ReleaseAll(h.ctrs)
 			h.ctrs = nil
 			check(step, "free")
-		case 5: // revoke or release
+		case 4: // revoke or release
 			if len(held) == 0 {
 				continue
 			}
@@ -371,7 +359,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			}
 			held = append(held[:i], held[i+1:]...)
 			check(step, "revoke/release")
-		case 6: // solo grant/release cycle: exact free-counter restoration
+		case 5: // solo grant/release cycle: exact free-counter restoration
 			pre := snapshot()
 			r, err := c.ReserveSlices(1+rng.Intn(2), 1+rng.Intn(3), 2048)
 			if err != nil {
@@ -396,8 +384,8 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	if got := snapshot(); got != baseline {
 		t.Fatalf("final free counters %+v, want baseline %+v", got, baseline)
 	}
-	if wholeGranted == 0 || wholeResized == 0 {
-		t.Fatalf("storm granted %d whole-node leases and resized %d: the mixed case went unexercised", wholeGranted, wholeResized)
+	if wholeGranted == 0 {
+		t.Fatal("storm granted no whole-node lease: the mixed case went unexercised")
 	}
 }
 
@@ -474,74 +462,6 @@ func TestOOMKillOnOversubscribedNode(t *testing.T) {
 	c.ReleaseAll(big2)
 	c.ReleaseReservation(r1)
 	c.ReleaseReservation(r2)
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A lease made by Reserve is a slice lease like any other: ResizeSlice
-// shrinks it in place, the freed headroom admits a neighbour on the same
-// node, and growing back to the full node fails atomically while the
-// neighbour is there.
-func TestResizeWholeNodeLeaseAdmitsNeighbour(t *testing.T) {
-	c := New(vtime.NewClock(), 2, 8, 16384)
-	whole, err := c.Reserve(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc, sm := whole.SliceDims(); sc != 8 || sm != 16384 {
-		t.Fatalf("whole-node lease dims (%d,%d), want (8,16384)", sc, sm)
-	}
-	// Full nodes are exclusive: no slice, however small, fits beside them.
-	if _, err := c.ReserveSlices(1, 1, 1024); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("slice beside a whole-node lease: %v", err)
-	}
-	ctrs, err := c.AllocateIn(whole, 2, 4, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := c.ResizeSlice(whole, 5, 8192); err != nil {
-		t.Fatalf("shrinking a whole-node lease: %v", err)
-	}
-	neighbour, err := c.ReserveSlices(2, 3, 8192)
-	if err != nil {
-		t.Fatalf("neighbour on the freed headroom: %v", err)
-	}
-	if got := c.ReservedNodes(); got != 2 {
-		t.Fatalf("reserved nodes = %d, want 2 (two leases share each node)", got)
-	}
-	if _, err := c.AllocateIn(neighbour, 2, 3, 8192); err != nil {
-		t.Fatalf("allocation inside the neighbour: %v", err)
-	}
-	// The resized lease is confined to its new slice: 4 of 5 cores are busy.
-	if _, err := c.AllocateIn(whole, 1, 2, 1024); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("allocation past the resized slice: %v", err)
-	}
-
-	if err := c.ResizeSlice(whole, 8, 16384); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("growing back over the neighbour: %v", err)
-	}
-	if sc, sm := whole.SliceDims(); sc != 5 || sm != 8192 {
-		t.Fatalf("failed grow changed dims to (%d,%d)", sc, sm)
-	}
-	if cores, mem := c.ReservedSlices(); cores != 2*(5+3) || mem != 2*(8192+8192) {
-		t.Fatalf("reserved slices (%d,%d) after failed grow", cores, mem)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// With the neighbour gone the lease fills its nodes again.
-	c.RevokeReservation(neighbour)
-	if err := c.ResizeSlice(whole, 8, 16384); err != nil {
-		t.Fatalf("growing back after the neighbour left: %v", err)
-	}
-	c.ReleaseAll(ctrs)
-	c.ReleaseReservation(whole)
-	if got := c.UnreservedHealthy(); got != 2 {
-		t.Fatalf("unreserved = %d, want 2", got)
-	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,6 @@ func TestTypedReservationErrors(t *testing.T) {
 	if _, err := c.GrowReservation(nil, 1); !errors.Is(err, ErrNilReservation) {
 		t.Fatalf("grow(nil) = %v, want ErrNilReservation", err)
 	}
-	if err := c.ResizeSlice(nil, 1, 1); !errors.Is(err, ErrNilReservation) {
-		t.Fatalf("resize(nil) = %v, want ErrNilReservation", err)
-	}
 
 	foreign, err := other.Reserve(1)
 	if err != nil {
@@ -28,9 +25,6 @@ func TestTypedReservationErrors(t *testing.T) {
 	}
 	if _, err := c.GrowReservation(foreign, 1); !errors.Is(err, ErrForeignReservation) {
 		t.Fatalf("grow(foreign) = %v, want ErrForeignReservation", err)
-	}
-	if err := c.ResizeSlice(foreign, 1, 1); !errors.Is(err, ErrForeignReservation) {
-		t.Fatalf("resize(foreign) = %v, want ErrForeignReservation", err)
 	}
 	if _, err := c.AllocateIn(foreign, 1, 1, 1); !errors.Is(err, ErrForeignReservation) {
 		t.Fatalf("AllocateIn(foreign) = %v, want ErrForeignReservation", err)
@@ -40,12 +34,6 @@ func TestTypedReservationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A lease made by Reserve is the slice that fills the node, so the
-	// slice operation has no kind to reject.
-	if err := c.ResizeSlice(whole, 1, 1); err != nil {
-		t.Fatalf("resize(whole-node) = %v, want nil", err)
-	}
-
 	c.ReleaseReservation(whole)
 	if _, err := c.GrowReservation(whole, 1); !errors.Is(err, ErrReleasedReservation) {
 		t.Fatalf("grow(released) = %v, want ErrReleasedReservation", err)

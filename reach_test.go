@@ -20,7 +20,6 @@ import (
 // is exact: an entry that gains a caller, or no longer exists, fails the test.
 var reachLedger = map[string]string{
 	// Pinned behaviour and reproduced mechanisms.
-	"cluster.Cluster.ResizeSlice":        "the scheduler storm resizes leases through it; deleting it moves the 48 pinned storm digests",
 	"musqle.NewCalibrator":               "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
 	"musqle.Calibrator.ObserveExecution": "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
 	"scheduler.Scheduler.CheckIndex":     "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
@@ -34,7 +33,7 @@ var reachLedger = map[string]string{
 	"cluster.Cluster.ReservedSlices":       "observation point that the elastic-lease and oversubscription tests read; it sums the per-node slice books CheckInvariants recounts",
 	"cluster.Cluster.LiveContainers":       "observation point that the container-accounting tests read",
 	"cluster.Reservation.Released":         "observation point that the elastic-lease and storm tests read",
-	"cluster.Reservation.Nodes":            "observation point that the lease and grow/shrink tests read",
+	"cluster.Reservation.Nodes":            "observation point that the lease and grow tests read",
 	"musqle.Calibrator.Engines":            "observation point that the cost-API calibration tests read",
 	"musqle.Calibrator.SampleCount":        "observation point that the cost-API calibration tests read",
 	"cluster.Monitor.Ticks":                "observation point that the monitor-poll tests read",
