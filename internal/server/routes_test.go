@@ -129,6 +129,8 @@ func FuzzAPI(f *testing.F) {
 	f.Add(uint8(1), seg("api", "operators", "LineCount_java", "profile"), "", "",
 		`{"records":[1000],"bytesPerRecord":100,"resources":[{"nodes":1,"coresPerNode":2,"memMBPerNode":1024}]}`)
 	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "submit"), "", "tenant=a&user=u&deadlineSec=40&demandCores=1&demandMemMB=512", "")
+	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "submit"), "", "deadlineSec=NaN", "")
+	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "submit"), "", "deadlineSec=Inf", "")
 	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "execute"), "", "", "")
 	f.Add(uint8(1), seg("api", "workflows", "TextClustering", "pareto"), "", "", "")
 	f.Add(uint8(0), seg("api", "runs", "run-001", "trace"), "", "", "")

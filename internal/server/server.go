@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -445,12 +446,16 @@ func (s *Server) submitWorkflow(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts := ires.SubmitOptions{Name: r.PathValue("name"), Tenant: q.Get("tenant"), User: q.Get("user")}
 	if raw := q.Get("deadlineSec"); raw != "" {
+		// A time.Duration holds under 2^63 ns (~292 years); NaN fails the
+		// first comparison and +Inf the second.
 		sec, err := strconv.ParseFloat(raw, 64)
-		if err != nil || sec < 0 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q", raw))
+		ns := sec * float64(time.Second)
+		if err != nil || !(sec >= 0) || ns >= float64(math.MaxInt64) {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q: want a finite number of seconds in [0, %.0f)",
+				raw, float64(math.MaxInt64)/float64(time.Second)))
 			return
 		}
-		opts.Deadline = time.Duration(sec * float64(time.Second))
+		opts.Deadline = time.Duration(ns)
 	}
 	rawC, rawM := q.Get("demandCores"), q.Get("demandMemMB")
 	if (rawC == "") != (rawM == "") {

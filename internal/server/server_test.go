@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -757,4 +758,41 @@ func TestProfileGridBound(t *testing.T) {
 		t.Fatalf("grid of %d points: %s, %d samples", maxProfilePoints, body, samples())
 	}
 	refused(41, 25)
+}
+
+// deadlineSec must be a finite, non-negative number of seconds whose
+// nanoseconds fit a time.Duration: NaN, the infinities and values past
+// ~9.22e9 s used to be accepted and stored as a negative deadline.
+func TestSubmitDeadlineBounds(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	setupWordcount(t, ts)
+
+	for _, raw := range []string{"NaN", "Inf", "-Inf", "1e300", "9.3e9", "9.2233720369e9", "-1", "x"} {
+		resp, body := do(t, "POST", ts.URL+"/api/workflows/wc/submit?deadlineSec="+raw, "")
+		expectCode(t, resp, body, http.StatusBadRequest)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal([]byte(body), &e); err != nil || !strings.Contains(e.Error, "deadlineSec") {
+			t.Errorf("deadlineSec=%s: body %q is not a JSON error naming deadlineSec", raw, body)
+		}
+	}
+
+	// The largest accepted values keep their sign and magnitude.
+	for _, c := range []struct {
+		raw  string
+		want float64
+	}{{"9.2e9", 9.2e9}, {"9.2233720368e9", 9.2233720368e9}} {
+		resp, body := do(t, "POST", ts.URL+"/api/workflows/wc/submit?deadlineSec="+c.raw, "")
+		expectCode(t, resp, body, http.StatusAccepted)
+		var snap struct {
+			DeadlineSec float64 `json:"deadlineSec"`
+		}
+		if err := json.Unmarshal([]byte(body), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(snap.DeadlineSec-c.want) > 1e-6*c.want {
+			t.Errorf("deadlineSec=%s stored as %v s", c.raw, snap.DeadlineSec)
+		}
+	}
 }
