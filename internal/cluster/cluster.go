@@ -36,7 +36,7 @@ var ErrUnknownNode = errors.New("cluster: unknown node")
 // executor's retry classification above all) branch with errors.Is instead
 // of matching message substrings.
 var (
-	// ErrNilReservation rejects an elastic operation on a nil lease.
+	// ErrNilReservation rejects a grow of a nil lease.
 	ErrNilReservation = errors.New("cluster: nil reservation")
 	// ErrReleasedReservation rejects an operation on a revoked lease.
 	ErrReleasedReservation = errors.New("cluster: released reservation")
@@ -584,31 +584,22 @@ func (c *Cluster) SliceFit(coresPer, memPer int) int {
 	return fit
 }
 
-// liveLeaseLocked is the shared preamble of the elastic operations: it
-// rejects a nil lease, one that belongs to a different cluster and one
-// already revoked, naming the operation; c.mu held.
-func (c *Cluster) liveLeaseLocked(r *Reservation, op string) error {
-	switch {
-	case r == nil:
-		return fmt.Errorf("%w: %s", ErrNilReservation, op)
-	case r.c != c:
-		return fmt.Errorf("%w: %s of reservation %d", ErrForeignReservation, op, r.id)
-	case r.released:
-		return fmt.Errorf("%w: %s of reservation %d", ErrReleasedReservation, op, r.id)
-	}
-	return nil
-}
-
 // GrowReservation extends a live lease by n more nodes (first-fit in
 // stable node order, like Reserve): one more (sliceCores, sliceMemMB) slice
 // on each of n nodes with headroom the lease is not already on. The grow is
 // atomic: on ErrInsufficientResources the lease is unchanged. It returns
-// the names of the added nodes.
+// the names of the added nodes. A nil, foreign or revoked lease fails with
+// ErrNilReservation, ErrForeignReservation or ErrReleasedReservation.
 func (c *Cluster) GrowReservation(r *Reservation, n int) ([]string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.liveLeaseLocked(r, "grow"); err != nil {
-		return nil, err
+	switch {
+	case r == nil:
+		return nil, fmt.Errorf("%w: grow", ErrNilReservation)
+	case r.c != c:
+		return nil, fmt.Errorf("%w: grow of reservation %d", ErrForeignReservation, r.id)
+	case r.released:
+		return nil, fmt.Errorf("%w: grow of reservation %d", ErrReleasedReservation, r.id)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: invalid grow size %d", n)

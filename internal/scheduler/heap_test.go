@@ -8,19 +8,19 @@ import (
 	"time"
 )
 
-// drivePosHeap replays an op stream against a posHeap over pool and against a
-// sorted-slice oracle, and after every op compares the two: heap invariants
-// (check), size, minimum, and every pool element's position field — its index
-// while a member, -1 otherwise. Each op is two bytes, (kind, element): push,
-// remove (member or not), remove the root, remove the last slot, peek only.
-func drivePosHeap[T comparable, O heapOrder[T]](t *testing.T, pool []T, ops []byte) {
+// drivePosHeap replays an op stream against the EDF heap over pool and
+// against a sorted-slice oracle, and after every op compares the two: heap
+// invariants (check), size, minimum, and every pool run's position field —
+// its index while a member, -1 otherwise. Each op is two bytes, (kind,
+// element): push, remove (member or not), remove the root, remove the last
+// slot, peek only.
+func drivePosHeap(t *testing.T, pool []*Run, ops []byte) {
 	t.Helper()
 	var (
-		h       posHeap[T, O]
-		order   O
-		members []T // the oracle: current members, sorted by order.less
+		h       edfHeap
+		members []*Run // the oracle: current members, sorted by edfRunLess
 	)
-	drop := func(e T) {
+	drop := func(e *Run) {
 		for i, m := range members {
 			if m == e {
 				members = append(members[:i], members[i+1:]...)
@@ -33,10 +33,10 @@ func drivePosHeap[T comparable, O heapOrder[T]](t *testing.T, pool []T, ops []by
 		ops = ops[2:]
 		switch kind {
 		case 0, 1: // push; the heap's contract admits non-members only
-			if *order.pos(e) < 0 {
+			if e.edfPos < 0 {
 				h.push(e)
 				members = append(members, e)
-				sort.Slice(members, func(i, j int) bool { return order.less(members[i], members[j]) })
+				sort.Slice(members, func(i, j int) bool { return edfRunLess(members[i], members[j]) })
 			}
 		case 2: // remove, whether or not e is a member
 			h.remove(e)
@@ -63,12 +63,12 @@ func drivePosHeap[T comparable, O heapOrder[T]](t *testing.T, pool []T, ops []by
 		if top, ok := h.peek(); ok != (len(members) > 0) || (ok && top != members[0]) {
 			t.Fatalf("step %d (op %d): peek = %v, %v; oracle has %d members", step, kind, top, ok, len(members))
 		}
-		in := make(map[T]bool, len(members))
+		in := make(map[*Run]bool, len(members))
 		for _, m := range members {
 			in[m] = true
 		}
 		for i, e := range pool {
-			switch p := *order.pos(e); {
+			switch p := e.edfPos; {
 			case !in[e] && p != -1:
 				t.Fatalf("step %d (op %d): non-member %d has position %d", step, kind, i, p)
 			case in[e] && (p < 0 || p >= h.len() || h.items[p] != e):
@@ -94,7 +94,7 @@ func heapPool(keys []byte) (runs []*Run) {
 	return runs
 }
 
-// drivePosHeaps runs one (keys, ops) input through the EDF ordering.
+// drivePosHeaps runs one (keys, ops) input through the EDF heap.
 func drivePosHeaps(t *testing.T, keys, ops []byte) {
 	t.Helper()
 	if len(keys) == 0 {
@@ -103,7 +103,7 @@ func drivePosHeaps(t *testing.T, keys, ops []byte) {
 	if len(keys) > 64 {
 		keys = keys[:64]
 	}
-	drivePosHeap[*Run, edfOrder](t, heapPool(keys), ops)
+	drivePosHeap(t, heapPool(keys), ops)
 }
 
 // TestPosHeapDifferential checks the one heap implementation against the

@@ -10,7 +10,7 @@
 //   - runList: the submission queue as an intrusive doubly-linked list; each
 //     Run carries its own list node, so membership tests and removals are
 //     O(1) instead of a linear scan per policy action.
-//   - edf: a posHeap (heap.go) over every waiting run (queued + suspended)
+//   - edf: an edfHeap (heap.go) over every waiting run (queued + suspended)
 //     keyed earliest-deadline-first with (submitted, id) tie-breaks. The key
 //     is immutable after submission, so heap positions stay valid and the top
 //     of the heap is exactly the head the seed scheduler found by sorting.
@@ -118,13 +118,6 @@ func edfRunLess(a, b *Run) bool {
 	return a.id < b.id
 }
 
-// edfOrder ranks the EDF heap by edfRunLess. The key is immutable after
-// submission, so entries never need re-heapifying in place.
-type edfOrder struct{}
-
-func (edfOrder) less(a, b *Run) bool { return edfRunLess(a, b) }
-func (edfOrder) pos(r *Run) *int     { return &r.edfPos }
-
 // insertBySeq adds r to a submission-sequence-sorted slice.
 func insertBySeq(runs []*Run, r *Run) []*Run {
 	i := sort.Search(len(runs), func(i int) bool { return runs[i].seq > r.seq })
@@ -150,7 +143,7 @@ func removeRun(runs []*Run, r *Run) []*Run {
 // deltas at run lifecycle boundaries and never rebuilt on the hot path.
 type stateIndex struct {
 	queue          runList
-	edf            posHeap[*Run, edfOrder]
+	edf            edfHeap
 	activeOrder    []*Run // admitted runs, submission order (≤ cluster nodes)
 	suspendedOrder []*Run // preempted runs, submission order
 }
