@@ -216,8 +216,8 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 // naive from-scratch rebuild: queue/active/suspended membership and order,
 // EDF heap size and head, every active run's cached lease size and footprint
 // against its lease, and the cached node counters (via
-// cluster.CheckInvariants). Status, set membership and index
-// entries change together under s.mu, so it may be called at any time.
+// cluster.CheckInvariants). Status, set membership and index entries change
+// together under s.mu, so it may be called at any time.
 func (s *Scheduler) CheckIndex() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -288,10 +288,11 @@ func (s *Scheduler) CheckIndex() error {
 		r.mu.Lock()
 		lease, nodes, cores, memMB := r.lease, r.leasedNodes, r.leasedCores, r.leasedMemMB
 		r.mu.Unlock()
+		size := lease.Size()
 		wantCores, wantMem := s.leaseFootprint(lease)
-		if nodes != lease.Size() || cores != wantCores || memMB != wantMem {
+		if nodes != size || cores != wantCores || memMB != wantMem {
 			return fmt.Errorf("%s caches a lease of %d nodes (%dc,%dMB), the lease is %d nodes (%dc,%dMB)",
-				r.id, nodes, cores, memMB, lease.Size(), wantCores, wantMem)
+				r.id, nodes, cores, memMB, size, wantCores, wantMem)
 		}
 	}
 	return s.cluster.CheckInvariants()

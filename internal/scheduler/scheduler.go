@@ -20,8 +20,8 @@
 // Policy input is served from incrementally maintained indexed state (see
 // index.go): the queue is an intrusive list with O(1) membership, waiting
 // runs sit in an EDF heap, and active/suspended sets are kept in submission
-// order. The structures are updated as deltas at run lifecycle boundaries, so a
-// decision round costs O(runs the policy examines), not O(runs ever
+// order. The structures are updated as deltas at run lifecycle boundaries,
+// so a decision round costs O(runs the policy examines), not O(runs ever
 // submitted). Terminal runs are pruned from the hot path entirely: a frozen
 // snapshot replaces the run record, keeping Runs() listings and id lookups
 // alive without leaking execution state under sustained traffic.
