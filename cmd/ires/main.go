@@ -28,6 +28,7 @@ import (
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/trace"
+	"github.com/asap-project/ires/internal/vtime"
 )
 
 func main() {
@@ -236,8 +237,12 @@ func parseCrash(s string) (string, time.Duration, error) {
 		return "", 0, fmt.Errorf("bad -crash-node %q: want node@seconds", s)
 	}
 	sec, err := strconv.ParseFloat(secStr, 64)
-	if err != nil || sec < 0 {
+	if err != nil {
 		return "", 0, fmt.Errorf("bad -crash-node %q: want node@seconds", s)
 	}
-	return node, time.Duration(sec * float64(time.Second)), nil
+	at, err := vtime.Seconds(sec)
+	if err != nil {
+		return "", 0, fmt.Errorf("bad -crash-node %q: %w", s, err)
+	}
+	return node, at, nil
 }

@@ -31,13 +31,11 @@ var ErrInsufficientResources = errors.New("cluster: insufficient resources")
 // ErrUnknownNode indicates a node name not present in the cluster.
 var ErrUnknownNode = errors.New("cluster: unknown node")
 
-// Reservation-misuse sentinels. Elastic-lease operations handed a lease in
-// the wrong state fail with one of these typed errors so callers (the
-// executor's retry classification above all) branch with errors.Is instead
-// of matching message substrings.
+// Reservation-misuse sentinels. Lease operations handed a lease in the wrong
+// state fail with one of these typed errors so callers (the executor's retry
+// classification above all) branch with errors.Is instead of matching
+// message substrings.
 var (
-	// ErrNilReservation rejects a grow of a nil lease.
-	ErrNilReservation = errors.New("cluster: nil reservation")
 	// ErrReleasedReservation rejects an operation on a revoked lease.
 	ErrReleasedReservation = errors.New("cluster: released reservation")
 	// ErrForeignReservation rejects a lease handed to a cluster that did
@@ -110,7 +108,7 @@ type Cluster struct {
 
 	// freeHealthy is the scheduling-counter hot path: the number of healthy
 	// nodes carrying no lease, maintained as deltas at every reserve/release/
-	// grow/revoke/fail/restore boundary so UnreservedHealthy is O(1)
+	// revoke/fail/restore boundary so UnreservedHealthy is O(1)
 	// per call instead of an O(nodes) map scan. CheckInvariants recounts it
 	// from scratch and fails on drift.
 	freeHealthy int
@@ -384,7 +382,7 @@ func (c *Cluster) Snapshot() []Node {
 // node, so there is no second copy to converge. It goes with that cell.
 func (c *Cluster) Reconcile() {}
 
-// Reservation is an exclusive, elastic lease on cluster capacity — the
+// Reservation is an exclusive lease on cluster capacity — the
 // admission currency of the multi-workflow scheduler. A run's executor
 // allocates its containers only inside its reservation, so admitted runs can
 // never starve each other of capacity (and the sum of reservations can never
@@ -397,14 +395,13 @@ func (c *Cluster) Reconcile() {}
 // ledger. ReserveSlices names the dimensions; Reserve asks for the slice
 // that fills the node, which the same headroom arithmetic makes exclusive.
 //
-// Leases are elastic in one direction: GrowReservation adds nodes while the
-// run executes, and RevokeReservation ends the lease entirely
-// (preemption/voluntary release). A lease never shrinks, and its per-node
-// slice dimensions are fixed when it is reserved.
+// A lease is fixed when it is reserved: its nodes and its per-node slice
+// dimensions never change, and RevokeReservation or ReleaseReservation ends
+// it entirely (preemption/voluntary release).
 type Reservation struct {
 	c     *Cluster
 	id    int
-	nodes []string // stable order; mutated only under c.mu
+	nodes []string // stable order; fixed at reservation
 	// sliceCores/sliceMemMB are the uniform per-node slice dimensions, fixed
 	// at reservation.
 	sliceCores int
@@ -414,7 +411,7 @@ type Reservation struct {
 	// headroom against. CheckInvariants recomputes the ledger from the
 	// live-container table and fails on drift.
 	used map[string]*sliceUse
-	// released marks the lease revoked; all accessors and elastic ops on a
+	// released marks the lease revoked; all accessors and operations on a
 	// released lease fail or return empty. Guarded by c.mu.
 	released bool
 }
@@ -435,8 +432,8 @@ func (r *Reservation) usedOn(name string) (cores, memMB int) {
 }
 
 // Nodes returns the reserved node names in stable order (nil once revoked).
-// It takes the cluster lock: the node set of an elastic lease changes under
-// GrowReservation, so an unlocked read could observe a half-applied grow.
+// It takes the cluster lock for the released flag; the names themselves are
+// fixed at reservation.
 func (r *Reservation) Nodes() []string {
 	if r == nil {
 		return nil
@@ -525,7 +522,7 @@ func (c *Cluster) ReserveSlices(n, coresPer, memPer int) (*Reservation, error) {
 // reserveLocked grants a new lease of n (coresPer, memPer) slices; c.mu
 // held.
 func (c *Cluster) reserveLocked(n, coresPer, memPer int) (*Reservation, error) {
-	picked, err := c.pickSlicesLocked(n, coresPer, memPer, nil)
+	picked, err := c.pickSlicesLocked(n, coresPer, memPer)
 	if err != nil {
 		return nil, err
 	}
@@ -549,12 +546,12 @@ func (c *Cluster) sliceFitsLocked(n *Node, coresPer, memPer int) bool {
 }
 
 // pickSlicesLocked returns the first n node names (stable order) that could
-// host one more (coresPer, memPer) slice, excluding nodes in skip, or
-// ErrInsufficientResources when fewer qualify; c.mu held.
-func (c *Cluster) pickSlicesLocked(n, coresPer, memPer int, skip map[string]bool) ([]string, error) {
+// host one more (coresPer, memPer) slice, or ErrInsufficientResources when
+// fewer qualify; c.mu held.
+func (c *Cluster) pickSlicesLocked(n, coresPer, memPer int) ([]string, error) {
 	var picked []string
 	for _, name := range c.order {
-		if skip[name] || !c.sliceFitsLocked(c.nodes[name], coresPer, memPer) {
+		if !c.sliceFitsLocked(c.nodes[name], coresPer, memPer) {
 			continue
 		}
 		picked = append(picked, name)
@@ -584,55 +581,13 @@ func (c *Cluster) SliceFit(coresPer, memPer int) int {
 	return fit
 }
 
-// GrowReservation extends a live lease by n more nodes (first-fit in
-// stable node order, like Reserve): one more (sliceCores, sliceMemMB) slice
-// on each of n nodes with headroom the lease is not already on. The grow is
-// atomic: on ErrInsufficientResources the lease is unchanged. It returns
-// the names of the added nodes. A nil, foreign or revoked lease fails with
-// ErrNilReservation, ErrForeignReservation or ErrReleasedReservation.
-func (c *Cluster) GrowReservation(r *Reservation, n int) ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case r == nil:
-		return nil, fmt.Errorf("%w: grow", ErrNilReservation)
-	case r.c != c:
-		return nil, fmt.Errorf("%w: grow of reservation %d", ErrForeignReservation, r.id)
-	case r.released:
-		return nil, fmt.Errorf("%w: grow of reservation %d", ErrReleasedReservation, r.id)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: invalid grow size %d", n)
-	}
-	held := make(map[string]bool, len(r.nodes)+n)
-	for _, name := range r.nodes {
-		held[name] = true
-	}
-	picked, err := c.pickSlicesLocked(n, r.sliceCores, r.sliceMemMB, held)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range picked {
-		c.addSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
-		held[name] = true
-	}
-	// Rebuild the lease's node list in stable cluster order so Grow keeps
-	// the same ordering discipline Reserve established.
-	r.nodes = r.nodes[:0]
-	for _, name := range c.order {
-		if held[name] {
-			r.nodes = append(r.nodes, name)
-		}
-	}
-	return picked, nil
-}
-
 // RevokeReservation ends a lease: every node returns to the unreserved pool
 // and any containers still allocated under the lease are force-released (the
 // count is returned — a cooperative preemption that drained at an operator
-// boundary revokes with zero). Revoking twice is a safe no-op.
+// boundary revokes with zero). Revoking twice, or revoking a nil lease or
+// one another cluster issued, is a safe no-op.
 func (c *Cluster) RevokeReservation(r *Reservation) int {
-	if r == nil {
+	if r == nil || r.c != c {
 		return 0
 	}
 	c.mu.Lock()
@@ -671,9 +626,11 @@ func (c *Cluster) releaseContainerLocked(ctr *Container) {
 // ReleaseReservation returns the leased nodes to the unreserved pool.
 // Releasing twice is a safe no-op (idempotent: the released flag and the
 // reservation-table entry are cleared together under one critical section,
-// so double-release in suspend paths cannot free another lease's nodes).
+// so double-release in suspend paths cannot free another lease's nodes). A
+// nil lease or one another cluster issued is ignored: its id may name one of
+// this cluster's own leases.
 func (c *Cluster) ReleaseReservation(r *Reservation) {
-	if r == nil {
+	if r == nil || r.c != c {
 		return
 	}
 	c.mu.Lock()
@@ -943,8 +900,8 @@ func (c *Cluster) CheckInvariants() error {
 	}
 	sort.Strings(names)
 	// The delta-maintained books must agree with a from-scratch recount —
-	// any missed delta on a reserve/release/grow/revoke/fail/
-	// restore path shows up here. The recount rebuilds every node's
+	// any missed delta on a reserve/release/revoke/fail/restore path
+	// shows up here. The recount rebuilds every node's
 	// per-dimension slice sums and refcount from the reservation table.
 	sliceCores := make(map[string]int)
 	sliceMemMB := make(map[string]int)

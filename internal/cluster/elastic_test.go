@@ -2,34 +2,31 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"github.com/asap-project/ires/internal/vtime"
 )
 
-// Elastic lease mechanics: grow extends first-fit in stable order and is
+// Lease mechanics: a reservation takes nodes first-fit in stable order and is
 // atomic, revoke force-releases stragglers, and every operation is
 // invariant-preserving.
 func TestGrowRevoke(t *testing.T) {
 	c := New(vtime.NewClock(), 8, 4, 8192)
-	r, err := c.Reserve(2)
+	r, err := c.Reserve(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	added, err := c.GrowReservation(r, 3)
-	if err != nil {
-		t.Fatal(err)
+	if got := fmt.Sprint(r.Nodes()); got != "[node0 node1 node2 node3 node4]" {
+		t.Fatalf("lease nodes %s, want the first five", got)
 	}
-	if len(added) != 3 || r.Size() != 5 {
-		t.Fatalf("grow added %v, size %d; want 3 added, size 5", added, r.Size())
+	// A reservation past the free pool is atomic: nothing changes.
+	if _, err := c.Reserve(4); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("over-reserve err = %v", err)
 	}
-	// Grow past capacity is atomic: nothing changes.
-	if _, err := c.GrowReservation(r, 4); !errors.Is(err, ErrInsufficientResources) {
-		t.Fatalf("overgrow err = %v", err)
-	}
-	if r.Size() != 5 {
-		t.Fatalf("failed grow mutated the lease: size %d", r.Size())
+	if r.Size() != 5 || c.UnreservedHealthy() != 3 {
+		t.Fatalf("failed reserve moved the books: lease size %d, unreserved %d", r.Size(), c.UnreservedHealthy())
 	}
 
 	// One live container for the revoke to force-release.
@@ -58,14 +55,13 @@ func TestGrowRevoke(t *testing.T) {
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Elastic ops on a dead lease fail cleanly.
-	if _, err := c.GrowReservation(r, 1); err == nil {
-		t.Fatal("grow of released lease succeeded")
+	// Allocations under a dead lease fail cleanly.
+	if _, err := c.AllocateIn(r, 1, 1, 512); !errors.Is(err, ErrReleasedReservation) {
+		t.Fatalf("allocation under a revoked lease: %v", err)
 	}
 }
 
-// Property: a randomized storm of reserve/grow/revoke/allocate/free
-// operations (fixed seed) preserves the cluster invariants after every
+// Property: a randomized storm of reserve/revoke/allocate/free operations (fixed seed) preserves the cluster invariants after every
 // single step, and total accounting returns to zero once everything is
 // released.
 func TestElasticStormInvariants(t *testing.T) {
@@ -87,21 +83,14 @@ func TestElasticStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(5); op {
+		switch op := rng.Intn(4); op {
 		case 0: // reserve
 			n := 1 + rng.Intn(4)
 			if r, err := c.Reserve(n); err == nil {
 				held = append(held, &holding{res: r})
 			}
 			check(step, "reserve")
-		case 1: // grow
-			if len(held) == 0 {
-				continue
-			}
-			h := held[rng.Intn(len(held))]
-			_, _ = c.GrowReservation(h.res, 1+rng.Intn(3))
-			check(step, "grow")
-		case 2: // allocate containers inside a lease
+		case 1: // allocate containers inside a lease
 			if len(held) == 0 {
 				continue
 			}
@@ -113,7 +102,7 @@ func TestElasticStormInvariants(t *testing.T) {
 				h.ctrs = append(h.ctrs, ctrs...)
 			}
 			check(step, "allocate")
-		case 3: // free containers
+		case 2: // free containers
 			if len(held) == 0 {
 				continue
 			}
@@ -121,7 +110,7 @@ func TestElasticStormInvariants(t *testing.T) {
 			c.ReleaseAll(h.ctrs)
 			h.ctrs = nil
 			check(step, "free")
-		case 4: // revoke or release
+		case 3: // revoke or release
 			if len(held) == 0 {
 				continue
 			}
@@ -156,8 +145,7 @@ func TestElasticStormInvariants(t *testing.T) {
 }
 
 // Slice lease mechanics: several slice leases share a node, AllocateIn is
-// confined to the slice, a grow adds nodes with the same slice, a whole-node
-// lease admits no neighbour, and releasing restores the exact pre-grant free
+// confined to the slice, a whole-node lease admits no neighbour, and releasing restores the exact pre-grant free
 // counters.
 func TestSliceReserveRelease(t *testing.T) {
 	c := New(vtime.NewClock(), 4, 8, 16384)
@@ -202,15 +190,6 @@ func TestSliceReserveRelease(t *testing.T) {
 
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Node-count grow applies to slice leases too, at the lease's dimensions.
-	added, err := c.GrowReservation(r1, 2)
-	if err != nil || len(added) != 2 {
-		t.Fatalf("slice grow: %v %v", added, err)
-	}
-	if sc, sm := r1.SliceDims(); sc != 3 || sm != 4096 {
-		t.Fatalf("slice dims after grow (%d,%d), want (3,4096)", sc, sm)
 	}
 
 	c.ReleaseAll(ctrs)
@@ -300,8 +279,8 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 	}
 
 	for step := 0; step < 2000; step++ {
-		switch op := rng.Intn(7); op {
-		case 6: // reserve whole nodes: the slice that fills the node
+		switch op := rng.Intn(6); op {
+		case 5: // reserve whole nodes: the slice that fills the node
 			if r, err := c.Reserve(1 + rng.Intn(2)); err == nil {
 				if sc, sm := r.SliceDims(); sc != coresPerN || sm != memCap {
 					t.Fatalf("step %d: whole-node lease dims (%d,%d), want (%d,%d)", step, sc, sm, coresPerN, memCap)
@@ -318,14 +297,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 				held = append(held, &holding{res: r})
 			}
 			check(step, "reserve-slices")
-		case 1: // grow node count
-			if len(held) == 0 {
-				continue
-			}
-			h := held[rng.Intn(len(held))]
-			_, _ = c.GrowReservation(h.res, 1+rng.Intn(3))
-			check(step, "grow")
-		case 2: // allocate inside the slice
+		case 1: // allocate inside the slice
 			if len(held) == 0 {
 				continue
 			}
@@ -337,7 +309,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 				h.ctrs = append(h.ctrs, ctrs...)
 			}
 			check(step, "allocate")
-		case 3: // free containers
+		case 2: // free containers
 			if len(held) == 0 {
 				continue
 			}
@@ -345,7 +317,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			c.ReleaseAll(h.ctrs)
 			h.ctrs = nil
 			check(step, "free")
-		case 4: // revoke or release
+		case 3: // revoke or release
 			if len(held) == 0 {
 				continue
 			}
@@ -359,7 +331,7 @@ func TestElasticSliceStormInvariants(t *testing.T) {
 			}
 			held = append(held[:i], held[i+1:]...)
 			check(step, "revoke/release")
-		case 5: // solo grant/release cycle: exact free-counter restoration
+		case 4: // solo grant/release cycle: exact free-counter restoration
 			pre := snapshot()
 			r, err := c.ReserveSlices(1+rng.Intn(2), 1+rng.Intn(3), 2048)
 			if err != nil {

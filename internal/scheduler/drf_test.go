@@ -14,8 +14,8 @@ func TestDRFPreemptsOverShareTenant(t *testing.T) {
 		"run-001": {steps: 4, stepDur: 10 * time.Second},
 		"run-002": {steps: 4, stepDur: 10 * time.Second},
 		"run-003": {steps: 1, stepDur: 5 * time.Second},
-	}, map[string][2]float64{
-		"hog-a": {40, 4}, "hog-b": {40, 4}, "newcomer": {5, 1},
+	}, map[string]float64{
+		"hog-a": 40, "hog-b": 40, "newcomer": 5,
 	})
 
 	a := rig.sched.SubmitWith(graph("hog-a"), SubmitOptions{Tenant: "hog"})
@@ -55,8 +55,8 @@ func TestDRFWeightsPickVictim(t *testing.T) {
 		"run-001": {steps: 3, stepDur: 10 * time.Second},
 		"run-002": {steps: 3, stepDur: 10 * time.Second},
 		"run-003": {steps: 1, stepDur: 5 * time.Second},
-	}, map[string][2]float64{
-		"gold-run": {30, 4}, "plain-run": {30, 4}, "newcomer": {5, 1},
+	}, map[string]float64{
+		"gold-run": 30, "plain-run": 30, "newcomer": 5,
 	})
 
 	gold := rig.sched.SubmitWith(graph("gold-run"), SubmitOptions{Tenant: "gold"})
@@ -86,8 +86,8 @@ func TestSchedulerSurfaceWithDRF(t *testing.T) {
 	rig := newSusRig(t, 4, DRF{MaxConcurrent: 2}, map[string]susSpec{
 		"run-001": {steps: 1, stepDur: 5 * time.Second},
 		"run-002": {steps: 3, stepDur: 10 * time.Second},
-	}, map[string][2]float64{
-		"quick": {5, 1}, "doomed": {30, 3},
+	}, map[string]float64{
+		"quick": 5, "doomed": 30,
 	})
 	if got := rig.sched.policy.Name(); got != "drf(2)" {
 		t.Fatalf("policy.Name() = %q", got)

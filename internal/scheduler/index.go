@@ -5,7 +5,7 @@
 // run, and the policies scanned (or sorted) those slices — O(n) bookkeeping
 // per event, O(n²)+ over a submission burst. This file replaces that with
 // structures maintained as deltas at the scheduling boundaries
-// (submit/admit/suspend/resume/finish/cancel/reject):
+// (submit/admit/suspend/resume/finish/cancel):
 //
 //   - runList: the submission queue as an intrusive doubly-linked list; each
 //     Run carries its own list node, so membership tests and removals are
@@ -155,7 +155,7 @@ func (x *stateIndex) enqueue(r *Run) {
 }
 
 // dequeue removes a queued run from the waiting structures: ahead of an
-// admission, or because it will never execute (cancel, reject).
+// admission, or because it will never execute (cancel).
 func (x *stateIndex) dequeue(r *Run) {
 	x.queue.remove(r)
 	x.edf.remove(r)
@@ -282,8 +282,8 @@ func (s *Scheduler) CheckIndex() error {
 		return fmt.Errorf("EDF %w", err)
 	}
 
-	// A lease's slice dimensions are fixed at reservation and only a grant or
-	// a grow changes its node count, each under s.mu, so the cache is exact.
+	// A lease's nodes and slice dimensions are fixed at reservation, and the
+	// grant sets the cache under s.mu, so the cache is exact.
 	for _, r := range s.idx.activeOrder {
 		r.mu.Lock()
 		lease, nodes, cores, memMB := r.lease, r.leasedNodes, r.leasedCores, r.leasedMemMB

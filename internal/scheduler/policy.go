@@ -18,7 +18,7 @@ type RunState struct {
 	StartedSec   float64
 	// DeadlineSec is the absolute virtual-time deadline (0 = none).
 	DeadlineSec float64
-	// LeasedNodes is the current lease size (0 while queued/suspended).
+	// LeasedNodes is the lease size (0 while queued/suspended).
 	LeasedNodes int
 	// LeasedCores/LeasedMemMB are the lease's total capacity footprint per
 	// dimension — slice dimensions times nodes, memory capped at physical
@@ -30,10 +30,9 @@ type RunState struct {
 	DemandCores int
 	DemandMemMB int
 
-	// EstTimeSec/EstCost are the planner's estimates for the whole run
-	// (0 when no Estimate hook is wired or the policy did not ask for one).
+	// EstTimeSec is the planner's time estimate for the whole run (0 when no
+	// Estimate hook is wired or the policy did not ask for one).
 	EstTimeSec float64
-	EstCost    float64
 	// RanSec is the virtual time the run has spent actually executing
 	// (suspension windows excluded).
 	RanSec float64
@@ -108,8 +107,8 @@ func (st State) EachSuspended(fn func(RunState) bool) {
 }
 
 // EachWaiting visits suspended runs first, then queued — both in submission
-// order — until fn returns false. Suspended runs hold completed work (and
-// committed budget), so policies generally serve them first.
+// order — until fn returns false. Suspended runs hold completed work, so
+// policies generally serve them first.
 func (st State) EachWaiting(fn func(RunState) bool) {
 	stop := false
 	st.EachSuspended(func(rs RunState) bool {
@@ -171,40 +170,24 @@ type Preempt struct {
 	Run string
 }
 
-// Grow extends an active run's lease to Nodes nodes. A lease never shrinks:
-// a Grow to the current size or fewer is a no-op.
-type Grow struct {
-	Run   string
-	Nodes int
-}
-
-// Reject refuses a queued run outright; it finishes as failed with Reason.
-type Reject struct {
-	Run    string
-	Reason string
-}
-
 func (Admit) isAction()   {}
 func (Resume) isAction()  {}
 func (Preempt) isAction() {}
-func (Grow) isAction()    {}
-func (Reject) isAction()  {}
 
 // Policy decides scheduling: given the indexed run state it returns the
-// actions to apply — admissions, resumes, lease grows, preemptions,
-// rejections. Decide must be a pure function of its input (it runs under the
-// scheduler lock and is re-invoked after every applied batch until it
-// quiesces), and it should touch only the runs it needs: the accessors
-// materialize run views lazily, so a policy that inspects k runs costs O(k)
-// regardless of queue depth.
+// actions to apply — admissions, resumes, preemptions. Decide must be a pure
+// function of its input (it runs under the scheduler lock and is re-invoked
+// after every applied batch until it quiesces), and it should touch only the
+// runs it needs: the accessors materialize run views lazily, so a policy
+// that inspects k runs costs O(k) regardless of queue depth.
 type Policy interface {
 	Name() string
 	Decide(st State) []Action
 }
 
 // Estimator is the optional marker for policies that need planner estimates
-// (EstTimeSec/EstCost on RunState): the scheduler invokes its Estimate hook
-// at submission only for such policies, so estimate-free policies keep their
+// (EstTimeSec on RunState): the scheduler invokes its Estimate hook at
+// submission only for such policies, so estimate-free policies keep their
 // exact trace behaviour.
 type Estimator interface {
 	NeedsEstimates() bool
@@ -217,8 +200,8 @@ type Estimator interface {
 // anything is active (capacity will free up), but on an otherwise idle
 // cluster it shrinks to the free pool instead of waiting forever: the
 // progress clamp. What counts as active is the caller's choice: FairShare
-// counts suspended runs (they hold a slot until they finish), the others
-// count admitted runs only.
+// counts suspended runs (they hold a slot until they finish), DRF counts
+// admitted runs only.
 func equalShare(total, k, free, active int) int {
 	if active >= k || free == 0 {
 		return 0
@@ -340,8 +323,8 @@ func (st State) canYield(waiter, victim RunState) bool {
 // the whole free pool; when the cluster is full and an earlier-deadline run
 // waits behind a later-deadline one, the victim is preempted — but only if
 // the estimates say it still meets its own deadline after yielding (runs
-// without deadlines are always preemptible). A sole active run with no one
-// waiting absorbs freed nodes by growing its lease.
+// without deadlines are always preemptible). An admitted run keeps the lease
+// it was granted, even when nodes free up and no one waits.
 type Deadline struct {
 	// MaxPreemptions bounds how many times one run may be suspended
 	// (default 1); past it the run keeps its lease to completion.
@@ -366,19 +349,10 @@ func (d Deadline) maxPreemptions() int {
 // O(1); the preemption branch scans only the active set (bounded by the
 // cluster's node count), so a decision round is independent of queue depth.
 func (d Deadline) Decide(st State) []Action {
-	if st.WaitingLen() == 0 {
-		// Nothing waiting: the sole active run absorbs any freed capacity.
-		if st.FreeNodes > 0 && st.ActiveLen() == 1 {
-			var sole RunState
-			st.EachActive(func(a RunState) bool { sole = a; return false })
-			if !sole.Preempting {
-				return []Action{Grow{Run: sole.ID, Nodes: sole.LeasedNodes + st.FreeNodes}}
-			}
-		}
+	head, ok := st.EDFHead()
+	if !ok {
 		return nil
 	}
-
-	head, _ := st.EDFHead()
 	if st.FreeNodes > 0 {
 		// Serve the most urgent waiting run with the whole free pool.
 		return []Action{grant(head, st.FreeNodes)}
@@ -403,89 +377,4 @@ func (d Deadline) Decide(st State) []Action {
 		return nil
 	}
 	return []Action{Preempt{Run: victim.ID}}
-}
-
-// CostQuota enforces per-tenant budgets on concurrently committed modeled
-// cost: a queued run is admitted (fair-share-style node slices, up to
-// MaxConcurrent runs) only while the summed cost estimates of its tenant's
-// active and suspended runs plus its own stay within the tenant's budget;
-// otherwise it queues until commitments drain. A run whose own estimate can
-// never fit the budget is rejected outright, keeping the queue live.
-//
-// CostQuota is the one shipped policy whose decision round remains O(waiting)
-// rather than O(1): budget rejections can hide anywhere in the queue, so it
-// deliberately scans the full waiting set each round.
-type CostQuota struct {
-	// Budgets maps tenant -> cost budget; tenants not listed fall back to
-	// DefaultBudget (0 = unlimited).
-	Budgets       map[string]float64
-	DefaultBudget float64
-	// MaxConcurrent bounds simultaneously admitted runs (default 2).
-	MaxConcurrent int
-}
-
-// Name implements Policy.
-func (CostQuota) Name() string { return "cost-quota" }
-
-// NeedsEstimates implements Estimator: budgets are checked against modeled
-// cost.
-func (CostQuota) NeedsEstimates() bool { return true }
-
-func (c CostQuota) slots() int {
-	if c.MaxConcurrent < 1 {
-		return 2
-	}
-	return c.MaxConcurrent
-}
-
-// budget returns the tenant's budget (0 = unlimited).
-func (c CostQuota) budget(tenant string) float64 {
-	if b, ok := c.Budgets[tenant]; ok {
-		return b
-	}
-	return c.DefaultBudget
-}
-
-// Decide implements Policy.
-func (c CostQuota) Decide(st State) []Action {
-	committed := make(map[string]float64)
-	st.EachActive(func(a RunState) bool {
-		committed[a.Tenant] += a.EstCost
-		return true
-	})
-	st.EachSuspended(func(a RunState) bool {
-		committed[a.Tenant] += a.EstCost
-		return true
-	})
-	free := st.FreeNodes
-	activeN := st.ActiveLen()
-
-	var actions []Action
-	// Suspended runs hold budget already — resume them first so their
-	// commitments convert back into progress.
-	st.EachWaiting(func(w RunState) bool {
-		b := c.budget(w.Tenant)
-		if w.Status != StatusSuspended && b > 0 && w.EstCost > b {
-			actions = append(actions, Reject{
-				Run:    w.ID,
-				Reason: fmt.Sprintf("estimated cost %.1f exceeds tenant %q budget %.1f", w.EstCost, w.Tenant, b),
-			})
-			return true
-		}
-		if w.Status != StatusSuspended && b > 0 && committed[w.Tenant]+w.EstCost > b {
-			return true // hold until the tenant's commitments drain
-		}
-		n := equalShare(st.TotalNodes, c.slots(), free, activeN)
-		if n == 0 {
-			return true // held, but a rejection may still wait further back
-		}
-		actions = append(actions, grant(w, n))
-		if w.Status != StatusSuspended {
-			committed[w.Tenant] += w.EstCost
-		}
-		free -= n
-		activeN++
-		return true
-	})
-	return actions
 }

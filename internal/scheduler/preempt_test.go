@@ -105,7 +105,7 @@ type susSpec struct {
 	drain   time.Duration
 }
 
-func newSusRig(t *testing.T, nodes int, policy Policy, specs map[string]susSpec, estimates map[string][2]float64) *susRig {
+func newSusRig(t *testing.T, nodes int, policy Policy, specs map[string]susSpec, estimates map[string]float64) *susRig {
 	t.Helper()
 	rig := &susRig{clock: vtime.NewClock(), rec: newSusRecord(), events: trace.NewRecorder(1 << 12)}
 	rig.clu = cluster.New(rig.clock, nodes, 8, 16384)
@@ -126,12 +126,12 @@ func newSusRig(t *testing.T, nodes int, policy Policy, specs map[string]susSpec,
 		},
 	}
 	if estimates != nil {
-		cfg.Estimate = func(g *workflow.Graph) (float64, float64, error) {
+		cfg.Estimate = func(g *workflow.Graph) (float64, error) {
 			est, ok := estimates[g.Target]
 			if !ok {
-				return 0, 0, fmt.Errorf("no estimate for %s", g.Target)
+				return 0, fmt.Errorf("no estimate for %s", g.Target)
 			}
-			return est[0], est[1], nil
+			return est, nil
 		}
 	}
 	var err error
@@ -150,7 +150,7 @@ func TestDeadlinePreemptsAndResumes(t *testing.T) {
 	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
 		"run-001": {steps: 6, stepDur: 10 * time.Second}, // 60s total
 		"run-002": {steps: 2, stepDur: 10 * time.Second}, // 20s total
-	}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
+	}, map[string]float64{"long": 60, "urgent": 20})
 
 	long := rig.sched.Submit(graph("long"))
 	var urgent *Run
@@ -209,7 +209,7 @@ func TestFIFOMissesDeadlineDeadlineMeets(t *testing.T) {
 		rig := newSusRig(t, 4, policy, map[string]susSpec{
 			"run-001": {steps: 6, stepDur: 10 * time.Second},
 			"run-002": {steps: 2, stepDur: 10 * time.Second},
-		}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
+		}, map[string]float64{"long": 60, "urgent": 20})
 		rig.sched.Submit(graph("long"))
 		var urgent *Run
 		rig.clock.Schedule(10*time.Second, func(time.Duration) {
@@ -234,7 +234,7 @@ func TestDeadlineRefusesUnsafePreemption(t *testing.T) {
 	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
 		"run-001": {steps: 4, stepDur: 10 * time.Second},
 		"run-002": {steps: 2, stepDur: 10 * time.Second},
-	}, map[string][2]float64{"victim": {40, 0}, "waiter": {20, 0}})
+	}, map[string]float64{"victim": 40, "waiter": 20})
 	victim := rig.sched.SubmitWith(graph("victim"), SubmitOptions{Deadline: 50 * time.Second})
 	var waiter *Run
 	rig.clock.Schedule(10*time.Second, func(time.Duration) {
@@ -294,8 +294,8 @@ func cancelEventSec(rig *susRig, id string) float64 {
 
 // Canceling a suspended run finishes it inside Cancel, at the caller's
 // virtual time, without resuming it: the record is terminal, stamped and out
-// of every scheduler set when Cancel returns, and the capacity or budget it
-// held is handed out in the same instant.
+// of every scheduler set when Cancel returns, and the slot it held is handed
+// out in the same instant.
 func TestCancelSuspended(t *testing.T) {
 	// checkCanceled runs inside the 25 s callback, right after Cancel
 	// returned, and again after Drain.
@@ -342,7 +342,7 @@ func TestCancelSuspended(t *testing.T) {
 		rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
 			"run-001": {steps: 6, stepDur: 10 * time.Second},
 			"run-002": {steps: 2, stepDur: 10 * time.Second},
-		}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
+		}, map[string]float64{"long": 60, "urgent": 20})
 		long := rig.sched.Submit(graph("long"))
 		rig.clock.Schedule(10*time.Second, func(time.Duration) {
 			rig.sched.SubmitWith(graph("urgent"), SubmitOptions{Deadline: 40 * time.Second})
@@ -357,34 +357,34 @@ func TestCancelSuspended(t *testing.T) {
 		drained(t, rig, long)
 	})
 
-	// The suspended run holds 6 of its tenant's 10 budget units, so the
-	// tenant's next 6-unit run queues behind it. Canceling the suspended run
-	// frees the budget, and the scheduling round inside Cancel admits the
+	// Under FairShare(2) the suspended run keeps its slot, so with the other
+	// slot taken the next run queues behind it. Canceling the suspended run
+	// frees the slot, and the scheduling round inside Cancel admits the
 	// queued run at that very instant.
-	t.Run("cost-quota", func(t *testing.T) {
+	t.Run("fair-share", func(t *testing.T) {
 		policy := holdVictims{
-			Policy: CostQuota{Budgets: map[string]float64{"acme": 10}, MaxConcurrent: 2},
+			Policy: FairShare{MaxConcurrent: 2},
 			victim: func(r RunState) bool { return r.ID == "run-001" },
 		}
-		// The other tenant's run outlasts the scenario: with a run active the
-		// progress safety net leaves the suspended one alone.
+		// The other run outlasts the scenario: with a run active the progress
+		// safety net leaves the suspended one alone.
 		rig := newSusRig(t, 4, policy, map[string]susSpec{
 			"run-001": {steps: 6, stepDur: 10 * time.Second},
 			"run-002": {steps: 6, stepDur: 10 * time.Second},
 			"run-003": {steps: 2, stepDur: 10 * time.Second},
-		}, map[string][2]float64{"long": {60, 6}, "other": {60, 1}, "next": {20, 6}})
-		long := rig.sched.SubmitWith(graph("long"), SubmitOptions{Tenant: "acme"})
-		rig.sched.SubmitWith(graph("other"), SubmitOptions{Tenant: "beta"})
+		}, nil)
+		long := rig.sched.Submit(graph("long"))
+		rig.sched.Submit(graph("other"))
 		var next *Run
 		rig.clock.Schedule(10*time.Second, func(time.Duration) {
-			next = rig.sched.SubmitWith(graph("next"), SubmitOptions{Tenant: "acme"})
+			next = rig.sched.Submit(graph("next"))
 		})
 		rig.clock.Schedule(25*time.Second, func(time.Duration) {
 			if st := long.Status().Status; st != "suspended" {
 				t.Errorf("long run %s at 25s, want suspended", st)
 			}
 			if st := next.Status().Status; st != "queued" {
-				t.Errorf("next run %s at 25s, want queued behind the budget", st)
+				t.Errorf("next run %s at 25s, want queued behind the held slot", st)
 			}
 			long.Cancel()
 			checkCanceled(t, rig, long)
@@ -408,7 +408,7 @@ func TestCancelAtSuspensionLanding(t *testing.T) {
 	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
 		"run-001": {steps: 6, stepDur: 10 * time.Second, drain: 5 * time.Second},
 		"run-002": {steps: 2, stepDur: 10 * time.Second},
-	}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}})
+	}, map[string]float64{"long": 60, "urgent": 20})
 	long := rig.sched.Submit(graph("long"))
 	var urgent *Run
 	rig.clock.Schedule(10*time.Second, func(time.Duration) {
@@ -508,58 +508,6 @@ func TestSuspendedRunsHoldNoGoroutine(t *testing.T) {
 	}
 }
 
-// CostQuota holds runs that would push their tenant past its budget and
-// rejects runs that can never fit, while within-budget tenants proceed.
-func TestCostQuotaBudget(t *testing.T) {
-	est := map[string][2]float64{
-		"a1": {10, 6}, "a2": {10, 6}, "a3": {10, 6}, // tenant acme, budget 10
-		"big":  {10, 25}, // can never fit acme's budget
-		"free": {10, 9},  // unbudgeted tenant
-	}
-	rig := newSusRig(t, 4, CostQuota{Budgets: map[string]float64{"acme": 10}}, nil, est)
-	submit := func(name, tenant string) *Run {
-		return rig.sched.SubmitWith(graph(name), SubmitOptions{Tenant: tenant})
-	}
-	a1 := submit("a1", "acme")
-	a2 := submit("a2", "acme")
-	a3 := submit("a3", "acme")
-	big := submit("big", "acme")
-	other := submit("free", "other")
-	rig.sched.Drain()
-
-	if _, _, err := big.Wait(); !errors.Is(err, ErrRejected) {
-		t.Fatalf("over-budget run: err = %v, want ErrRejected", err)
-	}
-	for _, r := range []*Run{a1, a2, a3, other} {
-		if st := r.Status(); st.Status != "succeeded" {
-			t.Fatalf("%s = %s, want succeeded", st.ID, st.Status)
-		}
-	}
-	// Budget 10 vs 6-cost runs: acme's runs must serialize (no two
-	// concurrently committed), while the unbudgeted tenant overlaps them.
-	snaps := map[string]Snapshot{}
-	for _, r := range []*Run{a1, a2, a3} {
-		st := r.Status()
-		snaps[st.ID] = st
-	}
-	for id, a := range snaps {
-		for jd, b := range snaps {
-			if id >= jd {
-				continue
-			}
-			if a.StartedSec < b.FinishedSec && b.StartedSec < a.FinishedSec {
-				t.Fatalf("acme runs %s and %s overlapped despite the budget", id, jd)
-			}
-		}
-	}
-	if st := other.Status(); st.StartedSec >= snaps["run-001"].FinishedSec {
-		t.Fatalf("unbudgeted tenant waited for acme (started %.0fs)", st.StartedSec)
-	}
-	if err := rig.clu.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Preemption decisions are a pure function of the virtual-time schedule:
 // repeated executions produce identical step timelines.
 func TestPreemptionDeterminism(t *testing.T) {
@@ -568,7 +516,7 @@ func TestPreemptionDeterminism(t *testing.T) {
 			"run-001": {steps: 6, stepDur: 10 * time.Second},
 			"run-002": {steps: 2, stepDur: 10 * time.Second},
 			"run-003": {steps: 3, stepDur: 5 * time.Second},
-		}, map[string][2]float64{"long": {60, 0}, "urgent": {20, 0}, "mid": {15, 0}})
+		}, map[string]float64{"long": 60, "urgent": 20, "mid": 15})
 		rig.sched.Submit(graph("long"))
 		rig.clock.Schedule(10*time.Second, func(time.Duration) {
 			rig.sched.SubmitWith(graph("urgent"), SubmitOptions{Deadline: 40 * time.Second})
@@ -591,65 +539,61 @@ func TestPreemptionDeterminism(t *testing.T) {
 	}
 }
 
-// growProbe admits each queued run on two nodes, then asks every active run
-// to "grow" to its current size, one node fewer, and zero.
-type growProbe struct{}
-
-func (growProbe) Name() string { return "grow-probe" }
-
-func (growProbe) Decide(st State) []Action {
-	var out []Action
-	st.EachQueued(func(r RunState) bool {
-		out = append(out, Admit{Run: r.ID, Nodes: 2})
-		return true
-	})
-	st.EachActive(func(r RunState) bool {
-		out = append(out,
-			Grow{Run: r.ID, Nodes: r.LeasedNodes},
-			Grow{Run: r.ID, Nodes: r.LeasedNodes - 1},
-			Grow{Run: r.ID, Nodes: 0})
-		return true
-	})
-	return out
-}
-
-// A Grow to the current node count or fewer is a no-op: no lease.grow event,
-// the same lease at the same size, the same cached footprint, and no
-// progress — the decision loop quiesces instead of spinning on it.
-func TestGrowNeverShrinks(t *testing.T) {
-	rig := newSusRig(t, 4, growProbe{}, nil, nil)
-	run := rig.sched.Submit(graph("wf"))
-	type view struct {
-		lease               *cluster.Reservation
-		size                int
-		nodes, cores, memMB int
-	}
-	look := func() view {
-		run.mu.Lock()
-		defer run.mu.Unlock()
-		return view{run.lease, run.lease.Size(), run.leasedNodes, run.leasedCores, run.leasedMemMB}
-	}
-	before := look()
-	if before.size != 2 || before.nodes != 2 || before.cores != 16 || before.memMB != 32768 {
-		t.Fatalf("admitted lease %+v, want two whole 8-core 16 GB nodes", before)
-	}
-	for i := 0; i < 3; i++ {
-		if rig.sched.scheduleOnce() {
-			t.Fatal("a Grow to the current size or fewer counted as progress")
-		}
-	}
-	if after := look(); after != before {
-		t.Fatalf("lease after no-op grows %+v, want %+v", after, before)
-	}
-	if err := rig.sched.CheckIndex(); err != nil {
+// A lease stays at its grant: under Deadline, a run admitted on three nodes
+// while the fourth is down is still the sole active run when the node comes
+// back and when its one-node neighbour finishes. Its cached size, its lease's
+// node list and its trace keep the three granted nodes throughout.
+func TestLeaseStaysAtGrant(t *testing.T) {
+	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
+		"run-001": {steps: 6, stepDur: 10 * time.Second},
+		"run-002": {steps: 2, stepDur: 10 * time.Second},
+	}, map[string]float64{"long": 60, "short": 20})
+	if err := rig.clu.SetNodeHealth("node3", false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := run.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range rig.events.ForRun(run.ID()) {
-		if ev.Type == trace.EvLeaseGrow {
-			t.Fatalf("no-op grow emitted %+v", ev)
+	long := rig.sched.Submit(graph("long"))
+	granted := []string{"node0", "node1", "node2"}
+	look := func(at string) {
+		long.mu.Lock()
+		lease, nodes := long.lease, long.leasedNodes
+		long.mu.Unlock()
+		if got := lease.Nodes(); nodes != 3 || fmt.Sprint(got) != fmt.Sprint(granted) {
+			t.Errorf("%s: long run caches %d nodes on lease %v, want its grant %v", at, nodes, got, granted)
 		}
+		if err := rig.sched.CheckIndex(); err != nil {
+			t.Errorf("%s: %v", at, err)
+		}
+	}
+	look("admission")
+	rig.clock.Schedule(5*time.Second, func(time.Duration) {
+		if err := rig.clu.RestoreNode("node3"); err != nil {
+			t.Error(err)
+		}
+		rig.sched.schedule()
+		look("restore")
+	})
+	var short *Run
+	rig.clock.Schedule(10*time.Second, func(time.Duration) {
+		short = rig.sched.Submit(graph("short"))
+	})
+	rig.clock.Schedule(35*time.Second, func(time.Duration) {
+		if st := short.Status(); st.Status != "succeeded" || st.LeasedNodes != 1 {
+			t.Errorf("short run = %+v, want succeeded on the one freed node", st)
+		}
+		look("neighbour finished")
+	})
+	rig.sched.Drain()
+	if st := long.Status(); st.Status != "succeeded" || st.LeasedNodes != 3 || st.LeasedCores != 24 {
+		t.Fatalf("long run = %+v, want succeeded on its three granted nodes", st)
+	}
+	var types []string
+	for _, ev := range rig.events.ForRun(long.ID()) {
+		types = append(types, string(ev.Type))
+		if n, ok := ev.Fields["nodes"]; ok && n != 3 {
+			t.Errorf("%s carries %v nodes, want 3", ev.Type, n)
+		}
+	}
+	if got, want := fmt.Sprint(types), "[run.submit lease.grant run.admit run.finish lease.revoke]"; got != want {
+		t.Fatalf("long run trace %s, want %s", got, want)
 	}
 }

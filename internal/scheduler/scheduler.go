@@ -6,11 +6,11 @@
 // The design splits arbitration in two:
 //
 //   - Scheduling: a pluggable Policy observes the full run state (queued,
-//     active, suspended) and returns Actions — admit, resume, grow,
-//     preempt, reject. Admitted runs hold an elastic node lease
-//     (cluster.Reservation) that the policy can grow or revoke;
-//     node-granular leases make oversubscription structurally impossible and
-//     keep admitted runs from starving each other of containers.
+//     active, suspended) and returns Actions — admit, resume, preempt.
+//     Admitted runs hold a node lease (cluster.Reservation), fixed at its
+//     grant until the run finishes or is preempted; node-granular leases
+//     make oversubscription structurally impossible and keep admitted runs
+//     from starving each other of containers.
 //   - Cooperation: every admitted run executes on its own goroutine but
 //     blocks on virtual time through a vtime.Party, so at most one run
 //     executes at any instant and the interleaving is a pure function of the
@@ -53,17 +53,6 @@ import (
 
 // ErrCanceled indicates the run was canceled before or during execution.
 var ErrCanceled = errors.New("scheduler: run canceled")
-
-// ErrRejected indicates the admission policy refused the run outright (e.g.
-// its cost estimate can never fit the tenant's budget).
-var ErrRejected = errors.New("scheduler: run rejected by admission policy")
-
-// rejection is the error of a rejected run: ErrRejected plus the policy's
-// reason, which the run.reject event carries on its own.
-type rejection string
-
-func (e rejection) Error() string { return ErrRejected.Error() + ": " + string(e) }
-func (e rejection) Unwrap() error { return ErrRejected }
 
 // Status is the lifecycle state of a submitted run.
 type Status int
@@ -112,14 +101,14 @@ type Snapshot struct {
 	ID       string `json:"id"`
 	Workflow string `json:"workflow,omitempty"`
 	Status   string `json:"status"`
-	// Tenant is the account the run is charged to (CostQuota, DRF); User is a
-	// listing label no policy reads.
+	// Tenant is the account DRF keeps shares per; User is a listing label no
+	// policy reads.
 	Tenant string `json:"tenant,omitempty"`
 	User   string `json:"user,omitempty"`
-	// LeasedNodes is the current node lease size (0 while queued or
-	// suspended). LeasedCores/LeasedMemMB are the lease's total capacity
-	// footprint per dimension — slice dimensions times nodes, memory capped
-	// at physical node memory.
+	// LeasedNodes is the node lease size (0 while queued or suspended).
+	// LeasedCores/LeasedMemMB are the lease's total capacity footprint per
+	// dimension — slice dimensions times nodes, memory capped at physical
+	// node memory.
 	LeasedNodes int `json:"leasedNodes,omitempty"`
 	LeasedCores int `json:"leasedCores,omitempty"`
 	LeasedMemMB int `json:"leasedMemMB,omitempty"`
@@ -166,8 +155,8 @@ type Run struct {
 	mu          sync.Mutex
 	status      Status
 	lease       *cluster.Reservation
-	leasedNodes int // current lease size; survives finish (last size), zeroed on suspend
-	leasedCores int // lease capacity footprint per dimension; tracks leasedNodes
+	leasedNodes int // lease size, set at each grant; survives finish (last size), zeroed on suspend
+	leasedCores int // lease capacity footprint per dimension, set with leasedNodes
 	leasedMemMB int
 	party       *vtime.Party
 	plan        *planner.Plan
@@ -179,7 +168,6 @@ type Run struct {
 	finishedAt  time.Duration
 
 	estTime float64 // planner estimate, seconds (0 = none)
-	estCost float64
 
 	// Suspension bookkeeping (guarded by mu).
 	doneSet        []planner.MaterializedIntermediate
@@ -312,10 +300,10 @@ type Config struct {
 	// them. A fresh executor is built for every resume segment.
 	NewExecutor func(ctx ExecContext) Exec
 	// Estimate, when non-nil, predicts a workflow's execution time (virtual
-	// seconds) and modeled cost. It is consulted at submission — and only
-	// when the policy implements Estimator and asks for estimates — to fill
-	// RunState.EstTimeSec/EstCost for deadline/budget decisions.
-	Estimate func(g *workflow.Graph) (timeSec, costUnits float64, err error)
+	// seconds). It is consulted at submission — and only when the policy
+	// implements Estimator and asks for estimates — to fill
+	// RunState.EstTimeSec for deadline decisions.
+	Estimate func(g *workflow.Graph) (timeSec float64, err error)
 	// Tracer receives run lifecycle events; nil discards them.
 	Tracer trace.Tracer
 }
@@ -324,7 +312,7 @@ type Config struct {
 type SubmitOptions struct {
 	// Name labels the run in status listings (default: the graph target).
 	Name string
-	// Tenant is the account CostQuota budgets and DRF shares are kept per.
+	// Tenant is the account DRF shares are kept per.
 	Tenant string
 	// User labels the run in status listings; no policy reads it.
 	User string
@@ -359,7 +347,7 @@ type Scheduler struct {
 	policy     Policy
 	plan       func(g *workflow.Graph) (*planner.Plan, error)
 	newExec    func(ctx ExecContext) Exec
-	estimate   func(g *workflow.Graph) (float64, float64, error)
+	estimate   func(g *workflow.Graph) (float64, error)
 	tracer     trace.Tracer
 	totalNodes int
 	// Cached cluster capacity (per dimension and per node) for DRF share
@@ -439,11 +427,11 @@ func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 	// Estimates are produced before enqueueing (planning may take real
 	// time) and only for policies that ask, so estimate-free policies keep
 	// their exact event streams.
-	var estTime, estCost float64
+	var estTime float64
 	if s.estimate != nil {
 		if e, ok := s.policy.(Estimator); ok && e.NeedsEstimates() {
-			if t, c, err := s.estimate(g); err == nil {
-				estTime, estCost = t, c
+			if t, err := s.estimate(g); err == nil {
+				estTime = t
 			}
 		}
 	}
@@ -479,7 +467,6 @@ func (s *Scheduler) SubmitWith(g *workflow.Graph, opts SubmitOptions) *Run {
 		status:      StatusQueued,
 		submittedAt: s.clock.Now(),
 		estTime:     estTime,
-		estCost:     estCost,
 		seq:         s.nextID,
 		edfPos:      -1,
 	}
@@ -654,7 +641,6 @@ func (s *Scheduler) runStateLocked(r *Run, now time.Duration) RunState {
 		DemandCores:  r.demandCores,
 		DemandMemMB:  r.demandMemMB,
 		EstTimeSec:   r.estTime,
-		EstCost:      r.estCost,
 		Preemptions:  r.preemptions,
 		Preempting:   r.suspend.Load(),
 	}
@@ -804,38 +790,6 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 	return true
 }
 
-// growLocked extends an active run's lease to nodes nodes and emits
-// lease.grow; s.mu held. It reports false — nothing changed — when the lease
-// already holds that many nodes or more, or the cluster cannot grant them.
-func (s *Scheduler) growLocked(r *Run, nodes int, now time.Duration) bool {
-	r.mu.Lock()
-	lease := r.lease
-	r.mu.Unlock()
-	if lease == nil {
-		return false
-	}
-	cur := lease.Size()
-	if nodes <= cur {
-		return false
-	}
-	added, err := s.cluster.GrowReservation(lease, nodes-cur)
-	if err != nil {
-		return false
-	}
-	n := lease.Size()
-	cores, memMB := s.leaseFootprint(lease)
-	r.mu.Lock()
-	r.leasedNodes = n
-	r.leasedCores = cores
-	r.leasedMemMB = memMB
-	r.mu.Unlock()
-	s.tracer.Emit(trace.Event{
-		Type: trace.EvLeaseGrow, RunID: r.id,
-		Fields: map[string]float64{"nodes": float64(len(added)), "total": float64(n)},
-	}.At(now))
-	return true
-}
-
 // scheduleOnce performs one Decide/apply round and reports whether any
 // action applied.
 func (s *Scheduler) scheduleOnce() bool {
@@ -874,18 +828,6 @@ func (s *Scheduler) scheduleOnce() bool {
 			r.preemptAskedAt = now
 			r.mu.Unlock()
 			progress = true
-
-		case Grow:
-			if r := s.active[a.Run]; r != nil && s.growLocked(r, a.Nodes, now) {
-				progress = true
-			}
-
-		case Reject:
-			if r := s.queuedLocked(a.Run); r != nil {
-				s.finishLocked(r, StatusFailed, rejection(a.Reason), now)
-				close(r.done)
-				progress = true
-			}
 		}
 	}
 
@@ -912,9 +854,9 @@ func (s *Scheduler) scheduleOnce() bool {
 }
 
 // finishLocked is the one terminal transition, whatever the run was doing —
-// queued (reject, cancel), suspended (cancel) or active (the end of its last
+// queued (cancel), suspended (cancel) or active (the end of its last
 // segment). In one critical section it sets the status, emits run.finish /
-// run.cancel / run.reject then lease.revoke, leaves the scheduler's sets and
+// run.cancel then lease.revoke, leaves the scheduler's sets and
 // the index and freezes the record: no observer — policy, Drain, CheckIndex, a
 // status listing — ever sees a run that is partly finished. s.mu held.
 //
@@ -945,13 +887,9 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 	r.mu.Unlock()
 
 	ev := trace.Event{Type: trace.EvRunFinish, RunID: r.id, Operator: r.workflow}
-	var rej rejection
-	switch {
-	case status == StatusCanceled:
+	if status == StatusCanceled {
 		ev.Type = trace.EvRunCancel
-	case errors.As(err, &rej):
-		ev.Type, ev.Error = trace.EvRunReject, string(rej)
-	default:
+	} else {
 		ev.Fields = map[string]float64{"makespanSec": makespan.Seconds()}
 		if err != nil {
 			ev.Error = err.Error()
@@ -986,8 +924,8 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 // cancel raises the run's cancel flag and, when the run is waiting (queued
 // or suspended), finishes it on the spot. The flag goes up under s.mu, so a
 // waiting run is never observed canceled: grants need not look at the flag.
-// Canceling a suspended run may free a budget or a slot the policy was
-// holding for it, so a scheduling round follows.
+// Canceling a suspended run may free a slot the policy was holding for it,
+// so a scheduling round follows.
 func (s *Scheduler) cancel(r *Run) {
 	s.mu.Lock()
 	r.canceled.Store(true)
@@ -1121,7 +1059,7 @@ func (s *Scheduler) runSegment(r *Run) (*executor.Result, error) {
 }
 
 // runParty is the goroutine of one run segment, started by a grant: it awaits
-// its dispatch turn, runs the segment confined to the (elastic) lease, banks
+// its dispatch turn, runs the segment confined to its lease, banks
 // the result, and either lands a suspension — after which the run waits as a
 // record, holding no goroutine — or finishes the run. Either way it schedules
 // successors before leaving the cooperative clock, so the party count never

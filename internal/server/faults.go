@@ -1,10 +1,11 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
-	"time"
 
 	ires "github.com/asap-project/ires"
+	"github.com/asap-project/ires/internal/vtime"
 )
 
 // faultTransientDTO mirrors ires.FaultTransient in JSON.
@@ -33,7 +34,10 @@ type faultConfigDTO struct {
 	} `json:"straggler"`
 }
 
-func (dto faultConfigDTO) toConfig() ires.FaultConfig {
+// toConfig converts the DTO; an atSec that is no virtual time (NaN, an
+// infinity, negative, or past the ~9.22e9 s a time.Duration holds) is an
+// error naming the field and the value sent.
+func (dto faultConfigDTO) toConfig() (ires.FaultConfig, error) {
 	cfg := ires.FaultConfig{
 		Seed:    dto.Seed,
 		Default: ires.FaultTransient{FailProb: dto.Default.FailProb, MTBFSec: dto.Default.MTBFSec},
@@ -48,19 +52,21 @@ func (dto faultConfigDTO) toConfig() ires.FaultConfig {
 			cfg.PerEngine[name] = ires.FaultTransient{FailProb: t.FailProb, MTBFSec: t.MTBFSec}
 		}
 	}
-	for _, o := range dto.Outages {
-		cfg.Outages = append(cfg.Outages, ires.EngineOutage{
-			Engine: o.Engine,
-			At:     time.Duration(o.AtSec * float64(time.Second)),
-		})
+	for i, o := range dto.Outages {
+		at, err := vtime.Seconds(o.AtSec)
+		if err != nil {
+			return cfg, fmt.Errorf("invalid Outages[%d].AtSec: %w", i, err)
+		}
+		cfg.Outages = append(cfg.Outages, ires.EngineOutage{Engine: o.Engine, At: at})
 	}
-	for _, nc := range dto.NodeCrashes {
-		cfg.NodeCrashes = append(cfg.NodeCrashes, ires.NodeCrash{
-			Node: nc.Node,
-			At:   time.Duration(nc.AtSec * float64(time.Second)),
-		})
+	for i, nc := range dto.NodeCrashes {
+		at, err := vtime.Seconds(nc.AtSec)
+		if err != nil {
+			return cfg, fmt.Errorf("invalid NodeCrashes[%d].AtSec: %w", i, err)
+		}
+		cfg.NodeCrashes = append(cfg.NodeCrashes, ires.NodeCrash{Node: nc.Node, At: at})
 	}
-	return cfg
+	return cfg, nil
 }
 
 // postFaults arms a fault schedule (the chaos-injection surface; body:
@@ -70,7 +76,11 @@ func (s *Server) postFaults(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &dto) {
 		return
 	}
-	if err := s.platform.InjectFaults(dto.toConfig()); err != nil {
+	cfg, err := dto.toConfig()
+	if err == nil {
+		err = s.platform.InjectFaults(cfg)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -136,6 +136,8 @@ func FuzzAPI(f *testing.F) {
 	f.Add(uint8(0), seg("api", "runs", "run-001", "trace"), "", "", "")
 	f.Add(uint8(1), seg("api", "engines", "Spark", "availability"), "", "", `{"on":false}`)
 	f.Add(uint8(1), seg("api", "faults"), "", "", `{"seed":5,"default":{"failProb":0.3},"outages":[{"engine":"Spark","atSec":1}]}`)
+	f.Add(uint8(1), seg("api", "faults"), "", "", `{"outages":[{"engine":"Spark","atSec":9.3e9}]}`)
+	f.Add(uint8(1), seg("api", "faults"), "", "", `{"nodeCrashes":[{"node":"node1","atSec":1e300}]}`)
 	f.Add(uint8(3), seg("api", "cluster"), "", "", "")
 	f.Add(uint8(0), seg("metrics"), "", "", "")
 	f.Fuzz(func(t *testing.T, method uint8, segs []byte, junk, query, body string) {

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -24,6 +23,7 @@ import (
 	ires "github.com/asap-project/ires"
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/planner"
+	"github.com/asap-project/ires/internal/vtime"
 )
 
 // Server exposes a Platform over HTTP. Construct with New and mount via
@@ -432,8 +432,8 @@ func (s *Server) executeWorkflow(w http.ResponseWriter, r *http.Request) {
 
 // submitWorkflow enqueues the workflow and returns the run handle
 // immediately; poll GET /api/runs/{id} for progress. Optional query
-// parameters feed the scheduling policies: ?tenant= charges the run to an
-// account (CostQuota budgets, DRF shares), ?user= labels it in listings,
+// parameters feed the scheduling policies: ?tenant= names the account DRF
+// keeps shares per, ?user= labels it in listings,
 // ?deadlineSec= sets an absolute virtual-time deadline (Deadline/EDF), and
 // ?demandCores=&demandMemMB= (both required together) ask for per-node
 // resource slices instead of whole nodes (DRF and memory overcommit).
@@ -446,16 +446,14 @@ func (s *Server) submitWorkflow(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts := ires.SubmitOptions{Name: r.PathValue("name"), Tenant: q.Get("tenant"), User: q.Get("user")}
 	if raw := q.Get("deadlineSec"); raw != "" {
-		// A time.Duration holds under 2^63 ns (~292 years); NaN fails the
-		// first comparison and +Inf the second.
 		sec, err := strconv.ParseFloat(raw, 64)
-		ns := sec * float64(time.Second)
-		if err != nil || !(sec >= 0) || ns >= float64(math.MaxInt64) {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q: want a finite number of seconds in [0, %.0f)",
-				raw, float64(math.MaxInt64)/float64(time.Second)))
+		if err == nil {
+			opts.Deadline, err = vtime.Seconds(sec)
+		}
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid deadlineSec %q: %w", raw, err))
 			return
 		}
-		opts.Deadline = time.Duration(ns)
 	}
 	rawC, rawM := q.Get("demandCores"), q.Get("demandMemMB")
 	if (rawC == "") != (rawM == "") {

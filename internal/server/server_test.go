@@ -496,6 +496,25 @@ func TestFaultInjectionEndpoint(t *testing.T) {
 		}
 	}
 
+	// An atSec that is no virtual time is refused, naming the field and the
+	// value sent: past ~9.22e9 s an unchecked conversion wraps to a negative
+	// time.
+	for _, sec := range []float64{9.3e9, 1e300} {
+		for _, c := range []struct{ payload, field string }{
+			{fmt.Sprintf(`{"outages":[{"engine":"Spark","atSec":%v}]}`, sec), "Outages[0].AtSec"},
+			{fmt.Sprintf(`{"nodeCrashes":[{"node":"node1","atSec":%v}]}`, sec), "NodeCrashes[0].AtSec"},
+		} {
+			resp, body = do(t, "POST", ts.URL+"/api/faults", c.payload)
+			expectCode(t, resp, body, http.StatusBadRequest)
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal([]byte(body), &e); err != nil || !strings.Contains(e.Error, c.field) || !strings.Contains(e.Error, fmt.Sprint(sec)) {
+				t.Errorf("%s: body %q is not a JSON error naming %s and %v", c.payload, body, c.field, sec)
+			}
+		}
+	}
+
 	// Arm a schedule where every Java attempt fails. Retries exhaust, the
 	// breaker trips Java, and the replan must land the work on Spark.
 	cfg := `{"seed": 5, "perEngine": {"Java": {"failProb": 1}},

@@ -163,12 +163,9 @@ var metrics = []metric{
 		feeds: []feed{{on: EvRunSuspend}}},
 	{name: "ires_runs_resumed_total", kind: counter, help: "preempted runs re-admitted and replanned from their done set",
 		feeds: []feed{{on: EvRunResume}}},
-	{name: "ires_runs_rejected_total", kind: counter, help: "runs rejected outright by the admission policy",
-		feeds: []feed{{on: EvRunReject}}},
 	{name: "ires_runs_finished_total", kind: counter, help: "workflow runs reaching a terminal state, by status", labels: []string{"status"}, feeds: []feed{
 		{on: EvRunFinish, label: runStatus},
 		{on: EvRunCancel, label: is("canceled")},
-		{on: EvRunReject, label: is("rejected")},
 	}},
 	{name: "ires_sched_queue_wait_vseconds", kind: histogram, help: "virtual seconds runs spent queued before admission", bounds: defBuckets,
 		feeds: []feed{{on: EvRunAdmit, value: field("waitSec")}}},
@@ -178,8 +175,6 @@ var metrics = []metric{
 		feeds: []feed{{on: EvRunSuspend, value: present("latencySec")}}},
 	{name: "ires_lease_grants_total", kind: counter, help: "node leases granted at admission/resume",
 		feeds: []feed{{on: EvLeaseGrant}}},
-	{name: "ires_lease_grows_total", kind: counter, help: "elastic lease grow operations",
-		feeds: []feed{{on: EvLeaseGrow}}},
 	{name: "ires_lease_revokes_total", kind: counter, help: "lease revocations (voluntary release or preemption)",
 		feeds: []feed{{on: EvLeaseRevoke}}},
 

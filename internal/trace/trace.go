@@ -68,22 +68,20 @@ const (
 	// terminal states, and the preemption arc — run.suspend when a policy
 	// revokes a running lease at an operator boundary, run.resume when the
 	// run is re-admitted and replans from its done set (suspendedSec in
-	// Fields), run.reject when a policy refuses a run outright.
+	// Fields).
 	EvRunSubmit  EventType = "run.submit"
 	EvRunAdmit   EventType = "run.admit"
 	EvRunFinish  EventType = "run.finish"
 	EvRunCancel  EventType = "run.cancel"
 	EvRunSuspend EventType = "run.suspend"
 	EvRunResume  EventType = "run.resume"
-	EvRunReject  EventType = "run.reject"
 
-	// Elastic lease lifecycle: grant at admission, grow while the lease is
-	// live (node deltas in Fields), revoke on release. Emitted by
+	// Lease lifecycle: grant at admission or resume, revoke on release or
+	// preemption; a lease keeps its granted nodes in between. Emitted by
 	// the scheduler (which knows the owning run), not the cluster, so the
 	// events carry RunIDs and the cluster never calls tracers under its
 	// own lock.
 	EvLeaseGrant  EventType = "lease.grant"
-	EvLeaseGrow   EventType = "lease.grow"
 	EvLeaseRevoke EventType = "lease.revoke"
 
 	// Sub-operator checkpointing. checkpoint.write fires at an iteration or

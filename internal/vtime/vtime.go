@@ -15,6 +15,7 @@ package vtime
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -184,6 +185,20 @@ func (c *Clock) dispatchLocked() {
 // NewClock returns a clock positioned at virtual time zero.
 func NewClock() *Clock {
 	return &Clock{}
+}
+
+// Seconds converts a count of seconds to a virtual time. It refuses NaN,
+// the infinities, negatives and anything at or past the 2^63 ns (about
+// 9.22e9 s) a time.Duration holds, which an unchecked conversion would wrap
+// to a negative value.
+func Seconds(sec float64) (time.Duration, error) {
+	ns := sec * float64(time.Second)
+	// NaN fails both comparisons, -Inf the first and +Inf the second.
+	if !(ns >= 0 && ns < float64(math.MaxInt64)) {
+		return 0, fmt.Errorf("%v is not a virtual time: want a finite number of seconds in [0, %.0f)",
+			sec, float64(math.MaxInt64)/float64(time.Second))
+	}
+	return time.Duration(ns), nil
 }
 
 // Now returns the current virtual time as an offset from the simulation

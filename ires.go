@@ -104,11 +104,11 @@ type (
 	// RunSnapshot is a point-in-time view of a submitted run.
 	RunSnapshot = scheduler.Snapshot
 	// AdmissionPolicy decides when queued runs start, how many nodes they
-	// lease, and whether active runs grow or are preempted (see FIFO,
-	// FairShare, Deadline, CostQuota and DRF).
+	// lease, and whether active runs are preempted (see FIFO, FairShare,
+	// Deadline and DRF). A lease keeps the nodes it was granted.
 	AdmissionPolicy = scheduler.Policy
 	// SubmitOptions carries the scheduling metadata of one submission
-	// (label, tenant, deadline).
+	// (label, tenant, user, deadline, slice demand).
 	SubmitOptions = scheduler.SubmitOptions
 )
 
@@ -130,16 +130,6 @@ func FairShare(maxConcurrent int) AdmissionPolicy {
 // deadline after the suspension. The suspended run resumes later via
 // replan-from-done-set, so none of its completed operators re-execute.
 func Deadline() AdmissionPolicy { return scheduler.Deadline{} }
-
-// CostQuota returns the per-tenant budget policy: each tenant's concurrently
-// committed modeled cost (sum of planner cost estimates over its active and
-// suspended runs) must stay within its budget; runs that would exceed it
-// queue until earlier runs finish, and runs whose estimate can never fit the
-// budget are rejected outright. Unlisted tenants get defaultBudget (0 or
-// negative = unlimited).
-func CostQuota(budgets map[string]float64, defaultBudget float64) AdmissionPolicy {
-	return scheduler.CostQuota{Budgets: budgets, DefaultBudget: defaultBudget}
-}
 
 // DRF returns the Dominant Resource Fairness policy: each tenant's dominant
 // share is the larger of its cores share and its memory share across active
@@ -169,9 +159,6 @@ var (
 	ErrFaultInjected = faults.ErrInjected
 	// ErrRunCanceled marks a run stopped through its handle's Cancel.
 	ErrRunCanceled = scheduler.ErrCanceled
-	// ErrRunRejected marks a run refused outright by the admission policy
-	// (e.g. its cost estimate can never fit the tenant's budget).
-	ErrRunRejected = scheduler.ErrRejected
 )
 
 // Engine names of the default deployment.
@@ -242,7 +229,9 @@ type Options struct {
 	// TraceEvents().
 	Tracer Tracer
 	// Admission picks the multi-workflow admission policy for Submit/Run
-	// (default FIFO: one workflow at a time, whole cluster leased).
+	// (default FIFO: one workflow at a time, whole cluster leased). A policy
+	// admits, resumes or preempts runs; it never resizes a granted lease
+	// and never refuses a run.
 	Admission AdmissionPolicy
 	// MemOvercommit lets allocations oversubscribe each node's memory up to
 	// MemMB x ratio (cores are never overcommitted). Zero or 1 disables
@@ -362,14 +351,14 @@ func NewPlatform(opts Options) (*Platform, error) {
 }
 
 // estimateRun is the scheduler's estimate hook: a dry planning pass yields
-// the workflow's modeled execution time and cost, feeding deadline/budget
-// policies. Only invoked when the active policy asks for estimates.
-func (p *Platform) estimateRun(g *workflow.Graph) (float64, float64, error) {
+// the workflow's modeled execution time, feeding deadline-aware policies.
+// Only invoked when the active policy asks for estimates.
+func (p *Platform) estimateRun(g *workflow.Graph) (float64, error) {
 	plan, err := p.planner.Plan(g)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	return plan.EstTimeSec, plan.EstCost, nil
+	return plan.EstTimeSec, nil
 }
 
 // newExecutor is the one place an executor is wired. Given a scheduler
@@ -719,8 +708,8 @@ func (p *Platform) SubmitNamed(name string, g *Workflow) *Run {
 }
 
 // SubmitWith is Submit with full scheduling metadata: a label, the tenant
-// whose budget the run is charged to (CostQuota), and an absolute
-// virtual-time deadline (Deadline).
+// whose share the run counts toward (DRF), and an absolute virtual-time
+// deadline (Deadline).
 func (p *Platform) SubmitWith(g *Workflow, opts SubmitOptions) *Run {
 	return p.sched.SubmitWith(g, opts)
 }

@@ -28,7 +28,7 @@ var metricsScenarios = []struct {
 	run  func(t *testing.T) *Platform
 }{
 	{"deadline", deadlineMetricsScenario},
-	{"costquota", costQuotaMetricsScenario},
+	{"faults", faultsMetricsScenario},
 	{"drf", drfMetricsScenario},
 	{"ckptloss", ckptLossMetricsScenario},
 }
@@ -147,8 +147,6 @@ type capLease struct {
 	max int
 }
 
-func (c capLease) NeedsEstimates() bool { return true }
-
 func (c capLease) Decide(st scheduler.State) []scheduler.Action {
 	actions := c.AdmissionPolicy.Decide(st)
 	for i, a := range actions {
@@ -162,16 +160,15 @@ func (c capLease) Decide(st scheduler.State) []scheduler.Action {
 	return actions
 }
 
-// costQuotaMetricsScenario: two tenants under CostQuota on one-node leases
+// faultsMetricsScenario: five runs under FairShare(2) on one-node leases
 // with non-durable checkpoints, transient faults and the circuit breaker; one
-// run rejected for a budget it can never fit, one canceled while queued, and
-// node crashes and their repair.
-func costQuotaMetricsScenario(t *testing.T) *Platform {
+// run canceled while queued, and node crashes and their repair.
+func faultsMetricsScenario(t *testing.T) *Platform {
 	t.Helper()
 	const seed = 42
 	p, err := NewPlatform(Options{
 		Seed:             seed,
-		Admission:        capLease{CostQuota(map[string]float64{"acme": 9_000, "tiny": 1}, 50_000), 1},
+		Admission:        capLease{FairShare(2), 1},
 		Checkpoint:       CheckpointPolicy{Enabled: true, MinIntervalSec: 4},
 		Retry:            RetryPolicy{MaxAttempts: 3, BaseBackoff: 2 * time.Second},
 		BreakerThreshold: 2,
@@ -199,17 +196,10 @@ func costQuotaMetricsScenario(t *testing.T) *Platform {
 	})
 	var runs []*Run
 	for i := range concAlgos {
-		tenant := "acme"
-		if i%2 == 1 {
-			tenant = "other"
-		}
-		runs = append(runs, p.SubmitWith(singleAlgoWorkflow(t, p, concAlgos[i], concRecords[i]),
-			SubmitOptions{Name: fmt.Sprintf("cq-%d", i), Tenant: tenant}))
+		runs = append(runs, p.SubmitNamed(fmt.Sprintf("fault-%d", i), singleAlgoWorkflow(t, p, concAlgos[i], concRecords[i])))
 	}
-	runs = append(runs, p.SubmitWith(singleAlgoWorkflow(t, p, concAlgos[2], concRecords[2]),
-		SubmitOptions{Name: "cq-rejected", Tenant: "tiny"}))
-	canceled := p.SubmitWith(singleAlgoWorkflow(t, p, concAlgos[0], concRecords[0]),
-		SubmitOptions{Name: "cq-canceled", Tenant: "acme"})
+	runs = append(runs, p.SubmitNamed("fault-4", singleAlgoWorkflow(t, p, concAlgos[2], concRecords[2])))
+	canceled := p.SubmitNamed("fault-canceled", singleAlgoWorkflow(t, p, concAlgos[0], concRecords[0]))
 	canceled.Cancel()
 	p.Drain()
 	waitAll(append(runs, canceled))

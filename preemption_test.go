@@ -214,50 +214,3 @@ func TestDeadlineChaosDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
-
-// CostQuota (the remaining shipped policy) is held to the same bar: a
-// fixed-seed multi-tenant batch yields byte-identical per-run traces across
-// two executions.
-func TestCostQuotaTracesDeterministic(t *testing.T) {
-	batch := func() [][]byte {
-		p, err := NewPlatform(Options{
-			Seed: 71,
-			// Budgets sized so each acme run fits alone but the two together
-			// exceed the budget and must serialize; "other" is unconstrained.
-			Admission: CostQuota(map[string]float64{"acme": 9_000}, 50_000),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		registerConcOps(t, p)
-		var runs []*Run
-		for i := 0; i < 4; i++ {
-			tenant := "acme"
-			if i%2 == 1 {
-				tenant = "other"
-			}
-			runs = append(runs, p.SubmitWith(
-				singleAlgoWorkflow(t, p, concAlgos[i], concRecords[i]),
-				SubmitOptions{Name: fmt.Sprintf("cq-%d", i), Tenant: tenant}))
-		}
-		p.Drain()
-		var logs [][]byte
-		for _, r := range runs {
-			if _, _, err := r.Wait(); err != nil {
-				t.Fatalf("%s: %v", r.ID(), err)
-			}
-			var b bytes.Buffer
-			if err := trace.WriteJSONL(&b, p.TraceForRun(r.ID())); err != nil {
-				t.Fatal(err)
-			}
-			logs = append(logs, b.Bytes())
-		}
-		return logs
-	}
-	first, second := batch(), batch()
-	for i := range first {
-		if !bytes.Equal(first[i], second[i]) {
-			t.Fatalf("run %d: CostQuota traces differ between two same-seed executions", i)
-		}
-	}
-}
