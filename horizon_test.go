@@ -1,0 +1,73 @@
+package ires
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"github.com/asap-project/ires/internal/engine"
+)
+
+// TestRunPastTheHorizonFails runs the quickstart operators at 10^11 and
+// 10^14 documents. The first run ends well inside the virtual-time horizon
+// (2^63 ns, about 9.22e9 s) and succeeds; the second's attempt would end
+// past it (about 5.4e10 s), so the run fails with the horizon error instead
+// of reporting a wrapped makespan. (10^13 documents also succeed, at about
+// 5.1e9 s, but simulating that span takes 5e8 monitor polls, about a minute
+// on two cores.)
+func TestRunPastTheHorizonFails(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []struct{ name, engine, fs string }{
+		{"wordcount_java", "Java", "LFS"},
+		{"wordcount_spark", "Spark", "HDFS"},
+	} {
+		desc := fmt.Sprintf("Constraints.Engine=%s\nConstraints.OpSpecification.Algorithm.name=wordcount\n"+
+			"Constraints.Input0.Engine.FS=%s\nConstraints.Output0.Engine.FS=%s\n", op.engine, op.fs, op.fs)
+		if err := p.RegisterOperator(op.name, desc); err != nil {
+			t.Fatal(err)
+		}
+		space := ProfileSpace{
+			Records:        []int64{1_000, 10_000, 100_000, 1_000_000},
+			BytesPerRecord: 1_000,
+			Resources: []engine.Resources{
+				{Nodes: 1, CoresPerN: 2, MemMBPerN: 3456},
+				{Nodes: 16, CoresPerN: 2, MemMBPerN: 3456},
+			},
+		}
+		if _, err := p.ProfileOperator(op.name, space); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(docs int64) (*Plan, *ExecutionResult, error) {
+		wf, err := p.NewWorkflow().
+			DatasetWithMeta("docs", fmt.Sprintf(
+				"Constraints.Engine.FS=HDFS\nExecution.path=hdfs:///docs\nOptimization.documents=%d\nOptimization.size=%d",
+				docs, docs*1_000)).
+			Operator("count", "Constraints.OpSpecification.Algorithm.name=wordcount").
+			Dataset("out").
+			Chain("docs", "count", "out").
+			Target("out").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Run(wf)
+	}
+	plan, res, err := run(1e11)
+	if err != nil {
+		t.Fatalf("10^11 documents: %v", err)
+	}
+	if res.Makespan <= 0 {
+		t.Fatalf("10^11 documents: makespan %v (planned %.3g s)", res.Makespan, plan.EstTimeSec)
+	}
+	plan, res, err = run(1e14)
+	if err == nil {
+		t.Fatalf("10^14 documents: succeeded with makespan %v (planned %.3g s); want the horizon error", res.Makespan, plan.EstTimeSec)
+	}
+	if !strings.Contains(err.Error(), "is not a virtual time") {
+		t.Fatalf("10^14 documents: %v; want the horizon error", err)
+	}
+}

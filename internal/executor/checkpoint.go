@@ -10,6 +10,7 @@ import (
 	"github.com/asap-project/ires/internal/metrics"
 	"github.com/asap-project/ires/internal/planner"
 	"github.com/asap-project/ires/internal/trace"
+	"github.com/asap-project/ires/internal/vtime"
 )
 
 // CheckpointPolicy enables sub-operator checkpointing: iterative operators
@@ -77,17 +78,18 @@ func (e *Executor) ckptKeyOf(s *planner.Step) string {
 // progress from the store, place a write mark every stride units (at least
 // MinIntervalSec apart), and fold restore + write overheads into the run's
 // modeled duration and cost. It returns the zero plan when the attempt is
-// not checkpointable. run.ExecTimeSec must already include noise and
+// not checkpointable, and an error when a mark falls past the virtual-time
+// horizon (vtime.After). run.ExecTimeSec must already include noise and
 // straggler stretch; the caller derives the attempt end from the adjusted
 // value.
-func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string, in engine.Input, res engine.Resources, run *metrics.Run) ckptPlan {
+func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string, in engine.Input, res engine.Resources, run *metrics.Run) (ckptPlan, error) {
 	e := st.e
 	if !e.Checkpoint.Enabled || run.ExecTimeSec <= 0 {
-		return ckptPlan{}
+		return ckptPlan{}, nil
 	}
 	spec, ok := e.Env.CheckpointSpec(engineName, algorithm, in, res)
 	if !ok {
-		return ckptPlan{}
+		return ckptPlan{}, nil
 	}
 	key := e.ckptKeyOf(s)
 	base := e.Cluster.CheckpointProgress(key, algorithm, spec.Units)
@@ -107,8 +109,11 @@ func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string
 	j := 0
 	for u := base + stride; u < spec.Units; u += stride {
 		j++
-		at := e.LaunchOverheadSec + p.restoreSec + float64(u-base)*unitSec + float64(j)*spec.WriteSec
-		p.marks = append(p.marks, ckptMark{at: now + secs(at), units: u})
+		at, err := vtime.After(now, e.LaunchOverheadSec+p.restoreSec+float64(u-base)*unitSec+float64(j)*spec.WriteSec)
+		if err != nil {
+			return ckptPlan{}, err
+		}
+		p.marks = append(p.marks, ckptMark{at: at, units: u})
 	}
 	// The attempt's actual modeled time: restore, the remaining units, and
 	// the checkpoint writes. Cost scales with it so the paper's cost metric
@@ -118,7 +123,7 @@ func (st *planRun) planCheckpoints(s *planner.Step, engineName, algorithm string
 		run.CostUnits *= actual / run.ExecTimeSec
 	}
 	run.ExecTimeSec = actual
-	return p
+	return p, nil
 }
 
 // gangNodes returns the sorted distinct node names hosting a gang — the

@@ -586,7 +586,11 @@ func (st *planRun) startReady() error {
 				InputRecords: r.inRecords, InputBytes: r.inBytes,
 				OutputRecords: r.inRecords, OutputBytes: r.inBytes,
 			}
-			r.copies = append(r.copies, &attemptRun{opName: s.Name, engineName: "move", start: now, end: now + secs(dur), run: run})
+			end, err := vtime.After(now, dur)
+			if err != nil {
+				return fmt.Errorf("executor: step %s: %w", s.Name, err)
+			}
+			r.copies = append(r.copies, &attemptRun{opName: s.Name, engineName: "move", start: now, end: end, run: run})
 			e.emit(trace.Event{
 				Type: trace.EvAttemptStart, Step: s.Name, Engine: "move",
 				Fields: map[string]float64{"predictedSec": dur, "inBytes": float64(r.inBytes)},
@@ -617,7 +621,10 @@ func (st *planRun) startReady() error {
 		r.copies = append(r.copies, c)
 		if e.TimeoutFactor > 0 && e.Speculate != nil {
 			predicted := c.run.ExecTimeSec / c.stretch
-			r.deadline = c.start + secs(e.TimeoutFactor*(predicted+e.LaunchOverheadSec))
+			// A deadline past the horizon is never reached: no deadline.
+			if d, err := vtime.After(c.start, e.TimeoutFactor*(predicted+e.LaunchOverheadSec)); err == nil {
+				r.deadline = d
+			}
 		}
 	}
 	return nil
@@ -702,13 +709,21 @@ func (st *planRun) launch(r *stepRun, ch SpeculativeChoice, speculative bool) (*
 	// marks, fold restore/write overheads into the run's modeled duration
 	// (so predictedSec, cost and speculation deadlines all see the real
 	// span). Zero when checkpointing is off or the run isn't checkpointable.
-	c.ckptPlan = st.planCheckpoints(s, ch.Engine, ch.Algorithm, in, eRes, run)
+	// An attempt that would end past the virtual-time horizon fails its run:
+	// no retry or replan could bring its end back.
+	c.ckptPlan, err = st.planCheckpoints(s, ch.Engine, ch.Algorithm, in, eRes, run)
+	if err == nil {
+		c.end, err = vtime.After(now, run.ExecTimeSec+e.LaunchOverheadSec)
+	}
+	if err != nil {
+		releaseTraced()
+		return c, nil, fmt.Errorf("executor: step %s on %s: %w", s.Name, ch.Engine, err)
+	}
 	c.banked = c.baseUnits
 	c.ctrs = ctrs
 	if len(c.marks) > 0 && !e.Checkpoint.Durable {
 		c.replicas = gangNodes(ctrs)
 	}
-	c.end = now + secs(run.ExecTimeSec+e.LaunchOverheadSec)
 	e.emit(trace.Event{
 		Type: trace.EvAttemptStart, Step: s.Name, Operator: ch.OpName, Engine: ch.Engine,
 		Attempt: attempt, Speculative: speculative,
@@ -1098,8 +1113,4 @@ func intermediates(g *workflow.Graph, datasets map[string]*dataset) []planner.Ma
 		})
 	}
 	return out
-}
-
-func secs(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }

@@ -42,11 +42,12 @@ func NewDataset(name string, meta *metadata.Tree) *Dataset {
 // IsMaterialized reports whether the dataset refers to existing data
 // (carries an Execution.path).
 func (d *Dataset) IsMaterialized() bool {
-	if d == nil || d.Meta == nil {
+	if d == nil {
 		return false
 	}
-	v, ok := d.Meta.Get(PathExecutionPath)
-	return ok && v != ""
+	// Get(PathExecutionPath) by its two labels, without splitting the path:
+	// the planner asks this of every dataset of every build.
+	return d.Meta.Child("Execution").Child("path").Value() != ""
 }
 
 // SizeBytes returns the Optimization.size field (bytes), or 0 when unknown.

@@ -26,7 +26,8 @@ package planner
 // up to in check.
 //
 // Wholesale flush (flushLocked) remains for infrastructure changes (a
-// Config.Epoch movement) and for the cache-size bound.
+// Config.Epoch movement) and for the cache-size bound. A flush, and a
+// retrain that evicts anything, also drops every build record (record.go).
 
 // estimated reports whether the node estimated one of the operators.
 func (r *nodeResult) estimated(ops map[string]struct{}) bool {
@@ -107,11 +108,15 @@ func (p *Planner) ensureCacheValidLocked() {
 	case epoch != c.validity.epoch || len(c.nodes) > maxCachedNodes:
 		p.flushLocked()
 	case len(estOps) > 0:
+		evicted := c.evicted
 		for key, res := range c.nodes {
 			if res.estimated(estOps) {
 				delete(c.nodes, key)
 				c.evicted++
 			}
+		}
+		if c.evicted != evicted {
+			c.dropRecords()
 		}
 		c.partials += uint64(len(estOps))
 	}

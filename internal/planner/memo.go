@@ -305,6 +305,11 @@ type planCache struct {
 	// matchSets caches the match set of each abstract operator description
 	// (matchSetLocked).
 	matchSets map[string]*matchSet
+	// records holds the build record of each graph and table kind
+	// (record.go). It dies with every flush and every eviction; spare keeps
+	// the buffers of the records an eviction killed, until the next flush.
+	records map[recordKey]*buildRecord
+	spare   []*buildRecord
 
 	hits, misses uint64 // cumulative node-level lookups
 	rowsAlloc    uint64 // tagEntry rows created since construction
@@ -372,6 +377,8 @@ func (p *Planner) flushLocked() {
 	p.cache.leaves = make(map[sig]*tagEntry)
 	p.cache.moved = make(map[movedKey]*metadata.Tree)
 	p.cache.matchSets = make(map[string]*matchSet)
+	p.cache.records = make(map[recordKey]*buildRecord)
+	p.cache.spare = nil
 	p.cache.epoch++
 }
 

@@ -43,14 +43,13 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: map[string]float64{
 		"nodes": float64(g.Len()), "pareto": 1,
 	}})
-	dp, stats := p.buildTable(order, nil, true)
-	defer clear(dp)
+	row, stats := p.targetRowLocked(g, order, nil, true)
 	p.recordBuildLocked(stats)
 
 	// The target row holds one front per tag; the answer is the front of
 	// their union.
 	targetNode, _ := g.Node(g.Target)
-	front, _ := p.pruneFront(dp[targetNode.Pos()])
+	front, _ := p.pruneFront(row)
 	if len(front) == 0 {
 		return nil, fmt.Errorf("%w: target %s unreachable", ErrNoPlan, g.Target)
 	}

@@ -147,6 +147,10 @@ type Planner struct {
 	order           []int
 	kept            []bool
 	xs              extractScratch
+	// leaves is the leaf pass's list (leavesLocked) and stats the running
+	// build's statistics (buildTable).
+	leaves []leafRef
+	stats  dpStats
 
 	// pendMu guards pend, the operators retrained since the last build. It
 	// is a leaf mutex: profiler retrains enqueue without contending with a
@@ -431,12 +435,11 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 			return nil, err
 		}
 	}
-	dp, stats := p.buildTable(order, seed, false)
-	defer clear(dp)
+	row, stats := p.targetRowLocked(g, order, seed, false)
 	p.recordBuildLocked(stats)
 	targetNode, _ := g.Node(g.Target)
 	var best *tagEntry
-	for _, e := range dp[targetNode.Pos()] {
+	for _, e := range row {
 		if best == nil || e.cost < best.cost {
 			best = e
 		}
@@ -456,27 +459,21 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 }
 
 // buildTable fills the dpTable — scalar, or Pareto fronts — over the graph's
-// validated topological order. seed pre-populates dataset entries (used by
-// replanning to inject already-materialized intermediates). Must be called
-// with p.mu held: it reads and populates the memo cache, and the table it
-// returns is the planner's one scratch table, valid until the next build. A
-// hit installs the read-only rows its node result cached (memo.go).
-func (p *Planner) buildTable(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) (table, *dpStats) {
-	stats := &dpStats{}
+// validated topological order, from the leaves of the build's leaf pass
+// (leavesLocked). Must be called with p.mu held: it reads and populates the
+// memo cache, and the table and statistics it returns are the planner's
+// scratch, valid until the next build. A hit installs the read-only rows its
+// node result cached (memo.go).
+func (p *Planner) buildTable(order []*workflow.Node, leaves []leafRef, pareto bool) (table, *dpStats) {
+	stats := &p.stats
+	*stats = dpStats{}
 	dp := slices.Grow(p.dp[:0], len(order))[:len(order)]
 	p.dp = dp
 	clear(dp)
 
 	// Initialise dpTable with materialized datasets (line 5-10 of Alg. 1).
-	for _, d := range order {
-		if d.Kind != workflow.DatasetNode {
-			continue
-		}
-		if se, ok := seed[d.Name]; ok {
-			dp[d.Pos()] = p.insert(nil, se, pareto, stats)
-		} else if d.Dataset.IsMaterialized() {
-			dp[d.Pos()] = p.insert(nil, p.leafLocked(d.Dataset.Constraints(), d.Dataset.Records(), d.Dataset.SizeBytes(), pareto), pareto, stats)
-		}
+	for _, l := range leaves {
+		dp[l.pos] = p.insert(nil, l.e, pareto, stats)
 	}
 
 	// Every operator the DP may estimate is brought up to date in one batch

@@ -27,7 +27,7 @@ func tableRows(t *testing.T, p *Planner, g *workflow.Graph, done []MaterializedI
 			t.Fatal(err)
 		}
 	}
-	dp, stats := p.buildTable(order, seed, pareto)
+	dp, stats := p.buildTable(order, p.leavesLocked(order, seed, pareto), pareto)
 	defer clear(dp)
 	p.recordBuildLocked(stats)
 	rows := make([][]*tagEntry, len(dp))

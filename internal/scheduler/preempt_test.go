@@ -597,3 +597,46 @@ func TestLeaseStaysAtGrant(t *testing.T) {
 		t.Fatalf("long run trace %s, want %s", got, want)
 	}
 }
+
+// TestRestoreAdmitsOnIdleCluster: both nodes crash at 0 s and are restored
+// by events scheduled at 10 s, and a run submitted at 1 s finds no node to
+// lease. No run holds the clock then, so the scheduler must hold it until the
+// restores fire, and admit the run at 10 s.
+func TestRestoreAdmitsOnIdleCluster(t *testing.T) {
+	rig := newSusRig(t, 2, FIFO{}, nil, nil)
+	for _, node := range []string{"node0", "node1"} {
+		if err := rig.clu.FailNode(node, 0); err != nil {
+			t.Fatal(err)
+		}
+		node := node
+		rig.clock.Schedule(10*time.Second, func(time.Duration) {
+			if err := rig.clu.RestoreNode(node); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	rig.clock.Advance(time.Second)
+	r := rig.sched.Submit(graph("late"))
+	drained := make(chan struct{})
+	go func() {
+		rig.sched.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("Drain did not return: run %s, clock at %v with %d events pending", r.Status().Status, rig.clock.Now(), rig.clock.Pending())
+	}
+	if st := r.Status(); st.Status != "succeeded" || st.StartedSec != 10 || st.FinishedSec != 50 || st.LeasedNodes != 2 {
+		t.Fatalf("run = %+v, want succeeded on both nodes, admitted at 10 s and done at 50 s", st)
+	}
+	if n := rig.clock.Parties(); n != 0 {
+		t.Fatalf("%d parties left on the clock", n)
+	}
+	if err := rig.sched.CheckIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.clu.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -364,6 +364,9 @@ type Scheduler struct {
 	suspended map[string]*Run
 	records   []*runRecord          // submission order
 	recIdx    map[string]*runRecord // id -> record
+	// holding is set while a party holds the clock for runs that wait on a
+	// cluster that can lease them nothing (holdClockLocked).
+	holding bool
 }
 
 // New builds a scheduler; Clock, Cluster, Plan and NewExecutor are required.
@@ -844,6 +847,9 @@ func (s *Scheduler) scheduleOnce() bool {
 			}
 		}
 		grant(pick, s.cluster.UnreservedHealthy())
+		if !progress && pick != nil {
+			s.holdClockLocked()
+		}
 	}
 	s.mu.Unlock()
 
@@ -851,6 +857,35 @@ func (s *Scheduler) scheduleOnce() bool {
 		go s.runParty(r)
 	}
 	return progress
+}
+
+// holdClockLocked keeps the clock moving when runs wait, none is active and
+// the safety net found no healthy node to lease: every node is down, and no
+// party is left to move the clock to the event that would restore one. A
+// party then waits for the next event Schedule registered — a node restore,
+// an outage's end, a submission — and schedules once the events due by then
+// have fired; if nothing can be granted still, it hands over to the next
+// such party before it leaves. With only periodic events left there is
+// nothing to wait for, and the runs stay queued. s.mu held.
+func (s *Scheduler) holdClockLocked() {
+	if s.holding {
+		return
+	}
+	at, ok := s.clock.NextOnceAt()
+	if !ok {
+		return
+	}
+	s.holding = true
+	party := s.clock.Join()
+	go func() {
+		party.Await()
+		party.WaitUntil(at)
+		s.mu.Lock()
+		s.holding = false
+		s.mu.Unlock()
+		s.schedule()
+		party.Leave()
+	}()
 }
 
 // finishLocked is the one terminal transition, whatever the run was doing —

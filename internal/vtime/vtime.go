@@ -201,6 +201,21 @@ func Seconds(sec float64) (time.Duration, error) {
 	return time.Duration(ns), nil
 }
 
+// After returns the virtual time sec seconds after t: Seconds(sec) added to
+// t, with the sum held to the same 2^63 ns horizon, where an unchecked add
+// would wrap to a negative time.
+func After(t time.Duration, sec float64) (time.Duration, error) {
+	d, err := Seconds(sec)
+	if err != nil {
+		return 0, err
+	}
+	if d > math.MaxInt64-t {
+		return 0, fmt.Errorf("%v s after %v is past the virtual-time horizon of %.0f s",
+			sec, t, float64(math.MaxInt64)/float64(time.Second))
+	}
+	return t + d, nil
+}
+
 // Now returns the current virtual time as an offset from the simulation
 // start.
 func (c *Clock) Now() time.Duration {
@@ -301,6 +316,26 @@ func (c *Clock) NextEventAt() (time.Duration, bool) {
 		at = c.now
 	}
 	return at, true
+}
+
+// NextOnceAt is NextEventAt over the events Schedule registered, leaving
+// out the periodic ones Every re-arms forever. A party with nothing to do
+// until something outside it changes waits for it: when it reports false,
+// only periodic events are left to fire.
+func (c *Clock) NextOnceAt() (time.Duration, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var at time.Duration
+	found := false
+	for _, ev := range c.events {
+		if ev.every == 0 && (!found || ev.at < at) {
+			at, found = ev.at, true
+		}
+	}
+	if at < c.now {
+		at = c.now
+	}
+	return at, found
 }
 
 type event struct {

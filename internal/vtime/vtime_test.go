@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -134,5 +135,55 @@ func TestNextEventAt(t *testing.T) {
 	at, ok = c.NextEventAt()
 	if !ok || at != 30*time.Second {
 		t.Fatalf("NextEventAt after advance = %v,%v, want 30s,true", at, ok)
+	}
+}
+
+// TestNextOnceAtSkipsPeriodicEvents: NextOnceAt reports the earliest event
+// Schedule registered, never one Every re-arms, and false once only
+// periodic events are left.
+func TestNextOnceAtSkipsPeriodicEvents(t *testing.T) {
+	c := NewClock()
+	c.Every(time.Second, func(time.Duration) {})
+	if at, ok := c.NextOnceAt(); ok {
+		t.Fatalf("NextOnceAt = %v with only a periodic event", at)
+	}
+	c.Schedule(5*time.Second, func(time.Duration) {})
+	c.Schedule(3*time.Second, func(time.Duration) {})
+	if at, ok := c.NextOnceAt(); !ok || at != 3*time.Second {
+		t.Fatalf("NextOnceAt = %v, %v; want 3s", at, ok)
+	}
+	if at, ok := c.NextEventAt(); !ok || at != time.Second {
+		t.Fatalf("NextEventAt = %v, %v; want the periodic event at 1s", at, ok)
+	}
+	c.Advance(4 * time.Second)
+	if at, ok := c.NextOnceAt(); !ok || at != 5*time.Second {
+		t.Fatalf("NextOnceAt = %v, %v after 4s; want 5s", at, ok)
+	}
+	c.Advance(time.Second)
+	if at, ok := c.NextOnceAt(); ok {
+		t.Fatalf("NextOnceAt = %v after every one-shot event fired", at)
+	}
+}
+
+// TestAfterHoldsTheHorizon: After adds what Seconds accepts, refuses what
+// it refuses, and refuses a sum at or past 2^63 ns, which an unchecked add
+// would wrap to a negative time.
+func TestAfterHoldsTheHorizon(t *testing.T) {
+	if got, err := After(2*time.Second, 1.5); err != nil || got != 3500*time.Millisecond {
+		t.Fatalf("After(2s, 1.5) = %v, %v", got, err)
+	}
+	limit := time.Duration(math.MaxInt64)
+	if got, err := After(limit-time.Second, 1); err != nil || got != limit {
+		t.Fatalf("After(horizon-1s, 1) = %v, %v; want the last representable time", got, err)
+	}
+	for _, c := range []struct {
+		t   time.Duration
+		sec float64
+	}{
+		{limit - time.Second, 1.5}, {time.Second, 9.3e9}, {0, -1}, {0, math.NaN()}, {0, math.Inf(1)},
+	} {
+		if got, err := After(c.t, c.sec); err == nil {
+			t.Errorf("After(%v, %v) = %v; want an error", c.t, c.sec, got)
+		}
 	}
 }

@@ -72,9 +72,22 @@ func (n *Node) Pos() int { return n.pos }
 // its methods (see Node).
 type Graph struct {
 	id     uint64
+	ver    uint64  // structure version (Version)
 	nodes  []*Node // insertion order, for deterministic iteration
 	byName map[string]*Node
 	Target string
+
+	// checked is what ValidatedOrder derived at one structure version.
+	// Concurrent plans of one graph share it, so it is swapped whole.
+	checked atomic.Pointer[checkedOrder]
+}
+
+// checkedOrder is a structurally valid graph's topological order and its
+// source datasets, at structure version ver.
+type checkedOrder struct {
+	ver     uint64
+	order   []*Node
+	sources []*Node
 }
 
 // graphIDs issues graph identities (Graph.ID).
@@ -90,6 +103,11 @@ func NewGraph() *Graph {
 // name is fixed for its graph's lifetime, so (ID, node position) names one
 // node of one graph for good — without holding the graph.
 func (g *Graph) ID() uint64 { return g.id }
+
+// Version returns the graph's structure version. Every node, edge and target
+// its methods add or set moves it; dataset descriptions, which stay mutable,
+// do not.
+func (g *Graph) Version() uint64 { return g.ver }
 
 // AddDataset adds a dataset node. A nil dataset gets an empty description.
 func (g *Graph) AddDataset(name string, d *operator.Dataset) (*Node, error) {
@@ -117,6 +135,7 @@ func (g *Graph) addNode(n *Node) (*Node, error) {
 	g.byName[n.Name] = n
 	n.pos = len(g.nodes)
 	g.nodes = append(g.nodes, n)
+	g.ver++
 	return n, nil
 }
 
@@ -136,6 +155,7 @@ func (g *Graph) Connect(from, to string) error {
 	}
 	f.Outputs = append(f.Outputs, t)
 	t.Inputs = append(t.Inputs, f)
+	g.ver++
 	return nil
 }
 
@@ -149,6 +169,7 @@ func (g *Graph) SetTarget(name string) error {
 		return fmt.Errorf("workflow: target %q is not a dataset", name)
 	}
 	g.Target = name
+	g.ver++
 	return nil
 }
 
@@ -239,7 +260,11 @@ func (g *Graph) Validate() error {
 }
 
 // ValidatedOrder is Validate for callers that go on to walk the graph: it
-// returns the topological order the acyclicity check computed.
+// returns the topological order the acyclicity check computed. The order and
+// the structural checks are kept per structure version (Version), so a graph
+// planned again is not sorted again; the target and the materialization of
+// every source dataset are checked on every call. The order is shared by
+// every call at one version and read-only.
 func (g *Graph) ValidatedOrder() ([]*Node, error) {
 	if g.Target == "" {
 		return nil, fmt.Errorf("workflow: no target dataset designated")
@@ -247,10 +272,31 @@ func (g *Graph) ValidatedOrder() ([]*Node, error) {
 	if _, ok := g.byName[g.Target]; !ok {
 		return nil, fmt.Errorf("workflow: target %q not in graph", g.Target)
 	}
+	c := g.checked.Load()
+	if c == nil || c.ver != g.ver {
+		var err error
+		if c, err = g.check(); err != nil {
+			return nil, err
+		}
+		g.checked.Store(c)
+		return c.order, nil
+	}
+	for _, n := range c.sources {
+		if !n.Dataset.IsMaterialized() {
+			return nil, unmaterialized(n)
+		}
+	}
+	return c.order, nil
+}
+
+// check runs every check of ValidatedOrder but the target's, reporting the
+// first failing node in insertion order.
+func (g *Graph) check() (*checkedOrder, error) {
 	order, err := g.Topological()
 	if err != nil {
 		return nil, err
 	}
+	c := &checkedOrder{ver: g.ver, order: order}
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case OperatorNode:
@@ -261,15 +307,22 @@ func (g *Graph) ValidatedOrder() ([]*Node, error) {
 				return nil, fmt.Errorf("workflow: operator %s has no outputs", n.Name)
 			}
 		case DatasetNode:
-			if len(n.Inputs) == 0 && !n.Dataset.IsMaterialized() {
-				return nil, fmt.Errorf("workflow: source dataset %s is not materialized (missing %s)", n.Name, operator.PathExecutionPath)
+			if len(n.Inputs) == 0 {
+				if !n.Dataset.IsMaterialized() {
+					return nil, unmaterialized(n)
+				}
+				c.sources = append(c.sources, n)
 			}
 			if len(n.Inputs) > 1 {
 				return nil, fmt.Errorf("workflow: dataset %s has %d producers; at most one allowed", n.Name, len(n.Inputs))
 			}
 		}
 	}
-	return order, nil
+	return c, nil
+}
+
+func unmaterialized(n *Node) error {
+	return fmt.Errorf("workflow: source dataset %s is not materialized (missing %s)", n.Name, operator.PathExecutionPath)
 }
 
 // DOT renders the workflow in Graphviz format (datasets as ellipses,
