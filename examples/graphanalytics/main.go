@@ -1,8 +1,6 @@
-// Graph analytics (the Fig 11 scenario): compute subscriber influence
-// scores over a synthetic telecom call graph by running PageRank. IReS
-// picks Java, Hama or Spark depending on graph size; the example also runs
-// the real PageRank algorithm on real (synthetic) data to produce actual
-// influence scores.
+// Graph analytics (the Fig 11 scenario): PageRank computes subscriber
+// influence scores over a telecom call graph, and IReS picks Java, Hama or
+// Spark to run it depending on graph size.
 package main
 
 import (
@@ -65,9 +63,4 @@ Optimization.param.iterations=10
 		step, _ := plan.StepFor("pagerank")
 		fmt.Printf("%12d edges -> %-6s simulated %v\n", edges, step.Engine, res.Makespan)
 	}
-
-	// And compute real influence scores on a small real graph.
-	graph := ires.GenerateCallGraph(50_000, 7)
-	rank := ires.PageRank(graph, 10, 0.85)
-	fmt.Println("top influencers (vertex ids):", ires.TopRanked(rank, 5))
 }

@@ -2,7 +2,7 @@
 // followed by k-means, with scikit and Spark implementations for both
 // steps. In the mid-size range IReS picks a hybrid plan — tf-idf on
 // centralized scikit, k-means on Spark — inserting the move operator
-// between engines. The example then clusters a real synthetic corpus.
+// between engines.
 package main
 
 import (
@@ -52,20 +52,6 @@ func main() {
 		fmt.Printf("%8d docs: tfidf@%-7s kmeans@%-7s (%s) simulated %v\n",
 			docs, tf.Engine, km.Engine, kind, res.Makespan)
 	}
-
-	// Real pipeline on a small corpus: tf-idf -> dense vectors -> k-means.
-	corpus := ires.GenerateCorpus(400, 60, 11)
-	dense := ires.VectorizeTFIDF(ires.TFIDF(corpus), 32)
-	clusters, err := ires.KMeans(dense, 4, 30, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sizes := map[int]int{}
-	for _, c := range clusters.Assignments {
-		sizes[c]++
-	}
-	fmt.Printf("clustered %d real documents into %d clusters (sizes %v) in %d iterations\n",
-		len(corpus), len(clusters.Centroids), sizes, clusters.Iterations)
 }
 
 func register(p *ires.Platform, name, eng, alg, fs, typ string) {

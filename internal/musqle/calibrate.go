@@ -15,13 +15,15 @@ import (
 type Calibrator struct {
 	mu      sync.Mutex
 	samples map[string][][2]float64 // engine -> (estimated, actual)
-	// MinSamples before a correction is applied (default 3).
-	MinSamples int
 }
+
+// minSamples is how many observations an engine needs before a correction
+// is applied or its trust is judged.
+const minSamples = 3
 
 // NewCalibrator returns an empty calibrator.
 func NewCalibrator() *Calibrator {
-	return &Calibrator{samples: make(map[string][][2]float64), MinSamples: 3}
+	return &Calibrator{samples: make(map[string][][2]float64)}
 }
 
 // Record stores one estimated-vs-actual observation for an engine.
@@ -47,9 +49,8 @@ func (c *Calibrator) SampleCount(engine string) int {
 func (c *Calibrator) Adjust(engine string, estimated float64) float64 {
 	c.mu.Lock()
 	pts := c.samples[engine]
-	minN := c.MinSamples
 	c.mu.Unlock()
-	if len(pts) < minN {
+	if len(pts) < minSamples {
 		return estimated
 	}
 	slope, intercept := fitLine(pts)
@@ -95,9 +96,8 @@ func (c *Calibrator) Correlation(engine string) float64 {
 func (c *Calibrator) Trusted(engine string, minCorrelation float64) bool {
 	c.mu.Lock()
 	n := len(c.samples[engine])
-	minN := c.MinSamples
 	c.mu.Unlock()
-	if n < minN {
+	if n < minSamples {
 		return true
 	}
 	return c.Correlation(engine) >= minCorrelation

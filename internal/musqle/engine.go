@@ -185,13 +185,12 @@ func (r *Registry) Names() []string {
 // SyntheticEngine is a tunable engine used by the optimization-time
 // benchmarks (MuSQLE Fig 5 simulates 2-6 engine APIs).
 type SyntheticEngine struct {
-	ID        string
-	ScanRate  float64 // rows/sec
-	JoinRate  float64 // rows/sec
-	Fixed     float64 // per-operation overhead sec
-	LoadRate  float64 // bytes/sec
-	StartSec  float64
-	MaxJoinIn float64 // 0 = unlimited
+	ID       string
+	ScanRate float64 // rows/sec
+	JoinRate float64 // rows/sec
+	Fixed    float64 // per-operation overhead sec
+	LoadRate float64 // bytes/sec
+	StartSec float64
 }
 
 // Name implements Engine.
@@ -204,9 +203,6 @@ func (e SyntheticEngine) ScanSec(rows, bytes float64) float64 {
 
 // JoinSec implements Engine.
 func (e SyntheticEngine) JoinSec(l, r, out float64) (float64, bool) {
-	if e.MaxJoinIn > 0 && l+r > e.MaxJoinIn {
-		return 0, false
-	}
 	return e.Fixed + (l+r+out)/e.JoinRate, true
 }
 

@@ -152,7 +152,7 @@ func (d DRF) Decide(st State) []Action {
 	var victim RunState
 	haveVictim := false
 	st.EachActive(func(r RunState) bool {
-		if r.Tenant != maxTenant || r.Preempting || r.Preemptions >= 1 {
+		if r.Tenant != maxTenant || r.Preempting || r.Preemptions >= maxPreemptions {
 			return true
 		}
 		if !haveVictim || r.SubmittedSec > victim.SubmittedSec ||

@@ -308,6 +308,10 @@ func remainingSec(r RunState) float64 {
 	return rem
 }
 
+// maxPreemptions is how many times Deadline and DRF may suspend one run;
+// past it the run keeps its lease to completion.
+const maxPreemptions = 1
+
 // canYield is the estimate gate on preemption: a victim with a deadline may
 // be suspended for waiter only if it would still meet that deadline after
 // resuming behind it — now + remaining(waiter) + remaining(victim) within the
@@ -323,13 +327,10 @@ func (st State) canYield(waiter, victim RunState) bool {
 // the whole free pool; when the cluster is full and an earlier-deadline run
 // waits behind a later-deadline one, the victim is preempted — but only if
 // the estimates say it still meets its own deadline after yielding (runs
-// without deadlines are always preemptible). An admitted run keeps the lease
-// it was granted, even when nodes free up and no one waits.
-type Deadline struct {
-	// MaxPreemptions bounds how many times one run may be suspended
-	// (default 1); past it the run keeps its lease to completion.
-	MaxPreemptions int
-}
+// without deadlines are always preemptible) and it has been suspended fewer
+// than maxPreemptions times. An admitted run keeps the lease it was granted,
+// even when nodes free up and no one waits.
+type Deadline struct{}
 
 // Name implements Policy.
 func (Deadline) Name() string { return "deadline" }
@@ -338,17 +339,10 @@ func (Deadline) Name() string { return "deadline" }
 // remaining-time estimates.
 func (Deadline) NeedsEstimates() bool { return true }
 
-func (d Deadline) maxPreemptions() int {
-	if d.MaxPreemptions < 1 {
-		return 1
-	}
-	return d.MaxPreemptions
-}
-
 // Decide implements Policy. The waiting head comes from the deadline heap in
 // O(1); the preemption branch scans only the active set (bounded by the
 // cluster's node count), so a decision round is independent of queue depth.
-func (d Deadline) Decide(st State) []Action {
+func (Deadline) Decide(st State) []Action {
 	head, ok := st.EDFHead()
 	if !ok {
 		return nil
@@ -365,7 +359,7 @@ func (d Deadline) Decide(st State) []Action {
 	var victim RunState
 	found := false
 	st.EachActive(func(a RunState) bool {
-		if a.Preempting || a.Preemptions >= d.maxPreemptions() {
+		if a.Preempting || a.Preemptions >= maxPreemptions {
 			return true
 		}
 		if !found || edfLess(victim, a) {

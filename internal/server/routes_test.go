@@ -73,6 +73,23 @@ func TestExecuteUnplannableIs400(t *testing.T) {
 	}
 }
 
+// A workflow over 10^14 documents plans, but its attempt would end past the
+// virtual-time horizon: the request's own dataset sizes caused the failure,
+// so execute answers 400 naming the horizon, not 500.
+func TestExecutePastTheHorizonIs400(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	setupWordcount(t, ts)
+	resp, body := do(t, "POST", ts.URL+"/api/datasets/logs",
+		"Constraints.Engine.FS=HDFS\nExecution.path=hdfs:///logs\nOptimization.documents=100000000000000\nOptimization.size=100000000000000000")
+	expectCode(t, resp, body, http.StatusCreated)
+	resp, body = do(t, "POST", ts.URL+"/api/workflows/wc/execute", "")
+	expectCode(t, resp, body, http.StatusBadRequest)
+	expectAPIError(t, resp, body)
+	if !strings.Contains(body, "virtual-time horizon") {
+		t.Fatalf("execute past the horizon: %s; want the horizon named", body)
+	}
+}
+
 // Empty listings are JSON arrays, never null.
 func TestEmptyListsAreArrays(t *testing.T) {
 	_, ts, p := newTestServer(t)

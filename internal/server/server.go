@@ -413,8 +413,10 @@ func (s *Server) executeWorkflow(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.traces[name] = events
 	s.mu.Unlock()
-	if errors.Is(err, planner.ErrNoPlan) {
-		// Unplannable, as materialize would have answered.
+	if errors.Is(err, planner.ErrNoPlan) || errors.Is(err, vtime.ErrHorizon) {
+		// Unplannable, as materialize would have answered, or an attempt
+		// past the virtual-time horizon: the request's own workflow and
+		// dataset sizes caused either.
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -14,6 +14,7 @@ package vtime
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -201,17 +202,24 @@ func Seconds(sec float64) (time.Duration, error) {
 	return time.Duration(ns), nil
 }
 
+// ErrHorizon is wrapped by the errors of After whose time lies at or past
+// the 2^63 ns horizon, as opposed to an offset that is NaN or negative.
+var ErrHorizon = errors.New("past the virtual-time horizon")
+
 // After returns the virtual time sec seconds after t: Seconds(sec) added to
 // t, with the sum held to the same 2^63 ns horizon, where an unchecked add
 // would wrap to a negative time.
 func After(t time.Duration, sec float64) (time.Duration, error) {
 	d, err := Seconds(sec)
 	if err != nil {
+		if sec > 0 { // +Inf, or past the horizon on its own
+			err = fmt.Errorf("%w: %w", ErrHorizon, err)
+		}
 		return 0, err
 	}
 	if d > math.MaxInt64-t {
-		return 0, fmt.Errorf("%v s after %v is past the virtual-time horizon of %.0f s",
-			sec, t, float64(math.MaxInt64)/float64(time.Second))
+		return 0, fmt.Errorf("%v s after %v is %w of %.0f s",
+			sec, t, ErrHorizon, float64(math.MaxInt64)/float64(time.Second))
 	}
 	return t + d, nil
 }

@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -167,7 +168,8 @@ func TestNextOnceAtSkipsPeriodicEvents(t *testing.T) {
 
 // TestAfterHoldsTheHorizon: After adds what Seconds accepts, refuses what
 // it refuses, and refuses a sum at or past 2^63 ns, which an unchecked add
-// would wrap to a negative time.
+// would wrap to a negative time. Only a time past the horizon wraps
+// ErrHorizon; a NaN or negative offset does not.
 func TestAfterHoldsTheHorizon(t *testing.T) {
 	if got, err := After(2*time.Second, 1.5); err != nil || got != 3500*time.Millisecond {
 		t.Fatalf("After(2s, 1.5) = %v, %v", got, err)
@@ -177,13 +179,18 @@ func TestAfterHoldsTheHorizon(t *testing.T) {
 		t.Fatalf("After(horizon-1s, 1) = %v, %v; want the last representable time", got, err)
 	}
 	for _, c := range []struct {
-		t   time.Duration
-		sec float64
+		t       time.Duration
+		sec     float64
+		horizon bool
 	}{
-		{limit - time.Second, 1.5}, {time.Second, 9.3e9}, {0, -1}, {0, math.NaN()}, {0, math.Inf(1)},
+		{limit - time.Second, 1.5, true}, {time.Second, 9.3e9, true}, {0, math.Inf(1), true},
+		{0, -1, false}, {0, math.NaN(), false},
 	} {
-		if got, err := After(c.t, c.sec); err == nil {
+		got, err := After(c.t, c.sec)
+		if err == nil {
 			t.Errorf("After(%v, %v) = %v; want an error", c.t, c.sec, got)
+		} else if errors.Is(err, ErrHorizon) != c.horizon {
+			t.Errorf("After(%v, %v): %v; wraps ErrHorizon %v, want %v", c.t, c.sec, err, !c.horizon, c.horizon)
 		}
 	}
 }

@@ -57,32 +57,6 @@ func TestProfileUnknownOperator(t *testing.T) {
 	}
 }
 
-// TestAlgorithmWrappers exercises the public reference-algorithm surface.
-func TestAlgorithmWrappers(t *testing.T) {
-	graph := GenerateCallGraph(5_000, 3)
-	rank := PageRank(graph, 10, 0.85)
-	if len(rank) == 0 {
-		t.Fatal("empty rank")
-	}
-	top := TopRanked(rank, 3)
-	if len(top) != 3 {
-		t.Fatal("TopRanked wrong")
-	}
-	corpus := GenerateCorpus(50, 30, 3)
-	if CorpusSizeBytes(corpus) <= 0 {
-		t.Fatal("corpus size")
-	}
-	vecs := TFIDF(corpus)
-	dense := VectorizeTFIDF(vecs, 8)
-	km, err := KMeans(dense, 3, 10, 3)
-	if err != nil || len(km.Centroids) != 3 {
-		t.Fatalf("KMeans: %v", err)
-	}
-	if len(WordCount(corpus)) == 0 {
-		t.Fatal("WordCount empty")
-	}
-}
-
 // TestUserFunctionCostModels verifies the paper's description-file cost
 // constants (Optimization.execTime / Optimization.cost with UserFunction
 // models, D3.3 §3.3) make unprofiled operators plannable.
