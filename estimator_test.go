@@ -1,8 +1,6 @@
 package ires
 
 import (
-	"math"
-	"strings"
 	"testing"
 
 	"github.com/asap-project/ires/internal/engine"
@@ -25,11 +23,9 @@ func estimatorFeats(records float64) map[string]float64 {
 	return map[string]float64{"records": records, "bytes": records * 100, "nodes": 16, "cores": 2, "memoryMB": 3456}
 }
 
-// libraryEstimator's three branches: an unprofiled operator answers with its
+// libraryEstimator's two branches: an unprofiled operator answers with its
 // declared constants; a profiled one answers from its models alone, so beyond
-// its feasibility wall the constants do not override the verdict; and a
-// profiled operator without an output-size model reports no size, so the
-// planner keeps the input's.
+// its feasibility wall the constants do not override the verdict.
 func TestLibraryEstimatorBranches(t *testing.T) {
 	p, err := NewPlatform(Options{Seed: 25})
 	if err != nil {
@@ -70,48 +66,6 @@ func TestLibraryEstimatorBranches(t *testing.T) {
 	}
 	if got := est.Estimates("lc_profiled", estimatorFeats(200_000)); got.ExecTimeOK || got.CostOK {
 		t.Fatalf("profiled beyond its feasibility wall: %+v, want no verdict despite the declared constants", got)
-	}
-}
-
-// A profiled operator without output-size models reports no size, so its plan
-// step keeps the input's.
-func TestLibraryEstimatorKeepsInputSizeWithoutSizeModels(t *testing.T) {
-	p, err := NewPlatform(Options{Seed: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lineCountOp(t, p, "lc_time_model", "")
-	if err := p.Profiler.Import(strings.NewReader(`{"version": 2, "operators": [{
-		"operator": "lc_time_model", "algorithm": "LineCount", "engine": "Spark",
-		"features": ["records", "bytes", "nodes", "cores", "memoryMB"],
-		"samples": [[1000, 1e5, 16, 2, 3456], [2000, 2e5, 16, 2, 3456], [4000, 4e5, 16, 2, 3456]],
-		"targets": {"execTime": [1, 2, 4]},
-		"chosen": {"execTime": "LinearRegression"}}]}`)); err != nil {
-		t.Fatal(err)
-	}
-	est := libraryEstimator{prof: p.Profiler, lib: p.Library}
-	got := est.Estimates("lc_time_model", estimatorFeats(3_000))
-	if !got.ExecTimeOK || math.Abs(got.ExecTime-3) > 1e-9 || got.OutRecords != 0 || got.OutBytes != 0 {
-		t.Fatalf("profiled without output-size models: %+v, want time 3 and no sizes", got)
-	}
-	wf, err := p.NewWorkflow().
-		DatasetWithMeta("log", "Execution.path=/log\nOptimization.documents=3000\nOptimization.size=300000").
-		Operator("count", "Constraints.OpSpecification.Algorithm.name=LineCount").
-		Dataset("out").
-		Chain("log", "count", "out").
-		Target("out").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := p.Plan(wf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := plan.StepFor("count")
-	if s.InRecords != 3000 || s.OutRecords != s.InRecords || s.OutBytes != s.InBytes {
-		t.Fatalf("step sizes in %d/%d out %d/%d, want the output to keep the input's",
-			s.InRecords, s.InBytes, s.OutRecords, s.OutBytes)
 	}
 }
 

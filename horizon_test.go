@@ -1,21 +1,19 @@
 package ires
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/planner"
 )
 
-// TestRunPastTheHorizonFails runs the quickstart operators at 10^11 and
-// 10^14 documents. The first run ends well inside the virtual-time horizon
-// (2^63 ns, about 9.22e9 s) and succeeds; the second's attempt would end
-// past it (about 5.4e10 s), so the run fails with the horizon error instead
-// of reporting a wrapped makespan. (10^13 documents also succeed, at about
-// 5.1e9 s, but simulating that span takes 5e8 monitor polls, about a minute
-// on two cores.)
-func TestRunPastTheHorizonFails(t *testing.T) {
+// quickstartPlatform registers and profiles the quickstart operators: a Java
+// and a Spark wordcount, profiled at 10^3 to 10^6 records.
+func quickstartPlatform(t *testing.T) *Platform {
+	t.Helper()
 	p, err := NewPlatform(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -41,20 +39,39 @@ func TestRunPastTheHorizonFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return p
+}
+
+// quickstartWorkflow is the quickstart's wordcount over docs documents of
+// size bytes in all.
+func quickstartWorkflow(t *testing.T, p *Platform, docs, size int64) *Workflow {
+	t.Helper()
+	wf, err := p.NewWorkflow().
+		DatasetWithMeta("docs", fmt.Sprintf(
+			"Constraints.Engine.FS=HDFS\nExecution.path=hdfs:///docs\nOptimization.documents=%d\nOptimization.size=%d",
+			docs, size)).
+		Operator("count", "Constraints.OpSpecification.Algorithm.name=wordcount").
+		Dataset("out").
+		Chain("docs", "count", "out").
+		Target("out").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wf
+}
+
+// TestRunPastTheHorizonFails runs the quickstart operators at 10^11 and
+// 10^14 documents. The first run ends well inside the virtual-time horizon
+// (2^63 ns, about 9.22e9 s) and succeeds; the second's attempt would end
+// past it (about 5.4e10 s), so the run fails with the horizon error instead
+// of reporting a wrapped makespan. (10^13 documents also succeed, at about
+// 5.1e9 s, but simulating that span takes 5e8 monitor polls, about a minute
+// on two cores.)
+func TestRunPastTheHorizonFails(t *testing.T) {
+	p := quickstartPlatform(t)
 	run := func(docs int64) (*Plan, *ExecutionResult, error) {
-		wf, err := p.NewWorkflow().
-			DatasetWithMeta("docs", fmt.Sprintf(
-				"Constraints.Engine.FS=HDFS\nExecution.path=hdfs:///docs\nOptimization.documents=%d\nOptimization.size=%d",
-				docs, docs*1_000)).
-			Operator("count", "Constraints.OpSpecification.Algorithm.name=wordcount").
-			Dataset("out").
-			Chain("docs", "count", "out").
-			Target("out").
-			Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.Run(wf)
+		return p.Run(quickstartWorkflow(t, p, docs, docs*1_000))
 	}
 	plan, res, err := run(1e11)
 	if err != nil {
@@ -69,5 +86,26 @@ func TestRunPastTheHorizonFails(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "is not a virtual time") {
 		t.Fatalf("10^14 documents: %v; want the horizon error", err)
+	}
+}
+
+// TestPlanSizesNeverWrap plans the quickstart operators at 9*10^18
+// documents of 9*10^18 bytes, where the models extrapolate output sizes past
+// what an int64 holds: the plan either reports no negative size or fails
+// with the planner's error.
+func TestPlanSizesNeverWrap(t *testing.T) {
+	p := quickstartPlatform(t)
+	plan, err := p.Plan(quickstartWorkflow(t, p, 9e18, 9e18))
+	if err != nil {
+		if !errors.Is(err, planner.ErrNoPlan) {
+			t.Fatalf("9e18 documents: %v; want no plan or a plan without negative sizes", err)
+		}
+		return
+	}
+	for _, s := range plan.Steps {
+		if s.InRecords < 0 || s.InBytes < 0 || s.OutRecords < 0 || s.OutBytes < 0 {
+			t.Fatalf("9e18 documents: step %s reads %d records / %d bytes and writes %d / %d\n%s",
+				s.Name, s.InRecords, s.InBytes, s.OutRecords, s.OutBytes, plan.Describe())
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"slices"
 	"testing"
@@ -58,20 +56,6 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 		}
 	}
 
-	var buf bytes.Buffer
-	if err := p.Profiler.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var lib struct {
-		Operators []struct {
-			Operator string
-			X        [][]float64 `json:"samples"`
-			Targets  map[string][]float64
-		}
-	}
-	if err := json.Unmarshal(buf.Bytes(), &lib); err != nil {
-		t.Fatal(err)
-	}
 	zoo := model.DefaultFactories(seed)
 	var cands []int
 	for fam, f := range zoo {
@@ -81,22 +65,25 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 	}
 	compared, outside := 0, 0
 	every := p.Profiler.ReselectEvery
-	for _, op := range lib.Operators {
+	for _, op := range ops {
+		om, _ := p.Profiler.Models(op.name)
+		rows := om.SampleCount()
 		var lengths []int
-		for n := profiled[op.Operator]; n <= len(op.X); n += every {
+		for n := profiled[op.name]; n <= rows; n += every {
 			lengths = append(lengths, n)
 		}
-		for n := profiled[op.Operator]; n <= len(op.X); n = max(n+every, 2*n) {
+		for n := profiled[op.name]; n <= rows; n = max(n+every, 2*n) {
 			lengths = append(lengths, n)
 		}
 		slices.Sort(lengths)
 		lengths = slices.Compact(lengths)
 		for _, target := range []string{profiler.TargetOutRecords, profiler.TargetOutBytes} {
+			X, y := om.Samples(target)
 			lead := 0
 			for _, n := range lengths {
 				fit := func(fams []int) model.Fitted {
 					f, errs, _ := model.Fit([]model.Problem{{
-						Factories: zoo, X: op.X[:n], Targets: []model.Target{{Y: op.Targets[target][:n], Family: lead, Select: true, Families: fams}},
+						Factories: zoo, X: X[:n], Targets: []model.Target{{Y: y[:n], Family: lead, Select: true, Families: fams}},
 						Sel: n, K: p.Profiler.CVFolds, Seed: seed,
 					}}, model.ByRelErr)
 					if errs[0] != nil {
@@ -108,15 +95,15 @@ func TestOutputFamiliesMatchWholeZooOnFig12(t *testing.T) {
 				compared++
 				if !slices.Contains(cands, full.Family) {
 					outside++
-					t.Errorf("%s %s, %d rows: the whole zoo picked %s", op.Operator, target, n, full.Model.Name())
+					t.Errorf("%s %s, %d rows: the whole zoo picked %s", op.name, target, n, full.Model.Name())
 					continue
 				}
 				if narrow.Family != full.Family {
-					t.Fatalf("%s %s, %d rows: narrowed picked %s, the whole zoo %s", op.Operator, target, n, narrow.Model.Name(), full.Model.Name())
+					t.Fatalf("%s %s, %d rows: narrowed picked %s, the whole zoo %s", op.name, target, n, narrow.Model.Name(), full.Model.Name())
 				}
-				for _, x := range op.X[:n] {
+				for _, x := range X[:n] {
 					if a, b := narrow.Model.Predict(x), full.Model.Predict(x); math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("%s %s, %d rows: the narrowed model predicts %v, the whole zoo's %v", op.Operator, target, n, a, b)
+						t.Fatalf("%s %s, %d rows: the narrowed model predicts %v, the whole zoo's %v", op.name, target, n, a, b)
 					}
 				}
 				lead = narrow.Family

@@ -222,10 +222,14 @@ func (p *Planner) paretoCandidates(o *workflow.Node, mo *operator.Materialized, 
 		for _, idx := range p.prune(next) {
 			pi := base + idx/len(options)
 			pt, opt := &partials[pi], options[idx%len(options)]
+			records, okR := addSize(pt.records, opt.entry.records)
+			bytes, okB := addSize(pt.bytes, opt.entry.bytes)
+			if !okR || !okB {
+				continue
+			}
 			partials = append(partials, pPartial{
 				entry: opt.entry, prev: int32(pi), moved: opt.moved, v: next[idx],
-				records: pt.records + opt.entry.records,
-				bytes:   pt.bytes + opt.entry.bytes,
+				records: records, bytes: bytes,
 			})
 		}
 	}

@@ -27,6 +27,7 @@ package planner
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -57,8 +58,9 @@ type Prefitter interface {
 }
 
 // Estimates are an operator's estimated execution time, monetary cost and
-// output size at one configuration. A candidate needs both verdicts; an
-// output size that is not positive keeps the input's.
+// output size at one configuration. A candidate needs both verdicts, a
+// finite non-negative time and cost, and output sizes below 2^63; an output
+// size that is not positive keeps the input's.
 type Estimates struct {
 	ExecTime, Cost, OutRecords, OutBytes float64
 	ExecTimeOK, CostOK                   bool
@@ -640,15 +642,33 @@ func (p *Planner) tryCandidate(o *workflow.Node, mo *operator.Materialized, dp t
 			}
 		}
 		inputs[i] = best
-		inRecords += best.entry.records
-		inBytes += best.entry.bytes
+		var okR, okB bool
+		inRecords, okR = addSize(inRecords, best.entry.records)
+		inBytes, okB = addSize(inBytes, best.entry.bytes)
+		if !okR || !okB {
+			return nil
+		}
 	}
 	return p.estimate(mo, inputs, inRecords, inBytes)
 }
 
+// addSize is the size a+b, false when the sum wraps.
+func addSize(a, b int64) (int64, bool) {
+	s := a + b
+	return s, s > a == (b > 0)
+}
+
+// maxSize is 2^63: an output count or size at or past it fits no int64.
+const maxSize = 1 << 63
+
+// amount reports whether v is a usable time or cost: finite and not
+// negative.
+func amount(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
 // estimate provisions mo for the resolved inputs and asks the Estimator, in
 // one call, for its time, cost and output sizes. It returns nil when the
-// configuration is infeasible.
+// configuration is infeasible, and so when a time or cost is not a usable
+// amount or an output size would not fit an int64.
 func (p *Planner) estimate(mo *operator.Materialized, inputs []inputChoice, inRecords, inBytes int64) *candidate {
 	res := p.cfg.Resources(mo, inRecords, inBytes)
 	feats := p.feats
@@ -662,7 +682,7 @@ func (p *Planner) estimate(mo *operator.Materialized, inputs []inputChoice, inRe
 		feats[k] = v
 	}
 	e := p.cfg.Estimator.Estimates(mo.Name, feats)
-	if !e.ExecTimeOK || !e.CostOK {
+	if !e.ExecTimeOK || !e.CostOK || !amount(e.ExecTime) || !amount(e.Cost) || e.OutRecords >= maxSize || e.OutBytes >= maxSize {
 		return nil
 	}
 	cand := &candidate{

@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
@@ -10,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -123,13 +123,25 @@ func fitOneAtATime(t *testing.T, p *Profiler) {
 	}
 }
 
-func exported(t *testing.T, p *Profiler) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := p.Export(&buf); err != nil {
-		t.Fatal(err)
+// snapshot is every operator's model state, brought up to date first as a
+// read would: its features, rows, target columns and chosen families, its
+// feasibility wall and the rows since its last re-selection.
+func snapshot(p *Profiler) string {
+	var b strings.Builder
+	for _, name := range p.Operators() {
+		om, _ := p.Models(name)
+		om.mu.Lock()
+		_ = om.fitLocked() // counted in FitErrors; chosen keeps its last value
+		fmt.Fprintf(&b, "%s %s %s %q wall=%v since=%d\n", om.Operator, om.Algorithm, om.Engine, om.Features, om.minFailRecords, om.sinceReselect)
+		for _, row := range om.X {
+			fmt.Fprintln(&b, row)
+		}
+		for _, target := range lazyTargets {
+			fmt.Fprintln(&b, target, om.chosen[target], om.targets[target])
+		}
+		om.mu.Unlock()
 	}
-	return buf.Bytes()
+	return b.String()
 }
 
 // Reads are invisible: a profiler that is read after every mutation (the
@@ -137,7 +149,7 @@ func exported(t *testing.T, p *Profiler) []byte {
 // that is read only now and then must agree, bit for bit, whenever the second
 // one looks. So is the shape of the fit: a third profiler, whose three targets
 // are fitted one at a time over the full grid after every mutation, agrees
-// with both, down to the bytes it exports.
+// with both, down to its snapshot.
 func TestLazyReadsAreInvisible(t *testing.T) {
 	space := Space{
 		Records:        []int64{1000, 10_000, 100_000},
@@ -172,13 +184,8 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 					return err
 				})
 			case r < 0.08:
-				both(func(p *Profiler) error {
-					var buf bytes.Buffer
-					if err := p.Export(&buf); err != nil {
-						return err
-					}
-					return p.Import(&buf)
-				})
+				// No mutation, so the seeded draws stay where they were: the
+				// readers must also agree on a step that changed nothing.
 			default:
 				records := int64(1000 + rng.Intn(100_000))
 				var params map[string]float64
@@ -198,8 +205,8 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 			}
 			if rng.Float64() < 0.2 || step == 89 {
 				checks++
-				if !bytes.Equal(exported(t, a), exported(t, ref)) {
-					t.Fatalf("seed %d step %d: export differs from the one-at-a-time fit's", seed, step)
+				if snapshot(a) != snapshot(ref) {
+					t.Fatalf("seed %d step %d: snapshot differs from the one-at-a-time fit's", seed, step)
 				}
 				got := readAll(b)
 				if len(got) != len(want) {
@@ -240,7 +247,7 @@ func TestLazyReadsAreInvisible(t *testing.T) {
 // profiler that prefits random name sets (unknown, clean and repeated names
 // among them) at random points agrees, bit for bit, with one that reads each
 // named operator instead — every estimate, ChosenFamily, SampleCount, Gen,
-// the Export bytes and RefinementStats, wins and cells included. A known name
+// the snapshot and RefinementStats, wins and cells included. A known name
 // is up to date when Prefit returns.
 func TestPrefitMatchesLazyReads(t *testing.T) {
 	space := Space{
@@ -276,13 +283,8 @@ func TestPrefitMatchesLazyReads(t *testing.T) {
 					return err
 				})
 			case r < 0.06:
-				both(func(p *Profiler) error {
-					var buf bytes.Buffer
-					if err := p.Export(&buf); err != nil {
-						return err
-					}
-					return p.Import(&buf)
-				})
+				// No mutation, so the seeded draws stay where they were: the
+				// readers must also agree on a step that changed nothing.
 			default:
 				records := int64(1000 + rng.Intn(100_000))
 				var params map[string]float64
@@ -324,8 +326,8 @@ func TestPrefitMatchesLazyReads(t *testing.T) {
 				if got, want := readAll(pre), readAll(lazy); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: prefitting reader diverged\n got  %q\n want %q", seed, step, got, want)
 				}
-				if !bytes.Equal(exported(t, pre), exported(t, lazy)) {
-					t.Fatalf("seed %d step %d: export differs from the lazy reader's", seed, step)
+				if snapshot(pre) != snapshot(lazy) {
+					t.Fatalf("seed %d step %d: snapshot differs from the lazy reader's", seed, step)
 				}
 			}
 		}
@@ -494,49 +496,6 @@ func TestReselectsWhenTheBufferDoubles(t *testing.T) {
 		t.Errorf("re-selected at %v: %d times over 1000 observations from %d rows, want at most %d", selections, len(selections), n0, bound)
 	}
 	t.Logf("re-selected at %v", selections)
-}
-
-// The schedule survives a save/load cycle unchanged: exported between two
-// selections and imported, a profiler fed the same stream as the original
-// re-selects at the same lengths and estimates the same bits.
-func TestReselectionScheduleSurvivesExportImport(t *testing.T) {
-	orig := New(engine.NewDefaultEnvironment(2), 2)
-	orig.Factories = scheduleZoo()
-	rng := rand.New(rand.NewSource(2))
-	var selections []int
-	// Below three rows the first family is taken outright; the first row
-	// starts the count, so selections fall at 11 and 22 rows, and 44 is next.
-	for range 40 {
-		if n := observeAndRead(t, orig, scheduleRun(rng)); n > 0 {
-			selections = append(selections, n)
-		}
-	}
-	if !slices.Equal(selections, []int{11, 22}) {
-		t.Fatalf("before the export, re-selected at %v, want [11 22]", selections)
-	}
-	imported := New(engine.NewDefaultEnvironment(2), 2)
-	imported.Factories = scheduleZoo()
-	if err := imported.Import(bytes.NewReader(exported(t, orig))); err != nil {
-		t.Fatal(err)
-	}
-	estimates := func(p *Profiler) []string { return readAll(p)[1:] } // line 0 holds the generation
-	selections = nil
-	for range 150 {
-		run := scheduleRun(rng)
-		a, b := observeAndRead(t, orig, run), observeAndRead(t, imported, run)
-		if a != b {
-			t.Fatalf("original re-selected at %d rows, the imported one at %d", a, b)
-		}
-		if a > 0 {
-			selections = append(selections, a)
-		}
-		if x, y := estimates(orig), estimates(imported); !slices.Equal(x, y) {
-			t.Fatalf("after %d rows the imported profiler estimates\n %q\nwant\n %q", len(selections), y, x)
-		}
-	}
-	if !slices.Equal(selections, []int{44, 88, 176}) {
-		t.Errorf("after the import, re-selected at %v, want [44 88 176]", selections)
-	}
 }
 
 // flaky is a model family whose Train fails on demand.

@@ -125,8 +125,8 @@ func TestPredictionCacheInfeasible(t *testing.T) {
 	}
 }
 
-// TestProfilerGen covers the generation counter's channels: offline
-// profiling, observation, and import each must move it.
+// TestProfilerGen covers the generation counter: offline profiling moves it,
+// a read does not.
 func TestProfilerGen(t *testing.T) {
 	env := engine.NewDefaultEnvironment(23)
 	p := newProfiler(env)

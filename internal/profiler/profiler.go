@@ -163,12 +163,12 @@ type OperatorModels struct {
 }
 
 // Estimates are the estimates of one configuration: the three learned
-// targets, each with its verdict (false: no model, or beyond the feasibility
-// wall; the value is then 0), and the derived cost, which shares the
-// execution time's verdict.
+// targets and the derived cost, under one verdict (false: no model yet, or
+// beyond the feasibility wall; every value is then 0). The targets are fitted
+// and committed together, so they have models or none together.
 type Estimates struct {
 	ExecTime, Cost, OutRecords, OutBytes float64
-	ExecTimeOK, OutRecordsOK, OutBytesOK bool
+	OK                                   bool
 }
 
 // maxPredCache bounds the per-operator prediction cache; overflow clears it.
@@ -193,7 +193,7 @@ type Profiler struct {
 	mu    sync.RWMutex
 	env   *engine.Environment
 	store map[string]*OperatorModels
-	// gen counts model-state mutations (profiling, observation, import).
+	// gen counts model-state mutations (profiling, observation).
 	// Accessed atomically.
 	gen uint64
 	// retrainListener, if set, is told which operator's models changed on
@@ -237,7 +237,7 @@ func New(env *engine.Environment, seed int64) *Profiler {
 func (p *Profiler) Gen() uint64 { return atomic.LoadUint64(&p.gen) }
 
 // SetRetrainListener registers the callback notified with the operator name
-// on every model mutation (profiling, observation, import). Call before the
+// on every model mutation (profiling, observation). Call before the
 // profiler is shared across goroutines.
 func (p *Profiler) SetRetrainListener(fn func(opName string)) {
 	p.mu.Lock()
@@ -422,16 +422,7 @@ func (p *Profiler) ensure(opName, algorithm, engineName string, paramNames []str
 			features = append(features, n)
 		}
 	}
-	om := p.newModelsLocked(opName, algorithm, engineName, features)
-	p.store[opName] = om
-	return om
-}
-
-// newModelsLocked returns an operator's empty model set, with the
-// profiler's zoo, cross-validation and reselection settings. Must be called
-// with p.mu held.
-func (p *Profiler) newModelsLocked(opName, algorithm, engineName string, features []string) *OperatorModels {
-	return &OperatorModels{
+	om := &OperatorModels{
 		Operator:      opName,
 		Algorithm:     algorithm,
 		Engine:        engineName,
@@ -445,6 +436,8 @@ func (p *Profiler) newModelsLocked(opName, algorithm, engineName string, feature
 		reselectEvery: p.ReselectEvery,
 		stats:         &p.stats,
 	}
+	p.store[opName] = om
+	return om
 }
 
 // ProfileOffline runs the offline profiling phase for one materialized
@@ -495,7 +488,7 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 // model-refinement path). Failed runs update the feasibility wall instead.
 // It is O(1): the sample is appended and the re-selection schedule advanced,
 // but nothing is trained — the next read of the models (Estimate,
-// ChosenFamily, Export) fits them once, however many runs were observed in
+// ChosenFamily) fits them once, however many runs were observed in
 // between. Whether a re-selection is due depends on the buffer length alone
 // (docs/profiler.md, "Re-selection schedule").
 func (p *Profiler) Observe(opName string, run *metrics.Run) error {
@@ -548,13 +541,13 @@ func (p *Profiler) Estimate(opName, target string, feats map[string]float64) (fl
 	}
 	switch target {
 	case TargetExecTime:
-		return e.ExecTime, e.ExecTimeOK
+		return e.ExecTime, e.OK
 	case TargetCost:
-		return e.Cost, e.ExecTimeOK
+		return e.Cost, e.OK
 	case TargetOutRecords:
-		return e.OutRecords, e.OutRecordsOK
+		return e.OutRecords, e.OK
 	case TargetOutBytes:
-		return e.OutBytes, e.OutBytesOK
+		return e.OutBytes, e.OK
 	}
 	return 0, false
 }
@@ -720,11 +713,14 @@ type fitBatch struct {
 	probs []model.Problem
 }
 
+// learnedTargets are the targets every row carries, in sorted order, so the
+// error a fit reports is the same on every execution.
+var learnedTargets = []string{TargetExecTime, TargetOutBytes, TargetOutRecords}
+
 // opFit is one operator's part of a batch.
 type opFit struct {
-	targets []string       // the learned targets with samples, sorted
-	jobs    []model.Target // one per target
-	err     error
+	jobs []model.Target // one per learned target
+	err  error
 }
 
 // runLocked fits every operator of the batch that is not up to date and
@@ -754,9 +750,7 @@ func (b *fitBatch) runLocked() {
 	stats.fitBusy.Add(int64(busy))
 	for i, om := range live {
 		f := &b.fits[i]
-		if f.err == nil {
-			f.err = errs[i]
-		}
+		f.err = errs[i]
 		if f.err == nil {
 			f.err = om.commitFitLocked(f, fitted[i])
 		}
@@ -772,32 +766,19 @@ func (b *fitBatch) runLocked() {
 // counts the fit and returns the problem that trains every target's model on
 // the whole buffer. Each target keeps its incumbent family, or takes the one
 // a bounded cross-validation picks on X[:pending] when a re-selection is
-// pending — on the whole buffer for a target without a usable family (a
-// version-1 import, a family this build no longer ships). Targets are in
-// sorted order, so the error reported is the same on every execution. A
-// buffer that cannot be fitted sets f.err and returns an empty problem.
+// pending.
 func (om *OperatorModels) buildFitLocked(f *opFit) model.Problem {
 	pending, n := om.selectN, len(om.X)
 	om.fitN, om.selectN = n, 0
 	om.noteDirtyLocked()
 	om.stats.fits.Add(1)
-	f.targets, f.jobs, f.err = f.targets[:0], f.jobs[:0], nil
-	for target, y := range om.targets {
-		if len(y) > 0 {
-			f.targets = append(f.targets, target)
-		}
-	}
-	sort.Strings(f.targets)
-	for _, target := range f.targets {
-		y := om.targets[target]
-		if len(y) != n {
-			f.err = fmt.Errorf("profiler: %s: target %s has %d values for %d samples", om.Operator, target, len(y), n)
-			return model.Problem{}
-		}
-		// The incumbent, until a selection it only leads replaces it; family
-		// 0 when unknown: below three rows nothing can be cross-validated.
-		fam, known := om.zoo.index[om.chosen[target]]
-		job := model.Target{Y: y, Family: fam, Select: (known && pending > 0) || (!known && n >= 3)}
+	f.jobs = f.jobs[:0]
+	for _, target := range learnedTargets {
+		// The incumbent, until a selection it only leads replaces it. Below
+		// three rows the first family is chosen outright, so only a first
+		// selection (offline profiling, or one after a failed first fit) has
+		// no incumbent: family 0 leads it.
+		job := model.Target{Y: om.targets[target], Family: om.zoo.index[om.chosen[target]], Select: pending > 0}
 		if target != TargetExecTime {
 			job.Families = om.zoo.outputs
 		}
@@ -816,7 +797,7 @@ func (om *OperatorModels) commitFitLocked(f *opFit, fitted []model.Fitted) error
 	om.stats.mu.Lock()
 	for i, ft := range fitted {
 		if f.jobs[i].Select {
-			om.stats.wins[Win{om.zoo.names[ft.Family], f.targets[i]}]++
+			om.stats.wins[Win{om.zoo.names[ft.Family], learnedTargets[i]}]++
 			om.stats.selections.Add(1)
 			om.stats.cellsTrained.Add(uint64(ft.Selection.Trained))
 			om.stats.cellsSkipped.Add(uint64(ft.Selection.Skipped))
@@ -828,7 +809,7 @@ func (om *OperatorModels) commitFitLocked(f *opFit, fitted []model.Fitted) error
 			return ft.Err
 		}
 	}
-	for i, target := range f.targets {
+	for i, target := range learnedTargets {
 		om.models[target] = fitted[i].Model
 		om.chosen[target] = om.zoo.names[fitted[i].Family]
 	}
@@ -853,16 +834,6 @@ func (om *OperatorModels) estimates(feats map[string]float64) Estimates {
 	for _, f := range om.Features {
 		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(feats[f]))
 	}
-	if len(om.Features) < len(BaseFeatures) || !slices.Equal(om.Features[:len(BaseFeatures)], BaseFeatures) {
-		// Only an imported feature set can lack what an entry reads besides
-		// the projection (the wall's records, the cost rate's resources):
-		// the key carries what it lacks.
-		for _, f := range []string{"records", "nodes", "cores", "memoryMB"} {
-			if !slices.Contains(om.Features, f) {
-				key = binary.LittleEndian.AppendUint64(key, math.Float64bits(feats[f]))
-			}
-		}
-	}
 	if e, ok := om.predCache[string(key)]; ok {
 		om.predHits++
 		return e
@@ -874,9 +845,10 @@ func (om *OperatorModels) estimates(feats map[string]float64) Estimates {
 		for i, f := range om.Features {
 			x[i] = feats[f]
 		}
-		e.ExecTime, e.ExecTimeOK = predict(om.models[TargetExecTime], x)
-		e.OutRecords, e.OutRecordsOK = predict(om.models[TargetOutRecords], x)
-		e.OutBytes, e.OutBytesOK = predict(om.models[TargetOutBytes], x)
+		e.ExecTime = predict(om.models[TargetExecTime], x)
+		e.OutRecords = predict(om.models[TargetOutRecords], x)
+		e.OutBytes = predict(om.models[TargetOutBytes], x)
+		e.OK = true
 	}
 	e.Cost = engine.CostRate(feats["nodes"], feats["cores"], feats["memoryMB"]) * e.ExecTime
 	if om.predCache == nil || len(om.predCache) >= maxPredCache {
@@ -886,17 +858,13 @@ func (om *OperatorModels) estimates(feats map[string]float64) Estimates {
 	return e
 }
 
-// predict is one target's prediction, clamped at 0; false without a
-// model.
-func predict(m model.Model, x []float64) (float64, bool) {
-	if m == nil {
-		return 0, false
-	}
+// predict is one target's prediction, clamped at 0.
+func predict(m model.Model, x []float64) float64 {
 	v := m.Predict(x)
 	if v < 0 {
 		v = 0
 	}
-	return v, true
+	return v
 }
 
 func (om *OperatorModels) feasibleLocked(records float64) bool {
@@ -912,6 +880,18 @@ func (om *OperatorModels) SampleCount() int {
 	om.mu.Lock()
 	defer om.mu.Unlock()
 	return len(om.X)
+}
+
+// Samples returns copies of the training buffer's rows and of one target's
+// column. It reads no model, so it does not trigger a deferred fit.
+func (om *OperatorModels) Samples(target string) (X [][]float64, y []float64) {
+	om.mu.Lock()
+	defer om.mu.Unlock()
+	X = make([][]float64, len(om.X))
+	for i, row := range om.X {
+		X[i] = slices.Clone(row)
+	}
+	return X, slices.Clone(om.targets[target])
 }
 
 // ChosenFamily reports the model family currently selected for a target.

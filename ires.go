@@ -28,7 +28,6 @@ package ires
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -584,7 +583,7 @@ func (e libraryEstimator) Estimates(opName string, feats map[string]float64) pla
 		// the verdict.
 		return planner.Estimates{
 			ExecTime: pe.ExecTime, Cost: pe.Cost, OutRecords: pe.OutRecords, OutBytes: pe.OutBytes,
-			ExecTimeOK: pe.ExecTimeOK, CostOK: pe.ExecTimeOK,
+			ExecTimeOK: pe.OK, CostOK: pe.OK,
 		}
 	}
 	mo, ok := e.lib.Operator(opName)
@@ -759,31 +758,6 @@ func (p *Platform) TraceForRun(id string) []TraceEvent {
 // profiled operator at a given input scale.
 func (p *Platform) ProvisionFront(opName string, records, bytes int64, params map[string]float64) ([]ProvisionOption, error) {
 	return p.provisioner.Front(opName, records, bytes, params)
-}
-
-// SaveModels persists the profiler's model library (training buffers and
-// feasibility walls) to a JSON file, so profiling survives across sessions.
-func (p *Platform) SaveModels(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := p.Profiler.Export(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadModels restores a model library previously written by SaveModels,
-// retraining every imported model.
-func (p *Platform) LoadModels(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return p.Profiler.Import(f)
 }
 
 // SetEngineAvailable flips an engine service ON/OFF (failure injection and

@@ -108,3 +108,23 @@ Optimization.cost=2.0
 		t.Fatalf("EstTimeSec = %v, want the declared 2.0", plan.EstTimeSec)
 	}
 }
+
+func TestParetoPlansPlatform(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerTextOps(t, p)
+	wf := textWorkflow(t, p, 20_000)
+	plans, err := p.ParetoPlans(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) == 0 {
+		t.Fatal("empty Pareto front")
+	}
+	// Every front plan is executable on the platform.
+	if _, err := p.Execute(wf, plans[0]); err != nil {
+		t.Fatal(err)
+	}
+}

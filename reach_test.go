@@ -42,6 +42,7 @@ var reachLedger = map[string]string{
 	"vtime.Clock.Pending":                  "observation point that the clock, monitor and server tests read",
 	"vtime.Clock.Parties":                  "observation point that the party and scheduler tests read",
 	"profiler.OperatorModels.ChosenFamily": "observation point that the model-selection tests read",
+	"profiler.OperatorModels.Samples":      "observation point that the output-family replay test reads: a copy of the training buffer",
 	"profiler.Profiler.Feasible":           "observation point that the feasibility-wall tests read",
 	"scheduler.Scheduler.ActiveRuns":       "observation point that the scheduler tests read",
 	"scheduler.Scheduler.SuspendedRuns":    "observation point that the preemption tests read",
