@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -71,7 +72,10 @@ func (b *CircuitBreaker) RecordFailure(engineName string) bool {
 	st.consecutive++
 	if st.consecutive >= b.Threshold && !st.tripped {
 		st.tripped = true
-		st.trippedUntil = b.now() + b.Cooldown
+		st.trippedUntil = math.MaxInt64 // a cooldown past the horizon never ends
+		if until, err := vtime.After(b.now(), b.Cooldown.Seconds()); err == nil {
+			st.trippedUntil = until
+		}
 		b.emitLocked(trace.Event{
 			Type: trace.EvBreakerTrip, Engine: engineName,
 			Fields: map[string]float64{

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -110,5 +111,21 @@ func TestCircuitBreakerDisabled(t *testing.T) {
 	}
 	if got := on.Tripped(); !reflect.DeepEqual(got, []string{"Java"}) {
 		t.Fatalf("Tripped = %v, want [Java]", got)
+	}
+}
+
+// TestCircuitBreakerCooldownPastTheHorizon pins that a cooldown ending past
+// the virtual-time horizon never ends, where an unchecked sum would wrap to
+// a deadline already passed and readmit the engine at once.
+func TestCircuitBreakerCooldownPastTheHorizon(t *testing.T) {
+	clock := vtime.NewClock()
+	clock.Advance(time.Second)
+	b := NewCircuitBreaker(clock, 1, math.MaxInt64)
+	if !b.RecordFailure("Spark") {
+		t.Fatal("threshold 1 did not trip on the first failure")
+	}
+	clock.Advance(time.Hour)
+	if b.Allows("Spark") {
+		t.Fatalf("engine readmitted an hour into a %v cooldown", b.Cooldown)
 	}
 }

@@ -25,6 +25,7 @@ package executor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/asap-project/ires/internal/cluster"
@@ -102,16 +103,15 @@ func (p RetryPolicy) attempts() int {
 	return p.MaxAttempts
 }
 
-// backoff returns the delay before the next attempt after `failed` failures.
-func (p RetryPolicy) backoff(failed int) time.Duration {
+// retryAt returns when the next attempt after `failed` failures may start:
+// BaseBackoff doubled failed-1 times after now. A time at or past the
+// virtual-time horizon is an error wrapping vtime.ErrHorizon.
+func (p RetryPolicy) retryAt(now time.Duration, failed int) (time.Duration, error) {
 	d := p.BaseBackoff
 	if d <= 0 {
 		d = time.Second
 	}
-	for i := 1; i < failed; i++ {
-		d *= 2
-	}
-	return d
+	return vtime.After(now, math.Ldexp(d.Seconds(), failed-1))
 }
 
 // SpeculativeChoice is an alternative materialization for a straggling
@@ -309,11 +309,11 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 	datasets := make(map[string]*dataset)
 	for _, d := range g.Datasets() {
 		if d.Dataset.IsMaterialized() {
-			datasets[d.Name] = &dataset{
-				records: d.Dataset.Records(),
-				bytes:   d.Dataset.SizeBytes(),
-				meta:    d.Dataset.Constraints(),
+			records, bytes, err := d.Dataset.Size()
+			if err != nil {
+				return nil, fmt.Errorf("executor: %w", err)
 			}
+			datasets[d.Name] = &dataset{records: records, bytes: bytes, meta: d.Dataset.Constraints()}
 		}
 	}
 	// A resumed run starts with its previously materialized intermediates
@@ -358,7 +358,11 @@ func (e *Executor) run(g *workflow.Graph, plan *planner.Plan, done []planner.Mat
 			// engines. Wait out the cooldown (half-open readmits them)
 			// and try once more before giving up. A health change that
 			// wakes the party early stays unseen until the next sweep.
-			for until := e.Clock.Now() + e.Breaker.Cooldown; e.Clock.Now() < until; {
+			until, herr := vtime.After(e.Clock.Now(), e.Breaker.Cooldown.Seconds())
+			if herr != nil {
+				return res, fmt.Errorf("executor: replan after %s failed: %w; the breaker cooldown: %w", failed.Name, err, herr)
+			}
+			for e.Clock.Now() < until {
 				e.Party.WaitUntil(until)
 			}
 			next, err = e.Replanner.Replan(g, done)
@@ -432,7 +436,7 @@ type stepRun struct {
 
 	inRecords, inBytes int64
 	failed             int           // failed attempts so far
-	retryAt            time.Duration // pending retry; 0 = none
+	retryAt            time.Duration // pending retry; 0 = none, negative = past the horizon
 }
 
 // planRun carries the mutable state of one runPlan invocation. steps holds
@@ -575,6 +579,11 @@ func (st *planRun) startReady() error {
 			continue
 		}
 		s := r.step
+		if r.retryAt < 0 {
+			// No retry starts past the horizon: the run fails, as one
+			// whose attempt would end there does.
+			return fmt.Errorf("executor: step %s: retry after attempt %d: %w", s.Name, r.failed, vtime.ErrHorizon)
+		}
 		r.inRecords, r.inBytes = st.inputOf(s)
 		r.deadline, r.specTried = 0, false
 
@@ -801,7 +810,12 @@ func (st *planRun) failAttempt(r *stepRun, engineName string, err error, c *atte
 		}
 	}
 	if retryable(err) && attempt < e.Retry.attempts() {
-		r.retryAt = now + e.Retry.backoff(attempt)
+		at, herr := e.Retry.retryAt(now, attempt)
+		if herr != nil {
+			r.retryAt = -1 // startReady fails the run
+			return
+		}
+		r.retryAt = at
 		st.res.Retries++
 		e.emit(trace.Event{
 			Type: trace.EvAttemptRetry, Step: s.Name, Engine: engineName,

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/faults"
 	"github.com/asap-project/ires/internal/planner"
+	"github.com/asap-project/ires/internal/vtime"
 )
 
 // scriptedInjector is a deterministic Injector for tests: it fails the first
@@ -109,7 +111,10 @@ func TestRetryExhaustionThenReplan(t *testing.T) {
 
 // TestRetryBackoffGrowsInVirtualTime pins the exponential backoff: with base
 // 2s and multiplier 2, the relaunches of a thrice-failing step are spaced
-// exactly 2s, 4s and 8s apart.
+// exactly 2s, 4s and 8s apart. A backoff that would end past the
+// virtual-time horizon schedules no retry: the run fails with the horizon
+// error, as one whose attempt would end there does, and releases what it
+// holds.
 func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 	f := newFixture(t)
 	g := chainWorkflow(t, 5_000)
@@ -140,6 +145,17 @@ func TestRetryBackoffGrowsInVirtualTime(t *testing.T) {
 			t.Fatalf("gap %d = %v, want %v", i, gap, want)
 		}
 	}
+
+	// The second operator step fails after the first completed, so its
+	// retry would start later than 2^63 ns.
+	f = newFixture(t)
+	victim = plan.OperatorSteps()[1].Name
+	f.exec.Faults = &scriptedInjector{failN: map[string]int{victim: 1}}
+	f.exec.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: math.MaxInt64}
+	if _, err := f.execute(g, plan); !errors.Is(err, vtime.ErrHorizon) {
+		t.Fatalf("retry of %s after a %v backoff: err = %v, want the horizon error", victim, f.exec.Retry.BaseBackoff, err)
+	}
+	f.checkClean(t)
 }
 
 // TestRetryOnTimeWhileSiblingRuns pins that a retry is a stop of its own: a

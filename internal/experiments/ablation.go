@@ -121,8 +121,10 @@ func exhaustiveChainCost(g *workflow.Graph, lib *operator.Library, est planner.E
 	}
 	src := g.Sources()[0]
 	srcMeta := src.Dataset.Constraints()
-	srcRecords := src.Dataset.Records()
-	srcBytes := src.Dataset.SizeBytes()
+	srcRecords, srcBytes, err := src.Dataset.Size()
+	if err != nil {
+		return 0, err
+	}
 	moveSec := func(bytes int64) float64 { return 1.5 + float64(bytes)/100e6 }
 
 	best := math.Inf(1)

@@ -74,11 +74,11 @@ func (PostgresEngine) StartupSec() float64 { return 0.05 }
 
 // MemSQLEngine models a distributed in-memory store: very fast joins while
 // the working set fits the cluster's aggregate memory, hard failure beyond.
-type MemSQLEngine struct {
-	// MemLimitBytes bounds the join working set (default 2GB, the paper's
-	// observed MemSQL failure point).
-	MemLimitBytes float64
-}
+type MemSQLEngine struct{}
+
+// memSQLLimitBytes bounds MemSQL's join working set: 2GB, the paper's
+// observed MemSQL failure point.
+const memSQLLimitBytes = 2e9
 
 // Name implements Engine.
 func (MemSQLEngine) Name() string { return EngineMemSQL }
@@ -89,14 +89,10 @@ func (MemSQLEngine) ScanSec(rows, bytes float64) float64 {
 }
 
 // JoinSec implements Engine.
-func (e MemSQLEngine) JoinSec(l, r, out float64) (float64, bool) {
-	limit := e.MemLimitBytes
-	if limit == 0 {
-		limit = 2e9
-	}
+func (MemSQLEngine) JoinSec(l, r, out float64) (float64, bool) {
 	// Hash tables + intermediate result must fit in memory; ~64B/row with
 	// operational overhead x3.
-	if (l+r+out)*64*3 > limit {
+	if (l+r+out)*64*3 > memSQLLimitBytes {
 		return 0, false
 	}
 	return 0.05 + (l+r)/2e7 + out/2e7, true

@@ -15,9 +15,6 @@ type ExecResult struct {
 	// SimSec is the simulated execution duration (including per-engine
 	// startup).
 	SimSec float64
-	// PerEngineSec breaks the time down by engine (moves are attributed to
-	// the destination).
-	PerEngineSec map[string]float64
 	// MoveRows counts rows shipped between engines.
 	MoveRows int64
 }
@@ -30,7 +27,7 @@ func Execute(plan *OptimizedPlan, q *Query, cat *Catalog, reg *Registry) (*ExecR
 	if plan == nil || plan.Root == nil {
 		return nil, fmt.Errorf("musqle: nil plan")
 	}
-	res := &ExecResult{PerEngineSec: make(map[string]float64)}
+	res := &ExecResult{}
 	idx := make(map[string]int, len(q.Tables))
 	for i, t := range q.Tables {
 		idx[t] = i
@@ -42,7 +39,6 @@ func Execute(plan *OptimizedPlan, q *Query, cat *Catalog, reg *Registry) (*ExecR
 	for _, e := range plan.EnginesUsed {
 		if eng, ok := reg.Get(e); ok {
 			res.SimSec += eng.StartupSec()
-			res.PerEngineSec[e] += eng.StartupSec()
 		}
 	}
 	if len(q.Select) > 0 {
@@ -67,9 +63,7 @@ func execNode(n *PlanNode, q *Query, cat *Catalog, reg *Registry, idx map[string
 			return nil, fmt.Errorf("musqle: unknown table %q", n.Table)
 		}
 		raw := float64(ti.Table.NumRows())
-		sec := eng.ScanSec(raw, raw*48)
-		res.SimSec += sec
-		res.PerEngineSec[n.Engine] += sec
+		res.SimSec += eng.ScanSec(raw, raw*rowBytes)
 		return applyFilters(ti.Table, q.FiltersOn(n.Table)), nil
 
 	case NodeMove:
@@ -78,9 +72,7 @@ func execNode(n *PlanNode, q *Query, cat *Catalog, reg *Registry, idx map[string
 			return nil, err
 		}
 		rows := float64(child.NumRows())
-		sec := eng.LoadSec(rows, float64(child.Bytes()))
-		res.SimSec += sec
-		res.PerEngineSec[n.Engine] += sec
+		res.SimSec += eng.LoadSec(rows, float64(child.Bytes()))
 		res.MoveRows += int64(child.NumRows())
 		return child, nil
 
@@ -107,7 +99,6 @@ func execNode(n *PlanNode, q *Query, cat *Catalog, reg *Registry, idx map[string
 				n.Engine, left.NumRows(), right.NumRows())
 		}
 		res.SimSec += sec
-		res.PerEngineSec[n.Engine] += sec
 		return joined, nil
 	}
 	return nil, fmt.Errorf("musqle: unknown node kind %d", n.Kind)

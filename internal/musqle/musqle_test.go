@@ -238,15 +238,23 @@ func compareRows(x []int64, colsX []int, y []int64, colsY []int) int {
 func TestMemSQLMemoryWallAvoided(t *testing.T) {
 	cat := NewCatalog()
 	tables := sqldata.Generate(0.01, 3)
-	// Place the big tables ONLY in MemSQL with a tiny memory limit; the
-	// optimizer must route the join elsewhere.
+	// Place the big tables ONLY in MemSQL and plan them at TPC-H scale 1
+	// (1.5M orders, 6M lineitems, 6M joined rows), whose join working set
+	// is past MemSQL's 2GB wall; the optimizer must route the join
+	// elsewhere.
 	if err := cat.AddTable(tables["orders"], EngineMemSQL); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.AddTable(tables["lineitem"], EngineMemSQL); err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(PostgresEngine{}, MemSQLEngine{MemLimitBytes: 1e6}, SparkEngine{})
+	if err := cat.SetStatsOverride("orders", 1_500_000, map[string]int{"o_orderkey": 1_500_000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.SetStatsOverride("lineitem", 6_000_000, map[string]int{"l_orderkey": 1_500_000}); err != nil {
+		t.Fatal(err)
+	}
+	reg := DefaultRegistry()
 	opt := NewOptimizer(cat, reg)
 	q, err := Parse("SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey", cat)
 	if err != nil {

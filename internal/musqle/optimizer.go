@@ -57,44 +57,26 @@ type Optimizer struct {
 	// StatsInjection mirrors the injectStats API: when true (the default
 	// via NewOptimizer) the optimizer's intermediate cardinality estimates
 	// are passed to engine cost calls; when false, engines fall back to
-	// DefaultRows for intermediates — the ablation of the paper's
+	// defaultRows for intermediates — the ablation of the paper's
 	// statistics-injection contribution.
 	StatsInjection bool
-	// DefaultRows is the cardinality engines assume for un-injected
-	// intermediates (default 1000).
-	DefaultRows float64
-	// RowBytes is the assumed width of intermediate rows (default 48).
-	RowBytes float64
-	// Calibrator, when set, maps raw engine cost estimates to calibrated
-	// execution-time predictions learned from past (estimated, actual)
-	// pairs (Appendix B §V-B). Untrusted engines' estimates are inflated.
-	Calibrator *Calibrator
-	// MinCorrelation is the trust threshold for calibrated engines
-	// (default 0, i.e. only the linear correction applies).
-	MinCorrelation float64
 }
+
+const (
+	// defaultRows is the cardinality engines assume for un-injected
+	// intermediates.
+	defaultRows = 1000
+	// rowBytes is the assumed width of intermediate rows.
+	rowBytes = 48
+)
 
 // NewOptimizer builds an optimizer with statistics injection enabled.
 func NewOptimizer(cat *Catalog, reg *Registry) *Optimizer {
-	return &Optimizer{Cat: cat, Reg: reg, StatsInjection: true, DefaultRows: 1000, RowBytes: 48}
+	return &Optimizer{Cat: cat, Reg: reg, StatsInjection: true}
 }
 
 // MaxTables bounds the bitmask DP.
 const MaxTables = 16
-
-// adjust calibrates one engine's raw estimate. Distrusted engines (their
-// estimates do not correlate with observed times) are penalised so plans
-// prefer engines with reliable cost APIs.
-func (o *Optimizer) adjust(engine string, sec float64) float64 {
-	if o.Calibrator == nil {
-		return sec
-	}
-	adjusted := o.Calibrator.Adjust(engine, sec)
-	if o.MinCorrelation > 0 && !o.Calibrator.Trusted(engine, o.MinCorrelation) {
-		adjusted *= 10
-	}
-	return adjusted
-}
 
 // Optimize finds the minimum-estimated-time multi-engine plan for a query.
 func (o *Optimizer) Optimize(q *Query) (*OptimizedPlan, error) {
@@ -146,7 +128,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 		ti, _ := o.Cat.Table(t)
 		raw := ctx.leafRaw[i]
 		est := ctx.leafRows[i]
-		bytes := est * o.RowBytes
+		bytes := est * rowBytes
 
 		// Scan at each holder.
 		holders := make(map[string]bool, len(ti.Engines))
@@ -162,7 +144,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 				dp[mask][e] = &PlanNode{
 					Kind: NodeScan, Table: t, Engine: e,
 					EstRows: est, EstBytes: bytes,
-					CostSec: o.adjust(e, eng.ScanSec(raw, raw*o.RowBytes)),
+					CostSec: eng.ScanSec(raw, raw*rowBytes),
 					mask:    mask,
 				}
 			}
@@ -179,7 +161,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 			n := &PlanNode{
 				Kind: NodeScan, Table: t, Engine: h,
 				EstRows: est, EstBytes: bytes,
-				CostSec: o.adjust(h, eng.ScanSec(raw, raw*o.RowBytes)),
+				CostSec: eng.ScanSec(raw, raw*rowBytes),
 				mask:    mask,
 			}
 			if cheapestHolder == nil || n.CostSec < cheapestHolder.CostSec {
@@ -197,7 +179,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 			dp[mask][e] = &PlanNode{
 				Kind: NodeMove, Child: cheapestHolder, Engine: e,
 				EstRows: est, EstBytes: bytes,
-				CostSec: cheapestHolder.CostSec + o.adjust(e, eng.LoadSec(est, bytes)),
+				CostSec: cheapestHolder.CostSec + eng.LoadSec(est, bytes),
 				mask:    mask,
 			}
 		}
@@ -212,7 +194,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 			dp[mask] = make(map[string]*PlanNode)
 		}
 		outRows := ctx.rows(mask)
-		outBytes := outRows * o.RowBytes
+		outBytes := outRows * rowBytes
 		lowest := mask & (^mask + 1)
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 			if sub&lowest == 0 {
@@ -224,8 +206,8 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 			}
 			for _, e := range allowed {
 				eng, _ := o.Reg.Get(e)
-				left := o.atEngine(dp[sub], e, eng, o.RowBytes)
-				right := o.atEngine(dp[rest], e, eng, o.RowBytes)
+				left := o.atEngine(dp[sub], e, eng)
+				right := o.atEngine(dp[rest], e, eng)
 				if left == nil || right == nil {
 					continue
 				}
@@ -234,10 +216,10 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 					// Without injected statistics the engine assumes a
 					// default cardinality for non-base inputs.
 					if left.Kind != NodeScan {
-						lRows = o.DefaultRows
+						lRows = defaultRows
 					}
 					if right.Kind != NodeScan {
-						rRows = o.DefaultRows
+						rRows = defaultRows
 					}
 				}
 				joinSec, ok := eng.JoinSec(lRows, rRows, outRows)
@@ -247,7 +229,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 				node := &PlanNode{
 					Kind: NodeJoin, Left: left, Right: right, Engine: e,
 					EstRows: outRows, EstBytes: outBytes,
-					CostSec: left.CostSec + right.CostSec + o.adjust(e, joinSec),
+					CostSec: left.CostSec + right.CostSec + joinSec,
 					mask:    mask,
 				}
 				if cur := dp[mask][e]; cur == nil || node.CostSec < cur.CostSec {
@@ -283,7 +265,7 @@ func (o *Optimizer) optimize(q *Query, allowed []string) (*OptimizedPlan, error)
 
 // atEngine returns the cheapest way to have the subresult resident on e:
 // either it is already there, or the best foreign plan is moved in.
-func (o *Optimizer) atEngine(options map[string]*PlanNode, e string, eng Engine, rowBytes float64) *PlanNode {
+func (o *Optimizer) atEngine(options map[string]*PlanNode, e string, eng Engine) *PlanNode {
 	best := options[e]
 	for from, n := range options {
 		if from == e {
@@ -291,12 +273,12 @@ func (o *Optimizer) atEngine(options map[string]*PlanNode, e string, eng Engine,
 		}
 		rows := n.EstRows
 		if !o.StatsInjection {
-			rows = o.DefaultRows
+			rows = defaultRows
 		}
 		moved := &PlanNode{
 			Kind: NodeMove, Child: n, Engine: e,
 			EstRows: n.EstRows, EstBytes: n.EstBytes,
-			CostSec: n.CostSec + o.adjust(e, eng.LoadSec(rows, n.EstBytes)),
+			CostSec: n.CostSec + eng.LoadSec(rows, n.EstBytes),
 			mask:    n.mask,
 		}
 		if best == nil || moved.CostSec < best.CostSec {

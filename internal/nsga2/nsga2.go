@@ -33,16 +33,22 @@ type Problem struct {
 
 // Config holds the GA hyper-parameters. Zero values select defaults.
 type Config struct {
-	PopSize       int     // default 40 (rounded up to even)
-	Generations   int     // default 50
-	CrossoverProb float64 // default 0.9
-	MutationProb  float64 // default 1/len(vars)
-	EtaCrossover  float64 // SBX distribution index, default 15
-	EtaMutation   float64 // polynomial mutation index, default 20
-	Seed          int64
+	PopSize     int // default 40 (rounded up to even)
+	Generations int // default 50
+	Seed        int64
 }
 
-func (c Config) withDefaults(nvars int) Config {
+// The variation operators' fixed parameters: SBX is applied to a pair with
+// probability crossoverProb, each variable mutates with probability
+// 1/len(vars), and etaCrossover and etaMutation are the SBX and polynomial
+// mutation distribution indices (floats, so 1/(eta+1) is no integer division).
+const (
+	crossoverProb = 0.9
+	etaCrossover  = 15.0
+	etaMutation   = 20.0
+)
+
+func (c Config) withDefaults() Config {
 	if c.PopSize <= 0 {
 		c.PopSize = 40
 	}
@@ -51,18 +57,6 @@ func (c Config) withDefaults(nvars int) Config {
 	}
 	if c.Generations <= 0 {
 		c.Generations = 50
-	}
-	if c.CrossoverProb <= 0 {
-		c.CrossoverProb = 0.9
-	}
-	if c.MutationProb <= 0 {
-		c.MutationProb = 1.0 / float64(nvars)
-	}
-	if c.EtaCrossover <= 0 {
-		c.EtaCrossover = 15
-	}
-	if c.EtaMutation <= 0 {
-		c.EtaMutation = 20
 	}
 	return c
 }
@@ -93,7 +87,7 @@ func Run(p Problem, cfg Config) ([]Individual, error) {
 			return nil, fmt.Errorf("nsga2: variable %d has Max < Min", i)
 		}
 	}
-	cfg = cfg.withDefaults(len(p.Vars))
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	pop := make([]Individual, cfg.PopSize)
@@ -111,9 +105,9 @@ func Run(p Problem, cfg Config) ([]Individual, error) {
 		for len(offspring) < cfg.PopSize {
 			a := tournament(rng, pop)
 			b := tournament(rng, pop)
-			c1, c2 := crossover(rng, p, cfg, a.X, b.X)
-			mutate(rng, p, cfg, c1)
-			mutate(rng, p, cfg, c2)
+			c1, c2 := crossover(rng, p, a.X, b.X)
+			mutate(rng, p, c1)
+			mutate(rng, p, c2)
 			offspring = append(offspring, evaluate(p, c1), evaluate(p, c2))
 		}
 		pop = environmentalSelection(append(pop, offspring...), cfg.PopSize)
@@ -256,11 +250,11 @@ func crowdedLess(a, b Individual) bool {
 	return a.crowding > b.crowding
 }
 
-// crossover applies SBX with probability CrossoverProb, else copies.
-func crossover(rng *rand.Rand, p Problem, cfg Config, a, b []float64) ([]float64, []float64) {
+// crossover applies SBX with probability crossoverProb, else copies.
+func crossover(rng *rand.Rand, p Problem, a, b []float64) ([]float64, []float64) {
 	c1 := append([]float64(nil), a...)
 	c2 := append([]float64(nil), b...)
-	if rng.Float64() > cfg.CrossoverProb {
+	if rng.Float64() > crossoverProb {
 		return c1, c2
 	}
 	for j, v := range p.Vars {
@@ -271,9 +265,9 @@ func crossover(rng *rand.Rand, p Problem, cfg Config, a, b []float64) ([]float64
 		u := rng.Float64()
 		var beta float64
 		if u <= 0.5 {
-			beta = math.Pow(2*u, 1/(cfg.EtaCrossover+1))
+			beta = math.Pow(2*u, 1/(etaCrossover+1))
 		} else {
-			beta = math.Pow(1/(2*(1-u)), 1/(cfg.EtaCrossover+1))
+			beta = math.Pow(1/(2*(1-u)), 1/(etaCrossover+1))
 		}
 		c1[j] = 0.5 * ((x1 + x2) - beta*(x2-x1))
 		c2[j] = 0.5 * ((x1 + x2) + beta*(x2-x1))
@@ -283,10 +277,12 @@ func crossover(rng *rand.Rand, p Problem, cfg Config, a, b []float64) ([]float64
 	return c1, c2
 }
 
-// mutate applies polynomial mutation in place.
-func mutate(rng *rand.Rand, p Problem, cfg Config, x []float64) {
+// mutate applies polynomial mutation in place, to each variable with
+// probability 1/len(vars).
+func mutate(rng *rand.Rand, p Problem, x []float64) {
+	prob := 1 / float64(len(p.Vars))
 	for j, v := range p.Vars {
-		if rng.Float64() > cfg.MutationProb {
+		if rng.Float64() > prob {
 			continue
 		}
 		span := v.Max - v.Min
@@ -296,9 +292,9 @@ func mutate(rng *rand.Rand, p Problem, cfg Config, x []float64) {
 		u := rng.Float64()
 		var delta float64
 		if u < 0.5 {
-			delta = math.Pow(2*u, 1/(cfg.EtaMutation+1)) - 1
+			delta = math.Pow(2*u, 1/(etaMutation+1)) - 1
 		} else {
-			delta = 1 - math.Pow(2*(1-u), 1/(cfg.EtaMutation+1))
+			delta = 1 - math.Pow(2*(1-u), 1/(etaMutation+1))
 		}
 		x[j] = clamp(x[j]+delta*span, v.Min, v.Max)
 	}

@@ -5,6 +5,7 @@
 package operator
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -50,33 +51,40 @@ func (d *Dataset) IsMaterialized() bool {
 	return d.Meta.Child("Execution").Child("path").Value() != ""
 }
 
-// SizeBytes returns the Optimization.size field (bytes), or 0 when unknown.
-func (d *Dataset) SizeBytes() int64 {
+// Size returns the dataset's declared record count (Optimization.documents,
+// falling back to Optimization.count) and byte size (Optimization.size), 0
+// when unknown. A declared number no int64 holds is an error (see count).
+func (d *Dataset) Size() (records, bytes int64, err error) {
 	if d == nil || d.Meta == nil {
-		return 0
+		return 0, 0, nil
 	}
-	v, _ := d.Meta.Get(PathSize)
-	n, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0
+	records, ok, err := d.count(PathDocuments)
+	if err == nil && !ok {
+		records, _, err = d.count("Optimization.count")
 	}
-	return int64(n)
+	if err == nil {
+		bytes, _, err = d.count(PathSize)
+	}
+	return records, bytes, err
 }
 
-// Records returns the record count of the dataset: Optimization.documents,
-// falling back to Optimization.count, or 0 when unknown.
-func (d *Dataset) Records() int64 {
-	if d == nil || d.Meta == nil {
-		return 0
+// count reads the number declared at path: ok is false when there is none
+// (the count is unknown). One that is NaN, infinite, negative or 2^63 or
+// more is an error naming the dataset and the value, where a plain
+// conversion would wrap.
+func (d *Dataset) count(path string) (n int64, ok bool, err error) {
+	v, ok := d.Meta.Get(path)
+	if !ok {
+		return 0, false, nil
 	}
-	for _, p := range []string{PathDocuments, "Optimization.count"} {
-		if v, ok := d.Meta.Get(p); ok {
-			if n, err := strconv.ParseFloat(v, 64); err == nil {
-				return int64(n)
-			}
-		}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, false, nil
 	}
-	return 0
+	if !(f >= 0 && f < 1<<63) {
+		return 0, true, fmt.Errorf("dataset %s declares %s=%s: want a count in [0, 2^63)", d.Name, path, v)
+	}
+	return int64(f), true, nil
 }
 
 // Constraints returns the dataset's Constraints subtree (possibly nil).

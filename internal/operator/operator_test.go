@@ -2,6 +2,7 @@ package operator
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/asap-project/ires/internal/metadata"
@@ -54,18 +55,63 @@ Optimization.documents=1200
 	if !d.IsMaterialized() {
 		t.Fatal("dataset with path should be materialized")
 	}
-	if got := d.SizeBytes(); got != 932000000 {
-		t.Errorf("SizeBytes = %d", got)
-	}
-	if got := d.Records(); got != 1200 {
-		t.Errorf("Records = %d", got)
+	if records, bytes, err := d.Size(); records != 1200 || bytes != 932000000 || err != nil {
+		t.Errorf("Size = %d records, %d bytes, %v", records, bytes, err)
 	}
 	abstract := NewDataset("d1", nil)
 	if abstract.IsMaterialized() {
 		t.Fatal("empty dataset should be abstract")
 	}
-	if abstract.SizeBytes() != 0 || abstract.Records() != 0 {
+	if records, bytes, err := abstract.Size(); records != 0 || bytes != 0 || err != nil {
 		t.Fatal("abstract dataset should have zero size/records")
+	}
+}
+
+// TestDatasetDeclaredCounts pins the checked conversion of a declared count:
+// a value that is no number is unknown (0, or Optimization.count for the
+// records), one an int64 holds converts, and any other is an error naming
+// the dataset and the value, where a plain conversion would wrap.
+func TestDatasetDeclaredCounts(t *testing.T) {
+	for _, c := range []struct {
+		v    string
+		want int64
+		bad  bool
+	}{
+		{"1200", 1200, false},
+		{"932E06", 932000000, false},
+		{"9.2e18", 9200000000000000000, false},
+		{"-0", 0, false},
+		{"lots", 0, false},
+		{"1e19", 0, true},
+		{"9223372036854775808", 0, true},
+		{"1e400", 0, true},
+		{"-1", 0, true},
+		{"-1e400", 0, true},
+		{"NaN", 0, true},
+		{"Inf", 0, true},
+		{"-Inf", 0, true},
+	} {
+		for _, path := range []string{PathSize, PathDocuments} {
+			records, bytes, err := NewDataset("logs", metadata.MustParse(path+"="+c.v)).Size()
+			got := bytes
+			if path == PathDocuments {
+				got = records
+			}
+			if c.bad {
+				if err == nil || !strings.Contains(err.Error(), "logs") || !strings.Contains(err.Error(), path+"="+c.v) {
+					t.Errorf("%s=%s: %d, %v; want an error naming logs and the value", path, c.v, got, err)
+				}
+				continue
+			}
+			if got != c.want || err != nil {
+				t.Errorf("%s=%s: %d, %v; want %d", path, c.v, got, err, c.want)
+			}
+		}
+	}
+	// An unreadable documents value falls back to Optimization.count.
+	d := NewDataset("logs", metadata.MustParse("Optimization.documents=lots\nOptimization.count=7"))
+	if got, _, err := d.Size(); got != 7 || err != nil {
+		t.Errorf("documents=lots, count=7: %d, %v; want 7", got, err)
 	}
 }
 

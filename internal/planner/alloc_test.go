@@ -89,6 +89,45 @@ func TestPlanAllocationCeilings(t *testing.T) {
 	}
 }
 
+// TestLeafPassSizeCheckAllocatesNothing pins that reading each source's
+// declared record count and size, with the check that neither wraps an
+// int64, allocates nothing: a warm leaf pass over a 100-operator Montage
+// DAG allocates what its memo lookups alone do (the rendering of each
+// source's constraint tree, the memo key).
+func TestLeafPassSizeCheckAllocatesNothing(t *testing.T) {
+	g, err := pegasus.Generate(pegasus.Montage, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pegasusPlanner(t, g)
+	if _, err := p.Plan(g); err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.ValidatedOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	pass := func() {
+		leaves, err := p.leavesLocked(order, nil, false)
+		if err != nil || len(leaves) == 0 {
+			t.Fatalf("leaf pass: %d leaves, %v", len(leaves), err)
+		}
+		clear(leaves)
+	}
+	lookups := func() {
+		for _, d := range order {
+			if d.Kind == workflow.DatasetNode && len(d.Inputs) == 0 {
+				p.leafLocked(d.Dataset.Constraints(), 100_000, 100_000_000, false)
+			}
+		}
+	}
+	if got, want := testing.AllocsPerRun(20, pass), testing.AllocsPerRun(20, lookups); got != want {
+		t.Errorf("warm leaf pass: %.0f allocations, its memo lookups alone %.0f", got, want)
+	}
+}
+
 // TestCacheDoesNotGrowWithFreshGraphs is the regression test for a leak: the
 // cache used to memoize tree renderings by tree pointer, and every
 // submission parses a fresh graph, so it grew by (operators + sources)

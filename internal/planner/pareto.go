@@ -43,7 +43,10 @@ func (p *Planner) ParetoPlans(g *workflow.Graph) ([]*Plan, error) {
 	p.emit(trace.Event{Type: trace.EvPlanStart, Fields: map[string]float64{
 		"nodes": float64(g.Len()), "pareto": 1,
 	}})
-	row, stats := p.targetRowLocked(g, order, nil, true)
+	row, stats, err := p.targetRowLocked(g, order, nil, true)
+	if err != nil {
+		return nil, err
+	}
 	p.recordBuildLocked(stats)
 
 	// The target row holds one front per tag; the answer is the front of

@@ -437,7 +437,10 @@ func (p *Planner) plan(g *workflow.Graph, done []MaterializedIntermediate, repla
 			return nil, err
 		}
 	}
-	row, stats := p.targetRowLocked(g, order, seed, false)
+	row, stats, err := p.targetRowLocked(g, order, seed, false)
+	if err != nil {
+		return nil, err
+	}
 	p.recordBuildLocked(stats)
 	targetNode, _ := g.Node(g.Target)
 	var best *tagEntry

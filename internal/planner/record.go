@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"slices"
 
 	"github.com/asap-project/ires/internal/workflow"
@@ -71,8 +72,9 @@ type buildRecord struct {
 // leavesLocked runs the leaf pass of a build (line 5-10 of Alg. 1): a seed
 // for every seeded dataset, else the memoized leaf of every materialized
 // one, in order. Source datasets are materialized, as ValidatedOrder checked.
-// The list is the planner's scratch, valid until the next build.
-func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) []leafRef {
+// A declared size no int64 holds fails the build with ErrNoPlan. The list is
+// the planner's scratch, valid until the next build.
+func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) ([]leafRef, error) {
 	leaves := p.leaves[:0]
 	for _, d := range order {
 		if d.Kind != workflow.DatasetNode {
@@ -83,22 +85,31 @@ func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry
 			e = seed[d.Name]
 		}
 		if e == nil && (len(d.Inputs) == 0 || d.Dataset.IsMaterialized()) {
-			e = p.leafLocked(d.Dataset.Constraints(), d.Dataset.Records(), d.Dataset.SizeBytes(), pareto)
+			records, bytes, err := d.Dataset.Size()
+			if err != nil {
+				clear(leaves) // the scratch must not keep entries alive
+				return nil, fmt.Errorf("%w: %w", ErrNoPlan, err)
+			}
+			e = p.leafLocked(d.Dataset.Constraints(), records, bytes, pareto)
 		}
 		if e != nil {
 			leaves = append(leaves, leafRef{d.Pos(), e})
 		}
 	}
 	p.leaves = leaves
-	return leaves
+	return leaves, nil
 }
 
 // targetRowLocked returns the row of g's target and the build's statistics:
 // the record's when it is valid, else those of a table build, which then
 // rewrites the record. Both are read-only and valid until the next build.
-// Must be called with p.mu held, after ensureCacheValidLocked.
-func (p *Planner) targetRowLocked(g *workflow.Graph, order []*workflow.Node, seed map[string]*tagEntry, pareto bool) ([]*tagEntry, *dpStats) {
-	leaves := p.leavesLocked(order, seed, pareto)
+// A leaf pass error fails the build. Must be called with p.mu held, after
+// ensureCacheValidLocked.
+func (p *Planner) targetRowLocked(g *workflow.Graph, order []*workflow.Node, seed map[string]*tagEntry, pareto bool) ([]*tagEntry, *dpStats, error) {
+	leaves, err := p.leavesLocked(order, seed, pareto)
+	if err != nil {
+		return nil, nil, err
+	}
 	defer clear(leaves) // the scratch must not keep entries alive
 	c := &p.cache
 	key := recordKey{g.ID(), pareto}
@@ -108,14 +119,14 @@ func (p *Planner) targetRowLocked(g *workflow.Graph, order []*workflow.Node, see
 		if pf, ok := p.cfg.Estimator.(Prefitter); ok {
 			pf.Prefit(rec.prefit)
 		}
-		return rec.row, &rec.stats
+		return rec.row, &rec.stats, nil
 	}
 	dp, stats := p.buildTable(order, leaves, pareto)
 	target, _ := g.Node(g.Target)
 	row := dp[target.Pos()]
 	clear(dp) // the table must not keep entries alive either
 	if len(seed) > 0 {
-		return row, stats
+		return row, stats, nil
 	}
 	if rec == nil {
 		if len(c.records) >= maxRecords {
@@ -134,7 +145,7 @@ func (p *Planner) targetRowLocked(g *workflow.Graph, order []*workflow.Node, see
 	rec.prefit = append(rec.prefit[:0], p.prefit...)
 	rec.stats = *stats
 	rec.stats.cacheHits, rec.stats.cacheMisses = stats.cacheHits+stats.cacheMisses, 0
-	return row, stats
+	return row, stats, nil
 }
 
 // dropRecords kills every record on an eviction or at the bound. Their

@@ -27,7 +27,11 @@ func tableRows(t *testing.T, p *Planner, g *workflow.Graph, done []MaterializedI
 			t.Fatal(err)
 		}
 	}
-	dp, stats := p.buildTable(order, p.leavesLocked(order, seed, pareto), pareto)
+	leaves, err := p.leavesLocked(order, seed, pareto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, stats := p.buildTable(order, leaves, pareto)
 	defer clear(dp)
 	p.recordBuildLocked(stats)
 	rows := make([][]*tagEntry, len(dp))

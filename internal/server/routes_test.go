@@ -90,6 +90,25 @@ func TestExecutePastTheHorizonIs400(t *testing.T) {
 	}
 }
 
+// A dataset that declares a size no int64 holds does not plan: materialize
+// and execute answer 400 naming the dataset and the value, where the size
+// used to wrap to a negative one.
+func TestWrappingDatasetSizeIs400(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	setupWordcount(t, ts)
+	resp, body := do(t, "POST", ts.URL+"/api/datasets/logs",
+		"Constraints.Engine.FS=HDFS\nExecution.path=hdfs:///logs\nOptimization.documents=1000\nOptimization.size=1e19")
+	expectCode(t, resp, body, http.StatusCreated)
+	for _, action := range []string{"materialize", "execute"} {
+		resp, body = do(t, "POST", ts.URL+"/api/workflows/wc/"+action, "")
+		expectCode(t, resp, body, http.StatusBadRequest)
+		expectAPIError(t, resp, body)
+		if !strings.Contains(body, "dataset logs declares Optimization.size=1e19") {
+			t.Fatalf("%s over a 1e19-byte dataset: %s; want the dataset and the value named", action, body)
+		}
+	}
+}
+
 // Empty listings are JSON arrays, never null.
 func TestEmptyListsAreArrays(t *testing.T) {
 	_, ts, p := newTestServer(t)
@@ -149,6 +168,9 @@ func FuzzAPI(f *testing.F) {
 	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "submit"), "", "deadlineSec=NaN", "")
 	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "submit"), "", "deadlineSec=Inf", "")
 	f.Add(uint8(1), seg("api", "workflows", "LineCountWorkflow", "execute"), "", "", "")
+	f.Add(uint8(1), seg("api", "datasets", "textData"), "", "", "Execution.path=hdfs:///x\nOptimization.size=1e19")
+	f.Add(uint8(1), seg("api", "datasets", "textData"), "", "", "Execution.path=hdfs:///x\nOptimization.documents=NaN")
+	f.Add(uint8(1), seg("api", "datasets", "textData"), "", "", "Execution.path=hdfs:///x\nOptimization.documents=-1e400")
 	f.Add(uint8(1), seg("api", "workflows", "TextClustering", "pareto"), "", "", "")
 	f.Add(uint8(0), seg("api", "runs", "run-001", "trace"), "", "", "")
 	f.Add(uint8(1), seg("api", "engines", "Spark", "availability"), "", "", `{"on":false}`)

@@ -20,22 +20,18 @@ import (
 // is exact: an entry that gains a caller, or no longer exists, fails the test.
 var reachLedger = map[string]string{
 	// Pinned behaviour and reproduced mechanisms.
-	"musqle.NewCalibrator":               "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
-	"musqle.Calibrator.ObserveExecution": "MuSQLE's cost-API calibration is a reproduced mechanism (DESIGN.md) that no cell runs yet",
-	"scheduler.Scheduler.CheckIndex":     "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
-	"experiments.PlanPegasus":            "the Fig 14-15 planning unit that BenchmarkPlannerMontage1000 times",
-	"server.Server.Handler":              "the REST tests serve it through httptest; ListenAndServe mounts the same mux",
-	"cluster.Cluster.SetNodeHealth":      "failure injection that flips health without losing containers; placement, monitor and restore tests use it",
-	"metadata.FromProperties":            "the programmatic form of a description file; the metadata round-trip and matching tests build trees with it",
-	"vtime.Clock.Advance":                "the clock, cluster and faults tests fire scheduled events from one goroutine with it; every run drives the clock as a party",
+	"scheduler.Scheduler.CheckIndex": "oracle: checks every incremental scheduler structure against a from-scratch rebuild in the storm tests",
+	"experiments.PlanPegasus":        "the Fig 14-15 planning unit that BenchmarkPlannerMontage1000 times",
+	"server.Server.Handler":          "the REST tests serve it through httptest; ListenAndServe mounts the same mux",
+	"cluster.Cluster.SetNodeHealth":  "failure injection that flips health without losing containers; placement, monitor and restore tests use it",
+	"metadata.FromProperties":        "the programmatic form of a description file; the metadata round-trip and matching tests build trees with it",
+	"vtime.Clock.Advance":            "the clock, cluster and faults tests fire scheduled events from one goroutine with it; every run drives the clock as a party",
 	// Observation points that tests of other behaviour read.
 	"cluster.Cluster.ReservedNodes":        "observation point that the lease, preemption and storm tests read; it counts the per-node slice refcounts CheckInvariants recounts",
 	"cluster.Cluster.ReservedSlices":       "observation point that the elastic-lease and oversubscription tests read; it sums the per-node slice books CheckInvariants recounts",
 	"cluster.Cluster.LiveContainers":       "observation point that the container-accounting tests read",
 	"cluster.Reservation.Released":         "observation point that the elastic-lease and storm tests read",
 	"cluster.Reservation.Nodes":            "observation point that the lease and grow tests read",
-	"musqle.Calibrator.Engines":            "observation point that the cost-API calibration tests read",
-	"musqle.Calibrator.SampleCount":        "observation point that the cost-API calibration tests read",
 	"cluster.Monitor.Ticks":                "observation point that the monitor-poll tests read",
 	"cluster.Monitor.NodeHealthy":          "observation point that the monitor-poll oracle compares; it scans the node list for the board entry",
 	"cluster.Monitor.ServiceOn":            "observation point that the monitor-poll oracle compares",
