@@ -145,12 +145,17 @@ func Fit(problems []Problem, key func(Score) float64) ([][]Fitted, []error, time
 	f := newFit(problems, key, true)
 	busy := f.run()
 	out, errs := make([][]Fitted, len(f.probs)), make([]error, len(f.probs))
+	cols := 0
+	for i := range f.probs {
+		cols += len(f.probs[i].cols)
+	}
+	all := make([]Fitted, cols)
 	for i := range f.probs {
 		pr := &f.probs[i]
 		if errs[i] = pr.err; pr.err != nil {
 			continue
 		}
-		out[i] = make([]Fitted, len(pr.cols))
+		out[i], all = all[:len(pr.cols):len(pr.cols)], all[len(pr.cols):]
 		for t := range pr.cols {
 			c := &pr.cols[t]
 			out[i][t] = Fitted{Model: c.model, Family: c.fam, Selection: c.sel, Err: c.err}
@@ -164,40 +169,49 @@ func Fit(problems []Problem, key func(Score) float64) ([][]Fitted, []error, time
 type split struct {
 	trX, vaX [][]float64
 	tr, va   []int
+	off      int       // where the held-out rows start among all folds'
+	rows     rowGroups // trX grouped, for the cells of every target
 }
 
-// column is one target's state through its waves.
+// column is one target's state.
 type column struct {
-	y   []float64
-	fam int // the family trained on the whole buffer: the winner, once settled
-	// Selection state, written only by whoever holds the column's current
-	// wave: the caller for wave 0, then the cell that completes each wave.
-	// Cells and sums are indexed by candidate, fams[cand] being the family.
-	selects  bool
+	y      []float64
+	fam    int // the family trained on the whole buffer: the winner, once settled
+	*waves     // nil unless the target selects
+	sel    Selection
+	model  Model
+	err    error
+}
+
+// waves is a selecting target's state through its waves, written only by
+// whoever holds the current wave: the caller for wave 0, then the cell that
+// completes each wave. Cells and sums are indexed by candidate, fams[cand]
+// being the family.
+type waves struct {
 	fams     []int
 	trY, vaY [][]float64 // per fold
 	// preds[cand*k+fold] holds a trained cell's validation predictions, nil
-	// when its Train failed.
+	// when its Train failed; a candidate's folds share n floats of flat.
 	preds   [][]float64
+	flat    []float64
 	lead    int       // a candidate
 	se, re  []float64 // per candidate, summed over its reduced folds in order
 	dropped []bool
 	trained int
 	wave    int
 	left    atomic.Int32 // cells of the current wave still running, plus one while it is being queued
-	sel     Selection
-
-	model Model
-	err   error
 }
 
 // problem is one Problem's state in a fit.
 type problem struct {
 	factories []Factory
+	protos    []Model // one untrained model per factory: its family's name and configuration
 	names     []string
 	whole     [][]float64 // the rows of whole-buffer Trains; nil when the fit only selects
+	wholeRows rowGroups   // whole grouped, for the whole-buffer Trains of every target
 	folds     []split
 	n, k      int // rows cross-validated, folds
+	seed      int64
 	cols      []column
 	err       error // the validation's: the problem queues no job
 }
@@ -222,13 +236,13 @@ func newFit(problems []Problem, key func(Score) float64, whole bool) *fit {
 	for i, pb := range problems {
 		pr := &f.probs[i]
 		if whole {
-			pr.whole = pb.X
+			pr.whole, pr.wholeRows.X = pb.X, pb.X
 		}
 		// Problems over one zoo share its names.
 		if i > 0 && sameFactories(pb.Factories, problems[i-1].Factories) {
-			pr.names = f.probs[i-1].names
+			pr.protos, pr.names = f.probs[i-1].protos, f.probs[i-1].names
 		}
-		pr.err = pr.setup(pb)
+		pr.err = pr.setup(pb, f.probs[:i])
 	}
 	return f
 }
@@ -238,27 +252,29 @@ func sameFactories(a, b []Factory) bool {
 }
 
 // setup checks that every target has one value per row of X, validates the
-// selecting targets on the first n rows and cuts those into folds.
-func (pr *problem) setup(pb Problem) error {
+// selecting targets on the first n rows and cuts those into folds. The folds
+// of an earlier problem with the same rows cross-validated, fold count and
+// seed are cut the same way, and share their positions.
+func (pr *problem) setup(pb Problem, earlier []problem) error {
 	X, n, k := pb.X, pb.Sel, pb.K
-	pr.factories, pr.n = pb.Factories, n
+	pr.factories, pr.n, pr.seed = pb.Factories, n, pb.Seed
 	pr.cols = make([]column, len(pb.Targets))
-	selecting := false
+	selecting := 0
 	for t, tg := range pb.Targets {
 		if len(tg.Y) != len(X) {
 			return fmt.Errorf("%w: %d rows vs %d targets", ErrDimMismatch, len(X), len(tg.Y))
 		}
 		c := &pr.cols[t]
-		c.y, c.fam, c.selects = tg.Y, tg.Family, tg.Select
+		c.y, c.fam = tg.Y, tg.Family
 		if !tg.Select {
 			continue
 		}
 		if _, err := validate(X[:n], tg.Y[:n]); err != nil {
 			return err
 		}
-		selecting = true
+		selecting++
 	}
-	if !selecting {
+	if selecting == 0 {
 		return nil
 	}
 	if n < 2 {
@@ -266,36 +282,43 @@ func (pr *problem) setup(pb Problem) error {
 	}
 	pr.k = min(max(k, 2), n)
 	k = pr.k
-	perm := newRand(pb.Seed).Perm(n)
-
-	// With 2 <= k <= n both sides of every fold are non-empty.
 	pr.folds = make([]split, k)
-	for i, p := range perm {
-		for fo := range pr.folds {
-			s := &pr.folds[fo]
-			if i%k == fo {
-				s.vaX, s.va = append(s.vaX, X[p]), append(s.va, p)
-			} else {
-				s.trX, s.tr = append(s.trX, X[p]), append(s.tr, p)
-			}
+	pr.cut(earlier)
+	rows := make([][]float64, k*n)
+	for fo := range pr.folds {
+		s := &pr.folds[fo]
+		s.trX, s.vaX = rows[fo*n:][:len(s.tr)], rows[fo*n+len(s.tr):][:len(s.va)]
+		for i, p := range s.tr {
+			s.trX[i] = X[p]
 		}
+		for i, p := range s.va {
+			s.vaX[i] = X[p]
+		}
+		s.rows.X = s.trX
 	}
 	nf := len(pr.factories)
 	if pr.names == nil {
-		pr.names = make([]string, nf)
+		pr.protos, pr.names = make([]Model, nf), make([]string, nf)
 		for fam, fac := range pr.factories {
-			pr.names[fam] = fac().Name()
+			pr.protos[fam] = fac()
+			pr.names[fam] = pr.protos[fam].Name()
 		}
 	}
 	var all []int
+	ws := make([]waves, selecting)
 	for t, tg := range pb.Targets {
 		c := &pr.cols[t]
-		if !c.selects {
+		if !tg.Select {
 			continue
 		}
-		c.trY, c.vaY = make([][]float64, k), make([][]float64, k)
-		for fo, s := range pr.folds {
-			c.trY[fo], c.vaY[fo] = gather(c.y, s.tr), gather(c.y, s.va)
+		c.waves, ws = &ws[0], ws[1:]
+		ys, cut := make([]float64, k*n), make([][]float64, 2*k)
+		c.trY, c.vaY = cut[:k], cut[k:]
+		for fo := range pr.folds {
+			s := &pr.folds[fo]
+			c.trY[fo], c.vaY[fo] = ys[fo*n:][:len(s.tr)], ys[fo*n+len(s.tr):][:len(s.va)]
+			gather(c.trY[fo], c.y, s.tr)
+			gather(c.vaY[fo], c.y, s.va)
 		}
 		if c.fams = tg.Families; len(c.fams) == 0 {
 			if all == nil {
@@ -307,17 +330,71 @@ func (pr *problem) setup(pb Problem) error {
 			c.fams = all
 		}
 		nc := len(c.fams)
-		c.preds = make([][]float64, nc*k)
-		c.se, c.re, c.dropped = make([]float64, nc), make([]float64, nc), make([]bool, nc)
+		c.preds, c.flat = make([][]float64, nc*k), make([]float64, nc*n)
+		sums := make([]float64, 2*nc)
+		c.se, c.re, c.dropped = sums[:nc], sums[nc:], make([]bool, nc)
 		c.lead = max(slices.Index(c.fams, c.fam), 0)
 	}
 	return nil
+}
+
+// cut sets every fold's positions: the k-th of the rows shuffled by the seed
+// are held out in turn. They are an earlier problem's when it cut the same.
+func (pr *problem) cut(earlier []problem) {
+	n, k := pr.n, pr.k
+	for i := range earlier {
+		if e := &earlier[i]; e.folds != nil && e.n == n && e.k == k && e.seed == pr.seed {
+			for fo := range pr.folds {
+				s, es := &pr.folds[fo], &e.folds[fo]
+				s.tr, s.va, s.off = es.tr, es.va, es.off
+			}
+			return
+		}
+	}
+	// With 2 <= k <= n both sides of every fold are non-empty.
+	idx, off := make([]int, k*n), 0
+	for fo := range pr.folds {
+		s := &pr.folds[fo]
+		va := (n - fo + k - 1) / k // the i < n with i%k == fo
+		s.tr, s.va, s.off = idx[fo*n:fo*n:fo*n+n-va], idx[fo*n+n-va:fo*n+n-va:(fo+1)*n], off
+		off += va
+	}
+	for i, p := range newRand(pr.seed).Perm(n) {
+		s := &pr.folds[i%k]
+		s.va = append(s.va, p)
+		for fo := range pr.folds {
+			if fo != i%k {
+				pr.folds[fo].tr = append(pr.folds[fo].tr, p)
+			}
+		}
+	}
 }
 
 // run queues every selecting target's wave 0 and, in a Fit, the whole-buffer
 // Train of every other target, problem by problem, then works the graph to
 // the end. It returns the summed job time.
 func (f *fit) run() time.Duration {
+	jobs := 0
+	for i := range f.probs {
+		pr := &f.probs[i]
+		if pr.err != nil {
+			continue
+		}
+		for t := range pr.cols {
+			c := &pr.cols[t]
+			switch {
+			case c.waves != nil:
+				for cand := range c.fams {
+					lo, hi := f.span(pr, c, cand)
+					jobs += hi - lo
+				}
+			case pr.whole != nil:
+				jobs++
+			}
+		}
+	}
+	// Room for the first jobs, so that queueing them allocates once.
+	f.pool.queue = make([]job, 0, jobs)
 	for i := range f.probs {
 		pr := &f.probs[i]
 		if pr.err != nil {
@@ -325,7 +402,7 @@ func (f *fit) run() time.Duration {
 		}
 		for t := range pr.cols {
 			switch {
-			case pr.cols[t].selects:
+			case pr.cols[t].waves != nil:
 				f.queueWave(i, t)
 			case pr.whole != nil:
 				f.pool.push(job{i, t, 0, -1})
@@ -371,17 +448,32 @@ func (f *fit) queueWave(p, t int) {
 	}
 }
 
-func (f *fit) do(j job) {
+func (f *fit) do(k *kit, j job) {
 	pr := &f.probs[j.prob]
 	c := &pr.cols[j.col]
 	if j.fold < 0 {
+		// A model the caller keeps is its factory's own, trained in the
+		// kit's scratch.
 		c.model = pr.factories[c.fam]()
-		c.err = c.model.Train(pr.whole, c.y)
+		if m, ok := ownTrainer(c.model); ok {
+			c.err = m.train(&k.scratch, pr.whole, c.y, &pr.wholeRows)
+		} else {
+			c.err = c.model.Train(pr.whole, c.y)
+		}
 		return
 	}
 	s := &pr.folds[j.fold]
-	if m := pr.factories[c.fams[j.cand]](); m.Train(s.trX, c.trY[j.fold]) == nil {
-		out := make([]float64, len(s.vaX))
+	fam := c.fams[j.cand]
+	var m Model
+	var err error
+	if t, ok := k.cellModel(pr.protos[fam]); ok {
+		m, err = t, t.train(&k.scratch, s.trX, c.trY[j.fold], &s.rows)
+	} else {
+		m = pr.factories[fam]()
+		err = m.Train(s.trX, c.trY[j.fold])
+	}
+	if err == nil {
+		out := c.flat[j.cand*pr.n+s.off:][:len(s.vaX)]
 		for i, x := range s.vaX {
 			out[i] = m.Predict(x)
 		}
@@ -458,12 +550,11 @@ func (c *column) reduce(cand, lo, hi, k int) {
 	c.se[cand], c.re[cand] = se, re
 }
 
-func gather(y []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
+// gather writes y at the positions idx to out.
+func gather(out, y []float64, idx []int) {
 	for i, p := range idx {
 		out[i] = y[p]
 	}
-	return out
 }
 
 // SelectBestRelative returns the family whose cross-validated mean relative

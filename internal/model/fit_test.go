@@ -17,7 +17,7 @@ func TestPoolRunsJobsInFIFOOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var order []int
 	var p pool[int]
-	p.do = func(j int) {
+	p.do = func(_ *kit, j int) {
 		order = append(order, j)
 		if j < 10 && j%2 == 0 {
 			p.push(100 + j)
@@ -55,7 +55,7 @@ func TestPoolRunsAJobGraphToTheEnd(t *testing.T) {
 		base := runtime.NumGoroutine()
 		var ran, inflight, peak atomic.Int64
 		var p pool[int]
-		p.do = func(depth int) {
+		p.do = func(_ *kit, depth int) {
 			n := inflight.Add(1)
 			defer inflight.Add(-1)
 			for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {

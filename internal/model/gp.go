@@ -21,7 +21,9 @@ type GaussianProcess struct {
 	std   *standardizer
 	tgt   *targetScaler
 	Z     [][]float64 // the distinct standardized inputs, in first-appearance order
-	alpha []float64
+	zflat []float64   // Z's buffer
+	alpha []float64   // nil until trained
+	abuf  []float64   // alpha's buffer
 }
 
 // NewGaussianProcess returns an untrained GP with the given RBF length
@@ -48,36 +50,43 @@ func (g *GaussianProcess) kernel(d2 float64) float64 {
 // every row; the system has one row per distinct input, noise/c_g on its
 // diagonal and the group's mean encoded target on the right-hand side.
 func (g *GaussianProcess) Train(X [][]float64, y []float64) error {
-	if _, err := validate(X, y); err != nil {
+	return g.train(new(scratch), X, y, nil)
+}
+
+func (g *GaussianProcess) train(s *scratch, X [][]float64, y []float64, rg *rowGroups) error {
+	g.alpha = nil
+	dims, err := validate(X, y)
+	if err != nil {
 		return err
 	}
-	g.std = fitStandardizer(X)
-	g.tgt = fitTargetScaler(y)
-	rows, group := distinctRows(X)
-	g.Z = g.std.applyAll(rows)
-	d := len(g.Z)
-	var s lsq
-	s.reset(d)
-	count := make([]float64, d)
-	for i, gi := range group {
+	g.std = refitStandardizer(g.std, X)
+	g.tgt = refitTargetScaler(g.tgt, y)
+	grp := s.groups(rg, X)
+	d := len(grp.rows)
+	g.Z = carve(&g.Z, &g.zflat, d, dims)
+	g.std.applyInto(g.Z, grp.rows)
+	s.lsq.reset(d)
+	count := resize(&s.counts, d)
+	clear(count)
+	for i, gi := range grp.group {
 		// Seeded with the first target, not added to 0: 0 + -0 is +0.
 		if t := g.tgt.encode(y[i]); count[gi] == 0 {
-			s.b[gi] = t
+			s.lsq.b[gi] = t
 		} else {
-			s.b[gi] += t
+			s.lsq.b[gi] += t
 		}
 		count[gi]++
 	}
 	for i, zi := range g.Z {
-		s.b[i] /= count[i]
-		ai := s.a[i*d:][:i+1]
+		s.lsq.b[i] /= count[i]
+		ai := s.lsq.a[i*d:][:i+1]
 		for j := range ai {
 			ai[j] = g.kernel(sqDist(zi, g.Z[j]))
 		}
 		ai[i] += g.noise / count[i]
 	}
-	alpha := make([]float64, d)
-	if !s.solve(0, alpha) {
+	alpha := resize(&g.abuf, d)
+	if !s.lsq.solve(0, alpha) {
 		return errNotPD
 	}
 	g.alpha = alpha

@@ -9,10 +9,11 @@ import (
 // standardized features — the "interpolation" technique of the paper's
 // model list. With k=1 it reproduces profiled points exactly.
 type KNN struct {
-	k   int
-	std *standardizer
-	X   [][]float64
-	y   []float64
+	k     int
+	std   *standardizer
+	X     [][]float64
+	xflat []float64 // X's buffer
+	y     []float64
 }
 
 // NewKNN returns an untrained kNN regressor with the given neighbourhood
@@ -28,13 +29,18 @@ func NewKNN(k int) *KNN {
 func (m *KNN) Name() string { return "KNN" }
 
 // Train implements Model. Training stores the standardized sample set.
-func (m *KNN) Train(X [][]float64, y []float64) error {
-	if _, err := validate(X, y); err != nil {
+func (m *KNN) Train(X [][]float64, y []float64) error { return m.train(new(scratch), X, y, nil) }
+
+func (m *KNN) train(_ *scratch, X [][]float64, y []float64, _ *rowGroups) error {
+	m.X = m.X[:0]
+	dims, err := validate(X, y)
+	if err != nil {
 		return err
 	}
-	m.std = fitStandardizer(X)
-	m.X = m.std.applyAll(X)
-	m.y = clone1D(y)
+	m.std = refitStandardizer(m.std, X)
+	m.X = carve(&m.X, &m.xflat, len(X), dims)
+	m.std.applyInto(m.X, X)
+	copy(resize(&m.y, len(y)), y)
 	return nil
 }
 

@@ -15,17 +15,16 @@ var errNotPD = errors.New("model: matrix not positive definite")
 type lsq struct {
 	d            int
 	a, l, b, row []float64
+	buf          []float64 // a, l, b and row, one after the other
 }
 
-// reset sizes s for d unknowns and zeroes a and b.
+// reset sizes s for d unknowns, reusing its buffer when it is long enough,
+// and zeroes a and b.
 func (s *lsq) reset(d int) {
-	if s.d == d {
-		clear(s.a)
-		clear(s.b)
-		return
-	}
-	buf := make([]float64, 2*d*d+2*d)
+	buf := resize(&s.buf, 2*d*d+2*d)
 	s.d, s.a, s.l, s.b, s.row = d, buf[:d*d], buf[d*d:2*d*d], buf[2*d*d:2*d*d+d], buf[2*d*d+d:]
+	clear(s.a)
+	clear(s.b)
 }
 
 // add accumulates one design row and its target: A += row rowᵀ, b += row·y.

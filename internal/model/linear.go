@@ -13,31 +13,52 @@ type Linear struct {
 	ridge   float64
 }
 
+// linearRidge is the ridge of NewLinear's regressors.
+const linearRidge = 1e-9
+
 // NewLinear returns an untrained linear regressor.
-func NewLinear() *Linear { return &Linear{ridge: 1e-9} }
+func NewLinear() *Linear { return &Linear{ridge: linearRidge} }
 
 // Name implements Model.
 func (l *Linear) Name() string { return "LinearRegression" }
 
 // Train implements Model.
-func (l *Linear) Train(X [][]float64, y []float64) error {
+func (l *Linear) Train(X [][]float64, y []float64) error { return l.train(new(scratch), X, y, nil) }
+
+func (l *Linear) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
 	if _, err := validate(X, y); err != nil {
+		l.weights = nil
 		return err
 	}
-	return l.fit(new(lsq), X, y)
+	return l.fit(&s.lsq, X, y)
+}
+
+// shape cuts l's mean, scale and weights for dims features from one buffer,
+// l's own when it is long enough.
+func (l *Linear) shape(dims int) {
+	buf := l.std.mean[:cap(l.std.mean)]
+	if len(buf) < 3*dims+1 {
+		buf = make([]float64, 3*dims+1)
+	}
+	l.std.mean, l.std.scale, l.weights = buf[:dims], buf[dims:2*dims], buf[2*dims:3*dims+1]
+}
+
+// copyFrom makes l the trained o.
+func (l *Linear) copyFrom(o *Linear) {
+	l.shape(len(o.std.mean))
+	copy(l.std.mean, o.std.mean)
+	copy(l.std.scale, o.std.scale)
+	copy(l.weights, o.weights)
 }
 
 // fit trains l on the validated (X, y) with s as scratch, reusing l's
-// buffers when they have X's width: the standardizer fitStandardizer would
-// fit, then the normal equations over the standardized rows plus a column of
-// ones, solved under l.ridge or, for a degenerate design, under 1e-4. On
-// failure l is left untrained.
+// buffers: the standardizer fitStandardizer would fit, then the normal
+// equations over the standardized rows plus a column of ones, solved under
+// l.ridge or, for a degenerate design, under 1e-4. On failure l is left
+// untrained.
 func (l *Linear) fit(s *lsq, X [][]float64, y []float64) error {
 	dims := len(X[0])
-	if len(l.std.mean) != dims {
-		buf := make([]float64, 3*dims+1)
-		l.std.mean, l.std.scale, l.weights = buf[:dims], buf[dims:2*dims], buf[2*dims:]
-	}
+	l.shape(dims)
 	l.std.fit(X)
 	s.reset(dims + 1)
 	mean, scale, row := l.std.mean, l.std.scale, s.row
@@ -51,7 +72,7 @@ func (l *Linear) fit(s *lsq, X [][]float64, y []float64) error {
 	if s.solve(l.ridge, l.weights) || s.solve(1e-4, l.weights) {
 		return nil
 	}
-	l.weights, l.std = nil, standardizer{}
+	l.weights = nil
 	return errNotPD
 }
 
@@ -90,54 +111,56 @@ func (l *LeastMedianSquares) Name() string { return "LeastMedSq" }
 
 // Train implements Model.
 func (l *LeastMedianSquares) Train(X [][]float64, y []float64) error {
+	return l.train(new(scratch), X, y, nil)
+}
+
+// train fits a subsample of dims+2 rows per draw into the scratch candidate
+// s.cand, and copies the candidate into l.inner whenever its median is the
+// smallest yet. The rows are grouped once, into distinct rows (s.pred holds a
+// subsample fit's prediction for each) and into distinct (row, target) pairs
+// for the median.
+func (l *LeastMedianSquares) train(s *scratch, X [][]float64, y []float64, rg *rowGroups) error {
 	dims, err := validate(X, y)
+	if l.inner == nil {
+		l.inner = NewLinear()
+	}
 	if err != nil {
+		l.inner.weights = nil
 		return err
 	}
 	n := len(X)
 	subset := dims + 2 // minimal sample size for a determined fit
 	if subset >= n {
 		// Too few points for subsampling: plain OLS.
-		l.inner = NewLinear()
-		return l.inner.Train(X, y)
+		return l.inner.fit(&s.lsq, X, y)
 	}
-	rng := newRand(l.seed)
-	// One set of buffers for all subsamples: a subsample is fitted into cand,
-	// which swaps with best when its median is smaller, and every fit shares
-	// the solver scratch s. The rows are grouped once, into distinct rows
-	// (pred holds a subsample fit's prediction for each) and into distinct
-	// (row, target) pairs for the median; perm is scratch for the draws.
-	var s lsq
-	cand, best := NewLinear(), NewLinear()
+	rng := s.rand(l.seed)
+	g := s.groups(rg, X)
+	s.med.of(g.group, y, &s.table)
+	cand := &s.cand
+	cand.ridge = linearRidge
 	found, bestMed := false, 0.0
-	rows, group := distinctRows(X)
-	med := newResidualPairs(group, y)
-	sx := make([][]float64, subset)
-	sy := make([]float64, subset)
-	pred := make([]float64, len(rows))
-	perm := make([]int, n)
+	sx, sy, perm := resize(&s.sub, subset), resize(&s.subY, subset), resize(&s.ints, subset)
+	pred := resize(&s.pred, len(g.rows))
 	for range l.samples {
-		permInto(rng, perm)
-		for i, j := range perm[:subset] {
+		permPrefixInto(rng, n, perm)
+		for i, j := range perm {
 			sx[i], sy[i] = X[j], y[j]
 		}
-		if cand.fit(&s, sx, sy) != nil {
+		if cand.fit(&s.lsq, sx, sy) != nil {
 			continue
 		}
-		for g, x := range rows {
-			pred[g] = cand.Predict(x)
+		for r, x := range g.rows {
+			pred[r] = cand.Predict(x)
 		}
-		if m := med.median(pred); !found || m < bestMed {
-			cand, best = best, cand
+		if m := s.med.median(pred); !found || m < bestMed {
+			l.inner.copyFrom(cand)
 			found, bestMed = true, m
 		}
 	}
 	if !found {
-		if err := best.fit(&s, X, y); err != nil {
-			return err
-		}
+		return l.inner.fit(&s.lsq, X, y)
 	}
-	l.inner = best
 	return nil
 }
 
@@ -166,23 +189,31 @@ type residualPair struct {
 }
 
 // newResidualPairs groups rows given as distinctRows groups them (group[i]
-// is row i's distinct row) with their targets y. An open-addressing table of
-// pair indices does the grouping, as in distinctRows.
+// is row i's distinct row) with their targets y, in new memory.
 func newResidualPairs(group []int, y []float64) residualPairs {
-	r := residualPairs{pairs: make([]residualPair, 0, len(y)), n: len(y)}
+	var r residualPairs
+	r.of(group, y, new([]int32))
+	return r
+}
+
+// of regroups r, reusing its memory and *table, an open-addressing table of
+// pair indices, as in grouping.of.
+func (r *residualPairs) of(group []int, y []float64, table *[]int32) {
+	r.pairs, r.n = resize(&r.pairs, len(y))[:0], len(y)
 	bits := 1
 	for 1<<bits < 2*len(y) {
 		bits++
 	}
-	table := make([]int32, 1<<bits) // pair index + 1; 0 is an empty slot
-	mask := uint64(len(table) - 1)
+	t := resize(table, 1<<bits) // pair index + 1; 0 is an empty slot
+	clear(t)
+	mask := uint64(len(t) - 1)
 	for i, g := range group {
 		yb := math.Float64bits(y[i])
 		h := (uint64(g)*0x9e3779b97f4a7c15 ^ yb) * 0x9e3779b97f4a7c15
 		for slot := h >> (64 - bits); ; slot = (slot + 1) & mask {
-			p := int(table[slot]) - 1
+			p := int(t[slot]) - 1
 			if p < 0 {
-				table[slot] = int32(len(r.pairs) + 1)
+				t[slot] = int32(len(r.pairs) + 1)
 				r.pairs = append(r.pairs, residualPair{row: g, y: y[i], count: 1})
 				break
 			}
@@ -192,7 +223,6 @@ func newResidualPairs(group []int, y []float64) residualPairs {
 			}
 		}
 	}
-	return r
 }
 
 // median returns the n/2-th smallest squared residual of the rows, with

@@ -14,7 +14,8 @@ type MLP struct {
 
 	std    *standardizer
 	tgt    *targetScaler
-	w1     []float64 // hidden rows of dims+1, the bias last
+	w1     []float64 // hidden rows of dims+1, the bias last; nil until trained
+	w1buf  []float64 // w1's buffer
 	w2     []float64 // hidden+1
 	inDims int
 }
@@ -47,44 +48,47 @@ func (m *MLP) Name() string { return "MultilayerPerceptron" }
 // every row is distinct (c = 1, ΣT the row's own target, groups in row order)
 // the trained bits are those of the per-row loop; with repeats only the
 // rounding of the gradient sums differs.
-func (m *MLP) Train(X [][]float64, y []float64) error {
+func (m *MLP) Train(X [][]float64, y []float64) error { return m.train(new(scratch), X, y, nil) }
+
+func (m *MLP) train(s *scratch, X [][]float64, y []float64, rg *rowGroups) error {
+	m.w1 = nil
 	dims, err := validate(X, y)
 	if err != nil {
 		return err
 	}
 	m.inDims = dims
-	m.std = fitStandardizer(X)
-	m.tgt = fitTargetScaler(y)
-	rows, group := distinctRows(X)
-	Z := m.std.applyAll(rows)
-	count := make([]float64, len(rows))
-	sumT := make([]float64, len(rows))
-	for i, g := range group {
+	m.std = refitStandardizer(m.std, X)
+	m.tgt = refitTargetScaler(m.tgt, y)
+	g := s.groups(rg, X)
+	Z := carve(&s.z, &s.zflat, len(g.rows), dims)
+	m.std.applyInto(Z, g.rows)
+	count, sumT := resize(&s.counts, len(Z)), resize(&s.vec, len(Z))
+	clear(count)
+	for i, gi := range g.group {
 		// Seeded with the first target, not added to 0: 0 + -0 is +0.
-		if t := m.tgt.encode(y[i]); count[g] == 0 {
-			sumT[g] = t
+		if t := m.tgt.encode(y[i]); count[gi] == 0 {
+			sumT[gi] = t
 		} else {
-			sumT[g] += t
+			sumT[gi] += t
 		}
-		count[g]++
+		count[gi]++
 	}
 
-	rng := newRand(m.seed)
+	rng := s.rand(m.seed)
 	stride := dims + 1
-	m.w1 = make([]float64, m.hidden*stride)
-	for i := range m.w1 {
-		m.w1[i] = rng.NormFloat64() * 0.5
+	w1 := resize(&m.w1buf, m.hidden*stride)
+	for i := range w1 {
+		w1[i] = rng.NormFloat64() * 0.5
 	}
-	m.w2 = make([]float64, m.hidden+1)
-	for j := range m.w2 {
-		m.w2[j] = rng.NormFloat64() * 0.5
+	w2 := resize(&m.w2, m.hidden+1)
+	for j := range w2 {
+		w2[j] = rng.NormFloat64() * 0.5
 	}
 
 	n := float64(len(X))
-	hidden, w1, w2 := m.hidden, m.w1, m.w2
-	act := make([]float64, hidden+1)
-	g1 := make([]float64, len(w1))
-	g2 := make([]float64, len(w2))
+	hidden := m.hidden
+	act := resize(&s.act, hidden+1)
+	g1, g2 := resize(&s.g1, len(w1)), resize(&s.g2, len(w2))
 	for epoch := 0; epoch < m.epochs; epoch++ {
 		clear(g1)
 		clear(g2)
@@ -113,6 +117,7 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 			w1[i] -= m.lr * g / n
 		}
 	}
+	m.w1 = w1
 	return nil
 }
 

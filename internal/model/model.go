@@ -74,7 +74,3 @@ func DefaultFactories(seed int64) []Factory {
 		func() Model { return NewGaussianProcess(1.0, 0.1) },
 	}
 }
-
-func clone1D(y []float64) []float64 {
-	return append([]float64(nil), y...)
-}

@@ -36,7 +36,17 @@ func naiveSelect(factories []Factory, X [][]float64, ys [][]float64, leads []int
 	k = min(max(k, 2), len(X))
 	n, nf := len(X), len(factories)
 	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	folds := make([]split, k)
+	folds := make([]struct {
+		trX, vaX [][]float64
+		tr, va   []int
+	}, k)
+	gather := func(y []float64, idx []int) []float64 {
+		out := make([]float64, len(idx))
+		for i, p := range idx {
+			out[i] = y[p]
+		}
+		return out
+	}
 	for i, p := range perm {
 		for f := range folds {
 			s := &folds[f]

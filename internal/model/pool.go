@@ -9,8 +9,10 @@ import (
 // pool runs jobs on GOMAXPROCS workers, the caller among them. A job may push
 // further jobs; they start in the order they were pushed, and run returns once
 // nothing is queued or running, after every worker it started has stopped.
+// A worker takes a kit when it starts its first job, runs every job on it and
+// returns it when it stops.
 type pool[J any] struct {
-	do func(J)
+	do func(*kit, J)
 
 	mu      sync.Mutex
 	more    sync.Cond // a job was pushed, or the pool drained
@@ -47,6 +49,7 @@ func (p *pool[J]) help() {
 
 func (p *pool[J]) work() {
 	var busy time.Duration
+	var k *kit
 	p.mu.Lock()
 	for p.head < len(p.queue) || p.running > 0 {
 		if p.head == len(p.queue) {
@@ -59,8 +62,11 @@ func (p *pool[J]) work() {
 		}
 		p.running++
 		p.mu.Unlock()
+		if k == nil {
+			k = takeKit()
+		}
 		start := time.Now()
-		p.do(j)
+		p.do(k, j)
 		busy += time.Since(start)
 		p.mu.Lock()
 		if p.running--; p.running == 0 && p.head == len(p.queue) {
@@ -69,4 +75,7 @@ func (p *pool[J]) work() {
 	}
 	p.busy += busy
 	p.mu.Unlock()
+	if k != nil {
+		returnKit(k)
+	}
 }

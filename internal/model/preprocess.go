@@ -1,6 +1,9 @@
 package model
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // standardizer rescales features to zero mean and unit variance; constant
 // features map to zero. Several models (kNN, RBF, MLP, GP) depend on it
@@ -12,12 +15,30 @@ type standardizer struct {
 }
 
 func fitStandardizer(X [][]float64) *standardizer {
-	if len(X) == 0 {
-		return &standardizer{}
+	s := new(standardizer)
+	if len(X) > 0 {
+		s.refit(X)
 	}
+	return s
+}
+
+// refit fits s to X, reusing its memory: mean and scale share one buffer.
+func (s *standardizer) refit(X [][]float64) {
 	d := len(X[0])
-	s := &standardizer{mean: make([]float64, d), scale: make([]float64, d)}
+	buf := s.mean[:cap(s.mean)]
+	if len(buf) < 2*d {
+		buf = make([]float64, 2*d)
+	}
+	s.mean, s.scale = buf[:d], buf[d:2*d]
 	s.fit(X)
+}
+
+// refitStandardizer fits s, or a new standardizer when s is nil, to X.
+func refitStandardizer(s *standardizer, X [][]float64) *standardizer {
+	if s == nil {
+		s = new(standardizer)
+	}
+	s.refit(X)
 	return s
 }
 
@@ -44,20 +65,34 @@ func (s *standardizer) fit(X [][]float64) {
 	}
 }
 
-// distinctRows groups X's rows by their bits: rows are the distinct rows in
+// grouping is X's rows grouped by their bits: rows are the distinct rows in
 // first-appearance order (aliasing X's) and group[i] is row i's index among
-// them, so group[i] <= i. -0 and +0 are different rows; a NaN equals a NaN
-// of the same payload. An open-addressing table of group indices does the
-// grouping: a few allocations per call, none per row.
+// them, so group[i] <= i. -0 and +0 are different rows; a NaN equals a NaN of
+// the same payload.
+type grouping struct {
+	rows  [][]float64
+	group []int
+}
+
+// distinctRows groups X's rows in new memory.
 func distinctRows(X [][]float64) (rows [][]float64, group []int) {
-	rows = make([][]float64, 0, len(X))
-	group = make([]int, len(X))
+	var g grouping
+	g.of(X, new([]int32))
+	return g.rows, g.group
+}
+
+// of groups X's rows into g, reusing g's memory and *table, an
+// open-addressing table of group indices: no allocation per row.
+func (g *grouping) of(X [][]float64, table *[]int32) {
+	rows := resize(&g.rows, len(X))[:0]
+	group := resize(&g.group, len(X))
 	bits := 1
 	for 1<<bits < 2*len(X) {
 		bits++
 	}
-	table := make([]int32, 1<<bits) // group index + 1; 0 is an empty slot
-	mask := uint64(len(table) - 1)
+	t := resize(table, 1<<bits) // group index + 1; 0 is an empty slot
+	clear(t)
+	mask := uint64(len(t) - 1)
 	for i, x := range X {
 		// Multiplicative hashing: the top bits of h depend on every bit of
 		// every feature, which the low bits of integral floats would not.
@@ -66,20 +101,28 @@ func distinctRows(X [][]float64) (rows [][]float64, group []int) {
 			h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
 		}
 		for slot := h >> (64 - bits); ; slot = (slot + 1) & mask {
-			g := int(table[slot]) - 1
-			if g < 0 {
-				table[slot] = int32(len(rows) + 1)
+			gi := int(t[slot]) - 1
+			if gi < 0 {
+				t[slot] = int32(len(rows) + 1)
 				group[i] = len(rows)
 				rows = append(rows, x)
 				break
 			}
-			if sameRowBits(rows[g], x) {
-				group[i] = g
+			if sameRowBits(rows[gi], x) {
+				group[i] = gi
 				break
 			}
 		}
 	}
-	return rows, group
+	g.rows = rows
+}
+
+// rowGroups is the grouping of one set of rows, made by the first Train
+// that asks for it and then read, never written, by every other.
+type rowGroups struct {
+	once sync.Once
+	X    [][]float64
+	grouping
 }
 
 func sameRowBits(a, b []float64) bool {
@@ -104,6 +147,17 @@ func (s *standardizer) apply(x []float64) []float64 {
 	return out
 }
 
+// applyInto standardizes each row of X into the row of dst at its index,
+// which is as wide as the fitted width.
+func (s *standardizer) applyInto(dst, X [][]float64) {
+	for i, row := range X {
+		out := dst[i]
+		for j := range out {
+			out[j] = (row[j] - s.mean[j]) * s.scale[j]
+		}
+	}
+}
+
 func (s *standardizer) applyAll(X [][]float64) [][]float64 {
 	out := make([][]float64, len(X))
 	for i, row := range X {
@@ -119,12 +173,19 @@ type targetScaler struct {
 }
 
 func fitTargetScaler(y []float64) *targetScaler {
-	m := mean(y)
-	sd := math.Sqrt(variance(y))
-	if sd < 1e-12 {
-		sd = 1
+	return refitTargetScaler(nil, y)
+}
+
+// refitTargetScaler fits t, or a new scaler when t is nil, to y.
+func refitTargetScaler(t *targetScaler, y []float64) *targetScaler {
+	if t == nil {
+		t = new(targetScaler)
 	}
-	return &targetScaler{mean: m, sd: sd}
+	t.mean, t.sd = mean(y), math.Sqrt(variance(y))
+	if t.sd < 1e-12 {
+		t.sd = 1
+	}
+	return t
 }
 
 func (t *targetScaler) encode(v float64) float64 { return (v - t.mean) / t.sd }

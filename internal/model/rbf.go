@@ -10,8 +10,10 @@ type RBFNetwork struct {
 	seed     int64
 	std      *standardizer
 	mu       [][]float64
+	muFlat   []float64 // mu's buffer
 	gamma    float64
-	weights  []float64 // len(mu)+1, last is bias
+	weights  []float64 // len(mu)+1, last is bias; nil until trained
+	wbuf     []float64 // weights' buffer
 	trainedK int
 }
 
@@ -28,19 +30,25 @@ func NewRBFNetwork(centers int, seed int64) *RBFNetwork {
 func (m *RBFNetwork) Name() string { return "RBFNetwork" }
 
 // Train implements Model.
-func (m *RBFNetwork) Train(X [][]float64, y []float64) error {
-	if _, err := validate(X, y); err != nil {
+func (m *RBFNetwork) Train(X [][]float64, y []float64) error { return m.train(new(scratch), X, y, nil) }
+
+func (m *RBFNetwork) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
+	m.weights = nil
+	dims, err := validate(X, y)
+	if err != nil {
 		return err
 	}
-	m.std = fitStandardizer(X)
-	Z := m.std.applyAll(X)
+	m.std = refitStandardizer(m.std, X)
+	Z := carve(&s.z, &s.zflat, len(X), dims)
+	m.std.applyInto(Z, X)
 
 	k := m.centers
 	if k > len(Z) {
 		k = len(Z)
 	}
 	m.trainedK = k
-	m.mu = kmeansCenters(Z, k, m.seed, 20)
+	m.mu = carve(&m.mu, &m.muFlat, k, dims)
+	kmeansCenters(s, m.mu, Z, m.seed, 20)
 
 	// Bandwidth: inverse of the mean inter-centre distance.
 	m.gamma = 1.0
@@ -60,13 +68,13 @@ func (m *RBFNetwork) Train(X [][]float64, y []float64) error {
 
 	// The activations are the design rows, solved by ridge-stabilised least
 	// squares.
-	var s lsq
-	s.reset(k + 1)
+	s.lsq.reset(k + 1)
+	act := resize(&s.act, k+1)
 	for i, z := range Z {
-		s.add(m.activations(z), y[i])
+		s.lsq.add(m.activationsInto(act, z), y[i])
 	}
-	w := make([]float64, k+1)
-	if !s.solve(1e-6, w) {
+	w := resize(&m.wbuf, k+1)
+	if !s.lsq.solve(1e-6, w) {
 		return errNotPD
 	}
 	m.weights = w
@@ -74,7 +82,11 @@ func (m *RBFNetwork) Train(X [][]float64, y []float64) error {
 }
 
 func (m *RBFNetwork) activations(z []float64) []float64 {
-	act := make([]float64, m.trainedK+1)
+	return m.activationsInto(make([]float64, m.trainedK+1), z)
+}
+
+// activationsInto writes z's activations, the bias last, to act.
+func (m *RBFNetwork) activationsInto(act, z []float64) []float64 {
 	for i := 0; i < m.trainedK; i++ {
 		act[i] = math.Exp(-m.gamma * sqDist(z, m.mu[i]))
 	}
@@ -90,17 +102,21 @@ func (m *RBFNetwork) Predict(x []float64) float64 {
 	return dot(m.activations(m.std.apply(x)), m.weights)
 }
 
-// kmeansCenters runs Lloyd's algorithm over standardized points and returns
-// k centres. Deterministic given the seed.
-func kmeansCenters(Z [][]float64, k int, seed int64, iters int) [][]float64 {
-	rng := newRand(seed)
-	n := len(Z)
-	centers := make([][]float64, k)
-	perm := rng.Perm(n)
-	for i := 0; i < k; i++ {
-		centers[i] = append([]float64(nil), Z[perm[i%n]]...)
+// kmeansCenters runs Lloyd's algorithm over standardized points and writes
+// len(centers) centres to centers, with s as scratch. Deterministic given
+// the seed.
+func kmeansCenters(s *scratch, centers, Z [][]float64, seed int64, iters int) {
+	rng := s.rand(seed)
+	n, k := len(Z), len(centers)
+	// The first k entries of rng.Perm(n), from the same draws.
+	perm := resize(&s.ints, k)
+	permPrefixInto(rng, n, perm)
+	for i := range centers {
+		copy(centers[i], Z[perm[i%n]])
 	}
-	assign := make([]int, n)
+	assign := resize(&s.assign, n)
+	clear(assign)
+	sum := resize(&s.sums, len(Z[0]))
 	for it := 0; it < iters; it++ {
 		changed := false
 		for i, z := range Z {
@@ -120,7 +136,7 @@ func kmeansCenters(Z [][]float64, k int, seed int64, iters int) [][]float64 {
 		}
 		for c := range centers {
 			var members int
-			sum := make([]float64, len(Z[0]))
+			clear(sum)
 			for i, z := range Z {
 				if assign[i] == c {
 					members++
@@ -133,9 +149,8 @@ func kmeansCenters(Z [][]float64, k int, seed int64, iters int) [][]float64 {
 				for j := range sum {
 					sum[j] /= float64(members)
 				}
-				centers[c] = sum
+				copy(centers[c], sum)
 			}
 		}
 	}
-	return centers
 }

@@ -60,7 +60,9 @@ func newRand(seed int64) *rand.Rand {
 	return rand.New(&stream{p: prefixOf(seed)})
 }
 
-func (s *stream) Seed(seed int64) { *s = stream{p: prefixOf(seed)} }
+// Seed rewinds s to the start of seed's stream. It keeps the window's memory,
+// which the first draw past the prefix overwrites.
+func (s *stream) Seed(seed int64) { s.p, s.pos = prefixOf(seed), 0 }
 
 func (s *stream) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
@@ -70,10 +72,12 @@ func (s *stream) Uint64() uint64 {
 	if i < prefixLen {
 		return s.p.words[i]
 	}
-	if s.win == nil {
+	if i == prefixLen {
 		// prefixLen is a multiple of rngLen: the prefix's second half is the
 		// window, slot for slot.
-		s.win = new([rngLen]uint64)
+		if s.win == nil {
+			s.win = new([rngLen]uint64)
+		}
 		copy(s.win[:], s.p.words[prefixLen-rngLen:])
 	}
 	slot := i % rngLen
@@ -82,12 +86,20 @@ func (s *stream) Uint64() uint64 {
 	return x
 }
 
-// permInto fills m with the permutation rng.Perm(len(m)) would return, drawing
-// the same numbers, without allocating.
-func permInto(rng *rand.Rand, m []int) {
-	for i := range m {
+// permPrefixInto fills m with the first len(m) entries of the permutation
+// rng.Perm(n) would return, drawing the same n numbers, without allocating: a
+// step i >= len(m) of the shuffle writes i into the prefix only at a j below
+// len(m).
+func permPrefixInto(rng *rand.Rand, n int, m []int) {
+	k := len(m)
+	for i := range n {
 		j := rng.Intn(i + 1)
-		m[i] = m[j]
-		m[j] = i
+		switch {
+		case i < k:
+			m[i] = m[j]
+			m[j] = i
+		case j < k:
+			m[j] = i
+		}
 	}
 }

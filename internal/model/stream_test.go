@@ -114,3 +114,14 @@ func TestStreamAllocations(t *testing.T) {
 		t.Errorf("a short stream allocates %v times, want at most 2", n)
 	}
 }
+
+// permInto fills m with the permutation rng.Perm(len(m)) would return, drawing
+// the same numbers, without allocating: the reference permPrefixInto's draws
+// and prefixes are held to.
+func permInto(rng *rand.Rand, m []int) {
+	for i := range m {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+}

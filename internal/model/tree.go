@@ -39,11 +39,14 @@ func NewTree(maxDepth, minLeaf int) *Tree {
 func (t *Tree) Name() string { return "RegressionTree" }
 
 // Train implements Model.
-func (t *Tree) Train(X [][]float64, y []float64) error {
+func (t *Tree) Train(X [][]float64, y []float64) error { return t.train(new(scratch), X, y, nil) }
+
+func (t *Tree) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
 	if _, err := validate(X, y); err != nil {
+		t.nodes = t.nodes[:0]
 		return err
 	}
-	t.train(new(treeScratch), X, y)
+	t.fit(&s.tree, X, y)
 	return nil
 }
 
@@ -56,8 +59,8 @@ type treeScratch struct {
 	nodes                  []treeNode
 }
 
-// train grows t on the validated (X, y) in s.
-func (t *Tree) train(s *treeScratch, X [][]float64, y []float64) {
+// fit grows t on the validated (X, y) in s.
+func (t *Tree) fit(s *treeScratch, X [][]float64, y []float64) {
 	n, dims := len(X), len(X[0])
 	if len(s.ys) < n {
 		ints, floats := make([]int, 3*n), make([]float64, 2*n)
@@ -77,7 +80,7 @@ func (t *Tree) train(s *treeScratch, X [][]float64, y []float64) {
 	}
 	s.nodes = append(s.nodes[:0], treeNode{})
 	t.grow(s, X, y, features, 0, 0, n, 0)
-	t.nodes = append(make([]treeNode, 0, len(s.nodes)), s.nodes...)
+	copy(resize(&t.nodes, len(s.nodes)), s.nodes)
 }
 
 // grow makes s.nodes[at] the root of the subtree over the rows s.idx[lo:hi],
@@ -207,25 +210,36 @@ func NewBagging(n int, seed int64) *Bagging {
 func (b *Bagging) Name() string { return "Bagging" }
 
 // Train implements Model.
-func (b *Bagging) Train(X [][]float64, y []float64) error {
+func (b *Bagging) Train(X [][]float64, y []float64) error { return b.train(new(scratch), X, y, nil) }
+
+func (b *Bagging) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
+	b.trees = b.trees[:0]
 	if _, err := validate(X, y); err != nil {
 		return err
 	}
-	rng := newRand(b.seed)
-	b.trees = b.trees[:0]
-	s := new(treeScratch)
-	bx := make([][]float64, len(X))
-	by := make([]float64, len(y))
-	for i := 0; i < b.n; i++ {
+	rng := s.rand(b.seed)
+	bx, by := resize(&s.sub, len(X)), resize(&s.subY, len(y))
+	for range b.n {
 		for j := range bx {
 			k := rng.Intn(len(X))
 			bx[j], by[j] = X[k], y[k]
 		}
-		tr := NewTree(8, 2)
-		tr.train(s, bx, by)
+		tr := reuseTree(b.trees, 8, 2)
+		tr.fit(&s.tree, bx, by)
 		b.trees = append(b.trees, tr)
 	}
 	return nil
+}
+
+// reuseTree returns the tree past the end of trees, left there by an earlier
+// Train, or a new one of the given shape.
+func reuseTree(trees []*Tree, maxDepth, minLeaf int) *Tree {
+	if len(trees) < cap(trees) {
+		if tr := trees[:len(trees)+1][len(trees)]; tr != nil {
+			return tr
+		}
+	}
+	return NewTree(maxDepth, minLeaf)
 }
 
 // Predict implements Model.
@@ -266,6 +280,11 @@ func (r *RandomSubspace) Name() string { return "RandomSubSpace" }
 
 // Train implements Model.
 func (r *RandomSubspace) Train(X [][]float64, y []float64) error {
+	return r.train(new(scratch), X, y, nil)
+}
+
+func (r *RandomSubspace) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
+	r.trees = r.trees[:0]
 	dims, err := validate(X, y)
 	if err != nil {
 		return err
@@ -274,13 +293,13 @@ func (r *RandomSubspace) Train(X [][]float64, y []float64) error {
 	if take < 1 {
 		take = 1
 	}
-	rng := newRand(r.seed)
-	r.trees = r.trees[:0]
-	s := new(treeScratch)
-	for i := 0; i < r.n; i++ {
-		tr := NewTree(8, 2)
-		tr.featureMask = rng.Perm(dims)[:take]
-		tr.train(s, X, y)
+	rng := s.rand(r.seed)
+	for range r.n {
+		tr := reuseTree(r.trees, 8, 2)
+		// The first take entries of rng.Perm(dims), from the same draws.
+		tr.featureMask = resize(&tr.featureMask, take)
+		permPrefixInto(rng, dims, tr.featureMask)
+		tr.fit(&s.tree, X, y)
 		r.trees = append(r.trees, tr)
 	}
 	return nil
@@ -321,37 +340,45 @@ func (d *Discretized) Name() string { return "RegressionByDiscretization" }
 
 // Train implements Model.
 func (d *Discretized) Train(X [][]float64, y []float64) error {
+	return d.train(new(scratch), X, y, nil)
+}
+
+func (d *Discretized) train(s *scratch, X [][]float64, y []float64, _ *rowGroups) error {
+	d.centers = d.centers[:0]
 	if _, err := validate(X, y); err != nil {
 		return err
 	}
 	// Equal-frequency binning of the target.
-	order := make([]int, len(y))
+	order := resize(&s.ints, len(y))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Sort(&ranks{order, y})
-	bins := d.bins
-	if bins > len(y) {
-		bins = len(y)
-	}
-	labels := make([]float64, len(y))
-	sums := make([]float64, bins)
-	counts := make([]float64, bins)
+	s.rank = ranks{order, y}
+	sort.Sort(&s.rank)
+	bins := min(d.bins, len(y))
+	labels := resize(&s.vec, len(y))
+	sums, counts := resize(&s.sums, bins), resize(&s.counts, bins)
+	clear(sums)
+	clear(counts)
 	for rank, idx := range order {
 		bin := rank * bins / len(y)
 		labels[idx] = float64(bin)
 		sums[bin] += y[idx]
 		counts[bin]++
 	}
-	d.centers = make([]float64, bins)
-	for b := 0; b < bins; b++ {
+	centers := resize(&d.centers, bins)
+	for b := range centers {
+		centers[b] = 0
 		if counts[b] > 0 {
-			d.centers[b] = sums[b] / counts[b]
+			centers[b] = sums[b] / counts[b]
 		}
 	}
 	// A regression tree over bin indices acts as the classifier.
-	d.tree = NewTree(8, 1)
-	return d.tree.Train(X, labels)
+	if d.tree == nil {
+		d.tree = NewTree(8, 1)
+	}
+	d.tree.fit(&s.tree, X, labels)
+	return nil
 }
 
 // Predict implements Model.
