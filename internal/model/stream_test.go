@@ -125,3 +125,28 @@ func permInto(rng *rand.Rand, m []int) {
 		m[j] = i
 	}
 }
+
+// permPrefixInto writes the first k entries of the permutation permInto
+// writes, for every k up to n, from the same draws: the next draw after it
+// is the next draw after permInto too.
+func TestPermPrefixMatchesPermInto(t *testing.T) {
+	for _, seed := range []int64{0, 7, 42, -5, 89482311} {
+		for n := 0; n <= 300; n++ {
+			want := make([]int, n)
+			ref := newRand(seed)
+			permInto(ref, want)
+			next := ref.Int63()
+			for k := 0; k <= n; k++ {
+				rng := newRand(seed)
+				got := make([]int, k)
+				permPrefixInto(rng, n, got)
+				if !slices.Equal(got, want[:k]) {
+					t.Fatalf("seed %d, n %d, k %d: prefix %v, permInto's %v", seed, n, k, got, want[:k])
+				}
+				if d := rng.Int63(); d != next {
+					t.Fatalf("seed %d, n %d, k %d: next draw %d, after permInto %d", seed, n, k, d, next)
+				}
+			}
+		}
+	}
+}
