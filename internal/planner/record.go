@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/asap-project/ires/internal/metadata"
 	"github.com/asap-project/ires/internal/workflow"
 )
 
@@ -73,8 +74,11 @@ type buildRecord struct {
 // for every seeded dataset, else the memoized leaf of every materialized
 // one, in order. Source datasets are materialized, as ValidatedOrder checked.
 // A declared size no int64 holds fails the build with ErrNoPlan. The list is
-// the planner's scratch, valid until the next build.
-func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry, pareto bool) ([]leafRef, error) {
+// the planner's scratch, valid until the next build. prev is the leaf list of
+// the graph's last build: a dataset whose leaf there, at the same place in
+// the list, has an equal tree and equal sizes reuses it without rendering its
+// tree.
+func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry, prev []leafRef, pareto bool) ([]leafRef, error) {
 	leaves := p.leaves[:0]
 	for _, d := range order {
 		if d.Kind != workflow.DatasetNode {
@@ -90,7 +94,12 @@ func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry
 				clear(leaves) // the scratch must not keep entries alive
 				return nil, fmt.Errorf("%w: %w", ErrNoPlan, err)
 			}
-			e = p.leafLocked(d.Dataset.Constraints(), records, bytes, pareto)
+			meta := d.Dataset.Constraints()
+			if i := len(leaves); i < len(prev) && prev[i].pos == d.Pos() && p.sameLeafLocked(prev[i].e, meta, records, bytes) {
+				e = prev[i].e
+			} else {
+				e = p.leafLocked(meta, records, bytes, pareto)
+			}
 		}
 		if e != nil {
 			leaves = append(leaves, leafRef{d.Pos(), e})
@@ -100,20 +109,31 @@ func (p *Planner) leavesLocked(order []*workflow.Node, seed map[string]*tagEntry
 	return leaves, nil
 }
 
+// sameLeafLocked reports whether e is the memo's leaf for a dataset with this
+// tree and these sizes, as leafLocked would find it, for a leaf of the same
+// kind: an equal tree renders to the same key.
+func (p *Planner) sameLeafLocked(e *tagEntry, meta *metadata.Tree, records, bytes int64) bool {
+	return e != nil && e.records == records && e.bytes == bytes && p.cache.leaves[e.sig] == e && e.meta.Equal(meta)
+}
+
 // targetRowLocked returns the row of g's target and the build's statistics:
 // the record's when it is valid, else those of a table build, which then
 // rewrites the record. Both are read-only and valid until the next build.
 // A leaf pass error fails the build. Must be called with p.mu held, after
 // ensureCacheValidLocked.
 func (p *Planner) targetRowLocked(g *workflow.Graph, order []*workflow.Node, seed map[string]*tagEntry, pareto bool) ([]*tagEntry, *dpStats, error) {
-	leaves, err := p.leavesLocked(order, seed, pareto)
+	c := &p.cache
+	key := recordKey{g.ID(), pareto}
+	rec := c.records[key]
+	var prev []leafRef
+	if rec != nil && len(seed) == 0 {
+		prev = rec.leaves
+	}
+	leaves, err := p.leavesLocked(order, seed, prev, pareto)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer clear(leaves) // the scratch must not keep entries alive
-	c := &p.cache
-	key := recordKey{g.ID(), pareto}
-	rec := c.records[key]
 	if len(seed) == 0 && rec != nil && rec.ver == g.Version() && rec.target == g.Target &&
 		rec.libGen == c.validity.libGen && slices.Equal(rec.avail, c.avail) && slices.Equal(rec.leaves, leaves) {
 		if pf, ok := p.cfg.Estimator.(Prefitter); ok {

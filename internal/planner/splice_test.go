@@ -27,7 +27,7 @@ func tableRows(t *testing.T, p *Planner, g *workflow.Graph, done []MaterializedI
 			t.Fatal(err)
 		}
 	}
-	leaves, err := p.leavesLocked(order, seed, pareto)
+	leaves, err := p.leavesLocked(order, seed, nil, pareto)
 	if err != nil {
 		t.Fatal(err)
 	}
