@@ -5,13 +5,11 @@ import (
 	"sync"
 )
 
-// trainer is a family of this package: train fits the receiver to the
-// validated-or-not (X, y) as Train does, with s as the memory it uses and
-// does not keep. It resets everything a previous train left, reusing the
-// receiver's own buffers, so a retrained model predicts what a fresh one
-// trained on the same data does, bit for bit; a failed train leaves it
-// predicting 0. When rg is not nil it groups X's rows, and train reads it
-// instead of grouping them itself.
+// trainer is a family of this package. train does what Train does, with s as
+// the memory it uses and does not keep and rg, when not nil, as X's rows
+// grouped. It resets everything an earlier train left and reuses the
+// receiver's buffers: a retrained model predicts what a fresh one trained on
+// the same data does, bit for bit, and one whose train failed predicts 0.
 type trainer interface {
 	Model
 	train(s *scratch, X [][]float64, y []float64, rg *rowGroups) error
@@ -165,7 +163,8 @@ func (k *kit) cellModel(proto Model) (trainer, bool) {
 
 // idleBudget bounds the bytes the idle kits hold between fits: what a
 // platform retains for reuse stays a few tens of KiB, however large the
-// problems it has fitted.
+// problems it has fitted. (A sync.Pool would hold any number of kits of any
+// size until the second collection after their last use.)
 const idleBudget = 32 << 10
 
 // kits are the kits no worker holds, keeping at most idleBudget bytes.
@@ -190,10 +189,11 @@ func takeKit() *kit {
 }
 
 // returnKit keeps the kit for the next worker if it fits the budget, after
-// dropping what its scratch aliases of the caller's rows.
+// dropping what its scratch aliases of the caller's rows and targets.
 func returnKit(k *kit) {
 	clear(k.grp.rows[:cap(k.grp.rows)])
 	clear(k.sub[:cap(k.sub)])
+	k.rank = ranks{}
 	b := k.bytes()
 	kits.Lock()
 	defer kits.Unlock()

@@ -52,7 +52,7 @@ func (l *Linear) copyFrom(o *Linear) {
 }
 
 // fit trains l on the validated (X, y) with s as scratch, reusing l's
-// buffers: the standardizer fitStandardizer would fit, then the normal
+// buffers: X's columns standardized, then the normal
 // equations over the standardized rows plus a column of ones, solved under
 // l.ridge or, for a degenerate design, under 1e-4. On failure l is left
 // untrained.
@@ -186,14 +186,6 @@ type residualPair struct {
 	y     float64
 	count int
 	sq    float64 // scratch: the squared residual under the fit at hand
-}
-
-// newResidualPairs groups rows given as distinctRows groups them (group[i]
-// is row i's distinct row) with their targets y, in new memory.
-func newResidualPairs(group []int, y []float64) residualPairs {
-	var r residualPairs
-	r.of(group, y, new([]int32))
-	return r
 }
 
 // of regroups r, reusing its memory and *table, an open-addressing table of

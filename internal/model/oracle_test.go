@@ -1656,3 +1656,40 @@ func FuzzTreeTrain(f *testing.F) {
 		checkTreeModels(t, "fuzz", X, y, int64(uint64(seed)%1000), oracleProbes(rng, X))
 	})
 }
+
+// The allocating forms of the training helpers, which the references use.
+
+func fitStandardizer(X [][]float64) *standardizer {
+	s := new(standardizer)
+	if len(X) > 0 {
+		s.refit(X)
+	}
+	return s
+}
+
+func fitTargetScaler(y []float64) *targetScaler {
+	return refitTargetScaler(nil, y)
+}
+
+func (s *standardizer) applyAll(X [][]float64) [][]float64 {
+	out := make([][]float64, len(X))
+	for i, row := range X {
+		out[i] = s.apply(row)
+	}
+	return out
+}
+
+// distinctRows groups X's rows in new memory.
+func distinctRows(X [][]float64) (rows [][]float64, group []int) {
+	var g grouping
+	g.of(X, new([]int32))
+	return g.rows, g.group
+}
+
+// newResidualPairs groups rows given as distinctRows groups them (group[i]
+// is row i's distinct row) with their targets y, in new memory.
+func newResidualPairs(group []int, y []float64) residualPairs {
+	var r residualPairs
+	r.of(group, y, new([]int32))
+	return r
+}

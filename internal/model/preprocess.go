@@ -14,14 +14,6 @@ type standardizer struct {
 	scale []float64
 }
 
-func fitStandardizer(X [][]float64) *standardizer {
-	s := new(standardizer)
-	if len(X) > 0 {
-		s.refit(X)
-	}
-	return s
-}
-
 // refit fits s to X, reusing its memory: mean and scale share one buffer.
 func (s *standardizer) refit(X [][]float64) {
 	d := len(X[0])
@@ -72,13 +64,6 @@ func (s *standardizer) fit(X [][]float64) {
 type grouping struct {
 	rows  [][]float64
 	group []int
-}
-
-// distinctRows groups X's rows in new memory.
-func distinctRows(X [][]float64) (rows [][]float64, group []int) {
-	var g grouping
-	g.of(X, new([]int32))
-	return g.rows, g.group
 }
 
 // of groups X's rows into g, reusing g's memory and *table, an
@@ -158,22 +143,10 @@ func (s *standardizer) applyInto(dst, X [][]float64) {
 	}
 }
 
-func (s *standardizer) applyAll(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i, row := range X {
-		out[i] = s.apply(row)
-	}
-	return out
-}
-
 // targetScaler standardizes the regression target; MLP training needs it
 // for stable gradients.
 type targetScaler struct {
 	mean, sd float64
-}
-
-func fitTargetScaler(y []float64) *targetScaler {
-	return refitTargetScaler(nil, y)
 }
 
 // refitTargetScaler fits t, or a new scaler when t is nil, to y.
