@@ -43,7 +43,6 @@ var reachLedger = map[string]string{
 	"scheduler.Scheduler.ActiveRuns":       "observation point that the scheduler tests read",
 	"scheduler.Scheduler.SuspendedRuns":    "observation point that the preemption tests read",
 	"metadata.MatchReason":                 "observation point that the matching tests read",
-	"metadata.Tree.Equal":                  "observation point that the parse round-trip tests compare with",
 	"metadata.Tree.Properties":             "observation point that the parse round-trip tests read",
 	"musqle.Query.SQL":                     "the parser's rendering, which FuzzParse's round-trip property compares",
 	"experiments.Report.SeriesByLabel":     "observation point that the figure-shape tests read",
