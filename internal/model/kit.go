@@ -57,7 +57,7 @@ type scratch struct {
 	assign      []int     // k-means' clusters
 	counts, vec []float64 // MLP's and GP's counts, MLP's target sums; Discretized's labels
 	sums        []float64 // Discretized's bins, k-means' centre
-	act, g1, g2 []float64 // MLP's activations and gradients; RBF's activations
+	act         []float64 // RBF's activations
 }
 
 // rand returns the generator of seed's stream, rewound to its start.
@@ -211,7 +211,7 @@ func (k *kit) bytes() int {
 	words := cap(s.lsq.buf) + cap(s.tree.idx) + cap(s.tree.right) + cap(s.tree.order) + cap(s.tree.all) +
 		cap(s.tree.ys) + cap(s.tree.vals) + cap(s.grp.group) + cap(s.table)/2 + cap(s.subY) + cap(s.ints) +
 		cap(s.cand.std.mean) + cap(s.pred) + 4*cap(s.med.pairs) + cap(s.zflat) + cap(s.assign) +
-		cap(s.counts) + cap(s.vec) + cap(s.sums) + cap(s.act) + cap(s.g1) + cap(s.g2) +
+		cap(s.counts) + cap(s.vec) + cap(s.sums) + cap(s.act) +
 		3*(cap(s.tree.nodes)+cap(s.grp.rows)+cap(s.sub)+cap(s.z))
 	if s.src.win != nil {
 		words += rngLen

@@ -500,7 +500,7 @@ func trainShape() ([][]float64, []float64) { return synth(27, 6, 1, nonlinearFn,
 // Least squares and trees train in reused flat scratch, so the allocations
 // of a Train do not grow with its fits or nodes: a LeastMedSq Train with its
 // 40 subsample fits allocates at most 40 times, a Bagging of ten trees at
-// most 700 (16 and 42 with go1.24).
+// most 700 (15 and 41 with go1.24).
 func TestTrainAllocationCeilings(t *testing.T) {
 	X, y := trainShape()
 	newRand(42)

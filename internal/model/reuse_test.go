@@ -138,7 +138,7 @@ func FuzzRetrainInPlace(f *testing.F) {
 // one over the two least-squares families, then the winners' whole-buffer
 // Trains, on one worker with a warm kit. While every cell trained a model of
 // its own, the count was 2,044.
-const fitBudget = 229
+const fitBudget = 241
 
 func TestFitAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
