@@ -43,7 +43,7 @@ type scratch struct {
 	sub  [][]float64
 	subY []float64
 	ints []int // LeastMedSq's and k-means' draws, Discretized's order
-	rank ranks
+	rank ranks // Discretized's sort of the targets
 
 	// LeastMedSq: the subsample fit, its predictions per distinct row, the
 	// (row, target) pairs of the median.
@@ -52,12 +52,13 @@ type scratch struct {
 	med  residualPairs
 
 	// Standardized rows (RBF, MLP), per-row and per-unit vectors.
-	z           [][]float64
-	zflat       []float64
-	assign      []int     // k-means' clusters
-	counts, vec []float64 // MLP's and GP's counts, MLP's target sums; Discretized's labels
-	sums        []float64 // Discretized's bins, k-means' centre
-	act         []float64 // RBF's activations
+	z      [][]float64
+	zflat  []float64
+	assign []int     // k-means' clusters
+	counts []float64 // MLP's and GP's rows per distinct row, Discretized's per bin
+	vec    []float64 // MLP's target sums, Discretized's labels
+	sums   []float64 // Discretized's target sums per bin, k-means' centre
+	act    []float64 // RBF's activations
 }
 
 // rand returns the generator of seed's stream, rewound to its start.
