@@ -391,10 +391,12 @@ type dataset struct {
 // outMetaOf returns the dataset tag a completed step produced. Speculative
 // winners keep the planned tag: as with YARN speculation, the backup writes
 // to the output location the plan declared, so downstream steps and replans
-// see the data where they expect it.
+// see the data where they expect it. The planned tag is shared, not copied:
+// Step.OutMeta is read-only, and so is MaterializedIntermediate.Meta, the
+// one place the tag goes.
 func outMetaOf(s *planner.Step, engineName string) *metadata.Tree {
 	if s.OutMeta != nil {
-		return s.OutMeta.Clone()
+		return s.OutMeta
 	}
 	t := metadata.New()
 	if s.Kind == planner.StepOperator {

@@ -20,7 +20,7 @@ func nodeBySplit(t *Tree, path string) *Tree {
 		return node
 	}
 	for _, part := range strings.Split(path, ".") {
-		node = node.child(part, false)
+		node = node.Child(part)
 		if node == nil {
 			return nil
 		}

@@ -9,8 +9,10 @@ package metadata
 //     abstract node is an interior node whose children all match.
 //   - Fields present only in the materialized tree are ignored — a
 //     materialized operator may carry arbitrarily richer metadata.
-//   - Matching is a single pass over the abstract tree with constant-time
-//     child lookups in the materialized tree, O(t) in the number of nodes.
+//   - Matching is a single pass over the abstract tree. At each level it
+//     merges the abstract node's sorted sibling list with its counterpart's,
+//     so each materialized sibling is passed once: O(a+m) in the number of
+//     nodes of the two trees.
 //
 // The same primitive is used to match datasets to operator inputs: the
 // operator's Constraints.InputN subtree plays the abstract role and the
@@ -36,12 +38,11 @@ func matches(a, m *Tree) bool {
 			return false
 		}
 	}
-	for _, k := range a.keys {
-		var mc *Tree
-		if m != nil {
-			mc = m.children[k]
-		}
-		if !matches(a.children[k], mc) {
+	mc := m.firstChild()
+	for ac := a.first; ac != nil; ac = ac.next {
+		var match *Tree
+		mc, match = seek(mc, ac.label)
+		if !matches(ac, match) {
 			return false
 		}
 	}
@@ -76,22 +77,15 @@ func matchReason(prefix string, a, m *Tree) string {
 	if a.value == Wildcard && m == nil {
 		return "missing field " + at(prefix) + " (wildcard requires presence)"
 	}
-	for _, k := range a.keys {
-		p := k
+	mc := m.firstChild()
+	for ac := a.first; ac != nil; ac = ac.next {
+		p := ac.label
 		if prefix != "" {
-			p = prefix + "." + k
+			p = prefix + "." + ac.label
 		}
-		var mc *Tree
-		if m != nil {
-			mc = m.children[k]
-		}
-		if mc == nil {
-			if reason := matchReason(p, a.children[k], nil); reason != "" {
-				return reason
-			}
-			continue
-		}
-		if reason := matchReason(p, a.children[k], mc); reason != "" {
+		var match *Tree
+		mc, match = seek(mc, ac.label)
+		if reason := matchReason(p, ac, match); reason != "" {
 			return reason
 		}
 	}

@@ -18,9 +18,25 @@ import (
 // the paper's HDFS paths — are unescaped.
 //
 // The walk slices lines out of s in place, so keys and values share its
-// bytes; a "\r\n" ending is trimmed with the rest of the whitespace.
+// bytes; a "\r\n" ending is trimmed with the rest of the whitespace. A first
+// pass validates every line and counts its key's segments, which bounds the
+// nodes the second pass creates: the tree is one allocation, unless a value
+// holds an escaped colon.
 func ParseString(s string) (*Tree, error) {
-	t := New()
+	n := 0
+	if err := eachProperty(s, func(key, _ string) { n += strings.Count(key, ".") + 1 }); err != nil {
+		return nil, err
+	}
+	t, nodes := newSlab(n)
+	// The first pass found every line well formed.
+	_ = eachProperty(s, func(key, val string) { t.set(key, strings.ReplaceAll(val, `\:`, ":"), &nodes) })
+	return t, nil
+}
+
+// eachProperty calls fn with the trimmed key and raw value of each property
+// line of s, in order, and returns the error of the first malformed line.
+// fn sees no line at or past it.
+func eachProperty(s string, fn func(key, val string)) error {
 	for lineNo := 1; s != ""; lineNo++ {
 		var line string
 		line, s, _ = strings.Cut(s, "\n")
@@ -30,19 +46,18 @@ func ParseString(s string) (*Tree, error) {
 		}
 		key, val, ok := strings.Cut(line, "=")
 		if !ok {
-			return nil, fmt.Errorf("metadata: line %d: missing '=' in %q", lineNo, line)
+			return fmt.Errorf("metadata: line %d: missing '=' in %q", lineNo, line)
 		}
 		key = strings.TrimSpace(key)
-		val = strings.ReplaceAll(strings.TrimSpace(val), `\:`, ":")
 		if key == "" {
-			return nil, fmt.Errorf("metadata: line %d: empty key", lineNo)
+			return fmt.Errorf("metadata: line %d: empty key", lineNo)
 		}
 		if err := validateKey(key); err != nil {
-			return nil, fmt.Errorf("metadata: line %d: %v", lineNo, err)
+			return fmt.Errorf("metadata: line %d: %v", lineNo, err)
 		}
-		t.Set(key, val)
+		fn(key, strings.TrimSpace(val))
 	}
-	return t, nil
+	return nil
 }
 
 // MustParse parses a description and panics on error. Intended for

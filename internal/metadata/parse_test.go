@@ -4,16 +4,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"slices"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // referenceParse is the bufio.Scanner parser ParseString replaced: a 64 KiB
-// buffer per call and a 1 MiB line cap. Kept as the oracle for the in-place
-// walk.
-func referenceParse(r io.Reader) (*Tree, error) {
-	t := New()
+// buffer per call and a 1 MiB line cap, building the reference tree. Kept as
+// the oracle for the in-place walk.
+func referenceParse(r io.Reader) (*refTree, error) {
+	t := &refTree{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
@@ -38,7 +38,7 @@ func referenceParse(r io.Reader) (*Tree, error) {
 				return nil, fmt.Errorf("metadata: line %d: empty path segment in key %q", lineNo, key)
 			}
 		}
-		t.Set(key, val)
+		t.set(key, val)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("metadata: read: %w", err)
@@ -79,8 +79,8 @@ func FuzzParseString(f *testing.F) {
 			if err.Error() != wantErr.Error() {
 				t.Fatalf("ParseString(%q) error %q, reference %q", s, err, wantErr)
 			}
-		case !slices.Equal(got.Properties(), want.Properties()) || !got.Equal(want):
-			t.Fatalf("ParseString(%q) = %q, reference %q", s, got.Properties(), want.Properties())
+		case diffTree(got, want, nil) != "":
+			t.Fatalf("ParseString(%q) = %q, reference %q: %s", s, got.Properties(), want.properties(), diffTree(got, want, nil))
 		}
 	})
 }
@@ -96,6 +96,55 @@ func TestParseStringLongLine(t *testing.T) {
 	}
 	if v, _ := tr.Get("c"); v != "d" {
 		t.Fatalf("c = %q after the long line, want d", v)
+	}
+}
+
+// steadySource is the source description of bench/e2e's steady_text runs.
+const steadySource = "Constraints.Engine.FS=HDFS\nConstraints.type=SequenceFile\nExecution.path=hdfs:///warc" +
+	"\nOptimization.documents=50000\nOptimization.size=250000000"
+
+// A tree built at once is one slab: parsing a dataset's description or an
+// operator's constraint, and cloning a tree, allocate once each.
+func TestTreeBuildsAllocateOnce(t *testing.T) {
+	src := MustParse(steadySource)
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ParseString(source)", func() { ParseString(steadySource) }},
+		{"ParseString(constraint)", func() { ParseString("Constraints.OpSpecification.Algorithm.name=tfidf") }},
+		{"Clone", func() { src.Clone() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != 1 {
+			t.Errorf("%s allocates %v times, want 1", c.name, got)
+		}
+	}
+}
+
+// The slab is sized by key segments: dots in a value or a comment line add
+// no node, so they add no byte.
+func TestParseStringDotsOutsideKeysAllocateNothing(t *testing.T) {
+	bytesOf := func(s string) uint64 {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if _, err := ParseString(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	base := bytesOf("Execution.path=x\n# y\n")
+	for _, s := range []string{
+		"Execution.path=" + strings.Repeat("a.", 500) + "\n# y\n",
+		"Execution.path=x\n# " + strings.Repeat("b.", 500) + "\n",
+		"Execution.path=x\n// " + strings.Repeat("c.", 500) + "=d\n",
+	} {
+		if got := bytesOf(s); got != base {
+			t.Errorf("ParseString(%.40q…) allocates %d bytes, %d without the dots", s, got, base)
+		}
 	}
 }
 

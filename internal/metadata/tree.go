@@ -10,15 +10,16 @@
 //	Constraints.OpSpecification.Algorithm.name=LineCount
 //	Execution.Argument0=In0.path.local
 //
-// Matching between abstract and materialized descriptions is a one-pass,
-// merge-style walk over lexicographically ordered children, O(t) in the tree
-// size, exactly as the paper's planner requires.
+// A node keeps its children as one sibling list sorted by label. Matching
+// between abstract and materialized descriptions is the merge walk over two
+// such lists, level by level, O(a+m) in the two trees' sizes, exactly as the
+// paper's planner requires; a path lookup scans each level's siblings.
+//
+// A tree built at once (ParseString, FromProperties, Clone) takes all its
+// nodes from one allocation.
 package metadata
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Wildcard is the value an abstract description uses to match any value of a
 // field in a materialized description.
@@ -29,9 +30,32 @@ const Wildcard = "*"
 // the format does not forbid it). The zero value is an empty tree ready to
 // use.
 type Tree struct {
-	value    string
-	children map[string]*Tree
-	keys     []string // sorted child labels; maintained on insert
+	label string // the node's label under its parent; unused at a root
+	value string
+	first *Tree // the first child; the rest follow by next in label order
+	next  *Tree // the next sibling
+}
+
+// slab hands out the nodes of a tree built at once. It never grows past the
+// capacity it was made with, so the nodes it handed out stay put; past it,
+// and for a nil slab, a node is allocated alone.
+type slab []Tree
+
+// newSlab returns the root of a tree and a slab for n more nodes, in one
+// allocation.
+func newSlab(n int) (*Tree, slab) {
+	s := make(slab, 1, n+1)
+	return &s[0], s
+}
+
+func (s *slab) node(label string) *Tree {
+	if s == nil || len(*s) == cap(*s) {
+		return &Tree{label: label}
+	}
+	*s = (*s)[:len(*s)+1]
+	n := &(*s)[len(*s)-1]
+	n.label = label
+	return n
 }
 
 // New returns an empty tree.
@@ -40,15 +64,16 @@ func New() *Tree { return &Tree{} }
 // FromProperties builds a tree from dotted-path properties. It is the
 // programmatic equivalent of parsing a description file.
 func FromProperties(props map[string]string) *Tree {
-	t := New()
-	// Insert in sorted order for deterministic construction.
-	keys := make([]string, 0, len(props))
+	n := 0
 	for k := range props {
-		keys = append(keys, k)
+		if k != "" {
+			n += strings.Count(k, ".") + 1
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t.Set(k, props[k])
+	// Sibling lists are sorted on insert, so the map's order does not show.
+	t, nodes := newSlab(n)
+	for k, v := range props {
+		t.set(k, v, &nodes)
 	}
 	return t
 }
@@ -62,15 +87,33 @@ func (t *Tree) Value() string {
 }
 
 // Set stores value at the dotted path, creating intermediate nodes.
-func (t *Tree) Set(path, value string) {
+func (t *Tree) Set(path, value string) { t.set(path, value, nil) }
+
+// set is Set taking the nodes it creates from s.
+func (t *Tree) set(path, value string, s *slab) {
 	node := t
 	// The same strings.Cut walk as Node, creating missing segments.
 	for more := path != ""; more; {
 		var part string
 		part, path, more = strings.Cut(path, ".")
-		node = node.child(part, true)
+		node = node.insert(part, s)
 	}
 	node.value = value
+}
+
+// insert returns the child labelled label, linking a new one from s into its
+// sorted place when there is none.
+func (t *Tree) insert(label string, s *slab) *Tree {
+	link := &t.first
+	for c := *link; c != nil && c.label <= label; c = *link {
+		if c.label == label {
+			return c
+		}
+		link = &c.next
+	}
+	c := s.node(label)
+	c.next, *link = *link, c
+	return c
 }
 
 // Get returns the value at the dotted path and whether the node exists.
@@ -105,7 +148,7 @@ func (t *Tree) Node(path string) *Tree {
 	for more := true; more && node != nil; {
 		var part string
 		part, path, more = strings.Cut(path, ".")
-		node = node.child(part, false)
+		node = node.Child(part)
 	}
 	return node
 }
@@ -115,13 +158,42 @@ func (t *Tree) Children() []string {
 	if t == nil {
 		return nil
 	}
-	out := make([]string, len(t.keys))
-	copy(out, t.keys)
+	n := 0
+	for c := t.first; c != nil; c = c.next {
+		n++
+	}
+	out := make([]string, 0, n)
+	for c := t.first; c != nil; c = c.next {
+		out = append(out, c.label)
+	}
 	return out
 }
 
 // Child returns the named child node, or nil.
-func (t *Tree) Child(label string) *Tree { return t.child(label, false) }
+func (t *Tree) Child(label string) *Tree {
+	_, c := seek(t.firstChild(), label)
+	return c
+}
+
+// firstChild returns t's first child, or nil for a nil t.
+func (t *Tree) firstChild() *Tree {
+	if t == nil {
+		return nil
+	}
+	return t.first
+}
+
+// seek advances the sibling cursor c past the siblings labelled below label.
+// It returns the new cursor and the sibling labelled label, or nil.
+func seek(c *Tree, label string) (cursor, match *Tree) {
+	for c != nil && c.label < label {
+		c = c.next
+	}
+	if c != nil && c.label == label {
+		return c, c
+	}
+	return c, nil
+}
 
 // Len reports the number of nodes in the tree, excluding the root.
 func (t *Tree) Len() int {
@@ -129,32 +201,10 @@ func (t *Tree) Len() int {
 		return 0
 	}
 	n := 0
-	for _, k := range t.keys {
-		n += 1 + t.children[k].Len()
+	for c := t.first; c != nil; c = c.next {
+		n += 1 + c.Len()
 	}
 	return n
-}
-
-func (t *Tree) child(label string, create bool) *Tree {
-	if t == nil {
-		return nil
-	}
-	if c, ok := t.children[label]; ok {
-		return c
-	}
-	if !create {
-		return nil
-	}
-	if t.children == nil {
-		t.children = make(map[string]*Tree)
-	}
-	c := &Tree{}
-	t.children[label] = c
-	i := sort.SearchStrings(t.keys, label)
-	t.keys = append(t.keys, "")
-	copy(t.keys[i+1:], t.keys[i:])
-	t.keys[i] = label
-	return c
 }
 
 // Clone returns a deep copy of the tree.
@@ -162,16 +212,22 @@ func (t *Tree) Clone() *Tree {
 	if t == nil {
 		return nil
 	}
-	c := &Tree{value: t.value}
-	if len(t.keys) > 0 {
-		c.children = make(map[string]*Tree, len(t.keys))
-		c.keys = make([]string, len(t.keys))
-		copy(c.keys, t.keys)
-		for k, v := range t.children {
-			c.children[k] = v.Clone()
-		}
-	}
+	c, nodes := newSlab(t.Len())
+	c.value = t.value
+	c.copyChildren(t, &nodes)
 	return c
+}
+
+// copyChildren links copies of src's descendants, taken from s, under t.
+func (t *Tree) copyChildren(src *Tree, s *slab) {
+	link := &t.first
+	for sc := src.first; sc != nil; sc = sc.next {
+		n := s.node(sc.label)
+		n.value = sc.value
+		n.copyChildren(sc, s)
+		*link = n
+		link = &n.next
+	}
 }
 
 // Walk visits every node in lexicographic path order, calling fn with the
@@ -185,12 +241,12 @@ func (t *Tree) walk(prefix string, fn func(string, *Tree)) {
 		return
 	}
 	fn(prefix, t)
-	for _, k := range t.keys {
-		p := k
+	for c := t.first; c != nil; c = c.next {
+		p := c.label
 		if prefix != "" {
-			p = prefix + "." + k
+			p = prefix + "." + c.label
 		}
-		t.children[k].walk(p, fn)
+		c.walk(p, fn)
 	}
 }
 
@@ -237,8 +293,8 @@ func (t *Tree) render(b *strings.Builder, path []byte) {
 	if len(path) > 0 {
 		path = append(path, '.')
 	}
-	for _, k := range t.keys {
-		t.children[k].render(b, append(path, k...))
+	for c := t.first; c != nil; c = c.next {
+		c.render(b, append(path, c.label...))
 	}
 }
 
@@ -247,16 +303,14 @@ func (t *Tree) Equal(other *Tree) bool {
 	if t == nil || other == nil {
 		return t.Len() == 0 && other.Len() == 0 && t.Value() == other.Value()
 	}
-	if t.value != other.value || len(t.keys) != len(other.keys) {
+	if t.value != other.value {
 		return false
 	}
-	for i, k := range t.keys {
-		if other.keys[i] != k {
-			return false
-		}
-		if !t.children[k].Equal(other.children[k]) {
+	a, b := t.first, other.first
+	for ; a != nil && b != nil; a, b = a.next, b.next {
+		if a.label != b.label || !a.Equal(b) {
 			return false
 		}
 	}
-	return true
+	return a == nil && b == nil
 }

@@ -2,7 +2,7 @@ package model
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // KNN is an inverse-distance-weighted k-nearest-neighbour regressor over
@@ -58,7 +58,17 @@ func (m *KNN) Predict(x []float64) float64 {
 	for i := range m.X {
 		nbs[i] = nb{d: sqDist(q, m.X[i]), y: m.y[i]}
 	}
-	sort.Slice(nbs, func(i, j int) bool { return nbs[i].d < nbs[j].d })
+	// Negative exactly when a.d < b.d, sort.Slice's less: the one pdqsort
+	// template gives the same permutation, without the reflect swapper.
+	slices.SortFunc(nbs, func(a, b nb) int {
+		if a.d < b.d {
+			return -1
+		}
+		if b.d < a.d {
+			return 1
+		}
+		return 0
+	})
 	k := m.k
 	if k > len(nbs) {
 		k = len(nbs)

@@ -789,6 +789,10 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 		if err := gp.Train(X, y); err != nil {
 			t.Fatal(err)
 		}
+		rbf := NewRBFNetwork(1+trial%8, int64(trial))
+		if err := rbf.Train(X, y); err != nil {
+			t.Fatal(err)
+		}
 		for _, x := range probes {
 			if got, want := lin.Predict(x), referenceLinearPredict(lin, x); !sameBits(got, want) {
 				t.Fatalf("trial %d: Linear.Predict(%v) = %v, reference %v", trial, x, got, want)
@@ -798,6 +802,9 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 			}
 			if got, want := gp.Predict(x), referenceGPPredict(gp, x); !sameBits(got, want) {
 				t.Fatalf("trial %d: GaussianProcess.Predict(%v) = %v, reference %v", trial, x, got, want)
+			}
+			if got, want := rbf.Predict(x), referenceRBFPredict(rbf, x); !sameBits(got, want) {
+				t.Fatalf("trial %d: RBFNetwork.Predict(%v) = %v, reference %v", trial, x, got, want)
 			}
 		}
 		rows, group := distinctRows(X)
@@ -810,8 +817,103 @@ func TestPredictAndMedianMatchReference(t *testing.T) {
 		if want := referenceMedianSquaredResidual(lin, X, y); !sameBits(got, want) {
 			t.Fatalf("trial %d: median squared residual %v, reference %v", trial, got, want)
 		}
-		if a := testing.AllocsPerRun(10, func() { lin.Predict(X[0]); mlp.Predict(X[0]); gp.Predict(X[0]) }); a != 0 {
+		if a := testing.AllocsPerRun(10, func() { lin.Predict(X[0]); mlp.Predict(X[0]); gp.Predict(X[0]); rbf.Predict(X[0]) }); a != 0 {
 			t.Fatalf("trial %d: Predict allocates %v times", trial, a)
+		}
+	}
+}
+
+// referenceRBFActivations is the activation row RBFNetwork.Predict summed
+// before it standardized each feature where it is used: a standardized copy
+// of x, then one activation per centre and the bias 1, in new memory.
+func referenceRBFActivations(m *RBFNetwork, x []float64) []float64 {
+	return m.activationsInto(make([]float64, m.trainedK+1), m.std.apply(x))
+}
+
+// referenceRBFPredict is RBFNetwork.Predict as it was: dot over that row.
+func referenceRBFPredict(m *RBFNetwork, x []float64) float64 {
+	if m.weights == nil {
+		return 0
+	}
+	return dot(referenceRBFActivations(m, x), m.weights)
+}
+
+// referenceKNNPredict is KNN.Predict as it was, ordering the neighbours
+// with sort.Slice.
+func referenceKNNPredict(m *KNN, x []float64) float64 {
+	if len(m.X) == 0 {
+		return 0
+	}
+	q := m.std.apply(x)
+	type nb struct {
+		d float64
+		y float64
+	}
+	nbs := make([]nb, len(m.X))
+	for i := range m.X {
+		nbs[i] = nb{d: sqDist(q, m.X[i]), y: m.y[i]}
+	}
+	sort.Slice(nbs, func(i, j int) bool { return nbs[i].d < nbs[j].d })
+	k := min(m.k, len(nbs))
+	if nbs[0].d == 0 {
+		return nbs[0].y
+	}
+	num, den := 0.0, 0.0
+	for i := 0; i < k; i++ {
+		w := 1.0 / (math.Sqrt(nbs[i].d) + 1e-12)
+		num += w * nbs[i].y
+		den += w
+	}
+	return num / den
+}
+
+// KNN.Predict's slices.SortFunc orders the neighbours as sort.Slice did, so
+// its predictions are the same bits: on duplicate rows, on integer grids
+// where many distances tie, on probes at a stored row (distance zero) and
+// between rows, on a NaN feature, and for every k up to past the row count.
+func TestKNNPredictMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 60; trial++ {
+		n, dims := 1+rng.Intn(80), 1+rng.Intn(4)
+		var X [][]float64
+		var y []float64
+		switch trial % 3 {
+		case 0:
+			X, y = synth(n, dims, int64(trial), nonlinearFn2, 0.3)
+		case 1:
+			X, y = repeatedRows(n, 1+rng.Intn(6), dims, int64(trial))
+		case 2: // a small integer grid: ties everywhere, targets that tie too
+			X, y = make([][]float64, n), make([]float64, n)
+			for i := range X {
+				X[i] = make([]float64, dims)
+				for j := range X[i] {
+					X[i][j] = float64(rng.Intn(3))
+				}
+				y[i] = float64(rng.Intn(4))
+			}
+		}
+		probes := slices.Clone(X)
+		for range 8 {
+			p := make([]float64, dims)
+			for j := range p {
+				p[j] = float64(rng.Intn(5)) / 2
+			}
+			probes = append(probes, p)
+		}
+		probes = append(probes, append(slices.Clone(X[0][:dims-1]), math.NaN()))
+		for _, k := range []int{1, 2, 3, n, n + 2} {
+			m := NewKNN(k)
+			if err := m.Train(X, y); err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range probes {
+				if got, want := m.Predict(x), referenceKNNPredict(m, x); !sameBits(got, want) {
+					t.Fatalf("trial %d, k %d: KNN.Predict(%v) = %v, reference %v", trial, k, x, got, want)
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() { m.Predict(X[0]) }); a != 2 {
+				t.Fatalf("trial %d: KNN.Predict allocates %v times, want 2 (the standardized query and the neighbours)", trial, a)
+			}
 		}
 	}
 }
@@ -1286,7 +1388,7 @@ func TestLeastSquaresMatchesReference(t *testing.T) {
 		if err := rbf.Train(X, y); err == nil {
 			design := make([][]float64, n)
 			for i, x := range X {
-				design[i] = rbf.activations(rbf.std.apply(x))
+				design[i] = referenceRBFActivations(rbf, x)
 			}
 			if w, _ := referenceSolveNormal(design, y, 1e-6); !slices.EqualFunc(rbf.weights, w, sameBits) {
 				t.Fatalf("%s: RBF weights %v, reference %v", name, rbf.weights, w)

@@ -81,10 +81,6 @@ func (m *RBFNetwork) train(s *scratch, X [][]float64, y []float64, _ *rowGroups)
 	return nil
 }
 
-func (m *RBFNetwork) activations(z []float64) []float64 {
-	return m.activationsInto(make([]float64, m.trainedK+1), z)
-}
-
 // activationsInto writes z's activations, the bias last, to act.
 func (m *RBFNetwork) activationsInto(act, z []float64) []float64 {
 	for i := 0; i < m.trainedK; i++ {
@@ -94,12 +90,26 @@ func (m *RBFNetwork) activationsInto(act, z []float64) []float64 {
 	return act
 }
 
-// Predict implements Model.
+// Predict implements Model. It allocates nothing: each feature is
+// standardized where it is used, and the output sum adds activation × weight
+// in dot's order, the bias (activation 1) last.
 func (m *RBFNetwork) Predict(x []float64) float64 {
 	if m.weights == nil {
 		return 0
 	}
-	return dot(m.activations(m.std.apply(x)), m.weights)
+	dims := min(len(x), len(m.std.mean))
+	mean, scale := m.std.mean[:dims], m.std.scale[:dims]
+	out := 0.0
+	for i, mu := range m.mu[:m.trainedK] {
+		d2 := 0.0
+		for j, v := range x[:dims] {
+			// The conversion rounds as storing the standardized copy did.
+			d := float64((v-mean[j])*scale[j]) - mu[j]
+			d2 += d * d
+		}
+		out += math.Exp(-m.gamma*d2) * m.weights[i]
+	}
+	return out + m.weights[m.trainedK]
 }
 
 // kmeansCenters runs Lloyd's algorithm over standardized points and writes

@@ -15,6 +15,8 @@ import (
 // D3.3 §4.5.
 type MaterializedIntermediate struct {
 	Dataset string // workflow dataset node name
+	// Meta is the dataset's tag. Like Step.OutMeta, which it may be, it is
+	// shared and read-only: clone before changing it.
 	Meta    *metadata.Tree
 	Records int64
 	Bytes   int64
