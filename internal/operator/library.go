@@ -2,7 +2,8 @@ package operator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"github.com/asap-project/ires/internal/metadata"
@@ -12,37 +13,25 @@ import (
 // and named datasets. Matching an abstract operator against the library is
 // accelerated by an index on highly selective metadata attributes — the
 // algorithm name — so only operators with the right algorithm are examined
-// by the full tree-matching pass (D3.3 §2.2.3). On top of that, full match
-// results are memoized per abstract constraints tree, so repeated
-// FindMaterialized calls are map lookups instead of tree-matching scans; an
-// operator mutation clears the memo and it rebuilds on demand.
+// by the full tree-matching pass (D3.3 §2.2.3).
 //
 // Library is safe for concurrent use.
 type Library struct {
 	mu          sync.RWMutex
 	ops         map[string]*Materialized
-	byAlgorithm map[string][]string // algorithm -> sorted operator names
+	byAlgorithm map[string][]*Materialized // algorithm -> its operators in name order
 	datasets    map[string]*Dataset
-	// matchIdx memoizes FindMaterialized: abstract Constraints tree string
-	// -> the sorted names of the matching operators. Every operator
-	// mutation clears it.
-	matchIdx map[string][]string
 	// gen counts operator mutations; the planner re-derives its engine list
 	// and match sets when it moves.
 	gen uint64
 }
 
-// maxMatchIdx bounds the number of distinct abstract shapes memoized;
-// overflow clears the index (it rebuilds on demand).
-const maxMatchIdx = 256
-
 // NewLibrary returns an empty library.
 func NewLibrary() *Library {
 	return &Library{
 		ops:         make(map[string]*Materialized),
-		byAlgorithm: make(map[string][]string),
+		byAlgorithm: make(map[string][]*Materialized),
 		datasets:    make(map[string]*Dataset),
-		matchIdx:    make(map[string][]string),
 	}
 }
 
@@ -53,6 +42,9 @@ func (l *Library) Gen() uint64 {
 	return l.gen
 }
 
+// byName orders operators by name, the order every listing returns.
+func byName(m *Materialized, name string) int { return strings.Compare(m.Name, name) }
+
 // AddOperator registers a materialized operator. Re-registering a name
 // replaces the previous definition.
 func (l *Library) AddOperator(m *Materialized) error {
@@ -62,19 +54,14 @@ func (l *Library) AddOperator(m *Materialized) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if old, ok := l.ops[m.Name]; ok {
-		l.removeFromIndexLocked(old)
+		ms := l.byAlgorithm[old.Algorithm()]
+		i, _ := slices.BinarySearchFunc(ms, old.Name, byName)
+		l.byAlgorithm[old.Algorithm()] = slices.Delete(ms, i, i+1)
 	}
 	l.ops[m.Name] = m
-	alg := m.Algorithm()
-	names := l.byAlgorithm[alg]
-	i := sort.SearchStrings(names, m.Name)
-	if i == len(names) || names[i] != m.Name {
-		names = append(names, "")
-		copy(names[i+1:], names[i:])
-		names[i] = m.Name
-		l.byAlgorithm[alg] = names
-	}
-	clear(l.matchIdx)
+	ms := l.byAlgorithm[m.Algorithm()]
+	i, _ := slices.BinarySearchFunc(ms, m.Name, byName)
+	l.byAlgorithm[m.Algorithm()] = slices.Insert(ms, i, m)
 	l.gen++
 	return nil
 }
@@ -96,15 +83,6 @@ func (l *Library) AddOperatorDescription(name, description string) (*Materialize
 	return m, nil
 }
 
-func (l *Library) removeFromIndexLocked(m *Materialized) {
-	alg := m.Algorithm()
-	names := l.byAlgorithm[alg]
-	i := sort.SearchStrings(names, m.Name)
-	if i < len(names) && names[i] == m.Name {
-		l.byAlgorithm[alg] = append(names[:i], names[i+1:]...)
-	}
-}
-
 // Operator returns a registered operator by name.
 func (l *Library) Operator(name string) (*Materialized, bool) {
 	l.mu.RLock()
@@ -117,91 +95,56 @@ func (l *Library) Operator(name string) (*Materialized, bool) {
 func (l *Library) Operators() []*Materialized {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	names := make([]string, 0, len(l.ops))
-	for n := range l.ops {
-		names = append(names, n)
+	return l.operatorsLocked()
+}
+
+func (l *Library) operatorsLocked() []*Materialized {
+	out := make([]*Materialized, 0, len(l.ops))
+	for _, m := range l.ops {
+		out = append(out, m)
 	}
-	sort.Strings(names)
-	out := make([]*Materialized, len(names))
-	for i, n := range names {
-		out[i] = l.ops[n]
-	}
+	slices.SortFunc(out, func(a, b *Materialized) int { return byName(a, b.Name) })
 	return out
 }
 
-// FindMaterialized returns all materialized operators matching the abstract
-// operator, in deterministic (name) order. Matching depends only on the
-// abstract operator's Constraints subtree, so results are memoized per
-// constraints shape until the next operator mutation; a miss falls back to
-// the algorithm-indexed tree-matching scan.
-func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
-	key := a.consKey
-	l.mu.RLock()
-	if names, ok := l.matchIdx[key]; ok {
-		out := l.resolveLocked(names)
-		l.mu.RUnlock()
-		return out
-	}
-	l.mu.RUnlock()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if names, ok := l.matchIdx[key]; ok {
-		return l.resolveLocked(names)
-	}
-	names := l.matchNamesLocked(a)
-	if len(l.matchIdx) >= maxMatchIdx {
-		clear(l.matchIdx)
-	}
-	l.matchIdx[key] = names
-	return l.resolveLocked(names)
-}
-
-// matchNamesLocked runs the algorithm-prefiltered tree-matching scan and
-// returns the sorted matching operator names.
-func (l *Library) matchNamesLocked(a *Abstract) []string {
-	var candidates []string
-	if alg := a.Algorithm(); alg != "" && alg != metadata.Wildcard {
-		candidates = l.byAlgorithm[alg]
-	} else {
-		candidates = make([]string, 0, len(l.ops))
-		for n := range l.ops {
-			candidates = append(candidates, n)
-		}
-		sort.Strings(candidates)
-	}
-	var names []string
-	for _, name := range candidates {
-		if l.ops[name].MatchesAbstract(a) {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-// resolveLocked maps operator names to their current definitions.
-func (l *Library) resolveLocked(names []string) []*Materialized {
-	if len(names) == 0 {
+// Implementations returns the registered operators that implement alg, in
+// name order: the algorithm index's entry, copied. An operator that
+// declares no algorithm implements none, so "" has none.
+func (l *Library) Implementations(alg string) []*Materialized {
+	if alg == "" {
 		return nil
 	}
-	out := make([]*Materialized, 0, len(names))
-	for _, n := range names {
-		if m, ok := l.ops[n]; ok {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return slices.Clone(l.byAlgorithm[alg])
+}
+
+// FindMaterialized returns all materialized operators matching the abstract
+// operator, in name order. An abstract operator that names an algorithm is
+// tree-matched against that algorithm's index entry only; one with no
+// algorithm, or the wildcard, against every operator.
+func (l *Library) FindMaterialized(a *Abstract) []*Materialized {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	alg := a.Algorithm()
+	candidates := l.byAlgorithm[alg]
+	if alg == "" || alg == metadata.Wildcard {
+		candidates = l.operatorsLocked()
+	}
+	var out []*Materialized
+	for _, m := range candidates {
+		if m.MatchesAbstract(a) {
 			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// ResetMatchIndex drops the memoized FindMaterialized results; they rebuild
-// on demand. Match results are unchanged — the generation counter does not
-// move — so this exists for cold-start benchmarking, not invalidation,
-// which every operator mutation does itself.
-func (l *Library) ResetMatchIndex() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	clear(l.matchIdx)
-}
+// ResetMatchIndex does nothing. Its one caller is the bench/e2e per-layer
+// cell operator.match_us, which calls it before timing FindMaterialized; the
+// library keeps no match results, so every FindMaterialized is the cold
+// algorithm-indexed scan. It goes with that call.
+func (l *Library) ResetMatchIndex() {}
 
 // Engines returns the distinct engines of the registered operators, sorted.
 // The planner snapshots engine availability over this set once per build.
@@ -216,7 +159,7 @@ func (l *Library) Engines() []string {
 	for e := range seen {
 		out = append(out, e)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -98,12 +98,12 @@ func (d *Dataset) Constraints() *metadata.Tree {
 // Abstract is an operator as it appears in an abstract workflow: a
 // functionality contract (algorithm name, arity) that materialized
 // implementations must satisfy. Build one with NewAbstract; Meta is
-// read-only afterwards (its renderings are taken at construction).
+// read-only afterwards (its rendering is taken at construction).
 type Abstract struct {
 	Name string
 	Meta *metadata.Tree
 
-	def, consKey string
+	def string
 }
 
 // NewAbstract builds an abstract operator from its description tree.
@@ -111,7 +111,7 @@ func NewAbstract(name string, meta *metadata.Tree) *Abstract {
 	if meta == nil {
 		meta = metadata.New()
 	}
-	return &Abstract{Name: name, Meta: meta, def: meta.String(), consKey: meta.Node("Constraints").String()}
+	return &Abstract{Name: name, Meta: meta, def: meta.String()}
 }
 
 // Definition returns the canonical rendering of the description tree.

@@ -104,11 +104,8 @@ func TestResolvedAccessorsMatchTreeWalks(t *testing.T) {
 		if got, want := a.Definition(), meta.String(); got != want {
 			t.Errorf("%s: abstract Definition() = %q, tree renders %q", name, got, want)
 		}
-		if got, want := a.consKey, meta.Node("Constraints").String(); got != want {
-			t.Errorf("%s: abstract constraints key = %q, tree renders %q", name, got, want)
-		}
 	}
-	if a := NewAbstract("empty", nil); a.Definition() != "" || a.consKey != "" {
-		t.Errorf("empty abstract renders %q / %q", a.Definition(), a.consKey)
+	if a := NewAbstract("empty", nil); a.Definition() != "" {
+		t.Errorf("empty abstract renders %q", a.Definition())
 	}
 }

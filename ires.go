@@ -455,15 +455,14 @@ func (p *Platform) PlannerCacheStats() planner.CacheStats {
 	return p.planner.CacheStats()
 }
 
-// ResetPlannerCache drops every memoization layer the planner leans on —
-// the DP memo, the profiler's prediction cache and the library's match
-// index — forcing the next Plan/Replan/ParetoPlans to run fully cold.
-// Benchmarks use it to measure cold-start planning; normal invalidation is
-// automatic.
+// ResetPlannerCache drops both memoization layers the planner leans on —
+// the DP memo and the profiler's prediction cache — forcing the next
+// Plan/Replan/ParetoPlans to run fully cold (the library keeps no match
+// results). Benchmarks use it to measure cold-start planning; normal
+// invalidation is automatic.
 func (p *Platform) ResetPlannerCache() {
 	p.planner.FlushCache()
 	p.Profiler.ResetPredictionCaches()
-	p.Library.ResetMatchIndex()
 }
 
 // speculate picks the next-best backup for a straggling step: any
@@ -480,10 +479,7 @@ func (p *Platform) speculate(s *planner.Step) (executor.SpeculativeChoice, bool)
 	)
 	est := libraryEstimator{prof: p.Profiler, lib: p.Library}
 	feats := make(map[string]float64)
-	for _, mo := range p.Library.Operators() {
-		if mo.Algorithm() == "" || mo.Algorithm() != s.Algorithm {
-			continue
-		}
+	for _, mo := range p.Library.Implementations(s.Algorithm) {
 		if !p.engineUsable(mo.Engine()) {
 			continue
 		}
@@ -501,7 +497,7 @@ func (p *Platform) speculate(s *planner.Step) (executor.SpeculativeChoice, bool)
 		if !e.ExecTimeOK {
 			continue
 		}
-		// Library.Operators is name-sorted, so strict < keeps ties
+		// Implementations is name-sorted, so strict < keeps ties
 		// deterministic (first name wins).
 		if !found || e.ExecTime < bestT {
 			found = true

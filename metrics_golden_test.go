@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/asap-project/ires/internal/engine"
+	"github.com/asap-project/ires/internal/model"
 	"github.com/asap-project/ires/internal/scheduler"
 )
 
@@ -31,6 +32,7 @@ var metricsScenarios = []struct {
 	{"faults", faultsMetricsScenario},
 	{"drf", drfMetricsScenario},
 	{"ckptloss", ckptLossMetricsScenario},
+	{"speculation", speculationMetricsScenario},
 }
 
 // TestMetricsExpositionGolden pins the whole /metrics exposition of each
@@ -264,5 +266,109 @@ func ckptLossMetricsScenario(t *testing.T) *Platform {
 	}
 	p.Drain()
 	waitAll(runs)
+	return p
+}
+
+// helloWorldEngines are the engines each algorithm of the HelloWorld chain is
+// implemented on, in the fault sweep's registration order: every step has an
+// implementation on Spark to speculate on when it straggles.
+var helloWorldEngines = [][2]string{
+	{"HelloWorld", EnginePython},
+	{"HelloWorld1", EngineSpark}, {"HelloWorld1", EnginePython},
+	{"HelloWorld2", EngineSpark}, {"HelloWorld2", "MLlib"}, {"HelloWorld2", EnginePostgreSQL}, {"HelloWorld2", "Hive"},
+	{"HelloWorld3", EngineSpark}, {"HelloWorld3", EnginePython},
+	{"HelloWorld", EngineSpark},
+}
+
+// registerHelloWorldOps registers and profiles one <alg>_<engine> operator
+// per helloWorldEngines entry.
+func registerHelloWorldOps(t *testing.T, p *Platform) {
+	t.Helper()
+	p.Profiler.Factories = []model.Factory{
+		func() model.Model { return model.NewLinear() },
+		func() model.Model { return model.NewKNN(2) },
+		func() model.Model { return model.NewTree(8, 2) },
+	}
+	for _, hw := range helloWorldEngines {
+		alg, eng := hw[0], hw[1]
+		fs := "HDFS"
+		switch eng {
+		case EnginePostgreSQL:
+			fs = "PostgreSQL"
+		case EnginePython:
+			fs = "LFS"
+		}
+		name := alg + "_" + eng
+		desc := "Constraints.Engine=" + eng +
+			"\nConstraints.OpSpecification.Algorithm.name=" + alg +
+			"\nConstraints.Input0.Engine.FS=" + fs +
+			"\nConstraints.Output0.Engine.FS=" + fs + "\n"
+		if err := p.RegisterOperator(name, desc); err != nil {
+			t.Fatal(err)
+		}
+		prof, _ := p.Env.Engine(eng)
+		nodes := 16
+		if prof.Centralized {
+			nodes = 1
+		}
+		space := ProfileSpace{
+			Records:        []int64{200, 1_000, 5_000},
+			BytesPerRecord: 1_000,
+			Resources:      []engine.Resources{{Nodes: nodes, CoresPerN: 2, MemMBPerN: 3456}},
+		}
+		if _, err := p.ProfileOperator(name, space); err != nil {
+			t.Fatalf("profiling %s: %v", name, err)
+		}
+	}
+}
+
+// speculationMetricsScenario is the fault sweep's full-policy cell at fault
+// rate 0.2: the four-step HelloWorld chain on right-sized gangs with
+// retries, straggler speculation and the circuit breaker, under transient
+// faults, 4x stragglers and a node crash with its repair. Two backup copies
+// launch and one wins.
+func speculationMetricsScenario(t *testing.T) *Platform {
+	t.Helper()
+	const seed = 42
+	p, err := NewPlatform(Options{
+		Seed:                seed,
+		ElasticProvisioning: true,
+		Retry:               RetryPolicy{MaxAttempts: 8, BaseBackoff: 2 * time.Second},
+		TimeoutFactor:       2,
+		BreakerThreshold:    3,
+		BreakerCooldown:     60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerHelloWorldOps(t, p)
+	b := p.NewWorkflow().
+		DatasetWithMeta("d0", "Constraints.Engine.FS=LFS\nExecution.path=/d0\nOptimization.documents=1000\nOptimization.size=1000000")
+	prev := "d0"
+	for i, alg := range []string{"HelloWorld", "HelloWorld1", "HelloWorld2", "HelloWorld3"} {
+		op, out := fmt.Sprintf("op%d", i), fmt.Sprintf("d%d", i+1)
+		b = b.Operator(op, "Constraints.OpSpecification.Algorithm.name="+alg).Dataset(out).Chain(prev, op, out)
+		prev = out
+	}
+	wf, err := b.Target(prev).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := p.Plan(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.InjectFaults(FaultConfig{
+		Seed:        seed*1000 + 1,
+		Default:     FaultTransient{FailProb: 0.2},
+		Straggler:   StragglerFaults{Prob: 0.25, Factor: 4},
+		NodeCrashes: []NodeCrash{{Node: "node0", At: 40 * time.Second}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.Clock.Schedule(120*time.Second, func(time.Duration) { _ = p.RestoreNode("node0") })
+	if _, err := p.Execute(wf, plan); err != nil {
+		t.Fatal(err)
+	}
 	return p
 }
