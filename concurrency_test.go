@@ -15,6 +15,7 @@ import (
 	"github.com/asap-project/ires/internal/engine"
 	"github.com/asap-project/ires/internal/model"
 	"github.com/asap-project/ires/internal/trace"
+	"github.com/asap-project/ires/internal/workflow"
 )
 
 // concAlgos are four distinct algorithms on one engine. Engine noise streams
@@ -648,5 +649,63 @@ func TestInjectFaultsDuringExecute(t *testing.T) {
 	}
 	if got := p.FaultStats().Stragglers; got == 0 {
 		t.Fatal("no straggler injected into the execution started after InjectFaults")
+	}
+}
+
+// Registering abstract operators races parsing workflows that name them,
+// as POST /api/abstractOperators/{name} may race POST
+// /api/workflows/{name}/materialize. The registry lives in the operator
+// library, under its lock; under -race an unguarded registry map fails
+// here.
+func TestAbstractRegistryRace(t *testing.T) {
+	p, err := NewPlatform(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterDataset("in", "Optimization.documents=100\nExecution.path=hdfs:///in"); err != nil {
+		t.Fatal(err)
+	}
+	const desc = "Constraints.Input.number=1\nConstraints.Output.number=1\nConstraints.OpSpecification.Algorithm.name=LineCount"
+	if err := p.RegisterAbstractOperator("count", desc); err != nil {
+		t.Fatal(err)
+	}
+	gen := p.Library.Gen()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if err := p.RegisterAbstractOperator(fmt.Sprintf("count%d", i), desc); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			g, err := p.ParseWorkflow("in,count,0\ncount,out,0\nout,$$target")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if n, ok := g.Node("count"); !ok || n.Kind != workflow.OperatorNode {
+				t.Error("count did not parse as an operator node")
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	g, err := p.ParseWorkflow("in,count199,0\ncount199,out,0\nout,$$target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := g.Node("count199"); !ok || n.Kind != workflow.OperatorNode {
+		t.Fatal("the last registered abstract operator did not parse as an operator node")
+	}
+	// Abstract operators are no materialized operators: the planner's match
+	// sets, keyed on the library generation, stay valid.
+	if got := p.Library.Gen(); got != gen {
+		t.Fatalf("registering abstract operators moved the library generation %d -> %d", gen, got)
 	}
 }

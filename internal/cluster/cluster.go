@@ -55,15 +55,18 @@ type Node struct {
 	usedCores int
 	usedMemMB int
 	// sliceCores/sliceMemMB sum the per-node (cores, memMB) slices granted
-	// to leases on this node, and sliceRefs counts those leases. The sums
-	// are bounded by Cores and by MemMB times the cluster's memory-overcommit
-	// ratio, which is what makes admission quotas impossible to
-	// oversubscribe — and what makes a lease that fills the node exclusive:
-	// every slice needs at least one core, so nothing fits beside it.
+	// to leases on this node. The sums are bounded by Cores and by MemMB
+	// times the cluster's memory-overcommit ratio, which is what makes
+	// admission quotas impossible to oversubscribe — and what makes a lease
+	// that fills the node exclusive. Every slice needs at least one core, so
+	// nothing fits beside such a lease, and the node carries a lease exactly
+	// when sliceCores is positive (leased).
 	sliceCores int
 	sliceMemMB int
-	sliceRefs  int
 }
+
+// leased reports whether the node carries at least one lease; c.mu held.
+func (n *Node) leased() bool { return n.sliceCores > 0 }
 
 // FreeCores returns the node's unallocated cores.
 func (n *Node) FreeCores() int { return n.Cores - n.usedCores }
@@ -85,8 +88,7 @@ type Container struct {
 	// (0 when allocated from the unreserved pool).
 	resID int
 
-	released bool
-	lost     atomic.Bool
+	lost atomic.Bool
 }
 
 // Lost reports whether the container was invalidated by a node failure.
@@ -101,10 +103,10 @@ type Cluster struct {
 	order  []string
 	clock  *vtime.Clock
 	nextID int
-	live   map[int]*Container // outstanding (non-released) containers by ID
+	live   map[int]*Container // outstanding containers by ID: a container is live while it is here
 
 	nextResID    int
-	reservations map[int]*Reservation // outstanding node leases by ID
+	reservations map[int]*Reservation // outstanding node leases by ID: a lease holds capacity while it is here
 
 	// freeHealthy is the scheduling-counter hot path: the number of healthy
 	// nodes carrying no lease, maintained as deltas at every reserve/release/
@@ -223,7 +225,7 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 		return
 	}
 	n.healthy = healthy
-	if n.sliceRefs == 0 {
+	if !n.leased() {
 		if healthy {
 			c.freeHealthy++
 		} else {
@@ -233,13 +235,12 @@ func (c *Cluster) setHealthLocked(n *Node, healthy bool) {
 }
 
 // addSliceLocked grants one (cores, memMB) slice on a node, maintaining
-// the per-node sums, the slice refcount and freeHealthy (a node leaves the
-// free pool when its first slice lands); c.mu held.
+// the per-node sums and freeHealthy (a node leaves the free pool when its
+// first slice lands); c.mu held.
 func (c *Cluster) addSliceLocked(n *Node, cores, memMB int) {
-	if n.sliceRefs == 0 && n.healthy {
+	if !n.leased() && n.healthy {
 		c.freeHealthy--
 	}
-	n.sliceRefs++
 	n.sliceCores += cores
 	n.sliceMemMB += memMB
 }
@@ -247,10 +248,9 @@ func (c *Cluster) addSliceLocked(n *Node, cores, memMB int) {
 // removeSliceLocked returns one (cores, memMB) slice on a node to the
 // pool, the inverse of addSliceLocked; c.mu held.
 func (c *Cluster) removeSliceLocked(n *Node, cores, memMB int) {
-	n.sliceRefs--
 	n.sliceCores -= cores
 	n.sliceMemMB -= memMB
-	if n.sliceRefs == 0 && n.healthy {
+	if !n.leased() && n.healthy {
 		c.freeHealthy++
 	}
 }
@@ -395,9 +395,12 @@ func (c *Cluster) Reconcile() {}
 // ledger. ReserveSlices names the dimensions; Reserve asks for the slice
 // that fills the node, which the same headroom arithmetic makes exclusive.
 //
-// A lease is fixed when it is reserved: its nodes and its per-node slice
-// dimensions never change, and RevokeReservation or ReleaseReservation ends
-// it entirely (preemption/voluntary release).
+// A lease's shape is fixed when it is reserved: its nodes and its per-node
+// slice dimensions never change, so Nodes, Size and SliceDims read them
+// without the lock, also after the lease has ended. RevokeReservation or
+// ReleaseReservation ends it entirely (preemption/voluntary release): it
+// leaves the cluster's reservation table, which is the one record of
+// whether it still holds capacity (Released).
 type Reservation struct {
 	c     *Cluster
 	id    int
@@ -409,11 +412,8 @@ type Reservation struct {
 	// used ledgers, per node, the container resources currently allocated
 	// under this lease: the O(1)-maintained counters AllocateIn checks slice
 	// headroom against. CheckInvariants recomputes the ledger from the
-	// live-container table and fails on drift.
+	// live-container table and fails on drift. Guarded by c.mu.
 	used map[string]*sliceUse
-	// released marks the lease revoked; all accessors and operations on a
-	// released lease fail or return empty. Guarded by c.mu.
-	released bool
 }
 
 // sliceUse is a reservation's per-node container-usage ledger entry.
@@ -431,54 +431,43 @@ func (r *Reservation) usedOn(name string) (cores, memMB int) {
 	return 0, 0
 }
 
-// Nodes returns the reserved node names in stable order (nil once revoked).
-// It takes the cluster lock for the released flag; the names themselves are
-// fixed at reservation.
+// Nodes returns the granted node names in stable order, also once the
+// lease has ended.
 func (r *Reservation) Nodes() []string {
 	if r == nil {
-		return nil
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.released {
 		return nil
 	}
 	return append([]string(nil), r.nodes...)
 }
 
-// Size returns the number of reserved nodes (0 once revoked).
+// Size returns the number of granted nodes, also once the lease has ended.
 func (r *Reservation) Size() int {
 	if r == nil {
-		return 0
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.released {
 		return 0
 	}
 	return len(r.nodes)
 }
 
-// Released reports whether the lease has been revoked.
+// Released reports whether the lease has ended: it no longer holds
+// capacity.
 func (r *Reservation) Released() bool {
 	if r == nil {
 		return true
 	}
 	r.c.mu.Lock()
 	defer r.c.mu.Unlock()
-	return r.released
+	return !r.c.heldLocked(r)
 }
 
+// heldLocked reports whether the lease is in the reservation table, which
+// is what holding capacity means; c.mu held, and r issued by c.
+func (c *Cluster) heldLocked(r *Reservation) bool { return c.reservations[r.id] == r }
+
 // SliceDims returns the per-node (cores, memMB) slice dimensions of the
-// lease; (0, 0) once revoked. A lease made by Reserve reports the node's
+// lease, also once it has ended. A lease made by Reserve reports the node's
 // cores and its memory ceiling under the overcommit ratio.
 func (r *Reservation) SliceDims() (cores, memMB int) {
 	if r == nil {
-		return 0, 0
-	}
-	r.c.mu.Lock()
-	defer r.c.mu.Unlock()
-	if r.released {
 		return 0, 0
 	}
 	return r.sliceCores, r.sliceMemMB
@@ -489,8 +478,8 @@ func (r *Reservation) SliceDims() (cores, memMB int) {
 // overcommit ratio. Only a node carrying no lease has that much headroom,
 // and since every slice needs at least one core nothing co-locates with the
 // lease for as long as it lives. It returns
-// ErrInsufficientResources when fewer than n such nodes exist; the
-// reservation is atomic.
+// ErrInsufficientResources when fewer than n such nodes exist, or when the
+// nodes have no cores or no memory to slice; the reservation is atomic.
 func (c *Cluster) Reserve(n int) (*Reservation, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: invalid reservation size %d", n)
@@ -501,7 +490,11 @@ func (c *Cluster) Reserve(n int) (*Reservation, error) {
 		return nil, fmt.Errorf("%w: want %d nodes, cluster has none", ErrInsufficientResources, n)
 	}
 	full := c.nodes[c.order[0]] // New builds identical nodes
-	return c.reserveLocked(n, full.Cores, c.memCapLocked(full))
+	cores, memMB := full.Cores, c.memCapLocked(full)
+	if cores <= 0 || memMB <= 0 {
+		return nil, fmt.Errorf("%w: want %d nodes, nodes have (%dc,%dMB)", ErrInsufficientResources, n, cores, memMB)
+	}
+	return c.reserveLocked(n, cores, memMB)
 }
 
 // ReserveSlices leases a uniform (coresPer, memPer) slice on each of n
@@ -592,7 +585,7 @@ func (c *Cluster) RevokeReservation(r *Reservation) int {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.released {
+	if !c.heldLocked(r) {
 		return 0
 	}
 	dropped := 0
@@ -609,7 +602,6 @@ func (c *Cluster) RevokeReservation(r *Reservation) int {
 // releaseContainerLocked ends a live container: its resources return to
 // its node and to its lease's per-node used ledger; c.mu held.
 func (c *Cluster) releaseContainerLocked(ctr *Container) {
-	ctr.released = true
 	delete(c.live, ctr.ID)
 	if n, ok := c.nodes[ctr.NodeName]; ok {
 		n.usedCores -= ctr.Cores
@@ -624,29 +616,25 @@ func (c *Cluster) releaseContainerLocked(ctr *Container) {
 }
 
 // ReleaseReservation returns the leased nodes to the unreserved pool.
-// Releasing twice is a safe no-op (idempotent: the released flag and the
-// reservation-table entry are cleared together under one critical section,
-// so double-release in suspend paths cannot free another lease's nodes). A
-// nil lease or one another cluster issued is ignored: its id may name one of
-// this cluster's own leases.
+// Releasing twice is a safe no-op: the lease leaves the reservation table in
+// the same critical section that frees its nodes, so a double release in a
+// suspend path cannot free another lease's nodes. A nil lease or one another
+// cluster issued is ignored: its id may name one of this cluster's own
+// leases.
 func (c *Cluster) ReleaseReservation(r *Reservation) {
 	if r == nil || r.c != c {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if r.released {
+	if !c.heldLocked(r) {
 		return
 	}
 	c.releaseReservationLocked(r)
 }
 
-// releaseReservationLocked clears the lease under c.mu.
+// releaseReservationLocked ends a held lease; c.mu held.
 func (c *Cluster) releaseReservationLocked(r *Reservation) {
-	r.released = true
-	if _, ok := c.reservations[r.id]; !ok {
-		return
-	}
 	delete(c.reservations, r.id)
 	for _, name := range r.nodes {
 		c.removeSliceLocked(c.nodes[name], r.sliceCores, r.sliceMemMB)
@@ -663,13 +651,13 @@ func (c *Cluster) UnreservedHealthy() int {
 }
 
 // ReservedNodes counts the nodes currently carrying at least one lease,
-// healthy or not, from the per-node slice refcounts.
+// healthy or not, from the per-node slice sums.
 func (c *Cluster) ReservedNodes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	reserved := 0
 	for _, n := range c.nodes {
-		if n.sliceRefs > 0 {
+		if n.leased() {
 			reserved++
 		}
 	}
@@ -744,7 +732,7 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 		if r.c != c {
 			return nil, nil, fmt.Errorf("%w: allocation under reservation %d", ErrForeignReservation, r.id)
 		}
-		if r.released {
+		if !c.heldLocked(r) {
 			return nil, nil, fmt.Errorf("%w: %w %d", ErrInsufficientResources, ErrReleasedReservation, r.id)
 		}
 		resID, candidates = r.id, r.nodes
@@ -767,7 +755,7 @@ func (c *Cluster) allocate(r *Reservation, count, cores, memMB int) ([]*Containe
 			}
 			free := n.FreeCores()
 			if r == nil {
-				if n.sliceRefs > 0 {
+				if n.leased() {
 					continue
 				}
 			} else {
@@ -863,7 +851,7 @@ func (c *Cluster) Release(ctr *Container) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !ctr.released {
+	if c.live[ctr.ID] == ctr {
 		c.releaseContainerLocked(ctr)
 	}
 }
@@ -902,20 +890,18 @@ func (c *Cluster) CheckInvariants() error {
 	// The delta-maintained books must agree with a from-scratch recount —
 	// any missed delta on a reserve/release/revoke/fail/restore path
 	// shows up here. The recount rebuilds every node's
-	// per-dimension slice sums and refcount from the reservation table.
+	// per-dimension slice sums from the reservation table.
 	sliceCores := make(map[string]int)
 	sliceMemMB := make(map[string]int)
-	sliceRefs := make(map[string]int)
 	for _, res := range c.reservations {
 		for _, name := range res.nodes {
 			sliceCores[name] += res.sliceCores
 			sliceMemMB[name] += res.sliceMemMB
-			sliceRefs[name]++
 		}
 	}
 	freeHealthy := 0
 	for _, name := range names {
-		if sliceRefs[name] == 0 && c.nodes[name].healthy {
+		if sliceCores[name] == 0 && c.nodes[name].healthy {
 			freeHealthy++
 		}
 	}
@@ -931,9 +917,9 @@ func (c *Cluster) CheckInvariants() error {
 			return fmt.Errorf("cluster: node %s over-allocated (%d/%d cores, %d/%d MB)",
 				name, n.usedCores, n.Cores, n.usedMemMB, c.memCapLocked(n))
 		}
-		if n.sliceCores != sliceCores[name] || n.sliceMemMB != sliceMemMB[name] || n.sliceRefs != sliceRefs[name] {
-			return fmt.Errorf("cluster: node %s slice sums drifted: have (%dc,%dMB,%d refs), recount (%dc,%dMB,%d refs)",
-				name, n.sliceCores, n.sliceMemMB, n.sliceRefs, sliceCores[name], sliceMemMB[name], sliceRefs[name])
+		if n.sliceCores != sliceCores[name] || n.sliceMemMB != sliceMemMB[name] {
+			return fmt.Errorf("cluster: node %s slice sums drifted: have (%dc,%dMB), recount (%dc,%dMB)",
+				name, n.sliceCores, n.sliceMemMB, sliceCores[name], sliceMemMB[name])
 		}
 		// Summed slice grants never exceed node capacity per dimension
 		// (memory judged against the overcommit ceiling) — which is also what
@@ -973,9 +959,6 @@ func (c *Cluster) CheckInvariants() error {
 		m[ctr.NodeName] = u
 	}
 	for id, res := range c.reservations {
-		if res.released {
-			return fmt.Errorf("cluster: released reservation %d still in the reservation table", id)
-		}
 		if len(res.nodes) == 0 {
 			return fmt.Errorf("cluster: live reservation %d holds no nodes", id)
 		}

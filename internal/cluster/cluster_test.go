@@ -453,13 +453,40 @@ func TestReconcilerConvergenceStorm(t *testing.T) {
 
 // CheckInvariants recounts every node's usage from the live containers.
 func TestCheckInvariantsRecountsNodeUsage(t *testing.T) {
-	c := New(vtime.NewClock(), 2, 4, 8192)
-	if _, err := c.AllocateIn(nil, 2, 1, 512); err != nil {
-		t.Fatal(err)
-	}
-	c.nodes["node1"].usedMemMB++
-	if err := c.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants missed a node whose usage differs from its containers")
+	// Each corruption edits one delta-maintained book and leaves the records
+	// it is recounted from — the live containers and the reservation table —
+	// as they were.
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cluster)
+	}{
+		{"node usage", func(c *Cluster) { c.nodes["node1"].usedMemMB++ }},
+		{"slice cores", func(c *Cluster) { c.nodes["node0"].sliceCores-- }},
+		{"slice memory", func(c *Cluster) { c.nodes["node0"].sliceMemMB += 512 }},
+		{"freeHealthy", func(c *Cluster) { c.freeHealthy++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(vtime.NewClock(), 3, 4, 8192)
+			r, err := c.ReserveSlices(1, 2, 2048)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AllocateIn(r, 1, 1, 512); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.AllocateIn(nil, 2, 1, 512); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CheckInvariants(); err != nil {
+				t.Fatalf("before the corruption: %v", err)
+			}
+			c.mu.Lock()
+			tc.corrupt(c)
+			c.mu.Unlock()
+			if err := c.CheckInvariants(); err == nil {
+				t.Fatalf("CheckInvariants missed %s drift", tc.name)
+			}
+		})
 	}
 }
 

@@ -35,12 +35,15 @@ func TestReserveRelease(t *testing.T) {
 	if got := c.ReservedNodes(); got != 0 {
 		t.Fatalf("ReservedNodes after release = %d, want 0", got)
 	}
-	// Every accessor on a released lease returns empty.
-	if nodes := r.Nodes(); nodes != nil || r.Size() != 0 {
-		t.Fatalf("released lease still lists nodes %v (size %d)", nodes, r.Size())
+	// A released lease holds no capacity but keeps its granted shape.
+	if !r.Released() {
+		t.Fatal("released lease still reports holding capacity")
 	}
-	if sc, sm := r.SliceDims(); sc != 0 || sm != 0 {
-		t.Fatalf("released lease still has dims (%d,%d)", sc, sm)
+	if nodes := r.Nodes(); len(nodes) != 2 || r.Size() != 2 {
+		t.Fatalf("released lease lists nodes %v (size %d), want its two granted nodes", nodes, r.Size())
+	}
+	if sc, sm := r.SliceDims(); sc != 8 || sm != 16384 {
+		t.Fatalf("released lease has dims (%d,%d), want its granted (8,16384)", sc, sm)
 	}
 	if _, err := c.Reserve(4); err != nil {
 		t.Fatalf("full-cluster reservation after release: %v", err)
@@ -51,6 +54,15 @@ func TestReserveInvalidAndUnhealthy(t *testing.T) {
 	c := newTestCluster()
 	if _, err := c.Reserve(0); err == nil {
 		t.Fatal("Reserve(0) accepted")
+	}
+	// A node with no cores cannot carry a slice: a lease there would leave
+	// the node counted as free.
+	coreless := New(vtime.NewClock(), 2, 0, 4096)
+	if _, err := coreless.Reserve(1); !errors.Is(err, ErrInsufficientResources) {
+		t.Fatalf("Reserve(1) on coreless nodes: err = %v", err)
+	}
+	if got := coreless.UnreservedHealthy(); got != 2 {
+		t.Fatalf("refused reserve moved the books: unreserved %d, want 2", got)
 	}
 	if err := c.SetNodeHealth("node1", false); err != nil {
 		t.Fatal(err)

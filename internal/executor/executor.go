@@ -651,22 +651,21 @@ func (st *planRun) launch(r *stepRun, ch SpeculativeChoice, speculative bool) (*
 	now := e.Clock.Now()
 	attempt := r.failed + 1
 	eRes := engine.Resources{Nodes: ch.Res.Nodes, CoresPerN: ch.Res.CoresPerN, MemMBPerN: ch.Res.MemMBPerN}
-	if e.Lease != nil && eRes.Nodes > e.Lease.Size() {
+	if e.Lease != nil {
 		// The plan may want more gang members than the admission lease
 		// holds; run narrower (and correspondingly slower) rather than
-		// poach capacity granted to other runs.
-		eRes.Nodes = e.Lease.Size()
-	}
-	if e.Lease != nil {
-		// Every lease caps per-node draw at its slice dimensions (none once
-		// revoked); running thinner beats bouncing off AllocateIn's confinement.
-		if sc, sm := e.Lease.SliceDims(); sc > 0 {
-			if eRes.CoresPerN > sc {
-				eRes.CoresPerN = sc
-			}
-			if eRes.MemMBPerN > sm {
-				eRes.MemMBPerN = sm
-			}
+		// poach capacity granted to other runs. Every lease also caps
+		// per-node draw at its slice dimensions; running thinner beats
+		// bouncing off AllocateIn's confinement.
+		if n := e.Lease.Size(); eRes.Nodes > n {
+			eRes.Nodes = n
+		}
+		sc, sm := e.Lease.SliceDims()
+		if eRes.CoresPerN > sc {
+			eRes.CoresPerN = sc
+		}
+		if eRes.MemMBPerN > sm {
+			eRes.MemMBPerN = sm
 		}
 	}
 	ctrs, err := e.Cluster.AllocateIn(e.Lease, eRes.Nodes, eRes.CoresPerN, eRes.MemMBPerN)

@@ -9,11 +9,12 @@ import (
 	"github.com/asap-project/ires/internal/metadata"
 )
 
-// Library is the IReS operator library: the store of materialized operators
-// and named datasets. Matching an abstract operator against the library is
-// accelerated by an index on highly selective metadata attributes — the
-// algorithm name — so only operators with the right algorithm are examined
-// by the full tree-matching pass (D3.3 §2.2.3).
+// Library is the IReS operator library: the store of materialized operators,
+// named datasets and the abstract operators workflow graphs name. Matching
+// an abstract operator against the library is accelerated by an index on
+// highly selective metadata attributes — the algorithm name — so only
+// operators with the right algorithm are examined by the full tree-matching
+// pass (D3.3 §2.2.3).
 //
 // Library is safe for concurrent use.
 type Library struct {
@@ -21,8 +22,9 @@ type Library struct {
 	ops         map[string]*Materialized
 	byAlgorithm map[string][]*Materialized // algorithm -> its operators in name order
 	datasets    map[string]*Dataset
-	// gen counts operator mutations; the planner re-derives its engine list
-	// and match sets when it moves.
+	abstracts   map[string]*Abstract
+	// gen counts materialized-operator mutations; the planner re-derives its
+	// engine list and match sets when it moves.
 	gen uint64
 }
 
@@ -32,6 +34,7 @@ func NewLibrary() *Library {
 		ops:         make(map[string]*Materialized),
 		byAlgorithm: make(map[string][]*Materialized),
 		datasets:    make(map[string]*Dataset),
+		abstracts:   make(map[string]*Abstract),
 	}
 }
 
@@ -193,6 +196,22 @@ func (l *Library) Dataset(name string) (*Dataset, bool) {
 	defer l.mu.RUnlock()
 	d, ok := l.datasets[name]
 	return d, ok
+}
+
+// AddAbstract registers a named abstract operator, replacing one of the same
+// name. It does not move Gen: no match set depends on it.
+func (l *Library) AddAbstract(a *Abstract) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.abstracts[a.Name] = a
+}
+
+// Abstract returns a registered abstract operator by name.
+func (l *Library) Abstract(name string) (*Abstract, bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	a, ok := l.abstracts[name]
+	return a, ok
 }
 
 // Len reports the number of registered operators.

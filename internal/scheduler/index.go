@@ -191,8 +191,8 @@ func (x *stateIndex) finishedActive(r *Run) {
 // naiveStateLocked rebuilds the policy input from scratch out of the run
 // records — the seed scheduler's O(n)-per-event path — so CheckIndex can
 // compare the incrementally maintained index against an independent source
-// of truth: the live records, classified by the active / suspended maps,
-// which the index never reads. s.mu held.
+// of truth: the live records, classified by their status alone, which the
+// index never reads. s.mu held.
 func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspended []RunState) {
 	for _, rec := range s.records {
 		r := rec.run
@@ -203,9 +203,9 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 		switch {
 		case rs.Status == StatusQueued:
 			queued = append(queued, rs)
-		case s.active[r.id] == r:
+		case rs.Status.active():
 			active = append(active, rs)
-		case s.suspended[r.id] == r:
+		case rs.Status == StatusSuspended:
 			suspended = append(suspended, rs)
 		}
 	}
@@ -213,11 +213,11 @@ func (s *Scheduler) naiveStateLocked(now time.Duration) (queued, active, suspend
 }
 
 // CheckIndex verifies every incrementally maintained structure against a
-// naive from-scratch rebuild: queue/active/suspended membership and order,
-// EDF heap size and head, every active run's cached lease size and footprint
-// against its lease, and the cached node counters (via
-// cluster.CheckInvariants). Status, set membership and index entries change
-// together under s.mu, so it may be called at any time.
+// naive from-scratch rebuild from the runs' statuses: queue/active/suspended
+// membership and order, EDF heap size and head, and the cached node
+// counters (via cluster.CheckInvariants). A status and the index entries
+// that follow it change together under s.mu, so it may be called at any
+// time.
 func (s *Scheduler) CheckIndex() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,10 +253,6 @@ func (s *Scheduler) CheckIndex() error {
 	if got, want := fmt.Sprint(liveIDs(s.idx.suspendedOrder)), fmt.Sprint(ids(ns)); got != want {
 		return fmt.Errorf("suspended index %v != naive %v", got, want)
 	}
-	if len(s.active) != len(na) || len(s.suspended) != len(ns) {
-		return fmt.Errorf("map sizes active=%d suspended=%d != naive %d/%d",
-			len(s.active), len(s.suspended), len(na), len(ns))
-	}
 
 	// EDF heap: exactly the waiting runs, and its top is the stable-sort head.
 	waiting := append(append([]RunState(nil), nq...), ns...)
@@ -280,20 +276,6 @@ func (s *Scheduler) CheckIndex() error {
 	}
 	if err := s.idx.edf.check(); err != nil {
 		return fmt.Errorf("EDF %w", err)
-	}
-
-	// A lease's nodes and slice dimensions are fixed at reservation, and the
-	// grant sets the cache under s.mu, so the cache is exact.
-	for _, r := range s.idx.activeOrder {
-		r.mu.Lock()
-		lease, nodes, cores, memMB := r.lease, r.leasedNodes, r.leasedCores, r.leasedMemMB
-		r.mu.Unlock()
-		size := lease.Size()
-		wantCores, wantMem := s.leaseFootprint(lease)
-		if nodes != size || cores != wantCores || memMB != wantMem {
-			return fmt.Errorf("%s caches a lease of %d nodes (%dc,%dMB), the lease is %d nodes (%dc,%dMB)",
-				r.id, nodes, cores, memMB, size, wantCores, wantMem)
-		}
 	}
 	return s.cluster.CheckInvariants()
 }

@@ -541,8 +541,8 @@ func TestPreemptionDeterminism(t *testing.T) {
 
 // A lease stays at its grant: under Deadline, a run admitted on three nodes
 // while the fourth is down is still the sole active run when the node comes
-// back and when its one-node neighbour finishes. Its cached size, its lease's
-// node list and its trace keep the three granted nodes throughout.
+// back and when its one-node neighbour finishes. Its reported size, its
+// lease's node list and its trace keep the three granted nodes throughout.
 func TestLeaseStaysAtGrant(t *testing.T) {
 	rig := newSusRig(t, 4, Deadline{}, map[string]susSpec{
 		"run-001": {steps: 6, stepDur: 10 * time.Second},
@@ -555,10 +555,10 @@ func TestLeaseStaysAtGrant(t *testing.T) {
 	granted := []string{"node0", "node1", "node2"}
 	look := func(at string) {
 		long.mu.Lock()
-		lease, nodes := long.lease, long.leasedNodes
+		lease := long.lease
 		long.mu.Unlock()
-		if got := lease.Nodes(); nodes != 3 || fmt.Sprint(got) != fmt.Sprint(granted) {
-			t.Errorf("%s: long run caches %d nodes on lease %v, want its grant %v", at, nodes, got, granted)
+		if nodes, got := long.Status().LeasedNodes, lease.Nodes(); nodes != 3 || fmt.Sprint(got) != fmt.Sprint(granted) {
+			t.Errorf("%s: long run reports %d nodes on lease %v, want its grant %v", at, nodes, got, granted)
 		}
 		if err := rig.sched.CheckIndex(); err != nil {
 			t.Errorf("%s: %v", at, err)

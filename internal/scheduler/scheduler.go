@@ -96,6 +96,10 @@ func (s Status) String() string {
 // Terminal reports whether the status is final.
 func (s Status) Terminal() bool { return s >= StatusSucceeded }
 
+// active reports whether a run in this status is admitted: it holds a lease
+// and executes, or is about to.
+func (s Status) active() bool { return s == StatusRunning || s == StatusResuming }
+
 // Snapshot is a point-in-time view of a run, safe to serialize.
 type Snapshot struct {
 	ID       string `json:"id"`
@@ -152,15 +156,16 @@ type Run struct {
 	suspend atomic.Bool
 	done    chan struct{}
 
-	mu          sync.Mutex
-	status      Status
-	lease       *cluster.Reservation
-	leasedNodes int // lease size, set at each grant; survives finish (last size), zeroed on suspend
-	leasedCores int // lease capacity footprint per dimension, set with leasedNodes
-	leasedMemMB int
-	party       *vtime.Party
-	plan        *planner.Plan
-	segs        []*executor.Result // banked per-segment results, merged into result at the finish
+	mu     sync.Mutex
+	status Status
+	// lease is set at each grant, dropped when a suspension lands and kept
+	// past the finish, so a terminal snapshot reports the last lease's size.
+	lease *cluster.Reservation
+	party *vtime.Party
+	plan  *planner.Plan
+	// segs banks the per-segment results, merged into result at the finish;
+	// the last one's intermediates are the done set a resume replans from.
+	segs        []*executor.Result
 	result      *executor.Result
 	err         error
 	submittedAt time.Duration
@@ -170,17 +175,15 @@ type Run struct {
 	estTime float64 // planner estimate, seconds (0 = none)
 
 	// Suspension bookkeeping (guarded by mu).
-	doneSet        []planner.MaterializedIntermediate
 	preemptions    int
 	suspendedAt    time.Duration
 	suspendedTotal time.Duration
-	running        bool          // currently charged as executing
-	runningSince   time.Duration // start of the current execution stretch
+	runningSince   time.Duration // start of the current execution stretch (status active)
 	ranFor         time.Duration // accumulated execution time (suspensions excluded)
-	// Preemption latency accounting: preemptPending/preemptAskedAt mark an
-	// outstanding preempt request; preemptLatency accumulates request-to-
-	// suspension spans across the run's preemption arcs.
-	preemptPending bool
+	// Preemption latency accounting: preemptAskedAt marks when the
+	// outstanding preempt request (the raised suspend flag) was made;
+	// preemptLatency accumulates request-to-suspension spans across the
+	// run's preemption arcs.
 	preemptAskedAt time.Duration
 	preemptLatency time.Duration
 
@@ -193,6 +196,20 @@ type Run struct {
 
 // ID returns the scheduler-unique run id (also stamped on trace events).
 func (r *Run) ID() string { return r.id }
+
+// state returns the run's lifecycle status.
+func (r *Run) state() Status {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.status
+}
+
+// leaseSizeLocked returns the size and capacity footprint of the run's
+// lease, zero with none; r.mu held.
+func (r *Run) leaseSizeLocked() (nodes, cores, memMB int) {
+	cores, memMB = r.sched.leaseFootprint(r.lease)
+	return r.lease.Size(), cores, memMB
+}
 
 // Wait blocks until the run reaches a terminal state and returns its plan,
 // execution result and error. It kicks the cooperative clock, so waiting on
@@ -220,9 +237,7 @@ func (r *Run) Status() Snapshot {
 		DeadlineSec:  r.deadline.Seconds(),
 		Preemptions:  r.preemptions,
 	}
-	snap.LeasedNodes = r.leasedNodes
-	snap.LeasedCores = r.leasedCores
-	snap.LeasedMemMB = r.leasedMemMB
+	snap.LeasedNodes, snap.LeasedCores, snap.LeasedMemMB = r.leaseSizeLocked()
 	if r.status >= StatusRunning {
 		snap.StartedSec = r.startedAt.Seconds()
 	}
@@ -357,13 +372,11 @@ type Scheduler struct {
 	nodeCores  int
 	nodeMemMB  int
 
-	mu        sync.Mutex
-	nextID    int
-	idx       stateIndex
-	active    map[string]*Run
-	suspended map[string]*Run
-	records   []*runRecord          // submission order
-	recIdx    map[string]*runRecord // id -> record
+	mu      sync.Mutex
+	nextID  int
+	idx     stateIndex
+	records []*runRecord          // submission order
+	recIdx  map[string]*runRecord // id -> record
 	// holding is set while a party holds the clock for runs that wait on a
 	// cluster that can lease them nothing (holdClockLocked).
 	holding bool
@@ -401,8 +414,6 @@ func New(cfg Config) (*Scheduler, error) {
 		totalMemMB: totalMemMB,
 		nodeCores:  nodeCores,
 		nodeMemMB:  nodeMemMB,
-		active:     make(map[string]*Run),
-		suspended:  make(map[string]*Run),
 		recIdx:     make(map[string]*runRecord),
 	}, nil
 }
@@ -509,17 +520,13 @@ func (s *Scheduler) Start() { s.clock.Kick() }
 func (s *Scheduler) Drain() {
 	for {
 		s.mu.Lock()
-		pending := make([]*Run, 0, s.idx.queue.n+len(s.active)+len(s.suspended))
+		pending := make([]*Run, 0, s.idx.queue.n+len(s.idx.activeOrder)+len(s.idx.suspendedOrder))
 		s.idx.queue.each(func(r *Run) bool {
 			pending = append(pending, r)
 			return true
 		})
-		for _, r := range s.active {
-			pending = append(pending, r)
-		}
-		for _, r := range s.suspended {
-			pending = append(pending, r)
-		}
+		pending = append(pending, s.idx.activeOrder...)
+		pending = append(pending, s.idx.suspendedOrder...)
 		s.mu.Unlock()
 		if len(pending) == 0 {
 			return
@@ -620,14 +627,14 @@ func (s *Scheduler) QueueDepth() int {
 func (s *Scheduler) ActiveRuns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.active)
+	return len(s.idx.activeOrder)
 }
 
 // SuspendedRuns reports the number of preempted runs awaiting resume.
 func (s *Scheduler) SuspendedRuns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.suspended)
+	return len(s.idx.suspendedOrder)
 }
 
 // runStateLocked builds the policy-visible view of one run; s.mu held.
@@ -650,11 +657,9 @@ func (s *Scheduler) runStateLocked(r *Run, now time.Duration) RunState {
 	if r.status >= StatusRunning {
 		rs.StartedSec = r.startedAt.Seconds()
 	}
-	rs.LeasedNodes = r.leasedNodes
-	rs.LeasedCores = r.leasedCores
-	rs.LeasedMemMB = r.leasedMemMB
+	rs.LeasedNodes, rs.LeasedCores, rs.LeasedMemMB = r.leaseSizeLocked()
 	ran := r.ranFor
-	if r.running {
+	if r.status.active() {
 		ran += now - r.runningSince
 	}
 	rs.RanSec = ran.Seconds()
@@ -686,9 +691,9 @@ func (s *Scheduler) reserveFor(r *Run, nodes int) (*cluster.Reservation, error) 
 }
 
 // leaseFootprint returns the total (cores, memMB) capacity a lease pins:
-// slice dimensions times nodes. The memory dimension is capped at physical
-// node memory — a whole-node lease's slice reaches the overcommit ceiling,
-// and DRF shares are fractions of physical capacity.
+// slice dimensions times nodes, zero for a nil lease. The memory dimension
+// is capped at physical node memory — a whole-node lease's slice reaches the
+// overcommit ceiling, and DRF shares are fractions of physical capacity.
 func (s *Scheduler) leaseFootprint(lease *cluster.Reservation) (cores, memMB int) {
 	n := lease.Size()
 	sc, sm := lease.SliceDims()
@@ -711,14 +716,14 @@ func leaseGrantFields(r *Run, lease *cluster.Reservation) map[string]float64 {
 	return f
 }
 
-// queuedLocked finds a run in the queue by id; s.mu held. O(1) via the
-// record index + intrusive queue membership.
-func (s *Scheduler) queuedLocked(id string) *Run {
+// lookupLocked returns the live run with the given id and its status; an
+// unknown or terminal id yields no run and a terminal status. s.mu held.
+func (s *Scheduler) lookupLocked(id string) (*Run, Status) {
 	rec := s.recIdx[id]
-	if rec == nil || rec.run == nil || rec.run.qnode == nil {
-		return nil
+	if rec == nil || rec.run == nil {
+		return nil, StatusCanceled
 	}
-	return rec.run
+	return rec.run, rec.run.state()
 }
 
 // schedule runs Decide/apply rounds until the policy quiesces (a round
@@ -753,23 +758,12 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 	if err != nil {
 		return false
 	}
-	_, resumed := s.suspended[r.id]
-	if resumed {
-		delete(s.suspended, r.id)
-		s.idx.unsuspend(r)
-	} else {
-		s.idx.dequeue(r)
-	}
 	n := lease.Size()
-	cores, memMB := s.leaseFootprint(lease)
 	ev := trace.Event{Type: trace.EvRunAdmit, RunID: r.id, Operator: r.workflow}
 	r.mu.Lock()
+	resumed := r.status == StatusSuspended
 	r.lease = lease
-	r.leasedNodes = n
-	r.leasedCores = cores
-	r.leasedMemMB = memMB
 	r.party = s.clock.Join()
-	r.running = true
 	r.runningSince = now
 	if resumed {
 		r.status = StatusResuming
@@ -783,7 +777,11 @@ func (s *Scheduler) grantLocked(r *Run, nodes int, now time.Duration) bool {
 		ev.Fields = map[string]float64{"nodes": float64(n), "waitSec": (now - r.submittedAt).Seconds()}
 	}
 	r.mu.Unlock()
-	s.active[r.id] = r
+	if resumed {
+		s.idx.unsuspend(r)
+	} else {
+		s.idx.dequeue(r)
+	}
 	s.idx.granted(r)
 	s.tracer.Emit(trace.Event{
 		Type: trace.EvLeaseGrant, RunID: r.id,
@@ -813,21 +811,21 @@ func (s *Scheduler) scheduleOnce() bool {
 	for _, a := range actions {
 		switch a := a.(type) {
 		case Admit:
-			grant(s.queuedLocked(a.Run), a.Nodes)
+			if r, st := s.lookupLocked(a.Run); st == StatusQueued {
+				grant(r, a.Nodes)
+			}
 
 		case Resume:
-			grant(s.suspended[a.Run], a.Nodes)
+			if r, st := s.lookupLocked(a.Run); st == StatusSuspended {
+				grant(r, a.Nodes)
+			}
 
 		case Preempt:
-			r := s.active[a.Run]
-			if r == nil {
-				continue
-			}
-			if r.suspend.Swap(true) {
-				continue // already pending
+			r, st := s.lookupLocked(a.Run)
+			if !st.active() || r.suspend.Swap(true) {
+				continue // not admitted, or already pending
 			}
 			r.mu.Lock()
-			r.preemptPending = true
 			r.preemptAskedAt = now
 			r.mu.Unlock()
 			progress = true
@@ -838,7 +836,7 @@ func (s *Scheduler) scheduleOnce() bool {
 	// the cluster sits idle would deadlock Drain. Force the earliest
 	// waiting run (suspended preferred over queued at equal submission
 	// time: it holds completed work) onto the free pool.
-	if !progress && len(s.active) == 0 {
+	if !progress && len(s.idx.activeOrder) == 0 {
 		pick := s.idx.queue.front()
 		if len(s.idx.suspendedOrder) > 0 {
 			r := s.idx.suspendedOrder[0] // earliest-submitted suspended run
@@ -891,9 +889,9 @@ func (s *Scheduler) holdClockLocked() {
 // finishLocked is the one terminal transition, whatever the run was doing —
 // queued (cancel), suspended (cancel) or active (the end of its last
 // segment). In one critical section it sets the status, emits run.finish /
-// run.cancel then lease.revoke, leaves the scheduler's sets and
-// the index and freezes the record: no observer — policy, Drain, CheckIndex, a
-// status listing — ever sees a run that is partly finished. s.mu held.
+// run.cancel then lease.revoke, releases the lease, leaves the index and
+// freezes the record: no observer — policy, Drain, CheckIndex, a status
+// listing — ever sees a run that is partly finished. s.mu held.
 //
 // The caller closes done. A waiting run's caller closes it in the same
 // critical section; a run that finishes its own segment closes it only once
@@ -904,20 +902,19 @@ func (s *Scheduler) holdClockLocked() {
 // virtual times.
 func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Duration) {
 	r.mu.Lock()
-	if r.status == StatusQueued {
+	was := r.status
+	if was == StatusQueued {
 		r.startedAt = now // never ran: zero makespan
 	}
 	r.status = status
 	r.err = err
 	r.result = mergeResults(r.segs)
 	r.finishedAt = now
-	if r.running {
+	if was.active() {
 		r.ranFor += now - r.runningSince
-		r.running = false
 	}
 	makespan := now - r.startedAt
-	lease := r.lease
-	r.lease = nil
+	lease := r.lease // kept on the run: the frozen snapshot reports its size
 	r.party = nil
 	r.mu.Unlock()
 
@@ -941,13 +938,11 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 	}
 
 	switch {
-	case r.qnode != nil:
+	case was == StatusQueued:
 		s.idx.dequeue(r)
-	case s.active[r.id] == r:
-		delete(s.active, r.id)
+	case was.active():
 		s.idx.finishedActive(r)
 	default:
-		delete(s.suspended, r.id)
 		s.idx.unsuspend(r)
 	}
 	// Freeze the snapshot into the record and drop the hot-path pointer.
@@ -964,13 +959,13 @@ func (s *Scheduler) finishLocked(r *Run, status Status, err error, now time.Dura
 func (s *Scheduler) cancel(r *Run) {
 	s.mu.Lock()
 	r.canceled.Store(true)
-	_, suspended := s.suspended[r.id]
-	if suspended || r.qnode != nil {
+	st := r.state()
+	if st == StatusQueued || st == StatusSuspended {
 		s.finishLocked(r, StatusCanceled, ErrCanceled, s.clock.Now())
 		close(r.done)
 	}
 	s.mu.Unlock()
-	if suspended {
+	if st == StatusSuspended {
 		s.schedule()
 	}
 }
@@ -1015,35 +1010,22 @@ func mergeResults(segs []*executor.Result) *executor.Result {
 // A cancel that arrived while the segment was draining finishes the run right
 // here. s.mu held; the caller is the run's running party.
 func (s *Scheduler) suspendLocked(r *Run, now time.Duration) {
-	r.suspend.Store(false)
 	r.mu.Lock()
 	lease := r.lease
 	r.lease = nil
-	r.leasedNodes = 0
-	r.leasedCores = 0
-	r.leasedMemMB = 0
 	r.party = nil
+	r.ranFor += now - r.runningSince // the segment ran until now
 	r.status = StatusSuspended
 	r.preemptions++
 	r.suspendedAt = now
-	if r.running {
-		r.ranFor += now - r.runningSince
-		r.running = false
-	}
 	latency := time.Duration(-1)
-	if r.preemptPending {
+	if r.suspend.Swap(false) {
 		latency = now - r.preemptAskedAt
 		r.preemptLatency += latency
-		r.preemptPending = false
 	}
 	r.mu.Unlock()
-	nodes := 0
-	if lease != nil {
-		nodes = lease.Size()
-	}
+	nodes := lease.Size()
 	dropped := s.cluster.RevokeReservation(lease)
-	delete(s.active, r.id)
-	s.suspended[r.id] = r
 	s.idx.suspendLanded(r)
 	suspendFields := map[string]float64{"nodes": float64(nodes), "droppedContainers": float64(dropped)}
 	if latency >= 0 {
@@ -1074,7 +1056,11 @@ func (s *Scheduler) runSegment(r *Run) (*executor.Result, error) {
 		Canceled: r.canceled.Load,
 		Suspend:  r.suspend.Load,
 	}
-	resumed, done := r.preemptions > 0, r.doneSet
+	resumed := r.preemptions > 0
+	var done []planner.MaterializedIntermediate
+	if n := len(r.segs); n > 0 {
+		done = r.segs[n-1].Intermediates
+	}
 	r.mu.Unlock()
 	if !resumed {
 		plan, err := s.plan(r.g)
@@ -1123,7 +1109,6 @@ func (s *Scheduler) runParty(r *Run) {
 	if res != nil {
 		r.mu.Lock()
 		r.segs = append(r.segs, res)
-		r.doneSet = res.Intermediates
 		r.mu.Unlock()
 	}
 	switch {

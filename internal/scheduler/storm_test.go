@@ -329,3 +329,67 @@ func TestIndexStorm(t *testing.T) {
 		writeStormDigests(t, digests)
 	}
 }
+
+// TestCheckIndexCatchesDrift corrupts one index structure, or one run's
+// status, at a time and requires CheckIndex to notice: the oracle rebuilds
+// from the statuses alone, so an index that disagrees with them — or a
+// status that moved without its index entries — fails it. Each corruption
+// is undone before the runs drain.
+func TestCheckIndexCatchesDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// corrupt edits the index, or the status of the queued run, while
+		// one other run is admitted; it returns the undo. s.mu held.
+		corrupt func(s *Scheduler, queued *Run) (undo func())
+	}{
+		{"active run missing from activeOrder", func(s *Scheduler, _ *Run) func() {
+			saved := s.idx.activeOrder
+			s.idx.activeOrder = nil
+			return func() { s.idx.activeOrder = saved }
+		}},
+		{"stray entry in suspendedOrder", func(s *Scheduler, queued *Run) func() {
+			s.idx.suspendedOrder = append(s.idx.suspendedOrder, queued)
+			return func() { s.idx.suspendedOrder = nil }
+		}},
+		{"waiting run missing from the EDF heap", func(s *Scheduler, queued *Run) func() {
+			s.idx.edf.remove(queued)
+			return func() { s.idx.edf.push(queued) }
+		}},
+		{"status flipped without moving the run", func(_ *Scheduler, queued *Run) func() {
+			queued.mu.Lock()
+			queued.status = StatusSuspended
+			queued.mu.Unlock()
+			return func() {
+				queued.mu.Lock()
+				queued.status = StatusQueued
+				queued.mu.Unlock()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newRig(t, 2, FIFO{}, nil)
+			rig.sched.Submit(graph("a"))
+			queued := rig.sched.Submit(graph("b"))
+			if err := rig.sched.CheckIndex(); err != nil {
+				t.Fatalf("before the corruption: %v", err)
+			}
+			rig.sched.mu.Lock()
+			undo := tc.corrupt(rig.sched, queued)
+			rig.sched.mu.Unlock()
+			err := rig.sched.CheckIndex()
+			rig.sched.mu.Lock()
+			undo()
+			rig.sched.mu.Unlock()
+			if err == nil {
+				t.Errorf("CheckIndex missed: %s", tc.name)
+			}
+			if err := rig.sched.CheckIndex(); err != nil {
+				t.Fatalf("after the undo: %v", err)
+			}
+			rig.sched.Drain()
+			if st := queued.Status(); st.Status != "succeeded" {
+				t.Fatalf("queued run = %+v, want succeeded", st)
+			}
+		})
+	}
+}

@@ -18,11 +18,10 @@ type Resolver interface {
 	ResolveOperator(name string) *operator.Abstract
 }
 
-// LibraryResolver adapts an operator.Library plus a set of abstract operator
-// descriptions to the Resolver interface.
+// LibraryResolver adapts an operator.Library, with its datasets and
+// abstract operators, to the Resolver interface.
 type LibraryResolver struct {
-	Library   *operator.Library
-	Abstracts map[string]*operator.Abstract
+	Library *operator.Library
 }
 
 // ResolveDataset implements Resolver using the library's dataset registry.
@@ -34,9 +33,14 @@ func (r LibraryResolver) ResolveDataset(name string) *operator.Dataset {
 	return d
 }
 
-// ResolveOperator implements Resolver using the provided abstract set.
+// ResolveOperator implements Resolver using the library's abstract
+// operator registry.
 func (r LibraryResolver) ResolveOperator(name string) *operator.Abstract {
-	return r.Abstracts[name]
+	if r.Library == nil {
+		return nil
+	}
+	a, _ := r.Library.Abstract(name)
+	return a
 }
 
 // ParseGraphString parses the `graph` file format of D3.3 §3.3. Each line

@@ -74,13 +74,20 @@ func referenceParseGraph(r io.Reader, res Resolver) (*Graph, error) {
 
 // graphResolver knows the library's operators and datasets by the names the
 // library's graphs use.
-var graphResolver = LibraryResolver{
-	Abstracts: map[string]*operator.Abstract{
-		"LineCount": abstractOp("LineCount", "LineCount"),
-		"tfidf":     abstractOp("tfidf", "TF_IDF"),
-		"kmeans":    abstractOp("kmeans", "kmeans"),
-		"op":        abstractOp("op", "x"),
-	},
+var graphResolver = LibraryResolver{Library: abstractLibrary(
+	abstractOp("LineCount", "LineCount"),
+	abstractOp("tfidf", "TF_IDF"),
+	abstractOp("kmeans", "kmeans"),
+	abstractOp("op", "x"),
+)}
+
+// abstractLibrary returns a library holding the given abstract operators.
+func abstractLibrary(abstracts ...*operator.Abstract) *operator.Library {
+	lib := operator.NewLibrary()
+	for _, a := range abstracts {
+		lib.AddAbstract(a)
+	}
+	return lib
 }
 
 // libraryGraphs returns the graph files under testdata/asapLibrary.

@@ -181,16 +181,11 @@ func TestCycleDetection(t *testing.T) {
 }
 
 func TestParseGraphPaperFormat(t *testing.T) {
-	lib := operator.NewLibrary()
+	lib := abstractLibrary(abstractOp("LineCount", "LineCount"))
 	if _, err := lib.AddDatasetDescription("asapServerLog", "Execution.path=hdfs:///log"); err != nil {
 		t.Fatal(err)
 	}
-	res := LibraryResolver{
-		Library: lib,
-		Abstracts: map[string]*operator.Abstract{
-			"LineCount": abstractOp("LineCount", "LineCount"),
-		},
-	}
+	res := LibraryResolver{Library: lib}
 	g, err := ParseGraphString(`
 # the LineCount workflow from D3.3 §3.3
 asapServerLog,LineCount,0
@@ -217,12 +212,10 @@ d1,$$target
 }
 
 func TestParseGraphTextClustering(t *testing.T) {
-	res := LibraryResolver{
-		Abstracts: map[string]*operator.Abstract{
-			"tfidf_cilk": abstractOp("tfidf_cilk", "TF_IDF"),
-			"kmeans":     abstractOp("kmeans", "kmeans"),
-		},
-	}
+	res := LibraryResolver{Library: abstractLibrary(
+		abstractOp("tfidf_cilk", "TF_IDF"),
+		abstractOp("kmeans", "kmeans"),
+	)}
 	g, err := ParseGraphString(`
 testdir,tfidf_cilk,0
 tfidf_cilk,d1,0
@@ -250,7 +243,7 @@ func TestParseGraphErrors(t *testing.T) {
 		t.Fatal("malformed line accepted")
 	}
 	// Target on an operator node.
-	res := LibraryResolver{Abstracts: map[string]*operator.Abstract{"op": abstractOp("op", "x")}}
+	res := LibraryResolver{Library: abstractLibrary(abstractOp("op", "x"))}
 	if _, err := ParseGraphString("a,op\nop,$$target", res); err == nil {
 		t.Fatal("operator target accepted")
 	}

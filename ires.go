@@ -270,8 +270,6 @@ type Platform struct {
 	trivialReplan bool
 	runObserver   func(op string, run *RunMetrics)
 
-	abstracts map[string]*operator.Abstract
-
 	recorder *trace.Recorder
 	tracer   trace.Tracer
 }
@@ -289,11 +287,10 @@ func NewPlatform(opts Options) (*Platform, error) {
 	}
 
 	p := &Platform{
-		opts:      opts,
-		Env:       engine.NewDefaultEnvironment(opts.Seed),
-		Clock:     vtime.NewClock(),
-		Library:   operator.NewLibrary(),
-		abstracts: make(map[string]*operator.Abstract),
+		opts:    opts,
+		Env:     engine.NewDefaultEnvironment(opts.Seed),
+		Clock:   vtime.NewClock(),
+		Library: operator.NewLibrary(),
 	}
 	p.recorder = trace.NewRecorder(0)
 	p.tracer = trace.Multi(p.recorder, opts.Tracer)
@@ -639,7 +636,7 @@ func (p *Platform) RegisterAbstractOperator(name, description string) error {
 	if err != nil {
 		return fmt.Errorf("ires: abstract operator %s: %w", name, err)
 	}
-	p.abstracts[name] = operator.NewAbstract(name, meta)
+	p.Library.AddAbstract(operator.NewAbstract(name, meta))
 	return nil
 }
 

@@ -111,7 +111,7 @@ func (b *WorkflowBuilder) Build() (*Workflow, error) {
 // ParseWorkflow parses the paper's `graph` file format (D3.3 §3.3) against
 // the platform's registered datasets and abstract operators.
 func (p *Platform) ParseWorkflow(graph string) (*Workflow, error) {
-	res := workflow.LibraryResolver{Library: p.Library, Abstracts: p.abstracts}
+	res := workflow.LibraryResolver{Library: p.Library}
 	g, err := workflow.ParseGraphString(graph, res)
 	if err != nil {
 		return nil, err
